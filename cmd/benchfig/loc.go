@@ -102,6 +102,36 @@ func printLoC() error {
 			counts[1]-counts[0], float64(counts[1])/float64(counts[0]))
 	}
 	fmt.Println("  (paper, in Java: ~5000 extra lines with full TPS functionality; >=900 minimal)")
+	return printSubstrateSize(root)
+}
+
+// substrateDirs are the packages between the public API and the
+// transports — what an application programmer never sees and the
+// ROADMAP tracks the size of.
+var substrateDirs = []string{
+	"internal/jxta/rendezvous",
+	"internal/jxta/peer",
+	"internal/jxta/peergroup",
+	".",
+	"internal/jxta/wire",
+	"internal/core/engine",
+	"internal/jxta/message",
+}
+
+// printSubstrateSize prints the second table: the same line count over
+// the substrate packages (each directory alone, not its subdirectories).
+func printSubstrateSize(root string) error {
+	fmt.Println("=== substrate size (non-blank, non-comment, non-test Go lines) ===")
+	total := 0
+	for _, d := range substrateDirs {
+		n, err := countGoLines(filepath.Join(root, d))
+		if err != nil {
+			return fmt.Errorf("counting %s: %w", d, err)
+		}
+		fmt.Printf("  %-28s %5d\n", d, n)
+		total += n
+	}
+	fmt.Printf("  %-28s %5d\n", "total", total)
 	return nil
 }
 

@@ -46,6 +46,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/tcpnet"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/obs"
@@ -571,7 +572,7 @@ func run(cmd string, args []string, listen, seeds, namePat string, wait time.Dur
 	for _, s := range strings.Split(seeds, ",") {
 		seedAddrs = append(seedAddrs, endpoint.Address(strings.TrimSpace(s)))
 	}
-	p, err := peer.New(peer.Config{Name: "tpsctl", Seeds: seedAddrs}, tr)
+	p, err := peer.New(peer.Config{Name: "tpsctl", Rendezvous: rendezvous.Config{Seeds: seedAddrs}}, tr)
 	if err != nil {
 		return err
 	}

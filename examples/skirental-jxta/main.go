@@ -70,7 +70,7 @@ func run(mode, listen, seeds string, count int) error {
 			seedAddrs = append(seedAddrs, endpoint.Address(s))
 		}
 	}
-	p, err := peer.New(peer.Config{Name: mode, Role: role, Seeds: seedAddrs}, tr)
+	p, err := peer.New(peer.Config{Name: mode, Rendezvous: rendezvous.Config{Role: role, Seeds: seedAddrs}}, tr)
 	if err != nil {
 		return err
 	}
@@ -134,7 +134,7 @@ func demo(count int) error {
 		if err != nil {
 			return nil, err
 		}
-		return peer.New(peer.Config{Name: name, Role: role, Seeds: seeds}, memnet.New(node))
+		return peer.New(peer.Config{Name: name, Rendezvous: rendezvous.Config{Role: role, Seeds: seeds}}, memnet.New(node))
 	}
 	rdv, err := mk("rdv", rendezvous.RoleRendezvous)
 	if err != nil {

@@ -66,23 +66,15 @@ type Engine[T any] struct {
 // with RegisterSub before events of those types can flow.
 func NewEngine[T any](p *Platform) (*Engine[T], error) {
 	t := typeOf[T]()
-	node, ok := p.reg.NodeByType(t)
+	node, ok := p.eng.Registry.NodeByType(t)
 	if !ok {
 		var err error
-		node, err = p.reg.Register(t, nil)
+		node, err = p.eng.Registry.Register(t, nil)
 		if err != nil {
 			return nil, psErr("engine", err)
 		}
 	}
-	core, err := engine.New(engine.Config{
-		Peer:         p.peer,
-		Registry:     p.reg,
-		Codec:        p.codec,
-		FindTimeout:  p.ftime,
-		FindInterval: p.fint,
-		Tracer:       p.tracer,
-		TraceRate:    p.trate,
-	})
+	core, err := engine.New(p.eng)
 	if err != nil {
 		return nil, psErr("engine", err)
 	}

@@ -210,10 +210,8 @@ func (c *Cluster) subNode(j int) (*netsim.Node, error) {
 // newPeer assembles a jxta peer on a node.
 func newPeer(name string, node *netsim.Node, role rendezvous.Role, seeds []endpoint.Address) (*peer.Peer, error) {
 	return peer.New(peer.Config{
-		Name:     name,
-		Role:     role,
-		Seeds:    seeds,
-		LeaseTTL: 10 * time.Second,
+		Name:       name,
+		Rendezvous: rendezvous.Config{Role: role, Seeds: seeds, LeaseTTL: 10 * time.Second},
 	}, memnet.New(node))
 }
 

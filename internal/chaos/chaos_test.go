@@ -75,8 +75,8 @@ func TestPartitionHealRecovery(t *testing.T) {
 		_ = pub.Publish(svc, fmt.Sprintf("lost-%d", i))
 	}
 	waitFor(t, 10*time.Second, "rdv-a to suspect rdv-b", func() bool {
-		st := rdvA.Rdv.Stats()
-		return st.SendFailures >= 2 && st.Suspected >= 1
+		c := rdvA.Rdv.Snapshot().Counters
+		return c["send_failures"] >= 2 && c["suspected"] >= 1
 	})
 	if n := sink.Count(); n != 1 {
 		t.Fatalf("messages crossed the partition: sink has %d", n)
@@ -90,7 +90,7 @@ func TestPartitionHealRecovery(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for sink.Count() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("delivery never recovered after heal: stats=%+v", rdvA.Rdv.Stats())
+			t.Fatalf("delivery never recovered after heal: stats=%+v", rdvA.Rdv.Snapshot().Counters)
 		}
 		_ = pub.Publish(svc, "post-heal")
 		time.Sleep(100 * time.Millisecond)
@@ -144,8 +144,8 @@ func TestLossyLinkDegradesProportionally(t *testing.T) {
 	if got < 140 || got > 290 {
 		t.Fatalf("lossy subscriber got %d/%d, want roughly 70%%", got, n)
 	}
-	st := rdv.Rdv.Stats()
-	if st.SendFailures != 0 || st.Suspected != 0 || st.Evicted != 0 {
+	st := rdv.Rdv.Snapshot().Counters
+	if st["send_failures"] != 0 || st["suspected"] != 0 || st["evicted"] != 0 {
 		t.Fatalf("silent loss must not trip the failure detector: %+v", st)
 	}
 }
@@ -181,9 +181,9 @@ func TestDeadPeerEvictedBehindBreaker(t *testing.T) {
 	// it. Each publish costs one failed send; the suspect probe adds one
 	// more, so a handful of publishes crosses EvictAfter.
 	deadline := time.Now().Add(10 * time.Second)
-	for rdvA.Rdv.Stats().Evicted == 0 {
+	for rdvA.Rdv.Snapshot().Counters["evicted"] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("dead peer never evicted: %+v", rdvA.Rdv.Stats())
+			t.Fatalf("dead peer never evicted: %+v", rdvA.Rdv.Snapshot().Counters)
 		}
 		_ = pub.Publish(svc, "into the void")
 		time.Sleep(50 * time.Millisecond)
@@ -194,7 +194,7 @@ func TestDeadPeerEvictedBehindBreaker(t *testing.T) {
 
 	// While the breaker is open the seed loop must skip, not redial.
 	waitFor(t, 10*time.Second, "breaker to skip seed redials", func() bool {
-		return rdvA.Rdv.Stats().BreakerSkips >= 1
+		return rdvA.Rdv.Snapshot().Counters["breaker_skips"] >= 1
 	})
 
 	// The peer restarts (same name, and — as for any restarted peer —

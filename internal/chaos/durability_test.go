@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,7 +179,8 @@ func TestReconnectResumesFromCursor(t *testing.T) {
 // TestRendezvousRestartRecoversLog kills the logging rendezvous
 // mid-stream and brings it back under the same name: the recovered log
 // must resume the old numbering, and a full replay must return both the
-// pre-crash and post-crash events.
+// pre-crash and post-crash events — while a cursor into some other
+// rendezvous's log gets nothing.
 func TestRendezvousRestartRecoversLog(t *testing.T) {
 	c := chaos.New(chaos.Config{Seed: 23, LogDir: t.TempDir()})
 	add := adder(t)
@@ -226,6 +228,22 @@ func TestRendezvousRestartRecoversLog(t *testing.T) {
 	if err := c.AwaitConnected(10*time.Second, "sub"); err != nil {
 		t.Fatal(err)
 	}
+	// A subscriber that re-homed here from a dead rendezvous also holds
+	// a cursor counted by that rendezvous's log. rdv is no replica of it,
+	// so the foreign numbering means nothing here: serve nothing, signal
+	// nothing.
+	var gaps atomic.Int64
+	sub.Rdv.SetReplayGapListener(func(jid.ID, string, uint64, uint64, bool) { gaps.Add(1) })
+	elsewhere := jid.FromSeed(jid.KindPeer, 4242)
+	if err := sub.Rdv.RequestReplay(rdv2.EP.PeerID(), chaos.GroupParam, elsewhere, 3); err != nil {
+		t.Fatal(err)
+	}
+	c.Net.WaitQuiesce(5 * time.Second)
+	if served := rdv2.Rdv.Snapshot().Counters["replay_served"]; sink.Count() != 0 || gaps.Load() != 0 || served != 0 {
+		t.Fatalf("foreign-origin cursor at a non-replica: delivered %d, gaps %d, served %d; want nothing",
+			sink.Count(), gaps.Load(), served)
+	}
+	// The self-origin request is what catches the subscriber up.
 	if err := sub.Rdv.RequestReplay(rdv2.EP.PeerID(), chaos.GroupParam, jid.Nil, 0); err != nil {
 		t.Fatal(err)
 	}

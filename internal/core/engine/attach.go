@@ -139,7 +139,7 @@ func (a *attachment) ready() bool {
 	if rdv == nil {
 		return false
 	}
-	if !rdv.Seeded() {
+	if len(rdv.Config().Seeds) == 0 {
 		return true
 	}
 	return len(rdv.ConnectedRendezvous()) > 0

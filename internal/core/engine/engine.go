@@ -119,34 +119,20 @@ type Engine struct {
 	lisTok int
 }
 
-// Stats counts engine activity.
-//
-// Deprecated: new introspection code should use Snapshot (the
-// obs.Provider view); Stats remains for existing tests and tools.
-type Stats struct {
-	Published       int64
-	Delivered       int64
-	DuplicateEvents int64
-	DecodeErrors    int64
-	// PublishErrors counts per-attachment publish failures (wire send or
-	// mesh propagation errored). A Publish call across several attached
-	// groups can partially fail; each failing attachment counts once.
-	PublishErrors   int64
-	AttachmentsLive int
-	AdvsCreated     int64
-	AdvsFound       int64
-}
-
-// engineCounters is the lock-free internal form of Stats.
+// engineCounters are lock-free: the publish and deliver paths bump them
+// without touching e.mu.
 type engineCounters struct {
 	published       atomic.Int64
 	delivered       atomic.Int64
 	duplicateEvents atomic.Int64
 	decodeErrors    atomic.Int64
-	publishErrors   atomic.Int64
-	advsCreated     atomic.Int64
-	advsFound       atomic.Int64
-	replayRequests  atomic.Int64
+	// publishErrors counts per-attachment publish failures (wire send or
+	// mesh propagation errored). A Publish call across several attached
+	// groups can partially fail; each failing attachment counts once.
+	publishErrors  atomic.Int64
+	advsCreated    atomic.Int64
+	advsFound      atomic.Int64
+	replayRequests atomic.Int64
 }
 
 // New creates and starts an engine: the advertisement finder begins
@@ -207,28 +193,9 @@ func (e *Engine) Registry() *typereg.Registry { return e.reg }
 // Peer returns the underlying JXTA peer.
 func (e *Engine) Peer() *peer.Peer { return e.peer }
 
-// Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats {
-	st := Stats{
-		Published:       e.stats.published.Load(),
-		Delivered:       e.stats.delivered.Load(),
-		DuplicateEvents: e.stats.duplicateEvents.Load(),
-		DecodeErrors:    e.stats.decodeErrors.Load(),
-		PublishErrors:   e.stats.publishErrors.Load(),
-		AdvsCreated:     e.stats.advsCreated.Load(),
-		AdvsFound:       e.stats.advsFound.Load(),
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, m := range e.attachments {
-		st.AttachmentsLive += len(m)
-	}
-	return st
-}
-
 // Snapshot implements obs.Provider. Counter keys follow the shared obs
-// vocabulary: what Stats calls DecodeErrors and PublishErrors are
-// `decode_failures` and `publish_failures` here.
+// vocabulary: decode and publish errors are `decode_failures` and
+// `publish_failures`.
 func (e *Engine) Snapshot() obs.Snapshot {
 	e.mu.Lock()
 	attachments := 0

@@ -78,7 +78,7 @@ func newRig(t *testing.T) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := peer.New(peer.Config{Name: "rdv", Role: rendezvous.RoleRendezvous, LeaseTTL: 2 * time.Second}, memnet.New(node))
+	d, err := peer.New(peer.Config{Name: "rdv", Rendezvous: rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 2 * time.Second}}, memnet.New(node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +104,8 @@ func (r *testRig) addEngine() *testEnginePeer {
 		r.t.Fatal(err)
 	}
 	p, err := peer.New(peer.Config{
-		Name:     name,
-		Seeds:    []endpoint.Address{"mem://rdv"},
-		LeaseTTL: 2 * time.Second,
+		Name:       name,
+		Rendezvous: rendezvous.Config{Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 2 * time.Second},
 	}, memnet.New(node))
 	if err != nil {
 		r.t.Fatal(err)
@@ -220,8 +219,8 @@ func TestSubscriberFirstThenPublisher(t *testing.T) {
 	if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
 		t.Fatal(err)
 	}
-	if st := pub.eng.Stats(); st.AdvsCreated != 0 {
-		t.Fatalf("publisher created %d advs despite existing one", st.AdvsCreated)
+	if n := pub.eng.Snapshot().Counters["advs_created"]; n != 0 {
+		t.Fatalf("publisher created %d advs despite existing one", n)
 	}
 	if !pub.eng.AwaitReady(pub.nodes["stock"], 1, 5*time.Second) {
 		t.Fatal("publisher attachment not ready")
@@ -270,7 +269,10 @@ func TestSubtypeDeliveryFigure7(t *testing.T) {
 	// on the full merged group set (attached AND leased) before firing,
 	// as TestSimultaneousCreation does for the two-peer case. All
 	// advertisement creation is over by now, so the total is stable.
-	created := int(pub.eng.Stats().AdvsCreated + subAll.eng.Stats().AdvsCreated + subTech.eng.Stats().AdvsCreated)
+	created := 0
+	for _, p := range []*testEnginePeer{pub, subAll, subTech} {
+		created += int(p.eng.Snapshot().Counters["advs_created"])
+	}
 	if !pub.eng.AwaitReady(pub.nodes["quote"], created, 15*time.Second) {
 		t.Fatal("publisher never became ready on every merged group")
 	}
@@ -333,7 +335,7 @@ func TestSimultaneousCreationConvergesWithExactlyOnceDelivery(t *testing.T) {
 	}
 	// Let the finders merge the advertisement sets: if two groups were
 	// created, both engines eventually attach to both.
-	created := a.eng.Stats().AdvsCreated + b.eng.Stats().AdvsCreated
+	created := a.eng.Snapshot().Counters["advs_created"] + b.eng.Snapshot().Counters["advs_created"]
 	if created >= 2 {
 		if !a.eng.AwaitAttachments(a.nodes["stock"], 2, 10*time.Second) ||
 			!b.eng.AwaitAttachments(b.nodes["stock"], 2, 10*time.Second) {
@@ -547,10 +549,10 @@ func TestStatsProgression(t *testing.T) {
 		}
 	}
 	waitCount(t, &c, 5)
-	if st := pub.eng.Stats(); st.Published != 5 || st.AttachmentsLive == 0 {
-		t.Fatalf("pub stats %+v", st)
+	if snap := pub.eng.Snapshot(); snap.Counters["published"] != 5 || snap.Gauges["attachments"] == 0 {
+		t.Fatalf("pub stats %+v", snap)
 	}
-	if st := sub.eng.Stats(); st.Delivered != 5 {
-		t.Fatalf("sub stats %+v", st)
+	if c := sub.eng.Snapshot().Counters; c["delivered"] != 5 {
+		t.Fatalf("sub stats %+v", c)
 	}
 }

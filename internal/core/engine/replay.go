@@ -170,10 +170,11 @@ func (a *attachment) syncReplay(e *Engine) {
 		// Foreign-origin cursors only matter after a failover: the
 		// standby serves the dead primary's stream from its replicated
 		// copy. In mesh mode (several independent durable rendezvous) a
-		// foreign cursor would only trigger the server's full-own-log
-		// fallback — entirely redundant with the self-origin request
-		// just sent — so fan them out in active/standby mode only.
-		if rdv.ActiveStandby() {
+		// rendezvous that is no replica of the origin serves nothing
+		// for a foreign cursor — the self-origin request just sent is
+		// what catches a re-homed subscriber up — so fan them out in
+		// active/standby mode only.
+		if rdv.Config().ActiveStandby {
 			for origin, st := range a.cursors {
 				if origin != id {
 					request(origin, st.seq)

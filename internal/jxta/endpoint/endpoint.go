@@ -104,12 +104,10 @@ var (
 	ErrBadDestFormat = errors.New("endpoint: message lacks destination elements")
 )
 
-// Stats is a snapshot of endpoint traffic, feeding the Peer Information
-// Protocol.
-//
-// Deprecated: new introspection code should use Snapshot (the
-// obs.Provider view with the shared counter vocabulary); Stats remains
-// for the PIP responder and existing tests.
+// Stats is a snapshot of endpoint traffic with its timestamps, feeding
+// the Peer Information Protocol responder (peerinfo.Local). The stats
+// registry reads Snapshot instead: counters only, in the shared obs
+// vocabulary.
 type Stats struct {
 	Started       time.Time
 	MsgsIn        int64

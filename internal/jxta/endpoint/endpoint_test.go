@@ -221,7 +221,9 @@ func TestStatsAndDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.wait(t, 1)
-	waitFor(t, func() bool { return b.Stats().MsgsIn == 2 })
+	// A frame is counted in before it is demuxed, so the drop counter
+	// trails MsgsIn: wait for both.
+	waitFor(t, func() bool { st := b.Stats(); return st.MsgsIn == 2 && st.NoHandlerDrop == 1 })
 	ast := a.Stats()
 	if ast.MsgsOut != 2 || ast.BytesOut == 0 || ast.LastOutgoing.IsZero() {
 		t.Fatalf("sender stats %+v", ast)

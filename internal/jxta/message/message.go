@@ -153,19 +153,17 @@ func (m *Message) ReplaceID(namespace, name string, id jid.ID) {
 	})
 }
 
-// GetID decodes the named ID element. It accepts both the binary form
-// written by AddID and, for compatibility with frames from older peers,
-// the canonical text URN. A missing element or malformed payload returns
-// an error.
+// GetID decodes the named ID element, the binary form written by AddID
+// and ReplaceID. A missing element or malformed payload returns an error.
 func (m *Message) GetID(namespace, name string) (jid.ID, error) {
 	e, ok := m.Element(namespace, name)
 	if !ok {
 		return jid.Nil, fmt.Errorf("message: no %s:%s element", namespace, name)
 	}
-	if len(e.Data) == jid.WireSize {
-		return jid.FromWire(e.Data[0], [16]byte(e.Data[1:]))
+	if len(e.Data) != jid.WireSize {
+		return jid.Nil, fmt.Errorf("message: %s:%s is %d bytes, not an ID", namespace, name, len(e.Data))
 	}
-	return jid.Parse(string(e.Data))
+	return jid.FromWire(e.Data[0], [16]byte(e.Data[1:]))
 }
 
 // Element returns the first element with the given namespace and name.
@@ -180,11 +178,7 @@ func (m *Message) Element(namespace, name string) (Element, bool) {
 
 // Text returns the payload of the named text element, or "" if absent.
 func (m *Message) Text(namespace, name string) string {
-	e, ok := m.Element(namespace, name)
-	if !ok {
-		return ""
-	}
-	return string(e.Data)
+	return string(m.Bytes(namespace, name))
 }
 
 // Bytes returns the payload of the named element, or nil if absent.
@@ -196,11 +190,18 @@ func (m *Message) Bytes(namespace, name string) []byte {
 	return e.Data
 }
 
+// AddUint64 appends an element carrying v as an 8-byte big-endian
+// unsigned integer. Uint64 reverses it.
+func (m *Message) AddUint64(namespace, name string, v uint64) {
+	m.AddBytes(namespace, name, binary.BigEndian.AppendUint64(nil, v))
+}
+
 // Uint64 decodes the named element as an 8-byte big-endian unsigned
 // integer — the convention binary numeric elements use (the rdv:Seq
-// log sequence, the trc:Ev publish stamp). ok is false when the
-// element is absent or not exactly 8 bytes. The lookup is
-// allocation-free, so hot-path probes can afford it per message.
+// log sequence and the other rdv control fields, the trc:Ev publish
+// stamp). ok is false when the element is absent or not exactly 8
+// bytes. The lookup is allocation-free, so hot-path probes can afford
+// it per message.
 func (m *Message) Uint64(namespace, name string) (uint64, bool) {
 	e, ok := m.Element(namespace, name)
 	if !ok || len(e.Data) != 8 {

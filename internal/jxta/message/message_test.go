@@ -532,18 +532,28 @@ func TestReplaceIDReplaces(t *testing.T) {
 	}
 }
 
-func TestGetIDTextFallback(t *testing.T) {
-	// Frames from peers predating the binary ID element carry the ID as a
-	// canonical URN string; GetID must still understand them.
+func TestAddUint64RoundTrip(t *testing.T) {
 	m := New(jid.FromSeed(jid.KindPeer, 1))
-	want := jid.FromSeed(jid.KindMessage, 7)
-	m.AddString("tps", "EventID", want.String())
-	got, err := m.GetID("tps", "EventID")
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []uint64{0, 1, 1 << 40, ^uint64(0)} {
+		m.RemoveElement("rdv", "Cursor")
+		m.AddUint64("rdv", "Cursor", v)
+		if e, _ := m.Element("rdv", "Cursor"); len(e.Data) != 8 {
+			t.Fatalf("numeric element is %d bytes, want 8", len(e.Data))
+		}
+		if got, ok := m.Uint64("rdv", "Cursor"); !ok || got != v {
+			t.Fatalf("Uint64 = %d, %v; want %d", got, ok, v)
+		}
 	}
-	if got != want {
-		t.Fatalf("got %v want %v", got, want)
+	// Anything but exactly eight bytes is not a number — in particular
+	// not zero, which the replay protocol reads as "everything retained".
+	for _, bad := range [][]byte{nil, {}, []byte("1234567"), []byte("123456789"), []byte("42")} {
+		m.ReplaceElement(Element{Namespace: "rdv", Name: "Cursor", Data: bad})
+		if got, ok := m.Uint64("rdv", "Cursor"); ok {
+			t.Fatalf("%d-byte element decoded as %d", len(bad), got)
+		}
+	}
+	if _, ok := m.Uint64("rdv", "absent"); ok {
+		t.Fatal("absent element decoded")
 	}
 }
 

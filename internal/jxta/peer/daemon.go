@@ -3,86 +3,39 @@ package peer
 import (
 	"fmt"
 
-	"github.com/tps-p2p/tps/internal/jxta/discovery"
+	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/resolver"
-	"github.com/tps-p2p/tps/internal/jxta/route"
 )
 
-// Daemon is the wildcard service stack of a dedicated rendezvous/relay
-// peer: one rendezvous, resolver, discovery and router instance that
-// serve every peer group (endpoint parameter ""), so a single daemon can
+// EnableDaemon turns this peer into a wildcard rendezvous/relay daemon:
+// one rendezvous, resolver, discovery and router instance that serve
+// every peer group (endpoint parameter ""), so a single daemon can
 // bridge the per-type groups the TPS layer creates without joining each
-// one.
-type Daemon struct {
-	Rendezvous *rendezvous.Service
-	Resolver   *resolver.Service
-	Discovery  *discovery.Service
-	Router     *route.Router
-}
-
-// EnableDaemon turns this peer into a wildcard rendezvous/relay daemon.
-// The peer keeps its normal net group stack; the daemon stack runs
-// alongside it. Seeds (for meshing with other daemons) come from the
-// peer's configuration.
-func (p *Peer) EnableDaemon() (*Daemon, error) {
+// one. The peer keeps its normal net group stack; the daemon stack runs
+// alongside it, configured from the peer's rendezvous template — seeds
+// (for meshing with other daemons), log and replica set included — and
+// is closed with the peer.
+func (p *Peer) EnableDaemon() (*peergroup.Core, error) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	p.mu.Unlock()
-
-	d := &Daemon{}
-	var err error
-	d.Rendezvous, err = rendezvous.New(p.ep, rendezvous.Config{
-		Role:         rendezvous.RoleRendezvous,
-		GroupParam:   "", // wildcard: serve every group
-		Seeds:        p.cfg.Seeds,
-		LeaseTTL:     p.cfg.LeaseTTL,
-		Log:          p.cfg.Log,
-		Tracer:       p.cfg.Tracer,
-		ReplicaSeeds: p.cfg.ReplicaSeeds,
-		SyncInterval: p.cfg.SyncInterval,
-	})
+	rcfg := p.cfg.Rendezvous
+	rcfg.Role = rendezvous.RoleRendezvous
+	rcfg.GroupParam = "" // wildcard: serve every group
+	d, err := peergroup.NewCore(p.ep, rcfg, false)
 	if err != nil {
 		return nil, fmt.Errorf("peer daemon: %w", err)
 	}
-	if d.Resolver, err = resolver.New(p.ep, d.Rendezvous, ""); err != nil {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		d.Close()
-		return nil, fmt.Errorf("peer daemon: %w", err)
+		return nil, ErrClosed
 	}
-	if d.Discovery, err = discovery.New(d.Resolver); err != nil {
-		d.Close()
-		return nil, fmt.Errorf("peer daemon: %w", err)
-	}
-	if d.Router, err = route.New(p.ep, d.Resolver, route.Config{
-		Group: "",
-		Relay: true,
-		Book:  d.Rendezvous,
-	}); err != nil {
-		d.Close()
-		return nil, fmt.Errorf("peer daemon: %w", err)
-	}
+	p.daemon = d
+	p.mu.Unlock()
 	return d, nil
-}
-
-// Close tears the daemon stack down. Safe on a partially built daemon.
-func (d *Daemon) Close() {
-	if d.Router != nil {
-		d.Router.Close()
-		d.Router = nil
-	}
-	if d.Discovery != nil {
-		d.Discovery.Close()
-		d.Discovery = nil
-	}
-	if d.Resolver != nil {
-		d.Resolver.Close()
-		d.Resolver = nil
-	}
-	if d.Rendezvous != nil {
-		d.Rendezvous.Close()
-		d.Rendezvous = nil
-	}
 }

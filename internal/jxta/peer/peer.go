@@ -12,16 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
-	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
 // Errors.
@@ -39,33 +36,14 @@ type Config struct {
 	// ID fixes the peer identity; zero generates a fresh one. Restarted
 	// peers pass their old ID to keep their pipes and advertisements.
 	ID jid.ID
-	// Role is the peer's default role in joined groups.
-	Role rendezvous.Role
-	// Seeds are the default rendezvous addresses for joined groups.
-	Seeds []endpoint.Address
-	// LeaseTTL overrides the rendezvous lease duration.
-	LeaseTTL time.Duration
 	// Firewalled marks the peer as unable to accept unsolicited inbound
 	// traffic.
 	Firewalled bool
-	// Log is the durable event log rendezvous services append to and
-	// replay from; nil (the default) disables durability entirely.
-	Log *eventlog.Log
-	// Tracer is the peer-local hop-trace store rendezvous services (and
-	// the engines above) record sampled-event hops into; nil disables
-	// forward-hop recording on this peer.
-	Tracer *trace.Store
-	// ReplicaSeeds are the other members of this rendezvous daemon's
-	// replica set: with a Log present, the daemon's wildcard rendezvous
-	// anti-entropy-syncs its per-topic logs against them so any replica
-	// can serve the others' retained history after a crash.
-	ReplicaSeeds []endpoint.Address
-	// SyncInterval is the anti-entropy digest cadence (zero: the
-	// rendezvous default).
-	SyncInterval time.Duration
-	// Failover switches joined groups' rendezvous clients to
-	// active/standby seed handling (see peergroup.Config.Failover).
-	Failover bool
+	// Rendezvous is the template every rendezvous service of this peer
+	// is configured from: role (zero means edge), seeds, lease, event
+	// log, tracer, failover. Joined groups take it whole, minus the
+	// replica set; the daemon stack takes all of it.
+	Rendezvous rendezvous.Config
 }
 
 // Peer is a running JXTA peer.
@@ -80,6 +58,7 @@ type Peer struct {
 	mu     sync.Mutex
 	groups map[jid.ID]*peergroup.Group
 	net    *peergroup.Group
+	daemon *peergroup.Core // wildcard stack, nil unless EnableDaemon ran
 	closed bool
 }
 
@@ -91,9 +70,6 @@ func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	}
 	if cfg.ID.IsZero() {
 		cfg.ID = jid.NewPeer()
-	}
-	if cfg.Role == 0 {
-		cfg.Role = rendezvous.RoleEdge
 	}
 	ep := endpoint.New(cfg.ID)
 	for _, t := range transports {
@@ -153,31 +129,31 @@ func (p *Peer) Groups() []*peergroup.Group {
 	return out
 }
 
-// JoinGroup instantiates the group's service stack on this peer. Fields
-// left zero in cfg inherit the peer's defaults (role, seeds, lease,
-// firewall).
+// Rendezvous lists every live rendezvous service of this peer: one per
+// joined group, plus the daemon's wildcard service if there is one.
+func (p *Peer) Rendezvous() []*rendezvous.Service {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]*rendezvous.Service, 0, len(p.groups)+1)
+	for _, g := range p.groups {
+		out = append(out, g.Rendezvous)
+	}
+	if p.daemon != nil {
+		out = append(out, p.daemon.Rendezvous)
+	}
+	return out
+}
+
+// JoinGroup instantiates the group's service stack on this peer. A cfg
+// whose Rendezvous is left zero takes the peer's template; a firewalled
+// peer is firewalled in every group.
 func (p *Peer) JoinGroup(cfg peergroup.Config) (*peergroup.Group, error) {
-	if cfg.Role == 0 {
-		cfg.Role = p.cfg.Role
+	if cfg.Rendezvous.Role == 0 {
+		cfg.Rendezvous = p.cfg.Rendezvous
+		// Only the daemon's wildcard service anti-entropy-syncs.
+		cfg.Rendezvous.ReplicaSeeds = nil
 	}
-	if cfg.Seeds == nil {
-		cfg.Seeds = p.cfg.Seeds
-	}
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = p.cfg.LeaseTTL
-	}
-	if !cfg.Firewalled {
-		cfg.Firewalled = p.cfg.Firewalled
-	}
-	if cfg.Log == nil {
-		cfg.Log = p.cfg.Log
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = p.cfg.Tracer
-	}
-	if !cfg.Failover {
-		cfg.Failover = p.cfg.Failover
-	}
+	cfg.Firewalled = cfg.Firewalled || p.cfg.Firewalled
 	if cfg.ID.IsZero() {
 		cfg.ID = jid.NetGroup
 	}
@@ -251,7 +227,7 @@ func (p *Peer) SelfAdvertisement() *adv.PeerAdv {
 		PeerID:     p.cfg.ID,
 		GroupID:    jid.NetGroup,
 		Name:       p.cfg.Name,
-		Rendezvous: p.cfg.Role == rendezvous.RoleRendezvous,
+		Rendezvous: p.cfg.Rendezvous.Role == rendezvous.RoleRendezvous,
 	}
 	for _, a := range p.ep.LocalAddresses() {
 		pa.Addresses = append(pa.Addresses, string(a))
@@ -269,7 +245,8 @@ func (p *Peer) AnnounceSelf() error {
 	return net.Discovery.RemotePublish(p.SelfAdvertisement(), 0)
 }
 
-// Close leaves all groups and shuts the endpoint down.
+// Close stops the daemon stack if any, leaves all groups and shuts the
+// endpoint down.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -283,7 +260,12 @@ func (p *Peer) Close() {
 	}
 	p.groups = map[jid.ID]*peergroup.Group{}
 	p.net = nil
+	daemon := p.daemon
+	p.daemon = nil
 	p.mu.Unlock()
+	if daemon != nil {
+		daemon.Close()
+	}
 	for _, g := range groups {
 		g.Close()
 	}

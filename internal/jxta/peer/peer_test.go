@@ -37,9 +37,8 @@ func (c *cluster) addDaemon(name string) *peer.Peer {
 		c.t.Fatal(err)
 	}
 	p, err := peer.New(peer.Config{
-		Name:     name,
-		Role:     rendezvous.RoleRendezvous,
-		LeaseTTL: 2 * time.Second,
+		Name:       name,
+		Rendezvous: rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 2 * time.Second},
 	}, memnet.New(node))
 	if err != nil {
 		c.t.Fatal(err)
@@ -59,9 +58,8 @@ func (c *cluster) addEdge(name string, seeds ...endpoint.Address) *peer.Peer {
 		c.t.Fatal(err)
 	}
 	p, err := peer.New(peer.Config{
-		Name:     name,
-		Seeds:    seeds,
-		LeaseTTL: 2 * time.Second,
+		Name:       name,
+		Rendezvous: rendezvous.Config{Seeds: seeds, LeaseTTL: 2 * time.Second},
 	}, memnet.New(node))
 	if err != nil {
 		c.t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
@@ -27,7 +26,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/resolver"
 	"github.com/tps-p2p/tps/internal/jxta/route"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
-	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
 // ErrNilEndpoint is returned when no endpoint service is supplied.
@@ -39,12 +37,6 @@ type Config struct {
 	ID jid.ID
 	// Name is the human-readable group name.
 	Name string
-	// Role selects edge or rendezvous behaviour inside this group.
-	Role rendezvous.Role
-	// Seeds are rendezvous addresses for this group.
-	Seeds []endpoint.Address
-	// LeaseTTL overrides the rendezvous lease duration.
-	LeaseTTL time.Duration
 	// Firewalled marks this peer as unreachable for unsolicited inbound
 	// traffic (drives the routing behaviour).
 	Firewalled bool
@@ -54,19 +46,72 @@ type Config struct {
 	// DisableWireDedupe turns off wire-level duplicate suppression
 	// (ablation benchmarks only).
 	DisableWireDedupe bool
-	// Log, when set on a rendezvous-role peer, makes the group's
-	// rendezvous service append propagated events to this durable log
-	// and serve replay requests from it. The group ID is the log topic.
-	Log *eventlog.Log
-	// Tracer is the peer-local hop-trace store the group's rendezvous
-	// service records sampled-event forward hops into; nil disables it.
-	Tracer *trace.Store
-	// Failover switches the group's rendezvous client to active/standby
-	// seed handling: lease with exactly one seed (the elected active)
-	// and re-lease against the next standby when the failure detector
-	// declares it dead. Requires every client to list Seeds in the same
-	// order. Off by default — all seeds are leased with concurrently.
-	Failover bool
+	// Rendezvous configures the group's rendezvous service: role (zero
+	// means edge), seeds, lease, event log, failover. New scopes it to
+	// the group by setting GroupParam; the group ID is the log topic.
+	Rendezvous rendezvous.Config
+}
+
+// Core is the mesh half of a service stack: the rendezvous service and
+// the resolver, discovery and router built on it, all scoped to one
+// endpoint parameter. A Group embeds one scoped to its ID; a dedicated
+// rendezvous/relay daemon runs one scoped to "" that serves every group.
+type Core struct {
+	Rendezvous *rendezvous.Service
+	Resolver   *resolver.Service
+	Discovery  *discovery.Service
+	Router     *route.Router
+}
+
+// NewCore builds the mesh services on ep, scoped to rcfg.GroupParam.
+// Rendezvous-role peers relay for their clients.
+func NewCore(ep *endpoint.Service, rcfg rendezvous.Config, firewalled bool) (*Core, error) {
+	c := &Core{}
+	if err := c.build(ep, rcfg, firewalled); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+func (c *Core) build(ep *endpoint.Service, rcfg rendezvous.Config, firewalled bool) (err error) {
+	if c.Rendezvous, err = rendezvous.New(ep, rcfg); err != nil {
+		return err
+	}
+	if c.Resolver, err = resolver.New(ep, c.Rendezvous, rcfg.GroupParam); err != nil {
+		return err
+	}
+	if c.Discovery, err = discovery.New(c.Resolver); err != nil {
+		return err
+	}
+	c.Router, err = route.New(ep, c.Resolver, route.Config{
+		Group:      rcfg.GroupParam,
+		Relay:      rcfg.Role == rendezvous.RoleRendezvous,
+		Firewalled: firewalled,
+		Book:       c.Rendezvous,
+	})
+	return err
+}
+
+// Close tears the mesh services down in reverse construction order. It
+// is safe to call on a partially constructed core.
+func (c *Core) Close() {
+	if c.Router != nil {
+		c.Router.Close()
+		c.Router = nil
+	}
+	if c.Discovery != nil {
+		c.Discovery.Close()
+		c.Discovery = nil
+	}
+	if c.Resolver != nil {
+		c.Resolver.Close()
+		c.Resolver = nil
+	}
+	if c.Rendezvous != nil {
+		c.Rendezvous.Close()
+		c.Rendezvous = nil
+	}
 }
 
 // Group is one peer's instance of a peer group: the full protocol stack
@@ -76,10 +121,7 @@ type Group struct {
 	name string
 	ep   *endpoint.Service
 
-	Rendezvous *rendezvous.Service
-	Resolver   *resolver.Service
-	Discovery  *discovery.Service
-	Router     *route.Router
+	Core
 	Pipes      *pipe.Service
 	Wire       *wire.Service
 	Membership *membership.Service
@@ -94,64 +136,37 @@ func New(ep *endpoint.Service, cfg Config) (*Group, error) {
 	if cfg.ID.IsZero() {
 		cfg.ID = jid.NetGroup
 	}
-	if cfg.Role == 0 {
-		cfg.Role = rendezvous.RoleEdge
+	if cfg.Rendezvous.Role == 0 {
+		cfg.Rendezvous.Role = rendezvous.RoleEdge
 	}
-	param := cfg.ID.String()
-
+	cfg.Rendezvous.GroupParam = cfg.ID.String()
 	g := &Group{id: cfg.ID, name: cfg.Name, ep: ep}
-	var err error
-	teardown := func() { g.Close() }
-
-	g.Rendezvous, err = rendezvous.New(ep, rendezvous.Config{
-		Role:          cfg.Role,
-		GroupParam:    param,
-		Seeds:         cfg.Seeds,
-		LeaseTTL:      cfg.LeaseTTL,
-		Log:           cfg.Log,
-		Tracer:        cfg.Tracer,
-		ActiveStandby: cfg.Failover,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
-	}
-	if g.Resolver, err = resolver.New(ep, g.Rendezvous, param); err != nil {
-		teardown()
-		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
-	}
-	if g.Discovery, err = discovery.New(g.Resolver); err != nil {
-		teardown()
-		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
-	}
-	if g.Router, err = route.New(ep, g.Resolver, route.Config{
-		Group:      param,
-		Relay:      cfg.Role == rendezvous.RoleRendezvous,
-		Firewalled: cfg.Firewalled,
-		Book:       g.Rendezvous,
-	}); err != nil {
-		teardown()
-		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
-	}
-	if g.Pipes, err = pipe.New(ep, g.Resolver, pipe.Config{Group: param}); err != nil {
-		teardown()
-		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
-	}
-	if g.Wire, err = wire.New(ep, g.Rendezvous, wire.Config{
-		Group:         param,
-		DisableDedupe: cfg.DisableWireDedupe,
-	}); err != nil {
-		teardown()
-		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
-	}
-	if g.Membership, err = membership.New(g.Resolver, cfg.Authenticator); err != nil {
-		teardown()
-		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
-	}
-	if g.PeerInfo, err = peerinfo.New(g.Resolver, ep); err != nil {
-		teardown()
+	if err := g.build(cfg); err != nil {
+		g.Close()
 		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
 	}
 	return g, nil
+}
+
+func (g *Group) build(cfg Config) (err error) {
+	param := cfg.Rendezvous.GroupParam
+	if err = g.Core.build(g.ep, cfg.Rendezvous, cfg.Firewalled); err != nil {
+		return err
+	}
+	if g.Pipes, err = pipe.New(g.ep, g.Resolver, pipe.Config{Group: param}); err != nil {
+		return err
+	}
+	if g.Wire, err = wire.New(g.ep, g.Rendezvous, wire.Config{
+		Group:         param,
+		DisableDedupe: cfg.DisableWireDedupe,
+	}); err != nil {
+		return err
+	}
+	if g.Membership, err = membership.New(g.Resolver, cfg.Authenticator); err != nil {
+		return err
+	}
+	g.PeerInfo, err = peerinfo.New(g.Resolver, g.ep)
+	return err
 }
 
 // ID returns the group ID.
@@ -186,7 +201,7 @@ func (g *Group) Advertisement(pipeAdv *adv.PipeAdv) *adv.PeerGroupAdv {
 		Name:       g.name,
 		GroupImpl:  "go-jxta-stdgroup",
 		App:        "tps",
-		Rendezvous: g.Rendezvous.Role() == rendezvous.RoleRendezvous,
+		Rendezvous: g.Rendezvous.Config().Role == rendezvous.RoleRendezvous,
 	}
 	if pipeAdv != nil {
 		pg.SetService(adv.ServiceAdv{
@@ -218,20 +233,5 @@ func (g *Group) Close() {
 		g.Pipes.Close()
 		g.Pipes = nil
 	}
-	if g.Router != nil {
-		g.Router.Close()
-		g.Router = nil
-	}
-	if g.Discovery != nil {
-		g.Discovery.Close()
-		g.Discovery = nil
-	}
-	if g.Resolver != nil {
-		g.Resolver.Close()
-		g.Resolver = nil
-	}
-	if g.Rendezvous != nil {
-		g.Rendezvous.Close()
-		g.Rendezvous = nil
-	}
+	g.Core.Close()
 }

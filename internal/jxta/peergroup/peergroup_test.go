@@ -81,15 +81,15 @@ func TestZeroConfigDefaults(t *testing.T) {
 	if g.ID() != jid.NetGroup {
 		t.Fatalf("default group = %v", g.ID())
 	}
-	if g.Rendezvous.Role() != rendezvous.RoleEdge {
-		t.Fatalf("default role = %v", g.Rendezvous.Role())
+	if role := g.Rendezvous.Config().Role; role != rendezvous.RoleEdge {
+		t.Fatalf("default role = %v", role)
 	}
 }
 
 func TestAdvertisementEmbedsWireService(t *testing.T) {
 	ep := newEndpoint(t, "p", 1)
 	gid := jid.FromSeed(jid.KindGroup, 3)
-	g, err := peergroup.New(ep, peergroup.Config{ID: gid, Name: "PS.SkiRental", Role: rendezvous.RoleRendezvous})
+	g, err := peergroup.New(ep, peergroup.Config{ID: gid, Name: "PS.SkiRental", Rendezvous: rendezvous.Config{Role: rendezvous.RoleRendezvous}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,195 @@
+package rendezvous
+
+// lease.go holds the lease tables: the clients leased to this peer
+// (rendezvous role) and the rendezvous this peer holds leases with.
+
+import (
+	"time"
+
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
+)
+
+type peerEntry struct {
+	addr    endpoint.Address
+	expires time.Time
+}
+
+// clientKey identifies a lease: one peer may lease separately for
+// several groups.
+type clientKey struct {
+	id jid.ID
+	// param is the group the client leased for; "" (wildcard rendezvous
+	// mesh peers) receives every group's propagation.
+	param string
+}
+
+// ConnectedRendezvous returns the IDs of rendezvous peers we hold leases
+// with.
+func (s *Service) ConnectedRendezvous() []jid.ID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.expireLocked()
+	out := make([]jid.ID, 0, len(s.rdvs))
+	for id := range s.rdvs {
+		out = append(out, id)
+	}
+	return out
+}
+
+// ConnectedClients returns the IDs of peers leased to us (rendezvous
+// role), across all groups, without duplicates.
+func (s *Service) ConnectedClients() []jid.ID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.expireLocked()
+	seen := make(map[jid.ID]struct{}, len(s.clients))
+	out := make([]jid.ID, 0, len(s.clients))
+	for k := range s.clients {
+		if _, dup := seen[k.id]; dup {
+			continue
+		}
+		seen[k.id] = struct{}{}
+		out = append(out, k.id)
+	}
+	return out
+}
+
+// DirectAddress returns an address this peer can currently reach id at:
+// a leased client, a rendezvous we lease with, or nothing. It implements
+// the router's AddressBook so relay peers can forward to their clients.
+func (s *Service) DirectAddress(id jid.ID) (endpoint.Address, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.expireLocked()
+	for k, e := range s.clients {
+		if k.id == id {
+			return e.addr, true
+		}
+	}
+	if e, ok := s.rdvs[id]; ok {
+		return e.addr, true
+	}
+	return "", false
+}
+
+// AwaitConnected blocks until this peer holds a lease with at least one
+// rendezvous, or the timeout elapses. It reports success. Peers with no
+// seeds are never "connected". It fails fast — without spinning out the
+// timeout — once every configured seed has rejected at least
+// seedFailFastAfter consecutive connect attempts at the transport layer
+// (all seeds unreachable).
+//
+// Contract under mixed seed health: "connected" means AT LEAST ONE
+// lease, not one per seed. A peer whose only logging (replay-serving)
+// rendezvous is down while another seed answers still reports
+// connected, with replay silently unavailable until the logging seed
+// recovers. Callers that need a particular seed must check the
+// per-seed Leased flag in PeersView (surfaced through Inspect() and
+// the /peers admin endpoint) rather than infer it from this method. In
+// ActiveStandby mode only the elected active is ever leased with, so
+// exactly one seed entry shows Leased when healthy.
+func (s *Service) AwaitConnected(timeout time.Duration) bool {
+	deadline := s.now().Add(timeout)
+	timer := time.AfterFunc(timeout, func() {
+		s.mu.Lock()
+		s.conn.Broadcast()
+		s.mu.Unlock()
+	})
+	defer timer.Stop()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		s.expireLocked()
+		if len(s.rdvs) > 0 {
+			return true
+		}
+		if s.closed || !s.now().Before(deadline) {
+			return false
+		}
+		if s.seeds != nil && s.seeds.unreachableLocked() {
+			return false
+		}
+		s.conn.Wait()
+	}
+}
+
+func (s *Service) handleConnect(msg *message.Message, from endpoint.Address) {
+	if s.cfg.Role != RoleRendezvous {
+		return // edge peers do not grant leases
+	}
+	// The lease is scoped to the group the client addressed: a wildcard
+	// rendezvous receives connects for many groups through its ("", svc)
+	// fallback handler.
+	param := s.incomingParam(msg)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.clients[clientKey{msg.Src, param}] = peerEntry{addr: from, expires: s.now().Add(s.cfg.LeaseTTL)}
+	// An inbound connect is proof of life: whatever suspicion (or stale
+	// eviction ban) the address carried is obsolete.
+	s.det.ok(from)
+	s.mu.Unlock()
+
+	grant := s.newOp(opLease, 1)
+	grant.AddUint64(elemNS, elemLease, uint64(s.cfg.LeaseTTL/time.Millisecond))
+	_ = s.ep.Send(from, ServiceName, param, grant)
+}
+
+func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
+	ttlMS, ok := msg.Uint64(elemNS, elemLease)
+	if !ok || ttlMS == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.rdvs[msg.Src] = peerEntry{
+		addr:    from,
+		expires: s.now().Add(time.Duration(ttlMS) * time.Millisecond),
+	}
+	// A granted lease is proof of life for the rendezvous's address.
+	s.det.ok(from)
+	s.conn.Broadcast()
+}
+
+func (s *Service) handleDisconnect(msg *message.Message) {
+	param := s.incomingParam(msg)
+	s.mu.Lock()
+	delete(s.clients, clientKey{msg.Src, param})
+	s.mu.Unlock()
+}
+
+func (s *Service) expireLocked() {
+	now := s.now()
+	for k, e := range s.clients {
+		if now.After(e.expires) {
+			delete(s.clients, k)
+		}
+	}
+	for id, e := range s.rdvs {
+		if now.After(e.expires) {
+			delete(s.rdvs, id)
+		}
+	}
+}
+
+// dropLeasesLocked removes every connection-table entry behind an
+// evicted address.
+func (s *Service) dropLeasesLocked(addr endpoint.Address) {
+	for k, e := range s.clients {
+		if e.addr == addr {
+			delete(s.clients, k)
+		}
+	}
+	for id, e := range s.rdvs {
+		if e.addr == addr {
+			delete(s.rdvs, id)
+		}
+	}
+}

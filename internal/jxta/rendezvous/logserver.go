@@ -1,0 +1,163 @@
+package rendezvous
+
+// logserver.go is the serving half of the durability protocol: a
+// rendezvous with an event log (Config.Log) appends every propagated
+// message before fanning it out, stamping the assigned per-topic
+// sequence number and its own identity onto the frame, and serves
+// replay requests (replay.go) from what it retains. sync.go replicates
+// the log between the members of a replica set.
+
+import (
+	"encoding/binary"
+	"sync"
+
+	"github.com/tps-p2p/tps/internal/eventlog"
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
+)
+
+// logServer is the durable part of a Service. It exists only on a
+// rendezvous-role service with a log, so edge peers and log-less
+// rendezvous carry none of its state and answer none of its ops.
+type logServer struct {
+	s *Service
+	// store views the event log (cfg.Log) as replicated (origin, topic)
+	// streams: replay serves copies through it, the sync loop feeds it.
+	store *replica.Store
+
+	replMu    sync.Mutex
+	replState map[endpoint.Address]*replicaPeer
+}
+
+func newLogServer(s *Service) *logServer {
+	return &logServer{
+		s:         s,
+		store:     replica.NewStore(s.cfg.Log, s.ep.PeerID()),
+		replState: make(map[endpoint.Address]*replicaPeer),
+	}
+}
+
+// append reserves the topic's next sequence number, stamps it and this
+// peer's identity onto msg, and stores the encoded propagation frame —
+// so the bytes a later replay resends are exactly the bytes the fan-out
+// sends now.
+func (l *logServer) append(msg *message.Message, topic string) {
+	s := l.s
+	var frame []byte
+	_, err := s.cfg.Log.Append(topic, func(seq uint64) ([]byte, error) {
+		msg.ReplaceElement(message.Element{Namespace: elemNS, Name: elemSeq, Data: binary.BigEndian.AppendUint64(nil, seq)})
+		msg.ReplaceID(elemNS, elemLogSrc, s.ep.PeerID())
+		f, err := s.ep.EncodeFrame(ServiceName, topic, msg)
+		frame = f
+		return f, err
+	})
+	if frame != nil {
+		endpoint.RecycleFrame(frame)
+	}
+	if err != nil {
+		s.stats.logFailures.Add(1)
+	}
+}
+
+// handleReplay serves one replay request from the log. Stored frames
+// are resent verbatim to the requester's address; they re-enter its
+// normal propagation handling, where the seen caches drop whatever was
+// already delivered live.
+//
+// The request names the origin whose log numbered the cursor. When
+// that is this peer, the own log serves it. When it is another peer
+// whose stream this replica holds a copy of, the copy serves it —
+// honouring the cursor, because copies keep the origin's numbering —
+// which is what makes failover exactly-once observable. A replica-set
+// member holding nothing of the named origin declares the cursor's
+// suffix unrecoverable with a gap. A rendezvous outside the origin's
+// replica set serves nothing and signals nothing: the numbering is not
+// its own, and a subscriber that re-homed to it catches up through the
+// self-origin request it sends alongside.
+func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
+	s := l.s
+	topic := msg.Text(elemNS, elemTopic)
+	cursor, ok := msg.Uint64(elemNS, elemCursor)
+	origin, err := msg.GetID(elemNS, elemLogSrc)
+	if topic == "" || !ok || err != nil {
+		// A malformed cursor must not read as "replay everything".
+		return
+	}
+	param := s.incomingParam(msg)
+	self := s.ep.PeerID()
+	if origin != self && !l.store.Holds(origin, topic) {
+		if len(s.cfg.ReplicaSeeds) == 0 || cursor == 0 {
+			return
+		}
+		// We are in the origin's replica set but hold none of its stream.
+		advertised, synced := l.replicaSetHolds(origin, topic)
+		if advertised {
+			// A replica we synced with still advertises the stream:
+			// nothing is lost, our copy just has not arrived yet.
+			// Serve nothing; when anti-entropy lands it, the records
+			// are mirrored live to our leased clients.
+			return
+		}
+		// No synced replica holds it either, so the suffix past the
+		// cursor is gone for good — say so instead of staying silent.
+		// Before the first digest exchange that verdict is only
+		// provisional (the copy may simply not have been pulled yet),
+		// which the signal's tentative flag reports honestly.
+		l.sendGap(from, param, topic, origin, 0, 0, !synced)
+		return
+	}
+	first, last, held := l.store.Range(origin, topic)
+	if !held {
+		if cursor > 0 {
+			// The requester has history we do not: log restarted empty.
+			l.sendGap(from, param, topic, origin, 0, 0, false)
+		}
+		return
+	}
+	if cursor > last {
+		if origin != self {
+			// Our copy is merely behind the requester's cursor: those
+			// entries were already delivered to it (the cursor proves
+			// so), nothing is lost and anti-entropy may still catch us
+			// up. Serve nothing, signal nothing.
+			return
+		}
+		// Cursor outruns our own log: the numbering restarted (log
+		// state lost). Signal the discontinuity, then replay all.
+		l.sendGap(from, param, topic, origin, first, last, false)
+		cursor = 0
+	} else if cursor > 0 && cursor+1 < first {
+		// Retention dropped (cursor, first): explicit gap, not silence.
+		l.sendGap(from, param, topic, origin, first, last, false)
+	}
+	served := 0
+	_ = l.store.Read(origin, topic, cursor, 0, func(e eventlog.Entry) error {
+		if err := s.ep.SendFrame(from, e.Payload); err != nil {
+			s.stats.sendFailures.Add(1)
+			return err
+		}
+		served++
+		return nil
+	})
+	s.stats.replayServed.Add(int64(served))
+}
+
+// sendGap tells a requester that its cursor into origin's log predates
+// what is retained here, bounding what is still available. tentative
+// qualifies an unbounded gap from a replica that has not completed a
+// first anti-entropy exchange yet.
+func (l *logServer) sendGap(to endpoint.Address, param, topic string, origin jid.ID, first, last uint64, tentative bool) {
+	s := l.s
+	s.stats.replayGaps.Add(1)
+	m := s.newOp(opGap, 5)
+	m.AddString(elemNS, elemTopic, topic)
+	m.AddID(elemNS, elemLogSrc, origin)
+	m.AddUint64(elemNS, elemFirst, first)
+	m.AddUint64(elemNS, elemLast, last)
+	if tentative {
+		m.AddString(elemNS, elemTentative, "true")
+	}
+	_ = s.ep.Send(to, ServiceName, param, m)
+}

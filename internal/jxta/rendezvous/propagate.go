@@ -1,0 +1,250 @@
+package rendezvous
+
+// propagate.go is the per-message path: injecting a message into the
+// mesh, receiving and forwarding one, and the send-side failure
+// accounting that feeds the detector.
+
+import (
+	"fmt"
+	"time"
+
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
+	"github.com/tps-p2p/tps/internal/obs/trace"
+)
+
+// Propagate fans msg out into the mesh, addressed to the (dsvc, dparam)
+// service on every reachable peer in the group. The local peer is NOT
+// delivered to — callers decide whether to loop back. Returns ErrNoPeers
+// if there was nobody to send to.
+func (s *Service) Propagate(msg *message.Message, dsvc, dparam string) error {
+	// Dup is an O(1) copy-on-write header copy: the caller's payload
+	// elements are shared read-only, and the first ReplaceElement below
+	// clones only the element headers before writing the rdv envelope.
+	out := msg.Dup()
+	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemOp, Data: []byte(opProp)})
+	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemDSvc, Data: []byte(dsvc)})
+	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemDParam, Data: []byte(dparam)})
+	if !out.Stamp(s.ep.PeerID()) {
+		return nil // TTL exhausted before leaving the peer
+	}
+	// Remember our own injection so the mesh echo is dropped.
+	s.seen.Observe(out.ID)
+	attempted, failed := s.fanOut(out, jid.Nil, s.cfg.GroupParam)
+	if attempted == 0 {
+		return ErrNoPeers
+	}
+	if failed == attempted {
+		return fmt.Errorf("%w (%d peers)", ErrAllSendsFailed, failed)
+	}
+	return nil
+}
+
+func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
+	if !s.seen.Observe(msg.ID) {
+		s.stats.duplicates.Add(1)
+		return
+	}
+	dsvc := msg.Text(elemNS, elemDSvc)
+	dparam := msg.Text(elemNS, elemDParam)
+	if dsvc == "" {
+		return
+	}
+	if err := s.ep.DeliverLocal(dsvc, dparam, msg, from); err == nil {
+		s.stats.delivered.Add(1)
+	}
+	// Forward deeper into the mesh. Edge peers terminate propagation;
+	// only rendezvous fan out.
+	if s.cfg.Role != RoleRendezvous {
+		return
+	}
+	// COW Dup: forwarding deeper shares the delivered message's elements;
+	// only the per-hop path/TTL state is copied before stamping.
+	fwd := msg.Dup()
+	if !fwd.Stamp(s.ep.PeerID()) {
+		return
+	}
+	s.fanOut(fwd, msg.Src, s.incomingParam(msg))
+}
+
+// target is one peer a frame is about to be sent to.
+type target struct {
+	id   jid.ID
+	addr endpoint.Address
+}
+
+// targetsLocked selects who receives a frame of the given group: the
+// clients leased for it and, when mesh is set, the rendezvous we lease
+// with — each peer once, skipping addresses whose eviction breaker is
+// still open.
+func (s *Service) targetsLocked(param string, mesh bool) []target {
+	s.expireLocked()
+	now := s.now()
+	n := len(s.clients)
+	if mesh {
+		n += len(s.rdvs)
+	}
+	targets := make([]target, 0, n)
+	// The dedupe map only matters when client leases exist: one peer may
+	// lease for several groups, or lease while also being a rendezvous we
+	// connect to. Pure mesh forwarding (no clients — every edge peer, and
+	// rendezvous between lease arrivals) skips the allocation; reads from
+	// the nil map below are safe and always miss.
+	var seenIDs map[jid.ID]struct{}
+	if len(s.clients) > 0 {
+		seenIDs = make(map[jid.ID]struct{}, n)
+		for k, e := range s.clients {
+			// Group scoping: a client leased for group X must not receive
+			// group Y traffic. Wildcard entries ("") are mesh peers that
+			// forward everything.
+			if k.param != "" && param != "" && k.param != param {
+				continue
+			}
+			if _, dup := seenIDs[k.id]; dup || s.blockedLocked(e.addr, now) {
+				continue
+			}
+			seenIDs[k.id] = struct{}{}
+			targets = append(targets, target{k.id, e.addr})
+		}
+	}
+	if mesh {
+		for id, e := range s.rdvs {
+			// IDs are unique within rdvs; only a client/rdv overlap can dup.
+			if _, dup := seenIDs[id]; dup || s.blockedLocked(e.addr, now) {
+				continue
+			}
+			targets = append(targets, target{id, e.addr})
+		}
+	}
+	return targets
+}
+
+// blockedLocked reports whether addr is behind an open breaker, counting
+// the contact that is skipped because of it.
+func (s *Service) blockedLocked(addr endpoint.Address, now time.Time) bool {
+	if !s.det.banned(addr, now) {
+		return false
+	}
+	s.stats.breakerSkips.Add(1)
+	return true
+}
+
+// fanOut is the forwarding step Propagate and handleProp share: it logs
+// the stamped message (durable peers), archives its trace hop, and sends
+// it to every connected peer in the given group except the one it came
+// from and any peer already on its path. It returns how many sends were
+// attempted and how many of those failed, so callers can tell "nobody
+// to send to" apart from "everybody unreachable". Failed sends feed the
+// suspect/evict failure accounting.
+func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (attempted, failed int) {
+	// Durable path: number and persist the message under this peer's own
+	// log before it leaves, so a subscriber that is offline right now can
+	// replay it later. A forwarded message is re-numbered: cursors are per
+	// origin, and this rendezvous is now an origin for its subscribers.
+	if s.logs != nil {
+		s.logs.append(msg, param)
+	}
+	// Archive a forward-stage hop for messages carrying a trace element:
+	// the stamped Path at this moment shows exactly which peers the frame
+	// crossed to get here. Untraced messages cost a single
+	// allocation-free element scan.
+	if s.cfg.Tracer != nil {
+		if ev, sentUS, ok := trace.Info(msg); ok {
+			s.cfg.Tracer.Record(ev, trace.StageForward, s.ep.PeerID(), sentUS, msg.Path)
+		}
+	}
+	s.stats.propagated.Add(1)
+
+	s.mu.Lock()
+	targets := s.targetsLocked(param, true)
+	s.mu.Unlock()
+
+	// Marshal once: every target receives the identical frame, so the
+	// envelope-and-encode work must not be repeated per peer.
+	var frame []byte
+	var probes []endpoint.Address
+	for _, t := range targets {
+		if t.id == except || msg.Visited(t.id) {
+			continue
+		}
+		if frame == nil {
+			var err error
+			if frame, err = s.ep.EncodeFrame(ServiceName, param, msg); err != nil {
+				return 0, 0
+			}
+			defer endpoint.RecycleFrame(frame)
+		}
+		attempted++
+		if err := s.ep.SendFrame(t.addr, frame); err != nil {
+			// Unreachable peers age out via lease expiry; the failure
+			// accounting gets them suspected, probed and evicted sooner.
+			failed++
+			s.stats.sendFailures.Add(1)
+			if s.noteFailure(t.addr) {
+				probes = append(probes, t.addr)
+			}
+			continue
+		}
+		s.noteSuccess(t.addr)
+	}
+	// Probe outside the send loop: a probe is itself a send and must not
+	// distort this fan-out's accounting.
+	for _, addr := range probes {
+		s.probe(addr)
+	}
+	return attempted, failed
+}
+
+// noteFailure records a send failure against addr. It reports whether
+// the address just crossed the suspect threshold (the caller should
+// probe it). Crossing the evict threshold removes every client and
+// rendezvous entry behind the address and opens its breaker for the
+// cooldown, so dead peers are not redialed on every fan-out.
+func (s *Service) noteFailure(addr endpoint.Address) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	suspect, evict := s.det.fail(addr, s.now(), &s.cfg)
+	if suspect {
+		s.stats.suspected.Add(1)
+	}
+	if evict {
+		s.dropLeasesLocked(addr)
+		s.stats.evicted.Add(1)
+		return false
+	}
+	return suspect
+}
+
+// noteSuccess is proof of life for addr.
+func (s *Service) noteSuccess(addr endpoint.Address) {
+	s.mu.Lock()
+	s.det.ok(addr)
+	s.mu.Unlock()
+}
+
+// probe sends a lightweight ping to a suspect address. A live peer
+// answers with a pong, which clears its failure state; a dead one keeps
+// accumulating failures until eviction.
+func (s *Service) probe(addr endpoint.Address) {
+	s.stats.probes.Add(1)
+	if s.sendCounted(addr, s.newOp(opPing, 0)) != nil {
+		// noteFailure only reports a suspect transition once, so a
+		// failed probe advances toward eviction without re-probing.
+		_ = s.noteFailure(addr)
+	}
+}
+
+// probeSuspects pings every suspect address that is not behind an open
+// breaker. Called from the maintenance loop.
+func (s *Service) probeSuspects() {
+	s.mu.Lock()
+	addrs := s.det.suspects(s.now())
+	s.mu.Unlock()
+	for _, addr := range addrs {
+		s.probe(addr)
+	}
+}

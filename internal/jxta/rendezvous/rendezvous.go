@@ -8,24 +8,27 @@
 //
 // The Peer Discovery Protocol and the wire (propagated pipe) service both
 // ride on Propagate.
+//
+// One Service is one protocol instance. Its state is split into parts
+// that exist only on the role that needs them: the lease tables and the
+// failure detector (detector.go) on every peer, a seed client
+// (seeds.go) on peers configured with seeds, and a log server
+// (logserver.go, sync.go) on rendezvous peers with an event log. A nil
+// part is the guard: an edge peer never constructs the log server, so
+// replay and sync ops addressed to it are dropped at dispatch.
 package rendezvous
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
-	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
 	"github.com/tps-p2p/tps/internal/jxta/seen"
-	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/trace"
 	"github.com/tps-p2p/tps/internal/retry"
 )
@@ -33,14 +36,17 @@ import (
 // ServiceName is the endpoint service name of the rendezvous protocol.
 const ServiceName = "jxta.rdv"
 
-// Message element names, namespace "rdv".
+// Message element names, namespace "rdv". Numeric elements (Lease and
+// the replay/sync fields in replay.go and sync.go) are 8-byte big-endian
+// (message.AddUint64); an op whose numeric element is absent or of any
+// other length is dropped.
 const (
 	elemNS     = "rdv"
 	elemOp     = "Op"
 	elemDSvc   = "DSvc"
 	elemDParam = "DParam"
-	elemLease  = "Lease"
-	elemIsRdv  = "IsRdv"
+	// elemLease carries the granted lease duration in milliseconds.
+	elemLease = "Lease"
 )
 
 // Operations.
@@ -87,7 +93,9 @@ type Endpoint interface {
 	UnregisterHandler(svc, param string)
 }
 
-// Config configures a rendezvous service instance.
+// Config configures a rendezvous service instance. It is the only
+// declaration of these knobs: the layers above (peergroup, peer, tps)
+// carry a Config whole instead of re-declaring its fields.
 type Config struct {
 	// Role selects edge or rendezvous behaviour.
 	Role Role
@@ -163,11 +171,36 @@ const (
 	DefaultSuspectAfter  = 2
 	DefaultEvictAfter    = 4
 	DefaultEvictCooldown = 30 * time.Second
-	// seedFailFastAfter is the consecutive connect failures per seed
-	// after which AwaitConnected gives up early: every seed has been
-	// tried at least twice and the transport rejected each attempt.
-	seedFailFastAfter = 2
 )
+
+// normalise replaces every zero-means-default field with its default,
+// so the rest of the package reads cfg without re-deriving them.
+func (c *Config) normalise() {
+	if c.Clock == nil {
+		c.Clock = time.Now
+	}
+	if c.LeaseTTL == 0 {
+		c.LeaseTTL = DefaultLeaseTTL
+	}
+	if c.SuspectAfter <= 0 {
+		c.SuspectAfter = DefaultSuspectAfter
+	}
+	if c.EvictAfter <= 0 {
+		c.EvictAfter = DefaultEvictAfter
+	}
+	if c.EvictAfter <= c.SuspectAfter {
+		c.EvictAfter = c.SuspectAfter + 1
+	}
+	if c.EvictCooldown <= 0 {
+		c.EvictCooldown = DefaultEvictCooldown
+	}
+	if c.SeedBackoff == (retry.Policy{}) {
+		c.SeedBackoff = retry.Policy{Max: c.LeaseTTL}
+	}
+	if c.SyncInterval <= 0 {
+		c.SyncInterval = DefaultSyncInterval
+	}
+}
 
 // ErrNoPeers is returned by Propagate when no rendezvous or clients are
 // connected, meaning the message reached nobody.
@@ -178,112 +211,29 @@ var ErrNoPeers = errors.New("rendezvous: no connected peers")
 // ErrNoPeers the mesh thinks it exists — a partition or mass failure.
 var ErrAllSendsFailed = errors.New("rendezvous: all sends failed")
 
-// Stats counts rendezvous activity.
-//
-// Deprecated: new introspection code should use Snapshot (the
-// obs.Provider view); Stats remains for existing tests and tools.
-type Stats struct {
-	Propagated   int64 // messages this peer injected or forwarded
-	Delivered    int64 // propagated messages delivered to local services
-	Duplicates   int64 // propagated messages dropped by the seen-cache
-	SendFailures int64 // per-peer propagation sends that errored
-	SeedFailures int64 // seed connect attempts rejected by the transport
-	Suspected    int64 // peers marked suspect after consecutive failures
-	Probes       int64 // ping probes sent to suspect peers
-	Evicted      int64 // peers evicted after sustained failure
-	BreakerSkips int64 // sends/redials skipped while a breaker was open
-	LeasesActive int   // currently connected clients (rendezvous role)
-}
-
-// rdvCounters is the lock-free internal form of Stats: the propagation
-// hot path bumps these without taking s.mu.
-type rdvCounters struct {
-	propagated     atomic.Int64
-	delivered      atomic.Int64
-	duplicates     atomic.Int64
-	sendFailures   atomic.Int64
-	seedFailures   atomic.Int64
-	suspected      atomic.Int64
-	probes         atomic.Int64
-	evicted        atomic.Int64
-	breakerSkips   atomic.Int64
-	replayRequests atomic.Int64 // replay ops sent (edge) or received (rdv)
-	replayServed   atomic.Int64 // log entries resent to requesters
-	replayGaps     atomic.Int64 // gap signals sent or received
-	logFailures    atomic.Int64 // event-log appends that errored
-	failovers      atomic.Int64 // active→standby re-elections (ActiveStandby)
-	syncDigests    atomic.Int64 // anti-entropy digests received
-	syncPulls      atomic.Int64 // pull requests served
-	syncRecords    atomic.Int64 // records sent while serving pulls
-	syncApplied    atomic.Int64 // pulled records applied to local copies
-	syncDivergence atomic.Int64 // aligned segment ranges with mismatched CRCs
-	syncRejects    atomic.Int64 // sync ops dropped: sender not a replica seed
-	syncResets     atomic.Int64 // copies reset past an origin-side retention gap
-}
-
-type peerEntry struct {
-	addr    endpoint.Address
-	expires time.Time
-	isRdv   bool
-	// param is the group the client leased for; "" (wildcard rendezvous
-	// mesh peers) receives every group's propagation.
-	param string
-}
-
-// clientKey identifies a lease: one peer may lease separately for
-// several groups.
-type clientKey struct {
-	id    jid.ID
-	param string
-}
-
-// healthState tracks delivery failures per address. Addresses — not
-// peer IDs — are the unit of reachability: they are what sends go to and
-// what seed reconnects dial.
-type healthState struct {
-	fails       int       // consecutive send failures
-	suspect     bool      // crossed SuspectAfter; being probed
-	bannedUntil time.Time // breaker: evicted, no contact until then
-}
-
-// seedState throttles (re)connect attempts to one configured seed.
-type seedState struct {
-	fails int       // consecutive connect-send failures
-	next  time.Time // do not retry before this instant
-}
-
 // Service is one peer's rendezvous protocol instance for one group.
 type Service struct {
-	ep           Endpoint
-	cfg          Config
-	now          func() time.Time
-	seen         *seen.Cache
-	lease        time.Duration
-	suspectAfter int
-	evictAfter   int
-	cooldown     time.Duration
-	seedPolicy   retry.Policy
-	log          *eventlog.Log
-	tracer       *trace.Store
-	stats        rdvCounters
+	ep    Endpoint
+	cfg   Config // normalised by New
+	seen  *seen.Cache
+	stats rdvCounters
 
 	gapMu sync.Mutex
 	gapFn GapListener
 
-	// store views the event log as replicated (origin, topic) streams;
-	// set on every logging rendezvous so replay can serve copies, and
-	// fed by the sync loop when ReplicaSeeds are configured.
-	store     *replica.Store
-	replMu    sync.Mutex
-	replState map[endpoint.Address]*replicaPeer
+	// Role-scoped parts, fixed at construction: nil on a peer whose
+	// configuration has no use for them.
+	seeds *seedClient // len(cfg.Seeds) > 0
+	logs  *logServer  // rendezvous role with cfg.Log
 
+	// mu guards the lease tables together with the detector and the
+	// seed client's state: eviction must drop an address's leases and
+	// open its breaker atomically.
 	mu      sync.Mutex
 	clients map[clientKey]peerEntry // connected to us (rendezvous role)
 	rdvs    map[jid.ID]peerEntry    // we are connected to them (granted leases)
-	health  map[endpoint.Address]*healthState
-	seeds   []seedState // parallel to cfg.Seeds
-	active  int         // index of the active seed (ActiveStandby mode)
-	conn    *sync.Cond  // signals rdvs-set and seed-failure changes
+	det     detector
+	conn    *sync.Cond // signals rdvs-set and seed-failure changes
 	closed  bool
 
 	wg   sync.WaitGroup
@@ -291,91 +241,54 @@ type Service struct {
 }
 
 // New creates and starts the rendezvous service: it registers the
-// protocol handler and, when seeds are configured, starts the lease
-// maintenance loop.
+// protocol handler and starts the loops its parts need — lease
+// maintenance and suspect probing, anti-entropy sync.
 func New(ep Endpoint, cfg Config) (*Service, error) {
 	if cfg.Role != RoleEdge && cfg.Role != RoleRendezvous {
 		return nil, fmt.Errorf("rendezvous: invalid role %d", cfg.Role)
 	}
-	now := cfg.Clock
-	if now == nil {
-		now = time.Now
-	}
-	lease := cfg.LeaseTTL
-	if lease == 0 {
-		lease = DefaultLeaseTTL
-	}
-	suspectAfter := cfg.SuspectAfter
-	if suspectAfter <= 0 {
-		suspectAfter = DefaultSuspectAfter
-	}
-	evictAfter := cfg.EvictAfter
-	if evictAfter <= 0 {
-		evictAfter = DefaultEvictAfter
-	}
-	if evictAfter <= suspectAfter {
-		evictAfter = suspectAfter + 1
-	}
-	cooldown := cfg.EvictCooldown
-	if cooldown <= 0 {
-		cooldown = DefaultEvictCooldown
-	}
-	seedPolicy := cfg.SeedBackoff
-	if seedPolicy == (retry.Policy{}) {
-		seedPolicy = retry.Policy{Max: lease}
-	}
+	cfg.normalise()
 	s := &Service{
-		ep:           ep,
-		cfg:          cfg,
-		now:          now,
-		seen:         seen.New(),
-		lease:        lease,
-		suspectAfter: suspectAfter,
-		evictAfter:   evictAfter,
-		cooldown:     cooldown,
-		seedPolicy:   seedPolicy,
-		log:          cfg.Log,
-		tracer:       cfg.Tracer,
-		clients:      make(map[clientKey]peerEntry),
-		rdvs:         make(map[jid.ID]peerEntry),
-		health:       make(map[endpoint.Address]*healthState),
-		seeds:        make([]seedState, len(cfg.Seeds)),
-		stop:         make(chan struct{}),
+		ep:      ep,
+		cfg:     cfg,
+		seen:    seen.New(),
+		clients: make(map[clientKey]peerEntry),
+		rdvs:    make(map[jid.ID]peerEntry),
+		det:     make(detector),
+		stop:    make(chan struct{}),
 	}
 	s.conn = sync.NewCond(&s.mu)
+	if len(cfg.Seeds) > 0 {
+		s.seeds = &seedClient{s: s, state: make([]seedState, len(cfg.Seeds))}
+	}
 	if cfg.Role == RoleRendezvous && cfg.Log != nil {
-		s.store = replica.NewStore(cfg.Log, ep.PeerID())
-		s.replState = make(map[endpoint.Address]*replicaPeer)
+		s.logs = newLogServer(s)
 	}
 	if err := ep.RegisterHandler(ServiceName, cfg.GroupParam, s.handle); err != nil {
 		return nil, fmt.Errorf("rendezvous: register handler: %w", err)
 	}
 	// Seeded peers maintain leases; rendezvous additionally probe their
 	// suspects even when they have no seeds of their own.
-	if len(cfg.Seeds) > 0 || cfg.Role == RoleRendezvous {
+	if s.seeds != nil || cfg.Role == RoleRendezvous {
 		s.wg.Add(1)
 		go s.maintainLoop()
 	}
-	if s.store != nil && len(cfg.ReplicaSeeds) > 0 {
+	if s.logs != nil && len(cfg.ReplicaSeeds) > 0 {
 		s.wg.Add(1)
-		go s.syncLoop()
+		go s.logs.syncLoop()
 	}
 	return s, nil
 }
 
-// Role returns the configured role.
-func (s *Service) Role() Role { return s.cfg.Role }
+// Config returns the service's configuration with every default filled
+// in. The engine's replay loop reads ActiveStandby from it to decide
+// whether foreign-origin cursors are worth presenting (only a failover
+// client ever re-homes to a replica serving a dead origin's copy), and
+// readiness checks read Seeds: unseeded peers never hold leases and rely
+// on loopback only.
+func (s *Service) Config() Config { return s.cfg }
 
-// ActiveStandby reports whether this client runs the active/standby
-// failover seed mode. The engine's replay loop uses it to decide
-// whether foreign-origin cursors are worth presenting: only a failover
-// client ever re-homes to a replica serving a dead origin's copy.
-func (s *Service) ActiveStandby() bool { return s.cfg.ActiveStandby }
-
-// Seeded reports whether the service was configured with seed
-// rendezvous: unseeded peers never hold leases and rely on loopback
-// only.
-func (s *Service) Seeded() bool { return len(s.cfg.Seeds) > 0 }
+func (s *Service) now() time.Time { return s.cfg.Clock() }
 
 // Close stops lease maintenance, tells our rendezvous we are leaving and
 // unregisters the handler.
@@ -386,509 +299,40 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	rdvs := s.snapshotLocked(s.rdvs)
+	leaving := make([]endpoint.Address, 0, len(s.rdvs))
+	for _, e := range s.rdvs {
+		leaving = append(leaving, e.addr)
+	}
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
-	for _, e := range rdvs {
-		bye := message.New(s.ep.PeerID())
-		bye.AddString(elemNS, elemOp, opDisconnect)
-		_ = s.ep.Send(e.addr, ServiceName, s.cfg.GroupParam, bye)
+	for _, addr := range leaving {
+		_ = s.ep.Send(addr, ServiceName, s.cfg.GroupParam, s.newOp(opDisconnect, 0))
 	}
 	s.ep.UnregisterHandler(ServiceName, s.cfg.GroupParam)
 }
 
-// ConnectedRendezvous returns the IDs of rendezvous peers we hold leases
-// with.
-func (s *Service) ConnectedRendezvous() []jid.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	return keysLocked(s.rdvs)
+// newOp starts a control message of this peer carrying the op element,
+// with room for the extra elements the caller is about to append.
+func (s *Service) newOp(op string, extra int) *message.Message {
+	m := message.New(s.ep.PeerID())
+	m.Grow(1 + extra)
+	m.AddString(elemNS, elemOp, op)
+	return m
 }
 
-// ConnectedClients returns the IDs of peers leased to us (rendezvous
-// role), across all groups, without duplicates.
-func (s *Service) ConnectedClients() []jid.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	seen := make(map[jid.ID]struct{}, len(s.clients))
-	out := make([]jid.ID, 0, len(s.clients))
-	for k := range s.clients {
-		if _, dup := seen[k.id]; dup {
-			continue
-		}
-		seen[k.id] = struct{}{}
-		out = append(out, k.id)
-	}
-	return out
-}
-
-// DirectAddress returns an address this peer can currently reach id at:
-// a leased client, a rendezvous we lease with, or nothing. It implements
-// the router's AddressBook so relay peers can forward to their clients.
-func (s *Service) DirectAddress(id jid.ID) (endpoint.Address, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	for k, e := range s.clients {
-		if k.id == id {
-			return e.addr, true
-		}
-	}
-	if e, ok := s.rdvs[id]; ok {
-		return e.addr, true
-	}
-	return "", false
-}
-
-// Stats returns a snapshot of the counters.
-func (s *Service) Stats() Stats {
-	st := Stats{
-		Propagated:   s.stats.propagated.Load(),
-		Delivered:    s.stats.delivered.Load(),
-		Duplicates:   s.stats.duplicates.Load(),
-		SendFailures: s.stats.sendFailures.Load(),
-		SeedFailures: s.stats.seedFailures.Load(),
-		Suspected:    s.stats.suspected.Load(),
-		Probes:       s.stats.probes.Load(),
-		Evicted:      s.stats.evicted.Load(),
-		BreakerSkips: s.stats.breakerSkips.Load(),
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	st.LeasesActive = len(s.clients)
-	return st
-}
-
-// Snapshot implements obs.Provider.
-func (s *Service) Snapshot() obs.Snapshot {
-	s.mu.Lock()
-	s.expireLocked()
-	leases := len(s.clients)
-	connected := len(s.rdvs)
-	now := s.now()
-	suspects, breakers := 0, 0
-	for _, h := range s.health {
-		if h.suspect {
-			suspects++
-		}
-		if now.Before(h.bannedUntil) {
-			breakers++
-		}
-	}
-	s.mu.Unlock()
-	return obs.Snapshot{
-		Name:    "rendezvous",
-		Version: 1,
-		Counters: map[string]int64{
-			"propagated":      s.stats.propagated.Load(),
-			"delivered":       s.stats.delivered.Load(),
-			"duplicates":      s.stats.duplicates.Load(),
-			"send_failures":   s.stats.sendFailures.Load(),
-			"seed_failures":   s.stats.seedFailures.Load(),
-			"suspected":       s.stats.suspected.Load(),
-			"probes":          s.stats.probes.Load(),
-			"evicted":         s.stats.evicted.Load(),
-			"breaker_skips":   s.stats.breakerSkips.Load(),
-			"replay_requests": s.stats.replayRequests.Load(),
-			"replay_served":   s.stats.replayServed.Load(),
-			"replay_gaps":     s.stats.replayGaps.Load(),
-			"log_failures":    s.stats.logFailures.Load(),
-			"failovers":       s.stats.failovers.Load(),
-			"sync_digests":    s.stats.syncDigests.Load(),
-			"sync_pulls":      s.stats.syncPulls.Load(),
-			"sync_records":    s.stats.syncRecords.Load(),
-			"sync_applied":    s.stats.syncApplied.Load(),
-			"sync_divergence": s.stats.syncDivergence.Load(),
-			"sync_rejects":    s.stats.syncRejects.Load(),
-			"sync_resets":     s.stats.syncResets.Load(),
-		},
-		Gauges: map[string]float64{
-			"leases":        float64(leases),
-			"connected":     float64(connected),
-			"suspects":      float64(suspects),
-			"breakers_open": float64(breakers),
-		},
-	}
-}
-
-// SeenCache exposes the propagation duplicate cache for the "seen"
-// subsystem aggregation.
-func (s *Service) SeenCache() *seen.Cache { return s.seen }
-
-// PeersView lists every peer this service knows about — rendezvous we
-// lease with, clients leased to us, and the configured seeds — together
-// with the failure detector's per-address state. It feeds /peers on the
-// admin surface.
-func (s *Service) PeersView() []obs.PeerEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	now := s.now()
-	out := make([]obs.PeerEntry, 0, len(s.rdvs)+len(s.clients)+len(s.cfg.Seeds))
-	for id, e := range s.rdvs {
-		pe := obs.PeerEntry{
-			ID:          id.String(),
-			Addr:        string(e.addr),
-			Kind:        obs.PeerRendezvous,
-			Group:       e.param,
-			ExpiresInMS: remainingMS(e.expires, now),
-		}
-		s.fillHealthLocked(&pe, e.addr, now)
-		out = append(out, pe)
-	}
-	for k, e := range s.clients {
-		pe := obs.PeerEntry{
-			ID:          k.id.String(),
-			Addr:        string(e.addr),
-			Kind:        obs.PeerClient,
-			Group:       k.param,
-			ExpiresInMS: remainingMS(e.expires, now),
-		}
-		s.fillHealthLocked(&pe, e.addr, now)
-		out = append(out, pe)
-	}
-	for i, addr := range s.cfg.Seeds {
-		pe := obs.PeerEntry{
-			Addr:   string(addr),
-			Kind:   obs.PeerSeed,
-			Fails:  s.seeds[i].fails,
-			Active: s.cfg.ActiveStandby && i == s.active,
-		}
-		// Leased is the per-seed connection truth AwaitConnected cannot
-		// give: it reports whether a lease is currently held with THIS
-		// seed, so operators can see that e.g. the only logging
-		// rendezvous is down while some other seed keeps the peer
-		// nominally "connected".
-		for _, e := range s.rdvs {
-			if e.addr == addr {
-				pe.Leased = true
-				break
-			}
-		}
-		s.fillHealthLocked(&pe, addr, now)
-		out = append(out, pe)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	return out
-}
-
-// fillHealthLocked copies the failure-detector state of addr into pe.
-// Seed entries keep their own connect-failure count when the address
-// has no send-side health record.
-func (s *Service) fillHealthLocked(pe *obs.PeerEntry, addr endpoint.Address, now time.Time) {
-	h, ok := s.health[addr]
-	if !ok {
-		return
-	}
-	if h.fails > pe.Fails {
-		pe.Fails = h.fails
-	}
-	pe.Suspect = h.suspect
-	pe.BreakerOpenMS = remainingMS(h.bannedUntil, now)
-}
-
-// remainingMS returns how many milliseconds remain until t, or 0 when t
-// is zero or past.
-func remainingMS(t, now time.Time) int64 {
-	if t.IsZero() || !t.After(now) {
-		return 0
-	}
-	return t.Sub(now).Milliseconds()
-}
-
-// AwaitConnected blocks until this peer holds a lease with at least one
-// rendezvous, or the timeout elapses. It reports success. Peers with no
-// seeds are never "connected". It fails fast — without spinning out the
-// timeout — once every configured seed has rejected at least
-// seedFailFastAfter consecutive connect attempts at the transport layer
-// (all seeds unreachable).
-//
-// Contract under mixed seed health: "connected" means AT LEAST ONE
-// lease, not one per seed. A peer whose only logging (replay-serving)
-// rendezvous is down while another seed answers still reports
-// connected, with replay silently unavailable until the logging seed
-// recovers. Callers that need a particular seed must check the
-// per-seed Leased flag in PeersView (surfaced through Inspect() and
-// the /peers admin endpoint) rather than infer it from this method. In
-// ActiveStandby mode only the elected active is ever leased with, so
-// exactly one seed entry shows Leased when healthy.
-func (s *Service) AwaitConnected(timeout time.Duration) bool {
-	deadline := s.now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.conn.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		s.expireLocked()
-		if len(s.rdvs) > 0 {
-			return true
-		}
-		if s.closed || !s.now().Before(deadline) {
-			return false
-		}
-		if s.allSeedsUnreachableLocked() {
-			return false
-		}
-		s.conn.Wait()
-	}
-}
-
-// allSeedsUnreachableLocked reports whether every configured seed has
-// accumulated enough consecutive transport-level connect failures to be
-// considered unreachable.
-func (s *Service) allSeedsUnreachableLocked() bool {
-	if len(s.seeds) == 0 {
-		return false
-	}
-	now := s.now()
-	for i := range s.seeds {
-		if s.seeds[i].fails >= seedFailFastAfter {
-			continue
-		}
-		if h := s.health[s.cfg.Seeds[i]]; h != nil && now.Before(h.bannedUntil) {
-			continue // evicted and cooling down counts as unreachable
-		}
-		return false
-	}
-	return true
-}
-
-// Propagate fans msg out into the mesh, addressed to the (dsvc, dparam)
-// service on every reachable peer in the group. The local peer is NOT
-// delivered to — callers decide whether to loop back. Returns ErrNoPeers
-// if there was nobody to send to.
-func (s *Service) Propagate(msg *message.Message, dsvc, dparam string) error {
-	// Dup is an O(1) copy-on-write header copy: the caller's payload
-	// elements are shared read-only, and the first ReplaceElement below
-	// clones only the element headers before writing the rdv envelope.
-	out := msg.Dup()
-	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemOp, Data: []byte(opProp)})
-	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemDSvc, Data: []byte(dsvc)})
-	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemDParam, Data: []byte(dparam)})
-	if !out.Stamp(s.ep.PeerID()) {
-		return nil // TTL exhausted before leaving the peer
-	}
-	// Remember our own injection so the mesh echo is dropped.
-	s.seen.Observe(out.ID)
-	// Durable path: number and persist the message before it leaves, so
-	// a subscriber that is offline right now can replay it later.
-	if s.log != nil && s.cfg.Role == RoleRendezvous {
-		s.appendToLog(out, s.cfg.GroupParam)
-	}
-	s.recordForward(out)
-
-	attempted, failed := s.fanOut(out, jid.Nil, s.cfg.GroupParam)
-	s.stats.propagated.Add(1)
-	if attempted == 0 {
-		return ErrNoPeers
-	}
-	if failed == attempted {
-		return fmt.Errorf("%w (%d peers)", ErrAllSendsFailed, failed)
-	}
-	return nil
-}
-
-// fanOut sends the stamped message to every connected peer in the given
-// group except the one it came from, any peer already on its path, and
-// any address whose eviction breaker is still open. It returns how many
-// sends were attempted and how many of those failed, so callers can
-// tell "nobody to send to" apart from "everybody unreachable". Failed
-// sends feed the suspect/evict failure accounting.
-func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (attempted, failed int) {
-	s.mu.Lock()
-	s.expireLocked()
-	now := s.now()
-	type target struct {
-		id   jid.ID
-		addr endpoint.Address
-	}
-	targets := make([]target, 0, len(s.clients)+len(s.rdvs))
-	// The dedupe map only matters when client leases exist: one peer may
-	// lease for several groups, or lease while also being a rendezvous we
-	// connect to. Pure mesh forwarding (no clients — every edge peer, and
-	// rendezvous between lease arrivals) skips the allocation; reads from
-	// the nil map below are safe and always miss.
-	var seenIDs map[jid.ID]struct{}
-	if len(s.clients) > 0 {
-		seenIDs = make(map[jid.ID]struct{}, len(s.clients)+len(s.rdvs))
-		for k, e := range s.clients {
-			// Group scoping: a client leased for group X must not receive
-			// group Y traffic. Wildcard entries ("") are mesh peers that
-			// forward everything.
-			if e.param != "" && param != "" && e.param != param {
-				continue
-			}
-			if _, dup := seenIDs[k.id]; dup {
-				continue
-			}
-			if h := s.health[e.addr]; h != nil && now.Before(h.bannedUntil) {
-				s.stats.breakerSkips.Add(1)
-				continue
-			}
-			seenIDs[k.id] = struct{}{}
-			targets = append(targets, target{k.id, e.addr})
-		}
-	}
-	for id, e := range s.rdvs {
-		// IDs are unique within rdvs; only a client/rdv overlap can dup.
-		if _, dup := seenIDs[id]; dup {
-			continue
-		}
-		if h := s.health[e.addr]; h != nil && now.Before(h.bannedUntil) {
-			s.stats.breakerSkips.Add(1)
-			continue
-		}
-		targets = append(targets, target{id, e.addr})
-	}
-	s.mu.Unlock()
-
-	// Marshal once: every target receives the identical frame, so the
-	// envelope-and-encode work must not be repeated per peer.
-	var frame []byte
-	var probes []endpoint.Address
-	for _, t := range targets {
-		if t.id == except || msg.Visited(t.id) {
-			continue
-		}
-		if frame == nil {
-			var err error
-			if frame, err = s.ep.EncodeFrame(ServiceName, param, msg); err != nil {
-				return 0, 0
-			}
-			defer endpoint.RecycleFrame(frame)
-		}
-		attempted++
-		if err := s.ep.SendFrame(t.addr, frame); err != nil {
-			// Unreachable peers age out via lease expiry; the failure
-			// accounting gets them suspected, probed and evicted sooner.
-			failed++
-			s.stats.sendFailures.Add(1)
-			if s.noteFailure(t.addr) {
-				probes = append(probes, t.addr)
-			}
-			continue
-		}
-		s.noteSuccess(t.addr)
-	}
-	// Probe outside the send loop: a probe is itself a send and must not
-	// distort this fan-out's accounting.
-	for _, addr := range probes {
-		s.probe(addr)
-	}
-	return attempted, failed
-}
-
-// noteFailure records a send failure against addr. It reports whether
-// the address just crossed the suspect threshold (the caller should
-// probe it). Crossing the evict threshold removes every client and
-// rendezvous entry behind the address and opens its breaker for the
-// cooldown, so dead peers are not redialed on every fan-out.
-func (s *Service) noteFailure(addr endpoint.Address) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	h := s.health[addr]
-	if h == nil {
-		h = &healthState{}
-		s.health[addr] = h
-	}
-	h.fails++
-	becameSuspect := false
-	if !h.suspect && h.fails >= s.suspectAfter {
-		h.suspect = true
-		s.stats.suspected.Add(1)
-		becameSuspect = true
-	}
-	if h.fails >= s.evictAfter {
-		s.evictLocked(addr, h)
-		return false
-	}
-	return becameSuspect
-}
-
-// noteSuccess clears any failure state for addr: proof of life resets
-// the suspect counter and closes the breaker.
-func (s *Service) noteSuccess(addr endpoint.Address) {
-	s.mu.Lock()
-	if _, ok := s.health[addr]; ok {
-		delete(s.health, addr)
-	}
-	s.mu.Unlock()
-}
-
-// evictLocked drops every connection-table entry behind addr and opens
-// the address's breaker for the cooldown.
-func (s *Service) evictLocked(addr endpoint.Address, h *healthState) {
-	for k, e := range s.clients {
-		if e.addr == addr {
-			delete(s.clients, k)
-		}
-	}
-	for id, e := range s.rdvs {
-		if e.addr == addr {
-			delete(s.rdvs, id)
-		}
-	}
-	h.fails = 0
-	h.suspect = false
-	h.bannedUntil = s.now().Add(s.cooldown)
-	s.stats.evicted.Add(1)
-}
-
-// probe sends a lightweight ping to a suspect address. A live peer
-// answers with a pong, which clears its failure state; a dead one keeps
-// accumulating failures until eviction.
-func (s *Service) probe(addr endpoint.Address) {
-	ping := message.New(s.ep.PeerID())
-	ping.AddString(elemNS, elemOp, opPing)
-	s.stats.probes.Add(1)
-	if err := s.ep.Send(addr, ServiceName, s.cfg.GroupParam, ping); err != nil {
+// sendCounted sends a control message in this service's group and
+// counts a transport rejection as a send failure.
+func (s *Service) sendCounted(to endpoint.Address, m *message.Message) error {
+	err := s.ep.Send(to, ServiceName, s.cfg.GroupParam, m)
+	if err != nil {
 		s.stats.sendFailures.Add(1)
-		// noteFailure only reports a suspect transition once, so a
-		// failed probe advances toward eviction without re-probing.
-		_ = s.noteFailure(addr)
 	}
+	return err
 }
 
-// probeSuspects pings every suspect address that is not behind an open
-// breaker. Called from the maintenance loop.
-func (s *Service) probeSuspects() {
-	s.mu.Lock()
-	now := s.now()
-	var addrs []endpoint.Address
-	for addr, h := range s.health {
-		if h.suspect && !now.Before(h.bannedUntil) {
-			addrs = append(addrs, addr)
-			continue
-		}
-		// Prune entries whose breaker expired with no fresh failures:
-		// the peer is gone and nothing references the address anymore.
-		if !h.suspect && h.fails == 0 && !h.bannedUntil.IsZero() && now.After(h.bannedUntil) {
-			delete(s.health, addr)
-		}
-	}
-	s.mu.Unlock()
-	for _, addr := range addrs {
-		s.probe(addr)
-	}
-}
-
-// handle processes rendezvous protocol messages.
+// handle processes rendezvous protocol messages. Replay and sync ops
+// are served by the log server; a peer without one drops them.
 func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 	switch msg.Text(elemNS, elemOp) {
 	case opConnect:
@@ -900,64 +344,31 @@ func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 	case opProp:
 		s.handleProp(msg, from)
 	case opPing:
-		s.handlePing(msg, from)
+		// Any role answers: probing works edge→rendezvous and
+		// rendezvous→client alike.
+		_ = s.ep.Send(from, ServiceName, s.incomingParam(msg), s.newOp(opPong, 0))
 	case opPong:
-		s.handlePong(from)
-	case opReplay:
-		s.handleReplay(msg, from)
+		// The suspect is alive.
+		s.noteSuccess(from)
 	case opGap:
 		s.handleGap(msg)
+	case opReplay:
+		if s.logs != nil {
+			s.logs.handleReplay(msg, from)
+		}
 	case opSyncDigest:
-		s.handleSyncDigest(msg, from)
+		if s.logs != nil {
+			s.logs.handleSyncDigest(msg, from)
+		}
 	case opSyncPull:
-		s.handleSyncPull(msg, from)
+		if s.logs != nil {
+			s.logs.handleSyncPull(msg, from)
+		}
 	case opSyncRec:
-		s.handleSyncRec(msg, from)
+		if s.logs != nil {
+			s.logs.handleSyncRec(msg, from)
+		}
 	}
-}
-
-// handlePing answers a liveness probe. Any role answers: probing works
-// edge→rendezvous and rendezvous→client alike.
-func (s *Service) handlePing(msg *message.Message, from endpoint.Address) {
-	pong := message.New(s.ep.PeerID())
-	pong.AddString(elemNS, elemOp, opPong)
-	_ = s.ep.Send(from, ServiceName, s.incomingParam(msg), pong)
-}
-
-// handlePong clears the sender's failure state: the suspect is alive.
-func (s *Service) handlePong(from endpoint.Address) {
-	s.noteSuccess(from)
-}
-
-func (s *Service) handleConnect(msg *message.Message, from endpoint.Address) {
-	if s.cfg.Role != RoleRendezvous {
-		return // edge peers do not grant leases
-	}
-	isRdv := msg.Text(elemNS, elemIsRdv) == "true"
-	// The lease is scoped to the group the client addressed: a wildcard
-	// rendezvous receives connects for many groups through its ("", svc)
-	// fallback handler.
-	param := s.incomingParam(msg)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.clients[clientKey{msg.Src, param}] = peerEntry{
-		addr:    from,
-		expires: s.now().Add(s.lease),
-		isRdv:   isRdv,
-		param:   param,
-	}
-	s.mu.Unlock()
-	// An inbound connect is proof of life: whatever suspicion (or stale
-	// eviction ban) the address carried is obsolete.
-	s.noteSuccess(from)
-
-	grant := message.New(s.ep.PeerID())
-	grant.AddString(elemNS, elemOp, opLease)
-	grant.AddString(elemNS, elemLease, strconv.FormatInt(int64(s.lease/time.Millisecond), 10))
-	_ = s.ep.Send(from, ServiceName, param, grant)
 }
 
 // incomingParam recovers the group parameter a message was addressed to
@@ -969,239 +380,26 @@ func (s *Service) incomingParam(msg *message.Message) string {
 	return s.cfg.GroupParam
 }
 
-func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
-	ttlMS, err := strconv.ParseInt(msg.Text(elemNS, elemLease), 10, 64)
-	if err != nil || ttlMS <= 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.rdvs[msg.Src] = peerEntry{
-		addr:    from,
-		expires: s.now().Add(time.Duration(ttlMS) * time.Millisecond),
-		isRdv:   true,
-	}
-	s.conn.Broadcast()
-	s.mu.Unlock()
-	// A granted lease is proof of life for the rendezvous's address.
-	s.noteSuccess(from)
-}
-
-func (s *Service) handleDisconnect(msg *message.Message) {
-	param := s.incomingParam(msg)
-	s.mu.Lock()
-	delete(s.clients, clientKey{msg.Src, param})
-	s.mu.Unlock()
-}
-
-func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
-	if !s.seen.Observe(msg.ID) {
-		s.stats.duplicates.Add(1)
-		return
-	}
-	dsvc := msg.Text(elemNS, elemDSvc)
-	dparam := msg.Text(elemNS, elemDParam)
-	if dsvc == "" {
-		return
-	}
-	if err := s.ep.DeliverLocal(dsvc, dparam, msg, from); err == nil {
-		s.stats.delivered.Add(1)
-	}
-	// Forward deeper into the mesh. Edge peers terminate propagation;
-	// only rendezvous fan out.
-	if s.cfg.Role != RoleRendezvous {
-		return
-	}
-	// COW Dup: forwarding deeper shares the delivered message's elements;
-	// only the per-hop path/TTL state is copied before stamping.
-	fwd := msg.Dup()
-	if !fwd.Stamp(s.ep.PeerID()) {
-		return
-	}
-	param := s.incomingParam(msg)
-	if s.log != nil {
-		// Re-number under this peer's own log: cursors are per origin,
-		// and this rendezvous is now an origin for its subscribers.
-		s.appendToLog(fwd, param)
-	}
-	s.recordForward(fwd)
-	s.stats.propagated.Add(1)
-	s.fanOut(fwd, msg.Src, param)
-}
-
-// recordForward archives a forward-stage hop for messages carrying a
-// trace element. The stamped Path at this moment shows exactly which
-// peers the frame crossed to get here. No-op without a tracer; with
-// one, untraced messages cost a single allocation-free element scan.
-func (s *Service) recordForward(msg *message.Message) {
-	if s.tracer == nil {
-		return
-	}
-	if ev, sentUS, ok := trace.Info(msg); ok {
-		s.tracer.Record(ev, trace.StageForward, s.ep.PeerID(), sentUS, msg.Path)
-	}
-}
-
 // maintainLoop keeps leases with seed rendezvous alive (renewing at a
 // third of the TTL, backing off per unreachable seed) and probes
 // suspect peers.
 func (s *Service) maintainLoop() {
 	defer s.wg.Done()
-	s.connectSeeds()
-	interval := s.lease / 3
+	interval := s.cfg.LeaseTTL / 3
 	if interval <= 0 {
 		interval = time.Second
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
+		if s.seeds != nil {
+			s.seeds.connect()
+		}
+		s.probeSuspects()
 		select {
 		case <-ticker.C:
-			s.connectSeeds()
-			s.probeSuspects()
 		case <-s.stop:
 			return
 		}
 	}
-}
-
-// connectSeeds sends a connect (which doubles as lease renewal) to every
-// configured seed that is neither behind an eviction breaker nor inside
-// its failure backoff window. Transport-level failures are counted and
-// push the seed's next attempt out on the retry curve, instead of
-// hammering a dead seed on every tick. In ActiveStandby mode only the
-// elected active seed is leased with; the rest stay cold standbys.
-func (s *Service) connectSeeds() {
-	if s.cfg.ActiveStandby && len(s.cfg.Seeds) > 0 {
-		s.connectActive()
-		return
-	}
-	for i := range s.cfg.Seeds {
-		s.connectSeed(i)
-	}
-}
-
-// connectActive is the failover state machine: renew the lease with the
-// current active seed, unless the failure detector has declared it dead
-// — then elect the next healthy standby (round-robin from the dead
-// active), clear its backoff so the re-lease is immediate, and renew
-// with it instead. Clients sharing a seed order walk the same sequence
-// of actives, so a replica set's clients converge on one primary.
-func (s *Service) connectActive() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	idx := s.active
-	if s.activeDeadLocked(idx) {
-		if next, ok := s.pickStandbyLocked(idx); ok {
-			s.active = next
-			s.seeds[next] = seedState{}
-			s.stats.failovers.Add(1)
-			idx = next
-		}
-	}
-	s.mu.Unlock()
-	s.connectSeed(idx)
-}
-
-// activeDeadLocked reports whether the failure detector has declared
-// seed i dead: its address breaker is open (the send-path suspect→
-// probe→evict sequence ran its course) or EvictAfter consecutive
-// connect attempts were rejected by the transport.
-func (s *Service) activeDeadLocked(i int) bool {
-	if h := s.health[s.cfg.Seeds[i]]; h != nil && s.now().Before(h.bannedUntil) {
-		return true
-	}
-	return s.seeds[i].fails >= s.evictAfter
-}
-
-// pickStandbyLocked chooses the next standby after a dead active,
-// skipping seeds that are themselves behind an open breaker.
-func (s *Service) pickStandbyLocked(from int) (int, bool) {
-	now := s.now()
-	for off := 1; off < len(s.cfg.Seeds); off++ {
-		j := (from + off) % len(s.cfg.Seeds)
-		if h := s.health[s.cfg.Seeds[j]]; h != nil && now.Before(h.bannedUntil) {
-			continue
-		}
-		return j, true
-	}
-	return 0, false
-}
-
-// connectSeed sends one connect/renewal to seed i unless its breaker is
-// open or its failure backoff window has not yet elapsed.
-func (s *Service) connectSeed(i int) {
-	seed := s.cfg.Seeds[i]
-	now := s.now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if h := s.health[seed]; h != nil && now.Before(h.bannedUntil) {
-		s.mu.Unlock()
-		s.stats.breakerSkips.Add(1)
-		return
-	}
-	if now.Before(s.seeds[i].next) {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-
-	req := message.New(s.ep.PeerID())
-	req.AddString(elemNS, elemOp, opConnect)
-	if s.cfg.Role == RoleRendezvous {
-		req.AddString(elemNS, elemIsRdv, "true")
-	}
-	err := s.ep.Send(seed, ServiceName, s.cfg.GroupParam, req)
-	s.mu.Lock()
-	if err != nil {
-		s.stats.seedFailures.Add(1)
-		s.seeds[i].fails++
-		s.seeds[i].next = now.Add(s.seedPolicy.Backoff(s.seeds[i].fails))
-		// Wake AwaitConnected so its all-seeds-unreachable check
-		// runs as soon as the evidence is in.
-		s.conn.Broadcast()
-	} else {
-		s.seeds[i].fails = 0
-		s.seeds[i].next = time.Time{}
-	}
-	s.mu.Unlock()
-}
-
-func (s *Service) expireLocked() {
-	now := s.now()
-	for k, e := range s.clients {
-		if now.After(e.expires) {
-			delete(s.clients, k)
-		}
-	}
-	for id, e := range s.rdvs {
-		if now.After(e.expires) {
-			delete(s.rdvs, id)
-		}
-	}
-}
-
-func (s *Service) snapshotLocked(m map[jid.ID]peerEntry) []peerEntry {
-	out := make([]peerEntry, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
-	}
-	return out
-}
-
-func keysLocked(m map[jid.ID]peerEntry) []jid.ID {
-	out := make([]jid.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
 }

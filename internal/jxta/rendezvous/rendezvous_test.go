@@ -36,6 +36,13 @@ func newCluster(t *testing.T) *cluster {
 
 func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds ...endpoint.Address) *testPeer {
 	c.t.Helper()
+	return c.addService(name, seed, rendezvous.Config{Role: role, Seeds: seeds})
+}
+
+// addService starts a rendezvous service with an arbitrary configuration
+// (scoped to group "net", 2 s leases) on its own node.
+func (c *cluster) addService(name string, seed uint64, cfg rendezvous.Config) *testPeer {
+	c.t.Helper()
 	node, err := c.net.AddNode(name)
 	if err != nil {
 		c.t.Fatal(err)
@@ -44,12 +51,9 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 	if err := ep.AddTransport(memnet.New(node)); err != nil {
 		c.t.Fatal(err)
 	}
-	rdv, err := rendezvous.New(ep, rendezvous.Config{
-		Role:       role,
-		GroupParam: "net",
-		Seeds:      seeds,
-		LeaseTTL:   2 * time.Second,
-	})
+	cfg.GroupParam = "net"
+	cfg.LeaseTTL = 2 * time.Second
+	rdv, err := rendezvous.New(ep, cfg)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -113,8 +117,8 @@ func TestEdgeConnectsToRendezvous(t *testing.T) {
 		t.Fatalf("connected rdvs = %v", got)
 	}
 	waitFor(t, func() bool { return len(r.rdv.ConnectedClients()) == 1 })
-	if st := r.rdv.Stats(); st.LeasesActive != 1 {
-		t.Fatalf("rdv stats %+v", st)
+	if snap := r.rdv.Snapshot(); snap.Gauges["leases"] != 1 {
+		t.Fatalf("rdv stats %+v", snap)
 	}
 }
 
@@ -329,8 +333,8 @@ func TestAwaitConnectedFailsFastWhenAllSeedsUnreachable(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("AwaitConnected spun for %v instead of failing fast", elapsed)
 	}
-	if st := e.rdv.Stats(); st.SeedFailures < 2 {
-		t.Fatalf("stats = %+v, want SeedFailures >= 2", st)
+	if c := e.rdv.Snapshot().Counters; c["seed_failures"] < 2 {
+		t.Fatalf("stats = %+v, want seed_failures >= 2", c)
 	}
 }
 
@@ -419,9 +423,9 @@ func TestSuspectProbeRecovery(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	waitFor(t, func() bool { return rdv.Stats().Suspected >= 1 })
-	if st := rdv.Stats(); st.SendFailures == 0 || st.Probes == 0 {
-		t.Fatalf("stats = %+v, want send failures and a probe", st)
+	waitFor(t, func() bool { return rdv.Snapshot().Counters["suspected"] >= 1 })
+	if c := rdv.Snapshot().Counters; c["send_failures"] == 0 || c["probes"] == 0 {
+		t.Fatalf("stats = %+v, want send failures and a probe", c)
 	}
 
 	c.net.SetLink("rdv", "sub", netsim.Link{Latency: time.Millisecond})
@@ -433,8 +437,8 @@ func TestSuspectProbeRecovery(t *testing.T) {
 		_ = pub.rdv.Propagate(m.Dup(), "app.events", "net")
 		return sink.count() > 0
 	})
-	if st := rdv.Stats(); st.Evicted != 0 {
-		t.Fatalf("stats = %+v, want no evictions", st)
+	if c := rdv.Snapshot().Counters; c["evicted"] != 0 {
+		t.Fatalf("stats = %+v, want no evictions", c)
 	}
 }
 

@@ -1,30 +1,25 @@
 package rendezvous
 
-// replay.go is the durability half of the rendezvous protocol: peers
-// with an event log (Config.Log) append every propagated message before
-// fanning it out, stamping the assigned per-topic sequence number and
-// their own identity onto the frame. A subscriber that joined late or
-// reconnected presents its last-delivered cursor with a replay request
-// and receives the retained suffix as the original frames, resent
-// verbatim — at-least-once, with the receive-side seen caches turning
-// redelivery into exactly-once observable delivery. A cursor that fell
-// behind retention gets an explicit gap signal instead of silent loss.
+// replay.go is the subscriber's half of the durability protocol: a
+// peer that joined late or reconnected presents its last-delivered
+// cursor with a replay request and receives the retained suffix as the
+// original frames, resent verbatim — at-least-once, with the
+// receive-side seen caches turning redelivery into exactly-once
+// observable delivery. A cursor that fell behind retention gets an
+// explicit gap signal instead of silent loss. The serving half is
+// logserver.go.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"strconv"
 
-	"github.com/tps-p2p/tps/internal/eventlog"
-	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 )
 
 // Replay message element names, namespace "rdv".
 const (
-	// elemSeq carries the 8-byte big-endian per-topic log sequence a
-	// rendezvous assigned to a propagated message.
+	// elemSeq carries the per-topic log sequence a rendezvous assigned
+	// to a propagated message.
 	elemSeq = "Seq"
 	// elemLogSrc carries the binary ID of the rendezvous whose log
 	// numbered the message — cursors are only meaningful per origin.
@@ -32,7 +27,8 @@ const (
 	// elemTopic names the topic (group parameter) of a replay request
 	// or gap signal.
 	elemTopic = "Topic"
-	// elemCursor is the requester's last-delivered sequence, decimal.
+	// elemCursor is the requester's last-delivered sequence; an explicit
+	// zero is the late joiner's "everything retained".
 	elemCursor = "Cursor"
 	// elemFirst / elemLast bound the retained range in a gap signal.
 	// elemFirst doubles as the server's retained head on sync records.
@@ -53,8 +49,8 @@ const (
 // GapListener is notified when a replay request could not be served
 // from the requested cursor: entries (cursor, first) were dropped by
 // retention, or the server's log restarted. origin is the rendezvous
-// that signalled; first and last bound what it still retains (both
-// zero when it retains nothing). Receivers should advance their cursor
+// whose log the gap is in; first and last bound what is still retained
+// (both zero when nothing is). Receivers should advance their cursor
 // for origin past the gap — those entries are unrecoverable. tentative
 // is set when the signalling replica had not completed a first
 // anti-entropy exchange, so its "nothing retained" verdict is
@@ -68,9 +64,6 @@ func (s *Service) SetReplayGapListener(fn GapListener) {
 	s.gapFn = fn
 	s.gapMu.Unlock()
 }
-
-// Log returns the event log this service appends to, nil without one.
-func (s *Service) Log() *eventlog.Log { return s.log }
 
 // ReplayInfo extracts the log coordinates a rendezvous stamped onto a
 // propagated message: the origin peer whose log numbered it and the
@@ -93,11 +86,13 @@ func ReplayInfo(msg *message.Message) (origin jid.ID, seq uint64, ok bool) {
 // cursor. origin is usually the target itself; after a failover it is
 // the dead primary, and the target serves the request from its
 // replicated copy of that log — the cursor stays meaningful because
-// copies keep the origin's numbering. A zero origin means the target.
-// Replayed events arrive through the normal propagation path (and its
-// dedupe); a gap signal arrives through the GapListener. The request is
-// fire-and-forget: callers re-request on the next (re)connect cycle,
-// which is what makes delivery at-least-once over lossy links.
+// copies keep the origin's numbering. A target that neither is origin
+// nor replicates it serves nothing: the numbering is not its own. A
+// zero origin means the target. Replayed events arrive through the
+// normal propagation path (and its dedupe); a gap signal arrives
+// through the GapListener. The request is fire-and-forget: callers
+// re-request on the next (re)connect cycle, which is what makes
+// delivery at-least-once over lossy links.
 func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
 	s.mu.Lock()
 	e, ok := s.rdvs[target]
@@ -108,180 +103,30 @@ func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, afte
 	if origin.IsZero() {
 		origin = target
 	}
-	req := message.New(s.ep.PeerID())
-	req.Grow(4)
-	req.AddString(elemNS, elemOp, opReplay)
+	req := s.newOp(opReplay, 3)
 	req.AddString(elemNS, elemTopic, topic)
-	req.AddString(elemNS, elemCursor, strconv.FormatUint(after, 10))
-	// The cursor only means anything against the log that assigned it:
-	// name the origin so a server without that log (or a copy of it)
-	// falls back to a full replay instead of honouring a foreign cursor.
+	req.AddUint64(elemNS, elemCursor, after)
 	req.AddID(elemNS, elemLogSrc, origin)
 	s.stats.replayRequests.Add(1)
 	return s.ep.Send(e.addr, ServiceName, s.cfg.GroupParam, req)
 }
 
-// appendToLog reserves the topic's next sequence number, stamps it and
-// this peer's identity onto msg, and stores the encoded propagation
-// frame — so the bytes a later replay resends are exactly the bytes the
-// fan-out sends now. Called with a log present, on the forwarding path
-// only (never on the log-off hot path).
-func (s *Service) appendToLog(msg *message.Message, topic string) {
-	var frame []byte
-	_, err := s.log.Append(topic, func(seq uint64) ([]byte, error) {
-		seqData := make([]byte, 8)
-		binary.BigEndian.PutUint64(seqData, seq)
-		msg.ReplaceElement(message.Element{Namespace: elemNS, Name: elemSeq, Data: seqData})
-		msg.ReplaceID(elemNS, elemLogSrc, s.ep.PeerID())
-		f, err := s.ep.EncodeFrame(ServiceName, topic, msg)
-		frame = f
-		return f, err
-	})
-	if frame != nil {
-		endpoint.RecycleFrame(frame)
-	}
-	if err != nil {
-		s.stats.logFailures.Add(1)
-	}
-}
-
-// handleReplay serves one replay request from the log. Stored frames
-// are resent verbatim to the requester's address; they re-enter its
-// normal propagation handling, where the seen caches drop whatever was
-// already delivered live.
-//
-// The request names the origin whose log numbered the cursor. When
-// that is this peer, the own log serves it (the pre-replication path).
-// When it is another peer whose stream this replica holds a copy of,
-// the copy serves it — honouring the cursor, because copies keep the
-// origin's numbering — which is what makes failover exactly-once
-// observable. A replica-set member holding nothing of the named origin
-// declares the cursor's suffix unrecoverable with a gap; a plain
-// rendezvous (no replica set) keeps the old re-homing behaviour of a
-// full own-log replay with receive-side dedupe absorbing overlap.
-func (s *Service) handleReplay(msg *message.Message, from endpoint.Address) {
-	if s.cfg.Role != RoleRendezvous || s.log == nil {
-		return
-	}
-	topic := msg.Text(elemNS, elemTopic)
-	if topic == "" {
-		return
-	}
-	cursor, _ := strconv.ParseUint(msg.Text(elemNS, elemCursor), 10, 64)
-	param := s.incomingParam(msg)
-	self := s.ep.PeerID()
-	origin, err := msg.GetID(elemNS, elemLogSrc)
-	if err != nil {
-		origin = self
-	}
-	key := topic
-	if origin != self {
-		switch {
-		case s.store != nil && s.store.Holds(origin, topic):
-			// Serve the replicated copy under the origin's numbering.
-			key = s.store.Key(origin, topic)
-		case len(s.cfg.ReplicaSeeds) > 0:
-			// We are in the origin's replica set but hold none of its
-			// stream.
-			if cursor == 0 {
-				return
-			}
-			if s.replicaAdvertises(origin, topic) {
-				// A replica we synced with still advertises the stream:
-				// nothing is lost, our copy just has not arrived yet.
-				// Serve nothing; when anti-entropy lands it, the records
-				// are mirrored live to our leased clients.
-				return
-			}
-			// No synced replica holds it either, so the suffix past the
-			// cursor is gone for good — say so instead of staying silent.
-			// Before the first digest exchange that verdict is only
-			// provisional (the copy may simply not have been pulled yet),
-			// which the signal's tentative flag reports honestly.
-			s.sendGap(from, param, topic, origin, 0, 0, !s.syncedOnce())
-			return
-		default:
-			// The cursor counts another peer's log (the subscriber
-			// re-homed after its rendezvous died) and we are no replica
-			// of it: our numbering is unrelated. Replay the full
-			// retained suffix; receive-side dedupe absorbs overlap.
-			origin, cursor = self, 0
-		}
-	}
-	first, last, ok := s.log.Range(key)
-	if !ok {
-		if cursor > 0 {
-			// The requester has history we do not: log restarted empty.
-			s.sendGap(from, param, topic, origin, 0, 0, false)
-		}
-		return
-	}
-	if cursor > last {
-		if origin != self {
-			// Our copy is merely behind the requester's cursor: those
-			// entries were already delivered to it (the cursor proves
-			// so), nothing is lost and anti-entropy may still catch us
-			// up. Serve nothing, signal nothing.
-			return
-		}
-		// Cursor outruns our own log: the numbering restarted (log
-		// state lost). Signal the discontinuity, then replay all.
-		s.sendGap(from, param, topic, origin, first, last, false)
-		cursor = 0
-	} else if cursor > 0 && cursor+1 < first {
-		// Retention dropped (cursor, first): explicit gap, not silence.
-		s.sendGap(from, param, topic, origin, first, last, false)
-	}
-	served := 0
-	_ = s.log.Read(key, cursor, 0, func(e eventlog.Entry) error {
-		if err := s.ep.SendFrame(from, e.Payload); err != nil {
-			s.stats.sendFailures.Add(1)
-			return err
-		}
-		served++
-		return nil
-	})
-	s.stats.replayServed.Add(int64(served))
-}
-
-// sendGap tells a requester that its cursor into origin's log predates
-// what is retained here, bounding what is still available. tentative
-// qualifies an unbounded gap from a replica that has not completed a
-// first anti-entropy exchange yet.
-func (s *Service) sendGap(to endpoint.Address, param, topic string, origin jid.ID, first, last uint64, tentative bool) {
-	s.stats.replayGaps.Add(1)
-	m := message.New(s.ep.PeerID())
-	m.Grow(6)
-	m.AddString(elemNS, elemOp, opGap)
-	m.AddString(elemNS, elemTopic, topic)
-	m.AddID(elemNS, elemLogSrc, origin)
-	m.AddString(elemNS, elemFirst, strconv.FormatUint(first, 10))
-	m.AddString(elemNS, elemLast, strconv.FormatUint(last, 10))
-	if tentative {
-		m.AddString(elemNS, elemTentative, "true")
-	}
-	_ = s.ep.Send(to, ServiceName, param, m)
-}
-
 // handleGap dispatches a received gap signal to the listener. The gap
 // is attributed to the log origin it names — which, when a replica
 // answers for a dead primary, is the primary rather than the sender —
-// so cursor jumps land on the right origin. Signals from peers that
-// predate the origin stamp fall back to the sender.
+// so cursor jumps land on the right origin.
 func (s *Service) handleGap(msg *message.Message) {
-	topic := msg.Text(elemNS, elemTopic)
 	origin, err := msg.GetID(elemNS, elemLogSrc)
-	if err != nil {
-		origin = msg.Src
+	first, okFirst := msg.Uint64(elemNS, elemFirst)
+	last, okLast := msg.Uint64(elemNS, elemLast)
+	if err != nil || !okFirst || !okLast {
+		return
 	}
-	first, _ := strconv.ParseUint(msg.Text(elemNS, elemFirst), 10, 64)
-	last, _ := strconv.ParseUint(msg.Text(elemNS, elemLast), 10, 64)
-	tentative := msg.Text(elemNS, elemTentative) == "true"
 	s.stats.replayGaps.Add(1)
 	s.gapMu.Lock()
 	fn := s.gapFn
 	s.gapMu.Unlock()
 	if fn != nil {
-		fn(origin, topic, first, last, tentative)
+		fn(origin, msg.Text(elemNS, elemTopic), first, last, msg.Text(elemNS, elemTentative) == "true")
 	}
 }

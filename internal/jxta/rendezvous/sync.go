@@ -19,7 +19,6 @@ package rendezvous
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/eventlog"
@@ -43,7 +42,7 @@ const (
 const (
 	// elemDigest carries a replica.EncodeDigest blob.
 	elemDigest = "SyncDigest"
-	// elemTime carries a record's original append time, decimal ms.
+	// elemTime carries a record's original append time in Unix ms.
 	elemTime = "TimeMS"
 	// elemFrame carries a record's stored propagation frame verbatim.
 	elemFrame = "Frame"
@@ -72,64 +71,50 @@ type replicaPeer struct {
 // honoured. Without the check any peer could durably plant forged
 // records under another origin's key on a plain durable rendezvous
 // ("replication off by default"), have them mirrored straight to its
-// leased clients, or dump its whole log through a pull. Rejections on a
-// durable rendezvous are counted; sync noise at peers with no log at
-// all is just dropped. The membership check also caps replState at the
-// seed-list size — only authorized senders ever reach the map.
-func (s *Service) syncAuthorized(from endpoint.Address) bool {
-	if s.store != nil && len(s.cfg.ReplicaSeeds) > 0 {
-		for _, a := range s.cfg.ReplicaSeeds {
-			if a == from {
-				return true
-			}
+// leased clients, or dump its whole log through a pull. Rejections are
+// counted; peers with no log at all never get here. The membership
+// check also caps replState at the seed-list size — only authorized
+// senders ever reach the map.
+func (l *logServer) syncAuthorized(from endpoint.Address) bool {
+	for _, a := range l.s.cfg.ReplicaSeeds {
+		if a == from {
+			return true
 		}
 	}
-	if s.store != nil {
-		s.stats.syncRejects.Add(1)
-	}
+	l.s.stats.syncRejects.Add(1)
 	return false
 }
 
-// syncedOnce reports whether at least one anti-entropy digest exchange
-// has completed. Before the first exchange, "I hold nothing of that
-// origin" is evidence of not having synced yet, not of loss.
-func (s *Service) syncedOnce() bool {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	return len(s.replState) > 0
-}
-
-// replicaAdvertises reports whether any synced replica's last digest
+// replicaSetHolds reports what the replica set says about a stream this
+// peer holds nothing of. advertised: some synced replica's last digest
 // includes a non-empty stream of origin's for topic — proof the stream
 // survives in the replica set even if this peer's copy has not arrived
-// yet.
-func (s *Service) replicaAdvertises(origin jid.ID, topic string) bool {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	for _, st := range s.replState {
+// yet. synced: at least one anti-entropy digest exchange has completed;
+// before the first exchange, "I hold nothing of that origin" is evidence
+// of not having synced yet, not of loss.
+func (l *logServer) replicaSetHolds(origin jid.ID, topic string) (advertised, synced bool) {
+	l.replMu.Lock()
+	defer l.replMu.Unlock()
+	for _, st := range l.replState {
 		for _, d := range st.remote {
 			if d.Origin == origin && d.Topic == topic && d.Last > 0 {
-				return true
+				return true, true
 			}
 		}
 	}
-	return false
+	return false, len(l.replState) > 0
 }
 
 // syncLoop drives the anti-entropy cadence.
-func (s *Service) syncLoop() {
-	defer s.wg.Done()
-	interval := s.cfg.SyncInterval
-	if interval <= 0 {
-		interval = DefaultSyncInterval
-	}
-	ticker := time.NewTicker(interval)
+func (l *logServer) syncLoop() {
+	defer l.s.wg.Done()
+	ticker := time.NewTicker(l.s.cfg.SyncInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			s.sendDigests()
-		case <-s.stop:
+			l.sendDigests()
+		case <-l.s.stop:
 			return
 		}
 	}
@@ -138,36 +123,26 @@ func (s *Service) syncLoop() {
 // sendDigests advertises this replica's stream tails to every replica
 // seed whose breaker is closed. Unreachable replicas feed the same
 // suspect/evict accounting as any other address.
-func (s *Service) sendDigests() {
-	enc := replica.EncodeDigest(s.store.Digest())
+func (l *logServer) sendDigests() {
+	s := l.s
+	enc := replica.EncodeDigest(l.store.Digest())
 	now := s.now()
 	for _, addr := range s.cfg.ReplicaSeeds {
 		s.mu.Lock()
-		closed := s.closed
-		banned := false
-		if h := s.health[addr]; h != nil && now.Before(h.bannedUntil) {
-			banned = true
-		}
+		skip := s.closed || s.blockedLocked(addr, now)
 		s.mu.Unlock()
-		if closed {
-			return
+		if !skip {
+			l.sendDigestTo(addr, enc)
 		}
-		if banned {
-			s.stats.breakerSkips.Add(1)
-			continue
-		}
-		s.sendDigestTo(addr, enc)
 	}
 }
 
 // sendDigestTo ships one encoded digest to one replica address.
-func (s *Service) sendDigestTo(addr endpoint.Address, enc []byte) {
-	m := message.New(s.ep.PeerID())
-	m.Grow(2)
-	m.AddString(elemNS, elemOp, opSyncDigest)
+func (l *logServer) sendDigestTo(addr endpoint.Address, enc []byte) {
+	s := l.s
+	m := s.newOp(opSyncDigest, 1)
 	m.AddBytes(elemNS, elemDigest, enc)
-	if err := s.ep.Send(addr, ServiceName, s.cfg.GroupParam, m); err != nil {
-		s.stats.sendFailures.Add(1)
+	if s.sendCounted(addr, m) != nil {
 		if s.noteFailure(addr) {
 			s.probe(addr)
 		}
@@ -180,27 +155,28 @@ func (s *Service) sendDigestTo(addr endpoint.Address, enc []byte) {
 // and pulls the suffix of every stream it is ahead on. Aligned segment
 // ranges with mismatched checksums bump the divergence counter — the
 // verifiable-digest property.
-func (s *Service) handleSyncDigest(msg *message.Message, from endpoint.Address) {
-	if !s.syncAuthorized(from) {
+func (l *logServer) handleSyncDigest(msg *message.Message, from endpoint.Address) {
+	if !l.syncAuthorized(from) {
 		return
 	}
 	ds, err := replica.DecodeDigest(msg.Bytes(elemNS, elemDigest))
 	if err != nil {
 		return
 	}
+	s := l.s
 	s.stats.syncDigests.Add(1)
-	s.replMu.Lock()
-	s.replState[from] = &replicaPeer{id: msg.Src, lastSync: s.now(), remote: ds}
-	s.replMu.Unlock()
+	l.replMu.Lock()
+	l.replState[from] = &replicaPeer{id: msg.Src, lastSync: s.now(), remote: ds}
+	l.replMu.Unlock()
 	self := s.ep.PeerID()
 	for _, d := range ds {
-		if replica.Diverged(s.log.SegmentDigests(s.store.Key(d.Origin, d.Topic)), d.Segments) {
+		if replica.Diverged(s.cfg.Log.SegmentDigests(l.store.Key(d.Origin, d.Topic)), d.Segments) {
 			s.stats.syncDivergence.Add(1)
 		}
 		if d.Origin == self {
 			continue // our own log is authoritative, never pulled
 		}
-		local := s.store.Last(d.Origin, d.Topic)
+		local := l.store.Last(d.Origin, d.Topic)
 		if d.Last <= local {
 			continue
 		}
@@ -208,10 +184,15 @@ func (s *Service) handleSyncDigest(msg *message.Message, from endpoint.Address) 
 		// head can only converge by resetting — but if another synced
 		// replica still bridges our tail, pull there first and keep the
 		// copy gapless instead.
-		if local > 0 && digestFirst(d) > local+1 && s.bridgedElsewhere(from, d.Origin, d.Topic, local) {
+		if local > 0 && digestFirst(d) > local+1 && l.bridgedElsewhere(from, d.Origin, d.Topic, local) {
 			continue
 		}
-		s.sendPull(from, d.Origin, d.Topic, local)
+		// Ask for origin's records after our contiguous tail.
+		pull := s.newOp(opSyncPull, 3)
+		pull.AddID(elemNS, elemLogSrc, d.Origin)
+		pull.AddString(elemNS, elemTopic, d.Topic)
+		pull.AddUint64(elemNS, elemCursor, local)
+		_ = s.sendCounted(from, pull)
 	}
 }
 
@@ -228,10 +209,10 @@ func digestFirst(d replica.TopicDigest) uint64 {
 // advertised records contiguous with our tail (retained head at or
 // below local+1 and entries beyond local): pulling from it extends the
 // copy without a retention-gap reset.
-func (s *Service) bridgedElsewhere(except endpoint.Address, origin jid.ID, topic string, local uint64) bool {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	for addr, st := range s.replState {
+func (l *logServer) bridgedElsewhere(except endpoint.Address, origin jid.ID, topic string, local uint64) bool {
+	l.replMu.Lock()
+	defer l.replMu.Unlock()
+	for addr, st := range l.replState {
 		if addr == except {
 			continue
 		}
@@ -247,58 +228,36 @@ func (s *Service) bridgedElsewhere(except endpoint.Address, origin jid.ID, topic
 	return false
 }
 
-// sendPull asks the replica at addr for origin's records of topic with
-// sequence numbers after our contiguous tail.
-func (s *Service) sendPull(addr endpoint.Address, origin jid.ID, topic string, after uint64) {
-	m := message.New(s.ep.PeerID())
-	m.Grow(4)
-	m.AddString(elemNS, elemOp, opSyncPull)
-	m.AddID(elemNS, elemLogSrc, origin)
-	m.AddString(elemNS, elemTopic, topic)
-	m.AddString(elemNS, elemCursor, strconv.FormatUint(after, 10))
-	if err := s.ep.Send(addr, ServiceName, s.cfg.GroupParam, m); err != nil {
-		s.stats.sendFailures.Add(1)
-	}
-}
-
 // handleSyncPull serves one batch of a stream's records to a replica
 // that is behind. A full batch means there may be more: the server
 // follows up with a fresh digest so the requester pulls the rest.
-func (s *Service) handleSyncPull(msg *message.Message, from endpoint.Address) {
-	if !s.syncAuthorized(from) {
+func (l *logServer) handleSyncPull(msg *message.Message, from endpoint.Address) {
+	if !l.syncAuthorized(from) {
 		return
 	}
 	origin, err := msg.GetID(elemNS, elemLogSrc)
-	if err != nil {
-		return
-	}
 	topic := msg.Text(elemNS, elemTopic)
-	if topic == "" {
+	after, ok := msg.Uint64(elemNS, elemCursor)
+	if err != nil || topic == "" || !ok {
 		return
 	}
-	after, _ := strconv.ParseUint(msg.Text(elemNS, elemCursor), 10, 64)
+	s := l.s
 	s.stats.syncPulls.Add(1)
 	// Each record names our retained head for the stream, so a requester
 	// whose tail fell below it can tell an origin-side retention gap
 	// (reset and restart at the head) from a transient reorder (skip and
 	// re-pull).
-	srcFirst := strconv.FormatUint(func() uint64 {
-		first, _, _ := s.store.Range(origin, topic)
-		return first
-	}(), 10)
+	srcFirst, _, _ := l.store.Range(origin, topic)
 	served := 0
-	_ = s.store.Read(origin, topic, after, syncPullBatch, func(e eventlog.Entry) error {
-		rec := message.New(s.ep.PeerID())
-		rec.Grow(7)
-		rec.AddString(elemNS, elemOp, opSyncRec)
+	_ = l.store.Read(origin, topic, after, syncPullBatch, func(e eventlog.Entry) error {
+		rec := s.newOp(opSyncRec, 6)
 		rec.AddID(elemNS, elemLogSrc, origin)
 		rec.AddString(elemNS, elemTopic, topic)
-		rec.AddBytes(elemNS, elemSeq, seqBytes(e.Seq))
-		rec.AddString(elemNS, elemTime, strconv.FormatInt(e.TimeMS, 10))
-		rec.AddString(elemNS, elemFirst, srcFirst)
+		rec.AddUint64(elemNS, elemSeq, e.Seq)
+		rec.AddUint64(elemNS, elemTime, uint64(e.TimeMS))
+		rec.AddUint64(elemNS, elemFirst, srcFirst)
 		rec.AddBytes(elemNS, elemFrame, e.Payload)
-		if err := s.ep.Send(from, ServiceName, s.cfg.GroupParam, rec); err != nil {
-			s.stats.sendFailures.Add(1)
+		if err := s.sendCounted(from, rec); err != nil {
 			return err
 		}
 		served++
@@ -306,7 +265,7 @@ func (s *Service) handleSyncPull(msg *message.Message, from endpoint.Address) {
 	})
 	s.stats.syncRecords.Add(int64(served))
 	if served == syncPullBatch {
-		s.sendDigestTo(from, replica.EncodeDigest(s.store.Digest()))
+		l.sendDigestTo(from, replica.EncodeDigest(l.store.Digest()))
 	}
 }
 
@@ -319,23 +278,21 @@ func (s *Service) handleSyncPull(msg *message.Message, from endpoint.Address) {
 // past our tail: then the copy is reset and restarted at the head (a
 // counted retention gap), because the bridge records no longer exist
 // anywhere and waiting would re-pull the same batch forever.
-func (s *Service) handleSyncRec(msg *message.Message, from endpoint.Address) {
-	if !s.syncAuthorized(from) {
+func (l *logServer) handleSyncRec(msg *message.Message, from endpoint.Address) {
+	if !l.syncAuthorized(from) {
 		return
 	}
 	origin, err := msg.GetID(elemNS, elemLogSrc)
-	if err != nil {
-		return
-	}
 	topic := msg.Text(elemNS, elemTopic)
-	seq, ok := msg.Uint64(elemNS, elemSeq)
+	seq, okSeq := msg.Uint64(elemNS, elemSeq)
+	timeMS, okTime := msg.Uint64(elemNS, elemTime)
+	srcFirst, okFirst := msg.Uint64(elemNS, elemFirst)
 	frame := msg.Bytes(elemNS, elemFrame)
-	if topic == "" || !ok || seq == 0 || len(frame) == 0 {
+	if err != nil || topic == "" || !okSeq || !okTime || !okFirst || seq == 0 || len(frame) == 0 {
 		return
 	}
-	timeMS, _ := strconv.ParseInt(msg.Text(elemNS, elemTime), 10, 64)
-	srcFirst, _ := strconv.ParseUint(msg.Text(elemNS, elemFirst), 10, 64)
-	applied, reset, err := s.store.Apply(origin, topic, seq, timeMS, frame, srcFirst)
+	s := l.s
+	applied, reset, err := l.store.Apply(origin, topic, seq, int64(timeMS), frame, srcFirst)
 	if reset {
 		s.stats.syncResets.Add(1)
 	}
@@ -347,71 +304,46 @@ func (s *Service) handleSyncRec(msg *message.Message, from endpoint.Address) {
 		return
 	}
 	s.stats.syncApplied.Add(1)
-	s.mirrorToClients(topic, frame)
-}
-
-// mirrorToClients forwards a freshly replicated frame to this peer's
-// own leased clients in the stream's group. The frame is the origin's
-// stored fan-out frame, resent verbatim; receive-side dedupe absorbs
-// anything the client already saw live. This is what keeps a standby's
-// clients current while the primary is unreachable from them but not
-// from the replica set.
-func (s *Service) mirrorToClients(param string, frame []byte) {
+	// Mirror the freshly replicated frame — the origin's stored fan-out
+	// frame, resent verbatim — to our own leased clients in the stream's
+	// group; receive-side dedupe absorbs anything a client already saw
+	// live. This is what keeps a standby's clients current while the
+	// primary is unreachable from them but not from the replica set.
 	s.mu.Lock()
-	s.expireLocked()
-	now := s.now()
-	addrs := make([]endpoint.Address, 0, len(s.clients))
-	for _, e := range s.clients {
-		if e.param != "" && param != "" && e.param != param {
-			continue
-		}
-		if h := s.health[e.addr]; h != nil && now.Before(h.bannedUntil) {
-			s.stats.breakerSkips.Add(1)
-			continue
-		}
-		addrs = append(addrs, e.addr)
-	}
+	targets := s.targetsLocked(topic, false)
 	s.mu.Unlock()
-	for _, addr := range addrs {
-		if err := s.ep.SendFrame(addr, frame); err != nil {
+	for _, t := range targets {
+		if err := s.ep.SendFrame(t.addr, frame); err != nil {
 			s.stats.sendFailures.Add(1)
-			_ = s.noteFailure(addr)
+			_ = s.noteFailure(t.addr)
 		}
 	}
-}
-
-// seqBytes renders a sequence number in the 8-byte big-endian form the
-// elemSeq element always carries.
-func seqBytes(seq uint64) []byte {
-	b := make([]byte, 8)
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(seq)
-		seq >>= 8
-	}
-	return b
 }
 
 // ReplicasView reports the state of this peer's replica set for the
 // admin surface: one entry per configured replica with the time since
 // it last answered a digest and, per advertised stream, its tail next
-// to ours. LastSyncAgoMS is -1 for a replica that never synced.
+// to ours. LastSyncAgoMS is -1 for a replica that never synced. Nil on
+// a peer that replicates nothing.
 func (s *Service) ReplicasView() []obs.ReplicaEntry {
-	if len(s.cfg.ReplicaSeeds) == 0 {
+	l := s.logs
+	if l == nil || len(s.cfg.ReplicaSeeds) == 0 {
 		return nil
 	}
 	now := s.now()
-	s.replMu.Lock()
+	l.replMu.Lock()
+	defer l.replMu.Unlock()
 	out := make([]obs.ReplicaEntry, 0, len(s.cfg.ReplicaSeeds))
 	for _, addr := range s.cfg.ReplicaSeeds {
 		re := obs.ReplicaEntry{Addr: string(addr), LastSyncAgoMS: -1}
-		if st := s.replState[addr]; st != nil {
+		if st := l.replState[addr]; st != nil {
 			re.ID = st.id.String()
 			re.LastSyncAgoMS = now.Sub(st.lastSync).Milliseconds()
 			for _, d := range st.remote {
 				re.Topics = append(re.Topics, obs.ReplicaTopicLag{
 					Origin:     d.Origin.String(),
 					Topic:      d.Topic,
-					LocalLast:  s.store.Last(d.Origin, d.Topic),
+					LocalLast:  l.store.Last(d.Origin, d.Topic),
 					RemoteLast: d.Last,
 				})
 			}
@@ -424,6 +356,5 @@ func (s *Service) ReplicasView() []obs.ReplicaEntry {
 		}
 		out = append(out, re)
 	}
-	s.replMu.Unlock()
 	return out
 }

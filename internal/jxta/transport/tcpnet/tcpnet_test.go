@@ -247,6 +247,9 @@ func TestStatsCountSends(t *testing.T) {
 		}
 	}
 	bs.wait(t, n)
+	// The flusher counts a frame as sent after the write returns, so the
+	// receiver can hold frame n before the sender has counted it.
+	waitForStat(t, func(st tcpnet.Stats) bool { return st.Sent == n }, a)
 	st := a.Stats()
 	if st.Enqueued != n || st.Sent != n {
 		t.Fatalf("stats = %+v, want Enqueued = Sent = %d", st, n)

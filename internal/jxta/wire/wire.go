@@ -64,26 +64,15 @@ type Config struct {
 	DisableDedupe bool
 }
 
-// Stats counts wire traffic.
-//
-// Deprecated: new introspection code should use Snapshot (the
-// obs.Provider view); Stats remains for existing tests and tools.
-type Stats struct {
-	Sent       int64
-	Received   int64
-	Duplicates int64
-	// PropagateFailures counts sends whose mesh propagation errored
+// wireCounters are lock-free: the per-message send and deliver paths
+// bump these without touching s.mu.
+type wireCounters struct {
+	sent       atomic.Int64
+	received   atomic.Int64
+	duplicates atomic.Int64
+	// propFailures counts sends whose mesh propagation errored
 	// (partition, all peers unreachable). The local loopback may still
 	// have delivered, so this is a reachability signal, not data loss.
-	PropagateFailures int64
-}
-
-// wireCounters is the lock-free internal form of Stats: the per-message
-// send and deliver paths bump these without touching s.mu.
-type wireCounters struct {
-	sent         atomic.Int64
-	received     atomic.Int64
-	duplicates   atomic.Int64
 	propFailures atomic.Int64
 }
 
@@ -165,16 +154,6 @@ func (s *Service) CreateOutputPipe(pa *adv.PipeAdv) (*OutputPipe, error) {
 		return nil, ErrClosed
 	}
 	return &OutputPipe{svc: s, id: pa.PipeID, name: pa.Name}, nil
-}
-
-// Stats returns a snapshot of the counters.
-func (s *Service) Stats() Stats {
-	return Stats{
-		Sent:              s.stats.sent.Load(),
-		Received:          s.stats.received.Load(),
-		Duplicates:        s.stats.duplicates.Load(),
-		PropagateFailures: s.stats.propFailures.Load(),
-	}
 }
 
 // Snapshot implements obs.Provider.

@@ -331,8 +331,8 @@ func TestDedupeCountsDuplicates(t *testing.T) {
 	}
 	// The sub leased with both rendezvous, so duplicates must have been
 	// suppressed (each message arrives via two paths).
-	if st := sub.wire.Stats(); st.Duplicates == 0 {
-		t.Logf("warning: no duplicates observed (topology may have deduped earlier); stats %+v", st)
+	if c := sub.wire.Snapshot().Counters; c["duplicates"] == 0 {
+		t.Logf("warning: no duplicates observed (topology may have deduped earlier); stats %+v", c)
 	}
 }
 
@@ -425,10 +425,10 @@ func TestStatsCounts(t *testing.T) {
 		}
 	}
 	sink.waitCount(t, 5)
-	if st := pub.wire.Stats(); st.Sent != 5 {
-		t.Fatalf("pub stats %+v", st)
+	if c := pub.wire.Snapshot().Counters; c["sent"] != 5 {
+		t.Fatalf("pub stats %+v", c)
 	}
-	if st := sub.wire.Stats(); st.Received != 5 {
-		t.Fatalf("sub stats %+v", st)
+	if c := sub.wire.Snapshot().Counters; c["received"] != 5 {
+		t.Fatalf("sub stats %+v", c)
 	}
 }

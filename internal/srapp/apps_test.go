@@ -122,7 +122,7 @@ func TestSRJXTAEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := peer.New(peer.Config{Name: name, Role: role, Seeds: seeds, LeaseTTL: 2 * time.Second}, memnet.New(node))
+		p, err := peer.New(peer.Config{Name: name, Rendezvous: rendezvous.Config{Role: role, Seeds: seeds, LeaseTTL: 2 * time.Second}}, memnet.New(node))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestSRJXTADuplicateSuppressionAcrossGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := peer.New(peer.Config{Name: name, Role: role, Seeds: seeds, LeaseTTL: 2 * time.Second}, memnet.New(node))
+		p, err := peer.New(peer.Config{Name: name, Rendezvous: rendezvous.Config{Role: role, Seeds: seeds, LeaseTTL: 2 * time.Second}}, memnet.New(node))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,7 +274,7 @@ func (a *App) AwaitReady(n int, timeout time.Duration) bool {
 		for _, c := range conns {
 			if g, ok := a.peer.Group(c.groupID); ok {
 				rdv := g.Rendezvous
-				if rdv != nil && (!rdv.Seeded() || len(rdv.ConnectedRendezvous()) > 0) {
+				if rdv != nil && (len(rdv.Config().Seeds) == 0 || len(rdv.ConnectedRendezvous()) > 0) {
 					ready++
 				}
 			}

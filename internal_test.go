@@ -2,7 +2,16 @@ package tps
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"time"
+
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/peergroup"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
+	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
+	"github.com/tps-p2p/tps/internal/netsim"
 )
 
 // White-box tests for the public package's unexported helpers.
@@ -109,5 +118,73 @@ func TestAdapterFuncs(t *testing.T) {
 func TestDefaultStr(t *testing.T) {
 	if defaultStr("", "d") != "d" || defaultStr("x", "d") != "x" {
 		t.Fatal("defaultStr wrong")
+	}
+}
+
+// TestConfigReachesEveryRendezvousService pins the configuration path:
+// NewPlatform builds one rendezvous.Config from tps.Config, and every
+// rendezvous service of the peer — net group, joined groups, the daemon
+// — is constructed from that one value. Only the replica set is scoped:
+// it reaches the daemon's wildcard service alone.
+func TestConfigReachesEveryRendezvousService(t *testing.T) {
+	wan := netsim.New(netsim.Config{})
+	defer wan.Close()
+	node, err := wan.AddNode("rdv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Name:                "rdv",
+		Rendezvous:          true,
+		Seeds:               []string{"mem://s1", "mem://s2"},
+		LeaseTTL:            7 * time.Second,
+		LogDir:              t.TempDir(),
+		ReplicaSeeds:        []string{"mem://r2"},
+		ReplicaSyncInterval: 3 * time.Second,
+		Failover:            true,
+	}
+	p, err := NewPlatform(cfg, WithTransport(memnet.New(node)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.peer.JoinGroup(peergroup.Config{ID: jid.FromSeed(jid.KindGroup, 1), Name: "PS.Any"}); err != nil {
+		t.Fatal(err)
+	}
+	services := p.peer.Rendezvous()
+	if len(services) != 3 {
+		t.Fatalf("%d rendezvous services, want net group + joined group + daemon", len(services))
+	}
+	fields := []struct {
+		name string
+		get  func(rendezvous.Config) any
+		want any
+	}{
+		{"Role", func(c rendezvous.Config) any { return c.Role }, rendezvous.RoleRendezvous},
+		{"Seeds", func(c rendezvous.Config) any { return c.Seeds }, []endpoint.Address{"mem://s1", "mem://s2"}},
+		{"LeaseTTL", func(c rendezvous.Config) any { return c.LeaseTTL }, cfg.LeaseTTL},
+		{"Log", func(c rendezvous.Config) any { return c.Log }, p.log},
+		{"Tracer", func(c rendezvous.Config) any { return c.Tracer }, p.eng.Tracer},
+		{"SyncInterval", func(c rendezvous.Config) any { return c.SyncInterval }, cfg.ReplicaSyncInterval},
+		{"ActiveStandby", func(c rendezvous.Config) any { return c.ActiveStandby }, true},
+	}
+	replicating := 0
+	for _, svc := range services {
+		got := svc.Config()
+		for _, f := range fields {
+			if !reflect.DeepEqual(f.get(got), f.want) {
+				t.Errorf("group %q: %s = %v, want %v", got.GroupParam, f.name, f.get(got), f.want)
+			}
+		}
+		if len(got.ReplicaSeeds) == 0 {
+			continue
+		}
+		replicating++
+		if got.GroupParam != "" || !reflect.DeepEqual(got.ReplicaSeeds, []endpoint.Address{"mem://r2"}) {
+			t.Errorf("group %q replicates against %v; want only the daemon, against mem://r2", got.GroupParam, got.ReplicaSeeds)
+		}
+	}
+	if replicating != 1 {
+		t.Errorf("%d services hold the replica set, want exactly the daemon's", replicating)
 	}
 }

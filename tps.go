@@ -198,13 +198,13 @@ func WithTransport(t Transport) Option {
 // Platform is the per-process TPS runtime: one JXTA peer, one type
 // registry, shared by all engines the process creates.
 type Platform struct {
-	peer   *peer.Peer
-	reg    *typereg.Registry
-	codec  codec.Codec
-	ftime  time.Duration
-	fint   time.Duration
-	daemon *peer.Daemon
-	name   string
+	peer *peer.Peer
+	// daemon records that the peer runs the rendezvous/relay daemon stack.
+	daemon bool
+	// eng is the template every engine of this platform is created
+	// from: the peer, the shared type registry, the codec, the finder
+	// timings, and the peer-local hop store with its sampling rate.
+	eng engine.Config
 
 	// Observability: the stats registry every subsystem snapshots into,
 	// and the optional embedded admin server reading from it.
@@ -213,13 +213,8 @@ type Platform struct {
 	tcp    *tcpnet.Transport
 	log    *eventlog.Log
 
-	// Tracing: the peer-local hop store every subsystem records sampled
-	// events into, and the sampling rate engines inherit.
-	tracer *trace.Store
-	trate  float64
-
 	// engMu guards the live core engines, tracked so Stats and Inspect
-	// cover engines created at any time.
+	// cover engines created at any time and Close stops them.
 	engMu   sync.Mutex
 	engines []*engine.Engine
 }
@@ -248,14 +243,6 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	if err != nil {
 		return nil, psErr("platform", err)
 	}
-	role := rendezvous.RoleEdge
-	if cfg.Rendezvous {
-		role = rendezvous.RoleRendezvous
-	}
-	seeds := make([]endpoint.Address, 0, len(cfg.Seeds))
-	for _, s := range cfg.Seeds {
-		seeds = append(seeds, endpoint.Address(s))
-	}
 	var elog *eventlog.Log
 	if cfg.LogDir != "" {
 		policy, err := eventlog.ParseSyncPolicy(cfg.LogSync)
@@ -263,35 +250,31 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 			return nil, psErr("platform", err)
 		}
 		elog, err = eventlog.Open(eventlog.Config{
-			Dir: cfg.LogDir,
-			Retention: eventlog.Retention{
-				SegmentBytes: cfg.LogRetention.SegmentBytes,
-				MaxBytes:     cfg.LogRetention.MaxBytes,
-				MaxAge:       cfg.LogRetention.MaxAge,
-			},
-			Sync: policy,
+			Dir:       cfg.LogDir,
+			Retention: eventlog.Retention(cfg.LogRetention),
+			Sync:      policy,
 		})
 		if err != nil {
 			return nil, psErr("platform", err)
 		}
 	}
-	replicaSeeds := make([]endpoint.Address, 0, len(cfg.ReplicaSeeds))
-	for _, s := range cfg.ReplicaSeeds {
-		replicaSeeds = append(replicaSeeds, endpoint.Address(s))
-	}
 	tracer := trace.NewStore(trace.DefaultMaxEvents)
-	p, err := peer.New(peer.Config{
-		Name:         cfg.Name,
-		Role:         role,
-		Seeds:        seeds,
-		LeaseTTL:     cfg.LeaseTTL,
-		Firewalled:   cfg.Firewalled,
-		Log:          elog,
-		Tracer:       tracer,
-		ReplicaSeeds: replicaSeeds,
-		SyncInterval: cfg.ReplicaSyncInterval,
-		Failover:     cfg.Failover,
-	}, transports...)
+	// The one rendezvous configuration of this peer: every group's
+	// service and the daemon's are built from it (see Config).
+	rcfg := rendezvous.Config{
+		Role:          rendezvous.RoleEdge,
+		Seeds:         addresses(cfg.Seeds),
+		LeaseTTL:      cfg.LeaseTTL,
+		Log:           elog,
+		Tracer:        tracer,
+		ReplicaSeeds:  addresses(cfg.ReplicaSeeds),
+		SyncInterval:  cfg.ReplicaSyncInterval,
+		ActiveStandby: cfg.Failover,
+	}
+	if cfg.Rendezvous {
+		rcfg.Role = rendezvous.RoleRendezvous
+	}
+	p, err := peer.New(peer.Config{Name: cfg.Name, Firewalled: cfg.Firewalled, Rendezvous: rcfg}, transports...)
 	if err != nil {
 		if elog != nil {
 			_ = elog.Close()
@@ -300,24 +283,25 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	}
 	pl := &Platform{
 		peer:   p,
-		reg:    typereg.New(),
-		codec:  c,
-		ftime:  cfg.FindTimeout,
-		fint:   cfg.FindInterval,
-		name:   cfg.Name,
+		daemon: cfg.Rendezvous,
+		eng: engine.Config{
+			Peer:         p,
+			Registry:     typereg.New(),
+			Codec:        c,
+			FindTimeout:  cfg.FindTimeout,
+			FindInterval: cfg.FindInterval,
+			Tracer:       tracer,
+			TraceRate:    cfg.TraceRate,
+		},
 		obsreg: obs.NewRegistry(),
 		tcp:    tcp,
 		log:    elog,
-		tracer: tracer,
-		trate:  cfg.TraceRate,
 	}
 	if cfg.Rendezvous {
-		d, err := p.EnableDaemon()
-		if err != nil {
-			p.Close()
+		if _, err := p.EnableDaemon(); err != nil {
+			pl.Close()
 			return nil, psErr("platform", err)
 		}
-		pl.daemon = d
 	}
 	pl.registerProviders()
 	if cfg.AdminAddr != "" {
@@ -326,7 +310,7 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 			Registry:  pl.obsreg,
 			Inspect:   pl.Inspect,
 			Health:    pl.health,
-			Trace:     pl.tracer,
+			Trace:     pl.eng.Tracer,
 			Profiling: cfg.AdminProfiling,
 		})
 		if err != nil {
@@ -373,13 +357,8 @@ func (p *Platform) registerProviders() {
 	})
 	r.RegisterFunc("rendezvous", func() obs.Snapshot {
 		var snaps []obs.Snapshot
-		for _, g := range p.peer.Groups() {
-			if g.Rendezvous != nil {
-				snaps = append(snaps, g.Rendezvous.Snapshot())
-			}
-		}
-		if p.daemon != nil && p.daemon.Rendezvous != nil {
-			snaps = append(snaps, p.daemon.Rendezvous.Snapshot())
+		for _, r := range p.peer.Rendezvous() {
+			snaps = append(snaps, r.Snapshot())
 		}
 		return obs.Merge("rendezvous", snaps...)
 	})
@@ -395,8 +374,8 @@ func (p *Platform) registerProviders() {
 	}
 }
 
-// seenCaches collects every live dedupe cache: the wire and rendezvous
-// caches of each joined group, the daemon's, and each engine's
+// seenCaches collects every live dedupe cache: the wire cache of each
+// joined group, every rendezvous service's, and each engine's
 // event-level cache.
 func (p *Platform) seenCaches() []*seen.Cache {
 	var out []*seen.Cache
@@ -406,12 +385,9 @@ func (p *Platform) seenCaches() []*seen.Cache {
 				out = append(out, c)
 			}
 		}
-		if g.Rendezvous != nil {
-			out = append(out, g.Rendezvous.SeenCache())
-		}
 	}
-	if p.daemon != nil && p.daemon.Rendezvous != nil {
-		out = append(out, p.daemon.Rendezvous.SeenCache())
+	for _, r := range p.peer.Rendezvous() {
+		out = append(out, r.SeenCache())
 	}
 	for _, e := range p.coreEngines() {
 		out = append(out, e.SeenCache())
@@ -440,6 +416,15 @@ func (p *Platform) untrackEngine(e *engine.Engine) {
 			return
 		}
 	}
+}
+
+// addresses converts configured address strings to endpoint addresses.
+func addresses(ss []string) []endpoint.Address {
+	out := make([]endpoint.Address, len(ss))
+	for i, s := range ss {
+		out[i] = endpoint.Address(s)
+	}
+	return out
 }
 
 func defaultStr(s, def string) string {
@@ -503,17 +488,14 @@ func (p *Platform) Inspect() Inspection {
 	in := Inspection{
 		Schema:     obs.SchemaVersion,
 		PeerID:     p.PeerID(),
-		Name:       p.name,
+		Name:       p.peer.Name(),
 		Addresses:  p.Addresses(),
-		Rendezvous: p.daemon != nil,
+		Rendezvous: p.daemon,
 	}
-	for _, g := range p.peer.Groups() {
-		if g.Rendezvous != nil {
-			in.Peers = append(in.Peers, g.Rendezvous.PeersView()...)
-		}
-	}
-	if p.daemon != nil && p.daemon.Rendezvous != nil {
-		in.Peers = append(in.Peers, p.daemon.Rendezvous.PeersView()...)
+	for _, r := range p.peer.Rendezvous() {
+		in.Peers = append(in.Peers, r.PeersView()...)
+		// Nil except on the daemon's service: only it replicates.
+		in.Replicas = append(in.Replicas, r.ReplicasView()...)
 	}
 	for _, e := range p.coreEngines() {
 		in.Subscriptions = append(in.Subscriptions, e.SubscriptionsView()...)
@@ -522,10 +504,7 @@ func (p *Platform) Inspect() Inspection {
 	if p.log != nil {
 		in.EventLog = p.log.TopicsView()
 	}
-	if p.daemon != nil && p.daemon.Rendezvous != nil {
-		in.Replicas = p.daemon.Rendezvous.ReplicasView()
-	}
-	in.Types = p.reg.Paths()
+	in.Types = p.eng.Registry.Paths()
 	return in
 }
 
@@ -555,7 +534,7 @@ func (p *Platform) health() error {
 	if rdv == nil {
 		return errors.New("net group closed")
 	}
-	if rdv.Seeded() && len(rdv.ConnectedRendezvous()) == 0 {
+	if len(rdv.Config().Seeds) > 0 && len(rdv.ConnectedRendezvous()) == 0 {
 		return errors.New("no rendezvous lease held")
 	}
 	if p.log != nil {
@@ -567,16 +546,16 @@ func (p *Platform) health() error {
 }
 
 // Close shuts the platform down: the admin server first (so /stats
-// never reads a half-closed substrate), then all engines' groups, the
-// daemon stack if any, and the transports.
+// never reads a half-closed substrate), then every engine still open
+// (their finder and replay loops must not outlive the peer), the peer
+// with its daemon stack and groups, and the transports.
 func (p *Platform) Close() {
 	if p.admin != nil {
 		_ = p.admin.Close()
 		p.admin = nil
 	}
-	if p.daemon != nil {
-		p.daemon.Close()
-		p.daemon = nil
+	for _, e := range p.coreEngines() {
+		e.Close()
 	}
 	p.peer.Close()
 	if p.log != nil {
@@ -589,7 +568,7 @@ func (p *Platform) Close() {
 // Registration is the paper's "type definition phase": peers must agree
 // on the type model a priori (§3.2).
 func Register[T any](p *Platform) error {
-	_, err := p.reg.Register(typeOf[T](), nil)
+	_, err := p.eng.Registry.Register(typeOf[T](), nil)
 	return psErr("register", err)
 }
 
@@ -599,11 +578,11 @@ func Register[T any](p *Platform) error {
 // interface, Parent should be a Go interface type that T implements;
 // struct parents still organise the subject hierarchy for discovery.
 func RegisterSub[T, Parent any](p *Platform) error {
-	parent, ok := p.reg.NodeByType(typeOf[Parent]())
+	parent, ok := p.eng.Registry.NodeByType(typeOf[Parent]())
 	if !ok {
 		return psErr("register", fmt.Errorf("%w: parent %v", typereg.ErrNotRegistered, typeOf[Parent]()))
 	}
-	_, err := p.reg.Register(typeOf[T](), parent)
+	_, err := p.eng.Registry.Register(typeOf[T](), parent)
 	return psErr("register", err)
 }
 

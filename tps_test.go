@@ -3,6 +3,7 @@ package tps_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -578,5 +579,52 @@ func TestPlatformAccessors(t *testing.T) {
 	}
 	if !p.AwaitRendezvous(5 * time.Second) {
 		t.Fatal("edge never reached the rendezvous")
+	}
+}
+
+// TestPlatformCloseStopsEngines closes a platform without closing the
+// engine created on it first: the engine must be closed with it — its
+// interface refuses to publish and its finder and replay loops are gone,
+// not left ticking against a closed peer.
+func TestPlatformCloseStopsEngines(t *testing.T) {
+	wan := netsim.New(netsim.Config{})
+	defer wan.Close()
+	base := runtime.NumGoroutine()
+
+	node, err := wan.AddNode("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tps.NewPlatform(tps.Config{Name: "solo", FindTimeout: 50 * time.Millisecond, FindInterval: 20 * time.Millisecond},
+		tps.WithTransport(memnet.New(node)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := tps.NewEngine[SkiRental](p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intf, _ := eng.NewInterface(nil)
+	var g gather[SkiRental]
+	if err := intf.Subscribe(&g, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := intf.Publish(SkiRental{Shop: "open"}); err != nil {
+		t.Fatal(err)
+	}
+	waitN(t, &g, 1)
+
+	p.Close()
+	if err := intf.Publish(SkiRental{Shop: "closed"}); err == nil {
+		t.Fatal("publish succeeded on an engine whose platform is closed")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines outlive Platform.Close (baseline %d):\n%s",
+				runtime.NumGoroutine()-base, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
