@@ -3,7 +3,7 @@
 // comparable across PRs without anyone hand-transcribing `go test
 // -bench` output into tables. Typical use, from the repo root:
 //
-//	go run ./cmd/benchjson -out BENCH_9.json
+//	go run ./cmd/benchjson -out BENCH_15.json
 //
 // Each benchmark maps to its measured metrics (ns/op, B/op, allocs/op,
 // plus any custom b.ReportMetric units such as events/sec). Multiple
@@ -33,11 +33,11 @@ type run struct {
 }
 
 func main() {
-	bench := flag.String("bench", "LocalPublishDeliver|Fig18InvocationTime|SeenObserve|MessageCodec|EventLogAppend", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "LocalPublishDeliver|Fig18InvocationTime|SeenObserve|MessageCodec|EventLogAppend|AblationCodec", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")
 	count := flag.Int("count", 1, "go test -count value; results are averaged")
 	pkg := flag.String("pkg", ".", "package to benchmark")
-	out := flag.String("out", "BENCH_9.json", `output path, or "-" for stdout`)
+	out := flag.String("out", "BENCH_15.json", `output path, or "-" for stdout`)
 	flag.Parse()
 
 	args := []string{

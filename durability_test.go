@@ -190,3 +190,87 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 		t.Fatalf("subscriber cursor at %d, want >= %d", cursors[0].Seq, early)
 	}
 }
+
+// TestDeepReplayOverTCPIsNotShed has a late joiner replay more retained
+// events than tcpnet's per-host queue holds (1024 frames, oldest shed
+// first). Served as one burst, the rendezvous fills that queue faster
+// than its flusher writes it out, the head of the replay is shed on the
+// rendezvous' own side of the wire and the joiner never sees it; served
+// at the replay pace, the queue stays shallow and everything arrives.
+func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
+	const depth = 3000 // about three queues' worth
+	boot := func(cfg tps.Config) *tps.Platform {
+		cfg.ListenTCP = "127.0.0.1:0"
+		cfg.FindTimeout = 400 * time.Millisecond
+		cfg.FindInterval = 100 * time.Millisecond
+		p, err := tps.NewPlatform(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		return p
+	}
+	rdv := boot(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
+	seeds := rdv.Addresses()[:1]
+	engine := func(name string) *tps.Engine[SkiRental] {
+		p := boot(tps.Config{Name: name, Seeds: seeds})
+		if err := tps.Register[SkiRental](p); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := tps.NewEngine[SkiRental](p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		return eng
+	}
+
+	pubEng := engine("pub")
+	pubIntf, err := pubEng.NewInterface(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pubEng.Announce(); err != nil {
+		t.Fatal(err)
+	}
+	if !pubEng.AwaitReady(1, 5*time.Second) {
+		t.Fatal("publisher group never became ready")
+	}
+	// The event topic is the one that retains depth records. Publish in
+	// batches the publisher's own queue holds, and let the log catch up
+	// with each, so that nothing is shed on the way in.
+	retained := func() uint64 {
+		var most uint64
+		for _, e := range rdv.Inspect().EventLog {
+			most = max(most, e.LastSeq)
+		}
+		return most
+	}
+	for sent := 0; sent < depth; {
+		for end := sent + 500; sent < end; sent++ {
+			if err := pubIntf.Publish(SkiRental{Shop: fmt.Sprintf("shop-%d", sent), Brand: "Salomon"}); err != nil {
+				t.Fatalf("publish %d: %v", sent, err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for retained() < uint64(sent) {
+			if time.Now().After(deadline) {
+				t.Fatalf("rendezvous log retains %d of %d events", retained(), sent)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	subIntf, err := engine("sub").NewInterface(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gather[SkiRental]{}
+	if err := subIntf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
+		t.Fatal(err)
+	}
+	waitN(t, g, depth)
+	if shed := statCounter(rdv, "tcpnet", "dropped"); shed != 0 {
+		t.Fatalf("rendezvous shed %d frames", shed)
+	}
+}

@@ -1,21 +1,25 @@
 // Package codec serialises TPS events for the wire.
 //
 // TPS assumes the peers a priori share a common type model (the paper's
-// §3.2/§6 discussion: Java serialization there, Go types here). Two
+// §3.2/§6 discussion: Java serialization there, Go types here). Three
 // codecs ship: gob — the Go-native analogue of Java serialization, used
-// by default — and JSON, the "loose" representation §6 sketches as the
-// road toward cross-model interoperability.
+// by default — and JSON and XML, the "loose" representations §6
+// sketches as the road toward cross-model interoperability.
+//
+// No codec puts the event's type in the blob in a form the receiver
+// acts on: the TPS envelope names the type (tps:Path), the receiver
+// resolves it in its registry and hands Decode the Go type. A gob blob
+// carries gob's type descriptors all the same, so it decodes standalone
+// with the standard library on any peer; gob.go describes how Gob
+// avoids paying for those descriptors on every event.
 package codec
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 )
 
 // Errors.
@@ -30,67 +34,13 @@ type Codec interface {
 	Name() string
 	// Encode serialises an event value.
 	Encode(event any) ([]byte, error)
-	// Decode deserialises into a value of the given type. The returned
-	// value's dynamic type is typ (not a pointer to it).
+	// Decode deserialises into a value of the given type, which is
+	// required. The returned value's dynamic type is typ (not a pointer
+	// to it).
 	Decode(data []byte, typ reflect.Type) (any, error)
 }
 
-// Gob is the default event codec. Concrete event types must be
-// registered with encoding/gob, which the type registry does at
-// registration time.
-type Gob struct{}
-
-// Name implements Codec.
-func (Gob) Name() string { return "gob" }
-
-// gobBufPool recycles the scratch buffers gob streams are rendered into,
-// so steady-state publishing reuses one grown buffer instead of growing
-// a fresh bytes.Buffer through several doublings per event.
-//
-// The gob.Encoder itself is deliberately NOT pooled: an encoder transmits
-// each type's descriptor only once per stream, and every TPS event must
-// decode standalone on whichever peer it lands on (there is no shared
-// stream state between peers). A reused encoder would emit frames whose
-// type descriptors live in some earlier frame, which a fresh decoder
-// cannot resolve — so correctness forces a fresh encoder per event, and
-// TestGobBlobsAreSelfContained locks that property in.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// Encode implements Codec. The value is encoded through an interface
-// envelope so Decode can recover the concrete type without knowing it in
-// advance.
-func (Gob) Encode(event any) ([]byte, error) {
-	if event == nil {
-		return nil, ErrNilEvent
-	}
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	defer gobBufPool.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&event); err != nil {
-		return nil, fmt.Errorf("codec: gob encode %T: %w", event, err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
-}
-
-// Decode implements Codec. typ is advisory for gob (the stream is
-// self-describing); when non-nil the decoded value is checked against
-// it.
-func (Gob) Decode(data []byte, typ reflect.Type) (any, error) {
-	var out any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("codec: gob decode: %w", err)
-	}
-	if typ != nil && reflect.TypeOf(out) != typ {
-		return nil, fmt.Errorf("codec: gob decoded %T, want %v", out, typ)
-	}
-	return out, nil
-}
-
-// JSON is the alternative, cross-language-friendly codec. Unlike gob the
-// stream is not self-describing, so Decode requires the expected type
-// (the TPS envelope carries the type path for exactly this reason).
+// JSON is the alternative, cross-language-friendly codec.
 type JSON struct{}
 
 // Name implements Codec.

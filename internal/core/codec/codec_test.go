@@ -2,10 +2,8 @@ package codec
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -15,11 +13,6 @@ type skiRental struct {
 	Brand        string
 	Price        float64
 	NumberOfDays float64
-}
-
-func init() {
-	// Normally done by the type registry.
-	gob.Register(skiRental{})
 }
 
 func TestGobRoundTrip(t *testing.T) {
@@ -48,12 +41,15 @@ func TestGobDecodeWithoutTypeHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decode(data, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.Decode(data, nil); err == nil {
+		t.Fatal("gob decode without type accepted")
 	}
-	if _, ok := out.(skiRental); !ok {
-		t.Fatalf("dynamic type %T", out)
+	var iface any
+	if _, err := c.Decode(data, reflect.TypeOf(&iface).Elem()); err == nil {
+		t.Fatal("gob decode into an interface type accepted")
+	}
+	if _, err := c.Decode(data, reflect.TypeOf(in)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -70,11 +66,14 @@ func TestGobTypeMismatch(t *testing.T) {
 
 func TestGobGarbage(t *testing.T) {
 	c := Gob{}
-	if _, err := c.Decode([]byte("not gob at all"), nil); err == nil {
+	if _, err := c.Decode([]byte("not gob at all"), reflect.TypeOf(skiRental{})); err == nil {
 		t.Fatal("garbage decoded")
 	}
 	if _, err := c.Encode(nil); !errors.Is(err, ErrNilEvent) {
 		t.Fatalf("nil encode: %v", err)
+	}
+	if _, err := c.Encode((*skiRental)(nil)); !errors.Is(err, ErrNilEvent) {
+		t.Fatalf("nil pointer encode: %v", err)
 	}
 }
 
@@ -173,80 +172,5 @@ func TestQuickRoundTripBothCodecs(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Errorf("%s: %v", c.Name(), err)
 		}
-	}
-}
-
-type bikeRental struct {
-	Shop  string
-	Price float64
-}
-
-func init() {
-	gob.Register(bikeRental{})
-}
-
-// TestGobBlobsAreSelfContained locks in the property that makes buffer
-// pooling (and NOT encoder pooling) correct: every Encode output must
-// decode standalone with a fresh decoder, because events land on
-// arbitrary peers with no shared gob stream state. Interleaving types
-// and decoding out of order would catch any reuse of encoder
-// type-descriptor state across events.
-func TestGobBlobsAreSelfContained(t *testing.T) {
-	c := Gob{}
-	events := []any{
-		skiRental{Shop: "a", Brand: "x", Price: 1, NumberOfDays: 2},
-		bikeRental{Shop: "b", Price: 3},
-		skiRental{Shop: "c", Brand: "y", Price: 4, NumberOfDays: 5},
-		bikeRental{Shop: "d", Price: 6},
-		skiRental{Shop: "e"},
-	}
-	blobs := make([][]byte, len(events))
-	var wg sync.WaitGroup
-	// Encode concurrently so the pool actually cycles buffers between
-	// goroutines, then decode in reverse order so no decoder can lean on
-	// stream state from an earlier blob.
-	for i, ev := range events {
-		wg.Add(1)
-		go func(i int, ev any) {
-			defer wg.Done()
-			data, err := c.Encode(ev)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			blobs[i] = data
-		}(i, ev)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for i := len(blobs) - 1; i >= 0; i-- {
-		out, err := c.Decode(blobs[i], reflect.TypeOf(events[i]))
-		if err != nil {
-			t.Fatalf("blob %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(out, events[i]) {
-			t.Fatalf("blob %d: got %+v want %+v", i, out, events[i])
-		}
-	}
-}
-
-// TestGobEncodeResultDoesNotAliasPool guards the copy-out: a returned
-// blob must stay intact while later Encodes reuse the pooled buffer.
-func TestGobEncodeResultDoesNotAliasPool(t *testing.T) {
-	c := Gob{}
-	first, err := c.Encode(skiRental{Shop: "keep", Brand: "me"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot := append([]byte(nil), first...)
-	for i := 0; i < 64; i++ {
-		if _, err := c.Encode(bikeRental{Shop: "overwrite", Price: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(first, snapshot) {
-		t.Fatal("earlier Encode result was clobbered by pooled buffer reuse")
 	}
 }

@@ -15,7 +15,6 @@
 package typereg
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -92,8 +91,7 @@ func TypeOf(v any) reflect.Type {
 }
 
 // Register adds typ to the hierarchy under parent (nil for a root) and
-// returns its node. Concrete (non-interface) types are also registered
-// with encoding/gob so events can cross the wire.
+// returns its node.
 func (r *Registry) Register(typ reflect.Type, parent *Node) (*Node, error) {
 	if typ == nil {
 		return nil, ErrNotNameable
@@ -134,13 +132,6 @@ func (r *Registry) Register(typ reflect.Type, parent *Node) (*Node, error) {
 		parent.mu.Lock()
 		parent.children = append(parent.children, node)
 		parent.mu.Unlock()
-	}
-	if typ.Kind() != reflect.Interface {
-		// gob needs concrete types announced under a stable name. The
-		// name derives from the type itself (not the hierarchy path):
-		// the same type registered under different hierarchies — or in
-		// several registries of one process — must map to one gob name.
-		gob.RegisterName("tps/"+typ.PkgPath()+"."+typ.Name(), reflect.New(typ).Elem().Interface())
 	}
 	return node, nil
 }

@@ -165,6 +165,17 @@ type topicLog struct {
 	active  *os.File   // append handle for segs[last]; nil until first append
 	nextSeq uint64
 	scratch []byte
+	// resume is where the last max-bounded Read stopped, so that the
+	// Read that continues it does not scan the segment from its start.
+	resume readPos
+}
+
+// readPos says that in seg the record after seq starts at off.
+// Segments only grow, so it holds for as long as seg is retained.
+type readPos struct {
+	seg *segment
+	seq uint64
+	off int64
 }
 
 // Log is a set of per-topic append-only logs rooted at one directory.
@@ -634,7 +645,9 @@ func (l *Log) enforceRetentionLocked(t *topicLog) {
 
 // Read streams the topic's retained entries with sequence numbers
 // strictly greater than after, in order, to fn. A non-zero max bounds
-// how many entries are delivered. Reading holds the topic's lock, so it
+// how many entries are delivered; a Read that stops at max is continued
+// cheaply by one that asks for what comes after the last entry it got
+// (a paced replay, a sync pull). Reading holds the topic's lock, so it
 // is safe against concurrent appends; fn's Entry payload is reused
 // between calls and must be copied to retain. fn returning an error
 // stops the stream and surfaces the error.
@@ -657,6 +670,13 @@ func (l *Log) Read(topic string, after uint64, max int, fn func(Entry) error) er
 		}
 		var hdr [headerSize]byte
 		remaining := seg.size
+		if r := t.resume; r.seg == seg && r.seq == after {
+			if _, err := f.Seek(r.off, io.SeekStart); err != nil {
+				f.Close()
+				return fmt.Errorf("eventlog: read %s: %w", seg.path, err)
+			}
+			remaining -= r.off
+		}
 		for remaining >= headerSize {
 			if _, err := io.ReadFull(f, hdr[:]); err != nil {
 				f.Close()
@@ -684,6 +704,7 @@ func (l *Log) Read(topic string, after uint64, max int, fn func(Entry) error) er
 			l.replayed.Add(1)
 			sent++
 			if max > 0 && sent >= max {
+				t.resume = readPos{seg: seg, seq: seq, off: seg.size - remaining}
 				f.Close()
 				return nil
 			}

@@ -294,6 +294,108 @@ func TestReadMaxBounds(t *testing.T) {
 	}
 }
 
+// TestBoundedReadsResume reads a topic that spans several segments in
+// slices, the way a paced replay does, while the log is appended to,
+// trimmed by retention and reset underneath the reader. Every slice
+// must continue exactly where the one before it stopped, and a slice
+// that continues another must start from the remembered position
+// rather than from the head of the segment.
+func TestBoundedReadsResume(t *testing.T) {
+	l, err := Open(Config{Dir: t.TempDir(), Retention: Retention{SegmentBytes: 300, MaxBytes: 1500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	body := func(seq uint64) []byte {
+		return []byte(fmt.Sprintf("event-%04d-%s", seq, bytes.Repeat([]byte("x"), 20)))
+	}
+	grow := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := l.Append("t", func(seq uint64) ([]byte, error) { return body(seq), nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slice := func(after uint64, max int) []uint64 {
+		t.Helper()
+		var seqs []uint64
+		err := l.Read("t", after, max, func(e Entry) error {
+			if !bytes.Equal(e.Payload, body(e.Seq)) {
+				t.Fatalf("seq %d carries %q", e.Seq, e.Payload)
+			}
+			seqs = append(seqs, e.Seq)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seqs
+	}
+	resume := func() readPos {
+		tl, _ := l.getTopic("t", false)
+		tl.mu.Lock()
+		defer tl.mu.Unlock()
+		return tl.resume
+	}
+
+	grow(20) // 5 records a segment
+	var cursor uint64
+	for cursor < 20 {
+		got := slice(cursor, 3)
+		for i, seq := range got {
+			if seq != cursor+uint64(i)+1 {
+				t.Fatalf("slice after %d = %v", cursor, got)
+			}
+		}
+		cursor += uint64(len(got))
+		if r := resume(); len(got) == 3 && (r.seq != cursor || r.seg == nil) {
+			t.Fatalf("after a full slice ending at %d the log remembers %+v", cursor, r)
+		}
+	}
+	// Mid-segment the remembered offset is what the next slice uses: it
+	// lies past the records already served.
+	if got := slice(5, 2); len(got) != 2 || got[0] != 6 {
+		t.Fatalf("slice after 5 = %v", got)
+	}
+	if r := resume(); r.seq != 7 || r.off == 0 {
+		t.Fatalf("remembered %+v, want the record after 7 at a non-zero offset", r)
+	}
+	// Appends leave it valid; a reader elsewhere in the topic ignores it.
+	grow(5)
+	if got := slice(7, 4); len(got) != 4 || got[0] != 8 || got[3] != 11 {
+		t.Fatalf("slice after 7 = %v", got)
+	}
+	if got := slice(2, 2); len(got) != 2 || got[0] != 3 {
+		t.Fatalf("slice after 2 = %v", got)
+	}
+	// Retention drops the segment the position points into: the next
+	// slice starts at whatever is still retained.
+	slice(0, 2)
+	grow(40)
+	first, last, _ := l.Range("t")
+	if first <= 2 {
+		t.Fatalf("retention kept %d..%d, want the head gone", first, last)
+	}
+	if got := slice(2, 3); len(got) != 3 || got[0] != first {
+		t.Fatalf("slice after 2 = %v, want from %d", got, first)
+	}
+	// Reset restarts the numbering: a position from before must not
+	// place a read inside the new records.
+	slice(first, 1)
+	if _, err := l.Reset("t"); err != nil {
+		t.Fatal(err)
+	}
+	for seq := first; seq < first+4; seq++ {
+		if err := l.AppendExact("t", seq, 1, body(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := slice(first+1, 0); len(got) != 2 || got[0] != first+2 {
+		t.Fatalf("after reset, slice after %d = %v", first+1, got)
+	}
+}
+
 func TestUnknownTopicReadsNothing(t *testing.T) {
 	l, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {

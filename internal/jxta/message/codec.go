@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 )
@@ -141,38 +142,52 @@ func Unmarshal(frame []byte) (*Message, error) {
 	if int(count) > MaxElements {
 		return nil, fmt.Errorf("%w: %d elements", ErrTooLarge, count)
 	}
-	m.elements = make([]Element, 0, count)
+	// Two passes over the elements: the first checks every bound and
+	// sizes two arenas, the second copies all strings into one and all
+	// payloads into the other. Elements are sub-slices of the arenas, so
+	// a frame costs two allocations however many elements it carries,
+	// and the decoded message does not alias the frame.
+	elems := r.off
+	var strBytes, dataBytes int
 	for i := 0; i < int(count); i++ {
-		var e Element
-		if e.Namespace, err = r.shortString(); err != nil {
-			return nil, err
-		}
-		if e.Name, err = r.shortString(); err != nil {
-			return nil, err
-		}
-		if e.MimeType, err = r.shortString(); err != nil {
-			return nil, err
-		}
-		dlen, err := r.uint32()
+		ns, name, mime, data, err := r.element()
 		if err != nil {
 			return nil, err
 		}
-		if dlen > MaxElementSize {
-			return nil, fmt.Errorf("%w: element payload %d bytes", ErrTooLarge, dlen)
-		}
-		if e.Data, err = r.take(int(dlen)); err != nil {
-			return nil, err
-		}
-		m.elements = append(m.elements, e)
+		strBytes += len(ns) + len(name) + len(mime)
+		dataBytes += len(data)
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("message: %d trailing bytes", r.remaining())
 	}
+	r.off = elems
+	var strs strings.Builder
+	strs.Grow(strBytes)
+	str := func(b []byte) string {
+		// The builder never regrows, so strings cut from it stay valid
+		// while later ones are written behind them.
+		off := strs.Len()
+		strs.Write(b)
+		return strs.String()[off:]
+	}
+	payloads := make([]byte, 0, dataBytes)
+	m.elements = make([]Element, count)
+	for i := range m.elements {
+		ns, name, mime, data, _ := r.element()
+		e := Element{Namespace: str(ns), Name: str(name), MimeType: str(mime)}
+		if len(data) > 0 {
+			// Capped, so that an append to one element's Data cannot
+			// run into its neighbour's.
+			off := len(payloads)
+			payloads = append(payloads, data...)
+			e.Data = payloads[off:len(payloads):len(payloads)]
+		}
+		m.elements[i] = e
+	}
 	return m, nil
 }
 
-// sliceReader is a zero-copy cursor over a decode buffer. take returns
-// copies so the decoded message does not alias the network buffer.
+// sliceReader is a zero-copy cursor over a decode buffer.
 type sliceReader struct {
 	buf []byte
 	off int
@@ -219,23 +234,43 @@ func (r *sliceReader) uint32() (uint32, error) {
 	return v, nil
 }
 
-func (r *sliceReader) take(n int) ([]byte, error) {
+// field returns the next n bytes, aliasing the decode buffer.
+func (r *sliceReader) field(n int) ([]byte, error) {
 	if r.remaining() < n {
 		return nil, ErrTruncated
 	}
-	out := append([]byte(nil), r.buf[r.off:r.off+n]...)
+	b := r.buf[r.off : r.off+n]
 	r.off += n
-	return out, nil
+	return b, nil
 }
 
-func (r *sliceReader) shortString() (string, error) {
+func (r *sliceReader) shortField() ([]byte, error) {
 	n, err := r.uint16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b, err := r.take(int(n))
+	return r.field(int(n))
+}
+
+// element reads one element's four fields, aliasing the decode buffer.
+func (r *sliceReader) element() (ns, name, mime, data []byte, err error) {
+	if ns, err = r.shortField(); err != nil {
+		return
+	}
+	if name, err = r.shortField(); err != nil {
+		return
+	}
+	if mime, err = r.shortField(); err != nil {
+		return
+	}
+	dlen, err := r.uint32()
 	if err != nil {
-		return "", err
+		return
 	}
-	return string(b), nil
+	if dlen > MaxElementSize {
+		err = fmt.Errorf("%w: element payload %d bytes", ErrTooLarge, dlen)
+		return
+	}
+	data, err = r.field(int(dlen))
+	return
 }

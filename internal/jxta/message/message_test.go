@@ -470,6 +470,40 @@ func TestUnmarshalCopiesData(t *testing.T) {
 	}
 }
 
+// TestUnmarshalArenas pins what sharing two arenas between the elements
+// must not cost: the message is still independent of the frame, and of
+// its own other elements.
+func TestUnmarshalArenas(t *testing.T) {
+	m := testMsg()
+	m.AddBytes("app", "empty", nil)
+	m.AddBytes("app", "tail", []byte("tail"))
+	frame, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] ^= 0xff
+	}
+	want := m.Elements()
+	if !reflect.DeepEqual(got.Elements(), want) {
+		t.Fatalf("decoded elements follow the frame buffer:\n got %+v\nwant %+v", got.Elements(), want)
+	}
+	els := got.Elements()
+	for i := range els {
+		grown := append(els[i].Data, "overrun"...)
+		if len(els[i].Data) > 0 && &grown[0] == &els[i].Data[0] {
+			t.Fatalf("element %d: append grew Data in place", i)
+		}
+	}
+	if !reflect.DeepEqual(got.Elements(), want) {
+		t.Fatalf("append to one element's Data reached another:\n got %+v\nwant %+v", got.Elements(), want)
+	}
+}
+
 func BenchmarkMarshal(b *testing.B) {
 	m := New(jid.FromSeed(jid.KindPeer, 1))
 	m.AddBytes("bench", "payload", bytes.Repeat([]byte{0xAB}, 1910)) // paper's message size

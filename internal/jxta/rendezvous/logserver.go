@@ -10,12 +10,31 @@ package rendezvous
 import (
 	"encoding/binary"
 	"sync"
+	"time"
 
 	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
+)
+
+// A replay is served replaySlice frames per replayTick — 32 frames a
+// millisecond — and not as one burst. A burst hands the whole retained
+// suffix to the transport at the speed the log reads, several times
+// what a tcpnet flusher writes: the per-host queue (1024 frames, oldest
+// shed first) then drops the head of any replay deeper than itself
+// before it is written, and live frames to the same peer wait behind
+// the rest. Paced below what a flusher drains, the queue stays a slice
+// deep. The pace also makes catch-up repeatable: a 15 ms burst takes
+// whatever the host does in those 15 ms straight into its duration
+// (bench catchup800_2k: 44 k to 70 k events/s from one run to the
+// next), a schedule with idle time in every tick absorbs it. It is a
+// ceiling, not flow control: a requester slower than the pace still
+// backs the queue up, as before.
+const (
+	replaySlice = 64
+	replayTick  = 2 * time.Millisecond
 )
 
 // logServer is the durable part of a Service. It exists only on a
@@ -132,16 +151,48 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 		// Retention dropped (cursor, first): explicit gap, not silence.
 		l.sendGap(from, param, topic, origin, first, last, false)
 	}
+	// Serve the suffix a slice per tick (see replaySlice). Each slice is
+	// a Read of its own, so the topic is locked while a slice is read
+	// and sent, never while the replay waits for its next tick.
 	served := 0
-	_ = l.store.Read(origin, topic, cursor, 0, func(e eventlog.Entry) error {
-		if err := s.ep.SendFrame(from, e.Payload); err != nil {
-			s.stats.sendFailures.Add(1)
-			return err
+	next := time.Now()
+	for {
+		n := 0
+		err := l.store.Read(origin, topic, cursor, replaySlice, func(e eventlog.Entry) error {
+			if err := s.ep.SendFrame(from, e.Payload); err != nil {
+				s.stats.sendFailures.Add(1)
+				return err
+			}
+			cursor = e.Seq
+			n++
+			return nil
+		})
+		served += n
+		if err != nil || n < replaySlice {
+			break
 		}
-		served++
-		return nil
-	})
+		// A slice that overran its tick does not earn a burst later.
+		if next = next.Add(replayTick); time.Now().After(next) {
+			next = time.Now()
+		}
+		if !s.sleepUntil(next) {
+			break
+		}
+	}
 	s.stats.replayServed.Add(int64(served))
+}
+
+// sleepUntil waits for t and reports whether it came before the
+// service closed.
+func (s *Service) sleepUntil(t time.Time) bool {
+	timer := time.NewTimer(time.Until(t))
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-s.stop:
+		return false
+	}
 }
 
 // sendGap tells a requester that its cursor into origin's log predates

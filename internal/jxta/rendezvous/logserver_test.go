@@ -2,6 +2,7 @@ package rendezvous_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,5 +124,117 @@ func TestLogOpsNeedALogServer(t *testing.T) {
 		if after := target.rdv.Snapshot().Counters; !reflect.DeepEqual(before, after) {
 			t.Fatalf("%s: log ops moved counters:\nbefore %v\nafter  %v", target.name, before, after)
 		}
+	}
+}
+
+// replayRig is a durable rendezvous whose log retains depth propagated
+// messages, and a late joiner that records when each replayed message
+// reaches it.
+type replayRig struct {
+	c      *cluster
+	log    *eventlog.Log
+	rdv    *testPeer
+	joiner *testPeer
+
+	mu      sync.Mutex
+	arrived []time.Time
+}
+
+func newReplayRig(t *testing.T, depth int) *replayRig {
+	t.Helper()
+	r := &replayRig{c: newCluster(t)}
+	var err error
+	if r.log, err = eventlog.Open(eventlog.Config{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.log.Close() })
+	r.rdv = r.c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: r.log})
+	pub := r.c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
+	if !pub.rdv.AwaitConnected(5 * time.Second) {
+		t.Fatal("publisher never connected")
+	}
+	for i := 0; i < depth; i++ {
+		m := message.New(pub.ep.PeerID())
+		m.AddUint64("app", "n", uint64(i))
+		if err := pub.rdv.Propagate(m, "app.events", "net"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { _, last, ok := r.log.Range("net"); return ok && last == uint64(depth) })
+
+	r.joiner = r.c.addPeer("joiner", 3, rendezvous.RoleEdge, "mem://rdv")
+	err = r.joiner.ep.RegisterHandler("app.events", "net", func(*message.Message, endpoint.Address) {
+		r.mu.Lock()
+		r.arrived = append(r.arrived, time.Now())
+		r.mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.joiner.rdv.AwaitConnected(5 * time.Second) {
+		t.Fatal("joiner never connected")
+	}
+	return r
+}
+
+func (r *replayRig) request(t *testing.T) {
+	t.Helper()
+	if err := r.joiner.rdv.RequestReplay(r.rdv.ep.PeerID(), "net", jid.Nil, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (r *replayRig) arrivals() []time.Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]time.Time(nil), r.arrived...)
+}
+
+// The pace handleReplay keeps (logserver.go): 64 frames every 2 ms.
+const (
+	replaySlice = 64
+	replayTick  = 2 * time.Millisecond
+)
+
+// TestReplayIsPacedAndYieldsTheLog replays twenty slices' worth of log.
+// The replay must take its ticks — served as one burst it would be over
+// in a fraction of one — and between slices the topic must be free: a
+// reader that comes while the replay is under way is not held up until
+// it ends, which it would be if the replay slept inside the log's Read.
+func TestReplayIsPacedAndYieldsTheLog(t *testing.T) {
+	const depth = 20*replaySlice + 10
+	r := newReplayRig(t, depth)
+	r.request(t)
+	waitFor(t, func() bool { return len(r.arrivals()) > 0 })
+	if _, last, ok := r.log.Range("net"); !ok || last != depth {
+		t.Fatalf("range = ..%d ok=%v", last, ok)
+	}
+	if n := len(r.arrivals()); n > depth/2 {
+		t.Fatalf("the log answered only after %d of %d frames had been replayed", n, depth)
+	}
+	waitFor(t, func() bool { return len(r.arrivals()) == depth })
+	at := r.arrivals()
+	// Twenty waits lie between the first and the last frame; allow the
+	// simulated network to have delayed the first frame by a few.
+	if took := at[depth-1].Sub(at[0]); took < 15*replayTick {
+		t.Fatalf("%d frames replayed in %v, want at least %v", depth, took, 15*replayTick)
+	}
+	if served := r.rdv.rdv.Snapshot().Counters["replay_served"]; served != depth {
+		t.Fatalf("replay_served = %d, want %d", served, depth)
+	}
+}
+
+// TestReplayStopsWhenTheServiceCloses closes the rendezvous service
+// while it is between two slices of a long replay: the replay must end
+// there, not run on for its remaining ticks.
+func TestReplayStopsWhenTheServiceCloses(t *testing.T) {
+	const depth = 20 * replaySlice
+	r := newReplayRig(t, depth)
+	r.request(t)
+	waitFor(t, func() bool { return len(r.arrivals()) > 0 })
+	r.rdv.rdv.Close()
+	r.c.net.WaitQuiesce(5 * time.Second)
+	if n := len(r.arrivals()); n > depth/2 {
+		t.Fatalf("%d of %d frames replayed by a closed service", n, depth)
 	}
 }
