@@ -199,21 +199,10 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 // at the replay pace, the queue stays shallow and everything arrives.
 func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 	const depth = 3000 // about three queues' worth
-	boot := func(cfg tps.Config) *tps.Platform {
-		cfg.ListenTCP = "127.0.0.1:0"
-		cfg.FindTimeout = 400 * time.Millisecond
-		cfg.FindInterval = 100 * time.Millisecond
-		p, err := tps.NewPlatform(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		return p
-	}
-	rdv := boot(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
+	rdv := bootTCP(t, tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
 	seeds := rdv.Addresses()[:1]
 	engine := func(name string) *tps.Engine[SkiRental] {
-		p := boot(tps.Config{Name: name, Seeds: seeds})
+		p := bootTCP(t, tps.Config{Name: name, Seeds: seeds})
 		if err := tps.Register[SkiRental](p); err != nil {
 			t.Fatal(err)
 		}

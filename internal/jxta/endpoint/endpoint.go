@@ -64,7 +64,11 @@ type Transport interface {
 	// retain frame after returning: the endpoint recycles frame buffers.
 	Send(to Address, frame []byte) error
 	// SetReceiver installs the inbound frame callback. Must be called
-	// exactly once, before the first frame can arrive.
+	// exactly once, before the first frame can arrive. The callback must
+	// not retain frame after returning: a transport may hand out a
+	// slice of its read buffer, which the next read overwrites (tcpnet
+	// does, and scribbles over it in -race builds so that a retained
+	// alias shows).
 	SetReceiver(func(frame []byte))
 	// Close releases the transport's resources.
 	Close() error

@@ -504,6 +504,43 @@ func TestUnmarshalArenas(t *testing.T) {
 	}
 }
 
+// FuzzUnmarshalDoesNotAlias holds Unmarshal to the contract tcpnet's
+// receive path depends on: the frame is a slice of a connection's read
+// buffer that the next read overwrites, so nothing in the decoded
+// message may point into it. Whatever bytes decode, the message must
+// marshal back to them after the input has been scribbled over.
+func FuzzUnmarshalDoesNotAlias(f *testing.F) {
+	seed, err := testMsg().Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	stamped := testMsg()
+	stamped.Stamp(jid.FromSeed(jid.KindPeer, 2))
+	stamped.AddBytes("app", "empty", nil)
+	if seed, err = stamped.Marshal(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		want := bytes.Clone(frame)
+		m, err := Unmarshal(frame)
+		if err != nil {
+			return
+		}
+		for i := range frame {
+			frame[i] = 0xA5
+		}
+		got, err := m.Marshal()
+		if err != nil {
+			t.Fatalf("decoded message does not marshal: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("message changed with its input buffer:\n got %x\nwant %x", got, want)
+		}
+	})
+}
+
 func BenchmarkMarshal(b *testing.B) {
 	m := New(jid.FromSeed(jid.KindPeer, 1))
 	m.AddBytes("bench", "payload", bytes.Repeat([]byte{0xAB}, 1910)) // paper's message size

@@ -1,0 +1,5 @@
+package tcpnet
+
+// RbufSize lets the external tests put frames on either side of the
+// read buffer's edge.
+const RbufSize = rbufSize

@@ -6,12 +6,20 @@
 // a bounded outbound queue drained by its own flusher goroutine, so one
 // stalled or dead peer sheds its own queue (drop-oldest) instead of
 // head-of-line-blocking every publisher. Dials are bounded by a timeout,
-// writes by a per-frame deadline, and redials back off exponentially; a
-// host that keeps failing opens a circuit breaker that fails sends fast
-// until the backoff cools down. Stats exposes what was shed and why.
+// writes by a deadline, and redials back off exponentially; a host that
+// keeps failing opens a circuit breaker that fails sends fast until the
+// backoff cools down. Stats exposes what was shed and why.
+//
+// A wakeup, not a frame, is the unit of kernel work. A flusher takes
+// everything queued for its host (up to maxBatchFrames / maxBatchBytes)
+// and writes it with one writev under one liveness probe and one
+// deadline; a reader pulls whatever the socket holds into one buffer and
+// hands the receiver slices of it, so a burst of frames costs one read
+// and no allocation.
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/hist"
@@ -41,6 +50,22 @@ const (
 	DefaultQueueLen     = 1024
 )
 
+// One flush writes at most this much, so WriteTimeout still bounds a
+// bounded write. A frame larger than maxBatchBytes travels alone.
+const (
+	maxBatchFrames = 64
+	maxBatchBytes  = 256 << 10
+)
+
+// rbufSize is each connection's read buffer. Frames that fit it, header
+// included, are handed to the receiver as slices of the buffer; larger
+// ones are read into a buffer of their own.
+const rbufSize = 64 << 10
+
+// closeDrain bounds, in total, how long Close lets flushers finish
+// writing what is already queued for hosts with a live connection.
+const closeDrain = 50 * time.Millisecond
+
 // Errors.
 var (
 	// ErrClosed is returned by Send after Close.
@@ -56,9 +81,10 @@ var (
 type Config struct {
 	// DialTimeout bounds each connection attempt.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write; a peer that stops reading
-	// long enough for the kernel buffers to fill fails the write instead
-	// of wedging the flusher forever.
+	// WriteTimeout bounds each flush (one write of at most 64 frames /
+	// 256 kB); a peer that stops reading long enough for the kernel
+	// buffers to fill fails the write instead of wedging the flusher
+	// forever.
 	WriteTimeout time.Duration
 	// QueueLen bounds each host's outbound queue in frames. When full,
 	// the oldest frame is shed (best-effort semantics: new data beats
@@ -76,8 +102,10 @@ type Stats struct {
 	Requeued      int64 // frames put back after a dial/write failure
 	FailFast      int64 // sends rejected while a host breaker was open
 	DialFailures  int64 // connection attempts that failed
-	WriteFailures int64 // frame writes that failed or timed out
+	WriteFailures int64 // flushes whose write failed or timed out
 	Redials       int64 // reconnects after an established conn died
+	Writes        int64 // writev calls; Sent ÷ Writes is frames per flush
+	Reads         int64 // socket reads; frames received ÷ Reads is frames per read
 }
 
 type tcpCounters struct {
@@ -89,6 +117,8 @@ type tcpCounters struct {
 	dialFailures  atomic.Int64
 	writeFailures atomic.Int64
 	redials       atomic.Int64
+	writes        atomic.Int64
+	reads         atomic.Int64
 }
 
 // wbufPool recycles the length-prefixed write buffers so steady-state
@@ -105,11 +135,14 @@ type Transport struct {
 	// recording is alloc-free, so it is always on.
 	waitHist *hist.Hist
 
-	mu       sync.Mutex
-	recv     func([]byte)
+	// recv and closed are read once per received frame by every reader,
+	// so they are atomics: no per-frame step takes mu.
+	recv   atomic.Pointer[func([]byte)]
+	closed atomic.Bool // set under mu, so queue creation cannot race Close
+
+	mu       sync.RWMutex
 	queues   map[string]*hostq // per-destination outbound queues
 	accepted map[net.Conn]struct{}
-	closed   bool
 	stop     chan struct{}
 	wg       sync.WaitGroup
 }
@@ -158,11 +191,11 @@ func (t *Transport) LocalAddress() endpoint.Address {
 	return endpoint.MakeAddress(Scheme, t.ln.Addr().String())
 }
 
-// SetReceiver implements endpoint.Transport.
+// SetReceiver implements endpoint.Transport. frame aliases the
+// connection's read buffer and is overwritten by the next read: recv
+// must not retain it after returning.
 func (t *Transport) SetReceiver(recv func(frame []byte)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.recv = recv
+	t.recv.Store(&recv)
 }
 
 // Stats returns a snapshot of the transport counters.
@@ -176,6 +209,8 @@ func (t *Transport) Stats() Stats {
 		DialFailures:  t.stats.dialFailures.Load(),
 		WriteFailures: t.stats.writeFailures.Load(),
 		Redials:       t.stats.redials.Load(),
+		Writes:        t.stats.writes.Load(),
+		Reads:         t.stats.reads.Load(),
 	}
 }
 
@@ -194,6 +229,8 @@ func (t *Transport) Snapshot() obs.Snapshot {
 			"dial_failures":  t.stats.dialFailures.Load(),
 			"write_failures": t.stats.writeFailures.Load(),
 			"redials":        t.stats.redials.Load(),
+			"writes":         t.stats.writes.Load(),
+			"reads":          t.stats.reads.Load(),
 		},
 		Gauges: map[string]float64{
 			"hosts":       float64(hosts),
@@ -208,12 +245,12 @@ func (t *Transport) Snapshot() obs.Snapshot {
 // queueTotals counts the live outbound queues and the frames waiting in
 // them across all destinations.
 func (t *Transport) queueTotals() (hosts, depth int) {
-	t.mu.Lock()
+	t.mu.RLock()
 	qs := make([]*hostq, 0, len(t.queues))
 	for _, q := range t.queues {
 		qs = append(qs, q)
 	}
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	for _, q := range qs {
 		q.mu.Lock()
 		n := len(q.frames) - q.head
@@ -227,9 +264,9 @@ func (t *Transport) queueTotals() (hosts, depth int) {
 // QueueDepth reports how many frames are waiting for the given host —
 // observability for tests and the admin surface.
 func (t *Transport) QueueDepth(host string) int {
-	t.mu.Lock()
+	t.mu.RLock()
 	q := t.queues[host]
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	if q == nil {
 		return 0
 	}
@@ -247,11 +284,29 @@ func (t *Transport) Send(to endpoint.Address, frame []byte) error {
 	if len(frame) > MaxFrame {
 		return fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", len(frame))
 	}
-	host := to.Host()
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Load() {
 		return ErrClosed
+	}
+	host := to.Host()
+	t.mu.RLock()
+	q := t.queues[host]
+	t.mu.RUnlock()
+	if q == nil {
+		var err error
+		if q, err = t.newQueue(host); err != nil {
+			return err
+		}
+	}
+	return q.enqueue(frame)
+}
+
+// newQueue returns host's queue, creating it and starting its flusher on
+// the first send to that host.
+func (t *Transport) newQueue(host string) (*hostq, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed.Load() {
+		return nil, ErrClosed
 	}
 	q, ok := t.queues[host]
 	if !ok {
@@ -260,8 +315,7 @@ func (t *Transport) Send(to endpoint.Address, frame []byte) error {
 		t.wg.Add(1)
 		go q.flush()
 	}
-	t.mu.Unlock()
-	return q.enqueue(frame)
+	return q, nil
 }
 
 // hostq is one destination's bounded outbound queue plus the connection
@@ -269,6 +323,7 @@ func (t *Transport) Send(to endpoint.Address, frame []byte) error {
 type hostq struct {
 	t    *Transport
 	host string
+	done chan struct{} // closed when the flusher has exited
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -276,11 +331,17 @@ type hostq struct {
 	head      int
 	conn      net.Conn  // flusher-owned; tracked here so Close can kill it
 	downUntil time.Time // breaker: enqueue fails fast until then
-	closed    bool
+	closed    bool      // no new frames; the flusher leaves once the queue is empty
+
+	// Flusher-only scratch, kept across flushes so a batch allocates
+	// nothing: the frames taken and the writev vector over them.
+	batch []qframe
+	iov   [][]byte
+	bufs  net.Buffers
 }
 
 // qframe is one queued outbound frame: the pooled buffer plus its
-// enqueue instant, so pop can record how long it waited. The timestamp
+// enqueue instant, so take can record how long it waited. The timestamp
 // rides the existing slice — amortized growth only, no per-frame
 // allocation.
 type qframe struct {
@@ -289,7 +350,7 @@ type qframe struct {
 }
 
 func newHostq(t *Transport, host string) *hostq {
-	q := &hostq{t: t, host: host}
+	q := &hostq{t: t, host: host, done: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -321,11 +382,14 @@ func (q *hostq) enqueue(frame []byte) error {
 		return fmt.Errorf("%w: %s", ErrPeerDown, q.host)
 	}
 	if len(q.frames)-q.head >= q.t.cfg.QueueLen {
-		old := q.frames[q.head]
-		q.frames[q.head] = qframe{}
-		q.head++
-		wbufPool.Put(old.bp)
-		q.t.stats.dropped.Add(1)
+		q.shedOldest()
+	}
+	if q.head > 0 && len(q.frames) == cap(q.frames) {
+		// Reuse the slots take and shedOldest left behind the head
+		// instead of growing past them.
+		n := copy(q.frames, q.frames[q.head:])
+		clear(q.frames[n:])
+		q.frames, q.head = q.frames[:n], 0
 	}
 	q.frames = append(q.frames, qframe{bp: bp, atNS: time.Now().UnixNano()})
 	q.cond.Signal()
@@ -334,51 +398,82 @@ func (q *hostq) enqueue(frame []byte) error {
 	return nil
 }
 
-// pop blocks until a frame is queued or the queue closes.
-func (q *hostq) pop() (*[]byte, bool) {
+// shedOldest drops the frame at the head of a non-empty queue. The
+// caller holds q.mu.
+func (q *hostq) shedOldest() {
+	wbufPool.Put(q.frames[q.head].bp)
+	q.frames[q.head] = qframe{}
+	q.head++
+	q.t.stats.dropped.Add(1)
+}
+
+// take blocks until frames are queued and moves as many as one flush may
+// write (maxBatchFrames, maxBatchBytes, always at least one) into
+// q.batch. It reports false when the queue is closed and drained.
+func (q *hostq) take() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head >= len(q.frames) && !q.closed {
 		q.cond.Wait()
 	}
-	if q.closed {
-		return nil, false
+	if q.head >= len(q.frames) {
+		return false
 	}
-	f := q.frames[q.head]
-	q.frames[q.head] = qframe{}
-	q.head++
+	now := time.Now().UnixNano()
+	q.batch = q.batch[:0]
+	for size := 0; q.head < len(q.frames) && len(q.batch) < maxBatchFrames; q.head++ {
+		f := q.frames[q.head]
+		if size += len(*f.bp); size > maxBatchBytes && len(q.batch) > 0 {
+			break
+		}
+		q.frames[q.head] = qframe{}
+		q.batch = append(q.batch, f)
+		q.t.waitHist.Observe(time.Duration(now - f.atNS))
+	}
 	if q.head == len(q.frames) {
-		q.frames = q.frames[:0]
-		q.head = 0
+		q.frames, q.head = q.frames[:0], 0
 	}
-	if f.atNS != 0 {
-		q.t.waitHist.Observe(time.Duration(time.Now().UnixNano() - f.atNS))
-	}
-	return f.bp, true
+	return true
 }
 
-// requeue puts an unsent frame back at the front so ordering survives a
-// redial.
-func (q *hostq) requeue(bp *[]byte) {
+// recycle returns written or abandoned frames' buffers to the pool.
+func recycle(frames []qframe) {
+	for _, f := range frames {
+		wbufPool.Put(f.bp)
+	}
+}
+
+// requeue puts unsent frames back at the front, in order, so ordering
+// survives a redial. If the queue refilled meanwhile, the oldest of them
+// are shed and counted so the queue still holds at most QueueLen. A
+// closed queue has no redial to wait for and drops them.
+func (q *hostq) requeue(frames []qframe) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
-		wbufPool.Put(bp)
+		recycle(frames)
 		return
 	}
-	// Re-stamp on requeue: the frame starts a fresh queue wait behind
-	// the redial, and the time it already waited was recorded at pop.
-	f := qframe{bp: bp, atNS: time.Now().UnixNano()}
-	if q.head > 0 {
-		q.head--
-		q.frames[q.head] = f
-	} else {
-		q.frames = append(q.frames, qframe{})
-		copy(q.frames[1:], q.frames)
-		q.frames[0] = f
+	if over := len(frames) + len(q.frames) - q.head - q.t.cfg.QueueLen; over > 0 {
+		recycle(frames[:over])
+		frames = frames[over:]
+		q.t.stats.dropped.Add(int64(over))
 	}
-	q.mu.Unlock()
-	q.t.stats.requeued.Add(1)
+	// Re-stamp on requeue: the frames start a fresh queue wait behind the
+	// redial, and the time they already waited was recorded at take.
+	now := time.Now().UnixNano()
+	for i := range frames {
+		frames[i].atNS = now
+	}
+	if q.head >= len(frames) {
+		q.head -= len(frames)
+		copy(q.frames[q.head:], frames)
+	} else {
+		merged := make([]qframe, 0, len(frames)+len(q.frames)-q.head)
+		merged = append(append(merged, frames...), q.frames[q.head:]...)
+		q.frames, q.head = merged, 0
+	}
+	q.t.stats.requeued.Add(int64(len(frames)))
 }
 
 // backoff opens the breaker for the failure count's backoff delay and
@@ -428,18 +523,28 @@ func (q *hostq) clearConn(c net.Conn) {
 	_ = c.Close()
 }
 
-// close shuts the queue: queued buffers return to the pool, the flusher
-// wakes and exits, the connection dies.
+// beginClose stops the queue taking frames. With a live connection the
+// flusher keeps writing what is already queued and exits when it is
+// drained; with none (never dialed, or redialing behind an open breaker)
+// there is nothing a bounded drain could deliver, so the queue is
+// emptied now.
+func (q *hostq) beginClose() {
+	q.mu.Lock()
+	q.closed = true
+	live := q.conn != nil
+	q.cond.Broadcast()
+	q.mu.Unlock()
+	if !live {
+		q.close()
+	}
+}
+
+// close shuts the queue for good: queued buffers return to the pool, the
+// flusher wakes and exits, the connection dies.
 func (q *hostq) close() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
 	q.closed = true
-	for i := q.head; i < len(q.frames); i++ {
-		wbufPool.Put(q.frames[i].bp)
-	}
+	recycle(q.frames[q.head:])
 	q.frames = nil
 	q.head = 0
 	c := q.conn
@@ -452,21 +557,19 @@ func (q *hostq) close() {
 }
 
 // flush is the per-host sender: it drains the queue over one connection,
-// dialing with a timeout, writing with a deadline, redialing with capped
-// exponential backoff, and keeping per-(sender,receiver) FIFO order by
-// requeueing the in-flight frame on failure.
+// a batch per wakeup — one liveness probe, one deadline, one writev —
+// dialing with a timeout, redialing with capped exponential backoff, and
+// keeping per-(sender,receiver) FIFO order by requeueing what a failed
+// write left unsent.
 func (q *hostq) flush() {
 	defer q.t.wg.Done()
+	defer close(q.done)
 	var conn net.Conn
 	fails := 0
-	for {
-		bp, ok := q.pop()
-		if !ok {
-			return
-		}
+	for q.take() {
 		// A cached connection whose peer restarted looks writable but
 		// eats frames; the non-blocking peek detects the dead socket
-		// synchronously so the frame goes over a fresh connection. See
+		// synchronously so the batch goes over a fresh connection. See
 		// staleconn_unix.go for the trade-off discussion.
 		if conn != nil && connDead(conn) {
 			q.clearConn(conn)
@@ -474,18 +577,23 @@ func (q *hostq) flush() {
 			q.t.stats.redials.Add(1)
 		}
 		if conn == nil {
+			if q.t.closed.Load() {
+				// Close drains live connections only: it never dials.
+				recycle(q.batch)
+				return
+			}
 			c, err := net.DialTimeout("tcp", q.host, q.t.cfg.DialTimeout)
 			if err != nil {
 				q.t.stats.dialFailures.Add(1)
 				fails++
-				q.requeue(bp)
+				q.requeue(q.batch)
 				if !q.backoff(fails) {
 					return
 				}
 				continue
 			}
 			if !q.setConn(c) {
-				wbufPool.Put(bp)
+				recycle(q.batch)
 				return
 			}
 			conn = c
@@ -493,24 +601,53 @@ func (q *hostq) flush() {
 			q.t.wg.Add(1)
 			go q.t.readLoop(c, func() { q.clearConn(c) })
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(q.t.cfg.WriteTimeout))
-		if _, err := conn.Write(*bp); err != nil {
+		sent, err := q.writeBatch(conn)
+		q.t.stats.sent.Add(int64(sent))
+		recycle(q.batch[:sent])
+		if err != nil {
 			q.t.stats.writeFailures.Add(1)
 			q.clearConn(conn)
 			conn = nil
 			fails++
-			q.requeue(bp)
+			q.requeue(q.batch[sent:])
 			if !q.backoff(fails) {
 				return
 			}
 			continue
 		}
-		_ = conn.SetWriteDeadline(time.Time{})
-		wbufPool.Put(bp)
-		fails = 0
-		q.clearDown()
-		q.t.stats.sent.Add(1)
+		if fails > 0 {
+			fails = 0
+			q.clearDown()
+		}
 	}
+}
+
+// writeBatch writes q.batch to conn with one writev under one deadline
+// (the next flush re-arms it, so it is never cleared) and reports how
+// many frames went out whole. After an error, the partly written frame
+// and everything behind it are unsent: the receiver discards the
+// fragment when this connection closes.
+func (q *hostq) writeBatch(conn net.Conn) (sent int, err error) {
+	q.iov = q.iov[:0]
+	for _, f := range q.batch {
+		q.iov = append(q.iov, *f.bp)
+	}
+	// WriteTo consumes the vector it is called on, so it gets a copy of
+	// the slice header and q.iov keeps the backing array for next time.
+	q.bufs = q.iov
+	_ = conn.SetWriteDeadline(time.Now().Add(q.t.cfg.WriteTimeout))
+	n, err := q.bufs.WriteTo(conn)
+	q.t.stats.writes.Add(1)
+	if err == nil {
+		return len(q.batch), nil
+	}
+	for _, f := range q.batch {
+		if n -= int64(len(*f.bp)); n < 0 {
+			break
+		}
+		sent++
+	}
+	return sent, err
 }
 
 func (t *Transport) acceptLoop() {
@@ -523,7 +660,7 @@ func (t *Transport) acceptLoop() {
 		// Track accepted connections: Close must tear them down too, or
 		// their blocked readers would keep the transport alive forever.
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			_ = conn.Close()
 			return
@@ -540,45 +677,83 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
+// countingReader counts the socket reads under a connection's
+// bufio.Reader.
+type countingReader struct {
+	r io.Reader
+	n *atomic.Int64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.r.Read(p)
+}
+
+// readLoop delivers conn's inbound frames to the receiver. Header, body
+// and every further frame already in the socket arrive with one read
+// into a buffer the receiver is handed slices of; only a frame larger
+// than that buffer gets one of its own.
 func (t *Transport) readLoop(conn net.Conn, onExit func()) {
 	defer t.wg.Done()
 	defer onExit()
-	var hdr [4]byte
+	br := bufio.NewReaderSize(countingReader{conn, &t.stats.reads}, rbufSize)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		hdr, err := br.Peek(4)
+		if err != nil {
 			return
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > MaxFrame {
+		size := binary.BigEndian.Uint32(hdr)
+		if size > MaxFrame {
 			return // corrupt or hostile; drop the connection
 		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		if n := 4 + int(size); n <= rbufSize {
+			buf, err := br.Peek(n)
+			if err != nil {
+				return
+			}
+			t.deliver(buf[4:])
+			_, _ = br.Discard(n) // cannot fail: Peek just buffered them
+			continue
+		}
+		_, _ = br.Discard(4) // cannot fail: Peek just buffered them
+		frame := make([]byte, size)
+		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
-		t.mu.Lock()
-		recv := t.recv
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return
-		}
-		if recv != nil {
-			recv(frame)
+		t.deliver(frame)
+	}
+}
+
+// deliver hands one inbound frame to the receiver. A closing transport
+// still reads, so its peers' writes do not fail while Close drains, but
+// delivers nothing.
+func (t *Transport) deliver(frame []byte) {
+	if recv := t.recv.Load(); recv != nil && !t.closed.Load() {
+		(*recv)(frame)
+	}
+	if israce.Enabled {
+		// The receiver must not retain frame; under the race detector,
+		// make one that does corrupt its own data.
+		for i := range frame {
+			frame[i] = 0xA5
 		}
 	}
 }
 
-// Close implements endpoint.Transport. It stops the listener, shuts
-// every host queue (dropping what was still queued), closes all
-// connections and waits for flusher and reader goroutines to exit.
+// Close implements endpoint.Transport. It refuses new sends, stops the
+// listener, gives flushers with a live connection closeDrain in total to
+// write what is already queued (a leaving peer's last frames, such as
+// the rendezvous disconnect, reach the wire), then drops whatever is
+// left, closes all connections and waits for flusher and reader
+// goroutines to exit. It never dials and never waits on a host that is
+// down.
 func (t *Transport) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
+	t.closed.Store(true)
 	queues := make([]*hostq, 0, len(t.queues))
 	for _, q := range t.queues {
 		queues = append(queues, q)
@@ -590,8 +765,21 @@ func (t *Transport) Close() error {
 	}
 	t.mu.Unlock()
 
-	close(t.stop)
+	close(t.stop) // flushers sleeping off a backoff leave at once
 	err := t.ln.Close()
+	for _, q := range queues {
+		q.beginClose()
+	}
+	drain := time.NewTimer(closeDrain)
+	defer drain.Stop()
+wait:
+	for _, q := range queues {
+		select {
+		case <-q.done:
+		case <-drain.C:
+			break wait
+		}
+	}
 	for _, q := range queues {
 		q.close()
 	}

@@ -2,16 +2,23 @@ package tcpnet_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math/rand"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/transport/tcpnet"
+	"github.com/tps-p2p/tps/internal/retry"
 )
 
 type frameSink struct {
@@ -22,9 +29,11 @@ type frameSink struct {
 
 func newFrameSink() *frameSink { return &frameSink{ch: make(chan struct{}, 256)} }
 
+// recv copies: a frame is the transport's read buffer and is only valid
+// until the receiver returns.
 func (s *frameSink) recv(frame []byte) {
 	s.mu.Lock()
-	s.frames = append(s.frames, frame)
+	s.frames = append(s.frames, bytes.Clone(frame))
 	s.mu.Unlock()
 	select {
 	case s.ch <- struct{}{}:
@@ -181,17 +190,16 @@ func TestSendToDeadPeerFailsFast(t *testing.T) {
 	}
 }
 
-func TestFullQueueShedsOldest(t *testing.T) {
-	// A peer that accepts the connection but never reads stalls the
-	// flusher on the kernel buffers; the bounded queue must shed its own
-	// oldest frames without blocking the sender.
+// stalledPeer listens, accepts and never reads, so writes to it succeed
+// until the kernel buffers are full and block from then on.
+func stalledPeer(t *testing.T) endpoint.Address {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	stop := make(chan struct{})
-	defer close(stop)
+	t.Cleanup(func() { close(stop); ln.Close() })
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -202,7 +210,14 @@ func TestFullQueueShedsOldest(t *testing.T) {
 			<-stop // hold the connection open, read nothing
 		}
 	}()
+	return endpoint.MakeAddress("tcp", ln.Addr().String())
+}
 
+func TestFullQueueShedsOldest(t *testing.T) {
+	// A peer that accepts the connection but never reads stalls the
+	// flusher on the kernel buffers; the bounded queue must shed its own
+	// oldest frames without blocking the sender.
+	addr := stalledPeer(t)
 	a, err := tcpnet.ListenConfig("127.0.0.1:0", tcpnet.Config{
 		QueueLen:     8,
 		WriteTimeout: 200 * time.Millisecond,
@@ -213,7 +228,6 @@ func TestFullQueueShedsOldest(t *testing.T) {
 	t.Cleanup(func() { _ = a.Close() })
 	a.SetReceiver(func([]byte) {})
 
-	addr := endpoint.MakeAddress("tcp", ln.Addr().String())
 	payload := bytes.Repeat([]byte("x"), 256<<10)
 	start := time.Now()
 	for i := 0; i < 200; i++ {
@@ -302,6 +316,179 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	}
 }
 
+// TestBurstAcrossPeerRestart sends 500 numbered frames while the peer
+// goes away and comes back on the same port. The flusher holds batches,
+// not frames, when the connection dies, so this is where a batch put
+// back out of order, twice, or not at all would show.
+func TestBurstAcrossPeerRestart(t *testing.T) {
+	a, err := tcpnet.ListenConfig("127.0.0.1:0", tcpnet.Config{
+		Backoff: retry.Policy{Initial: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	b1, err := tcpnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := newFrameSink()
+	b1.SetReceiver(s1.recv)
+	addr := b1.LocalAddress()
+
+	// send retries while the breaker is open, so every frame is enqueued
+	// exactly once.
+	send := func(from, to int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for i := from; i < to; i++ {
+			frame := binary.BigEndian.AppendUint32(nil, uint32(i))
+			for {
+				err := a.Send(addr, frame)
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, tcpnet.ErrPeerDown) || time.Now().After(deadline) {
+					t.Fatalf("send %d: %v", i, err)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	const n = 500
+	send(0, 200)
+	got := s1.wait(t, 200)
+	_ = b1.Close()
+	send(200, 350) // the peer is down: dials fail and batches go back
+	waitForStat(t, func(st tcpnet.Stats) bool { return st.DialFailures > 0 }, a)
+	b2, err := tcpnet.Listen(addr.Host())
+	if err != nil {
+		t.Skipf("cannot rebind %s: %v", addr, err)
+	}
+	t.Cleanup(func() { _ = b2.Close() })
+	s2 := newFrameSink()
+	b2.SetReceiver(s2.recv)
+	send(350, n)
+	got = append(got, s2.wait(t, n-200)...)
+
+	// The dead connection is detected before anything is written to it
+	// (connDead, or the reader's EOF closing it), so nothing is lost
+	// either: the frames are exactly 0..n-1.
+	for i, f := range got {
+		if seq := binary.BigEndian.Uint32(f); seq != uint32(i) {
+			t.Fatalf("frame %d carries %d: reordered, duplicated or lost", i, seq)
+		}
+	}
+	waitForStat(t, func(st tcpnet.Stats) bool { return st.Sent == n }, a)
+	st := a.Stats()
+	if depth := int64(a.QueueDepth(addr.Host())); st.Enqueued != st.Sent+st.Dropped+depth || st.Dropped != 0 {
+		t.Fatalf("enqueued %d != sent %d + dropped %d + queued %d", st.Enqueued, st.Sent, st.Dropped, depth)
+	}
+	if st.Requeued < st.DialFailures || st.DialFailures == 0 {
+		t.Fatalf("stats = %+v, want every failed dial to requeue its batch", st)
+	}
+}
+
+// TestFrameSizesAroundTheReadBuffer round-trips frames that just fit the
+// connection's read buffer, just do not, and dwarf it, each between
+// small frames that share a read with its head or tail.
+func TestFrameSizesAroundTheReadBuffer(t *testing.T) {
+	a, _ := listen(t)
+	b, bs := listen(t)
+	rng := rand.New(rand.NewSource(1))
+	var want [][]byte
+	for _, size := range []int{
+		tcpnet.RbufSize - 5, tcpnet.RbufSize - 4, tcpnet.RbufSize - 3, // header included: one short of, exactly, one over the buffer
+		tcpnet.RbufSize - 1, tcpnet.RbufSize, tcpnet.RbufSize + 1, 1 << 20,
+	} {
+		for _, n := range []int{64, size, 64} {
+			f := make([]byte, n)
+			rng.Read(f)
+			want = append(want, f)
+		}
+	}
+	for _, f := range want {
+		if err := a.Send(b.LocalAddress(), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := bs.wait(t, len(want))
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("frame %d (%d bytes) arrived as %d bytes or with other content", i, len(want[i]), len(got[i]))
+		}
+	}
+}
+
+// TestOversizeHeaderDropsConnection: a length above MaxFrame is a
+// corrupt or hostile peer. The reader must hang up on the header alone,
+// without first setting aside memory for the body it announces.
+func TestOversizeHeaderDropsConnection(t *testing.T) {
+	b, bs := listen(t)
+	for _, size := range []uint32{tcpnet.MaxFrame + 1, 1<<32 - 1} {
+		conn, err := net.Dial("tcp", b.LocalAddress().Host())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, size)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("header of %d bytes: read = %v, want the connection closed", size, err)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("header of %d bytes: %d bytes allocated before hanging up", size, grew)
+		}
+	}
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	if len(bs.frames) != 0 {
+		t.Fatalf("%d frames delivered from header-only connections", len(bs.frames))
+	}
+}
+
+// TestReceiveDoesNotAllocatePerFrame: frames that fit the read buffer
+// are handed to the receiver in place. The pooled send side is in the
+// measurement too, so the bound holds for the whole loopback path.
+func TestReceiveDoesNotAllocatePerFrame(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	a, _ := listen(t)
+	b, err := tcpnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	const frames = 1000 // under the queue bound: nothing is shed
+	var received atomic.Int64
+	done := make(chan struct{}, 1)
+	b.SetReceiver(func([]byte) {
+		if received.Add(1)%frames == 0 {
+			done <- struct{}{}
+		}
+	})
+	frame := bytes.Repeat([]byte{0xAB}, 2048)
+	to := b.LocalAddress()
+	stream := func() {
+		for i := 0; i < frames; i++ {
+			if err := a.Send(to, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-done
+	}
+	stream() // dial, grow the queue and the pool
+	if perFrame := testing.AllocsPerRun(5, stream) / frames; perFrame > 0.1 {
+		t.Fatalf("%.3f allocations per received frame, want <= 0.1", perFrame)
+	}
+}
+
 func TestOversizeFrameRejected(t *testing.T) {
 	a, _ := listen(t)
 	b, _ := listen(t)
@@ -322,6 +509,100 @@ func TestClosedTransportRefusesSend(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestCloseDrainsLiveConnections: what was queued for a host the
+// transport is connected to when Close is called still goes out.
+func TestCloseDrainsLiveConnections(t *testing.T) {
+	a, _ := listen(t)
+	b, bs := listen(t)
+	if err := a.Send(b.LocalAddress(), []byte("dial")); err != nil {
+		t.Fatal(err)
+	}
+	bs.wait(t, 1) // the connection is up
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := a.Send(b.LocalAddress(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.Sent != n+1 {
+		t.Fatalf("stats after Close = %+v, want Sent = %d", st, n+1)
+	}
+	got := bs.wait(t, n+1)
+	for i, f := range got[1:] {
+		if len(f) != 1 || f[0] != byte(i) {
+			t.Fatalf("frame %d = %v", i, f)
+		}
+	}
+}
+
+// TestCloseDoesNotWaitOnStuckHosts: the drain is bounded. A host whose
+// kernel buffers are full (the flusher sits in a write with ten seconds
+// of deadline left) and a host that is down cost Close its fixed drain
+// allowance, not a write or dial timeout.
+func TestCloseDoesNotWaitOnStuckHosts(t *testing.T) {
+	a, _ := listen(t)
+	stalled := stalledPeer(t)
+	dead, err := tcpnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := dead.LocalAddress()
+	_ = dead.Close()
+	payload := bytes.Repeat([]byte("x"), 256<<10)
+	for i := 0; i < 100; i++ {
+		_ = a.Send(stalled, payload)
+		_ = a.Send(down, payload) // ErrPeerDown once the breaker opens
+	}
+	waitForStat(t, func(st tcpnet.Stats) bool { return st.DialFailures > 0 && st.Sent > 0 }, a)
+	start := time.Now()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with one stalled and one dead host", took)
+	}
+}
+
+// TestCloseWhileSending races Close against senders to several hosts:
+// every Send returns, with ErrClosed from some point on, and Close does
+// not hang on a queue created or refilled under it.
+func TestCloseWhileSending(t *testing.T) {
+	a, _ := listen(t)
+	var peers []endpoint.Address
+	for i := 0; i < 3; i++ {
+		b, _ := listen(t)
+		peers = append(peers, b.LocalAddress())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(to endpoint.Address) {
+			defer wg.Done()
+			frame := bytes.Repeat([]byte{'x'}, 512)
+			for {
+				if err := a.Send(to, frame); errors.Is(err, tcpnet.ErrClosed) {
+					return
+				}
+			}
+		}(peers[g%len(peers)])
+	}
+	time.Sleep(5 * time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		_ = a.Close()
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close or a sender hung")
 	}
 }
 

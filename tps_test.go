@@ -11,6 +11,7 @@ import (
 	tps "github.com/tps-p2p/tps"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
+	"github.com/tps-p2p/tps/internal/obs"
 )
 
 // SkiRental is the paper's running example type (§4.3.1).
@@ -626,5 +627,58 @@ func TestPlatformCloseStopsEngines(t *testing.T) {
 				runtime.NumGoroutine()-base, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// bootTCP starts a platform on a loopback TCP port — the shipped
+// transport, not memnet — and closes it with the test.
+func bootTCP(t *testing.T, cfg tps.Config) *tps.Platform {
+	t.Helper()
+	cfg.ListenTCP = "127.0.0.1:0"
+	cfg.FindTimeout = 400 * time.Millisecond
+	cfg.FindInterval = 100 * time.Millisecond
+	p, err := tps.NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
+// TestCloseTellsTheRendezvousOverTCP: a closing platform's last word is
+// the rendezvous disconnect, queued on its TCP transport a moment before
+// the transport closes. Close must let it reach the wire — otherwise the
+// rendezvous keeps the lease, and keeps sending to a peer that is gone,
+// until the failure detector evicts it seconds later.
+func TestCloseTellsTheRendezvousOverTCP(t *testing.T) {
+	rdv := bootTCP(t, tps.Config{Name: "rdv", Rendezvous: true})
+	sub := bootTCP(t, tps.Config{Name: "sub", Seeds: rdv.Addresses()[:1]})
+	eng, err := tps.NewEngine[SkiRental](sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intf, _ := eng.NewInterface(nil)
+	if err := intf.Subscribe(&gather[SkiRental]{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	leases := func() (n int) {
+		for _, pe := range rdv.Inspect().Peers {
+			if pe.Kind == obs.PeerClient && pe.ID == sub.PeerID() {
+				n++
+			}
+		}
+		return n
+	}
+	if !eng.AwaitReady(1, 5*time.Second) || leases() == 0 {
+		t.Fatalf("subscriber never leased: %+v", rdv.Inspect().Peers)
+	}
+
+	sub.Close()
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for leases() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("rendezvous still holds %d leases of a peer that closed 100 ms ago", leases())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
