@@ -228,13 +228,6 @@ func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 	// The event topic is the one that retains depth records. Publish in
 	// batches the publisher's own queue holds, and let the log catch up
 	// with each, so that nothing is shed on the way in.
-	retained := func() uint64 {
-		var most uint64
-		for _, e := range rdv.Inspect().EventLog {
-			most = max(most, e.LastSeq)
-		}
-		return most
-	}
 	for sent := 0; sent < depth; {
 		for end := sent + 500; sent < end; sent++ {
 			if err := pubIntf.Publish(SkiRental{Shop: fmt.Sprintf("shop-%d", sent), Brand: "Salomon"}); err != nil {
@@ -242,9 +235,9 @@ func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 			}
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for retained() < uint64(sent) {
+		for retained(rdv) < uint64(sent) {
 			if time.Now().After(deadline) {
-				t.Fatalf("rendezvous log retains %d of %d events", retained(), sent)
+				t.Fatalf("rendezvous log retains %d of %d events", retained(rdv), sent)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

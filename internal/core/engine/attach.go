@@ -40,12 +40,12 @@ type attachment struct {
 	out     *wire.OutputPipe
 
 	// Replay cursors: highest log sequence delivered, per origin
-	// rendezvous, plus which rendezvous already got a replay request
-	// this connection epoch. Both maps are lazily allocated — an
-	// attachment on a log-free mesh never touches them.
-	curMu     sync.Mutex
-	cursors   map[jid.ID]*cursorState
-	requested map[jid.ID]bool
+	// rendezvous, plus the rendezvous that granted a lease and have not
+	// been sent this connection epoch's replay request yet — empty
+	// between epochs.
+	curMu   sync.Mutex
+	cursors map[jid.ID]*cursorState
+	owed    map[jid.ID]struct{}
 }
 
 // attach joins the advertised group, opens the wire pipes and registers
@@ -88,6 +88,14 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv) error {
 	if rdv := g.Rendezvous; rdv != nil {
 		// Replay gaps surface as exceptions on this attachment's path.
 		rdv.SetReplayGapListener(e.onGapSignal(a))
+		// Every lease granted from here on is owed a replay request, and
+		// so is every lease the group already holds: taken after the
+		// listener is in place, so a grant in between is in one or both.
+		rdv.AddLeaseListener(func(id jid.ID) {
+			a.oweReplay(id)
+			e.kickReplay()
+		})
+		a.oweReplay(rdv.ConnectedRendezvous()...)
 	}
 
 	e.mu.Lock()
@@ -108,6 +116,9 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv) error {
 	delete(e.pubSnaps, path) // invalidate the cached publish fan-out snapshot
 	e.cond.Broadcast()
 	e.mu.Unlock()
+	// The replay loop can see the attachment now; leases granted while
+	// it could not are still owed.
+	e.kickReplay()
 	return nil
 }
 

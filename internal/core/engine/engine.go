@@ -30,6 +30,7 @@ import (
 	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/hist"
@@ -113,10 +114,13 @@ type Engine struct {
 	tracer  *trace.Store
 	sampler trace.Sampler
 
-	wg     sync.WaitGroup
-	stop   chan struct{}
-	kick   chan struct{} // wakes the finder immediately
-	lisTok int
+	wg       sync.WaitGroup
+	stop     chan struct{}
+	kick     chan struct{} // wakes the finder immediately
+	wake     chan struct{} // wakes the replay loop immediately
+	lisTok   int
+	netRdv   *rendezvous.Service // the net group's, for leaseTok
+	leaseTok int
 }
 
 // engineCounters are lock-free: the publish and deliver paths bump them
@@ -133,6 +137,13 @@ type engineCounters struct {
 	advsCreated    atomic.Int64
 	advsFound      atomic.Int64
 	replayRequests atomic.Int64
+	// findRounds counts the finder's query rounds, findRoundsFailed
+	// those in which a query reached nobody (no lease yet, or every
+	// send refused).
+	findRounds       atomic.Int64
+	findRoundsFailed atomic.Int64
+	// replayKicks counts wake-ups sent to the replay loop.
+	replayKicks atomic.Int64
 }
 
 // New creates and starts an engine: the advertisement finder begins
@@ -171,6 +182,7 @@ func New(cfg Config) (*Engine, error) {
 		sampler:      trace.NewSampler(cfg.TraceRate),
 		stop:         make(chan struct{}),
 		kick:         make(chan struct{}, 1),
+		wake:         make(chan struct{}, 1),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	net := cfg.Peer.NetGroup()
@@ -178,6 +190,11 @@ func New(cfg Config) (*Engine, error) {
 		return nil, ErrClosed
 	}
 	e.lisTok = net.Discovery.AddListener(e.onAdvertisement)
+	// A query sent before the net group holds a lease reaches nobody;
+	// the grant is when the finder's next round is worth running.
+	if e.netRdv = net.Rendezvous; e.netRdv != nil {
+		e.leaseTok = e.netRdv.AddLeaseListener(func(jid.ID) { e.kickFinder() })
+	}
 	e.wg.Add(2)
 	go e.finderLoop()
 	go e.replayLoop()
@@ -207,14 +224,17 @@ func (e *Engine) Snapshot() obs.Snapshot {
 		Name:    "engine",
 		Version: 1,
 		Counters: map[string]int64{
-			"published":        e.stats.published.Load(),
-			"delivered":        e.stats.delivered.Load(),
-			"duplicates":       e.stats.duplicateEvents.Load(),
-			"decode_failures":  e.stats.decodeErrors.Load(),
-			"publish_failures": e.stats.publishErrors.Load(),
-			"advs_created":     e.stats.advsCreated.Load(),
-			"advs_found":       e.stats.advsFound.Load(),
-			"replay_requests":  e.stats.replayRequests.Load(),
+			"published":          e.stats.published.Load(),
+			"delivered":          e.stats.delivered.Load(),
+			"duplicates":         e.stats.duplicateEvents.Load(),
+			"decode_failures":    e.stats.decodeErrors.Load(),
+			"publish_failures":   e.stats.publishErrors.Load(),
+			"advs_created":       e.stats.advsCreated.Load(),
+			"advs_found":         e.stats.advsFound.Load(),
+			"replay_requests":    e.stats.replayRequests.Load(),
+			"find_rounds":        e.stats.findRounds.Load(),
+			"find_rounds_failed": e.stats.findRoundsFailed.Load(),
+			"replay_kicks":       e.stats.replayKicks.Load(),
 		},
 		Gauges: map[string]float64{
 			"attachments":   float64(attachments),
@@ -236,14 +256,17 @@ func ZeroSnapshot() obs.Snapshot {
 		Name:    "engine",
 		Version: 1,
 		Counters: map[string]int64{
-			"published":        0,
-			"delivered":        0,
-			"duplicates":       0,
-			"decode_failures":  0,
-			"publish_failures": 0,
-			"advs_created":     0,
-			"advs_found":       0,
-			"replay_requests":  0,
+			"published":          0,
+			"delivered":          0,
+			"duplicates":         0,
+			"decode_failures":    0,
+			"publish_failures":   0,
+			"advs_created":       0,
+			"advs_found":         0,
+			"replay_requests":    0,
+			"find_rounds":        0,
+			"find_rounds_failed": 0,
+			"replay_kicks":       0,
 		},
 		Gauges: map[string]float64{
 			"attachments":   0,
@@ -326,6 +349,9 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 	if net := e.peer.NetGroup(); net != nil {
 		net.Discovery.RemoveListener(e.lisTok)
+	}
+	if e.netRdv != nil {
+		e.netRdv.RemoveLeaseListener(e.leaseTok)
 	}
 	for _, a := range atts {
 		a.close(e.peer)
@@ -515,9 +541,13 @@ func (e *Engine) trackPath(node *typereg.Node) {
 	}
 }
 
-func (e *Engine) kickFinder() {
+func (e *Engine) kickFinder() { poke(e.kick) }
+
+// poke wakes the loop reading ch without waiting for it; a wake-up
+// already pending covers this one.
+func poke(ch chan struct{}) {
 	select {
-	case e.kick <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }

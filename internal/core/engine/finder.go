@@ -15,8 +15,10 @@ import (
 // interested subscribers even when their groups appeared later — and an
 // advertisement listener that attaches every new matching group.
 
-// finderLoop periodically queries the net group for advertisements of
-// every tracked type subtree.
+// finderLoop queries the net group for advertisements of every tracked
+// type subtree: once per FindInterval, and at once when a caller starts
+// tracking a type or the net group is granted a lease (a round run
+// before that reached nobody).
 func (e *Engine) finderLoop() {
 	defer e.wg.Done()
 	ticker := time.NewTicker(e.fint)
@@ -42,26 +44,32 @@ func (e *Engine) findOnce() {
 		return
 	}
 	e.mu.Lock()
-	paths := make([]string, 0, len(e.tracked))
+	names := make([]string, 0, 2*len(e.tracked))
 	for p := range e.tracked {
-		paths = append(paths, p)
+		names = append(names, PSPrefix+p, PSPrefix+p+"/*")
 	}
 	closed := e.closed
 	e.mu.Unlock()
-	if closed {
+	if closed || len(names) == 0 {
 		return
 	}
-	for _, p := range paths {
-		_ = net.Discovery.GetRemoteAdvertisements(adv.Group, "Name", PSPrefix+p, 0)
-		_ = net.Discovery.GetRemoteAdvertisements(adv.Group, "Name", PSPrefix+p+"/*", 0)
+	// A query that reached nobody (no lease yet, every send refused) is
+	// no reason to stop: the cache below is searched all the same, and
+	// the round is counted as failed.
+	e.stats.findRounds.Add(1)
+	failed := false
+	for _, name := range names {
+		if err := net.Discovery.GetRemoteAdvertisements(adv.Group, "Name", name, 0); err != nil {
+			failed = true
+		}
+	}
+	if failed {
+		e.stats.findRoundsFailed.Add(1)
 	}
 	// Local cache hits (e.g. advertisements that arrived via unsolicited
 	// remote publish before we started tracking) attach too.
-	for _, p := range paths {
-		for _, rec := range net.Discovery.GetLocalAdvertisements(adv.Group, "Name", PSPrefix+p) {
-			e.considerAdvertisement(rec.Adv)
-		}
-		for _, rec := range net.Discovery.GetLocalAdvertisements(adv.Group, "Name", PSPrefix+p+"/*") {
+	for _, name := range names {
+		for _, rec := range net.Discovery.GetLocalAdvertisements(adv.Group, "Name", name) {
 			e.considerAdvertisement(rec.Adv)
 		}
 	}

@@ -4,12 +4,14 @@ package engine
 // per-attachment replay cursors (the highest log sequence delivered per
 // origin rendezvous, recovered from the rdv:Seq/rdv:LogSrc elements a
 // logging rendezvous stamps onto every event) and the background loop
-// that presents those cursors to each connected rendezvous on every
-// (re)connect. Replayed events come back through the ordinary wire
-// delivery path, where the engine's dedupe cache suppresses what was
-// already observed — at-least-once redelivery, exactly-once dispatch.
+// that presents those cursors to a rendezvous whenever it grants the
+// attachment's group a new lease. Replayed events come back through the
+// ordinary wire delivery path, where the engine's dedupe cache
+// suppresses what was already observed — at-least-once redelivery,
+// exactly-once dispatch.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -127,40 +129,45 @@ func (a *attachment) cursor(origin jid.ID) uint64 {
 	return 0
 }
 
-// syncReplay sends replay requests to every rendezvous the attachment's
-// group is newly connected to: one request per known log origin — the
-// rendezvous's own log (zero cursor on first contact: a late joiner
-// asking for the full retained suffix) plus every other origin a cursor
-// is held for. The extra origins are what make failover exactly-once
-// observable: after re-homing to a standby, the dead primary's cursor
-// is presented to the standby, which serves the missing suffix from its
-// replicated copy under the primary's own numbering. A rendezvous that
-// drops off the connected set is forgotten, so the next reconnect
-// re-requests from the then-current cursors: the at-least-once retry
-// loop.
+// oweReplay records that the attachment's group holds a new lease with
+// each of ids: the start of a connection epoch, in which that rendezvous
+// has to be told where this peer's cursors stand.
+func (a *attachment) oweReplay(ids ...jid.ID) {
+	a.curMu.Lock()
+	defer a.curMu.Unlock()
+	if a.owed == nil {
+		a.owed = make(map[jid.ID]struct{}, 2)
+	}
+	for _, id := range ids {
+		a.owed[id] = struct{}{}
+	}
+}
+
+// syncReplay sends this epoch's replay requests to every rendezvous
+// still owed them: one request per known log origin — the rendezvous's
+// own log (zero cursor on first contact: a late joiner asking for the
+// full retained suffix) plus every other origin a cursor is held for.
+// The extra origins are what make failover exactly-once observable:
+// after re-homing to a standby, the dead primary's cursor is presented
+// to the standby, which serves the missing suffix from its replicated
+// copy under the primary's own numbering. A rendezvous the transport
+// refused a request for stays owed, and the next round asks again; one
+// whose lease is gone is owed nothing until it grants another.
 func (a *attachment) syncReplay(e *Engine) {
 	rdv := a.group.Rendezvous
 	if rdv == nil {
 		return
 	}
-	connected := rdv.ConnectedRendezvous()
 	a.curMu.Lock()
 	defer a.curMu.Unlock()
-	if a.requested == nil {
-		a.requested = make(map[jid.ID]bool, 2)
-	}
-	live := make(map[jid.ID]bool, len(connected))
-	for _, id := range connected {
-		live[id] = true
-		if a.requested[id] {
-			continue
-		}
-		sent := false
+	for id := range a.owed {
+		var failed error
 		request := func(origin jid.ID, after uint64) {
-			if err := rdv.RequestReplay(id, a.group.Param(), origin, after); err == nil {
-				sent = true
-				e.stats.replayRequests.Add(1)
+			if err := rdv.RequestReplay(id, a.group.Param(), origin, after); err != nil {
+				failed = err
+				return
 			}
+			e.stats.replayRequests.Add(1)
 		}
 		var selfAfter uint64
 		if st := a.cursors[id]; st != nil {
@@ -181,20 +188,16 @@ func (a *attachment) syncReplay(e *Engine) {
 				}
 			}
 		}
-		if sent {
-			a.requested[id] = true
-		}
-	}
-	for id := range a.requested {
-		if !live[id] {
-			delete(a.requested, id)
+		if failed == nil || errors.Is(failed, rendezvous.ErrNoLease) {
+			delete(a.owed, id)
 		}
 	}
 }
 
-// replayLoop periodically reconciles replay requests against the
-// current rendezvous connections. It only acts while subscriptions
-// exist: a pure publisher has nothing to catch up on.
+// replayLoop sends the replay requests the attachments owe. It is woken
+// by what can make one due or sendable — a lease grant, a new
+// attachment, a first subscription — and its ticker retries what a
+// round could not send.
 func (e *Engine) replayLoop() {
 	defer e.wg.Done()
 	ticker := time.NewTicker(e.fint)
@@ -202,14 +205,25 @@ func (e *Engine) replayLoop() {
 	for {
 		select {
 		case <-ticker.C:
-			e.requestReplays()
+		case <-e.wake:
 		case <-e.stop:
 			return
 		}
+		e.requestReplays()
 	}
 }
 
-// requestReplays runs one reconciliation round over all attachments.
+// kickReplay wakes the replay loop.
+func (e *Engine) kickReplay() {
+	e.stats.replayKicks.Add(1)
+	poke(e.wake)
+}
+
+// requestReplays runs one round over all attachments. It only acts
+// while subscriptions exist: a pure publisher has nothing to catch up
+// on, and a suffix replayed to an engine with no subscriber is
+// dispatched to nobody, marked in dedupe and lost to the subscriber
+// that arrives next — so what is owed waits for it.
 func (e *Engine) requestReplays() {
 	if e.SubscriptionCount() == 0 {
 		return

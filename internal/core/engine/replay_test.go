@@ -6,9 +6,16 @@ package engine
 // over ranges retention has made unrecoverable.
 
 import (
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/peer"
+	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
+	"github.com/tps-p2p/tps/internal/netsim"
 )
 
 func TestCursorAdvancesOnlyContiguously(t *testing.T) {
@@ -101,5 +108,87 @@ func TestCursorPendingSetBounded(t *testing.T) {
 	}
 	if got := a.cursor(origin); got != 0 {
 		t.Fatalf("cursor with seq 1 missing = %d, want 0", got)
+	}
+}
+
+// TestReplayWakeUpsFromManyGoroutines drives what the replay loop now
+// shares with other goroutines — the owed set, written by lease
+// listeners on transport receive goroutines, and the wake channel,
+// kicked by listeners, attach and Subscribe — from several at once, and
+// then holds the loop to two outcomes: a rendezvous that granted and
+// was lost again is owed nothing once a round has run, and Close still
+// returns.
+func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	t.Cleanup(n.Close)
+	node, err := n.AddNode("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := peer.New(peer.Config{Name: "solo"}, memnet.New(node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	type tick struct{ N int }
+	reg := typereg.New()
+	root, err := reg.Register(reflect.TypeOf(tick{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No ticker fires within the test: every round below is a wake-up.
+	e, err := New(Config{Peer: p, Registry: reg, FindTimeout: 10 * time.Millisecond, FindInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	deliver := func(any, jid.ID) error { return nil }
+	if _, err := e.Subscribe(root, deliver, nil); err != nil {
+		t.Fatal(err)
+	}
+	var a *attachment
+	e.mu.Lock()
+	for _, att := range e.attachments[root.Path()] {
+		a = att
+	}
+	e.mu.Unlock()
+	if a == nil {
+		t.Fatal("Subscribe left no attachment")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				// What a lease listener does, for rendezvous the group
+				// holds no lease with.
+				a.oweReplay(jid.FromSeed(jid.KindPeer, uint64(g*1000+i)))
+				e.kickReplay()
+				if sub, err := e.Subscribe(root, deliver, nil); err == nil {
+					e.Unsubscribe(sub)
+				}
+				_ = e.Snapshot()
+			}
+		}(g)
+	}
+	wg.Wait()
+	e.kickReplay()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a.curMu.Lock()
+		owed := len(a.owed)
+		a.curMu.Unlock()
+		if owed == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rendezvous without a lease are still owed a request", owed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := e.stats.replayRequests.Load(); got != 0 {
+		t.Fatalf("%d replay requests counted, none could be sent", got)
 	}
 }

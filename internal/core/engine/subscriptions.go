@@ -67,6 +67,9 @@ func (e *Engine) Subscribe(node *typereg.Node, deliver Delivery, onError ErrorHa
 	}
 	sub := &Subscription{node: node, deliver: deliver, onError: onError, set: e.subs}
 	e.subs.add(sub)
+	// Replay requests wait for a subscriber to replay to (see
+	// requestReplays); what the attachments owe can go out now.
+	e.kickReplay()
 	return sub, nil
 }
 

@@ -48,6 +48,7 @@ type Service struct {
 
 	mu        sync.Mutex
 	cache     map[adv.Kind]map[jid.ID]adv.Record
+	decoded   map[string]adv.Advertisement // see cachedLocked
 	listeners map[int]Listener
 	nextLis   int
 	stats     Stats
@@ -77,6 +78,7 @@ func New(res *resolver.Service, opts ...Option) (*Service, error) {
 		res:       res,
 		now:       time.Now,
 		cache:     make(map[adv.Kind]map[jid.ID]adv.Record),
+		decoded:   make(map[string]adv.Advertisement),
 		listeners: make(map[int]Listener),
 	}
 	for _, opt := range opts {
@@ -297,6 +299,27 @@ func (s *Service) expireLocked(now time.Time) {
 			}
 		}
 	}
+	for doc := range s.decoded {
+		if s.cachedLocked(doc) == nil {
+			delete(s.decoded, doc)
+		}
+	}
+}
+
+// cachedLocked returns the advertisement doc was decoded into when that
+// very value is still what the cache holds for its ID, nil otherwise.
+// The finder's steady-state rounds are answered with the documents it
+// already holds, and decoding one costs more than everything else done
+// with it. decoded is that index: document → the advertisement decoded
+// from it, for remotely learned records only. An entry whose record was
+// since replaced, evicted, flushed or expired no longer matches the
+// cache, reads as a miss here and is swept by expireLocked.
+func (s *Service) cachedLocked(doc string) adv.Advertisement {
+	a, ok := s.decoded[doc]
+	if !ok || s.cache[a.Kind()][a.AdvID()].Adv != a {
+		return nil
+	}
+	return a
 }
 
 // handler adapts Service to resolver.Handler without exporting the
@@ -339,12 +362,30 @@ func (h *handler) ProcessQuery(q resolver.Query, _ endpoint.Address) ([]byte, er
 	return encodeResponse(match, now)
 }
 
-// ProcessResponse ingests advertisements a remote peer sent us.
+// ProcessResponse ingests advertisements a remote peer sent us. An item
+// whose document is the one a cached record was decoded from is not
+// decoded again: the record takes the new expiration and listeners hear
+// of the advertisement they already know.
 func (h *handler) ProcessResponse(r resolver.Response, _ endpoint.Address) {
 	s := (*Service)(h)
 	items, err := decodeResponse(r.Payload)
 	if err != nil {
 		return
+	}
+	// advs[i] stays nil for an item to skip: already stale, or an
+	// unknown or corrupt advertisement.
+	advs := make([]adv.Advertisement, len(items))
+	s.mu.Lock()
+	for i, it := range items {
+		if it.ExpirationMS > 0 {
+			advs[i] = s.cachedLocked(it.Doc)
+		}
+	}
+	s.mu.Unlock()
+	for i, it := range items {
+		if advs[i] == nil && it.ExpirationMS > 0 {
+			advs[i], _ = adv.Unmarshal([]byte(it.Doc))
+		}
 	}
 	now := s.now()
 	var fire []adv.Advertisement
@@ -353,20 +394,23 @@ func (h *handler) ProcessResponse(r resolver.Response, _ endpoint.Address) {
 		s.mu.Unlock()
 		return
 	}
-	for _, it := range items {
-		if it.expiration <= 0 {
-			continue // already stale
+	s.expireLocked(now) // also what keeps decoded no larger than the cache
+	for i, it := range items {
+		if advs[i] == nil {
+			continue
 		}
+		expiration := time.Duration(it.ExpirationMS) * time.Millisecond
 		s.stats.RecordsReceived++
 		s.insertLocked(adv.Record{
-			Adv:       it.adv,
+			Adv:       advs[i],
 			Published: now,
 			// A record learned remotely lives only as long as the
 			// remaining expiration its publisher granted.
-			Lifetime:   it.expiration,
-			Expiration: it.expiration,
+			Lifetime:   expiration,
+			Expiration: expiration,
 		})
-		fire = append(fire, it.adv)
+		s.decoded[it.Doc] = advs[i]
+		fire = append(fire, advs[i])
 	}
 	listeners := make([]Listener, 0, len(s.listeners))
 	for _, l := range s.listeners {
@@ -398,11 +442,6 @@ type responseDoc struct {
 type responseRec struct {
 	ExpirationMS int64  `xml:"expiration,attr"`
 	Doc          string `xml:",chardata"` // the advertisement XML, escaped
-}
-
-type responseItem struct {
-	adv        adv.Advertisement
-	expiration time.Duration
 }
 
 func encodeQuery(kind adv.Kind, attr, value string, threshold int) ([]byte, error) {
@@ -440,21 +479,12 @@ func encodeResponse(recs []adv.Record, now time.Time) ([]byte, error) {
 	return out, nil
 }
 
-func decodeResponse(payload []byte) ([]responseItem, error) {
+// decodeResponse parses the response envelope; the advertisement
+// documents inside it are left for the caller to decode.
+func decodeResponse(payload []byte) ([]responseRec, error) {
 	var doc responseDoc
 	if err := xml.Unmarshal(payload, &doc); err != nil {
 		return nil, fmt.Errorf("discovery: decode response: %w", err)
 	}
-	items := make([]responseItem, 0, len(doc.Items))
-	for _, it := range doc.Items {
-		a, err := adv.Unmarshal([]byte(it.Doc))
-		if err != nil {
-			continue // skip unknown or corrupt advertisements
-		}
-		items = append(items, responseItem{
-			adv:        a,
-			expiration: time.Duration(it.ExpirationMS) * time.Millisecond,
-		})
-	}
-	return items, nil
+	return doc.Items, nil
 }

@@ -312,6 +312,74 @@ func TestDirectedRemoteQuery(t *testing.T) {
 	}
 }
 
+// TestRepeatedDocumentIsNotDecodedAgain: a response that repeats the
+// document a cached record came from hands listeners the advertisement
+// already cached (no second decode) and renews the record; a changed
+// document for the same ID, or the same document after a flush, is
+// decoded afresh.
+func TestRepeatedDocumentIsNotDecodedAgain(t *testing.T) {
+	c := newCluster(t)
+	a := c.addPeer("a", 1, rendezvous.RoleEdge)
+	b := c.addPeer("b", 2, rendezvous.RoleEdge)
+	if err := b.disc.Publish(pipeAdv(5, "direct"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	heard := make(chan adv.Advertisement, 1)
+	a.disc.AddListener(func(x adv.Advertisement, _ jid.ID) { heard <- x })
+	ask := func() adv.Advertisement {
+		t.Helper()
+		if err := a.disc.GetRemoteAdvertisementsFrom("mem://b", adv.Adv, "Name", "direct", 0); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case x := <-heard:
+			return x
+		case <-time.After(5 * time.Second):
+			t.Fatal("no response to directed query")
+			return nil
+		}
+	}
+	cached := func() adv.Record {
+		t.Helper()
+		recs := a.disc.GetLocalAdvertisements(adv.Adv, "Name", "direct")
+		if len(recs) != 1 {
+			t.Fatalf("%d records cached, want 1", len(recs))
+		}
+		return recs[0]
+	}
+
+	first := ask()
+	before := cached()
+	time.Sleep(5 * time.Millisecond)
+	if again := ask(); again != first {
+		t.Fatal("an unchanged document was decoded a second time")
+	}
+	if after := cached(); after.Adv != first || !after.Published.After(before.Published) {
+		t.Fatalf("record not renewed: published %v, then %v", before.Published, after.Published)
+	}
+	if st := a.disc.Stats(); st.RecordsReceived != 2 {
+		t.Fatalf("RecordsReceived = %d, want 2: a repeat is still a record received", st.RecordsReceived)
+	}
+
+	changed := pipeAdv(5, "direct")
+	changed.Type = adv.PipeUnicast
+	if err := b.disc.Publish(changed, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	third := ask()
+	if third == first || third.(*adv.PipeAdv).Type != adv.PipeUnicast {
+		t.Fatalf("changed document not decoded: %+v", third)
+	}
+	if cached().Adv != third {
+		t.Fatal("changed document did not replace the cached record")
+	}
+
+	a.disc.FlushID(adv.Adv, third.AdvID())
+	if fourth := ask(); fourth == third {
+		t.Fatal("a flushed record was revived without decoding its document")
+	}
+}
+
 func TestListenerRemoval(t *testing.T) {
 	c := newCluster(t)
 	a := c.addPeer("a", 1, rendezvous.RoleEdge)

@@ -23,8 +23,8 @@
 // Two rules keep this safe:
 //
 //   - element payloads must never be modified in place (they may be
-//     aliased by any number of in-flight copies and by pooled marshal
-//     buffers), and
+//     aliased by any number of in-flight copies, by pooled marshal
+//     buffers and by the strings Text returns), and
 //   - Path must only be extended through Stamp; Dup gives each copy its
 //     own path slice, pre-sized so a full-TTL traversal does not
 //     reallocate.
@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 )
@@ -177,8 +178,15 @@ func (m *Message) Element(namespace, name string) (Element, bool) {
 }
 
 // Text returns the payload of the named text element, or "" if absent.
+// The string aliases the payload and is not a copy of it — the receive
+// path routes every frame on half a dozen of these — which is sound
+// because of the first copy-on-write rule in the package comment: a
+// payload is never modified in place. A string kept for long keeps the
+// message's payloads alive with it; strings.Clone one that outlives a
+// large message.
 func (m *Message) Text(namespace, name string) string {
-	return string(m.Bytes(namespace, name))
+	b := m.Bytes(namespace, name)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Bytes returns the payload of the named element, or nil if absent.

@@ -295,6 +295,30 @@ func TestDupAllocBudget(t *testing.T) {
 
 var sink *Message
 
+// TestTextOutlivesMutation pins what lets Text alias the payload: a
+// string read from a message stays what it was when that message, or a
+// Dup of it, replaces or removes the element — mutators swap element
+// headers and never write into a payload.
+func TestTextOutlivesMutation(t *testing.T) {
+	m := New(jid.FromSeed(jid.KindPeer, 1))
+	m.AddString("ep", "DstSvc", "jxta.rdv")
+	m.AddString("rdv", "Op", "prop")
+	svc, op := m.Text("ep", "DstSvc"), m.Text("rdv", "Op")
+	d := m.Dup()
+	d.ReplaceElement(Element{Namespace: "ep", Name: "DstSvc", Data: []byte("other.svc")})
+	m.ReplaceElement(Element{Namespace: "rdv", Name: "Op", Data: []byte("lease")})
+	m.RemoveElement("ep", "DstSvc")
+	if svc != "jxta.rdv" || op != "prop" {
+		t.Fatalf("strings read before the mutations now read %q, %q", svc, op)
+	}
+	if got := d.Text("ep", "DstSvc"); got != "other.svc" {
+		t.Fatalf("replaced element reads %q", got)
+	}
+	if got := m.Text("ep", "DstSvc"); got != "" {
+		t.Fatalf("absent element reads %q, want the empty string", got)
+	}
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	m := testMsg()
 	m.Stamp(jid.FromSeed(jid.KindPeer, 2))

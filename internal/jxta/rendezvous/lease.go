@@ -139,16 +139,48 @@ func (s *Service) handleConnect(msg *message.Message, from endpoint.Address) {
 	_ = s.ep.Send(from, ServiceName, param, grant)
 }
 
+// LeaseListener is told that rdv has just granted this peer a lease it
+// did not hold: a new connection epoch, in which rdv knows nothing of
+// what this peer received before. Renewals of a live lease are not
+// reported. It runs on the transport's receive goroutine and must not
+// block.
+type LeaseListener func(rdv jid.ID)
+
+// AddLeaseListener registers fn for new leases and returns the token
+// that RemoveLeaseListener takes.
+func (s *Service) AddLeaseListener(fn LeaseListener) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.leaseFns == nil {
+		s.leaseFns = make(map[int]LeaseListener, 1)
+	}
+	token := s.nextLeaseFn
+	s.nextLeaseFn++
+	s.leaseFns[token] = fn
+	return token
+}
+
+// RemoveLeaseListener drops the listener registered under token.
+func (s *Service) RemoveLeaseListener(token int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.leaseFns, token)
+}
+
 func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
 	ttlMS, ok := msg.Uint64(elemNS, elemLease)
 	if !ok || ttlMS == 0 {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return
 	}
+	// A lease that lapsed before this grant is a new one, not a renewal:
+	// the rendezvous stopped forwarding to us when it ran out.
+	s.expireLocked()
+	_, renewal := s.rdvs[msg.Src]
 	s.rdvs[msg.Src] = peerEntry{
 		addr:    from,
 		expires: s.now().Add(time.Duration(ttlMS) * time.Millisecond),
@@ -156,6 +188,17 @@ func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
 	// A granted lease is proof of life for the rendezvous's address.
 	s.det.ok(from)
 	s.conn.Broadcast()
+	var fns []LeaseListener
+	if !renewal {
+		fns = make([]LeaseListener, 0, len(s.leaseFns))
+		for _, fn := range s.leaseFns {
+			fns = append(fns, fn)
+		}
+	}
+	s.mu.Unlock()
+	for _, fn := range fns {
+		fn(msg.Src)
+	}
 }
 
 func (s *Service) handleDisconnect(msg *message.Message) {

@@ -236,6 +236,10 @@ type Service struct {
 	conn    *sync.Cond // signals rdvs-set and seed-failure changes
 	closed  bool
 
+	// leaseFns hear of every entry into rdvs; lazily allocated, under mu.
+	leaseFns    map[int]LeaseListener
+	nextLeaseFn int
+
 	wg   sync.WaitGroup
 	stop chan struct{}
 }

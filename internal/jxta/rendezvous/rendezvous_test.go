@@ -452,3 +452,68 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestLeaseListenerHearsGrantsNotRenewals: a lease listener is told of
+// a rendezvous entering the lease table — a first grant, or the grant
+// after a lease lapsed — and of nothing while renewals keep a lease
+// alive.
+func TestLeaseListenerHearsGrantsNotRenewals(t *testing.T) {
+	c := newCluster(t)
+	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous) // grants 2 s leases
+	var skew atomic.Int64                               // added to the edge's clock, in ns
+	node, err := c.net.AddNode("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := endpoint.New(jid.FromSeed(jid.KindPeer, 2))
+	if err := ep.AddTransport(memnet.New(node)); err != nil {
+		t.Fatal(err)
+	}
+	const renew = 50 * time.Millisecond
+	edge, err := rendezvous.New(ep, rendezvous.Config{
+		Role:       rendezvous.RoleEdge,
+		GroupParam: "net",
+		Seeds:      []endpoint.Address{"mem://rdv"},
+		LeaseTTL:   3 * renew,
+		Clock:      func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { edge.Close(); _ = ep.Close() })
+	if !edge.AwaitConnected(5 * time.Second) {
+		t.Fatal("edge never connected")
+	}
+
+	var heard atomic.Int64
+	token := edge.AddLeaseListener(func(id jid.ID) {
+		if id != r.ep.PeerID() {
+			t.Errorf("listener told of %v, want %v", id, r.ep.PeerID())
+		}
+		heard.Add(1)
+	})
+	grants := func() int64 { return ep.Stats().MsgsIn } // the edge receives nothing else
+	base := grants()
+	waitFor(t, func() bool { return grants() >= base+3 })
+	if n := heard.Load(); n != 0 {
+		t.Fatalf("listener heard %d of %d renewals", n, grants()-base)
+	}
+
+	// The edge's clock steps past the granted TTL: the lease has lapsed
+	// by the time the next grant arrives, so that grant is a new lease.
+	skew.Add(int64(3 * time.Second))
+	waitFor(t, func() bool { return heard.Load() == 1 })
+	base = grants()
+	waitFor(t, func() bool { return grants() >= base+3 })
+	if n := heard.Load(); n != 1 {
+		t.Fatalf("listener heard %d grants for one new lease", n)
+	}
+
+	edge.RemoveLeaseListener(token)
+	skew.Add(int64(3 * time.Second))
+	base = grants()
+	waitFor(t, func() bool { return grants() >= base+2 })
+	if n := heard.Load(); n != 1 {
+		t.Fatalf("removed listener still heard a grant (%d)", n)
+	}
+}

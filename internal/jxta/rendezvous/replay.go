@@ -10,6 +10,7 @@ package rendezvous
 // logserver.go.
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/tps-p2p/tps/internal/jxta/jid"
@@ -81,6 +82,10 @@ func ReplayInfo(msg *message.Message) (origin jid.ID, seq uint64, ok bool) {
 	return origin, seq, true
 }
 
+// ErrNoLease is returned by RequestReplay when this peer holds no lease
+// with the target: there is nobody to ask until it grants one again.
+var ErrNoLease = errors.New("rendezvous: no lease")
+
 // RequestReplay asks the connected rendezvous target to resend the
 // retained entries of topic that origin's log numbered after the
 // cursor. origin is usually the target itself; after a failover it is
@@ -91,14 +96,14 @@ func ReplayInfo(msg *message.Message) (origin jid.ID, seq uint64, ok bool) {
 // zero origin means the target. Replayed events arrive through the
 // normal propagation path (and its dedupe); a gap signal arrives
 // through the GapListener. The request is fire-and-forget: callers
-// re-request on the next (re)connect cycle, which is what makes
-// delivery at-least-once over lossy links.
+// re-request on the next lease grant (LeaseListener), which is what
+// makes delivery at-least-once over lossy links.
 func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
 	s.mu.Lock()
 	e, ok := s.rdvs[target]
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("rendezvous: no lease with %v", target)
+		return fmt.Errorf("%w with %v", ErrNoLease, target)
 	}
 	if origin.IsZero() {
 		origin = target

@@ -631,12 +631,15 @@ func TestPlatformCloseStopsEngines(t *testing.T) {
 }
 
 // bootTCP starts a platform on a loopback TCP port — the shipped
-// transport, not memnet — and closes it with the test.
+// transport, not memnet — and closes it with the test. The finder runs
+// every 100 ms unless cfg says otherwise.
 func bootTCP(t *testing.T, cfg tps.Config) *tps.Platform {
 	t.Helper()
 	cfg.ListenTCP = "127.0.0.1:0"
 	cfg.FindTimeout = 400 * time.Millisecond
-	cfg.FindInterval = 100 * time.Millisecond
+	if cfg.FindInterval == 0 {
+		cfg.FindInterval = 100 * time.Millisecond
+	}
 	p, err := tps.NewPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
