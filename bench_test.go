@@ -23,9 +23,8 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/seen"
-	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
 	"github.com/tps-p2p/tps/internal/obs/hist"
+	"github.com/tps-p2p/tps/internal/rig"
 	"github.com/tps-p2p/tps/internal/srapp"
 )
 
@@ -227,31 +226,10 @@ func BenchmarkAblationSubtypeDispatch(b *testing.B) {
 // its allocation count.
 func localPublishDeliverLoop(tb testing.TB) (func(), *tps.Platform) {
 	tb.Helper()
-	net := netsim.New(netsim.Config{})
-	tb.Cleanup(net.Close)
-	node, err := net.AddNode("solo")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	p, err := tps.NewPlatform(tps.Config{Name: "solo"}, tps.WithTransport(memnet.New(node)))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { p.Close() })
-	if err := tps.Register[srapp.SkiRental](p); err != nil {
-		tb.Fatal(err)
-	}
-	eng, err := tps.NewEngine[srapp.SkiRental](p)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { eng.Close() })
-	iface, err := eng.NewInterface(nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	solo := rig.New(tb, rig.Netsim).Start(tps.Config{Name: "solo"})
+	_, iface := rig.Engine[srapp.SkiRental](tb, solo)
 	delivered := make(chan struct{}, 1)
-	err = iface.Subscribe(tps.CallBackFunc[srapp.SkiRental](func(srapp.SkiRental) error {
+	err := iface.Subscribe(tps.CallBackFunc[srapp.SkiRental](func(srapp.SkiRental) error {
 		delivered <- struct{}{}
 		return nil
 	}), nil)
@@ -264,7 +242,7 @@ func localPublishDeliverLoop(tb testing.TB) (func(), *tps.Platform) {
 			tb.Fatal(err)
 		}
 		<-delivered
-	}, p
+	}, solo.Platform
 }
 
 // BenchmarkLocalPublishDeliver measures the full local publish→deliver

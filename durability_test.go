@@ -14,56 +14,14 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
-	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
-// statCounter digs one subsystem counter out of a platform's stats view.
-func statCounter(p *tps.Platform, subsystem, key string) int64 {
-	for _, s := range p.Stats().Subsystems {
-		if s.Name == subsystem {
-			return s.Counters[key]
-		}
-	}
-	return 0
-}
-
 func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
-	net := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: time.Millisecond}})
-	t.Cleanup(net.Close)
-
-	rdvNode, err := net.AddNode("rdv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdv, err := tps.NewPlatform(tps.Config{
-		Name:       "rdv",
-		Rendezvous: true,
-		LeaseTTL:   2 * time.Second,
-		LogDir:     t.TempDir(),
-	}, tps.WithTransport(memnet.New(rdvNode)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rdv.Close)
-
+	c := rig.New(t, rig.Netsim)
+	rdv := c.Start(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
 	edge := func(name string) *tps.Platform {
-		node, err := net.AddNode(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := tps.NewPlatform(tps.Config{
-			Name:         name,
-			Seeds:        []string{"mem://rdv"},
-			FindTimeout:  400 * time.Millisecond,
-			FindInterval: 100 * time.Millisecond,
-			LeaseTTL:     2 * time.Second,
-		}, tps.WithTransport(memnet.New(node)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		return p
+		return c.Start(tps.Config{Name: name, Seeds: []string{"rdv"}}).Platform
 	}
 
 	// Phase 1: publish with nobody subscribed anywhere.
@@ -132,11 +90,11 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &gather[SkiRental]{}
+	g := &rig.Probe[SkiRental]{}
 	if err := subIntf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, g, early)
+	g.Await(t, early)
 
 	// Phase 3: live publishing continues; replayed history and live
 	// traffic must compose into exactly-once per event.
@@ -147,10 +105,10 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 			t.Fatalf("late publish %d: %v", i, err)
 		}
 	}
-	waitN(t, g, early+late)
+	g.Await(t, early+late)
 	time.Sleep(300 * time.Millisecond) // let any stray duplicate surface
 	counts := map[string]int{}
-	for _, ev := range g.snapshot() {
+	for _, ev := range g.Events() {
 		counts[ev.Shop]++
 	}
 	if len(counts) != early+late {
@@ -165,7 +123,7 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 	// The control plane must reflect what happened: the daemon's log
 	// retains the full range and served a replay; the subscriber's
 	// cursor points at the retained tail.
-	if served := statCounter(rdv, "rendezvous", "replay_served"); served < early {
+	if served := rdv.Stats().Counter("rendezvous", "replay_served"); served < early {
 		t.Fatalf("daemon served %d replayed events, want >= %d", served, early)
 	}
 	cursors := subP.Inspect().Cursors
@@ -199,26 +157,9 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 // at the replay pace, the queue stays shallow and everything arrives.
 func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 	const depth = 3000 // about three queues' worth
-	rdv := bootTCP(t, tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
-	seeds := rdv.Addresses()[:1]
-	engine := func(name string) *tps.Engine[SkiRental] {
-		p := bootTCP(t, tps.Config{Name: name, Seeds: seeds})
-		if err := tps.Register[SkiRental](p); err != nil {
-			t.Fatal(err)
-		}
-		eng, err := tps.NewEngine[SkiRental](p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(eng.Close)
-		return eng
-	}
-
-	pubEng := engine("pub")
-	pubIntf, err := pubEng.NewInterface(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := rig.New(t, rig.TCP)
+	rdv := c.Start(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
+	pubEng, pubIntf := rig.Engine[SkiRental](t, c.Start(tps.Config{Name: "pub", Seeds: []string{"rdv"}}))
 	if err := pubEng.Announce(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,16 +184,13 @@ func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 		}
 	}
 
-	subIntf, err := engine("sub").NewInterface(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &gather[SkiRental]{}
+	_, subIntf := rig.Engine[SkiRental](t, c.Start(tps.Config{Name: "sub", Seeds: []string{"rdv"}}))
+	g := &rig.Probe[SkiRental]{}
 	if err := subIntf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, g, depth)
-	if shed := statCounter(rdv, "tcpnet", "dropped"); shed != 0 {
+	g.Await(t, depth)
+	if shed := rdv.Stats().Counter("tcpnet", "dropped"); shed != 0 {
 		t.Fatalf("rendezvous shed %d frames", shed)
 	}
 }

@@ -1,41 +1,147 @@
+// Package chaos_test is the failure suite: the executable form of
+// ROBUSTNESS.md. Every scenario stands up real platforms on the rig
+// (internal/rig), injects its fault there, and reads the outcome the
+// way an operator or an application would — Stats, Inspect, the admin
+// endpoint, a subscribed probe. The engine under test owns the replay
+// cursors and sends the replay requests; no scenario speaks the
+// rendezvous protocol by hand (package rendezvous's own tests do that).
+// Each scenario runs on both fabrics, as a /netsim and a /tcp subtest.
 package chaos_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/chaos"
+	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/core/engine"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/netsim"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
+	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/trace"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
-const svc = "chaos-app"
+// Event is the one type every scenario publishes.
+type Event struct{ Body string }
 
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+// peer is an edge node with its engine for Event.
+type peer struct {
+	*rig.Node
+	eng  *tps.Engine[Event]
+	intf *tps.Interface[Event]
+}
+
+// edge starts an edge node and its engine.
+func edge(t *testing.T, c *rig.Cluster, cfg tps.Config) *peer {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-		time.Sleep(10 * time.Millisecond)
+	n := c.Start(cfg)
+	eng, intf := rig.Engine[Event](t, n)
+	return &peer{Node: n, eng: eng, intf: intf}
+}
+
+// ready advertises the type if nobody has and waits for the event
+// group's lease: what is published from here on reaches the rendezvous.
+func (p *peer) ready(t *testing.T) {
+	t.Helper()
+	if err := p.eng.Announce(); err != nil {
+		t.Fatal(err)
+	}
+	if !p.eng.AwaitReady(1, 10*time.Second) {
+		t.Fatalf("%s: event group never ready", p.Config.Name)
 	}
 }
 
-// adder returns a helper that unwraps (peer, error) pairs from the
-// cluster's Add methods, failing the test on error.
-func adder(t *testing.T) func(*chaos.Peer, error) *chaos.Peer {
-	return func(p *chaos.Peer, err error) *chaos.Peer {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+// subscribe attaches a probe as callback and exception handler.
+func (p *peer) subscribe(t *testing.T) *rig.Probe[Event] {
+	t.Helper()
+	probe := &rig.Probe[Event]{}
+	if err := p.intf.Subscribe(probe, probe); err != nil {
+		t.Fatal(err)
 	}
+	return probe
+}
+
+// publish publishes prefix-from .. prefix-(to-1) and fails on an error.
+func (p *peer) publish(t *testing.T, prefix string, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := p.intf.Publish(Event{fmt.Sprintf("%s-%d", prefix, i)}); err != nil {
+			t.Fatalf("%s: publish %s-%d: %v", p.Config.Name, prefix, i, err)
+		}
+	}
+}
+
+// counter reads one counter of a node's Stats.
+func counter(n *rig.Node, subsystem, key string) int64 { return n.Stats().Counter(subsystem, key) }
+
+// stream finds, in n's event log, the event group's stream as numbered
+// by origin: n's own log of it when origin is n, its replicated copy
+// otherwise. The net group's topic (discovery chatter) is not it.
+func stream(n, origin *rig.Node) (obs.LogTopicEntry, bool) {
+	for _, e := range n.Inspect().EventLog {
+		from, topic, copied := replica.ParseKey(e.Topic)
+		if !copied {
+			from, topic = jidOf(n), e.Topic
+		}
+		if from == jidOf(origin) && topic != jid.NetGroup.String() {
+			return e, true
+		}
+	}
+	return obs.LogTopicEntry{}, false
+}
+
+func jidOf(n *rig.Node) jid.ID {
+	id, err := jid.Parse(n.PeerID())
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// awaitTail waits until n's log holds origin's stream up to seq want:
+// publishing is asynchronous, and so is anti-entropy.
+func awaitTail(t *testing.T, n, origin *rig.Node, want uint64) {
+	t.Helper()
+	rig.Wait(t, fmt.Sprintf("%s's stream to reach %d on %s", origin.Config.Name, want, n.Config.Name), func() bool {
+		e, ok := stream(n, origin)
+		return ok && e.LastSeq >= want
+	})
+}
+
+// cursor is sub's replay cursor into origin's numbering.
+func cursor(sub, origin *rig.Node) uint64 {
+	for _, c := range sub.Inspect().Cursors {
+		if c.Origin == origin.PeerID() {
+			return c.Seq
+		}
+	}
+	return 0
+}
+
+// holds reports whether n lists a peer entry of the kind for other.
+func holds(n *rig.Node, kind string, other *rig.Node) bool {
+	for _, pe := range n.Inspect().Peers {
+		if pe.Kind == kind && pe.ID == other.PeerID() {
+			return true
+		}
+	}
+	return false
+}
+
+// gaps returns the replay-gap exceptions the probe was handed.
+func gaps(p *rig.Probe[Event]) (out []*engine.ReplayGapError) {
+	for _, err := range p.Errors() {
+		var gap *engine.ReplayGapError
+		if errors.As(err, &gap) {
+			out = append(out, gap)
+		}
+	}
+	return out
 }
 
 // TestPartitionHealRecovery cuts the rendezvous mesh in half, watches the
@@ -43,325 +149,284 @@ func adder(t *testing.T) func(*chaos.Peer, error) *chaos.Peer {
 // heals the partition and requires delivery to resume without outside
 // intervention.
 func TestPartitionHealRecovery(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 42})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA := c.Start(tps.Config{Name: "rdv-a", Rendezvous: true})
+		rdvB := c.Start(tps.Config{Name: "rdv-b", Rendezvous: true, Seeds: []string{"rdv-a"}})
+		rig.Wait(t, "mesh lease rdv-b → rdv-a", func() bool { return holds(rdvA, obs.PeerClient, rdvB) })
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv-b"}})
+		probe := sub.subscribe(t)
+		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv-a"}})
+		pub.ready(t)
 
-	rdvA := add(c.AddRendezvous("rdv-a"))
-	add(c.AddRendezvous("rdv-b", "rdv-a"))
-	pub := add(c.AddEdge("pub", "rdv-a"))
-	sub := add(c.AddEdge("sub", "rdv-b"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "rdv-b", "pub", "sub"); err != nil {
-		t.Fatal(err)
-	}
+		// Baseline: the full path pub → rdv-a → rdv-b → sub works.
+		pub.publish(t, "baseline", 0, 1)
+		probe.Await(t, 1)
 
-	// Baseline: the full path pub → rdv-a → rdv-b → sub works.
-	if err := pub.Publish(svc, "baseline"); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.WaitCount(1, 10*time.Second) {
-		t.Fatal("baseline message never delivered")
-	}
+		c.Partition([]string{"rdv-a", "pub"}, []string{"rdv-b", "sub"})
 
-	c.Partition([]string{"rdv-a", "pub"}, []string{"rdv-b", "sub"})
-
-	// Publishing into the partition must fail loudly at the mesh link:
-	// rdv-a's sends to rdv-b error, feeding the failure detector.
-	for i := 0; i < 4; i++ {
-		_ = pub.Publish(svc, fmt.Sprintf("lost-%d", i))
-	}
-	waitFor(t, 10*time.Second, "rdv-a to suspect rdv-b", func() bool {
-		c := rdvA.Rdv.Snapshot().Counters
-		return c["send_failures"] >= 2 && c["suspected"] >= 1
-	})
-	if n := sink.Count(); n != 1 {
-		t.Fatalf("messages crossed the partition: sink has %d", n)
-	}
-
-	c.Heal()
-
-	// rdv-b's seed loop re-leases into rdv-a (its reconnect is also the
-	// proof of life that clears any eviction ban rdv-a accumulated), and
-	// new publications flow again.
-	deadline := time.Now().Add(15 * time.Second)
-	for sink.Count() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivery never recovered after heal: stats=%+v", rdvA.Rdv.Snapshot().Counters)
+		// Publishing into the partition must fail loudly at the mesh link:
+		// rdv-a's sends to rdv-b error, feeding the failure detector.
+		for i := 0; i < 4; i++ {
+			_ = pub.intf.Publish(Event{fmt.Sprintf("lost-%d", i)})
 		}
-		_ = pub.Publish(svc, "post-heal")
-		time.Sleep(100 * time.Millisecond)
-	}
+		rig.Wait(t, "rdv-a to suspect rdv-b", func() bool {
+			return counter(rdvA, "rendezvous", "send_failures") >= 2 && counter(rdvA, "rendezvous", "suspected") >= 1
+		})
+		if n := probe.Count(); n != 1 {
+			t.Fatalf("messages crossed the partition: probe has %d", n)
+		}
+
+		c.Heal()
+
+		// rdv-b's seed loop re-leases into rdv-a (its reconnect is also the
+		// proof of life that clears any eviction ban rdv-a accumulated), and
+		// new publications flow again.
+		rig.Wait(t, "delivery to recover after heal", func() bool {
+			_ = pub.intf.Publish(Event{fmt.Sprintf("post-heal-%d", time.Now().UnixNano())})
+			time.Sleep(100 * time.Millisecond)
+			return probe.Count() >= 2
+		})
+	})
 }
 
-// TestLossyLinkDegradesProportionally runs one subscriber behind a 30%%
+// TestLossyLinkDegradesProportionally runs one subscriber behind a 30%
 // lossy link and one behind a clean link. The lossy subscriber must lose
 // roughly the link's share of traffic — and nothing else: no send errors,
 // no suspicion, no eviction. Loss is degradation, not failure.
 func TestLossyLinkDegradesProportionally(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 7})
-	add := adder(t)
-	defer c.Close()
-
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	good := add(c.AddEdge("good", "rdv"))
-	lossy := add(c.AddEdge("lossy", "rdv"))
-	goodSink, err := good.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossySink, err := lossy.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "pub", "good", "lossy"); err != nil {
-		t.Fatal(err)
-	}
-	// Install the loss only after the lease handshake so setup is
-	// deterministic; from here on, 30% of rdv→lossy traffic vanishes.
-	c.Net.SetLink("rdv", "lossy", netsim.Link{Latency: time.Millisecond, Loss: 0.3})
-
-	const n = 300
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv := c.Start(tps.Config{Name: "rdv", Rendezvous: true})
+		good := edge(t, c, tps.Config{Name: "good", Seeds: []string{"rdv"}})
+		goodProbe := good.subscribe(t)
+		lossy := edge(t, c, tps.Config{Name: "lossy", Seeds: []string{"rdv"}})
+		lossyProbe := lossy.subscribe(t)
+		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv"}})
+		pub.ready(t)
+		if !lossy.eng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("lossy subscriber never ready")
 		}
-	}
-	if !goodSink.WaitCount(n, 20*time.Second) {
-		t.Fatalf("clean subscriber got %d/%d", goodSink.Count(), n)
-	}
-	c.Net.WaitQuiesce(10 * time.Second)
+		// Install the loss only after the join so setup is deterministic;
+		// from here on, 30% of what reaches lossy vanishes.
+		c.Lossy(lossy.Node, 0.3, 7)
 
-	got := lossySink.Count()
-	// 30% loss over 300 sends: expect ~210 through. The bounds are wide
-	// (±8σ) because lease-renewal traffic also consumes draws from the
-	// seeded RNG, but a catastrophic (near-zero) or spurious (lossless)
-	// outcome must fail.
-	if got < 140 || got > 290 {
-		t.Fatalf("lossy subscriber got %d/%d, want roughly 70%%", got, n)
-	}
-	st := rdv.Rdv.Snapshot().Counters
-	if st["send_failures"] != 0 || st["suspected"] != 0 || st["evicted"] != 0 {
-		t.Fatalf("silent loss must not trip the failure detector: %+v", st)
-	}
+		const n = 300
+		pub.publish(t, "m", 0, n)
+		goodProbe.Await(t, n)
+		c.Settle()
+
+		// 30% loss over 300 frames: expect ~210 through. The bounds are
+		// wide (±8σ) because lease and discovery traffic also consumes
+		// draws, but a catastrophic (near-zero) or spurious (lossless)
+		// outcome must fail.
+		if got := lossyProbe.Count(); got < 140 || got > 290 {
+			t.Fatalf("lossy subscriber got %d/%d, want roughly 70%%", got, n)
+		}
+		for _, k := range []string{"send_failures", "suspected", "evicted"} {
+			if v := counter(rdv, "rendezvous", k); v != 0 {
+				t.Fatalf("silent loss must not trip the failure detector: %s = %d", k, v)
+			}
+		}
+	})
 }
 
 // TestDeadPeerEvictedBehindBreaker kills a mesh rendezvous outright. The
 // survivor must evict it after sustained failures, stop redialing while
 // the breaker is open (skips counted, not dials), and reconnect on its
-// own once the peer comes back after the cooldown.
+// own once the peer comes back after the cooldown — one lease, 2 s here.
 func TestDeadPeerEvictedBehindBreaker(t *testing.T) {
-	c := chaos.New(chaos.Config{
-		Seed:          3,
-		LeaseTTL:      time.Second,
-		SuspectAfter:  2,
-		EvictAfter:    4,
-		EvictCooldown: 2 * time.Second,
-	})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvB := c.Start(tps.Config{Name: "rdv-b", Rendezvous: true})
+		rdvA := c.Start(tps.Config{Name: "rdv-a", Rendezvous: true, Seeds: []string{"rdv-b"}})
+		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv-a"}})
+		pub.ready(t)
+		rig.Wait(t, "mesh lease rdv-a → rdv-b", func() bool { return holds(rdvA, obs.PeerRendezvous, rdvB) })
 
-	add(c.AddRendezvous("rdv-b"))
-	rdvA := add(c.AddRendezvous("rdv-a", "rdv-b"))
-	pub := add(c.AddEdge("pub", "rdv-a"))
-	if err := c.AwaitConnected(10*time.Second, "rdv-a", "pub"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "mesh lease rdv-a → rdv-b", func() bool {
-		return len(rdvA.Rdv.ConnectedRendezvous()) == 1
-	})
+		c.Kill(rdvB)
 
-	c.Kill("rdv-b")
+		// Drive fan-outs at the dead peer until the failure detector evicts
+		// it. Each publish costs one failed send; the suspect probe adds one
+		// more, so a handful of publishes crosses EvictAfter.
+		rig.Wait(t, "the dead peer's eviction", func() bool {
+			_ = pub.intf.Publish(Event{"into the void"})
+			time.Sleep(50 * time.Millisecond)
+			return counter(rdvA, "rendezvous", "evicted") > 0
+		})
+		// While the breaker is open the seed loop must skip, not redial.
+		rig.Wait(t, "breaker to skip seed redials", func() bool { return counter(rdvA, "rendezvous", "breaker_skips") >= 1 })
+		// What the net group's service still held of the dead peer lapses.
+		rig.Wait(t, "the dead peer to leave the connection table", func() bool { return !holds(rdvA, obs.PeerRendezvous, rdvB) })
 
-	// Drive fan-outs at the dead peer until the failure detector evicts
-	// it. Each publish costs one failed send; the suspect probe adds one
-	// more, so a handful of publishes crosses EvictAfter.
-	deadline := time.Now().Add(10 * time.Second)
-	for rdvA.Rdv.Snapshot().Counters["evicted"] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dead peer never evicted: %+v", rdvA.Rdv.Snapshot().Counters)
-		}
-		_ = pub.Publish(svc, "into the void")
-		time.Sleep(50 * time.Millisecond)
-	}
-	if n := len(rdvA.Rdv.ConnectedRendezvous()); n != 0 {
-		t.Fatalf("evicted peer still in connection table (%d entries)", n)
-	}
-
-	// While the breaker is open the seed loop must skip, not redial.
-	waitFor(t, 10*time.Second, "breaker to skip seed redials", func() bool {
-		return rdvA.Rdv.Snapshot().Counters["breaker_skips"] >= 1
-	})
-
-	// The peer restarts (same name, and — as for any restarted peer —
-	// the same identity). After the cooldown
-	// rdv-a's seed loop may dial again and the mesh must re-form without
-	// manual help.
-	add(c.AddRendezvous("rdv-b"))
-	waitFor(t, 15*time.Second, "mesh to re-form after breaker cooldown", func() bool {
-		return len(rdvA.Rdv.ConnectedRendezvous()) == 1
+		// The peer restarts on its address. After the cooldown rdv-a's seed
+		// loop may dial again and the mesh must re-form without manual help.
+		rdvB = c.Restart(rdvB)
+		rig.Wait(t, "mesh to re-form after breaker cooldown", func() bool { return holds(rdvA, obs.PeerRendezvous, rdvB) })
 	})
 }
 
 // TestSlowConsumerDoesNotStallMesh floods a subscriber that needs 25ms of
-// processing per message alongside a fast one. The publisher and the fast
+// processing per frame alongside a fast one. The publisher and the fast
 // subscriber must be completely unaffected by the slow peer's backlog,
 // and the slow peer must still receive everything — late, not lost.
 func TestSlowConsumerDoesNotStallMesh(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 11, LeaseTTL: 5 * time.Second})
-	add := adder(t)
-	defer c.Close()
-
-	add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	fast := add(c.AddEdge("fast", "rdv"))
-	slow, err := c.AddSlowEdge("slow", 25*time.Millisecond, "rdv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastSink, err := fast.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowSink, err := slow.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "pub", "fast", "slow"); err != nil {
-		t.Fatal(err)
-	}
-
-	// 150 messages × 25ms pins the slow node down for ≥3.75s.
-	const n = 150
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		// 5 s leases: the slow node's grants queue behind its backlog.
+		lease := 5 * time.Second
+		c.Start(tps.Config{Name: "rdv", Rendezvous: true, LeaseTTL: lease})
+		fast := edge(t, c, tps.Config{Name: "fast", Seeds: []string{"rdv"}, LeaseTTL: lease})
+		fastProbe := fast.subscribe(t)
+		slow := edge(t, c, tps.Config{Name: "slow", Seeds: []string{"rdv"}, LeaseTTL: lease})
+		slowProbe := slow.subscribe(t)
+		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv"}, LeaseTTL: lease})
+		pub.ready(t)
+		if !slow.eng.AwaitReady(1, 10*time.Second) || !fast.eng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("subscribers never ready")
 		}
-	}
-	publishTook := time.Since(start)
-	if publishTook > 2*time.Second {
-		t.Fatalf("publishing blocked behind the slow consumer: %v for %d messages", publishTook, n)
-	}
-	if !fastSink.WaitCount(n, 3*time.Second) {
-		t.Fatalf("fast subscriber stalled behind the slow one: %d/%d", fastSink.Count(), n)
-	}
-	if lag := slowSink.Count(); lag >= n {
-		t.Fatalf("slow consumer was not actually slow (%d/%d already delivered)", lag, n)
-	}
-	// Slow means late, not lossy: the backlog drains completely.
-	if !slowSink.WaitCount(n, 30*time.Second) {
-		t.Fatalf("slow subscriber lost messages: %d/%d", slowSink.Count(), n)
-	}
+		c.Throttle(slow.Node, 25*time.Millisecond)
+
+		// 150 messages × 25ms pins the slow node down for ≥3.75s.
+		const n = 150
+		start := time.Now()
+		pub.publish(t, "m", 0, n)
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("publishing blocked behind the slow consumer: %v for %d messages", took, n)
+		}
+		rig.Wait(t, "the fast subscriber", func() bool { return fastProbe.Count() >= n })
+		if took := time.Since(start); took > 3*time.Second {
+			t.Fatalf("fast subscriber stalled behind the slow one: %v", took)
+		}
+		if lag := slowProbe.Count(); lag >= n {
+			t.Fatalf("slow consumer was not actually slow (%d/%d already delivered)", lag, n)
+		}
+		// Slow means late, not lossy: the backlog drains completely.
+		slowProbe.Await(t, n)
+		slowProbe.ExactlyOnce(t, n)
+	})
 }
 
 // TestPropagateReportsPartitionToPublisher checks the error contract at
 // the API surface: with peers connected but all of them unreachable,
-// Propagate must return ErrAllSendsFailed — not ErrNoPeers, and not nil.
+// Publish must return ErrAllSendsFailed — not ErrNoPeers, and not nil.
 func TestPropagateReportsPartitionToPublisher(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 5})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		c.Start(tps.Config{Name: "rdv", Rendezvous: true})
+		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv"}})
+		pub.ready(t)
 
-	add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	if err := c.AwaitConnected(10*time.Second, "pub"); err != nil {
-		t.Fatal(err)
-	}
+		// Cut the publisher's only uplink. Its rendezvous table still lists
+		// rdv until the lease expires, so the very next publish attempts the
+		// send and must surface the total failure.
+		c.Partition([]string{"pub"}, []string{"rdv"})
+		err := pub.intf.Publish(Event{"unreachable"})
+		var pse *tps.PSError
+		if !errors.Is(err, rendezvous.ErrAllSendsFailed) || !errors.As(err, &pse) {
+			t.Fatalf("err = %v, want a PSError wrapping ErrAllSendsFailed", err)
+		}
 
-	// Cut the publisher's only uplink. Its rendezvous table still lists
-	// rdv until the lease expires, so the very next publish attempts the
-	// send and must surface the total failure.
-	c.Partition([]string{"pub"}, []string{"rdv"})
-	err := pub.Publish(svc, "unreachable")
-	if !errors.Is(err, rendezvous.ErrAllSendsFailed) {
-		t.Fatalf("err = %v, want ErrAllSendsFailed", err)
-	}
-
-	c.Heal()
-	// After healing, the same call recovers without restarting anything.
-	waitFor(t, 10*time.Second, "publish to succeed after heal", func() bool {
-		return pub.Publish(svc, "reachable again") == nil
+		c.Heal()
+		// After healing, the same call recovers without restarting anything.
+		rig.Wait(t, "publish to succeed after heal", func() bool { return pub.intf.Publish(Event{"reachable again"}) == nil })
 	})
 }
 
 // TestTraceSurvivesLossyLink publishes traced events through a
 // rendezvous into a subscriber behind a 30% lossy link, then assembles
-// each event's hop trace from the per-peer stores. The set of events
-// with a deliver hop at the subscriber must match exactly the frames
-// the sink actually received — tracing may neither invent deliveries
-// (a hop for a dropped frame) nor lose them (a delivered frame without
-// its hop) — and every delivered event's trace must read
+// each event's hop trace from the three peers' admin endpoints. The set
+// of events with a deliver hop at the subscriber must match exactly the
+// events the probe actually received — tracing may neither invent
+// deliveries (a hop for a dropped frame) nor lose them (a delivered
+// event without its hop) — and every delivered event's trace must read
 // publish→forward→deliver across the three peers.
 func TestTraceSurvivesLossyLink(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 11})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		traced := func(cfg tps.Config) tps.Config {
+			cfg.TraceRate, cfg.AdminAddr = 1, "127.0.0.1:0"
+			return cfg
+		}
+		rdv := c.Start(traced(tps.Config{Name: "rdv", Rendezvous: true}))
+		sub := edge(t, c, traced(tps.Config{Name: "sub", Seeds: []string{"rdv"}}))
+		probe := sub.subscribe(t)
+		pub := edge(t, c, traced(tps.Config{Name: "pub", Seeds: []string{"rdv"}}))
+		pub.ready(t)
+		if !sub.eng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("subscriber never ready")
+		}
+		c.Lossy(sub.Node, 0.3, 11)
 
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	sub := add(c.AddEdge("sub", "rdv"))
-	sink, err := sub.Subscribe(svc)
+		const n = 150
+		pub.publish(t, "t", 0, n)
+		c.Settle()
+
+		delivered := make(map[string]bool, n)
+		for _, ev := range probe.Events() {
+			delivered[ev.Body] = true
+		}
+		if len(delivered) == 0 || len(delivered) == n {
+			t.Fatalf("lossy link delivered %d/%d; the test needs both outcomes", len(delivered), n)
+		}
+
+		// The publisher records the publish hop inside Publish, and its
+		// /trace lists events oldest first: entry i is event t-i.
+		var list struct {
+			Events []trace.EventSummary `json:"events"`
+		}
+		get(t, pub.Node, "/trace", &list)
+		if len(list.Events) != n {
+			t.Fatalf("publisher traced %d events, want %d", len(list.Events), n)
+		}
+		for i, summary := range list.Events {
+			body := fmt.Sprintf("t-%d", i)
+			var hops []trace.Hop
+			for _, p := range []*rig.Node{pub.Node, rdv, sub.Node} {
+				var doc struct {
+					Hops []trace.Hop `json:"hops"`
+				}
+				get(t, p, "/trace/"+summary.EventID, &doc)
+				hops = append(hops, doc.Hops...)
+			}
+			tr := trace.Assemble(summary.EventID, hops)
+
+			// The publishing engine hears its own event on the wire
+			// loopback and records a deliver hop for it like any other;
+			// the hop that matters here is the subscriber's.
+			stages := make(map[string]int)
+			for _, h := range tr.Hops {
+				if h.Stage != trace.StageDeliver || h.Peer == sub.PeerID() {
+					stages[h.Stage]++
+				}
+			}
+			if stages[trace.StagePublish] != 1 {
+				t.Fatalf("%s: want exactly one publish hop, got %d", body, stages[trace.StagePublish])
+			}
+			if delivered[body] {
+				if stages[trace.StageForward] == 0 || stages[trace.StageDeliver] != 1 {
+					t.Fatalf("%s delivered but trace lacks hops: %+v", body, tr.Hops)
+				}
+				if tr.Hops[0].Stage != trace.StagePublish {
+					t.Fatalf("%s: trace must start at publish: %+v", body, tr.Hops)
+				}
+				last := tr.Hops[len(tr.Hops)-1]
+				if last.Stage != trace.StageDeliver || last.Peer != sub.PeerID() {
+					t.Fatalf("%s: trace must end with the subscriber's deliver hop: %+v", body, tr.Hops)
+				}
+			} else if stages[trace.StageDeliver] != 0 {
+				t.Fatalf("%s was dropped by the link but has a deliver hop: %+v", body, tr.Hops)
+			}
+		}
+	})
+}
+
+// get decodes a JSON document of a node's admin endpoint.
+func get(t *testing.T, n *rig.Node, path string, into any) {
+	t.Helper()
+	resp, err := http.Get("http://" + n.AdminAddr() + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AwaitConnected(10*time.Second, "pub", "sub"); err != nil {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s on %s = %d", path, n.Config.Name, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
 		t.Fatal(err)
-	}
-	c.Net.SetLink("rdv", "sub", netsim.Link{Latency: time.Millisecond, Loss: 0.3})
-
-	const n = 150
-	byBody := make(map[string]jid.ID, n)
-	for i := 0; i < n; i++ {
-		body := fmt.Sprintf("t-%d", i)
-		id, err := pub.PublishTraced(svc, body)
-		if err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-		byBody[body] = id
-	}
-	c.Net.WaitQuiesce(10 * time.Second)
-
-	delivered := make(map[string]bool, n)
-	for _, b := range sink.Bodies() {
-		delivered[b] = true
-	}
-	if len(delivered) == 0 || len(delivered) == n {
-		t.Fatalf("lossy link delivered %d/%d; the test needs both outcomes", len(delivered), n)
-	}
-
-	for body, id := range byBody {
-		ev := id.String()
-		var hops []trace.Hop
-		for _, p := range []*chaos.Peer{pub, rdv, sub} {
-			hops = append(hops, p.Trace.Hops(ev)...)
-		}
-		tr := trace.Assemble(ev, hops)
-
-		stages := make(map[string]int)
-		for _, h := range tr.Hops {
-			stages[h.Stage]++
-		}
-		if stages[trace.StagePublish] != 1 {
-			t.Fatalf("%s: want exactly one publish hop, got %d", body, stages[trace.StagePublish])
-		}
-		if delivered[body] {
-			if stages[trace.StageForward] == 0 || stages[trace.StageDeliver] == 0 {
-				t.Fatalf("%s delivered but trace lacks hops: %+v", body, tr.Hops)
-			}
-			if tr.Hops[0].Stage != trace.StagePublish {
-				t.Fatalf("%s: trace must start at publish: %+v", body, tr.Hops)
-			}
-			last := tr.Hops[len(tr.Hops)-1]
-			if last.Stage != trace.StageDeliver || last.Peer != sub.EP.PeerID().String() {
-				t.Fatalf("%s: trace must end with the subscriber's deliver hop: %+v", body, tr.Hops)
-			}
-		} else if stages[trace.StageDeliver] != 0 {
-			t.Fatalf("%s was dropped by the link but has a deliver hop: %+v", body, tr.Hops)
-		}
 	}
 }

@@ -4,430 +4,284 @@ package chaos_test
 // "Durability" section: with an event log on the rendezvous, a
 // subscriber that was offline at publish time — a late joiner, a
 // partitioned peer, or a peer whose rendezvous crashed and restarted —
-// recovers the missed events by presenting its cursor, and never
-// observes a corrupt or duplicate event while doing so.
+// recovers the missed events because its engine presents its cursor on
+// the next lease, and never observes a corrupt or duplicate event while
+// doing so.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/chaos"
-	"github.com/tps-p2p/tps/internal/eventlog"
-	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/netsim"
+	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/obs"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
-// cursorFor computes the replay cursor a subscriber would present to
-// origin: the highest CONTIGUOUS log sequence across the sink's
-// messages. Contiguity matters — a lossy link punches holes into a
-// replayed suffix, and a cursor past a hole would skip it forever.
-func cursorFor(s *chaos.Sink, origin jid.ID) uint64 {
-	seqs := map[uint64]bool{}
-	for _, m := range s.Msgs() {
-		if o, seq, ok := rendezvous.ReplayInfo(m); ok && o == origin {
-			seqs[seq] = true
-		}
-	}
-	var cur uint64
-	for seqs[cur+1] {
-		cur++
-	}
-	return cur
-}
-
-// awaitLogTail polls a rendezvous's log until topic "chaos" retains
-// sequence want — publishing is asynchronous, appending happens on the
-// rendezvous's receive path.
-func awaitLogTail(t *testing.T, p *chaos.Peer, want uint64) {
+// durable starts a rendezvous with an event log and a publisher whose
+// event group is leased.
+func durable(t *testing.T, c *rig.Cluster, cfg tps.Config) (rdv *rig.Node, pub *peer) {
 	t.Helper()
-	waitFor(t, 10*time.Second, fmt.Sprintf("log tail %d on %s", want, p.Name), func() bool {
-		_, last, ok := p.Log.Range(chaos.GroupParam)
-		return ok && last >= want
-	})
-}
-
-// distinctBodies asserts the sink saw each want-body exactly once —
-// replay must compose with the seen caches into exactly-once delivery.
-func distinctBodies(t *testing.T, s *chaos.Sink, want int) {
-	t.Helper()
-	counts := map[string]int{}
-	for _, b := range s.Bodies() {
-		counts[b]++
-	}
-	if len(counts) != want {
-		t.Fatalf("got %d distinct bodies, want %d", len(counts), want)
-	}
-	for b, n := range counts {
-		if n != 1 {
-			t.Fatalf("body %q delivered %d times, want exactly once", b, n)
-		}
-	}
+	cfg.Name, cfg.Rendezvous, cfg.LogDir = "rdv", true, t.TempDir()
+	rdv = c.Start(cfg)
+	pub = edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv"}})
+	pub.ready(t)
+	return rdv, pub
 }
 
 // TestLateJoinerCatchesUp publishes with no subscriber attached at all,
-// then brings one up: the retained suffix must arrive via replay, and a
-// duplicate replay request must not double-deliver anything.
+// then brings one up: the retained suffix must arrive via the one replay
+// request its engine sends, each event once.
 func TestLateJoinerCatchesUp(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 21, LogDir: t.TempDir()})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		const n = 20
+		pub.publish(t, "early", 0, n)
+		awaitTail(t, rdv, rdv, n)
 
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	if err := c.AwaitConnected(10*time.Second, "pub"); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 20
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("early-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+		// The subscriber joins only now — every event predates it.
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		probe := sub.subscribe(t)
+		probe.Await(t, n)
+		c.Settle()
+		probe.ExactlyOnce(t, n)
+		if cur := cursor(sub.Node, rdv); cur != n {
+			t.Fatalf("cursor after catch-up = %d, want %d", cur, n)
 		}
-	}
-	awaitLogTail(t, rdv, n)
-
-	// The subscriber joins only now — every event predates it.
-	sub := add(c.AddEdge("sub", "rdv"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "sub"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Rdv.RequestReplay(rdv.EP.PeerID(), chaos.GroupParam, jid.Nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.WaitCount(n, 10*time.Second) {
-		t.Fatalf("late joiner caught up %d/%d", sink.Count(), n)
-	}
-
-	// A second (redundant) request redelivers at the wire; the seen
-	// cache must absorb every duplicate.
-	if err := sub.Rdv.RequestReplay(rdv.EP.PeerID(), chaos.GroupParam, jid.Nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	c.Net.WaitQuiesce(5 * time.Second)
-	distinctBodies(t, sink, n)
-	if cur := cursorFor(sink, rdv.EP.PeerID()); cur != n {
-		t.Fatalf("cursor after catch-up = %d, want %d", cur, n)
-	}
+		if sent, served := counter(sub.Node, "engine", "replay_requests"), counter(rdv, "rendezvous", "replay_served"); sent != 1 || served != n {
+			t.Fatalf("%d replay requests sent, %d events served; want 1 and %d", sent, served, n)
+		}
+	})
 }
 
 // TestReconnectResumesFromCursor partitions a subscriber away, publishes
-// through the outage, heals, and replays from the subscriber's cursor:
-// only the missed suffix is redelivered and nothing is lost.
+// through the outage — the rendezvous evicts the unreachable subscriber —
+// and heals: the grant that follows is a new lease, the engine presents
+// its cursor, and only the missed suffix is redelivered.
 func TestReconnectResumesFromCursor(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 22, LogDir: t.TempDir()})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		probe := sub.subscribe(t)
 
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	sub := add(c.AddEdge("sub", "rdv"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "pub", "sub"); err != nil {
-		t.Fatal(err)
-	}
-
-	const live = 5
-	for i := 0; i < live; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("live-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+		const live, missed = 5, 7
+		pub.publish(t, "live", 0, live)
+		probe.Await(t, live)
+		if cur := cursor(sub.Node, rdv); cur != live {
+			t.Fatalf("cursor after live phase = %d, want %d", cur, live)
 		}
-	}
-	if !sink.WaitCount(live, 10*time.Second) {
-		t.Fatalf("live delivery got %d/%d", sink.Count(), live)
-	}
-	cursor := cursorFor(sink, rdv.EP.PeerID())
-	if cursor != live {
-		t.Fatalf("cursor after live phase = %d, want %d", cursor, live)
-	}
 
-	c.Partition([]string{"rdv", "pub"}, []string{"sub"})
-	const missed = 7
-	for i := 0; i < missed; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("missed-%d", i)); err != nil {
-			t.Fatalf("publish during outage %d: %v", i, err)
+		// The request the subscriber sent when it joined may have found some
+		// of the live events logged already; what counts is what the
+		// reconnect adds.
+		c.Settle()
+		joined := counter(rdv, "rendezvous", "replay_served")
+
+		c.Partition([]string{"rdv", "pub"}, []string{"sub"})
+		pub.publish(t, "missed", 0, missed)
+		awaitTail(t, rdv, rdv, live+missed)
+		if n := probe.Count(); n != live {
+			t.Fatalf("messages crossed the partition: %d", n)
 		}
-	}
-	if n := sink.Count(); n != live {
-		t.Fatalf("messages crossed the partition: %d", n)
-	}
 
-	c.Heal()
-	if err := c.AwaitConnected(15*time.Second, "sub"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Rdv.RequestReplay(rdv.EP.PeerID(), chaos.GroupParam, jid.Nil, cursor); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.WaitCount(live+missed, 10*time.Second) {
-		t.Fatalf("resume delivered %d/%d", sink.Count(), live+missed)
-	}
-	distinctBodies(t, sink, live+missed)
+		c.Heal()
+		probe.Await(t, live+missed)
+		c.Settle()
+		probe.ExactlyOnce(t, live+missed)
+		if served := counter(rdv, "rendezvous", "replay_served") - joined; served != missed {
+			t.Fatalf("%d events replayed, want the %d missed ones", served, missed)
+		}
+	})
 }
 
 // TestRendezvousRestartRecoversLog kills the logging rendezvous
-// mid-stream and brings it back under the same name: the recovered log
-// must resume the old numbering, and a full replay must return both the
-// pre-crash and post-crash events — while a cursor into some other
-// rendezvous's log gets nothing.
+// mid-stream and brings it back on its address and log directory: the
+// recovered log must resume the old numbering, and a late joiner must be
+// served both the pre-crash and the post-crash events.
 func TestRendezvousRestartRecoversLog(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 23, LogDir: t.TempDir()})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		const before, after = 8, 4
+		pub.publish(t, "pre", 0, before)
+		awaitTail(t, rdv, rdv, before)
 
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	if err := c.AwaitConnected(10*time.Second, "pub"); err != nil {
-		t.Fatal(err)
-	}
-	const before = 8
-	for i := 0; i < before; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("pre-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+		rdv = c.Restart(rdv)
+		if e, ok := stream(rdv, rdv); !ok || e.FirstSeq != 1 || e.LastSeq != before {
+			t.Fatalf("recovered log retains %d..%d (ok=%v), want 1..%d", e.FirstSeq, e.LastSeq, ok, before)
 		}
-	}
-	awaitLogTail(t, rdv, before)
+		// The publisher's lease loop reconnects on its own; post-crash
+		// publishes must extend the recovered numbering, not restart it.
+		rig.Wait(t, "the publisher to lease again", func() bool { return holds(rdv, obs.PeerClient, pub.Node) })
+		pub.publish(t, "post", 0, after)
+		// 8 → 12; a log that restarted from scratch would re-number from 1.
+		awaitTail(t, rdv, rdv, before+after)
 
-	c.Kill("rdv")
-	rdv2 := add(c.AddRendezvous("rdv"))
-	if first, last, ok := rdv2.Log.Range(chaos.GroupParam); !ok || first != 1 || last != before {
-		t.Fatalf("recovered log retains %d..%d (ok=%v), want 1..%d", first, last, ok, before)
-	}
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		probe := sub.subscribe(t)
+		probe.Await(t, before+after)
+		c.Settle()
+		probe.ExactlyOnce(t, before+after)
+	})
+}
 
-	// The publisher's lease loop reconnects on its own; post-crash
-	// publishes must extend the recovered numbering, not restart it.
-	if err := c.AwaitConnected(20*time.Second, "pub"); err != nil {
-		t.Fatal(err)
-	}
-	const after = 4
-	for i := 0; i < after; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("post-%d", i)); err != nil {
-			t.Fatalf("publish after restart %d: %v", i, err)
+// TestRestartedRendezvousServesOnlyWhatWasMissed: a durable rendezvous
+// comes back as the peer it was. A subscriber that was live for n-k of n
+// events holds a cursor under that ID; on the lease the restarted
+// rendezvous grants, it is served the k it missed. Under a new ID the
+// cursor would name nobody, and the whole log would be replayed into the
+// dedupe caches.
+func TestRestartedRendezvousServesOnlyWhatWasMissed(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		probe := sub.subscribe(t)
+		const n, k = 12, 5
+		pub.publish(t, "m", 0, n-k)
+		probe.Await(t, n-k)
+		awaitTail(t, rdv, rdv, n-k)
+		id := rdv.PeerID()
+
+		// The subscriber is away while the rendezvous restarts and the
+		// publisher carries on.
+		c.Partition([]string{"rdv", "pub"}, []string{"sub"})
+		rdv = c.Restart(rdv)
+		if rdv.PeerID() != id {
+			t.Fatalf("restarted as %s, was %s", rdv.PeerID(), id)
 		}
-	}
-	// The recovered numbering extends 8 → 12; a log that restarted from
-	// scratch would re-number from 1 and fail this wait.
-	awaitLogTail(t, rdv2, before+after)
+		rig.Wait(t, "the publisher to lease again", func() bool { return holds(rdv, obs.PeerClient, pub.Node) })
+		pub.publish(t, "m", n-k, n)
+		awaitTail(t, rdv, rdv, n)
 
-	sub := add(c.AddEdge("sub", "rdv"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "sub"); err != nil {
-		t.Fatal(err)
-	}
-	// A subscriber that re-homed here from a dead rendezvous also holds
-	// a cursor counted by that rendezvous's log. rdv is no replica of it,
-	// so the foreign numbering means nothing here: serve nothing, signal
-	// nothing.
-	var gaps atomic.Int64
-	sub.Rdv.SetReplayGapListener(func(jid.ID, string, uint64, uint64, bool) { gaps.Add(1) })
-	elsewhere := jid.FromSeed(jid.KindPeer, 4242)
-	if err := sub.Rdv.RequestReplay(rdv2.EP.PeerID(), chaos.GroupParam, elsewhere, 3); err != nil {
-		t.Fatal(err)
-	}
-	c.Net.WaitQuiesce(5 * time.Second)
-	if served := rdv2.Rdv.Snapshot().Counters["replay_served"]; sink.Count() != 0 || gaps.Load() != 0 || served != 0 {
-		t.Fatalf("foreign-origin cursor at a non-replica: delivered %d, gaps %d, served %d; want nothing",
-			sink.Count(), gaps.Load(), served)
-	}
-	// The self-origin request is what catches the subscriber up.
-	if err := sub.Rdv.RequestReplay(rdv2.EP.PeerID(), chaos.GroupParam, jid.Nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.WaitCount(before+after, 10*time.Second) {
-		t.Fatalf("replay across restart delivered %d/%d", sink.Count(), before+after)
-	}
-	distinctBodies(t, sink, before+after)
+		c.Heal()
+		probe.Await(t, n)
+		c.Settle()
+		probe.ExactlyOnce(t, n)
+		if served := counter(rdv, "rendezvous", "replay_served"); served != k {
+			t.Fatalf("%d events replayed to a subscriber that missed %d", served, k)
+		}
+		if cur := cursor(sub.Node, rdv); cur != n {
+			t.Fatalf("cursor = %d, want %d", cur, n)
+		}
+	})
 }
 
 // TestTornTailRecoveryServesIntactPrefix simulates a crash mid-append:
-// after killing the rendezvous, garbage is written onto its active
-// segment. The restarted peer must truncate the torn tail and serve
-// every intact entry — and never deliver the corrupt one.
+// after killing the rendezvous, garbage is written onto the event
+// topic's active segment. The restarted peer must truncate the torn tail
+// and serve every intact entry — and never deliver the corrupt one.
 func TestTornTailRecoveryServesIntactPrefix(t *testing.T) {
-	dir := t.TempDir()
-	c := chaos.New(chaos.Config{Seed: 24, LogDir: dir})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		const n = 6
+		pub.publish(t, "keep", 0, n)
+		awaitTail(t, rdv, rdv, n)
+		logged, _ := stream(rdv, rdv)
+		c.Kill(rdv)
 
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	if err := c.AwaitConnected(10*time.Second, "pub"); err != nil {
-		t.Fatal(err)
-	}
-	const n = 6
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("keep-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+		// The torn write: a record header that claims more payload than the
+		// file holds, exactly what a crash mid-append leaves behind.
+		segs, err := filepath.Glob(filepath.Join(topicDir(t, rdv.Config.LogDir, logged.Topic), "*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no segments found: %v", err)
 		}
-	}
-	awaitLogTail(t, rdv, n)
-	c.Kill("rdv")
-
-	// The torn write: a record header that claims more payload than the
-	// file holds, exactly what a crash mid-append leaves behind.
-	segs, err := filepath.Glob(filepath.Join(dir, "rdv", "*", "*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments found: %v", err)
-	}
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xE7, 0, 0, 0, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
-
-	rdv2 := add(c.AddRendezvous("rdv"))
-	if _, last, ok := rdv2.Log.Range(chaos.GroupParam); !ok || last != n {
-		t.Fatalf("recovered log retains up to %d, want %d (torn tail not truncated?)", last, n)
-	}
-	sub := add(c.AddEdge("sub", "rdv"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "sub"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Rdv.RequestReplay(rdv2.EP.PeerID(), chaos.GroupParam, jid.Nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.WaitCount(n, 10*time.Second) {
-		t.Fatalf("replay after torn tail delivered %d/%d", sink.Count(), n)
-	}
-	c.Net.WaitQuiesce(5 * time.Second)
-	distinctBodies(t, sink, n)
-	for _, b := range sink.Bodies() {
-		if len(b) < 5 || b[:5] != "keep-" {
-			t.Fatalf("corrupt body delivered: %q", b)
-		}
-	}
-}
-
-// TestReplayConvergesOverLossyLink drops 30% of rendezvous→subscriber
-// traffic and drives the at-least-once loop: re-requesting from the
-// current cursor until the sink converges on the full set. Loss slows
-// replay down; it must not lose anything.
-func TestReplayConvergesOverLossyLink(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 25, LogDir: t.TempDir()})
-	add := adder(t)
-	defer c.Close()
-
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	if err := c.AwaitConnected(10*time.Second, "pub"); err != nil {
-		t.Fatal(err)
-	}
-	const n = 60
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	awaitLogTail(t, rdv, n)
-
-	sub := add(c.AddEdge("sub", "rdv"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "sub"); err != nil {
-		t.Fatal(err)
-	}
-	c.Net.SetLink("rdv", "sub", netsim.Link{Latency: time.Millisecond, Loss: 0.3})
-
-	// The retry loop an engine runs automatically, spelled out: ask,
-	// wait, ask again from wherever the cursor got to.
-	deadline := time.Now().Add(30 * time.Second)
-	for sink.Count() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("replay never converged over lossy link: %d/%d", sink.Count(), n)
-		}
-		cur := cursorFor(sink, rdv.EP.PeerID())
-		if err := sub.Rdv.RequestReplay(rdv.EP.PeerID(), chaos.GroupParam, jid.Nil, cur); err != nil {
+		f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	distinctBodies(t, sink, n)
+		if _, err := f.Write([]byte{0xE7, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Close()
+
+		rdv = c.Restart(rdv)
+		if e, ok := stream(rdv, rdv); !ok || e.LastSeq != n {
+			t.Fatalf("recovered log retains up to %d, want %d (torn tail not truncated?)", e.LastSeq, n)
+		}
+		if torn := counter(rdv, "eventlog", "torn_tails"); torn != 1 {
+			t.Fatalf("torn_tails = %d, want 1", torn)
+		}
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		probe := sub.subscribe(t)
+		probe.Await(t, n)
+		c.Settle()
+		probe.ExactlyOnce(t, n)
+		for _, ev := range probe.Events() {
+			if !strings.HasPrefix(ev.Body, "keep-") {
+				t.Fatalf("corrupt body delivered: %q", ev.Body)
+			}
+		}
+		if errs := probe.Errors(); len(errs) != 0 {
+			t.Fatalf("exceptions while replaying an intact prefix: %v", errs)
+		}
+	})
 }
 
-// TestCursorBehindRetentionSignalsGap shrinks retention until early
-// entries are deleted, then replays from an ancient cursor: the
-// subscriber must get an explicit gap signal bounding what survives,
-// plus the retained suffix — silence is not an option.
+// TestEngineReplayConvergesOverLossyLink drops 30% of what reaches a late
+// joiner. Loss may slow replay down; it must not lose anything.
+func TestEngineReplayConvergesOverLossyLink(t *testing.T) {
+	t.Skip("ROADMAP open item 1: the engine re-asks for a hole only on a new lease, so a replay with frames lost in it never completes; " +
+		"the hand-driven re-request loop this scenario used to run is rendezvous.TestReplayConvergesOverLossyLink")
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		const n = 60
+		pub.publish(t, "m", 0, n)
+		awaitTail(t, rdv, rdv, n)
+
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		if !sub.AwaitRendezvous(10 * time.Second) {
+			t.Fatal("subscriber never leased")
+		}
+		c.Lossy(sub.Node, 0.3, 25)
+		probe := sub.subscribe(t)
+		probe.Await(t, n)
+		probe.ExactlyOnce(t, n)
+	})
+}
+
+// TestCursorBehindRetentionSignalsGap keeps a subscriber away while
+// retention deletes what follows its cursor. On its next lease the
+// engine presents that cursor: the application must get an explicit
+// ReplayGapError bounding what survives, plus the retained suffix —
+// silence is not an option.
 func TestCursorBehindRetentionSignalsGap(t *testing.T) {
-	c := chaos.New(chaos.Config{
-		Seed:   26,
-		LogDir: t.TempDir(),
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
 		// Tiny segments and a low cap force retention to drop the head.
-		LogRetention: eventlog.Retention{SegmentBytes: 512, MaxBytes: 1536},
-	})
-	add := adder(t)
-	defer c.Close()
+		rdv, pub := durable(t, c, tps.Config{LogRetention: tps.LogRetention{SegmentBytes: 512, MaxBytes: 1536}})
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		probe := sub.subscribe(t)
+		pub.publish(t, "live", 0, 1)
+		probe.Await(t, 1)
+		if cur := cursor(sub.Node, rdv); cur != 1 {
+			t.Fatalf("cursor after the live event = %d, want 1", cur)
+		}
 
-	rdv := add(c.AddRendezvous("rdv"))
-	pub := add(c.AddEdge("pub", "rdv"))
-	if err := c.AwaitConnected(10*time.Second, "pub"); err != nil {
-		t.Fatal(err)
-	}
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+		c.Partition([]string{"rdv", "pub"}, []string{"sub"})
+		const n = 40
+		pub.publish(t, "m", 0, n)
+		awaitTail(t, rdv, rdv, 1+n)
+		kept, _ := stream(rdv, rdv)
+		// Cursor 1: everything from 2 up to FirstSeq-1 is gone for good.
+		if kept.FirstSeq <= 2 {
+			t.Fatalf("retention never dropped the head: range %d..%d", kept.FirstSeq, kept.LastSeq)
 		}
-	}
-	awaitLogTail(t, rdv, n)
-	first, last, ok := rdv.Log.Range(chaos.GroupParam)
-	if !ok || first <= 1 {
-		t.Fatalf("retention never dropped the head: range %d..%d ok=%v", first, last, ok)
-	}
 
-	sub := add(c.AddEdge("sub", "rdv"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gapCh := make(chan [2]uint64, 1)
-	sub.Rdv.SetReplayGapListener(func(_ jid.ID, topic string, gFirst, gLast uint64, _ bool) {
-		select {
-		case gapCh <- [2]uint64{gFirst, gLast}:
-		default:
+		c.Heal()
+		rig.Wait(t, "a gap signal for a cursor behind retention", func() bool { return len(gaps(probe)) > 0 })
+		if g := gaps(probe)[0]; g.First != kept.FirstSeq || g.Last != kept.LastSeq || g.Tentative || g.Topic != kept.Topic {
+			t.Fatalf("gap %+v, want %d..%d of %s, not tentative", g, kept.FirstSeq, kept.LastSeq, kept.Topic)
+		}
+		// The retained suffix still arrives after the gap, and the gap
+		// moved the cursor of the origin it named.
+		probe.Await(t, 1+int(kept.LastSeq-kept.FirstSeq+1))
+		c.Settle()
+		probe.ExactlyOnce(t, 1+int(kept.LastSeq-kept.FirstSeq+1))
+		if cur := cursor(sub.Node, rdv); cur != kept.LastSeq {
+			t.Fatalf("cursor after the gap = %d, want %d", cur, kept.LastSeq)
+		}
+		if n := len(gaps(probe)); n != 1 {
+			t.Fatalf("%d gap exceptions for one gap", n)
 		}
 	})
-	if err := c.AwaitConnected(10*time.Second, "sub"); err != nil {
-		t.Fatal(err)
-	}
-	// Cursor 1: everything from 2 up to first-1 is gone for good.
-	if err := sub.Rdv.RequestReplay(rdv.EP.PeerID(), chaos.GroupParam, jid.Nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case g := <-gapCh:
-		if g[0] != first || g[1] != last {
-			t.Fatalf("gap signal bounds %d..%d, want %d..%d", g[0], g[1], first, last)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no gap signal for a cursor behind retention")
-	}
-	// The retained suffix still arrives after the gap.
-	want := int(last - first + 1)
-	if !sink.WaitCount(want, 10*time.Second) {
-		t.Fatalf("retained suffix delivered %d/%d after gap", sink.Count(), want)
-	}
 }

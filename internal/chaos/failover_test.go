@@ -12,38 +12,55 @@ package chaos_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/chaos"
-	"github.com/tps-p2p/tps/internal/eventlog"
-	"github.com/tps-p2p/tps/internal/jxta/jid"
+	tps "github.com/tps-p2p/tps"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
+	"github.com/tps-p2p/tps/internal/obs"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
-// awaitCopyTail polls a replica's log until its copy of origin's topic
-// retains sequence want — anti-entropy is asynchronous, so scenarios
-// that depend on replicated state must wait for it explicitly.
-func awaitCopyTail(t *testing.T, p *chaos.Peer, origin jid.ID, want uint64) {
+// replicaPair starts rdvA and rdvB as each other's replica set. They are
+// deliberately NOT mesh-seeded with each other — the sync protocol is
+// the only channel between them, so a scenario that converges proves the
+// protocol converged, not that propagation leaked across.
+func replicaPair(t *testing.T, c *rig.Cluster, cfg tps.Config) (rdvA, rdvB *rig.Node) {
 	t.Helper()
-	key := replica.TopicKey(origin, chaos.GroupParam)
-	waitFor(t, 15*time.Second, fmt.Sprintf("copy of %s tail %d on %s", origin, want, p.Name), func() bool {
-		_, last, ok := p.Log.Range(key)
-		return ok && last >= want
-	})
+	cfg.Rendezvous = true
+	cfg.Name, cfg.ReplicaSeeds, cfg.LogDir = "rdvA", []string{"rdvB"}, t.TempDir()
+	rdvA = c.Start(cfg)
+	cfg.Name, cfg.ReplicaSeeds, cfg.LogDir = "rdvB", []string{"rdvA"}, t.TempDir()
+	return rdvA, c.Start(cfg)
 }
 
-// awaitFailover waits until the peer both counted a failover and holds
-// a live lease again. AwaitConnected alone is not enough: right after a
-// kill the old lease has not expired yet, so "connected" can still mean
-// "leased at the corpse".
-func awaitFailover(t *testing.T, p *chaos.Peer) {
+// failoverEdge starts an active/standby client of the pair.
+func failoverEdge(t *testing.T, c *rig.Cluster, name string) *peer {
 	t.Helper()
-	waitFor(t, 30*time.Second, fmt.Sprintf("%s fails over", p.Name), func() bool {
-		return p.Rdv.Snapshot().Counters["failovers"] >= 1 && p.Rdv.AwaitConnected(0)
+	return edge(t, c, tps.Config{Name: name, Seeds: []string{"rdvA", "rdvB"}, Failover: true})
+}
+
+// awaitFailover waits until every rendezvous client of the peer — its
+// net group's and its event group's — has made the standby its active
+// seed and holds the standby's lease. A lease with somebody is not
+// enough: right after a kill the old one has not expired yet, so
+// "connected" can still mean "leased at the corpse"; and what is
+// published before the grant arrives has nobody to go to.
+func awaitFailover(t *testing.T, p *peer, standby *rig.Node) {
+	t.Helper()
+	rig.Wait(t, p.Config.Name+" to fail over", func() bool {
+		clients := 0
+		for _, pe := range p.Inspect().Peers {
+			if pe.Kind == obs.PeerSeed && pe.Addr == standby.Addresses()[0] {
+				if !pe.Active || !pe.Leased {
+					return false
+				}
+				clients++
+			}
+		}
+		return clients > 0 && counter(p.Node, "rendezvous", "failovers") >= int64(clients)
 	})
 }
 
@@ -69,13 +86,19 @@ func topicDir(t *testing.T, root, topic string) string {
 	return ""
 }
 
-// assertSegmentsIdentical compares the two directories' segment files
-// byte for byte: same file names, same contents. This is the strongest
-// convergence statement the replication protocol makes — a copy is the
-// origin's frames under the origin's numbering and timestamps, so the
-// files must be indistinguishable.
-func assertSegmentsIdentical(t *testing.T, dirA, dirB string) {
+// assertCopyIdentical compares origin's own segment files of the event
+// stream with the copy's, byte for byte: same file names, same contents.
+// This is the strongest convergence statement the replication protocol
+// makes — a copy is the origin's frames under the origin's numbering and
+// timestamps, so the files must be indistinguishable.
+func assertCopyIdentical(t *testing.T, origin, copyAt *rig.Node) {
 	t.Helper()
+	own, _ := stream(origin, origin)
+	copied, ok := stream(copyAt, origin)
+	if !ok {
+		t.Fatalf("%s holds no copy of %s's stream", copyAt.Config.Name, origin.Config.Name)
+	}
+	dirA, dirB := topicDir(t, origin.Config.LogDir, own.Topic), topicDir(t, copyAt.Config.LogDir, copied.Topic)
 	segsA, err := filepath.Glob(filepath.Join(dirA, "*.seg"))
 	if err != nil || len(segsA) == 0 {
 		t.Fatalf("no segments in %s: %v", dirA, err)
@@ -100,8 +123,7 @@ func assertSegmentsIdentical(t *testing.T, dirA, dirB string) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("segment %s differs between replicas (%d vs %d bytes)",
-				filepath.Base(segsA[i]), len(a), len(b))
+			t.Fatalf("segment %s differs between replicas (%d vs %d bytes)", filepath.Base(segsA[i]), len(a), len(b))
 		}
 	}
 }
@@ -109,66 +131,48 @@ func assertSegmentsIdentical(t *testing.T, dirA, dirB string) {
 // TestFailoverKillPrimaryMidStream runs the headline scenario: a
 // 2-replica set, a publisher and subscriber in active/standby mode,
 // the primary killed mid-stream. After the failure detector rotates
-// both clients to the standby, the stream continues and a replay of the
-// dead primary's stream from the standby's copy fills whatever the
-// subscriber missed — exactly-once observable end to end.
+// both clients to the standby, the stream continues, and the engine's
+// cursor for the dead primary — presented to the standby on the new
+// lease — fills whatever the subscriber missed from the standby's copy:
+// exactly-once observable end to end.
 func TestFailoverKillPrimaryMidStream(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 31, LogDir: t.TempDir(), SyncInterval: 200 * time.Millisecond})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA, rdvB := replicaPair(t, c, tps.Config{ReplicaSyncInterval: 200 * time.Millisecond})
+		sub := failoverEdge(t, c, "sub")
+		probe := sub.subscribe(t)
+		pub := failoverEdge(t, c, "pub")
+		pub.ready(t)
 
-	rdvA := add(c.AddReplicaRendezvous("rdvA", []string{"rdvB"}))
-	rdvB := add(c.AddReplicaRendezvous("rdvB", []string{"rdvA"}))
-	pub := add(c.AddFailoverEdge("pub", "rdvA", "rdvB"))
-	sub := add(c.AddFailoverEdge("sub", "rdvA", "rdvB"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitConnected(10*time.Second, "pub", "sub"); err != nil {
-		t.Fatal(err)
-	}
+		// First half of the stream through the primary. Wait only for the
+		// log and its replica copy — NOT for the probe — so the kill lands
+		// mid-stream from the subscriber's point of view whenever delivery
+		// lags replication.
+		const batch = 10
+		pub.publish(t, "m", 0, batch)
+		awaitTail(t, rdvA, rdvA, batch)
+		awaitTail(t, rdvB, rdvA, batch)
 
-	// First half of the stream through the primary. Wait only for the
-	// log and its replica copy — NOT for the sink — so the kill lands
-	// mid-stream from the subscriber's point of view whenever delivery
-	// lags replication.
-	const batch = 10
-	for i := 0; i < batch; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+		c.Kill(rdvA)
+		awaitFailover(t, pub, rdvB)
+		awaitFailover(t, sub, rdvB)
+
+		// The stream continues through the standby (now origin rdvB), and
+		// the dead primary's suffix is replayed from the standby's copy,
+		// from wherever the subscriber's cursor got to.
+		pub.publish(t, "m", batch, 2*batch)
+		probe.Await(t, 2*batch)
+		c.Settle()
+		probe.ExactlyOnce(t, 2*batch)
+		if cur := cursor(sub.Node, rdvA); cur != batch {
+			t.Fatalf("origin-A cursor = %d, want %d", cur, batch)
 		}
-	}
-	awaitLogTail(t, rdvA, batch)
-	awaitCopyTail(t, rdvB, rdvA.EP.PeerID(), batch)
-
-	c.Kill("rdvA")
-	awaitFailover(t, pub)
-	awaitFailover(t, sub)
-
-	// The stream continues through the standby (now origin rdvB)...
-	for i := batch; i < 2*batch; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatalf("publish after failover %d: %v", i, err)
+		if cur := cursor(sub.Node, rdvB); cur != batch {
+			t.Fatalf("origin-B cursor = %d, want %d", cur, batch)
 		}
-	}
-	// ...and the dead primary's suffix is replayed from the standby's
-	// copy, from wherever the subscriber's cursor got to.
-	cur := cursorFor(sink, rdvA.EP.PeerID())
-	if err := sub.Rdv.RequestReplay(rdvB.EP.PeerID(), chaos.GroupParam, rdvA.EP.PeerID(), cur); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.WaitCount(2*batch, 20*time.Second) {
-		t.Fatalf("delivered %d/%d across the failover", sink.Count(), 2*batch)
-	}
-	c.Net.WaitQuiesce(5 * time.Second)
-	distinctBodies(t, sink, 2*batch)
-	if cur := cursorFor(sink, rdvA.EP.PeerID()); cur != batch {
-		t.Fatalf("origin-A cursor = %d, want %d", cur, batch)
-	}
-	if cur := cursorFor(sink, rdvB.EP.PeerID()); cur != batch {
-		t.Fatalf("origin-B cursor = %d, want %d", cur, batch)
-	}
+		if g := gaps(probe); len(g) != 0 {
+			t.Fatalf("a failover onto a synced replica raised gaps: %+v", g)
+		}
+	})
 }
 
 // TestAntiEntropyConvergesAfterPartition partitions the two replicas
@@ -176,62 +180,41 @@ func TestFailoverKillPrimaryMidStream(t *testing.T) {
 // copies to converge to the byte-identical segment files of each
 // origin — the acceptance criterion for the sync protocol.
 func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
-	dir := t.TempDir()
-	c := chaos.New(chaos.Config{Seed: 32, LogDir: dir, SyncInterval: 200 * time.Millisecond})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA, rdvB := replicaPair(t, c, tps.Config{ReplicaSyncInterval: 200 * time.Millisecond})
+		pubA := edge(t, c, tps.Config{Name: "pubA", Seeds: []string{"rdvA"}})
+		pubA.ready(t)
+		pubB := edge(t, c, tps.Config{Name: "pubB", Seeds: []string{"rdvB"}})
+		pubB.ready(t)
 
-	rdvA := add(c.AddReplicaRendezvous("rdvA", []string{"rdvB"}))
-	rdvB := add(c.AddReplicaRendezvous("rdvB", []string{"rdvA"}))
-	pubA := add(c.AddEdge("pubA", "rdvA"))
-	pubB := add(c.AddEdge("pubB", "rdvB"))
-	if err := c.AwaitConnected(10*time.Second, "pubA", "pubB"); err != nil {
-		t.Fatal(err)
-	}
+		// Pre-partition traffic so both replicas carry copies already.
+		const pre, total = 3, 15
+		pubA.publish(t, "a", 0, pre)
+		pubB.publish(t, "b", 0, pre)
+		awaitTail(t, rdvB, rdvA, pre)
+		awaitTail(t, rdvA, rdvB, pre)
 
-	// Pre-partition traffic so both replicas carry copies already.
-	const pre = 3
-	for i := 0; i < pre; i++ {
-		if err := pubA.Publish(svc, fmt.Sprintf("a-%d", i)); err != nil {
-			t.Fatal(err)
+		// Partition the replicas apart; both sides keep accepting events the
+		// other cannot see. The replicas are linked ONLY by anti-entropy, so
+		// healing proves the protocol converges, not mesh propagation.
+		c.Partition([]string{"rdvA", "pubA"}, []string{"rdvB", "pubB"})
+		pubA.publish(t, "a", pre, total)
+		pubB.publish(t, "b", pre, total)
+		awaitTail(t, rdvA, rdvA, total)
+		awaitTail(t, rdvB, rdvB, total)
+		c.Settle()
+		if e, _ := stream(rdvB, rdvA); e.LastSeq > pre {
+			t.Fatalf("copies crossed the partition: rdvB holds A@%d", e.LastSeq)
 		}
-		if err := pubB.Publish(svc, fmt.Sprintf("b-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	awaitCopyTail(t, rdvB, rdvA.EP.PeerID(), pre)
-	awaitCopyTail(t, rdvA, rdvB.EP.PeerID(), pre)
 
-	// Partition the replicas apart; both sides keep accepting events the
-	// other cannot see. The replicas are linked ONLY by anti-entropy, so
-	// healing proves the protocol converges, not mesh propagation.
-	c.Partition([]string{"rdvA", "pubA"}, []string{"rdvB", "pubB"})
-	const total = 15
-	for i := pre; i < total; i++ {
-		if err := pubA.Publish(svc, fmt.Sprintf("a-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := pubB.Publish(svc, fmt.Sprintf("b-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	awaitLogTail(t, rdvA, total)
-	awaitLogTail(t, rdvB, total)
-	if _, last, _ := rdvB.Log.Range(replica.TopicKey(rdvA.EP.PeerID(), chaos.GroupParam)); last >= total {
-		t.Fatalf("copies crossed the partition: rdvB holds A@%d", last)
-	}
+		c.Heal()
+		awaitTail(t, rdvB, rdvA, total)
+		awaitTail(t, rdvA, rdvB, total)
 
-	c.Heal()
-	awaitCopyTail(t, rdvB, rdvA.EP.PeerID(), total)
-	awaitCopyTail(t, rdvA, rdvB.EP.PeerID(), total)
-
-	// Byte-identical convergence, both directions.
-	assertSegmentsIdentical(t,
-		topicDir(t, filepath.Join(dir, "rdvA"), chaos.GroupParam),
-		topicDir(t, filepath.Join(dir, "rdvB"), replica.TopicKey(rdvA.EP.PeerID(), chaos.GroupParam)))
-	assertSegmentsIdentical(t,
-		topicDir(t, filepath.Join(dir, "rdvB"), chaos.GroupParam),
-		topicDir(t, filepath.Join(dir, "rdvA"), replica.TopicKey(rdvB.EP.PeerID(), chaos.GroupParam)))
+		// Byte-identical convergence, both directions.
+		assertCopyIdentical(t, rdvA, rdvB)
+		assertCopyIdentical(t, rdvB, rdvA)
+	})
 }
 
 // TestLaggingReplicaResetsPastRetentionGap partitions a replica away
@@ -242,57 +225,37 @@ func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 // head, reset its copy, restart at the head, and still converge to
 // byte-identical segments — with the reset counted, not silent.
 func TestLaggingReplicaResetsPastRetentionGap(t *testing.T) {
-	dir := t.TempDir()
-	c := chaos.New(chaos.Config{
-		Seed:         35,
-		LogDir:       dir,
-		SyncInterval: 200 * time.Millisecond,
-		LogRetention: eventlog.Retention{SegmentBytes: 512, MaxBytes: 2048},
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA, rdvB := replicaPair(t, c, tps.Config{
+			ReplicaSyncInterval: 200 * time.Millisecond,
+			LogRetention:        tps.LogRetention{SegmentBytes: 512, MaxBytes: 2048},
+		})
+		pubA := edge(t, c, tps.Config{Name: "pubA", Seeds: []string{"rdvA"}})
+		pubA.ready(t)
+
+		// Seed the copy, then cut the replicas apart and stream enough into
+		// the origin that retention drops everything the copy holds.
+		const pre, total = 3, 40
+		pubA.publish(t, "a", 0, pre)
+		awaitTail(t, rdvB, rdvA, pre)
+		c.Partition([]string{"rdvA", "pubA"}, []string{"rdvB"})
+		pubA.publish(t, "a", pre, total)
+		awaitTail(t, rdvA, rdvA, total)
+		own, _ := stream(rdvA, rdvA)
+		if own.FirstSeq <= pre+1 {
+			t.Fatalf("origin retention never trimmed past the copy: range %d..%d", own.FirstSeq, own.LastSeq)
+		}
+
+		c.Heal()
+		awaitTail(t, rdvB, rdvA, own.LastSeq)
+		if n := counter(rdvB, "rendezvous", "sync_resets"); n < 1 {
+			t.Fatalf("sync_resets = %d, want >= 1 (the gap must be counted)", n)
+		}
+		if copied, _ := stream(rdvB, rdvA); copied.FirstSeq != own.FirstSeq || copied.LastSeq != own.LastSeq {
+			t.Fatalf("copy range after reset = %d..%d, want origin's %d..%d", copied.FirstSeq, copied.LastSeq, own.FirstSeq, own.LastSeq)
+		}
+		assertCopyIdentical(t, rdvA, rdvB)
 	})
-	add := adder(t)
-	defer c.Close()
-
-	rdvA := add(c.AddReplicaRendezvous("rdvA", []string{"rdvB"}))
-	rdvB := add(c.AddReplicaRendezvous("rdvB", []string{"rdvA"}))
-	pubA := add(c.AddEdge("pubA", "rdvA"))
-	if err := c.AwaitConnected(10*time.Second, "pubA"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Seed the copy, then cut the replicas apart and stream enough into
-	// the origin that retention drops everything the copy holds.
-	const pre = 3
-	for i := 0; i < pre; i++ {
-		if err := pubA.Publish(svc, fmt.Sprintf("a-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	awaitCopyTail(t, rdvB, rdvA.EP.PeerID(), pre)
-	c.Partition([]string{"rdvA", "pubA"}, []string{"rdvB"})
-	const total = 40
-	for i := pre; i < total; i++ {
-		if err := pubA.Publish(svc, fmt.Sprintf("a-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	awaitLogTail(t, rdvA, total)
-	first, last, ok := rdvA.Log.Range(chaos.GroupParam)
-	if !ok || first <= pre+1 {
-		t.Fatalf("origin retention never trimmed past the copy: range %d..%d ok=%v", first, last, ok)
-	}
-
-	c.Heal()
-	awaitCopyTail(t, rdvB, rdvA.EP.PeerID(), last)
-	if n := rdvB.Rdv.Snapshot().Counters["sync_resets"]; n < 1 {
-		t.Fatalf("sync_resets = %d, want >= 1 (the gap must be counted)", n)
-	}
-	key := replica.TopicKey(rdvA.EP.PeerID(), chaos.GroupParam)
-	if bFirst, bLast, ok := rdvB.Log.Range(key); !ok || bFirst != first || bLast != last {
-		t.Fatalf("copy range after reset = %d..%d ok=%v, want origin's %d..%d", bFirst, bLast, ok, first, last)
-	}
-	assertSegmentsIdentical(t,
-		topicDir(t, filepath.Join(dir, "rdvA"), chaos.GroupParam),
-		topicDir(t, filepath.Join(dir, "rdvB"), key))
 }
 
 // TestSyncRejectsNonReplicaPeer points a rogue replica at peers that do
@@ -302,188 +265,133 @@ func TestLaggingReplicaResetsPastRetentionGap(t *testing.T) {
 // history under a foreign origin's key, to be served to failover
 // clients as authoritative — while the configured set keeps syncing.
 func TestSyncRejectsNonReplicaPeer(t *testing.T) {
-	c := chaos.New(chaos.Config{Seed: 36, LogDir: t.TempDir(), SyncInterval: 150 * time.Millisecond})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		sync := 150 * time.Millisecond
+		rdvA, rdvB := replicaPair(t, c, tps.Config{ReplicaSyncInterval: sync})
+		rdvC := c.Start(tps.Config{Name: "rdvC", Rendezvous: true, LogDir: t.TempDir()}) // durable, replication off
+		rogue := c.Start(tps.Config{Name: "rogue", Rendezvous: true, LogDir: t.TempDir(),
+			ReplicaSeeds: []string{"rdvA", "rdvC"}, ReplicaSyncInterval: sync})
+		pubR := edge(t, c, tps.Config{Name: "pubR", Seeds: []string{"rogue"}})
+		pubR.ready(t)
+		pubA := edge(t, c, tps.Config{Name: "pubA", Seeds: []string{"rdvA"}})
+		pubA.ready(t)
 
-	rdvA := add(c.AddReplicaRendezvous("rdvA", []string{"rdvB"}))
-	rdvB := add(c.AddReplicaRendezvous("rdvB", []string{"rdvA"}))
-	rdvC := add(c.AddRendezvous("rdvC")) // durable, replication off
-	rogue := add(c.AddReplicaRendezvous("rogue", []string{"rdvA", "rdvC"}))
-	pubR := add(c.AddEdge("pubR", "rogue"))
-	pubA := add(c.AddEdge("pubA", "rdvA"))
-	if err := c.AwaitConnected(10*time.Second, "pubR", "pubA"); err != nil {
-		t.Fatal(err)
-	}
+		const n = 5
+		pubR.publish(t, "r", 0, n)
+		pubA.publish(t, "a", 0, n)
+		awaitTail(t, rogue, rogue, n)
+		awaitTail(t, rdvA, rdvA, n)
 
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := pubR.Publish(svc, fmt.Sprintf("r-%d", i)); err != nil {
-			t.Fatal(err)
+		// The configured set replicates; the rogue's digests bounce off both
+		// targets.
+		awaitTail(t, rdvB, rdvA, n)
+		for _, target := range []*rig.Node{rdvA, rdvC} {
+			rig.Wait(t, target.Config.Name+" to reject rogue sync ops", func() bool {
+				return counter(target, "rendezvous", "sync_rejects") >= 1
+			})
+			for _, e := range target.Inspect().EventLog {
+				if origin, _, copied := replica.ParseKey(e.Topic); copied && origin == jidOf(rogue) {
+					t.Fatalf("%s stored a copy of the rogue's stream %s", target.Config.Name, e.Topic)
+				}
+			}
 		}
-		if err := pubA.Publish(svc, fmt.Sprintf("a-%d", i)); err != nil {
-			t.Fatal(err)
+		// Nothing flows through rdvB, so it has no stream of its own for
+		// rdvA to pull: whatever rdvA applied would be the rogue's.
+		if n := counter(rdvA, "rendezvous", "sync_applied"); n != 0 {
+			t.Fatalf("rdvA applied %d sync records; only rdvB pulls in this topology", n)
 		}
-	}
-	awaitLogTail(t, rogue, n)
-	awaitLogTail(t, rdvA, n)
-
-	// The configured set replicates; the rogue's digests bounce off both
-	// targets.
-	awaitCopyTail(t, rdvB, rdvA.EP.PeerID(), n)
-	waitFor(t, 15*time.Second, "rdvA rejects rogue sync ops", func() bool {
-		return rdvA.Rdv.Snapshot().Counters["sync_rejects"] >= 1
 	})
-	waitFor(t, 15*time.Second, "rdvC rejects rogue sync ops", func() bool {
-		return rdvC.Rdv.Snapshot().Counters["sync_rejects"] >= 1
-	})
-	rogueKey := replica.TopicKey(rogue.EP.PeerID(), chaos.GroupParam)
-	if _, _, ok := rdvA.Log.Range(rogueKey); ok {
-		t.Fatal("replicating rendezvous stored a copy of the rogue's stream")
-	}
-	if _, _, ok := rdvC.Log.Range(rogueKey); ok {
-		t.Fatal("replication-off rendezvous stored a copy of the rogue's stream")
-	}
-	if n := rdvA.Rdv.Snapshot().Counters["sync_applied"]; n != 0 {
-		t.Fatalf("rdvA applied %d sync records; only rdvB pulls in this topology", n)
-	}
 }
 
-// TestLaggingReplicaServesStaleSuffix replays against a replica whose
-// copy ends before the subscriber's cursor. The cursor proves those
-// entries were already delivered, so the replica must serve nothing and
-// signal nothing — a lagging standby is stale, not evidence of loss.
+// TestLaggingReplicaServesStaleSuffix fails a subscriber over to a
+// standby whose copy of the dead primary ends before the subscriber's
+// cursor. The cursor proves those entries were already delivered, so the
+// standby must serve nothing and signal nothing — a lagging standby is
+// stale, not evidence of loss.
 func TestLaggingReplicaServesStaleSuffix(t *testing.T) {
-	// Sync effectively off: the lag is constructed directly so the
-	// scenario cannot race the anti-entropy ticker.
-	c := chaos.New(chaos.Config{Seed: 33, LogDir: t.TempDir(), SyncInterval: time.Hour})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA, rdvB := replicaPair(t, c, tps.Config{ReplicaSyncInterval: 200 * time.Millisecond})
+		sub := failoverEdge(t, c, "sub")
+		probe := sub.subscribe(t)
+		pub := failoverEdge(t, c, "pub")
+		pub.ready(t)
 
-	rdvA := add(c.AddReplicaRendezvous("rdvA", []string{"rdvB"}))
-	rdvB := add(c.AddReplicaRendezvous("rdvB", []string{"rdvA"}))
-	pub := add(c.AddEdge("pub", "rdvA"))
-	sub := add(c.AddEdge("sub", "rdvA", "rdvB"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gapCh := make(chan jid.ID, 1)
-	sub.Rdv.SetReplayGapListener(func(origin jid.ID, _ string, _, _ uint64, _ bool) {
-		select {
-		case gapCh <- origin:
-		default:
+		// The standby copies half the stream, then loses sight of the
+		// primary; the subscriber gets all of it live.
+		const n = 10
+		pub.publish(t, "m", 0, n/2)
+		awaitTail(t, rdvB, rdvA, n/2)
+		c.Partition([]string{"rdvA", "pub", "sub"}, []string{"rdvB"})
+		pub.publish(t, "m", n/2, n)
+		probe.Await(t, n)
+		if cur := cursor(sub.Node, rdvA); cur != n {
+			t.Fatalf("cursor = %d, want %d", cur, n)
 		}
+
+		// The primary dies with the second half; the subscriber re-homes to
+		// the standby and presents cursor n against a copy ending at n/2.
+		asked := counter(sub.Node, "engine", "replay_requests")
+		c.Kill(rdvA)
+		c.Heal()
+		awaitFailover(t, sub, rdvB)
+		rig.Wait(t, "the subscriber's replay requests to the standby", func() bool {
+			return counter(sub.Node, "engine", "replay_requests") >= asked+2 // its own log, and the dead primary's
+		})
+		c.Settle()
+		if copied, _ := stream(rdvB, rdvA); copied.LastSeq != n/2 {
+			t.Fatalf("the standby's copy ends at %d, want the lag at %d", copied.LastSeq, n/2)
+		}
+		if g := gaps(probe); len(g) != 0 {
+			t.Fatalf("lagging replica signalled a gap: %+v", g[0])
+		}
+		if served, gapped := counter(rdvB, "rendezvous", "replay_served"), counter(rdvB, "rendezvous", "replay_gaps"); served != 0 || gapped != 0 {
+			t.Fatalf("lagging replica served %d events and sent %d gaps, want nothing", served, gapped)
+		}
+		probe.ExactlyOnce(t, n)
 	})
-	if err := c.AwaitConnected(10*time.Second, "pub", "sub"); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sink.WaitCount(n, 10*time.Second) {
-		t.Fatalf("live delivery got %d/%d", sink.Count(), n)
-	}
-	if cur := cursorFor(sink, rdvA.EP.PeerID()); cur != n {
-		t.Fatalf("cursor = %d, want %d", cur, n)
-	}
-
-	// rdvB's copy of A lags at half the stream (appended directly; the
-	// payload bytes never travel, only the range matters here).
-	key := replica.TopicKey(rdvA.EP.PeerID(), chaos.GroupParam)
-	for seq := uint64(1); seq <= n/2; seq++ {
-		if err := rdvB.Log.AppendExact(key, seq, time.Now().UnixMilli(), []byte("stale")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Cursor n against a copy ending at n/2: serve nothing, no gap.
-	if err := sub.Rdv.RequestReplay(rdvB.EP.PeerID(), chaos.GroupParam, rdvA.EP.PeerID(), n); err != nil {
-		t.Fatal(err)
-	}
-	c.Net.WaitQuiesce(5 * time.Second)
-	select {
-	case origin := <-gapCh:
-		t.Fatalf("lagging replica signalled a gap for origin %s", origin)
-	default:
-	}
-	distinctBodies(t, sink, n)
 }
 
 // TestDoubleKillSurfacesReplayGap loses every copy of a range: the
 // primary dies before anti-entropy ever ran, so the standby holds
-// nothing of the dead origin. Replaying the origin there must produce
-// an explicit unbounded gap for that origin — the signal the engine
-// turns into ReplayGapError — because silence would be indistinguishable
+// nothing of the dead origin. The engine's cursor for that origin,
+// presented to the standby, must come back as a ReplayGapError — an
+// explicit unbounded gap, because silence would be indistinguishable
 // from "nothing to replay".
 func TestDoubleKillSurfacesReplayGap(t *testing.T) {
-	// Sync off: the standby must genuinely hold nothing of the primary.
-	c := chaos.New(chaos.Config{Seed: 34, LogDir: t.TempDir(), SyncInterval: time.Hour})
-	add := adder(t)
-	defer c.Close()
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		// Sync off: the standby must genuinely hold nothing of the primary.
+		rdvA, rdvB := replicaPair(t, c, tps.Config{ReplicaSyncInterval: time.Hour})
+		sub := failoverEdge(t, c, "sub")
+		probe := sub.subscribe(t)
+		pub := failoverEdge(t, c, "pub")
+		pub.ready(t)
 
-	rdvA := add(c.AddReplicaRendezvous("rdvA", []string{"rdvB"}))
-	rdvB := add(c.AddReplicaRendezvous("rdvB", []string{"rdvA"}))
-	pub := add(c.AddFailoverEdge("pub", "rdvA", "rdvB"))
-	sub := add(c.AddFailoverEdge("sub", "rdvA", "rdvB"))
-	sink, err := sub.Subscribe(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type gap struct {
-		origin      jid.ID
-		first, last uint64
-		tentative   bool
-	}
-	gapCh := make(chan gap, 1)
-	sub.Rdv.SetReplayGapListener(func(origin jid.ID, _ string, first, last uint64, tentative bool) {
-		select {
-		case gapCh <- gap{origin, first, last, tentative}:
-		default:
-		}
-	})
-	if err := c.AwaitConnected(10*time.Second, "pub", "sub"); err != nil {
-		t.Fatal(err)
-	}
+		const n = 8
+		pub.publish(t, "m", 0, n)
+		probe.Await(t, n)
+		group, _ := stream(rdvA, rdvA)
 
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := pub.Publish(svc, fmt.Sprintf("m-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sink.WaitCount(n, 10*time.Second) {
-		t.Fatalf("live delivery got %d/%d", sink.Count(), n)
-	}
+		c.Kill(rdvA)
+		awaitFailover(t, sub, rdvB)
 
-	c.Kill("rdvA")
-	awaitFailover(t, sub)
-
-	// The subscriber resumes origin A at the standby — which retained
-	// nothing of A. The range is gone from every replica; that is the
-	// one case that must surface as a gap.
-	if err := sub.Rdv.RequestReplay(rdvB.EP.PeerID(), chaos.GroupParam, rdvA.EP.PeerID(), n); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case g := <-gapCh:
-		if g.origin != rdvA.EP.PeerID() {
-			t.Fatalf("gap origin = %s, want the dead primary %s", g.origin, rdvA.EP.PeerID())
-		}
-		if g.first != 0 || g.last != 0 {
-			t.Fatalf("gap bounds %d..%d, want 0..0 (nothing retained)", g.first, g.last)
+		// The subscriber resumes origin A at the standby — which retained
+		// nothing of A. The range is gone from every replica; that is the
+		// one case that must surface as a gap.
+		rig.Wait(t, "a gap after losing every replica of the range", func() bool { return len(gaps(probe)) > 0 })
+		g := gaps(probe)[0]
+		if g.Topic != group.Topic || g.First != 0 || g.Last != 0 {
+			t.Fatalf("gap %+v, want 0..0 of %s (nothing retained)", g, group.Topic)
 		}
 		// The standby never completed a digest exchange (sync is off),
 		// so its loss verdict must be flagged provisional.
-		if !g.tentative {
+		if !g.Tentative {
 			t.Fatal("gap from a never-synced replica not marked tentative")
 		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("no gap signal after losing every replica of the range")
-	}
-	distinctBodies(t, sink, n)
+		// Nothing is retained, so no cursor moved: the dead primary's
+		// stands where delivery left it.
+		if cur := cursor(sub.Node, rdvA); cur != n {
+			t.Fatalf("origin-A cursor = %d after an unbounded gap, want %d", cur, n)
+		}
+		probe.ExactlyOnce(t, n)
+	})
 }

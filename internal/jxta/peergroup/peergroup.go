@@ -43,9 +43,6 @@ type Config struct {
 	// Authenticator, when set, makes this peer a membership authority
 	// for the group.
 	Authenticator membership.Authenticator
-	// DisableWireDedupe turns off wire-level duplicate suppression
-	// (ablation benchmarks only).
-	DisableWireDedupe bool
 	// Rendezvous configures the group's rendezvous service: role (zero
 	// means edge), seeds, lease, event log, failover. New scopes it to
 	// the group by setting GroupParam; the group ID is the log topic.
@@ -156,10 +153,7 @@ func (g *Group) build(cfg Config) (err error) {
 	if g.Pipes, err = pipe.New(g.ep, g.Resolver, pipe.Config{Group: param}); err != nil {
 		return err
 	}
-	if g.Wire, err = wire.New(g.ep, g.Rendezvous, wire.Config{
-		Group:         param,
-		DisableDedupe: cfg.DisableWireDedupe,
-	}); err != nil {
+	if g.Wire, err = wire.New(g.ep, g.Rendezvous, wire.Config{Group: param}); err != nil {
 		return err
 	}
 	if g.Membership, err = membership.New(g.Resolver, cfg.Authenticator); err != nil {

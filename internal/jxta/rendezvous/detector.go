@@ -18,10 +18,10 @@ type healthState struct {
 
 // detector is the failure detector: consecutive send failures make an
 // address suspect (probed with pings), sustained failure evicts it
-// behind a breaker for the cooldown. Its thresholds are the service's
-// Config (SuspectAfter, EvictAfter, EvictCooldown). It has no lock of
-// its own — its state changes together with the lease tables, so every
-// method requires the caller to hold Service.mu.
+// behind a breaker for one LeaseTTL. Its thresholds are the service's
+// Config (SuspectAfter, EvictAfter). It has no lock of its own — its
+// state changes together with the lease tables, so every method
+// requires the caller to hold Service.mu.
 type detector map[endpoint.Address]*healthState
 
 // banned reports whether addr's eviction breaker is open at now.
@@ -45,7 +45,7 @@ func (d detector) fail(addr endpoint.Address, now time.Time, cfg *Config) (suspe
 		h.suspect, suspect = true, true
 	}
 	if h.fails >= cfg.EvictAfter {
-		*h = healthState{bannedUntil: now.Add(cfg.EvictCooldown)}
+		*h = healthState{bannedUntil: now.Add(cfg.LeaseTTL)}
 		evict = true
 	}
 	return suspect, evict

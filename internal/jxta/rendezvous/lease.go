@@ -128,22 +128,31 @@ func (s *Service) handleConnect(msg *message.Message, from endpoint.Address) {
 		s.mu.Unlock()
 		return
 	}
-	s.clients[clientKey{msg.Src, param}] = peerEntry{addr: from, expires: s.now().Add(s.cfg.LeaseTTL)}
+	key, now := clientKey{msg.Src, param}, s.now()
+	held, ok := s.clients[key]
+	renewal := ok && !now.After(held.expires)
+	s.clients[key] = peerEntry{addr: from, expires: now.Add(s.cfg.LeaseTTL)}
 	// An inbound connect is proof of life: whatever suspicion (or stale
 	// eviction ban) the address carried is obsolete.
 	s.det.ok(from)
 	s.mu.Unlock()
 
-	grant := s.newOp(opLease, 1)
+	grant := s.newOp(opLease, 2)
 	grant.AddUint64(elemNS, elemLease, uint64(s.cfg.LeaseTTL/time.Millisecond))
+	if !renewal {
+		// This side held no lease for the client — it never had one, let
+		// it lapse, evicted the client, or restarted — and forwarded it
+		// nothing in the meantime, whatever the client believes it holds.
+		grant.AddString(elemNS, elemNewLease, "true")
+	}
 	_ = s.ep.Send(from, ServiceName, param, grant)
 }
 
-// LeaseListener is told that rdv has just granted this peer a lease it
-// did not hold: a new connection epoch, in which rdv knows nothing of
-// what this peer received before. Renewals of a live lease are not
-// reported. It runs on the transport's receive goroutine and must not
-// block.
+// LeaseListener is told that rdv has just granted this peer a lease
+// that one of the two sides did not hold: a new connection epoch, in
+// which rdv knows nothing of what this peer received before. Renewals
+// of a lease both sides hold are not reported. It runs on the
+// transport's receive goroutine and must not block.
 type LeaseListener func(rdv jid.ID)
 
 // AddLeaseListener registers fn for new leases and returns the token
@@ -178,9 +187,12 @@ func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
 		return
 	}
 	// A lease that lapsed before this grant is a new one, not a renewal:
-	// the rendezvous stopped forwarding to us when it ran out.
+	// the rendezvous stopped forwarding to us when it ran out. So is one
+	// the rendezvous calls new: it came back from a restart under the ID
+	// it had, or dropped us, while our side of the lease was still live.
 	s.expireLocked()
 	_, renewal := s.rdvs[msg.Src]
+	renewal = renewal && msg.Text(elemNS, elemNewLease) != "true"
 	s.rdvs[msg.Src] = peerEntry{
 		addr:    from,
 		expires: s.now().Add(time.Duration(ttlMS) * time.Millisecond),

@@ -30,7 +30,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs/trace"
-	"github.com/tps-p2p/tps/internal/retry"
 )
 
 // ServiceName is the endpoint service name of the rendezvous protocol.
@@ -47,6 +46,9 @@ const (
 	elemDParam = "DParam"
 	// elemLease carries the granted lease duration in milliseconds.
 	elemLease = "Lease"
+	// elemNewLease marks a grant for which the granting side held no
+	// live lease of the client's.
+	elemNewLease = "New"
 )
 
 // Operations.
@@ -120,15 +122,9 @@ type Config struct {
 	SuspectAfter int
 	// EvictAfter is the number of consecutive send failures after which
 	// a peer is evicted from the connection tables and its address
-	// breaker opens. Zero means DefaultEvictAfter.
+	// breaker opens for one LeaseTTL — the time after which the peer's
+	// leases would have lapsed anyway. Zero means DefaultEvictAfter.
 	EvictAfter int
-	// EvictCooldown is how long an evicted address stays behind the
-	// breaker before sends and seed reconnects may resume. Zero means
-	// DefaultEvictCooldown.
-	EvictCooldown time.Duration
-	// SeedBackoff shapes the retry curve for unreachable seeds. Zero
-	// fields use retry defaults with Max capped at the lease TTL.
-	SeedBackoff retry.Policy
 	// Log, when set on a rendezvous-role service, makes propagation
 	// durable: every message this peer fans out is appended to the
 	// per-topic log first (stamped with its sequence number), and replay
@@ -168,9 +164,8 @@ const DefaultLeaseTTL = 30 * time.Second
 
 // Failure-detection defaults.
 const (
-	DefaultSuspectAfter  = 2
-	DefaultEvictAfter    = 4
-	DefaultEvictCooldown = 30 * time.Second
+	DefaultSuspectAfter = 2
+	DefaultEvictAfter   = 4
 )
 
 // normalise replaces every zero-means-default field with its default,
@@ -190,12 +185,6 @@ func (c *Config) normalise() {
 	}
 	if c.EvictAfter <= c.SuspectAfter {
 		c.EvictAfter = c.SuspectAfter + 1
-	}
-	if c.EvictCooldown <= 0 {
-		c.EvictCooldown = DefaultEvictCooldown
-	}
-	if c.SeedBackoff == (retry.Policy{}) {
-		c.SeedBackoff = retry.Policy{Max: c.LeaseTTL}
 	}
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = DefaultSyncInterval

@@ -260,6 +260,28 @@ func TestRendezvousRestartHeals(t *testing.T) {
 	})
 }
 
+// TestRestartUnderTheSameIDIsANewLease: a rendezvous that comes back on
+// its address under the ID it had grants a lease the edge still holds
+// its own side of. The grant says that the rendezvous did not, so the
+// edge's listeners hear a new connection epoch and not a renewal.
+func TestRestartUnderTheSameIDIsANewLease(t *testing.T) {
+	c := newCluster(t)
+	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
+	e := c.addPeer("edge", 2, rendezvous.RoleEdge, "mem://rdv")
+	if !e.rdv.AwaitConnected(5 * time.Second) {
+		t.Fatal("initial connect failed")
+	}
+	var heard atomic.Int64
+	e.rdv.AddLeaseListener(func(jid.ID) { heard.Add(1) })
+	r.rdv.Close()
+	_ = r.ep.Close()
+	c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
+	waitFor(t, func() bool { return heard.Load() == 1 })
+	if got := e.rdv.ConnectedRendezvous(); len(got) != 1 || got[0] != r.ep.PeerID() {
+		t.Fatalf("connected rdvs = %v, want the one ID", got)
+	}
+}
+
 func TestInvalidRole(t *testing.T) {
 	c := newCluster(t)
 	node, err := c.net.AddNode("x")

@@ -1,6 +1,10 @@
 package rendezvous
 
-import "time"
+import (
+	"time"
+
+	"github.com/tps-p2p/tps/internal/retry"
+)
 
 // seedFailFastAfter is the consecutive connect failures per seed after
 // which AwaitConnected gives up early: every seed has been tried at
@@ -88,7 +92,9 @@ func (c *seedClient) connectSeed(i int) {
 	if err != nil {
 		s.stats.seedFailures.Add(1)
 		c.state[i].fails++
-		c.state[i].next = now.Add(s.cfg.SeedBackoff.Backoff(c.state[i].fails))
+		// The shared retry curve, capped at the lease: a seed is never
+		// left alone for longer than its lease would have lasted.
+		c.state[i].next = now.Add(retry.Policy{Max: s.cfg.LeaseTTL}.Backoff(c.state[i].fails))
 		// Wake AwaitConnected so its all-seeds-unreachable check
 		// runs as soon as the evidence is in.
 		s.conn.Broadcast()

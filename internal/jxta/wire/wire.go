@@ -59,9 +59,6 @@ type Endpoint interface {
 type Config struct {
 	// Group scopes the service to a peer group.
 	Group string
-	// DisableDedupe turns off the duplicate-suppression cache. Only the
-	// ablation benchmarks use this; real deployments always deduplicate.
-	DisableDedupe bool
 }
 
 // wireCounters are lock-free: the per-message send and deliver paths
@@ -177,19 +174,14 @@ func (s *Service) Snapshot() obs.Snapshot {
 }
 
 // SeenCache exposes the duplicate-suppression cache for the "seen"
-// subsystem aggregation; nil when dedupe is disabled.
-func (s *Service) SeenCache() *seen.Cache {
-	if s.cfg.DisableDedupe {
-		return nil
-	}
-	return s.seen
-}
+// subsystem aggregation.
+func (s *Service) SeenCache() *seen.Cache { return s.seen }
 
 // handle delivers propagated wire messages to the local input pipe.
 // Dedupe runs first: duplicate frames are the common case in a meshed
 // topology, and dropping them must not pay for parsing the pipe ID.
 func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
-	if !s.cfg.DisableDedupe && !s.seen.Observe(msg.ID) {
+	if !s.seen.Observe(msg.ID) {
 		s.stats.duplicates.Add(1)
 		return
 	}
@@ -225,9 +217,7 @@ func (s *Service) send(id jid.ID, msg *message.Message) error {
 	out := msg.Dup()
 	out.ReplaceID(elemNS, elemID, id)
 	// Mark our own message as seen so a mesh echo is not re-delivered.
-	if !s.cfg.DisableDedupe {
-		s.seen.Observe(out.ID)
-	}
+	s.seen.Observe(out.ID)
 	// Local loopback first: a peer subscribing to its own wire hears
 	// itself regardless of mesh connectivity. The loopback Dup (also
 	// O(1)) isolates element-list mutations on the delivered copy from

@@ -1,15 +1,21 @@
 // Package netsim simulates a wide-area network inside one process.
 //
 // A Network hosts named nodes connected by directed links with
-// configurable latency, jitter, bandwidth and loss. Nodes can be
-// firewalled (they refuse unsolicited inbound traffic until they have
-// opened an outbound flow, the way NAT/firewall traversal behaves for the
-// Endpoint Routing Protocol) and the network can be partitioned and
-// healed to inject failures.
+// configurable latency, jitter, bandwidth and loss, and nodes with a
+// receive-side processing cost: what only a simulator can give a test
+// or a benchmark (internal/benchkit's 2001 testbed profile is built from
+// them). Nodes can be firewalled (they refuse unsolicited inbound
+// traffic until they have opened an outbound flow, the way NAT/firewall
+// traversal behaves for the Endpoint Routing Protocol).
+//
+// Fault injection for clusters of platforms — crash, restart, partition,
+// loss, slow consumers — lives in internal/rig, in a transport wrapped
+// around this one or around TCP, so that a fault means the same on
+// both. A single link can still be taken down here (Link.Down).
 //
 // Delivery preserves per-(sender,receiver) FIFO order, matching what a
 // TCP connection between two peers would provide. All randomness (loss,
-// jitter) comes from a single seeded source so failures are reproducible.
+// jitter) comes from a single seeded source so runs are reproducible.
 package netsim
 
 import (
@@ -33,7 +39,8 @@ type Link struct {
 	Bandwidth int
 	// Loss is the probability in [0,1] that a message silently vanishes.
 	Loss float64
-	// Down marks the link administratively down (partition).
+	// Down marks the link administratively down: sends fail with
+	// ErrLinkDown.
 	Down bool
 }
 
@@ -159,66 +166,11 @@ func (n *Network) AddNode(name string, opts ...NodeOption) (*Node, error) {
 	return nd, nil
 }
 
-// Node returns the live node with the given name.
-func (n *Network) Node(name string) (*Node, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd, ok := n.nodes[name]
-	if !ok || nd.closed {
-		return nil, false
-	}
-	return nd, true
-}
-
 // SetLink installs a directional link override from → to.
 func (n *Network) SetLink(from, to string, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.links[pairKey{from, to}] = l
-}
-
-// SetBidirectional installs the same link in both directions.
-func (n *Network) SetBidirectional(a, b string, l Link) {
-	n.SetLink(a, b, l)
-	n.SetLink(b, a, l)
-}
-
-// SetLinkDown raises or clears the down flag in both directions.
-func (n *Network) SetLinkDown(a, b string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, k := range []pairKey{{a, b}, {b, a}} {
-		l, ok := n.links[k]
-		if !ok {
-			l = n.cfg.DefaultLink
-		}
-		l.Down = down
-		n.links[k] = l
-	}
-}
-
-// Partition cuts every link that crosses between the given groups.
-// Links inside a group are untouched.
-func (n *Network) Partition(groups ...[]string) {
-	for i := range groups {
-		for j := i + 1; j < len(groups); j++ {
-			for _, a := range groups[i] {
-				for _, b := range groups[j] {
-					n.SetLinkDown(a, b, true)
-				}
-			}
-		}
-	}
-}
-
-// Heal clears the down flag on every link.
-func (n *Network) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for k, l := range n.links {
-		l.Down = false
-		n.links[k] = l
-	}
 }
 
 func (n *Network) linkFor(from, to string) Link {

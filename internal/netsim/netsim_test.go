@@ -126,45 +126,17 @@ func TestLinkDownAndHeal(t *testing.T) {
 	b, _ := n.AddNode("b")
 	var c collector
 	b.SetHandler(c.handler)
-	n.SetLinkDown("a", "b", true)
+	n.SetLink("a", "b", Link{Down: true})
 	if err := a.Send("b", []byte("x")); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("err = %v", err)
 	}
-	n.Heal()
+	n.SetLink("a", "b", Link{})
 	if err := a.Send("b", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	n.WaitQuiesce(2 * time.Second)
 	if got := c.snapshot(); len(got) != 1 || got[0] != "y" {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestPartition(t *testing.T) {
-	n := newTestNet(t, Config{})
-	names := []string{"a", "b", "c", "d"}
-	nodes := map[string]*Node{}
-	for _, name := range names {
-		nd, err := n.AddNode(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.SetHandler(func(string, []byte) {})
-		nodes[name] = nd
-	}
-	n.Partition([]string{"a", "b"}, []string{"c", "d"})
-	if err := nodes["a"].Send("c", nil); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("cross-partition send: %v", err)
-	}
-	if err := nodes["a"].Send("b", nil); err != nil {
-		t.Fatalf("intra-partition send: %v", err)
-	}
-	if err := nodes["d"].Send("b", nil); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("cross-partition reverse: %v", err)
-	}
-	n.Heal()
-	if err := nodes["a"].Send("c", nil); err != nil {
-		t.Fatalf("after heal: %v", err)
 	}
 }
 

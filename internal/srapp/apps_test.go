@@ -12,6 +12,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
+	"github.com/tps-p2p/tps/internal/rig"
 	"github.com/tps-p2p/tps/internal/srapp"
 	"github.com/tps-p2p/tps/internal/srapp/srjxta"
 	"github.com/tps-p2p/tps/internal/srapp/srtps"
@@ -52,26 +53,10 @@ func newWAN(t *testing.T) *netsim.Network {
 }
 
 func TestSRTPSEndToEnd(t *testing.T) {
-	wan := newWAN(t)
-	mkPlatform := func(name string, rdv bool, seeds ...string) *tps.Platform {
-		node, err := wan.AddNode(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := tps.NewPlatform(tps.Config{
-			Name: name, Rendezvous: rdv, Seeds: seeds,
-			FindTimeout: 400 * time.Millisecond, FindInterval: 100 * time.Millisecond,
-			LeaseTTL: 2 * time.Second,
-		}, tps.WithTransport(memnet.New(node)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		return p
-	}
-	mkPlatform("rdv", true)
-	shopP := mkPlatform("shop", false, "mem://rdv")
-	customerP := mkPlatform("customer", false, "mem://rdv")
+	c := rig.New(t, rig.Netsim)
+	c.Start(tps.Config{Name: "rdv", Rendezvous: true})
+	shopP := c.Start(tps.Config{Name: "shop", Seeds: []string{"rdv"}}).Platform
+	customerP := c.Start(tps.Config{Name: "customer", Seeds: []string{"rdv"}}).Platform
 
 	customer, err := srtps.New(customerP)
 	if err != nil {

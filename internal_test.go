@@ -2,6 +2,8 @@ package tps
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -186,5 +188,28 @@ func TestConfigReachesEveryRendezvousService(t *testing.T) {
 	}
 	if replicating != 1 {
 		t.Errorf("%d services hold the replica set, want exactly the daemon's", replicating)
+	}
+}
+
+// TestLogOwnerIsWrittenOnceAndKept: a log directory names its peer on
+// first use and every time after; a file that does not hold an ID fails
+// the boot instead of passing for a new identity over old history.
+func TestLogOwnerIsWrittenOnceAndKept(t *testing.T) {
+	dir := t.TempDir()
+	first, err := logOwner(dir)
+	if err != nil || first.IsZero() {
+		t.Fatalf("first use: %v, %v", first, err)
+	}
+	if again, err := logOwner(dir); err != nil || again != first {
+		t.Fatalf("second use: %v, %v; want %v", again, err, first)
+	}
+	if other, _ := logOwner(t.TempDir()); other == first {
+		t.Fatal("two directories share an identity")
+	}
+	if err := os.WriteFile(filepath.Join(dir, peerIDFile), []byte("not an id"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := logOwner(dir); err == nil {
+		t.Fatalf("a garbled %s read as %v", peerIDFile, id)
 	}
 }

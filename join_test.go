@@ -13,6 +13,7 @@ import (
 
 	tps "github.com/tps-p2p/tps"
 	"github.com/tps-p2p/tps/internal/obs"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
 const (
@@ -20,36 +21,15 @@ const (
 	joinBound        = time.Second
 )
 
-// bootJoin starts a platform on a loopback TCP port whose tickers are
-// too slow to help.
-func bootJoin(t *testing.T, cfg tps.Config) *tps.Platform {
-	t.Helper()
+// slowTick gives cfg the tickers that are too slow to help.
+func slowTick(cfg tps.Config) tps.Config {
 	cfg.FindInterval = joinFindInterval
-	return bootTCP(t, cfg)
-}
-
-// joinEngine creates the SkiRental engine of a platform and its
-// interface.
-func joinEngine(t *testing.T, p *tps.Platform) (*tps.Engine[SkiRental], *tps.Interface[SkiRental]) {
-	t.Helper()
-	if err := tps.Register[SkiRental](p); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := tps.NewEngine[SkiRental](p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	intf, err := eng.NewInterface(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, intf
+	return cfg
 }
 
 // retained is the highest sequence any topic of the rendezvous' log
 // holds: the event topic's, once events outnumber discovery chatter.
-func retained(rdv *tps.Platform) uint64 {
+func retained(rdv *rig.Node) uint64 {
 	var most uint64
 	for _, e := range rdv.Inspect().EventLog {
 		most = max(most, e.LastSeq)
@@ -59,7 +39,7 @@ func retained(rdv *tps.Platform) uint64 {
 
 // publishRetained publishes events [from, to) and waits for the
 // rendezvous' log to hold them.
-func publishRetained(t *testing.T, rdv *tps.Platform, intf *tps.Interface[SkiRental], from, to int) {
+func publishRetained(t *testing.T, rdv *rig.Node, intf *tps.Interface[SkiRental], from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
 		if err := intf.Publish(SkiRental{Shop: fmt.Sprintf("shop-%d", i), Brand: "Salomon"}); err != nil {
@@ -75,13 +55,13 @@ func publishRetained(t *testing.T, rdv *tps.Platform, intf *tps.Interface[SkiRen
 	}
 }
 
-// seedRetained boots a durable rendezvous and a publisher, and has the
-// log retain n events nobody subscribed to.
-func seedRetained(t *testing.T, n int) (rdv *tps.Platform, seeds []string) {
+// seedRetained boots a durable rendezvous, "rdv", and a publisher, and
+// has the log retain n events nobody subscribed to.
+func seedRetained(t *testing.T, n int) (c *rig.Cluster, rdv *rig.Node) {
 	t.Helper()
-	rdv = bootJoin(t, tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
-	seeds = rdv.Addresses()[:1]
-	pubEng, pubIntf := joinEngine(t, bootJoin(t, tps.Config{Name: "pub", Seeds: seeds}))
+	c = rig.New(t, rig.TCP)
+	rdv = c.Start(slowTick(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()}))
+	pubEng, pubIntf := rig.Engine[SkiRental](t, c.Start(slowTick(tps.Config{Name: "pub", Seeds: []string{"rdv"}})))
 	if err := pubEng.Announce(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,38 +69,27 @@ func seedRetained(t *testing.T, n int) (rdv *tps.Platform, seeds []string) {
 		t.Fatal("publisher group never became ready")
 	}
 	publishRetained(t, rdv, pubIntf, 0, n)
-	return rdv, seeds
+	return c, rdv
 }
 
 // waitWithin waits for g to hold n events and fails once bound has
 // passed since start.
-func waitWithin(t *testing.T, g *gather[SkiRental], n int, start time.Time, bound time.Duration) {
+func waitWithin(t *testing.T, g *rig.Probe[SkiRental], n int, start time.Time, bound time.Duration) {
 	t.Helper()
-	for g.count() < n {
+	for g.Count() < n {
 		if time.Since(start) > bound {
-			t.Fatalf("%d of %d events %v after the wake-up, bound is %v", g.count(), n, time.Since(start).Round(time.Millisecond), bound)
+			t.Fatalf("%d of %d events %v after the wake-up, bound is %v", g.Count(), n, time.Since(start).Round(time.Millisecond), bound)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// exactlyOnce lets a stray duplicate surface, then checks that the n
-// events shop-0..shop-(n-1) were each delivered once.
-func exactlyOnce(t *testing.T, g *gather[SkiRental], n int) {
+// exactlyOnce lets a stray duplicate surface, then checks that n events
+// were each delivered once.
+func exactlyOnce(t *testing.T, g *rig.Probe[SkiRental], n int) {
 	t.Helper()
 	time.Sleep(100 * time.Millisecond)
-	counts := map[string]int{}
-	for _, ev := range g.snapshot() {
-		counts[ev.Shop]++
-	}
-	if len(counts) != n {
-		t.Fatalf("%d distinct events delivered, want %d", len(counts), n)
-	}
-	for shop, c := range counts {
-		if c != 1 {
-			t.Fatalf("event %s delivered %d times", shop, c)
-		}
-	}
+	g.ExactlyOnce(t, n)
 }
 
 // TestLateJoinerCatchesUpWithoutATick: a platform that boots and
@@ -130,17 +99,17 @@ func exactlyOnce(t *testing.T, g *gather[SkiRental], n int) {
 // Subscribe each wake the replay loop.
 func TestLateJoinerCatchesUpWithoutATick(t *testing.T) {
 	const n = 200
-	_, seeds := seedRetained(t, n)
-	joiner := bootJoin(t, tps.Config{Name: "joiner", Seeds: seeds})
-	_, intf := joinEngine(t, joiner)
-	g := &gather[SkiRental]{}
+	c, _ := seedRetained(t, n)
+	joiner := c.Start(slowTick(tps.Config{Name: "joiner", Seeds: []string{"rdv"}}))
+	_, intf := rig.Engine[SkiRental](t, joiner)
+	g := &rig.Probe[SkiRental]{}
 	start := time.Now()
 	if err := intf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitWithin(t, g, n, start, joinBound)
 	exactlyOnce(t, g, n)
-	if got := statCounter(joiner, "engine", "replay_requests"); got != 1 {
+	if got := joiner.Stats().Counter("engine", "replay_requests"); got != 1 {
 		t.Fatalf("joiner sent %d replay requests, want 1", got)
 	}
 }
@@ -151,9 +120,9 @@ func TestLateJoinerCatchesUpWithoutATick(t *testing.T) {
 // comes next. The first Subscribe sends what was owed.
 func TestNoReplayRequestWithoutASubscriber(t *testing.T) {
 	const n = 50
-	rdv, seeds := seedRetained(t, n)
-	joiner := bootJoin(t, tps.Config{Name: "joiner", Seeds: seeds})
-	eng, intf := joinEngine(t, joiner)
+	c, rdv := seedRetained(t, n)
+	joiner := c.Start(slowTick(tps.Config{Name: "joiner", Seeds: []string{"rdv"}}))
+	eng, intf := rig.Engine[SkiRental](t, joiner)
 	if err := eng.Announce(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +130,21 @@ func TestNoReplayRequestWithoutASubscriber(t *testing.T) {
 		t.Fatal("joiner group never became ready")
 	}
 	time.Sleep(200 * time.Millisecond) // attach and grant have both kicked by now
-	if kicks := statCounter(joiner, "engine", "replay_kicks"); kicks == 0 {
+	if kicks := joiner.Stats().Counter("engine", "replay_kicks"); kicks == 0 {
 		t.Fatal("no replay kick recorded: the guard was not exercised")
 	}
-	if sent, served := statCounter(joiner, "engine", "replay_requests"), statCounter(rdv, "rendezvous", "replay_served"); sent != 0 || served != 0 {
+	if sent, served := joiner.Stats().Counter("engine", "replay_requests"), rdv.Stats().Counter("rendezvous", "replay_served"); sent != 0 || served != 0 {
 		t.Fatalf("with no subscriber: %d replay requests sent, %d events served", sent, served)
 	}
 
-	g := &gather[SkiRental]{}
+	g := &rig.Probe[SkiRental]{}
 	start := time.Now()
 	if err := intf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitWithin(t, g, n, start, joinBound)
 	exactlyOnce(t, g, n)
-	if got := statCounter(joiner, "engine", "replay_requests"); got != 1 {
+	if got := joiner.Stats().Counter("engine", "replay_requests"); got != 1 {
 		t.Fatalf("joiner sent %d replay requests, want 1", got)
 	}
 }
@@ -185,23 +154,23 @@ func TestNoReplayRequestWithoutASubscriber(t *testing.T) {
 func TestLeaseRenewalWakesNothing(t *testing.T) {
 	const n = 20
 	const ttl = 150 * time.Millisecond // the joiner renews every 50 ms
-	_, seeds := seedRetained(t, n)
+	c, _ := seedRetained(t, n)
 	created := time.Now()
-	joiner := bootJoin(t, tps.Config{Name: "joiner", Seeds: seeds, LeaseTTL: ttl})
-	_, intf := joinEngine(t, joiner)
-	g := &gather[SkiRental]{}
+	joiner := c.Start(slowTick(tps.Config{Name: "joiner", Seeds: []string{"rdv"}, LeaseTTL: ttl}))
+	_, intf := rig.Engine[SkiRental](t, joiner)
+	g := &rig.Probe[SkiRental]{}
 	if err := intf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, g, n)
+	g.Await(t, n)
 
 	type counts struct{ rounds, kicks, requests, framesIn int64 }
 	read := func() counts {
 		return counts{
-			rounds:   statCounter(joiner, "engine", "find_rounds"),
-			kicks:    statCounter(joiner, "engine", "replay_kicks"),
-			requests: statCounter(joiner, "engine", "replay_requests"),
-			framesIn: statCounter(joiner, "endpoint", "msgs_in"),
+			rounds:   joiner.Stats().Counter("engine", "find_rounds"),
+			kicks:    joiner.Stats().Counter("engine", "replay_kicks"),
+			requests: joiner.Stats().Counter("engine", "replay_requests"),
+			framesIn: joiner.Stats().Counter("endpoint", "msgs_in"),
 		}
 	}
 	before := read()
@@ -227,43 +196,34 @@ func TestLeaseRenewalWakesNothing(t *testing.T) {
 // of its own new lease.
 func TestLiveSubscriberCatchesUpOnItsNewLease(t *testing.T) {
 	const before, total = 10, 20
-	logDir := t.TempDir()
-	rdvCfg := tps.Config{Name: "rdv", Rendezvous: true, LogDir: logDir}
-	rdv := bootJoin(t, rdvCfg)
-	addr := rdv.Addresses()[0]
-
-	pub := bootJoin(t, tps.Config{Name: "pub", Seeds: []string{addr}, LeaseTTL: 300 * time.Millisecond})
-	pubEng, pubIntf := joinEngine(t, pub)
+	c := rig.New(t, rig.TCP)
+	rdv := c.Start(slowTick(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()}))
+	pub := c.Start(slowTick(tps.Config{Name: "pub", Seeds: []string{"rdv"}, LeaseTTL: 300 * time.Millisecond}))
+	pubEng, pubIntf := rig.Engine[SkiRental](t, pub)
 	if err := pubEng.Announce(); err != nil {
 		t.Fatal(err)
 	}
 	if !pubEng.AwaitReady(1, 5*time.Second) {
 		t.Fatal("publisher group never became ready")
 	}
-	sub := bootJoin(t, tps.Config{Name: "sub", Seeds: []string{addr}, LeaseTTL: 6 * time.Second})
-	_, subIntf := joinEngine(t, sub)
-	g := &gather[SkiRental]{}
+	sub := c.Start(slowTick(tps.Config{Name: "sub", Seeds: []string{"rdv"}, LeaseTTL: 6 * time.Second}))
+	_, subIntf := rig.Engine[SkiRental](t, sub)
+	g := &rig.Probe[SkiRental]{}
 	if err := subIntf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
 		t.Fatal(err)
 	}
 	publishRetained(t, rdv, pubIntf, 0, before)
-	waitN(t, g, before)
+	g.Await(t, before)
 	cursors := sub.Inspect().Cursors
 	if len(cursors) == 0 {
 		t.Fatal("subscriber holds no replay cursor")
 	}
 	eventGroup := cursors[0].Group
 
-	rdv.Close()
-	rdvCfg.ListenTCP = addr[len("tcp://"):]
-	rdv2, err := tps.NewPlatform(rdvCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rdv2.Close)
+	rdv2 := c.Restart(rdv)
 	// leased waits for the new rendezvous to hold p's lease for the
 	// event group and returns when it was first seen.
-	leased := func(p *tps.Platform) time.Time {
+	leased := func(p *rig.Node) time.Time {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
 			for _, pe := range rdv2.Inspect().Peers {
@@ -278,11 +238,11 @@ func TestLiveSubscriberCatchesUpOnItsNewLease(t *testing.T) {
 	}
 	leased(pub)
 	publishRetained(t, rdv2, pubIntf, before, total)
-	requests := statCounter(sub, "engine", "replay_requests")
+	requests := sub.Stats().Counter("engine", "replay_requests")
 
 	waitWithin(t, g, total, leased(sub), joinBound)
 	exactlyOnce(t, g, total)
-	if got := statCounter(sub, "engine", "replay_requests"); got <= requests {
+	if got := sub.Stats().Counter("engine", "replay_requests"); got <= requests {
 		t.Fatalf("the new lease brought no replay request (%d before, %d after)", requests, got)
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
 // TestPlatformStatsAndInspect drives real traffic through a rig and
 // checks the redesigned introspection API reports it: live counters in
 // Stats(), peers/subscriptions/types in Inspect().
 func TestPlatformStatsAndInspect(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	pub := r.edge()
 	sub := r.edge()
 
@@ -32,7 +33,7 @@ func TestPlatformStatsAndInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &gather[SkiRental]{}
+	g := &rig.Probe[SkiRental]{}
 	if err := subIntf.Subscribe(g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPlatformStatsAndInspect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitN(t, g, n)
+	g.Await(t, n)
 
 	// Publisher side: published counted, wire sent, endpoint moved bytes.
 	pv := pub.Stats()
@@ -123,7 +124,7 @@ func TestPlatformStatsAndInspect(t *testing.T) {
 // publish→fan-out path runs, so the race detector can prove the
 // introspection API never tears the hot path.
 func TestStatsCollectDuringPublish(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	pub := r.edge()
 	sub := r.edge()
 	if err := tps.Register[SkiRental](pub); err != nil {
@@ -140,7 +141,7 @@ func TestStatsCollectDuringPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &gather[SkiRental]{}
+	g := &rig.Probe[SkiRental]{}
 	if err := subIntf.Subscribe(g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestStatsCollectDuringPublish(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitN(t, g, events)
+	g.Await(t, events)
 	close(stop)
 	wg.Wait()
 	if got := pub.Stats().Counter("engine", "published"); got != events {
@@ -190,8 +191,8 @@ func TestStatsCollectDuringPublish(t *testing.T) {
 // TestAdminSurfaceEndToEnd boots a platform with the admin server on an
 // ephemeral port and walks the HTTP surface like an operator would.
 func TestAdminSurfaceEndToEnd(t *testing.T) {
-	r := newRig(t)
-	p := r.platform(tps.Config{Seeds: []string{"mem://rdv"}, AdminAddr: "127.0.0.1:0"})
+	r := newFleet(t)
+	p := r.platform(tps.Config{Seeds: []string{"rdv"}, AdminAddr: "127.0.0.1:0"})
 	addr := p.AdminAddr()
 	if addr == "" {
 		t.Fatal("AdminAddr empty with admin configured")
@@ -262,8 +263,8 @@ func TestAdminSurfaceEndToEnd(t *testing.T) {
 // contract: a peer whose seeds are unreachable (AwaitConnected fails)
 // serves 503.
 func TestAdminHealthDegradedWhenUnconnected(t *testing.T) {
-	r := newRig(t)
-	p := r.platform(tps.Config{Seeds: []string{"mem://no-such-rdv"}, AdminAddr: "127.0.0.1:0"})
+	r := newFleet(t)
+	p := r.platform(tps.Config{Seeds: []string{"no-such-rdv"}, AdminAddr: "127.0.0.1:0"})
 	if p.AwaitRendezvous(200 * time.Millisecond) {
 		t.Fatal("connected to a nonexistent rendezvous?")
 	}

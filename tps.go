@@ -48,7 +48,11 @@ package tps
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,6 +61,7 @@ import (
 	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/seen"
@@ -129,8 +134,10 @@ type Config struct {
 	// that directory. Rendezvous peers append every propagated event and
 	// serve late-joiner catch-up / reconnect redelivery from it; the
 	// receive-side dedupe caches turn the at-least-once replay into
-	// exactly-once observable delivery. Off by default — the fire-and-
-	// forget hot path is untouched without it.
+	// exactly-once observable delivery. The directory also keeps the
+	// peer's identity (peer.id), so a platform restarted on it is the
+	// peer its subscribers' cursors and its replicas' copies name. Off
+	// by default — the fire-and-forget hot path is untouched without it.
 	LogDir string
 	// LogRetention bounds the event log; zero fields take the defaults
 	// (1 MiB segments, 64 MiB per topic, no age limit).
@@ -210,7 +217,6 @@ type Platform struct {
 	// and the optional embedded admin server reading from it.
 	obsreg *obs.Registry
 	admin  *admin.Server
-	tcp    *tcpnet.Transport
 	log    *eventlog.Log
 
 	// engMu guards the live core engines, tracked so Stats and Inspect
@@ -227,13 +233,11 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		opt(&po)
 	}
 	transports := po.transports
-	var tcp *tcpnet.Transport
 	if cfg.ListenTCP != "" {
 		t, err := tcpnet.Listen(cfg.ListenTCP)
 		if err != nil {
 			return nil, psErr("platform", err)
 		}
-		tcp = t
 		transports = append(transports, t)
 	}
 	if len(transports) == 0 {
@@ -244,6 +248,7 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		return nil, psErr("platform", err)
 	}
 	var elog *eventlog.Log
+	var id jid.ID // zero: a fresh identity
 	if cfg.LogDir != "" {
 		policy, err := eventlog.ParseSyncPolicy(cfg.LogSync)
 		if err != nil {
@@ -255,6 +260,10 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 			Sync:      policy,
 		})
 		if err != nil {
+			return nil, psErr("platform", err)
+		}
+		if id, err = logOwner(cfg.LogDir); err != nil {
+			_ = elog.Close()
 			return nil, psErr("platform", err)
 		}
 	}
@@ -274,7 +283,7 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	if cfg.Rendezvous {
 		rcfg.Role = rendezvous.RoleRendezvous
 	}
-	p, err := peer.New(peer.Config{Name: cfg.Name, Firewalled: cfg.Firewalled, Rendezvous: rcfg}, transports...)
+	p, err := peer.New(peer.Config{Name: cfg.Name, ID: id, Firewalled: cfg.Firewalled, Rendezvous: rcfg}, transports...)
 	if err != nil {
 		if elog != nil {
 			_ = elog.Close()
@@ -294,7 +303,6 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 			TraceRate:    cfg.TraceRate,
 		},
 		obsreg: obs.NewRegistry(),
-		tcp:    tcp,
 		log:    elog,
 	}
 	if cfg.Rendezvous {
@@ -303,7 +311,7 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 			return nil, psErr("platform", err)
 		}
 	}
-	pl.registerProviders()
+	pl.registerProviders(transports)
 	if cfg.AdminAddr != "" {
 		srv, err := admin.New(admin.Config{
 			Addr:      cfg.AdminAddr,
@@ -322,18 +330,22 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	return pl, nil
 }
 
-// registerProviders wires the six instrumented subsystems into the
-// stats registry. Providers are aggregate closures evaluated at Collect
-// time, so groups joined and engines created later are covered without
-// re-registration; the per-message hot paths are untouched (they keep
-// bumping the same atomic counters and pay nothing until a collect).
-func (p *Platform) registerProviders() {
+// registerProviders wires the instrumented subsystems into the stats
+// registry, and every attached transport that counts (tcpnet does,
+// under "tcpnet") beside them. Providers are aggregate closures
+// evaluated at Collect time, so groups joined and engines created later
+// are covered without re-registration; the per-message hot paths are
+// untouched (they keep bumping the same atomic counters and pay nothing
+// until a collect).
+func (p *Platform) registerProviders(transports []Transport) {
 	r := p.obsreg
 	r.RegisterFunc("endpoint", func() obs.Snapshot {
 		return p.peer.Endpoint().Snapshot()
 	})
-	if p.tcp != nil {
-		r.RegisterFunc("tcpnet", func() obs.Snapshot { return p.tcp.Snapshot() })
+	for _, t := range transports {
+		if counted, ok := t.(obs.Provider); ok {
+			r.Register(counted.Snapshot().Name, counted)
+		}
 	}
 	r.RegisterFunc("engine", func() obs.Snapshot {
 		engines := p.coreEngines()
@@ -381,9 +393,7 @@ func (p *Platform) seenCaches() []*seen.Cache {
 	var out []*seen.Cache
 	for _, g := range p.peer.Groups() {
 		if g.Wire != nil {
-			if c := g.Wire.SeenCache(); c != nil {
-				out = append(out, c)
-			}
+			out = append(out, g.Wire.SeenCache())
 		}
 	}
 	for _, r := range p.peer.Rendezvous() {
@@ -416,6 +426,36 @@ func (p *Platform) untrackEngine(e *engine.Engine) {
 			return
 		}
 	}
+}
+
+// peerIDFile, in a log directory, names the peer the log belongs to.
+const peerIDFile = "peer.id"
+
+// logOwner returns the identity kept in a log directory, writing a
+// fresh one on first use. A log numbers its entries as one origin:
+// subscribers hold cursors and replicas hold copies under that ID, so a
+// rendezvous that reopens the directory has to come back as the peer
+// that wrote it or its retained history answers to nobody's cursor.
+func logOwner(dir string) (jid.ID, error) {
+	path := filepath.Join(dir, peerIDFile)
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		id, err := jid.Parse(strings.TrimSpace(string(raw)))
+		if err != nil {
+			return jid.Nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return id, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return jid.Nil, err
+	}
+	// Written beside and renamed into place: a crash leaves the whole
+	// file or none, never one that fails the next boot.
+	id := jid.NewPeer()
+	if err := os.WriteFile(path+".tmp", []byte(id.String()+"\n"), 0o644); err != nil {
+		return jid.Nil, err
+	}
+	return id, os.Rename(path+".tmp", path)
 }
 
 // addresses converts configured address strings to endpoint addresses.

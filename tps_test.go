@@ -9,9 +9,8 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
-	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
 	"github.com/tps-p2p/tps/internal/obs"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
 // SkiRental is the paper's running example type (§4.3.1).
@@ -42,95 +41,33 @@ type BikeRental struct {
 // Seller implements Offer.
 func (r BikeRental) Seller() string { return r.Shop }
 
-// rig is a netsim-backed fleet of TPS platforms around one rendezvous.
-type rig struct {
-	t   *testing.T
-	net *netsim.Network
-	n   int
+// fleet is a simulated-WAN cluster around one rendezvous, "rdv".
+type fleet struct {
+	*rig.Cluster
+	unnamed int
 }
 
-func newRig(t *testing.T) *rig {
+func newFleet(t *testing.T) *fleet {
 	t.Helper()
-	n := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: time.Millisecond}})
-	t.Cleanup(n.Close)
-	r := &rig{t: t, net: n}
-	r.platform(tps.Config{Name: "rdv", Rendezvous: true, LeaseTTL: 2 * time.Second})
-	return r
+	f := &fleet{Cluster: rig.New(t, rig.Netsim)}
+	f.Start(tps.Config{Name: "rdv", Rendezvous: true})
+	return f
 }
 
-// platform builds one TPS platform on a fresh netsim node.
-func (r *rig) platform(cfg tps.Config) *tps.Platform {
-	r.t.Helper()
-	r.n++
-	name := cfg.Name
-	if name == "" {
-		name = fmt.Sprintf("peer%d", r.n)
-		cfg.Name = name
+// platform starts one platform of the fleet, naming it if cfg does not.
+func (f *fleet) platform(cfg tps.Config) *tps.Platform {
+	if cfg.Name == "" {
+		f.unnamed++
+		cfg.Name = fmt.Sprintf("peer%d", f.unnamed)
 	}
-	node, err := r.net.AddNode(name)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	if cfg.FindTimeout == 0 {
-		cfg.FindTimeout = 400 * time.Millisecond
-	}
-	if cfg.FindInterval == 0 {
-		cfg.FindInterval = 100 * time.Millisecond
-	}
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 2 * time.Second
-	}
-	p, err := tps.NewPlatform(cfg, tps.WithTransport(memnet.New(node)))
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.t.Cleanup(p.Close)
-	return p
+	return f.Start(cfg).Platform
 }
 
-// edge builds an ordinary platform seeded with the rig's rendezvous.
-func (r *rig) edge() *tps.Platform {
-	return r.platform(tps.Config{Seeds: []string{"mem://rdv"}})
-}
-
-// gather collects received events.
-type gather[T any] struct {
-	mu     sync.Mutex
-	events []T
-}
-
-func (g *gather[T]) Handle(ev T) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.events = append(g.events, ev)
-	return nil
-}
-
-func (g *gather[T]) count() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.events)
-}
-
-func (g *gather[T]) snapshot() []T {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]T(nil), g.events...)
-}
-
-func waitN[T any](t *testing.T, g *gather[T], n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for g.count() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout: %d of %d events", g.count(), n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
+// edge starts an ordinary platform seeded with the fleet's rendezvous.
+func (f *fleet) edge() *tps.Platform { return f.platform(tps.Config{Seeds: []string{"rdv"}}) }
 
 func TestSkiRentalEndToEnd(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	pubP, subP := r.edge(), r.edge()
 	if err := tps.Register[SkiRental](pubP); err != nil {
 		t.Fatal(err)
@@ -148,7 +85,7 @@ func TestSkiRentalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g gather[SkiRental]
+	var g rig.Probe[SkiRental]
 	if err := subInt.Subscribe(&g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +111,8 @@ func TestSkiRentalEndToEnd(t *testing.T) {
 	if err := pubInt.Publish(offer); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &g, 1)
-	got := g.snapshot()[0]
+	g.Await(t, 1)
+	got := g.Events()[0]
 	if got != offer {
 		t.Fatalf("got %+v", got)
 	}
@@ -190,7 +127,7 @@ func TestSkiRentalEndToEnd(t *testing.T) {
 func TestSubscribeManyMultipleCallbacks(t *testing.T) {
 	// The paper's method (3): display events on a console AND sketch them
 	// in a GUI at the same time.
-	r := newRig(t)
+	r := newFleet(t)
 	pubP, subP := r.edge(), r.edge()
 	for _, p := range []*tps.Platform{pubP, subP} {
 		if err := tps.Register[SkiRental](p); err != nil {
@@ -206,7 +143,7 @@ func TestSubscribeManyMultipleCallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var console, gui gather[SkiRental]
+	var console, gui rig.Probe[SkiRental]
 	err = subInt.SubscribeMany(
 		[]tps.CallBack[SkiRental]{&console, &gui},
 		[]tps.ExceptionHandler{nil, nil},
@@ -230,8 +167,8 @@ func TestSubscribeManyMultipleCallbacks(t *testing.T) {
 	if err := pubInt.Publish(SkiRental{Shop: "S"}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &console, 1)
-	waitN(t, &gui, 1)
+	console.Await(t, 1)
+	gui.Await(t, 1)
 
 	// Mismatched arrays are rejected.
 	if err := subInt.SubscribeMany([]tps.CallBack[SkiRental]{&console}, nil); !errors.Is(err, tps.ErrMismatchedArrays) {
@@ -240,7 +177,7 @@ func TestSubscribeManyMultipleCallbacks(t *testing.T) {
 }
 
 func TestUnsubscribeSpecificCallback(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	pubP, subP := r.edge(), r.edge()
 	for _, p := range []*tps.Platform{pubP, subP} {
 		if err := tps.Register[SkiRental](p); err != nil {
@@ -250,7 +187,7 @@ func TestUnsubscribeSpecificCallback(t *testing.T) {
 	subEng, _ := tps.NewEngine[SkiRental](subP)
 	defer subEng.Close()
 	subInt, _ := subEng.NewInterface(nil)
-	var keep, drop gather[SkiRental]
+	var keep, drop rig.Probe[SkiRental]
 	if err := subInt.Subscribe(&keep, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +204,8 @@ func TestUnsubscribeSpecificCallback(t *testing.T) {
 	if err := pubInt.Publish(SkiRental{Shop: "one"}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &keep, 1)
-	waitN(t, &drop, 1)
+	keep.Await(t, 1)
+	drop.Await(t, 1)
 
 	if err := subInt.Unsubscribe(&drop, nil); err != nil {
 		t.Fatal(err)
@@ -279,10 +216,10 @@ func TestUnsubscribeSpecificCallback(t *testing.T) {
 	if err := pubInt.Publish(SkiRental{Shop: "two"}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &keep, 2)
+	keep.Await(t, 2)
 	time.Sleep(100 * time.Millisecond)
-	if drop.count() != 1 {
-		t.Fatalf("dropped callback still received: %d", drop.count())
+	if drop.Count() != 1 {
+		t.Fatalf("dropped callback still received: %d", drop.Count())
 	}
 
 	if err := subInt.UnsubscribeAll(); err != nil {
@@ -292,8 +229,8 @@ func TestUnsubscribeSpecificCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	if keep.count() != 2 {
-		t.Fatalf("callback received after UnsubscribeAll: %d", keep.count())
+	if keep.Count() != 2 {
+		t.Fatalf("callback received after UnsubscribeAll: %d", keep.Count())
 	}
 }
 
@@ -302,7 +239,7 @@ func TestUnsubscribeSpecificCallback(t *testing.T) {
 // ObjectsReceived must not keep growing on an interface nobody listens
 // on — and that a later Subscribe revives the flow.
 func TestUnsubscribeLastTearsDownCore(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	pubP, subP := r.edge(), r.edge()
 	for _, p := range []*tps.Platform{pubP, subP} {
 		if err := tps.Register[SkiRental](p); err != nil {
@@ -312,7 +249,7 @@ func TestUnsubscribeLastTearsDownCore(t *testing.T) {
 	subEng, _ := tps.NewEngine[SkiRental](subP)
 	defer subEng.Close()
 	subInt, _ := subEng.NewInterface(nil)
-	var g gather[SkiRental]
+	var g rig.Probe[SkiRental]
 	if err := subInt.Subscribe(&g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +263,7 @@ func TestUnsubscribeLastTearsDownCore(t *testing.T) {
 	if err := pubInt.Publish(SkiRental{Shop: "one"}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &g, 1)
+	g.Await(t, 1)
 
 	// Remove the only pair: the core subscription must go with it.
 	if err := subInt.Unsubscribe(&g, nil); err != nil {
@@ -347,11 +284,11 @@ func TestUnsubscribeLastTearsDownCore(t *testing.T) {
 	if err := pubInt.Publish(SkiRental{Shop: "three"}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &g, 2)
+	g.Await(t, 2)
 }
 
 func TestCriteriaContentFilter(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	pubP, subP := r.edge(), r.edge()
 	for _, p := range []*tps.Platform{pubP, subP} {
 		if err := tps.Register[SkiRental](p); err != nil {
@@ -365,7 +302,7 @@ func TestCriteriaContentFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g gather[SkiRental]
+	var g rig.Probe[SkiRental]
 	if err := subInt.Subscribe(&g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +318,12 @@ func TestCriteriaContentFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitN(t, &g, 2)
+	g.Await(t, 2)
 	time.Sleep(200 * time.Millisecond)
-	if g.count() != 2 {
-		t.Fatalf("criteria leaked: %d events", g.count())
+	if g.Count() != 2 {
+		t.Fatalf("criteria leaked: %d events", g.Count())
 	}
-	for _, ev := range g.snapshot() {
+	for _, ev := range g.Events() {
 		if ev.Price >= 20 {
 			t.Fatalf("expensive offer leaked: %+v", ev)
 		}
@@ -394,7 +331,7 @@ func TestCriteriaContentFilter(t *testing.T) {
 }
 
 func TestExceptionHandlerReceivesErrors(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	pubP, subP := r.edge(), r.edge()
 	for _, p := range []*tps.Platform{pubP, subP} {
 		if err := tps.Register[SkiRental](p); err != nil {
@@ -443,7 +380,7 @@ func TestExceptionHandlerReceivesErrors(t *testing.T) {
 func TestInterfaceSubtypeDelivery(t *testing.T) {
 	// Figure 7 with Go subtyping: subscribing to the Offer interface
 	// delivers SkiRental and BikeRental instances.
-	r := newRig(t)
+	r := newFleet(t)
 	pubP, subP := r.edge(), r.edge()
 	for _, p := range []*tps.Platform{pubP, subP} {
 		if err := tps.Register[Offer](p); err != nil {
@@ -462,7 +399,7 @@ func TestInterfaceSubtypeDelivery(t *testing.T) {
 	}
 	defer subEng.Close()
 	subInt, _ := subEng.NewInterface(nil)
-	var g gather[Offer]
+	var g rig.Probe[Offer]
 	if err := subInt.Subscribe(&g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -502,9 +439,9 @@ func TestInterfaceSubtypeDelivery(t *testing.T) {
 	if err := bikeInt.Publish(BikeRental{Shop: "bike-shop", Price: 5}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &g, 2)
+	g.Await(t, 2)
 	sellers := map[string]bool{}
-	for _, ev := range g.snapshot() {
+	for _, ev := range g.Events() {
 		sellers[ev.Seller()] = true
 	}
 	if !sellers["ski-shop"] || !sellers["bike-shop"] {
@@ -513,9 +450,9 @@ func TestInterfaceSubtypeDelivery(t *testing.T) {
 }
 
 func TestJSONCodecPlatform(t *testing.T) {
-	r := newRig(t)
-	pubP := r.platform(tps.Config{Seeds: []string{"mem://rdv"}, Codec: "json"})
-	subP := r.platform(tps.Config{Seeds: []string{"mem://rdv"}, Codec: "json"})
+	r := newFleet(t)
+	pubP := r.platform(tps.Config{Seeds: []string{"rdv"}, Codec: "json"})
+	subP := r.platform(tps.Config{Seeds: []string{"rdv"}, Codec: "json"})
 	for _, p := range []*tps.Platform{pubP, subP} {
 		if err := tps.Register[SkiRental](p); err != nil {
 			t.Fatal(err)
@@ -524,7 +461,7 @@ func TestJSONCodecPlatform(t *testing.T) {
 	subEng, _ := tps.NewEngine[SkiRental](subP)
 	defer subEng.Close()
 	subInt, _ := subEng.NewInterface(nil)
-	var g gather[SkiRental]
+	var g rig.Probe[SkiRental]
 	if err := subInt.Subscribe(&g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -538,9 +475,9 @@ func TestJSONCodecPlatform(t *testing.T) {
 	if err := pubInt.Publish(want); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &g, 1)
-	if g.snapshot()[0] != want {
-		t.Fatalf("got %+v", g.snapshot()[0])
+	g.Await(t, 1)
+	if g.Events()[0] != want {
+		t.Fatalf("got %+v", g.Events()[0])
 	}
 }
 
@@ -556,7 +493,7 @@ func TestPSErrorWrapping(t *testing.T) {
 			t.Fatalf("op = %q", pse.Op)
 		}
 	}
-	r := newRig(t)
+	r := newFleet(t)
 	p := r.edge()
 	if err := tps.RegisterSub[SkiRental, Offer](p); err == nil {
 		t.Fatal("RegisterSub with unregistered parent succeeded")
@@ -570,7 +507,7 @@ func TestPSErrorWrapping(t *testing.T) {
 }
 
 func TestPlatformAccessors(t *testing.T) {
-	r := newRig(t)
+	r := newFleet(t)
 	p := r.edge()
 	if p.PeerID() == "" {
 		t.Fatal("empty peer ID")
@@ -588,32 +525,22 @@ func TestPlatformAccessors(t *testing.T) {
 // interface refuses to publish and its finder and replay loops are gone,
 // not left ticking against a closed peer.
 func TestPlatformCloseStopsEngines(t *testing.T) {
-	wan := netsim.New(netsim.Config{})
-	defer wan.Close()
+	c := rig.New(t, rig.Netsim)
 	base := runtime.NumGoroutine()
-
-	node, err := wan.AddNode("solo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := tps.NewPlatform(tps.Config{Name: "solo", FindTimeout: 50 * time.Millisecond, FindInterval: 20 * time.Millisecond},
-		tps.WithTransport(memnet.New(node)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := c.Start(tps.Config{Name: "solo", FindTimeout: 50 * time.Millisecond, FindInterval: 20 * time.Millisecond}).Platform
 	eng, err := tps.NewEngine[SkiRental](p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	intf, _ := eng.NewInterface(nil)
-	var g gather[SkiRental]
+	var g rig.Probe[SkiRental]
 	if err := intf.Subscribe(&g, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := intf.Publish(SkiRental{Shop: "open"}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, &g, 1)
+	g.Await(t, 1)
 
 	p.Close()
 	if err := intf.Publish(SkiRental{Shop: "closed"}); err == nil {
@@ -630,38 +557,21 @@ func TestPlatformCloseStopsEngines(t *testing.T) {
 	}
 }
 
-// bootTCP starts a platform on a loopback TCP port — the shipped
-// transport, not memnet — and closes it with the test. The finder runs
-// every 100 ms unless cfg says otherwise.
-func bootTCP(t *testing.T, cfg tps.Config) *tps.Platform {
-	t.Helper()
-	cfg.ListenTCP = "127.0.0.1:0"
-	cfg.FindTimeout = 400 * time.Millisecond
-	if cfg.FindInterval == 0 {
-		cfg.FindInterval = 100 * time.Millisecond
-	}
-	p, err := tps.NewPlatform(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	return p
-}
-
 // TestCloseTellsTheRendezvousOverTCP: a closing platform's last word is
 // the rendezvous disconnect, queued on its TCP transport a moment before
 // the transport closes. Close must let it reach the wire — otherwise the
 // rendezvous keeps the lease, and keeps sending to a peer that is gone,
 // until the failure detector evicts it seconds later.
 func TestCloseTellsTheRendezvousOverTCP(t *testing.T) {
-	rdv := bootTCP(t, tps.Config{Name: "rdv", Rendezvous: true})
-	sub := bootTCP(t, tps.Config{Name: "sub", Seeds: rdv.Addresses()[:1]})
-	eng, err := tps.NewEngine[SkiRental](sub)
+	c := rig.New(t, rig.TCP)
+	rdv := c.Start(tps.Config{Name: "rdv", Rendezvous: true})
+	sub := c.Start(tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+	eng, err := tps.NewEngine[SkiRental](sub.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	intf, _ := eng.NewInterface(nil)
-	if err := intf.Subscribe(&gather[SkiRental]{}, nil); err != nil {
+	if err := intf.Subscribe(&rig.Probe[SkiRental]{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	leases := func() (n int) {

@@ -8,9 +8,9 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
-	"github.com/tps-p2p/tps/internal/netsim"
 	"github.com/tps-p2p/tps/internal/obs/admin"
 	"github.com/tps-p2p/tps/internal/obs/trace"
+	"github.com/tps-p2p/tps/internal/rig"
 )
 
 // TestTraceRigThreePeers is the ISSUE's acceptance rig: three platforms
@@ -22,17 +22,15 @@ import (
 // exposition carrying the new latency histograms, and that /stats
 // reports schema 2.
 func TestTraceRigThreePeers(t *testing.T) {
-	n := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: time.Millisecond}})
-	t.Cleanup(n.Close)
-	r := &rig{t: t, net: n}
+	c := rig.New(t, rig.Netsim)
 	traced := func(cfg tps.Config) *tps.Platform {
 		cfg.TraceRate = 1
 		cfg.AdminAddr = "127.0.0.1:0"
-		return r.platform(cfg)
+		return c.Start(cfg).Platform
 	}
-	rdv := traced(tps.Config{Name: "rdv", Rendezvous: true, LeaseTTL: 2 * time.Second})
-	pub := traced(tps.Config{Seeds: []string{"mem://rdv"}})
-	sub := traced(tps.Config{Seeds: []string{"mem://rdv"}})
+	rdv := traced(tps.Config{Name: "rdv", Rendezvous: true})
+	pub := traced(tps.Config{Name: "pub", Seeds: []string{"rdv"}})
+	sub := traced(tps.Config{Name: "sub", Seeds: []string{"rdv"}})
 	admins := []*tps.Platform{rdv, pub, sub}
 	for _, p := range admins {
 		if p.AdminAddr() == "" {
@@ -54,7 +52,7 @@ func TestTraceRigThreePeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &gather[SkiRental]{}
+	g := &rig.Probe[SkiRental]{}
 	if err := subIntf.Subscribe(g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +70,7 @@ func TestTraceRigThreePeers(t *testing.T) {
 	if err := pubIntf.Publish(SkiRental{Shop: "trace", Brand: "X", Price: 1}); err != nil {
 		t.Fatal(err)
 	}
-	waitN(t, g, 1)
+	g.Await(t, 1)
 
 	// The publisher recorded the publish hop synchronously, so its
 	// /trace list names the event ID — the same way an operator finds
