@@ -1,8 +1,9 @@
-// Command rendezvous runs a standalone rendezvous/relay daemon over
-// TCP: the infrastructure peer that bridges sub-networks, tracks
-// connected peers and forwards traffic for firewalled ones. TPS event
-// groups of any type are served by the one daemon (it joins none of
-// them).
+// Command rendezvous runs a standalone rendezvous daemon over TCP: the
+// infrastructure peer that bridges sub-networks, tracks connected peers
+// and propagates their events to one another. TPS event groups of any
+// type are served by the one daemon (it joins none of them). Every peer
+// must be able to accept connections: the daemon dials its clients back
+// (see ROBUSTNESS.md, "Firewalled peers").
 //
 // Operational state is served over the embedded admin endpoint instead
 // of periodic log lines:

@@ -627,7 +627,7 @@ func discover(p *peer.Peer, pattern string, wait time.Duration) error {
 }
 
 func peerInfo(p *peer.Peer, addr endpoint.Address) error {
-	info, err := p.NetGroup().PeerInfo.Query(addr, 5*time.Second)
+	info, err := p.PeerInfo().Query(addr, 5*time.Second)
 	if err != nil {
 		return err
 	}

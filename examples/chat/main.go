@@ -8,7 +8,8 @@
 // a second one maintains the activity counter, each with its own
 // exception handler.
 //
-// Demo mode simulates a three-user conversation in one process:
+// Demo mode runs a three-user conversation in one process, over
+// loopback TCP:
 //
 //	go run ./examples/chat
 //
@@ -32,8 +33,6 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
-	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
 )
 
 // ChatMessage is the room's event type.
@@ -110,19 +109,14 @@ func newClient(p *tps.Platform) (*client, error) {
 
 func (c *client) close() { c.engine.Close() }
 
-// demo simulates ann, bob and zoe chatting through a rendezvous.
+// demo has ann, bob and zoe chat through a rendezvous, each on a
+// loopback port the kernel picks.
 func demo() error {
-	wan := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: 2 * time.Millisecond}})
-	defer wan.Close()
 	mk := func(name string, rendezvous bool, seeds ...string) (*tps.Platform, error) {
-		node, err := wan.AddNode(name)
-		if err != nil {
-			return nil, err
-		}
 		return tps.NewPlatform(tps.Config{
-			Name: name, Rendezvous: rendezvous, Seeds: seeds,
+			Name: name, ListenTCP: "127.0.0.1:0", Rendezvous: rendezvous, Seeds: seeds,
 			FindTimeout: 500 * time.Millisecond, FindInterval: 100 * time.Millisecond,
-		}, tps.WithTransport(memnet.New(node)))
+		})
 	}
 	rdv, err := mk("rdv", true)
 	if err != nil {
@@ -133,7 +127,7 @@ func demo() error {
 	users := []string{"ann", "bob", "zoe"}
 	clients := make([]*client, 0, len(users))
 	for _, u := range users {
-		p, err := mk(u, false, "mem://rdv")
+		p, err := mk(u, false, rdv.Addresses()...)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 // Command quickstart is the smallest complete TPS program: a publisher
 // and a subscriber exchanging typed events through a rendezvous, all in
-// one process over the simulated WAN (so it runs anywhere, offline).
+// one process over loopback TCP (so it runs anywhere, offline).
 //
 //	go run ./examples/quickstart
 package main
@@ -12,8 +12,6 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
-	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
 )
 
 // Greeting is the application-defined event type: TPS's "subject" is
@@ -31,25 +29,20 @@ func main() {
 }
 
 func run() error {
-	// A simulated WAN with three nodes: one rendezvous bridging two
-	// peers (in a real deployment these are three machines and
-	// Config.ListenTCP/Seeds replace the memnet transport).
-	wan := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: 2 * time.Millisecond}})
-	defer wan.Close()
-
+	// Three peers on loopback ports the kernel picks: one rendezvous
+	// bridging two edges (in a real deployment these are three machines,
+	// each with its own ListenTCP address, and Seeds names the
+	// rendezvous' "tcp://host:port").
 	platform := func(name string, rendezvous bool, seeds ...string) (*tps.Platform, error) {
-		node, err := wan.AddNode(name)
-		if err != nil {
-			return nil, err
-		}
 		return tps.NewPlatform(tps.Config{
 			Name:         name,
+			ListenTCP:    "127.0.0.1:0",
 			Rendezvous:   rendezvous,
 			Seeds:        seeds,
 			FindTimeout:  500 * time.Millisecond,
 			FindInterval: 100 * time.Millisecond,
 			// AdminAddr: "127.0.0.1:7700", // uncomment, then: curl -s http://127.0.0.1:7700/stats
-		}, tps.WithTransport(memnet.New(node)))
+		})
 	}
 
 	rdv, err := platform("rdv", true)
@@ -57,12 +50,12 @@ func run() error {
 		return err
 	}
 	defer rdv.Close()
-	alice, err := platform("alice", false, "mem://rdv")
+	alice, err := platform("alice", false, rdv.Addresses()...)
 	if err != nil {
 		return err
 	}
 	defer alice.Close()
-	bob, err := platform("bob", false, "mem://rdv")
+	bob, err := platform("bob", false, rdv.Addresses()...)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,7 @@
 // compare them — the CLI equivalent of the paper's Figures 12 and 13.
 //
 // Demo mode (default) runs a rendezvous, a shop and a customer in one
-// process over the simulated WAN:
+// process over loopback TCP:
 //
 //	go run ./examples/skirental
 //
@@ -25,8 +25,6 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
-	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
 	"github.com/tps-p2p/tps/internal/srapp"
 	"github.com/tps-p2p/tps/internal/srapp/srtps"
 )
@@ -57,31 +55,26 @@ func run(mode, listen, seeds string, count int, pause time.Duration) error {
 	}
 }
 
-// demo runs all three roles in one process over a simulated WAN.
+// demo runs all three roles in one process, each on a loopback port the
+// kernel picks.
 func demo(count int) error {
-	wan := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: 2 * time.Millisecond}})
-	defer wan.Close()
 	mk := func(name string, rendezvous bool, seeds ...string) (*tps.Platform, error) {
-		node, err := wan.AddNode(name)
-		if err != nil {
-			return nil, err
-		}
 		return tps.NewPlatform(tps.Config{
-			Name: name, Rendezvous: rendezvous, Seeds: seeds,
+			Name: name, ListenTCP: "127.0.0.1:0", Rendezvous: rendezvous, Seeds: seeds,
 			FindTimeout: 500 * time.Millisecond, FindInterval: 100 * time.Millisecond,
-		}, tps.WithTransport(memnet.New(node)))
+		})
 	}
 	rdv, err := mk("rdv", true)
 	if err != nil {
 		return err
 	}
 	defer rdv.Close()
-	shopP, err := mk("shop", false, "mem://rdv")
+	shopP, err := mk("shop", false, rdv.Addresses()...)
 	if err != nil {
 		return err
 	}
 	defer shopP.Close()
-	customerP, err := mk("customer", false, "mem://rdv")
+	customerP, err := mk("customer", false, rdv.Addresses()...)
 	if err != nil {
 		return err
 	}

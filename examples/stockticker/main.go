@@ -22,8 +22,6 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
-	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
 )
 
 // Quote is the hierarchy root: anything with a symbol and a value.
@@ -64,17 +62,12 @@ func main() {
 }
 
 func run() error {
-	wan := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: 2 * time.Millisecond}})
-	defer wan.Close()
+	// Four peers in one process, each on a loopback port the kernel picks.
 	mk := func(name string, rendezvous bool, seeds ...string) (*tps.Platform, error) {
-		node, err := wan.AddNode(name)
-		if err != nil {
-			return nil, err
-		}
 		p, err := tps.NewPlatform(tps.Config{
-			Name: name, Rendezvous: rendezvous, Seeds: seeds,
+			Name: name, ListenTCP: "127.0.0.1:0", Rendezvous: rendezvous, Seeds: seeds,
 			FindTimeout: 500 * time.Millisecond, FindInterval: 100 * time.Millisecond,
-		}, tps.WithTransport(memnet.New(node)))
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -97,17 +90,17 @@ func run() error {
 		return err
 	}
 	defer rdv.Close()
-	feed, err := mk("feed", false, "mem://rdv")
+	feed, err := mk("feed", false, rdv.Addresses()...)
 	if err != nil {
 		return err
 	}
 	defer feed.Close()
-	traderP, err := mk("trader", false, "mem://rdv")
+	traderP, err := mk("trader", false, rdv.Addresses()...)
 	if err != nil {
 		return err
 	}
 	defer traderP.Close()
-	equityP, err := mk("equity-desk", false, "mem://rdv")
+	equityP, err := mk("equity-desk", false, rdv.Addresses()...)
 	if err != nil {
 		return err
 	}

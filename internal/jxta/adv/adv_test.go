@@ -48,22 +48,11 @@ func sampleGroupAdv() *PeerGroupAdv {
 	}
 }
 
-func sampleRouteAdv() *RouteAdv {
-	return &RouteAdv{
-		DestPeer:  jid.FromSeed(jid.KindPeer, 5),
-		Addresses: []string{"tcp://10.0.0.5:9701"},
-		Hops: []Hop{
-			{PeerID: jid.FromSeed(jid.KindPeer, 6), Addresses: []string{"tcp://10.0.0.6:9701"}},
-		},
-	}
-}
-
 func TestRoundTripAllTypes(t *testing.T) {
 	advs := []Advertisement{
 		samplePeerAdv(),
 		samplePipeAdv(),
 		sampleGroupAdv(),
-		sampleRouteAdv(),
 		&ServiceAdv{Name: "jxta.service.resolver", Params: []string{"p1", "p2"}},
 	}
 	for _, a := range advs {
@@ -273,7 +262,7 @@ func validXMLText(s string) bool {
 		if r < 0x20 && r != '\t' && r != '\n' {
 			return false
 		}
-		if r == 0xFFFD || r == '\r' {
+		if r >= 0xFFFD && r <= 0xFFFF || r == '\r' { // U+FFFE and U+FFFF are not XML characters either
 			return false
 		}
 	}

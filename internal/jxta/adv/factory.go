@@ -45,8 +45,6 @@ func Unmarshal(doc []byte) (Advertisement, error) {
 		a = &PipeAdv{}
 	case "ServiceAdvertisement":
 		a = &ServiceAdv{}
-	case "RouteAdvertisement":
-		a = &RouteAdv{}
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, root)
 	}

@@ -12,7 +12,6 @@ const (
 	TypePeerGroup = "jxta:PeerGroupAdvertisement"
 	TypePipe      = "jxta:PipeAdvertisement"
 	TypeService   = "jxta:ServiceAdvertisement"
-	TypeRoute     = "jxta:RouteAdvertisement"
 )
 
 // Pipe type attribute values.
@@ -152,41 +151,10 @@ func (a *PeerGroupAdv) SetService(s ServiceAdv) {
 	a.Services = append(a.Services, s)
 }
 
-// Hop is one step of a route.
-type Hop struct {
-	PeerID    jid.ID   `xml:"PID"`
-	Addresses []string `xml:"Addr,omitempty"`
-}
-
-// RouteAdv announces how to reach a destination peer, possibly through
-// relay hops (Endpoint Routing Protocol). The destination's direct
-// addresses come first; if they are unreachable the hops are traversed in
-// order.
-type RouteAdv struct {
-	XMLName   xml.Name `xml:"RouteAdvertisement"`
-	DestPeer  jid.ID   `xml:"DstPID"`
-	Addresses []string `xml:"DstAddr,omitempty"`
-	Hops      []Hop    `xml:"Hops>Hop,omitempty"`
-}
-
-// AdvType implements Advertisement.
-func (a *RouteAdv) AdvType() string { return TypeRoute }
-
-// AdvID implements Advertisement.
-func (a *RouteAdv) AdvID() jid.ID { return a.DestPeer }
-
-// AdvName implements Advertisement. Routes are matched by destination ID,
-// not name.
-func (a *RouteAdv) AdvName() string { return "" }
-
-// Kind implements Advertisement.
-func (a *RouteAdv) Kind() Kind { return Adv }
-
 // Interface compliance checks.
 var (
 	_ Advertisement = (*PeerAdv)(nil)
 	_ Advertisement = (*PipeAdv)(nil)
 	_ Advertisement = (*ServiceAdv)(nil)
 	_ Advertisement = (*PeerGroupAdv)(nil)
-	_ Advertisement = (*RouteAdv)(nil)
 )

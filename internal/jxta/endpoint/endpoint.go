@@ -77,9 +77,8 @@ type Transport interface {
 // Handler consumes a message addressed to a registered service.
 type Handler func(msg *message.Message, from Address)
 
-// Sender is the message-sending capability exported to upper layers.
-// *Service implements it directly; the Endpoint Routing Protocol wraps it
-// with relay fallback while keeping the same signature.
+// Sender is the message-sending capability exported to upper layers;
+// *Service implements it.
 type Sender interface {
 	// Send addresses msg to the (svc, param) handler at the remote
 	// address.

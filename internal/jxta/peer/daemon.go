@@ -7,11 +7,11 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 )
 
-// EnableDaemon turns this peer into a wildcard rendezvous/relay daemon:
-// one rendezvous, resolver, discovery and router instance that serve
-// every peer group (endpoint parameter ""), so a single daemon can
-// bridge the per-type groups the TPS layer creates without joining each
-// one. The peer keeps its normal net group stack; the daemon stack runs
+// EnableDaemon turns this peer into a wildcard rendezvous daemon: one
+// rendezvous, resolver and discovery instance that serve every peer
+// group (endpoint parameter ""), so a single daemon can bridge the
+// per-type groups the TPS layer creates without joining each one. The
+// peer keeps its normal net group stack; the daemon stack runs
 // alongside it, configured from the peer's rendezvous template — seeds
 // (for meshing with other daemons), log and replica set included — and
 // is closed with the peer.
@@ -25,7 +25,7 @@ func (p *Peer) EnableDaemon() (*peergroup.Core, error) {
 	rcfg := p.cfg.Rendezvous
 	rcfg.Role = rendezvous.RoleRendezvous
 	rcfg.GroupParam = "" // wildcard: serve every group
-	d, err := peergroup.NewCore(p.ep, rcfg, false)
+	d, err := peergroup.NewCore(p.ep, rcfg)
 	if err != nil {
 		return nil, fmt.Errorf("peer daemon: %w", err)
 	}

@@ -2,10 +2,10 @@
 // transports, the bootstrap net peer group, and the groups the peer
 // joins over its lifetime.
 //
-// Any networked device is a peer; peers with extra duties (rendezvous,
-// relay/router) are just peers configured with those roles. A peer that
-// crashes and restarts keeps its identity (its ID), which is what lets
-// pipes re-bind to it wherever it reappears.
+// Any networked device is a peer; a peer with extra duties (rendezvous)
+// is just a peer configured with that role. A peer that crashes and
+// restarts under the same Config.ID keeps its identity wherever it
+// reappears.
 package peer
 
 import (
@@ -17,6 +17,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peergroup"
+	"github.com/tps-p2p/tps/internal/jxta/peerinfo"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
@@ -36,9 +37,6 @@ type Config struct {
 	// ID fixes the peer identity; zero generates a fresh one. Restarted
 	// peers pass their old ID to keep their pipes and advertisements.
 	ID jid.ID
-	// Firewalled marks the peer as unable to accept unsolicited inbound
-	// traffic.
-	Firewalled bool
 	// Rendezvous is the template every rendezvous service of this peer
 	// is configured from: role (zero means edge), seeds, lease, event
 	// log, tracer, failover. Joined groups take it whole, minus the
@@ -58,12 +56,13 @@ type Peer struct {
 	mu     sync.Mutex
 	groups map[jid.ID]*peergroup.Group
 	net    *peergroup.Group
-	daemon *peergroup.Core // wildcard stack, nil unless EnableDaemon ran
+	pip    *peerinfo.Service // on the net group's resolver
+	daemon *peergroup.Core   // wildcard stack, nil unless EnableDaemon ran
 	closed bool
 }
 
-// New starts a peer with the given transports and joins the net peer
-// group.
+// New starts a peer with the given transports, joins the net peer group
+// and starts the peer's one Peer Information responder on it.
 func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	if len(transports) == 0 {
 		return nil, ErrNoTransports
@@ -88,6 +87,10 @@ func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 		return nil, err
 	}
 	p.net = netGroup
+	if p.pip, err = peerinfo.New(netGroup.Resolver, ep); err != nil {
+		p.Close()
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -109,6 +112,11 @@ func (p *Peer) NetGroup() *peergroup.Group {
 	defer p.mu.Unlock()
 	return p.net
 }
+
+// PeerInfo returns the peer's Peer Information service: it answers
+// queries about this endpoint's counters and asks other peers for
+// theirs, over the net group's resolver.
+func (p *Peer) PeerInfo() *peerinfo.Service { return p.pip }
 
 // Group returns the joined group with the given ID.
 func (p *Peer) Group(id jid.ID) (*peergroup.Group, bool) {
@@ -145,15 +153,13 @@ func (p *Peer) Rendezvous() []*rendezvous.Service {
 }
 
 // JoinGroup instantiates the group's service stack on this peer. A cfg
-// whose Rendezvous is left zero takes the peer's template; a firewalled
-// peer is firewalled in every group.
+// whose Rendezvous is left zero takes the peer's template.
 func (p *Peer) JoinGroup(cfg peergroup.Config) (*peergroup.Group, error) {
 	if cfg.Rendezvous.Role == 0 {
 		cfg.Rendezvous = p.cfg.Rendezvous
 		// Only the daemon's wildcard service anti-entropy-syncs.
 		cfg.Rendezvous.ReplicaSeeds = nil
 	}
-	cfg.Firewalled = cfg.Firewalled || p.cfg.Firewalled
 	if cfg.ID.IsZero() {
 		cfg.ID = jid.NetGroup
 	}
@@ -265,6 +271,9 @@ func (p *Peer) Close() {
 	p.mu.Unlock()
 	if daemon != nil {
 		daemon.Close()
+	}
+	if p.pip != nil {
+		p.pip.Close()
 	}
 	for _, g := range groups {
 		g.Close()

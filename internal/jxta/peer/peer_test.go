@@ -12,7 +12,9 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/peergroup"
+	"github.com/tps-p2p/tps/internal/jxta/peerinfo"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
+	"github.com/tps-p2p/tps/internal/jxta/resolver"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
@@ -29,7 +31,7 @@ func newCluster(t *testing.T) *cluster {
 	return &cluster{t: t, net: n}
 }
 
-// addDaemon starts a rendezvous/relay daemon peer.
+// addDaemon starts a rendezvous daemon peer.
 func (c *cluster) addDaemon(name string) *peer.Peer {
 	c.t.Helper()
 	node, err := c.net.AddNode(name)
@@ -310,7 +312,7 @@ func TestPeerInfoAcrossPeers(t *testing.T) {
 	if !a.NetGroup().AwaitRendezvous(5*time.Second) || !b.NetGroup().AwaitRendezvous(5*time.Second) {
 		t.Fatal("not connected")
 	}
-	info, err := a.NetGroup().PeerInfo.Query("mem://b", 5*time.Second)
+	info, err := a.PeerInfo().Query("mem://b", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +321,17 @@ func TestPeerInfoAcrossPeers(t *testing.T) {
 	}
 	if info.MsgsOut == 0 {
 		t.Fatal("b shows no outbound traffic despite lease renewals")
+	}
+	// One responder per peer, on the net group: a joined group has none.
+	g, err := b.JoinGroup(peergroup.Config{ID: jid.FromSeed(jid.KindGroup, 7), Name: "typed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Resolver.RegisterHandler(peerinfo.HandlerName, resolver.HandlerFunc{}); err != nil {
+		t.Fatalf("a joined group registered its own peer-info handler: %v", err)
+	}
+	if err := b.NetGroup().Resolver.RegisterHandler(peerinfo.HandlerName, resolver.HandlerFunc{}); !errors.Is(err, resolver.ErrDupHandler) {
+		t.Fatalf("net group's peer-info handler: %v, want ErrDupHandler", err)
 	}
 }
 

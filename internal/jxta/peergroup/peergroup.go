@@ -1,13 +1,12 @@
 // Package peergroup composes the JXTA protocol services into peer
 // groups.
 //
-// A peer group is a scoped, monitored environment: each group a peer
-// joins gets its own rendezvous client, resolver, discovery, router,
-// pipe, wire, membership and peer-info service instances, all
-// parameterised by the group ID so two groups never see each other's
-// traffic. There is no hierarchy between groups; a peer may join many to
-// share different resources — the paper's TPS layer joins one group per
-// event type.
+// A peer group is a scoped environment: each group a peer joins gets
+// its own rendezvous client, resolver, discovery and wire service
+// instances, all parameterised by the group ID so two groups never see
+// each other's traffic. There is no hierarchy between groups; a peer may
+// join many to share different resources — the paper's TPS layer joins
+// one group per event type.
 package peergroup
 
 import (
@@ -19,12 +18,8 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/membership"
-	"github.com/tps-p2p/tps/internal/jxta/peerinfo"
-	"github.com/tps-p2p/tps/internal/jxta/pipe"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/resolver"
-	"github.com/tps-p2p/tps/internal/jxta/route"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
 
@@ -37,12 +32,6 @@ type Config struct {
 	ID jid.ID
 	// Name is the human-readable group name.
 	Name string
-	// Firewalled marks this peer as unreachable for unsolicited inbound
-	// traffic (drives the routing behaviour).
-	Firewalled bool
-	// Authenticator, when set, makes this peer a membership authority
-	// for the group.
-	Authenticator membership.Authenticator
 	// Rendezvous configures the group's rendezvous service: role (zero
 	// means edge), seeds, lease, event log, failover. New scopes it to
 	// the group by setting GroupParam; the group ID is the log topic.
@@ -50,53 +39,39 @@ type Config struct {
 }
 
 // Core is the mesh half of a service stack: the rendezvous service and
-// the resolver, discovery and router built on it, all scoped to one
-// endpoint parameter. A Group embeds one scoped to its ID; a dedicated
-// rendezvous/relay daemon runs one scoped to "" that serves every group.
+// the resolver and discovery built on it, all scoped to one endpoint
+// parameter. A Group embeds one scoped to its ID; a dedicated rendezvous
+// daemon runs one scoped to "" that serves every group.
 type Core struct {
 	Rendezvous *rendezvous.Service
 	Resolver   *resolver.Service
 	Discovery  *discovery.Service
-	Router     *route.Router
 }
 
 // NewCore builds the mesh services on ep, scoped to rcfg.GroupParam.
-// Rendezvous-role peers relay for their clients.
-func NewCore(ep *endpoint.Service, rcfg rendezvous.Config, firewalled bool) (*Core, error) {
+func NewCore(ep *endpoint.Service, rcfg rendezvous.Config) (*Core, error) {
 	c := &Core{}
-	if err := c.build(ep, rcfg, firewalled); err != nil {
+	if err := c.build(ep, rcfg); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-func (c *Core) build(ep *endpoint.Service, rcfg rendezvous.Config, firewalled bool) (err error) {
+func (c *Core) build(ep *endpoint.Service, rcfg rendezvous.Config) (err error) {
 	if c.Rendezvous, err = rendezvous.New(ep, rcfg); err != nil {
 		return err
 	}
 	if c.Resolver, err = resolver.New(ep, c.Rendezvous, rcfg.GroupParam); err != nil {
 		return err
 	}
-	if c.Discovery, err = discovery.New(c.Resolver); err != nil {
-		return err
-	}
-	c.Router, err = route.New(ep, c.Resolver, route.Config{
-		Group:      rcfg.GroupParam,
-		Relay:      rcfg.Role == rendezvous.RoleRendezvous,
-		Firewalled: firewalled,
-		Book:       c.Rendezvous,
-	})
+	c.Discovery, err = discovery.New(c.Resolver)
 	return err
 }
 
 // Close tears the mesh services down in reverse construction order. It
 // is safe to call on a partially constructed core.
 func (c *Core) Close() {
-	if c.Router != nil {
-		c.Router.Close()
-		c.Router = nil
-	}
 	if c.Discovery != nil {
 		c.Discovery.Close()
 		c.Discovery = nil
@@ -111,18 +86,15 @@ func (c *Core) Close() {
 	}
 }
 
-// Group is one peer's instance of a peer group: the full protocol stack
-// scoped to the group ID.
+// Group is one peer's instance of a peer group: the mesh services and
+// the wire (propagated pipe) service, scoped to the group ID.
 type Group struct {
 	id   jid.ID
 	name string
 	ep   *endpoint.Service
 
 	Core
-	Pipes      *pipe.Service
-	Wire       *wire.Service
-	Membership *membership.Service
-	PeerInfo   *peerinfo.Service
+	Wire *wire.Service
 }
 
 // New instantiates the group's service stack on the given endpoint.
@@ -146,20 +118,10 @@ func New(ep *endpoint.Service, cfg Config) (*Group, error) {
 }
 
 func (g *Group) build(cfg Config) (err error) {
-	param := cfg.Rendezvous.GroupParam
-	if err = g.Core.build(g.ep, cfg.Rendezvous, cfg.Firewalled); err != nil {
+	if err = g.Core.build(g.ep, cfg.Rendezvous); err != nil {
 		return err
 	}
-	if g.Pipes, err = pipe.New(g.ep, g.Resolver, pipe.Config{Group: param}); err != nil {
-		return err
-	}
-	if g.Wire, err = wire.New(g.ep, g.Rendezvous, wire.Config{Group: param}); err != nil {
-		return err
-	}
-	if g.Membership, err = membership.New(g.Resolver, cfg.Authenticator); err != nil {
-		return err
-	}
-	g.PeerInfo, err = peerinfo.New(g.Resolver, g.ep)
+	g.Wire, err = wire.New(g.ep, g.Rendezvous, wire.Config{Group: cfg.Rendezvous.GroupParam})
 	return err
 }
 
@@ -211,21 +173,9 @@ func (g *Group) Advertisement(pipeAdv *adv.PipeAdv) *adv.PeerGroupAdv {
 // Close tears the group's services down in reverse construction order.
 // It is safe to call on a partially constructed group.
 func (g *Group) Close() {
-	if g.PeerInfo != nil {
-		g.PeerInfo.Close()
-		g.PeerInfo = nil
-	}
-	if g.Membership != nil {
-		g.Membership.Close()
-		g.Membership = nil
-	}
 	if g.Wire != nil {
 		g.Wire.Close()
 		g.Wire = nil
-	}
-	if g.Pipes != nil {
-		g.Pipes.Close()
-		g.Pipes = nil
 	}
 	g.Core.Close()
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/membership"
 	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
@@ -42,9 +41,7 @@ func TestNewWiresAllServices(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Close)
-	if g.Rendezvous == nil || g.Resolver == nil || g.Discovery == nil ||
-		g.Router == nil || g.Pipes == nil || g.Wire == nil ||
-		g.Membership == nil || g.PeerInfo == nil {
+	if g.Rendezvous == nil || g.Resolver == nil || g.Discovery == nil || g.Wire == nil {
 		t.Fatal("service missing from group stack")
 	}
 	if g.ID() != jid.FromSeed(jid.KindGroup, 9) || g.Name() != "test-group" {
@@ -134,26 +131,6 @@ func TestGroupsAreIsolatedOnOneEndpoint(t *testing.T) {
 	}
 	if got := g1.Discovery.GetLocalAdvertisements(adv.Adv, "Name", "shared-name"); len(got) != 1 {
 		t.Fatal("advertisement missing from its own group")
-	}
-}
-
-func TestMembershipAuthorityInGroup(t *testing.T) {
-	ep := newEndpoint(t, "p", 1)
-	g, err := peergroup.New(ep, peergroup.Config{
-		ID:            jid.FromSeed(jid.KindGroup, 4),
-		Name:          "secured",
-		Authenticator: membership.PasswdAuthenticator{Password: "pw"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(g.Close)
-	if g.Membership == nil {
-		t.Fatal("membership missing")
-	}
-	// The authority tracks its own roster locally.
-	if got := g.Membership.Members(); len(got) != 0 {
-		t.Fatalf("fresh roster = %v", got)
 	}
 }
 

@@ -56,24 +56,6 @@ func (s *Service) ConnectedClients() []jid.ID {
 	return out
 }
 
-// DirectAddress returns an address this peer can currently reach id at:
-// a leased client, a rendezvous we lease with, or nothing. It implements
-// the router's AddressBook so relay peers can forward to their clients.
-func (s *Service) DirectAddress(id jid.ID) (endpoint.Address, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	for k, e := range s.clients {
-		if k.id == id {
-			return e.addr, true
-		}
-	}
-	if e, ok := s.rdvs[id]; ok {
-		return e.addr, true
-	}
-	return "", false
-}
-
 // AwaitConnected blocks until this peer holds a lease with at least one
 // rendezvous, or the timeout elapses. It reports success. Peers with no
 // seeds are never "connected". It fails fast — without spinning out the

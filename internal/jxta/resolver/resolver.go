@@ -181,17 +181,6 @@ func (s *Service) PropagateResponse(handler string, queryID uint64, payload []by
 	return nil
 }
 
-// SendResponse sends a late or additional response for a query this peer
-// received earlier (handlers that answer immediately just return a
-// payload from ProcessQuery instead).
-func (s *Service) SendResponse(to endpoint.Address, handler string, queryID uint64, payload []byte) error {
-	msg := s.encodeResponse(handler, queryID, payload)
-	if err := s.ep.Send(to, ServiceName, s.group, msg); err != nil {
-		return fmt.Errorf("resolver: send response: %w", err)
-	}
-	return nil
-}
-
 func (s *Service) encodeQuery(handler string, qid uint64, payload []byte) *message.Message {
 	msg := message.New(s.ep.PeerID())
 	msg.AddString(elemNS, elemKind, kindQuery)

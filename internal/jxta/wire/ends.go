@@ -49,13 +49,6 @@ func (in *InputPipe) SetListener(l Listener) {
 	}
 }
 
-// Pending returns the number of queued messages (no listener installed).
-func (in *InputPipe) Pending() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.queue)
-}
-
 // Close unbinds the input pipe from the wire service.
 func (in *InputPipe) Close() {
 	in.mu.Lock()

@@ -119,8 +119,8 @@ type NodeOption func(*Node)
 
 // WithFirewall marks the node as refusing unsolicited inbound messages.
 // Peers it has previously sent to may respond (the outbound flow punches
-// the hole), which is exactly the asymmetry the Endpoint Routing Protocol
-// works around with relay peers.
+// the hole): a firewalled edge is reached by the rendezvous it leases
+// with and by nobody else.
 func WithFirewall() NodeOption {
 	return func(nd *Node) { nd.firewalled = true }
 }

@@ -124,8 +124,8 @@ type Inspection struct {
 	Name string `json:"name,omitempty"`
 	// Addresses are this peer's reachable addresses, best first.
 	Addresses []string `json:"addresses,omitempty"`
-	// Rendezvous reports whether the peer runs the rendezvous/relay
-	// daemon stack.
+	// Rendezvous reports whether the peer runs the rendezvous daemon
+	// stack.
 	Rendezvous bool `json:"rendezvous,omitempty"`
 	// Peers lists connected peers, leased clients and configured seeds.
 	Peers []PeerEntry `json:"peers"`

@@ -197,23 +197,6 @@ func (r *Registry) RegisterFunc(name string, f func() Snapshot) (remove func()) 
 	return r.Register(name, ProviderFunc(f))
 }
 
-// Names lists the registered subsystem names, sorted and deduplicated.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]struct{}, len(r.provs))
-	out := make([]string, 0, len(r.provs))
-	for _, reg := range r.provs {
-		if _, dup := seen[reg.name]; dup {
-			continue
-		}
-		seen[reg.name] = struct{}{}
-		out = append(out, reg.name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Collect snapshots every provider and assembles the merged view,
 // deriving per-second counter rates against the previous Collect call.
 //

@@ -49,7 +49,8 @@ func Each(t *testing.T, body func(t *testing.T, c *Cluster)) {
 type Cluster struct {
 	t      testing.TB
 	fabric Fabric
-	wan    *netsim.Network // Netsim only
+	wan    *netsim.Network                // Netsim only
+	opts   map[string][]netsim.NodeOption // Netsim only: see Firewall
 
 	mu    sync.Mutex
 	links map[string]*link         // by node name, started or only named so far
@@ -60,7 +61,7 @@ type Cluster struct {
 
 // New creates an empty cluster on the fabric.
 func New(t testing.TB, fabric Fabric) *Cluster {
-	c := &Cluster{t: t, fabric: fabric, links: map[string]*link{}}
+	c := &Cluster{t: t, fabric: fabric, links: map[string]*link{}, opts: map[string][]netsim.NodeOption{}}
 	if fabric == Netsim {
 		c.wan = netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: time.Millisecond}})
 		t.Cleanup(c.wan.Close)
@@ -95,6 +96,19 @@ func (c *Cluster) Start(cfg tps.Config) *Node {
 	}
 	c.t.Cleanup(p.Close)
 	return &Node{Platform: p, Config: cfg, link: l}
+}
+
+// Firewall puts the named nodes behind netsim's firewall: a frame
+// reaches one only from a node it has itself sent to. Call it before the
+// names' first mention. Netsim only — tcpnet never sends down a
+// connection it accepted, so it has nothing to emulate this with.
+func (c *Cluster) Firewall(names ...string) {
+	if c.fabric != Netsim {
+		c.t.Fatalf("rig: Firewall on the %s fabric", c.fabric)
+	}
+	for _, name := range names {
+		c.opts[name] = []netsim.NodeOption{netsim.WithFirewall()}
+	}
 }
 
 // Kill crashes the node: from this instant nothing it sends leaves it —
@@ -181,7 +195,7 @@ func (c *Cluster) link(name string) *link {
 	var err error
 	if c.fabric == Netsim {
 		var node *netsim.Node
-		node, err = c.wan.AddNode(name)
+		node, err = c.wan.AddNode(name, c.opts[name]...)
 		t = memnet.New(node)
 	} else if l != nil {
 		t, err = tcpnet.Listen(l.LocalAddress().Host())

@@ -103,16 +103,16 @@ type Config struct {
 	// Name is the peer's human-readable name.
 	Name string
 	// ListenTCP, when non-empty (e.g. "0.0.0.0:9701"), starts the TCP
-	// transport on that address.
+	// transport on that address. Every send dials its destination, so
+	// the rendezvous must be able to connect to it: a peer that cannot
+	// accept connections is unreachable, and no option changes that
+	// (ROBUSTNESS.md, "Firewalled peers").
 	ListenTCP string
 	// Seeds are rendezvous addresses ("tcp://host:port", "mem://node").
 	Seeds []string
-	// Rendezvous makes this peer a rendezvous/relay daemon serving every
+	// Rendezvous makes this peer a rendezvous daemon serving every
 	// event group, in addition to its normal duties.
 	Rendezvous bool
-	// Firewalled declares that this peer cannot accept unsolicited
-	// inbound connections; it will rely on relays.
-	Firewalled bool
 	// Codec selects the event serialisation: "gob" (default) or "json".
 	Codec string
 	// FindTimeout bounds the initial advertisement search before a type
@@ -206,7 +206,7 @@ func WithTransport(t Transport) Option {
 // registry, shared by all engines the process creates.
 type Platform struct {
 	peer *peer.Peer
-	// daemon records that the peer runs the rendezvous/relay daemon stack.
+	// daemon records that the peer runs the rendezvous daemon stack.
 	daemon bool
 	// eng is the template every engine of this platform is created
 	// from: the peer, the shared type registry, the codec, the finder
@@ -283,7 +283,7 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	if cfg.Rendezvous {
 		rcfg.Role = rendezvous.RoleRendezvous
 	}
-	p, err := peer.New(peer.Config{Name: cfg.Name, ID: id, Firewalled: cfg.Firewalled, Rendezvous: rcfg}, transports...)
+	p, err := peer.New(peer.Config{Name: cfg.Name, ID: id, Rendezvous: rcfg}, transports...)
 	if err != nil {
 		if elog != nil {
 			_ = elog.Close()
