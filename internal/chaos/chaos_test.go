@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -429,4 +430,68 @@ func get(t *testing.T, n *rig.Node, path string, into any) {
 	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRendezvousSubscriberIsDeliveredAndForwarded has the rendezvous
+// subscribe too, so that one received message is both handed to a local
+// handler and forwarded. The forwarding hop stamps its own copy of it:
+// the local delivery keeps the path the message arrived with, the
+// remote subscriber sees the rendezvous on its path — the case a
+// rendezvous that stamps what it received in place must not break.
+func TestRendezvousSubscriberIsDeliveredAndForwarded(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		traced := func(cfg tps.Config) tps.Config {
+			cfg.TraceRate, cfg.AdminAddr = 1, "127.0.0.1:0"
+			return cfg
+		}
+		rdv := edge(t, c, traced(tps.Config{Name: "rdv", Rendezvous: true}))
+		local := rdv.subscribe(t)
+		rdv.ready(t)
+		sub := edge(t, c, traced(tps.Config{Name: "sub", Seeds: []string{"rdv"}}))
+		remote := sub.subscribe(t)
+		pub := edge(t, c, traced(tps.Config{Name: "pub", Seeds: []string{"rdv"}}))
+		pub.ready(t)
+		if !sub.eng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("subscriber never ready")
+		}
+
+		const n = 20
+		pub.publish(t, "both", 0, n)
+		local.Await(t, n)
+		remote.Await(t, n)
+		local.ExactlyOnce(t, n)
+		remote.ExactlyOnce(t, n)
+
+		var list struct {
+			Events []trace.EventSummary `json:"events"`
+		}
+		get(t, pub.Node, "/trace", &list)
+		if len(list.Events) != n {
+			t.Fatalf("publisher traced %d events, want %d", len(list.Events), n)
+		}
+		arrived, forwarded := []string{pub.PeerID()}, []string{pub.PeerID(), rdv.PeerID()}
+		for _, summary := range list.Events {
+			want := map[[2]string][]string{
+				{rdv.PeerID(), trace.StageDeliver}: arrived,
+				{rdv.PeerID(), trace.StageForward}: forwarded,
+				{sub.PeerID(), trace.StageDeliver}: forwarded,
+			}
+			for _, p := range []*rig.Node{rdv.Node, sub.Node} {
+				var doc struct {
+					Hops []trace.Hop `json:"hops"`
+				}
+				get(t, p, "/trace/"+summary.EventID, &doc)
+				for _, h := range doc.Hops {
+					key := [2]string{h.Peer, h.Stage}
+					if path, ok := want[key]; !ok || !reflect.DeepEqual(h.Path, path) {
+						t.Fatalf("%s: hop %s on %s has path %v, want %v", summary.EventID, h.Stage, p.Config.Name, h.Path, path)
+					}
+					delete(want, key)
+				}
+			}
+			if len(want) != 0 {
+				t.Fatalf("%s: hops missing: %v", summary.EventID, want)
+			}
+		}
+	})
 }

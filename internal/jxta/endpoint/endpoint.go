@@ -74,7 +74,10 @@ type Transport interface {
 	Close() error
 }
 
-// Handler consumes a message addressed to a registered service.
+// Handler consumes a message addressed to a registered service. A
+// message off a transport was decoded for this one call and is the
+// handler's to keep or change; one that came through DeliverLocal is
+// shared with whoever delivered it.
 type Handler func(msg *message.Message, from Address)
 
 // Sender is the message-sending capability exported to upper layers;
@@ -152,8 +155,13 @@ type handlerKey struct{ svc, param string }
 
 // frameBufPool recycles marshal buffers across Send calls. Transports
 // must not retain frames (see Transport.Send), so a buffer can go back
-// in the pool as soon as the transport returns.
-var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// in the pool as soon as the transport returns. A pool holds pointers;
+// boxPool holds the emptied ones, so that handing a frame out as a plain
+// slice and taking it back allocates no box either way.
+var (
+	frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
+	boxPool      = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // Service is the endpoint service of one peer.
 type Service struct {
@@ -244,32 +252,24 @@ func (s *Service) UnregisterHandler(svc, param string) {
 // transport matching the destination scheme. The marshal buffer comes
 // from a pool; transports must not retain it.
 func (s *Service) Send(to Address, svc, param string, msg *message.Message) error {
-	bufp, err := s.encodeFrame(svc, param, msg)
+	frame, err := s.EncodeFrame(svc, param, msg)
 	if err != nil {
 		return err
 	}
-	err = s.SendFrame(to, *bufp)
-	frameBufPool.Put(bufp)
+	err = s.SendFrame(to, frame)
+	RecycleFrame(frame)
 	return err
 }
 
-// EncodeFrame envelopes msg for the (svc, param) handler and marshals it
-// into a single wire frame, without sending it. Fan-out paths use it to
+// EncodeFrame marshals msg into a single wire frame addressed to the
+// (svc, param) handler, without sending it. Fan-out paths use it to
 // marshal once and SendFrame the same bytes to many addresses. The
-// returned buffer may come from an internal pool; callers that are done
-// with it may return it via RecycleFrame (optional — a dropped frame is
-// simply collected).
+// envelope — destination and return address — is written into the frame
+// and never into msg, which is only read: a caller may go on sharing it.
+// The returned buffer comes from a pool; callers that are done with it
+// may return it via RecycleFrame (optional — a dropped frame is simply
+// collected).
 func (s *Service) EncodeFrame(svc, param string, msg *message.Message) ([]byte, error) {
-	bufp, err := s.encodeFrame(svc, param, msg)
-	if err != nil {
-		return nil, err
-	}
-	return *bufp, nil
-}
-
-// encodeFrame is EncodeFrame keeping the pool's box: Send returns it via
-// the box, avoiding a per-call re-boxing allocation on the hot path.
-func (s *Service) encodeFrame(svc, param string, msg *message.Message) (*[]byte, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -282,27 +282,29 @@ func (s *Service) encodeFrame(svc, param string, msg *message.Message) (*[]byte,
 	s.mu.RUnlock()
 
 	start := time.Now()
-	// Envelope mutations must not leak into the caller's message; the
-	// COW Dup shares the payload elements, and the ReplaceElements below
-	// clone just the headers, so enveloping never copies payload bytes.
-	out := msg.Dup()
-	out.ReplaceElement(message.Element{Namespace: ElemNamespace, Name: elemDstSvc, Data: []byte(svc)})
-	out.ReplaceElement(message.Element{Namespace: ElemNamespace, Name: elemDstParam, Data: []byte(param)})
-	out.ReplaceElement(message.Element{Namespace: ElemNamespace, Name: elemSrcAddr, Data: []byte(srcAddr)})
-	bufp := frameBufPool.Get().(*[]byte)
-	frame, err := out.MarshalAppend((*bufp)[:0])
+	box := frameBufPool.Get().(*[]byte)
+	buf := *box
+	*box = nil
+	boxPool.Put(box)
+	frame, err := msg.MarshalAppend(buf[:0],
+		message.Field{Namespace: ElemNamespace, Name: elemDstSvc, Value: svc},
+		message.Field{Namespace: ElemNamespace, Name: elemDstParam, Value: param},
+		message.Field{Namespace: ElemNamespace, Name: elemSrcAddr, Value: string(srcAddr)})
 	if err != nil {
-		frameBufPool.Put(bufp)
+		RecycleFrame(buf)
 		return nil, fmt.Errorf("endpoint: marshal: %w", err)
 	}
-	*bufp = frame
 	s.encodeHist.Observe(time.Since(start))
-	return bufp, nil
+	return frame, nil
 }
 
 // RecycleFrame returns a frame obtained from EncodeFrame to the buffer
 // pool. The caller must not touch the frame afterwards.
-func RecycleFrame(frame []byte) { frameBufPool.Put(&frame) }
+func RecycleFrame(frame []byte) {
+	box := boxPool.Get().(*[]byte)
+	*box = frame
+	frameBufPool.Put(box)
+}
 
 // SendFrame hands a pre-encoded frame to the transport serving the
 // destination's scheme.
@@ -359,7 +361,8 @@ func (s *Service) receive(frame []byte) {
 // DeliverLocal dispatches an in-process message to the local handler
 // bound to (svc, param), as if it had arrived from the given address.
 // Rendezvous propagation uses it to deliver forwarded messages to this
-// peer's own services.
+// peer's own services. A nil error means a handler now shares msg; a pure
+// rendezvous gets ErrNoHandler, bare, for every message it forwards.
 func (s *Service) DeliverLocal(svc, param string, msg *message.Message, from Address) error {
 	s.mu.RLock()
 	h, ok := s.handlers[handlerKey{svc, param}]
@@ -373,7 +376,7 @@ func (s *Service) DeliverLocal(svc, param string, msg *message.Message, from Add
 	}
 	if !ok {
 		s.stats.noHandlerDrop.Add(1)
-		return fmt.Errorf("%w: %s/%s", ErrNoHandler, svc, param)
+		return ErrNoHandler
 	}
 	h(msg, from)
 	return nil

@@ -1,10 +1,10 @@
 package message
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 )
@@ -61,12 +61,26 @@ func (m *Message) Marshal() ([]byte, error) {
 	return m.MarshalAppend(make([]byte, 0, m.WireSize()))
 }
 
+// Field is an envelope element a hop writes into the frame it is
+// marshalling without adding it to the message: the destination service
+// a sender addresses, its return address.
+type Field struct{ Namespace, Name, Value string }
+
 // MarshalAppend encodes the message onto the end of buf and returns the
 // extended slice, letting hot paths reuse pooled buffers instead of
-// allocating a fresh frame per send.
-func (m *Message) MarshalAppend(buf []byte) ([]byte, error) {
+// allocating a fresh frame per send. Each envelope field is written as a
+// trailing element with no MIME type, and an element of the message with
+// a field's namespace and name is left out — ReplaceElement's result in
+// the frame, with the message itself untouched, so a hop needs no private
+// copy just to address it. Fields must differ from each other in name.
+func (m *Message) MarshalAppend(buf []byte, envelope ...Field) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	for _, f := range envelope {
+		if len(f.Namespace) > 255 || len(f.Name) > 255 || len(f.Value) > MaxElementSize {
+			return nil, fmt.Errorf("%w: envelope field %s:%s", ErrTooLarge, f.Namespace, f.Name)
+		}
 	}
 	buf = append(buf, wireMagic[:]...)
 	buf = append(buf, wireVersion)
@@ -77,21 +91,57 @@ func (m *Message) MarshalAppend(buf []byte) ([]byte, error) {
 	for _, p := range m.Path {
 		buf = putID(buf, p)
 	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.elements)))
-	for _, e := range m.elements {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Namespace)))
-		buf = append(buf, e.Namespace...)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Name)))
-		buf = append(buf, e.Name...)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.MimeType)))
-		buf = append(buf, e.MimeType...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Data)))
+	countAt := len(buf) // filled in once the replaced elements are known
+	buf = append(buf, 0, 0)
+	count := len(envelope)
+elements:
+	for i := range m.elements {
+		e := &m.elements[i]
+		for _, f := range envelope {
+			if e.Namespace == f.Namespace && e.Name == f.Name {
+				continue elements
+			}
+		}
+		count++
+		buf = appendElementHeader(buf, e.Namespace, e.Name, e.MimeType, len(e.Data))
 		buf = append(buf, e.Data...)
 	}
+	for _, f := range envelope {
+		buf = appendElementHeader(buf, f.Namespace, f.Name, "", len(f.Value))
+		buf = append(buf, f.Value...)
+	}
+	if count > MaxElements {
+		return nil, fmt.Errorf("%w: %d elements", ErrTooLarge, count)
+	}
+	binary.BigEndian.PutUint16(buf[countAt:], uint16(count))
 	return buf, nil
 }
 
-// Unmarshal decodes one wire frame produced by Marshal.
+func appendElementHeader(buf []byte, ns, name, mime string, dataLen int) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ns)))
+	buf = append(buf, ns...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(name)))
+	buf = append(buf, name...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(mime)))
+	buf = append(buf, mime...)
+	return binary.BigEndian.AppendUint32(buf, uint32(dataLen))
+}
+
+// minElementSize is an element with every field empty: three 16-bit
+// lengths and one 32-bit one.
+const minElementSize = 3*2 + 4
+
+// decoded is what Unmarshal allocates for a message: the header and,
+// behind it, room for the path to grow to the hops a default-TTL message
+// can take, so neither the path nor a forwarding peer's Stamp costs an
+// allocation of its own.
+type decoded struct {
+	Message
+	path [DefaultTTL + 1]jid.ID
+}
+
+// Unmarshal decodes one wire frame produced by Marshal. The message
+// shares no memory with frame.
 func Unmarshal(frame []byte) (*Message, error) {
 	r := &sliceReader{buf: frame}
 	var magic [4]byte
@@ -108,7 +158,8 @@ func Unmarshal(frame []byte) (*Message, error) {
 	if ver != wireVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	m := &Message{}
+	d := &decoded{}
+	m := &d.Message
 	if m.ID, err = readID(r); err != nil {
 		return nil, err
 	}
@@ -128,7 +179,11 @@ func Unmarshal(frame []byte) (*Message, error) {
 	if plen > 0 {
 		// Pre-size for the hops the message can still take, so forwarding
 		// peers Stamp without reallocating.
-		m.Path = make([]jid.ID, plen, int(plen)+int(m.TTL)+1)
+		if hops := int(plen) + int(m.TTL) + 1; hops <= len(d.path) {
+			m.Path = d.path[:plen:hops]
+		} else {
+			m.Path = make([]jid.ID, plen, hops)
+		}
 		for i := range m.Path {
 			if m.Path[i], err = readID(r); err != nil {
 				return nil, err
@@ -142,47 +197,33 @@ func Unmarshal(frame []byte) (*Message, error) {
 	if int(count) > MaxElements {
 		return nil, fmt.Errorf("%w: %d elements", ErrTooLarge, count)
 	}
-	// Two passes over the elements: the first checks every bound and
-	// sizes two arenas, the second copies all strings into one and all
-	// payloads into the other. Elements are sub-slices of the arenas, so
-	// a frame costs two allocations however many elements it carries,
-	// and the decoded message does not alias the frame.
-	elems := r.off
-	var strBytes, dataBytes int
-	for i := 0; i < int(count); i++ {
+	if r.remaining() < int(count)*minElementSize {
+		return nil, ErrTruncated // before the count sizes an allocation
+	}
+	// One arena: everything behind the count is copied once and the
+	// elements are cut out of the copy, names as strings over it and
+	// payloads as slices of it. A frame costs three allocations (header,
+	// element headers, arena) however many elements it carries, and the
+	// decoded message does not alias the frame. The arena is never
+	// written again: names are immutable as strings are, payloads by the
+	// copy-on-write contract.
+	r = &sliceReader{buf: bytes.Clone(frame[r.off:])}
+	m.elements = make([]Element, count)
+	for i := range m.elements {
 		ns, name, mime, data, err := r.element()
 		if err != nil {
 			return nil, err
 		}
-		strBytes += len(ns) + len(name) + len(mime)
-		dataBytes += len(data)
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("message: %d trailing bytes", r.remaining())
-	}
-	r.off = elems
-	var strs strings.Builder
-	strs.Grow(strBytes)
-	str := func(b []byte) string {
-		// The builder never regrows, so strings cut from it stay valid
-		// while later ones are written behind them.
-		off := strs.Len()
-		strs.Write(b)
-		return strs.String()[off:]
-	}
-	payloads := make([]byte, 0, dataBytes)
-	m.elements = make([]Element, count)
-	for i := range m.elements {
-		ns, name, mime, data, _ := r.element()
-		e := Element{Namespace: str(ns), Name: str(name), MimeType: str(mime)}
+		e := Element{Namespace: aliasString(ns), Name: aliasString(name), MimeType: aliasString(mime)}
 		if len(data) > 0 {
 			// Capped, so that an append to one element's Data cannot
 			// run into its neighbour's.
-			off := len(payloads)
-			payloads = append(payloads, data...)
-			e.Data = payloads[off:len(payloads):len(payloads)]
+			e.Data = data[:len(data):len(data)]
 		}
 		m.elements[i] = e
+	}
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("message: %d trailing bytes", r.remaining())
 	}
 	return m, nil
 }

@@ -13,13 +13,20 @@
 //
 // # Copy-on-write
 //
-// Messages are immutable-by-contract after construction: every hop of the
-// publish→propagate→deliver path that needs a private envelope calls Dup,
-// and Dup is a cheap header copy, not a deep copy. The element list —
-// including payload byte slices — is shared read-only between a message
-// and its Dups; the first mutation through AddElement, ReplaceElement or
-// RemoveElement clones the element headers (payloads stay shared), so a
-// ReplaceID on one hop's envelope never leaks into sibling deliveries.
+// Messages are immutable-by-contract after construction: a hop that
+// needs a private envelope on a message somebody else may hold calls
+// Dup, and Dup is a cheap header copy, not a deep copy. Three places do:
+// the wire service (its pipe ID, and the copy it loops back), Propagate
+// (the rdv elements and the first stamp), and a rendezvous forwarding a
+// message it has also handed to a local handler. Addressing a frame is
+// not one of them — the endpoint writes its envelope into the frame
+// (MarshalAppend's fields) and only reads the message — and neither is
+// forwarding a message nothing else holds, which is stamped as it is.
+// The element list — including payload byte slices — is shared
+// read-only between a message and its Dups; the first mutation through
+// AddElement, ReplaceElement or RemoveElement clones the element
+// headers (payloads stay shared), so a ReplaceID on one hop's envelope
+// never leaks into sibling deliveries.
 // Two rules keep this safe:
 //
 //   - element payloads must never be modified in place (they may be
@@ -185,9 +192,11 @@ func (m *Message) Element(namespace, name string) (Element, bool) {
 // message's payloads alive with it; strings.Clone one that outlives a
 // large message.
 func (m *Message) Text(namespace, name string) string {
-	b := m.Bytes(namespace, name)
-	return unsafe.String(unsafe.SliceData(b), len(b))
+	return aliasString(m.Bytes(namespace, name))
 }
+
+// aliasString is b as a string, sharing its bytes.
+func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // Bytes returns the payload of the named element, or nil if absent.
 func (m *Message) Bytes(namespace, name string) []byte {
@@ -196,6 +205,13 @@ func (m *Message) Bytes(namespace, name string) []byte {
 		return nil
 	}
 	return e.Data
+}
+
+// ReplaceText is ReplaceElement for a text value. The element shares the
+// string's bytes, as Text shares a payload's: sound for the same reason,
+// a payload is never modified in place.
+func (m *Message) ReplaceText(namespace, name, value string) {
+	m.ReplaceElement(Element{Namespace: namespace, Name: name, Data: unsafe.Slice(unsafe.StringData(value), len(value))})
 }
 
 // AddUint64 appends an element carrying v as an 8-byte big-endian
@@ -290,9 +306,11 @@ func (m *Message) Stamp(peer jid.ID) bool {
 //
 // Dup is O(1) in the payload: elements are shared copy-on-write between
 // the original and the copy (see the package comment), so duplicating a
-// message costs two small allocations regardless of how many kilobytes
-// its payload elements hold. Only the path — the per-hop mutable state —
-// is copied eagerly, pre-sized so Stamp never reallocates it.
+// message costs its header and, if it has been stamped, its path — two
+// small allocations at most, regardless of how many kilobytes its
+// payload elements hold; the first mutation of the copy adds the
+// element headers. Only the path — the per-hop mutable state — is copied
+// eagerly, pre-sized so Stamp never reallocates it.
 func (m *Message) Dup() *Message {
 	m.cow = true
 	out := &Message{ID: m.ID, Src: m.Src, TTL: m.TTL, elements: m.elements, cow: true}

@@ -494,7 +494,7 @@ func TestUnmarshalCopiesData(t *testing.T) {
 	}
 }
 
-// TestUnmarshalArenas pins what sharing two arenas between the elements
+// TestUnmarshalArenas pins what sharing one arena between the elements
 // must not cost: the message is still independent of the frame, and of
 // its own other elements.
 func TestUnmarshalArenas(t *testing.T) {
@@ -532,7 +532,9 @@ func TestUnmarshalArenas(t *testing.T) {
 // receive path depends on: the frame is a slice of a connection's read
 // buffer that the next read overwrites, so nothing in the decoded
 // message may point into it. Whatever bytes decode, the message must
-// marshal back to them after the input has been scribbled over.
+// marshal back to them after the input has been scribbled over. Names
+// and payloads are cut from one arena: an append to one element's Data
+// must not reach another element, nor any name.
 func FuzzUnmarshalDoesNotAlias(f *testing.F) {
 	seed, err := testMsg().Marshal()
 	if err != nil {
@@ -555,12 +557,15 @@ func FuzzUnmarshalDoesNotAlias(f *testing.F) {
 		for i := range frame {
 			frame[i] = 0xA5
 		}
+		for _, e := range m.elements {
+			_ = append(e.Data, "overrun"...)
+		}
 		got, err := m.Marshal()
 		if err != nil {
 			t.Fatalf("decoded message does not marshal: %v", err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("message changed with its input buffer:\n got %x\nwant %x", got, want)
+			t.Fatalf("message changed with its input buffer, or under an append to a payload:\n got %x\nwant %x", got, want)
 		}
 	})
 }

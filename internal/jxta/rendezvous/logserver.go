@@ -59,25 +59,24 @@ func newLogServer(s *Service) *logServer {
 }
 
 // append reserves the topic's next sequence number, stamps it and this
-// peer's identity onto msg, and stores the encoded propagation frame —
-// so the bytes a later replay resends are exactly the bytes the fan-out
-// sends now.
-func (l *logServer) append(msg *message.Message, topic string) {
+// peer's identity onto msg, stores the encoded propagation frame and
+// returns it for the fan-out to send and recycle: the bytes a later
+// replay resends are the bytes that leave now, encoded once. It returns
+// nil when the log could not be reached to number the message.
+func (l *logServer) append(msg *message.Message, topic string) []byte {
 	s := l.s
 	var frame []byte
 	_, err := s.cfg.Log.Append(topic, func(seq uint64) ([]byte, error) {
 		msg.ReplaceElement(message.Element{Namespace: elemNS, Name: elemSeq, Data: binary.BigEndian.AppendUint64(nil, seq)})
 		msg.ReplaceID(elemNS, elemLogSrc, s.ep.PeerID())
-		f, err := s.ep.EncodeFrame(ServiceName, topic, msg)
-		frame = f
-		return f, err
+		var err error
+		frame, err = s.ep.EncodeFrame(ServiceName, topic, msg)
+		return frame, err
 	})
-	if frame != nil {
-		endpoint.RecycleFrame(frame)
-	}
 	if err != nil {
 		s.stats.logFailures.Add(1)
 	}
+	return frame
 }
 
 // handleReplay serves one replay request from the log. Stored frames

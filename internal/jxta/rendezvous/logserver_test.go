@@ -1,6 +1,8 @@
 package rendezvous_test
 
 import (
+	"bytes"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -126,6 +128,129 @@ func TestLogOpsNeedALogServer(t *testing.T) {
 		if after := target.rdv.Snapshot().Counters; !reflect.DeepEqual(before, after) {
 			t.Fatalf("%s: log ops moved counters:\nbefore %v\nafter  %v", target.name, before, after)
 		}
+	}
+}
+
+// sentFrames is a transport that keeps a copy of every frame sent
+// through it.
+type sentFrames struct {
+	endpoint.Transport
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (s *sentFrames) Send(to endpoint.Address, frame []byte) error {
+	s.mu.Lock()
+	s.frames = append(s.frames, bytes.Clone(frame))
+	s.mu.Unlock()
+	return s.Transport.Send(to, frame)
+}
+
+// TestDurableFanOutSendsTheStoredFrame: the frame a durable rendezvous
+// stores under a sequence number is, byte for byte, the frame it sends
+// its clients for that message — so a replay resends what a live
+// subscriber got — and the rendezvous encoded it once, not once for the
+// log and once for the fan-out.
+func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
+	c := newCluster(t)
+	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = log.Close() })
+	tap := &sentFrames{}
+	c.wrap = func(tr endpoint.Transport) endpoint.Transport { tap.Transport = tr; return tap }
+	r := c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: log})
+	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
+	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
+	for _, p := range []*testPeer{pub, sub} {
+		if !p.rdv.AwaitConnected(5 * time.Second) {
+			t.Fatalf("%s never connected", p.name)
+		}
+	}
+	sink := subscribe(t, sub, "app.events")
+	encodes := func() int64 { return r.ep.Snapshot().Hists["encode_us"].Count }
+
+	const n = 40
+	before := encodes()
+	for i := 0; i < n; i++ {
+		m := message.New(pub.ep.PeerID())
+		m.AddUint64("app", "n", uint64(i))
+		if err := pub.rdv.Propagate(m, "app.events", "net"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return sink.count() == n })
+	// A lease renewal may fall into the window: each costs the rendezvous
+	// one encode, the grant. Two encodes a message would be n more.
+	if got := encodes() - before; got < n || got > n+4 {
+		t.Fatalf("%d messages forwarded and logged with %d encodes, want one each", n, got)
+	}
+
+	sent := make(map[uint64][]byte, n)
+	tap.mu.Lock()
+	for _, frame := range tap.frames {
+		m, err := message.Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, seq, ok := rendezvous.ReplayInfo(m); ok {
+			if sent[seq] != nil {
+				t.Fatalf("sequence %d left twice with one subscriber", seq)
+			}
+			sent[seq] = frame
+		}
+	}
+	tap.mu.Unlock()
+	stored := 0
+	err = log.Read("net", 0, 0, func(e eventlog.Entry) error {
+		stored++
+		if !bytes.Equal(e.Payload, sent[e.Seq]) {
+			t.Errorf("sequence %d: stored frame differs from the frame sent\nstored %x\n  sent %x", e.Seq, e.Payload, sent[e.Seq])
+		}
+		return nil
+	})
+	if err != nil || stored != n || len(sent) != n {
+		t.Fatalf("%d stored, %d sent, want %d of each (%v)", stored, len(sent), n, err)
+	}
+}
+
+// TestLogWrittenByThePreviousEncoderIsReplayed starts a durable
+// rendezvous on a log holding a frame the encoder of PR 21 wrote (the
+// golden frame of package message, a stored fan-out frame of this
+// topic). A late joiner's replay request is served from it and the
+// joiner's handler reads the event: segments on disk survive the
+// upgrade.
+func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
+	frame, err := os.ReadFile("../message/testdata/durable_frame_pr21.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t)
+	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = log.Close() })
+	if err := log.AppendExact("net", 1, time.Now().UnixMilli(), frame); err != nil {
+		t.Fatal(err)
+	}
+	r := c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: log})
+	joiner := c.addPeer("joiner", 3, rendezvous.RoleEdge, "mem://rdv")
+	sink := subscribe(t, joiner, "app.events")
+	if !joiner.rdv.AwaitConnected(5 * time.Second) {
+		t.Fatal("joiner never connected")
+	}
+	if err := joiner.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := sink.waitOne(t)
+	origin, seq, ok := rendezvous.ReplayInfo(got)
+	if !ok || origin != r.ep.PeerID() || seq != 1 {
+		t.Fatalf("replayed as (%v, %d, %v), want sequence 1 of the rendezvous", origin, seq, ok)
+	}
+	if got.Text("tps", "Data") != "payload written by the encoder of commit 7474381" || got.Text("tps", "Path") != "/ski/rental" {
+		t.Fatalf("replayed event reads %v", got.Elements())
 	}
 }
 

@@ -6,6 +6,7 @@ package rendezvous
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
@@ -20,12 +21,13 @@ import (
 // if there was nobody to send to.
 func (s *Service) Propagate(msg *message.Message, dsvc, dparam string) error {
 	// Dup is an O(1) copy-on-write header copy: the caller's payload
-	// elements are shared read-only, and the first ReplaceElement below
-	// clones only the element headers before writing the rdv envelope.
+	// elements are shared read-only, and Grow clones the element headers
+	// once, with room for the rdv envelope.
 	out := msg.Dup()
-	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemOp, Data: []byte(opProp)})
-	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemDSvc, Data: []byte(dsvc)})
-	out.ReplaceElement(message.Element{Namespace: elemNS, Name: elemDParam, Data: []byte(dparam)})
+	out.Grow(3)
+	out.ReplaceText(elemNS, elemOp, opProp)
+	out.ReplaceText(elemNS, elemDSvc, dsvc)
+	out.ReplaceText(elemNS, elemDParam, dparam)
 	if !out.Stamp(s.ep.PeerID()) {
 		return nil // TTL exhausted before leaving the peer
 	}
@@ -51,7 +53,8 @@ func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
 	if dsvc == "" {
 		return
 	}
-	if err := s.ep.DeliverLocal(dsvc, dparam, msg, from); err == nil {
+	delivered := s.ep.DeliverLocal(dsvc, dparam, msg, from) == nil
+	if delivered {
 		s.stats.delivered.Add(1)
 	}
 	// Forward deeper into the mesh. Edge peers terminate propagation;
@@ -59,9 +62,14 @@ func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
 	if s.cfg.Role != RoleRendezvous {
 		return
 	}
-	// COW Dup: forwarding deeper shares the delivered message's elements;
-	// only the per-hop path/TTL state is copied before stamping.
-	fwd := msg.Dup()
+	// A message is shared only once a local handler has it: then the hop
+	// stamps a COW Dup, which copies just the path/TTL state. Otherwise
+	// nothing else holds what the endpoint decoded for this call, and
+	// the hop stamps the message itself.
+	fwd := msg
+	if delivered {
+		fwd = msg.Dup()
+	}
 	if !fwd.Stamp(s.ep.PeerID()) {
 		return
 	}
@@ -74,50 +82,58 @@ type target struct {
 	addr endpoint.Address
 }
 
-// targetsLocked selects who receives a frame of the given group: the
-// clients leased for it and, when mesh is set, the rendezvous we lease
-// with — each peer once, skipping addresses whose eviction breaker is
-// still open.
-func (s *Service) targetsLocked(param string, mesh bool) []target {
+// targetList is the scratch one fan-out selects its targets into. The
+// set of targets moves with time alone (leases lapse, breakers close),
+// so it is worked out per frame as before; pooled, a frame no longer
+// pays a slice and a map for it.
+type targetList struct {
+	targets []target
+	ids     map[jid.ID]struct{} // peers already in targets
+}
+
+var targetPool = sync.Pool{New: func() any { return &targetList{ids: make(map[jid.ID]struct{})} }}
+
+func (l *targetList) release() {
+	l.targets = l.targets[:0]
+	clear(l.ids)
+	targetPool.Put(l)
+}
+
+// targets selects who receives a frame of the given group: the clients
+// leased for it and, when mesh is set, the rendezvous we lease with —
+// each peer once, skipping addresses whose eviction breaker is still
+// open. The caller releases the list when the frame is sent.
+func (s *Service) targets(param string, mesh bool) *targetList {
+	l := targetPool.Get().(*targetList)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.expireLocked()
 	now := s.now()
-	n := len(s.clients)
-	if mesh {
-		n += len(s.rdvs)
-	}
-	targets := make([]target, 0, n)
-	// The dedupe map only matters when client leases exist: one peer may
-	// lease for several groups, or lease while also being a rendezvous we
-	// connect to. Pure mesh forwarding (no clients — every edge peer, and
-	// rendezvous between lease arrivals) skips the allocation; reads from
-	// the nil map below are safe and always miss.
-	var seenIDs map[jid.ID]struct{}
-	if len(s.clients) > 0 {
-		seenIDs = make(map[jid.ID]struct{}, n)
-		for k, e := range s.clients {
-			// Group scoping: a client leased for group X must not receive
-			// group Y traffic. Wildcard entries ("") are mesh peers that
-			// forward everything.
-			if k.param != "" && param != "" && k.param != param {
-				continue
-			}
-			if _, dup := seenIDs[k.id]; dup || s.blockedLocked(e.addr, now) {
-				continue
-			}
-			seenIDs[k.id] = struct{}{}
-			targets = append(targets, target{k.id, e.addr})
+	// One peer may lease for several groups, or lease while also being a
+	// rendezvous we connect to.
+	for k, e := range s.clients {
+		// Group scoping: a client leased for group X must not receive
+		// group Y traffic. Wildcard entries ("") are mesh peers that
+		// forward everything.
+		if k.param != "" && param != "" && k.param != param {
+			continue
 		}
+		if _, dup := l.ids[k.id]; dup || s.blockedLocked(e.addr, now) {
+			continue
+		}
+		l.ids[k.id] = struct{}{}
+		l.targets = append(l.targets, target{k.id, e.addr})
 	}
 	if mesh {
 		for id, e := range s.rdvs {
 			// IDs are unique within rdvs; only a client/rdv overlap can dup.
-			if _, dup := seenIDs[id]; dup || s.blockedLocked(e.addr, now) {
+			if _, dup := l.ids[id]; dup || s.blockedLocked(e.addr, now) {
 				continue
 			}
-			targets = append(targets, target{id, e.addr})
+			l.targets = append(l.targets, target{id, e.addr})
 		}
 	}
-	return targets
+	return l
 }
 
 // blockedLocked reports whether addr is behind an open breaker, counting
@@ -142,8 +158,10 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (att
 	// log before it leaves, so a subscriber that is offline right now can
 	// replay it later. A forwarded message is re-numbered: cursors are per
 	// origin, and this rendezvous is now an origin for its subscribers.
+	// The frame it stored is the frame the targets below get.
+	var frame []byte
 	if s.logs != nil {
-		s.logs.append(msg, param)
+		frame = s.logs.append(msg, param)
 	}
 	// Archive a forward-stage hop for messages carrying a trace element:
 	// the stamped Path at this moment shows exactly which peers the frame
@@ -156,15 +174,13 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (att
 	}
 	s.stats.propagated.Add(1)
 
-	s.mu.Lock()
-	targets := s.targetsLocked(param, true)
-	s.mu.Unlock()
+	tl := s.targets(param, true)
+	defer tl.release()
 
 	// Marshal once: every target receives the identical frame, so the
 	// envelope-and-encode work must not be repeated per peer.
-	var frame []byte
 	var probes []endpoint.Address
-	for _, t := range targets {
+	for _, t := range tl.targets {
 		if t.id == except || msg.Visited(t.id) {
 			continue
 		}
@@ -173,7 +189,6 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (att
 			if frame, err = s.ep.EncodeFrame(ServiceName, param, msg); err != nil {
 				return 0, 0
 			}
-			defer endpoint.RecycleFrame(frame)
 		}
 		attempted++
 		if err := s.ep.SendFrame(t.addr, frame); err != nil {
@@ -187,6 +202,9 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (att
 			continue
 		}
 		s.noteSuccess(t.addr)
+	}
+	if frame != nil {
+		endpoint.RecycleFrame(frame)
 	}
 	// Probe outside the send loop: a probe is itself a send and must not
 	// distort this fan-out's accounting.

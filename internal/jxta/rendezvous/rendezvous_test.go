@@ -2,6 +2,7 @@ package rendezvous_test
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +26,8 @@ type testPeer struct {
 type cluster struct {
 	t   *testing.T
 	net *netsim.Network
+	// wrap, when set, goes around the transport of the next service.
+	wrap func(endpoint.Transport) endpoint.Transport
 }
 
 func newCluster(t *testing.T) *cluster {
@@ -48,7 +51,11 @@ func (c *cluster) addService(name string, seed uint64, cfg rendezvous.Config) *t
 		c.t.Fatal(err)
 	}
 	ep := endpoint.New(jid.FromSeed(jid.KindPeer, seed))
-	if err := ep.AddTransport(memnet.New(node)); err != nil {
+	var tr endpoint.Transport = memnet.New(node)
+	if c.wrap != nil {
+		tr, c.wrap = c.wrap(tr), nil
+	}
+	if err := ep.AddTransport(tr); err != nil {
 		c.t.Fatal(err)
 	}
 	cfg.GroupParam = "net"
@@ -152,6 +159,45 @@ func TestPropagateThroughOneRendezvous(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if sp.count() != 0 {
 		t.Fatal("publisher received its own propagation")
+	}
+}
+
+// TestForwardStampsACopyOfADeliveredMessage: a rendezvous with a local
+// handler for the destination both delivers and forwards. The handler
+// shares the message from then on, so the hop must stamp a copy — the
+// one it keeps still reads as it arrived — while a rendezvous with no
+// handler stamps what it decoded and the next hop sees both on the path.
+func TestForwardStampsACopyOfADeliveredMessage(t *testing.T) {
+	c := newCluster(t)
+	rdvA := c.addPeer("rdvA", 1, rendezvous.RoleRendezvous)
+	rdvB := c.addPeer("rdvB", 2, rendezvous.RoleRendezvous, "mem://rdvA")
+	pub := c.addPeer("pub", 3, rendezvous.RoleEdge, "mem://rdvA")
+	sub := c.addPeer("sub", 4, rendezvous.RoleEdge, "mem://rdvB")
+	for _, p := range []*testPeer{rdvB, pub, sub} {
+		if !p.rdv.AwaitConnected(5 * time.Second) {
+			t.Fatalf("%s never connected", p.name)
+		}
+	}
+	kept := subscribe(t, rdvA, "app.events") // rdvB has no handler
+	remote := subscribe(t, sub, "app.events")
+
+	m := message.New(pub.ep.PeerID())
+	m.AddString("app", "body", "kept and forwarded")
+	if err := pub.rdv.Propagate(m, "app.events", "net"); err != nil {
+		t.Fatal(err)
+	}
+	far := remote.waitOne(t)
+	pubID, a, b := pub.ep.PeerID(), rdvA.ep.PeerID(), rdvB.ep.PeerID()
+	if want := []jid.ID{pubID, a, b}; !reflect.DeepEqual(far.Path, want) || far.TTL != message.DefaultTTL-3 {
+		t.Fatalf("subscriber's copy: path %v ttl %d, want %v and %d", far.Path, far.TTL, want, message.DefaultTTL-3)
+	}
+	// The forward has long left rdvA by now.
+	local := kept.waitOne(t)
+	if want := []jid.ID{pubID}; !reflect.DeepEqual(local.Path, want) || local.TTL != message.DefaultTTL-1 {
+		t.Fatalf("the delivered message was stamped under its handler: path %v ttl %d, want %v and %d", local.Path, local.TTL, want, message.DefaultTTL-1)
+	}
+	if local.Text("app", "body") != "kept and forwarded" || local.Text("rdv", "Op") != "prop" {
+		t.Fatalf("the delivered message changed: %v", local.Elements())
 	}
 }
 

@@ -309,10 +309,9 @@ func (l *logServer) handleSyncRec(msg *message.Message, from endpoint.Address) {
 	// group; receive-side dedupe absorbs anything a client already saw
 	// live. This is what keeps a standby's clients current while the
 	// primary is unreachable from them but not from the replica set.
-	s.mu.Lock()
-	targets := s.targetsLocked(topic, false)
-	s.mu.Unlock()
-	for _, t := range targets {
+	tl := s.targets(topic, false)
+	defer tl.release()
+	for _, t := range tl.targets {
 		if err := s.ep.SendFrame(t.addr, frame); err != nil {
 			s.stats.sendFailures.Add(1)
 			_ = s.noteFailure(t.addr)

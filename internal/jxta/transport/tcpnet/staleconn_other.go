@@ -4,7 +4,7 @@ package tcpnet
 
 import "net"
 
-// connDead is a no-op where raw-descriptor peeking is unavailable; the
-// readLoop's EOF handling still drops stale connections, just not
-// synchronously with Send.
-func connDead(net.Conn) bool { return false }
+// newProbe's probe is a no-op where raw-descriptor peeking is
+// unavailable; the readLoop's EOF handling still drops stale
+// connections, just not synchronously with Send.
+func newProbe(net.Conn) func() bool { return func() bool { return false } }

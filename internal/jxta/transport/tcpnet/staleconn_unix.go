@@ -7,24 +7,27 @@ import (
 	"syscall"
 )
 
-// connDead reports whether the remote end of a cached connection has
-// already closed or reset it, using a non-blocking MSG_PEEK on the raw
-// descriptor. A write to such a connection would "succeed" into the
-// kernel buffer and the frame would be silently lost — the failure mode
-// of sending to a peer that restarted. The peek never consumes data
-// (the concurrent readLoop still sees every frame) and never blocks.
-func connDead(c net.Conn) bool {
+// newProbe returns c's liveness probe: it reports whether the remote end
+// of the cached connection has already closed or reset it, using a
+// non-blocking MSG_PEEK on the raw descriptor. A write to such a
+// connection would "succeed" into the kernel buffer and the frame would
+// be silently lost — the failure mode of sending to a peer that
+// restarted. The peek never consumes data (the concurrent readLoop still
+// sees every frame) and never blocks. The raw connection and the peek
+// closure are made here, once, so that a flush probes without
+// allocating.
+func newProbe(c net.Conn) func() bool {
 	sc, ok := c.(syscall.Conn)
 	if !ok {
-		return false
+		return func() bool { return false }
 	}
 	raw, err := sc.SyscallConn()
 	if err != nil {
-		return false
+		return func() bool { return false }
 	}
-	dead := false
-	var buf [1]byte
-	_ = raw.Control(func(fd uintptr) {
+	var dead bool
+	peek := func(fd uintptr) {
+		var buf [1]byte
 		for {
 			n, _, err := syscall.Recvfrom(int(fd), buf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
 			switch {
@@ -39,6 +42,10 @@ func connDead(c net.Conn) bool {
 			}
 			return
 		}
-	})
-	return dead
+	}
+	return func() bool {
+		dead = false
+		_ = raw.Control(peek)
+		return dead
+	}
 }

@@ -129,6 +129,7 @@ var wbufPool = sync.Pool{New: func() any { return new([]byte) }}
 // Transport is a TCP-backed endpoint transport.
 type Transport struct {
 	ln    net.Listener
+	local endpoint.Address // ln's address, formatted once: every frame carries it
 	cfg   Config
 	stats tcpCounters
 	// waitHist times enqueue → flusher pickup per frame (queue wait);
@@ -172,6 +173,7 @@ func ListenConfig(addr string, cfg Config) (*Transport, error) {
 	}
 	t := &Transport{
 		ln:       ln,
+		local:    endpoint.MakeAddress(Scheme, ln.Addr().String()),
 		cfg:      cfg,
 		waitHist: hist.New(),
 		queues:   make(map[string]*hostq),
@@ -187,9 +189,7 @@ func ListenConfig(addr string, cfg Config) (*Transport, error) {
 func (t *Transport) Scheme() string { return Scheme }
 
 // LocalAddress implements endpoint.Transport.
-func (t *Transport) LocalAddress() endpoint.Address {
-	return endpoint.MakeAddress(Scheme, t.ln.Addr().String())
-}
+func (t *Transport) LocalAddress() endpoint.Address { return t.local }
 
 // SetReceiver implements endpoint.Transport. frame aliases the
 // connection's read buffer and is overwritten by the next read: recv
@@ -565,13 +565,14 @@ func (q *hostq) flush() {
 	defer q.t.wg.Done()
 	defer close(q.done)
 	var conn net.Conn
+	var dead func() bool // conn's liveness probe, built once per connection
 	fails := 0
 	for q.take() {
 		// A cached connection whose peer restarted looks writable but
 		// eats frames; the non-blocking peek detects the dead socket
 		// synchronously so the batch goes over a fresh connection. See
 		// staleconn_unix.go for the trade-off discussion.
-		if conn != nil && connDead(conn) {
+		if conn != nil && dead() {
 			q.clearConn(conn)
 			conn = nil
 			q.t.stats.redials.Add(1)
@@ -596,7 +597,7 @@ func (q *hostq) flush() {
 				recycle(q.batch)
 				return
 			}
-			conn = c
+			conn, dead = c, newProbe(c)
 			// Frames can flow back on the outbound connection too.
 			q.t.wg.Add(1)
 			go q.t.readLoop(c, func() { q.clearConn(c) })

@@ -389,6 +389,55 @@ func TestBurstAcrossPeerRestart(t *testing.T) {
 	}
 }
 
+// TestProbeOfALiveConnectionAllocatesNothing: a flusher probes its
+// connection before every batch, so the probe is built once per
+// connection and a call costs a syscall and no object. Where the
+// platform can peek (staleconn_unix.go) it also sees the peer leave.
+func TestProbeOfALiveConnectionAllocatesNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := tcpnet.NewProbe(conn)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if dead() {
+			t.Fatal("a live connection probed dead")
+		}
+	}); allocs != 0 {
+		t.Fatalf("probing a live connection allocates %.1f/op, want 0", allocs)
+	}
+	// Data waiting to be read is not a closed connection.
+	if _, err := peer.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if dead() {
+		t.Fatal("a connection with unread data probed dead")
+	}
+	_ = peer.Close()
+	if runtime.GOOS == "windows" || runtime.GOOS == "plan9" || runtime.GOOS == "js" || runtime.GOOS == "wasip1" {
+		return // staleconn_other.go: no peek, the reader's EOF finds it
+	}
+	_, _ = conn.Read(make([]byte, 1)) // drain, so the FIN is what the peek meets
+	deadline := time.Now().Add(5 * time.Second)
+	for !dead() {
+		if time.Now().After(deadline) {
+			t.Fatal("the peer closed and the probe never noticed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFrameSizesAroundTheReadBuffer round-trips frames that just fit the
 // connection's read buffer, just do not, and dwarf it, each between
 // small frames that share a read with its head or tail.
