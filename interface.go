@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,7 +121,10 @@ type Interface[T any] struct {
 	eng      *Engine[T]
 	criteria Criteria[T]
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// entries is replaced, never written in place: Subscribe and
+	// Unsubscribe install a new slice, so deliver and onError read the one
+	// they found under the lock without copying it per event.
 	entries  []subEntry[T]
 	coreSub  *engine.Subscription
 	received []T
@@ -165,7 +169,7 @@ func (i *Interface[T]) Subscribe(cb CallBack[T], exh ExceptionHandler) error {
 		return psErr("subscribe", errors.New("nil callback"))
 	}
 	i.mu.Lock()
-	i.entries = append(i.entries, subEntry[T]{cb: cb, exh: exh})
+	i.entries = append(slices.Clip(i.entries), subEntry[T]{cb: cb, exh: exh})
 	needCore := i.coreSub == nil
 	i.mu.Unlock()
 	if !needCore {
@@ -218,7 +222,7 @@ func (i *Interface[T]) Unsubscribe(cb CallBack[T], exh ExceptionHandler) error {
 	defer i.mu.Unlock()
 	for k, e := range i.entries {
 		if sameHandler(e.cb, cb) && sameHandler(e.exh, exh) {
-			i.entries = append(i.entries[:k], i.entries[k+1:]...)
+			i.entries = slices.Concat(i.entries[:k], i.entries[k+1:])
 			if len(i.entries) == 0 && i.coreSub != nil {
 				i.eng.core.Unsubscribe(i.coreSub)
 				i.coreSub = nil
@@ -272,7 +276,7 @@ func (i *Interface[T]) deliver(event any, _ jid.ID) error {
 	}
 	i.mu.Lock()
 	i.received = append(i.received, v)
-	entries := append([]subEntry[T](nil), i.entries...)
+	entries := i.entries
 	i.mu.Unlock()
 	for _, e := range entries {
 		if err := e.cb.Handle(v); err != nil && e.exh != nil {
@@ -286,7 +290,7 @@ func (i *Interface[T]) deliver(event any, _ jid.ID) error {
 // every registered exception handler.
 func (i *Interface[T]) onError(err error) {
 	i.mu.Lock()
-	entries := append([]subEntry[T](nil), i.entries...)
+	entries := i.entries
 	i.mu.Unlock()
 	for _, e := range entries {
 		if e.exh != nil {

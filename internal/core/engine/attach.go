@@ -122,12 +122,11 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv) error {
 	return nil
 }
 
-// newEventMessage assembles the four-element TPS event envelope. The
-// event ID crosses the wire in binary form (message.AddID), not as a
-// parsed-back URN string.
+// newEventMessage assembles the four-element TPS event envelope, which
+// fits the room a new message comes with. The event ID crosses the wire
+// in binary form (message.AddID), not as a parsed-back URN string.
 func newEventMessage(e *Engine, eventID jid.ID, path string, payload []byte) *message.Message {
 	msg := message.New(e.peer.ID())
-	msg.Grow(4)
 	msg.AddID(elemNS, elemEventID, eventID)
 	msg.AddString(elemNS, elemPath, path)
 	msg.AddString(elemNS, elemCodec, e.codec.Name())
@@ -136,8 +135,8 @@ func newEventMessage(e *Engine, eventID jid.ID, path string, payload []byte) *me
 }
 
 // publish sends one pre-built event message on this attachment's output
-// pipe. The message may be shared across attachments; the wire service
-// Dups it before mutating.
+// pipe. The message is shared across attachments and with the local
+// subscribers; the wire service only reads it.
 func (a *attachment) publish(msg *message.Message) error {
 	return a.out.Send(msg)
 }

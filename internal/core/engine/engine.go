@@ -398,8 +398,8 @@ func (e *Engine) Publish(event any) error {
 	e.stats.published.Add(1)
 
 	// Build the four-element TPS message once and share it across the
-	// fan-out: the wire service Dups before mutating, so each attachment
-	// sees its own envelope without the engine rebuilding the elements.
+	// fan-out: each attachment's pipe and group go into the frames as
+	// envelope fields, and nothing below writes to the message.
 	eventID := jid.NewMessage()
 	// Decode-once: remember the outgoing value so the synchronous wire
 	// loopback (and any mesh echo) dispatches it without a gob decode.

@@ -113,14 +113,20 @@ func (s *subscriptionSet) clear() {
 	s.subs = make(map[*Subscription]struct{})
 }
 
+// dispatchRoom is how many subscriptions an event can go to before
+// selecting them allocates: the targets are picked under the lock into an
+// array on the dispatcher's stack, and called outside it.
+const dispatchRoom = 8
+
 // dispatch delivers an event to every subscription whose root type the
 // event's dynamic type is assignable to (Figure 7 semantics). Callback
 // panics are converted to exception-handler calls so one bad subscriber
 // cannot kill the reader.
 func (s *subscriptionSet) dispatch(reg *typereg.Registry, node *typereg.Node, event any, from jid.ID) {
 	dyn := typereg.TypeOf(event)
+	var room [dispatchRoom]*Subscription
+	targets := room[:0]
 	s.mu.RLock()
-	targets := make([]*Subscription, 0, len(s.subs))
 	for sub := range s.subs {
 		if reg.Assignable(sub.node, dyn) {
 			targets = append(targets, sub)
@@ -146,8 +152,9 @@ func (s *subscriptionSet) deliverOne(sub *Subscription, event any, from jid.ID) 
 // dispatchError fans a decode error to every subscription's exception
 // handler.
 func (s *subscriptionSet) dispatchError(err error) {
+	var room [dispatchRoom]*Subscription
+	targets := room[:0]
 	s.mu.RLock()
-	targets := make([]*Subscription, 0, len(s.subs))
 	for sub := range s.subs {
 		if sub.onError != nil {
 			targets = append(targets, sub)

@@ -264,12 +264,13 @@ func (s *Service) Send(to Address, svc, param string, msg *message.Message) erro
 // EncodeFrame marshals msg into a single wire frame addressed to the
 // (svc, param) handler, without sending it. Fan-out paths use it to
 // marshal once and SendFrame the same bytes to many addresses. The
-// envelope — destination and return address — is written into the frame
-// and never into msg, which is only read: a caller may go on sharing it.
+// envelope — the fields of the layers above, if the caller passes any,
+// then destination and return address — is written into the frame and
+// never into msg, which is only read: a caller may go on sharing it.
 // The returned buffer comes from a pool; callers that are done with it
 // may return it via RecycleFrame (optional — a dropped frame is simply
 // collected).
-func (s *Service) EncodeFrame(svc, param string, msg *message.Message) ([]byte, error) {
+func (s *Service) EncodeFrame(svc, param string, msg *message.Message, envelope ...message.Field) ([]byte, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -286,10 +287,14 @@ func (s *Service) EncodeFrame(svc, param string, msg *message.Message) ([]byte, 
 	buf := *box
 	*box = nil
 	boxPool.Put(box)
-	frame, err := msg.MarshalAppend(buf[:0],
+	// Room for what a propagated event carries (rdv:Op/DSvc/DParam and
+	// wire:ID) without the list leaving the stack.
+	var room [8]message.Field
+	fields := append(append(room[:0], envelope...),
 		message.Field{Namespace: ElemNamespace, Name: elemDstSvc, Value: svc},
 		message.Field{Namespace: ElemNamespace, Name: elemDstParam, Value: param},
 		message.Field{Namespace: ElemNamespace, Name: elemSrcAddr, Value: string(srcAddr)})
+	frame, err := msg.MarshalAppend(buf[:0], fields...)
 	if err != nil {
 		RecycleFrame(buf)
 		return nil, fmt.Errorf("endpoint: marshal: %w", err)

@@ -62,8 +62,10 @@ func (m *Message) Marshal() ([]byte, error) {
 }
 
 // Field is an envelope element a hop writes into the frame it is
-// marshalling without adding it to the message: the destination service
-// a sender addresses, its return address.
+// marshalling without adding it to the message: the pipe a message is
+// sent on, the service it is propagated to, the destination a sender
+// addresses, its return address. Each layer hands its fields down to
+// the one that encodes.
 type Field struct{ Namespace, Name, Value string }
 
 // MarshalAppend encodes the message onto the end of buf and returns the
@@ -131,15 +133,6 @@ func appendElementHeader(buf []byte, ns, name, mime string, dataLen int) []byte 
 // lengths and one 32-bit one.
 const minElementSize = 3*2 + 4
 
-// decoded is what Unmarshal allocates for a message: the header and,
-// behind it, room for the path to grow to the hops a default-TTL message
-// can take, so neither the path nor a forwarding peer's Stamp costs an
-// allocation of its own.
-type decoded struct {
-	Message
-	path [DefaultTTL + 1]jid.ID
-}
-
 // Unmarshal decodes one wire frame produced by Marshal. The message
 // shares no memory with frame.
 func Unmarshal(frame []byte) (*Message, error) {
@@ -158,8 +151,8 @@ func Unmarshal(frame []byte) (*Message, error) {
 	if ver != wireVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	d := &decoded{}
-	m := &d.Message
+	h := &hop{}
+	m := &h.Message
 	if m.ID, err = readID(r); err != nil {
 		return nil, err
 	}
@@ -177,13 +170,7 @@ func Unmarshal(frame []byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: path length %d", ErrTooLarge, plen)
 	}
 	if plen > 0 {
-		// Pre-size for the hops the message can still take, so forwarding
-		// peers Stamp without reallocating.
-		if hops := int(plen) + int(m.TTL) + 1; hops <= len(d.path) {
-			m.Path = d.path[:plen:hops]
-		} else {
-			m.Path = make([]jid.ID, plen, hops)
-		}
+		h.setPath(int(plen))
 		for i := range m.Path {
 			if m.Path[i], err = readID(r); err != nil {
 				return nil, err

@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"reflect"
@@ -53,9 +54,11 @@ func contents(t *testing.T, frame []byte) (*Message, map[[2]string]content) {
 
 // FuzzEnvelopeMatchesReplace holds MarshalAppend with envelope fields to
 // the encoding it replaced. The message is whatever decodes — the seeds
-// include forwarded frames, which already carry ep and rdv elements —
-// and the third field is aimed at one of its elements or named by the
-// fuzzer.
+// include forwarded frames, which already carry ep, rdv and wire
+// elements — and the envelope is the last one to eight of what a
+// propagated event is sent with (the rendezvous' three fields, the
+// wire's one, the endpoint's three) and a field that is aimed at one of
+// the message's elements or named by the fuzzer.
 func FuzzEnvelopeMatchesReplace(f *testing.F) {
 	plain, err := testMsg().Marshal()
 	if err != nil {
@@ -65,20 +68,30 @@ func FuzzEnvelopeMatchesReplace(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(plain, "jxta.rdv", "net", "mem://rdv", "rdv", "Seq", uint8(255))
-	f.Add(forwarded, "jxta.rdv", "", "tcp://127.0.0.1:9701", "", "", uint8(4))
-	f.Add(forwarded, "", "net", "", strings.Repeat("n", 256), "name", uint8(255))
-	f.Fuzz(func(t *testing.T, frame []byte, svc, param, value, ns, name string, aim uint8) {
+	published, stored := goldenEventFrames(f)
+	f.Add(plain, "jxta.rdv", "net", "mem://rdv", "rdv", "Seq", uint8(255), uint8(2))
+	f.Add(forwarded, "jxta.rdv", "", "tcp://127.0.0.1:9701", "", "", uint8(4), uint8(2))
+	f.Add(forwarded, "", "net", "", strings.Repeat("n", 256), "name", uint8(255), uint8(0))
+	f.Add(published, "jxta.service.wire", "net", "mem://pub", "tps", "Codec", uint8(255), uint8(7))
+	f.Add(stored, "jxta.service.wire", "net", "\x03pipe", "", "", uint8(9), uint8(7))
+	f.Fuzz(func(t *testing.T, frame []byte, svc, param, value, ns, name string, aim, more uint8) {
 		m, err := Unmarshal(frame)
 		if err != nil {
 			return
 		}
-		fields := []Field{{"ep", "DstSvc", svc}, {"ep", "DstParam", param}, {ns, name, value}}
-		if int(aim) < m.Len() {
-			fields[2].Namespace, fields[2].Name = m.elements[aim].Namespace, m.elements[aim].Name
+		fields := []Field{
+			{"rdv", "Op", "prop"}, {"rdv", "DSvc", svc}, {"rdv", "DParam", param}, {"wire", "ID", value},
+			{"ep", "DstSvc", svc}, {"ep", "DstParam", param}, {"ep", "SrcAddr", value}, {ns, name, value},
 		}
-		if fields[2].Namespace == "ep" && strings.HasPrefix(fields[2].Name, "Dst") {
-			return // fields differ from each other in name
+		fields = fields[7-int(more%8):]
+		own := &fields[len(fields)-1]
+		if int(aim) < m.Len() {
+			own.Namespace, own.Name = m.elements[aim].Namespace, m.elements[aim].Name
+		}
+		for _, f := range fields[:len(fields)-1] {
+			if f.Namespace == own.Namespace && f.Name == own.Name {
+				return // fields differ from each other in name
+			}
 		}
 		for _, f := range fields {
 			n := 0
@@ -191,9 +204,35 @@ func TestEnvelopedFrameLayout(t *testing.T) {
 	}
 }
 
-// TestParentEncodedFrameDecodes reads a frame the previous encoder
-// wrote: the wire format did not move, so what that encoder left in an
-// event log still decodes, field for field.
+// goldenEventFrames returns the two frames of testdata/event_frame_pr22.bin,
+// each behind a 32-bit length: the frame a publisher at commit 11e23a6
+// (PR 22) sent its rendezvous for one event — built as the engine builds
+// it, sent on a wire pipe — and the frame that rendezvous, a durable one,
+// stored and fanned out for it. That encoder wrote wire:ID and the rdv
+// fields as elements of a copy of the message.
+func goldenEventFrames(t testing.TB) (published, stored []byte) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/event_frame_pr22.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [2][]byte
+	for i := range frames {
+		if len(raw) < 4 || len(raw)-4 < int(binary.BigEndian.Uint32(raw)) {
+			t.Fatalf("golden file: frame %d is cut short", i)
+		}
+		n := int(binary.BigEndian.Uint32(raw))
+		frames[i], raw = raw[4:4+n], raw[4+n:]
+	}
+	return frames[0], frames[1]
+}
+
+// TestParentEncodedFrameDecodes reads frames the previous encoders
+// wrote: the wire format did not move, so what they left in an event log
+// — or send, from a peer not upgraded yet — still decodes, field for
+// field. And for the same message, this encoder's frame says the same:
+// the (namespace, name, value) set is the parent's, with only the order
+// and the MIME type of wire:ID, which nothing reads, different.
 func TestParentEncodedFrameDecodes(t *testing.T) {
 	frame, err := os.ReadFile(goldenDurableFrame)
 	if err != nil {
@@ -227,5 +266,90 @@ func TestParentEncodedFrameDecodes(t *testing.T) {
 	again, err := m.Marshal()
 	if err != nil || !bytes.Equal(again, frame) {
 		t.Fatalf("re-marshal of the decoded frame differs (%v)", err)
+	}
+
+	// PR 22: the publisher's frame and the stored frame of one event.
+	published, stored := goldenEventFrames(t)
+	pipe := string(jid.FromSeed(jid.KindPipe, 42).AppendWire(nil))
+	event := map[[2]string]string{
+		{"tps", "EventID"}: string(jid.FromSeed(jid.KindMessage, 43).AppendWire(nil)),
+		{"tps", "Path"}:    "/ski/rental",
+		{"tps", "Codec"}:   "gob",
+		{"tps", "Data"}:    "payload written by the encoder of commit 11e23a6",
+		{"wire", "ID"}:     pipe,
+		{"rdv", "Op"}:      "prop",
+		{"rdv", "DSvc"}:    "jxta.service.wire",
+		{"rdv", "DParam"}:  "net",
+		{"ep", "DstSvc"}:   "jxta.rdv",
+		{"ep", "DstParam"}: "net",
+	}
+	for _, g := range []struct {
+		frame []byte
+		path  []jid.ID
+		more  map[[2]string]string
+	}{
+		{published, []jid.ID{pub}, map[[2]string]string{{"ep", "SrcAddr"}: "mem://pub"}},
+		{stored, []jid.ID{pub, rdv}, map[[2]string]string{
+			{"ep", "SrcAddr"}: "mem://rdv",
+			{"rdv", "Seq"}:    "\x00\x00\x00\x00\x00\x00\x00\x01",
+			{"rdv", "LogSrc"}: string(rdv.AppendWire(nil)),
+		}},
+	} {
+		m, c := contents(t, g.frame)
+		if m.ID != jid.FromSeed(jid.KindMessage, 8) || m.Src != pub || int(m.TTL) != DefaultTTL-len(g.path) || !reflect.DeepEqual(m.Path, g.path) {
+			t.Fatalf("header: %+v", m)
+		}
+		if m.Len() != len(event)+len(g.more) {
+			t.Errorf("%d elements, want %d", m.Len(), len(event)+len(g.more))
+		}
+		for _, want := range []map[[2]string]string{event, g.more} {
+			for name, v := range want {
+				if c[name].data != v {
+					t.Errorf("%s:%s = %q, want %q", name[0], name[1], c[name].data, v)
+				}
+			}
+		}
+		if again, err := m.Marshal(); err != nil || !bytes.Equal(again, g.frame) {
+			t.Fatalf("re-marshal of the decoded frame differs (%v)", err)
+		}
+	}
+
+	// The same event, sent by this encoder: the message is the engine's
+	// four elements, stamped, and everything else is envelope.
+	ev := &Message{ID: jid.FromSeed(jid.KindMessage, 8), Src: pub, TTL: DefaultTTL}
+	ev.AddID("tps", "EventID", jid.FromSeed(jid.KindMessage, 43))
+	ev.AddString("tps", "Path", "/ski/rental")
+	ev.AddString("tps", "Codec", "gob")
+	ev.AddBytes("tps", "Data", []byte("payload written by the encoder of commit 11e23a6"))
+	out := ev.Dup()
+	out.Stamp(pub)
+	now, err := out.MarshalAppend(nil,
+		Field{"rdv", "Op", "prop"}, Field{"rdv", "DSvc", "jxta.service.wire"}, Field{"rdv", "DParam", "net"},
+		Field{"wire", "ID", pipe},
+		Field{"ep", "DstSvc", "jxta.rdv"}, Field{"ep", "DstParam", "net"}, Field{"ep", "SrcAddr", "mem://pub"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nm, nc := contents(t, now)
+	pm, pc := contents(t, published)
+	if nm.ID != pm.ID || nm.Src != pm.Src || nm.TTL != pm.TTL || !reflect.DeepEqual(nm.Path, pm.Path) {
+		t.Fatalf("headers differ:\n now  %+v\nthen %+v", nm, pm)
+	}
+	if ev.Len() != 4 || len(ev.Path) != 0 {
+		t.Fatalf("the event was written to: %v, path %v", ev.Elements(), ev.Path)
+	}
+	if len(now) != len(published)-len("application/x-jxta-id") {
+		t.Errorf("frame is %d bytes, the parent's %d: only wire:ID's MIME type should be gone", len(now), len(published))
+	}
+	for name, then := range pc {
+		if name == [2]string{"wire", "ID"} {
+			then.mime = ""
+		}
+		if nc[name] != then {
+			t.Errorf("%s:%s = %q, the parent's encoder wrote %q", name[0], name[1], nc[name], then)
+		}
+	}
+	if len(nc) != len(pc) {
+		t.Errorf("%d elements, the parent's encoder wrote %d", len(nc), len(pc))
 	}
 }

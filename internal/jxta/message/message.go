@@ -14,14 +14,19 @@
 // # Copy-on-write
 //
 // Messages are immutable-by-contract after construction: a hop that
-// needs a private envelope on a message somebody else may hold calls
-// Dup, and Dup is a cheap header copy, not a deep copy. Three places do:
-// the wire service (its pipe ID, and the copy it loops back), Propagate
-// (the rdv elements and the first stamp), and a rendezvous forwarding a
-// message it has also handed to a local handler. Addressing a frame is
-// not one of them — the endpoint writes its envelope into the frame
-// (MarshalAppend's fields) and only reads the message — and neither is
-// forwarding a message nothing else holds, which is stamped as it is.
+// needs private per-hop state on a message somebody else may hold calls
+// Dup, and Dup is a cheap header copy, not a deep copy. Two places do,
+// one on the send side and one on a forwarded-and-delivered message:
+// Propagate, whose copy takes this hop's Stamp (and, on a durable
+// rendezvous, its log sequence) while the caller's message — which the
+// wire service has also handed to the local listener, as it is — stays
+// as it was built; and a rendezvous forwarding a message it has also
+// handed to a local handler. Addressing a frame is not one of them, at
+// any layer — the wire service's pipe ID, Propagate's destination and
+// the endpoint's are envelope fields written into the frame
+// (MarshalAppend) by an encoder that only reads the message — and
+// neither is forwarding a message nothing else holds, which is stamped
+// as it is.
 // The element list — including payload byte slices — is shared
 // read-only between a message and its Dups; the first mutation through
 // AddElement, ReplaceElement or RemoveElement clones the element
@@ -31,14 +36,17 @@
 //
 //   - element payloads must never be modified in place (they may be
 //     aliased by any number of in-flight copies, by pooled marshal
-//     buffers and by the strings Text returns), and
+//     buffers, by the strings Text returns and by the ones AddString
+//     and ReplaceText were given), and
 //   - Path must only be extended through Stamp; Dup gives each copy its
-//     own path slice, pre-sized so a full-TTL traversal does not
-//     reallocate.
+//     own path, in the block it allocates for the header, with room for
+//     a full-TTL traversal.
 //
 // Dup itself requires the same single-goroutine ownership the deep copy
-// did: concurrent readers of a shared message are fine, but Dup and the
-// mutators must not race each other on the same Message.
+// did: concurrent readers of a shared message are fine — of the message
+// it copies, Dup writes only the copy-on-write mark, which no reader
+// looks at — but Dup and the mutators must not race each other on the
+// same Message.
 package message
 
 import (
@@ -93,9 +101,19 @@ type Message struct {
 // covers rendezvous meshes of practical diameter.
 const DefaultTTL = 7
 
+// built is what New allocates: the header and, behind it, room for the
+// elements a sender adds — an event is four, a traced one five — so that
+// building a message costs one block and no Grow.
+type built struct {
+	Message
+	elems [8]Element
+}
+
 // New returns an empty message with a fresh UUID and the default TTL.
 func New(src jid.ID) *Message {
-	return &Message{ID: jid.NewMessage(), Src: src, TTL: DefaultTTL}
+	b := &built{Message: Message{ID: jid.NewMessage(), Src: src, TTL: DefaultTTL}}
+	b.elements = b.elems[:0]
+	return &b.Message
 }
 
 // ownElements makes the element slice exclusively owned, cloning the
@@ -134,9 +152,10 @@ func (m *Message) AddBytes(namespace, name string, data []byte) {
 	m.AddElement(Element{Namespace: namespace, Name: name, Data: data})
 }
 
-// AddString appends a text element.
+// AddString appends a text element. It shares the string's bytes, as
+// ReplaceText does.
 func (m *Message) AddString(namespace, name, value string) {
-	m.AddElement(Element{Namespace: namespace, Name: name, MimeType: "text/plain", Data: []byte(value)})
+	m.AddElement(Element{Namespace: namespace, Name: name, MimeType: "text/plain", Data: aliasBytes(value)})
 }
 
 // AddID appends an element whose payload is the binary wire form of the
@@ -198,6 +217,10 @@ func (m *Message) Text(namespace, name string) string {
 // aliasString is b as a string, sharing its bytes.
 func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
+// aliasBytes is s as a payload, sharing its bytes and capped so that an
+// append cannot write behind them.
+func aliasBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
 // Bytes returns the payload of the named element, or nil if absent.
 func (m *Message) Bytes(namespace, name string) []byte {
 	e, ok := m.Element(namespace, name)
@@ -211,7 +234,7 @@ func (m *Message) Bytes(namespace, name string) []byte {
 // string's bytes, as Text shares a payload's: sound for the same reason,
 // a payload is never modified in place.
 func (m *Message) ReplaceText(namespace, name, value string) {
-	m.ReplaceElement(Element{Namespace: namespace, Name: name, Data: unsafe.Slice(unsafe.StringData(value), len(value))})
+	m.ReplaceElement(Element{Namespace: namespace, Name: name, Data: aliasBytes(value)})
 }
 
 // AddUint64 appends an element carrying v as an 8-byte big-endian
@@ -283,9 +306,9 @@ func (m *Message) Visited(peer jid.ID) bool {
 
 // Stamp appends peer to the path and decrements the TTL. It reports false
 // if the TTL was already exhausted or the peer had been visited, in which
-// case the message must not be forwarded. The path slice is pre-sized
-// from the remaining TTL, so a full-TTL traversal reallocates at most
-// once.
+// case the message must not be forwarded. A path that has to grow is
+// sized from the remaining TTL, so a full-TTL traversal reallocates at
+// most once; a Dup and a decoded message have the room already.
 func (m *Message) Stamp(peer jid.ID) bool {
 	if m.TTL == 0 || m.Visited(peer) {
 		return false
@@ -300,25 +323,41 @@ func (m *Message) Stamp(peer jid.ID) bool {
 	return true
 }
 
+// hop is a message header with room behind it for the path of a
+// default-TTL message: what Dup and Unmarshal allocate, so that neither
+// the path nor the Stamp of the peer holding the message costs an
+// allocation of its own.
+type hop struct {
+	Message
+	path [DefaultTTL + 1]jid.ID
+}
+
+// setPath gives the message a path of n peers, with room for the hops
+// its TTL still allows.
+func (h *hop) setPath(n int) {
+	if hops := n + int(h.TTL) + 1; hops <= len(h.path) {
+		h.Path = h.path[:n:hops]
+	} else {
+		h.Path = make([]jid.ID, n, hops)
+	}
+}
+
 // Dup returns a copy of the message that may be mutated independently.
 // The copy keeps the same message ID: duplicate suppression must treat a
 // re-sent message as the same logical event, as JXTA's msg.dup() does.
 //
 // Dup is O(1) in the payload: elements are shared copy-on-write between
 // the original and the copy (see the package comment), so duplicating a
-// message costs its header and, if it has been stamped, its path — two
-// small allocations at most, regardless of how many kilobytes its
-// payload elements hold; the first mutation of the copy adds the
-// element headers. Only the path — the per-hop mutable state — is copied
-// eagerly, pre-sized so Stamp never reallocates it.
+// message costs one block — its header and its path, with room for the
+// Stamps its TTL allows — regardless of how many kilobytes its payload
+// elements hold; the first mutation of the copy adds the element
+// headers. Of m, Dup writes the copy-on-write mark alone.
 func (m *Message) Dup() *Message {
 	m.cow = true
-	out := &Message{ID: m.ID, Src: m.Src, TTL: m.TTL, elements: m.elements, cow: true}
-	if len(m.Path) > 0 {
-		out.Path = make([]jid.ID, len(m.Path), len(m.Path)+int(m.TTL)+1)
-		copy(out.Path, m.Path)
-	}
-	return out
+	h := &hop{Message: Message{ID: m.ID, Src: m.Src, TTL: m.TTL, elements: m.elements, cow: true}}
+	h.setPath(len(m.Path))
+	copy(h.Path, m.Path)
+	return &h.Message
 }
 
 // WireSize returns the exact encoded size in bytes without encoding.

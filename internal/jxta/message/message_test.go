@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 )
 
@@ -279,17 +280,74 @@ func TestConcurrentFanOutMutation(t *testing.T) {
 }
 
 // TestDupAllocBudget keeps Dup O(1): duplicating a message with a
-// multi-kilobyte payload must cost at most two small allocations (the
-// struct and the path copy), never a payload copy.
+// multi-kilobyte payload and stamping the copy must cost one block —
+// header and path, with the room the Stamp takes — whether the original
+// has a path yet or not, and never a payload copy.
 func TestDupAllocBudget(t *testing.T) {
+	hop := jid.FromSeed(jid.KindPeer, 3)
 	m := New(jid.FromSeed(jid.KindPeer, 1))
 	m.AddBytes("bench", "payload", make([]byte, 1910))
-	m.Stamp(jid.FromSeed(jid.KindPeer, 2))
-	allocs := testing.AllocsPerRun(200, func() {
-		sink = m.Dup()
-	})
-	if allocs > 2 {
-		t.Errorf("Dup allocates %.1f/op, budget is 2 (struct + path)", allocs)
+	for _, stamped := range []bool{false, true} {
+		if stamped {
+			m.Stamp(jid.FromSeed(jid.KindPeer, 2))
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			sink = m.Dup()
+			if !sink.Stamp(hop) {
+				t.Fatal("copy refused the stamp")
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("Dup + Stamp allocate %.1f/op (original stamped: %v), budget is 1", allocs, stamped)
+		}
+		if want := len(m.Path) + 1; len(sink.Path) != want || sink.Path[want-1] != hop || m.Visited(hop) {
+			t.Errorf("copy's path %v, original's %v", sink.Path, m.Path)
+		}
+	}
+	// A TTL beyond the default does not fit the block: it must still work.
+	m.TTL = 200
+	d := m.Dup()
+	for i := 0; i < 20; i++ {
+		if !d.Stamp(jid.FromSeed(jid.KindPeer, uint64(100+i))) {
+			t.Fatalf("stamp %d refused", i)
+		}
+	}
+	if len(d.Path) != 21 || len(m.Path) != 1 {
+		t.Fatalf("long path: copy %d hops, original %d", len(d.Path), len(m.Path))
+	}
+}
+
+// TestNewAllocBudget: an event message as the engine builds it — New and
+// four Adds — is one block and the 17 bytes of the event ID. The text
+// elements share their strings' bytes.
+func TestNewAllocBudget(t *testing.T) {
+	src, ev := jid.FromSeed(jid.KindPeer, 1), jid.FromSeed(jid.KindMessage, 2)
+	path, blob := "/ski/rental", make([]byte, 1910)
+	build := func() *Message {
+		m := New(src)
+		m.AddID("tps", "EventID", ev)
+		m.AddString("tps", "Path", path)
+		m.AddString("tps", "Codec", "gob")
+		m.AddBytes("tps", "Data", blob)
+		return m
+	}
+	// Under the race detector jid.NewMessage's random bytes are one more.
+	if allocs := testing.AllocsPerRun(200, func() { sink = build() }); allocs > 2 && !israce.Enabled {
+		t.Errorf("New + four Adds allocate %.1f/op, budget is 2", allocs)
+	}
+	m := build()
+	if got, err := m.GetID("tps", "EventID"); err != nil || got != ev || m.Text("tps", "Path") != path || m.Len() != 4 {
+		t.Fatalf("built message reads %v", m.Elements())
+	}
+	if e, _ := m.Element("tps", "Path"); cap(e.Data) != len(path) {
+		t.Fatalf("a text payload has capacity %d behind its %d bytes: an append would write into the string's neighbours", cap(e.Data), len(path))
+	}
+	// The ninth element leaves the block; the first eight stay readable.
+	for i := 0; i < 5; i++ {
+		m.AddUint64("app", string(rune('a'+i)), uint64(i))
+	}
+	if v, ok := m.Uint64("app", "e"); m.Len() != 9 || !ok || v != 4 || m.Text("tps", "Codec") != "gob" {
+		t.Fatalf("grown message reads %v", m.Elements())
 	}
 }
 

@@ -59,18 +59,19 @@ func newLogServer(s *Service) *logServer {
 }
 
 // append reserves the topic's next sequence number, stamps it and this
-// peer's identity onto msg, stores the encoded propagation frame and
-// returns it for the fan-out to send and recycle: the bytes a later
-// replay resends are the bytes that leave now, encoded once. It returns
-// nil when the log could not be reached to number the message.
-func (l *logServer) append(msg *message.Message, topic string) []byte {
+// peer's identity onto msg, stores the propagation frame — encoded with
+// the fan-out's envelope — and returns it for the fan-out to send and
+// recycle: the bytes a later replay resends are the bytes that leave
+// now, encoded once. It returns nil when the log could not be reached to
+// number the message.
+func (l *logServer) append(msg *message.Message, topic string, envelope []message.Field) []byte {
 	s := l.s
 	var frame []byte
 	_, err := s.cfg.Log.Append(topic, func(seq uint64) ([]byte, error) {
 		msg.ReplaceElement(message.Element{Namespace: elemNS, Name: elemSeq, Data: binary.BigEndian.AppendUint64(nil, seq)})
 		msg.ReplaceID(elemNS, elemLogSrc, s.ep.PeerID())
 		var err error
-		frame, err = s.ep.EncodeFrame(ServiceName, topic, msg)
+		frame, err = s.ep.EncodeFrame(ServiceName, topic, msg, envelope...)
 		return frame, err
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package rendezvous_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"reflect"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
+	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
 
@@ -150,7 +152,11 @@ func (s *sentFrames) Send(to endpoint.Address, frame []byte) error {
 // stores under a sequence number is, byte for byte, the frame it sends
 // its clients for that message — so a replay resends what a live
 // subscriber got — and the rendezvous encoded it once, not once for the
-// log and once for the fan-out.
+// log and once for the fan-out. That holds for a message the rendezvous
+// forwards, which carries its destination and the publisher's envelope
+// as elements, and for one it publishes itself, whose envelope exists
+// only as the fields Propagate hands down: either way the stored frame
+// says where a replayed message is to go.
 func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 	c := newCluster(t)
 	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
@@ -170,24 +176,32 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 	}
 	sink := subscribe(t, sub, "app.events")
 	encodes := func() int64 { return r.ep.Snapshot().Hists["encode_us"].Count }
+	pipe := message.Field{Namespace: "wire", Name: "ID", Value: "\x03a pipe's seventeen"}
 
-	const n = 40
+	const n, own = 40, 5
 	before := encodes()
-	for i := 0; i < n; i++ {
-		m := message.New(pub.ep.PeerID())
+	for i := 0; i < n+own; i++ {
+		from := pub
+		if i >= n {
+			from = r // the last few are the rendezvous' own
+		}
+		m := message.New(from.ep.PeerID())
 		m.AddUint64("app", "n", uint64(i))
-		if err := pub.rdv.Propagate(m, "app.events", "net"); err != nil {
+		if err := from.rdv.Propagate(m, "app.events", "net", pipe); err != nil {
 			t.Fatal(err)
 		}
+		if m.Len() != 1 || len(m.Path) != 0 {
+			t.Fatalf("Propagate wrote to the caller's message: %v, path %v", m.Elements(), m.Path)
+		}
 	}
-	waitFor(t, func() bool { return sink.count() == n })
+	waitFor(t, func() bool { return sink.count() == n+own })
 	// A lease renewal may fall into the window: each costs the rendezvous
 	// one encode, the grant. Two encodes a message would be n more.
-	if got := encodes() - before; got < n || got > n+4 {
-		t.Fatalf("%d messages forwarded and logged with %d encodes, want one each", n, got)
+	if got := encodes() - before; got < n+own || got > n+own+4 {
+		t.Fatalf("%d messages logged and sent with %d encodes, want one each", n+own, got)
 	}
 
-	sent := make(map[uint64][]byte, n)
+	sent := make(map[uint64][]byte, n+own)
 	tap.mu.Lock()
 	for _, frame := range tap.frames {
 		m, err := message.Unmarshal(frame)
@@ -195,8 +209,10 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, seq, ok := rendezvous.ReplayInfo(m); ok {
-			if sent[seq] != nil {
-				t.Fatalf("sequence %d left twice with one subscriber", seq)
+			// A forwarded message leaves once, for the subscriber; the
+			// rendezvous' own once for each of its two clients.
+			if sent[seq] != nil && (m.Src != r.ep.PeerID() || !bytes.Equal(sent[seq], frame)) {
+				t.Fatalf("sequence %d left twice, or as two different frames", seq)
 			}
 			sent[seq] = frame
 		}
@@ -208,36 +224,67 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 		if !bytes.Equal(e.Payload, sent[e.Seq]) {
 			t.Errorf("sequence %d: stored frame differs from the frame sent\nstored %x\n  sent %x", e.Seq, e.Payload, sent[e.Seq])
 		}
+		m, err := message.Unmarshal(e.Payload)
+		if err != nil {
+			t.Fatalf("sequence %d: stored frame does not decode: %v", e.Seq, err)
+		}
+		for name, want := range map[string]string{"Op": "prop", "DSvc": "app.events", "DParam": "net"} {
+			if got := m.Text("rdv", name); got != want {
+				t.Errorf("sequence %d: stored frame has rdv:%s = %q, want %q", e.Seq, name, got, want)
+			}
+		}
+		if got := m.Text("wire", "ID"); got != pipe.Value {
+			t.Errorf("sequence %d: stored frame has wire:ID = %q, want %q", e.Seq, got, pipe.Value)
+		}
 		return nil
 	})
-	if err != nil || stored != n || len(sent) != n {
-		t.Fatalf("%d stored, %d sent, want %d of each (%v)", stored, len(sent), n, err)
+	if err != nil || stored != n+own || len(sent) != n+own {
+		t.Fatalf("%d stored, %d sent, want %d of each (%v)", stored, len(sent), n+own, err)
 	}
 }
 
+// goldenEventFrames reads package message's golden file of PR 22: the
+// frame a publisher of that commit sent for one event, and the frame a
+// durable rendezvous stored for it.
+func goldenEventFrames(t *testing.T) (published, stored []byte) {
+	t.Helper()
+	raw, err := os.ReadFile("../message/testdata/event_frame_pr22.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := binary.BigEndian.Uint32(raw)
+	return raw[4 : 4+n], raw[4+n+4:]
+}
+
 // TestLogWrittenByThePreviousEncoderIsReplayed starts a durable
-// rendezvous on a log holding a frame the encoder of PR 21 wrote (the
-// golden frame of package message, a stored fan-out frame of this
-// topic). A late joiner's replay request is served from it and the
-// joiner's handler reads the event: segments on disk survive the
-// upgrade.
+// rendezvous on a log holding frames the encoders of PR 21 and PR 22
+// wrote (the golden frames of package message: stored fan-out frames of
+// this topic, the first addressed to app.events, the second an event
+// sent on a wire pipe). A late joiner's replay request is served from it
+// and the joiner's handlers read the events: segments on disk survive
+// the upgrade. Then a publisher that has not been upgraded sends its
+// frame: it is routed, logged as the next sequence and delivered.
 func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	frame, err := os.ReadFile("../message/testdata/durable_frame_pr21.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
+	published, stored := goldenEventFrames(t)
 	c := newCluster(t)
 	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = log.Close() })
-	if err := log.AppendExact("net", 1, time.Now().UnixMilli(), frame); err != nil {
-		t.Fatal(err)
+	for i, f := range [][]byte{frame, stored} {
+		if err := log.AppendExact("net", uint64(i+1), time.Now().UnixMilli(), f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: log})
 	joiner := c.addPeer("joiner", 3, rendezvous.RoleEdge, "mem://rdv")
 	sink := subscribe(t, joiner, "app.events")
+	wireSink := subscribe(t, joiner, "jxta.service.wire")
 	if !joiner.rdv.AwaitConnected(5 * time.Second) {
 		t.Fatal("joiner never connected")
 	}
@@ -252,6 +299,46 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	if got.Text("tps", "Data") != "payload written by the encoder of commit 7474381" || got.Text("tps", "Path") != "/ski/rental" {
 		t.Fatalf("replayed event reads %v", got.Elements())
 	}
+	pipe := jid.FromSeed(jid.KindPipe, 42)
+	isEvent := func(m *message.Message, wantSeq uint64) {
+		t.Helper()
+		origin, seq, ok := rendezvous.ReplayInfo(m)
+		if !ok || origin != r.ep.PeerID() || seq != wantSeq {
+			t.Fatalf("arrived as (%v, %d, %v), want sequence %d of the rendezvous", origin, seq, ok, wantSeq)
+		}
+		if id, err := m.GetID("wire", "ID"); err != nil || id != pipe {
+			t.Fatalf("wire:ID reads %v (%v), want %v", id, err, pipe)
+		}
+		if m.Text("tps", "Data") != "payload written by the encoder of commit 11e23a6" || m.Text("tps", "Codec") != "gob" {
+			t.Fatalf("event reads %v", m.Elements())
+		}
+	}
+	// Replayed verbatim: the frame still says the sequence it was stored
+	// under by the rendezvous that wrote it.
+	isEvent(wireSink.waitOne(t), 1)
+
+	// The same event's frame as its publisher sent it, off the transport
+	// of a peer holding a lease: a new message to the rendezvous' cache
+	// (the replay went to the joiner's), so it is forwarded and logged.
+	old, err := c.net.AddNode("pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := memnet.New(old).Send("mem://rdv", published); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { _, last, ok := log.Range("net"); return ok && last == 3 })
+	// The joiner has seen this message ID, in the replay: its cache drops
+	// the live copy. A subscriber that has not gets it.
+	fresh := c.addPeer("fresh", 4, rendezvous.RoleEdge, "mem://rdv")
+	freshSink := subscribe(t, fresh, "jxta.service.wire")
+	if !fresh.rdv.AwaitConnected(5 * time.Second) {
+		t.Fatal("second subscriber never connected")
+	}
+	if err := fresh.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	isEvent(freshSink.waitOne(t), 3)
 }
 
 // replayRig is a durable rendezvous whose log retains depth propagated

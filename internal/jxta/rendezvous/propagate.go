@@ -19,21 +19,25 @@ import (
 // service on every reachable peer in the group. The local peer is NOT
 // delivered to — callers decide whether to loop back. Returns ErrNoPeers
 // if there was nobody to send to.
-func (s *Service) Propagate(msg *message.Message, dsvc, dparam string) error {
-	// Dup is an O(1) copy-on-write header copy: the caller's payload
-	// elements are shared read-only, and Grow clones the element headers
-	// once, with room for the rdv envelope.
+//
+// msg is only read. Where it is going — rdv:Op/DSvc/DParam, and whatever
+// envelope the calling layer adds — is written into the frame
+// (endpoint.EncodeFrame), not into a copy; the one Dup, which shares the
+// caller's elements, is there to be stamped: the path and TTL of this
+// hop and, on a durable rendezvous, its log sequence.
+func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope ...message.Field) error {
 	out := msg.Dup()
-	out.Grow(3)
-	out.ReplaceText(elemNS, elemOp, opProp)
-	out.ReplaceText(elemNS, elemDSvc, dsvc)
-	out.ReplaceText(elemNS, elemDParam, dparam)
 	if !out.Stamp(s.ep.PeerID()) {
 		return nil // TTL exhausted before leaving the peer
 	}
 	// Remember our own injection so the mesh echo is dropped.
 	s.seen.Observe(out.ID)
-	attempted, failed := s.fanOut(out, jid.Nil, s.cfg.GroupParam)
+	fields := append(make([]message.Field, 0, 3+len(envelope)),
+		message.Field{Namespace: elemNS, Name: elemOp, Value: opProp},
+		message.Field{Namespace: elemNS, Name: elemDSvc, Value: dsvc},
+		message.Field{Namespace: elemNS, Name: elemDParam, Value: dparam})
+	fields = append(fields, envelope...)
+	attempted, failed := s.fanOut(out, jid.Nil, s.cfg.GroupParam, fields...)
 	if attempted == 0 {
 		return ErrNoPeers
 	}
@@ -148,12 +152,13 @@ func (s *Service) blockedLocked(addr endpoint.Address, now time.Time) bool {
 
 // fanOut is the forwarding step Propagate and handleProp share: it logs
 // the stamped message (durable peers), archives its trace hop, and sends
-// it to every connected peer in the given group except the one it came
-// from and any peer already on its path. It returns how many sends were
-// attempted and how many of those failed, so callers can tell "nobody
-// to send to" apart from "everybody unreachable". Failed sends feed the
-// suspect/evict failure accounting.
-func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (attempted, failed int) {
+// it — with the envelope fields a message injected here does not carry
+// as elements yet — to every connected peer in the given group except
+// the one it came from and any peer already on its path. It returns how
+// many sends were attempted and how many of those failed, so callers can
+// tell "nobody to send to" apart from "everybody unreachable". Failed
+// sends feed the suspect/evict failure accounting.
+func (s *Service) fanOut(msg *message.Message, except jid.ID, param string, envelope ...message.Field) (attempted, failed int) {
 	// Durable path: number and persist the message under this peer's own
 	// log before it leaves, so a subscriber that is offline right now can
 	// replay it later. A forwarded message is re-numbered: cursors are per
@@ -161,7 +166,7 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (att
 	// The frame it stored is the frame the targets below get.
 	var frame []byte
 	if s.logs != nil {
-		frame = s.logs.append(msg, param)
+		frame = s.logs.append(msg, param, envelope)
 	}
 	// Archive a forward-stage hop for messages carrying a trace element:
 	// the stamped Path at this moment shows exactly which peers the frame
@@ -186,7 +191,7 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string) (att
 		}
 		if frame == nil {
 			var err error
-			if frame, err = s.ep.EncodeFrame(ServiceName, param, msg); err != nil {
+			if frame, err = s.ep.EncodeFrame(ServiceName, param, msg, envelope...); err != nil {
 				return 0, 0
 			}
 		}

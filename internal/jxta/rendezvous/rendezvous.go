@@ -88,7 +88,7 @@ func (r Role) String() string {
 // bytes to every target instead of re-enveloping per peer.
 type Endpoint interface {
 	endpoint.Sender
-	EncodeFrame(svc, param string, msg *message.Message) ([]byte, error)
+	EncodeFrame(svc, param string, msg *message.Message, envelope ...message.Field) ([]byte, error)
 	SendFrame(to endpoint.Address, frame []byte) error
 	DeliverLocal(svc, param string, msg *message.Message, from endpoint.Address) error
 	RegisterHandler(svc, param string, h endpoint.Handler) error

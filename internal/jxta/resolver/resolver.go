@@ -86,7 +86,7 @@ type Handler interface {
 // Propagator fans a message out to the group; the rendezvous service
 // implements it.
 type Propagator interface {
-	Propagate(msg *message.Message, dsvc, dparam string) error
+	Propagate(msg *message.Message, dsvc, dparam string, envelope ...message.Field) error
 }
 
 // Endpoint is the endpoint capability the resolver needs.

@@ -372,8 +372,8 @@ func TestBurstAcrossPeerRestart(t *testing.T) {
 	got = append(got, s2.wait(t, n-200)...)
 
 	// The dead connection is detected before anything is written to it
-	// (connDead, or the reader's EOF closing it), so nothing is lost
-	// either: the frames are exactly 0..n-1.
+	// (the flusher's probe, or the reader's EOF closing it), so nothing is
+	// lost either: the frames are exactly 0..n-1.
 	for i, f := range got {
 		if seq := binary.BigEndian.Uint32(f); seq != uint32(i) {
 			t.Fatalf("frame %d carries %d: reordered, duplicated or lost", i, seq)

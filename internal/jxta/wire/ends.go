@@ -8,11 +8,14 @@ import (
 )
 
 // Listener consumes messages arriving on a wire input pipe. The
-// delivered message is the listener's to keep, but its element payloads
-// may be shared copy-on-write with copies still in flight (the local
-// loopback shares bytes with the copy being propagated into the mesh):
-// listeners may Add/Replace/Remove elements on their copy, but must
-// never modify element payload bytes in place.
+// message is shared, and read-only: the local loopback delivers the
+// very message the sender passed to Send, which the sender, the
+// propagation under way and the listeners of its other pipes go on
+// reading, possibly on other goroutines. A listener may keep it for as
+// long as it likes and read everything in it; it must not Add, Replace
+// or Remove elements, Stamp or Dup it, or modify a payload in place. All
+// four listeners in this tree (engine, srjxta, benchkit, tpsctl) only
+// read.
 type Listener func(msg *message.Message)
 
 // InputPipe is a peer's receiving end of a propagated pipe.
@@ -88,6 +91,9 @@ type OutputPipe struct {
 	svc  *Service
 	id   jid.ID
 	name string
+	// envelope is the wire:ID field every frame of this pipe carries,
+	// built once.
+	envelope []message.Field
 }
 
 // ID returns the wire pipe ID.
@@ -97,7 +103,9 @@ func (out *OutputPipe) ID() jid.ID { return out.id }
 func (out *OutputPipe) Name() string { return out.name }
 
 // Send fans the message out to every peer holding an input end of this
-// pipe, including this peer itself.
+// pipe, including this peer itself. The message is shared with them
+// from here on (see Listener): the caller must not change it either. It
+// may send it again, on this pipe or another, one Send at a time.
 func (out *OutputPipe) Send(msg *message.Message) error {
-	return out.svc.send(out.id, msg)
+	return out.svc.send(out, msg)
 }

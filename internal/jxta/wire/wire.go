@@ -4,10 +4,15 @@
 // Where a unicast pipe binds one sender to one receiver, a wire pipe
 // fans every message out to all peers holding an input end, using
 // rendezvous propagation. Messages loop back to the sender's own input
-// pipe (a publisher that also subscribes sees its own traffic) and a
-// duplicate cache suppresses the replays that a meshed topology
-// inevitably produces — the functionality the paper's SR-JXTA
-// application had to rebuild by hand (§4.4 footnote 1).
+// pipe (a publisher that also subscribes sees its own traffic), and the
+// replays a meshed topology inevitably produces are dropped before they
+// get here, by the duplicate cache of the group's rendezvous service —
+// the functionality the paper's SR-JXTA application had to rebuild by
+// hand (§4.4 footnote 1).
+//
+// A send copies nothing. The pipe ID travels as an envelope field the
+// rendezvous hands down to the frame encoder, and the loopback gives the
+// local listener the sender's message itself (see Listener).
 package wire
 
 import (
@@ -21,7 +26,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs"
 )
 
@@ -42,10 +46,11 @@ var (
 	ErrWrongType = errors.New("wire: advertisement type mismatch")
 )
 
-// Propagator fans messages into the group; the rendezvous service
-// implements it.
+// Propagator fans messages into the group, writing the envelope fields
+// into the frames it sends and leaving msg as it is; the rendezvous
+// service implements it.
 type Propagator interface {
-	Propagate(msg *message.Message, dsvc, dparam string) error
+	Propagate(msg *message.Message, dsvc, dparam string, envelope ...message.Field) error
 }
 
 // Endpoint is the endpoint capability the wire service needs.
@@ -64,9 +69,8 @@ type Config struct {
 // wireCounters are lock-free: the per-message send and deliver paths
 // bump these without touching s.mu.
 type wireCounters struct {
-	sent       atomic.Int64
-	received   atomic.Int64
-	duplicates atomic.Int64
+	sent     atomic.Int64
+	received atomic.Int64
 	// propFailures counts sends whose mesh propagation errored
 	// (partition, all peers unreachable). The local loopback may still
 	// have delivered, so this is a reachability signal, not data loss.
@@ -78,7 +82,6 @@ type Service struct {
 	ep    Endpoint
 	prop  Propagator
 	cfg   Config
-	seen  *seen.Cache
 	stats wireCounters
 
 	mu     sync.Mutex
@@ -92,7 +95,6 @@ func New(ep Endpoint, prop Propagator, cfg Config) (*Service, error) {
 		ep:     ep,
 		prop:   prop,
 		cfg:    cfg,
-		seen:   seen.New(),
 		inputs: make(map[jid.ID]*InputPipe),
 	}
 	if err := ep.RegisterHandler(ServiceName, cfg.Group, s.handle); err != nil {
@@ -150,7 +152,8 @@ func (s *Service) CreateOutputPipe(pa *adv.PipeAdv) (*OutputPipe, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	return &OutputPipe{svc: s, id: pa.PipeID, name: pa.Name}, nil
+	envelope := []message.Field{{Namespace: elemNS, Name: elemID, Value: string(pa.PipeID.AppendWire(nil))}}
+	return &OutputPipe{svc: s, id: pa.PipeID, name: pa.Name, envelope: envelope}, nil
 }
 
 // Snapshot implements obs.Provider.
@@ -160,11 +163,10 @@ func (s *Service) Snapshot() obs.Snapshot {
 	s.mu.Unlock()
 	return obs.Snapshot{
 		Name:    "wire",
-		Version: 1,
+		Version: 2, // 1 had a duplicates counter, for a cache that is gone
 		Counters: map[string]int64{
 			"sent":               s.stats.sent.Load(),
 			"received":           s.stats.received.Load(),
-			"duplicates":         s.stats.duplicates.Load(),
 			"propagate_failures": s.stats.propFailures.Load(),
 		},
 		Gauges: map[string]float64{
@@ -173,18 +175,18 @@ func (s *Service) Snapshot() obs.Snapshot {
 	}
 }
 
-// SeenCache exposes the duplicate-suppression cache for the "seen"
-// subsystem aggregation.
-func (s *Service) SeenCache() *seen.Cache { return s.seen }
-
 // handle delivers propagated wire messages to the local input pipe.
-// Dedupe runs first: duplicate frames are the common case in a meshed
-// topology, and dropping them must not pay for parsing the pipe ID.
+//
+// There is no duplicate cache here. A propagated message gets to this
+// handler through the group's rendezvous service alone (handleProp →
+// DeliverLocal), which has just asked its own cache — same TTL, same
+// capacity — about the same message ID and dropped the message if it
+// was known; and a sender's own message is marked there by Propagate
+// before the first frame that could echo leaves. A second cache keyed
+// the same way could only ever agree. A frame addressed to this service
+// directly, which no peer of this tree sends, is not deduplicated at
+// the message level: behind it is the engine's event-level cache.
 func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
-	if !s.seen.Observe(msg.ID) {
-		s.stats.duplicates.Add(1)
-		return
-	}
 	id, err := msg.GetID(elemNS, elemID)
 	if err != nil {
 		return
@@ -200,34 +202,25 @@ func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
 }
 
 // send propagates a message on a wire pipe and loops it back locally.
-func (s *Service) send(id jid.ID, msg *message.Message) error {
+// msg is not copied and not written: the local listener and Propagate
+// read the same message.
+func (s *Service) send(out *OutputPipe, msg *message.Message) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	in := s.inputs[id]
+	in := s.inputs[out.id]
 	s.mu.Unlock()
 	s.stats.sent.Add(1)
 
-	// COW envelope: Dup shares the caller's elements (the message may be
-	// fanning out across many attachments) and ReplaceID clones only the
-	// element headers before writing this pipe's ID. What used to be a
-	// deep copy of the payload per attachment is now O(1).
-	out := msg.Dup()
-	out.ReplaceID(elemNS, elemID, id)
-	// Mark our own message as seen so a mesh echo is not re-delivered.
-	s.seen.Observe(out.ID)
 	// Local loopback first: a peer subscribing to its own wire hears
-	// itself regardless of mesh connectivity. The loopback Dup (also
-	// O(1)) isolates element-list mutations on the delivered copy from
-	// the copy still headed into the mesh; payload BYTES are shared —
-	// the Listener contract forbids mutating them in place.
+	// itself regardless of mesh connectivity.
 	if in != nil {
 		s.stats.received.Add(1)
-		in.deliver(out.Dup())
+		in.deliver(msg)
 	}
-	if err := s.prop.Propagate(out, ServiceName, s.cfg.Group); err != nil {
+	if err := s.prop.Propagate(msg, ServiceName, s.cfg.Group, out.envelope...); err != nil {
 		if errors.Is(err, rendezvous.ErrNoPeers) && in != nil {
 			return nil // delivered locally; an isolated peer is not an error
 		}

@@ -3,9 +3,11 @@ package wire_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
@@ -26,6 +28,8 @@ type testPeer struct {
 type cluster struct {
 	t   *testing.T
 	net *netsim.Network
+	// wrap, when set, goes around the transport of the next peer.
+	wrap func(endpoint.Transport) endpoint.Transport
 }
 
 func newCluster(t *testing.T) *cluster {
@@ -42,7 +46,11 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 		c.t.Fatal(err)
 	}
 	ep := endpoint.New(jid.FromSeed(jid.KindPeer, seed))
-	if err := ep.AddTransport(memnet.New(node)); err != nil {
+	var tr endpoint.Transport = memnet.New(node)
+	if c.wrap != nil {
+		tr, c.wrap = c.wrap(tr), nil
+	}
+	if err := ep.AddTransport(tr); err != nil {
 		c.t.Fatal(err)
 	}
 	rdv, err := rendezvous.New(ep, rendezvous.Config{
@@ -294,45 +302,245 @@ func TestManyPublishersManySubscribers(t *testing.T) {
 	}
 }
 
+// TestDedupeCountsDuplicates: two rendezvous meshed with each other, a
+// subscriber leased with both. Every message reaches the subscriber
+// twice — from the rendezvous the publisher sent it to and, forwarded,
+// from the other — and its input pipe exactly once: the group's
+// rendezvous service drops the second copy before the wire service is
+// asked, which is why the wire service keeps no cache of its own.
 func TestDedupeCountsDuplicates(t *testing.T) {
-	// Two rendezvous seeded with each other produce duplicate deliveries
-	// at the wire layer; the dedupe cache absorbs them.
 	c := newCluster(t)
-	c.addPeer("rdvA", 1, rendezvous.RoleRendezvous, "mem://rdvB")
-	c.addPeer("rdvB", 2, rendezvous.RoleRendezvous, "mem://rdvA")
+	rdvA := c.addPeer("rdvA", 1, rendezvous.RoleRendezvous, "mem://rdvB")
+	rdvB := c.addPeer("rdvB", 2, rendezvous.RoleRendezvous, "mem://rdvA")
 	pub := c.addPeer("pub", 3, rendezvous.RoleEdge, "mem://rdvA", "mem://rdvB")
 	sub := c.addPeer("sub", 4, rendezvous.RoleEdge, "mem://rdvA", "mem://rdvB")
-	connect(t, pub, sub)
-	time.Sleep(100 * time.Millisecond) // let the rdv mesh link up
+	connect(t, pub, sub, rdvA, rdvB)
+	waitLeases := func(p *testPeer) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for len(p.rdv.ConnectedRendezvous()) < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s leased with %d of 2 rendezvous", p.name, len(p.rdv.ConnectedRendezvous()))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitLeases(pub)
+	waitLeases(sub)
 
 	pa := wireAdv(16, "dup-wire")
 	in, err := sub.wire.CreateInputPipe(pa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := newEventSink()
-	in.SetListener(sink.listener)
+	var mu sync.Mutex
+	got := make(map[jid.ID]int)
+	in.SetListener(func(m *message.Message) {
+		mu.Lock()
+		got[m.ID]++
+		mu.Unlock()
+	})
 	out, err := pub.wire.CreateOutputPipe(pa)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 10
+	var sent []jid.ID
 	for i := 0; i < total; i++ {
 		m := message.New(pub.ep.PeerID())
 		m.AddString("app", "body", "d")
 		if err := out.Send(m); err != nil {
 			t.Fatal(err)
 		}
+		sent = append(sent, m.ID)
 	}
-	sink.waitCount(t, total)
 	c.net.WaitQuiesce(5 * time.Second)
-	if sink.count() != total {
-		t.Fatalf("delivered %d, want exactly %d", sink.count(), total)
+	mu.Lock()
+	for _, id := range sent {
+		if got[id] != 1 {
+			t.Errorf("message %v reached the input pipe %d times, want once", id.Short(), got[id])
+		}
 	}
-	// The sub leased with both rendezvous, so duplicates must have been
-	// suppressed (each message arrives via two paths).
-	if c := sub.wire.Snapshot().Counters; c["duplicates"] == 0 {
-		t.Logf("warning: no duplicates observed (topology may have deduped earlier); stats %+v", c)
+	mu.Unlock()
+	if c := sub.wire.Snapshot().Counters; c["received"] != total {
+		t.Errorf("wire received = %d, want %d", c["received"], total)
+	}
+	// Each message came in from both rendezvous, and from each of them
+	// directly and forwarded by the other.
+	if c := sub.rdv.Snapshot().Counters; c["duplicates"] < total || c["delivered"] != total {
+		t.Errorf("subscriber's rendezvous service: duplicates %d, delivered %d; want at least %d dropped and %d delivered",
+			c["duplicates"], c["delivered"], total, total)
+	}
+}
+
+// TestLoopbackSharesTheMessage is the -race gate on what a send shares:
+// the local listener is handed the sender's message itself and reads
+// every element of it on a goroutine of its own, while the sender goes
+// on — Propagate reads the message for the mesh, and the next pipe's
+// Send, as an engine attached to two groups does it, delivers and
+// propagates it again; a message queued before a listener existed is
+// flushed to it by yet another goroutine. Nothing may write what the
+// readers read.
+func TestLoopbackSharesTheMessage(t *testing.T) {
+	c := newCluster(t)
+	c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
+	p := c.addPeer("pubsub", 2, rendezvous.RoleEdge, "mem://rdv")
+	remote := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
+	connect(t, p, remote)
+
+	var readers sync.WaitGroup
+	var mu sync.Mutex
+	heard := make(map[*message.Message]int)
+	listener := func(m *message.Message) {
+		mu.Lock()
+		heard[m]++
+		mu.Unlock()
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			n := 0
+			for _, e := range m.Elements() {
+				n += len(e.Namespace) + len(e.Name) + len(e.MimeType) + len(e.Data)
+			}
+			if m.Text("app", "body") != "shared" || m.WireSize() < n || m.Len() != 2 || len(m.Path) != 0 {
+				t.Errorf("listener reads %d elements, path %v", m.Len(), m.Path)
+			}
+		}()
+	}
+	remoteHeard := 0
+	remoteListener := func(m *message.Message) {
+		mu.Lock()
+		remoteHeard++
+		mu.Unlock()
+	}
+	var ins []*wire.InputPipe
+	var outs []*wire.OutputPipe
+	for i := uint64(0); i < 2; i++ {
+		pa := wireAdv(30+i, "shared")
+		in, err := p.wire.CreateInputPipe(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.wire.CreateOutputPipe(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rin, err := remote.wire.CreateInputPipe(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rin.SetListener(remoteListener)
+		ins, outs = append(ins, in), append(outs, out)
+	}
+	ins[0].SetListener(listener) // ins[1] queues until one is set
+
+	const total = 50
+	msgs := make([]*message.Message, total)
+	for i := range msgs {
+		msgs[i] = message.New(p.ep.PeerID())
+		msgs[i].AddString("app", "body", "shared")
+		msgs[i].AddBytes("app", "pad", make([]byte, 256))
+	}
+	var senders sync.WaitGroup
+	senders.Add(2)
+	go func() {
+		defer senders.Done()
+		for _, m := range msgs {
+			for _, out := range outs {
+				if err := out.Send(m); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	go func() {
+		defer senders.Done()
+		ins[1].SetListener(listener) // flushes what pipe 1 queued so far
+	}()
+	senders.Wait()
+	c.net.WaitQuiesce(5 * time.Second)
+	readers.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	for i, m := range msgs {
+		// Once on each local pipe, and the very message that was sent.
+		if heard[m] != 2 {
+			t.Errorf("message %d reached the local listeners %d times as itself, want 2", i, heard[m])
+		}
+		if m.Len() != 2 || len(m.Path) != 0 || m.TTL != message.DefaultTTL {
+			t.Errorf("message %d was written to: %v, path %v, TTL %d", i, m.Elements(), m.Path, m.TTL)
+		}
+	}
+	// The remote side decodes one copy per message: the second pipe's
+	// send of the same message ID is a duplicate to the mesh.
+	if remoteHeard != total || len(heard) != total {
+		t.Errorf("remote listeners heard %d messages, local ones %d different ones; want %d of each", remoteHeard, len(heard), total)
+	}
+}
+
+// swallow is a transport that, once closed to traffic, drops what it is
+// given to send, and that formats its address once: what is left of a
+// send is what the layers above the transport allocate.
+type swallow struct {
+	endpoint.Transport
+	addr   endpoint.Address
+	closed atomic.Bool
+}
+
+func (s *swallow) LocalAddress() endpoint.Address { return s.addr }
+
+func (s *swallow) Send(to endpoint.Address, frame []byte) error {
+	if s.closed.Load() {
+		return nil
+	}
+	return s.Transport.Send(to, frame)
+}
+
+// TestSendAllocBudget: sending a built message on a wire pipe, with a
+// local listener and one leased rendezvous to propagate to, allocates the
+// copy Propagate stamps — one block — and the list of envelope fields it
+// hands to the frame encoder. The message is copied neither for the pipe
+// ID nor for the loopback, and the frame comes from the pool.
+func TestSendAllocBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := newCluster(t)
+	c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
+	var tr *swallow
+	c.wrap = func(inner endpoint.Transport) endpoint.Transport {
+		tr = &swallow{Transport: inner, addr: inner.LocalAddress()}
+		return tr
+	}
+	p := c.addPeer("pubsub", 2, rendezvous.RoleEdge, "mem://rdv")
+	connect(t, p)
+	pa := wireAdv(40, "budget")
+	in, err := p.wire.CreateInputPipe(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heard := 0
+	in.SetListener(func(*message.Message) { heard++ })
+	out, err := p.wire.CreateOutputPipe(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := message.New(p.ep.PeerID())
+	m.AddString("app", "body", "budget")
+	m.AddBytes("app", "pad", make([]byte, 1910))
+	c.net.WaitQuiesce(5 * time.Second)
+	tr.closed.Store(true)
+	propagated := p.rdv.Snapshot().Counters["propagated"]
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := out.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if heard < 200 || p.rdv.Snapshot().Counters["propagated"]-propagated < 200 {
+		t.Fatalf("%d sends looped back, %d propagated", heard, p.rdv.Snapshot().Counters["propagated"]-propagated)
+	}
+	if allocs > 2 {
+		t.Errorf("Send allocates %.1f objects, budget is 2", allocs)
 	}
 }
 

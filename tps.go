@@ -386,16 +386,11 @@ func (p *Platform) registerProviders(transports []Transport) {
 	}
 }
 
-// seenCaches collects every live dedupe cache: the wire cache of each
-// joined group, every rendezvous service's, and each engine's
-// event-level cache.
+// seenCaches collects every live dedupe cache: every rendezvous
+// service's message-level cache (one per joined group) and each
+// engine's event-level cache.
 func (p *Platform) seenCaches() []*seen.Cache {
 	var out []*seen.Cache
-	for _, g := range p.peer.Groups() {
-		if g.Wire != nil {
-			out = append(out, g.Wire.SeenCache())
-		}
-	}
 	for _, r := range p.peer.Rendezvous() {
 		out = append(out, r.SeenCache())
 	}
