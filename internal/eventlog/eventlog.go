@@ -444,8 +444,10 @@ func (l *Log) getTopic(topic string, create bool) (*topicLog, error) {
 	if err := os.WriteFile(filepath.Join(dir, topicFile), []byte(topic), 0o644); err != nil {
 		return nil, fmt.Errorf("eventlog: %w", err)
 	}
-	t := &topicLog{topic: topic, dir: dir, nextSeq: 1}
-	l.topics[topic] = t
+	// The log keeps the name for good; the caller's may be a piece of a
+	// received frame, which would stay alive with it.
+	t := &topicLog{topic: strings.Clone(topic), dir: dir, nextSeq: 1}
+	l.topics[t.topic] = t
 	return t, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func appendN(t *testing.T, l *Log, topic string, from, to int) {
@@ -113,6 +114,28 @@ func TestTopicsAreIndependent(t *testing.T) {
 	}
 	if topics := l.Topics(); len(topics) != 2 || topics[0] != "a" || topics[1] != "b" {
 		t.Fatalf("topics = %v", topics)
+	}
+}
+
+// TestTopicNameIsTheLogsOwn: the name a log keeps from a topic's first
+// append is a copy. A rendezvous names the topic with a string cut from
+// the received frame, and a log that kept that one would keep the frame
+// — and the read chunk around it — for as long as the topic exists.
+func TestTopicNameIsTheLogsOwn(t *testing.T) {
+	l, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	frame := []byte("....urn:jxta:group-7....")
+	topic := unsafe.String(&frame[4], 16)
+	appendN(t, l, topic, 1, 2)
+	kept := l.Topics()
+	if len(kept) != 1 || kept[0] != "urn:jxta:group-7" {
+		t.Fatalf("topics = %q", kept)
+	}
+	if unsafe.StringData(kept[0]) == &frame[4] {
+		t.Fatal("the log holds the caller's string, not a copy of it")
 	}
 }
 

@@ -64,11 +64,13 @@ type Transport interface {
 	// retain frame after returning: the endpoint recycles frame buffers.
 	Send(to Address, frame []byte) error
 	// SetReceiver installs the inbound frame callback. Must be called
-	// exactly once, before the first frame can arrive. The callback must
-	// not retain frame after returning: a transport may hand out a
-	// slice of its read buffer, which the next read overwrites (tcpnet
-	// does, and scribbles over it in -race builds so that a retained
-	// alias shows).
+	// exactly once, before the first frame can arrive. The transport
+	// gives frame away: it never writes those bytes again, the callback
+	// may keep them for as long as it likes, and nobody else may write
+	// them either — the endpoint decodes a message out of them in place.
+	// Frames may share memory (tcpnet cuts them from 64 kB read chunks;
+	// netsim hands over a private copy), so what keeps a piece of one
+	// for long keeps its neighbours too: see message.Message.Text.
 	SetReceiver(func(frame []byte))
 	// Close releases the transport's resources.
 	Close() error
@@ -77,7 +79,11 @@ type Transport interface {
 // Handler consumes a message addressed to a registered service. A
 // message off a transport was decoded for this one call and is the
 // handler's to keep or change; one that came through DeliverLocal is
-// shared with whoever delivered it.
+// shared with whoever delivered it. Either way its names and payloads,
+// every string read from it, and from, are pieces of a received frame:
+// never written, and copied (strings.Clone) by whatever stores one
+// beyond the call — a stored piece keeps the frame, and the read chunk
+// the frame was cut from, alive.
 type Handler func(msg *message.Message, from Address)
 
 // Sender is the message-sending capability exported to upper layers;

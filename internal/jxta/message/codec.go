@@ -1,7 +1,6 @@
 package message
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -133,8 +132,11 @@ func appendElementHeader(buf []byte, ns, name, mime string, dataLen int) []byte 
 // lengths and one 32-bit one.
 const minElementSize = 3*2 + 4
 
-// Unmarshal decodes one wire frame produced by Marshal. The message
-// shares no memory with frame.
+// Unmarshal decodes one wire frame produced by Marshal. The message is
+// cut out of frame, not copied from it — names are strings over its
+// bytes, payloads capped slices of it — so frame belongs to the message
+// from here on: the caller must never write it again (see the package
+// comment, "Received frames"). Unmarshal itself only reads it.
 func Unmarshal(frame []byte) (*Message, error) {
 	r := &sliceReader{buf: frame}
 	var magic [4]byte
@@ -151,8 +153,8 @@ func Unmarshal(frame []byte) (*Message, error) {
 	if ver != wireVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	h := &hop{}
-	m := &h.Message
+	d := &decoded{}
+	m := &d.Message
 	if m.ID, err = readID(r); err != nil {
 		return nil, err
 	}
@@ -170,7 +172,7 @@ func Unmarshal(frame []byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: path length %d", ErrTooLarge, plen)
 	}
 	if plen > 0 {
-		h.setPath(int(plen))
+		d.setPath(int(plen))
 		for i := range m.Path {
 			if m.Path[i], err = readID(r); err != nil {
 				return nil, err
@@ -187,15 +189,11 @@ func Unmarshal(frame []byte) (*Message, error) {
 	if r.remaining() < int(count)*minElementSize {
 		return nil, ErrTruncated // before the count sizes an allocation
 	}
-	// One arena: everything behind the count is copied once and the
-	// elements are cut out of the copy, names as strings over it and
-	// payloads as slices of it. A frame costs three allocations (header,
-	// element headers, arena) however many elements it carries, and the
-	// decoded message does not alias the frame. The arena is never
-	// written again: names are immutable as strings are, payloads by the
-	// copy-on-write contract.
-	r = &sliceReader{buf: bytes.Clone(frame[r.off:])}
-	m.elements = make([]Element, count)
+	if int(count) <= len(d.elems) {
+		m.elements = d.elems[:count]
+	} else {
+		m.elements = make([]Element, count)
+	}
 	for i := range m.elements {
 		ns, name, mime, data, err := r.element()
 		if err != nil {

@@ -42,6 +42,17 @@
 //     own path, in the block it allocates for the header, with room for
 //     a full-TTL traversal.
 //
+// # Received frames
+//
+// Unmarshal does not copy: the names and payloads of a decoded message
+// are the frame's own bytes. A transport therefore gives a received
+// frame away — it never writes those bytes again, and the collector
+// frees them when the last message, Dup, Text string or payload slice
+// cut from them is gone (endpoint.Transport.SetReceiver). The first rule
+// above covers the rest: nobody writes a payload in place, so nobody
+// writes a frame. What can go wrong under this rule is memory held
+// longer than meant — see Text — never memory changed under a reader.
+//
 // Dup itself requires the same single-goroutine ownership the deep copy
 // did: concurrent readers of a shared message are fine — of the message
 // it copies, Dup writes only the copy-on-write mark, which no reader
@@ -207,9 +218,11 @@ func (m *Message) Element(namespace, name string) (Element, bool) {
 // The string aliases the payload and is not a copy of it — the receive
 // path routes every frame on half a dozen of these — which is sound
 // because of the first copy-on-write rule in the package comment: a
-// payload is never modified in place. A string kept for long keeps the
-// message's payloads alive with it; strings.Clone one that outlives a
-// large message.
+// payload is never modified in place. Of a received message the string
+// is a piece of the frame, and a frame off tcpnet a piece of a 64 kB
+// read chunk: a string kept — a map key, a table entry, a field of
+// anything that outlives the handler — keeps the whole chunk alive.
+// strings.Clone what is kept.
 func (m *Message) Text(namespace, name string) string {
 	return aliasString(m.Bytes(namespace, name))
 }
@@ -324,12 +337,21 @@ func (m *Message) Stamp(peer jid.ID) bool {
 }
 
 // hop is a message header with room behind it for the path of a
-// default-TTL message: what Dup and Unmarshal allocate, so that neither
-// the path nor the Stamp of the peer holding the message costs an
-// allocation of its own.
+// default-TTL message: what Dup allocates and Unmarshal's block starts
+// with, so that neither the path nor the Stamp of the peer holding the
+// message costs an allocation of its own.
 type hop struct {
 	Message
 	path [DefaultTTL + 1]jid.ID
+}
+
+// decoded is what Unmarshal allocates: a hop and, behind it, the element
+// headers of the frame — an event's frame carries eleven to thirteen, a
+// frame with more than fourteen gets a slice of its own. Names and
+// payloads stay in the frame, so a received message is this one block.
+type decoded struct {
+	hop
+	elems [14]Element
 }
 
 // setPath gives the message a path of n peers, with room for the hops

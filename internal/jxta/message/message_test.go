@@ -533,67 +533,15 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a decoded frame does not alias the input buffer.
-func TestUnmarshalCopiesData(t *testing.T) {
-	m := testMsg()
-	frame, err := m.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range frame {
-		frame[i] = 0
-	}
-	if string(got.Bytes("jxta", "service")) != "discovery" {
-		t.Fatal("decoded message aliases the frame buffer")
-	}
-}
-
-// TestUnmarshalArenas pins what sharing one arena between the elements
-// must not cost: the message is still independent of the frame, and of
-// its own other elements.
-func TestUnmarshalArenas(t *testing.T) {
-	m := testMsg()
-	m.AddBytes("app", "empty", nil)
-	m.AddBytes("app", "tail", []byte("tail"))
-	frame, err := m.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range frame {
-		frame[i] ^= 0xff
-	}
-	want := m.Elements()
-	if !reflect.DeepEqual(got.Elements(), want) {
-		t.Fatalf("decoded elements follow the frame buffer:\n got %+v\nwant %+v", got.Elements(), want)
-	}
-	els := got.Elements()
-	for i := range els {
-		grown := append(els[i].Data, "overrun"...)
-		if len(els[i].Data) > 0 && &grown[0] == &els[i].Data[0] {
-			t.Fatalf("element %d: append grew Data in place", i)
-		}
-	}
-	if !reflect.DeepEqual(got.Elements(), want) {
-		t.Fatalf("append to one element's Data reached another:\n got %+v\nwant %+v", got.Elements(), want)
-	}
-}
-
-// FuzzUnmarshalDoesNotAlias holds Unmarshal to the contract tcpnet's
-// receive path depends on: the frame is a slice of a connection's read
-// buffer that the next read overwrites, so nothing in the decoded
-// message may point into it. Whatever bytes decode, the message must
-// marshal back to them after the input has been scribbled over. Names
-// and payloads are cut from one arena: an append to one element's Data
-// must not reach another element, nor any name.
-func FuzzUnmarshalDoesNotAlias(f *testing.F) {
+// FuzzUnmarshalNeverWritesTheFrame holds the package to the rule the
+// receive path depends on: a decoded message is cut out of its frame,
+// which a transport has given away and which any number of messages,
+// Dups, Text strings and forwarded copies may share from then on — so
+// nothing the package offers may write a byte of it. Whatever bytes
+// decode, they are unchanged after every mutator has run on the message
+// and on a Dup of it, an append to any payload lands elsewhere, and a
+// Dup taken before the mutations still marshals to the frame.
+func FuzzUnmarshalNeverWritesTheFrame(f *testing.F) {
 	seed, err := testMsg().Marshal()
 	if err != nil {
 		f.Fatal(err)
@@ -610,22 +558,70 @@ func FuzzUnmarshalDoesNotAlias(f *testing.F) {
 		want := bytes.Clone(frame)
 		m, err := Unmarshal(frame)
 		if err != nil {
+			if !bytes.Equal(frame, want) {
+				t.Fatalf("a refused frame was written:\n got %x\nwant %x", frame, want)
+			}
 			return
 		}
-		for i := range frame {
-			frame[i] = 0xA5
+		before := m.Dup()
+		for _, e := range m.Elements() {
+			if grown := append(e.Data, "overrun"...); len(e.Data) > 0 && &grown[0] == &e.Data[0] {
+				t.Fatalf("append grew the payload of %s in place, over the frame behind it", e.Key())
+			}
 		}
-		for _, e := range m.elements {
-			_ = append(e.Data, "overrun"...)
+		m.Stamp(jid.FromSeed(jid.KindPeer, 99))
+		d := m.Dup()
+		for _, e := range m.Elements() {
+			d.ReplaceElement(Element{Namespace: e.Namespace, Name: e.Name, Data: []byte("replaced")})
+			m.ReplaceText(e.Namespace, e.Name, "replaced too")
+			d.RemoveElement(e.Namespace, e.Name)
 		}
-		got, err := m.Marshal()
+		m.AddString("app", "added", "behind the decoded elements")
+		d.Stamp(jid.FromSeed(jid.KindPeer, 98))
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("the frame was written:\n got %x\nwant %x", frame, want)
+		}
+		got, err := before.Marshal()
 		if err != nil {
 			t.Fatalf("decoded message does not marshal: %v", err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("message changed with its input buffer, or under an append to a payload:\n got %x\nwant %x", got, want)
+			t.Fatalf("a copy taken before the mutations changed under them:\n got %x\nwant %x", got, want)
 		}
 	})
+}
+
+// TestUnmarshalElementRoom: up to fourteen element headers live in the
+// block Unmarshal allocates, a fifteenth moves them all to a slice of
+// their own; either way the message reads back whole, takes the hops its
+// TTL allows and grows by an element without losing one.
+func TestUnmarshalElementRoom(t *testing.T) {
+	for _, n := range []int{0, 13, 14, 15, 40} {
+		m := New(jid.FromSeed(jid.KindPeer, 1))
+		m.Stamp(jid.FromSeed(jid.KindPeer, 2))
+		for i := 0; i < n; i++ {
+			m.AddBytes("app", string(rune('a'+i)), bytes.Repeat([]byte{byte(i)}, 10*i))
+		}
+		frame, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !elementsEquivalent(got.Elements(), m.Elements()) || !reflect.DeepEqual(got.Path, m.Path) {
+			t.Fatalf("%d elements: decoded %v, path %v", n, got.Elements(), got.Path)
+		}
+		m.AddString("app", "more", "one more")
+		got.AddString("app", "more", "one more")
+		if !got.Stamp(jid.FromSeed(jid.KindPeer, 3)) || !m.Stamp(jid.FromSeed(jid.KindPeer, 3)) {
+			t.Fatalf("%d elements: stamp refused", n)
+		}
+		if !elementsEquivalent(got.Elements(), m.Elements()) || !reflect.DeepEqual(got.Path, m.Path) {
+			t.Fatalf("%d elements: after an Add and a Stamp %v, path %v", n, got.Elements(), got.Path)
+		}
+	}
 }
 
 func BenchmarkMarshal(b *testing.B) {

@@ -4,6 +4,7 @@ package rendezvous
 // (rendezvous role) and the rendezvous this peer holds leases with.
 
 import (
+	"strings"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
@@ -14,6 +15,18 @@ import (
 type peerEntry struct {
 	addr    endpoint.Address
 	expires time.Time
+}
+
+// renew gives the entry the address a connect or a grant came from and
+// a new expiry. The address is a piece of the received frame (see
+// endpoint.Handler) and the table outlives it by the length of the
+// lease: the string the entry holds stays when it is the same address,
+// a new one is copied.
+func (e *peerEntry) renew(from endpoint.Address, expires time.Time) {
+	if e.addr != from {
+		e.addr = endpoint.Address(strings.Clone(string(from)))
+	}
+	e.expires = expires
 }
 
 // clientKey identifies a lease: one peer may lease separately for
@@ -111,9 +124,16 @@ func (s *Service) handleConnect(msg *message.Message, from endpoint.Address) {
 		return
 	}
 	key, now := clientKey{msg.Src, param}, s.now()
-	held, ok := s.clients[key]
-	renewal := ok && !now.After(held.expires)
-	s.clients[key] = peerEntry{addr: from, expires: now.Add(s.cfg.LeaseTTL)}
+	held := s.clients[key]
+	renewal := held != nil && !now.After(held.expires)
+	if held == nil {
+		// The group too is the frame's: the key takes a copy, once — a
+		// renewal writes the held entry and leaves the key alone.
+		key.param = strings.Clone(param)
+		held = &peerEntry{}
+		s.clients[key] = held
+	}
+	held.renew(from, now.Add(s.cfg.LeaseTTL))
 	// An inbound connect is proof of life: whatever suspicion (or stale
 	// eviction ban) the address carried is obsolete.
 	s.det.ok(from)
@@ -173,12 +193,10 @@ func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
 	// the rendezvous calls new: it came back from a restart under the ID
 	// it had, or dropped us, while our side of the lease was still live.
 	s.expireLocked()
-	_, renewal := s.rdvs[msg.Src]
+	held, renewal := s.rdvs[msg.Src]
 	renewal = renewal && msg.Text(elemNS, elemNewLease) != "true"
-	s.rdvs[msg.Src] = peerEntry{
-		addr:    from,
-		expires: s.now().Add(time.Duration(ttlMS) * time.Millisecond),
-	}
+	held.renew(from, s.now().Add(time.Duration(ttlMS)*time.Millisecond))
+	s.rdvs[msg.Src] = held
 	// A granted lease is proof of life for the rendezvous's address.
 	s.det.ok(from)
 	s.conn.Broadcast()

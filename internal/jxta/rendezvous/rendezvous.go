@@ -219,8 +219,8 @@ type Service struct {
 	// seed client's state: eviction must drop an address's leases and
 	// open its breaker atomically.
 	mu      sync.Mutex
-	clients map[clientKey]peerEntry // connected to us (rendezvous role)
-	rdvs    map[jid.ID]peerEntry    // we are connected to them (granted leases)
+	clients map[clientKey]*peerEntry // connected to us (rendezvous role); a renewal writes the entry, not the key
+	rdvs    map[jid.ID]peerEntry     // we are connected to them (granted leases)
 	det     detector
 	conn    *sync.Cond // signals rdvs-set and seed-failure changes
 	closed  bool
@@ -245,7 +245,7 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 		ep:      ep,
 		cfg:     cfg,
 		seen:    seen.New(),
-		clients: make(map[clientKey]peerEntry),
+		clients: make(map[clientKey]*peerEntry),
 		rdvs:    make(map[jid.ID]peerEntry),
 		det:     make(detector),
 		stop:    make(chan struct{}),

@@ -12,6 +12,7 @@ package rendezvous
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
@@ -132,6 +133,9 @@ func (s *Service) handleGap(msg *message.Message) {
 	fn := s.gapFn
 	s.gapMu.Unlock()
 	if fn != nil {
-		fn(origin, msg.Text(elemNS, elemTopic), first, last, msg.Text(elemNS, elemTentative) == "true")
+		// The topic leaves in an error the application is handed and may
+		// keep: a copy, not a piece of the frame.
+		topic := strings.Clone(msg.Text(elemNS, elemTopic))
+		fn(origin, topic, first, last, msg.Text(elemNS, elemTentative) == "true")
 	}
 }

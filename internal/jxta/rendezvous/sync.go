@@ -74,15 +74,17 @@ type replicaPeer struct {
 // leased clients, or dump its whole log through a pull. Rejections are
 // counted; peers with no log at all never get here. The membership
 // check also caps replState at the seed-list size — only authorized
-// senders ever reach the map.
-func (l *logServer) syncAuthorized(from endpoint.Address) bool {
+// senders ever reach the map. The address returned is the configured
+// one: from is a piece of the received frame, and replState keeps its
+// key.
+func (l *logServer) syncAuthorized(from endpoint.Address) (endpoint.Address, bool) {
 	for _, a := range l.s.cfg.ReplicaSeeds {
 		if a == from {
-			return true
+			return a, true
 		}
 	}
 	l.s.stats.syncRejects.Add(1)
-	return false
+	return "", false
 }
 
 // replicaSetHolds reports what the replica set says about a stream this
@@ -156,7 +158,8 @@ func (l *logServer) sendDigestTo(addr endpoint.Address, enc []byte) {
 // ranges with mismatched checksums bump the divergence counter — the
 // verifiable-digest property.
 func (l *logServer) handleSyncDigest(msg *message.Message, from endpoint.Address) {
-	if !l.syncAuthorized(from) {
+	from, ok := l.syncAuthorized(from)
+	if !ok {
 		return
 	}
 	ds, err := replica.DecodeDigest(msg.Bytes(elemNS, elemDigest))
@@ -232,7 +235,8 @@ func (l *logServer) bridgedElsewhere(except endpoint.Address, origin jid.ID, top
 // that is behind. A full batch means there may be more: the server
 // follows up with a fresh digest so the requester pulls the rest.
 func (l *logServer) handleSyncPull(msg *message.Message, from endpoint.Address) {
-	if !l.syncAuthorized(from) {
+	from, ok := l.syncAuthorized(from)
+	if !ok {
 		return
 	}
 	origin, err := msg.GetID(elemNS, elemLogSrc)
@@ -279,7 +283,8 @@ func (l *logServer) handleSyncPull(msg *message.Message, from endpoint.Address) 
 // counted retention gap), because the bridge records no longer exist
 // anywhere and waiting would re-pull the same batch forever.
 func (l *logServer) handleSyncRec(msg *message.Message, from endpoint.Address) {
-	if !l.syncAuthorized(from) {
+	from, ok := l.syncAuthorized(from)
+	if !ok {
 		return
 	}
 	origin, err := msg.GetID(elemNS, elemLogSrc)

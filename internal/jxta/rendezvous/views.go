@@ -110,7 +110,7 @@ func (s *Service) PeersView() []obs.PeerEntry {
 		leased(obs.PeerRendezvous, id.String(), "", e)
 	}
 	for k, e := range s.clients {
-		leased(obs.PeerClient, k.id.String(), k.param, e)
+		leased(obs.PeerClient, k.id.String(), k.param, *e)
 	}
 	for i, addr := range s.cfg.Seeds {
 		pe := obs.PeerEntry{

@@ -39,7 +39,8 @@ func (t *Transport) Send(to endpoint.Address, frame []byte) error {
 	return t.node.Send(to.Host(), frame)
 }
 
-// SetReceiver implements endpoint.Transport.
+// SetReceiver implements endpoint.Transport. The frame is the copy the
+// sending node made, which nothing writes again: recv's to keep.
 func (t *Transport) SetReceiver(recv func(frame []byte)) {
 	t.node.SetHandler(func(_ string, data []byte) { recv(data) })
 }

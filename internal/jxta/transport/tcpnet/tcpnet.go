@@ -13,23 +13,22 @@
 // A wakeup, not a frame, is the unit of kernel work. A flusher takes
 // everything queued for its host (up to maxBatchFrames / maxBatchBytes)
 // and writes it with one writev under one liveness probe and one
-// deadline; a reader pulls whatever the socket holds into one buffer and
-// hands the receiver slices of it, so a burst of frames costs one read
-// and no allocation.
+// deadline; a reader pulls whatever the socket holds into a chunk and
+// hands the receiver slices of it, so a burst of frames costs one read.
+// A chunk is filled once and never written again: the receiver owns
+// every frame it is handed (see SetReceiver), and a chunk goes when the
+// last frame cut from it does.
 package tcpnet
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/hist"
@@ -57,9 +56,8 @@ const (
 	maxBatchBytes  = 256 << 10
 )
 
-// rbufSize is each connection's read buffer. Frames that fit it, header
-// included, are handed to the receiver as slices of the buffer; larger
-// ones are read into a buffer of their own.
+// rbufSize is the chunk a reader fills and cuts frames from. A frame
+// larger than a chunk, header included, gets one of exactly its size.
 const rbufSize = 64 << 10
 
 // closeDrain bounds, in total, how long Close lets flushers finish
@@ -191,9 +189,10 @@ func (t *Transport) Scheme() string { return Scheme }
 // LocalAddress implements endpoint.Transport.
 func (t *Transport) LocalAddress() endpoint.Address { return t.local }
 
-// SetReceiver implements endpoint.Transport. frame aliases the
-// connection's read buffer and is overwritten by the next read: recv
-// must not retain it after returning.
+// SetReceiver implements endpoint.Transport. frame is recv's to keep: a
+// capped slice of a read chunk that no reader writes again. Frames that
+// arrived together share a chunk, so keeping a few bytes of one keeps
+// all 64 kB: copy what is kept for long.
 func (t *Transport) SetReceiver(recv func(frame []byte)) {
 	t.recv.Store(&recv)
 }
@@ -678,50 +677,44 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// countingReader counts the socket reads under a connection's
-// bufio.Reader.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	c.n.Add(1)
-	return c.r.Read(p)
-}
-
-// readLoop delivers conn's inbound frames to the receiver. Header, body
-// and every further frame already in the socket arrive with one read
-// into a buffer the receiver is handed slices of; only a frame larger
-// than that buffer gets one of its own.
+// readLoop delivers conn's inbound frames to the receiver. One read per
+// wakeup takes whatever the socket holds — header, body and every
+// further frame behind them — into the current chunk, and each whole
+// frame is handed out as a slice of it. Bytes handed out are never
+// written again: the chunk is filled front to back once, and when the
+// next frame does not fit what is left of it the reader moves to a fresh
+// one, taking along only the piece of that frame it already has.
 func (t *Transport) readLoop(conn net.Conn, onExit func()) {
 	defer t.wg.Done()
 	defer onExit()
-	br := bufio.NewReaderSize(countingReader{conn, &t.stats.reads}, rbufSize)
+	chunk := make([]byte, rbufSize)
+	r, w := 0, 0 // chunk[:r] is delivered, chunk[r:w] read and not yet a whole frame
+	var err error
 	for {
-		hdr, err := br.Peek(4)
-		if err != nil {
-			return
-		}
-		size := binary.BigEndian.Uint32(hdr)
-		if size > MaxFrame {
-			return // corrupt or hostile; drop the connection
-		}
-		if n := 4 + int(size); n <= rbufSize {
-			buf, err := br.Peek(n)
-			if err != nil {
-				return
+		need := 4 // bytes of chunk the frame at r takes, as far as is known
+		if w-r >= 4 {
+			size := binary.BigEndian.Uint32(chunk[r:])
+			if size > MaxFrame {
+				return // corrupt or hostile; drop the connection
 			}
-			t.deliver(buf[4:])
-			_, _ = br.Discard(n) // cannot fail: Peek just buffered them
-			continue
+			if need += int(size); w-r >= need {
+				t.deliver(chunk[r+4 : r+need : r+need])
+				r += need
+				continue
+			}
 		}
-		_, _ = br.Discard(4) // cannot fail: Peek just buffered them
-		frame := make([]byte, size)
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return
+		if err != nil {
+			return // behind the whole frames that came with the error
 		}
-		t.deliver(frame)
+		if r+need > len(chunk) {
+			next := make([]byte, max(rbufSize, need))
+			w = copy(next, chunk[r:w])
+			chunk, r = next, 0
+		}
+		var n int
+		n, err = conn.Read(chunk[w:])
+		t.stats.reads.Add(1)
+		w += n
 	}
 }
 
@@ -731,13 +724,6 @@ func (t *Transport) readLoop(conn net.Conn, onExit func()) {
 func (t *Transport) deliver(frame []byte) {
 	if recv := t.recv.Load(); recv != nil && !t.closed.Load() {
 		(*recv)(frame)
-	}
-	if israce.Enabled {
-		// The receiver must not retain frame; under the race detector,
-		// make one that does corrupt its own data.
-		for i := range frame {
-			frame[i] = 0xA5
-		}
 	}
 }
 

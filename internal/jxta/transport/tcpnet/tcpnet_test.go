@@ -29,11 +29,10 @@ type frameSink struct {
 
 func newFrameSink() *frameSink { return &frameSink{ch: make(chan struct{}, 256)} }
 
-// recv copies: a frame is the transport's read buffer and is only valid
-// until the receiver returns.
+// recv keeps the frame as it is: the transport gave it away.
 func (s *frameSink) recv(frame []byte) {
 	s.mu.Lock()
-	s.frames = append(s.frames, bytes.Clone(frame))
+	s.frames = append(s.frames, frame)
 	s.mu.Unlock()
 	select {
 	case s.ch <- struct{}{}:
@@ -438,9 +437,9 @@ func TestProbeOfALiveConnectionAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFrameSizesAroundTheReadBuffer round-trips frames that just fit the
-// connection's read buffer, just do not, and dwarf it, each between
-// small frames that share a read with its head or tail.
+// TestFrameSizesAroundTheReadBuffer round-trips frames that just fit a
+// reader's chunk, just do not, and dwarf it, each between small frames
+// that share a read with its head or tail.
 func TestFrameSizesAroundTheReadBuffer(t *testing.T) {
 	a, _ := listen(t)
 	b, bs := listen(t)
@@ -467,6 +466,170 @@ func TestFrameSizesAroundTheReadBuffer(t *testing.T) {
 			t.Fatalf("frame %d (%d bytes) arrived as %d bytes or with other content", i, len(want[i]), len(got[i]))
 		}
 	}
+}
+
+// fill writes frame i's content: a stream no other frame shares, so that
+// a frame overwritten by any other, at any offset, reads wrong.
+func fill(buf []byte, i int) {
+	rand.New(rand.NewSource(int64(i))).Read(buf)
+}
+
+// TestDeliveredFramesAreNeverRewritten is the receive path's ownership
+// rule from the receiver's side: every frame is kept as the slice it was
+// handed, for as long as the connection goes on reading behind it, and
+// all of them still read what was sent once the last has arrived. Sizes
+// run from one byte to a few chunks, a run of them ends within five
+// bytes either side of a chunk's end, and an append to a kept frame must
+// not land in its neighbour.
+func TestDeliveredFramesAreNeverRewritten(t *testing.T) {
+	a, _ := listen(t)
+	b, bs := listen(t)
+	rng := rand.New(rand.NewSource(7))
+	var sizes []int
+	for d := -5; d <= 5; d++ {
+		sizes = append(sizes, tcpnet.RbufSize-4+d, 1+rng.Intn(64))
+	}
+	for len(sizes) < 3000 {
+		switch n := rng.Intn(100); {
+		case n < 2:
+			sizes = append(sizes, tcpnet.RbufSize+rng.Intn(200<<10-tcpnet.RbufSize))
+		case n < 10:
+			sizes = append(sizes, tcpnet.RbufSize-4-5+rng.Intn(11))
+		default:
+			sizes = append(sizes, 1+rng.Intn(4<<10))
+		}
+	}
+	buf := make([]byte, 200<<10)
+	for i, size := range sizes {
+		// Half the default queue in flight: nothing is shed.
+		if i >= 512 {
+			bs.wait(t, i-512)
+		}
+		fill(buf[:size], i)
+		if err := a.Send(b.LocalAddress(), buf[:size]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := bs.wait(t, len(sizes))
+	want := make([]byte, 200<<10)
+	for i, f := range got {
+		fill(want[:sizes[i]], i)
+		if !bytes.Equal(f, want[:sizes[i]]) {
+			t.Fatalf("frame %d of %d (%d bytes) reads %d bytes of something else once the reader has moved on", i, len(got), sizes[i], len(f))
+		}
+		if grown := append(f, 0xEE); &grown[0] == &f[0] {
+			t.Fatalf("frame %d: an append grew it in place, into the chunk behind it", i)
+		}
+	}
+	if st := a.Stats(); st.Dropped != 0 {
+		t.Fatalf("the pacing let %d frames be shed", st.Dropped)
+	}
+}
+
+// lastWords is a connection whose one read returns everything the peer
+// sent together with the error that ends it.
+type lastWords struct {
+	net.Conn
+	data []byte
+}
+
+func (c *lastWords) Read(p []byte) (int, error) {
+	n := copy(p, c.data)
+	c.data = c.data[n:]
+	return n, io.EOF
+}
+
+func (c *lastWords) Close() error { return nil }
+
+// TestFramesThatArriveWithTheErrorAreDelivered: a read may return bytes
+// and an error at once, and the whole frames among those bytes are a
+// leaving peer's last — its rendezvous disconnect. They reach the
+// receiver before the reader exits; the fragment behind them does not.
+func TestFramesThatArriveWithTheErrorAreDelivered(t *testing.T) {
+	tr, sink := listen(t)
+	var stream []byte
+	for _, f := range []string{"lease renewal", "", "disconnect"} {
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(f)))
+		stream = append(stream, f...)
+	}
+	stream = append(binary.BigEndian.AppendUint32(stream, 100), "cut short"...)
+	tr.ReadConn(&lastWords{data: stream})
+	got := sink.wait(t, 3)
+	if len(got) != 3 || string(got[0]) != "lease renewal" || len(got[1]) != 0 || string(got[2]) != "disconnect" {
+		t.Fatalf("delivered %q", got)
+	}
+}
+
+// FuzzReadLoopChunking: however a stream of valid frames is cut into
+// reads — sizes and cuts are the fuzzer's — the receiver gets the same
+// frames in the same order, each still intact when the stream has ended;
+// and a header above MaxFrame ends the connection with nothing behind it
+// delivered.
+func FuzzReadLoopChunking(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 255, 252, 0, 0, 0, 1, 0, 5}, []byte{0, 0, 255, 255, 0, 3}, false)
+	f.Add([]byte{0, 255, 250, 0, 0, 9, 3, 0, 0, 0, 0, 64}, []byte{127, 255}, true)
+	f.Add([]byte{0, 0, 7}, []byte{}, true)
+	f.Fuzz(func(t *testing.T, sizes, cuts []byte, oversize bool) {
+		if len(sizes) > 3*48 {
+			sizes = sizes[:3*48]
+		}
+		var stream []byte
+		var want [][]byte
+		for i := 0; i+3 <= len(sizes); i += 3 {
+			frame := make([]byte, (int(sizes[i])<<16|int(sizes[i+1])<<8|int(sizes[i+2]))%(200<<10))
+			fill(frame, i)
+			want = append(want, frame)
+			stream = append(binary.BigEndian.AppendUint32(stream, uint32(len(frame))), frame...)
+		}
+		if oversize {
+			stream = binary.BigEndian.AppendUint32(stream, tcpnet.MaxFrame+1)
+			stream = append(binary.BigEndian.AppendUint32(stream, 5), "after"...)
+		}
+
+		tr, err := tcpnet.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		var got [][]byte // the reader's until done is closed
+		tr.SetReceiver(func(frame []byte) { got = append(got, frame) })
+		client, server := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			tr.ReadConn(server)
+			close(done)
+		}()
+		var werr error
+		for k := 0; len(stream) > 0 && werr == nil; k += 2 {
+			n := len(stream)
+			if len(cuts) >= 2 {
+				c := cuts[k%(len(cuts)-1):]
+				n = min(n, 1+(int(c[0])<<8|int(c[1])))
+			}
+			_, werr = client.Write(stream[:n])
+			stream = stream[n:]
+		}
+		if oversize {
+			// The reader hangs up by itself, with the stream still open.
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the reader reads on behind an oversize header")
+			}
+		} else if werr != nil {
+			t.Fatalf("the reader hung up on a valid stream: %v", werr)
+		}
+		_ = client.Close()
+		<-done
+		if len(got) != len(want) {
+			t.Fatalf("%d frames delivered, %d sent", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d (%d bytes) arrived as %d bytes or with other content", i, len(want[i]), len(got[i]))
+			}
+		}
+	})
 }
 
 // TestOversizeHeaderDropsConnection: a length above MaxFrame is a
@@ -501,9 +664,10 @@ func TestOversizeHeaderDropsConnection(t *testing.T) {
 	}
 }
 
-// TestReceiveDoesNotAllocatePerFrame: frames that fit the read buffer
-// are handed to the receiver in place. The pooled send side is in the
-// measurement too, so the bound holds for the whole loopback path.
+// TestReceiveDoesNotAllocatePerFrame: frames are handed to the receiver
+// in place, and a reader allocates a chunk per 64 kB received, not per
+// frame. The pooled send side is in the measurement too, so the bound
+// holds for the whole loopback path.
 func TestReceiveDoesNotAllocatePerFrame(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
