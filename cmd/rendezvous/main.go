@@ -1,7 +1,7 @@
 // Command rendezvous runs a standalone rendezvous daemon over TCP: the
 // infrastructure peer that bridges sub-networks, tracks connected peers
 // and propagates their events to one another. TPS event groups of any
-// type are served by the one daemon (it joins none of them). Every peer
+// type are served by its one wildcard rendezvous service. Every peer
 // must be able to accept connections: the daemon dials its clients back
 // (see ROBUSTNESS.md, "Firewalled peers").
 //
@@ -95,7 +95,7 @@ func run(listen, seeds, name, adminAddr, logDir, logSync, replicas string, syncI
 		fmt.Printf("replica set: syncing event log with %v\n", cfg.ReplicaSeeds)
 	}
 	if addr := p.AdminAddr(); addr != "" {
-		fmt.Printf("admin endpoint on http://%s (/stats /peers /subscriptions /health /rpc)\n", addr)
+		fmt.Printf("admin endpoint on http://%s (/stats /metrics /peers /subscriptions /inspect /trace /health)\n", addr)
 	}
 
 	stop := make(chan os.Signal, 1)

@@ -254,13 +254,10 @@ func showSubs(base string) error {
 // sequence ranges per topic, and — when the peer also tracks replay
 // cursors — how far each cursor lags behind the retained tail.
 func showLog(base string) error {
-	var resp struct {
-		Result obs.Inspection `json:"result"`
-	}
-	if err := postRPC(base, "inspect", &resp); err != nil {
+	var in obs.Inspection
+	if err := fetchJSON(base, "/inspect", &in); err != nil {
 		return err
 	}
-	in := resp.Result
 	if len(in.EventLog) == 0 && len(in.Cursors) == 0 {
 		fmt.Println("no event log (peer runs without -log-dir) and no replay cursors")
 		return nil
@@ -297,13 +294,11 @@ func showLog(base string) error {
 // that has never synced (or a peer with no replica set) is visible at a
 // glance.
 func showReplicas(base string) error {
-	var resp struct {
-		Result obs.Inspection `json:"result"`
-	}
-	if err := postRPC(base, "inspect", &resp); err != nil {
+	var in obs.Inspection
+	if err := fetchJSON(base, "/inspect", &in); err != nil {
 		return err
 	}
-	reps := resp.Result.Replicas
+	reps := in.Replicas
 	if len(reps) == 0 {
 		fmt.Println("no replica set (rendezvous runs without -replica)")
 		return nil
@@ -457,20 +452,6 @@ func fmtUSSigned(us float64) string {
 	return "+" + fmtUS(us)
 }
 
-// postRPC performs one JSON-RPC 2.0 call against POST /rpc.
-func postRPC(base, method string, into any) error {
-	body := strings.NewReader(fmt.Sprintf(`{"jsonrpc":"2.0","id":1,"method":%q}`, method))
-	resp, err := http.Post(base+"/rpc", "application/json", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s/rpc: %s", base, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
-}
-
 // watchStats polls /stats and prints the counters that moved between
 // polls, one line per change, until interrupted. Latency histograms are
 // differenced the same way: the per-interval delta distribution yields
@@ -577,8 +558,7 @@ func run(cmd string, args []string, listen, seeds, namePat string, wait time.Dur
 		return err
 	}
 	defer p.Close()
-	net := p.NetGroup()
-	if !net.AwaitRendezvous(10 * time.Second) {
+	if !p.NetGroup().Rendezvous.AwaitConnected(10 * time.Second) {
 		return fmt.Errorf("no rendezvous reachable at %s", seeds)
 	}
 

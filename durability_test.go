@@ -53,25 +53,17 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	// The daemon's log is the durability boundary: wait until it retains
-	// every event before letting the late joiner appear. The daemon logs
-	// one topic per group it relays — the net group carries discovery
-	// chatter, the SkiRental group exactly the published events — so wait
-	// for every topic's tail, which includes the event topic's.
+	// The rendezvous' log is the durability boundary: wait until it
+	// retains every event before letting the late joiner appear. It logs
+	// one topic, the SkiRental group's — the net group is not logged.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		topics := rdv.Inspect().EventLog
-		caughtUp := len(topics) >= 2
-		for _, e := range topics {
-			if e.LastSeq < early {
-				caughtUp = false
-			}
-		}
-		if caughtUp {
+		if len(topics) == 1 && topics[0].LastSeq >= early {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon log never retained %d events: %+v", early, topics)
+			t.Fatalf("rendezvous log never retained %d events in one topic: %+v", early, topics)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -79,9 +79,6 @@ func run(mode, listen, seeds string, count int) error {
 
 	switch mode {
 	case "rdv":
-		if _, err := p.EnableDaemon(); err != nil {
-			return err
-		}
 		fmt.Println("rendezvous running; ctrl-C to stop")
 		waitInterrupt()
 		return nil
@@ -141,9 +138,6 @@ func demo(count int) error {
 		return err
 	}
 	defer rdv.Close()
-	if _, err := rdv.EnableDaemon(); err != nil {
-		return err
-	}
 	shopPeer, err := mk("shop", rendezvous.RoleEdge, "mem://rdv")
 	if err != nil {
 		return err

@@ -11,7 +11,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
-	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/srapp"
@@ -75,7 +74,7 @@ func (c *Cluster) buildWire(pubAddrs []endpoint.Address) error {
 			return err
 		}
 		c.closers = append(c.closers, p.Close)
-		g, err := p.JoinGroup(peergroup.Config{ID: wireGroupID, Name: "bench.wire"})
+		g, err := p.JoinGroup(wireGroupID, "bench.wire")
 		if err != nil {
 			return err
 		}
@@ -95,7 +94,7 @@ func (c *Cluster) buildWire(pubAddrs []endpoint.Address) error {
 			return err
 		}
 		c.closers = append(c.closers, p.Close)
-		g, err := p.JoinGroup(peergroup.Config{ID: wireGroupID, Name: "bench.wire"})
+		g, err := p.JoinGroup(wireGroupID, "bench.wire")
 		if err != nil {
 			return err
 		}
@@ -134,9 +133,6 @@ func (c *Cluster) buildSRJXTA(pubAddrs []endpoint.Address) error {
 			return err
 		}
 		c.closers = append(c.closers, p.Close)
-		if _, err := p.EnableDaemon(); err != nil {
-			return err
-		}
 		// The first publisher creates the type advertisement quickly;
 		// later ones find it through the mesh.
 		timeout := 300 * time.Millisecond

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,14 +83,14 @@ func counter(n *rig.Node, subsystem, key string) int64 { return n.Stats().Counte
 
 // stream finds, in n's event log, the event group's stream as numbered
 // by origin: n's own log of it when origin is n, its replicated copy
-// otherwise. The net group's topic (discovery chatter) is not it.
+// otherwise.
 func stream(n, origin *rig.Node) (obs.LogTopicEntry, bool) {
 	for _, e := range n.Inspect().EventLog {
-		from, topic, copied := replica.ParseKey(e.Topic)
+		from, _, copied := replica.ParseKey(e.Topic)
 		if !copied {
-			from, topic = jidOf(n), e.Topic
+			from = jidOf(n)
 		}
-		if from == jidOf(origin) && topic != jid.NetGroup.String() {
+		if from == jidOf(origin) {
 			return e, true
 		}
 	}
@@ -491,6 +492,77 @@ func TestRendezvousSubscriberIsDeliveredAndForwarded(t *testing.T) {
 			}
 			if len(want) != 0 {
 				t.Fatalf("%s: hops missing: %v", summary.EventID, want)
+			}
+		}
+	})
+}
+
+// TestRendezvousThatSubscribesMidStreamDropsNothing has a log-less
+// rendezvous start an engine for a type and subscribe while an edge
+// publisher streams it to an edge subscriber. The rendezvous serves the
+// group it joins with the one service that already carries its
+// clients' leases for it, so nothing changes for them: the edge has
+// every event exactly once. The leases are long enough that no renewal
+// lands in the stream — on a log-less rendezvous nothing else would
+// resend what a lapse in forwarding cost. The rendezvous' own
+// subscriber has every event published after its Subscribe returned.
+func TestRendezvousThatSubscribesMidStreamDropsNothing(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		const lease = 6 * time.Second
+		rdv := c.Start(tps.Config{Name: "rdv", Rendezvous: true, LeaseTTL: lease})
+		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv"}, LeaseTTL: lease})
+		pub.ready(t)
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}, LeaseTTL: lease})
+		probe := sub.subscribe(t)
+		if !sub.eng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("subscriber never ready")
+		}
+
+		// The stream: one event every 2 ms for 3 s.
+		var published atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ticker := time.NewTicker(2 * time.Millisecond)
+			defer ticker.Stop()
+			for end := time.Now().Add(3 * time.Second); time.Now().Before(end); <-ticker.C {
+				i := published.Load()
+				if err := pub.intf.Publish(Event{fmt.Sprintf("m-%d", i)}); err != nil {
+					t.Errorf("publish m-%d: %v", i, err)
+					return
+				}
+				published.Store(i + 1)
+			}
+		}()
+
+		time.Sleep(300 * time.Millisecond)
+		_, rdvIntf := rig.Engine[Event](t, rdv)
+		local := &rig.Probe[Event]{}
+		if err := rdvIntf.Subscribe(local, local); err != nil {
+			t.Fatal(err)
+		}
+		// The event being published as Subscribe returned may have passed
+		// the rendezvous before it; every later one may not.
+		from := int(published.Load()) + 1
+		<-done
+		n := int(published.Load())
+		if from >= n {
+			t.Fatalf("the rendezvous subscribed after the stream ended (%d of %d)", from, n)
+		}
+
+		probe.Await(t, n)
+		c.Settle()
+		probe.ExactlyOnce(t, n)
+		if ev, dup := local.Duplicate(); dup {
+			t.Fatalf("the rendezvous' subscriber got %v twice", ev)
+		}
+		got := map[string]bool{}
+		for _, ev := range local.Events() {
+			got[ev.Body] = true
+		}
+		for i := from; i < n; i++ {
+			if !got[fmt.Sprintf("m-%d", i)] {
+				t.Fatalf("the rendezvous' subscriber lacks m-%d, published after it subscribed (m-%d..m-%d)", i, from, n-1)
 			}
 		}
 	})

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/rig"
 )
@@ -282,6 +283,68 @@ func TestCursorBehindRetentionSignalsGap(t *testing.T) {
 		}
 		if n := len(gaps(probe)); n != 1 {
 			t.Fatalf("%d gap exceptions for one gap", n)
+		}
+	})
+}
+
+// Quote is the second type TestDurableLogHoldsOnlyEventGroups streams.
+type Quote struct{ N int }
+
+// TestDurableLogHoldsOnlyEventGroups runs a replica pair under two
+// types for a few seconds of finder rounds. The net group's discovery
+// traffic is the control plane, not events: neither rendezvous logs it,
+// and so neither copies it to the other. Every topic in either log is an
+// event group a subscriber holds a cursor for, or a replica copy of one.
+func TestDurableLogHoldsOnlyEventGroups(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA, rdvB := replicaPair(t, c, tps.Config{ReplicaSyncInterval: 200 * time.Millisecond})
+		sub := failoverEdge(t, c, "sub")
+		events := sub.subscribe(t)
+		_, quotesIntf := rig.Engine[Quote](t, sub.Node)
+		quotes := &rig.Probe[Quote]{}
+		if err := quotesIntf.Subscribe(quotes, quotes); err != nil {
+			t.Fatal(err)
+		}
+		pub := failoverEdge(t, c, "pub")
+		pub.ready(t)
+		quoteEng, quoteIntf := rig.Engine[Quote](t, pub.Node)
+		if err := quoteEng.Announce(); err != nil {
+			t.Fatal(err)
+		}
+		if !quoteEng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("quote group never ready")
+		}
+
+		// Two seconds of both streams, twenty finder rounds on every peer.
+		const n = 50
+		for i := 0; i < n; i++ {
+			pub.publish(t, "m", i, i+1)
+			if err := quoteIntf.Publish(Quote{i}); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(40 * time.Millisecond)
+		}
+		events.Await(t, n)
+		quotes.Await(t, n)
+		awaitTail(t, rdvB, rdvA, n)
+
+		groups := map[string]bool{}
+		for _, cur := range sub.Inspect().Cursors {
+			groups[cur.Group] = true
+		}
+		if len(groups) != 2 {
+			t.Fatalf("subscriber holds cursors for %d groups, want the two event groups: %+v", len(groups), sub.Inspect().Cursors)
+		}
+		for _, rdv := range []*rig.Node{rdvA, rdvB} {
+			for _, e := range rdv.Inspect().EventLog {
+				topic := e.Topic
+				if _, of, copied := replica.ParseKey(topic); copied {
+					topic = of
+				}
+				if !groups[topic] {
+					t.Errorf("%s logs topic %s (%d records), which is no event group", rdv.Config.Name, e.Topic, e.LastSeq)
+				}
+			}
 		}
 	})
 }

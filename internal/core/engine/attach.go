@@ -38,6 +38,9 @@ type attachment struct {
 	pipeAdv *adv.PipeAdv
 	in      *wire.InputPipe
 	out     *wire.OutputPipe
+	// The group's rendezvous service may serve other groups and outlive
+	// this attachment: its listeners go when the attachment closes.
+	gapTok, leaseTok int
 
 	// Replay cursors: highest log sequence delivered, per origin
 	// rendezvous, plus the rendezvous that granted a lease and have not
@@ -85,18 +88,16 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv) error {
 		out:     out,
 	}
 	in.SetListener(func(m *message.Message) { e.onWireMessage(a, m) })
-	if rdv := g.Rendezvous; rdv != nil {
-		// Replay gaps surface as exceptions on this attachment's path.
-		rdv.SetReplayGapListener(e.onGapSignal(a))
-		// Every lease granted from here on is owed a replay request, and
-		// so is every lease the group already holds: taken after the
-		// listener is in place, so a grant in between is in one or both.
-		rdv.AddLeaseListener(func(id jid.ID) {
-			a.oweReplay(id)
-			e.kickReplay()
-		})
-		a.oweReplay(rdv.ConnectedRendezvous()...)
-	}
+	// Replay gaps surface as exceptions on this attachment's path.
+	a.gapTok = g.Rendezvous.AddGapListener(e.onGapSignal(a))
+	// Every lease granted from here on is owed a replay request, and so
+	// is every lease the group already holds: taken after the listener
+	// is in place, so a grant in between is in one or both.
+	a.leaseTok = g.Rendezvous.AddLeaseListener(func(id jid.ID) {
+		a.oweReplay(id)
+		e.kickReplay()
+	})
+	a.oweReplay(g.Rendezvous.ConnectedRendezvous()...)
 
 	e.mu.Lock()
 	if e.closed {
@@ -146,18 +147,14 @@ func (a *attachment) publish(msg *message.Message) error {
 // only).
 func (a *attachment) ready() bool {
 	rdv := a.group.Rendezvous
-	if rdv == nil {
-		return false
-	}
-	if len(rdv.Config().Seeds) == 0 {
-		return true
-	}
-	return len(rdv.ConnectedRendezvous()) > 0
+	return len(rdv.Config().Seeds) == 0 || len(rdv.ConnectedRendezvous()) > 0
 }
 
 // close tears the attachment down and leaves its group.
 func (a *attachment) close(p *peer.Peer) {
 	a.in.Close()
+	a.group.Rendezvous.RemoveGapListener(a.gapTok)
+	a.group.Rendezvous.RemoveLeaseListener(a.leaseTok)
 	p.LeaveGroup(a.groupID)
 }
 

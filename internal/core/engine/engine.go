@@ -192,9 +192,8 @@ func New(cfg Config) (*Engine, error) {
 	e.lisTok = net.Discovery.AddListener(e.onAdvertisement)
 	// A query sent before the net group holds a lease reaches nobody;
 	// the grant is when the finder's next round is worth running.
-	if e.netRdv = net.Rendezvous; e.netRdv != nil {
-		e.leaseTok = e.netRdv.AddLeaseListener(func(jid.ID) { e.kickFinder() })
-	}
+	e.netRdv = net.Rendezvous
+	e.leaseTok = e.netRdv.AddLeaseListener(func(jid.ID) { e.kickFinder() })
 	e.wg.Add(2)
 	go e.finderLoop()
 	go e.replayLoop()
@@ -350,9 +349,7 @@ func (e *Engine) Close() {
 	if net := e.peer.NetGroup(); net != nil {
 		net.Discovery.RemoveListener(e.lisTok)
 	}
-	if e.netRdv != nil {
-		e.netRdv.RemoveLeaseListener(e.leaseTok)
-	}
+	e.netRdv.RemoveLeaseListener(e.leaseTok)
 	for _, a := range atts {
 		a.close(e.peer)
 	}

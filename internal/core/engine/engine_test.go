@@ -73,16 +73,13 @@ func newRig(t *testing.T) *testRig {
 	n := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: time.Millisecond}})
 	t.Cleanup(n.Close)
 	rig := &testRig{t: t, net: n}
-	// One rendezvous daemon bridges everything.
+	// One rendezvous bridges everything.
 	node, err := n.AddNode("rdv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, err := peer.New(peer.Config{Name: "rdv", Rendezvous: rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 2 * time.Second}}, memnet.New(node))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.EnableDaemon(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
@@ -111,8 +108,8 @@ func (r *testRig) addEngine() *testEnginePeer {
 		r.t.Fatal(err)
 	}
 	r.t.Cleanup(p.Close)
-	if !p.NetGroup().AwaitRendezvous(5 * time.Second) {
-		r.t.Fatal("peer never reached the daemon")
+	if !p.NetGroup().Rendezvous.AwaitConnected(5 * time.Second) {
+		r.t.Fatal("peer never reached the rendezvous")
 	}
 	reg, nodes := newRegistry(r.t)
 	eng, err := engine.New(engine.Config{

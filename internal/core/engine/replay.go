@@ -155,9 +155,6 @@ func (a *attachment) oweReplay(ids ...jid.ID) {
 // whose lease is gone is owed nothing until it grants another.
 func (a *attachment) syncReplay(e *Engine) {
 	rdv := a.group.Rendezvous
-	if rdv == nil {
-		return
-	}
 	a.curMu.Lock()
 	defer a.curMu.Unlock()
 	for id := range a.owed {
@@ -274,12 +271,17 @@ func (e *Engine) CursorsView() []obs.CursorEntry {
 	return out
 }
 
-// onGapSignal turns a rendezvous gap signal into a ReplayGapError for
-// the attachment's subscribers, and advances the cursor floor so the
-// next replay round asks from the retained range instead of re-pulling
-// the same suffix forever.
+// onGapSignal turns a rendezvous gap signal for the attachment's group
+// into a ReplayGapError for its subscribers, and advances the cursor
+// floor so the next replay round asks from the retained range instead
+// of re-pulling the same suffix forever. A rendezvous peer's service
+// serves every group and hears every group's gaps; the others' are not
+// this attachment's.
 func (e *Engine) onGapSignal(a *attachment) rendezvous.GapListener {
 	return func(origin jid.ID, topic string, first, last uint64, tentative bool) {
+		if topic != a.group.Param() {
+			return
+		}
 		a.jumpCursor(origin, first)
 		e.subs.dispatchError(&ReplayGapError{Path: a.path, Topic: topic, First: first, Last: last, Tentative: tentative})
 	}

@@ -12,8 +12,11 @@ import (
 	"time"
 
 	"github.com/tps-p2p/tps/internal/core/typereg"
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
@@ -190,5 +193,146 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 	}
 	if got := e.stats.replayRequests.Load(); got != 0 {
 		t.Fatalf("%d replay requests counted, none could be sent", got)
+	}
+}
+
+// TestGapsAndGrantsReachOnlyTheirAttachment runs two types on a
+// rendezvous peer, where both attachments sit on the one wildcard
+// service and hear every gap and grant it receives. A gap for one
+// topic jumps only that attachment's cursor and names only its path; a
+// grant kicks the replay loop once per attachment. Once the attachments
+// have closed, with the service still running, neither reaches them.
+func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	t.Cleanup(n.Close)
+	node, err := n.AddNode("rdv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := peer.New(peer.Config{Name: "rdv", Rendezvous: rendezvous.Config{Role: rendezvous.RoleRendezvous}}, memnet.New(node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	// other speaks the rendezvous protocol by hand: its element names are
+	// the wire contract.
+	otherNode, err := n.AddNode("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := endpoint.New(jid.FromSeed(jid.KindPeer, 99))
+	if err := other.AddTransport(memnet.New(otherNode)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = other.Close() })
+	send := func(op string, fill func(*message.Message)) {
+		t.Helper()
+		m := message.New(other.PeerID())
+		m.AddString("rdv", "Op", op)
+		fill(m)
+		if err := other.Send("mem://rdv", rendezvous.ServiceName, "", m); err != nil {
+			t.Fatal(err)
+		}
+		n.WaitQuiesce(5 * time.Second)
+	}
+	origin := jid.FromSeed(jid.KindPeer, 7)
+	gap := func(topic string) {
+		send("gap", func(m *message.Message) {
+			m.AddString("rdv", "Topic", topic)
+			m.AddID("rdv", "LogSrc", origin)
+			m.AddUint64("rdv", "First", 10)
+			m.AddUint64("rdv", "Last", 20)
+		})
+	}
+	grant := func() {
+		send("lease", func(m *message.Message) {
+			m.AddUint64("rdv", "Lease", uint64(time.Minute/time.Millisecond))
+			m.AddString("rdv", "New", "true")
+		})
+	}
+
+	type stock struct{ N int }
+	type fx struct{ N int }
+	reg := typereg.New()
+	stockNode, err := reg.Register(reflect.TypeOf(stock{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fxNode, err := reg.Register(reflect.TypeOf(fx{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Peer: p, Registry: reg, FindTimeout: 10 * time.Millisecond, FindInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var errs []error
+	deliver := func(any, jid.ID) error { return nil }
+	onError := func(err error) { mu.Lock(); errs = append(errs, err); mu.Unlock() }
+	gaps := func() []*ReplayGapError {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []*ReplayGapError
+		for _, err := range errs {
+			if g, ok := err.(*ReplayGapError); ok {
+				out = append(out, g)
+			}
+		}
+		return out
+	}
+	attachmentOf := func(node *typereg.Node) *attachment {
+		t.Helper()
+		if _, err := e.Subscribe(node, deliver, onError); err != nil {
+			t.Fatal(err)
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		for _, a := range e.attachments[node.Path()] {
+			return a
+		}
+		t.Fatalf("no attachment for %s", node.Path())
+		return nil
+	}
+	a, b := attachmentOf(stockNode), attachmentOf(fxNode)
+	if a.group.Rendezvous != b.group.Rendezvous {
+		t.Fatal("a rendezvous peer's attachments sit on different services")
+	}
+	a.noteCursor(origin, 1)
+	b.noteCursor(origin, 1)
+
+	gap(a.group.Param())
+	// Exception handlers are the engine's, so each subscription hears it.
+	heard := gaps()
+	if len(heard) == 0 {
+		t.Fatal("a gap raised no error")
+	}
+	for _, g := range heard {
+		if g.Path != a.path || g.Topic != a.group.Param() {
+			t.Fatalf("gap error %+v, want it to name %s only", g, a.path)
+		}
+	}
+	if ca, cb := a.cursor(origin), b.cursor(origin); ca != 9 || cb != 1 {
+		t.Fatalf("cursors after a gap for %s: %d and %d, want 9 and 1", a.path, ca, cb)
+	}
+	kicks := e.stats.replayKicks.Load()
+	grant()
+	if got := e.stats.replayKicks.Load() - kicks; got != 2 {
+		t.Fatalf("a grant kicked the replay loop %d times, want once per attachment", got)
+	}
+
+	e.Close()
+	kicks = e.stats.replayKicks.Load()
+	grant()
+	gap(a.group.Param())
+	gap(b.group.Param())
+	if got := e.stats.replayKicks.Load() - kicks; got != 0 {
+		t.Fatalf("a grant after close kicked the replay loop %d times", got)
+	}
+	if ca, cb := a.cursor(origin), b.cursor(origin); ca != 9 || cb != 1 {
+		t.Fatalf("cursors moved after close: %d and %d", ca, cb)
+	}
+	if g := gaps(); len(g) != len(heard) {
+		t.Fatalf("%d gap errors after close, want the %d from before", len(g), len(heard))
 	}
 }

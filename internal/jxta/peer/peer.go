@@ -1,6 +1,16 @@
 // Package peer assembles a complete JXTA peer: an endpoint with its
-// transports, the bootstrap net peer group, and the groups the peer
-// joins over its lifetime.
+// transports, the net group's control plane, and the event groups the
+// peer joins over its lifetime.
+//
+// Each stack follows its traffic. The net group is a peergroup.Core —
+// rendezvous, resolver, discovery — where advertisements are found and
+// the peer's one Peer Information responder answers; it carries no
+// events. An event group is a rendezvous service and a wire. On an
+// edge, each event group gets a rendezvous client of its own. A peer
+// whose role is rendezvous serves every event group, its own included,
+// with one wildcard rendezvous service started in New, and a group it
+// joins builds only its wire on that service: the role is the only
+// switch.
 //
 // Any networked device is a peer; a peer with extra duties (rendezvous)
 // is just a peer configured with that role. A peer that crashes and
@@ -39,8 +49,9 @@ type Config struct {
 	ID jid.ID
 	// Rendezvous is the template every rendezvous service of this peer
 	// is configured from: role (zero means edge), seeds, lease, event
-	// log, tracer, failover. Joined groups take it whole, minus the
-	// replica set; the daemon stack takes all of it.
+	// log, tracer, failover, replica set. The net group's service takes
+	// it without the log and the replica set; the wildcard service of a
+	// rendezvous peer, or an edge's per-group client, takes it whole.
 	Rendezvous rendezvous.Config
 }
 
@@ -48,21 +59,24 @@ type Config struct {
 type Peer struct {
 	cfg Config
 	ep  *endpoint.Service
+	pip *peerinfo.Service // on the net group's resolver
+	// wild serves every event group on a rendezvous-role peer; nil on an
+	// edge. Fixed in New.
+	wild *rendezvous.Service
 
 	// joinMu serialises JoinGroup: constructing two stacks for the same
 	// group concurrently would collide on endpoint handler registration.
 	joinMu sync.Mutex
 
 	mu     sync.Mutex
+	net    *peergroup.Core
 	groups map[jid.ID]*peergroup.Group
-	net    *peergroup.Group
-	pip    *peerinfo.Service // on the net group's resolver
-	daemon *peergroup.Core   // wildcard stack, nil unless EnableDaemon ran
 	closed bool
 }
 
-// New starts a peer with the given transports, joins the net peer group
-// and starts the peer's one Peer Information responder on it.
+// New starts a peer with the given transports: the net group's control
+// plane with the peer's one Peer Information responder on it and, on a
+// rendezvous-role peer, the wildcard service.
 func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	if len(transports) == 0 {
 		return nil, ErrNoTransports
@@ -70,28 +84,32 @@ func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	if cfg.ID.IsZero() {
 		cfg.ID = jid.NewPeer()
 	}
-	ep := endpoint.New(cfg.ID)
-	for _, t := range transports {
-		if err := ep.AddTransport(t); err != nil {
-			_ = ep.Close()
-			return nil, fmt.Errorf("peer %q: %w", cfg.Name, err)
-		}
-	}
-	p := &Peer{cfg: cfg, ep: ep, groups: make(map[jid.ID]*peergroup.Group)}
-	netGroup, err := p.JoinGroup(peergroup.Config{
-		ID:   jid.NetGroup,
-		Name: "NetPeerGroup",
-	})
-	if err != nil {
-		_ = ep.Close()
-		return nil, err
-	}
-	p.net = netGroup
-	if p.pip, err = peerinfo.New(netGroup.Resolver, ep); err != nil {
+	p := &Peer{cfg: cfg, ep: endpoint.New(cfg.ID), groups: make(map[jid.ID]*peergroup.Group)}
+	if err := p.start(transports); err != nil {
 		p.Close()
-		return nil, err
+		return nil, fmt.Errorf("peer %q: %w", cfg.Name, err)
 	}
 	return p, nil
+}
+
+func (p *Peer) start(transports []endpoint.Transport) (err error) {
+	for _, t := range transports {
+		if err := p.ep.AddTransport(t); err != nil {
+			return err
+		}
+	}
+	if p.net, err = peergroup.NewCore(p.ep, p.cfg.Rendezvous); err != nil {
+		return err
+	}
+	if p.pip, err = peerinfo.New(p.net.Resolver, p.ep); err != nil {
+		return err
+	}
+	if p.cfg.Rendezvous.Role == rendezvous.RoleRendezvous {
+		wcfg := p.cfg.Rendezvous
+		wcfg.GroupParam = "" // wildcard: serve every group
+		p.wild, err = rendezvous.New(p.ep, wcfg)
+	}
+	return err
 }
 
 // ID returns the peer's identity.
@@ -106,8 +124,9 @@ func (p *Peer) Endpoint() *endpoint.Service { return p.ep }
 // Addresses returns the peer's reachable addresses, best first.
 func (p *Peer) Addresses() []endpoint.Address { return p.ep.LocalAddresses() }
 
-// NetGroup returns the bootstrap group every peer joins at start.
-func (p *Peer) NetGroup() *peergroup.Group {
+// NetGroup returns the net group's control plane, or nil once the peer
+// is closed.
+func (p *Peer) NetGroup() *peergroup.Core {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.net
@@ -118,7 +137,7 @@ func (p *Peer) NetGroup() *peergroup.Group {
 // theirs, over the net group's resolver.
 func (p *Peer) PeerInfo() *peerinfo.Service { return p.pip }
 
-// Group returns the joined group with the given ID.
+// Group returns the joined event group with the given ID.
 func (p *Peer) Group(id jid.ID) (*peergroup.Group, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -126,7 +145,7 @@ func (p *Peer) Group(id jid.ID) (*peergroup.Group, bool) {
 	return g, ok
 }
 
-// Groups lists all joined groups.
+// Groups lists the joined event groups.
 func (p *Peer) Groups() []*peergroup.Group {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -137,32 +156,30 @@ func (p *Peer) Groups() []*peergroup.Group {
 	return out
 }
 
-// Rendezvous lists every live rendezvous service of this peer: one per
-// joined group, plus the daemon's wildcard service if there is one.
+// Rendezvous lists every live rendezvous service of this peer: the net
+// group's, then the wildcard service on a rendezvous peer or, on an
+// edge, one per joined event group.
 func (p *Peer) Rendezvous() []*rendezvous.Service {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*rendezvous.Service, 0, len(p.groups)+1)
+	if p.net == nil {
+		return nil
+	}
+	out := make([]*rendezvous.Service, 1, len(p.groups)+2)
+	out[0] = p.net.Rendezvous
+	if p.wild != nil {
+		return append(out, p.wild)
+	}
 	for _, g := range p.groups {
 		out = append(out, g.Rendezvous)
-	}
-	if p.daemon != nil {
-		out = append(out, p.daemon.Rendezvous)
 	}
 	return out
 }
 
-// JoinGroup instantiates the group's service stack on this peer. A cfg
-// whose Rendezvous is left zero takes the peer's template.
-func (p *Peer) JoinGroup(cfg peergroup.Config) (*peergroup.Group, error) {
-	if cfg.Rendezvous.Role == 0 {
-		cfg.Rendezvous = p.cfg.Rendezvous
-		// Only the daemon's wildcard service anti-entropy-syncs.
-		cfg.Rendezvous.ReplicaSeeds = nil
-	}
-	if cfg.ID.IsZero() {
-		cfg.ID = jid.NetGroup
-	}
+// JoinGroup instantiates the event group's stack on this peer from the
+// peer's rendezvous template: the group's wire on the wildcard service
+// of a rendezvous peer, a rendezvous client and a wire on an edge.
+func (p *Peer) JoinGroup(id jid.ID, name string) (*peergroup.Group, error) {
 	p.joinMu.Lock()
 	defer p.joinMu.Unlock()
 	p.mu.Lock()
@@ -170,13 +187,20 @@ func (p *Peer) JoinGroup(cfg peergroup.Config) (*peergroup.Group, error) {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if _, ok := p.groups[cfg.ID]; ok {
+	if _, ok := p.groups[id]; ok {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrAlreadyIn, cfg.ID)
+		return nil, fmt.Errorf("%w: %v", ErrAlreadyIn, id)
 	}
 	p.mu.Unlock()
 
-	g, err := peergroup.New(p.ep, cfg)
+	cfg := peergroup.Config{ID: id, Name: name, Rendezvous: p.cfg.Rendezvous}
+	var g *peergroup.Group
+	var err error
+	if p.wild != nil {
+		g, err = peergroup.NewShared(p.ep, p.wild, cfg)
+	} else {
+		g, err = peergroup.New(p.ep, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +210,7 @@ func (p *Peer) JoinGroup(cfg peergroup.Config) (*peergroup.Group, error) {
 		g.Close()
 		return nil, ErrClosed
 	}
-	p.groups[cfg.ID] = g
+	p.groups[id] = g
 	p.mu.Unlock()
 	return g, nil
 }
@@ -200,7 +224,7 @@ func (p *Peer) JoinGroupFromAdv(pg *adv.PeerGroupAdv) (*peergroup.Group, *adv.Pi
 	if !ok || svc.Pipe == nil {
 		return nil, nil, fmt.Errorf("%w (group %q)", ErrNoWireInAdv, pg.Name)
 	}
-	g, err := p.JoinGroup(peergroup.Config{ID: pg.GroupID, Name: pg.Name})
+	g, err := p.JoinGroup(pg.GroupID, pg.Name)
 	if err != nil {
 		if errors.Is(err, ErrAlreadyIn) {
 			if existing, found := p.Group(pg.GroupID); found {
@@ -212,14 +236,13 @@ func (p *Peer) JoinGroupFromAdv(pg *adv.PeerGroupAdv) (*peergroup.Group, *adv.Pi
 	return g, svc.Pipe, nil
 }
 
-// LeaveGroup tears down the group's service stack on this peer.
+// LeaveGroup tears down the event group's stack on this peer. A
+// rendezvous peer's wildcard service keeps running: it serves every
+// group.
 func (p *Peer) LeaveGroup(id jid.ID) {
 	p.mu.Lock()
 	g, ok := p.groups[id]
 	delete(p.groups, id)
-	if p.net != nil && ok && g == p.net {
-		p.net = nil
-	}
 	p.mu.Unlock()
 	if ok {
 		g.Close()
@@ -251,8 +274,8 @@ func (p *Peer) AnnounceSelf() error {
 	return net.Discovery.RemotePublish(p.SelfAdvertisement(), 0)
 }
 
-// Close stops the daemon stack if any, leaves all groups and shuts the
-// endpoint down.
+// Close leaves every event group, stops the wildcard service and the
+// net group's control plane, and shuts the endpoint down.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -265,18 +288,20 @@ func (p *Peer) Close() {
 		groups = append(groups, g)
 	}
 	p.groups = map[jid.ID]*peergroup.Group{}
+	net := p.net
 	p.net = nil
-	daemon := p.daemon
-	p.daemon = nil
 	p.mu.Unlock()
-	if daemon != nil {
-		daemon.Close()
+	for _, g := range groups {
+		g.Close()
+	}
+	if p.wild != nil {
+		p.wild.Close()
 	}
 	if p.pip != nil {
 		p.pip.Close()
 	}
-	for _, g := range groups {
-		g.Close()
+	if net != nil {
+		net.Close()
 	}
 	_ = p.ep.Close()
 }

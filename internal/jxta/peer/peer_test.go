@@ -2,7 +2,7 @@ package peer_test
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +16,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/resolver"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
+	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
 
@@ -31,8 +32,9 @@ func newCluster(t *testing.T) *cluster {
 	return &cluster{t: t, net: n}
 }
 
-// addDaemon starts a rendezvous daemon peer.
-func (c *cluster) addDaemon(name string) *peer.Peer {
+// addRendezvous starts a rendezvous peer: its role alone gives it the
+// wildcard service that serves every group.
+func (c *cluster) addRendezvous(name string) *peer.Peer {
 	c.t.Helper()
 	node, err := c.net.AddNode(name)
 	if err != nil {
@@ -45,14 +47,11 @@ func (c *cluster) addDaemon(name string) *peer.Peer {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	if _, err := p.EnableDaemon(); err != nil {
-		c.t.Fatal(err)
-	}
 	c.t.Cleanup(p.Close)
 	return p
 }
 
-// addEdge starts an ordinary edge peer seeded with the daemon.
+// addEdge starts an ordinary edge peer seeded with the given rendezvous.
 func (c *cluster) addEdge(name string, seeds ...endpoint.Address) *peer.Peer {
 	c.t.Helper()
 	node, err := c.net.AddNode(name)
@@ -77,10 +76,11 @@ func TestPeerBootJoinsNetGroup(t *testing.T) {
 	if net == nil {
 		t.Fatal("no net group after boot")
 	}
-	if net.ID() != jid.NetGroup {
-		t.Fatalf("net group ID %v", net.ID())
+	if param := net.Rendezvous.Config().GroupParam; param != jid.NetGroup.String() {
+		t.Fatalf("net group scoped to %q", param)
 	}
-	if len(p.Groups()) != 1 {
+	// The net group is the control plane, not a joined event group.
+	if len(p.Groups()) != 0 {
 		t.Fatalf("groups = %d", len(p.Groups()))
 	}
 	if got := p.Addresses(); len(got) != 1 || got[0] != "mem://solo" {
@@ -98,11 +98,11 @@ func TestJoinLeaveCustomGroup(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("p")
 	gid := jid.FromSeed(jid.KindGroup, 100)
-	g, err := p.JoinGroup(peergroup.Config{ID: gid, Name: "custom"})
+	g, err := p.JoinGroup(gid, "custom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.JoinGroup(peergroup.Config{ID: gid, Name: "custom"}); !errors.Is(err, peer.ErrAlreadyIn) {
+	if _, err := p.JoinGroup(gid, "custom"); !errors.Is(err, peer.ErrAlreadyIn) {
 		t.Fatalf("double join: %v", err)
 	}
 	got, ok := p.Group(gid)
@@ -114,30 +114,30 @@ func TestJoinLeaveCustomGroup(t *testing.T) {
 		t.Fatal("group still present after leave")
 	}
 	// Can re-join after leaving.
-	if _, err := p.JoinGroup(peergroup.Config{ID: gid, Name: "custom"}); err != nil {
+	if _, err := p.JoinGroup(gid, "custom"); err != nil {
 		t.Fatalf("re-join: %v", err)
 	}
 }
 
 func TestWirePubSubThroughDaemonInTypeGroup(t *testing.T) {
 	// The paper's core substrate flow: per-type peer groups bridged by a
-	// rendezvous daemon that joined none of them.
+	// rendezvous that joined none of them.
 	c := newCluster(t)
-	c.addDaemon("rdv")
+	c.addRendezvous("rdv")
 	pub := c.addEdge("pub", "mem://rdv")
 	sub := c.addEdge("sub", "mem://rdv")
 
 	gid := jid.FromSeed(jid.KindGroup, 7)
-	gPub, err := pub.JoinGroup(peergroup.Config{ID: gid, Name: "PS.SkiRental"})
+	gPub, err := pub.JoinGroup(gid, "PS.SkiRental")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gSub, err := sub.JoinGroup(peergroup.Config{ID: gid, Name: "PS.SkiRental"})
+	gSub, err := sub.JoinGroup(gid, "PS.SkiRental")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gPub.AwaitRendezvous(5*time.Second) || !gSub.AwaitRendezvous(5*time.Second) {
-		t.Fatal("type group never connected to daemon")
+	if !gPub.Rendezvous.AwaitConnected(5*time.Second) || !gSub.Rendezvous.AwaitConnected(5*time.Second) {
+		t.Fatal("type group never connected to the rendezvous")
 	}
 
 	pipeAdv := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: "PS.SkiRental"}
@@ -163,52 +163,91 @@ func TestWirePubSubThroughDaemonInTypeGroup(t *testing.T) {
 			t.Fatalf("got %q", s)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("event never crossed the daemon")
+		t.Fatal("event never crossed the rendezvous")
 	}
 }
 
+// TestGroupIsolationAcrossTypes sends on one group's wire with the same
+// pipe ID open in another group: nothing may cross. Between two edges
+// the groups are apart on every peer. When the rendezvous has joined
+// both groups itself, one shared wildcard service carries both, and the
+// group each message names is all that keeps them apart — while the
+// group's own subscribers still get what is sent in it.
 func TestGroupIsolationAcrossTypes(t *testing.T) {
-	c := newCluster(t)
-	c.addDaemon("rdv")
-	pub := c.addEdge("pub", "mem://rdv")
-	sub := c.addEdge("sub", "mem://rdv")
-
 	ski := jid.FromSeed(jid.KindGroup, 1)
 	chat := jid.FromSeed(jid.KindGroup, 2)
-	gPubSki, err := pub.JoinGroup(peergroup.Config{ID: ski, Name: "PS.Ski"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gSubChat, err := sub.JoinGroup(peergroup.Config{ID: chat, Name: "PS.Chat"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gPubSki.AwaitRendezvous(5*time.Second) || !gSubChat.AwaitRendezvous(5*time.Second) {
-		t.Fatal("not connected")
-	}
-	// Same pipe ID in both groups: traffic must not leak across.
 	pid := jid.FromSeed(jid.KindPipe, 9)
-	inChat, err := gSubChat.Wire.CreateInputPipe(&adv.PipeAdv{PipeID: pid, Type: adv.PipePropagate, Name: "x"})
-	if err != nil {
-		t.Fatal(err)
+	pipe := &adv.PipeAdv{PipeID: pid, Type: adv.PipePropagate, Name: "x"}
+	// join joins p to a group and waits for its lease.
+	join := func(t *testing.T, p *peer.Peer, id jid.ID, name string) *peergroup.Group {
+		t.Helper()
+		g, err := p.JoinGroup(id, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Rendezvous.Config().Seeds) > 0 && !g.Rendezvous.AwaitConnected(5*time.Second) {
+			t.Fatalf("%s never connected", name)
+		}
+		return g
 	}
-	var mu sync.Mutex
-	leaked := 0
-	inChat.SetListener(func(*message.Message) { mu.Lock(); leaked++; mu.Unlock() })
+	// listen counts what reaches the group's end of the pipe.
+	listen := func(t *testing.T, g *peergroup.Group) *atomic.Int64 {
+		t.Helper()
+		in, err := g.Wire.CreateInputPipe(pipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n atomic.Int64
+		in.SetListener(func(*message.Message) { n.Add(1) })
+		return &n
+	}
+	send := func(t *testing.T, p *peer.Peer, g *peergroup.Group) {
+		t.Helper()
+		out, err := g.Wire.CreateOutputPipe(pipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Send(message.New(p.ID())); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	outSki, err := gPubSki.Wire.CreateOutputPipe(&adv.PipeAdv{PipeID: pid, Type: adv.PipePropagate, Name: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := outSki.Send(message.New(pub.ID())); err != nil {
-		t.Fatal(err)
-	}
-	c.net.WaitQuiesce(5 * time.Second)
-	mu.Lock()
-	defer mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("cross-group leak: %d messages", leaked)
-	}
+	t.Run("edges", func(t *testing.T) {
+		c := newCluster(t)
+		c.addRendezvous("rdv")
+		pub := c.addEdge("pub", "mem://rdv")
+		sub := c.addEdge("sub", "mem://rdv")
+		gPubSki := join(t, pub, ski, "PS.Ski")
+		leaked := listen(t, join(t, sub, chat, "PS.Chat"))
+		send(t, pub, gPubSki)
+		c.net.WaitQuiesce(5 * time.Second)
+		if n := leaked.Load(); n != 0 {
+			t.Fatalf("cross-group leak: %d messages", n)
+		}
+	})
+
+	t.Run("rendezvous in both", func(t *testing.T) {
+		c := newCluster(t)
+		rdv := c.addRendezvous("rdv")
+		skiSub := c.addEdge("ski-sub", "mem://rdv")
+		chatSub := c.addEdge("chat-sub", "mem://rdv")
+		got := listen(t, join(t, skiSub, ski, "PS.Ski"))
+		leaked := listen(t, join(t, chatSub, chat, "PS.Chat"))
+		gSki := join(t, rdv, ski, "PS.Ski")
+		gChat := join(t, rdv, chat, "PS.Chat")
+		if gSki.Rendezvous != gChat.Rendezvous {
+			t.Fatal("the rendezvous runs a service per group")
+		}
+		leakedHere := listen(t, gChat)
+		send(t, rdv, gSki)
+		c.net.WaitQuiesce(5 * time.Second)
+		if n := got.Load(); n != 1 {
+			t.Fatalf("the group's own subscriber got %d messages, want 1", n)
+		}
+		if n, here := leaked.Load(), leakedHere.Load(); n != 0 || here != 0 {
+			t.Fatalf("cross-group leak through the shared service: %d to the other group's subscriber, %d to the rendezvous' own", n, here)
+		}
+	})
 }
 
 func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
@@ -216,24 +255,25 @@ func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
 	// advertisement; subscriber discovers the advertisement remotely,
 	// joins the group from it and receives events.
 	c := newCluster(t)
-	c.addDaemon("rdv")
+	c.addRendezvous("rdv")
 	pub := c.addEdge("pub", "mem://rdv")
 	sub := c.addEdge("sub", "mem://rdv")
-	if !pub.NetGroup().AwaitRendezvous(5*time.Second) || !sub.NetGroup().AwaitRendezvous(5*time.Second) {
+	if !pub.NetGroup().Rendezvous.AwaitConnected(5*time.Second) || !sub.NetGroup().Rendezvous.AwaitConnected(5*time.Second) {
 		t.Fatal("net groups never connected")
 	}
 
 	// Publisher side (the paper's AdvertisementsCreator).
 	gid := jid.FromSeed(jid.KindGroup, 77)
-	gPub, err := pub.JoinGroup(peergroup.Config{ID: gid, Name: "PS.SkiRental"})
+	gPub, err := pub.JoinGroup(gid, "PS.SkiRental")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gPub.AwaitRendezvous(5 * time.Second) {
+	if !gPub.Rendezvous.AwaitConnected(5 * time.Second) {
 		t.Fatal("pub type group not connected")
 	}
 	pipeAdv := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: "PS.SkiRental"}
-	groupAdv := gPub.Advertisement(pipeAdv)
+	groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: pub.ID(), Name: "PS.SkiRental"}
+	groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipeAdv})
 	if err := pub.NetGroup().Discovery.RemotePublish(groupAdv, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +306,7 @@ func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
 	if wirePipe.PipeID != pipeAdv.PipeID {
 		t.Fatalf("wire pipe %v, want %v", wirePipe.PipeID, pipeAdv.PipeID)
 	}
-	if !gSub.AwaitRendezvous(5 * time.Second) {
+	if !gSub.Rendezvous.AwaitConnected(5 * time.Second) {
 		t.Fatal("sub type group not connected")
 	}
 	in, err := gSub.Wire.CreateInputPipe(wirePipe)
@@ -306,10 +346,10 @@ func TestJoinGroupFromAdvWithoutWire(t *testing.T) {
 
 func TestPeerInfoAcrossPeers(t *testing.T) {
 	c := newCluster(t)
-	c.addDaemon("rdv")
+	c.addRendezvous("rdv")
 	a := c.addEdge("a", "mem://rdv")
 	b := c.addEdge("b", "mem://rdv")
-	if !a.NetGroup().AwaitRendezvous(5*time.Second) || !b.NetGroup().AwaitRendezvous(5*time.Second) {
+	if !a.NetGroup().Rendezvous.AwaitConnected(5*time.Second) || !b.NetGroup().Rendezvous.AwaitConnected(5*time.Second) {
 		t.Fatal("not connected")
 	}
 	info, err := a.PeerInfo().Query("mem://b", 5*time.Second)
@@ -322,25 +362,81 @@ func TestPeerInfoAcrossPeers(t *testing.T) {
 	if info.MsgsOut == 0 {
 		t.Fatal("b shows no outbound traffic despite lease renewals")
 	}
-	// One responder per peer, on the net group: a joined group has none.
-	g, err := b.JoinGroup(peergroup.Config{ID: jid.FromSeed(jid.KindGroup, 7), Name: "typed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Resolver.RegisterHandler(peerinfo.HandlerName, resolver.HandlerFunc{}); err != nil {
-		t.Fatalf("a joined group registered its own peer-info handler: %v", err)
-	}
+	// One responder per peer, on the net group's resolver.
 	if err := b.NetGroup().Resolver.RegisterHandler(peerinfo.HandlerName, resolver.HandlerFunc{}); !errors.Is(err, resolver.ErrDupHandler) {
 		t.Fatalf("net group's peer-info handler: %v, want ErrDupHandler", err)
 	}
 }
 
+// TestEdgeGroupBuildsNoResolver: nothing queries inside an event group,
+// so joining one builds no resolver (and no discovery on it): the
+// resolver's endpoint handler for the group's parameter is free.
+func TestEdgeGroupBuildsNoResolver(t *testing.T) {
+	c := newCluster(t)
+	p := c.addEdge("p")
+	g, err := p.JoinGroup(jid.FromSeed(jid.KindGroup, 7), "typed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func(*message.Message, endpoint.Address) {}
+	if err := p.Endpoint().RegisterHandler(resolver.ServiceName, g.Param(), noop); err != nil {
+		t.Fatalf("a joined group registered a resolver: %v", err)
+	}
+	if err := p.Endpoint().RegisterHandler(resolver.ServiceName, jid.NetGroup.String(), noop); !errors.Is(err, endpoint.ErrDupHandler) {
+		t.Fatalf("the net group's resolver handler: %v, want ErrDupHandler", err)
+	}
+}
+
+// TestRendezvousGroupsShareTheWildcardService: a rendezvous peer's
+// event groups are wires on its one wildcard service, the one that
+// serves its clients' groups too. Leaving a group leaves that service
+// running, and the peer lists two rendezvous services whatever it
+// joins.
+func TestRendezvousGroupsShareTheWildcardService(t *testing.T) {
+	c := newCluster(t)
+	rdv := c.addRendezvous("rdv")
+	services := rdv.Rendezvous()
+	if len(services) != 2 || services[0] != rdv.NetGroup().Rendezvous {
+		t.Fatalf("%d rendezvous services before any join, want the net group's and the wildcard", len(services))
+	}
+	wild := services[1]
+	ski, chat := jid.FromSeed(jid.KindGroup, 1), jid.FromSeed(jid.KindGroup, 2)
+	gSki, err := rdv.JoinGroup(ski, "PS.Ski")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gChat, err := rdv.JoinGroup(chat, "PS.Chat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gSki.Rendezvous != wild || gChat.Rendezvous != wild {
+		t.Fatal("a rendezvous' groups do not share its wildcard service")
+	}
+	if got := rdv.Rendezvous(); len(got) != 2 || got[1] != wild {
+		t.Fatalf("%d rendezvous services after two joins, want the same two", len(got))
+	}
+	rdv.LeaveGroup(ski)
+	rdv.LeaveGroup(chat)
+	if got := rdv.Rendezvous(); len(got) != 2 || got[1] != wild {
+		t.Fatalf("%d rendezvous services after leaving, want the same two", len(got))
+	}
+	// Still running: it grants a new client a lease for a group it left.
+	edge := c.addEdge("edge", "mem://rdv")
+	g, err := edge.JoinGroup(ski, "PS.Ski")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Rendezvous.AwaitConnected(5 * time.Second) {
+		t.Fatal("the wildcard service stopped with the groups it served")
+	}
+}
+
 func TestAnnounceSelfAndSelfAdvertisement(t *testing.T) {
 	c := newCluster(t)
-	c.addDaemon("rdv")
+	c.addRendezvous("rdv")
 	a := c.addEdge("a", "mem://rdv")
 	b := c.addEdge("b", "mem://rdv")
-	if !a.NetGroup().AwaitRendezvous(5*time.Second) || !b.NetGroup().AwaitRendezvous(5*time.Second) {
+	if !a.NetGroup().Rendezvous.AwaitConnected(5*time.Second) || !b.NetGroup().Rendezvous.AwaitConnected(5*time.Second) {
 		t.Fatal("not connected")
 	}
 	sa := a.SelfAdvertisement()
@@ -400,7 +496,7 @@ func TestCloseIsIdempotentAndTerminal(t *testing.T) {
 	p := c.addEdge("p")
 	p.Close()
 	p.Close()
-	if _, err := p.JoinGroup(peergroup.Config{ID: jid.FromSeed(jid.KindGroup, 1)}); !errors.Is(err, peer.ErrClosed) {
+	if _, err := p.JoinGroup(jid.FromSeed(jid.KindGroup, 1), ""); !errors.Is(err, peer.ErrClosed) {
 		t.Fatalf("join after close: %v", err)
 	}
 }

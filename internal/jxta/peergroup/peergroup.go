@@ -1,20 +1,25 @@
-// Package peergroup composes the JXTA protocol services into peer
-// groups.
+// Package peergroup composes the JXTA protocol services into the two
+// kinds of stack a peer runs.
 //
-// A peer group is a scoped environment: each group a peer joins gets
-// its own rendezvous client, resolver, discovery and wire service
-// instances, all parameterised by the group ID so two groups never see
-// each other's traffic. There is no hierarchy between groups; a peer may
-// join many to share different resources — the paper's TPS layer joins
-// one group per event type.
+// A Core is the net group's control plane, one per peer: a rendezvous
+// service and the resolver and discovery built on it. Advertisements
+// are found there and peers answer questions about themselves there; no
+// event ever travels in it, so its rendezvous logs nothing.
+//
+// A Group is one event group the peer joined: a rendezvous service and
+// the wire (propagated pipe) service on it, scoped by the group ID so
+// two groups never see each other's traffic. Nothing queries inside an
+// event group, so it has no resolver and no discovery. On an edge the
+// group's rendezvous client is its own; a rendezvous peer serves every
+// group, its own included, with its one wildcard service, and the group
+// only borrows it. There is no hierarchy between groups; a peer may
+// join many — the paper's TPS layer joins one group per event type.
 package peergroup
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
@@ -26,30 +31,44 @@ import (
 // ErrNilEndpoint is returned when no endpoint service is supplied.
 var ErrNilEndpoint = errors.New("peergroup: nil endpoint")
 
-// Config configures a group instance on one peer.
+// Config configures an event group instance on one peer.
 type Config struct {
-	// ID identifies the group; jid.NetGroup is the bootstrap group.
+	// ID identifies the group; it is the endpoint parameter of the
+	// group's services and the log topic of its events.
 	ID jid.ID
 	// Name is the human-readable group name.
 	Name string
-	// Rendezvous configures the group's rendezvous service: role (zero
-	// means edge), seeds, lease, event log, failover. New scopes it to
-	// the group by setting GroupParam; the group ID is the log topic.
+	// Rendezvous configures the group's own rendezvous client (role zero
+	// means edge), seeds, lease, failover. New scopes it to the group by
+	// setting GroupParam; NewShared does not read it.
 	Rendezvous rendezvous.Config
 }
 
-// Core is the mesh half of a service stack: the rendezvous service and
-// the resolver and discovery built on it, all scoped to one endpoint
-// parameter. A Group embeds one scoped to its ID; a dedicated rendezvous
-// daemon runs one scoped to "" that serves every group.
+// scoped binds rcfg to one group's endpoint parameter, as an edge unless
+// it names a role.
+func scoped(rcfg rendezvous.Config, id jid.ID) rendezvous.Config {
+	if rcfg.Role == 0 {
+		rcfg.Role = rendezvous.RoleEdge
+	}
+	rcfg.GroupParam = id.String()
+	return rcfg
+}
+
+// Core is the net group's control plane: its rendezvous service and the
+// resolver and discovery built on it.
 type Core struct {
 	Rendezvous *rendezvous.Service
 	Resolver   *resolver.Service
 	Discovery  *discovery.Service
 }
 
-// NewCore builds the mesh services on ep, scoped to rcfg.GroupParam.
+// NewCore builds the net group's control plane on ep from rcfg, scoped
+// to jid.NetGroup. Its rendezvous keeps no log and no replica set
+// whatever rcfg says: the net group carries queries and advertisements,
+// which are neither events nor worth replaying.
 func NewCore(ep *endpoint.Service, rcfg rendezvous.Config) (*Core, error) {
+	rcfg = scoped(rcfg, jid.NetGroup)
+	rcfg.Log, rcfg.ReplicaSeeds = nil, nil
 	c := &Core{}
 	if err := c.build(ep, rcfg); err != nil {
 		c.Close()
@@ -69,7 +88,7 @@ func (c *Core) build(ep *endpoint.Service, rcfg rendezvous.Config) (err error) {
 	return err
 }
 
-// Close tears the mesh services down in reverse construction order. It
+// Close tears the control plane down in reverse construction order. It
 // is safe to call on a partially constructed core.
 func (c *Core) Close() {
 	if c.Discovery != nil {
@@ -86,96 +105,63 @@ func (c *Core) Close() {
 	}
 }
 
-// Group is one peer's instance of a peer group: the mesh services and
-// the wire (propagated pipe) service, scoped to the group ID.
+// Group is one peer's instance of an event group: the rendezvous
+// service that carries its traffic and the wire service on it.
 type Group struct {
-	id   jid.ID
-	name string
-	ep   *endpoint.Service
+	param string
+	// ownsRdv is set when Rendezvous was built for this group alone and
+	// closes with it.
+	ownsRdv bool
 
-	Core
-	Wire *wire.Service
+	Rendezvous *rendezvous.Service
+	Wire       *wire.Service
 }
 
-// New instantiates the group's service stack on the given endpoint.
+// New builds an edge's stack for the group: a rendezvous client of its
+// own, configured by cfg.Rendezvous and scoped to the group, and the
+// wire on it. Close closes both.
 func New(ep *endpoint.Service, cfg Config) (*Group, error) {
 	if ep == nil {
 		return nil, ErrNilEndpoint
 	}
-	if cfg.ID.IsZero() {
-		cfg.ID = jid.NetGroup
-	}
-	if cfg.Rendezvous.Role == 0 {
-		cfg.Rendezvous.Role = rendezvous.RoleEdge
-	}
-	cfg.Rendezvous.GroupParam = cfg.ID.String()
-	g := &Group{id: cfg.ID, name: cfg.Name, ep: ep}
-	if err := g.build(cfg); err != nil {
-		g.Close()
+	rcfg := scoped(cfg.Rendezvous, cfg.ID)
+	rdv, err := rendezvous.New(ep, rcfg)
+	if err != nil {
 		return nil, fmt.Errorf("peergroup %q: %w", cfg.Name, err)
 	}
+	g, err := newGroup(ep, rdv, rcfg.GroupParam, cfg.Name)
+	if err != nil {
+		rdv.Close()
+		return nil, err
+	}
+	g.ownsRdv = true
 	return g, nil
 }
 
-func (g *Group) build(cfg Config) (err error) {
-	if err = g.Core.build(g.ep, cfg.Rendezvous); err != nil {
-		return err
-	}
-	g.Wire, err = wire.New(g.ep, g.Rendezvous, wire.Config{Group: cfg.Rendezvous.GroupParam})
-	return err
+// NewShared builds the group's wire on rdv, a wildcard rendezvous
+// service that serves every group and that the group neither owns nor
+// closes.
+func NewShared(ep *endpoint.Service, rdv *rendezvous.Service, cfg Config) (*Group, error) {
+	return newGroup(ep, rdv, cfg.ID.String(), cfg.Name)
 }
 
-// ID returns the group ID.
-func (g *Group) ID() jid.ID { return g.id }
-
-// Name returns the group name.
-func (g *Group) Name() string { return g.name }
-
-// Param returns the endpoint service parameter scoping this group.
-func (g *Group) Param() string { return g.id.String() }
-
-// PeerID returns the local peer's ID.
-func (g *Group) PeerID() jid.ID { return g.ep.PeerID() }
-
-// LocalAddresses returns the peer's reachable addresses.
-func (g *Group) LocalAddresses() []endpoint.Address { return g.ep.LocalAddresses() }
-
-// AwaitRendezvous blocks until the group holds a rendezvous lease or the
-// timeout elapses. Groups without seeds return false immediately unless
-// this peer is itself a rendezvous.
-func (g *Group) AwaitRendezvous(timeout time.Duration) bool {
-	return g.Rendezvous.AwaitConnected(timeout)
+func newGroup(ep *endpoint.Service, rdv *rendezvous.Service, param, name string) (*Group, error) {
+	w, err := wire.New(ep, rdv, wire.Config{Group: param})
+	if err != nil {
+		return nil, fmt.Errorf("peergroup %q: %w", name, err)
+	}
+	return &Group{param: param, Rendezvous: rdv, Wire: w}, nil
 }
 
-// Advertisement builds this peer's advertisement of the group, embedding
-// the wire service bound to the given pipe — the structure the paper's
-// AdvertisementsCreator assembles by hand (Figure 15).
-func (g *Group) Advertisement(pipeAdv *adv.PipeAdv) *adv.PeerGroupAdv {
-	pg := &adv.PeerGroupAdv{
-		GroupID:    g.id,
-		PeerID:     g.ep.PeerID(),
-		Name:       g.name,
-		GroupImpl:  "go-jxta-stdgroup",
-		App:        "tps",
-		Rendezvous: g.Rendezvous.Config().Role == rendezvous.RoleRendezvous,
-	}
-	if pipeAdv != nil {
-		pg.SetService(adv.ServiceAdv{
-			Name:     wire.ServiceName,
-			Version:  "1.0",
-			Keywords: pipeAdv.Name,
-			Pipe:     pipeAdv,
-		})
-	}
-	return pg
-}
+// Param returns the endpoint service parameter scoping this group: its
+// ID as a string, and the log topic of its events.
+func (g *Group) Param() string { return g.param }
 
-// Close tears the group's services down in reverse construction order.
-// It is safe to call on a partially constructed group.
+// Close tears down the wire, and the rendezvous service if the group
+// owns it. It is idempotent.
 func (g *Group) Close() {
-	if g.Wire != nil {
-		g.Wire.Close()
-		g.Wire = nil
+	g.Wire.Close()
+	if g.ownsRdv {
+		g.Rendezvous.Close()
 	}
-	g.Core.Close()
 }

@@ -165,8 +165,8 @@ func (s *Service) AddLeaseListener(fn LeaseListener) int {
 	if s.leaseFns == nil {
 		s.leaseFns = make(map[int]LeaseListener, 1)
 	}
-	token := s.nextLeaseFn
-	s.nextLeaseFn++
+	token := s.nextToken
+	s.nextToken++
 	s.leaseFns[token] = fn
 	return token
 }

@@ -525,7 +525,7 @@ func TestForeignCursorAtANonReplicaServesNothing(t *testing.T) {
 	const n = 12
 	r := newReplayRig(t, n)
 	var gaps atomic.Int64
-	r.joiner.rdv.SetReplayGapListener(func(jid.ID, string, uint64, uint64, bool) { gaps.Add(1) })
+	r.joiner.rdv.AddGapListener(func(jid.ID, string, uint64, uint64, bool) { gaps.Add(1) })
 	r.requestFrom(t, jid.FromSeed(jid.KindPeer, 4242), 3)
 	r.c.net.WaitQuiesce(5 * time.Second)
 	if served := r.rdv.rdv.Snapshot().Counters["replay_served"]; len(r.arrivals()) != 0 || gaps.Load() != 0 || served != 0 {
@@ -565,7 +565,7 @@ func TestGapForAnUnheldOriginNamesThatOrigin(t *testing.T) {
 		tentative   bool
 	}
 	got := make(chan gap, 1)
-	sub.rdv.SetReplayGapListener(func(origin jid.ID, _ string, first, last uint64, tentative bool) {
+	sub.rdv.AddGapListener(func(origin jid.ID, _ string, first, last uint64, tentative bool) {
 		got <- gap{origin, first, last, tentative}
 	})
 	primary := jid.FromSeed(jid.KindPeer, 7)
@@ -579,5 +579,46 @@ func TestGapForAnUnheldOriginNamesThatOrigin(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no gap signal for an origin no replica holds")
+	}
+}
+
+// TestEveryGapListenerHearsAGapUntilRemoved: a service that serves
+// several groups has a gap listener per attachment. Two listeners both
+// hear one signal; once one is removed, the next signal reaches the
+// other alone.
+func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
+	c := newCluster(t)
+	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = log.Close() })
+	standby := c.addService("standby", 1, rendezvous.Config{
+		Role:         rendezvous.RoleRendezvous,
+		Log:          log,
+		ReplicaSeeds: []endpoint.Address{"mem://primary"},
+		SyncInterval: time.Hour,
+	})
+	sub := c.addPeer("sub", 2, rendezvous.RoleEdge, "mem://standby")
+	if !sub.rdv.AwaitConnected(5 * time.Second) {
+		t.Fatal("subscriber never connected")
+	}
+	var a, b atomic.Int64
+	tokA := sub.rdv.AddGapListener(func(jid.ID, string, uint64, uint64, bool) { a.Add(1) })
+	sub.rdv.AddGapListener(func(jid.ID, string, uint64, uint64, bool) { b.Add(1) })
+	gap := func() {
+		t.Helper()
+		if err := sub.rdv.RequestReplay(standby.ep.PeerID(), "net", jid.FromSeed(jid.KindPeer, 7), 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gap()
+	waitFor(t, func() bool { return a.Load() == 1 && b.Load() == 1 })
+	sub.rdv.RemoveGapListener(tokA)
+	gap()
+	waitFor(t, func() bool { return b.Load() == 2 })
+	c.net.WaitQuiesce(5 * time.Second)
+	if n := a.Load(); n != 1 {
+		t.Fatalf("a removed listener heard %d gaps, want the 1 before its removal", n)
 	}
 }

@@ -16,9 +16,12 @@ import (
 )
 
 // Propagate fans msg out into the mesh, addressed to the (dsvc, dparam)
-// service on every reachable peer in the group. The local peer is NOT
-// delivered to — callers decide whether to loop back. Returns ErrNoPeers
-// if there was nobody to send to.
+// service on every reachable peer in the group dparam names. dparam
+// also scopes the fan-out and, on a durable rendezvous, names the log
+// topic: a wildcard service carries every group's traffic and tells the
+// groups apart by it. The local peer is NOT delivered to — callers
+// decide whether to loop back. Returns ErrNoPeers if there was nobody
+// to send to.
 //
 // msg is only read. Where it is going — rdv:Op/DSvc/DParam, and whatever
 // envelope the calling layer adds — is written into the frame
@@ -37,7 +40,7 @@ func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope 
 		message.Field{Namespace: elemNS, Name: elemDSvc, Value: dsvc},
 		message.Field{Namespace: elemNS, Name: elemDParam, Value: dparam})
 	fields = append(fields, envelope...)
-	attempted, failed := s.fanOut(out, jid.Nil, s.cfg.GroupParam, fields...)
+	attempted, failed := s.fanOut(out, jid.Nil, dparam, fields...)
 	if attempted == 0 {
 		return ErrNoPeers
 	}

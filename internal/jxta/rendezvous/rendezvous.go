@@ -102,10 +102,11 @@ type Config struct {
 	// Role selects edge or rendezvous behaviour.
 	Role Role
 	// GroupParam scopes the protocol to one peer group; it becomes the
-	// endpoint service parameter. A rendezvous peer may leave it empty
-	// to serve every group with one instance (a wildcard rendezvous, the
-	// normal configuration for a dedicated rendezvous daemon): clients
-	// are then tracked per group and propagation stays group-scoped.
+	// endpoint service parameter. A rendezvous peer leaves it empty to
+	// serve every event group with one instance (a wildcard rendezvous,
+	// what package peer builds): clients are then tracked per group, and
+	// propagation and the log stay group-scoped by the group each
+	// message names.
 	GroupParam string
 	// Seeds are addresses of rendezvous peers to connect to. Edge peers
 	// need at least one to reach beyond their own process; rendezvous
@@ -200,15 +201,13 @@ var ErrNoPeers = errors.New("rendezvous: no connected peers")
 // ErrNoPeers the mesh thinks it exists — a partition or mass failure.
 var ErrAllSendsFailed = errors.New("rendezvous: all sends failed")
 
-// Service is one peer's rendezvous protocol instance for one group.
+// Service is one peer's rendezvous protocol instance for one group, or
+// for every group when GroupParam is empty.
 type Service struct {
 	ep    Endpoint
 	cfg   Config // normalised by New
 	seen  *seen.Cache
 	stats rdvCounters
-
-	gapMu sync.Mutex
-	gapFn GapListener
 
 	// Role-scoped parts, fixed at construction: nil on a peer whose
 	// configuration has no use for them.
@@ -225,9 +224,12 @@ type Service struct {
 	conn    *sync.Cond // signals rdvs-set and seed-failure changes
 	closed  bool
 
-	// leaseFns hear of every entry into rdvs; lazily allocated, under mu.
-	leaseFns    map[int]LeaseListener
-	nextLeaseFn int
+	// leaseFns hear of every new entry into rdvs, gapFns of every gap
+	// signal; both lazily allocated, under mu, keyed by the token their
+	// Add method returned.
+	leaseFns  map[int]LeaseListener
+	gapFns    map[int]GapListener
+	nextToken int
 
 	wg   sync.WaitGroup
 	stop chan struct{}

@@ -56,15 +56,32 @@ const (
 // for origin past the gap — those entries are unrecoverable. tentative
 // is set when the signalling replica had not completed a first
 // anti-entropy exchange, so its "nothing retained" verdict is
-// provisional rather than proof of loss.
+// provisional rather than proof of loss. A service that serves several
+// groups tells every listener of every gap: a listener reads topic to
+// find out whether the gap is its own. It runs on the transport's
+// receive goroutine and must not block.
 type GapListener func(origin jid.ID, topic string, first, last uint64, tentative bool)
 
-// SetReplayGapListener installs the callback for gap signals received
-// in response to this peer's replay requests. Pass nil to remove.
-func (s *Service) SetReplayGapListener(fn GapListener) {
-	s.gapMu.Lock()
-	s.gapFn = fn
-	s.gapMu.Unlock()
+// AddGapListener registers fn for the gap signals received in response
+// to this peer's replay requests and returns the token that
+// RemoveGapListener takes.
+func (s *Service) AddGapListener(fn GapListener) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.gapFns == nil {
+		s.gapFns = make(map[int]GapListener, 1)
+	}
+	token := s.nextToken
+	s.nextToken++
+	s.gapFns[token] = fn
+	return token
+}
+
+// RemoveGapListener drops the listener registered under token.
+func (s *Service) RemoveGapListener(token int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.gapFns, token)
 }
 
 // ReplayInfo extracts the log coordinates a rendezvous stamped onto a
@@ -117,7 +134,7 @@ func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, afte
 	return s.ep.Send(e.addr, ServiceName, s.cfg.GroupParam, req)
 }
 
-// handleGap dispatches a received gap signal to the listener. The gap
+// handleGap dispatches a received gap signal to the listeners. The gap
 // is attributed to the log origin it names — which, when a replica
 // answers for a dead primary, is the primary rather than the sender —
 // so cursor jumps land on the right origin.
@@ -129,13 +146,17 @@ func (s *Service) handleGap(msg *message.Message) {
 		return
 	}
 	s.stats.replayGaps.Add(1)
-	s.gapMu.Lock()
-	fn := s.gapFn
-	s.gapMu.Unlock()
-	if fn != nil {
-		// The topic leaves in an error the application is handed and may
-		// keep: a copy, not a piece of the frame.
-		topic := strings.Clone(msg.Text(elemNS, elemTopic))
-		fn(origin, topic, first, last, msg.Text(elemNS, elemTentative) == "true")
+	s.mu.Lock()
+	fns := make([]GapListener, 0, len(s.gapFns))
+	for _, fn := range s.gapFns {
+		fns = append(fns, fn)
+	}
+	s.mu.Unlock()
+	// The topic leaves in an error the application is handed and may
+	// keep: a copy, not a piece of the frame.
+	topic := strings.Clone(msg.Text(elemNS, elemTopic))
+	tentative := msg.Text(elemNS, elemTentative) == "true"
+	for _, fn := range fns {
+		fn(origin, topic, first, last, tentative)
 	}
 }

@@ -1,19 +1,18 @@
-// Package admin embeds an HTTP/JSON-RPC control-plane server in a TPS
-// peer: the read side of the observability story. It serves the obs
+// Package admin embeds an HTTP/JSON control-plane server in a TPS peer:
+// the read side of the observability story. It serves the obs
 // registry's stats view and the peer's structural introspection over
-// plain GETs (curl-friendly) and a small JSON-RPC 2.0 method set over
-// one POST endpoint (tool-friendly) — the tendermint rpc/http_server
-// shape, scoped down to what a pub/sub peer needs.
+// plain GETs, one read path for curl and tools alike.
 //
 // Endpoints, all rooted at the configured listen address:
 //
-//	GET  /stats          — obs.View: every subsystem's counters, gauges, rates
-//	GET  /metrics        — the same registry in Prometheus text exposition
-//	GET  /peers          — connected peers, leases, failure-detector state
-//	GET  /subscriptions  — live subscription table across engines
-//	GET  /trace          — retained traced events; /trace/{event-id} for hops
-//	GET  /health         — 200 {"status":"ok"} or 503 {"status":"degraded",...}
-//	POST /rpc            — JSON-RPC 2.0: stats, peers, subscriptions, health, ping
+//	GET /stats          — obs.View: every subsystem's counters, gauges, rates
+//	GET /metrics        — the same registry in Prometheus text exposition
+//	GET /peers          — connected peers, leases, failure-detector state
+//	GET /subscriptions  — live subscription table across engines
+//	GET /inspect        — the whole obs.Inspection: peers, subscriptions,
+//	                      cursors, event log, replicas, types
+//	GET /trace          — retained traced events; /trace/{event-id} for hops
+//	GET /health         — 200 {"status":"ok"} or 503 {"status":"degraded",...}
 //
 // With Config.Profiling set, net/http/pprof is additionally mounted
 // under /debug/pprof/.
@@ -54,7 +53,7 @@ type Config struct {
 	Addr string
 	// Registry supplies GET /stats.
 	Registry *obs.Registry
-	// Inspect supplies GET /peers and /subscriptions.
+	// Inspect supplies GET /peers, /subscriptions and /inspect.
 	Inspect func() obs.Inspection
 	// Health reports nil when the peer is healthy; the error becomes
 	// the degradation reason on GET /health (status 503).
@@ -165,20 +164,18 @@ func Handler(cfg Config) http.Handler {
 		in := inspect(cfg)
 		writeJSON(w, http.StatusOK, subscriptionsDoc(in))
 	})
+	mux.HandleFunc("/inspect", func(w http.ResponseWriter, r *http.Request) {
+		if !allowGet(w, r) {
+			return
+		}
+		writeJSON(w, http.StatusOK, inspect(cfg))
+	})
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
 		if !allowGet(w, r) {
 			return
 		}
 		doc, code := healthDoc(cfg)
 		writeJSON(w, code, doc)
-	})
-	mux.HandleFunc("/rpc", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			http.Error(w, "rpc is POST-only", http.StatusMethodNotAllowed)
-			return
-		}
-		serveRPC(cfg, w, r)
 	})
 	return mux
 }
@@ -287,66 +284,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	w.Write(buf)
 	w.Write([]byte{'\n'})
-}
-
-// JSON-RPC 2.0 error codes (the standard set).
-const (
-	rpcParseError     = -32700
-	rpcInvalidRequest = -32600
-	rpcMethodNotFound = -32601
-)
-
-type rpcRequest struct {
-	JSONRPC string          `json:"jsonrpc"`
-	ID      json.RawMessage `json:"id"`
-	Method  string          `json:"method"`
-	Params  json.RawMessage `json:"params"`
-}
-
-type rpcError struct {
-	Code    int    `json:"code"`
-	Message string `json:"message"`
-}
-
-type rpcResponse struct {
-	JSONRPC string          `json:"jsonrpc"`
-	ID      json.RawMessage `json:"id"`
-	Result  any             `json:"result,omitempty"`
-	Error   *rpcError       `json:"error,omitempty"`
-}
-
-// serveRPC answers one JSON-RPC request. Methods mirror the GET
-// endpoints one-to-one so every client can pick its transport style.
-func serveRPC(cfg Config, w http.ResponseWriter, r *http.Request) {
-	var req rpcRequest
-	resp := rpcResponse{JSONRPC: "2.0"}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		resp.Error = &rpcError{rpcParseError, "parse error: " + err.Error()}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	resp.ID = req.ID
-	if req.JSONRPC != "" && req.JSONRPC != "2.0" {
-		resp.Error = &rpcError{rpcInvalidRequest, "unsupported jsonrpc version " + req.JSONRPC}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	switch req.Method {
-	case "stats":
-		resp.Result = cfg.Registry.Collect()
-	case "peers":
-		resp.Result = peersDoc(inspect(cfg))
-	case "subscriptions":
-		resp.Result = subscriptionsDoc(inspect(cfg))
-	case "inspect":
-		resp.Result = inspect(cfg)
-	case "health":
-		doc, _ := healthDoc(cfg)
-		resp.Result = doc
-	case "ping":
-		resp.Result = "pong"
-	default:
-		resp.Error = &rpcError{rpcMethodNotFound, "unknown method " + req.Method}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

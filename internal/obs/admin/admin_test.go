@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -189,7 +190,7 @@ func TestReadEndpointsRejectWrites(t *testing.T) {
 	cfg, _ := testConfig(nil)
 	srv := httptest.NewServer(Handler(cfg))
 	defer srv.Close()
-	for _, path := range []string{"/stats", "/peers", "/subscriptions", "/health"} {
+	for _, path := range []string{"/stats", "/peers", "/subscriptions", "/inspect", "/health"} {
 		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -199,58 +200,18 @@ func TestReadEndpointsRejectWrites(t *testing.T) {
 			t.Fatalf("POST %s = %d, want 405", path, resp.StatusCode)
 		}
 	}
-	resp, err := srv.Client().Get(srv.URL + "/rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /rpc = %d, want 405", resp.StatusCode)
-	}
 }
 
-func rpcCall(t *testing.T, srv *httptest.Server, body string) rpcResponse {
-	t.Helper()
-	resp, err := srv.Client().Post(srv.URL+"/rpc", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out rpcResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestJSONRPC(t *testing.T) {
-	cfg, published := testConfig(nil)
-	published.Store(7)
+// TestInspectServesTheInspection: GET /inspect is the whole document
+// Inspect returns, the one tpsctl log and tpsctl replicas read.
+func TestInspectServesTheInspection(t *testing.T) {
+	cfg, _ := testConfig(nil)
 	srv := httptest.NewServer(Handler(cfg))
 	defer srv.Close()
-
-	if out := rpcCall(t, srv, `{"jsonrpc":"2.0","id":1,"method":"ping"}`); out.Error != nil || out.Result != "pong" {
-		t.Fatalf("ping = %+v", out)
-	}
-	out := rpcCall(t, srv, `{"jsonrpc":"2.0","id":2,"method":"stats"}`)
-	if out.Error != nil {
-		t.Fatalf("stats error: %+v", out.Error)
-	}
-	view, ok := out.Result.(map[string]any)
-	if !ok || view["schema"].(float64) != float64(obs.SchemaVersion) {
-		t.Fatalf("stats result = %#v", out.Result)
-	}
-	if string(out.ID) != "2" {
-		t.Fatalf("id echoed = %s", out.ID)
-	}
-	if out := rpcCall(t, srv, `{"jsonrpc":"2.0","id":3,"method":"nope"}`); out.Error == nil || out.Error.Code != rpcMethodNotFound {
-		t.Fatalf("unknown method = %+v", out)
-	}
-	if out := rpcCall(t, srv, `{garbage`); out.Error == nil || out.Error.Code != rpcParseError {
-		t.Fatalf("parse error = %+v", out)
-	}
-	if out := rpcCall(t, srv, `{"jsonrpc":"1.1","id":4,"method":"ping"}`); out.Error == nil || out.Error.Code != rpcInvalidRequest {
-		t.Fatalf("bad version = %+v", out)
+	var in obs.Inspection
+	getJSON(t, srv, "/inspect", http.StatusOK, &in)
+	if want := cfg.Inspect(); !reflect.DeepEqual(in, want) {
+		t.Fatalf("GET /inspect = %+v, want %+v", in, want)
 	}
 }
 

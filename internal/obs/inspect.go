@@ -25,7 +25,8 @@ type PeerEntry struct {
 	Addr string `json:"addr,omitempty"`
 	// Kind is one of PeerRendezvous, PeerClient, PeerSeed.
 	Kind string `json:"kind"`
-	// Group scopes client leases; empty for the wildcard daemon mesh.
+	// Group scopes client leases; empty for the mesh leases wildcard
+	// rendezvous services hold with each other.
 	Group string `json:"group,omitempty"`
 	// ExpiresInMS is the remaining lease time; 0 when not leased.
 	ExpiresInMS int64 `json:"expires_in_ms,omitempty"`
@@ -124,8 +125,7 @@ type Inspection struct {
 	Name string `json:"name,omitempty"`
 	// Addresses are this peer's reachable addresses, best first.
 	Addresses []string `json:"addresses,omitempty"`
-	// Rendezvous reports whether the peer runs the rendezvous daemon
-	// stack.
+	// Rendezvous reports whether the peer has the rendezvous role.
 	Rendezvous bool `json:"rendezvous,omitempty"`
 	// Peers lists connected peers, leased clients and configured seeds.
 	Peers []PeerEntry `json:"peers"`

@@ -99,7 +99,7 @@ func TestRestartKeepsNameAddressLogAndID(t *testing.T) {
 	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
 		rdv, _, _, intf, probe := pair(t, c, tps.Config{LogDir: t.TempDir()})
 		before := rdv.Inspect()
-		rig.Wait(t, "the log to hold the event", func() bool { return len(rdv.Inspect().EventLog) >= 2 })
+		rig.Wait(t, "the log to hold the event", func() bool { return len(rdv.Inspect().EventLog) == 1 })
 		logged := rdv.Inspect().EventLog
 
 		rdv2 := c.Restart(rdv)

@@ -114,10 +114,7 @@ func TestSRJXTAEndToEnd(t *testing.T) {
 		t.Cleanup(p.Close)
 		return p
 	}
-	rdv := mkPeer("rdv", rendezvous.RoleRendezvous)
-	if _, err := rdv.EnableDaemon(); err != nil {
-		t.Fatal(err)
-	}
+	mkPeer("rdv", rendezvous.RoleRendezvous)
 	shopPeer := mkPeer("shop", rendezvous.RoleEdge, "mem://rdv")
 	customerPeer := mkPeer("customer", rendezvous.RoleEdge, "mem://rdv")
 
@@ -177,10 +174,7 @@ func TestSRJXTADuplicateSuppressionAcrossGroups(t *testing.T) {
 		t.Cleanup(p.Close)
 		return p
 	}
-	rdv := mkPeer("rdv", rendezvous.RoleRendezvous)
-	if _, err := rdv.EnableDaemon(); err != nil {
-		t.Fatal(err)
-	}
+	mkPeer("rdv", rendezvous.RoleRendezvous)
 	shopAPeer := mkPeer("shopA", rendezvous.RoleEdge, "mem://rdv")
 	shopBPeer := mkPeer("shopB", rendezvous.RoleEdge, "mem://rdv")
 	customerPeer := mkPeer("customer", rendezvous.RoleEdge, "mem://rdv")

@@ -10,7 +10,6 @@ import (
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
@@ -124,10 +123,12 @@ func TestDefaultStr(t *testing.T) {
 }
 
 // TestConfigReachesEveryRendezvousService pins the configuration path:
-// NewPlatform builds one rendezvous.Config from tps.Config, and every
-// rendezvous service of the peer — net group, joined groups, the daemon
-// — is constructed from that one value. Only the replica set is scoped:
-// it reaches the daemon's wildcard service alone.
+// NewPlatform builds one rendezvous.Config from tps.Config, and both
+// rendezvous services of a rendezvous peer — the net group's and the
+// wildcard one that serves every event group — are constructed from
+// that one value, whatever groups the peer joins. Only the log and the
+// replica set are scoped: they reach the wildcard service alone, since
+// the net group carries no events.
 func TestConfigReachesEveryRendezvousService(t *testing.T) {
 	wan := netsim.New(netsim.Config{})
 	defer wan.Close()
@@ -150,12 +151,16 @@ func TestConfigReachesEveryRendezvousService(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.peer.JoinGroup(peergroup.Config{ID: jid.FromSeed(jid.KindGroup, 1), Name: "PS.Any"}); err != nil {
+	if _, err := p.peer.JoinGroup(jid.FromSeed(jid.KindGroup, 1), "PS.Any"); err != nil {
 		t.Fatal(err)
 	}
 	services := p.peer.Rendezvous()
-	if len(services) != 3 {
-		t.Fatalf("%d rendezvous services, want net group + joined group + daemon", len(services))
+	if len(services) != 2 {
+		t.Fatalf("%d rendezvous services, want the net group's and the wildcard one", len(services))
+	}
+	net, wild := services[0].Config(), services[1].Config()
+	if net.GroupParam != jid.NetGroup.String() || wild.GroupParam != "" {
+		t.Fatalf("services scoped to %q and %q, want the net group and the wildcard", net.GroupParam, wild.GroupParam)
 	}
 	fields := []struct {
 		name string
@@ -165,29 +170,22 @@ func TestConfigReachesEveryRendezvousService(t *testing.T) {
 		{"Role", func(c rendezvous.Config) any { return c.Role }, rendezvous.RoleRendezvous},
 		{"Seeds", func(c rendezvous.Config) any { return c.Seeds }, []endpoint.Address{"mem://s1", "mem://s2"}},
 		{"LeaseTTL", func(c rendezvous.Config) any { return c.LeaseTTL }, cfg.LeaseTTL},
-		{"Log", func(c rendezvous.Config) any { return c.Log }, p.log},
 		{"Tracer", func(c rendezvous.Config) any { return c.Tracer }, p.eng.Tracer},
 		{"SyncInterval", func(c rendezvous.Config) any { return c.SyncInterval }, cfg.ReplicaSyncInterval},
 		{"ActiveStandby", func(c rendezvous.Config) any { return c.ActiveStandby }, true},
 	}
-	replicating := 0
-	for _, svc := range services {
-		got := svc.Config()
+	for _, got := range []rendezvous.Config{net, wild} {
 		for _, f := range fields {
 			if !reflect.DeepEqual(f.get(got), f.want) {
 				t.Errorf("group %q: %s = %v, want %v", got.GroupParam, f.name, f.get(got), f.want)
 			}
 		}
-		if len(got.ReplicaSeeds) == 0 {
-			continue
-		}
-		replicating++
-		if got.GroupParam != "" || !reflect.DeepEqual(got.ReplicaSeeds, []endpoint.Address{"mem://r2"}) {
-			t.Errorf("group %q replicates against %v; want only the daemon, against mem://r2", got.GroupParam, got.ReplicaSeeds)
-		}
 	}
-	if replicating != 1 {
-		t.Errorf("%d services hold the replica set, want exactly the daemon's", replicating)
+	if net.Log != nil || net.ReplicaSeeds != nil {
+		t.Errorf("the net group's service logs to %v and replicates against %v; want neither", net.Log, net.ReplicaSeeds)
+	}
+	if wild.Log != p.log || !reflect.DeepEqual(wild.ReplicaSeeds, []endpoint.Address{"mem://r2"}) {
+		t.Errorf("the wildcard service logs to %v and replicates against %v; want the platform's log and mem://r2", wild.Log, wild.ReplicaSeeds)
 	}
 }
 

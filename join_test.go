@@ -27,14 +27,13 @@ func slowTick(cfg tps.Config) tps.Config {
 	return cfg
 }
 
-// retained is the highest sequence any topic of the rendezvous' log
-// holds: the event topic's, once events outnumber discovery chatter.
+// retained is the highest sequence the rendezvous' log holds of its one
+// topic, the event group's; zero while it holds none, or more than one.
 func retained(rdv *rig.Node) uint64 {
-	var most uint64
-	for _, e := range rdv.Inspect().EventLog {
-		most = max(most, e.LastSeq)
+	if topics := rdv.Inspect().EventLog; len(topics) == 1 {
+		return topics[0].LastSeq
 	}
-	return most
+	return 0
 }
 
 // publishRetained publishes events [from, to) and waits for the

@@ -110,8 +110,9 @@ type Config struct {
 	ListenTCP string
 	// Seeds are rendezvous addresses ("tcp://host:port", "mem://node").
 	Seeds []string
-	// Rendezvous makes this peer a rendezvous daemon serving every
-	// event group, in addition to its normal duties.
+	// Rendezvous makes this peer a rendezvous: one wildcard service
+	// serves every event group — the ones this peer publishes or
+	// subscribes in too — in addition to its normal duties.
 	Rendezvous bool
 	// Codec selects the event serialisation: "gob" (default) or "json".
 	Codec string
@@ -124,14 +125,15 @@ type Config struct {
 	// LeaseTTL overrides the rendezvous lease duration.
 	LeaseTTL time.Duration
 	// AdminAddr, when non-empty (e.g. "127.0.0.1:7700" or
-	// "127.0.0.1:0"), serves the embedded HTTP/JSON-RPC admin surface on
+	// "127.0.0.1:0"), serves the embedded HTTP/JSON admin surface on
 	// that address: GET /stats, /metrics (Prometheus text exposition),
-	// /peers, /subscriptions, /health, /trace and POST /rpc (see
+	// /peers, /subscriptions, /inspect, /health and /trace (see
 	// OBSERVABILITY.md). Off by default. The server carries no
 	// authentication — bind loopback unless the network is trusted.
 	AdminAddr string
 	// LogDir, when non-empty, opens a durable per-topic event log in
-	// that directory. Rendezvous peers append every propagated event and
+	// that directory. Rendezvous peers append every event they propagate
+	// (one topic per event group; the net group is not logged) and
 	// serve late-joiner catch-up / reconnect redelivery from it; the
 	// receive-side dedupe caches turn the at-least-once replay into
 	// exactly-once observable delivery. The directory also keeps the
@@ -145,8 +147,8 @@ type Config struct {
 	// LogSync selects the log fsync policy: "" or "none" (OS decides),
 	// "roll" (fsync sealed segments), "always" (fsync every append).
 	LogSync string
-	// ReplicaSeeds are the addresses of the other rendezvous daemons in
-	// this peer's replica set. A Rendezvous peer with a LogDir and
+	// ReplicaSeeds are the addresses of the other rendezvous in this
+	// peer's replica set. A Rendezvous peer with a LogDir and
 	// replica seeds anti-entropy-syncs its per-topic event logs against
 	// them — exchanging digests every ReplicaSyncInterval and pulling
 	// missing suffixes — so a topic's retained history survives the
@@ -206,8 +208,8 @@ func WithTransport(t Transport) Option {
 // registry, shared by all engines the process creates.
 type Platform struct {
 	peer *peer.Peer
-	// daemon records that the peer runs the rendezvous daemon stack.
-	daemon bool
+	// isRendezvous records that the peer has the rendezvous role.
+	isRendezvous bool
 	// eng is the template every engine of this platform is created
 	// from: the peer, the shared type registry, the codec, the finder
 	// timings, and the peer-local hop store with its sampling rate.
@@ -225,8 +227,9 @@ type Platform struct {
 	engines []*engine.Engine
 }
 
-// NewPlatform boots the peer-to-peer substrate: transports, net peer
-// group, and (for rendezvous peers) the daemon stack.
+// NewPlatform boots the peer-to-peer substrate: transports, the net
+// group's control plane, and (for rendezvous peers) the wildcard
+// service that serves every event group.
 func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	var po platformOptions
 	for _, opt := range opts {
@@ -268,8 +271,8 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		}
 	}
 	tracer := trace.NewStore(trace.DefaultMaxEvents)
-	// The one rendezvous configuration of this peer: every group's
-	// service and the daemon's are built from it (see Config).
+	// The one rendezvous configuration of this peer: every rendezvous
+	// service it runs is built from it (see peer.Config).
 	rcfg := rendezvous.Config{
 		Role:          rendezvous.RoleEdge,
 		Seeds:         addresses(cfg.Seeds),
@@ -291,8 +294,8 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		return nil, psErr("platform", err)
 	}
 	pl := &Platform{
-		peer:   p,
-		daemon: cfg.Rendezvous,
+		peer:         p,
+		isRendezvous: cfg.Rendezvous,
 		eng: engine.Config{
 			Peer:         p,
 			Registry:     typereg.New(),
@@ -304,12 +307,6 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		},
 		obsreg: obs.NewRegistry(),
 		log:    elog,
-	}
-	if cfg.Rendezvous {
-		if _, err := p.EnableDaemon(); err != nil {
-			pl.Close()
-			return nil, psErr("platform", err)
-		}
 	}
 	pl.registerProviders(transports)
 	if cfg.AdminAddr != "" {
@@ -361,9 +358,7 @@ func (p *Platform) registerProviders(transports []Transport) {
 	r.RegisterFunc("wire", func() obs.Snapshot {
 		var snaps []obs.Snapshot
 		for _, g := range p.peer.Groups() {
-			if g.Wire != nil {
-				snaps = append(snaps, g.Wire.Snapshot())
-			}
+			snaps = append(snaps, g.Wire.Snapshot())
 		}
 		return obs.Merge("wire", snaps...)
 	})
@@ -387,8 +382,8 @@ func (p *Platform) registerProviders(transports []Transport) {
 }
 
 // seenCaches collects every live dedupe cache: every rendezvous
-// service's message-level cache (one per joined group) and each
-// engine's event-level cache.
+// service's message-level cache (see peer.Rendezvous) and each engine's
+// event-level cache.
 func (p *Platform) seenCaches() []*seen.Cache {
 	var out []*seen.Cache
 	for _, r := range p.peer.Rendezvous() {
@@ -486,7 +481,7 @@ func (p *Platform) Addresses() []string {
 // timeout elapses. Peers configured without seeds report false.
 func (p *Platform) AwaitRendezvous(timeout time.Duration) bool {
 	net := p.peer.NetGroup()
-	return net != nil && net.AwaitRendezvous(timeout)
+	return net != nil && net.Rendezvous.AwaitConnected(timeout)
 }
 
 // StatsView is the coherent multi-subsystem metrics view Platform.Stats
@@ -525,11 +520,11 @@ func (p *Platform) Inspect() Inspection {
 		PeerID:     p.PeerID(),
 		Name:       p.peer.Name(),
 		Addresses:  p.Addresses(),
-		Rendezvous: p.daemon,
+		Rendezvous: p.isRendezvous,
 	}
 	for _, r := range p.peer.Rendezvous() {
 		in.Peers = append(in.Peers, r.PeersView()...)
-		// Nil except on the daemon's service: only it replicates.
+		// Nil except on a rendezvous' wildcard service: only it replicates.
 		in.Replicas = append(in.Replicas, r.ReplicasView()...)
 	}
 	for _, e := range p.coreEngines() {
@@ -555,7 +550,7 @@ func (p *Platform) AdminAddr() string {
 
 // health is the admin /health source: a seeded peer that holds no
 // rendezvous lease (what AwaitRendezvous would time out on) is
-// degraded; unseeded peers and rendezvous daemons are healthy while
+// degraded; unseeded peers and rendezvous are healthy while
 // running. A peer whose event log is failing appends or fsyncs is
 // degraded with the I/O error as the reason — a dying disk becomes
 // visible here (and in tps_eventlog_io_errors_total) before it becomes
@@ -583,7 +578,7 @@ func (p *Platform) health() error {
 // Close shuts the platform down: the admin server first (so /stats
 // never reads a half-closed substrate), then every engine still open
 // (their finder and replay loops must not outlive the peer), the peer
-// with its daemon stack and groups, and the transports.
+// with its services and groups, and the transports.
 func (p *Platform) Close() {
 	if p.admin != nil {
 		_ = p.admin.Close()
