@@ -48,7 +48,7 @@ func main() {
 		seeds     = flag.String("seed", "", "comma-separated addresses of other rendezvous to mesh with")
 		name      = flag.String("name", "rendezvous", "peer name")
 		adminAddr = flag.String("admin", fmt.Sprintf("127.0.0.1:%d", admin.DefaultPort),
-			"HTTP admin address serving /stats, /peers, /health (empty disables)")
+			"HTTP admin address serving /stats, /inspect, /health (empty disables)")
 		logDir   = flag.String("log-dir", "", "directory for the durable event log (empty disables durability)")
 		logSync  = flag.String("log-sync", "", `event log fsync policy: "none", "roll" or "always"`)
 		replicas = flag.String("replica", "", "comma-separated addresses of the other replica-set members to anti-entropy-sync the event log with (requires -log-dir)")
@@ -95,7 +95,7 @@ func run(listen, seeds, name, adminAddr, logDir, logSync, replicas string, syncI
 		fmt.Printf("replica set: syncing event log with %v\n", cfg.ReplicaSeeds)
 	}
 	if addr := p.AdminAddr(); addr != "" {
-		fmt.Printf("admin endpoint on http://%s (/stats /metrics /peers /subscriptions /inspect /trace /health)\n", addr)
+		fmt.Printf("admin endpoint on http://%s (/stats /metrics /inspect /trace /health)\n", addr)
 	}
 
 	stop := make(chan os.Signal, 1)

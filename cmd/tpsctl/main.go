@@ -1,13 +1,12 @@
 // Command tpsctl is the operator's Swiss-army knife for a live TPS/JXTA
-// mesh: discover advertisements, query peer health (PIP), probe event
-// types, and read any peer's admin endpoint — without writing a
-// program.
+// mesh: discover advertisements, probe event types, and read any peer's
+// admin endpoint — its counters, peers, subscriptions and logs —
+// without writing a program.
 //
 // Mesh commands (speak JXTA to a rendezvous):
 //
 //	tpsctl -seed tcp://rdv:9701 discover            # list PS.* event groups
 //	tpsctl -seed tcp://rdv:9701 discover -name 'PS.SkiRental*'
-//	tpsctl -seed tcp://rdv:9701 peerinfo tcp://host:9702
 //	tpsctl -seed tcp://rdv:9701 listen SkiRental    # dump raw events of a type group
 //
 // Admin commands (speak HTTP/JSON to a peer's admin endpoint; the
@@ -65,7 +64,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr,
-			"usage: tpsctl [flags] discover | peerinfo <addr> | listen <type> | stats | peers | subs | log | replicas | watch | latency | trace [event-id]")
+			"usage: tpsctl [flags] discover | listen <type> | stats | peers | subs | log | replicas | watch | latency | trace [event-id]")
 		os.Exit(2)
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
@@ -201,11 +200,8 @@ func showStats(base string) error {
 }
 
 func showPeers(base string) error {
-	var doc struct {
-		PeerID string          `json:"peer_id"`
-		Peers  []obs.PeerEntry `json:"peers"`
-	}
-	if err := fetchJSON(base, "/peers", &doc); err != nil {
+	var doc obs.Inspection
+	if err := fetchJSON(base, "/inspect", &doc); err != nil {
 		return err
 	}
 	fmt.Printf("peer %s: %d known peers\n", doc.PeerID, len(doc.Peers))
@@ -229,11 +225,8 @@ func showPeers(base string) error {
 }
 
 func showSubs(base string) error {
-	var doc struct {
-		Subscriptions []obs.SubscriptionEntry `json:"subscriptions"`
-		Types         []string                `json:"types"`
-	}
-	if err := fetchJSON(base, "/subscriptions", &doc); err != nil {
+	var doc obs.Inspection
+	if err := fetchJSON(base, "/inspect", &doc); err != nil {
 		return err
 	}
 	if len(doc.Subscriptions) == 0 {
@@ -565,11 +558,6 @@ func run(cmd string, args []string, listen, seeds, namePat string, wait time.Dur
 	switch cmd {
 	case "discover":
 		return discover(p, namePat, wait)
-	case "peerinfo":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: tpsctl peerinfo <addr>")
-		}
-		return peerInfo(p, endpoint.Address(args[0]))
 	case "listen":
 		if len(args) != 1 {
 			return fmt.Errorf("usage: tpsctl listen <type-name>")
@@ -602,24 +590,6 @@ func discover(p *peer.Peer, pattern string, wait time.Duration) error {
 			pipe = svc.Pipe.PipeID.Short()
 		}
 		fmt.Printf("%-28s %-12s %-12s %s\n", pg.Name, pg.GroupID.Short(), pg.PeerID.Short(), pipe)
-	}
-	return nil
-}
-
-func peerInfo(p *peer.Peer, addr endpoint.Address) error {
-	info, err := p.PeerInfo().Query(addr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("peer      %s\n", info.PeerID)
-	fmt.Printf("uptime    %v\n", info.Uptime().Round(time.Second))
-	fmt.Printf("msgs      in=%d out=%d\n", info.MsgsIn, info.MsgsOut)
-	fmt.Printf("bytes     in=%d out=%d\n", info.BytesIn, info.BytesOut)
-	if info.LastInUnixMS > 0 {
-		fmt.Printf("last in   %v\n", time.UnixMilli(info.LastInUnixMS).Format(time.RFC3339))
-	}
-	if info.LastOutUnixMS > 0 {
-		fmt.Printf("last out  %v\n", time.UnixMilli(info.LastOutUnixMS).Format(time.RFC3339))
 	}
 	return nil
 }

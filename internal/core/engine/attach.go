@@ -136,7 +136,7 @@ func newEventMessage(e *Engine, eventID jid.ID, path string, payload []byte) *me
 }
 
 // publish sends one pre-built event message on this attachment's output
-// pipe. The message is shared across attachments and with the local
+// pipe. Its elements are shared across attachments and with the local
 // subscribers; the wire service only reads it.
 func (a *attachment) publish(msg *message.Message) error {
 	return a.out.Send(msg)

@@ -285,7 +285,7 @@ func (e *Engine) SeenCache() *seen.Cache { return e.dedupe }
 
 // SubscriptionsView lists the live subscription table: one entry per
 // subscribed root type, with the attachment fan-in serving it. It feeds
-// /subscriptions on the admin surface.
+// the subscription table of /inspect on the admin surface.
 func (e *Engine) SubscriptionsView() []obs.SubscriptionEntry {
 	subscribers := make(map[string]int)
 	e.subs.mu.RLock()
@@ -394,9 +394,9 @@ func (e *Engine) Publish(event any) error {
 	e.mu.Unlock()
 	e.stats.published.Add(1)
 
-	// Build the four-element TPS message once and share it across the
-	// fan-out: each attachment's pipe and group go into the frames as
-	// envelope fields, and nothing below writes to the message.
+	// Build the four-element TPS message once and share its elements
+	// across the fan-out: each attachment's pipe and group go into the
+	// frames as envelope fields, and nothing below writes to them.
 	eventID := jid.NewMessage()
 	// Decode-once: remember the outgoing value so the synchronous wire
 	// loopback (and any mesh echo) dispatches it without a gob decode.
@@ -416,8 +416,17 @@ func (e *Engine) Publish(event any) error {
 
 	var firstErr error
 	sent := 0
-	for _, a := range atts {
-		if err := a.publish(msg); err != nil {
+	for i, a := range atts {
+		// A message ID names one injection into one group: a rendezvous
+		// serving several groups keeps one duplicate cache for them all,
+		// and would drop a second group's copy under the first's ID. The
+		// event ID, which subscribers dedupe on, stays shared.
+		out := msg
+		if i > 0 {
+			out = msg.Dup()
+			out.ID = jid.NewMessage()
+		}
+		if err := a.publish(out); err != nil {
 			e.stats.publishErrors.Add(1)
 			if firstErr == nil {
 				firstErr = err

@@ -5,16 +5,20 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/core/engine"
 	"github.com/tps-p2p/tps/internal/core/typereg"
+	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
+	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
 
@@ -92,7 +96,9 @@ type testEnginePeer struct {
 	nodes map[string]*typereg.Node
 }
 
-func (r *testRig) addEngine() *testEnginePeer {
+// addPeer starts an edge peer seeded with the rig's rendezvous and waits
+// for its net group's lease.
+func (r *testRig) addPeer() *peer.Peer {
 	r.t.Helper()
 	r.n++
 	name := fmt.Sprintf("peer%d", r.n)
@@ -111,6 +117,12 @@ func (r *testRig) addEngine() *testEnginePeer {
 	if !p.NetGroup().Rendezvous.AwaitConnected(5 * time.Second) {
 		r.t.Fatal("peer never reached the rendezvous")
 	}
+	return p
+}
+
+func (r *testRig) addEngine() *testEnginePeer {
+	r.t.Helper()
+	p := r.addPeer()
 	reg, nodes := newRegistry(r.t)
 	eng, err := engine.New(engine.Config{
 		Peer:         p,
@@ -359,6 +371,66 @@ func TestSimultaneousCreationConvergesWithExactlyOnceDelivery(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	if c.count() != total {
 		t.Fatalf("delivered %d, want exactly %d (TPS dedupe failed)", c.count(), total)
+	}
+}
+
+// TestEveryGroupOfATypeGetsEveryEvent: a publisher attached to two
+// groups of its type sends every event into both, and a subscriber in
+// either group gets every one. Each group here has one subscriber of its
+// own: a raw peer that advertised the group, joined it alone and listens
+// on its wire. The rendezvous serves both groups with one duplicate
+// cache, so it must not take one group's copy of an event for a repeat
+// of the other's.
+func TestEveryGroupOfATypeGetsEveryEvent(t *testing.T) {
+	rig := newRig(t)
+	pub := rig.addEngine()
+	path := pub.nodes["stock"].Path()
+	var got [2]atomic.Int64
+	for i := range got {
+		raw := rig.addPeer()
+		gid := jid.NewGroup()
+		pipe := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: engine.PSPrefix + path}
+		groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: raw.ID(), Name: engine.PSPrefix + path}
+		groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipe})
+		if err := raw.NetGroup().Discovery.RemotePublish(groupAdv, 0); err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := raw.JoinGroupFromAdv(groupAdv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Rendezvous.AwaitConnected(5 * time.Second) {
+			t.Fatalf("raw subscriber %d never leased its group", i)
+		}
+		in, err := g.Wire.CreateInputPipe(pipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.SetListener(func(*message.Message) { got[i].Add(1) })
+	}
+	if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
+		t.Fatal(err)
+	}
+	if !pub.eng.AwaitAttachments(pub.nodes["stock"], 2, 10*time.Second) ||
+		!pub.eng.AwaitReady(pub.nodes["stock"], 2, 10*time.Second) {
+		t.Fatal("the publisher never attached to both groups")
+	}
+	const total = 20
+	for i := 0; i < total; i++ {
+		if err := pub.eng.Publish(stockQuote{Symbol: "BOTH", Price: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for got[0].Load() < total || got[1].Load() < total {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	rig.net.WaitQuiesce(5 * time.Second)
+	if a, b := got[0].Load(), got[1].Load(); a != total || b != total {
+		t.Fatalf("the groups' subscribers got %d and %d events, want %d each", a, b, total)
 	}
 }
 

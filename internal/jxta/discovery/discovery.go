@@ -7,6 +7,14 @@
 // matching peers respond with their records (carrying a remaining
 // expiration so stale information ages out of the network). Without this
 // protocol a peer remains alone unless it knows its contacts in advance.
+//
+// The protocol speaks straight over the group's rendezvous and endpoint,
+// under one endpoint handler (ServiceName, group). Queries and
+// unsolicited responses (RemotePublish) are propagated to the group. A
+// query carries its issuer's address, because a propagated query reaches
+// a responder through a rendezvous: the answer is one direct send to
+// that address, or to the hop the query came from when it names none.
+// A peer never answers its own query echoed back by the mesh.
 package discovery
 
 import (
@@ -19,11 +27,25 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/resolver"
+	"github.com/tps-p2p/tps/internal/jxta/message"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 )
 
-// HandlerName is the resolver handler name of the discovery protocol.
-const HandlerName = "jxta.discovery"
+// ServiceName is the endpoint service name of the discovery protocol.
+const ServiceName = "jxta.discovery"
+
+// Message element names, namespace "pdp".
+const (
+	elemNS      = "pdp"
+	elemKind    = "Kind"
+	elemPayload = "Payload"
+	elemSrcAddr = "SrcAddr"
+)
+
+const (
+	kindQuery    = "query"
+	kindResponse = "response"
+)
 
 // DefaultThreshold is the maximum number of advertisements a peer
 // returns per query (the paper's NUMBER_OF_ADV_PER_PEER).
@@ -41,10 +63,20 @@ var ErrClosed = errors.New("discovery: closed")
 // responding peer.
 type Listener func(a adv.Advertisement, from jid.ID)
 
+// Endpoint is the endpoint capability discovery needs; *endpoint.Service
+// implements it.
+type Endpoint interface {
+	endpoint.Sender
+	RegisterHandler(svc, param string, h endpoint.Handler) error
+	UnregisterHandler(svc, param string)
+}
+
 // Service is one peer's discovery service for one group.
 type Service struct {
-	res *resolver.Service
-	now func() time.Time
+	ep    Endpoint
+	rdv   *rendezvous.Service
+	group string
+	now   func() time.Time
 
 	mu        sync.Mutex
 	cache     map[adv.Kind]map[jid.ID]adv.Record
@@ -72,10 +104,14 @@ func WithClock(now func() time.Time) Option {
 	return func(s *Service) { s.now = now }
 }
 
-// New creates the discovery service and registers its resolver handler.
-func New(res *resolver.Service, opts ...Option) (*Service, error) {
+// New creates the discovery service of the group and registers its
+// endpoint handler. rdv is the group's rendezvous service, through which
+// queries and unsolicited responses are propagated.
+func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*Service, error) {
 	s := &Service{
-		res:       res,
+		ep:        ep,
+		rdv:       rdv,
+		group:     group,
 		now:       time.Now,
 		cache:     make(map[adv.Kind]map[jid.ID]adv.Record),
 		decoded:   make(map[string]adv.Advertisement),
@@ -84,13 +120,13 @@ func New(res *resolver.Service, opts ...Option) (*Service, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if err := res.RegisterHandler(HandlerName, (*handler)(s)); err != nil {
-		return nil, fmt.Errorf("discovery: %w", err)
+	if err := ep.RegisterHandler(ServiceName, group, s.handle); err != nil {
+		return nil, fmt.Errorf("discovery: register endpoint handler: %w", err)
 	}
 	return s, nil
 }
 
-// Close unregisters the resolver handler.
+// Close unregisters the endpoint handler.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -99,7 +135,7 @@ func (s *Service) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.res.UnregisterHandler(HandlerName)
+	s.ep.UnregisterHandler(ServiceName, s.group)
 }
 
 // AddListener registers a listener and returns a token for removal.
@@ -165,7 +201,7 @@ func (s *Service) RemotePublish(a adv.Advertisement, expiration time.Duration) e
 	s.mu.Lock()
 	s.stats.ResponsesSent++
 	s.mu.Unlock()
-	if err := s.res.PropagateResponse(HandlerName, 0, payload); err != nil {
+	if err := s.rdv.Propagate(s.newMessage(kindResponse, payload), ServiceName, s.group); err != nil {
 		return fmt.Errorf("discovery: remote publish: %w", err)
 	}
 	return nil
@@ -192,18 +228,11 @@ func (s *Service) GetLocalAdvertisements(kind adv.Kind, attr, value string) []ad
 // into the local cache and reported to listeners. threshold limits how
 // many records each responding peer returns (0 means DefaultThreshold).
 func (s *Service) GetRemoteAdvertisements(kind adv.Kind, attr, value string, threshold int) error {
-	payload, err := encodeQuery(kind, attr, value, threshold)
+	msg, err := s.query(kind, attr, value, threshold)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.stats.QueriesSent++
-	s.mu.Unlock()
-	if _, err := s.res.PropagateQuery(HandlerName, payload); err != nil {
+	if err := s.rdv.Propagate(msg, ServiceName, s.group); err != nil {
 		return fmt.Errorf("discovery: remote query: %w", err)
 	}
 	return nil
@@ -212,21 +241,47 @@ func (s *Service) GetRemoteAdvertisements(kind adv.Kind, attr, value string, thr
 // GetRemoteAdvertisementsFrom sends the discovery query to one known
 // peer instead of the whole group.
 func (s *Service) GetRemoteAdvertisementsFrom(to endpoint.Address, kind adv.Kind, attr, value string, threshold int) error {
-	payload, err := encodeQuery(kind, attr, value, threshold)
+	msg, err := s.query(kind, attr, value, threshold)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.stats.QueriesSent++
-	s.mu.Unlock()
-	if _, err := s.res.SendQuery(to, HandlerName, payload); err != nil {
+	if err := s.ep.Send(to, ServiceName, s.group, msg); err != nil {
 		return fmt.Errorf("discovery: directed query: %w", err)
 	}
 	return nil
+}
+
+// query builds a query message and counts it sent.
+func (s *Service) query(kind adv.Kind, attr, value string, threshold int) (*message.Message, error) {
+	payload, err := encodeQuery(kind, attr, value, threshold)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.stats.QueriesSent++
+	}
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	return s.newMessage(kindQuery, payload), nil
+}
+
+// newMessage builds a discovery message. A query carries its issuer's
+// address, where the answer goes.
+func (s *Service) newMessage(kind string, payload []byte) *message.Message {
+	msg := message.New(s.ep.PeerID())
+	msg.AddString(elemNS, elemKind, kind)
+	msg.AddBytes(elemNS, elemPayload, payload)
+	if kind != kindQuery {
+		return msg
+	}
+	if addrs := s.ep.LocalAddresses(); len(addrs) > 0 {
+		msg.AddString(elemNS, elemSrcAddr, string(addrs[0]))
+	}
+	return msg
 }
 
 // Flush drops every cached advertisement of the given kind (JXTA's
@@ -322,18 +377,41 @@ func (s *Service) cachedLocked(doc string) adv.Advertisement {
 	return a
 }
 
-// handler adapts Service to resolver.Handler without exporting the
-// methods on the main type.
-type handler Service
+// handle is the endpoint handler: a query from another peer is answered
+// from the local cache, a response feeds the cache and the listeners.
+// Anything else is dropped.
+func (s *Service) handle(msg *message.Message, from endpoint.Address) {
+	payload := msg.Bytes(elemNS, elemPayload)
+	switch msg.Text(elemNS, elemKind) {
+	case kindQuery:
+		// A propagated query can echo back to its issuer; never
+		// self-answer.
+		if msg.Src == s.ep.PeerID() {
+			return
+		}
+		resp := s.answer(payload)
+		if resp == nil {
+			return
+		}
+		// from is the rendezvous a propagated query came through, not
+		// the querier.
+		to := endpoint.Address(msg.Text(elemNS, elemSrcAddr))
+		if to == "" {
+			to = from
+		}
+		_ = s.ep.Send(to, ServiceName, s.group, s.newMessage(kindResponse, resp))
+	case kindResponse:
+		s.ingest(payload, msg.Src)
+	}
+}
 
-var _ resolver.Handler = (*handler)(nil)
-
-// ProcessQuery serves a remote discovery query from the local cache.
-func (h *handler) ProcessQuery(q resolver.Query, _ endpoint.Address) ([]byte, error) {
-	s := (*Service)(h)
-	query, err := decodeQuery(q.Payload)
+// answer serves a remote discovery query from the local cache: the
+// response payload, or nil when the query is malformed or nothing
+// matches (discovery answers only positively).
+func (s *Service) answer(payload []byte) []byte {
+	query, err := decodeQuery(payload)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	threshold := query.Threshold
 	if threshold <= 0 {
@@ -357,18 +435,18 @@ func (h *handler) ProcessQuery(q resolver.Query, _ endpoint.Address) ([]byte, er
 	}
 	s.mu.Unlock()
 	if len(match) == 0 {
-		return nil, nil // discovery answers only positively
+		return nil
 	}
-	return encodeResponse(match, now)
+	resp, _ := encodeResponse(match, now) // nil on error: no answer
+	return resp
 }
 
-// ProcessResponse ingests advertisements a remote peer sent us. An item
+// ingest takes in the advertisements a remote peer sent us. An item
 // whose document is the one a cached record was decoded from is not
 // decoded again: the record takes the new expiration and listeners hear
 // of the advertisement they already know.
-func (h *handler) ProcessResponse(r resolver.Response, _ endpoint.Address) {
-	s := (*Service)(h)
-	items, err := decodeResponse(r.Payload)
+func (s *Service) ingest(payload []byte, src jid.ID) {
+	items, err := decodeResponse(payload)
 	if err != nil {
 		return
 	}
@@ -419,7 +497,7 @@ func (h *handler) ProcessResponse(r resolver.Response, _ endpoint.Address) {
 	s.mu.Unlock()
 	for _, a := range fire {
 		for _, l := range listeners {
-			l(a, r.Src)
+			l(a, src)
 		}
 	}
 }

@@ -1,16 +1,16 @@
-package discovery_test
+package discovery
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
-	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/resolver"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
@@ -19,8 +19,7 @@ type testPeer struct {
 	name string
 	ep   *endpoint.Service
 	rdv  *rendezvous.Service
-	res  *resolver.Service
-	disc *discovery.Service
+	disc *Service
 }
 
 type cluster struct {
@@ -51,18 +50,13 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	res, err := resolver.New(ep, rdv, "net")
+	disc, err := New(ep, rdv, "net")
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	disc, err := discovery.New(res)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	p := &testPeer{name: name, ep: ep, rdv: rdv, res: res, disc: disc}
+	p := &testPeer{name: name, ep: ep, rdv: rdv, disc: disc}
 	c.t.Cleanup(func() {
 		p.disc.Close()
-		p.res.Close()
 		p.rdv.Close()
 		_ = p.ep.Close()
 	})
@@ -109,26 +103,7 @@ func TestFreshestRecordWinsPerID(t *testing.T) {
 	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clk }
 	advance := func(d time.Duration) { mu.Lock(); clk = clk.Add(d); mu.Unlock() }
 
-	c := newCluster(t)
-	node, err := c.net.AddNode("solo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := endpoint.New(jid.FromSeed(jid.KindPeer, 1))
-	if err := ep.AddTransport(memnet.New(node)); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ep.Close() })
-	res, err := resolver.New(ep, nil, "net")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(res.Close)
-	disc, err := discovery.New(res, discovery.WithClock(now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(disc.Close)
+	disc := newSolo(t, WithClock(now)).disc
 
 	a := pipeAdv(1, "v1")
 	if err := disc.Publish(a, time.Hour, time.Hour); err != nil {
@@ -417,4 +392,255 @@ func TestClosedServiceRefusesWork(t *testing.T) {
 		t.Fatal("query after close succeeded")
 	}
 	p.disc.Close() // idempotent
+}
+
+// fakeEndpoint records what a discovery service sends; handle is driven
+// by hand.
+type fakeEndpoint struct {
+	id jid.ID
+	mu sync.Mutex
+	to []endpoint.Address
+	// msgs[i] was sent to to[i].
+	msgs []*message.Message
+}
+
+func (f *fakeEndpoint) Send(to endpoint.Address, _, _ string, msg *message.Message) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.to = append(f.to, to)
+	f.msgs = append(f.msgs, msg)
+	return nil
+}
+
+func (f *fakeEndpoint) LocalAddresses() []endpoint.Address { return []endpoint.Address{"mem://self"} }
+
+func (f *fakeEndpoint) PeerID() jid.ID { return f.id }
+
+func (f *fakeEndpoint) RegisterHandler(string, string, endpoint.Handler) error { return nil }
+
+func (f *fakeEndpoint) UnregisterHandler(string, string) {}
+
+func (f *fakeEndpoint) sent() ([]endpoint.Address, []*message.Message) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]endpoint.Address(nil), f.to...), append([]*message.Message(nil), f.msgs...)
+}
+
+// solo is a discovery service over a fakeEndpoint that never propagates,
+// holding one group advertisement named "PS.Held", and counting its
+// listener's calls.
+type solo struct {
+	ep    *fakeEndpoint
+	disc  *Service
+	heard *atomic.Int64
+}
+
+func newSolo(t testing.TB, opts ...Option) solo {
+	t.Helper()
+	ep := &fakeEndpoint{id: jid.FromSeed(jid.KindPeer, 1)}
+	disc, err := New(ep, nil, "net", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(disc.Close)
+	var heard atomic.Int64
+	disc.AddListener(func(adv.Advertisement, jid.ID) { heard.Add(1) })
+	return solo{ep: ep, disc: disc, heard: &heard}
+}
+
+func (s solo) hold(t testing.TB) {
+	t.Helper()
+	if err := s.disc.Publish(groupAdv(7, "PS.Held"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frame builds a discovery message from src as it reaches handle.
+func frame(src jid.ID, kind string, payload []byte, srcAddr string) *message.Message {
+	msg := message.New(src)
+	msg.AddString(elemNS, elemKind, kind)
+	msg.AddBytes(elemNS, elemPayload, payload)
+	if srcAddr != "" {
+		msg.AddString(elemNS, elemSrcAddr, srcAddr)
+	}
+	return msg
+}
+
+func queryPayload(t testing.TB, name string) []byte {
+	t.Helper()
+	payload, err := encodeQuery(adv.Group, "Name", name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestEchoedQueryIsNotAnswered: a propagated query that comes back to
+// the peer that issued it is not answered, even from a cache that
+// matches it.
+func TestEchoedQueryIsNotAnswered(t *testing.T) {
+	s := newSolo(t)
+	s.hold(t)
+	msg, err := s.disc.query(adv.Group, "Name", "PS.*", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.disc.handle(msg, "mem://rdv")
+	if to, _ := s.ep.sent(); len(to) != 0 {
+		t.Fatalf("the issuer answered its own query to %v", to)
+	}
+	// The same query from any other peer is answered, to the address it
+	// names.
+	other := frame(jid.FromSeed(jid.KindPeer, 2), kindQuery, queryPayload(t, "PS.*"), "mem://querier")
+	s.disc.handle(other, "mem://rdv")
+	if to, _ := s.ep.sent(); len(to) != 1 || to[0] != "mem://querier" {
+		t.Fatalf("answers went to %v, want [mem://querier]", to)
+	}
+}
+
+// TestQueryWithoutSrcAddrIsAnsweredToFrom: a query that names no return
+// address is answered to the hop it came from.
+func TestQueryWithoutSrcAddrIsAnsweredToFrom(t *testing.T) {
+	s := newSolo(t)
+	s.hold(t)
+	s.disc.handle(frame(jid.FromSeed(jid.KindPeer, 2), kindQuery, queryPayload(t, "PS.Held"), ""), "mem://from")
+	to, msgs := s.ep.sent()
+	if len(to) != 1 || to[0] != "mem://from" {
+		t.Fatalf("answers went to %v, want [mem://from]", to)
+	}
+	if kind := msgs[0].Text(elemNS, elemKind); kind != kindResponse {
+		t.Fatalf("answered with a %q", kind)
+	}
+	if _, ok := msgs[0].Element(elemNS, elemSrcAddr); ok {
+		t.Fatal("a response carries a return address")
+	}
+}
+
+// TestMalformedTrafficIsDropped: a malformed query gets no answer, a
+// malformed response reaches no listener, and neither does a message of
+// no known kind.
+func TestMalformedTrafficIsDropped(t *testing.T) {
+	s := newSolo(t)
+	s.hold(t)
+	other := jid.FromSeed(jid.KindPeer, 2)
+	// A well-formed response whose one item is no advertisement.
+	badItem := []byte(`<DiscoveryResponse><Item expiration="60000">&lt;NoSuchAdvertisement/&gt;</Item></DiscoveryResponse>`)
+	for _, msg := range []*message.Message{
+		frame(other, kindQuery, []byte("<DiscoveryQuery><Kind>"), "mem://querier"),
+		frame(other, kindQuery, nil, "mem://querier"),
+		frame(other, kindResponse, []byte("not xml"), ""),
+		frame(other, kindResponse, badItem, ""),
+		frame(other, "", queryPayload(t, "PS.Held"), "mem://querier"),
+		frame(other, "gossip", queryPayload(t, "PS.Held"), "mem://querier"),
+	} {
+		s.disc.handle(msg, "mem://from")
+	}
+	if to, _ := s.ep.sent(); len(to) != 0 {
+		t.Fatalf("malformed traffic was answered to %v", to)
+	}
+	if n := s.heard.Load(); n != 0 {
+		t.Fatalf("malformed traffic reached the listener %d times", n)
+	}
+}
+
+// TestPropagatedQueryIsAnsweredStraightToTheQuerier: a query crosses the
+// rendezvous, its answer does not. The rendezvous forwards the query
+// once and receives no response: not to forward, and not for its own
+// discovery either.
+func TestPropagatedQueryIsAnsweredStraightToTheQuerier(t *testing.T) {
+	c := newCluster(t)
+	rdv := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
+	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
+	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
+	for _, p := range []*testPeer{pub, sub} {
+		if !p.rdv.AwaitConnected(5 * time.Second) {
+			t.Fatal("not connected")
+		}
+	}
+	if err := pub.disc.Publish(groupAdv(7, "PS.SkiRental"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	hits := make(chan jid.ID, 4)
+	sub.disc.AddListener(func(_ adv.Advertisement, from jid.ID) { hits <- from })
+	before := rdv.rdv.Snapshot().Counters["propagated"]
+	if err := sub.disc.GetRemoteAdvertisements(adv.Group, "Name", "PS.*", 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case from := <-hits:
+		if from != pub.ep.PeerID() {
+			t.Fatalf("answered by %v, want %v", from, pub.ep.PeerID())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no answer")
+	}
+	c.net.WaitQuiesce(5 * time.Second)
+	if n := rdv.rdv.Snapshot().Counters["propagated"] - before; n != 1 {
+		t.Fatalf("the rendezvous propagated %d messages, want the query alone", n)
+	}
+	if st := rdv.disc.Stats(); st.RecordsReceived != 0 {
+		t.Fatalf("the answer went through the rendezvous: %+v", st)
+	}
+}
+
+// FuzzDiscoveryFrame feeds handle any kind, payload and return address,
+// from this peer or another: it never panics, and it answers exactly the
+// well-formed queries from another peer that match the cache, to the
+// address the query names (or the hop it came from). Only a response
+// reaches a listener.
+func FuzzDiscoveryFrame(f *testing.F) {
+	held, err := encodeQuery(adv.Group, "Name", "PS.Held", 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	miss, err := encodeQuery(adv.Group, "Name", "PS.Other", 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	resp, err := encodeResponse([]adv.Record{{
+		Adv: pipeAdv(3, "PS.Pushed"), Published: time.Now(), Lifetime: time.Hour, Expiration: time.Hour,
+	}}, time.Now())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(kindQuery, held, "mem://querier", false)
+	f.Add(kindQuery, held, "", false)
+	f.Add(kindQuery, held, "mem://querier", true)
+	f.Add(kindQuery, miss, "mem://querier", false)
+	f.Add(kindQuery, []byte("<DiscoveryQuery>"), "", false)
+	f.Add(kindResponse, resp, "", false)
+	f.Add(kindResponse, []byte("<DiscoveryResponse><Item"), "", false)
+	f.Add("", held, "mem://querier", false)
+	f.Fuzz(func(t *testing.T, kind string, payload []byte, srcAddr string, fromSelf bool) {
+		s := newSolo(t)
+		s.hold(t)
+		src := jid.FromSeed(jid.KindPeer, 2)
+		if fromSelf {
+			src = s.ep.PeerID()
+		}
+		s.disc.handle(frame(src, kind, payload, srcAddr), "mem://from")
+
+		answer := false
+		if q, err := decodeQuery(payload); err == nil && kind == kindQuery && !fromSelf {
+			answer = len(s.disc.GetLocalAdvertisements(adv.Kind(q.Kind), q.Attr, q.Value)) > 0
+		}
+		to, msgs := s.ep.sent()
+		switch {
+		case !answer && len(to) != 0:
+			t.Fatalf("answered a %q message to %v", kind, to)
+		case answer && len(to) != 1:
+			t.Fatalf("a matching query got %d answers", len(to))
+		case answer:
+			want := endpoint.Address(srcAddr)
+			if want == "" {
+				want = "mem://from"
+			}
+			if to[0] != want || msgs[0].Text(elemNS, elemKind) != kindResponse {
+				t.Fatalf("answered with a %q to %v, want a response to %v", msgs[0].Text(elemNS, elemKind), to[0], want)
+			}
+		}
+		if n := s.heard.Load(); n != 0 && kind != kindResponse {
+			t.Fatalf("a %q message reached the listener %d times", kind, n)
+		}
+	})
 }

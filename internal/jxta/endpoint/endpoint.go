@@ -8,8 +8,13 @@
 // have multiple network interfaces (multiple transports); the endpoint
 // hides which one a message used.
 //
-// Everything above this layer deals in peer IDs and pipe IDs; only the
-// endpoint and the Endpoint Routing Protocol deal in physical addresses.
+// Everything above this layer deals in peer IDs and pipe IDs; physical
+// addresses show up above it only as return addresses (a rendezvous
+// lease, a discovery query's SrcAddr).
+//
+// The endpoint counts every frame in and out. Snapshot serves those
+// counters and the uptime to the stats registry, which is where a peer
+// reports its traffic (/stats on the admin surface).
 package endpoint
 
 import (
@@ -116,45 +121,16 @@ var (
 	ErrBadDestFormat = errors.New("endpoint: message lacks destination elements")
 )
 
-// Stats is a snapshot of endpoint traffic with its timestamps, feeding
-// the Peer Information Protocol responder (peerinfo.Local). The stats
-// registry reads Snapshot instead: counters only, in the shared obs
-// vocabulary.
-type Stats struct {
-	Started       time.Time
-	MsgsIn        int64
-	MsgsOut       int64
-	BytesIn       int64
-	BytesOut      int64
-	LastIncoming  time.Time
-	LastOutgoing  time.Time
-	NoHandlerDrop int64
-	DecodeErrors  int64
-	SendErrors    int64
-}
-
-// Uptime returns how long the endpoint has been running.
-func (s Stats) Uptime(now time.Time) time.Duration { return now.Sub(s.Started) }
-
-// epCounters is the lock-free internal form of Stats: every frame in and
-// out bumps these, so they must never contend on s.mu. Timestamps are
-// kept as unix nanoseconds.
+// epCounters are the endpoint's traffic counters, served by Snapshot:
+// every frame in and out bumps these, so they must never contend on s.mu.
 type epCounters struct {
 	msgsIn        atomic.Int64
 	msgsOut       atomic.Int64
 	bytesIn       atomic.Int64
 	bytesOut      atomic.Int64
-	lastIncoming  atomic.Int64
-	lastOutgoing  atomic.Int64
 	noHandlerDrop atomic.Int64
 	decodeErrors  atomic.Int64
 	sendErrors    atomic.Int64
-}
-
-func (c *epCounters) countOut(bytes int) {
-	c.msgsOut.Add(1)
-	c.bytesOut.Add(int64(bytes))
-	c.lastOutgoing.Store(time.Now().UnixNano())
 }
 
 type handlerKey struct{ svc, param string }
@@ -334,7 +310,8 @@ func (s *Service) SendFrame(to Address, frame []byte) error {
 		s.stats.sendErrors.Add(1)
 		return fmt.Errorf("endpoint: send to %s: %w", to, err)
 	}
-	s.stats.countOut(len(frame))
+	s.stats.msgsOut.Add(1)
+	s.stats.bytesOut.Add(int64(len(frame)))
 	return nil
 }
 
@@ -351,7 +328,6 @@ func (s *Service) receive(frame []byte) {
 
 	s.stats.msgsIn.Add(1)
 	s.stats.bytesIn.Add(int64(len(frame)))
-	s.stats.lastIncoming.Store(time.Now().UnixNano())
 	s.mu.RLock()
 	h, ok := s.handlers[handlerKey{svc, param}]
 	if !ok {
@@ -393,30 +369,8 @@ func (s *Service) DeliverLocal(svc, param string, msg *message.Message, from Add
 	return nil
 }
 
-// Stats returns a snapshot of the endpoint counters.
-func (s *Service) Stats() Stats {
-	st := Stats{
-		Started:       s.started,
-		MsgsIn:        s.stats.msgsIn.Load(),
-		MsgsOut:       s.stats.msgsOut.Load(),
-		BytesIn:       s.stats.bytesIn.Load(),
-		BytesOut:      s.stats.bytesOut.Load(),
-		NoHandlerDrop: s.stats.noHandlerDrop.Load(),
-		DecodeErrors:  s.stats.decodeErrors.Load(),
-		SendErrors:    s.stats.sendErrors.Load(),
-	}
-	if ns := s.stats.lastIncoming.Load(); ns != 0 {
-		st.LastIncoming = time.Unix(0, ns)
-	}
-	if ns := s.stats.lastOutgoing.Load(); ns != 0 {
-		st.LastOutgoing = time.Unix(0, ns)
-	}
-	return st
-}
-
-// Snapshot implements obs.Provider. Counter keys follow the shared
-// obs vocabulary: what Stats calls NoHandlerDrop and SendErrors are
-// `dropped` and `send_failures` here.
+// Snapshot implements obs.Provider: the endpoint counters and uptime,
+// in the shared obs vocabulary.
 func (s *Service) Snapshot() obs.Snapshot {
 	s.mu.RLock()
 	transports := len(s.transports)

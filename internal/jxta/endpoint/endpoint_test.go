@@ -222,17 +222,19 @@ func TestStatsAndDrops(t *testing.T) {
 	}
 	s.wait(t, 1)
 	// A frame is counted in before it is demuxed, so the drop counter
-	// trails MsgsIn: wait for both.
-	waitFor(t, func() bool { st := b.Stats(); return st.MsgsIn == 2 && st.NoHandlerDrop == 1 })
-	ast := a.Stats()
-	if ast.MsgsOut != 2 || ast.BytesOut == 0 || ast.LastOutgoing.IsZero() {
-		t.Fatalf("sender stats %+v", ast)
+	// trails msgs_in: wait for both.
+	waitFor(t, func() bool {
+		c := b.Snapshot().Counters
+		return c["msgs_in"] == 2 && c["dropped"] == 1
+	})
+	if c := a.Snapshot().Counters; c["msgs_out"] != 2 || c["bytes_out"] == 0 {
+		t.Fatalf("sender counters %v", c)
 	}
-	bst := b.Stats()
-	if bst.NoHandlerDrop != 1 {
-		t.Fatalf("receiver stats %+v", bst)
+	bst := b.Snapshot()
+	if bst.Counters["dropped"] != 1 {
+		t.Fatalf("receiver counters %v", bst.Counters)
 	}
-	if bst.Uptime(time.Now()) <= 0 {
+	if bst.Gauges["uptime_s"] <= 0 {
 		t.Fatal("uptime not positive")
 	}
 }

@@ -3,19 +3,20 @@
 // peer joins over its lifetime.
 //
 // Each stack follows its traffic. The net group is a peergroup.Core —
-// rendezvous, resolver, discovery — where advertisements are found and
-// the peer's one Peer Information responder answers; it carries no
-// events. An event group is a rendezvous service and a wire. On an
-// edge, each event group gets a rendezvous client of its own. A peer
-// whose role is rendezvous serves every event group, its own included,
-// with one wildcard rendezvous service started in New, and a group it
-// joins builds only its wire on that service: the role is the only
-// switch.
+// a rendezvous and the discovery that speaks over it — where
+// advertisements are found; it carries no events. An event group is a
+// rendezvous service and a wire. On an edge, each event group gets a
+// rendezvous client of its own. A peer whose role is rendezvous serves
+// every event group, its own included, with one wildcard rendezvous
+// service started in New, and a group it joins builds only its wire on
+// that service: the role is the only switch.
 //
 // Any networked device is a peer; a peer with extra duties (rendezvous)
 // is just a peer configured with that role. A peer that crashes and
 // restarts under the same Config.ID keeps its identity wherever it
-// reappears.
+// reappears. What a peer reports about itself — traffic, uptime, leases —
+// is read from its stats registry and admin surface, not asked over the
+// network.
 package peer
 
 import (
@@ -27,7 +28,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peergroup"
-	"github.com/tps-p2p/tps/internal/jxta/peerinfo"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
@@ -59,7 +59,6 @@ type Config struct {
 type Peer struct {
 	cfg Config
 	ep  *endpoint.Service
-	pip *peerinfo.Service // on the net group's resolver
 	// wild serves every event group on a rendezvous-role peer; nil on an
 	// edge. Fixed in New.
 	wild *rendezvous.Service
@@ -75,8 +74,7 @@ type Peer struct {
 }
 
 // New starts a peer with the given transports: the net group's control
-// plane with the peer's one Peer Information responder on it and, on a
-// rendezvous-role peer, the wildcard service.
+// plane and, on a rendezvous-role peer, the wildcard service.
 func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	if len(transports) == 0 {
 		return nil, ErrNoTransports
@@ -99,9 +97,6 @@ func (p *Peer) start(transports []endpoint.Transport) (err error) {
 		}
 	}
 	if p.net, err = peergroup.NewCore(p.ep, p.cfg.Rendezvous); err != nil {
-		return err
-	}
-	if p.pip, err = peerinfo.New(p.net.Resolver, p.ep); err != nil {
 		return err
 	}
 	if p.cfg.Rendezvous.Role == rendezvous.RoleRendezvous {
@@ -131,11 +126,6 @@ func (p *Peer) NetGroup() *peergroup.Core {
 	defer p.mu.Unlock()
 	return p.net
 }
-
-// PeerInfo returns the peer's Peer Information service: it answers
-// queries about this endpoint's counters and asks other peers for
-// theirs, over the net group's resolver.
-func (p *Peer) PeerInfo() *peerinfo.Service { return p.pip }
 
 // Group returns the joined event group with the given ID.
 func (p *Peer) Group(id jid.ID) (*peergroup.Group, bool) {
@@ -296,9 +286,6 @@ func (p *Peer) Close() {
 	}
 	if p.wild != nil {
 		p.wild.Close()
-	}
-	if p.pip != nil {
-		p.pip.Close()
 	}
 	if net != nil {
 		net.Close()

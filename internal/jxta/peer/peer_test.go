@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
+	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/peergroup"
-	"github.com/tps-p2p/tps/internal/jxta/peerinfo"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/resolver"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/netsim"
@@ -344,34 +343,10 @@ func TestJoinGroupFromAdvWithoutWire(t *testing.T) {
 	}
 }
 
-func TestPeerInfoAcrossPeers(t *testing.T) {
-	c := newCluster(t)
-	c.addRendezvous("rdv")
-	a := c.addEdge("a", "mem://rdv")
-	b := c.addEdge("b", "mem://rdv")
-	if !a.NetGroup().Rendezvous.AwaitConnected(5*time.Second) || !b.NetGroup().Rendezvous.AwaitConnected(5*time.Second) {
-		t.Fatal("not connected")
-	}
-	info, err := a.PeerInfo().Query("mem://b", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.PeerID != b.ID() {
-		t.Fatalf("info.PeerID = %v, want %v", info.PeerID, b.ID())
-	}
-	if info.MsgsOut == 0 {
-		t.Fatal("b shows no outbound traffic despite lease renewals")
-	}
-	// One responder per peer, on the net group's resolver.
-	if err := b.NetGroup().Resolver.RegisterHandler(peerinfo.HandlerName, resolver.HandlerFunc{}); !errors.Is(err, resolver.ErrDupHandler) {
-		t.Fatalf("net group's peer-info handler: %v, want ErrDupHandler", err)
-	}
-}
-
-// TestEdgeGroupBuildsNoResolver: nothing queries inside an event group,
-// so joining one builds no resolver (and no discovery on it): the
-// resolver's endpoint handler for the group's parameter is free.
-func TestEdgeGroupBuildsNoResolver(t *testing.T) {
+// TestEdgeGroupBuildsNoDiscovery: nothing queries inside an event group,
+// so joining one builds no discovery: the discovery endpoint handler for
+// the group's parameter is free, and the net group's is taken.
+func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("p")
 	g, err := p.JoinGroup(jid.FromSeed(jid.KindGroup, 7), "typed")
@@ -379,11 +354,11 @@ func TestEdgeGroupBuildsNoResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	noop := func(*message.Message, endpoint.Address) {}
-	if err := p.Endpoint().RegisterHandler(resolver.ServiceName, g.Param(), noop); err != nil {
-		t.Fatalf("a joined group registered a resolver: %v", err)
+	if err := p.Endpoint().RegisterHandler(discovery.ServiceName, g.Param(), noop); err != nil {
+		t.Fatalf("a joined group registered a discovery: %v", err)
 	}
-	if err := p.Endpoint().RegisterHandler(resolver.ServiceName, jid.NetGroup.String(), noop); !errors.Is(err, endpoint.ErrDupHandler) {
-		t.Fatalf("the net group's resolver handler: %v, want ErrDupHandler", err)
+	if err := p.Endpoint().RegisterHandler(discovery.ServiceName, jid.NetGroup.String(), noop); !errors.Is(err, endpoint.ErrDupHandler) {
+		t.Fatalf("the net group's discovery handler: %v, want ErrDupHandler", err)
 	}
 }
 

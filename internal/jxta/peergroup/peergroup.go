@@ -2,18 +2,18 @@
 // kinds of stack a peer runs.
 //
 // A Core is the net group's control plane, one per peer: a rendezvous
-// service and the resolver and discovery built on it. Advertisements
-// are found there and peers answer questions about themselves there; no
-// event ever travels in it, so its rendezvous logs nothing.
+// service and the discovery that speaks over it. Advertisements are
+// found there; no event ever travels in it, so its rendezvous logs
+// nothing.
 //
 // A Group is one event group the peer joined: a rendezvous service and
 // the wire (propagated pipe) service on it, scoped by the group ID so
 // two groups never see each other's traffic. Nothing queries inside an
-// event group, so it has no resolver and no discovery. On an edge the
-// group's rendezvous client is its own; a rendezvous peer serves every
-// group, its own included, with its one wildcard service, and the group
-// only borrows it. There is no hierarchy between groups; a peer may
-// join many — the paper's TPS layer joins one group per event type.
+// event group, so it has no discovery. On an edge the group's
+// rendezvous client is its own; a rendezvous peer serves every group,
+// its own included, with its one wildcard service, and the group only
+// borrows it. There is no hierarchy between groups; a peer may join
+// many — the paper's TPS layer joins one group per event type.
 package peergroup
 
 import (
@@ -24,7 +24,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/resolver"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
 
@@ -55,10 +54,9 @@ func scoped(rcfg rendezvous.Config, id jid.ID) rendezvous.Config {
 }
 
 // Core is the net group's control plane: its rendezvous service and the
-// resolver and discovery built on it.
+// discovery that speaks over it.
 type Core struct {
 	Rendezvous *rendezvous.Service
-	Resolver   *resolver.Service
 	Discovery  *discovery.Service
 }
 
@@ -81,10 +79,7 @@ func (c *Core) build(ep *endpoint.Service, rcfg rendezvous.Config) (err error) {
 	if c.Rendezvous, err = rendezvous.New(ep, rcfg); err != nil {
 		return err
 	}
-	if c.Resolver, err = resolver.New(ep, c.Rendezvous, rcfg.GroupParam); err != nil {
-		return err
-	}
-	c.Discovery, err = discovery.New(c.Resolver)
+	c.Discovery, err = discovery.New(ep, c.Rendezvous, rcfg.GroupParam)
 	return err
 }
 
@@ -94,10 +89,6 @@ func (c *Core) Close() {
 	if c.Discovery != nil {
 		c.Discovery.Close()
 		c.Discovery = nil
-	}
-	if c.Resolver != nil {
-		c.Resolver.Close()
-		c.Resolver = nil
 	}
 	if c.Rendezvous != nil {
 		c.Rendezvous.Close()

@@ -2,6 +2,7 @@ package peergroup_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -68,9 +69,10 @@ func TestZeroConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestCoreIsTheNetGroupsControlPlane: the net group carries queries and
-// advertisements, never events, so its rendezvous logs and replicates
-// nothing whatever the template it is built from says.
+// TestCoreIsTheNetGroupsControlPlane: the net group is a rendezvous and
+// the discovery on it. It carries queries and advertisements, never
+// events, so its rendezvous logs and replicates nothing whatever the
+// template it is built from says.
 func TestCoreIsTheNetGroupsControlPlane(t *testing.T) {
 	ep := newEndpoint(t, "p", 1)
 	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
@@ -87,8 +89,13 @@ func TestCoreIsTheNetGroupsControlPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	if c.Rendezvous == nil || c.Resolver == nil || c.Discovery == nil {
+	if c.Rendezvous == nil || c.Discovery == nil {
 		t.Fatal("service missing from the control plane")
+	}
+	// Exactly these two: discovery speaks straight over the rendezvous.
+	core := reflect.TypeOf(*c)
+	if core.NumField() != 2 || core.Field(0).Name != "Rendezvous" || core.Field(1).Name != "Discovery" {
+		t.Fatalf("Core has %d fields, want {Rendezvous, Discovery}", core.NumField())
 	}
 	got := c.Rendezvous.Config()
 	if got.GroupParam != jid.NetGroup.String() || got.Role != rendezvous.RoleRendezvous {

@@ -82,7 +82,7 @@ func (s *Service) ConnectedClients() []jid.ID {
 // connected, with replay silently unavailable until the logging seed
 // recovers. Callers that need a particular seed must check the
 // per-seed Leased flag in PeersView (surfaced through Inspect() and
-// the /peers admin endpoint) rather than infer it from this method. In
+// the /inspect admin endpoint) rather than infer it from this method. In
 // ActiveStandby mode only the elected active is ever leased with, so
 // exactly one seed entry shows Leased when healthy.
 func (s *Service) AwaitConnected(timeout time.Duration) bool {

@@ -23,6 +23,10 @@ import (
 // decide whether to loop back. Returns ErrNoPeers if there was nobody
 // to send to.
 //
+// A message ID names one injection into one group. A wildcard service
+// keeps one duplicate cache for every group it serves, so a caller that
+// sends the same content into two groups gives each copy its own ID.
+//
 // msg is only read. Where it is going — rdv:Op/DSvc/DParam, and whatever
 // envelope the calling layer adds — is written into the frame
 // (endpoint.EncodeFrame), not into a copy; the one Dup, which shares the

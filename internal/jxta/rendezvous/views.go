@@ -87,8 +87,8 @@ func (s *Service) SeenCache() *seen.Cache { return s.seen }
 
 // PeersView lists every peer this service knows about — rendezvous we
 // lease with, clients leased to us, and the configured seeds — together
-// with the failure detector's per-address state. It feeds /peers on the
-// admin surface.
+// with the failure detector's per-address state. It feeds the peer table
+// of /inspect on the admin surface.
 func (s *Service) PeersView() []obs.PeerEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()

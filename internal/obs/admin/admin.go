@@ -7,10 +7,9 @@
 //
 //	GET /stats          — obs.View: every subsystem's counters, gauges, rates
 //	GET /metrics        — the same registry in Prometheus text exposition
-//	GET /peers          — connected peers, leases, failure-detector state
-//	GET /subscriptions  — live subscription table across engines
-//	GET /inspect        — the whole obs.Inspection: peers, subscriptions,
-//	                      cursors, event log, replicas, types
+//	GET /inspect        — the whole obs.Inspection: peers (leases,
+//	                      failure-detector state), subscriptions, cursors,
+//	                      event log, replicas, types
 //	GET /trace          — retained traced events; /trace/{event-id} for hops
 //	GET /health         — 200 {"status":"ok"} or 503 {"status":"degraded",...}
 //
@@ -53,7 +52,7 @@ type Config struct {
 	Addr string
 	// Registry supplies GET /stats.
 	Registry *obs.Registry
-	// Inspect supplies GET /peers, /subscriptions and /inspect.
+	// Inspect supplies GET /inspect.
 	Inspect func() obs.Inspection
 	// Health reports nil when the peer is healthy; the error becomes
 	// the degradation reason on GET /health (status 503).
@@ -150,20 +149,6 @@ func Handler(cfg Config) http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	mux.HandleFunc("/peers", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		in := inspect(cfg)
-		writeJSON(w, http.StatusOK, peersDoc(in))
-	})
-	mux.HandleFunc("/subscriptions", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		in := inspect(cfg)
-		writeJSON(w, http.StatusOK, subscriptionsDoc(in))
-	})
 	mux.HandleFunc("/inspect", func(w http.ResponseWriter, r *http.Request) {
 		if !allowGet(w, r) {
 			return
@@ -185,27 +170,6 @@ func inspect(cfg Config) obs.Inspection {
 		return obs.Inspection{Schema: obs.SchemaVersion}
 	}
 	return cfg.Inspect()
-}
-
-// peersDoc trims an Inspection to its peer table, keeping the identity
-// envelope so the document stands alone.
-func peersDoc(in obs.Inspection) any {
-	return struct {
-		Schema int             `json:"schema"`
-		PeerID string          `json:"peer_id"`
-		Name   string          `json:"name,omitempty"`
-		Peers  []obs.PeerEntry `json:"peers"`
-	}{in.Schema, in.PeerID, in.Name, orEmptyPeers(in.Peers)}
-}
-
-// subscriptionsDoc trims an Inspection to its subscription table.
-func subscriptionsDoc(in obs.Inspection) any {
-	return struct {
-		Schema        int                     `json:"schema"`
-		PeerID        string                  `json:"peer_id"`
-		Types         []string                `json:"types,omitempty"`
-		Subscriptions []obs.SubscriptionEntry `json:"subscriptions"`
-	}{in.Schema, in.PeerID, in.Types, orEmptySubs(in.Subscriptions)}
 }
 
 // traceListDoc lists the traced events this peer retains.
@@ -248,21 +212,6 @@ func healthDoc(cfg Config) (any, int) {
 		}
 	}
 	return doc{Schema: obs.SchemaVersion, Status: "ok"}, http.StatusOK
-}
-
-// orEmptyPeers keeps /peers serving `"peers": []` rather than `null`.
-func orEmptyPeers(in []obs.PeerEntry) []obs.PeerEntry {
-	if in == nil {
-		return []obs.PeerEntry{}
-	}
-	return in
-}
-
-func orEmptySubs(in []obs.SubscriptionEntry) []obs.SubscriptionEntry {
-	if in == nil {
-		return []obs.SubscriptionEntry{}
-	}
-	return in
 }
 
 func allowGet(w http.ResponseWriter, r *http.Request) bool {

@@ -127,34 +127,36 @@ func TestStatsShape(t *testing.T) {
 	}
 }
 
+// TestPeersAndSubscriptions: the peer and subscription tables are read
+// from /inspect, the one read path; there is no route trimming it.
 func TestPeersAndSubscriptions(t *testing.T) {
 	cfg, _ := testConfig(nil)
 	srv := httptest.NewServer(Handler(cfg))
 	defer srv.Close()
 
-	var peers struct {
-		Schema int             `json:"schema"`
-		PeerID string          `json:"peer_id"`
-		Peers  []obs.PeerEntry `json:"peers"`
+	var in obs.Inspection
+	getJSON(t, srv, "/inspect", http.StatusOK, &in)
+	if in.PeerID != "urn:jxta:peer-test" || len(in.Peers) != 2 {
+		t.Fatalf("peers = %+v", in.Peers)
 	}
-	getJSON(t, srv, "/peers", http.StatusOK, &peers)
-	if peers.PeerID != "urn:jxta:peer-test" || len(peers.Peers) != 2 {
-		t.Fatalf("peers doc = %+v", peers)
+	if in.Peers[1].Kind != obs.PeerSeed || !in.Peers[1].Suspect || in.Peers[1].Fails != 3 {
+		t.Fatalf("seed entry = %+v", in.Peers[1])
 	}
-	if peers.Peers[1].Kind != obs.PeerSeed || !peers.Peers[1].Suspect || peers.Peers[1].Fails != 3 {
-		t.Fatalf("seed entry = %+v", peers.Peers[1])
+	if len(in.Subscriptions) != 1 || in.Subscriptions[0].Type != "Greeting" {
+		t.Fatalf("subscriptions = %+v", in.Subscriptions)
 	}
-
-	var subs struct {
-		Subscriptions []obs.SubscriptionEntry `json:"subscriptions"`
-		Types         []string                `json:"types"`
+	if len(in.Types) != 1 {
+		t.Fatalf("types = %v", in.Types)
 	}
-	getJSON(t, srv, "/subscriptions", http.StatusOK, &subs)
-	if len(subs.Subscriptions) != 1 || subs.Subscriptions[0].Type != "Greeting" {
-		t.Fatalf("subscriptions doc = %+v", subs)
-	}
-	if len(subs.Types) != 1 {
-		t.Fatalf("types = %v", subs.Types)
+	for _, path := range []string{"/peers", "/subscriptions"} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -190,7 +192,7 @@ func TestReadEndpointsRejectWrites(t *testing.T) {
 	cfg, _ := testConfig(nil)
 	srv := httptest.NewServer(Handler(cfg))
 	defer srv.Close()
-	for _, path := range []string{"/stats", "/peers", "/subscriptions", "/inspect", "/health"} {
+	for _, path := range []string{"/stats", "/inspect", "/health"} {
 		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(nil))
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package obs
 
 // inspect.go defines the introspection view the admin surface serves on
-// /peers and /subscriptions and tps.Platform.Inspect() returns: not
+// /inspect and tps.Platform.Inspect() returns: not
 // counters but *structure* — who this peer is connected to and in what
 // health, and which type subscriptions are live. Like View, the JSON
 // shape is governed by SchemaVersion.

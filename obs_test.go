@@ -244,12 +244,10 @@ func TestAdminSurfaceEndToEnd(t *testing.T) {
 		t.Fatalf("health = %+v", health)
 	}
 
-	var peers struct {
-		Peers []tps.PeerEntry `json:"peers"`
-	}
-	getAs(t, "http://"+addr+"/peers", http.StatusOK, &peers)
-	if len(peers.Peers) == 0 {
-		t.Fatal("/peers empty for a seeded, connected peer")
+	var in tps.Inspection
+	getAs(t, "http://"+addr+"/inspect", http.StatusOK, &in)
+	if len(in.Peers) == 0 {
+		t.Fatal("/inspect lists no peers for a seeded, connected peer")
 	}
 
 	// Platform.Close shuts the admin server down with it.

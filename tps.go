@@ -127,8 +127,7 @@ type Config struct {
 	// AdminAddr, when non-empty (e.g. "127.0.0.1:7700" or
 	// "127.0.0.1:0"), serves the embedded HTTP/JSON admin surface on
 	// that address: GET /stats, /metrics (Prometheus text exposition),
-	// /peers, /subscriptions, /inspect, /health and /trace (see
-	// OBSERVABILITY.md). Off by default. The server carries no
+	// /inspect, /health and /trace (see OBSERVABILITY.md). Off by default. The server carries no
 	// authentication — bind loopback unless the network is trusted.
 	AdminAddr string
 	// LogDir, when non-empty, opens a durable per-topic event log in
