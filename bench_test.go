@@ -129,40 +129,6 @@ func BenchmarkFig20SubscriberThroughput(b *testing.B) {
 
 // --- ablations ---
 
-// BenchmarkAblationCodec compares the gob and json event codecs (the
-// "common type model" tax, §3.2/§6).
-func BenchmarkAblationCodec(b *testing.B) {
-	offer := srapp.Pad(srapp.SkiRental{Shop: "XTremShop", Brand: "Salomon", Price: 14, NumberOfDays: 100}, 1710)
-	reg := typereg.New()
-	if _, err := reg.Register(reflect.TypeOf(srapp.SkiRental{}), nil); err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []codec.Codec{codec.Gob{}, codec.JSON{}} {
-		c := c
-		b.Run("encode/"+c.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(offer); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		data, err := c.Encode(offer)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("decode/"+c.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			typ := reflect.TypeOf(srapp.SkiRental{})
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Decode(data, typ); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDedupe measures the duplicate-suppression cache on
 // the hot path (every delivered wire message pays one Observe).
 func BenchmarkAblationDedupe(b *testing.B) {
@@ -387,7 +353,7 @@ func BenchmarkSeenObserve(b *testing.B) {
 // TestRemoteHotPathAllocBudget gates the same event across three hops
 // of loopback TCP.
 // textSink keeps the compiler from proving a routing read unused.
-var textSink [3]string
+var textSink [2]string
 
 func TestHotPathAllocBudget(t *testing.T) {
 	if israce.Enabled {
@@ -417,15 +383,13 @@ func TestHotPathAllocBudget(t *testing.T) {
 		t.Errorf("Gob.Decode allocates %.1f/op, budget is 12 (a fresh decoder per event was 178)", n)
 	}
 
-	// The event as it crosses the network: the four elements
+	// The event as it crosses the network: the two elements
 	// engine.Publish builds, inside the endpoint's three-element
 	// envelope.
 	self := jid.FromSeed(jid.KindPeer, 1)
 	m := message.New(self)
 	m.Stamp(jid.FromSeed(jid.KindPeer, 2)) // one hop behind it, as a frame off a rendezvous has
 	m.AddID("tps", "EventID", jid.NewMessage())
-	m.AddString("tps", "Path", "SkiRental")
-	m.AddString("tps", "Codec", gob.Name())
 	m.AddBytes("tps", "Data", blob)
 	ep := endpoint.New(self)
 	defer ep.Close()
@@ -466,12 +430,12 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 
 	unmarshalAllocs := testing.AllocsPerRun(200, func() {
-		if got, err := message.Unmarshal(frame); err != nil || got.Len() != 7 {
+		if got, err := message.Unmarshal(frame); err != nil || got.Len() != 5 {
 			t.Fatal(got.Len(), err)
 		}
 	})
 	if unmarshalAllocs > 1 {
-		t.Errorf("Unmarshal of a seven-element event frame allocates %.1f/op, budget is 1 (the block: header, path room and fourteen element headers, names and payloads left in the frame; 3 with the headers apart and the frame copied into an arena, 43 with one allocation set per element)", unmarshalAllocs)
+		t.Errorf("Unmarshal of a five-element event frame allocates %.1f/op, budget is 1 (the block: header, path room and fourteen element headers, names and payloads left in the frame; 3 with the headers apart and the frame copied into an arena, 43 with one allocation set per element)", unmarshalAllocs)
 	}
 	fifteen := m.Dup()
 	for fifteen.Len() < 15 {
@@ -489,20 +453,19 @@ func TestHotPathAllocBudget(t *testing.T) {
 		t.Errorf("Unmarshal of a fifteen-element frame allocates %.1f/op, budget is 2 (the block and the element headers it has no room for)", n)
 	}
 
-	// A received frame is routed on text elements: endpoint, rendezvous
-	// and engine read eight of them between the socket and the callback.
-	// Each read was a string conversion of the payload, 19 % of all
-	// objects allocated on fanout8_2k.
+	// A received frame is routed on text elements, which endpoint and
+	// rendezvous read between the socket and the callback. Each read was
+	// a string conversion of the payload, 19 % of all objects allocated
+	// on fanout8_2k.
 	got, err := message.Unmarshal(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	routeAllocs := testing.AllocsPerRun(200, func() {
 		textSink[0], textSink[1], _ = endpoint.Destination(got)
-		textSink[2] = got.Text("tps", "Path")
 	})
-	if routeAllocs > 0 || textSink[0] != "jxta.service.wire" || textSink[2] != "SkiRental" {
-		t.Errorf("three routing reads allocate %.1f, budget is 0 (read %q)", routeAllocs, textSink)
+	if routeAllocs > 0 || textSink[0] != "jxta.service.wire" {
+		t.Errorf("two routing reads allocate %.1f, budget is 0 (read %q)", routeAllocs, textSink)
 	}
 
 	// The durable log's only presence on the log-off delivery path is the

@@ -33,7 +33,7 @@ type run struct {
 }
 
 func main() {
-	bench := flag.String("bench", "LocalPublishDeliver|Fig18InvocationTime|SeenObserve|MessageCodec|EventLogAppend|AblationCodec", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "LocalPublishDeliver|Fig18InvocationTime|SeenObserve|MessageCodec|EventLogAppend", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")
 	count := flag.Int("count", 1, "go test -count value; results are averaged")
 	pkg := flag.String("pkg", ".", "package to benchmark")

@@ -41,7 +41,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
@@ -570,21 +569,18 @@ func run(cmd string, args []string, listen, seeds, namePat string, wait time.Dur
 
 func discover(p *peer.Peer, pattern string, wait time.Duration) error {
 	net := p.NetGroup()
-	if err := net.Discovery.GetRemoteAdvertisements(adv.Group, "Name", pattern, 50); err != nil {
+	if err := net.Discovery.GetRemoteAdvertisements(pattern, 50); err != nil {
 		return err
 	}
 	time.Sleep(wait)
-	recs := net.Discovery.GetLocalAdvertisements(adv.Group, "Name", pattern)
+	recs := net.Discovery.GetLocalAdvertisements(pattern)
 	if len(recs) == 0 {
 		fmt.Println("no advertisements found")
 		return nil
 	}
 	fmt.Printf("%-28s %-12s %-12s %s\n", "NAME", "GROUP", "PUBLISHER", "WIRE PIPE")
 	for _, rec := range recs {
-		pg, ok := rec.Adv.(*adv.PeerGroupAdv)
-		if !ok {
-			continue
-		}
+		pg := rec.Adv
 		pipe := "-"
 		if svc, ok := pg.Service(wire.ServiceName); ok && svc.Pipe != nil {
 			pipe = svc.Pipe.PipeID.Short()
@@ -597,20 +593,17 @@ func discover(p *peer.Peer, pattern string, wait time.Duration) error {
 func listenType(p *peer.Peer, typeName string, wait time.Duration) error {
 	net := p.NetGroup()
 	pattern := "PS." + typeName + "*"
-	if err := net.Discovery.GetRemoteAdvertisements(adv.Group, "Name", pattern, 50); err != nil {
+	if err := net.Discovery.GetRemoteAdvertisements(pattern, 50); err != nil {
 		return err
 	}
 	time.Sleep(wait)
-	recs := net.Discovery.GetLocalAdvertisements(adv.Group, "Name", pattern)
+	recs := net.Discovery.GetLocalAdvertisements(pattern)
 	if len(recs) == 0 {
 		return fmt.Errorf("no event group advertised for type %q", typeName)
 	}
 	count := 0
 	for _, rec := range recs {
-		pg, ok := rec.Adv.(*adv.PeerGroupAdv)
-		if !ok {
-			continue
-		}
+		pg := rec.Adv
 		g, pipeAdv, err := p.JoinGroupFromAdv(pg)
 		if err != nil {
 			continue

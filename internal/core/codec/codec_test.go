@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -77,100 +76,21 @@ func TestGobGarbage(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	c := JSON{}
-	if c.Name() != "json" {
-		t.Fatalf("name %q", c.Name())
-	}
-	in := skiRental{Shop: "Shop2", Brand: "Atomic", Price: 19.5, NumberOfDays: 7}
-	data, err := c.Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Decode(data, reflect.TypeOf(skiRental{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("got %+v", out)
-	}
-}
-
-func TestJSONRequiresType(t *testing.T) {
-	c := JSON{}
-	if _, err := c.Decode([]byte(`{}`), nil); err == nil {
-		t.Fatal("json decode without type accepted")
-	}
-	if _, err := c.Decode([]byte(`{broken`), reflect.TypeOf(skiRental{})); err == nil {
-		t.Fatal("broken json decoded")
-	}
-	if _, err := c.Encode(nil); !errors.Is(err, ErrNilEvent) {
-		t.Fatalf("nil encode: %v", err)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"gob", "json", "xml"} {
-		c, err := ByName(name)
-		if err != nil || c.Name() != name {
-			t.Fatalf("%s: %v", name, err)
+// Property: gob round-trips arbitrary event field values.
+func TestQuickGobRoundTrip(t *testing.T) {
+	f := func(shop, brand string, price, days float64) bool {
+		in := skiRental{Shop: shop, Brand: brand, Price: price, NumberOfDays: days}
+		data, err := Gob{}.Encode(in)
+		if err != nil {
+			return false
 		}
-	}
-	if _, err := ByName("xdr"); !errors.Is(err, ErrUnknownCodec) {
-		t.Fatalf("unknown: %v", err)
-	}
-}
-
-func TestXMLRoundTrip(t *testing.T) {
-	c := XML{}
-	in := skiRental{Shop: "XmlShop", Brand: "Völkl & Co", Price: 25, NumberOfDays: 3}
-	data, err := c.Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte("<Shop>XmlShop</Shop>")) {
-		t.Fatalf("xml lacks readable structure: %s", data)
-	}
-	out, err := c.Decode(data, reflect.TypeOf(skiRental{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("got %+v", out)
-	}
-}
-
-func TestXMLErrors(t *testing.T) {
-	c := XML{}
-	if _, err := c.Encode(nil); !errors.Is(err, ErrNilEvent) {
-		t.Fatalf("nil encode: %v", err)
-	}
-	if _, err := c.Decode([]byte("<skiRental>"), reflect.TypeOf(skiRental{})); err == nil {
-		t.Fatal("truncated xml decoded")
-	}
-	if _, err := c.Decode([]byte("<x/>"), nil); err == nil {
-		t.Fatal("decode without type accepted")
-	}
-}
-
-// Property: both codecs round-trip arbitrary event field values.
-func TestQuickRoundTripBothCodecs(t *testing.T) {
-	for _, c := range []Codec{Gob{}, JSON{}} {
-		c := c
-		f := func(shop, brand string, price, days float64) bool {
-			in := skiRental{Shop: shop, Brand: brand, Price: price, NumberOfDays: days}
-			data, err := c.Encode(in)
-			if err != nil {
-				return false
-			}
-			out, err := c.Decode(data, reflect.TypeOf(skiRental{}))
-			if err != nil {
-				return false
-			}
-			return reflect.DeepEqual(out, in)
+		out, err := Gob{}.Decode(data, reflect.TypeOf(skiRental{}))
+		if err != nil {
+			return false
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-			t.Errorf("%s: %v", c.Name(), err)
-		}
+		return reflect.DeepEqual(out, in)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"sync"
 )
 
-// Gob is the default event codec. A blob is what a fresh gob.Encoder
+// Gob is the event codec. A blob is what a fresh gob.Encoder
 // emits for the concrete event value: the type-descriptor messages of
 // the event type (negative type ids) followed by one value message. It
 // decodes standalone with a fresh gob.Decoder on whichever peer it
@@ -46,7 +46,7 @@ import (
 // with further prefixes decode fresh.
 type Gob struct{}
 
-// Name implements Codec.
+// Name is the codec's name, "gob".
 func (Gob) Name() string { return "gob" }
 
 const (
@@ -78,8 +78,8 @@ type encType struct {
 
 var encTypes sync.Map // reflect.Type → *encType
 
-// Encode implements Codec. Pointers are followed: the blob of *T is
-// the blob of T.
+// Encode serialises an event value. Pointers are followed: the blob of
+// *T is the blob of T.
 func (Gob) Encode(event any) ([]byte, error) {
 	v := reflect.ValueOf(event)
 	for v.Kind() == reflect.Pointer && !v.IsNil() {
@@ -148,7 +148,9 @@ var decPrefixes = struct {
 	m map[decKey]*decPrefix
 }{m: map[decKey]*decPrefix{}}
 
-// Decode implements Codec.
+// Decode deserialises into a value of the given type, which is required
+// and concrete. The returned value's dynamic type is typ (not a pointer
+// to it).
 func (Gob) Decode(data []byte, typ reflect.Type) (any, error) {
 	if typ == nil || typ.Kind() == reflect.Interface {
 		return nil, errors.New("codec: gob decode requires a concrete type")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/tps-p2p/tps/internal/core/codec"
+	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
@@ -21,21 +22,23 @@ import (
 // input pipe with its reader (the paper's TPSPipeReader /
 // TPSMyInputPipe) and a wire output pipe (TPSMyOutputPipe).
 
-// TPS message element names, namespace "tps".
+// TPS message element names, namespace "tps". An event is its ID and its
+// gob blob: the attachment's group fixes the type, and every peer speaks
+// gob (the common type model of §3.2). A frame that still carries the
+// tps:Path and tps:Codec elements of earlier versions decodes all the
+// same; nothing reads them.
 const (
 	elemNS      = "tps"
 	elemEventID = "EventID"
-	elemPath    = "Path"
-	elemCodec   = "Codec"
 	elemData    = "Data"
 )
 
 // attachment is one live (type, group) binding.
 type attachment struct {
 	path    string
+	node    *typereg.Node // the type every event in the group is decoded into
 	groupID jid.ID
 	group   *peergroup.Group
-	pipeAdv *adv.PipeAdv
 	in      *wire.InputPipe
 	out     *wire.OutputPipe
 	// The group's rendezvous service may serve other groups and outlive
@@ -51,19 +54,17 @@ type attachment struct {
 	owed    map[jid.ID]struct{}
 }
 
-// attach joins the advertised group, opens the wire pipes and registers
-// the attachment. It clears the engine's in-progress marker.
-func (e *Engine) attach(pg *adv.PeerGroupAdv) error {
+// attach joins the advertised group of the registered type node, opens
+// the wire pipes and registers the attachment. It clears the engine's
+// in-progress marker.
+func (e *Engine) attach(pg *adv.PeerGroupAdv, node *typereg.Node) error {
 	defer func() {
 		e.mu.Lock()
 		delete(e.creating, pg.GroupID)
 		e.mu.Unlock()
 	}()
 
-	path, ok := advPath(pg.Name)
-	if !ok {
-		return fmt.Errorf("tps: advertisement %q lacks the %q prefix", pg.Name, PSPrefix)
-	}
+	path := node.Path()
 	g, wirePipe, err := e.peer.JoinGroupFromAdv(pg)
 	if err != nil {
 		return fmt.Errorf("tps: join group for %s: %w", path, err)
@@ -81,9 +82,9 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv) error {
 	}
 	a := &attachment{
 		path:    path,
+		node:    node,
 		groupID: pg.GroupID,
 		group:   g,
-		pipeAdv: wirePipe,
 		in:      in,
 		out:     out,
 	}
@@ -123,14 +124,12 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv) error {
 	return nil
 }
 
-// newEventMessage assembles the four-element TPS event envelope, which
-// fits the room a new message comes with. The event ID crosses the wire
-// in binary form (message.AddID), not as a parsed-back URN string.
-func newEventMessage(e *Engine, eventID jid.ID, path string, payload []byte) *message.Message {
+// newEventMessage assembles the two-element TPS event, which fits the
+// room a new message comes with. The event ID crosses the wire in binary
+// form (message.AddID), not as a parsed-back URN string.
+func newEventMessage(e *Engine, eventID jid.ID, payload []byte) *message.Message {
 	msg := message.New(e.peer.ID())
 	msg.AddID(elemNS, elemEventID, eventID)
-	msg.AddString(elemNS, elemPath, path)
-	msg.AddString(elemNS, elemCodec, e.codec.Name())
 	msg.AddBytes(elemNS, elemData, payload)
 	return msg
 }
@@ -197,35 +196,16 @@ func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
 			e.tracer.Record(ev, trace.StageDeliver, e.peer.ID(), sentUS, msg.Path)
 		}
 	}
-	path := msg.Text(elemNS, elemPath)
-	node, ok := e.reg.NodeByPath(path)
+	value, ok := e.self.get(eventID)
 	if !ok {
-		// A type outside our registered model: the common-type-model
-		// assumption (§6) means we cannot decode it.
-		e.stats.decodeErrors.Add(1)
-		return
-	}
-	if value, ok := e.self.get(eventID); ok {
-		e.stats.delivered.Add(1)
-		dstart := time.Now()
-		e.subs.dispatch(e.reg, node, value, msg.Src)
-		e.histDispatch.Observe(time.Since(dstart))
-		return
-	}
-	c := e.codec
-	if name := msg.Text(elemNS, elemCodec); name != c.Name() {
-		if other, err := codec.ByName(name); err == nil {
-			c = other
+		if value, err = (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type()); err != nil {
+			e.stats.decodeErrors.Add(1)
+			e.subs.dispatchError(fmt.Errorf("tps: decode %s: %w", a.path, err))
+			return
 		}
-	}
-	value, err := c.Decode(msg.Bytes(elemNS, elemData), node.Type())
-	if err != nil {
-		e.stats.decodeErrors.Add(1)
-		e.subs.dispatchError(fmt.Errorf("tps: decode %s: %w", path, err))
-		return
 	}
 	e.stats.delivered.Add(1)
 	dstart := time.Now()
-	e.subs.dispatch(e.reg, node, value, msg.Src)
+	e.subs.dispatch(e.reg, a.node, value, msg.Src)
 	e.histDispatch.Observe(time.Since(dstart))
 }

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/jxta/adv"
+	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
@@ -14,9 +16,9 @@ import (
 // wire service bound to the type's propagated pipe; the pipe's name is
 // the name of the type.
 
-// createTypeAdvertisement assembles the advertisement pair for a type:
-// a fresh peer group carrying the wire service and its propagated pipe.
-func createTypeAdvertisement(peerID jid.ID, node *typereg.Node) (*adv.PeerGroupAdv, *adv.PipeAdv) {
+// createTypeAdvertisement assembles the advertisement for a type: a
+// fresh peer group carrying the wire service and its propagated pipe.
+func createTypeAdvertisement(peerID jid.ID, node *typereg.Node) *adv.PeerGroupAdv {
 	groupID := jid.NewGroup()
 	pipeAdv := &adv.PipeAdv{
 		PipeID: jid.NewPipeIn(groupID),
@@ -38,7 +40,7 @@ func createTypeAdvertisement(peerID jid.ID, node *typereg.Node) (*adv.PeerGroupA
 		Keywords: pipeAdv.Name,
 		Pipe:     pipeAdv,
 	})
-	return groupAdv, pipeAdv
+	return groupAdv
 }
 
 // createAndAttach creates this peer's own advertisement for the type,
@@ -50,7 +52,7 @@ func (e *Engine) createAndAttach(node *typereg.Node) error {
 	if net == nil {
 		return ErrClosed
 	}
-	groupAdv, _ := createTypeAdvertisement(e.peer.ID(), node)
+	groupAdv := createTypeAdvertisement(e.peer.ID(), node)
 	// Claim the group before the advertisement can reach our own finder
 	// (it lands in the local discovery cache immediately), or the finder
 	// would race us into a second attach.
@@ -61,16 +63,16 @@ func (e *Engine) createAndAttach(node *typereg.Node) error {
 	}
 	e.creating[groupAdv.GroupID] = true
 	e.mu.Unlock()
-	if err := net.Discovery.RemotePublish(groupAdv, 0); err != nil {
-		// Local publication still worked if only propagation failed; an
-		// isolated peer can publish to itself.
-		if lerr := net.Discovery.Publish(groupAdv, 0, 0); lerr != nil {
-			e.mu.Lock()
-			delete(e.creating, groupAdv.GroupID)
-			e.mu.Unlock()
-			return fmt.Errorf("tps: publish type advertisement: %w", lerr)
-		}
+	// RemotePublish caches the advertisement before it propagates it, so
+	// a propagation that reached nobody (an isolated peer, no lease yet)
+	// still leaves it where queries find it. Only a closed discovery
+	// published nothing.
+	if err := net.Discovery.RemotePublish(groupAdv, 0); errors.Is(err, discovery.ErrClosed) {
+		e.mu.Lock()
+		delete(e.creating, groupAdv.GroupID)
+		e.mu.Unlock()
+		return fmt.Errorf("tps: publish type advertisement: %w", err)
 	}
 	e.stats.advsCreated.Add(1)
-	return e.attach(groupAdv)
+	return e.attach(groupAdv, node)
 }

@@ -65,8 +65,6 @@ type Config struct {
 	Peer *peer.Peer
 	// Registry is the shared event-type registry.
 	Registry *typereg.Registry
-	// Codec serialises events; nil means gob.
-	Codec codec.Codec
 	// FindTimeout bounds the initial advertisement search.
 	FindTimeout time.Duration
 	// FindInterval is the background finder's period.
@@ -85,7 +83,6 @@ type Config struct {
 type Engine struct {
 	peer  *peer.Peer
 	reg   *typereg.Registry
-	codec codec.Codec
 	ftime time.Duration
 	fint  time.Duration
 
@@ -152,9 +149,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Peer == nil || cfg.Registry == nil {
 		return nil, errors.New("tps: engine needs a peer and a registry")
 	}
-	if cfg.Codec == nil {
-		cfg.Codec = codec.Gob{}
-	}
 	if cfg.FindTimeout <= 0 {
 		cfg.FindTimeout = DefaultFindTimeout
 	}
@@ -164,7 +158,6 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		peer:         cfg.Peer,
 		reg:          cfg.Registry,
-		codec:        cfg.Codec,
 		ftime:        cfg.FindTimeout,
 		fint:         cfg.FindInterval,
 		tracked:      make(map[string]*typereg.Node),
@@ -199,9 +192,6 @@ func New(cfg Config) (*Engine, error) {
 	go e.replayLoop()
 	return e, nil
 }
-
-// Codec returns the engine's event codec.
-func (e *Engine) Codec() codec.Codec { return e.codec }
 
 // Registry returns the shared type registry.
 func (e *Engine) Registry() *typereg.Registry { return e.reg }
@@ -370,7 +360,7 @@ func (e *Engine) Publish(event any) error {
 	// attachment handed off; EnsureType stays outside it because the
 	// first-publish advertisement search blocks for seconds by design.
 	start := time.Now()
-	payload, err := e.codec.Encode(event)
+	payload, err := codec.Gob{}.Encode(event)
 	if err != nil {
 		return err
 	}
@@ -394,14 +384,14 @@ func (e *Engine) Publish(event any) error {
 	e.mu.Unlock()
 	e.stats.published.Add(1)
 
-	// Build the four-element TPS message once and share its elements
+	// Build the two-element TPS message once and share its elements
 	// across the fan-out: each attachment's pipe and group go into the
 	// frames as envelope fields, and nothing below writes to them.
 	eventID := jid.NewMessage()
 	// Decode-once: remember the outgoing value so the synchronous wire
 	// loopback (and any mesh echo) dispatches it without a gob decode.
 	e.self.put(eventID, event)
-	msg := newEventMessage(e, eventID, node.Path(), payload)
+	msg := newEventMessage(e, eventID, payload)
 	// Deterministic sampling: every peer computes the same decision
 	// from the event ID, so a stamped event is traced end to end. The
 	// stamp appends one element and therefore only runs when sampled —

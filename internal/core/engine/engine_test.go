@@ -1,14 +1,17 @@
 package engine_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/tps-p2p/tps/internal/core/codec"
 	"github.com/tps-p2p/tps/internal/core/engine"
 	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/jxta/adv"
@@ -16,6 +19,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
+	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
@@ -98,7 +102,11 @@ type testEnginePeer struct {
 
 // addPeer starts an edge peer seeded with the rig's rendezvous and waits
 // for its net group's lease.
-func (r *testRig) addPeer() *peer.Peer {
+func (r *testRig) addPeer() *peer.Peer { return r.addPeerVia(nil) }
+
+// addPeerVia is addPeer with the peer's transport handed through wrap
+// first, unless wrap is nil.
+func (r *testRig) addPeerVia(wrap func(endpoint.Transport) endpoint.Transport) *peer.Peer {
 	r.t.Helper()
 	r.n++
 	name := fmt.Sprintf("peer%d", r.n)
@@ -106,10 +114,14 @@ func (r *testRig) addPeer() *peer.Peer {
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	var tr endpoint.Transport = memnet.New(node)
+	if wrap != nil {
+		tr = wrap(tr)
+	}
 	p, err := peer.New(peer.Config{
 		Name:       name,
 		Rendezvous: rendezvous.Config{Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 2 * time.Second},
-	}, memnet.New(node))
+	}, tr)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -120,16 +132,16 @@ func (r *testRig) addPeer() *peer.Peer {
 	return p
 }
 
-func (r *testRig) addEngine() *testEnginePeer {
+func (r *testRig) addEngine() *testEnginePeer { return r.engineOn(r.addPeer(), engine.Config{}) }
+
+// engineOn starts an engine on p with the test hierarchy, the rig's
+// finder timings and whatever else cfg sets.
+func (r *testRig) engineOn(p *peer.Peer, cfg engine.Config) *testEnginePeer {
 	r.t.Helper()
-	p := r.addPeer()
 	reg, nodes := newRegistry(r.t)
-	eng, err := engine.New(engine.Config{
-		Peer:         p,
-		Registry:     reg,
-		FindTimeout:  400 * time.Millisecond,
-		FindInterval: 100 * time.Millisecond,
-	})
+	cfg.Peer, cfg.Registry = p, reg
+	cfg.FindTimeout, cfg.FindInterval = 400*time.Millisecond, 100*time.Millisecond
+	eng, err := engine.New(cfg)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -387,21 +399,7 @@ func TestEveryGroupOfATypeGetsEveryEvent(t *testing.T) {
 	path := pub.nodes["stock"].Path()
 	var got [2]atomic.Int64
 	for i := range got {
-		raw := rig.addPeer()
-		gid := jid.NewGroup()
-		pipe := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: engine.PSPrefix + path}
-		groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: raw.ID(), Name: engine.PSPrefix + path}
-		groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipe})
-		if err := raw.NetGroup().Discovery.RemotePublish(groupAdv, 0); err != nil {
-			t.Fatal(err)
-		}
-		g, _, err := raw.JoinGroupFromAdv(groupAdv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !g.Rendezvous.AwaitConnected(5 * time.Second) {
-			t.Fatalf("raw subscriber %d never leased its group", i)
-		}
+		_, g, pipe := rig.rawGroup(path)
 		in, err := g.Wire.CreateInputPipe(pipe)
 		if err != nil {
 			t.Fatal(err)
@@ -432,6 +430,29 @@ func TestEveryGroupOfATypeGetsEveryEvent(t *testing.T) {
 	if a, b := got[0].Load(), got[1].Load(); a != total || b != total {
 		t.Fatalf("the groups' subscribers got %d and %d events, want %d each", a, b, total)
 	}
+}
+
+// rawGroup starts a peer that advertises a group for the type path, as
+// an engine would, joins it alone and holds its lease: a peer that
+// speaks the group's wire without an engine.
+func (r *testRig) rawGroup(path string) (*peer.Peer, *peergroup.Group, *adv.PipeAdv) {
+	r.t.Helper()
+	raw := r.addPeer()
+	gid := jid.NewGroup()
+	pipe := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: engine.PSPrefix + path}
+	groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: raw.ID(), Name: engine.PSPrefix + path}
+	groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipe})
+	if err := raw.NetGroup().Discovery.RemotePublish(groupAdv, 0); err != nil {
+		r.t.Fatal(err)
+	}
+	g, _, err := raw.JoinGroupFromAdv(groupAdv)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if !g.Rendezvous.AwaitConnected(5 * time.Second) {
+		r.t.Fatalf("the raw peer never leased its group for %s", path)
+	}
+	return raw, g, pipe
 }
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {
@@ -623,5 +644,232 @@ func TestStatsProgression(t *testing.T) {
 	}
 	if c := sub.eng.Snapshot().Counters; c["delivered"] != 5 {
 		t.Fatalf("sub stats %+v", c)
+	}
+}
+
+// frameTap records every frame a transport sends.
+type frameTap struct {
+	endpoint.Transport
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (f *frameTap) Send(to endpoint.Address, frame []byte) error {
+	f.mu.Lock()
+	f.frames = append(f.frames, bytes.Clone(frame))
+	f.mu.Unlock()
+	return f.Transport.Send(to, frame)
+}
+
+// events decodes the frames sent so far that carry an event.
+func (f *frameTap) events(t *testing.T) []*message.Message {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []*message.Message
+	for _, frame := range f.frames {
+		m, err := message.Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Element("tps", "EventID"); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestEventFrameCarriesIDAndData: an event leaves the publisher as its ID
+// and its bytes inside the envelope the endpoint, the rendezvous and the
+// wire write (ep:, rdv:, wire:), and a sampled event carries its trace
+// element besides. The type is the group's, the codec gob's: neither
+// crosses the wire.
+func TestEventFrameCarriesIDAndData(t *testing.T) {
+	for _, rate := range []float64{0, 1} {
+		t.Run(fmt.Sprintf("TraceRate=%g", rate), func(t *testing.T) {
+			rig := newRig(t)
+			tap := &frameTap{}
+			pub := rig.engineOn(rig.addPeerVia(func(tr endpoint.Transport) endpoint.Transport {
+				tap.Transport = tr
+				return tap
+			}), engine.Config{TraceRate: rate})
+			if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
+				t.Fatal(err)
+			}
+			if !pub.eng.AwaitReady(pub.nodes["stock"], 1, 5*time.Second) {
+				t.Fatal("not ready")
+			}
+			if err := pub.eng.Publish(stockQuote{Symbol: "FRAME", Price: 1}); err != nil {
+				t.Fatal(err)
+			}
+			rig.net.WaitQuiesce(5 * time.Second)
+			want := []string{"tps:Data", "tps:EventID"}
+			if rate == 1 {
+				want = append(want, "trc:Ev")
+			}
+			events := tap.events(t)
+			if len(events) == 0 {
+				t.Fatal("no event frame left the publisher")
+			}
+			for _, m := range events {
+				var got []string
+				for _, el := range m.Elements() {
+					switch el.Namespace {
+					case "ep", "rdv", "wire":
+					default:
+						got = append(got, el.Namespace+":"+el.Name)
+					}
+				}
+				sort.Strings(got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("an event frame carries %v beside its envelope, want %v", got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestLegacyEventFrameIsDeliveredOnce: a frame that still names its type
+// and codec (tps:Path, tps:Codec), as every publisher wrote them before
+// events shed the two elements, is decoded and delivered, once however
+// many copies of the event arrive.
+func TestLegacyEventFrameIsDeliveredOnce(t *testing.T) {
+	rig := newRig(t)
+	sub := rig.addEngine()
+	path := sub.nodes["stock"].Path()
+	raw, g, pipe := rig.rawGroup(path)
+	var c collector
+	if _, err := sub.eng.Subscribe(sub.nodes["stock"], c.deliver, c.onError); err != nil {
+		t.Fatal(err)
+	}
+	if n := sub.eng.Snapshot().Counters["advs_created"]; n != 0 {
+		t.Fatalf("the subscriber created %d groups instead of attaching to the raw peer's", n)
+	}
+	if !sub.eng.AwaitReady(sub.nodes["stock"], 1, 5*time.Second) {
+		t.Fatal("not ready")
+	}
+	out, err := g.Wire.CreateOutputPipe(pipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stockQuote{Symbol: "OLD", Price: 9}
+	blob, err := codec.Gob{}.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventID := jid.NewMessage()
+	for i := 0; i < 2; i++ {
+		m := message.New(raw.ID())
+		m.AddID("tps", "EventID", eventID)
+		m.AddString("tps", "Path", path)
+		m.AddString("tps", "Codec", "gob")
+		m.AddBytes("tps", "Data", blob)
+		if err := out.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCount(t, &c, 1)
+	rig.net.WaitQuiesce(5 * time.Second)
+	if got := c.snapshot(); len(got) != 1 || got[0] != want {
+		t.Fatalf("delivered %v, want %v once", got, want)
+	}
+	if n := c.errCount(); n != 0 {
+		t.Fatalf("%d errors", n)
+	}
+}
+
+// TestUnregisteredSubtypeIsAttachedOnceRegistered: a group advertised for
+// a subtype this peer has not registered is not attached, since none of
+// its events could be decoded here. The finder keeps considering it, so
+// it is attached within a few rounds of the subtype's registration.
+func TestUnregisteredSubtypeIsAttachedOnceRegistered(t *testing.T) {
+	rig := newRig(t)
+	pub := rig.addEngine()
+	techPath := pub.nodes["tech"].Path()
+	if err := pub.eng.EnsureType(pub.nodes["tech"]); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := typereg.New()
+	quoteNode, err := reg.Register(reflect.TypeOf((*quote)(nil)).Elem(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stock, err := reg.Register(reflect.TypeOf(stockQuote{}), quoteNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 100 * time.Millisecond
+	p := rig.addPeer()
+	sub, err := engine.New(engine.Config{Peer: p, Registry: reg, FindTimeout: 400 * time.Millisecond, FindInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Close)
+	var c collector
+	if _, err := sub.Subscribe(stock, c.deliver, c.onError); err != nil {
+		t.Fatal(err)
+	}
+	// The advertisement reached the subscriber, and rounds went by.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(p.NetGroup().Discovery.GetLocalAdvertisements(engine.PSPrefix+techPath)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the subtype's advertisement never reached the subscriber")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if sub.AwaitAttachments(stock, 2, 5*interval) {
+		t.Fatal("attached a group of a subtype this peer cannot decode")
+	}
+
+	if _, err := reg.Register(reflect.TypeOf(techQuote{}), stock); err != nil {
+		t.Fatal(err)
+	}
+	if !sub.AwaitAttachments(stock, 2, 20*interval) {
+		t.Fatal("the subtype's group was not attached after its registration")
+	}
+	if !pub.eng.AwaitReady(pub.nodes["tech"], 1, 5*time.Second) || !sub.AwaitReady(stock, 2, 5*time.Second) {
+		t.Fatal("not ready")
+	}
+	if err := pub.eng.Publish(techQuote{stockQuote: stockQuote{Symbol: "T"}, PE: 12}); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, &c, 1)
+}
+
+// TestAwaitReadyStartsOneFinderRound: waiting for readiness against a
+// rendezvous that never answers asks the finder for one round, not one
+// per poll; lease grants and the FindInterval ticker pace the rest.
+func TestAwaitReadyStartsOneFinderRound(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	t.Cleanup(n.Close)
+	node, err := n.AddNode("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AddNode("silent"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := peer.New(peer.Config{
+		Name:       "edge",
+		Rendezvous: rendezvous.Config{Seeds: []endpoint.Address{"mem://silent"}},
+	}, memnet.New(node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	reg, nodes := newRegistry(t)
+	eng, err := engine.New(engine.Config{Peer: p, Registry: reg, FindInterval: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	rounds := func() int64 { return eng.Snapshot().Counters["find_rounds"] }
+	before := rounds()
+	if eng.AwaitReady(nodes["stock"], 1, 500*time.Millisecond) {
+		t.Fatal("ready without a rendezvous")
+	}
+	if grew := rounds() - before; grew > 2 {
+		t.Fatalf("AwaitReady started %d finder rounds in 500 ms, want at most 2", grew)
 	}
 }

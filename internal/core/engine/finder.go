@@ -59,7 +59,7 @@ func (e *Engine) findOnce() {
 	e.stats.findRounds.Add(1)
 	failed := false
 	for _, name := range names {
-		if err := net.Discovery.GetRemoteAdvertisements(adv.Group, "Name", name, 0); err != nil {
+		if err := net.Discovery.GetRemoteAdvertisements(name, 0); err != nil {
 			failed = true
 		}
 	}
@@ -69,7 +69,7 @@ func (e *Engine) findOnce() {
 	// Local cache hits (e.g. advertisements that arrived via unsolicited
 	// remote publish before we started tracking) attach too.
 	for _, name := range names {
-		for _, rec := range net.Discovery.GetLocalAdvertisements(adv.Group, "Name", name) {
+		for _, rec := range net.Discovery.GetLocalAdvertisements(name) {
 			e.considerAdvertisement(rec.Adv)
 		}
 	}
@@ -77,22 +77,26 @@ func (e *Engine) findOnce() {
 
 // onAdvertisement is the engine's discovery listener: every
 // advertisement a remote peer sends us is considered for attachment.
-func (e *Engine) onAdvertisement(a adv.Advertisement, _ jid.ID) {
-	e.considerAdvertisement(a)
+func (e *Engine) onAdvertisement(pg *adv.PeerGroupAdv, _ jid.ID) {
+	e.considerAdvertisement(pg)
 }
 
 // considerAdvertisement attaches to the advertised group if it carries a
-// wire service for a tracked type (or a subtype of one).
-func (e *Engine) considerAdvertisement(a adv.Advertisement) {
-	pg, ok := a.(*adv.PeerGroupAdv)
-	if !ok {
-		return
-	}
+// wire service for a tracked type (or a subtype of one) that this peer
+// has registered. A group of a subtype registered later is attached then:
+// the finder considers what its cache holds every round.
+func (e *Engine) considerAdvertisement(pg *adv.PeerGroupAdv) {
 	svc, ok := pg.Service(wire.ServiceName)
 	if !ok || svc.Pipe == nil {
 		return
 	}
 	path, ok := advPath(pg.Name)
+	if !ok {
+		return
+	}
+	// The group's events are decoded into the type registered under its
+	// path: of a type this peer has not registered, none could be.
+	node, ok := e.reg.NodeByPath(path)
 	if !ok {
 		return
 	}
@@ -118,7 +122,7 @@ func (e *Engine) considerAdvertisement(a adv.Advertisement) {
 		return
 	}
 	e.stats.advsFound.Add(1)
-	if err := e.attach(pg); err != nil {
+	if err := e.attach(pg, node); err != nil {
 		e.mu.Lock()
 		delete(e.creating, pg.GroupID)
 		e.mu.Unlock()

@@ -168,9 +168,12 @@ func (s *subscriptionSet) dispatchError(err error) {
 
 // AwaitReady blocks until at least n attachments covering the node's
 // subtree are live AND connected to a rendezvous (or unseeded), or the
-// timeout elapses. Publishers use it before measuring throughput.
+// timeout elapses. Publishers use it before measuring throughput. It
+// starts one finder round; lease grants and the FindInterval ticker
+// start the rounds after it.
 func (e *Engine) AwaitReady(node *typereg.Node, n int, timeout time.Duration) bool {
 	e.trackPath(node)
+	e.kickFinder()
 	deadline := time.Now().Add(timeout)
 	for {
 		if e.readyCount(node) >= n {
@@ -179,7 +182,6 @@ func (e *Engine) AwaitReady(node *typereg.Node, n int, timeout time.Duration) bo
 		if !time.Now().Before(deadline) {
 			return false
 		}
-		e.kickFinder()
 		time.Sleep(10 * time.Millisecond)
 	}
 }

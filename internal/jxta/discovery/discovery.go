@@ -1,12 +1,13 @@
 // Package discovery implements the JXTA Peer Discovery Protocol (PDP).
 //
-// Discovery lets peers find any kind of published advertisement — peers,
-// peer groups, pipes, services, routes. Each peer keeps a local
-// advertisement cache with per-record ages; queries search the local
-// cache, remote queries propagate through the rendezvous mesh and
-// matching peers respond with their records (carrying a remaining
-// expiration so stale information ages out of the network). Without this
-// protocol a peer remains alone unless it knows its contacts in advance.
+// Discovery lets peers find the peer-group advertisements others
+// published, by name: the one kind of advertisement the TPS layer
+// publishes (one per event type). Each peer keeps a local cache with
+// per-record ages; queries search the local cache, remote queries
+// propagate through the rendezvous mesh and matching peers respond with
+// their records (carrying a remaining expiration so stale information
+// ages out of the network). Without this protocol a peer remains alone
+// unless it knows its contacts in advance.
 //
 // The protocol speaks straight over the group's rendezvous and endpoint,
 // under one endpoint handler (ServiceName, group). Queries and
@@ -51,9 +52,8 @@ const (
 // returns per query (the paper's NUMBER_OF_ADV_PER_PEER).
 const DefaultThreshold = 20
 
-// MaxCachePerKind bounds each discovery index; oldest records are
-// evicted first.
-const MaxCachePerKind = 4096
+// MaxCache bounds the cache; oldest records are evicted first.
+const MaxCache = 4096
 
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("discovery: closed")
@@ -61,7 +61,7 @@ var ErrClosed = errors.New("discovery: closed")
 // Listener observes advertisements as they enter the local cache from
 // remote peers, mirroring JXTA's DiscoveryListener. from is the
 // responding peer.
-type Listener func(a adv.Advertisement, from jid.ID)
+type Listener func(a *adv.PeerGroupAdv, from jid.ID)
 
 // Endpoint is the endpoint capability discovery needs; *endpoint.Service
 // implements it.
@@ -79,8 +79,8 @@ type Service struct {
 	now   func() time.Time
 
 	mu        sync.Mutex
-	cache     map[adv.Kind]map[jid.ID]adv.Record
-	decoded   map[string]adv.Advertisement // see cachedLocked
+	cache     map[jid.ID]adv.Record        // by group ID
+	decoded   map[string]*adv.PeerGroupAdv // see cachedLocked
 	listeners map[int]Listener
 	nextLis   int
 	stats     Stats
@@ -113,8 +113,8 @@ func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*S
 		rdv:       rdv,
 		group:     group,
 		now:       time.Now,
-		cache:     make(map[adv.Kind]map[jid.ID]adv.Record),
-		decoded:   make(map[string]adv.Advertisement),
+		cache:     make(map[jid.ID]adv.Record),
+		decoded:   make(map[string]*adv.PeerGroupAdv),
 		listeners: make(map[int]Listener),
 	}
 	for _, opt := range opts {
@@ -157,7 +157,7 @@ func (s *Service) RemoveListener(token int) {
 
 // Publish stores the advertisement in the local cache, where local and
 // remote queries can find it. Zero durations select the defaults.
-func (s *Service) Publish(a adv.Advertisement, lifetime, expiration time.Duration) error {
+func (s *Service) Publish(a *adv.PeerGroupAdv, lifetime, expiration time.Duration) error {
 	if lifetime == 0 {
 		lifetime = adv.DefaultLifetime
 	}
@@ -182,7 +182,7 @@ func (s *Service) Publish(a adv.Advertisement, lifetime, expiration time.Duratio
 // rendezvous mesh, unsolicited, so interested peers learn it without
 // querying (JXTA's discovery.remotePublish). The local cache is updated
 // too.
-func (s *Service) RemotePublish(a adv.Advertisement, expiration time.Duration) error {
+func (s *Service) RemotePublish(a *adv.PeerGroupAdv, expiration time.Duration) error {
 	if err := s.Publish(a, 0, expiration); err != nil {
 		return err
 	}
@@ -207,28 +207,29 @@ func (s *Service) RemotePublish(a adv.Advertisement, expiration time.Duration) e
 	return nil
 }
 
-// GetLocalAdvertisements searches the local cache. attr may be "" (match
-// all), "Name" or "ID"; value supports a trailing '*' wildcard.
-func (s *Service) GetLocalAdvertisements(kind adv.Kind, attr, value string) []adv.Record {
+// GetLocalAdvertisements searches the local cache for advertisements
+// named name; a trailing '*' makes it a prefix.
+func (s *Service) GetLocalAdvertisements(name string) []adv.Record {
 	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked(now)
 	var out []adv.Record
-	for _, rec := range s.cache[kind] {
-		if adv.Match(rec.Adv, attr, value) {
+	for _, rec := range s.cache {
+		if adv.Match(rec.Adv.Name, name) {
 			out = append(out, rec)
 		}
 	}
 	return out
 }
 
-// GetRemoteAdvertisements propagates a discovery query through the
-// rendezvous mesh. Responses arrive asynchronously: they are inserted
-// into the local cache and reported to listeners. threshold limits how
-// many records each responding peer returns (0 means DefaultThreshold).
-func (s *Service) GetRemoteAdvertisements(kind adv.Kind, attr, value string, threshold int) error {
-	msg, err := s.query(kind, attr, value, threshold)
+// GetRemoteAdvertisements propagates a query for advertisements named
+// name (a trailing '*' makes it a prefix) through the rendezvous mesh.
+// Responses arrive asynchronously: they are inserted into the local
+// cache and reported to listeners. threshold limits how many records
+// each responding peer returns (0 means DefaultThreshold).
+func (s *Service) GetRemoteAdvertisements(name string, threshold int) error {
+	msg, err := s.query(name, threshold)
 	if err != nil {
 		return err
 	}
@@ -238,22 +239,9 @@ func (s *Service) GetRemoteAdvertisements(kind adv.Kind, attr, value string, thr
 	return nil
 }
 
-// GetRemoteAdvertisementsFrom sends the discovery query to one known
-// peer instead of the whole group.
-func (s *Service) GetRemoteAdvertisementsFrom(to endpoint.Address, kind adv.Kind, attr, value string, threshold int) error {
-	msg, err := s.query(kind, attr, value, threshold)
-	if err != nil {
-		return err
-	}
-	if err := s.ep.Send(to, ServiceName, s.group, msg); err != nil {
-		return fmt.Errorf("discovery: directed query: %w", err)
-	}
-	return nil
-}
-
 // query builds a query message and counts it sent.
-func (s *Service) query(kind adv.Kind, attr, value string, threshold int) (*message.Message, error) {
-	payload, err := encodeQuery(kind, attr, value, threshold)
+func (s *Service) query(name string, threshold int) (*message.Message, error) {
+	payload, err := encodeQuery(name, threshold)
 	if err != nil {
 		return nil, err
 	}
@@ -284,21 +272,12 @@ func (s *Service) newMessage(kind string, payload []byte) *message.Message {
 	return msg
 }
 
-// Flush drops every cached advertisement of the given kind (JXTA's
-// flushAdvertisements(null, kind)).
-func (s *Service) Flush(kind adv.Kind) {
+// Flush drops every cached advertisement (JXTA's
+// flushAdvertisements(null, GROUP)).
+func (s *Service) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.cache, kind)
-}
-
-// FlushID drops one advertisement by resource ID.
-func (s *Service) FlushID(kind adv.Kind, id jid.ID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.cache[kind]; ok {
-		delete(m, id)
-	}
+	clear(s.cache)
 }
 
 // Stats returns a snapshot of the counters.
@@ -307,51 +286,41 @@ func (s *Service) Stats() Stats {
 	defer s.mu.Unlock()
 	s.expireLocked(s.now())
 	st := s.stats
-	for _, m := range s.cache {
-		st.RecordsInCache += len(m)
-	}
+	st.RecordsInCache = len(s.cache)
 	return st
 }
 
-// insertLocked adds a record, keeping the freshest per resource ID and
-// bounding the index size.
+// insertLocked adds a record, keeping the freshest per group ID and
+// bounding the cache size.
 func (s *Service) insertLocked(rec adv.Record) {
-	kind := rec.Adv.Kind()
-	m, ok := s.cache[kind]
-	if !ok {
-		m = make(map[jid.ID]adv.Record)
-		s.cache[kind] = m
-	}
-	id := rec.Adv.AdvID()
-	if old, ok := m[id]; ok && old.Fresher(rec) {
+	id := rec.Adv.GroupID
+	if old, ok := s.cache[id]; ok && old.Fresher(rec) {
 		return
 	}
-	if len(m) >= MaxCachePerKind {
-		s.evictOldestLocked(m)
+	if len(s.cache) >= MaxCache {
+		s.evictOldestLocked()
 	}
-	m[id] = rec
+	s.cache[id] = rec
 }
 
-func (s *Service) evictOldestLocked(m map[jid.ID]adv.Record) {
+func (s *Service) evictOldestLocked() {
 	var oldest jid.ID
 	var oldestAt time.Time
 	first := true
-	for id, rec := range m {
+	for id, rec := range s.cache {
 		if first || rec.Published.Before(oldestAt) {
 			oldest, oldestAt, first = id, rec.Published, false
 		}
 	}
 	if !first {
-		delete(m, oldest)
+		delete(s.cache, oldest)
 	}
 }
 
 func (s *Service) expireLocked(now time.Time) {
-	for _, m := range s.cache {
-		for id, rec := range m {
-			if rec.Expired(now) {
-				delete(m, id)
-			}
+	for id, rec := range s.cache {
+		if rec.Expired(now) {
+			delete(s.cache, id)
 		}
 	}
 	for doc := range s.decoded {
@@ -369,9 +338,9 @@ func (s *Service) expireLocked(now time.Time) {
 // from it, for remotely learned records only. An entry whose record was
 // since replaced, evicted, flushed or expired no longer matches the
 // cache, reads as a miss here and is swept by expireLocked.
-func (s *Service) cachedLocked(doc string) adv.Advertisement {
+func (s *Service) cachedLocked(doc string) *adv.PeerGroupAdv {
 	a, ok := s.decoded[doc]
-	if !ok || s.cache[a.Kind()][a.AdvID()].Adv != a {
+	if !ok || s.cache[a.GroupID].Adv != a {
 		return nil
 	}
 	return a
@@ -422,8 +391,8 @@ func (s *Service) answer(payload []byte) []byte {
 	s.stats.QueriesServed++
 	s.expireLocked(now)
 	var match []adv.Record
-	for _, rec := range s.cache[adv.Kind(query.Kind)] {
-		if adv.Match(rec.Adv, query.Attr, query.Value) {
+	for _, rec := range s.cache {
+		if adv.Match(rec.Adv.Name, query.Name) {
 			match = append(match, rec)
 			if len(match) >= threshold {
 				break
@@ -450,9 +419,9 @@ func (s *Service) ingest(payload []byte, src jid.ID) {
 	if err != nil {
 		return
 	}
-	// advs[i] stays nil for an item to skip: already stale, or an
-	// unknown or corrupt advertisement.
-	advs := make([]adv.Advertisement, len(items))
+	// advs[i] stays nil for an item to skip: already stale, or not a
+	// peer-group advertisement.
+	advs := make([]*adv.PeerGroupAdv, len(items))
 	s.mu.Lock()
 	for i, it := range items {
 		if it.ExpirationMS > 0 {
@@ -466,7 +435,7 @@ func (s *Service) ingest(payload []byte, src jid.ID) {
 		}
 	}
 	now := s.now()
-	var fire []adv.Advertisement
+	var fire []*adv.PeerGroupAdv
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -506,9 +475,7 @@ func (s *Service) ingest(payload []byte, src jid.ID) {
 
 type queryDoc struct {
 	XMLName   xml.Name `xml:"DiscoveryQuery"`
-	Kind      int      `xml:"Kind"`
-	Attr      string   `xml:"Attr,omitempty"`
-	Value     string   `xml:"Value,omitempty"`
+	Name      string   `xml:"Name"`
 	Threshold int      `xml:"Threshold"`
 }
 
@@ -522,8 +489,8 @@ type responseRec struct {
 	Doc          string `xml:",chardata"` // the advertisement XML, escaped
 }
 
-func encodeQuery(kind adv.Kind, attr, value string, threshold int) ([]byte, error) {
-	out, err := xml.Marshal(queryDoc{Kind: int(kind), Attr: attr, Value: value, Threshold: threshold})
+func encodeQuery(name string, threshold int) ([]byte, error) {
+	out, err := xml.Marshal(queryDoc{Name: name, Threshold: threshold})
 	if err != nil {
 		return nil, fmt.Errorf("discovery: encode query: %w", err)
 	}

@@ -63,10 +63,6 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 	return p
 }
 
-func pipeAdv(seed uint64, name string) *adv.PipeAdv {
-	return &adv.PipeAdv{PipeID: jid.FromSeed(jid.KindPipe, seed), Type: adv.PipePropagate, Name: name}
-}
-
 func groupAdv(seed uint64, name string) *adv.PeerGroupAdv {
 	return &adv.PeerGroupAdv{GroupID: jid.FromSeed(jid.KindGroup, seed), Name: name}
 }
@@ -74,26 +70,24 @@ func groupAdv(seed uint64, name string) *adv.PeerGroupAdv {
 func TestLocalPublishAndQuery(t *testing.T) {
 	c := newCluster(t)
 	p := c.addPeer("p", 1, rendezvous.RoleEdge)
-	if err := p.disc.Publish(pipeAdv(1, "PS.SkiRental"), 0, 0); err != nil {
+	if err := p.disc.Publish(groupAdv(1, "PS.SkiRental"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.disc.Publish(groupAdv(2, "PS.SkiRental"), 0, 0); err != nil {
+	if err := p.disc.Publish(groupAdv(2, "PS.SkiRental/Carving"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-
-	got := p.disc.GetLocalAdvertisements(adv.Adv, "Name", "PS.SkiRental")
-	if len(got) != 1 {
-		t.Fatalf("ADV index returned %d records", len(got))
-	}
-	got = p.disc.GetLocalAdvertisements(adv.Group, "Name", "PS.*")
-	if len(got) != 1 {
-		t.Fatalf("GROUP index returned %d records", len(got))
-	}
-	if got := p.disc.GetLocalAdvertisements(adv.Peer, "", ""); len(got) != 0 {
-		t.Fatalf("PEER index should be empty, got %d", len(got))
-	}
-	if got := p.disc.GetLocalAdvertisements(adv.Adv, "Name", "Other*"); len(got) != 0 {
-		t.Fatalf("wildcard mismatch returned %d", len(got))
+	for name, want := range map[string]int{
+		"PS.SkiRental":   1,
+		"PS.SkiRental*":  2,
+		"PS.SkiRental/*": 1,
+		"*":              2,
+		"PS.Ski":         0, // an exact name, not a prefix
+		"Other*":         0,
+		"":               0,
+	} {
+		if got := p.disc.GetLocalAdvertisements(name); len(got) != want {
+			t.Errorf("%q found %d records, want %d", name, len(got), want)
+		}
 	}
 }
 
@@ -105,28 +99,28 @@ func TestFreshestRecordWinsPerID(t *testing.T) {
 
 	disc := newSolo(t, WithClock(now)).disc
 
-	a := pipeAdv(1, "v1")
+	a := groupAdv(1, "v1")
 	if err := disc.Publish(a, time.Hour, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	advance(time.Minute)
-	b := pipeAdv(1, "v2") // same pipe ID, fresher
+	b := groupAdv(1, "v2") // same group ID, fresher
 	if err := disc.Publish(b, time.Hour, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	got := disc.GetLocalAdvertisements(adv.Adv, "", "")
-	if len(got) != 1 || got[0].Adv.AdvName() != "v2" {
-		t.Fatalf("got %d records, name %q", len(got), got[0].Adv.AdvName())
+	got := disc.GetLocalAdvertisements("v*")
+	if len(got) != 1 || got[0].Adv.Name != "v2" {
+		t.Fatalf("got %d records, name %q", len(got), got[0].Adv.Name)
 	}
 	// Re-publishing the stale record must not clobber the fresh one...
 	// (same Published time as v1: strictly older than v2)
-	got = disc.GetLocalAdvertisements(adv.Adv, "", "")
-	if got[0].Adv.AdvName() != "v2" {
+	got = disc.GetLocalAdvertisements("v*")
+	if got[0].Adv.Name != "v2" {
 		t.Fatal("stale record replaced fresh one")
 	}
 	// ...and expiry drops it eventually.
 	advance(2 * time.Hour)
-	if got := disc.GetLocalAdvertisements(adv.Adv, "", ""); len(got) != 0 {
+	if got := disc.GetLocalAdvertisements("v*"); len(got) != 0 {
 		t.Fatalf("expired record still present: %d", len(got))
 	}
 }
@@ -146,20 +140,20 @@ func TestRemoteQueryFindsPublisher(t *testing.T) {
 	}
 
 	type hit struct {
-		a    adv.Advertisement
+		a    *adv.PeerGroupAdv
 		from jid.ID
 	}
 	hits := make(chan hit, 16)
-	sub.disc.AddListener(func(a adv.Advertisement, from jid.ID) {
+	sub.disc.AddListener(func(a *adv.PeerGroupAdv, from jid.ID) {
 		hits <- hit{a, from}
 	})
-	if err := sub.disc.GetRemoteAdvertisements(adv.Group, "Name", "PS.*", 10); err != nil {
+	if err := sub.disc.GetRemoteAdvertisements("PS.*", 10); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case h := <-hits:
-		if h.a.AdvName() != "PS.SkiRental" {
-			t.Fatalf("found %q", h.a.AdvName())
+		if h.a.Name != "PS.SkiRental" {
+			t.Fatalf("found %q", h.a.Name)
 		}
 		if h.from != pub.ep.PeerID() {
 			t.Fatalf("responder %v, want %v", h.from, pub.ep.PeerID())
@@ -168,7 +162,7 @@ func TestRemoteQueryFindsPublisher(t *testing.T) {
 		t.Fatal("discovery response never arrived")
 	}
 	// The response also landed in the local cache.
-	got := sub.disc.GetLocalAdvertisements(adv.Group, "Name", "PS.SkiRental")
+	got := sub.disc.GetLocalAdvertisements("PS.SkiRental")
 	if len(got) != 1 {
 		t.Fatalf("local cache has %d records", len(got))
 	}
@@ -190,15 +184,15 @@ func TestRemotePublishPushesUnsolicited(t *testing.T) {
 			t.Fatal("not connected")
 		}
 	}
-	heard := make(chan adv.Advertisement, 1)
-	sub.disc.AddListener(func(a adv.Advertisement, _ jid.ID) { heard <- a })
-	if err := pub.disc.RemotePublish(pipeAdv(9, "PS.Chat"), time.Hour); err != nil {
+	heard := make(chan *adv.PeerGroupAdv, 1)
+	sub.disc.AddListener(func(a *adv.PeerGroupAdv, _ jid.ID) { heard <- a })
+	if err := pub.disc.RemotePublish(groupAdv(9, "PS.Chat"), time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case a := <-heard:
-		if a.AdvName() != "PS.Chat" {
-			t.Fatalf("heard %q", a.AdvName())
+		if a.Name != "PS.Chat" {
+			t.Fatalf("heard %q", a.Name)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("remote publish never arrived")
@@ -216,18 +210,18 @@ func TestThresholdLimitsResponse(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		if err := pub.disc.Publish(pipeAdv(uint64(100+i), "bulk"), 0, 0); err != nil {
+		if err := pub.disc.Publish(groupAdv(uint64(100+i), "bulk"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var mu sync.Mutex
 	var got int
-	sub.disc.AddListener(func(adv.Advertisement, jid.ID) {
+	sub.disc.AddListener(func(*adv.PeerGroupAdv, jid.ID) {
 		mu.Lock()
 		got++
 		mu.Unlock()
 	})
-	if err := sub.disc.GetRemoteAdvertisements(adv.Adv, "Name", "bulk", 3); err != nil {
+	if err := sub.disc.GetRemoteAdvertisements("bulk", 3); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
@@ -242,141 +236,88 @@ func TestThresholdLimitsResponse(t *testing.T) {
 func TestFlush(t *testing.T) {
 	c := newCluster(t)
 	p := c.addPeer("p", 1, rendezvous.RoleEdge)
-	if err := p.disc.Publish(pipeAdv(1, "a"), 0, 0); err != nil {
-		t.Fatal(err)
+	for i, name := range []string{"a", "b", "g"} {
+		if err := p.disc.Publish(groupAdv(uint64(i+1), name), 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.disc.Publish(pipeAdv(2, "b"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.disc.Publish(groupAdv(3, "g"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	p.disc.FlushID(adv.Adv, jid.FromSeed(jid.KindPipe, 1))
-	if got := p.disc.GetLocalAdvertisements(adv.Adv, "", ""); len(got) != 1 {
-		t.Fatalf("after FlushID: %d", len(got))
-	}
-	p.disc.Flush(adv.Adv)
-	if got := p.disc.GetLocalAdvertisements(adv.Adv, "", ""); len(got) != 0 {
+	p.disc.Flush()
+	if got := p.disc.GetLocalAdvertisements("*"); len(got) != 0 {
 		t.Fatalf("after Flush: %d", len(got))
 	}
-	// GROUP index untouched.
-	if got := p.disc.GetLocalAdvertisements(adv.Group, "", ""); len(got) != 1 {
-		t.Fatalf("group index: %d", len(got))
-	}
-}
-
-func TestDirectedRemoteQuery(t *testing.T) {
-	c := newCluster(t)
-	a := c.addPeer("a", 1, rendezvous.RoleEdge)
-	b := c.addPeer("b", 2, rendezvous.RoleEdge)
-	if err := b.disc.Publish(pipeAdv(5, "direct"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	heard := make(chan adv.Advertisement, 1)
-	a.disc.AddListener(func(x adv.Advertisement, _ jid.ID) { heard <- x })
-	if err := a.disc.GetRemoteAdvertisementsFrom("mem://b", adv.Adv, "Name", "direct", 0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case x := <-heard:
-		if x.AdvName() != "direct" {
-			t.Fatalf("got %q", x.AdvName())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no response to directed query")
+	if st := p.disc.Stats(); st.RecordsInCache != 0 {
+		t.Fatalf("after Flush: %+v", st)
 	}
 }
 
 // TestRepeatedDocumentIsNotDecodedAgain: a response that repeats the
 // document a cached record came from hands listeners the advertisement
 // already cached (no second decode) and renews the record; a changed
-// document for the same ID, or the same document after a flush, is
+// document for the same group, or the same document after a flush, is
 // decoded afresh.
 func TestRepeatedDocumentIsNotDecodedAgain(t *testing.T) {
-	c := newCluster(t)
-	a := c.addPeer("a", 1, rendezvous.RoleEdge)
-	b := c.addPeer("b", 2, rendezvous.RoleEdge)
-	if err := b.disc.Publish(pipeAdv(5, "direct"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	heard := make(chan adv.Advertisement, 1)
-	a.disc.AddListener(func(x adv.Advertisement, _ jid.ID) { heard <- x })
-	ask := func() adv.Advertisement {
+	clk := time.Unix(1000, 0)
+	var mu sync.Mutex
+	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clk }
+	s := newSolo(t, WithClock(now))
+	var last *adv.PeerGroupAdv
+	s.disc.AddListener(func(x *adv.PeerGroupAdv, _ jid.ID) { last = x })
+	// respond hands s a response carrying a, a minute after the last one.
+	respond := func(a *adv.PeerGroupAdv) *adv.PeerGroupAdv {
 		t.Helper()
-		if err := a.disc.GetRemoteAdvertisementsFrom("mem://b", adv.Adv, "Name", "direct", 0); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case x := <-heard:
-			return x
-		case <-time.After(5 * time.Second):
-			t.Fatal("no response to directed query")
-			return nil
-		}
+		mu.Lock()
+		clk = clk.Add(time.Minute)
+		mu.Unlock()
+		s.disc.handle(frame(jid.FromSeed(jid.KindPeer, 2), kindResponse, responsePayload(t, a), ""), "mem://from")
+		return last
 	}
 	cached := func() adv.Record {
 		t.Helper()
-		recs := a.disc.GetLocalAdvertisements(adv.Adv, "Name", "direct")
+		recs := s.disc.GetLocalAdvertisements("PS.Direct")
 		if len(recs) != 1 {
 			t.Fatalf("%d records cached, want 1", len(recs))
 		}
 		return recs[0]
 	}
 
-	first := ask()
+	first := respond(groupAdv(5, "PS.Direct"))
 	before := cached()
-	time.Sleep(5 * time.Millisecond)
-	if again := ask(); again != first {
+	if again := respond(groupAdv(5, "PS.Direct")); again != first {
 		t.Fatal("an unchanged document was decoded a second time")
 	}
 	if after := cached(); after.Adv != first || !after.Published.After(before.Published) {
 		t.Fatalf("record not renewed: published %v, then %v", before.Published, after.Published)
 	}
-	if st := a.disc.Stats(); st.RecordsReceived != 2 {
+	if st := s.disc.Stats(); st.RecordsReceived != 2 {
 		t.Fatalf("RecordsReceived = %d, want 2: a repeat is still a record received", st.RecordsReceived)
 	}
 
-	changed := pipeAdv(5, "direct")
-	changed.Type = adv.PipeUnicast
-	if err := b.disc.Publish(changed, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	third := ask()
-	if third == first || third.(*adv.PipeAdv).Type != adv.PipeUnicast {
+	changed := groupAdv(5, "PS.Direct")
+	changed.Desc = "changed"
+	third := respond(changed)
+	if third == first || third.Desc != "changed" {
 		t.Fatalf("changed document not decoded: %+v", third)
 	}
 	if cached().Adv != third {
 		t.Fatal("changed document did not replace the cached record")
 	}
 
-	a.disc.FlushID(adv.Adv, third.AdvID())
-	if fourth := ask(); fourth == third {
+	s.disc.Flush()
+	if fourth := respond(changed); fourth == third {
 		t.Fatal("a flushed record was revived without decoding its document")
 	}
 }
 
 func TestListenerRemoval(t *testing.T) {
-	c := newCluster(t)
-	a := c.addPeer("a", 1, rendezvous.RoleEdge)
-	b := c.addPeer("b", 2, rendezvous.RoleEdge)
-	if err := b.disc.Publish(pipeAdv(5, "x"), 0, 0); err != nil {
-		t.Fatal(err)
+	s := newSolo(t)
+	var calls atomic.Int64
+	tok := s.disc.AddListener(func(*adv.PeerGroupAdv, jid.ID) { calls.Add(1) })
+	s.disc.RemoveListener(tok)
+	s.disc.handle(frame(jid.FromSeed(jid.KindPeer, 2), kindResponse, responsePayload(t, groupAdv(5, "x")), ""), "mem://from")
+	if s.heard.Load() != 1 {
+		t.Fatal("the remaining listener did not fire")
 	}
-	var mu sync.Mutex
-	calls := 0
-	tok := a.disc.AddListener(func(adv.Advertisement, jid.ID) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-	})
-	a.disc.RemoveListener(tok)
-	if err := a.disc.GetRemoteAdvertisementsFrom("mem://b", adv.Adv, "", "", 0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(200 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 0 {
+	if calls.Load() != 0 {
 		t.Fatal("removed listener still fired")
 	}
 }
@@ -385,10 +326,10 @@ func TestClosedServiceRefusesWork(t *testing.T) {
 	c := newCluster(t)
 	p := c.addPeer("p", 1, rendezvous.RoleEdge)
 	p.disc.Close()
-	if err := p.disc.Publish(pipeAdv(1, "x"), 0, 0); err == nil {
+	if err := p.disc.Publish(groupAdv(1, "x"), 0, 0); err == nil {
 		t.Fatal("publish after close succeeded")
 	}
-	if err := p.disc.GetRemoteAdvertisements(adv.Adv, "", "", 0); err == nil {
+	if err := p.disc.GetRemoteAdvertisements("*", 0); err == nil {
 		t.Fatal("query after close succeeded")
 	}
 	p.disc.Close() // idempotent
@@ -444,7 +385,7 @@ func newSolo(t testing.TB, opts ...Option) solo {
 	}
 	t.Cleanup(disc.Close)
 	var heard atomic.Int64
-	disc.AddListener(func(adv.Advertisement, jid.ID) { heard.Add(1) })
+	disc.AddListener(func(*adv.PeerGroupAdv, jid.ID) { heard.Add(1) })
 	return solo{ep: ep, disc: disc, heard: &heard}
 }
 
@@ -468,12 +409,32 @@ func frame(src jid.ID, kind string, payload []byte, srcAddr string) *message.Mes
 
 func queryPayload(t testing.TB, name string) []byte {
 	t.Helper()
-	payload, err := encodeQuery(adv.Group, "Name", name, 0)
+	payload, err := encodeQuery(name, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return payload
 }
+
+// responsePayload is a response carrying a with an hour to live.
+func responsePayload(t testing.TB, a *adv.PeerGroupAdv) []byte {
+	t.Helper()
+	payload, err := encodeResponse([]adv.Record{{
+		Adv: a, Published: time.Now(), Lifetime: time.Hour, Expiration: time.Hour,
+	}}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// peerAdvResponse is a response whose one item is a peer advertisement
+// as a peer wrote it before peer advertisements went.
+var peerAdvResponse = []byte(`<DiscoveryResponse><Item expiration="60000">` +
+	`&lt;PeerAdvertisement&gt;&lt;PID&gt;urn:jxta:uuid-0000000000000001c3910c8d016b07d701&lt;/PID&gt;` +
+	`&lt;GID&gt;urn:jxta:uuid-0000004e45545047717d25c48c628a1902&lt;/GID&gt;&lt;Name&gt;PS.Held&lt;/Name&gt;` +
+	`&lt;EndpointAddresses&gt;&lt;Addr&gt;mem://n1&lt;/Addr&gt;&lt;/EndpointAddresses&gt;&lt;/PeerAdvertisement&gt;` +
+	`</Item></DiscoveryResponse>`)
 
 // TestEchoedQueryIsNotAnswered: a propagated query that comes back to
 // the peer that issued it is not answered, even from a cache that
@@ -481,7 +442,7 @@ func queryPayload(t testing.TB, name string) []byte {
 func TestEchoedQueryIsNotAnswered(t *testing.T) {
 	s := newSolo(t)
 	s.hold(t)
-	msg, err := s.disc.query(adv.Group, "Name", "PS.*", 0)
+	msg, err := s.disc.query("PS.*", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,8 +478,9 @@ func TestQueryWithoutSrcAddrIsAnsweredToFrom(t *testing.T) {
 }
 
 // TestMalformedTrafficIsDropped: a malformed query gets no answer, a
-// malformed response reaches no listener, and neither does a message of
-// no known kind.
+// malformed response reaches no listener, and neither does a response
+// carrying an advertisement of another type, or a message of no known
+// kind.
 func TestMalformedTrafficIsDropped(t *testing.T) {
 	s := newSolo(t)
 	s.hold(t)
@@ -530,6 +492,7 @@ func TestMalformedTrafficIsDropped(t *testing.T) {
 		frame(other, kindQuery, nil, "mem://querier"),
 		frame(other, kindResponse, []byte("not xml"), ""),
 		frame(other, kindResponse, badItem, ""),
+		frame(other, kindResponse, peerAdvResponse, ""),
 		frame(other, "", queryPayload(t, "PS.Held"), "mem://querier"),
 		frame(other, "gossip", queryPayload(t, "PS.Held"), "mem://querier"),
 	} {
@@ -561,9 +524,9 @@ func TestPropagatedQueryIsAnsweredStraightToTheQuerier(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits := make(chan jid.ID, 4)
-	sub.disc.AddListener(func(_ adv.Advertisement, from jid.ID) { hits <- from })
+	sub.disc.AddListener(func(_ *adv.PeerGroupAdv, from jid.ID) { hits <- from })
 	before := rdv.rdv.Snapshot().Counters["propagated"]
-	if err := sub.disc.GetRemoteAdvertisements(adv.Group, "Name", "PS.*", 0); err != nil {
+	if err := sub.disc.GetRemoteAdvertisements("PS.*", 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -583,26 +546,14 @@ func TestPropagatedQueryIsAnsweredStraightToTheQuerier(t *testing.T) {
 	}
 }
 
-// FuzzDiscoveryFrame feeds handle any kind, payload and return address,
-// from this peer or another: it never panics, and it answers exactly the
-// well-formed queries from another peer that match the cache, to the
-// address the query names (or the hop it came from). Only a response
-// reaches a listener.
+// FuzzDiscoveryFrame feeds handle any message type (query, response or
+// neither), payload and return address, from this peer or another: it
+// never panics, and it answers exactly the well-formed queries from
+// another peer that match the cache, to the address the query names (or
+// the hop it came from). Only a response reaches a listener.
 func FuzzDiscoveryFrame(f *testing.F) {
-	held, err := encodeQuery(adv.Group, "Name", "PS.Held", 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	miss, err := encodeQuery(adv.Group, "Name", "PS.Other", 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	resp, err := encodeResponse([]adv.Record{{
-		Adv: pipeAdv(3, "PS.Pushed"), Published: time.Now(), Lifetime: time.Hour, Expiration: time.Hour,
-	}}, time.Now())
-	if err != nil {
-		f.Fatal(err)
-	}
+	held, miss := queryPayload(f, "PS.Held"), queryPayload(f, "PS.Other")
+	resp := responsePayload(f, groupAdv(3, "PS.Pushed"))
 	f.Add(kindQuery, held, "mem://querier", false)
 	f.Add(kindQuery, held, "", false)
 	f.Add(kindQuery, held, "mem://querier", true)
@@ -611,6 +562,7 @@ func FuzzDiscoveryFrame(f *testing.F) {
 	f.Add(kindResponse, resp, "", false)
 	f.Add(kindResponse, []byte("<DiscoveryResponse><Item"), "", false)
 	f.Add("", held, "mem://querier", false)
+	f.Add(kindResponse, peerAdvResponse, "", false)
 	f.Fuzz(func(t *testing.T, kind string, payload []byte, srcAddr string, fromSelf bool) {
 		s := newSolo(t)
 		s.hold(t)
@@ -622,7 +574,7 @@ func FuzzDiscoveryFrame(f *testing.F) {
 
 		answer := false
 		if q, err := decodeQuery(payload); err == nil && kind == kindQuery && !fromSelf {
-			answer = len(s.disc.GetLocalAdvertisements(adv.Kind(q.Kind), q.Attr, q.Value)) > 0
+			answer = len(s.disc.GetLocalAdvertisements(q.Name)) > 0
 		}
 		to, msgs := s.ep.sent()
 		switch {

@@ -239,31 +239,6 @@ func (p *Peer) LeaveGroup(id jid.ID) {
 	}
 }
 
-// SelfAdvertisement builds this peer's advertisement for publication in
-// discovery.
-func (p *Peer) SelfAdvertisement() *adv.PeerAdv {
-	pa := &adv.PeerAdv{
-		PeerID:     p.cfg.ID,
-		GroupID:    jid.NetGroup,
-		Name:       p.cfg.Name,
-		Rendezvous: p.cfg.Rendezvous.Role == rendezvous.RoleRendezvous,
-	}
-	for _, a := range p.ep.LocalAddresses() {
-		pa.Addresses = append(pa.Addresses, string(a))
-	}
-	return pa
-}
-
-// AnnounceSelf publishes the peer advertisement in the net group, both
-// locally and into the mesh.
-func (p *Peer) AnnounceSelf() error {
-	net := p.NetGroup()
-	if net == nil {
-		return ErrClosed
-	}
-	return net.Discovery.RemotePublish(p.SelfAdvertisement(), 0)
-}
-
 // Close leaves every event group, stops the wildcard service and the
 // net group's control plane, and shuts the endpoint down.
 func (p *Peer) Close() {

@@ -279,15 +279,13 @@ func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
 
 	// Subscriber side (the paper's AdvertisementsFinder).
 	found := make(chan *adv.PeerGroupAdv, 1)
-	sub.NetGroup().Discovery.AddListener(func(a adv.Advertisement, _ jid.ID) {
-		if pg, ok := a.(*adv.PeerGroupAdv); ok {
-			select {
-			case found <- pg:
-			default:
-			}
+	sub.NetGroup().Discovery.AddListener(func(pg *adv.PeerGroupAdv, _ jid.ID) {
+		select {
+		case found <- pg:
+		default:
 		}
 	})
-	if err := sub.NetGroup().Discovery.GetRemoteAdvertisements(adv.Group, "Name", "PS.*", 10); err != nil {
+	if err := sub.NetGroup().Discovery.GetRemoteAdvertisements("PS.*", 10); err != nil {
 		t.Fatal(err)
 	}
 	var pg *adv.PeerGroupAdv
@@ -403,33 +401,6 @@ func TestRendezvousGroupsShareTheWildcardService(t *testing.T) {
 	}
 	if !g.Rendezvous.AwaitConnected(5 * time.Second) {
 		t.Fatal("the wildcard service stopped with the groups it served")
-	}
-}
-
-func TestAnnounceSelfAndSelfAdvertisement(t *testing.T) {
-	c := newCluster(t)
-	c.addRendezvous("rdv")
-	a := c.addEdge("a", "mem://rdv")
-	b := c.addEdge("b", "mem://rdv")
-	if !a.NetGroup().Rendezvous.AwaitConnected(5*time.Second) || !b.NetGroup().Rendezvous.AwaitConnected(5*time.Second) {
-		t.Fatal("not connected")
-	}
-	sa := a.SelfAdvertisement()
-	if sa.PeerID != a.ID() || len(sa.Addresses) == 0 {
-		t.Fatalf("self adv %+v", sa)
-	}
-	heard := make(chan adv.Advertisement, 4)
-	b.NetGroup().Discovery.AddListener(func(x adv.Advertisement, _ jid.ID) { heard <- x })
-	if err := a.AnnounceSelf(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case x := <-heard:
-		if x.AdvID() != a.ID() {
-			t.Fatalf("heard %v", x.AdvID())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("announcement never heard")
 	}
 }
 

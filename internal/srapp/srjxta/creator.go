@@ -54,7 +54,7 @@ func (c *AdvertisementsCreator) CreatePeerGroupAdvertisement(name string) (*adv.
 // PublishAdvertisement writes the advertisement to the local cache (for
 // peers querying us) and pushes it to the other peers — the paper's
 // publish + remotePublish pair.
-func (c *AdvertisementsCreator) PublishAdvertisement(a adv.Advertisement) error {
+func (c *AdvertisementsCreator) PublishAdvertisement(a *adv.PeerGroupAdv) error {
 	net := c.peer.NetGroup()
 	if net == nil {
 		return ErrClosed

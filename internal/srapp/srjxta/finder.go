@@ -67,7 +67,7 @@ func (f *AdvertisementsFinder) Start() {
 
 	net := f.peer.NetGroup()
 	if net != nil {
-		net.Discovery.Flush(adv.Group)
+		net.Discovery.Flush()
 	}
 	f.wg.Add(1)
 	go f.run()
@@ -106,12 +106,10 @@ func (f *AdvertisementsFinder) findOnce() {
 		return
 	}
 	// Remote query for fresh advertisements ("Name", prefix+"*").
-	_ = net.Discovery.GetRemoteAdvertisements(adv.Group, "Name", f.prefix+"*", NumberOfAdvPerPeer)
+	_ = net.Discovery.GetRemoteAdvertisements(f.prefix+"*", NumberOfAdvPerPeer)
 	// Harvest whatever the local cache now holds.
-	for _, rec := range net.Discovery.GetLocalAdvertisements(adv.Group, "Name", f.prefix+"*") {
-		if pg, ok := rec.Adv.(*adv.PeerGroupAdv); ok {
-			f.handleNewAdvertisement(pg)
-		}
+	for _, rec := range net.Discovery.GetLocalAdvertisements(f.prefix + "*") {
+		f.handleNewAdvertisement(rec.Adv)
 	}
 }
 

@@ -56,7 +56,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/core/codec"
 	"github.com/tps-p2p/tps/internal/core/engine"
 	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/eventlog"
@@ -114,13 +113,17 @@ type Config struct {
 	// serves every event group — the ones this peer publishes or
 	// subscribes in too — in addition to its normal duties.
 	Rendezvous bool
-	// Codec selects the event serialisation: "gob" (default) or "json".
+	// Codec names the event serialisation, which is gob on every peer
+	// (the common type model of §3.2): "" and "gob" are accepted, any
+	// other value is refused. The field stays for configurations that
+	// name it.
 	Codec string
 	// FindTimeout bounds the initial advertisement search before a type
 	// advertisement is created (default 2s).
 	FindTimeout time.Duration
-	// FindInterval is the background advertisement finder period
-	// (default 1s).
+	// FindInterval is the background advertisement finder period, and
+	// the pace at which replay requests a round could not send are
+	// retried (default 1s).
 	FindInterval time.Duration
 	// LeaseTTL overrides the rendezvous lease duration.
 	LeaseTTL time.Duration
@@ -210,7 +213,7 @@ type Platform struct {
 	// isRendezvous records that the peer has the rendezvous role.
 	isRendezvous bool
 	// eng is the template every engine of this platform is created
-	// from: the peer, the shared type registry, the codec, the finder
+	// from: the peer, the shared type registry, the finder
 	// timings, and the peer-local hop store with its sampling rate.
 	eng engine.Config
 
@@ -230,6 +233,9 @@ type Platform struct {
 // group's control plane, and (for rendezvous peers) the wildcard
 // service that serves every event group.
 func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
+	if c := defaultStr(cfg.Codec, "gob"); c != "gob" {
+		return nil, psErr("platform", fmt.Errorf("codec %q: events are gob-encoded", c))
+	}
 	var po platformOptions
 	for _, opt := range opts {
 		opt(&po)
@@ -244,10 +250,6 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	}
 	if len(transports) == 0 {
 		return nil, psErr("platform", errors.New("no transports: set ListenTCP or use WithTransport"))
-	}
-	c, err := codec.ByName(defaultStr(cfg.Codec, "gob"))
-	if err != nil {
-		return nil, psErr("platform", err)
 	}
 	var elog *eventlog.Log
 	var id jid.ID // zero: a fresh identity
@@ -298,7 +300,6 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		eng: engine.Config{
 			Peer:         p,
 			Registry:     typereg.New(),
-			Codec:        c,
 			FindTimeout:  cfg.FindTimeout,
 			FindInterval: cfg.FindInterval,
 			Tracer:       tracer,

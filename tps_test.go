@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -449,38 +450,6 @@ func TestInterfaceSubtypeDelivery(t *testing.T) {
 	}
 }
 
-func TestJSONCodecPlatform(t *testing.T) {
-	r := newFleet(t)
-	pubP := r.platform(tps.Config{Seeds: []string{"rdv"}, Codec: "json"})
-	subP := r.platform(tps.Config{Seeds: []string{"rdv"}, Codec: "json"})
-	for _, p := range []*tps.Platform{pubP, subP} {
-		if err := tps.Register[SkiRental](p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	subEng, _ := tps.NewEngine[SkiRental](subP)
-	defer subEng.Close()
-	subInt, _ := subEng.NewInterface(nil)
-	var g rig.Probe[SkiRental]
-	if err := subInt.Subscribe(&g, nil); err != nil {
-		t.Fatal(err)
-	}
-	pubEng, _ := tps.NewEngine[SkiRental](pubP)
-	defer pubEng.Close()
-	pubInt, _ := pubEng.NewInterface(nil)
-	if !pubEng.AwaitReady(1, 5*time.Second) {
-		t.Fatal("not ready")
-	}
-	want := SkiRental{Shop: "json-shop", Brand: "K2", Price: 33, NumberOfDays: 2}
-	if err := pubInt.Publish(want); err != nil {
-		t.Fatal(err)
-	}
-	g.Await(t, 1)
-	if g.Events()[0] != want {
-		t.Fatalf("got %+v", g.Events()[0])
-	}
-}
-
 func TestPSErrorWrapping(t *testing.T) {
 	if _, err := tps.NewPlatform(tps.Config{Name: "no-transport"}); err == nil {
 		t.Fatal("platform without transports created")
@@ -492,6 +461,11 @@ func TestPSErrorWrapping(t *testing.T) {
 		if pse.Op != "platform" {
 			t.Fatalf("op = %q", pse.Op)
 		}
+	}
+	// Events are gob on every peer; a platform configured otherwise does
+	// not start.
+	if _, err := tps.NewPlatform(tps.Config{Name: "json", Codec: "json"}); err == nil || !strings.Contains(err.Error(), `codec "json"`) {
+		t.Fatalf("a json platform: %v", err)
 	}
 	r := newFleet(t)
 	p := r.edge()
