@@ -106,9 +106,11 @@ func printLoC() error {
 	return printSubstrateSize(root)
 }
 
-// trackedDirs are the seven directories the substrate table was typed
-// from until PR 21; their subtotal stays one printed line so the
-// ROADMAP's trajectory (… 4069) remains comparable.
+// trackedDirs are the seven directories the substrate table was first
+// typed from; their subtotal stays one printed line so the ROADMAP's
+// trajectory (… 4069) remains comparable. A directory deleted since
+// (internal/jxta/peergroup) counts 0 and stays listed, so the subtotal
+// keeps its meaning.
 var trackedDirs = map[string]bool{
 	"internal/jxta/rendezvous": true,
 	"internal/jxta/peer":       true,

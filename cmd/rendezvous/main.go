@@ -1,7 +1,7 @@
 // Command rendezvous runs a standalone rendezvous daemon over TCP: the
 // infrastructure peer that bridges sub-networks, tracks connected peers
 // and propagates their events to one another. TPS event groups of any
-// type are served by its one wildcard rendezvous service. Every peer
+// type are served by its one rendezvous service. Every peer
 // must be able to accept connections: the daemon dials its clients back
 // (see ROBUSTNESS.md, "Firewalled peers").
 //

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
@@ -550,7 +551,7 @@ func run(cmd string, args []string, listen, seeds, namePat string, wait time.Dur
 		return err
 	}
 	defer p.Close()
-	if !p.NetGroup().Rendezvous.AwaitConnected(10 * time.Second) {
+	if !p.Rendezvous().AwaitConnected(jid.NetGroup.String(), 10*time.Second) {
 		return fmt.Errorf("no rendezvous reachable at %s", seeds)
 	}
 
@@ -568,12 +569,12 @@ func run(cmd string, args []string, listen, seeds, namePat string, wait time.Dur
 }
 
 func discover(p *peer.Peer, pattern string, wait time.Duration) error {
-	net := p.NetGroup()
-	if err := net.Discovery.GetRemoteAdvertisements(pattern, 50); err != nil {
+	disc := p.Discovery()
+	if err := disc.GetRemoteAdvertisements(pattern, 50); err != nil {
 		return err
 	}
 	time.Sleep(wait)
-	recs := net.Discovery.GetLocalAdvertisements(pattern)
+	recs := disc.GetLocalAdvertisements(pattern)
 	if len(recs) == 0 {
 		fmt.Println("no advertisements found")
 		return nil
@@ -591,13 +592,13 @@ func discover(p *peer.Peer, pattern string, wait time.Duration) error {
 }
 
 func listenType(p *peer.Peer, typeName string, wait time.Duration) error {
-	net := p.NetGroup()
+	disc := p.Discovery()
 	pattern := "PS." + typeName + "*"
-	if err := net.Discovery.GetRemoteAdvertisements(pattern, 50); err != nil {
+	if err := disc.GetRemoteAdvertisements(pattern, 50); err != nil {
 		return err
 	}
 	time.Sleep(wait)
-	recs := net.Discovery.GetLocalAdvertisements(pattern)
+	recs := disc.GetLocalAdvertisements(pattern)
 	if len(recs) == 0 {
 		return fmt.Errorf("no event group advertised for type %q", typeName)
 	}

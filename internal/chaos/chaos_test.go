@@ -255,7 +255,7 @@ func TestDeadPeerEvictedBehindBreaker(t *testing.T) {
 		})
 		// While the breaker is open the seed loop must skip, not redial.
 		rig.Wait(t, "breaker to skip seed redials", func() bool { return counter(rdvA, "rendezvous", "breaker_skips") >= 1 })
-		// What the net group's service still held of the dead peer lapses.
+		// The eviction dropped every lease behind the dead peer's address.
 		rig.Wait(t, "the dead peer to leave the connection table", func() bool { return !holds(rdvA, obs.PeerRendezvous, rdvB) })
 
 		// The peer restarts on its address. After the cooldown rdv-a's seed

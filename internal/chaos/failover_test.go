@@ -42,25 +42,32 @@ func failoverEdge(t *testing.T, c *rig.Cluster, name string) *peer {
 	return edge(t, c, tps.Config{Name: name, Seeds: []string{"rdvA", "rdvB"}, Failover: true})
 }
 
-// awaitFailover waits until every rendezvous client of the peer — its
-// net group's and its event group's — has made the standby its active
-// seed and holds the standby's lease. A lease with somebody is not
+// awaitFailover waits until the peer has made the standby its active
+// seed and holds the standby's lease for every group it leases: the net
+// group and at least one event group. A lease with somebody is not
 // enough: right after a kill the old one has not expired yet, so
 // "connected" can still mean "leased at the corpse"; and what is
 // published before the grant arrives has nobody to go to.
 func awaitFailover(t *testing.T, p *peer, standby *rig.Node) {
 	t.Helper()
+	addr := standby.Addresses()[0]
 	rig.Wait(t, p.Config.Name+" to fail over", func() bool {
-		clients := 0
+		active, groups, atStandby := false, map[string]bool{}, map[string]bool{}
 		for _, pe := range p.Inspect().Peers {
-			if pe.Kind == obs.PeerSeed && pe.Addr == standby.Addresses()[0] {
-				if !pe.Active || !pe.Leased {
-					return false
-				}
-				clients++
+			switch {
+			case pe.Kind == obs.PeerSeed && pe.Addr == addr:
+				active = pe.Active
+			case pe.Kind == obs.PeerRendezvous:
+				groups[pe.Group] = true
+				atStandby[pe.Group] = atStandby[pe.Group] || pe.Addr == addr
 			}
 		}
-		return clients > 0 && counter(p.Node, "rendezvous", "failovers") >= int64(clients)
+		for _, at := range atStandby {
+			if !at {
+				return false
+			}
+		}
+		return active && len(groups) >= 2 && counter(p.Node, "rendezvous", "failovers") >= 1
 	})
 }
 
@@ -171,6 +178,57 @@ func TestFailoverKillPrimaryMidStream(t *testing.T) {
 		}
 		if g := gaps(probe); len(g) != 0 {
 			t.Fatalf("a failover onto a synced replica raised gaps: %+v", g)
+		}
+	})
+}
+
+// TestFailoverIsOneElectionPerPeer: a failover edge subscribed to two
+// types holds three leases with the primary, the net group's and one per
+// event group. They are leases on one rendezvous service, so when the
+// primary dies the peer lists each seed once, one of them active, and
+// fails over once.
+func TestFailoverIsOneElectionPerPeer(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA, rdvB := replicaPair(t, c, tps.Config{})
+		sub := failoverEdge(t, c, "sub")
+		sub.subscribe(t)
+		sub.ready(t)
+		quoteEng, quoteIntf := rig.Engine[Quote](t, sub.Node)
+		quotes := &rig.Probe[Quote]{}
+		if err := quoteIntf.Subscribe(quotes, quotes); err != nil {
+			t.Fatal(err)
+		}
+		if !quoteEng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("quote group never ready")
+		}
+		primary := rdvA.Addresses()[0]
+		rig.Wait(t, "three leases with the primary", func() bool {
+			n := 0
+			for _, pe := range sub.Inspect().Peers {
+				if pe.Kind == obs.PeerRendezvous && pe.Addr == primary {
+					n++
+				}
+			}
+			return n == 3
+		})
+
+		c.Kill(rdvA)
+		awaitFailover(t, sub, rdvB)
+		seeds, active := map[string]int{}, 0
+		for _, pe := range sub.Inspect().Peers {
+			if pe.Kind != obs.PeerSeed {
+				continue
+			}
+			seeds[pe.Addr]++
+			if pe.Active {
+				active++
+			}
+		}
+		if len(seeds) != 2 || seeds[primary] != 1 || seeds[rdvB.Addresses()[0]] != 1 || active != 1 {
+			t.Fatalf("seed entries %v with %d active, want each seed once and one active", seeds, active)
+		}
+		if n := counter(sub.Node, "rendezvous", "failovers"); n != 1 {
+			t.Fatalf("failovers = %d, want 1", n)
 		}
 	})
 }

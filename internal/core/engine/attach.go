@@ -11,7 +11,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
-	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/obs/trace"
@@ -38,10 +37,10 @@ type attachment struct {
 	path    string
 	node    *typereg.Node // the type every event in the group is decoded into
 	groupID jid.ID
-	group   *peergroup.Group
+	group   *peer.Group
 	in      *wire.InputPipe
 	out     *wire.OutputPipe
-	// The group's rendezvous service may serve other groups and outlive
+	// The peer's rendezvous service carries every group and outlives
 	// this attachment: its listeners go when the attachment closes.
 	gapTok, leaseTok int
 
@@ -90,25 +89,30 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv, node *typereg.Node) error {
 	}
 	in.SetListener(func(m *message.Message) { e.onWireMessage(a, m) })
 	// Replay gaps surface as exceptions on this attachment's path.
-	a.gapTok = g.Rendezvous.AddGapListener(e.onGapSignal(a))
-	// Every lease granted from here on is owed a replay request, and so
-	// is every lease the group already holds: taken after the listener
-	// is in place, so a grant in between is in one or both.
-	a.leaseTok = g.Rendezvous.AddLeaseListener(func(id jid.ID) {
+	a.gapTok = e.rdv.AddGapListener(e.onGapSignal(a))
+	// Every lease for the group granted from here on is owed a replay
+	// request, and so is every lease the group already holds: taken
+	// after the listener is in place, so a grant in between is in one or
+	// both. A new lease can make the attachment ready, too.
+	a.leaseTok = e.rdv.AddLeaseListener(func(id jid.ID, group string) {
+		if group != g.Param() && group != "" {
+			return
+		}
 		a.oweReplay(id)
 		e.kickReplay()
+		e.broadcast()
 	})
-	a.oweReplay(g.Rendezvous.ConnectedRendezvous()...)
+	a.oweReplay(e.rdv.ConnectedRendezvous(g.Param())...)
 
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		a.close(e.peer)
+		e.detach(a)
 		return ErrClosed
 	}
 	if _, dup := e.attachments[path][pg.GroupID]; dup {
 		e.mu.Unlock()
-		a.close(e.peer)
+		e.detach(a)
 		return nil
 	}
 	if e.attachments[path] == nil {
@@ -142,19 +146,18 @@ func (a *attachment) publish(msg *message.Message) error {
 }
 
 // ready reports whether the attachment can reach beyond this process:
-// its group holds a rendezvous lease, or it was never seeded (loopback
-// only).
-func (a *attachment) ready() bool {
-	rdv := a.group.Rendezvous
-	return len(rdv.Config().Seeds) == 0 || len(rdv.ConnectedRendezvous()) > 0
+// its group holds a rendezvous lease, or the peer was never seeded
+// (loopback only).
+func (e *Engine) ready(a *attachment) bool {
+	return len(e.rdv.Config().Seeds) == 0 || len(e.rdv.ConnectedRendezvous(a.group.Param())) > 0
 }
 
-// close tears the attachment down and leaves its group.
-func (a *attachment) close(p *peer.Peer) {
+// detach tears the attachment down and leaves its group.
+func (e *Engine) detach(a *attachment) {
 	a.in.Close()
-	a.group.Rendezvous.RemoveGapListener(a.gapTok)
-	a.group.Rendezvous.RemoveLeaseListener(a.leaseTok)
-	p.LeaveGroup(a.groupID)
+	e.rdv.RemoveGapListener(a.gapTok)
+	e.rdv.RemoveLeaseListener(a.leaseTok)
+	e.peer.LeaveGroup(a.groupID)
 }
 
 // onWireMessage is the pipe reader: it deduplicates, decodes and

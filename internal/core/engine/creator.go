@@ -48,8 +48,8 @@ func createTypeAdvertisement(peerID jid.ID, node *typereg.Node) *adv.PeerGroupAd
 // publishAdvertisement doing publish + remotePublish) and attaches to
 // the new group.
 func (e *Engine) createAndAttach(node *typereg.Node) error {
-	net := e.peer.NetGroup()
-	if net == nil {
+	disc := e.peer.Discovery()
+	if disc == nil {
 		return ErrClosed
 	}
 	groupAdv := createTypeAdvertisement(e.peer.ID(), node)
@@ -67,7 +67,7 @@ func (e *Engine) createAndAttach(node *typereg.Node) error {
 	// a propagation that reached nobody (an isolated peer, no lease yet)
 	// still leaves it where queries find it. Only a closed discovery
 	// published nothing.
-	if err := net.Discovery.RemotePublish(groupAdv, 0); errors.Is(err, discovery.ErrClosed) {
+	if err := disc.RemotePublish(groupAdv, 0); errors.Is(err, discovery.ErrClosed) {
 		e.mu.Lock()
 		delete(e.creating, groupAdv.GroupID)
 		e.mu.Unlock()

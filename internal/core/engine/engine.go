@@ -87,7 +87,7 @@ type Engine struct {
 	fint  time.Duration
 
 	mu           sync.Mutex
-	cond         *sync.Cond                        // broadcast on attachment changes
+	cond         *sync.Cond                        // broadcast on attachment changes and their groups' new leases
 	tracked      map[string]*typereg.Node          // root paths the finder queries for
 	attachments  map[string]map[jid.ID]*attachment // type path -> group ID -> attachment
 	pubSnaps     map[string][]*attachment          // immutable fan-out snapshots; invalidated on attach/detach
@@ -116,7 +116,7 @@ type Engine struct {
 	kick     chan struct{} // wakes the finder immediately
 	wake     chan struct{} // wakes the replay loop immediately
 	lisTok   int
-	netRdv   *rendezvous.Service // the net group's, for leaseTok
+	rdv      *rendezvous.Service // the peer's, which every attachment's group is a lease on
 	leaseTok int
 }
 
@@ -178,15 +178,21 @@ func New(cfg Config) (*Engine, error) {
 		wake:         make(chan struct{}, 1),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	net := cfg.Peer.NetGroup()
-	if net == nil {
+	disc := cfg.Peer.Discovery()
+	if disc == nil {
 		return nil, ErrClosed
 	}
-	e.lisTok = net.Discovery.AddListener(e.onAdvertisement)
+	e.lisTok = disc.AddListener(e.onAdvertisement)
 	// A query sent before the net group holds a lease reaches nobody;
-	// the grant is when the finder's next round is worth running.
-	e.netRdv = net.Rendezvous
-	e.leaseTok = e.netRdv.AddLeaseListener(func(jid.ID) { e.kickFinder() })
+	// the grant is when the finder's next round is worth running. An
+	// event group's grant is not.
+	net := jid.NetGroup.String()
+	e.rdv = cfg.Peer.Rendezvous()
+	e.leaseTok = e.rdv.AddLeaseListener(func(_ jid.ID, group string) {
+		if group == net || group == "" {
+			e.kickFinder()
+		}
+	})
 	e.wg.Add(2)
 	go e.finderLoop()
 	go e.replayLoop()
@@ -336,12 +342,12 @@ func (e *Engine) Close() {
 
 	close(e.stop)
 	e.wg.Wait()
-	if net := e.peer.NetGroup(); net != nil {
-		net.Discovery.RemoveListener(e.lisTok)
+	if disc := e.peer.Discovery(); disc != nil {
+		disc.RemoveListener(e.lisTok)
 	}
-	e.netRdv.RemoveLeaseListener(e.leaseTok)
+	e.rdv.RemoveLeaseListener(e.leaseTok)
 	for _, a := range atts {
-		a.close(e.peer)
+		e.detach(a)
 	}
 }
 
@@ -453,12 +459,7 @@ func (e *Engine) EnsureType(node *typereg.Node) error {
 	// advertisement to attach.
 	e.kickFinder()
 	deadline := time.Now().Add(e.ftime)
-	timer := time.AfterFunc(e.ftime, func() {
-		e.mu.Lock()
-		e.cond.Broadcast()
-		e.mu.Unlock()
-	})
-	defer timer.Stop()
+	defer time.AfterFunc(e.ftime, e.broadcast).Stop()
 	e.mu.Lock()
 	for len(e.attachments[node.Path()]) == 0 && !e.closed && time.Now().Before(deadline) {
 		e.cond.Wait()
@@ -496,36 +497,11 @@ func (e *Engine) EnsureType(node *typereg.Node) error {
 	return err
 }
 
-// AwaitAttachments blocks until the type has at least n attachments or
-// the timeout elapses, reporting success. Benchmarks and tests use it to
-// know the mesh is ready before measuring.
-func (e *Engine) AwaitAttachments(node *typereg.Node, n int, timeout time.Duration) bool {
-	e.trackPath(node)
-	e.kickFinder()
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		e.mu.Lock()
-		e.cond.Broadcast()
-		e.mu.Unlock()
-	})
-	defer timer.Stop()
+// broadcast wakes every waiter on e.cond to look again.
+func (e *Engine) broadcast() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		count := 0
-		for path, m := range e.attachments {
-			if typereg.CoversPath(node.Path(), path) {
-				count += len(m)
-			}
-		}
-		if count >= n {
-			return true
-		}
-		if e.closed || !time.Now().Before(deadline) {
-			return false
-		}
-		e.cond.Wait()
-	}
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 // trackPath registers a root path with the background finder.

@@ -19,7 +19,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
-	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
@@ -126,7 +125,7 @@ func (r *testRig) addPeerVia(wrap func(endpoint.Transport) endpoint.Transport) *
 		r.t.Fatal(err)
 	}
 	r.t.Cleanup(p.Close)
-	if !p.NetGroup().Rendezvous.AwaitConnected(5 * time.Second) {
+	if !p.Rendezvous().AwaitConnected(jid.NetGroup.String(), 5*time.Second) {
 		r.t.Fatal("peer never reached the rendezvous")
 	}
 	return p
@@ -358,8 +357,8 @@ func TestSimultaneousCreationConvergesWithExactlyOnceDelivery(t *testing.T) {
 	// created, both engines eventually attach to both.
 	created := a.eng.Snapshot().Counters["advs_created"] + b.eng.Snapshot().Counters["advs_created"]
 	if created >= 2 {
-		if !a.eng.AwaitAttachments(a.nodes["stock"], 2, 10*time.Second) ||
-			!b.eng.AwaitAttachments(b.nodes["stock"], 2, 10*time.Second) {
+		if !a.eng.AwaitReady(a.nodes["stock"], 2, 10*time.Second) ||
+			!b.eng.AwaitReady(b.nodes["stock"], 2, 10*time.Second) {
 			t.Fatal("engines never merged the duplicate advertisements")
 		}
 	}
@@ -409,8 +408,7 @@ func TestEveryGroupOfATypeGetsEveryEvent(t *testing.T) {
 	if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
 		t.Fatal(err)
 	}
-	if !pub.eng.AwaitAttachments(pub.nodes["stock"], 2, 10*time.Second) ||
-		!pub.eng.AwaitReady(pub.nodes["stock"], 2, 10*time.Second) {
+	if !pub.eng.AwaitReady(pub.nodes["stock"], 2, 10*time.Second) {
 		t.Fatal("the publisher never attached to both groups")
 	}
 	const total = 20
@@ -435,21 +433,21 @@ func TestEveryGroupOfATypeGetsEveryEvent(t *testing.T) {
 // rawGroup starts a peer that advertises a group for the type path, as
 // an engine would, joins it alone and holds its lease: a peer that
 // speaks the group's wire without an engine.
-func (r *testRig) rawGroup(path string) (*peer.Peer, *peergroup.Group, *adv.PipeAdv) {
+func (r *testRig) rawGroup(path string) (*peer.Peer, *peer.Group, *adv.PipeAdv) {
 	r.t.Helper()
 	raw := r.addPeer()
 	gid := jid.NewGroup()
 	pipe := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: engine.PSPrefix + path}
 	groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: raw.ID(), Name: engine.PSPrefix + path}
 	groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipe})
-	if err := raw.NetGroup().Discovery.RemotePublish(groupAdv, 0); err != nil {
+	if err := raw.Discovery().RemotePublish(groupAdv, 0); err != nil {
 		r.t.Fatal(err)
 	}
 	g, _, err := raw.JoinGroupFromAdv(groupAdv)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if !g.Rendezvous.AwaitConnected(5 * time.Second) {
+	if !raw.Rendezvous().AwaitConnected(g.Param(), 5*time.Second) {
 		r.t.Fatalf("the raw peer never leased its group for %s", path)
 	}
 	return raw, g, pipe
@@ -812,20 +810,20 @@ func TestUnregisteredSubtypeIsAttachedOnceRegistered(t *testing.T) {
 	}
 	// The advertisement reached the subscriber, and rounds went by.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(p.NetGroup().Discovery.GetLocalAdvertisements(engine.PSPrefix+techPath)) == 0 {
+	for len(p.Discovery().GetLocalAdvertisements(engine.PSPrefix+techPath)) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the subtype's advertisement never reached the subscriber")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if sub.AwaitAttachments(stock, 2, 5*interval) {
+	if sub.AwaitReady(stock, 2, 5*interval) {
 		t.Fatal("attached a group of a subtype this peer cannot decode")
 	}
 
 	if _, err := reg.Register(reflect.TypeOf(techQuote{}), stock); err != nil {
 		t.Fatal(err)
 	}
-	if !sub.AwaitAttachments(stock, 2, 20*interval) {
+	if !sub.AwaitReady(stock, 2, 20*interval) {
 		t.Fatal("the subtype's group was not attached after its registration")
 	}
 	if !pub.eng.AwaitReady(pub.nodes["tech"], 1, 5*time.Second) || !sub.AwaitReady(stock, 2, 5*time.Second) {

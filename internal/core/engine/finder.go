@@ -39,8 +39,8 @@ func (e *Engine) finderLoop() {
 // (the subtype closure), mirroring the paper's
 // getRemoteAdvertisements(..., "Name", prefix+"*", N).
 func (e *Engine) findOnce() {
-	net := e.peer.NetGroup()
-	if net == nil {
+	disc := e.peer.Discovery()
+	if disc == nil {
 		return
 	}
 	e.mu.Lock()
@@ -59,7 +59,7 @@ func (e *Engine) findOnce() {
 	e.stats.findRounds.Add(1)
 	failed := false
 	for _, name := range names {
-		if err := net.Discovery.GetRemoteAdvertisements(name, 0); err != nil {
+		if err := disc.GetRemoteAdvertisements(name, 0); err != nil {
 			failed = true
 		}
 	}
@@ -69,7 +69,7 @@ func (e *Engine) findOnce() {
 	// Local cache hits (e.g. advertisements that arrived via unsolicited
 	// remote publish before we started tracking) attach too.
 	for _, name := range names {
-		for _, rec := range net.Discovery.GetLocalAdvertisements(name) {
+		for _, rec := range disc.GetLocalAdvertisements(name) {
 			e.considerAdvertisement(rec.Adv)
 		}
 	}

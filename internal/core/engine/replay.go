@@ -154,7 +154,7 @@ func (a *attachment) oweReplay(ids ...jid.ID) {
 // refused a request for stays owed, and the next round asks again; one
 // whose lease is gone is owed nothing until it grants another.
 func (a *attachment) syncReplay(e *Engine) {
-	rdv := a.group.Rendezvous
+	rdv := e.rdv
 	a.curMu.Lock()
 	defer a.curMu.Unlock()
 	for id := range a.owed {
@@ -274,9 +274,8 @@ func (e *Engine) CursorsView() []obs.CursorEntry {
 // onGapSignal turns a rendezvous gap signal for the attachment's group
 // into a ReplayGapError for its subscribers, and advances the cursor
 // floor so the next replay round asks from the retained range instead
-// of re-pulling the same suffix forever. A rendezvous peer's service
-// serves every group and hears every group's gaps; the others' are not
-// this attachment's.
+// of re-pulling the same suffix forever. The peer's one service hears
+// every group's gaps; the others' are not this attachment's.
 func (e *Engine) onGapSignal(a *attachment) rendezvous.GapListener {
 	return func(origin jid.ID, topic string, first, last uint64, tentative bool) {
 		if topic != a.group.Param() {

@@ -197,11 +197,14 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 }
 
 // TestGapsAndGrantsReachOnlyTheirAttachment runs two types on a
-// rendezvous peer, where both attachments sit on the one wildcard
-// service and hear every gap and grant it receives. A gap for one
-// topic jumps only that attachment's cursor and names only its path; a
-// grant kicks the replay loop once per attachment. Once the attachments
-// have closed, with the service still running, neither reaches them.
+// rendezvous peer, where both attachments sit on the peer's one
+// rendezvous service and hear every gap and grant it receives. A gap for
+// one topic jumps only that attachment's cursor and names only its path;
+// a grant for "", which carries every group, kicks the replay loop once
+// per attachment. Once the attachments have closed, with the service
+// still running, neither reaches them. On an edge in the same two
+// groups a grant names one group: it is owed to that group's attachment
+// alone, and, not being the net group's, starts no finder round.
 func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	t.Cleanup(n.Close)
@@ -225,31 +228,32 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = other.Close() })
-	send := func(op string, fill func(*message.Message)) {
+	send := func(to endpoint.Address, group, op string, fill func(*message.Message)) {
 		t.Helper()
 		m := message.New(other.PeerID())
 		m.AddString("rdv", "Op", op)
 		fill(m)
-		if err := other.Send("mem://rdv", rendezvous.ServiceName, "", m); err != nil {
+		if err := other.Send(to, rendezvous.ServiceName, group, m); err != nil {
 			t.Fatal(err)
 		}
 		n.WaitQuiesce(5 * time.Second)
 	}
 	origin := jid.FromSeed(jid.KindPeer, 7)
 	gap := func(topic string) {
-		send("gap", func(m *message.Message) {
+		send("mem://rdv", "", "gap", func(m *message.Message) {
 			m.AddString("rdv", "Topic", topic)
 			m.AddID("rdv", "LogSrc", origin)
 			m.AddUint64("rdv", "First", 10)
 			m.AddUint64("rdv", "Last", 20)
 		})
 	}
-	grant := func() {
-		send("lease", func(m *message.Message) {
+	grantTo := func(to endpoint.Address, group string) {
+		send(to, group, "lease", func(m *message.Message) {
 			m.AddUint64("rdv", "Lease", uint64(time.Minute/time.Millisecond))
 			m.AddString("rdv", "New", "true")
 		})
 	}
+	grant := func() { grantTo("mem://rdv", "") }
 
 	type stock struct{ N int }
 	type fx struct{ N int }
@@ -281,11 +285,8 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		}
 		return out
 	}
-	attachmentOf := func(node *typereg.Node) *attachment {
+	attachmentOf := func(e *Engine, node *typereg.Node) *attachment {
 		t.Helper()
-		if _, err := e.Subscribe(node, deliver, onError); err != nil {
-			t.Fatal(err)
-		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		for _, a := range e.attachments[node.Path()] {
@@ -294,10 +295,14 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		t.Fatalf("no attachment for %s", node.Path())
 		return nil
 	}
-	a, b := attachmentOf(stockNode), attachmentOf(fxNode)
-	if a.group.Rendezvous != b.group.Rendezvous {
-		t.Fatal("a rendezvous peer's attachments sit on different services")
+	subscribed := func(node *typereg.Node) *attachment {
+		t.Helper()
+		if _, err := e.Subscribe(node, deliver, onError); err != nil {
+			t.Fatal(err)
+		}
+		return attachmentOf(e, node)
 	}
+	a, b := subscribed(stockNode), subscribed(fxNode)
 	a.noteCursor(origin, 1)
 	b.noteCursor(origin, 1)
 
@@ -334,5 +339,52 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	}
 	if g := gaps(); len(g) != len(heard) {
 		t.Fatalf("%d gap errors after close, want the %d from before", len(g), len(heard))
+	}
+
+	// The edge attaches to both types without subscribing: with nobody to
+	// deliver to, the replay loop leaves what is owed where it is.
+	edgeNode, err := n.AddNode("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := peer.New(peer.Config{Name: "edge"}, memnet.New(edgeNode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(edge.Close)
+	onEdge, err := New(Config{Peer: edge, Registry: reg, FindTimeout: 10 * time.Millisecond, FindInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer onEdge.Close()
+	for _, node := range []*typereg.Node{stockNode, fxNode} {
+		if err := onEdge.EnsureType(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x, y := attachmentOf(onEdge, stockNode), attachmentOf(onEdge, fxNode)
+	owed := func(a *attachment) int {
+		a.curMu.Lock()
+		defer a.curMu.Unlock()
+		return len(a.owed)
+	}
+	rounds := onEdge.stats.findRounds.Load
+	time.Sleep(50 * time.Millisecond) // the rounds EnsureType started are over
+	before := rounds()
+	grantTo("mem://edge", y.group.Param())
+	if ox, oy := owed(x), owed(y); ox != 0 || oy != 1 {
+		t.Fatalf("a grant for %s is owed to %d and %d attachments, want 0 and 1", y.path, ox, oy)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := rounds() - before; got != 0 {
+		t.Fatalf("an event group's grant started %d finder rounds", got)
+	}
+	grantTo("mem://edge", jid.NetGroup.String())
+	deadline := time.Now().Add(5 * time.Second)
+	for rounds() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("the net group's grant started no finder round")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -167,40 +167,43 @@ func (s *subscriptionSet) dispatchError(err error) {
 }
 
 // AwaitReady blocks until at least n attachments covering the node's
-// subtree are live AND connected to a rendezvous (or unseeded), or the
-// timeout elapses. Publishers use it before measuring throughput. It
-// starts one finder round; lease grants and the FindInterval ticker
-// start the rounds after it.
+// subtree are live AND their groups hold a rendezvous lease (or the peer
+// is unseeded), or the timeout elapses. Publishers use it before
+// measuring throughput. It starts one finder round; lease grants and the
+// FindInterval ticker start the rounds after it. It waits on e.cond,
+// which an attach, a new lease of an attachment's group and the deadline
+// broadcast.
 func (e *Engine) AwaitReady(node *typereg.Node, n int, timeout time.Duration) bool {
 	e.trackPath(node)
 	e.kickFinder()
 	deadline := time.Now().Add(timeout)
-	for {
-		if e.readyCount(node) >= n {
-			return true
-		}
-		if !time.Now().Before(deadline) {
+	defer time.AfterFunc(timeout, e.broadcast).Stop()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.readyLocked(node) < n {
+		if e.closed || !time.Now().Before(deadline) {
 			return false
 		}
-		time.Sleep(10 * time.Millisecond)
+		e.cond.Wait()
 	}
+	return true
 }
 
 func (e *Engine) readyCount(node *typereg.Node) int {
 	e.mu.Lock()
-	var atts []*attachment
+	defer e.mu.Unlock()
+	return e.readyLocked(node)
+}
+
+func (e *Engine) readyLocked(node *typereg.Node) int {
+	count := 0
 	for path, m := range e.attachments {
 		if typereg.CoversPath(node.Path(), path) {
 			for _, a := range m {
-				atts = append(atts, a)
+				if e.ready(a) {
+					count++
+				}
 			}
-		}
-	}
-	e.mu.Unlock()
-	count := 0
-	for _, a := range atts {
-		if a.ready() {
-			count++
 		}
 	}
 	return count

@@ -9,7 +9,7 @@
 // ages out of the network). Without this protocol a peer remains alone
 // unless it knows its contacts in advance.
 //
-// The protocol speaks straight over the group's rendezvous and endpoint,
+// The protocol speaks straight over the peer's rendezvous and endpoint,
 // under one endpoint handler (ServiceName, group). Queries and
 // unsolicited responses (RemotePublish) are propagated to the group. A
 // query carries its issuer's address, because a propagated query reaches
@@ -105,8 +105,8 @@ func WithClock(now func() time.Time) Option {
 }
 
 // New creates the discovery service of the group and registers its
-// endpoint handler. rdv is the group's rendezvous service, through which
-// queries and unsolicited responses are propagated.
+// endpoint handler. rdv is the peer's rendezvous service, through which
+// queries and unsolicited responses are propagated in the group.
 func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*Service, error) {
 	s := &Service{
 		ep:        ep,

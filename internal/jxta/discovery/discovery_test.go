@@ -45,11 +45,12 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 		c.t.Fatal(err)
 	}
 	rdv, err := rendezvous.New(ep, rendezvous.Config{
-		Role: role, GroupParam: "net", Seeds: seeds, LeaseTTL: 2 * time.Second,
+		Role: role, Seeds: seeds, LeaseTTL: 2 * time.Second,
 	})
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	rdv.Join("net")
 	disc, err := New(ep, rdv, "net")
 	if err != nil {
 		c.t.Fatal(err)
@@ -131,7 +132,7 @@ func TestRemoteQueryFindsPublisher(t *testing.T) {
 	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	for _, p := range []*testPeer{pub, sub} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatal("not connected")
 		}
 	}
@@ -180,7 +181,7 @@ func TestRemotePublishPushesUnsolicited(t *testing.T) {
 	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	for _, p := range []*testPeer{pub, sub} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatal("not connected")
 		}
 	}
@@ -205,7 +206,7 @@ func TestThresholdLimitsResponse(t *testing.T) {
 	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	for _, p := range []*testPeer{pub, sub} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatal("not connected")
 		}
 	}
@@ -516,7 +517,7 @@ func TestPropagatedQueryIsAnsweredStraightToTheQuerier(t *testing.T) {
 	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	for _, p := range []*testPeer{pub, sub} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatal("not connected")
 		}
 	}

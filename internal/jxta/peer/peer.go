@@ -1,15 +1,16 @@
 // Package peer assembles a complete JXTA peer: an endpoint with its
-// transports, the net group's control plane, and the event groups the
-// peer joins over its lifetime.
+// transports, the peer's one rendezvous service, the net group's
+// discovery on it, and the event groups the peer joins over its
+// lifetime.
 //
-// Each stack follows its traffic. The net group is a peergroup.Core —
-// a rendezvous and the discovery that speaks over it — where
-// advertisements are found; it carries no events. An event group is a
-// rendezvous service and a wire. On an edge, each event group gets a
-// rendezvous client of its own. A peer whose role is rendezvous serves
-// every event group, its own included, with one wildcard rendezvous
-// service started in New, and a group it joins builds only its wire on
-// that service: the role is the only switch.
+// A peer runs one rendezvous service, built in New, whatever it joins:
+// its leases, failure detector, active/standby election and duplicate
+// cache are the peer's. A group is a lease on that service. The net
+// group is where advertisements are found; its discovery speaks over
+// the service and no event travels in it. An event group is a wire on
+// the service and, on an edge, a lease for the group with each seed. A
+// rendezvous leases every group at once, so on a rendezvous a group is
+// the wire alone: the role is the only switch.
 //
 // Any networked device is a peer; a peer with extra duties (rendezvous)
 // is just a peer configured with that role. A peer that crashes and
@@ -25,9 +26,9 @@ import (
 	"sync"
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
+	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
@@ -47,34 +48,41 @@ type Config struct {
 	// ID fixes the peer identity; zero generates a fresh one. Restarted
 	// peers pass their old ID to keep their pipes and advertisements.
 	ID jid.ID
-	// Rendezvous is the template every rendezvous service of this peer
-	// is configured from: role (zero means edge), seeds, lease, event
-	// log, tracer, failover, replica set. The net group's service takes
-	// it without the log and the replica set; the wildcard service of a
-	// rendezvous peer, or an edge's per-group client, takes it whole.
+	// Rendezvous configures the peer's rendezvous service: role (zero
+	// means edge), seeds, lease, event log, tracer, failover, replica
+	// set.
 	Rendezvous rendezvous.Config
 }
+
+// Group is this peer's instance of an event group: the wire that carries
+// its traffic over the peer's rendezvous service.
+type Group struct {
+	param string
+	Wire  *wire.Service
+}
+
+// Param returns the endpoint service parameter scoping this group: its
+// ID as a string, and the log topic of its events.
+func (g *Group) Param() string { return g.param }
 
 // Peer is a running JXTA peer.
 type Peer struct {
 	cfg Config
 	ep  *endpoint.Service
-	// wild serves every event group on a rendezvous-role peer; nil on an
-	// edge. Fixed in New.
-	wild *rendezvous.Service
+	rdv *rendezvous.Service // fixed in New
 
-	// joinMu serialises JoinGroup: constructing two stacks for the same
+	// joinMu serialises JoinGroup: constructing two wires for the same
 	// group concurrently would collide on endpoint handler registration.
 	joinMu sync.Mutex
 
 	mu     sync.Mutex
-	net    *peergroup.Core
-	groups map[jid.ID]*peergroup.Group
+	disc   *discovery.Service // nil once closed
+	groups map[jid.ID]*Group
 	closed bool
 }
 
-// New starts a peer with the given transports: the net group's control
-// plane and, on a rendezvous-role peer, the wildcard service.
+// New starts a peer with the given transports: its rendezvous service,
+// leasing the net group on an edge, and the net group's discovery.
 func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	if len(transports) == 0 {
 		return nil, ErrNoTransports
@@ -82,7 +90,10 @@ func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	if cfg.ID.IsZero() {
 		cfg.ID = jid.NewPeer()
 	}
-	p := &Peer{cfg: cfg, ep: endpoint.New(cfg.ID), groups: make(map[jid.ID]*peergroup.Group)}
+	if cfg.Rendezvous.Role == 0 {
+		cfg.Rendezvous.Role = rendezvous.RoleEdge
+	}
+	p := &Peer{cfg: cfg, ep: endpoint.New(cfg.ID), groups: make(map[jid.ID]*Group)}
 	if err := p.start(transports); err != nil {
 		p.Close()
 		return nil, fmt.Errorf("peer %q: %w", cfg.Name, err)
@@ -96,14 +107,12 @@ func (p *Peer) start(transports []endpoint.Transport) (err error) {
 			return err
 		}
 	}
-	if p.net, err = peergroup.NewCore(p.ep, p.cfg.Rendezvous); err != nil {
+	if p.rdv, err = rendezvous.New(p.ep, p.cfg.Rendezvous); err != nil {
 		return err
 	}
-	if p.cfg.Rendezvous.Role == rendezvous.RoleRendezvous {
-		wcfg := p.cfg.Rendezvous
-		wcfg.GroupParam = "" // wildcard: serve every group
-		p.wild, err = rendezvous.New(p.ep, wcfg)
-	}
+	net := jid.NetGroup.String()
+	p.rdv.Join(net)
+	p.disc, err = discovery.New(p.ep, p.rdv, net)
 	return err
 }
 
@@ -119,16 +128,19 @@ func (p *Peer) Endpoint() *endpoint.Service { return p.ep }
 // Addresses returns the peer's reachable addresses, best first.
 func (p *Peer) Addresses() []endpoint.Address { return p.ep.LocalAddresses() }
 
-// NetGroup returns the net group's control plane, or nil once the peer
-// is closed.
-func (p *Peer) NetGroup() *peergroup.Core {
+// Rendezvous returns the peer's one rendezvous service.
+func (p *Peer) Rendezvous() *rendezvous.Service { return p.rdv }
+
+// Discovery returns the net group's discovery, or nil once the peer is
+// closed.
+func (p *Peer) Discovery() *discovery.Service {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.net
+	return p.disc
 }
 
 // Group returns the joined event group with the given ID.
-func (p *Peer) Group(id jid.ID) (*peergroup.Group, bool) {
+func (p *Peer) Group(id jid.ID) (*Group, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	g, ok := p.groups[id]
@@ -136,40 +148,19 @@ func (p *Peer) Group(id jid.ID) (*peergroup.Group, bool) {
 }
 
 // Groups lists the joined event groups.
-func (p *Peer) Groups() []*peergroup.Group {
+func (p *Peer) Groups() []*Group {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*peergroup.Group, 0, len(p.groups))
+	out := make([]*Group, 0, len(p.groups))
 	for _, g := range p.groups {
 		out = append(out, g)
 	}
 	return out
 }
 
-// Rendezvous lists every live rendezvous service of this peer: the net
-// group's, then the wildcard service on a rendezvous peer or, on an
-// edge, one per joined event group.
-func (p *Peer) Rendezvous() []*rendezvous.Service {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.net == nil {
-		return nil
-	}
-	out := make([]*rendezvous.Service, 1, len(p.groups)+2)
-	out[0] = p.net.Rendezvous
-	if p.wild != nil {
-		return append(out, p.wild)
-	}
-	for _, g := range p.groups {
-		out = append(out, g.Rendezvous)
-	}
-	return out
-}
-
-// JoinGroup instantiates the event group's stack on this peer from the
-// peer's rendezvous template: the group's wire on the wildcard service
-// of a rendezvous peer, a rendezvous client and a wire on an edge.
-func (p *Peer) JoinGroup(id jid.ID, name string) (*peergroup.Group, error) {
+// JoinGroup joins the event group on this peer: the group's wire on the
+// rendezvous service and, on an edge, its lease with the seeds.
+func (p *Peer) JoinGroup(id jid.ID, name string) (*Group, error) {
 	p.joinMu.Lock()
 	defer p.joinMu.Unlock()
 	p.mu.Lock()
@@ -183,25 +174,20 @@ func (p *Peer) JoinGroup(id jid.ID, name string) (*peergroup.Group, error) {
 	}
 	p.mu.Unlock()
 
-	cfg := peergroup.Config{ID: id, Name: name, Rendezvous: p.cfg.Rendezvous}
-	var g *peergroup.Group
+	g := &Group{param: id.String()}
 	var err error
-	if p.wild != nil {
-		g, err = peergroup.NewShared(p.ep, p.wild, cfg)
-	} else {
-		g, err = peergroup.New(p.ep, cfg)
-	}
-	if err != nil {
-		return nil, err
+	if g.Wire, err = wire.New(p.ep, p.rdv, wire.Config{Group: g.param}); err != nil {
+		return nil, fmt.Errorf("group %q: %w", name, err)
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		g.Close()
+		g.Wire.Close()
 		return nil, ErrClosed
 	}
 	p.groups[id] = g
 	p.mu.Unlock()
+	p.rdv.Join(g.param)
 	return g, nil
 }
 
@@ -209,7 +195,7 @@ func (p *Peer) JoinGroup(id jid.ID, name string) (*peergroup.Group, error) {
 // advertisement found in discovery, mirroring the paper's
 // WireServiceFinder: it extracts the embedded wire service and returns
 // the propagated pipe advertisement to open input/output pipes with.
-func (p *Peer) JoinGroupFromAdv(pg *adv.PeerGroupAdv) (*peergroup.Group, *adv.PipeAdv, error) {
+func (p *Peer) JoinGroupFromAdv(pg *adv.PeerGroupAdv) (*Group, *adv.PipeAdv, error) {
 	svc, ok := pg.Service(wire.ServiceName)
 	if !ok || svc.Pipe == nil {
 		return nil, nil, fmt.Errorf("%w (group %q)", ErrNoWireInAdv, pg.Name)
@@ -226,21 +212,24 @@ func (p *Peer) JoinGroupFromAdv(pg *adv.PeerGroupAdv) (*peergroup.Group, *adv.Pi
 	return g, svc.Pipe, nil
 }
 
-// LeaveGroup tears down the event group's stack on this peer. A
-// rendezvous peer's wildcard service keeps running: it serves every
-// group.
+// LeaveGroup closes the event group's wire and ends its lease.
 func (p *Peer) LeaveGroup(id jid.ID) {
 	p.mu.Lock()
 	g, ok := p.groups[id]
 	delete(p.groups, id)
 	p.mu.Unlock()
 	if ok {
-		g.Close()
+		g.leave(p.rdv)
 	}
 }
 
-// Close leaves every event group, stops the wildcard service and the
-// net group's control plane, and shuts the endpoint down.
+func (g *Group) leave(rdv *rendezvous.Service) {
+	g.Wire.Close()
+	rdv.Leave(g.param)
+}
+
+// Close leaves every event group, stops the net group's discovery and
+// the rendezvous service, and shuts the endpoint down.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -248,22 +237,19 @@ func (p *Peer) Close() {
 		return
 	}
 	p.closed = true
-	groups := make([]*peergroup.Group, 0, len(p.groups))
-	for _, g := range p.groups {
-		groups = append(groups, g)
-	}
-	p.groups = map[jid.ID]*peergroup.Group{}
-	net := p.net
-	p.net = nil
+	groups := p.groups
+	p.groups = map[jid.ID]*Group{}
+	disc := p.disc
+	p.disc = nil
 	p.mu.Unlock()
 	for _, g := range groups {
-		g.Close()
+		g.leave(p.rdv)
 	}
-	if p.wild != nil {
-		p.wild.Close()
+	if disc != nil {
+		disc.Close()
 	}
-	if net != nil {
-		net.Close()
+	if p.rdv != nil {
+		p.rdv.Close()
 	}
 	_ = p.ep.Close()
 }

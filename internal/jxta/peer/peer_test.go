@@ -2,6 +2,8 @@ package peer_test
 
 import (
 	"errors"
+	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,7 +14,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
-	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
@@ -31,8 +32,8 @@ func newCluster(t *testing.T) *cluster {
 	return &cluster{t: t, net: n}
 }
 
-// addRendezvous starts a rendezvous peer: its role alone gives it the
-// wildcard service that serves every group.
+// addRendezvous starts a rendezvous peer: its role alone makes its
+// rendezvous service serve every group.
 func (c *cluster) addRendezvous(name string) *peer.Peer {
 	c.t.Helper()
 	node, err := c.net.AddNode(name)
@@ -71,12 +72,16 @@ func (c *cluster) addEdge(name string, seeds ...endpoint.Address) *peer.Peer {
 func TestPeerBootJoinsNetGroup(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("solo")
-	net := p.NetGroup()
-	if net == nil {
+	if p.Discovery() == nil {
 		t.Fatal("no net group after boot")
 	}
-	if param := net.Rendezvous.Config().GroupParam; param != jid.NetGroup.String() {
-		t.Fatalf("net group scoped to %q", param)
+	// Zero role means edge; no seeds means no lease, at once.
+	rdv := p.Rendezvous()
+	if role := rdv.Config().Role; role != rendezvous.RoleEdge {
+		t.Fatalf("default role = %v", role)
+	}
+	if rdv.AwaitConnected(jid.NetGroup.String(), 50*time.Millisecond) {
+		t.Fatal("unseeded peer claims a rendezvous")
 	}
 	// The net group is the control plane, not a joined event group.
 	if len(p.Groups()) != 0 {
@@ -135,7 +140,7 @@ func TestWirePubSubThroughDaemonInTypeGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gPub.Rendezvous.AwaitConnected(5*time.Second) || !gSub.Rendezvous.AwaitConnected(5*time.Second) {
+	if !pub.Rendezvous().AwaitConnected(gid.String(), 5*time.Second) || !sub.Rendezvous().AwaitConnected(gid.String(), 5*time.Second) {
 		t.Fatal("type group never connected to the rendezvous")
 	}
 
@@ -167,30 +172,30 @@ func TestWirePubSubThroughDaemonInTypeGroup(t *testing.T) {
 }
 
 // TestGroupIsolationAcrossTypes sends on one group's wire with the same
-// pipe ID open in another group: nothing may cross. Between two edges
-// the groups are apart on every peer. When the rendezvous has joined
-// both groups itself, one shared wildcard service carries both, and the
-// group each message names is all that keeps them apart — while the
-// group's own subscribers still get what is sent in it.
+// pipe ID open in another group: nothing may cross. One rendezvous
+// service per peer carries both groups, and the group each message names
+// is all that keeps them apart — between two edges, and when the
+// rendezvous has joined both groups itself, while the group's own
+// subscribers still get what is sent in it.
 func TestGroupIsolationAcrossTypes(t *testing.T) {
 	ski := jid.FromSeed(jid.KindGroup, 1)
 	chat := jid.FromSeed(jid.KindGroup, 2)
 	pid := jid.FromSeed(jid.KindPipe, 9)
 	pipe := &adv.PipeAdv{PipeID: pid, Type: adv.PipePropagate, Name: "x"}
 	// join joins p to a group and waits for its lease.
-	join := func(t *testing.T, p *peer.Peer, id jid.ID, name string) *peergroup.Group {
+	join := func(t *testing.T, p *peer.Peer, id jid.ID, name string) *peer.Group {
 		t.Helper()
 		g, err := p.JoinGroup(id, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(g.Rendezvous.Config().Seeds) > 0 && !g.Rendezvous.AwaitConnected(5*time.Second) {
+		if rdv := p.Rendezvous(); len(rdv.Config().Seeds) > 0 && !rdv.AwaitConnected(g.Param(), 5*time.Second) {
 			t.Fatalf("%s never connected", name)
 		}
 		return g
 	}
 	// listen counts what reaches the group's end of the pipe.
-	listen := func(t *testing.T, g *peergroup.Group) *atomic.Int64 {
+	listen := func(t *testing.T, g *peer.Group) *atomic.Int64 {
 		t.Helper()
 		in, err := g.Wire.CreateInputPipe(pipe)
 		if err != nil {
@@ -200,7 +205,7 @@ func TestGroupIsolationAcrossTypes(t *testing.T) {
 		in.SetListener(func(*message.Message) { n.Add(1) })
 		return &n
 	}
-	send := func(t *testing.T, p *peer.Peer, g *peergroup.Group) {
+	send := func(t *testing.T, p *peer.Peer, g *peer.Group) {
 		t.Helper()
 		out, err := g.Wire.CreateOutputPipe(pipe)
 		if err != nil {
@@ -234,9 +239,6 @@ func TestGroupIsolationAcrossTypes(t *testing.T) {
 		leaked := listen(t, join(t, chatSub, chat, "PS.Chat"))
 		gSki := join(t, rdv, ski, "PS.Ski")
 		gChat := join(t, rdv, chat, "PS.Chat")
-		if gSki.Rendezvous != gChat.Rendezvous {
-			t.Fatal("the rendezvous runs a service per group")
-		}
 		leakedHere := listen(t, gChat)
 		send(t, rdv, gSki)
 		c.net.WaitQuiesce(5 * time.Second)
@@ -257,7 +259,8 @@ func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
 	c.addRendezvous("rdv")
 	pub := c.addEdge("pub", "mem://rdv")
 	sub := c.addEdge("sub", "mem://rdv")
-	if !pub.NetGroup().Rendezvous.AwaitConnected(5*time.Second) || !sub.NetGroup().Rendezvous.AwaitConnected(5*time.Second) {
+	net := jid.NetGroup.String()
+	if !pub.Rendezvous().AwaitConnected(net, 5*time.Second) || !sub.Rendezvous().AwaitConnected(net, 5*time.Second) {
 		t.Fatal("net groups never connected")
 	}
 
@@ -267,25 +270,25 @@ func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gPub.Rendezvous.AwaitConnected(5 * time.Second) {
+	if !pub.Rendezvous().AwaitConnected(gPub.Param(), 5*time.Second) {
 		t.Fatal("pub type group not connected")
 	}
 	pipeAdv := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: "PS.SkiRental"}
 	groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: pub.ID(), Name: "PS.SkiRental"}
 	groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipeAdv})
-	if err := pub.NetGroup().Discovery.RemotePublish(groupAdv, 0); err != nil {
+	if err := pub.Discovery().RemotePublish(groupAdv, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Subscriber side (the paper's AdvertisementsFinder).
 	found := make(chan *adv.PeerGroupAdv, 1)
-	sub.NetGroup().Discovery.AddListener(func(pg *adv.PeerGroupAdv, _ jid.ID) {
+	sub.Discovery().AddListener(func(pg *adv.PeerGroupAdv, _ jid.ID) {
 		select {
 		case found <- pg:
 		default:
 		}
 	})
-	if err := sub.NetGroup().Discovery.GetRemoteAdvertisements("PS.*", 10); err != nil {
+	if err := sub.Discovery().GetRemoteAdvertisements("PS.*", 10); err != nil {
 		t.Fatal(err)
 	}
 	var pg *adv.PeerGroupAdv
@@ -303,7 +306,7 @@ func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
 	if wirePipe.PipeID != pipeAdv.PipeID {
 		t.Fatalf("wire pipe %v, want %v", wirePipe.PipeID, pipeAdv.PipeID)
 	}
-	if !gSub.Rendezvous.AwaitConnected(5 * time.Second) {
+	if !sub.Rendezvous().AwaitConnected(gSub.Param(), 5*time.Second) {
 		t.Fatal("sub type group not connected")
 	}
 	in, err := gSub.Wire.CreateInputPipe(wirePipe)
@@ -360,38 +363,23 @@ func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 	}
 }
 
-// TestRendezvousGroupsShareTheWildcardService: a rendezvous peer's
-// event groups are wires on its one wildcard service, the one that
-// serves its clients' groups too. Leaving a group leaves that service
-// running, and the peer lists two rendezvous services whatever it
-// joins.
+// TestRendezvousGroupsShareTheWildcardService: a rendezvous peer's event
+// groups are wires on its one rendezvous service, the one that serves
+// its clients' groups too. Leaving a group leaves that service running.
 func TestRendezvousGroupsShareTheWildcardService(t *testing.T) {
 	c := newCluster(t)
 	rdv := c.addRendezvous("rdv")
-	services := rdv.Rendezvous()
-	if len(services) != 2 || services[0] != rdv.NetGroup().Rendezvous {
-		t.Fatalf("%d rendezvous services before any join, want the net group's and the wildcard", len(services))
-	}
-	wild := services[1]
+	svc := rdv.Rendezvous()
 	ski, chat := jid.FromSeed(jid.KindGroup, 1), jid.FromSeed(jid.KindGroup, 2)
-	gSki, err := rdv.JoinGroup(ski, "PS.Ski")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gChat, err := rdv.JoinGroup(chat, "PS.Chat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gSki.Rendezvous != wild || gChat.Rendezvous != wild {
-		t.Fatal("a rendezvous' groups do not share its wildcard service")
-	}
-	if got := rdv.Rendezvous(); len(got) != 2 || got[1] != wild {
-		t.Fatalf("%d rendezvous services after two joins, want the same two", len(got))
+	for _, id := range []jid.ID{ski, chat} {
+		if _, err := rdv.JoinGroup(id, "PS.Any"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rdv.LeaveGroup(ski)
 	rdv.LeaveGroup(chat)
-	if got := rdv.Rendezvous(); len(got) != 2 || got[1] != wild {
-		t.Fatalf("%d rendezvous services after leaving, want the same two", len(got))
+	if rdv.Rendezvous() != svc {
+		t.Fatal("the rendezvous service changed with the groups it served")
 	}
 	// Still running: it grants a new client a lease for a group it left.
 	edge := c.addEdge("edge", "mem://rdv")
@@ -399,9 +387,49 @@ func TestRendezvousGroupsShareTheWildcardService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Rendezvous.AwaitConnected(5 * time.Second) {
-		t.Fatal("the wildcard service stopped with the groups it served")
+	if !edge.Rendezvous().AwaitConnected(g.Param(), 5*time.Second) {
+		t.Fatal("the rendezvous service stopped with the groups it served")
 	}
+}
+
+// TestJoinGroupStartsNoGoroutine: a group is a lease on the peer's one
+// rendezvous service, not a service of its own, so joining one starts
+// no goroutine. It logs what a join costs on a seeded edge: heap objects,
+// bytes and goroutines per JoinGroup, over 100 joins, the lease grants
+// they bring back included.
+func TestJoinGroupStartsNoGoroutine(t *testing.T) {
+	c := newCluster(t)
+	c.addRendezvous("rdv")
+	p := c.addEdge("edge", "mem://rdv")
+	join := func(from, n int) {
+		t.Helper()
+		for i := from; i < from+n; i++ {
+			if _, err := p.JoinGroup(jid.FromSeed(jid.KindGroup, uint64(1000+i)), "g"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.net.WaitQuiesce(5 * time.Second)
+	}
+
+	before := runtime.NumGoroutine()
+	join(0, 20)
+	if grew := runtime.NumGoroutine() - before; grew > 2 {
+		t.Fatalf("20 joins started %d goroutines", grew)
+	}
+
+	const joins = 100
+	samples := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/allocs:bytes"}, {Name: "/sched/goroutines:goroutines"}}
+	read := func() (objects, bytes, goroutines float64) {
+		runtime.GC()
+		runtime.GC()
+		metrics.Read(samples)
+		return float64(samples[0].Value.Uint64()), float64(samples[1].Value.Uint64()), float64(samples[2].Value.Uint64())
+	}
+	o0, b0, g0 := read()
+	join(20, joins)
+	o1, b1, g1 := read()
+	t.Logf("per JoinGroup on a seeded edge: %.1f heap objects, %.0f B, %.2f goroutines",
+		(o1-o0)/joins, (b1-b0)/joins, (g1-g0)/joins)
 }
 
 func TestPeerRestartKeepsIdentity(t *testing.T) {

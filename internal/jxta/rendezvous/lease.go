@@ -1,9 +1,12 @@
 package rendezvous
 
 // lease.go holds the lease tables: the clients leased to this peer
-// (rendezvous role) and the rendezvous this peer holds leases with.
+// (rendezvous role) and the rendezvous this peer holds leases with, both
+// per (peer, group).
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,24 +32,91 @@ func (e *peerEntry) renew(from endpoint.Address, expires time.Time) {
 	e.expires = expires
 }
 
-// clientKey identifies a lease: one peer may lease separately for
-// several groups.
-type clientKey struct {
+// leaseKey identifies a lease: one peer may lease separately for several
+// groups, in either table.
+type leaseKey struct {
 	id jid.ID
-	// param is the group the client leased for; "" (wildcard rendezvous
-	// mesh peers) receives every group's propagation.
+	// param is the group leased for; "" (rendezvous leasing with each
+	// other) carries every group.
 	param string
 }
 
-// ConnectedRendezvous returns the IDs of rendezvous peers we hold leases
-// with.
-func (s *Service) ConnectedRendezvous() []jid.ID {
+// covers reports whether a lease for leased carries the traffic of
+// group: a lease for "" carries every group's, and "" asks about every
+// lease.
+func covers(leased, group string) bool {
+	return leased == "" || group == "" || leased == group
+}
+
+// Join makes this peer lease group with its seeds: an edge connects for
+// it at once, not at the next renewal, and renews it with the rest from
+// then on. A rendezvous, whose one lease for "" carries every group,
+// has nothing to join.
+func (s *Service) Join(group string) {
+	if s.cfg.Role == RoleRendezvous {
+		return
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.groups[group] = struct{}{}
+	s.mu.Unlock()
+	if s.seeds != nil {
+		s.seeds.connect([]string{group})
+	}
+}
+
+// Leave ends this peer's leases for group: it tells every rendezvous it
+// holds one with, at once, and drops them. A grant for the group that is
+// still in flight is dropped when it arrives. On a rendezvous it does
+// nothing.
+func (s *Service) Leave(group string) {
+	if s.cfg.Role == RoleRendezvous {
+		return
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	delete(s.groups, group)
+	var leaving []endpoint.Address
+	for k, e := range s.rdvs {
+		if k.param == group {
+			leaving = append(leaving, e.addr)
+			delete(s.rdvs, k)
+		}
+	}
+	s.mu.Unlock()
+	for _, addr := range leaving {
+		_ = s.ep.Send(addr, ServiceName, group, s.newOp(opDisconnect, 0))
+	}
+}
+
+// leasedGroups lists the groups this peer leases.
+func (s *Service) leasedGroups() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return slices.Collect(maps.Keys(s.groups))
+}
+
+// ConnectedRendezvous returns the IDs of the rendezvous peers we hold a
+// lease with that carries group.
+func (s *Service) ConnectedRendezvous(group string) []jid.ID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.connectedLocked(group)
+}
+
+func (s *Service) connectedLocked(group string) []jid.ID {
 	s.expireLocked()
-	out := make([]jid.ID, 0, len(s.rdvs))
-	for id := range s.rdvs {
-		out = append(out, id)
+	var out []jid.ID
+	for k := range s.rdvs {
+		if covers(k.param, group) && !slices.Contains(out, k.id) {
+			out = append(out, k.id)
+		}
 	}
 	return out
 }
@@ -69,12 +139,12 @@ func (s *Service) ConnectedClients() []jid.ID {
 	return out
 }
 
-// AwaitConnected blocks until this peer holds a lease with at least one
-// rendezvous, or the timeout elapses. It reports success. Peers with no
-// seeds are never "connected". It fails fast — without spinning out the
-// timeout — once every configured seed has rejected at least
-// seedFailFastAfter consecutive connect attempts at the transport layer
-// (all seeds unreachable).
+// AwaitConnected blocks until this peer holds a lease that carries
+// group with at least one rendezvous, or the timeout elapses. It reports
+// success. Peers with no seeds are never "connected". It fails fast —
+// without spinning out the timeout — once every configured seed has
+// rejected at least seedFailFastAfter consecutive connect attempts at
+// the transport layer (all seeds unreachable).
 //
 // Contract under mixed seed health: "connected" means AT LEAST ONE
 // lease, not one per seed. A peer whose only logging (replay-serving)
@@ -85,7 +155,7 @@ func (s *Service) ConnectedClients() []jid.ID {
 // the /inspect admin endpoint) rather than infer it from this method. In
 // ActiveStandby mode only the elected active is ever leased with, so
 // exactly one seed entry shows Leased when healthy.
-func (s *Service) AwaitConnected(timeout time.Duration) bool {
+func (s *Service) AwaitConnected(group string, timeout time.Duration) bool {
 	deadline := s.now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		s.mu.Lock()
@@ -96,8 +166,7 @@ func (s *Service) AwaitConnected(timeout time.Duration) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		s.expireLocked()
-		if len(s.rdvs) > 0 {
+		if len(s.connectedLocked(group)) > 0 {
 			return true
 		}
 		if s.closed || !s.now().Before(deadline) {
@@ -114,16 +183,14 @@ func (s *Service) handleConnect(msg *message.Message, from endpoint.Address) {
 	if s.cfg.Role != RoleRendezvous {
 		return // edge peers do not grant leases
 	}
-	// The lease is scoped to the group the client addressed: a wildcard
-	// rendezvous receives connects for many groups through its ("", svc)
-	// fallback handler.
-	param := s.incomingParam(msg)
+	// The lease is scoped to the group the client addressed.
+	param := groupOf(msg)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	key, now := clientKey{msg.Src, param}, s.now()
+	key, now := leaseKey{msg.Src, param}, s.now()
 	held := s.clients[key]
 	renewal := held != nil && !now.After(held.expires)
 	if held == nil {
@@ -150,12 +217,14 @@ func (s *Service) handleConnect(msg *message.Message, from endpoint.Address) {
 	_ = s.ep.Send(from, ServiceName, param, grant)
 }
 
-// LeaseListener is told that rdv has just granted this peer a lease
-// that one of the two sides did not hold: a new connection epoch, in
-// which rdv knows nothing of what this peer received before. Renewals
-// of a lease both sides hold are not reported. It runs on the
-// transport's receive goroutine and must not block.
-type LeaseListener func(rdv jid.ID)
+// LeaseListener is told that rdv has just granted this peer a lease for
+// group that one of the two sides did not hold: a new connection epoch,
+// in which rdv knows nothing of what this peer received of the group
+// before. A grant for "" is a rendezvous' lease with another, which
+// carries every group. Renewals of a lease both sides hold are not
+// reported. It runs on the transport's receive goroutine and must not
+// block.
+type LeaseListener func(rdv jid.ID, group string)
 
 // AddLeaseListener registers fn for new leases and returns the token
 // that RemoveLeaseListener takes.
@@ -183,8 +252,11 @@ func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
 	if !ok || ttlMS == 0 {
 		return
 	}
+	key := leaseKey{msg.Src, groupOf(msg)}
 	s.mu.Lock()
-	if s.closed {
+	// A grant for a group this peer does not lease — never joined, or
+	// left while the grant was in flight — is nobody's.
+	if _, leased := s.groups[key.param]; s.closed || !leased {
 		s.mu.Unlock()
 		return
 	}
@@ -193,10 +265,15 @@ func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
 	// the rendezvous calls new: it came back from a restart under the ID
 	// it had, or dropped us, while our side of the lease was still live.
 	s.expireLocked()
-	held, renewal := s.rdvs[msg.Src]
-	renewal = renewal && msg.Text(elemNS, elemNewLease) != "true"
+	held := s.rdvs[key]
+	renewal := held != nil && msg.Text(elemNS, elemNewLease) != "true"
+	if held == nil {
+		// The group is the frame's: the key takes a copy, once.
+		key.param = strings.Clone(key.param)
+		held = &peerEntry{}
+		s.rdvs[key] = held
+	}
 	held.renew(from, s.now().Add(time.Duration(ttlMS)*time.Millisecond))
-	s.rdvs[msg.Src] = held
 	// A granted lease is proof of life for the rendezvous's address.
 	s.det.ok(from)
 	s.conn.Broadcast()
@@ -209,14 +286,13 @@ func (s *Service) handleLease(msg *message.Message, from endpoint.Address) {
 	}
 	s.mu.Unlock()
 	for _, fn := range fns {
-		fn(msg.Src)
+		fn(key.id, key.param)
 	}
 }
 
 func (s *Service) handleDisconnect(msg *message.Message) {
-	param := s.incomingParam(msg)
 	s.mu.Lock()
-	delete(s.clients, clientKey{msg.Src, param})
+	delete(s.clients, leaseKey{msg.Src, groupOf(msg)})
 	s.mu.Unlock()
 }
 
@@ -227,9 +303,9 @@ func (s *Service) expireLocked() {
 			delete(s.clients, k)
 		}
 	}
-	for id, e := range s.rdvs {
+	for k, e := range s.rdvs {
 		if now.After(e.expires) {
-			delete(s.rdvs, id)
+			delete(s.rdvs, k)
 		}
 	}
 }
@@ -242,9 +318,9 @@ func (s *Service) dropLeasesLocked(addr endpoint.Address) {
 			delete(s.clients, k)
 		}
 	}
-	for id, e := range s.rdvs {
+	for k, e := range s.rdvs {
 		if e.addr == addr {
-			delete(s.rdvs, id)
+			delete(s.rdvs, k)
 		}
 	}
 }

@@ -52,10 +52,9 @@ func opFrame(t *testing.T, id jid.ID, addr endpoint.Address, group, op string, b
 // chunk, its strings are pieces of the frame, and a lease table lives as
 // long as its peers stay. 2 000 peers connect and renew three times,
 // every frame in a chunk of its own: were a table to keep one string of
-// each as it arrived — the address, or the group a wildcard rendezvous
-// keys its clients by — 128 MB of chunks would stay behind. Both tables
-// are held to it, the clients of a rendezvous and the rendezvous of an
-// edge.
+// each as it arrived — the address, or the group a lease is keyed by —
+// 128 MB of chunks would stay behind. Both tables are held to it, the
+// clients of a rendezvous and the rendezvous of an edge.
 func TestLeasesDoNotPinFrames(t *testing.T) {
 	const peers, rounds, chunk = 2000, 4, 64 << 10
 	serve := func(role rendezvous.Role) (*rendezvous.Service, *handFed) {
@@ -74,14 +73,18 @@ func TestLeasesDoNotPinFrames(t *testing.T) {
 		})
 		return svc, tr
 	}
-	rdv, rdvIn := serve(rendezvous.RoleRendezvous) // wildcard: the group is the frame's
+	rdv, rdvIn := serve(rendezvous.RoleRendezvous)
 	edge, edgeIn := serve(rendezvous.RoleEdge)
+	group := func(i int) string { return fmt.Sprintf("urn:jxta:group-%d", i%7) }
+	for i := 0; i < 7; i++ {
+		edge.Join(group(i))
+	}
 
 	connects, grants := make([][]byte, peers), make([][]byte, peers)
 	for i := range connects {
 		id, addr := jid.FromSeed(jid.KindPeer, uint64(100+i)), endpoint.Address(fmt.Sprintf("hand://10.0.%d.%d:9701", i/250, i%250))
-		connects[i] = opFrame(t, id, addr, fmt.Sprintf("urn:jxta:group-%d", i%7), "connect", nil)
-		grants[i] = opFrame(t, id, addr, "", "lease", func(m *message.Message) { m.AddUint64("rdv", "Lease", 60_000) })
+		connects[i] = opFrame(t, id, addr, group(i), "connect", nil)
+		grants[i] = opFrame(t, id, addr, group(i), "lease", func(m *message.Message) { m.AddUint64("rdv", "Lease", 60_000) })
 	}
 	feed := func(in *handFed, frame []byte) {
 		buf := make([]byte, chunk)
@@ -101,10 +104,10 @@ func TestLeasesDoNotPinFrames(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 
-	if c, r := len(rdv.ConnectedClients()), len(edge.ConnectedRendezvous()); c != peers || r != peers {
+	if c, r := len(rdv.ConnectedClients()), len(edge.ConnectedRendezvous("")); c != peers || r != peers {
 		t.Fatalf("%d clients and %d rendezvous leased, want %d of each", c, r, peers)
 	}
-	for _, pe := range rdv.PeersView() {
+	for _, pe := range append(rdv.PeersView(), edge.PeersView()...) {
 		if !strings.HasPrefix(pe.Addr, "hand://10.0.") || !strings.HasPrefix(pe.Group, "urn:jxta:group-") {
 			t.Fatalf("lease entry %+v", pe)
 		}

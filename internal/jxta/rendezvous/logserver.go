@@ -104,7 +104,7 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 		// A malformed cursor must not read as "replay everything".
 		return
 	}
-	param := s.incomingParam(msg)
+	param := groupOf(msg)
 	self := s.ep.PeerID()
 	if origin != self && !l.store.Holds(origin, topic) {
 		if len(s.cfg.ReplicaSeeds) == 0 || cursor == 0 {

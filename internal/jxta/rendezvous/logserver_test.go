@@ -49,7 +49,7 @@ func TestMalformedCursorIsDropped(t *testing.T) {
 		SyncInterval: time.Hour, // only the hand-built ops below
 	})
 	peer := c.addPeer("peer", 2, rendezvous.RoleEdge, "mem://rdv")
-	if !peer.rdv.AwaitConnected(5 * time.Second) {
+	if !peer.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("peer never connected")
 	}
 	const n = 3
@@ -170,7 +170,7 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	for _, p := range []*testPeer{pub, sub} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
@@ -285,7 +285,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	joiner := c.addPeer("joiner", 3, rendezvous.RoleEdge, "mem://rdv")
 	sink := subscribe(t, joiner, "app.events")
 	wireSink := subscribe(t, joiner, "jxta.service.wire")
-	if !joiner.rdv.AwaitConnected(5 * time.Second) {
+	if !joiner.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("joiner never connected")
 	}
 	if err := joiner.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 0); err != nil {
@@ -332,7 +332,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	// the live copy. A subscriber that has not gets it.
 	fresh := c.addPeer("fresh", 4, rendezvous.RoleEdge, "mem://rdv")
 	freshSink := subscribe(t, fresh, "jxta.service.wire")
-	if !fresh.rdv.AwaitConnected(5 * time.Second) {
+	if !fresh.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("second subscriber never connected")
 	}
 	if err := fresh.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 2); err != nil {
@@ -365,7 +365,7 @@ func newReplayRig(t *testing.T, depth int) *replayRig {
 	t.Cleanup(func() { _ = r.log.Close() })
 	r.rdv = r.c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: r.log})
 	pub := r.c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
-	if !pub.rdv.AwaitConnected(5 * time.Second) {
+	if !pub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("publisher never connected")
 	}
 	for i := 0; i < depth; i++ {
@@ -388,7 +388,7 @@ func newReplayRig(t *testing.T, depth int) *replayRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.joiner.rdv.AwaitConnected(5 * time.Second) {
+	if !r.joiner.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("joiner never connected")
 	}
 	return r
@@ -556,7 +556,7 @@ func TestGapForAnUnheldOriginNamesThatOrigin(t *testing.T) {
 		SyncInterval: time.Hour,
 	})
 	sub := c.addPeer("sub", 2, rendezvous.RoleEdge, "mem://standby")
-	if !sub.rdv.AwaitConnected(5 * time.Second) {
+	if !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("subscriber never connected")
 	}
 	type gap struct {
@@ -600,7 +600,7 @@ func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
 		SyncInterval: time.Hour,
 	})
 	sub := c.addPeer("sub", 2, rendezvous.RoleEdge, "mem://standby")
-	if !sub.rdv.AwaitConnected(5 * time.Second) {
+	if !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("subscriber never connected")
 	}
 	var a, b atomic.Int64
@@ -620,5 +620,43 @@ func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
 	c.net.WaitQuiesce(5 * time.Second)
 	if n := a.Load(); n != 1 {
 		t.Fatalf("a removed listener heard %d gaps, want the 1 before its removal", n)
+	}
+}
+
+// TestNetGroupIsNeverLogged: one durable rendezvous carries the net
+// group's discovery traffic beside every event group's. It forwards
+// both, and logs the event group alone: queries and advertisements are
+// neither events nor worth replaying.
+func TestNetGroupIsNeverLogged(t *testing.T) {
+	c := newCluster(t)
+	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = log.Close() })
+	c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: log})
+	netGroup := jid.NetGroup.String()
+	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
+	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
+	for _, p := range []*testPeer{pub, sub} {
+		p.rdv.Join(netGroup)
+		if !p.rdv.AwaitConnected(netGroup, 5*time.Second) {
+			t.Fatalf("%s never leased the net group", p.name)
+		}
+	}
+	queries := &msgSink{ch: make(chan *message.Message, 1)}
+	if err := sub.ep.RegisterHandler("app.queries", netGroup, queries.handler); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.rdv.Propagate(message.New(pub.ep.PeerID()), "app.queries", netGroup); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.rdv.Propagate(message.New(pub.ep.PeerID()), "app.events", "net"); err != nil {
+		t.Fatal(err)
+	}
+	queries.waitOne(t)
+	waitFor(t, func() bool { _, last, ok := log.Range("net"); return ok && last == 1 })
+	if _, _, ok := log.Range(netGroup); ok {
+		t.Fatal("the rendezvous logged the net group")
 	}
 }

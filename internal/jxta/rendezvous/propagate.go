@@ -18,14 +18,14 @@ import (
 // Propagate fans msg out into the mesh, addressed to the (dsvc, dparam)
 // service on every reachable peer in the group dparam names. dparam
 // also scopes the fan-out and, on a durable rendezvous, names the log
-// topic: a wildcard service carries every group's traffic and tells the
-// groups apart by it. The local peer is NOT delivered to — callers
+// topic: the service carries every group's traffic and tells the groups
+// apart by it. The local peer is NOT delivered to — callers
 // decide whether to loop back. Returns ErrNoPeers if there was nobody
 // to send to.
 //
-// A message ID names one injection into one group. A wildcard service
-// keeps one duplicate cache for every group it serves, so a caller that
-// sends the same content into two groups gives each copy its own ID.
+// A message ID names one injection into one group. A peer keeps one
+// duplicate cache for every group it is in, so a caller that sends the
+// same content into two groups gives each copy its own ID.
 //
 // msg is only read. Where it is going — rdv:Op/DSvc/DParam, and whatever
 // envelope the calling layer adds — is written into the frame
@@ -84,8 +84,11 @@ func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
 	if !fwd.Stamp(s.ep.PeerID()) {
 		return
 	}
-	s.fanOut(fwd, msg.Src, s.incomingParam(msg))
+	s.fanOut(fwd, msg.Src, groupOf(msg))
 }
+
+// netGroup is the net group's endpoint parameter.
+var netGroup = jid.NetGroup.String()
 
 // target is one peer a frame is about to be sent to.
 type target struct {
@@ -110,10 +113,11 @@ func (l *targetList) release() {
 	targetPool.Put(l)
 }
 
-// targets selects who receives a frame of the given group: the clients
-// leased for it and, when mesh is set, the rendezvous we lease with —
-// each peer once, skipping addresses whose eviction breaker is still
-// open. The caller releases the list when the frame is sent.
+// targets selects who receives a frame of the given group: the peers
+// leased to us for it and, when mesh is set, the rendezvous we hold a
+// lease for it with — each peer once, skipping addresses whose eviction
+// breaker is still open. The caller releases the list when the frame is
+// sent.
 func (s *Service) targets(param string, mesh bool) *targetList {
 	l := targetPool.Get().(*targetList)
 	s.mu.Lock()
@@ -121,27 +125,24 @@ func (s *Service) targets(param string, mesh bool) *targetList {
 	s.expireLocked()
 	now := s.now()
 	// One peer may lease for several groups, or lease while also being a
-	// rendezvous we connect to.
-	for k, e := range s.clients {
-		// Group scoping: a client leased for group X must not receive
-		// group Y traffic. Wildcard entries ("") are mesh peers that
-		// forward everything.
-		if k.param != "" && param != "" && k.param != param {
-			continue
+	// rendezvous we connect to. A client leased for group X must not
+	// receive group Y traffic.
+	add := func(k leaseKey, e *peerEntry) {
+		if !covers(k.param, param) {
+			return
 		}
 		if _, dup := l.ids[k.id]; dup || s.blockedLocked(e.addr, now) {
-			continue
+			return
 		}
 		l.ids[k.id] = struct{}{}
 		l.targets = append(l.targets, target{k.id, e.addr})
 	}
+	for k, e := range s.clients {
+		add(k, e)
+	}
 	if mesh {
-		for id, e := range s.rdvs {
-			// IDs are unique within rdvs; only a client/rdv overlap can dup.
-			if _, dup := l.ids[id]; dup || s.blockedLocked(e.addr, now) {
-				continue
-			}
-			l.targets = append(l.targets, target{id, e.addr})
+		for k, e := range s.rdvs {
+			add(k, e)
 		}
 	}
 	return l
@@ -171,8 +172,10 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string, enve
 	// replay it later. A forwarded message is re-numbered: cursors are per
 	// origin, and this rendezvous is now an origin for its subscribers.
 	// The frame it stored is the frame the targets below get.
+	// The net group carries queries and advertisements, which are neither
+	// events nor worth replaying: it is never logged.
 	var frame []byte
-	if s.logs != nil {
+	if s.logs != nil && param != netGroup {
 		frame = s.logs.append(msg, param, envelope)
 	}
 	// Archive a forward-stage hop for messages carrying a trace element:

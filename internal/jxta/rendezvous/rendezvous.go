@@ -9,13 +9,18 @@
 // The Peer Discovery Protocol and the wire (propagated pipe) service both
 // ride on Propagate.
 //
-// One Service is one protocol instance. Its state is split into parts
-// that exist only on the role that needs them: the lease tables and the
-// failure detector (detector.go) on every peer, a seed client
-// (seeds.go) on peers configured with seeds, and a log server
-// (logserver.go, sync.go) on rendezvous peers with an event log. A nil
-// part is the guard: an edge peer never constructs the log server, so
-// replay and sync ops addressed to it are dropped at dispatch.
+// A peer runs one Service, whatever groups it is in: its lease tables,
+// its failure detector, its duplicate cache and its maintenance loop are
+// the peer's, not a group's. A group is a lease on it, keyed by (peer,
+// group): an edge leases each group it joins (Join, Leave) with its
+// seeds, and a rendezvous leases "" with its own seeds, which carries
+// every group. The state is split into parts that exist only on the role
+// that needs them: the lease tables and the failure detector
+// (detector.go) on every peer, a seed client (seeds.go) on peers
+// configured with seeds, and a log server (logserver.go, sync.go) on
+// rendezvous peers with an event log. A nil part is the guard: an edge
+// peer never constructs the log server, so replay and sync ops addressed
+// to it are dropped at dispatch.
 package rendezvous
 
 import (
@@ -26,7 +31,6 @@ import (
 
 	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
-	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs/trace"
@@ -95,19 +99,12 @@ type Endpoint interface {
 	UnregisterHandler(svc, param string)
 }
 
-// Config configures a rendezvous service instance. It is the only
-// declaration of these knobs: the layers above (peergroup, peer, tps)
-// carry a Config whole instead of re-declaring its fields.
+// Config configures a peer's rendezvous service. It is the only
+// declaration of these knobs: the layers above (peer, tps) carry a
+// Config whole instead of re-declaring its fields.
 type Config struct {
 	// Role selects edge or rendezvous behaviour.
 	Role Role
-	// GroupParam scopes the protocol to one peer group; it becomes the
-	// endpoint service parameter. A rendezvous peer leaves it empty to
-	// serve every event group with one instance (a wildcard rendezvous,
-	// what package peer builds): clients are then tracked per group, and
-	// propagation and the log stay group-scoped by the group each
-	// message names.
-	GroupParam string
 	// Seeds are addresses of rendezvous peers to connect to. Edge peers
 	// need at least one to reach beyond their own process; rendezvous
 	// peers use seeds to form a mesh with other rendezvous.
@@ -201,8 +198,8 @@ var ErrNoPeers = errors.New("rendezvous: no connected peers")
 // ErrNoPeers the mesh thinks it exists — a partition or mass failure.
 var ErrAllSendsFailed = errors.New("rendezvous: all sends failed")
 
-// Service is one peer's rendezvous protocol instance for one group, or
-// for every group when GroupParam is empty.
+// Service is one peer's rendezvous protocol instance, for every group
+// the peer is in.
 type Service struct {
 	ep    Endpoint
 	cfg   Config // normalised by New
@@ -216,10 +213,12 @@ type Service struct {
 
 	// mu guards the lease tables together with the detector and the
 	// seed client's state: eviction must drop an address's leases and
-	// open its breaker atomically.
+	// open its breaker atomically. A renewal writes a table's entry, not
+	// its key.
 	mu      sync.Mutex
-	clients map[clientKey]*peerEntry // connected to us (rendezvous role); a renewal writes the entry, not the key
-	rdvs    map[jid.ID]peerEntry     // we are connected to them (granted leases)
+	groups  map[string]struct{}     // what we lease: an edge's joined groups, or "" alone on a rendezvous
+	clients map[leaseKey]*peerEntry // connected to us (rendezvous role)
+	rdvs    map[leaseKey]*peerEntry // we are connected to them (granted leases)
 	det     detector
 	conn    *sync.Cond // signals rdvs-set and seed-failure changes
 	closed  bool
@@ -235,9 +234,11 @@ type Service struct {
 	stop chan struct{}
 }
 
-// New creates and starts the rendezvous service: it registers the
-// protocol handler and starts the loops its parts need — lease
-// maintenance and suspect probing, anti-entropy sync.
+// New creates and starts the peer's rendezvous service: it registers the
+// protocol handler, for every group, and starts the loops its parts need
+// — lease maintenance and suspect probing, anti-entropy sync. An edge
+// leases nothing until it joins a group; a rendezvous leases "" with its
+// seeds from the start.
 func New(ep Endpoint, cfg Config) (*Service, error) {
 	if cfg.Role != RoleEdge && cfg.Role != RoleRendezvous {
 		return nil, fmt.Errorf("rendezvous: invalid role %d", cfg.Role)
@@ -247,19 +248,23 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 		ep:      ep,
 		cfg:     cfg,
 		seen:    seen.New(),
-		clients: make(map[clientKey]*peerEntry),
-		rdvs:    make(map[jid.ID]peerEntry),
+		groups:  make(map[string]struct{}),
+		clients: make(map[leaseKey]*peerEntry),
+		rdvs:    make(map[leaseKey]*peerEntry),
 		det:     make(detector),
 		stop:    make(chan struct{}),
 	}
 	s.conn = sync.NewCond(&s.mu)
+	if cfg.Role == RoleRendezvous {
+		s.groups[""] = struct{}{}
+	}
 	if len(cfg.Seeds) > 0 {
 		s.seeds = &seedClient{s: s, state: make([]seedState, len(cfg.Seeds))}
 	}
 	if cfg.Role == RoleRendezvous && cfg.Log != nil {
 		s.logs = newLogServer(s)
 	}
-	if err := ep.RegisterHandler(ServiceName, cfg.GroupParam, s.handle); err != nil {
+	if err := ep.RegisterHandler(ServiceName, "", s.handle); err != nil {
 		return nil, fmt.Errorf("rendezvous: register handler: %w", err)
 	}
 	// Seeded peers maintain leases; rendezvous additionally probe their
@@ -285,8 +290,8 @@ func (s *Service) Config() Config { return s.cfg }
 
 func (s *Service) now() time.Time { return s.cfg.Clock() }
 
-// Close stops lease maintenance, tells our rendezvous we are leaving and
-// unregisters the handler.
+// Close stops lease maintenance, tells our rendezvous we are leaving,
+// one lease at a time, and unregisters the handler.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -294,17 +299,17 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	leaving := make([]endpoint.Address, 0, len(s.rdvs))
-	for _, e := range s.rdvs {
-		leaving = append(leaving, e.addr)
+	leaving := make(map[leaseKey]endpoint.Address, len(s.rdvs))
+	for k, e := range s.rdvs {
+		leaving[k] = e.addr
 	}
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
-	for _, addr := range leaving {
-		_ = s.ep.Send(addr, ServiceName, s.cfg.GroupParam, s.newOp(opDisconnect, 0))
+	for k, addr := range leaving {
+		_ = s.ep.Send(addr, ServiceName, k.param, s.newOp(opDisconnect, 0))
 	}
-	s.ep.UnregisterHandler(ServiceName, s.cfg.GroupParam)
+	s.ep.UnregisterHandler(ServiceName, "")
 }
 
 // newOp starts a control message of this peer carrying the op element,
@@ -316,10 +321,10 @@ func (s *Service) newOp(op string, extra int) *message.Message {
 	return m
 }
 
-// sendCounted sends a control message in this service's group and
+// sendCounted sends a control message that belongs to no group and
 // counts a transport rejection as a send failure.
 func (s *Service) sendCounted(to endpoint.Address, m *message.Message) error {
-	err := s.ep.Send(to, ServiceName, s.cfg.GroupParam, m)
+	err := s.ep.Send(to, ServiceName, "", m)
 	if err != nil {
 		s.stats.sendFailures.Add(1)
 	}
@@ -341,7 +346,7 @@ func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 	case opPing:
 		// Any role answers: probing works edge→rendezvous and
 		// rendezvous→client alike.
-		_ = s.ep.Send(from, ServiceName, s.incomingParam(msg), s.newOp(opPong, 0))
+		_ = s.ep.Send(from, ServiceName, groupOf(msg), s.newOp(opPong, 0))
 	case opPong:
 		// The suspect is alive.
 		s.noteSuccess(from)
@@ -366,13 +371,11 @@ func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 	}
 }
 
-// incomingParam recovers the group parameter a message was addressed to
-// on this hop, falling back to our own configured group.
-func (s *Service) incomingParam(msg *message.Message) string {
-	if _, param, err := endpoint.Destination(msg); err == nil && param != "" {
-		return param
-	}
-	return s.cfg.GroupParam
+// groupOf recovers the group a message was addressed to on this hop: the
+// endpoint parameter the sender gave it, "" for every group.
+func groupOf(msg *message.Message) string {
+	_, param, _ := endpoint.Destination(msg)
+	return param
 }
 
 // maintainLoop keeps leases with seed rendezvous alive (renewing at a
@@ -388,7 +391,7 @@ func (s *Service) maintainLoop() {
 	defer ticker.Stop()
 	for {
 		if s.seeds != nil {
-			s.seeds.connect()
+			s.seeds.connect(s.leasedGroups())
 		}
 		s.probeSuspects()
 		select {

@@ -14,6 +14,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
+	"github.com/tps-p2p/tps/internal/obs"
 )
 
 // testPeer bundles an endpoint + rendezvous service on a netsim node.
@@ -43,7 +44,8 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 }
 
 // addService starts a rendezvous service with an arbitrary configuration
-// (scoped to group "net", 2 s leases) on its own node.
+// (2 s leases unless it names others, an edge in group "net") on its own
+// node.
 func (c *cluster) addService(name string, seed uint64, cfg rendezvous.Config) *testPeer {
 	c.t.Helper()
 	node, err := c.net.AddNode(name)
@@ -58,12 +60,14 @@ func (c *cluster) addService(name string, seed uint64, cfg rendezvous.Config) *t
 	if err := ep.AddTransport(tr); err != nil {
 		c.t.Fatal(err)
 	}
-	cfg.GroupParam = "net"
-	cfg.LeaseTTL = 2 * time.Second
+	if cfg.LeaseTTL == 0 {
+		cfg.LeaseTTL = 2 * time.Second
+	}
 	rdv, err := rendezvous.New(ep, cfg)
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	rdv.Join("net")
 	p := &testPeer{name: name, ep: ep, rdv: rdv}
 	c.t.Cleanup(func() {
 		p.rdv.Close()
@@ -116,10 +120,10 @@ func TestEdgeConnectsToRendezvous(t *testing.T) {
 	c := newCluster(t)
 	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
 	e := c.addPeer("edge", 2, rendezvous.RoleEdge, "mem://rdv")
-	if !e.rdv.AwaitConnected(5 * time.Second) {
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("edge never connected")
 	}
-	got := e.rdv.ConnectedRendezvous()
+	got := e.rdv.ConnectedRendezvous("net")
 	if len(got) != 1 || got[0] != r.ep.PeerID() {
 		t.Fatalf("connected rdvs = %v", got)
 	}
@@ -136,7 +140,7 @@ func TestPropagateThroughOneRendezvous(t *testing.T) {
 	sub1 := c.addPeer("sub1", 3, rendezvous.RoleEdge, "mem://rdv")
 	sub2 := c.addPeer("sub2", 4, rendezvous.RoleEdge, "mem://rdv")
 	for _, p := range []*testPeer{pub, sub1, sub2} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
@@ -174,7 +178,7 @@ func TestForwardStampsACopyOfADeliveredMessage(t *testing.T) {
 	pub := c.addPeer("pub", 3, rendezvous.RoleEdge, "mem://rdvA")
 	sub := c.addPeer("sub", 4, rendezvous.RoleEdge, "mem://rdvB")
 	for _, p := range []*testPeer{rdvB, pub, sub} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
@@ -207,7 +211,7 @@ func TestPropagateAcrossRendezvousMesh(t *testing.T) {
 	c.addPeer("rdvB", 2, rendezvous.RoleRendezvous, "mem://rdvA")
 	pub := c.addPeer("pub", 3, rendezvous.RoleEdge, "mem://rdvA")
 	sub := c.addPeer("sub", 4, rendezvous.RoleEdge, "mem://rdvB")
-	if !pub.rdv.AwaitConnected(5*time.Second) || !sub.rdv.AwaitConnected(5*time.Second) {
+	if !pub.rdv.AwaitConnected("net", 5*time.Second) || !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("peers never connected")
 	}
 	s := subscribe(t, sub, "app.events")
@@ -231,7 +235,7 @@ func TestDuplicateSuppressionInMesh(t *testing.T) {
 	subA := c.addPeer("subA", 4, rendezvous.RoleEdge, "mem://rdvA")
 	subB := c.addPeer("subB", 5, rendezvous.RoleEdge, "mem://rdvB")
 	for _, p := range []*testPeer{pub, subA, subB} {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
@@ -272,7 +276,7 @@ func TestLeaseExpiryDropsClient(t *testing.T) {
 	c := newCluster(t)
 	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
 	e := c.addPeer("edge", 2, rendezvous.RoleEdge, "mem://rdv")
-	if !e.rdv.AwaitConnected(5 * time.Second) {
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("edge never connected")
 	}
 	waitFor(t, func() bool { return len(r.rdv.ConnectedClients()) == 1 })
@@ -286,7 +290,7 @@ func TestRendezvousRestartHeals(t *testing.T) {
 	c := newCluster(t)
 	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
 	e := c.addPeer("edge", 2, rendezvous.RoleEdge, "mem://rdv")
-	if !e.rdv.AwaitConnected(5 * time.Second) {
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("initial connect failed")
 	}
 	// Kill the rendezvous node entirely.
@@ -297,7 +301,7 @@ func TestRendezvousRestartHeals(t *testing.T) {
 	// The edge's lease loop keeps retrying the seed; eventually it holds
 	// a lease with the new rendezvous.
 	waitFor(t, func() bool {
-		for _, id := range e.rdv.ConnectedRendezvous() {
+		for _, id := range e.rdv.ConnectedRendezvous("net") {
 			if id == r2.ep.PeerID() {
 				return true
 			}
@@ -314,17 +318,97 @@ func TestRestartUnderTheSameIDIsANewLease(t *testing.T) {
 	c := newCluster(t)
 	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
 	e := c.addPeer("edge", 2, rendezvous.RoleEdge, "mem://rdv")
-	if !e.rdv.AwaitConnected(5 * time.Second) {
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("initial connect failed")
 	}
 	var heard atomic.Int64
-	e.rdv.AddLeaseListener(func(jid.ID) { heard.Add(1) })
+	e.rdv.AddLeaseListener(func(jid.ID, string) { heard.Add(1) })
 	r.rdv.Close()
 	_ = r.ep.Close()
 	c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
 	waitFor(t, func() bool { return heard.Load() == 1 })
-	if got := e.rdv.ConnectedRendezvous(); len(got) != 1 || got[0] != r.ep.PeerID() {
+	if got := e.rdv.ConnectedRendezvous("net"); len(got) != 1 || got[0] != r.ep.PeerID() {
 		t.Fatalf("connected rdvs = %v, want the one ID", got)
+	}
+}
+
+// leases lists the groups p holds a lease of kind for with other, as
+// p's peer table shows them.
+func leases(p *testPeer, kind string, other *testPeer) map[string]bool {
+	out := make(map[string]bool)
+	for _, pe := range p.rdv.PeersView() {
+		if pe.Kind == kind && pe.ID == other.ep.PeerID().String() {
+			out[pe.Group] = true
+		}
+	}
+	return out
+}
+
+// TestLeaveEndsTheGroupsLeaseAtOnce: an edge in groups X and Y leaves X.
+// The rendezvous hears it and drops the edge's lease for X long before
+// the lease would have run out, and keeps the one for Y. A grant for X
+// that arrives after the edge left creates no lease and tells no
+// listener, while one for Y still does.
+func TestLeaveEndsTheGroupsLeaseAtOnce(t *testing.T) {
+	c := newCluster(t)
+	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
+	e := c.addPeer("edge", 2, rendezvous.RoleEdge, "mem://rdv")
+	e.rdv.Join("X")
+	e.rdv.Join("Y")
+	waitFor(t, func() bool { l := leases(r, obs.PeerClient, e); return l["X"] && l["Y"] })
+	var heard sync.Map
+	e.rdv.AddLeaseListener(func(id jid.ID, group string) { heard.Store(group, id) })
+
+	start := time.Now()
+	e.rdv.Leave("X")
+	waitFor(t, func() bool { return !leases(r, obs.PeerClient, e)["X"] })
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the rendezvous dropped the lease after %v, as if it had expired", took)
+	}
+	if l := leases(r, obs.PeerClient, e); !l["Y"] || !l["net"] {
+		t.Fatalf("the rendezvous dropped the edge's other leases too: %v", l)
+	}
+	if l := leases(e, obs.PeerRendezvous, r); l["X"] || !l["Y"] {
+		t.Fatalf("the edge's own table after leaving X: %v", l)
+	}
+
+	grant := func(group string) {
+		m := message.New(r.ep.PeerID())
+		m.AddString("rdv", "Op", "lease")
+		m.AddUint64("rdv", "Lease", uint64(time.Minute/time.Millisecond))
+		m.AddString("rdv", "New", "true")
+		if err := r.ep.Send("mem://edge", rendezvous.ServiceName, group, m); err != nil {
+			t.Fatal(err)
+		}
+		c.net.WaitQuiesce(5 * time.Second)
+	}
+	grant("X")
+	if got := e.rdv.ConnectedRendezvous("X"); len(got) != 0 {
+		t.Fatalf("a grant for the group the edge left leased it with %v", got)
+	}
+	if _, ok := heard.Load("X"); ok {
+		t.Fatal("a grant for the group the edge left reached a listener")
+	}
+	grant("Y")
+	if id, ok := heard.Load("Y"); !ok || id != r.ep.PeerID() {
+		t.Fatal("a new grant for a joined group reached no listener")
+	}
+}
+
+// TestJoinLeasesWithoutWaitingForRenewal: with 30 s leases an edge renews
+// every 10 s, and a group it joins is leased at once, not at the next
+// renewal.
+func TestJoinLeasesWithoutWaitingForRenewal(t *testing.T) {
+	c := newCluster(t)
+	c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 30 * time.Second})
+	e := c.addService("edge", 2, rendezvous.Config{Role: rendezvous.RoleEdge, Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 30 * time.Second})
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
+		t.Fatal("edge never connected")
+	}
+	start := time.Now()
+	e.rdv.Join("X")
+	if !e.rdv.AwaitConnected("X", time.Second) {
+		t.Fatalf("no grant for the joined group after %v", time.Since(start))
 	}
 }
 
@@ -358,7 +442,7 @@ func TestTTLBoundsPropagationDepth(t *testing.T) {
 	}
 	pub := c.addPeer("pub", 30, rendezvous.RoleEdge, "mem://r0")
 	far := c.addPeer("far", 31, rendezvous.RoleEdge, "mem://r8")
-	if !pub.rdv.AwaitConnected(5*time.Second) || !far.rdv.AwaitConnected(5*time.Second) {
+	if !pub.rdv.AwaitConnected("net", 5*time.Second) || !far.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("never connected")
 	}
 	// Let the rendezvous chain link up (each must lease with its
@@ -395,7 +479,7 @@ func TestAwaitConnectedFailsFastWhenAllSeedsUnreachable(t *testing.T) {
 	c := newCluster(t)
 	e := c.addPeer("edge", 1, rendezvous.RoleEdge, "mem://ghost1", "mem://ghost2")
 	start := time.Now()
-	if e.rdv.AwaitConnected(30 * time.Second) {
+	if e.rdv.AwaitConnected("net", 30*time.Second) {
 		t.Fatal("connected to nonexistent seeds")
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -423,10 +507,9 @@ func TestLeaseExpiryUnderClockSkew(t *testing.T) {
 	}
 	const ttl = 2 * time.Second
 	rdv, err := rendezvous.New(ep, rendezvous.Config{
-		Role:       rendezvous.RoleRendezvous,
-		GroupParam: "net",
-		LeaseTTL:   ttl,
-		Clock:      func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
+		Role:     rendezvous.RoleRendezvous,
+		LeaseTTL: ttl,
+		Clock:    func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +517,7 @@ func TestLeaseExpiryUnderClockSkew(t *testing.T) {
 	t.Cleanup(func() { rdv.Close(); _ = ep.Close() })
 
 	e := c.addPeer("edge", 2, rendezvous.RoleEdge, "mem://rdv")
-	if !e.rdv.AwaitConnected(5 * time.Second) {
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("edge never connected")
 	}
 	waitFor(t, func() bool { return len(rdv.ConnectedClients()) == 1 })
@@ -464,7 +547,6 @@ func TestSuspectProbeRecovery(t *testing.T) {
 	}
 	rdv, err := rendezvous.New(ep, rendezvous.Config{
 		Role:         rendezvous.RoleRendezvous,
-		GroupParam:   "net",
 		LeaseTTL:     time.Second,
 		SuspectAfter: 2,
 		EvictAfter:   50, // keep eviction out of this test
@@ -476,7 +558,7 @@ func TestSuspectProbeRecovery(t *testing.T) {
 
 	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
-	if !pub.rdv.AwaitConnected(5*time.Second) || !sub.rdv.AwaitConnected(5*time.Second) {
+	if !pub.rdv.AwaitConnected("net", 5*time.Second) || !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("peers never connected")
 	}
 	sink := subscribe(t, sub, "app.events")
@@ -539,24 +621,24 @@ func TestLeaseListenerHearsGrantsNotRenewals(t *testing.T) {
 	}
 	const renew = 50 * time.Millisecond
 	edge, err := rendezvous.New(ep, rendezvous.Config{
-		Role:       rendezvous.RoleEdge,
-		GroupParam: "net",
-		Seeds:      []endpoint.Address{"mem://rdv"},
-		LeaseTTL:   3 * renew,
-		Clock:      func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
+		Role:     rendezvous.RoleEdge,
+		Seeds:    []endpoint.Address{"mem://rdv"},
+		LeaseTTL: 3 * renew,
+		Clock:    func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { edge.Close(); _ = ep.Close() })
-	if !edge.AwaitConnected(5 * time.Second) {
+	edge.Join("net")
+	if !edge.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("edge never connected")
 	}
 
 	var heard atomic.Int64
-	token := edge.AddLeaseListener(func(id jid.ID) {
-		if id != r.ep.PeerID() {
-			t.Errorf("listener told of %v, want %v", id, r.ep.PeerID())
+	token := edge.AddLeaseListener(func(id jid.ID, group string) {
+		if id != r.ep.PeerID() || group != "net" {
+			t.Errorf("listener told of %v in %q, want %v in net", id, group, r.ep.PeerID())
 		}
 		heard.Add(1)
 	})

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 )
@@ -56,8 +57,8 @@ const (
 // for origin past the gap — those entries are unrecoverable. tentative
 // is set when the signalling replica had not completed a first
 // anti-entropy exchange, so its "nothing retained" verdict is
-// provisional rather than proof of loss. A service that serves several
-// groups tells every listener of every gap: a listener reads topic to
+// provisional rather than proof of loss. The service tells every
+// listener of every gap, whatever its group: a listener reads topic to
 // find out whether the gap is its own. It runs on the transport's
 // receive goroutine and must not block.
 type GapListener func(origin jid.ID, topic string, first, last uint64, tentative bool)
@@ -115,12 +116,20 @@ var ErrNoLease = errors.New("rendezvous: no lease")
 // normal propagation path (and its dedupe); a gap signal arrives
 // through the GapListener. The request is fire-and-forget: callers
 // re-request on the next lease grant (LeaseListener), which is what
-// makes delivery at-least-once over lossy links.
+// makes delivery at-least-once over lossy links. The request goes in
+// the topic's group, under a lease with the target that carries it.
 func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
 	s.mu.Lock()
-	e, ok := s.rdvs[target]
+	e := s.rdvs[leaseKey{target, topic}]
+	if e == nil {
+		e = s.rdvs[leaseKey{target, ""}]
+	}
+	var addr endpoint.Address
+	if e != nil {
+		addr = e.addr
+	}
 	s.mu.Unlock()
-	if !ok {
+	if e == nil {
 		return fmt.Errorf("%w with %v", ErrNoLease, target)
 	}
 	if origin.IsZero() {
@@ -131,7 +140,7 @@ func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, afte
 	req.AddUint64(elemNS, elemCursor, after)
 	req.AddID(elemNS, elemLogSrc, origin)
 	s.stats.replayRequests.Add(1)
-	return s.ep.Send(e.addr, ServiceName, s.cfg.GroupParam, req)
+	return s.ep.Send(addr, ServiceName, topic, req)
 }
 
 // handleGap dispatches a received gap signal to the listeners. The gap

@@ -27,17 +27,18 @@ type seedClient struct {
 	active int         // index of the active seed (ActiveStandby mode)
 }
 
-// connect sends a connect (which doubles as lease renewal) to every
-// configured seed that is neither behind an eviction breaker nor inside
-// its failure backoff window. In ActiveStandby mode only the elected
-// active seed is leased with; the rest stay cold standbys.
-func (c *seedClient) connect() {
+// connect sends a connect (which doubles as lease renewal) for each of
+// the groups to every configured seed that is neither behind an eviction
+// breaker nor inside its failure backoff window. In ActiveStandby mode
+// only the elected active seed is leased with; the rest stay cold
+// standbys. One election covers every group.
+func (c *seedClient) connect(groups []string) {
 	if c.s.cfg.ActiveStandby {
-		c.connectSeed(c.electActive())
+		c.connectSeed(c.electActive(), groups)
 		return
 	}
 	for i := range c.state {
-		c.connectSeed(i)
+		c.connectSeed(i, groups)
 	}
 }
 
@@ -72,11 +73,12 @@ func (c *seedClient) electActive() int {
 	return c.active
 }
 
-// connectSeed sends one connect/renewal to seed i unless its breaker is
-// open or its failure backoff window has not yet elapsed.
-// Transport-level failures are counted and push the seed's next attempt
-// out on the retry curve, instead of hammering a dead seed on every tick.
-func (c *seedClient) connectSeed(i int) {
+// connectSeed sends seed i one connect/renewal per group unless its
+// breaker is open or its failure backoff window has not yet elapsed.
+// A transport-level failure is counted once and pushes the seed's next
+// attempt out on the retry curve, instead of hammering a dead seed on
+// every tick.
+func (c *seedClient) connectSeed(i int, groups []string) {
 	s := c.s
 	seed := s.cfg.Seeds[i]
 	now := s.now()
@@ -86,7 +88,12 @@ func (c *seedClient) connectSeed(i int) {
 	if skip {
 		return
 	}
-	err := s.ep.Send(seed, ServiceName, s.cfg.GroupParam, s.newOp(opConnect, 0))
+	var err error
+	for _, g := range groups {
+		if err = s.ep.Send(seed, ServiceName, g, s.newOp(opConnect, 0)); err != nil {
+			break
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {

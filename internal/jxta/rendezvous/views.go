@@ -85,10 +85,11 @@ func (s *Service) Snapshot() obs.Snapshot {
 // subsystem aggregation.
 func (s *Service) SeenCache() *seen.Cache { return s.seen }
 
-// PeersView lists every peer this service knows about — rendezvous we
-// lease with, clients leased to us, and the configured seeds — together
-// with the failure detector's per-address state. It feeds the peer table
-// of /inspect on the admin surface.
+// PeersView lists every peer this peer knows about — one entry per lease
+// with a rendezvous and per lease of a client, each with its group, and
+// one per configured seed — together with the failure detector's
+// per-address state. It feeds the peer table of /inspect on the admin
+// surface.
 func (s *Service) PeersView() []obs.PeerEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -106,8 +107,8 @@ func (s *Service) PeersView() []obs.PeerEntry {
 		s.det.fill(&pe, e.addr, now)
 		out = append(out, pe)
 	}
-	for id, e := range s.rdvs {
-		leased(obs.PeerRendezvous, id.String(), "", e)
+	for k, e := range s.rdvs {
+		leased(obs.PeerRendezvous, k.id.String(), k.param, *e)
 	}
 	for k, e := range s.clients {
 		leased(obs.PeerClient, k.id.String(), k.param, *e)

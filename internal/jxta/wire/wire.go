@@ -6,7 +6,7 @@
 // rendezvous propagation. Messages loop back to the sender's own input
 // pipe (a publisher that also subscribes sees its own traffic), and the
 // replays a meshed topology inevitably produces are dropped before they
-// get here, by the duplicate cache of the group's rendezvous service —
+// get here, by the duplicate cache of the peer's rendezvous service —
 // the functionality the paper's SR-JXTA application had to rebuild by
 // hand (§4.4 footnote 1).
 //
@@ -178,7 +178,7 @@ func (s *Service) Snapshot() obs.Snapshot {
 // handle delivers propagated wire messages to the local input pipe.
 //
 // There is no duplicate cache here. A propagated message gets to this
-// handler through the group's rendezvous service alone (handleProp →
+// handler through the peer's rendezvous service alone (handleProp →
 // DeliverLocal), which has just asked its own cache — same TTL, same
 // capacity — about the same message ID and dropped the message if it
 // was known; and a sender's own message is marked there by Propagate

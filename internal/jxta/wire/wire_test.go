@@ -54,11 +54,12 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 		c.t.Fatal(err)
 	}
 	rdv, err := rendezvous.New(ep, rendezvous.Config{
-		Role: role, GroupParam: "net", Seeds: seeds, LeaseTTL: 2 * time.Second,
+		Role: role, Seeds: seeds, LeaseTTL: 2 * time.Second,
 	})
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	rdv.Join("net")
 	ws, err := wire.New(ep, rdv, wire.Config{Group: "net"})
 	if err != nil {
 		c.t.Fatal(err)
@@ -79,7 +80,7 @@ func wireAdv(seed uint64, name string) *adv.PipeAdv {
 func connect(t *testing.T, peers ...*testPeer) {
 	t.Helper()
 	for _, p := range peers {
-		if !p.rdv.AwaitConnected(5 * time.Second) {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
@@ -318,9 +319,9 @@ func TestDedupeCountsDuplicates(t *testing.T) {
 	waitLeases := func(p *testPeer) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for len(p.rdv.ConnectedRendezvous()) < 2 {
+		for len(p.rdv.ConnectedRendezvous("net")) < 2 {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s leased with %d of 2 rendezvous", p.name, len(p.rdv.ConnectedRendezvous()))
+				t.Fatalf("%s leased with %d of 2 rendezvous", p.name, len(p.rdv.ConnectedRendezvous("net")))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -25,8 +25,9 @@ type PeerEntry struct {
 	Addr string `json:"addr,omitempty"`
 	// Kind is one of PeerRendezvous, PeerClient, PeerSeed.
 	Kind string `json:"kind"`
-	// Group scopes client leases; empty for the mesh leases wildcard
-	// rendezvous services hold with each other.
+	// Group is the group a client or rendezvous lease carries; empty for
+	// the mesh leases rendezvous hold with each other, which carry every
+	// group.
 	Group string `json:"group,omitempty"`
 	// ExpiresInMS is the remaining lease time; 0 when not leased.
 	ExpiresInMS int64 `json:"expires_in_ms,omitempty"`

@@ -55,15 +55,15 @@ func (c *AdvertisementsCreator) CreatePeerGroupAdvertisement(name string) (*adv.
 // peers querying us) and pushes it to the other peers — the paper's
 // publish + remotePublish pair.
 func (c *AdvertisementsCreator) PublishAdvertisement(a *adv.PeerGroupAdv) error {
-	net := c.peer.NetGroup()
-	if net == nil {
+	disc := c.peer.Discovery()
+	if disc == nil {
 		return ErrClosed
 	}
-	if err := net.Discovery.Publish(a, 0, 0); err != nil {
+	if err := disc.Publish(a, 0, 0); err != nil {
 		return fmt.Errorf("srjxta: publish advertisement: %w", err)
 	}
 	// Remote publication may fail while no rendezvous is connected yet;
 	// the finder's periodic remote queries compensate, as in JXTA.
-	_ = net.Discovery.RemotePublish(a, 0)
+	_ = disc.RemotePublish(a, 0)
 	return nil
 }

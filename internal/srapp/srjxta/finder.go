@@ -65,9 +65,8 @@ func (f *AdvertisementsFinder) Start() {
 	f.running = true
 	f.mu.Unlock()
 
-	net := f.peer.NetGroup()
-	if net != nil {
-		net.Discovery.Flush()
+	if disc := f.peer.Discovery(); disc != nil {
+		disc.Flush()
 	}
 	f.wg.Add(1)
 	go f.run()
@@ -101,14 +100,14 @@ func (f *AdvertisementsFinder) run() {
 }
 
 func (f *AdvertisementsFinder) findOnce() {
-	net := f.peer.NetGroup()
-	if net == nil {
+	disc := f.peer.Discovery()
+	if disc == nil {
 		return
 	}
 	// Remote query for fresh advertisements ("Name", prefix+"*").
-	_ = net.Discovery.GetRemoteAdvertisements(f.prefix+"*", NumberOfAdvPerPeer)
+	_ = disc.GetRemoteAdvertisements(f.prefix+"*", NumberOfAdvPerPeer)
 	// Harvest whatever the local cache now holds.
-	for _, rec := range net.Discovery.GetLocalAdvertisements(f.prefix + "*") {
+	for _, rec := range disc.GetLocalAdvertisements(f.prefix + "*") {
 		f.handleNewAdvertisement(rec.Adv)
 	}
 }

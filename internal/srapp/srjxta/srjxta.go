@@ -272,11 +272,9 @@ func (a *App) AwaitReady(n int, timeout time.Duration) bool {
 		}
 		a.mu.Unlock()
 		for _, c := range conns {
-			if g, ok := a.peer.Group(c.groupID); ok {
-				rdv := g.Rendezvous
-				if rdv != nil && (len(rdv.Config().Seeds) == 0 || len(rdv.ConnectedRendezvous()) > 0) {
-					ready++
-				}
+			rdv := a.peer.Rendezvous()
+			if g, ok := a.peer.Group(c.groupID); ok && (len(rdv.Config().Seeds) == 0 || len(rdv.ConnectedRendezvous(g.Param())) > 0) {
+				ready++
 			}
 		}
 		if ready >= n {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
-	"github.com/tps-p2p/tps/internal/jxta/peergroup"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
 
@@ -18,7 +17,7 @@ type WireServiceFinder struct {
 	peer  *peer.Peer
 	pgAdv *adv.PeerGroupAdv
 
-	group   *peergroup.Group
+	group   *peer.Group
 	pipeAdv *adv.PipeAdv
 }
 

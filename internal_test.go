@@ -123,12 +123,11 @@ func TestDefaultStr(t *testing.T) {
 }
 
 // TestConfigReachesEveryRendezvousService pins the configuration path:
-// NewPlatform builds one rendezvous.Config from tps.Config, and both
-// rendezvous services of a rendezvous peer — the net group's and the
-// wildcard one that serves every event group — are constructed from
-// that one value, whatever groups the peer joins. Only the log and the
-// replica set are scoped: they reach the wildcard service alone, since
-// the net group carries no events.
+// NewPlatform builds one rendezvous.Config from tps.Config, and the
+// peer's one rendezvous service — every rendezvous service it runs,
+// whatever groups it joins — is constructed from that value whole. The
+// net group is kept out of the log by a rule of the service, not by a
+// second configuration.
 func TestConfigReachesEveryRendezvousService(t *testing.T) {
 	wan := netsim.New(netsim.Config{})
 	defer wan.Close()
@@ -154,38 +153,23 @@ func TestConfigReachesEveryRendezvousService(t *testing.T) {
 	if _, err := p.peer.JoinGroup(jid.FromSeed(jid.KindGroup, 1), "PS.Any"); err != nil {
 		t.Fatal(err)
 	}
-	services := p.peer.Rendezvous()
-	if len(services) != 2 {
-		t.Fatalf("%d rendezvous services, want the net group's and the wildcard one", len(services))
-	}
-	net, wild := services[0].Config(), services[1].Config()
-	if net.GroupParam != jid.NetGroup.String() || wild.GroupParam != "" {
-		t.Fatalf("services scoped to %q and %q, want the net group and the wildcard", net.GroupParam, wild.GroupParam)
-	}
-	fields := []struct {
-		name string
-		get  func(rendezvous.Config) any
-		want any
+	got := p.peer.Rendezvous().Config()
+	for _, f := range []struct {
+		name      string
+		got, want any
 	}{
-		{"Role", func(c rendezvous.Config) any { return c.Role }, rendezvous.RoleRendezvous},
-		{"Seeds", func(c rendezvous.Config) any { return c.Seeds }, []endpoint.Address{"mem://s1", "mem://s2"}},
-		{"LeaseTTL", func(c rendezvous.Config) any { return c.LeaseTTL }, cfg.LeaseTTL},
-		{"Tracer", func(c rendezvous.Config) any { return c.Tracer }, p.eng.Tracer},
-		{"SyncInterval", func(c rendezvous.Config) any { return c.SyncInterval }, cfg.ReplicaSyncInterval},
-		{"ActiveStandby", func(c rendezvous.Config) any { return c.ActiveStandby }, true},
-	}
-	for _, got := range []rendezvous.Config{net, wild} {
-		for _, f := range fields {
-			if !reflect.DeepEqual(f.get(got), f.want) {
-				t.Errorf("group %q: %s = %v, want %v", got.GroupParam, f.name, f.get(got), f.want)
-			}
+		{"Role", got.Role, rendezvous.RoleRendezvous},
+		{"Seeds", got.Seeds, []endpoint.Address{"mem://s1", "mem://s2"}},
+		{"LeaseTTL", got.LeaseTTL, cfg.LeaseTTL},
+		{"Log", got.Log, p.log},
+		{"Tracer", got.Tracer, p.eng.Tracer},
+		{"ReplicaSeeds", got.ReplicaSeeds, []endpoint.Address{"mem://r2"}},
+		{"SyncInterval", got.SyncInterval, cfg.ReplicaSyncInterval},
+		{"ActiveStandby", got.ActiveStandby, true},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("%s = %v, want %v", f.name, f.got, f.want)
 		}
-	}
-	if net.Log != nil || net.ReplicaSeeds != nil {
-		t.Errorf("the net group's service logs to %v and replicates against %v; want neither", net.Log, net.ReplicaSeeds)
-	}
-	if wild.Log != p.log || !reflect.DeepEqual(wild.ReplicaSeeds, []endpoint.Address{"mem://r2"}) {
-		t.Errorf("the wildcard service logs to %v and replicates against %v; want the platform's log and mem://r2", wild.Log, wild.ReplicaSeeds)
 	}
 }
 

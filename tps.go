@@ -109,7 +109,7 @@ type Config struct {
 	ListenTCP string
 	// Seeds are rendezvous addresses ("tcp://host:port", "mem://node").
 	Seeds []string
-	// Rendezvous makes this peer a rendezvous: one wildcard service
+	// Rendezvous makes this peer a rendezvous: its rendezvous service
 	// serves every event group — the ones this peer publishes or
 	// subscribes in too — in addition to its normal duties.
 	Rendezvous bool
@@ -159,12 +159,13 @@ type Config struct {
 	// ReplicaSyncInterval is the anti-entropy digest cadence (default
 	// 5s).
 	ReplicaSyncInterval time.Duration
-	// Failover switches this peer's rendezvous clients from "lease with
+	// Failover switches this peer's rendezvous leases from "lease with
 	// every seed" to active/standby: lease with exactly one seed and
 	// re-lease against the next when the failure detector declares the
-	// active dead, replaying the handover gap from the new replica's
-	// copied logs. All clients of a replica set must list Seeds in the
-	// same order so they converge on the same active.
+	// active dead — one election for every group — replaying the
+	// handover gap from the new replica's copied logs. All clients of a
+	// replica set must list Seeds in the same order so they converge on
+	// the same active.
 	Failover bool
 	// TraceRate samples events for end-to-end hop tracing: each event
 	// whose ID hashes under the rate gets a trace element stamped at
@@ -229,9 +230,9 @@ type Platform struct {
 	engines []*engine.Engine
 }
 
-// NewPlatform boots the peer-to-peer substrate: transports, the net
-// group's control plane, and (for rendezvous peers) the wildcard
-// service that serves every event group.
+// NewPlatform boots the peer-to-peer substrate: transports, the peer's
+// one rendezvous service, which serves every event group on a
+// rendezvous, and the net group's discovery on it.
 func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	if c := defaultStr(cfg.Codec, "gob"); c != "gob" {
 		return nil, psErr("platform", fmt.Errorf("codec %q: events are gob-encoded", c))
@@ -272,8 +273,7 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		}
 	}
 	tracer := trace.NewStore(trace.DefaultMaxEvents)
-	// The one rendezvous configuration of this peer: every rendezvous
-	// service it runs is built from it (see peer.Config).
+	// The configuration of the peer's one rendezvous service.
 	rcfg := rendezvous.Config{
 		Role:          rendezvous.RoleEdge,
 		Seeds:         addresses(cfg.Seeds),
@@ -362,13 +362,7 @@ func (p *Platform) registerProviders(transports []Transport) {
 		}
 		return obs.Merge("wire", snaps...)
 	})
-	r.RegisterFunc("rendezvous", func() obs.Snapshot {
-		var snaps []obs.Snapshot
-		for _, r := range p.peer.Rendezvous() {
-			snaps = append(snaps, r.Snapshot())
-		}
-		return obs.Merge("rendezvous", snaps...)
-	})
+	r.Register("rendezvous", p.peer.Rendezvous())
 	r.RegisterFunc("seen", func() obs.Snapshot {
 		var snaps []obs.Snapshot
 		for _, c := range p.seenCaches() {
@@ -381,14 +375,10 @@ func (p *Platform) registerProviders(transports []Transport) {
 	}
 }
 
-// seenCaches collects every live dedupe cache: every rendezvous
-// service's message-level cache (see peer.Rendezvous) and each engine's
-// event-level cache.
+// seenCaches collects every live dedupe cache: the rendezvous service's
+// message-level cache and each engine's event-level cache.
 func (p *Platform) seenCaches() []*seen.Cache {
-	var out []*seen.Cache
-	for _, r := range p.peer.Rendezvous() {
-		out = append(out, r.SeenCache())
-	}
+	out := []*seen.Cache{p.peer.Rendezvous().SeenCache()}
 	for _, e := range p.coreEngines() {
 		out = append(out, e.SeenCache())
 	}
@@ -477,11 +467,11 @@ func (p *Platform) Addresses() []string {
 	return out
 }
 
-// AwaitRendezvous blocks until the peer holds a rendezvous lease, or the
-// timeout elapses. Peers configured without seeds report false.
+// AwaitRendezvous blocks until the peer holds a rendezvous lease for the
+// net group, or the timeout elapses. Peers configured without seeds
+// report false.
 func (p *Platform) AwaitRendezvous(timeout time.Duration) bool {
-	net := p.peer.NetGroup()
-	return net != nil && net.Rendezvous.AwaitConnected(timeout)
+	return p.peer.Rendezvous().AwaitConnected(jid.NetGroup.String(), timeout)
 }
 
 // StatsView is the coherent multi-subsystem metrics view Platform.Stats
@@ -522,11 +512,9 @@ func (p *Platform) Inspect() Inspection {
 		Addresses:  p.Addresses(),
 		Rendezvous: p.isRendezvous,
 	}
-	for _, r := range p.peer.Rendezvous() {
-		in.Peers = append(in.Peers, r.PeersView()...)
-		// Nil except on a rendezvous' wildcard service: only it replicates.
-		in.Replicas = append(in.Replicas, r.ReplicasView()...)
-	}
+	rdv := p.peer.Rendezvous()
+	in.Peers = rdv.PeersView()
+	in.Replicas = rdv.ReplicasView()
 	for _, e := range p.coreEngines() {
 		in.Subscriptions = append(in.Subscriptions, e.SubscriptionsView()...)
 		in.Cursors = append(in.Cursors, e.CursorsView()...)
@@ -549,22 +537,18 @@ func (p *Platform) AdminAddr() string {
 }
 
 // health is the admin /health source: a seeded peer that holds no
-// rendezvous lease (what AwaitRendezvous would time out on) is
-// degraded; unseeded peers and rendezvous are healthy while
+// rendezvous lease for the net group (what AwaitRendezvous would time
+// out on) is degraded; unseeded peers and rendezvous are healthy while
 // running. A peer whose event log is failing appends or fsyncs is
 // degraded with the I/O error as the reason — a dying disk becomes
 // visible here (and in tps_eventlog_io_errors_total) before it becomes
 // data loss. The log error is sticky until an append succeeds again.
 func (p *Platform) health() error {
-	net := p.peer.NetGroup()
-	if net == nil {
+	if p.peer.Discovery() == nil {
 		return errors.New("platform closed")
 	}
-	rdv := net.Rendezvous
-	if rdv == nil {
-		return errors.New("net group closed")
-	}
-	if len(rdv.Config().Seeds) > 0 && len(rdv.ConnectedRendezvous()) == 0 {
+	rdv := p.peer.Rendezvous()
+	if len(rdv.Config().Seeds) > 0 && len(rdv.ConnectedRendezvous(jid.NetGroup.String())) == 0 {
 		return errors.New("no rendezvous lease held")
 	}
 	if p.log != nil {
