@@ -216,7 +216,7 @@ func localPublishDeliverLoop(tb testing.TB) (func(), *tps.Platform) {
 // see: the hops. A 64-byte event crosses publisher → rendezvous →
 // subscriber over loopback TCP, one at a time; every heap object the
 // process allocates meanwhile (all three peers, their flushers and
-// readers, lease and finder upkeep) is charged to the round trips.
+// readers, lease upkeep) is charged to the round trips.
 // bench's pingpong1_64b measures the same path with four events in
 // flight at 16.3 per delivery — 20.3 before a received frame stopped
 // being copied into the message decoded from it, 29.4 before a publish

@@ -1,13 +1,11 @@
 // Command tpsctl is the operator's Swiss-army knife for a live TPS/JXTA
-// mesh: discover advertisements, probe event types, and read any peer's
-// admin endpoint — its counters, peers, subscriptions and logs —
-// without writing a program.
+// mesh: probe event types, and read any peer's admin endpoint — its
+// counters, peers, subscriptions and logs — without writing a program.
 //
-// Mesh commands (speak JXTA to a rendezvous):
+// Mesh command (speaks JXTA to a rendezvous):
 //
-//	tpsctl -seed tcp://rdv:9701 discover            # list PS.* event groups
-//	tpsctl -seed tcp://rdv:9701 discover -name 'PS.SkiRental*'
-//	tpsctl -seed tcp://rdv:9701 listen SkiRental    # dump raw events of a type group
+//	tpsctl -seed tcp://rdv:9701 listen SkiRental    # dump raw events of a type's group
+//	tpsctl -seed tcp://rdv:9701 listen Offer/SkiRental  # a subtype: its registered path
 //
 // Admin commands (speak HTTP/JSON to a peer's admin endpoint; the
 // address comes from -admin, or is derived from the -seed host on the
@@ -41,13 +39,13 @@ import (
 	"strings"
 	"time"
 
+	"github.com/tps-p2p/tps/internal/core/engine"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/tcpnet"
-	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/admin"
 	"github.com/tps-p2p/tps/internal/obs/hist"
@@ -58,13 +56,11 @@ func main() {
 	var (
 		listen = flag.String("listen", "127.0.0.1:0", "local TCP listen address")
 		seeds  = flag.String("seed", "", "comma-separated rendezvous addresses (required)")
-		name   = flag.String("name", "PS.*", "advertisement name pattern (discover)")
-		wait   = flag.Duration("wait", 2*time.Second, "how long to collect discovery responses")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr,
-			"usage: tpsctl [flags] discover | listen <type> | stats | peers | subs | log | replicas | watch | latency | trace [event-id]")
+			"usage: tpsctl [flags] listen <type-path> | stats | peers | subs | log | replicas | watch | latency | trace [event-id]")
 		os.Exit(2)
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
@@ -73,7 +69,7 @@ func main() {
 	case "stats", "peers", "subs", "log", "replicas", "watch", "latency", "trace":
 		err = adminCommand(cmd, args, *seeds)
 	default:
-		err = run(cmd, args, *listen, *seeds, *name, *wait)
+		err = run(cmd, args, *listen, *seeds)
 	}
 	if err != nil {
 		log.Println(err)
@@ -534,7 +530,7 @@ func short(id string) string {
 	return id
 }
 
-func run(cmd string, args []string, listen, seeds, namePat string, wait time.Duration) error {
+func run(cmd string, args []string, listen, seeds string) error {
 	if seeds == "" {
 		return fmt.Errorf("-seed is required")
 	}
@@ -556,74 +552,34 @@ func run(cmd string, args []string, listen, seeds, namePat string, wait time.Dur
 	}
 
 	switch cmd {
-	case "discover":
-		return discover(p, namePat, wait)
 	case "listen":
 		if len(args) != 1 {
-			return fmt.Errorf("usage: tpsctl listen <type-name>")
+			return fmt.Errorf("usage: tpsctl listen <type-path>")
 		}
-		return listenType(p, args[0], wait)
+		return listenType(p, args[0])
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
-func discover(p *peer.Peer, pattern string, wait time.Duration) error {
-	disc := p.Discovery()
-	if err := disc.GetRemoteAdvertisements(pattern, 50); err != nil {
+// listenType joins the group of the type registered under path — named
+// by the path, as every engine names it — and prints every event that
+// crosses it until interrupted.
+func listenType(p *peer.Peer, path string) error {
+	groupID, pipeID := engine.TypeGroup(path)
+	g, err := p.JoinGroup(groupID, engine.PSPrefix+path)
+	if err != nil {
 		return err
 	}
-	time.Sleep(wait)
-	recs := disc.GetLocalAdvertisements(pattern)
-	if len(recs) == 0 {
-		fmt.Println("no advertisements found")
-		return nil
-	}
-	fmt.Printf("%-28s %-12s %-12s %s\n", "NAME", "GROUP", "PUBLISHER", "WIRE PIPE")
-	for _, rec := range recs {
-		pg := rec.Adv
-		pipe := "-"
-		if svc, ok := pg.Service(wire.ServiceName); ok && svc.Pipe != nil {
-			pipe = svc.Pipe.PipeID.Short()
-		}
-		fmt.Printf("%-28s %-12s %-12s %s\n", pg.Name, pg.GroupID.Short(), pg.PeerID.Short(), pipe)
-	}
-	return nil
-}
-
-func listenType(p *peer.Peer, typeName string, wait time.Duration) error {
-	disc := p.Discovery()
-	pattern := "PS." + typeName + "*"
-	if err := disc.GetRemoteAdvertisements(pattern, 50); err != nil {
+	in, err := g.Wire.CreateInputPipe(pipeID)
+	if err != nil {
 		return err
 	}
-	time.Sleep(wait)
-	recs := disc.GetLocalAdvertisements(pattern)
-	if len(recs) == 0 {
-		return fmt.Errorf("no event group advertised for type %q", typeName)
-	}
-	count := 0
-	for _, rec := range recs {
-		pg := rec.Adv
-		g, pipeAdv, err := p.JoinGroupFromAdv(pg)
-		if err != nil {
-			continue
-		}
-		in, err := g.Wire.CreateInputPipe(pipeAdv)
-		if err != nil {
-			continue
-		}
-		groupName := pg.Name
-		in.SetListener(func(m *message.Message) {
-			fmt.Printf("[%s] event %s from %s, %d elements, %d bytes\n",
-				groupName, m.ID.Short(), m.Src.Short(), m.Len(), m.WireSize())
-		})
-		count++
-	}
-	if count == 0 {
-		return fmt.Errorf("could not join any event group for %q", typeName)
-	}
-	fmt.Printf("listening on %d group(s) for type %s; ctrl-C to stop\n", count, typeName)
+	in.SetListener(func(m *message.Message) {
+		fmt.Printf("[%s] event %s from %s, %d elements, %d bytes\n",
+			path, m.ID.Short(), m.Src.Short(), m.Len(), m.WireSize())
+	})
+	fmt.Printf("listening on the group of type %s (%s); ctrl-C to stop\n", path, groupID.Short())
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
 	<-stop

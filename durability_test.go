@@ -38,7 +38,7 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Durability starts at the rendezvous: an event is only loggable once
-	// it reaches the mesh, so advertise the type and wait for the group's
+	// it reaches the mesh, so join the type's group and wait for its
 	// lease before publishing anything that must survive.
 	if err := pubEng.Announce(); err != nil {
 		t.Fatal(err)

@@ -115,7 +115,7 @@ func demo() error {
 	mk := func(name string, rendezvous bool, seeds ...string) (*tps.Platform, error) {
 		return tps.NewPlatform(tps.Config{
 			Name: name, ListenTCP: "127.0.0.1:0", Rendezvous: rendezvous, Seeds: seeds,
-			FindTimeout: 500 * time.Millisecond, FindInterval: 100 * time.Millisecond,
+			FindInterval: 100 * time.Millisecond,
 		})
 	}
 	rdv, err := mk("rdv", true)

@@ -39,7 +39,6 @@ func run() error {
 			ListenTCP:    "127.0.0.1:0",
 			Rendezvous:   rendezvous,
 			Seeds:        seeds,
-			FindTimeout:  500 * time.Millisecond,
 			FindInterval: 100 * time.Millisecond,
 			// AdminAddr: "127.0.0.1:7700", // uncomment, then: curl -s http://127.0.0.1:7700/stats
 		})

@@ -61,7 +61,7 @@ func demo(count int) error {
 	mk := func(name string, rendezvous bool, seeds ...string) (*tps.Platform, error) {
 		return tps.NewPlatform(tps.Config{
 			Name: name, ListenTCP: "127.0.0.1:0", Rendezvous: rendezvous, Seeds: seeds,
-			FindTimeout: 500 * time.Millisecond, FindInterval: 100 * time.Millisecond,
+			FindInterval: 100 * time.Millisecond,
 		})
 	}
 	rdv, err := mk("rdv", true)

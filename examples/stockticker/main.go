@@ -66,7 +66,7 @@ func run() error {
 	mk := func(name string, rendezvous bool, seeds ...string) (*tps.Platform, error) {
 		p, err := tps.NewPlatform(tps.Config{
 			Name: name, ListenTCP: "127.0.0.1:0", Rendezvous: rendezvous, Seeds: seeds,
-			FindTimeout: 500 * time.Millisecond, FindInterval: 100 * time.Millisecond,
+			FindInterval: 100 * time.Millisecond,
 		})
 		if err != nil {
 			return nil, err

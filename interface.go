@@ -93,18 +93,22 @@ func (e *Engine[T]) NewInterface(criteria Criteria[T]) (*Interface[T], error) {
 // readiness).
 func (e *Engine[T]) Node() *typereg.Node { return e.node }
 
-// Announce makes sure the type is advertised on the mesh without
-// publishing an event: it searches for an existing advertisement and
-// creates this peer's own when none is found — the initialization a
-// publisher performs at startup (§4.1). Publish calls it implicitly.
+// Announce joins the type's group without publishing an event — the
+// initialization a publisher performs at startup (§4.1), without the
+// paper's search: the group is named by the type. Publish calls it
+// implicitly.
 func (e *Engine[T]) Announce() error {
 	return psErr("announce", e.core.EnsureType(e.node))
 }
 
-// AwaitReady blocks until at least n groups carrying T (or subtypes) are
-// attached and connected, or the timeout elapses. Decoupled applications
-// do not need it; benchmarks and tests do.
+// AwaitReady joins T's group, as Announce does, and blocks until at
+// least n groups carrying T (or subtypes) are attached and connected, or
+// the timeout elapses. Decoupled applications do not need it; benchmarks
+// and tests do.
 func (e *Engine[T]) AwaitReady(n int, timeout time.Duration) bool {
+	if e.core.EnsureType(e.node) != nil {
+		return false
+	}
 	return e.core.AwaitReady(e.node, n, timeout)
 }
 

@@ -226,7 +226,6 @@ func newPlatform(name string, node *netsim.Node, isRdv bool, seeds []endpoint.Ad
 		Rendezvous:   isRdv,
 		Seeds:        strSeeds,
 		LeaseTTL:     10 * time.Second,
-		FindTimeout:  500 * time.Millisecond,
 		FindInterval: 100 * time.Millisecond,
 	}, tps.WithTransport(memnet.New(node)))
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
@@ -30,10 +29,6 @@ var (
 	wireGroupID = jid.FromSeed(jid.KindGroup, 0xBE_EF)
 	wirePipeID  = jid.FromSeed(jid.KindPipe, 0xF0_0D)
 )
-
-func wirePipeAdv() *adv.PipeAdv {
-	return &adv.PipeAdv{PipeID: wirePipeID, Type: adv.PipePropagate, Name: "bench.wire"}
-}
 
 type wirePub struct {
 	out  *wire.OutputPipe
@@ -78,7 +73,7 @@ func (c *Cluster) buildWire(pubAddrs []endpoint.Address) error {
 		if err != nil {
 			return err
 		}
-		out, err := g.Wire.CreateOutputPipe(wirePipeAdv())
+		out, err := g.Wire.CreateOutputPipe(wirePipeID)
 		if err != nil {
 			return err
 		}
@@ -98,7 +93,7 @@ func (c *Cluster) buildWire(pubAddrs []endpoint.Address) error {
 		if err != nil {
 			return err
 		}
-		in, err := g.Wire.CreateInputPipe(wirePipeAdv())
+		in, err := g.Wire.CreateInputPipe(wirePipeID)
 		if err != nil {
 			return err
 		}

@@ -46,8 +46,8 @@ func edge(t *testing.T, c *rig.Cluster, cfg tps.Config) *peer {
 	return &peer{Node: n, eng: eng, intf: intf}
 }
 
-// ready advertises the type if nobody has and waits for the event
-// group's lease: what is published from here on reaches the rendezvous.
+// ready joins the type's group and waits for its lease: what is
+// published from here on reaches the rendezvous.
 func (p *peer) ready(t *testing.T) {
 	t.Helper()
 	if err := p.eng.Announce(); err != nil {
@@ -159,6 +159,11 @@ func TestPartitionHealRecovery(t *testing.T) {
 		probe := sub.subscribe(t)
 		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv-a"}})
 		pub.ready(t)
+		// No log: the one-shot baseline is lost unless the subscriber's
+		// group already holds its lease with rdv-b.
+		if !sub.eng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("subscriber never ready")
+		}
 
 		// Baseline: the full path pub → rdv-a → rdv-b → sub works.
 		pub.publish(t, "baseline", 0, 1)

@@ -127,6 +127,31 @@ func TestRendezvousRestartRecoversLog(t *testing.T) {
 	})
 }
 
+// TestRetainedLogOutlivesEveryPublisher: a durable rendezvous logs n
+// events, the only publisher closes, and the rendezvous restarts on its
+// log directory. A subscriber that arrives after all that knows the
+// type's group by the type's name — no peer is left that could tell it
+// — and is served all n, each once.
+func TestRetainedLogOutlivesEveryPublisher(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		const n = 10
+		pub.publish(t, "kept", 0, n)
+		awaitTail(t, rdv, rdv, n)
+		pub.Close()
+		rdv = c.Restart(rdv)
+
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		probe := sub.subscribe(t)
+		probe.Await(t, n)
+		c.Settle()
+		probe.ExactlyOnce(t, n)
+		if served := counter(rdv, "rendezvous", "replay_served"); served != n {
+			t.Fatalf("%d events replayed, want %d", served, n)
+		}
+	})
+}
+
 // TestRestartedRendezvousServesOnlyWhatWasMissed: a durable rendezvous
 // comes back as the peer it was. A subscriber that was live for n-k of n
 // events holds a cursor under that ID; on the lease the restarted
@@ -291,8 +316,8 @@ func TestCursorBehindRetentionSignalsGap(t *testing.T) {
 type Quote struct{ N int }
 
 // TestDurableLogHoldsOnlyEventGroups runs a replica pair under two
-// types for a few seconds of finder rounds. The net group's discovery
-// traffic is the control plane, not events: neither rendezvous logs it,
+// types for a few seconds of lease renewals. The net group's traffic is
+// the control plane, not events: neither rendezvous logs it,
 // and so neither copies it to the other. Every topic in either log is an
 // event group a subscriber holds a cursor for, or a replica copy of one.
 func TestDurableLogHoldsOnlyEventGroups(t *testing.T) {
@@ -315,7 +340,7 @@ func TestDurableLogHoldsOnlyEventGroups(t *testing.T) {
 			t.Fatal("quote group never ready")
 		}
 
-		// Two seconds of both streams, twenty finder rounds on every peer.
+		// Two seconds of both streams, with leases renewing on every peer.
 		const n = 50
 		for i := 0; i < n; i++ {
 			pub.publish(t, "m", i, i+1)

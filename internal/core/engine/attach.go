@@ -1,13 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/core/codec"
 	"github.com/tps-p2p/tps/internal/core/typereg"
-	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
@@ -16,10 +16,10 @@ import (
 	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
-// attach.go is the Connections block: it turns a found or created
-// advertisement into a live attachment — a joined peer group, a wire
-// input pipe with its reader (the paper's TPSPipeReader /
-// TPSMyInputPipe) and a wire output pipe (TPSMyOutputPipe).
+// attach.go is the Connections block: it turns a type into a live
+// attachment — its joined peer group, a wire input pipe with its reader
+// (the paper's TPSPipeReader / TPSMyInputPipe) and a wire output pipe
+// (TPSMyOutputPipe).
 
 // TPS message element names, namespace "tps". An event is its ID and its
 // gob blob: the attachment's group fixes the type, and every peer speaks
@@ -32,7 +32,7 @@ const (
 	elemData    = "Data"
 )
 
-// attachment is one live (type, group) binding.
+// attachment is one type's live binding to its group.
 type attachment struct {
 	path    string
 	node    *typereg.Node // the type every event in the group is decoded into
@@ -53,36 +53,36 @@ type attachment struct {
 	owed    map[jid.ID]struct{}
 }
 
-// attach joins the advertised group of the registered type node, opens
-// the wire pipes and registers the attachment. It clears the engine's
-// in-progress marker.
-func (e *Engine) attach(pg *adv.PeerGroupAdv, node *typereg.Node) error {
-	defer func() {
-		e.mu.Lock()
-		delete(e.creating, pg.GroupID)
-		e.mu.Unlock()
-	}()
-
+// attach joins the group of the registered type node, opens the wire
+// pipes and registers the attachment, unless the engine holds one for
+// the type already. The caller holds e.attachMu.
+func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	path := node.Path()
-	g, wirePipe, err := e.peer.JoinGroupFromAdv(pg)
-	if err != nil {
-		return fmt.Errorf("tps: join group for %s: %w", path, err)
+	if a, err := e.attached(path); a != nil || err != nil {
+		return a, err
 	}
-	in, err := g.Wire.CreateInputPipe(wirePipe)
-	if err != nil {
-		// The group may be shared (peer already joined); without our own
-		// input pipe the attachment cannot deliver, so fail loudly.
-		return fmt.Errorf("tps: input pipe for %s: %w", path, err)
+	groupID, pipeID := TypeGroup(path)
+	g, err := e.peer.JoinGroup(groupID, PSPrefix+path)
+	if errors.Is(err, peer.ErrAlreadyIn) {
+		return nil, fmt.Errorf("tps: %s: another engine of this peer is attached to its group", path)
 	}
-	out, err := g.Wire.CreateOutputPipe(wirePipe)
 	if err != nil {
-		in.Close()
-		return fmt.Errorf("tps: output pipe for %s: %w", path, err)
+		return nil, fmt.Errorf("tps: join group for %s: %w", path, err)
+	}
+	in, err := g.Wire.CreateInputPipe(pipeID)
+	if err != nil {
+		e.peer.LeaveGroup(groupID)
+		return nil, fmt.Errorf("tps: input pipe for %s: %w", path, err)
+	}
+	out, err := g.Wire.CreateOutputPipe(pipeID)
+	if err != nil {
+		e.peer.LeaveGroup(groupID)
+		return nil, fmt.Errorf("tps: output pipe for %s: %w", path, err)
 	}
 	a := &attachment{
 		path:    path,
 		node:    node,
-		groupID: pg.GroupID,
+		groupID: groupID,
 		group:   g,
 		in:      in,
 		out:     out,
@@ -108,24 +108,15 @@ func (e *Engine) attach(pg *adv.PeerGroupAdv, node *typereg.Node) error {
 	if e.closed {
 		e.mu.Unlock()
 		e.detach(a)
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	if _, dup := e.attachments[path][pg.GroupID]; dup {
-		e.mu.Unlock()
-		e.detach(a)
-		return nil
-	}
-	if e.attachments[path] == nil {
-		e.attachments[path] = make(map[jid.ID]*attachment)
-	}
-	e.attachments[path][pg.GroupID] = a
-	delete(e.pubSnaps, path) // invalidate the cached publish fan-out snapshot
+	e.attachments[path] = a
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	// The replay loop can see the attachment now; leases granted while
 	// it could not are still owed.
 	e.kickReplay()
-	return nil
+	return a, nil
 }
 
 // newEventMessage assembles the two-element TPS event, which fits the
@@ -139,8 +130,8 @@ func newEventMessage(e *Engine, eventID jid.ID, payload []byte) *message.Message
 }
 
 // publish sends one pre-built event message on this attachment's output
-// pipe. Its elements are shared across attachments and with the local
-// subscribers; the wire service only reads it.
+// pipe. Its elements are shared with the local subscribers; the wire
+// service only reads it.
 func (a *attachment) publish(msg *message.Message) error {
 	return a.out.Send(msg)
 }
@@ -165,8 +156,8 @@ func (e *Engine) detach(a *attachment) {
 //
 // Decode-once: the payload of any given event is gob-decoded at most
 // once on this peer. Deduplication runs before the decode, so an event
-// echoed through several groups or mesh paths decodes on first arrival
-// only; the decoded value is then shared across every matching
+// echoed through several mesh paths or replayed decodes on first
+// arrival only; the decoded value is then shared across every matching
 // subscription and interface callback (dispatch fans the same value
 // out). Events this peer itself published skip the decode entirely —
 // the publisher still holds the original value (publishedEvents) and
@@ -183,9 +174,9 @@ func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
 	if origin, seq, ok := rendezvous.ReplayInfo(msg); ok {
 		a.noteCursor(origin, seq)
 	}
-	// The same event arrives once per attached group carrying the type;
-	// deliver it exactly once (the duplicate handling the paper's
-	// SR-JXTA application reimplements by hand).
+	// The same event can arrive live and replayed, or over two
+	// rendezvous; deliver it exactly once (the duplicate handling the
+	// paper's SR-JXTA application reimplements by hand).
 	if !e.dedupe.Observe(eventID) {
 		e.stats.duplicateEvents.Add(1)
 		return

@@ -1,26 +1,44 @@
 // Package engine implements the TPS engine over the JXTA substrate —
 // the paper's §3.4 architecture.
 //
-// The engine is built from the four blocks of Figure 10:
+// The engine is built from the blocks of Figure 10:
 //
 //   - TPSEngine (this type): collects publications and subscriptions and
 //     dispatches them to the other blocks;
-//   - Advertisements: the creator (creator.go) builds the one
-//     advertisement that represents a type, the finder (finder.go)
-//     keeps searching for further advertisements related to tracked
-//     types and dispatches them to listeners;
 //   - Interface Repository (subscriptions.go): stores callback objects
 //     and exception handlers and starts/stops subscriptions;
-//   - Connections (attach.go): joins the per-type peer groups found or
-//     created, opens wire input/output pipes and runs the pipe readers.
+//   - Connections (attach.go): joins the type's peer group, opens the
+//     wire input/output pipes and runs the pipe reader.
+//
+// Where this departs from the paper. Figure 10's fourth block,
+// Advertisements — the creator of Figure 15 and the finder of Figure 16
+// — is not here. In JXTA a group had no name but its advertisement, so
+// §4.1 has every publisher and subscriber search for the type's
+// advertisement "for a specific amount of time" and create one when
+// none turns up. That search made every first use of a type wait, let
+// two peers that searched at once create two groups for one type (which
+// every publish then had to reach, and every subscriber to dedupe), and
+// made a logged history unreachable once no live cache held the
+// advertisement naming its group. Here a type's group and wire pipe are
+// computed from the type's name (TypeGroup): every peer arrives at the
+// same pair without asking anyone, so there is one group per type, the
+// engine joins it at once, and nothing it runs queries, caches or
+// publishes an advertisement. The search the paper needed survives
+// where the paper counts it: in the hand-written baseline, SR-JXTA.
+// A subscription covers the subtypes registered after it through the
+// registry's listener, where the finder re-scanned its cache every
+// round.
 //
 // One engine serves one type hierarchy; programs interested in several
-// unrelated hierarchies create several engines (§4.2).
+// unrelated hierarchies create several engines (§4.2). A peer joins a
+// type's group once, so two engines of one peer cannot both attach the
+// same type: the second gets an error naming it.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,20 +55,21 @@ import (
 	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
-// PSPrefix prefixes every TPS advertisement name, as in the paper's
-// AdvertisementsCreator (adv.setName(PS_PREFIX + pipeAdv.getName())).
+// PSPrefix prefixes the name a type's group and pipe IDs are computed
+// from, as the paper's AdvertisementsCreator prefixed the advertisement
+// name (adv.setName(PS_PREFIX + pipeAdv.getName())).
 const PSPrefix = "PS."
 
-// Defaults.
-const (
-	// DefaultFindTimeout is how long a publisher or subscriber searches
-	// for an existing type advertisement before creating its own — the
-	// paper's "specific amount of time".
-	DefaultFindTimeout = 2 * time.Second
-	// DefaultFindInterval is the advertisement finder's loop period —
-	// the paper's SLEEPING_TIME.
-	DefaultFindInterval = time.Second
-)
+// TypeGroup returns the peer group a type's events travel in and the
+// wire pipe that carries them: both are named by PSPrefix + path, so
+// every peer computes the same pair.
+func TypeGroup(path string) (group, pipe jid.ID) {
+	return jid.Named(jid.KindGroup, PSPrefix+path), jid.Named(jid.KindPipe, PSPrefix+path)
+}
+
+// DefaultFindInterval paces the replay loop's retries of requests a
+// round could not send.
+const DefaultFindInterval = time.Second
 
 // Errors.
 var (
@@ -65,9 +84,7 @@ type Config struct {
 	Peer *peer.Peer
 	// Registry is the shared event-type registry.
 	Registry *typereg.Registry
-	// FindTimeout bounds the initial advertisement search.
-	FindTimeout time.Duration
-	// FindInterval is the background finder's period.
+	// FindInterval paces the replay loop's retries.
 	FindInterval time.Duration
 	// Tracer, when non-nil, receives hop records for sampled events
 	// (publish and deliver stages; the rendezvous layer records the
@@ -81,22 +98,22 @@ type Config struct {
 
 // Engine is the TPS engine: one instance per type hierarchy.
 type Engine struct {
-	peer  *peer.Peer
-	reg   *typereg.Registry
-	ftime time.Duration
-	fint  time.Duration
+	peer *peer.Peer
+	reg  *typereg.Registry
+	fint time.Duration
 
-	mu           sync.Mutex
-	cond         *sync.Cond                        // broadcast on attachment changes and their groups' new leases
-	tracked      map[string]*typereg.Node          // root paths the finder queries for
-	attachments  map[string]map[jid.ID]*attachment // type path -> group ID -> attachment
-	pubSnaps     map[string][]*attachment          // immutable fan-out snapshots; invalidated on attach/detach
-	creating     map[jid.ID]bool                   // group IDs being attached right now
-	creatingPath map[string]bool                   // type paths whose own adv is being created
-	subs         *subscriptionSet
-	dedupe       *seen.Cache
-	self         *publishedEvents // decode-once: values this peer published, by event ID
-	closed       bool
+	// attachMu serialises attaching, so a type is joined once; e.mu is
+	// not held across a join.
+	attachMu sync.Mutex
+
+	mu          sync.Mutex
+	cond        *sync.Cond               // broadcast on attachment changes and their groups' new leases
+	roots       map[string]*typereg.Node // subscribed roots: a type registered in one's closure is attached
+	attachments map[string]*attachment   // type path -> the attachment to its group
+	subs        *subscriptionSet
+	dedupe      *seen.Cache
+	self        *publishedEvents // decode-once: values this peer published, by event ID
+	closed      bool
 
 	// Per-message counters are atomics so the publish and deliver paths
 	// never touch e.mu just to count.
@@ -111,13 +128,11 @@ type Engine struct {
 	tracer  *trace.Store
 	sampler trace.Sampler
 
-	wg       sync.WaitGroup
-	stop     chan struct{}
-	kick     chan struct{} // wakes the finder immediately
-	wake     chan struct{} // wakes the replay loop immediately
-	lisTok   int
-	rdv      *rendezvous.Service // the peer's, which every attachment's group is a lease on
-	leaseTok int
+	wg     sync.WaitGroup
+	stop   chan struct{}
+	wake   chan struct{}       // wakes the replay loop immediately
+	rdv    *rendezvous.Service // the peer's, which every attachment's group is a lease on
+	regTok int
 }
 
 // engineCounters are lock-free: the publish and deliver paths bump them
@@ -127,30 +142,22 @@ type engineCounters struct {
 	delivered       atomic.Int64
 	duplicateEvents atomic.Int64
 	decodeErrors    atomic.Int64
-	// publishErrors counts per-attachment publish failures (wire send or
-	// mesh propagation errored). A Publish call across several attached
-	// groups can partially fail; each failing attachment counts once.
+	// publishErrors counts publishes whose wire send or mesh
+	// propagation errored.
 	publishErrors  atomic.Int64
-	advsCreated    atomic.Int64
-	advsFound      atomic.Int64
 	replayRequests atomic.Int64
-	// findRounds counts the finder's query rounds, findRoundsFailed
-	// those in which a query reached nobody (no lease yet, or every
-	// send refused).
-	findRounds       atomic.Int64
-	findRoundsFailed atomic.Int64
 	// replayKicks counts wake-ups sent to the replay loop.
 	replayKicks atomic.Int64
 }
 
-// New creates and starts an engine: the advertisement finder begins
-// running immediately.
+// New creates and starts an engine: its replay loop, and its listener
+// for the types registered from here on.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Peer == nil || cfg.Registry == nil {
 		return nil, errors.New("tps: engine needs a peer and a registry")
 	}
-	if cfg.FindTimeout <= 0 {
-		cfg.FindTimeout = DefaultFindTimeout
+	if cfg.Peer.Closed() {
+		return nil, ErrClosed
 	}
 	if cfg.FindInterval <= 0 {
 		cfg.FindInterval = DefaultFindInterval
@@ -158,13 +165,9 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		peer:         cfg.Peer,
 		reg:          cfg.Registry,
-		ftime:        cfg.FindTimeout,
 		fint:         cfg.FindInterval,
-		tracked:      make(map[string]*typereg.Node),
-		attachments:  make(map[string]map[jid.ID]*attachment),
-		pubSnaps:     make(map[string][]*attachment),
-		creating:     make(map[jid.ID]bool),
-		creatingPath: make(map[string]bool),
+		roots:        make(map[string]*typereg.Node),
+		attachments:  make(map[string]*attachment),
 		subs:         newSubscriptionSet(),
 		dedupe:       seen.New(),
 		self:         newPublishedEvents(),
@@ -174,27 +177,12 @@ func New(cfg Config) (*Engine, error) {
 		tracer:       cfg.Tracer,
 		sampler:      trace.NewSampler(cfg.TraceRate),
 		stop:         make(chan struct{}),
-		kick:         make(chan struct{}, 1),
 		wake:         make(chan struct{}, 1),
+		rdv:          cfg.Peer.Rendezvous(),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	disc := cfg.Peer.Discovery()
-	if disc == nil {
-		return nil, ErrClosed
-	}
-	e.lisTok = disc.AddListener(e.onAdvertisement)
-	// A query sent before the net group holds a lease reaches nobody;
-	// the grant is when the finder's next round is worth running. An
-	// event group's grant is not.
-	net := jid.NetGroup.String()
-	e.rdv = cfg.Peer.Rendezvous()
-	e.leaseTok = e.rdv.AddLeaseListener(func(_ jid.ID, group string) {
-		if group == net || group == "" {
-			e.kickFinder()
-		}
-	})
-	e.wg.Add(2)
-	go e.finderLoop()
+	e.regTok = e.reg.AddListener(e.onRegister)
+	e.wg.Add(1)
 	go e.replayLoop()
 	return e, nil
 }
@@ -210,26 +198,19 @@ func (e *Engine) Peer() *peer.Peer { return e.peer }
 // `publish_failures`.
 func (e *Engine) Snapshot() obs.Snapshot {
 	e.mu.Lock()
-	attachments := 0
-	for _, m := range e.attachments {
-		attachments += len(m)
-	}
+	attachments := len(e.attachments)
 	e.mu.Unlock()
 	return obs.Snapshot{
 		Name:    "engine",
-		Version: 1,
+		Version: 2, // 1 had advs_created, advs_found, find_rounds and find_rounds_failed, for a search that is gone
 		Counters: map[string]int64{
-			"published":          e.stats.published.Load(),
-			"delivered":          e.stats.delivered.Load(),
-			"duplicates":         e.stats.duplicateEvents.Load(),
-			"decode_failures":    e.stats.decodeErrors.Load(),
-			"publish_failures":   e.stats.publishErrors.Load(),
-			"advs_created":       e.stats.advsCreated.Load(),
-			"advs_found":         e.stats.advsFound.Load(),
-			"replay_requests":    e.stats.replayRequests.Load(),
-			"find_rounds":        e.stats.findRounds.Load(),
-			"find_rounds_failed": e.stats.findRoundsFailed.Load(),
-			"replay_kicks":       e.stats.replayKicks.Load(),
+			"published":        e.stats.published.Load(),
+			"delivered":        e.stats.delivered.Load(),
+			"duplicates":       e.stats.duplicateEvents.Load(),
+			"decode_failures":  e.stats.decodeErrors.Load(),
+			"publish_failures": e.stats.publishErrors.Load(),
+			"replay_requests":  e.stats.replayRequests.Load(),
+			"replay_kicks":     e.stats.replayKicks.Load(),
 		},
 		Gauges: map[string]float64{
 			"attachments":   float64(attachments),
@@ -249,19 +230,15 @@ func (e *Engine) Snapshot() obs.Snapshot {
 func ZeroSnapshot() obs.Snapshot {
 	return obs.Snapshot{
 		Name:    "engine",
-		Version: 1,
+		Version: 2,
 		Counters: map[string]int64{
-			"published":          0,
-			"delivered":          0,
-			"duplicates":         0,
-			"decode_failures":    0,
-			"publish_failures":   0,
-			"advs_created":       0,
-			"advs_found":         0,
-			"replay_requests":    0,
-			"find_rounds":        0,
-			"find_rounds_failed": 0,
-			"replay_kicks":       0,
+			"published":        0,
+			"delivered":        0,
+			"duplicates":       0,
+			"decode_failures":  0,
+			"publish_failures": 0,
+			"replay_requests":  0,
+			"replay_kicks":     0,
 		},
 		Gauges: map[string]float64{
 			"attachments":   0,
@@ -313,16 +290,16 @@ func (e *Engine) attachmentCount(node *typereg.Node) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	count := 0
-	for path, m := range e.attachments {
+	for path := range e.attachments {
 		if typereg.CoversPath(node.Path(), path) {
-			count += len(m)
+			count++
 		}
 	}
 	return count
 }
 
-// Close stops the finder, closes every attachment and detaches from
-// discovery.
+// Close stops the replay loop and the registry listener and closes every
+// attachment.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -330,69 +307,49 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	var atts []*attachment
-	for _, m := range e.attachments {
-		for _, a := range m {
-			atts = append(atts, a)
-		}
-	}
-	e.attachments = map[string]map[jid.ID]*attachment{}
+	atts := e.attachmentList()
+	e.attachments = map[string]*attachment{}
 	e.cond.Broadcast()
 	e.mu.Unlock()
 
 	close(e.stop)
 	e.wg.Wait()
-	if disc := e.peer.Discovery(); disc != nil {
-		disc.RemoveListener(e.lisTok)
-	}
-	e.rdv.RemoveLeaseListener(e.leaseTok)
+	e.reg.RemoveListener(e.regTok)
 	for _, a := range atts {
 		e.detach(a)
 	}
 }
 
-// Publish serialises the event and sends it on the wire pipe of every
-// group attached for the event's dynamic type, creating the type's
-// advertisement first if nobody advertises it yet.
+// attachmentList copies the attachments out; e.mu must be held.
+func (e *Engine) attachmentList() []*attachment {
+	atts := make([]*attachment, 0, len(e.attachments))
+	for _, a := range e.attachments {
+		atts = append(atts, a)
+	}
+	return atts
+}
+
+// Publish serialises the event and sends it on the wire pipe of the
+// group of the event's dynamic type, joining that group first if this is
+// the type's first use here.
 func (e *Engine) Publish(event any) error {
 	node, ok := e.reg.NodeOf(event)
 	if !ok {
 		return fmt.Errorf("%w: %T", ErrNotRegistered, event)
 	}
-	if err := e.EnsureType(node); err != nil {
+	a, err := e.attachmentOf(node)
+	if err != nil {
 		return err
 	}
-	// The publish_fanout_us histogram covers encode → envelope → every
-	// attachment handed off; EnsureType stays outside it because the
-	// first-publish advertisement search blocks for seconds by design.
+	// The publish_fanout_us histogram covers encode → envelope → the
+	// attachment handed off; a first use's join stays outside it.
 	start := time.Now()
 	payload, err := codec.Gob{}.Encode(event)
 	if err != nil {
 		return err
 	}
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	// Steady-state publish reuses the cached fan-out snapshot; the slice
-	// is rebuilt only after an attach or detach invalidated it, so the
-	// per-call copy-under-mutex allocation is gone from the hot path.
-	atts, ok := e.pubSnaps[node.Path()]
-	if !ok {
-		atts = make([]*attachment, 0, len(e.attachments[node.Path()]))
-		for _, a := range e.attachments[node.Path()] {
-			atts = append(atts, a)
-		}
-		e.pubSnaps[node.Path()] = atts
-	}
-	e.mu.Unlock()
 	e.stats.published.Add(1)
 
-	// Build the two-element TPS message once and share its elements
-	// across the fan-out: each attachment's pipe and group go into the
-	// frames as envelope fields, and nothing below writes to them.
 	eventID := jid.NewMessage()
 	// Decode-once: remember the outgoing value so the synchronous wire
 	// loopback (and any mesh echo) dispatches it without a gob decode.
@@ -409,92 +366,63 @@ func (e *Engine) Publish(event any) error {
 			e.tracer.Record(eventID, trace.StagePublish, e.peer.ID(), sentUS, nil)
 		}
 	}
-
-	var firstErr error
-	sent := 0
-	for i, a := range atts {
-		// A message ID names one injection into one group: a rendezvous
-		// serving several groups keeps one duplicate cache for them all,
-		// and would drop a second group's copy under the first's ID. The
-		// event ID, which subscribers dedupe on, stays shared.
-		out := msg
-		if i > 0 {
-			out = msg.Dup()
-			out.ID = jid.NewMessage()
-		}
-		if err := a.publish(out); err != nil {
-			e.stats.publishErrors.Add(1)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		sent++
-	}
+	err = a.publish(msg)
 	e.histPublish.Observe(time.Since(start))
-	if sent == 0 && firstErr != nil {
-		return fmt.Errorf("tps: publish %s: %w", node.Path(), firstErr)
+	if err != nil {
+		e.stats.publishErrors.Add(1)
+		return fmt.Errorf("tps: publish %s: %w", node.Path(), err)
 	}
 	return nil
 }
 
-// EnsureType makes sure at least one advertisement (and attachment)
-// exists for the node's type: it searches for the configured find
-// timeout and creates this peer's own advertisement when nothing shows
-// up — the initialization behaviour of the paper's §4.1.
+// EnsureType attaches the engine to the group of the node's type: it
+// joins the group, at once, unless the engine has already — the
+// initialization of the paper's §4.1 without its search.
 func (e *Engine) EnsureType(node *typereg.Node) error {
-	e.trackPath(node)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	if len(e.attachments[node.Path()]) > 0 {
-		e.mu.Unlock()
-		return nil
-	}
-	e.mu.Unlock()
-
-	// Trigger an immediate search round and wait for a matching
-	// advertisement to attach.
-	e.kickFinder()
-	deadline := time.Now().Add(e.ftime)
-	defer time.AfterFunc(e.ftime, e.broadcast).Stop()
-	e.mu.Lock()
-	for len(e.attachments[node.Path()]) == 0 && !e.closed && time.Now().Before(deadline) {
-		e.cond.Wait()
-	}
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	if len(e.attachments[node.Path()]) > 0 {
-		e.mu.Unlock()
-		return nil
-	}
-	// Nobody advertises this type: create our own advertisement, keep
-	// looking for others in the background (the finder stays on it).
-	// Only one goroutine creates per path; latecomers wait for it.
-	for e.creatingPath[node.Path()] && !e.closed {
-		e.cond.Wait()
-	}
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	if len(e.attachments[node.Path()]) > 0 {
-		e.mu.Unlock()
-		return nil
-	}
-	e.creatingPath[node.Path()] = true
-	e.mu.Unlock()
-
-	err := e.createAndAttach(node)
-	e.mu.Lock()
-	delete(e.creatingPath, node.Path())
-	e.cond.Broadcast()
-	e.mu.Unlock()
+	_, err := e.attachmentOf(node)
 	return err
+}
+
+// attachmentOf returns the attachment to the node's group, attaching
+// first when there is none yet.
+func (e *Engine) attachmentOf(node *typereg.Node) (*attachment, error) {
+	if a, err := e.attached(node.Path()); a != nil || err != nil {
+		return a, err
+	}
+	e.attachMu.Lock()
+	defer e.attachMu.Unlock()
+	return e.attach(node)
+}
+
+// attached returns the attachment for the type path, nil if there is
+// none yet, or ErrClosed.
+func (e *Engine) attached(path string) (*attachment, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
+	return e.attachments[path], nil
+}
+
+// onRegister is the registry listener: a type registered in the closure
+// of a subscribed root is attached, so the subscription covers it.
+func (e *Engine) onRegister(n *typereg.Node) {
+	e.mu.Lock()
+	roots := make([]*typereg.Node, 0, len(e.roots))
+	for _, r := range e.roots {
+		roots = append(roots, r)
+	}
+	e.mu.Unlock()
+	for _, root := range roots {
+		if !slices.Contains(e.reg.Closure(root), n) {
+			continue
+		}
+		if err := e.EnsureType(n); err != nil && !errors.Is(err, ErrClosed) {
+			e.subs.dispatchError(err)
+		}
+		return
+	}
 }
 
 // broadcast wakes every waiter on e.cond to look again.
@@ -503,17 +431,6 @@ func (e *Engine) broadcast() {
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
-
-// trackPath registers a root path with the background finder.
-func (e *Engine) trackPath(node *typereg.Node) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.tracked[node.Path()]; !ok {
-		e.tracked[node.Path()] = node
-	}
-}
-
-func (e *Engine) kickFinder() { poke(e.kick) }
 
 // poke wakes the loop reading ch without waiting for it; a wake-up
 // already pending covers this one.

@@ -7,21 +7,18 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/core/codec"
 	"github.com/tps-p2p/tps/internal/core/engine"
 	"github.com/tps-p2p/tps/internal/core/typereg"
-	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
 
@@ -68,6 +65,9 @@ func newRegistry(t *testing.T) (*typereg.Registry, map[string]*typereg.Node) {
 	}
 	return r, nodes
 }
+
+// rigFindInterval is the replay retry interval of the rig's engines.
+const rigFindInterval = 100 * time.Millisecond
 
 type testRig struct {
 	t   *testing.T
@@ -134,12 +134,12 @@ func (r *testRig) addPeerVia(wrap func(endpoint.Transport) endpoint.Transport) *
 func (r *testRig) addEngine() *testEnginePeer { return r.engineOn(r.addPeer(), engine.Config{}) }
 
 // engineOn starts an engine on p with the test hierarchy, the rig's
-// finder timings and whatever else cfg sets.
+// replay retry interval and whatever else cfg sets.
 func (r *testRig) engineOn(p *peer.Peer, cfg engine.Config) *testEnginePeer {
 	r.t.Helper()
 	reg, nodes := newRegistry(r.t)
 	cfg.Peer, cfg.Registry = p, reg
-	cfg.FindTimeout, cfg.FindInterval = 400*time.Millisecond, 100*time.Millisecond
+	cfg.FindInterval = rigFindInterval
 	eng, err := engine.New(cfg)
 	if err != nil {
 		r.t.Fatal(err)
@@ -202,8 +202,8 @@ func TestPublisherFirstThenSubscriber(t *testing.T) {
 	pub := rig.addEngine()
 	sub := rig.addEngine()
 
-	// Publisher ensures the type exists (creates the advertisement: the
-	// paper's initialization phase).
+	// Publisher joins the type's group (the paper's initialization
+	// phase).
 	if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +234,12 @@ func TestSubscriberFirstThenPublisher(t *testing.T) {
 	if _, err := sub.eng.Subscribe(sub.nodes["stock"], c.deliver, c.onError); err != nil {
 		t.Fatal(err)
 	}
-	// The publisher's EnsureType must FIND the subscriber's
-	// advertisement instead of creating a second one (minimization).
+	// The publisher's EnsureType joins the group the subscriber joined:
+	// one group per type (minimization), found by nobody.
 	if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
 		t.Fatal(err)
 	}
-	if n := pub.eng.Snapshot().Counters["advs_created"]; n != 0 {
-		t.Fatalf("publisher created %d advs despite existing one", n)
-	}
+	oneGroup(t, sub.nodes["stock"].Path(), sub, pub)
 	if !pub.eng.AwaitReady(pub.nodes["stock"], 1, 5*time.Second) {
 		t.Fatal("publisher attachment not ready")
 	}
@@ -277,27 +275,12 @@ func TestSubtypeDeliveryFigure7(t *testing.T) {
 			t.Fatalf("publisher %s attachment not ready", n)
 		}
 	}
-	if !subAll.eng.AwaitReady(subAll.nodes["quote"], 3, 10*time.Second) {
+	// The root and its three subtypes: one group each.
+	if !subAll.eng.AwaitReady(subAll.nodes["quote"], 4, 10*time.Second) {
 		t.Fatal("root subscriber did not attach to all subtype groups")
 	}
 	if !subTech.eng.AwaitReady(subTech.nodes["tech"], 1, 5*time.Second) {
 		t.Fatal("leaf subscriber not ready")
-	}
-	// Under load the publisher's find window can expire before it sees a
-	// subscriber-created advertisement, leaving duplicate groups for one
-	// type. The publishes below are one-shot, so both sides must converge
-	// on the full merged group set (attached AND leased) before firing,
-	// as TestSimultaneousCreation does for the two-peer case. All
-	// advertisement creation is over by now, so the total is stable.
-	created := 0
-	for _, p := range []*testEnginePeer{pub, subAll, subTech} {
-		created += int(p.eng.Snapshot().Counters["advs_created"])
-	}
-	if !pub.eng.AwaitReady(pub.nodes["quote"], created, 15*time.Second) {
-		t.Fatal("publisher never became ready on every merged group")
-	}
-	if !subAll.eng.AwaitReady(subAll.nodes["quote"], created, 15*time.Second) {
-		t.Fatal("root subscriber never became ready on every merged group")
 	}
 
 	if err := pub.eng.Publish(stockQuote{Symbol: "S", Price: 1}); err != nil {
@@ -335,8 +318,8 @@ func TestSimultaneousCreationConvergesWithExactlyOnceDelivery(t *testing.T) {
 	a := rig.addEngine()
 	b := rig.addEngine()
 
-	// Both ensure the same type concurrently: they may race and create
-	// two advertisements (two groups) for it.
+	// Both ensure the same type at once: both compute its group, so
+	// there is nothing to race for and one group to join.
 	var wg sync.WaitGroup
 	for _, p := range []*testEnginePeer{a, b} {
 		wg.Add(1)
@@ -348,24 +331,16 @@ func TestSimultaneousCreationConvergesWithExactlyOnceDelivery(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+	oneGroup(t, a.nodes["stock"].Path(), a, b)
 
 	var c collector
 	if _, err := b.eng.Subscribe(b.nodes["stock"], c.deliver, c.onError); err != nil {
 		t.Fatal(err)
 	}
-	// Let the finders merge the advertisement sets: if two groups were
-	// created, both engines eventually attach to both.
-	created := a.eng.Snapshot().Counters["advs_created"] + b.eng.Snapshot().Counters["advs_created"]
-	if created >= 2 {
-		if !a.eng.AwaitReady(a.nodes["stock"], 2, 10*time.Second) ||
-			!b.eng.AwaitReady(b.nodes["stock"], 2, 10*time.Second) {
-			t.Fatal("engines never merged the duplicate advertisements")
-		}
-	}
-	// The publishes below are one-shot: the publisher must hold a lease
-	// on EVERY merged group before firing, and the subscriber on at least
-	// one, or early events evaporate before the mesh is reachable.
-	if !a.eng.AwaitReady(a.nodes["stock"], int(created), 10*time.Second) {
+	// The publishes below are one-shot: both groups must hold a lease
+	// before the first, or early events evaporate before the mesh is
+	// reachable.
+	if !a.eng.AwaitReady(a.nodes["stock"], 1, 10*time.Second) {
 		t.Fatal("a not ready")
 	}
 	if !b.eng.AwaitReady(b.nodes["stock"], 1, 10*time.Second) {
@@ -378,72 +353,41 @@ func TestSimultaneousCreationConvergesWithExactlyOnceDelivery(t *testing.T) {
 		}
 	}
 	waitCount(t, &c, total)
-	// Exactly once despite multi-group publication.
 	time.Sleep(300 * time.Millisecond)
 	if c.count() != total {
-		t.Fatalf("delivered %d, want exactly %d (TPS dedupe failed)", c.count(), total)
+		t.Fatalf("delivered %d, want exactly %d", c.count(), total)
 	}
 }
 
-// TestEveryGroupOfATypeGetsEveryEvent: a publisher attached to two
-// groups of its type sends every event into both, and a subscriber in
-// either group gets every one. Each group here has one subscriber of its
-// own: a raw peer that advertised the group, joined it alone and listens
-// on its wire. The rendezvous serves both groups with one duplicate
-// cache, so it must not take one group's copy of an event for a repeat
-// of the other's.
-func TestEveryGroupOfATypeGetsEveryEvent(t *testing.T) {
-	rig := newRig(t)
-	pub := rig.addEngine()
-	path := pub.nodes["stock"].Path()
-	var got [2]atomic.Int64
-	for i := range got {
-		_, g, pipe := rig.rawGroup(path)
-		in, err := g.Wire.CreateInputPipe(pipe)
-		if err != nil {
-			t.Fatal(err)
+// oneGroup checks that every engine holds one attachment for the path,
+// and that each one's peer is in the group TypeGroup names for it.
+func oneGroup(t *testing.T, path string, peers ...*testEnginePeer) {
+	t.Helper()
+	group, _ := engine.TypeGroup(path)
+	for _, p := range peers {
+		if _, ok := p.peer.Group(group); !ok {
+			t.Fatalf("%s is not in the group of %s", p.peer.Name(), path)
 		}
-		in.SetListener(func(*message.Message) { got[i].Add(1) })
-	}
-	if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
-		t.Fatal(err)
-	}
-	if !pub.eng.AwaitReady(pub.nodes["stock"], 2, 10*time.Second) {
-		t.Fatal("the publisher never attached to both groups")
-	}
-	const total = 20
-	for i := 0; i < total; i++ {
-		if err := pub.eng.Publish(stockQuote{Symbol: "BOTH", Price: float64(i)}); err != nil {
-			t.Fatal(err)
+		n := 0
+		for _, cur := range p.peer.Groups() {
+			if cur.Param() == group.String() {
+				n++
+			}
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for got[0].Load() < total || got[1].Load() < total {
-		if time.Now().After(deadline) {
-			break
+		if n != 1 {
+			t.Fatalf("%s holds %d groups for %s", p.peer.Name(), n, path)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	rig.net.WaitQuiesce(5 * time.Second)
-	if a, b := got[0].Load(), got[1].Load(); a != total || b != total {
-		t.Fatalf("the groups' subscribers got %d and %d events, want %d each", a, b, total)
 	}
 }
 
-// rawGroup starts a peer that advertises a group for the type path, as
-// an engine would, joins it alone and holds its lease: a peer that
-// speaks the group's wire without an engine.
-func (r *testRig) rawGroup(path string) (*peer.Peer, *peer.Group, *adv.PipeAdv) {
+// rawGroup starts a peer that joins the group of the type path, as an
+// engine would, and holds its lease: a peer that speaks the group's wire
+// without an engine.
+func (r *testRig) rawGroup(path string) (*peer.Peer, *peer.Group, jid.ID) {
 	r.t.Helper()
 	raw := r.addPeer()
-	gid := jid.NewGroup()
-	pipe := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: engine.PSPrefix + path}
-	groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: raw.ID(), Name: engine.PSPrefix + path}
-	groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipe})
-	if err := raw.Discovery().RemotePublish(groupAdv, 0); err != nil {
-		r.t.Fatal(err)
-	}
-	g, _, err := raw.JoinGroupFromAdv(groupAdv)
+	gid, pipe := engine.TypeGroup(path)
+	g, err := raw.JoinGroup(gid, engine.PSPrefix+path)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -598,11 +542,7 @@ func TestIsolatedPeerLoopback(t *testing.T) {
 	}
 	t.Cleanup(p.Close)
 	reg, nodes := newRegistry(t)
-	eng, err := engine.New(engine.Config{
-		Peer: p, Registry: reg,
-		FindTimeout:  200 * time.Millisecond,
-		FindInterval: 100 * time.Millisecond,
-	})
+	eng, err := engine.New(engine.Config{Peer: p, Registry: reg, FindInterval: rigFindInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -740,9 +680,6 @@ func TestLegacyEventFrameIsDeliveredOnce(t *testing.T) {
 	if _, err := sub.eng.Subscribe(sub.nodes["stock"], c.deliver, c.onError); err != nil {
 		t.Fatal(err)
 	}
-	if n := sub.eng.Snapshot().Counters["advs_created"]; n != 0 {
-		t.Fatalf("the subscriber created %d groups instead of attaching to the raw peer's", n)
-	}
 	if !sub.eng.AwaitReady(sub.nodes["stock"], 1, 5*time.Second) {
 		t.Fatal("not ready")
 	}
@@ -776,16 +713,20 @@ func TestLegacyEventFrameIsDeliveredOnce(t *testing.T) {
 	}
 }
 
-// TestUnregisteredSubtypeIsAttachedOnceRegistered: a group advertised for
-// a subtype this peer has not registered is not attached, since none of
-// its events could be decoded here. The finder keeps considering it, so
-// it is attached within a few rounds of the subtype's registration.
+// TestUnregisteredSubtypeIsAttachedOnceRegistered: a subscriber holds no
+// group for a subtype it has not registered, since none of its events
+// could be decoded here. Registering the subtype joins its group at
+// once, through the registry's listener: with the replay loop ticking
+// every 5 s, the group is ready within a second, and a subtype event
+// published into it is delivered.
 func TestUnregisteredSubtypeIsAttachedOnceRegistered(t *testing.T) {
 	rig := newRig(t)
 	pub := rig.addEngine()
-	techPath := pub.nodes["tech"].Path()
 	if err := pub.eng.EnsureType(pub.nodes["tech"]); err != nil {
 		t.Fatal(err)
+	}
+	if !pub.eng.AwaitReady(pub.nodes["tech"], 1, 5*time.Second) {
+		t.Fatal("publisher not ready")
 	}
 
 	reg := typereg.New()
@@ -797,9 +738,8 @@ func TestUnregisteredSubtypeIsAttachedOnceRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const interval = 100 * time.Millisecond
 	p := rig.addPeer()
-	sub, err := engine.New(engine.Config{Peer: p, Registry: reg, FindTimeout: 400 * time.Millisecond, FindInterval: interval})
+	sub, err := engine.New(engine.Config{Peer: p, Registry: reg, FindInterval: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,26 +748,19 @@ func TestUnregisteredSubtypeIsAttachedOnceRegistered(t *testing.T) {
 	if _, err := sub.Subscribe(stock, c.deliver, c.onError); err != nil {
 		t.Fatal(err)
 	}
-	// The advertisement reached the subscriber, and rounds went by.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(p.Discovery().GetLocalAdvertisements(engine.PSPrefix+techPath)) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the subtype's advertisement never reached the subscriber")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !sub.AwaitReady(stock, 1, 5*time.Second) {
+		t.Fatal("subscriber not ready")
 	}
-	if sub.AwaitReady(stock, 2, 5*interval) {
-		t.Fatal("attached a group of a subtype this peer cannot decode")
+	techGroup, _ := engine.TypeGroup(pub.nodes["tech"].Path())
+	if _, ok := p.Group(techGroup); ok {
+		t.Fatal("joined the group of a subtype this peer cannot decode")
 	}
 
 	if _, err := reg.Register(reflect.TypeOf(techQuote{}), stock); err != nil {
 		t.Fatal(err)
 	}
-	if !sub.AwaitReady(stock, 2, 20*interval) {
-		t.Fatal("the subtype's group was not attached after its registration")
-	}
-	if !pub.eng.AwaitReady(pub.nodes["tech"], 1, 5*time.Second) || !sub.AwaitReady(stock, 2, 5*time.Second) {
-		t.Fatal("not ready")
+	if !sub.AwaitReady(stock, 2, time.Second) {
+		t.Fatal("the subtype's group was not ready within a second of its registration")
 	}
 	if err := pub.eng.Publish(techQuote{stockQuote: stockQuote{Symbol: "T"}, PE: 12}); err != nil {
 		t.Fatal(err)
@@ -835,39 +768,64 @@ func TestUnregisteredSubtypeIsAttachedOnceRegistered(t *testing.T) {
 	waitCount(t, &c, 1)
 }
 
-// TestAwaitReadyStartsOneFinderRound: waiting for readiness against a
-// rendezvous that never answers asks the finder for one round, not one
-// per poll; lease grants and the FindInterval ticker pace the rest.
-func TestAwaitReadyStartsOneFinderRound(t *testing.T) {
-	n := netsim.New(netsim.Config{})
-	t.Cleanup(n.Close)
-	node, err := n.AddNode("edge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.AddNode("silent"); err != nil {
-		t.Fatal(err)
-	}
-	p, err := peer.New(peer.Config{
-		Name:       "edge",
-		Rendezvous: rendezvous.Config{Seeds: []endpoint.Address{"mem://silent"}},
-	}, memnet.New(node))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	reg, nodes := newRegistry(t)
-	eng, err := engine.New(engine.Config{Peer: p, Registry: reg, FindInterval: 5 * time.Second})
+// TestFirstPublishDoesNotWait: the first Publish of a type on a seeded
+// engine with the default timings joins the type's group and sends; it
+// searches for nothing, so it returns at once.
+func TestFirstPublishDoesNotWait(t *testing.T) {
+	rig := newRig(t)
+	p := rig.addPeer()
+	reg, _ := newRegistry(t)
+	eng, err := engine.New(engine.Config{Peer: p, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	rounds := func() int64 { return eng.Snapshot().Counters["find_rounds"] }
-	before := rounds()
-	if eng.AwaitReady(nodes["stock"], 1, 500*time.Millisecond) {
-		t.Fatal("ready without a rendezvous")
+	start := time.Now()
+	if err := eng.Publish(stockQuote{Symbol: "NOW", Price: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if grew := rounds() - before; grew > 2 {
-		t.Fatalf("AwaitReady started %d finder rounds in 500 ms, want at most 2", grew)
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Fatalf("the first Publish took %v, want under 100ms", took.Round(time.Millisecond))
+	}
+}
+
+// TestIdleClusterSendsNoDiscovery: a rendezvous, a publisher and a
+// subscriber, attached and leased, then left alone for five replay
+// intervals. Neither edge sends a frame to the discovery service: an
+// engine has nothing to search for.
+func TestIdleClusterSendsNoDiscovery(t *testing.T) {
+	rig := newRig(t)
+	var taps [2]*frameTap
+	var edges [2]*testEnginePeer
+	for i := range edges {
+		tap := &frameTap{}
+		edges[i] = rig.engineOn(rig.addPeerVia(func(tr endpoint.Transport) endpoint.Transport {
+			tap.Transport = tr
+			return tap
+		}), engine.Config{})
+		taps[i] = tap
+	}
+	pub, sub := edges[0], edges[1]
+	var c collector
+	if _, err := sub.eng.Subscribe(sub.nodes["stock"], c.deliver, c.onError); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.eng.EnsureType(pub.nodes["stock"]); err != nil {
+		t.Fatal(err)
+	}
+	if !pub.eng.AwaitReady(pub.nodes["stock"], 1, 5*time.Second) || !sub.eng.AwaitReady(sub.nodes["stock"], 2, 5*time.Second) {
+		t.Fatal("not ready")
+	}
+	time.Sleep(5 * rigFindInterval)
+	rig.net.WaitQuiesce(5 * time.Second)
+	for i, tap := range taps {
+		tap.mu.Lock()
+		for _, frame := range tap.frames {
+			if bytes.Contains(frame, []byte("jxta.discovery")) {
+				t.Errorf("%s sent a frame to the discovery service", edges[i].peer.Name())
+				break
+			}
+		}
+		tap.mu.Unlock()
 	}
 }

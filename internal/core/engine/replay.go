@@ -226,12 +226,7 @@ func (e *Engine) requestReplays() {
 		return
 	}
 	e.mu.Lock()
-	var atts []*attachment
-	for _, m := range e.attachments {
-		for _, a := range m {
-			atts = append(atts, a)
-		}
-	}
+	atts := e.attachmentList()
 	e.mu.Unlock()
 	for _, a := range atts {
 		a.syncReplay(e)
@@ -243,12 +238,7 @@ func (e *Engine) requestReplays() {
 // surface.
 func (e *Engine) CursorsView() []obs.CursorEntry {
 	e.mu.Lock()
-	var atts []*attachment
-	for _, m := range e.attachments {
-		for _, a := range m {
-			atts = append(atts, a)
-		}
-	}
+	atts := e.attachmentList()
 	e.mu.Unlock()
 	var out []obs.CursorEntry
 	for _, a := range atts {

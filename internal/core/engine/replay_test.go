@@ -140,7 +140,7 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No ticker fires within the test: every round below is a wake-up.
-	e, err := New(Config{Peer: p, Registry: reg, FindTimeout: 10 * time.Millisecond, FindInterval: time.Hour})
+	e, err := New(Config{Peer: p, Registry: reg, FindInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,8 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 	if _, err := e.Subscribe(root, deliver, nil); err != nil {
 		t.Fatal(err)
 	}
-	var a *attachment
 	e.mu.Lock()
-	for _, att := range e.attachments[root.Path()] {
-		a = att
-	}
+	a := e.attachments[root.Path()]
 	e.mu.Unlock()
 	if a == nil {
 		t.Fatal("Subscribe left no attachment")
@@ -204,7 +201,7 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 // per attachment. Once the attachments have closed, with the service
 // still running, neither reaches them. On an edge in the same two
 // groups a grant names one group: it is owed to that group's attachment
-// alone, and, not being the net group's, starts no finder round.
+// alone.
 func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	t.Cleanup(n.Close)
@@ -266,7 +263,7 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Peer: p, Registry: reg, FindTimeout: 10 * time.Millisecond, FindInterval: time.Hour})
+	e, err := New(Config{Peer: p, Registry: reg, FindInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +286,11 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		t.Helper()
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		for _, a := range e.attachments[node.Path()] {
-			return a
+		a := e.attachments[node.Path()]
+		if a == nil {
+			t.Fatalf("no attachment for %s", node.Path())
 		}
-		t.Fatalf("no attachment for %s", node.Path())
-		return nil
+		return a
 	}
 	subscribed := func(node *typereg.Node) *attachment {
 		t.Helper()
@@ -352,7 +349,7 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(edge.Close)
-	onEdge, err := New(Config{Peer: edge, Registry: reg, FindTimeout: 10 * time.Millisecond, FindInterval: time.Hour})
+	onEdge, err := New(Config{Peer: edge, Registry: reg, FindInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,23 +365,8 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		defer a.curMu.Unlock()
 		return len(a.owed)
 	}
-	rounds := onEdge.stats.findRounds.Load
-	time.Sleep(50 * time.Millisecond) // the rounds EnsureType started are over
-	before := rounds()
 	grantTo("mem://edge", y.group.Param())
 	if ox, oy := owed(x), owed(y); ox != 0 || oy != 1 {
 		t.Fatalf("a grant for %s is owed to %d and %d attachments, want 0 and 1", y.path, ox, oy)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got := rounds() - before; got != 0 {
-		t.Fatalf("an event group's grant started %d finder rounds", got)
-	}
-	grantTo("mem://edge", jid.NetGroup.String())
-	deadline := time.Now().Add(5 * time.Second)
-	for rounds() == before {
-		if time.Now().After(deadline) {
-			t.Fatal("the net group's grant started no finder round")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

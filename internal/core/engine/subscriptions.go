@@ -47,9 +47,9 @@ func newSubscriptionSet() *subscriptionSet {
 // events of that type and of every subtype (nominal or by interface
 // satisfaction) are delivered. onError may be nil.
 //
-// Subscribing also runs EnsureType on the root so an advertisement for
-// it exists — the paper's subscriber performs the same initialization as
-// the publisher (§4.1).
+// Subscribing joins the group of every type the root's closure holds,
+// and of every type registered in it later — the paper's subscriber
+// performs the same initialization as the publisher (§4.1).
 func (e *Engine) Subscribe(node *typereg.Node, deliver Delivery, onError ErrorHandler) (*Subscription, error) {
 	if deliver == nil {
 		return nil, ErrNilDelivery
@@ -57,13 +57,15 @@ func (e *Engine) Subscribe(node *typereg.Node, deliver Delivery, onError ErrorHa
 	if node == nil {
 		return nil, ErrNotRegistered
 	}
-	// Track every registered type in the closure so the finder also
-	// hunts for subtype advertisements published elsewhere.
+	// The root first, then its closure: a type registered in between is
+	// attached by onRegister, one registered before is in the closure.
+	e.mu.Lock()
+	e.roots[node.Path()] = node
+	e.mu.Unlock()
 	for _, n := range e.reg.Closure(node) {
-		e.trackPath(n)
-	}
-	if err := e.EnsureType(node); err != nil {
-		return nil, err
+		if err := e.EnsureType(n); err != nil {
+			return nil, err
+		}
 	}
 	sub := &Subscription{node: node, deliver: deliver, onError: onError, set: e.subs}
 	e.subs.add(sub)
@@ -169,13 +171,9 @@ func (s *subscriptionSet) dispatchError(err error) {
 // AwaitReady blocks until at least n attachments covering the node's
 // subtree are live AND their groups hold a rendezvous lease (or the peer
 // is unseeded), or the timeout elapses. Publishers use it before
-// measuring throughput. It starts one finder round; lease grants and the
-// FindInterval ticker start the rounds after it. It waits on e.cond,
-// which an attach, a new lease of an attachment's group and the deadline
-// broadcast.
+// measuring throughput. It only waits: on e.cond, which an attach, a new
+// lease of an attachment's group and the deadline broadcast.
 func (e *Engine) AwaitReady(node *typereg.Node, n int, timeout time.Duration) bool {
-	e.trackPath(node)
-	e.kickFinder()
 	deadline := time.Now().Add(timeout)
 	defer time.AfterFunc(timeout, e.broadcast).Stop()
 	e.mu.Lock()
@@ -197,13 +195,9 @@ func (e *Engine) readyCount(node *typereg.Node) int {
 
 func (e *Engine) readyLocked(node *typereg.Node) int {
 	count := 0
-	for path, m := range e.attachments {
-		if typereg.CoversPath(node.Path(), path) {
-			for _, a := range m {
-				if e.ready(a) {
-					count++
-				}
-			}
+	for path, a := range e.attachments {
+		if typereg.CoversPath(node.Path(), path) && e.ready(a) {
+			count++
 		}
 	}
 	return count

@@ -1,17 +1,17 @@
 // Package typereg maintains the event-type registry of the TPS layer.
 //
 // Type-based publish/subscribe uses the event type as the subject: one
-// type maps to one advertisement (and one propagated pipe). Types form a
-// nominal hierarchy — the paper's Figure 7 — so that subscribing to a
-// type also delivers instances of its subtypes. Go has no struct
-// subtyping, so the hierarchy is declared explicitly at registration
-// time; delivery additionally respects Go assignability (an interface
-// subscription receives every implementing event type).
+// type maps to one peer group (and one propagated pipe), named by its
+// path. Types form a nominal hierarchy — the paper's Figure 7 — so that
+// subscribing to a type also delivers instances of its subtypes. Go has
+// no struct subtyping, so the hierarchy is declared explicitly at
+// registration time; delivery additionally respects Go assignability (an
+// interface subscription receives every implementing event type).
 //
-// Subjects are hierarchical paths ("A/C/D"), which lets the
-// advertisement finder discover a whole subtree with one prefix query —
-// exactly how the paper's TPSAdvertisementsFinder collects "the multiple
-// advertisements that are in relation with our type".
+// Subjects are hierarchical paths ("A/C/D"). A subscription covers the
+// Closure of its root; a type registered later is announced to the
+// registry's listeners, which is how a subscriber joins the group of a
+// subtype registered after it subscribed.
 package typereg
 
 import (
@@ -65,19 +65,44 @@ func (n *Node) Children() []*Node {
 // IsInterface reports whether the node registers an interface type.
 func (n *Node) IsInterface() bool { return n.typ.Kind() == reflect.Interface }
 
+// Listener is told of every node registered after it was added.
+type Listener func(*Node)
+
 // Registry maps Go types to subject nodes.
 type Registry struct {
-	mu     sync.RWMutex
-	byType map[reflect.Type]*Node
-	byPath map[string]*Node
+	mu        sync.RWMutex
+	byType    map[reflect.Type]*Node
+	byPath    map[string]*Node
+	listeners map[int]Listener
+	nextLis   int
 }
 
 // New creates an empty registry.
 func New() *Registry {
 	return &Registry{
-		byType: make(map[reflect.Type]*Node),
-		byPath: make(map[string]*Node),
+		byType:    make(map[reflect.Type]*Node),
+		byPath:    make(map[string]*Node),
+		listeners: make(map[int]Listener),
 	}
+}
+
+// AddListener registers l and returns a token for RemoveListener. l is
+// called on the registering goroutine once the node is in the registry,
+// its parent's children and every Closure included.
+func (r *Registry) AddListener(l Listener) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tok := r.nextLis
+	r.nextLis++
+	r.listeners[tok] = l
+	return tok
+}
+
+// RemoveListener drops the listener with the given token.
+func (r *Registry) RemoveListener(tok int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.listeners, tok)
 }
 
 // TypeOf returns the registration type for a sample value: the dynamic
@@ -126,12 +151,19 @@ func (r *Registry) Register(typ reflect.Type, parent *Node) (*Node, error) {
 	}
 	r.byType[typ] = node
 	r.byPath[path] = node
+	listeners := make([]Listener, 0, len(r.listeners))
+	for _, l := range r.listeners {
+		listeners = append(listeners, l)
+	}
 	r.mu.Unlock()
 
 	if parent != nil {
 		parent.mu.Lock()
 		parent.children = append(parent.children, node)
 		parent.mu.Unlock()
+	}
+	for _, l := range listeners {
+		l(node)
 	}
 	return node, nil
 }

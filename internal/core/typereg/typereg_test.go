@@ -225,3 +225,43 @@ func TestTypeOfUnwrapsPointers(t *testing.T) {
 		t.Fatal("nil should map to nil type")
 	}
 }
+
+// TestListenerSeesLaterRegistrationsInTheirClosure: a listener hears of
+// each node registered after it was added, once, and at that moment the
+// node is already in its root's Closure. A removed listener hears
+// nothing more.
+func TestListenerSeesLaterRegistrationsInTheirClosure(t *testing.T) {
+	r := New()
+	a, err := r.Register(reflect.TypeOf((*figA)(nil)).Elem(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heard []string
+	tok := r.AddListener(func(n *Node) {
+		inClosure := false
+		for _, c := range r.Closure(a) {
+			inClosure = inClosure || c == n
+		}
+		if !inClosure {
+			t.Errorf("%s heard before it is in the closure of %s", n.Path(), a.Path())
+		}
+		heard = append(heard, n.Path())
+	})
+	c, err := r.Register(reflect.TypeOf(figC{}), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Register(reflect.TypeOf(figD{}), c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Register(reflect.TypeOf(figD{}), c); err == nil {
+		t.Fatal("a duplicate registration succeeded")
+	}
+	r.RemoveListener(tok)
+	if _, err := r.Register(reflect.TypeOf(figB{}), a); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"figA/figC", "figA/figC/figD"}; !reflect.DeepEqual(heard, want) {
+		t.Fatalf("heard %v, want %v", heard, want)
+	}
+}

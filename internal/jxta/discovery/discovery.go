@@ -1,13 +1,18 @@
 // Package discovery implements the JXTA Peer Discovery Protocol (PDP).
 //
 // Discovery lets peers find the peer-group advertisements others
-// published, by name: the one kind of advertisement the TPS layer
-// publishes (one per event type). Each peer keeps a local cache with
-// per-record ages; queries search the local cache, remote queries
-// propagate through the rendezvous mesh and matching peers respond with
-// their records (carrying a remaining expiration so stale information
-// ages out of the network). Without this protocol a peer remains alone
-// unless it knows its contacts in advance.
+// published, by name, and JoinGroup joins a group from one. Each peer
+// keeps a local cache with per-record ages; queries search the local
+// cache, remote queries propagate through the rendezvous mesh and
+// matching peers respond with their records (carrying a remaining
+// expiration so stale information ages out of the network). Without this
+// protocol a peer remains alone unless it knows its contacts in advance.
+//
+// The TPS engine uses none of it: it computes a type's group from the
+// type's name. Discovery is the substrate of the paper's baseline that
+// finds its groups by hand (SR-JXTA, §4.4). A peer builds no discovery;
+// an application starts its own on the net group, New(p.Endpoint(),
+// p.Rendezvous(), jid.NetGroup.String()), and closes it.
 //
 // The protocol speaks straight over the peer's rendezvous and endpoint,
 // under one endpoint handler (ServiceName, group). Queries and

@@ -11,6 +11,7 @@ package jid
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -244,6 +245,18 @@ func NewMessage() ID { return New(KindMessage) }
 func NewPipeIn(group ID) ID {
 	id := New(KindPipe)
 	copy(id.uuid[:8], group.uuid[:8])
+	return id
+}
+
+// Named returns the ID of the given kind that name stands for: the first
+// 16 bytes of SHA-256 over the kind byte and the name. Every peer computes
+// the same ID from the same name, so a resource named this way is known
+// without being found; the kind byte keeps a group and a pipe of one name
+// apart.
+func Named(kind Kind, name string) ID {
+	sum := sha256.Sum256(append([]byte{byte(kind)}, name...))
+	id := ID{kind: kind}
+	copy(id.uuid[:], sum[:16])
 	return id
 }
 

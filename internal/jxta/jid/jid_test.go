@@ -124,6 +124,33 @@ func TestFromSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestNamedIsAFunctionOfKindAndName: one (kind, name) always gives one
+// ID, of that kind, that parses back from its string; another kind or
+// another name gives another ID; and no name gives a well-known group.
+func TestNamedIsAFunctionOfKindAndName(t *testing.T) {
+	for _, name := range []string{"", "PS.SkiRental", "PS.Quote/Stock", "NETPG", "WORLD"} {
+		g := Named(KindGroup, name)
+		if g != Named(KindGroup, name) {
+			t.Fatalf("Named(group, %q) is not deterministic", name)
+		}
+		if g.Kind() != KindGroup || g.IsZero() {
+			t.Fatalf("Named(group, %q) = %v", name, g)
+		}
+		if back, err := Parse(g.String()); err != nil || back != g {
+			t.Fatalf("Named(group, %q) does not round-trip: %v, %v", name, back, err)
+		}
+		if p := Named(KindPipe, name); p == g || p.UUID() == g.UUID() {
+			t.Fatalf("the group and the pipe named %q share a UUID", name)
+		}
+		if g == NetGroup || g == WorldGroup {
+			t.Fatalf("Named(group, %q) is a well-known group", name)
+		}
+		if name != "" && g == Named(KindGroup, name+"x") {
+			t.Fatalf("Named(group, %q) ignores the name", name)
+		}
+	}
+}
+
 func TestNewPipeInScopesGroup(t *testing.T) {
 	g1 := NewGroup()
 	g2 := NewGroup()

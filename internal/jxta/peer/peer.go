@@ -1,14 +1,15 @@
 // Package peer assembles a complete JXTA peer: an endpoint with its
-// transports, the peer's one rendezvous service, the net group's
-// discovery on it, and the event groups the peer joins over its
-// lifetime.
+// transports, the peer's one rendezvous service, and the event groups
+// the peer joins over its lifetime.
 //
 // A peer runs one rendezvous service, built in New, whatever it joins:
 // its leases, failure detector, active/standby election and duplicate
 // cache are the peer's. A group is a lease on that service. The net
-// group is where advertisements are found; its discovery speaks over
-// the service and no event travels in it. An event group is a wire on
-// the service and, on an edge, a lease for the group with each seed. A
+// group is leased from the start and no event travels in it: it is the
+// lease AwaitRendezvous and /health read, and the group an application
+// that finds groups by advertisement runs its discovery in (package
+// discovery; the peer builds none). An event group is a wire on the
+// service and, on an edge, a lease for the group with each seed. A
 // rendezvous leases every group at once, so on a rendezvous a group is
 // the wire alone: the role is the only switch.
 //
@@ -25,8 +26,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/tps-p2p/tps/internal/jxta/adv"
-	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
@@ -38,7 +37,6 @@ var (
 	ErrClosed       = errors.New("peer: closed")
 	ErrNoTransports = errors.New("peer: no transports")
 	ErrAlreadyIn    = errors.New("peer: already joined group")
-	ErrNoWireInAdv  = errors.New("peer: advertisement has no wire service pipe")
 )
 
 // Config configures a peer.
@@ -46,7 +44,8 @@ type Config struct {
 	// Name is the peer's human-readable name.
 	Name string
 	// ID fixes the peer identity; zero generates a fresh one. Restarted
-	// peers pass their old ID to keep their pipes and advertisements.
+	// peers pass their old ID to keep the cursors and replica copies
+	// that name it.
 	ID jid.ID
 	// Rendezvous configures the peer's rendezvous service: role (zero
 	// means edge), seeds, lease, event log, tracer, failover, replica
@@ -76,13 +75,12 @@ type Peer struct {
 	joinMu sync.Mutex
 
 	mu     sync.Mutex
-	disc   *discovery.Service // nil once closed
 	groups map[jid.ID]*Group
 	closed bool
 }
 
-// New starts a peer with the given transports: its rendezvous service,
-// leasing the net group on an edge, and the net group's discovery.
+// New starts a peer with the given transports and its rendezvous
+// service, leasing the net group on an edge.
 func New(cfg Config, transports ...endpoint.Transport) (*Peer, error) {
 	if len(transports) == 0 {
 		return nil, ErrNoTransports
@@ -110,10 +108,8 @@ func (p *Peer) start(transports []endpoint.Transport) (err error) {
 	if p.rdv, err = rendezvous.New(p.ep, p.cfg.Rendezvous); err != nil {
 		return err
 	}
-	net := jid.NetGroup.String()
-	p.rdv.Join(net)
-	p.disc, err = discovery.New(p.ep, p.rdv, net)
-	return err
+	p.rdv.Join(jid.NetGroup.String())
+	return nil
 }
 
 // ID returns the peer's identity.
@@ -131,12 +127,11 @@ func (p *Peer) Addresses() []endpoint.Address { return p.ep.LocalAddresses() }
 // Rendezvous returns the peer's one rendezvous service.
 func (p *Peer) Rendezvous() *rendezvous.Service { return p.rdv }
 
-// Discovery returns the net group's discovery, or nil once the peer is
-// closed.
-func (p *Peer) Discovery() *discovery.Service {
+// Closed reports whether Close has been called.
+func (p *Peer) Closed() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.disc
+	return p.closed
 }
 
 // Group returns the joined event group with the given ID.
@@ -191,27 +186,6 @@ func (p *Peer) JoinGroup(id jid.ID, name string) (*Group, error) {
 	return g, nil
 }
 
-// JoinGroupFromAdv joins the group described by a peer-group
-// advertisement found in discovery, mirroring the paper's
-// WireServiceFinder: it extracts the embedded wire service and returns
-// the propagated pipe advertisement to open input/output pipes with.
-func (p *Peer) JoinGroupFromAdv(pg *adv.PeerGroupAdv) (*Group, *adv.PipeAdv, error) {
-	svc, ok := pg.Service(wire.ServiceName)
-	if !ok || svc.Pipe == nil {
-		return nil, nil, fmt.Errorf("%w (group %q)", ErrNoWireInAdv, pg.Name)
-	}
-	g, err := p.JoinGroup(pg.GroupID, pg.Name)
-	if err != nil {
-		if errors.Is(err, ErrAlreadyIn) {
-			if existing, found := p.Group(pg.GroupID); found {
-				return existing, svc.Pipe, nil
-			}
-		}
-		return nil, nil, err
-	}
-	return g, svc.Pipe, nil
-}
-
 // LeaveGroup closes the event group's wire and ends its lease.
 func (p *Peer) LeaveGroup(id jid.ID) {
 	p.mu.Lock()
@@ -228,8 +202,8 @@ func (g *Group) leave(rdv *rendezvous.Service) {
 	rdv.Leave(g.param)
 }
 
-// Close leaves every event group, stops the net group's discovery and
-// the rendezvous service, and shuts the endpoint down.
+// Close leaves every event group, stops the rendezvous service and
+// shuts the endpoint down.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -239,14 +213,9 @@ func (p *Peer) Close() {
 	p.closed = true
 	groups := p.groups
 	p.groups = map[jid.ID]*Group{}
-	disc := p.disc
-	p.disc = nil
 	p.mu.Unlock()
 	for _, g := range groups {
 		g.leave(p.rdv)
-	}
-	if disc != nil {
-		disc.Close()
 	}
 	if p.rdv != nil {
 		p.rdv.Close()

@@ -8,15 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/jxta/adv"
-	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
 
@@ -72,8 +69,8 @@ func (c *cluster) addEdge(name string, seeds ...endpoint.Address) *peer.Peer {
 func TestPeerBootJoinsNetGroup(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("solo")
-	if p.Discovery() == nil {
-		t.Fatal("no net group after boot")
+	if p.Closed() {
+		t.Fatal("closed after boot")
 	}
 	// Zero role means edge; no seeds means no lease, at once.
 	rdv := p.Rendezvous()
@@ -144,15 +141,15 @@ func TestWirePubSubThroughDaemonInTypeGroup(t *testing.T) {
 		t.Fatal("type group never connected to the rendezvous")
 	}
 
-	pipeAdv := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: "PS.SkiRental"}
-	in, err := gSub.Wire.CreateInputPipe(pipeAdv)
+	pipe := jid.NewPipeIn(gid)
+	in, err := gSub.Wire.CreateInputPipe(pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan string, 16)
 	in.SetListener(func(m *message.Message) { got <- m.Text("app", "body") })
 
-	out, err := gPub.Wire.CreateOutputPipe(pipeAdv)
+	out, err := gPub.Wire.CreateOutputPipe(pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +177,7 @@ func TestWirePubSubThroughDaemonInTypeGroup(t *testing.T) {
 func TestGroupIsolationAcrossTypes(t *testing.T) {
 	ski := jid.FromSeed(jid.KindGroup, 1)
 	chat := jid.FromSeed(jid.KindGroup, 2)
-	pid := jid.FromSeed(jid.KindPipe, 9)
-	pipe := &adv.PipeAdv{PipeID: pid, Type: adv.PipePropagate, Name: "x"}
+	pipe := jid.FromSeed(jid.KindPipe, 9)
 	// join joins p to a group and waits for its lease.
 	join := func(t *testing.T, p *peer.Peer, id jid.ID, name string) *peer.Group {
 		t.Helper()
@@ -251,102 +247,10 @@ func TestGroupIsolationAcrossTypes(t *testing.T) {
 	})
 }
 
-func TestDiscoveryAcrossDaemonAndJoinFromAdv(t *testing.T) {
-	// Full paper flow: publisher creates a type group + wire pipe +
-	// advertisement; subscriber discovers the advertisement remotely,
-	// joins the group from it and receives events.
-	c := newCluster(t)
-	c.addRendezvous("rdv")
-	pub := c.addEdge("pub", "mem://rdv")
-	sub := c.addEdge("sub", "mem://rdv")
-	net := jid.NetGroup.String()
-	if !pub.Rendezvous().AwaitConnected(net, 5*time.Second) || !sub.Rendezvous().AwaitConnected(net, 5*time.Second) {
-		t.Fatal("net groups never connected")
-	}
-
-	// Publisher side (the paper's AdvertisementsCreator).
-	gid := jid.FromSeed(jid.KindGroup, 77)
-	gPub, err := pub.JoinGroup(gid, "PS.SkiRental")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pub.Rendezvous().AwaitConnected(gPub.Param(), 5*time.Second) {
-		t.Fatal("pub type group not connected")
-	}
-	pipeAdv := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: "PS.SkiRental"}
-	groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: pub.ID(), Name: "PS.SkiRental"}
-	groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipeAdv})
-	if err := pub.Discovery().RemotePublish(groupAdv, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Subscriber side (the paper's AdvertisementsFinder).
-	found := make(chan *adv.PeerGroupAdv, 1)
-	sub.Discovery().AddListener(func(pg *adv.PeerGroupAdv, _ jid.ID) {
-		select {
-		case found <- pg:
-		default:
-		}
-	})
-	if err := sub.Discovery().GetRemoteAdvertisements("PS.*", 10); err != nil {
-		t.Fatal(err)
-	}
-	var pg *adv.PeerGroupAdv
-	select {
-	case pg = <-found:
-	case <-time.After(5 * time.Second):
-		t.Fatal("group advertisement never discovered")
-	}
-
-	// Join from the advertisement (the paper's WireServiceFinder).
-	gSub, wirePipe, err := sub.JoinGroupFromAdv(pg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wirePipe.PipeID != pipeAdv.PipeID {
-		t.Fatalf("wire pipe %v, want %v", wirePipe.PipeID, pipeAdv.PipeID)
-	}
-	if !sub.Rendezvous().AwaitConnected(gSub.Param(), 5*time.Second) {
-		t.Fatal("sub type group not connected")
-	}
-	in, err := gSub.Wire.CreateInputPipe(wirePipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan string, 1)
-	in.SetListener(func(m *message.Message) { got <- m.Text("app", "body") })
-
-	out, err := gPub.Wire.CreateOutputPipe(pipeAdv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := message.New(pub.ID())
-	m.AddString("app", "body", "discovered-and-delivered")
-	if err := out.Send(m); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		if s != "discovered-and-delivered" {
-			t.Fatalf("got %q", s)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("event never arrived after join-from-adv")
-	}
-}
-
-func TestJoinGroupFromAdvWithoutWire(t *testing.T) {
-	c := newCluster(t)
-	p := c.addEdge("p")
-	bare := &adv.PeerGroupAdv{GroupID: jid.FromSeed(jid.KindGroup, 5), Name: "no-wire"}
-	if _, _, err := p.JoinGroupFromAdv(bare); !errors.Is(err, peer.ErrNoWireInAdv) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestEdgeGroupBuildsNoDiscovery: nothing queries inside an event group,
-// so joining one builds no discovery: the discovery endpoint handler for
-// the group's parameter is free, and the net group's is taken.
+// TestEdgeGroupBuildsNoDiscovery: a peer finds no group by
+// advertisement, so neither booting nor joining a group builds a
+// discovery: the discovery endpoint handlers for the group's parameter
+// and for the net group are both free, for an application to take.
 func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("p")
@@ -355,11 +259,10 @@ func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	noop := func(*message.Message, endpoint.Address) {}
-	if err := p.Endpoint().RegisterHandler(discovery.ServiceName, g.Param(), noop); err != nil {
-		t.Fatalf("a joined group registered a discovery: %v", err)
-	}
-	if err := p.Endpoint().RegisterHandler(discovery.ServiceName, jid.NetGroup.String(), noop); !errors.Is(err, endpoint.ErrDupHandler) {
-		t.Fatalf("the net group's discovery handler: %v, want ErrDupHandler", err)
+	for _, param := range []string{g.Param(), jid.NetGroup.String()} {
+		if err := p.Endpoint().RegisterHandler("jxta.discovery", param, noop); err != nil {
+			t.Fatalf("the peer registered a discovery for %s: %v", param, err)
+		}
 	}
 }
 

@@ -172,8 +172,9 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string, enve
 	// replay it later. A forwarded message is re-numbered: cursors are per
 	// origin, and this rendezvous is now an origin for its subscribers.
 	// The frame it stored is the frame the targets below get.
-	// The net group carries queries and advertisements, which are neither
-	// events nor worth replaying: it is never logged.
+	// The net group carries leases and, for an application that runs
+	// discovery there, queries and advertisements: none of it is an event
+	// or worth replaying, so it is never logged.
 	var frame []byte
 	if s.logs != nil && param != netGroup {
 		frame = s.logs.append(msg, param, envelope)

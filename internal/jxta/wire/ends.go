@@ -20,9 +20,8 @@ type Listener func(msg *message.Message)
 
 // InputPipe is a peer's receiving end of a propagated pipe.
 type InputPipe struct {
-	svc  *Service
-	id   jid.ID
-	name string
+	svc *Service
+	id  jid.ID
 
 	mu       sync.Mutex
 	queue    []*message.Message
@@ -32,9 +31,6 @@ type InputPipe struct {
 
 // ID returns the wire pipe ID.
 func (in *InputPipe) ID() jid.ID { return in.id }
-
-// Name returns the pipe's advertised name.
-func (in *InputPipe) Name() string { return in.name }
 
 // SetListener installs (or clears, with nil) the delivery callback.
 // Messages queued before a listener existed are flushed to it in order.
@@ -88,9 +84,8 @@ func (in *InputPipe) deliver(msg *message.Message) {
 
 // OutputPipe is a sending end of a propagated pipe.
 type OutputPipe struct {
-	svc  *Service
-	id   jid.ID
-	name string
+	svc *Service
+	id  jid.ID
 	// envelope is the wire:ID field every frame of this pipe carries,
 	// built once.
 	envelope []message.Field
@@ -98,9 +93,6 @@ type OutputPipe struct {
 
 // ID returns the wire pipe ID.
 func (out *OutputPipe) ID() jid.ID { return out.id }
-
-// Name returns the pipe's advertised name.
-func (out *OutputPipe) Name() string { return out.name }
 
 // Send fans the message out to every peer holding an input end of this
 // pipe, including this peer itself. The message is shared with them

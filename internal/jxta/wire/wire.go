@@ -21,7 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
@@ -41,9 +40,8 @@ const (
 
 // Errors.
 var (
-	ErrClosed    = errors.New("wire: closed")
-	ErrDupInput  = errors.New("wire: input pipe already exists")
-	ErrWrongType = errors.New("wire: advertisement type mismatch")
+	ErrClosed   = errors.New("wire: closed")
+	ErrDupInput = errors.New("wire: input pipe already exists")
 )
 
 // Propagator fans messages into the group, writing the envelope fields
@@ -122,38 +120,33 @@ func (s *Service) Close() {
 	s.ep.UnregisterHandler(ServiceName, s.cfg.Group)
 }
 
-// CreateInputPipe opens the receiving end of a propagated pipe on this
-// peer.
-func (s *Service) CreateInputPipe(pa *adv.PipeAdv) (*InputPipe, error) {
-	if pa.Type != adv.PipePropagate {
-		return nil, fmt.Errorf("%w: %s (want %s)", ErrWrongType, pa.Type, adv.PipePropagate)
-	}
-	in := &InputPipe{svc: s, id: pa.PipeID, name: pa.Name}
+// CreateInputPipe opens the receiving end of the propagated pipe id on
+// this peer.
+func (s *Service) CreateInputPipe(id jid.ID) (*InputPipe, error) {
+	in := &InputPipe{svc: s, id: id}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if _, ok := s.inputs[pa.PipeID]; ok {
-		return nil, fmt.Errorf("%w: %v", ErrDupInput, pa.PipeID)
+	if _, ok := s.inputs[id]; ok {
+		return nil, fmt.Errorf("%w: %v", ErrDupInput, id)
 	}
-	s.inputs[pa.PipeID] = in
+	s.inputs[id] = in
 	return in, nil
 }
 
-// CreateOutputPipe opens a sending end. Propagated pipes need no binding
-// resolution: the rendezvous mesh is the destination.
-func (s *Service) CreateOutputPipe(pa *adv.PipeAdv) (*OutputPipe, error) {
-	if pa.Type != adv.PipePropagate {
-		return nil, fmt.Errorf("%w: %s (want %s)", ErrWrongType, pa.Type, adv.PipePropagate)
-	}
+// CreateOutputPipe opens a sending end of the propagated pipe id.
+// Propagated pipes need no binding resolution: the rendezvous mesh is the
+// destination.
+func (s *Service) CreateOutputPipe(id jid.ID) (*OutputPipe, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	envelope := []message.Field{{Namespace: elemNS, Name: elemID, Value: string(pa.PipeID.AppendWire(nil))}}
-	return &OutputPipe{svc: s, id: pa.PipeID, name: pa.Name, envelope: envelope}, nil
+	envelope := []message.Field{{Namespace: elemNS, Name: elemID, Value: string(id.AppendWire(nil))}}
+	return &OutputPipe{svc: s, id: id, envelope: envelope}, nil
 }
 
 // Snapshot implements obs.Provider.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/tps-p2p/tps/internal/israce"
-	"github.com/tps-p2p/tps/internal/jxta/adv"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
@@ -73,9 +72,7 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 	return p
 }
 
-func wireAdv(seed uint64, name string) *adv.PipeAdv {
-	return &adv.PipeAdv{PipeID: jid.FromSeed(jid.KindPipe, seed), Type: adv.PipePropagate, Name: name}
-}
+func pipeID(seed uint64) jid.ID { return jid.FromSeed(jid.KindPipe, seed) }
 
 func connect(t *testing.T, peers ...*testPeer) {
 	t.Helper()
@@ -139,7 +136,7 @@ func TestManyToManyFanOut(t *testing.T) {
 	s2 := c.addPeer("s2", 4, rendezvous.RoleEdge, "mem://rdv")
 	connect(t, pub, s1, s2)
 
-	pa := wireAdv(10, "PS.SkiRental")
+	pa := pipeID(10)
 	sink1, sink2 := newEventSink(), newEventSink()
 	for p, sink := range map[*testPeer]*eventSink{s1: sink1, s2: sink2} {
 		in, err := p.wire.CreateInputPipe(pa)
@@ -171,7 +168,7 @@ func TestLoopbackToOwnInputPipe(t *testing.T) {
 	p := c.addPeer("pubsub", 2, rendezvous.RoleEdge, "mem://rdv")
 	connect(t, p)
 
-	pa := wireAdv(11, "loopback")
+	pa := pipeID(11)
 	in, err := p.wire.CreateInputPipe(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +197,7 @@ func TestLoopbackToOwnInputPipe(t *testing.T) {
 func TestIsolatedPeerStillLoopsBack(t *testing.T) {
 	c := newCluster(t)
 	p := c.addPeer("alone", 1, rendezvous.RoleEdge) // no seeds at all
-	pa := wireAdv(12, "solo")
+	pa := pipeID(12)
 	in, err := p.wire.CreateInputPipe(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +225,8 @@ func TestTwoWiresAreIsolated(t *testing.T) {
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	connect(t, pub, sub)
 
-	ski := wireAdv(13, "PS.SkiRental")
-	chat := wireAdv(14, "PS.Chat")
+	ski := pipeID(13)
+	chat := pipeID(14)
 	skiSink, chatSink := newEventSink(), newEventSink()
 	inSki, err := sub.wire.CreateInputPipe(ski)
 	if err != nil {
@@ -261,7 +258,7 @@ func TestTwoWiresAreIsolated(t *testing.T) {
 func TestManyPublishersManySubscribers(t *testing.T) {
 	c := newCluster(t)
 	c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
-	pa := wireAdv(15, "m2m")
+	pa := pipeID(15)
 	const pubs, subs, perPub = 3, 3, 10
 
 	var sinks []*eventSink
@@ -329,7 +326,7 @@ func TestDedupeCountsDuplicates(t *testing.T) {
 	waitLeases(pub)
 	waitLeases(sub)
 
-	pa := wireAdv(16, "dup-wire")
+	pa := pipeID(16)
 	in, err := sub.wire.CreateInputPipe(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +414,7 @@ func TestLoopbackSharesTheMessage(t *testing.T) {
 	var ins []*wire.InputPipe
 	var outs []*wire.OutputPipe
 	for i := uint64(0); i < 2; i++ {
-		pa := wireAdv(30+i, "shared")
+		pa := pipeID(30 + i)
 		in, err := p.wire.CreateInputPipe(pa)
 		if err != nil {
 			t.Fatal(err)
@@ -515,7 +512,7 @@ func TestSendAllocBudget(t *testing.T) {
 	}
 	p := c.addPeer("pubsub", 2, rendezvous.RoleEdge, "mem://rdv")
 	connect(t, p)
-	pa := wireAdv(40, "budget")
+	pa := pipeID(40)
 	in, err := p.wire.CreateInputPipe(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -545,22 +542,10 @@ func TestSendAllocBudget(t *testing.T) {
 	}
 }
 
-func TestWrongTypeRejected(t *testing.T) {
-	c := newCluster(t)
-	p := c.addPeer("p", 1, rendezvous.RoleEdge)
-	bad := &adv.PipeAdv{PipeID: jid.FromSeed(jid.KindPipe, 17), Type: adv.PipeUnicast, Name: "unicast"}
-	if _, err := p.wire.CreateInputPipe(bad); !errors.Is(err, wire.ErrWrongType) {
-		t.Fatalf("input err = %v", err)
-	}
-	if _, err := p.wire.CreateOutputPipe(bad); !errors.Is(err, wire.ErrWrongType) {
-		t.Fatalf("output err = %v", err)
-	}
-}
-
 func TestDuplicateInputRejected(t *testing.T) {
 	c := newCluster(t)
 	p := c.addPeer("p", 1, rendezvous.RoleEdge)
-	pa := wireAdv(18, "dup-in")
+	pa := pipeID(18)
 	if _, err := p.wire.CreateInputPipe(pa); err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +561,7 @@ func TestClosedInputPipeStopsDelivery(t *testing.T) {
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	connect(t, pub, sub)
 
-	pa := wireAdv(19, "closing")
+	pa := pipeID(19)
 	in, err := sub.wire.CreateInputPipe(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -615,7 +600,7 @@ func TestStatsCounts(t *testing.T) {
 	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
 	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
 	connect(t, pub, sub)
-	pa := wireAdv(20, "stats")
+	pa := pipeID(20)
 	in, err := sub.wire.CreateInputPipe(pa)
 	if err != nil {
 		t.Fatal(err)

@@ -27,13 +27,13 @@ func TestFirewalledEdgesPublishAndReceive(t *testing.T) {
 		pub := c.Start(tps.Config{Name: "pub", Seeds: []string{"rdv"}})
 		sub := c.Start(tps.Config{Name: "sub", Seeds: []string{"rdv"}})
 		probe := &Probe[knock]{}
-		_, subIntf := Engine[knock](t, sub)
+		subEng, subIntf := Engine[knock](t, sub)
 		if err := subIntf.Subscribe(probe, probe); err != nil {
 			t.Fatal(err)
 		}
 		pubEng, intf := Engine[knock](t, pub)
-		if !pubEng.AwaitReady(1, 10*time.Second) {
-			t.Fatal("publisher never ready")
+		if !pubEng.AwaitReady(1, 10*time.Second) || !subEng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("publisher or subscriber never ready")
 		}
 		const n = 20
 		for i := range n {

@@ -80,13 +80,12 @@ type Node struct {
 // Start boots a platform. cfg is what an application would pass, with
 // two differences: Name, Seeds and ReplicaSeeds hold node names of this
 // cluster (started or not — an address is kept for a name from its first
-// mention), and zero timings take test-sized values (finder 400 ms /
-// 100 ms, lease 2 s) instead of the defaults.
+// mention), and zero timings take test-sized values (replay retries
+// every 100 ms, lease 2 s) instead of the defaults.
 func (c *Cluster) Start(cfg tps.Config) *Node {
 	c.t.Helper()
 	boot := cfg
 	boot.Seeds, boot.ReplicaSeeds = c.addrs(cfg.Seeds), c.addrs(cfg.ReplicaSeeds)
-	boot.FindTimeout = cmp.Or(cfg.FindTimeout, 400*time.Millisecond)
 	boot.FindInterval = cmp.Or(cfg.FindInterval, 100*time.Millisecond)
 	boot.LeaseTTL = cmp.Or(cfg.LeaseTTL, 2*time.Second)
 	l := c.link(cfg.Name)

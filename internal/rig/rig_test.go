@@ -34,13 +34,13 @@ func pair(t *testing.T, c *rig.Cluster, rdvCfg tps.Config) (rdv, pub, sub *rig.N
 	pub = c.Start(tps.Config{Name: "pub", Seeds: []string{"rdv"}})
 	sub = c.Start(tps.Config{Name: "sub", Seeds: []string{"rdv"}})
 	probe = &rig.Probe[note]{}
-	_, subIntf := rig.Engine[note](t, sub)
+	subEng, subIntf := rig.Engine[note](t, sub)
 	if err := subIntf.Subscribe(probe, probe); err != nil {
 		t.Fatal(err)
 	}
 	pubEng, intf := rig.Engine[note](t, pub)
-	if !pubEng.AwaitReady(1, 10*time.Second) {
-		t.Fatal("publisher never ready")
+	if !pubEng.AwaitReady(1, 10*time.Second) || !subEng.AwaitReady(1, 10*time.Second) {
+		t.Fatal("publisher or subscriber never ready")
 	}
 	if err := intf.Publish(note{"hello"}); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
+	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
@@ -15,11 +16,13 @@ import (
 // the mesh.
 type AdvertisementsCreator struct {
 	peer *peer.Peer
+	disc *discovery.Service
 }
 
-// NewAdvertisementsCreator builds a creator on the peer's net group.
-func NewAdvertisementsCreator(p *peer.Peer) *AdvertisementsCreator {
-	return &AdvertisementsCreator{peer: p}
+// NewAdvertisementsCreator builds a creator for the peer, publishing
+// through the given discovery service of its net group.
+func NewAdvertisementsCreator(p *peer.Peer, disc *discovery.Service) *AdvertisementsCreator {
+	return &AdvertisementsCreator{peer: p, disc: disc}
 }
 
 // CreatePeerGroupAdvertisement follows the paper's recipe line by line:
@@ -55,7 +58,7 @@ func (c *AdvertisementsCreator) CreatePeerGroupAdvertisement(name string) (*adv.
 // peers querying us) and pushes it to the other peers — the paper's
 // publish + remotePublish pair.
 func (c *AdvertisementsCreator) PublishAdvertisement(a *adv.PeerGroupAdv) error {
-	disc := c.peer.Discovery()
+	disc := c.disc
 	if disc == nil {
 		return ErrClosed
 	}

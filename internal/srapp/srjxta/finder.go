@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
+	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/peer"
 )
 
 // AdvertisementsFinder is the hand-written analogue of the paper's
@@ -15,7 +15,7 @@ import (
 // (findAdvertisement) and dispatches fresh ones to the registered
 // listeners.
 type AdvertisementsFinder struct {
-	peer   *peer.Peer
+	disc   *discovery.Service
 	prefix string
 
 	mu        sync.Mutex
@@ -34,11 +34,11 @@ const SleepingTime = 250 * time.Millisecond
 // paper's NUMBER_OF_ADV_PER_PEER.
 const NumberOfAdvPerPeer = 10
 
-// NewAdvertisementsFinder builds a finder for advertisements whose name
-// starts with prefix.
-func NewAdvertisementsFinder(p *peer.Peer, prefix string) *AdvertisementsFinder {
+// NewAdvertisementsFinder builds a finder, over the given discovery
+// service, for advertisements whose name starts with prefix.
+func NewAdvertisementsFinder(disc *discovery.Service, prefix string) *AdvertisementsFinder {
 	return &AdvertisementsFinder{
-		peer:   p,
+		disc:   disc,
 		prefix: prefix,
 		known:  make(map[jid.ID]bool),
 		stop:   make(chan struct{}),
@@ -65,8 +65,8 @@ func (f *AdvertisementsFinder) Start() {
 	f.running = true
 	f.mu.Unlock()
 
-	if disc := f.peer.Discovery(); disc != nil {
-		disc.Flush()
+	if f.disc != nil {
+		f.disc.Flush()
 	}
 	f.wg.Add(1)
 	go f.run()
@@ -100,7 +100,7 @@ func (f *AdvertisementsFinder) run() {
 }
 
 func (f *AdvertisementsFinder) findOnce() {
-	disc := f.peer.Discovery()
+	disc := f.disc
 	if disc == nil {
 		return
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
+	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
@@ -28,8 +29,10 @@ import (
 	"github.com/tps-p2p/tps/internal/srapp"
 )
 
-// PSPrefix matches the naming convention of the TPS layer so the two
-// application versions can interoperate on the same mesh.
+// PSPrefix is the prefix the paper's applications give advertisement
+// names. It does not make SR-JXTA and TPS interoperate: this application
+// finds its groups by advertisement, while TPS computes a type's group
+// from its name and advertises nothing.
 const PSPrefix = "PS."
 
 // TypeName is the name of the one type this hand-written application
@@ -50,6 +53,7 @@ const (
 // App is one peer's hand-written ski-rental application.
 type App struct {
 	peer *peer.Peer
+	disc *discovery.Service // the net group's, which the app starts and closes
 
 	creator *AdvertisementsCreator
 	finder  *AdvertisementsFinder
@@ -71,18 +75,23 @@ type wireConnection struct {
 	out     *wire.OutputPipe
 }
 
-// New builds the application on a running peer: it starts the
-// advertisement finder, searches for an existing SkiRental
-// advertisement, and creates its own if none shows up within
+// New builds the application on a running peer: it starts discovery in
+// the net group and the advertisement finder, searches for an existing
+// SkiRental advertisement, and creates its own if none shows up within
 // findTimeout.
 func New(p *peer.Peer, findTimeout time.Duration) (*App, error) {
+	disc, err := discovery.New(p.Endpoint(), p.Rendezvous(), jid.NetGroup.String())
+	if err != nil {
+		return nil, fmt.Errorf("srjxta: start discovery: %w", err)
+	}
 	a := &App{
 		peer:  p,
+		disc:  disc,
 		conns: make(map[jid.ID]*wireConnection),
 		dupes: seen.New(),
 	}
-	a.creator = NewAdvertisementsCreator(p)
-	a.finder = NewAdvertisementsFinder(p, PSPrefix+TypeName)
+	a.creator = NewAdvertisementsCreator(p, disc)
+	a.finder = NewAdvertisementsFinder(disc, PSPrefix+TypeName)
 	a.finder.AddListener(a.handleNewAdvertisement)
 	a.finder.Start()
 
@@ -287,7 +296,7 @@ func (a *App) AwaitReady(n int, timeout time.Duration) bool {
 	}
 }
 
-// Close stops the finder and tears down every connection.
+// Close stops the finder and discovery and tears down every connection.
 func (a *App) Close() {
 	a.mu.Lock()
 	if a.closed {
@@ -303,6 +312,7 @@ func (a *App) Close() {
 	a.mu.Unlock()
 
 	a.finder.Stop()
+	a.disc.Close()
 	for _, c := range conns {
 		c.in.Close()
 		a.peer.LeaveGroup(c.groupID)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/tps-p2p/tps/internal/jxta/adv"
+	"github.com/tps-p2p/tps/internal/jxta/discovery"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
@@ -37,7 +38,7 @@ func (w *WireServiceFinder) LookupWireService() error {
 	if !ok || svc.Pipe == nil {
 		return errors.New("srjxta: advertisement has no wire service")
 	}
-	group, pipeAdv, err := w.peer.JoinGroupFromAdv(w.pgAdv)
+	group, pipeAdv, err := discovery.JoinGroup(w.peer, w.pgAdv)
 	if err != nil {
 		return fmt.Errorf("srjxta: join group: %w", err)
 	}
@@ -51,7 +52,7 @@ func (w *WireServiceFinder) CreateInputPipe() (*wire.InputPipe, error) {
 	if w.group == nil {
 		return nil, errors.New("srjxta: unable to create the input pipe")
 	}
-	in, err := w.group.Wire.CreateInputPipe(w.pipeAdv)
+	in, err := w.group.Wire.CreateInputPipe(w.pipeAdv.PipeID)
 	if err != nil {
 		return nil, fmt.Errorf("srjxta: unable to create the input pipe: %w", err)
 	}
@@ -63,7 +64,7 @@ func (w *WireServiceFinder) CreateOutputPipe() (*wire.OutputPipe, error) {
 	if w.group == nil {
 		return nil, errors.New("srjxta: unable to create the output pipe")
 	}
-	out, err := w.group.Wire.CreateOutputPipe(w.pipeAdv)
+	out, err := w.group.Wire.CreateOutputPipe(w.pipeAdv.PipeID)
 	if err != nil {
 		return nil, fmt.Errorf("srjxta: unable to create the output pipe: %w", err)
 	}

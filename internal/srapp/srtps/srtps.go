@@ -3,11 +3,11 @@
 //
 // Note how little is here: the four phases are one type registration,
 // two lines of initialization, a subscribe call with a callback and an
-// exception handler, and a publish call. Everything else — finding or
-// creating the type's advertisement, joining its peer group, opening
-// wire pipes, managing multiple advertisements for the same type,
-// suppressing duplicate messages — lives below the TPS abstraction.
-// Compare with package srjxta, which rebuilds all of it by hand.
+// exception handler, and a publish call. Everything else — naming the
+// type's peer group and joining it, opening wire pipes, suppressing
+// duplicate messages — lives below the TPS abstraction. Compare with
+// package srjxta, which rebuilds all of it by hand, and has to find its
+// groups by advertisement and manage several for one type besides.
 package srtps
 
 import (

@@ -2,9 +2,9 @@ package tps_test
 
 // join_test.go holds the join path to its contract over loopback TCP:
 // nothing between Subscribe (or a new lease) and the first replayed
-// event waits for a ticker. Every peer here runs the finder and the
-// replay loop at joinFindInterval, five times the one-second bound the
-// tests set, so a step that still polls fails them.
+// event waits for a ticker. Every peer here runs the replay loop's
+// ticker at joinFindInterval, five times the one-second bound the tests
+// set, so a step that still polls fails them.
 
 import (
 	"fmt"
@@ -92,10 +92,9 @@ func exactlyOnce(t *testing.T, g *rig.Probe[SkiRental], n int) {
 }
 
 // TestLateJoinerCatchesUpWithoutATick: a platform that boots and
-// subscribes at once — before its net group holds a lease, so the
-// finder's first round reaches nobody — has every retained event within
-// a second: the lease grant reruns the finder, and attach, grant and
-// Subscribe each wake the replay loop.
+// subscribes at once — before it holds any lease — has every retained
+// event within a second: Subscribe joins the type's group at once, and
+// attach, grant and Subscribe each wake the replay loop.
 func TestLateJoinerCatchesUpWithoutATick(t *testing.T) {
 	const n = 200
 	c, _ := seedRetained(t, n)
@@ -148,8 +147,8 @@ func TestNoReplayRequestWithoutASubscriber(t *testing.T) {
 	}
 }
 
-// TestLeaseRenewalWakesNothing: renewals that keep a lease alive start
-// no finder round and send no replay request.
+// TestLeaseRenewalWakesNothing: renewals that keep a lease alive wake
+// no replay round and send no replay request.
 func TestLeaseRenewalWakesNothing(t *testing.T) {
 	const n = 20
 	const ttl = 150 * time.Millisecond // the joiner renews every 50 ms
@@ -163,10 +162,9 @@ func TestLeaseRenewalWakesNothing(t *testing.T) {
 	}
 	g.Await(t, n)
 
-	type counts struct{ rounds, kicks, requests, framesIn int64 }
+	type counts struct{ kicks, requests, framesIn int64 }
 	read := func() counts {
 		return counts{
-			rounds:   joiner.Stats().Counter("engine", "find_rounds"),
 			kicks:    joiner.Stats().Counter("engine", "replay_kicks"),
 			requests: joiner.Stats().Counter("engine", "replay_requests"),
 			framesIn: joiner.Stats().Counter("endpoint", "msgs_in"),

@@ -4,8 +4,8 @@
 // Programming: a Case for TPS" (ICDCS 2002).
 //
 // TPS is to P2P programming what RPC was to client/server programming:
-// a high-level abstraction that hides the substrate (advertisements,
-// discovery, peer groups, propagated pipes) while preserving type
+// a high-level abstraction that hides the substrate (peer groups,
+// rendezvous leases, propagated pipes) while preserving type
 // safety and encapsulation — without giving up the time, space and flow
 // decoupling that publish/subscribe provides. The subject of a
 // subscription is an event type: subscribing to a type delivers every
@@ -118,12 +118,12 @@ type Config struct {
 	// other value is refused. The field stays for configurations that
 	// name it.
 	Codec string
-	// FindTimeout bounds the initial advertisement search before a type
-	// advertisement is created (default 2s).
+	// FindTimeout is accepted and ignored. It bounded the search for a
+	// type's advertisement, and a type's group is computed from its name
+	// now; the field stays until bench/cluster.go stops setting it.
 	FindTimeout time.Duration
-	// FindInterval is the background advertisement finder period, and
-	// the pace at which replay requests a round could not send are
-	// retried (default 1s).
+	// FindInterval paces the retries of replay requests a round could
+	// not send (default 1s).
 	FindInterval time.Duration
 	// LeaseTTL overrides the rendezvous lease duration.
 	LeaseTTL time.Duration
@@ -214,8 +214,8 @@ type Platform struct {
 	// isRendezvous records that the peer has the rendezvous role.
 	isRendezvous bool
 	// eng is the template every engine of this platform is created
-	// from: the peer, the shared type registry, the finder
-	// timings, and the peer-local hop store with its sampling rate.
+	// from: the peer, the shared type registry, the replay retry
+	// interval, and the peer-local hop store with its sampling rate.
 	eng engine.Config
 
 	// Observability: the stats registry every subsystem snapshots into,
@@ -230,9 +230,9 @@ type Platform struct {
 	engines []*engine.Engine
 }
 
-// NewPlatform boots the peer-to-peer substrate: transports, the peer's
-// one rendezvous service, which serves every event group on a
-// rendezvous, and the net group's discovery on it.
+// NewPlatform boots the peer-to-peer substrate: transports and the
+// peer's one rendezvous service, which serves every event group on a
+// rendezvous.
 func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	if c := defaultStr(cfg.Codec, "gob"); c != "gob" {
 		return nil, psErr("platform", fmt.Errorf("codec %q: events are gob-encoded", c))
@@ -300,7 +300,6 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		eng: engine.Config{
 			Peer:         p,
 			Registry:     typereg.New(),
-			FindTimeout:  cfg.FindTimeout,
 			FindInterval: cfg.FindInterval,
 			Tracer:       tracer,
 			TraceRate:    cfg.TraceRate,
@@ -544,7 +543,7 @@ func (p *Platform) AdminAddr() string {
 // visible here (and in tps_eventlog_io_errors_total) before it becomes
 // data loss. The log error is sticky until an append succeeds again.
 func (p *Platform) health() error {
-	if p.peer.Discovery() == nil {
+	if p.peer.Closed() {
 		return errors.New("platform closed")
 	}
 	rdv := p.peer.Rendezvous()
@@ -561,7 +560,7 @@ func (p *Platform) health() error {
 
 // Close shuts the platform down: the admin server first (so /stats
 // never reads a half-closed substrate), then every engine still open
-// (their finder and replay loops must not outlive the peer), the peer
+// (their replay loops must not outlive the peer), the peer
 // with its services and groups, and the transports.
 func (p *Platform) Close() {
 	if p.admin != nil {
@@ -590,7 +589,8 @@ func Register[T any](p *Platform) error {
 // also deliver T instances (Figure 7). Parent must be registered first.
 // For the delivered values to be visible through a Parent-typed
 // interface, Parent should be a Go interface type that T implements;
-// struct parents still organise the subject hierarchy for discovery.
+// struct parents still organise the subject hierarchy. A subscription to
+// Parent made before this call covers T from here on.
 func RegisterSub[T, Parent any](p *Platform) error {
 	parent, ok := p.eng.Registry.NodeByType(typeOf[Parent]())
 	if !ok {

@@ -419,7 +419,7 @@ func TestInterfaceSubtypeDelivery(t *testing.T) {
 	defer bikeEng.Close()
 	bikeInt, _ := bikeEng.NewInterface(nil)
 
-	// Nobody has advertised the concrete types yet; announce them.
+	// Join the concrete types' groups before the one-shot publishes.
 	if err := skiEng.Announce(); err != nil {
 		t.Fatal(err)
 	}
@@ -496,12 +496,12 @@ func TestPlatformAccessors(t *testing.T) {
 
 // TestPlatformCloseStopsEngines closes a platform without closing the
 // engine created on it first: the engine must be closed with it — its
-// interface refuses to publish and its finder and replay loops are gone,
+// interface refuses to publish and its replay loop is gone,
 // not left ticking against a closed peer.
 func TestPlatformCloseStopsEngines(t *testing.T) {
 	c := rig.New(t, rig.Netsim)
 	base := runtime.NumGoroutine()
-	p := c.Start(tps.Config{Name: "solo", FindTimeout: 50 * time.Millisecond, FindInterval: 20 * time.Millisecond}).Platform
+	p := c.Start(tps.Config{Name: "solo", FindInterval: 20 * time.Millisecond}).Platform
 	eng, err := tps.NewEngine[SkiRental](p)
 	if err != nil {
 		t.Fatal(err)
