@@ -44,6 +44,14 @@ import (
 // descriptors mention an interface (see poolable). The number of
 // descriptor prefixes remembered is capped by maxDecPrefixes; blobs
 // with further prefixes decode fresh.
+//
+// # Decode plans
+//
+// A kept decoder still copies the value message out of the blob and
+// builds reflect headers field by field. When a remembered prefix
+// describes one flat struct, Decode compiles a flatPlan for it
+// (plan.go), which reads the value message straight from the blob; a
+// blob the plan declines takes the kept decoder, whose verdict is gob's.
 type Gob struct{}
 
 // Name is the codec's name, "gob".
@@ -55,7 +63,7 @@ const (
 	// one per (event type, sending program).
 	maxDecPrefixes = 128
 	// maxDecPrefixLen caps the length of a remembered prefix; the ski
-	// rental event's is 86 bytes.
+	// rental event's is 69 bytes.
 	maxDecPrefixLen = 4 << 10
 )
 
@@ -110,8 +118,10 @@ func (Gob) Encode(event any) ([]byte, error) {
 	out := s.buf.Bytes()
 	if et == nil {
 		et = new(encType)
-		if n, ok := splitBlob(out); ok && poolable(out[:n]) {
-			et.reuse, et.prefix = true, bytes.Clone(out[:n])
+		if n, ok := splitBlob(out); ok {
+			if _, reuse := poolable(out[:n]); reuse {
+				et.reuse, et.prefix = true, bytes.Clone(out[:n])
+			}
 		}
 		e, _ = encTypes.LoadOrStore(v.Type(), et)
 		et = e.(*encType)
@@ -134,6 +144,9 @@ type decStream struct {
 type decPrefix struct {
 	// reuse is false if decoders of this prefix must not be reused.
 	reuse bool
+	// plan, if not nil, decodes the prefix's value messages without a
+	// decoder.
+	plan *flatPlan
 	// primed holds decStreams that have consumed the prefix.
 	primed sync.Pool
 }
@@ -162,6 +175,11 @@ func (Gob) Decode(data []byte, typ reflect.Type) (any, error) {
 		decPrefixes.RLock()
 		dp = decPrefixes.m[decKey{typ, string(data[:n])}]
 		decPrefixes.RUnlock()
+		if dp != nil && dp.plan != nil {
+			if v, ok := dp.plan.decode(data[n:], typ); ok {
+				return v, nil
+			}
+		}
 		if dp != nil && dp.reuse {
 			if s, _ := dp.primed.Get().(*decStream); s != nil {
 				ptr := reflect.New(typ)
@@ -201,7 +219,11 @@ func rememberPrefix(typ reflect.Type, prefix []byte) *decPrefix {
 	if full {
 		return nil
 	}
-	dp := &decPrefix{reuse: poolable(prefix)}
+	descs, reuse := poolable(prefix)
+	dp := &decPrefix{reuse: reuse}
+	if reuse {
+		dp.plan = compilePlan(typ, descs)
+	}
 	key := decKey{typ, string(prefix)}
 	decPrefixes.Lock()
 	defer decPrefixes.Unlock()
@@ -301,7 +323,10 @@ type wireDef struct {
 	}
 	StructT *struct {
 		CommonType wireCommon
-		Field      []struct{ Id int }
+		Field      []struct {
+			Name string
+			Id   int
+		}
 	}
 	MapT *struct {
 		CommonType wireCommon
@@ -312,21 +337,31 @@ type wireDef struct {
 
 type wireCommon struct{ Id int }
 
-// poolable reports whether a stream that has been through the given
-// descriptor messages is in a state that later value messages cannot
-// change, which is what makes it interchangeable with a fresh stream
-// taken through the same messages. Interface values are the one thing
-// that breaks this: gob splices the descriptor of an interface value's
-// dynamic type into the value message, the stream remembers it, and a
-// later value message may then lean on a descriptor its own blob does
-// not carry — an encoder would emit such a blob, a decoder would accept
-// one. So a prefix is poolable only if every descriptor in it parses
-// and none names the interface type as a field, element or key.
-func poolable(prefix []byte) bool {
+// descriptor is one parsed type-descriptor message.
+type descriptor struct {
+	// id is the message's type id word: gob's encoding of the negated
+	// id of the type it describes.
+	id  uint64
+	def wireDef
+}
+
+// poolable parses the descriptor messages of a prefix and reports
+// whether a stream that has been through them is in a state that later
+// value messages cannot change, which is what makes it interchangeable
+// with a fresh stream taken through the same messages. Interface values
+// are the one thing that breaks this: gob splices the descriptor of an
+// interface value's dynamic type into the value message, the stream
+// remembers it, and a later value message may then lean on a descriptor
+// its own blob does not carry — an encoder would emit such a blob, a
+// decoder would accept one. So a prefix is poolable only if every
+// descriptor in it parses and none names the interface type as a field,
+// element or key. The descriptors of a poolable prefix are returned, in
+// order.
+func poolable(prefix []byte) (descs []descriptor, ok bool) {
 	for len(prefix) > 0 {
-		_, def, size := gobMessage(prefix)
+		id, def, size := gobMessage(prefix)
 		if size == 0 {
-			return false
+			return nil, false
 		}
 		prefix = prefix[size:]
 		// Re-frame the descriptor as a value of gob's own descriptor
@@ -335,20 +370,21 @@ func poolable(prefix []byte) bool {
 		msg = append(append(msg, gobWireTypeID<<1), def...)
 		var d wireDef
 		if gob.NewDecoder(bytes.NewReader(msg)).Decode(&d) != nil {
-			return false
+			return nil, false
 		}
 		switch {
 		case d.ArrayT != nil && d.ArrayT.Elem == gobInterfaceID,
 			d.SliceT != nil && d.SliceT.Elem == gobInterfaceID,
 			d.MapT != nil && (d.MapT.Key == gobInterfaceID || d.MapT.Elem == gobInterfaceID):
-			return false
+			return nil, false
 		case d.StructT != nil:
 			for _, f := range d.StructT.Field {
 				if f.Id == gobInterfaceID {
-					return false
+					return nil, false
 				}
 			}
 		}
+		descs = append(descs, descriptor{id, d})
 	}
-	return true
+	return descs, true
 }
