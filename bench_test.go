@@ -186,8 +186,8 @@ func BenchmarkAblationSubtypeDispatch(b *testing.B) {
 
 // localPublishDeliverLoop assembles a single-peer platform with one
 // subscriber and returns a function that publishes one paper-sized event
-// and blocks until the wire loopback delivers it — the full encode, wire
-// send, loopback, dedupe, dispatch round trip — plus the platform, so
+// and blocks until the engine's loopback delivers it — the full encode,
+// publish, loopback, dedupe, dispatch round trip — plus the platform, so
 // callers can read the latency histograms the loop fills.
 // BenchmarkLocalPublishDeliver times it; TestHotPathAllocBudget gates
 // its allocation count.
@@ -277,7 +277,7 @@ func TestRemoteHotPathAllocBudget(t *testing.T) {
 }
 
 // BenchmarkLocalPublishDeliver measures the full local publish→deliver
-// round trip — encode, wire send, loopback, dedupe, decode, dispatch —
+// round trip — encode, publish, loopback, dedupe, decode, dispatch —
 // on one isolated platform. allocs/op here is the hot-path allocation
 // budget the zero-allocation work targets; TestHotPathAllocBudget gates
 // it so regressions fail tests, not just benchmarks. The publish-stage

@@ -109,8 +109,9 @@ func printLoC() error {
 // trackedDirs are the seven directories the substrate table was first
 // typed from; their subtotal stays one printed line so the ROADMAP's
 // trajectory (… 4069) remains comparable. A directory deleted since
-// (internal/jxta/peergroup) counts 0 and stays listed, so the subtotal
-// keeps its meaning.
+// (internal/jxta/peergroup) or gone from the closure (internal/jxta/wire,
+// which only the baselines link now) counts 0 and stays listed, so the
+// subtotal keeps its meaning.
 var trackedDirs = map[string]bool{
 	"internal/jxta/rendezvous": true,
 	"internal/jxta/peer":       true,

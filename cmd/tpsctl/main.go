@@ -564,21 +564,20 @@ func run(cmd string, args []string, listen, seeds string) error {
 
 // listenType joins the group of the type registered under path — named
 // by the path, as every engine names it — and prints every event that
-// crosses it until interrupted.
+// crosses it until interrupted. It reads the group's frames as an engine
+// does: with a handler for engine.EventService under the group's
+// parameter, beside a lease for the group.
 func listenType(p *peer.Peer, path string) error {
-	groupID, pipeID := engine.TypeGroup(path)
-	g, err := p.JoinGroup(groupID, engine.PSPrefix+path)
-	if err != nil {
-		return err
-	}
-	in, err := g.Wire.CreateInputPipe(pipeID)
-	if err != nil {
-		return err
-	}
-	in.SetListener(func(m *message.Message) {
+	groupID := engine.TypeGroup(path)
+	param := groupID.String()
+	err := p.Endpoint().RegisterHandler(engine.EventService, param, func(m *message.Message, _ endpoint.Address) {
 		fmt.Printf("[%s] event %s from %s, %d elements, %d bytes\n",
 			path, m.ID.Short(), m.Src.Short(), m.Len(), m.WireSize())
 	})
+	if err != nil {
+		return err
+	}
+	p.Rendezvous().Join(param)
 	fmt.Printf("listening on the group of type %s (%s); ctrl-C to stop\n", path, groupID.Short())
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)

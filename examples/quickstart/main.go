@@ -86,6 +86,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Without a log, the rendezvous forwards the greeting to the peers
+	// leased for its group when it arrives: wait for Bob's lease, or the
+	// greeting can outrun it.
+	if !bobEngine.AwaitReady(1, 10*time.Second) {
+		return fmt.Errorf("bob never attached to the Greeting event group")
+	}
 
 	// Alice publishes: initialization + publication phases.
 	aliceEngine, err := tps.NewEngine[Greeting](alice)

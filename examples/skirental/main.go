@@ -88,6 +88,12 @@ func demo(count int) error {
 	if err := customer.SubscribeConsole(os.Stdout); err != nil {
 		return err
 	}
+	// Without a log, the rendezvous forwards an offer to the peers
+	// leased for its group when it arrives: wait for the customer's
+	// lease, or the first offers can outrun it.
+	if !customer.AwaitReady(1, 10*time.Second) {
+		return fmt.Errorf("customer never attached to the SkiRental event group")
+	}
 
 	shop, err := srtps.New(shopP)
 	if err != nil {

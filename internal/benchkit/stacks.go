@@ -10,6 +10,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
+	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/srapp"
@@ -58,6 +59,19 @@ type wireSub struct {
 
 func (w *wireSub) Received() int { return int(w.received.Load()) }
 
+// joinWire builds the pre-agreed group's wire service on the peer and
+// leases the group with the peer's seeds.
+func (c *Cluster) joinWire(p *peer.Peer) (*wire.Service, error) {
+	param := wireGroupID.String()
+	w, err := wire.New(p.Endpoint(), p.Rendezvous(), wire.Config{Group: param})
+	if err != nil {
+		return nil, err
+	}
+	c.closers = append(c.closers, w.Close)
+	p.Rendezvous().Join(param)
+	return w, nil
+}
+
 func (c *Cluster) buildWire(pubAddrs []endpoint.Address) error {
 	for i := 0; i < c.cfg.Publishers; i++ {
 		node, err := c.pubNode(i)
@@ -69,11 +83,11 @@ func (c *Cluster) buildWire(pubAddrs []endpoint.Address) error {
 			return err
 		}
 		c.closers = append(c.closers, p.Close)
-		g, err := p.JoinGroup(wireGroupID, "bench.wire")
+		w, err := c.joinWire(p)
 		if err != nil {
 			return err
 		}
-		out, err := g.Wire.CreateOutputPipe(wirePipeID)
+		out, err := w.CreateOutputPipe(wirePipeID)
 		if err != nil {
 			return err
 		}
@@ -89,11 +103,11 @@ func (c *Cluster) buildWire(pubAddrs []endpoint.Address) error {
 			return err
 		}
 		c.closers = append(c.closers, p.Close)
-		g, err := p.JoinGroup(wireGroupID, "bench.wire")
+		w, err := c.joinWire(p)
 		if err != nil {
 			return err
 		}
-		in, err := g.Wire.CreateInputPipe(wirePipeID)
+		in, err := w.CreateInputPipe(wirePipeID)
 		if err != nil {
 			return err
 		}

@@ -392,7 +392,7 @@ func TestTraceSurvivesLossyLink(t *testing.T) {
 			}
 			tr := trace.Assemble(summary.EventID, hops)
 
-			// The publishing engine hears its own event on the wire
+			// The publishing engine hears its own event on its
 			// loopback and records a deliver hop for it like any other;
 			// the hop that matters here is the subscriber's.
 			stages := make(map[string]int)

@@ -8,24 +8,31 @@ import (
 
 	"github.com/tps-p2p/tps/internal/core/codec"
 	"github.com/tps-p2p/tps/internal/core/typereg"
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
-	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
 // attach.go is the Connections block: it turns a type into a live
-// attachment — its joined peer group, a wire input pipe with its reader
-// (the paper's TPSPipeReader / TPSMyInputPipe) and a wire output pipe
+// attachment — the endpoint handler that reads the events of its group
+// (the paper's TPSPipeReader over TPSMyInputPipe) and the group's lease
+// on the peer's rendezvous service, which publish propagates into
 // (TPSMyOutputPipe).
+
+// EventService is the endpoint service an event frame is addressed to,
+// under its group's parameter. It is the name JXTA's wire service
+// registered under (WireService.WireName) and it stays so: every frame
+// already stored in an event log is addressed to it.
+const EventService = "jxta.service.wire"
 
 // TPS message element names, namespace "tps". An event is its ID and its
 // gob blob: the attachment's group fixes the type, and every peer speaks
 // gob (the common type model of §3.2). A frame that still carries the
-// tps:Path and tps:Codec elements of earlier versions decodes all the
-// same; nothing reads them.
+// tps:Path and tps:Codec elements of earlier versions, or the wire:ID
+// element of the pipe that used to carry it, decodes all the same;
+// nothing reads them.
 const (
 	elemNS      = "tps"
 	elemEventID = "EventID"
@@ -34,12 +41,11 @@ const (
 
 // attachment is one type's live binding to its group.
 type attachment struct {
-	path    string
-	node    *typereg.Node // the type every event in the group is decoded into
-	groupID jid.ID
-	group   *peer.Group
-	in      *wire.InputPipe
-	out     *wire.OutputPipe
+	path string
+	node *typereg.Node // the type every event in the group is decoded into
+	// param is the group's ID as a string: the endpoint parameter its
+	// frames are addressed to, its lease and the log topic of its events.
+	param string
 	// The peer's rendezvous service carries every group and outlives
 	// this attachment: its listeners go when the attachment closes.
 	gapTok, leaseTok int
@@ -53,41 +59,24 @@ type attachment struct {
 	owed    map[jid.ID]struct{}
 }
 
-// attach joins the group of the registered type node, opens the wire
-// pipes and registers the attachment, unless the engine holds one for
-// the type already. The caller holds e.attachMu.
+// attach registers the handler for the group of the registered type
+// node, leases the group and registers the attachment, unless the
+// engine holds one for the type already. The caller holds e.attachMu.
 func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	path := node.Path()
 	if a, err := e.attached(path); a != nil || err != nil {
 		return a, err
 	}
-	groupID, pipeID := TypeGroup(path)
-	g, err := e.peer.JoinGroup(groupID, PSPrefix+path)
-	if errors.Is(err, peer.ErrAlreadyIn) {
+	a := &attachment{path: path, node: node, param: TypeGroup(path).String()}
+	err := e.peer.Endpoint().RegisterHandler(EventService, a.param, func(m *message.Message, _ endpoint.Address) {
+		e.onWireMessage(a, m)
+	})
+	if errors.Is(err, endpoint.ErrDupHandler) {
 		return nil, fmt.Errorf("tps: %s: another engine of this peer is attached to its group", path)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tps: join group for %s: %w", path, err)
+		return nil, fmt.Errorf("tps: attach %s: %w", path, err)
 	}
-	in, err := g.Wire.CreateInputPipe(pipeID)
-	if err != nil {
-		e.peer.LeaveGroup(groupID)
-		return nil, fmt.Errorf("tps: input pipe for %s: %w", path, err)
-	}
-	out, err := g.Wire.CreateOutputPipe(pipeID)
-	if err != nil {
-		e.peer.LeaveGroup(groupID)
-		return nil, fmt.Errorf("tps: output pipe for %s: %w", path, err)
-	}
-	a := &attachment{
-		path:    path,
-		node:    node,
-		groupID: groupID,
-		group:   g,
-		in:      in,
-		out:     out,
-	}
-	in.SetListener(func(m *message.Message) { e.onWireMessage(a, m) })
 	// Replay gaps surface as exceptions on this attachment's path.
 	a.gapTok = e.rdv.AddGapListener(e.onGapSignal(a))
 	// Every lease for the group granted from here on is owed a replay
@@ -95,14 +84,15 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	// after the listener is in place, so a grant in between is in one or
 	// both. A new lease can make the attachment ready, too.
 	a.leaseTok = e.rdv.AddLeaseListener(func(id jid.ID, group string) {
-		if group != g.Param() && group != "" {
+		if group != a.param && group != "" {
 			return
 		}
 		a.oweReplay(id)
 		e.kickReplay()
 		e.broadcast()
 	})
-	a.oweReplay(e.rdv.ConnectedRendezvous(g.Param())...)
+	e.rdv.Join(a.param)
+	a.oweReplay(e.rdv.ConnectedRendezvous(a.param)...)
 
 	e.mu.Lock()
 	if e.closed {
@@ -129,30 +119,36 @@ func newEventMessage(e *Engine, eventID jid.ID, payload []byte) *message.Message
 	return msg
 }
 
-// publish sends one pre-built event message on this attachment's output
-// pipe. Its elements are shared with the local subscribers; the wire
-// service only reads it.
-func (a *attachment) publish(msg *message.Message) error {
-	return a.out.Send(msg)
+// publish hands one pre-built event message to the local subscribers,
+// then propagates it into the group. Its elements are shared with the
+// local subscribers; Propagate only reads it. A peer nobody can be
+// reached from has still delivered locally: that is not an error.
+func (e *Engine) publish(a *attachment, msg *message.Message) error {
+	e.onWireMessage(a, msg)
+	if err := e.rdv.Propagate(msg, EventService, a.param); err != nil && !errors.Is(err, rendezvous.ErrNoPeers) {
+		return fmt.Errorf("propagate: %w", err)
+	}
+	return nil
 }
 
 // ready reports whether the attachment can reach beyond this process:
 // its group holds a rendezvous lease, or the peer was never seeded
 // (loopback only).
 func (e *Engine) ready(a *attachment) bool {
-	return len(e.rdv.Config().Seeds) == 0 || len(e.rdv.ConnectedRendezvous(a.group.Param())) > 0
+	return len(e.rdv.Config().Seeds) == 0 || len(e.rdv.ConnectedRendezvous(a.param)) > 0
 }
 
-// detach tears the attachment down and leaves its group.
+// detach unregisters the attachment's handler and ends its lease.
 func (e *Engine) detach(a *attachment) {
-	a.in.Close()
+	e.peer.Endpoint().UnregisterHandler(EventService, a.param)
 	e.rdv.RemoveGapListener(a.gapTok)
 	e.rdv.RemoveLeaseListener(a.leaseTok)
-	e.peer.LeaveGroup(a.groupID)
+	e.rdv.Leave(a.param)
 }
 
-// onWireMessage is the pipe reader: it deduplicates, decodes and
-// dispatches one incoming event.
+// onWireMessage is the group's reader: it deduplicates, decodes and
+// dispatches one incoming event, off the network or looped back by
+// publish.
 //
 // Decode-once: the payload of any given event is gob-decoded at most
 // once on this peer. Deduplication runs before the decode, so an event

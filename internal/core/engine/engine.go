@@ -7,8 +7,9 @@
 //     dispatches them to the other blocks;
 //   - Interface Repository (subscriptions.go): stores callback objects
 //     and exception handlers and starts/stops subscriptions;
-//   - Connections (attach.go): joins the type's peer group, opens the
-//     wire input/output pipes and runs the pipe reader.
+//   - Connections (attach.go): registers the reader of the type's peer
+//     group with the endpoint, leases the group on the peer's rendezvous
+//     service and propagates into it.
 //
 // Where this departs from the paper. Figure 10's fourth block,
 // Advertisements — the creator of Figure 15 and the finder of Figure 16
@@ -19,19 +20,24 @@
 // two peers that searched at once create two groups for one type (which
 // every publish then had to reach, and every subscriber to dedupe), and
 // made a logged history unreachable once no live cache held the
-// advertisement naming its group. Here a type's group and wire pipe are
-// computed from the type's name (TypeGroup): every peer arrives at the
-// same pair without asking anyone, so there is one group per type, the
-// engine joins it at once, and nothing it runs queries, caches or
-// publishes an advertisement. The search the paper needed survives
-// where the paper counts it: in the hand-written baseline, SR-JXTA.
-// A subscription covers the subtypes registered after it through the
-// registry's listener, where the finder re-scanned its cache every
-// round.
+// advertisement naming its group. Here a type's group is computed from
+// the type's name (TypeGroup): every peer arrives at the same group
+// without asking anyone, so there is one group per type, the engine
+// joins it at once, and nothing it runs queries, caches or publishes an
+// advertisement. The search the paper needed survives where the paper
+// counts it: in the hand-written baseline, SR-JXTA. A subscription
+// covers the subtypes registered after it through the registry's
+// listener, where the finder re-scanned its cache every round.
+//
+// Nor are the paper's wire pipes. In JXTA a pipe, too, was found by its
+// advertisement; with one group per type a pipe ID would name nothing
+// the group does not. The engine is its type's wire: one endpoint
+// handler per group reads the group's events, and publish delivers to
+// the local subscribers and propagates into the group itself.
 //
 // One engine serves one type hierarchy; programs interested in several
-// unrelated hierarchies create several engines (§4.2). A peer joins a
-// type's group once, so two engines of one peer cannot both attach the
+// unrelated hierarchies create several engines (§4.2). A peer holds one
+// handler per group, so two engines of one peer cannot both attach the
 // same type: the second gets an error naming it.
 package engine
 
@@ -55,16 +61,15 @@ import (
 	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
-// PSPrefix prefixes the name a type's group and pipe IDs are computed
-// from, as the paper's AdvertisementsCreator prefixed the advertisement
-// name (adv.setName(PS_PREFIX + pipeAdv.getName())).
+// PSPrefix prefixes the name a type's group ID is computed from, as the
+// paper's AdvertisementsCreator prefixed the advertisement name
+// (adv.setName(PS_PREFIX + pipeAdv.getName())).
 const PSPrefix = "PS."
 
-// TypeGroup returns the peer group a type's events travel in and the
-// wire pipe that carries them: both are named by PSPrefix + path, so
-// every peer computes the same pair.
-func TypeGroup(path string) (group, pipe jid.ID) {
-	return jid.Named(jid.KindGroup, PSPrefix+path), jid.Named(jid.KindPipe, PSPrefix+path)
+// TypeGroup returns the peer group a type's events travel in, named by
+// PSPrefix + path, so every peer computes the same group.
+func TypeGroup(path string) jid.ID {
+	return jid.Named(jid.KindGroup, PSPrefix+path)
 }
 
 // DefaultFindInterval paces the replay loop's retries of requests a
@@ -142,8 +147,7 @@ type engineCounters struct {
 	delivered       atomic.Int64
 	duplicateEvents atomic.Int64
 	decodeErrors    atomic.Int64
-	// publishErrors counts publishes whose wire send or mesh
-	// propagation errored.
+	// publishErrors counts publishes whose mesh propagation errored.
 	publishErrors  atomic.Int64
 	replayRequests atomic.Int64
 	// replayKicks counts wake-ups sent to the replay loop.
@@ -329,9 +333,9 @@ func (e *Engine) attachmentList() []*attachment {
 	return atts
 }
 
-// Publish serialises the event and sends it on the wire pipe of the
-// group of the event's dynamic type, joining that group first if this is
-// the type's first use here.
+// Publish serialises the event and publishes it in the group of the
+// event's dynamic type, joining that group first if this is the type's
+// first use here.
 func (e *Engine) Publish(event any) error {
 	node, ok := e.reg.NodeOf(event)
 	if !ok {
@@ -351,7 +355,7 @@ func (e *Engine) Publish(event any) error {
 	e.stats.published.Add(1)
 
 	eventID := jid.NewMessage()
-	// Decode-once: remember the outgoing value so the synchronous wire
+	// Decode-once: remember the outgoing value so the synchronous
 	// loopback (and any mesh echo) dispatches it without a gob decode.
 	e.self.put(eventID, event)
 	msg := newEventMessage(e, eventID, payload)
@@ -366,7 +370,7 @@ func (e *Engine) Publish(event any) error {
 			e.tracer.Record(eventID, trace.StagePublish, e.peer.ID(), sentUS, nil)
 		}
 	}
-	err = a.publish(msg)
+	err = e.publish(a, msg)
 	e.histPublish.Observe(time.Since(start))
 	if err != nil {
 		e.stats.publishErrors.Add(1)

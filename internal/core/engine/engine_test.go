@@ -19,7 +19,9 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
+	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/netsim"
+	"github.com/tps-p2p/tps/internal/obs"
 )
 
 // The Figure 7 hierarchy: quote events with a common interface root.
@@ -359,42 +361,48 @@ func TestSimultaneousCreationConvergesWithExactlyOnceDelivery(t *testing.T) {
 	}
 }
 
-// oneGroup checks that every engine holds one attachment for the path,
-// and that each one's peer is in the group TypeGroup names for it.
+// oneGroup checks that each engine's peer is in the group TypeGroup
+// names for the path: its rendezvous service holds one lease for it,
+// with the rig's one rendezvous.
 func oneGroup(t *testing.T, path string, peers ...*testEnginePeer) {
 	t.Helper()
-	group, _ := engine.TypeGroup(path)
+	group := engine.TypeGroup(path).String()
 	for _, p := range peers {
-		if _, ok := p.peer.Group(group); !ok {
+		rdv := p.peer.Rendezvous()
+		if !rdv.AwaitConnected(group, 5*time.Second) {
 			t.Fatalf("%s is not in the group of %s", p.peer.Name(), path)
 		}
 		n := 0
-		for _, cur := range p.peer.Groups() {
-			if cur.Param() == group.String() {
+		for _, e := range rdv.PeersView() {
+			if e.Kind == obs.PeerRendezvous && e.Group == group {
 				n++
 			}
 		}
 		if n != 1 {
-			t.Fatalf("%s holds %d groups for %s", p.peer.Name(), n, path)
+			t.Fatalf("%s holds %d leases for the group of %s", p.peer.Name(), n, path)
 		}
 	}
 }
 
-// rawGroup starts a peer that joins the group of the type path, as an
-// engine would, and holds its lease: a peer that speaks the group's wire
-// without an engine.
-func (r *testRig) rawGroup(path string) (*peer.Peer, *peer.Group, jid.ID) {
+// rawGroup starts a peer that joins the group of the type path with a
+// wire service of its own, as a publisher did before the engine was its
+// type's wire, and holds its lease: a peer that speaks the group's wire
+// without an engine. It returns the wire and the pipe ID its frames
+// name, PSPrefix + path as a pipe.
+func (r *testRig) rawGroup(path string) (*peer.Peer, *wire.Service, jid.ID) {
 	r.t.Helper()
 	raw := r.addPeer()
-	gid, pipe := engine.TypeGroup(path)
-	g, err := raw.JoinGroup(gid, engine.PSPrefix+path)
+	param := engine.TypeGroup(path).String()
+	w, err := wire.New(raw.Endpoint(), raw.Rendezvous(), wire.Config{Group: param})
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if !raw.Rendezvous().AwaitConnected(g.Param(), 5*time.Second) {
+	r.t.Cleanup(w.Close)
+	raw.Rendezvous().Join(param)
+	if !raw.Rendezvous().AwaitConnected(param, 5*time.Second) {
 		r.t.Fatalf("the raw peer never leased its group for %s", path)
 	}
-	return raw, g, pipe
+	return raw, w, jid.Named(jid.KindPipe, engine.PSPrefix+path)
 }
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {
@@ -618,10 +626,10 @@ func (f *frameTap) events(t *testing.T) []*message.Message {
 }
 
 // TestEventFrameCarriesIDAndData: an event leaves the publisher as its ID
-// and its bytes inside the envelope the endpoint, the rendezvous and the
-// wire write (ep:, rdv:, wire:), and a sampled event carries its trace
-// element besides. The type is the group's, the codec gob's: neither
-// crosses the wire.
+// and its bytes inside the envelope the endpoint and the rendezvous write
+// (ep:, rdv:), and a sampled event carries its trace element besides.
+// The type is the group's, the codec gob's, and the group names no pipe:
+// none of the three crosses the wire.
 func TestEventFrameCarriesIDAndData(t *testing.T) {
 	for _, rate := range []float64{0, 1} {
 		t.Run(fmt.Sprintf("TraceRate=%g", rate), func(t *testing.T) {
@@ -653,7 +661,7 @@ func TestEventFrameCarriesIDAndData(t *testing.T) {
 				var got []string
 				for _, el := range m.Elements() {
 					switch el.Namespace {
-					case "ep", "rdv", "wire":
+					case "ep", "rdv":
 					default:
 						got = append(got, el.Namespace+":"+el.Name)
 					}
@@ -675,7 +683,7 @@ func TestLegacyEventFrameIsDeliveredOnce(t *testing.T) {
 	rig := newRig(t)
 	sub := rig.addEngine()
 	path := sub.nodes["stock"].Path()
-	raw, g, pipe := rig.rawGroup(path)
+	raw, w, pipe := rig.rawGroup(path)
 	var c collector
 	if _, err := sub.eng.Subscribe(sub.nodes["stock"], c.deliver, c.onError); err != nil {
 		t.Fatal(err)
@@ -683,7 +691,7 @@ func TestLegacyEventFrameIsDeliveredOnce(t *testing.T) {
 	if !sub.eng.AwaitReady(sub.nodes["stock"], 1, 5*time.Second) {
 		t.Fatal("not ready")
 	}
-	out, err := g.Wire.CreateOutputPipe(pipe)
+	out, err := w.CreateOutputPipe(pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,9 +759,8 @@ func TestUnregisteredSubtypeIsAttachedOnceRegistered(t *testing.T) {
 	if !sub.AwaitReady(stock, 1, 5*time.Second) {
 		t.Fatal("subscriber not ready")
 	}
-	techGroup, _ := engine.TypeGroup(pub.nodes["tech"].Path())
-	if _, ok := p.Group(techGroup); ok {
-		t.Fatal("joined the group of a subtype this peer cannot decode")
+	if v := sub.SubscriptionsView(); len(v) != 1 || v[0].Attachments != 1 {
+		t.Fatalf("subscriptions %+v, want stock's with its own attachment alone: joined the group of a subtype this peer cannot decode", v)
 	}
 
 	if _, err := reg.Register(reflect.TypeOf(techQuote{}), stock); err != nil {

@@ -6,7 +6,7 @@ package engine
 // logging rendezvous stamps onto every event) and the background loop
 // that presents those cursors to a rendezvous whenever it grants the
 // attachment's group a new lease. Replayed events come back through the
-// ordinary wire delivery path, where the engine's dedupe cache
+// ordinary delivery path, where the engine's dedupe cache
 // suppresses what was already observed — at-least-once redelivery,
 // exactly-once dispatch.
 
@@ -160,7 +160,7 @@ func (a *attachment) syncReplay(e *Engine) {
 	for id := range a.owed {
 		var failed error
 		request := func(origin jid.ID, after uint64) {
-			if err := rdv.RequestReplay(id, a.group.Param(), origin, after); err != nil {
+			if err := rdv.RequestReplay(id, a.param, origin, after); err != nil {
 				failed = err
 				return
 			}
@@ -245,7 +245,7 @@ func (e *Engine) CursorsView() []obs.CursorEntry {
 		a.curMu.Lock()
 		for origin, st := range a.cursors {
 			out = append(out, obs.CursorEntry{
-				Group:  a.groupID.String(),
+				Group:  a.param,
 				Origin: origin.String(),
 				Seq:    st.seq,
 			})
@@ -268,7 +268,7 @@ func (e *Engine) CursorsView() []obs.CursorEntry {
 // every group's gaps; the others' are not this attachment's.
 func (e *Engine) onGapSignal(a *attachment) rendezvous.GapListener {
 	return func(origin jid.ID, topic string, first, last uint64, tentative bool) {
-		if topic != a.group.Param() {
+		if topic != a.param {
 			return
 		}
 		a.jumpCursor(origin, first)

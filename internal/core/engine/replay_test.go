@@ -303,14 +303,14 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	a.noteCursor(origin, 1)
 	b.noteCursor(origin, 1)
 
-	gap(a.group.Param())
+	gap(a.param)
 	// Exception handlers are the engine's, so each subscription hears it.
 	heard := gaps()
 	if len(heard) == 0 {
 		t.Fatal("a gap raised no error")
 	}
 	for _, g := range heard {
-		if g.Path != a.path || g.Topic != a.group.Param() {
+		if g.Path != a.path || g.Topic != a.param {
 			t.Fatalf("gap error %+v, want it to name %s only", g, a.path)
 		}
 	}
@@ -326,8 +326,8 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	e.Close()
 	kicks = e.stats.replayKicks.Load()
 	grant()
-	gap(a.group.Param())
-	gap(b.group.Param())
+	gap(a.param)
+	gap(b.param)
 	if got := e.stats.replayKicks.Load() - kicks; got != 0 {
 		t.Fatalf("a grant after close kicked the replay loop %d times", got)
 	}
@@ -365,7 +365,7 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		defer a.curMu.Unlock()
 		return len(a.owed)
 	}
-	grantTo("mem://edge", y.group.Param())
+	grantTo("mem://edge", y.param)
 	if ox, oy := owed(x), owed(y); ox != 0 || oy != 1 {
 		t.Fatalf("a grant for %s is owed to %d and %d attachments, want 0 and 1", y.path, ox, oy)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // publishedEvents remembers the values this peer recently published,
-// keyed by event ID. The wire service loops every published message back
-// to the publisher's own input pipe (and the mesh may echo it), so
+// keyed by event ID. Publish loops every published message back to the
+// publisher's own reader (and the mesh may echo it), so
 // without this cache a peer pays a full gob decode to receive an event
 // whose decoded value it already holds — the dominant per-event cost on
 // the local delivery path. onWireMessage consults the cache before

@@ -1,7 +1,8 @@
 // Package discovery implements the JXTA Peer Discovery Protocol (PDP).
 //
 // Discovery lets peers find the peer-group advertisements others
-// published, by name, and JoinGroup joins a group from one. Each peer
+// published, by name, and JoinGroup joins a group from one: the group's
+// wire service (package wire) and a lease for it. Each peer
 // keeps a local cache with per-record ages; queries search the local
 // cache, remote queries propagate through the rendezvous mesh and
 // matching peers respond with their records (carrying a remaining
@@ -35,6 +36,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
+	"github.com/tps-p2p/tps/internal/jxta/wire"
 )
 
 // ServiceName is the endpoint service name of the discovery protocol.
@@ -88,6 +90,7 @@ type Service struct {
 	decoded   map[string]*adv.PeerGroupAdv // see cachedLocked
 	listeners map[int]Listener
 	nextLis   int
+	joined    map[jid.ID]*wire.Service // the groups JoinGroup joined, by group ID
 	stats     Stats
 	closed    bool
 }
@@ -121,6 +124,7 @@ func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*S
 		cache:     make(map[jid.ID]adv.Record),
 		decoded:   make(map[string]*adv.PeerGroupAdv),
 		listeners: make(map[int]Listener),
+		joined:    make(map[jid.ID]*wire.Service),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -131,7 +135,8 @@ func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*S
 	return s, nil
 }
 
-// Close unregisters the endpoint handler.
+// Close unregisters the endpoint handler, closes the wire of every group
+// JoinGroup joined and ends its lease.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -139,8 +144,14 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
+	joined := s.joined
+	s.joined = nil
 	s.mu.Unlock()
 	s.ep.UnregisterHandler(ServiceName, s.group)
+	for id, w := range joined {
+		w.Close()
+		s.rdv.Leave(id.String())
+	}
 }
 
 // AddListener registers a listener and returns a token for removal.

@@ -42,7 +42,8 @@ func (c *cluster) addFullPeer(name string, role rendezvous.Role, seeds ...endpoi
 // TestDiscoveryAcrossRendezvousAndJoinGroup is the paper's full flow: a
 // publisher creates a type group, its wire pipe and an advertisement; a
 // subscriber discovers the advertisement remotely, joins the group from
-// it and receives events.
+// it and receives events. Joining a joined group again returns the wire
+// it is in.
 func TestDiscoveryAcrossRendezvousAndJoinGroup(t *testing.T) {
 	c := newCluster(t)
 	c.addFullPeer("rdv", rendezvous.RoleRendezvous)
@@ -55,16 +56,16 @@ func TestDiscoveryAcrossRendezvousAndJoinGroup(t *testing.T) {
 
 	// Publisher side (the paper's AdvertisementsCreator).
 	gid := jid.FromSeed(jid.KindGroup, 77)
-	gPub, err := pub.JoinGroup(gid, "PS.SkiRental")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pub.Rendezvous().AwaitConnected(gPub.Param(), 5*time.Second) {
-		t.Fatal("pub type group not connected")
-	}
 	pipeAdv := &adv.PipeAdv{PipeID: jid.NewPipeIn(gid), Type: adv.PipePropagate, Name: "PS.SkiRental"}
 	groupAdv := &adv.PeerGroupAdv{GroupID: gid, PeerID: pub.ID(), Name: "PS.SkiRental"}
 	groupAdv.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: pipeAdv})
+	wPub, _, err := pubDisc.JoinGroup(groupAdv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pub.Rendezvous().AwaitConnected(gid.String(), 5*time.Second) {
+		t.Fatal("pub type group not connected")
+	}
 	if err := pubDisc.RemotePublish(groupAdv, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -88,27 +89,27 @@ func TestDiscoveryAcrossRendezvousAndJoinGroup(t *testing.T) {
 	}
 
 	// Join from the advertisement (the paper's WireServiceFinder).
-	gSub, wirePipe, err := JoinGroup(sub, pg)
+	wSub, wirePipe, err := subDisc.JoinGroup(pg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wirePipe.PipeID != pipeAdv.PipeID {
 		t.Fatalf("wire pipe %v, want %v", wirePipe.PipeID, pipeAdv.PipeID)
 	}
-	if again, _, err := JoinGroup(sub, pg); err != nil || again != gSub {
+	if again, _, err := subDisc.JoinGroup(pg); err != nil || again != wSub {
 		t.Fatalf("joining a joined group again: %v, %v; want the group it is in", again, err)
 	}
-	if !sub.Rendezvous().AwaitConnected(gSub.Param(), 5*time.Second) {
+	if !sub.Rendezvous().AwaitConnected(gid.String(), 5*time.Second) {
 		t.Fatal("sub type group not connected")
 	}
-	in, err := gSub.Wire.CreateInputPipe(wirePipe.PipeID)
+	in, err := wSub.CreateInputPipe(wirePipe.PipeID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan string, 1)
 	in.SetListener(func(m *message.Message) { got <- m.Text("app", "body") })
 
-	out, err := gPub.Wire.CreateOutputPipe(pipeAdv.PipeID)
+	out, err := wPub.CreateOutputPipe(pipeAdv.PipeID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +132,12 @@ func TestDiscoveryAcrossRendezvousAndJoinGroup(t *testing.T) {
 // names nothing to join.
 func TestJoinGroupWithoutWire(t *testing.T) {
 	c := newCluster(t)
-	p, _ := c.addFullPeer("p", rendezvous.RoleEdge)
+	p, disc := c.addFullPeer("p", rendezvous.RoleEdge)
 	bare := &adv.PeerGroupAdv{GroupID: jid.FromSeed(jid.KindGroup, 5), Name: "no-wire"}
-	if _, _, err := JoinGroup(p, bare); !errors.Is(err, ErrNoWireInAdv) {
+	if _, _, err := disc.JoinGroup(bare); !errors.Is(err, ErrNoWireInAdv) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(p.Groups()) != 0 {
+	if joined(p, bare.GroupID) {
 		t.Fatal("joined a group from an advertisement without a wire")
 	}
 }
@@ -146,15 +147,50 @@ func TestJoinGroupWithoutWire(t *testing.T) {
 // is refused before anything is joined.
 func TestJoinGroupRefusesAUnicastPipe(t *testing.T) {
 	c := newCluster(t)
-	p, _ := c.addFullPeer("p", rendezvous.RoleEdge)
+	p, disc := c.addFullPeer("p", rendezvous.RoleEdge)
 	pg := &adv.PeerGroupAdv{GroupID: jid.FromSeed(jid.KindGroup, 6), Name: "unicast"}
 	pg.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: &adv.PipeAdv{
 		PipeID: jid.FromSeed(jid.KindPipe, 17), Type: adv.PipeUnicast, Name: "unicast",
 	}})
-	if _, _, err := JoinGroup(p, pg); !errors.Is(err, ErrWrongType) {
+	if _, _, err := disc.JoinGroup(pg); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(p.Groups()) != 0 {
+	if joined(p, pg.GroupID) {
 		t.Fatal("joined a group whose wire pipe is not propagated")
+	}
+}
+
+// joined reports whether a wire service holds the group's endpoint
+// handler on p: the handler is free again before joined returns.
+func joined(p *peer.Peer, group jid.ID) bool {
+	err := p.Endpoint().RegisterHandler(wire.ServiceName, group.String(), func(*message.Message, endpoint.Address) {})
+	if err == nil {
+		p.Endpoint().UnregisterHandler(wire.ServiceName, group.String())
+	}
+	return errors.Is(err, endpoint.ErrDupHandler)
+}
+
+// TestCloseLeavesTheJoinedGroups: the groups a discovery service joined
+// are its own. Close closes their wires, so their endpoint handlers are
+// free, and nothing joins once the service is closed.
+func TestCloseLeavesTheJoinedGroups(t *testing.T) {
+	c := newCluster(t)
+	p, disc := c.addFullPeer("p", rendezvous.RoleEdge)
+	pg := &adv.PeerGroupAdv{GroupID: jid.FromSeed(jid.KindGroup, 8), Name: "PS.Closing"}
+	pg.SetService(adv.ServiceAdv{Name: wire.ServiceName, Pipe: &adv.PipeAdv{
+		PipeID: jid.NewPipeIn(pg.GroupID), Type: adv.PipePropagate, Name: "Closing",
+	}})
+	if _, _, err := disc.JoinGroup(pg); err != nil {
+		t.Fatal(err)
+	}
+	if !joined(p, pg.GroupID) {
+		t.Fatal("JoinGroup left the group's handler free")
+	}
+	disc.Close()
+	if joined(p, pg.GroupID) {
+		t.Fatal("the group's wire outlived the discovery service that joined it")
+	}
+	if _, _, err := disc.JoinGroup(pg); !errors.Is(err, ErrClosed) {
+		t.Fatalf("join after close: %v", err)
 	}
 }

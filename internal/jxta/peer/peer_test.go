@@ -14,6 +14,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
+	"github.com/tps-p2p/tps/internal/jxta/wire"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
 
@@ -66,6 +67,20 @@ func (c *cluster) addEdge(name string, seeds ...endpoint.Address) *peer.Peer {
 	return p
 }
 
+// joinWire joins p to the group as a reader of the group joins it: a
+// wire service on the peer's endpoint and its one rendezvous service,
+// and a lease for the group. The wire closes with the test.
+func joinWire(t *testing.T, p *peer.Peer, id jid.ID) *wire.Service {
+	t.Helper()
+	w, err := wire.New(p.Endpoint(), p.Rendezvous(), wire.Config{Group: id.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	p.Rendezvous().Join(id.String())
+	return w
+}
+
 func TestPeerBootJoinsNetGroup(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("solo")
@@ -80,9 +95,11 @@ func TestPeerBootJoinsNetGroup(t *testing.T) {
 	if rdv.AwaitConnected(jid.NetGroup.String(), 50*time.Millisecond) {
 		t.Fatal("unseeded peer claims a rendezvous")
 	}
-	// The net group is the control plane, not a joined event group.
-	if len(p.Groups()) != 0 {
-		t.Fatalf("groups = %d", len(p.Groups()))
+	// The net group is the control plane, not an event group: nothing
+	// reads events in it.
+	noop := func(*message.Message, endpoint.Address) {}
+	if err := p.Endpoint().RegisterHandler(wire.ServiceName, jid.NetGroup.String(), noop); err != nil {
+		t.Fatalf("the peer reads events in the net group: %v", err)
 	}
 	if got := p.Addresses(); len(got) != 1 || got[0] != "mem://solo" {
 		t.Fatalf("addresses %v", got)
@@ -95,28 +112,32 @@ func TestPeerRequiresTransport(t *testing.T) {
 	}
 }
 
+// TestJoinLeaveCustomGroup: the peer keeps no table of its groups; the
+// endpoint's handler table and the rendezvous' leases are the record. A
+// second reader of a joined group is refused by the endpoint, a left
+// group holds no lease, and a left group can be joined again.
 func TestJoinLeaveCustomGroup(t *testing.T) {
 	c := newCluster(t)
-	p := c.addEdge("p")
+	c.addRendezvous("rdv")
+	p := c.addEdge("p", "mem://rdv")
 	gid := jid.FromSeed(jid.KindGroup, 100)
-	g, err := p.JoinGroup(gid, "custom")
-	if err != nil {
-		t.Fatal(err)
+	rdv := p.Rendezvous()
+	w := joinWire(t, p, gid)
+	if !rdv.AwaitConnected(gid.String(), 5*time.Second) {
+		t.Fatal("the joined group never held a lease")
 	}
-	if _, err := p.JoinGroup(gid, "custom"); !errors.Is(err, peer.ErrAlreadyIn) {
+	if _, err := wire.New(p.Endpoint(), rdv, wire.Config{Group: gid.String()}); !errors.Is(err, endpoint.ErrDupHandler) {
 		t.Fatalf("double join: %v", err)
 	}
-	got, ok := p.Group(gid)
-	if !ok || got != g {
-		t.Fatal("group lookup failed")
-	}
-	p.LeaveGroup(gid)
-	if _, ok := p.Group(gid); ok {
-		t.Fatal("group still present after leave")
+	w.Close()
+	rdv.Leave(gid.String())
+	if got := rdv.ConnectedRendezvous(gid.String()); len(got) != 0 {
+		t.Fatalf("a left group still holds leases with %v", got)
 	}
 	// Can re-join after leaving.
-	if _, err := p.JoinGroup(gid, "custom"); err != nil {
-		t.Fatalf("re-join: %v", err)
+	joinWire(t, p, gid)
+	if !rdv.AwaitConnected(gid.String(), 5*time.Second) {
+		t.Fatal("the re-joined group never held a lease")
 	}
 }
 
@@ -129,27 +150,21 @@ func TestWirePubSubThroughDaemonInTypeGroup(t *testing.T) {
 	sub := c.addEdge("sub", "mem://rdv")
 
 	gid := jid.FromSeed(jid.KindGroup, 7)
-	gPub, err := pub.JoinGroup(gid, "PS.SkiRental")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gSub, err := sub.JoinGroup(gid, "PS.SkiRental")
-	if err != nil {
-		t.Fatal(err)
-	}
+	wPub := joinWire(t, pub, gid)
+	wSub := joinWire(t, sub, gid)
 	if !pub.Rendezvous().AwaitConnected(gid.String(), 5*time.Second) || !sub.Rendezvous().AwaitConnected(gid.String(), 5*time.Second) {
 		t.Fatal("type group never connected to the rendezvous")
 	}
 
 	pipe := jid.NewPipeIn(gid)
-	in, err := gSub.Wire.CreateInputPipe(pipe)
+	in, err := wSub.CreateInputPipe(pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan string, 16)
 	in.SetListener(func(m *message.Message) { got <- m.Text("app", "body") })
 
-	out, err := gPub.Wire.CreateOutputPipe(pipe)
+	out, err := wPub.CreateOutputPipe(pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,21 +194,18 @@ func TestGroupIsolationAcrossTypes(t *testing.T) {
 	chat := jid.FromSeed(jid.KindGroup, 2)
 	pipe := jid.FromSeed(jid.KindPipe, 9)
 	// join joins p to a group and waits for its lease.
-	join := func(t *testing.T, p *peer.Peer, id jid.ID, name string) *peer.Group {
+	join := func(t *testing.T, p *peer.Peer, id jid.ID, name string) *wire.Service {
 		t.Helper()
-		g, err := p.JoinGroup(id, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rdv := p.Rendezvous(); len(rdv.Config().Seeds) > 0 && !rdv.AwaitConnected(g.Param(), 5*time.Second) {
+		w := joinWire(t, p, id)
+		if rdv := p.Rendezvous(); len(rdv.Config().Seeds) > 0 && !rdv.AwaitConnected(id.String(), 5*time.Second) {
 			t.Fatalf("%s never connected", name)
 		}
-		return g
+		return w
 	}
 	// listen counts what reaches the group's end of the pipe.
-	listen := func(t *testing.T, g *peer.Group) *atomic.Int64 {
+	listen := func(t *testing.T, w *wire.Service) *atomic.Int64 {
 		t.Helper()
-		in, err := g.Wire.CreateInputPipe(pipe)
+		in, err := w.CreateInputPipe(pipe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,9 +213,9 @@ func TestGroupIsolationAcrossTypes(t *testing.T) {
 		in.SetListener(func(*message.Message) { n.Add(1) })
 		return &n
 	}
-	send := func(t *testing.T, p *peer.Peer, g *peer.Group) {
+	send := func(t *testing.T, p *peer.Peer, w *wire.Service) {
 		t.Helper()
-		out, err := g.Wire.CreateOutputPipe(pipe)
+		out, err := w.CreateOutputPipe(pipe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,12 +266,10 @@ func TestGroupIsolationAcrossTypes(t *testing.T) {
 func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("p")
-	g, err := p.JoinGroup(jid.FromSeed(jid.KindGroup, 7), "typed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gid := jid.FromSeed(jid.KindGroup, 7)
+	joinWire(t, p, gid)
 	noop := func(*message.Message, endpoint.Address) {}
-	for _, param := range []string{g.Param(), jid.NetGroup.String()} {
+	for _, param := range []string{gid.String(), jid.NetGroup.String()} {
 		if err := p.Endpoint().RegisterHandler("jxta.discovery", param, noop); err != nil {
 			t.Fatalf("the peer registered a discovery for %s: %v", param, err)
 		}
@@ -275,31 +285,25 @@ func TestRendezvousGroupsShareTheWildcardService(t *testing.T) {
 	svc := rdv.Rendezvous()
 	ski, chat := jid.FromSeed(jid.KindGroup, 1), jid.FromSeed(jid.KindGroup, 2)
 	for _, id := range []jid.ID{ski, chat} {
-		if _, err := rdv.JoinGroup(id, "PS.Any"); err != nil {
-			t.Fatal(err)
-		}
+		joinWire(t, rdv, id).Close()
+		svc.Leave(id.String())
 	}
-	rdv.LeaveGroup(ski)
-	rdv.LeaveGroup(chat)
 	if rdv.Rendezvous() != svc {
 		t.Fatal("the rendezvous service changed with the groups it served")
 	}
 	// Still running: it grants a new client a lease for a group it left.
 	edge := c.addEdge("edge", "mem://rdv")
-	g, err := edge.JoinGroup(ski, "PS.Ski")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !edge.Rendezvous().AwaitConnected(g.Param(), 5*time.Second) {
+	joinWire(t, edge, ski)
+	if !edge.Rendezvous().AwaitConnected(ski.String(), 5*time.Second) {
 		t.Fatal("the rendezvous service stopped with the groups it served")
 	}
 }
 
 // TestJoinGroupStartsNoGoroutine: a group is a lease on the peer's one
 // rendezvous service, not a service of its own, so joining one starts
-// no goroutine. It logs what a join costs on a seeded edge: heap objects,
-// bytes and goroutines per JoinGroup, over 100 joins, the lease grants
-// they bring back included.
+// no goroutine. It logs what a join — a wire and a lease — costs on a
+// seeded edge: heap objects, bytes and goroutines per join, over 100
+// joins, the lease grants they bring back included.
 func TestJoinGroupStartsNoGoroutine(t *testing.T) {
 	c := newCluster(t)
 	c.addRendezvous("rdv")
@@ -307,9 +311,7 @@ func TestJoinGroupStartsNoGoroutine(t *testing.T) {
 	join := func(from, n int) {
 		t.Helper()
 		for i := from; i < from+n; i++ {
-			if _, err := p.JoinGroup(jid.FromSeed(jid.KindGroup, uint64(1000+i)), "g"); err != nil {
-				t.Fatal(err)
-			}
+			joinWire(t, p, jid.FromSeed(jid.KindGroup, uint64(1000+i)))
 		}
 		c.net.WaitQuiesce(5 * time.Second)
 	}
@@ -331,7 +333,7 @@ func TestJoinGroupStartsNoGoroutine(t *testing.T) {
 	o0, b0, g0 := read()
 	join(20, joins)
 	o1, b1, g1 := read()
-	t.Logf("per JoinGroup on a seeded edge: %.1f heap objects, %.0f B, %.2f goroutines",
+	t.Logf("per join on a seeded edge: %.1f heap objects, %.0f B, %.2f goroutines",
 		(o1-o0)/joins, (b1-b0)/joins, (g1-g0)/joins)
 }
 
@@ -373,7 +375,11 @@ func TestCloseIsIdempotentAndTerminal(t *testing.T) {
 	p := c.addEdge("p")
 	p.Close()
 	p.Close()
-	if _, err := p.JoinGroup(jid.FromSeed(jid.KindGroup, 1), ""); !errors.Is(err, peer.ErrClosed) {
+	if !p.Closed() {
+		t.Fatal("not closed after Close")
+	}
+	_, err := wire.New(p.Endpoint(), p.Rendezvous(), wire.Config{Group: jid.FromSeed(jid.KindGroup, 1).String()})
+	if !errors.Is(err, endpoint.ErrClosed) {
 		t.Fatalf("join after close: %v", err)
 	}
 }

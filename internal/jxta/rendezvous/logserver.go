@@ -151,15 +151,35 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 		// Retention dropped (cursor, first): explicit gap, not silence.
 		l.sendGap(from, param, topic, origin, first, last, false)
 	}
-	// Serve the suffix a slice per tick (see replaySlice). Each slice is
-	// a Read of its own, so the topic is locked while a slice is read
-	// and sent, never while the replay waits for its next tick.
+	// Serve the suffix off the goroutine that delivered the request: a
+	// transport's receive goroutine — on netsim the node's one
+	// dispatcher, on tcpnet the reader of the requester's connection —
+	// which a paced replay would hold for its whole length, and every
+	// frame behind it with it: live events, renewals, pongs.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go l.serveReplay(from, origin, topic, cursor)
+}
+
+// serveReplay sends the requester origin's stream of topic after cursor,
+// a slice per tick (see replaySlice), until the stream ends or the
+// service closes. Each slice is a Read of its own, so the topic is
+// locked while a slice is read and sent, never while the replay waits
+// for its next tick.
+func (l *logServer) serveReplay(to endpoint.Address, origin jid.ID, topic string, cursor uint64) {
+	s := l.s
+	defer s.wg.Done()
 	served := 0
 	next := time.Now()
 	for {
 		n := 0
 		err := l.store.Read(origin, topic, cursor, replaySlice, func(e eventlog.Entry) error {
-			if err := s.ep.SendFrame(from, e.Payload); err != nil {
+			if err := s.ep.SendFrame(to, e.Payload); err != nil {
 				s.stats.sendFailures.Add(1)
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -474,6 +475,40 @@ func TestReplayStopsWhenTheServiceCloses(t *testing.T) {
 	if n := len(r.arrivals()); n > depth/2 {
 		t.Fatalf("%d of %d frames replayed by a closed service", n, depth)
 	}
+}
+
+// TestReplayDoesNotHoldTheReceivePath: a replay forty slices deep is
+// under way when a third peer publishes. The rendezvous must forward
+// that event at once, not when the replay is over: a replay served on
+// the goroutine that delivered its request holds that goroutine — here
+// the rendezvous node's one dispatcher — for every tick it paces, and
+// every frame that arrives meanwhile waits behind it.
+func TestReplayDoesNotHoldTheReceivePath(t *testing.T) {
+	const depth = 40 * replaySlice
+	r := newReplayRig(t, depth)
+	third := r.c.addPeer("third", 4, rendezvous.RoleEdge, "mem://rdv")
+	if !third.rdv.AwaitConnected("net", 5*time.Second) {
+		t.Fatal("third peer never connected")
+	}
+	r.request(t)
+	waitFor(t, func() bool { return len(r.arrivals()) > 0 })
+	m := message.New(third.ep.PeerID())
+	m.AddString("app", "live", "sent during the replay")
+	if err := third.rdv.Propagate(m, "app.events", "net"); err != nil {
+		t.Fatal(err)
+	}
+	// The rendezvous logs the live event after the retained ones, so it
+	// reaches the joiner numbered depth+1.
+	live := func() int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return slices.Index(r.seqs, depth+1)
+	}
+	waitFor(t, func() bool { return live() >= 0 })
+	if before := live(); before > depth/2 {
+		t.Fatalf("the live event arrived after %d of %d replayed frames, want before half", before, depth)
+	}
+	waitFor(t, func() bool { return len(r.arrivals()) == depth+1 })
 }
 
 // TestReplayConvergesOverLossyLink drops 30% of rendezvous→subscriber

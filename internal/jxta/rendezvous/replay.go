@@ -114,10 +114,12 @@ var ErrNoLease = errors.New("rendezvous: no lease")
 // nor replicates it serves nothing: the numbering is not its own. A
 // zero origin means the target. Replayed events arrive through the
 // normal propagation path (and its dedupe); a gap signal arrives
-// through the GapListener. The request is fire-and-forget: callers
-// re-request on the next lease grant (LeaseListener), which is what
-// makes delivery at-least-once over lossy links. The request goes in
-// the topic's group, under a lease with the target that carries it.
+// through the GapListener. The request is fire-and-forget, and nothing
+// asks again while the lease holds: a replayed frame lost on the way
+// stays lost until the next lease grant (LeaseListener) brings another
+// request, so over a lossy link delivery is not at-least-once (ROADMAP
+// item 1). The request goes in the topic's group, under a lease with
+// the target that carries it.
 func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
 	s.mu.Lock()
 	e := s.rdvs[leaseKey{target, topic}]

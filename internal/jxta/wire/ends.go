@@ -13,9 +13,9 @@ import (
 // propagation under way and the listeners of its other pipes go on
 // reading, possibly on other goroutines. A listener may keep it for as
 // long as it likes and read everything in it; it must not Add, Replace
-// or Remove elements, Stamp or Dup it, or modify a payload in place. All
-// four listeners in this tree (engine, srjxta, benchkit, tpsctl) only
-// read.
+// or Remove elements, Stamp or Dup it, or modify a payload in place. The
+// listeners in this tree (srjxta, benchkit's JXTA-WIRE stack, the tests)
+// only read.
 type Listener func(msg *message.Message)
 
 // InputPipe is a peer's receiving end of a propagated pipe.

@@ -13,6 +13,13 @@
 // A send copies nothing. The pipe ID travels as an envelope field the
 // rendezvous hands down to the frame encoder, and the loopback gives the
 // local listener the sender's message itself (see Listener).
+//
+// The TPS engine does not use this package. With one group per type a
+// pipe ID names nothing the group does not, so the engine registers its
+// reader for ServiceName under the group itself and propagates into the
+// group with no wire:ID element. The wire service is the substrate of
+// the paper's baselines: benchkit's JXTA-WIRE stack and SR-JXTA, which
+// joins the groups it discovers through discovery's JoinGroup.
 package wire
 
 import (

@@ -1,6 +1,6 @@
 // Package obs is the observability core of a TPS peer: a registry where
-// every instrumented subsystem (engine, wire, endpoint, tcpnet,
-// rendezvous, seen) registers a named snapshot provider, and one
+// every instrumented subsystem (engine, endpoint, tcpnet, rendezvous,
+// seen) registers a named snapshot provider, and one
 // Collect() call assembles a coherent point-in-time view of all of them
 // — counters, gauges, and per-second rates derived between collections.
 //
@@ -41,8 +41,8 @@ const SchemaVersion = 2
 // so operators never have to guess which of three spellings a subsystem
 // picked.
 type Snapshot struct {
-	// Name identifies the subsystem ("engine", "wire", "endpoint",
-	// "tcpnet", "rendezvous", "seen").
+	// Name identifies the subsystem ("engine", "endpoint", "tcpnet",
+	// "rendezvous", "seen").
 	Name string `json:"name"`
 	// Version is the subsystem's snapshot version, independent of the
 	// overall schema: bumped when that subsystem's key set changes
@@ -71,9 +71,9 @@ type ProviderFunc func() Snapshot
 func (f ProviderFunc) Snapshot() Snapshot { return f() }
 
 // Merge folds several snapshots of the same subsystem kind into one,
-// summing counters and gauges. A peer runs one wire service per joined
-// group and possibly several engines; their merged snapshot is the
-// per-peer truth the admin surface reports. The highest Version wins.
+// summing counters and gauges. A peer runs possibly several engines,
+// each with a dedupe cache beside the rendezvous service's; their merged
+// snapshot is the per-peer truth the admin surface reports. The highest Version wins.
 func Merge(name string, snaps ...Snapshot) Snapshot {
 	out := Snapshot{Name: name, Version: 1}
 	for _, s := range snaps {

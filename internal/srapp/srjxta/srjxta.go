@@ -146,7 +146,7 @@ func (a *App) handleNewAdvertisement(pg *adv.PeerGroupAdv) {
 	}
 	a.mu.Unlock()
 
-	wsf := NewWireServiceFinder(a.peer, pg)
+	wsf := NewWireServiceFinder(a.disc, pg)
 	if err := wsf.LookupWireService(); err != nil {
 		return
 	}
@@ -282,7 +282,7 @@ func (a *App) AwaitReady(n int, timeout time.Duration) bool {
 		a.mu.Unlock()
 		for _, c := range conns {
 			rdv := a.peer.Rendezvous()
-			if g, ok := a.peer.Group(c.groupID); ok && (len(rdv.Config().Seeds) == 0 || len(rdv.ConnectedRendezvous(g.Param())) > 0) {
+			if len(rdv.Config().Seeds) == 0 || len(rdv.ConnectedRendezvous(c.groupID.String())) > 0 {
 				ready++
 			}
 		}
@@ -315,6 +315,5 @@ func (a *App) Close() {
 	a.disc.Close()
 	for _, c := range conns {
 		c.in.Close()
-		a.peer.LeaveGroup(c.groupID)
 	}
 }

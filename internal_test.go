@@ -150,9 +150,7 @@ func TestConfigReachesEveryRendezvousService(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.peer.JoinGroup(jid.FromSeed(jid.KindGroup, 1), "PS.Any"); err != nil {
-		t.Fatal(err)
-	}
+	p.peer.Rendezvous().Join(jid.FromSeed(jid.KindGroup, 1).String())
 	got := p.peer.Rendezvous().Config()
 	for _, f := range []struct {
 		name      string

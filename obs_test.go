@@ -56,21 +56,22 @@ func TestPlatformStatsAndInspect(t *testing.T) {
 	}
 	g.Await(t, n)
 
-	// Publisher side: published counted, wire sent, endpoint moved bytes.
+	// Publisher side: published counted, endpoint moved bytes. The
+	// engine is its types' wire: no wire subsystem counts its sends.
 	pv := pub.Stats()
 	if pv.Schema == 0 {
 		t.Fatal("schema missing")
 	}
-	for _, name := range []string{"endpoint", "engine", "rendezvous", "seen", "wire"} {
+	for _, name := range []string{"endpoint", "engine", "rendezvous", "seen"} {
 		if _, ok := pv.Subsystem(name); !ok {
 			t.Fatalf("publisher view lacks subsystem %q (have %+v)", name, pv.Subsystems)
 		}
 	}
+	if _, ok := pv.Subsystem("wire"); ok {
+		t.Fatal("publisher view still has a wire subsystem")
+	}
 	if got := pv.Counter("engine", "published"); got != n {
 		t.Fatalf("engine.published = %d, want %d", got, n)
-	}
-	if pv.Counter("wire", "sent") == 0 {
-		t.Fatal("wire.sent = 0, want > 0")
 	}
 	if pv.Counter("endpoint", "bytes_out") == 0 {
 		t.Fatal("endpoint.bytes_out = 0, want > 0")
@@ -227,10 +228,13 @@ func TestAdminSurfaceEndToEnd(t *testing.T) {
 	for _, s := range view.Subsystems {
 		names[s.Name] = s.Counters
 	}
-	for _, want := range []string{"endpoint", "engine", "rendezvous", "seen", "wire"} {
+	for _, want := range []string{"endpoint", "engine", "rendezvous", "seen"} {
 		if _, ok := names[want]; !ok {
 			t.Fatalf("/stats lacks %q: %v", want, names)
 		}
+	}
+	if _, ok := names["wire"]; ok {
+		t.Fatalf("/stats still has a wire subsystem: %v", names)
 	}
 	if names["engine"]["published"] != 1 {
 		t.Fatalf("engine.published over HTTP = %d, want 1", names["engine"]["published"])

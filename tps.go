@@ -329,10 +329,10 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 // registerProviders wires the instrumented subsystems into the stats
 // registry, and every attached transport that counts (tcpnet does,
 // under "tcpnet") beside them. Providers are aggregate closures
-// evaluated at Collect time, so groups joined and engines created later
-// are covered without re-registration; the per-message hot paths are
-// untouched (they keep bumping the same atomic counters and pay nothing
-// until a collect).
+// evaluated at Collect time, so engines created later are covered
+// without re-registration; the per-message hot paths are untouched
+// (they keep bumping the same atomic counters and pay nothing until a
+// collect).
 func (p *Platform) registerProviders(transports []Transport) {
 	r := p.obsreg
 	r.RegisterFunc("endpoint", func() obs.Snapshot {
@@ -353,13 +353,6 @@ func (p *Platform) registerProviders(transports []Transport) {
 			snaps = append(snaps, e.Snapshot())
 		}
 		return obs.Merge("engine", snaps...)
-	})
-	r.RegisterFunc("wire", func() obs.Snapshot {
-		var snaps []obs.Snapshot
-		for _, g := range p.peer.Groups() {
-			snaps = append(snaps, g.Wire.Snapshot())
-		}
-		return obs.Merge("wire", snaps...)
 	})
 	r.Register("rendezvous", p.peer.Rendezvous())
 	r.RegisterFunc("seen", func() obs.Snapshot {
@@ -475,9 +468,9 @@ func (p *Platform) AwaitRendezvous(timeout time.Duration) bool {
 
 // StatsView is the coherent multi-subsystem metrics view Platform.Stats
 // returns and the admin surface serves on GET /stats: one snapshot per
-// instrumented subsystem (engine, wire, endpoint, tcpnet, rendezvous,
-// seen) plus per-second rates derived between calls. See
-// OBSERVABILITY.md for the schema.
+// instrumented subsystem (engine, endpoint, tcpnet, rendezvous, seen)
+// plus per-second rates derived between calls. See OBSERVABILITY.md for
+// the schema.
 type StatsView = obs.View
 
 // StatsSnapshot is one subsystem's named counters and gauges inside a

@@ -450,6 +450,70 @@ func TestInterfaceSubtypeDelivery(t *testing.T) {
 	}
 }
 
+// TestSecondEngineOnAPeerCannotAttachAnAttachedType: a peer reads a
+// type's group with one endpoint handler, so two engines of one platform
+// whose types overlap cannot both attach the overlapping type. An
+// Engine[Offer] subscribed to the interface root holds SkiRental's
+// group; an Engine[SkiRental] on the same platform is refused it with an
+// error naming the type, and the first engine goes on delivering.
+func TestSecondEngineOnAPeerCannotAttachAnAttachedType(t *testing.T) {
+	r := newFleet(t)
+	pubP, subP := r.edge(), r.edge()
+	for _, p := range []*tps.Platform{pubP, subP} {
+		if err := tps.Register[Offer](p); err != nil {
+			t.Fatal(err)
+		}
+		if err := tps.RegisterSub[SkiRental, Offer](p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offerEng, err := tps.NewEngine[Offer](subP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer offerEng.Close()
+	offerInt, _ := offerEng.NewInterface(nil)
+	var g rig.Probe[Offer]
+	if err := offerInt.Subscribe(&g, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Subscribe attached the root's group and SkiRental's.
+	if !offerEng.AwaitReady(2, 5*time.Second) {
+		t.Fatal("the Offer engine never attached SkiRental's group")
+	}
+
+	second, err := tps.NewEngine[SkiRental](subP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	path := second.Node().Path()
+	if err := second.Announce(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("a second engine attaching %s: %v, want an error naming the type", path, err)
+	}
+	secondInt, _ := second.NewInterface(nil)
+	if err := secondInt.Publish(SkiRental{Shop: "refused"}); err == nil {
+		t.Fatal("the refused engine published")
+	}
+
+	pubEng, err := tps.NewEngine[SkiRental](pubP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pubEng.Close()
+	if !pubEng.AwaitReady(1, 5*time.Second) {
+		t.Fatal("publisher never ready")
+	}
+	pubInt, _ := pubEng.NewInterface(nil)
+	if err := pubInt.Publish(SkiRental{Shop: "ski-shop", Price: 10}); err != nil {
+		t.Fatal(err)
+	}
+	g.Await(t, 1)
+	if got := g.Events()[0].Seller(); got != "ski-shop" {
+		t.Fatalf("the Offer engine delivered %q", got)
+	}
+}
+
 func TestPSErrorWrapping(t *testing.T) {
 	if _, err := tps.NewPlatform(tps.Config{Name: "no-transport"}); err == nil {
 		t.Fatal("platform without transports created")
