@@ -176,7 +176,7 @@ func (Gob) Decode(data []byte, typ reflect.Type) (any, error) {
 		dp = decPrefixes.m[decKey{typ, string(data[:n])}]
 		decPrefixes.RUnlock()
 		if dp != nil && dp.plan != nil {
-			if v, ok := dp.plan.decode(data[n:], typ); ok {
+			if v, ok := dp.plan.decode(data[n:]); ok {
 				return v, nil
 			}
 		}

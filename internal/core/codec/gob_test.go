@@ -481,9 +481,29 @@ func FuzzGobDecodeMatchesFresh(f *testing.F) {
 				if err == nil && !sameValue(got, want) {
 					t.Fatalf("%v pass %d: Decode %#v, fresh decoder %#v", typ, pass, got, want)
 				}
+				if err == nil && !cappedBytes(got) {
+					t.Fatalf("%v pass %d: a []byte field of %#v has capacity past its length", typ, pass, got)
+				}
 			}
 		}
 	})
+}
+
+// cappedBytes reports whether every []byte field of a struct v has no
+// capacity past its length, as gob's own decoder leaves it, so that an
+// append cannot write into whatever follows the field's bytes.
+func cappedBytes(v any) bool {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Struct {
+		return true
+	}
+	for i := range rv.NumField() {
+		f := rv.Field(i)
+		if f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Uint8 && f.Cap() != f.Len() {
+			return false
+		}
+	}
+	return true
 }
 
 // sameValue is reflect.DeepEqual, except that a float field equals one

@@ -1,13 +1,13 @@
 package codec
 
 import (
-	"bytes"
 	"encoding"
 	"encoding/gob"
 	"math"
 	"math/bits"
 	"reflect"
-	"strings"
+	"sync"
+	"unsafe"
 )
 
 // The ids encoding/gob's wire format fixes for the builtin types a
@@ -22,21 +22,28 @@ const (
 )
 
 // flatPlan decodes the value messages of one flat struct type, behind
-// one descriptor prefix, straight from the blob. It allocates the value,
-// one string arena, one copy per non-empty []byte field and the
-// interface copy of the value; a kept decoder also copies the whole
-// value message and allocates per field. It is compiled from the
-// prefix's one StructT descriptor once a fresh decoder has accepted a
-// blob of it, so gob has already approved the pairing of wire type and
-// local type; the plan only has to walk the value message the way gob
-// does. It declines whatever it does not reproduce exactly, and Decode
-// hands that blob to gob.
+// one descriptor prefix, straight from the blob. It allocates the
+// interface copy of the value and one block that every non-empty string
+// and []byte field is a piece of; it sets the fields in a scratch value
+// of its own, which it zeroes and keeps for the next message. A kept
+// decoder also copies the whole value message and allocates per field.
+// It is compiled from the prefix's one StructT descriptor once a fresh
+// decoder has accepted a blob of it. That blob's value need not have
+// been of the descriptor's type — gob also decodes a struct from the
+// ids of its own builtin struct types — so compilePlan makes the checks
+// gob makes when it pairs a wire struct with a local one, and the plan
+// then walks the value message the way gob does. It declines whatever
+// it does not reproduce exactly, and Decode hands that blob to gob.
 type flatPlan struct {
 	// id is the type id word of the value messages: the descriptor's,
 	// negated.
 	id uint64
 	// fields are the wire fields, by field number.
 	fields []flatField
+	// scratch holds zeroed *T values of the plan's type T for decode to
+	// set. A plan belongs to one (type, prefix) pair, so every value in
+	// it has the one type.
+	scratch sync.Pool
 }
 
 // flatField is one wire field of a flatPlan.
@@ -55,7 +62,9 @@ type flatField struct {
 // compilePlan returns the plan for decoding typ behind the parsed
 // descriptors of one prefix, or nil if the prefix is not one struct of
 // gob's builtin bool, int, uint, float, []byte and string fields, each
-// ignored or decoded into a non-pointer field of typ itself.
+// ignored or decoded into a non-pointer field of typ itself, or if gob
+// refuses the pairing: no wire field matches a field of typ, and
+// neither struct is empty.
 func compilePlan(typ reflect.Type, descs []descriptor) *flatPlan {
 	if len(descs) != 1 || typ.Kind() != reflect.Struct || decodesItself(typ) {
 		return nil
@@ -72,6 +81,8 @@ func compilePlan(typ reflect.Type, descs []descriptor) *flatPlan {
 		return nil
 	}
 	p := &flatPlan{id: id, fields: make([]flatField, len(st.Field))}
+	p.scratch.New = func() any { return reflect.New(typ).Interface() }
+	matched := 0
 	for i, wf := range st.Field {
 		if wf.Id < gobBoolID || wf.Id > gobStringID {
 			return nil
@@ -87,6 +98,10 @@ func compilePlan(typ reflect.Type, descs []descriptor) *flatPlan {
 			return nil
 		}
 		p.fields[i].index, p.fields[i].local = sf.Index[0], reflect.Zero(sf.Type)
+		matched++
+	}
+	if matched == 0 && len(st.Field) > 0 && typ.NumField() > 0 {
+		return nil
 	}
 	return p
 }
@@ -132,34 +147,43 @@ func setsBuiltin(t reflect.Type, wire int) bool {
 	return false
 }
 
-// decode decodes msg, one value message, into a new typ. It declines
-// (ok false) where gob might not decode msg as it would: a type id other
-// than the struct's, a field number past the last field, a malformed
-// integer, a length past the message, a value a narrower kind overflows,
-// and bytes after the terminator or no terminator. Nothing it returns
-// aliases msg.
-func (p *flatPlan) decode(msg []byte, typ reflect.Type) (v any, ok bool) {
+// decode decodes msg, one value message, into a new value of the plan's
+// type. It declines (ok false) where gob might not decode msg as it
+// would: a type id other than the struct's, a field number past the last
+// field, a malformed integer, a length past the message, a value a
+// narrower kind overflows, and bytes after the terminator or no
+// terminator. Nothing it returns aliases msg, and no two fields it
+// returns share a byte.
+func (p *flatPlan) decode(msg []byte) (v any, ok bool) {
 	id, body, _ := gobMessage(msg)
 	if id != p.id {
 		return nil, false
 	}
-	strs, ok := p.walk(body, reflect.Value{}, nil)
+	size, ok := p.walk(body, reflect.Value{}, nil)
 	if !ok {
 		return nil, false
 	}
-	ptr := reflect.New(typ)
-	// One allocation that every string field is a slice of.
-	var arena strings.Builder
-	arena.Grow(strs)
-	p.walk(body, ptr.Elem(), &arena)
-	return ptr.Elem().Interface(), true
+	scratch := p.scratch.Get()
+	out := reflect.ValueOf(scratch).Elem()
+	p.walk(body, out, make([]byte, size))
+	v = out.Interface()
+	// Zeroed, the scratch value neither pins the block nor lends a field
+	// to the next message, which sets only the fields it carries.
+	out.SetZero()
+	p.scratch.Put(scratch)
+	return v, true
 }
 
 // walk reads body, a struct's field deltas and values up to the zero
 // delta that ends it, and reports whether decode accepts it and how many
-// bytes its decoded strings hold. If out is valid, walk also sets out's
-// fields, cutting the strings from arena, which has room for them.
-func (p *flatPlan) walk(body []byte, out reflect.Value, arena *strings.Builder) (strs int, ok bool) {
+// bytes its non-empty strings and []byte fields hold. If out is valid —
+// a zero value — walk also sets its fields, copying each of those
+// strings and slices into the next piece of block, which has room for
+// them all. block is written front to back, each piece once, before the
+// field that piece becomes is set: no piece is written after a string
+// is cut from it, and a []byte piece's capacity ends where the piece
+// does, so an append to it cannot write into the next one.
+func (p *flatPlan) walk(body []byte, out reflect.Value, block []byte) (size int, ok bool) {
 	set := out.IsValid()
 	for field := -1; ; {
 		delta, w := gobUint(body)
@@ -168,7 +192,7 @@ func (p *flatPlan) walk(body []byte, out reflect.Value, arena *strings.Builder) 
 		}
 		body = body[w:]
 		if delta == 0 {
-			return strs, len(body) == 0
+			return size, len(body) == 0
 		}
 		if delta >= uint64(len(p.fields)-field) {
 			return 0, false
@@ -203,11 +227,16 @@ func (p *flatPlan) walk(body []byte, out reflect.Value, arena *strings.Builder) 
 			if f.local.OverflowFloat(gobFloat(x)) {
 				return 0, false
 			}
-		case gobStringID:
-			strs += len(b)
 		}
 		if !set {
+			size += len(b)
 			continue
+		}
+		// An empty string or []byte stays as gob leaves it: "" and nil.
+		var piece []byte
+		if len(b) > 0 {
+			piece, block = block[:len(b):len(b)], block[len(b):]
+			copy(piece, b)
 		}
 		dst := out.Field(f.index)
 		switch f.wire {
@@ -220,15 +249,9 @@ func (p *flatPlan) walk(body []byte, out reflect.Value, arena *strings.Builder) 
 		case gobFloatID:
 			dst.SetFloat(gobFloat(x))
 		case gobBytesID:
-			if len(b) == 0 {
-				dst.SetLen(0) // as gob does: a nil slice stays nil
-			} else {
-				dst.SetBytes(bytes.Clone(b))
-			}
+			dst.SetBytes(piece)
 		case gobStringID:
-			start := arena.Len()
-			arena.Write(b)
-			dst.SetString(arena.String()[start:])
+			dst.SetString(unsafe.String(unsafe.SliceData(piece), len(piece)))
 		}
 	}
 }

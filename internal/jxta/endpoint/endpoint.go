@@ -269,8 +269,8 @@ func (s *Service) EncodeFrame(svc, param string, msg *message.Message, envelope 
 	buf := *box
 	*box = nil
 	boxPool.Put(box)
-	// Room for what a propagated event carries (rdv:Op/DSvc/DParam and
-	// wire:ID) without the list leaving the stack.
+	// Room for what a propagated event carries (rdv:Op/DSvc/DParam, and
+	// a baseline wire pipe's wire:ID) without the list leaving the stack.
 	var room [8]message.Field
 	fields := append(append(room[:0], envelope...),
 		message.Field{Namespace: ElemNamespace, Name: elemDstSvc, Value: svc},

@@ -106,6 +106,10 @@ type Message struct {
 	// Dup'd, or is a Dup). The first mutation clones the element headers
 	// before writing; payload bytes stay shared read-only.
 	cow bool
+	// idRoom is what is left of the room New leaves for AddID's
+	// payloads, each the next jid.WireSize bytes of it, written once. A
+	// Dup gets none: the room behind its original is spoken for.
+	idRoom []byte
 }
 
 // DefaultTTL is the hop budget assigned by New. Seven hops comfortably
@@ -113,17 +117,19 @@ type Message struct {
 const DefaultTTL = 7
 
 // built is what New allocates: the header and, behind it, room for the
-// elements a sender adds — an event is four, a traced one five — so that
-// building a message costs one block and no Grow.
+// elements a sender adds — an event is two, a traced one three — and
+// for the payloads of two AddIDs, so that building a message costs one
+// block and no Grow.
 type built struct {
 	Message
 	elems [8]Element
+	ids   [2 * jid.WireSize]byte
 }
 
 // New returns an empty message with a fresh UUID and the default TTL.
 func New(src jid.ID) *Message {
 	b := &built{Message: Message{ID: jid.NewMessage(), Src: src, TTL: DefaultTTL}}
-	b.elements = b.elems[:0]
+	b.elements, b.idRoom = b.elems[:0], b.ids[:]
 	return &b.Message
 }
 
@@ -171,13 +177,20 @@ func (m *Message) AddString(namespace, name, value string) {
 
 // AddID appends an element whose payload is the binary wire form of the
 // ID (jid.WireSize bytes), avoiding the text URN round-trip on the hot
-// path. GetID reverses it.
+// path. GetID reverses it. The first two IDs added to a message New
+// built take no allocation of their own.
 func (m *Message) AddID(namespace, name string, id jid.ID) {
+	var data []byte
+	if len(m.idRoom) >= jid.WireSize {
+		data, m.idRoom = m.idRoom[:0:jid.WireSize], m.idRoom[jid.WireSize:]
+	} else {
+		data = make([]byte, 0, jid.WireSize)
+	}
 	m.AddElement(Element{
 		Namespace: namespace,
 		Name:      name,
 		MimeType:  "application/x-jxta-id",
-		Data:      id.AppendWire(make([]byte, 0, jid.WireSize)),
+		Data:      id.AppendWire(data),
 	})
 }
 

@@ -317,37 +317,52 @@ func TestDupAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNewAllocBudget: an event message as the engine builds it — New and
-// four Adds — is one block and the 17 bytes of the event ID. The text
-// elements share their strings' bytes.
+// TestNewAllocBudget: an event message as the engine builds it — New,
+// the event ID and the data, and a trace element on a sampled event —
+// is one block: the ID's payload is written into room the block has for
+// it, and the other payloads are the caller's.
 func TestNewAllocBudget(t *testing.T) {
 	src, ev := jid.FromSeed(jid.KindPeer, 1), jid.FromSeed(jid.KindMessage, 2)
-	path, blob := "/ski/rental", make([]byte, 1910)
+	blob, stamp := make([]byte, 1910), make([]byte, 26)
 	build := func() *Message {
 		m := New(src)
 		m.AddID("tps", "EventID", ev)
-		m.AddString("tps", "Path", path)
-		m.AddString("tps", "Codec", "gob")
 		m.AddBytes("tps", "Data", blob)
+		m.AddElement(Element{Namespace: "trc", Name: "Ev", MimeType: "application/x-tps-trace", Data: stamp})
 		return m
 	}
 	// Under the race detector jid.NewMessage's random bytes are one more.
-	if allocs := testing.AllocsPerRun(200, func() { sink = build() }); allocs > 2 && !israce.Enabled {
-		t.Errorf("New + four Adds allocate %.1f/op, budget is 2", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { sink = build() }); allocs > 1 && !israce.Enabled {
+		t.Errorf("New + three Adds allocate %.1f/op, budget is 1", allocs)
 	}
 	m := build()
-	if got, err := m.GetID("tps", "EventID"); err != nil || got != ev || m.Text("tps", "Path") != path || m.Len() != 4 {
+	if got, err := m.GetID("tps", "EventID"); err != nil || got != ev || len(m.Bytes("tps", "Data")) != len(blob) || m.Len() != 3 {
 		t.Fatalf("built message reads %v", m.Elements())
 	}
-	if e, _ := m.Element("tps", "Path"); cap(e.Data) != len(path) {
-		t.Fatalf("a text payload has capacity %d behind its %d bytes: an append would write into the string's neighbours", cap(e.Data), len(path))
+	// The second ID takes the rest of the room, the third a payload of
+	// its own; an append to one cannot write into the next.
+	second, third := jid.FromSeed(jid.KindPeer, 3), jid.FromSeed(jid.KindPeer, 4)
+	m.AddID("app", "second", second)
+	m.AddID("app", "third", third)
+	for _, id := range []struct{ ns, name string }{{"tps", "EventID"}, {"app", "second"}, {"app", "third"}} {
+		if e, _ := m.Element(id.ns, id.name); cap(e.Data) != jid.WireSize {
+			t.Fatalf("%s's payload has capacity %d behind its %d bytes: an append would write into its neighbour", id.name, cap(e.Data), len(e.Data))
+		}
+	}
+	if d := build().Dup(); len(d.idRoom) != 0 {
+		t.Fatalf("a Dup has %d bytes of its original's ID room", len(d.idRoom))
 	}
 	// The ninth element leaves the block; the first eight stay readable.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		m.AddUint64("app", string(rune('a'+i)), uint64(i))
 	}
-	if v, ok := m.Uint64("app", "e"); m.Len() != 9 || !ok || v != 4 || m.Text("tps", "Codec") != "gob" {
+	got2, err2 := m.GetID("app", "second")
+	got3, err3 := m.GetID("app", "third")
+	if v, ok := m.Uint64("app", "d"); m.Len() != 9 || !ok || v != 3 || err2 != nil || got2 != second || err3 != nil || got3 != third {
 		t.Fatalf("grown message reads %v", m.Elements())
+	}
+	if got, err := m.GetID("tps", "EventID"); err != nil || got != ev {
+		t.Fatalf("event ID reads %v, %v after the second and third IDs", got, err)
 	}
 }
 
