@@ -246,8 +246,9 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	}
 	grantTo := func(to endpoint.Address, group string) {
 		send(to, group, "lease", func(m *message.Message) {
+			m.AddUint64("rdv", "Seed", 1)
 			m.AddUint64("rdv", "Lease", uint64(time.Minute/time.Millisecond))
-			m.AddString("rdv", "New", "true")
+			m.AddUint64("rdv", "Epoch", 1)
 		})
 	}
 	grant := func() { grantTo("mem://rdv", "") }

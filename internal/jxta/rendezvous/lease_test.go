@@ -1,8 +1,10 @@
 package rendezvous_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -83,8 +85,12 @@ func TestLeasesDoNotPinFrames(t *testing.T) {
 	connects, grants := make([][]byte, peers), make([][]byte, peers)
 	for i := range connects {
 		id, addr := jid.FromSeed(jid.KindPeer, uint64(100+i)), endpoint.Address(fmt.Sprintf("hand://10.0.%d.%d:9701", i/250, i%250))
-		connects[i] = opFrame(t, id, addr, group(i), "connect", nil)
-		grants[i] = opFrame(t, id, addr, group(i), "lease", func(m *message.Message) { m.AddUint64("rdv", "Lease", 60_000) })
+		connects[i] = opFrame(t, id, addr, group(i), "connect", func(m *message.Message) { m.AddUint64("rdv", "Seed", 1) })
+		grants[i] = opFrame(t, id, addr, group(i), "lease", func(m *message.Message) {
+			m.AddUint64("rdv", "Seed", 1)
+			m.AddUint64("rdv", "Lease", 60_000)
+			m.AddUint64("rdv", "Epoch", 1)
+		})
 	}
 	feed := func(in *handFed, frame []byte) {
 		buf := make([]byte, chunk)
@@ -115,4 +121,75 @@ func TestLeasesDoNotPinFrames(t *testing.T) {
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2<<20 {
 		t.Fatalf("heap grew by %d kB over %d leases renewed %d times: the tables keep the frames alive", grew>>10, 2*peers, rounds-1)
 	}
+}
+
+// FuzzControlFrame feeds one rendezvous op of any name, group, Seed,
+// Lease and Epoch bytes and source to an edge joined to g and to a
+// rendezvous. No frame may panic either, and a lease table may change
+// only on a well-formed op that owns it: the rendezvous' on a connect
+// whose Seed is 8 bytes or a disconnect, the edge's on a grant for g
+// whose Seed, Lease and Epoch are 8 bytes each, the Lease not zero.
+func FuzzControlFrame(f *testing.F) {
+	one := []byte{0, 0, 0, 0, 0, 0, 0, 1}
+	f.Add("connect", "g", one, []byte{}, []byte{}, uint64(7))
+	f.Add("connect", "g", []byte{}, []byte{}, []byte{}, uint64(6))
+	f.Add("lease", "g", one, []byte{0, 0, 0, 0, 0, 0, 0xea, 0x60}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint64(7))
+	f.Add("lease", "g", one[1:], []byte{0, 0, 0, 0, 0, 0, 0xea, 0x60}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint64(5))
+	f.Add("lease", "g", one, []byte{0, 0, 0, 0, 0, 0, 0xea, 0x60}, []byte{1, 2, 3, 4, 5, 6, 7}, uint64(1))
+	f.Add("lease", "x", one, []byte{0, 0, 0, 0, 0, 0, 0, 1}, []byte{0, 0, 0, 0, 0, 0, 0, 0}, uint64(9))
+	f.Add("disconnect", "g", []byte{}, []byte{}, []byte{}, uint64(7))
+	f.Add("pong", "", []byte{}, []byte{9}, []byte{}, uint64(3))
+	serve := func(role rendezvous.Role) (*rendezvous.Service, *handFed) {
+		tr := &handFed{addr: "hand://self"}
+		ep := endpoint.New(jid.FromSeed(jid.KindPeer, 1))
+		if err := ep.AddTransport(tr); err != nil {
+			f.Fatal(err)
+		}
+		svc, err := rendezvous.New(ep, rendezvous.Config{Role: role, LeaseTTL: time.Minute})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() {
+			svc.Close()
+			_ = ep.Close()
+		})
+		return svc, tr
+	}
+	rdv, rdvIn := serve(rendezvous.RoleRendezvous)
+	edge, edgeIn := serve(rendezvous.RoleEdge)
+	edge.Join("g")
+	// table lists a service's leases by kind, peer, group and address.
+	table := func(svc *rendezvous.Service) string {
+		var rows []string
+		for _, pe := range svc.PeersView() {
+			rows = append(rows, fmt.Sprintf("%s %s %q %s", pe.Kind, pe.ID, pe.Group, pe.Addr))
+		}
+		slices.Sort(rows)
+		return strings.Join(rows, "\n")
+	}
+	f.Fuzz(func(t *testing.T, op, group string, seed, lease, epoch []byte, src uint64) {
+		seed, lease, epoch = seed[:min(len(seed), 9)], lease[:min(len(lease), 9)], epoch[:min(len(epoch), 9)]
+		frame := opFrame(t, jid.FromSeed(jid.KindPeer, src), endpoint.Address(fmt.Sprintf("hand://peer-%d", src%4)), group, op,
+			func(m *message.Message) {
+				if len(seed) > 0 {
+					m.AddBytes("rdv", "Seed", seed)
+				}
+				if len(lease) > 0 {
+					m.AddBytes("rdv", "Lease", lease)
+				}
+				if len(epoch) > 0 {
+					m.AddBytes("rdv", "Epoch", epoch)
+				}
+			})
+		rdvBefore, edgeBefore := table(rdv), table(edge)
+		rdvIn.recv(append([]byte(nil), frame...))
+		edgeIn.recv(append([]byte(nil), frame...))
+		if !(op == "connect" && len(seed) == 8) && op != "disconnect" && table(rdv) != rdvBefore {
+			t.Fatalf("a %q op, Seed %x, changed the rendezvous' leases", op, seed)
+		}
+		grant := op == "lease" && group == "g" && len(seed) == 8 && len(lease) == 8 && len(epoch) == 8 && binary.BigEndian.Uint64(lease) != 0
+		if !grant && table(edge) != edgeBefore {
+			t.Fatalf("a %q op for %q, Seed %x, Lease %x and Epoch %x, changed the edge's leases", op, group, seed, lease, epoch)
+		}
+	})
 }

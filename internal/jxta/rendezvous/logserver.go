@@ -157,7 +157,7 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 	// which a paced replay would hold for its whole length, and every
 	// frame behind it with it: live events, renewals, pongs.
 	s.mu.Lock()
-	if s.closed {
+	if s.c.closed {
 		s.mu.Unlock()
 		return
 	}

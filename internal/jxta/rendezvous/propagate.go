@@ -7,7 +7,6 @@ package rendezvous
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
@@ -90,72 +89,25 @@ func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
 // netGroup is the net group's endpoint parameter.
 var netGroup = jid.NetGroup.String()
 
-// target is one peer a frame is about to be sent to.
-type target struct {
-	id   jid.ID
-	addr endpoint.Address
-}
+// targetPool holds the scratch a fan-out copies its targets into, so a
+// frame pays no allocation for them.
+var targetPool = sync.Pool{New: func() any { return new([]target) }}
 
-// targetList is the scratch one fan-out selects its targets into. The
-// set of targets moves with time alone (leases lapse, breakers close),
-// so it is worked out per frame as before; pooled, a frame no longer
-// pays a slice and a map for it.
-type targetList struct {
-	targets []target
-	ids     map[jid.ID]struct{} // peers already in targets
-}
-
-var targetPool = sync.Pool{New: func() any { return &targetList{ids: make(map[jid.ID]struct{})} }}
-
-func (l *targetList) release() {
-	l.targets = l.targets[:0]
-	clear(l.ids)
-	targetPool.Put(l)
-}
-
-// targets selects who receives a frame of the given group: the peers
-// leased to us for it and, when mesh is set, the rendezvous we hold a
-// lease for it with — each peer once, skipping addresses whose eviction
-// breaker is still open. The caller releases the list when the frame is
-// sent.
-func (s *Service) targets(param string, mesh bool) *targetList {
-	l := targetPool.Get().(*targetList)
+// targets copies the targets of group the core keeps — the peers leased
+// to us for it and the rendezvous we hold a lease for it with, each once
+// — into scratch from targetPool, which the caller puts back. A target
+// is still to be checked against its expiry: the list moves with the
+// tables, not with time.
+func (s *Service) targets(group string) *[]target {
+	l := targetPool.Get().(*[]target)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	now := s.now()
-	// One peer may lease for several groups, or lease while also being a
-	// rendezvous we connect to. A client leased for group X must not
-	// receive group Y traffic.
-	add := func(k leaseKey, e *peerEntry) {
-		if !covers(k.param, param) {
-			return
-		}
-		if _, dup := l.ids[k.id]; dup || s.blockedLocked(e.addr, now) {
-			return
-		}
-		l.ids[k.id] = struct{}{}
-		l.targets = append(l.targets, target{k.id, e.addr})
+	from, named := s.c.lists[group]
+	if !named {
+		from = s.c.lists[""]
 	}
-	for k, e := range s.clients {
-		add(k, e)
-	}
-	if mesh {
-		for k, e := range s.rdvs {
-			add(k, e)
-		}
-	}
+	*l = append((*l)[:0], from...)
+	s.mu.Unlock()
 	return l
-}
-
-// blockedLocked reports whether addr is behind an open breaker, counting
-// the contact that is skipped because of it.
-func (s *Service) blockedLocked(addr endpoint.Address, now time.Time) bool {
-	if !s.det.banned(addr, now) {
-		return false
-	}
-	s.stats.breakerSkips.Add(1)
-	return true
 }
 
 // fanOut is the forwarding step Propagate and handleProp share: it logs
@@ -190,14 +142,15 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string, enve
 	}
 	s.stats.propagated.Add(1)
 
-	tl := s.targets(param, true)
-	defer tl.release()
+	tl := s.targets(param)
+	defer targetPool.Put(tl)
+	now := s.now()
 
 	// Marshal once: every target receives the identical frame, so the
 	// envelope-and-encode work must not be repeated per peer.
-	var probes []endpoint.Address
-	for _, t := range tl.targets {
-		if t.id == except || msg.Visited(t.id) {
+	var failures []endpoint.Address
+	for _, t := range *tl {
+		if now.After(t.expires) || t.id == except || msg.Visited(t.id) {
 			continue
 		}
 		if frame == nil {
@@ -212,73 +165,18 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string, enve
 			// accounting gets them suspected, probed and evicted sooner.
 			failed++
 			s.stats.sendFailures.Add(1)
-			if s.noteFailure(t.addr) {
-				probes = append(probes, t.addr)
-			}
+			failures = append(failures, t.addr)
 			continue
 		}
-		s.noteSuccess(t.addr)
+		s.apply(now, input{kind: inSent, from: t.addr})
 	}
 	if frame != nil {
 		endpoint.RecycleFrame(frame)
 	}
-	// Probe outside the send loop: a probe is itself a send and must not
-	// distort this fan-out's accounting.
-	for _, addr := range probes {
-		s.probe(addr)
+	// Account failures, and probe, outside the send loop: a probe is
+	// itself a send and must not distort this fan-out's accounting.
+	for _, addr := range failures {
+		s.apply(now, input{kind: inSent, from: addr, failed: true})
 	}
 	return attempted, failed
-}
-
-// noteFailure records a send failure against addr. It reports whether
-// the address just crossed the suspect threshold (the caller should
-// probe it). Crossing the evict threshold removes every client and
-// rendezvous entry behind the address and opens its breaker for the
-// cooldown, so dead peers are not redialed on every fan-out.
-func (s *Service) noteFailure(addr endpoint.Address) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	suspect, evict := s.det.fail(addr, s.now(), &s.cfg)
-	if suspect {
-		s.stats.suspected.Add(1)
-	}
-	if evict {
-		s.dropLeasesLocked(addr)
-		s.stats.evicted.Add(1)
-		return false
-	}
-	return suspect
-}
-
-// noteSuccess is proof of life for addr.
-func (s *Service) noteSuccess(addr endpoint.Address) {
-	s.mu.Lock()
-	s.det.ok(addr)
-	s.mu.Unlock()
-}
-
-// probe sends a lightweight ping to a suspect address. A live peer
-// answers with a pong, which clears its failure state; a dead one keeps
-// accumulating failures until eviction.
-func (s *Service) probe(addr endpoint.Address) {
-	s.stats.probes.Add(1)
-	if s.sendCounted(addr, s.newOp(opPing, 0)) != nil {
-		// noteFailure only reports a suspect transition once, so a
-		// failed probe advances toward eviction without re-probing.
-		_ = s.noteFailure(addr)
-	}
-}
-
-// probeSuspects pings every suspect address that is not behind an open
-// breaker. Called from the maintenance loop.
-func (s *Service) probeSuspects() {
-	s.mu.Lock()
-	addrs := s.det.suspects(s.now())
-	s.mu.Unlock()
-	for _, addr := range addrs {
-		s.probe(addr)
-	}
 }

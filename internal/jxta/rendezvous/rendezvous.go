@@ -6,26 +6,37 @@
 // rendezvous to their connected peers and on to neighbouring rendezvous,
 // with TTL, path stamping and a duplicate cache suppressing loops.
 //
-// The Peer Discovery Protocol and the wire (propagated pipe) service both
-// ride on Propagate.
+// The TPS engine rides on Propagate; so do the baselines' discovery and
+// wire services.
 //
 // A peer runs one Service, whatever groups it is in: its lease tables,
 // its failure detector, its duplicate cache and its maintenance loop are
 // the peer's, not a group's. A group is a lease on it, keyed by (peer,
 // group): an edge leases each group it joins (Join, Leave) with its
 // seeds, and a rendezvous leases "" with its own seeds, which carries
-// every group. The state is split into parts that exist only on the role
-// that needs them: the lease tables and the failure detector
-// (detector.go) on every peer, a seed client (seeds.go) on peers
-// configured with seeds, and a log server (logserver.go, sync.go) on
-// rendezvous peers with an event log. A nil part is the guard: an edge
-// peer never constructs the log server, so replay and sync ops addressed
-// to it are dropped at dispatch.
+// every group. Each lease a rendezvous starts is an epoch, named in
+// every grant of it, so an edge tells a new lease from a renewal however
+// many grants were lost.
+//
+// The control plane — the lease tables, seed election and the failure
+// detector — is one pure state machine, the core (core.go): step(now,
+// input) returns outputs, and the core holds no lock, reads no clock,
+// starts no goroutine and touches no endpoint. The Service is its driver
+// (lease.go): it decodes a frame or a call into an input, steps under
+// s.mu, and carries the outputs out after letting go — control frames,
+// lease listeners, wake-ups — feeding back the result of each connect
+// round and of each probe, fan-out and digest send. The core keeps the
+// fan-out's per-group target list up to date, so the per-message path
+// (propagate.go) reads it without scanning the tables. A log server
+// (logserver.go, sync.go) exists on rendezvous peers with an event log
+// alone: an edge peer never constructs one, so replay and sync ops
+// addressed to it are dropped at dispatch.
 package rendezvous
 
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -39,10 +50,10 @@ import (
 // ServiceName is the endpoint service name of the rendezvous protocol.
 const ServiceName = "jxta.rdv"
 
-// Message element names, namespace "rdv". Numeric elements (Lease and
-// the replay/sync fields in replay.go and sync.go) are 8-byte big-endian
-// (message.AddUint64); an op whose numeric element is absent or of any
-// other length is dropped.
+// Message element names, namespace "rdv". Numeric elements (Seed, Lease,
+// Epoch and the replay/sync fields in replay.go and sync.go) are 8-byte
+// big-endian (message.AddUint64); an op whose numeric element is absent
+// or of any other length is dropped.
 const (
 	elemNS     = "rdv"
 	elemOp     = "Op"
@@ -50,9 +61,15 @@ const (
 	elemDParam = "DParam"
 	// elemLease carries the granted lease duration in milliseconds.
 	elemLease = "Lease"
-	// elemNewLease marks a grant for which the granting side held no
-	// live lease of the client's.
-	elemNewLease = "New"
+	// elemEpoch carries the lease epoch a grant belongs to: drawn by the
+	// granting side for each lease it starts, different across its
+	// restarts, the same on every renewal.
+	elemEpoch = "Epoch"
+	// elemSeed names the seed a connect was sent to, by its place in
+	// the connecting peer's Seeds counted from 1; the grant that answers
+	// the connect echoes it. It is how a peer tells which of its seeds a
+	// grant comes from, whatever address the rendezvous reports.
+	elemSeed = "Seed"
 )
 
 // Operations.
@@ -206,24 +223,17 @@ type Service struct {
 	seen  *seen.Cache
 	stats rdvCounters
 
-	// Role-scoped parts, fixed at construction: nil on a peer whose
-	// configuration has no use for them.
-	seeds *seedClient // len(cfg.Seeds) > 0
-	logs  *logServer  // rendezvous role with cfg.Log
+	// logs is the log server: nil unless the peer is a rendezvous with
+	// an event log.
+	logs *logServer
 
-	// mu guards the lease tables together with the detector and the
-	// seed client's state: eviction must drop an address's leases and
-	// open its breaker atomically. A renewal writes a table's entry, not
-	// its key.
-	mu      sync.Mutex
-	groups  map[string]struct{}     // what we lease: an edge's joined groups, or "" alone on a rendezvous
-	clients map[leaseKey]*peerEntry // connected to us (rendezvous role)
-	rdvs    map[leaseKey]*peerEntry // we are connected to them (granted leases)
-	det     detector
-	conn    *sync.Cond // signals rdvs-set and seed-failure changes
-	closed  bool
+	// mu guards the control core — the lease tables, the seed client's
+	// state and the failure detector — and the listener maps.
+	mu   sync.Mutex
+	c    *core
+	conn *sync.Cond // signals lease and seed-failure changes
 
-	// leaseFns hear of every new entry into rdvs, gapFns of every gap
+	// leaseFns hear of every new lease epoch, gapFns of every gap
 	// signal; both lazily allocated, under mu, keyed by the token their
 	// Add method returned.
 	leaseFns  map[int]LeaseListener
@@ -245,22 +255,13 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 	}
 	cfg.normalise()
 	s := &Service{
-		ep:      ep,
-		cfg:     cfg,
-		seen:    seen.New(),
-		groups:  make(map[string]struct{}),
-		clients: make(map[leaseKey]*peerEntry),
-		rdvs:    make(map[leaseKey]*peerEntry),
-		det:     make(detector),
-		stop:    make(chan struct{}),
+		ep:   ep,
+		cfg:  cfg,
+		seen: seen.New(),
+		stop: make(chan struct{}),
 	}
+	s.c = newCore(&s.cfg, rand.Uint64())
 	s.conn = sync.NewCond(&s.mu)
-	if cfg.Role == RoleRendezvous {
-		s.groups[""] = struct{}{}
-	}
-	if len(cfg.Seeds) > 0 {
-		s.seeds = &seedClient{s: s, state: make([]seedState, len(cfg.Seeds))}
-	}
 	if cfg.Role == RoleRendezvous && cfg.Log != nil {
 		s.logs = newLogServer(s)
 	}
@@ -269,7 +270,7 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 	}
 	// Seeded peers maintain leases; rendezvous additionally probe their
 	// suspects even when they have no seeds of their own.
-	if s.seeds != nil || cfg.Role == RoleRendezvous {
+	if len(cfg.Seeds) > 0 || cfg.Role == RoleRendezvous {
 		s.wg.Add(1)
 		go s.maintainLoop()
 	}
@@ -294,21 +295,15 @@ func (s *Service) now() time.Time { return s.cfg.Clock() }
 // one lease at a time, and unregisters the handler.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.c.closed {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
-	leaving := make(map[leaseKey]endpoint.Address, len(s.rdvs))
-	for k, e := range s.rdvs {
-		leaving[k] = e.addr
-	}
+	outs := s.c.step(s.now(), input{kind: inClose}, nil)
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
-	for k, addr := range leaving {
-		_ = s.ep.Send(addr, ServiceName, k.param, s.newOp(opDisconnect, 0))
-	}
+	perform(outs, s.send, nil, nil)
 	s.ep.UnregisterHandler(ServiceName, "")
 }
 
@@ -334,22 +329,32 @@ func (s *Service) sendCounted(to endpoint.Address, m *message.Message) error {
 // handle processes rendezvous protocol messages. Replay and sync ops
 // are served by the log server; a peer without one drops them.
 func (s *Service) handle(msg *message.Message, from endpoint.Address) {
+	var in input
+	var ok bool
 	switch msg.Text(elemNS, elemOp) {
 	case opConnect:
-		s.handleConnect(msg, from)
+		if in.seed, ok = msg.Uint64(elemNS, elemSeed); ok {
+			in.kind = inConnect
+		}
 	case opLease:
-		s.handleLease(msg, from)
+		var okLease, okEpoch bool
+		in.seed, ok = msg.Uint64(elemNS, elemSeed)
+		in.lease, okLease = msg.Uint64(elemNS, elemLease)
+		in.epoch, okEpoch = msg.Uint64(elemNS, elemEpoch)
+		if ok && okLease && okEpoch && in.lease > 0 {
+			in.kind = inGrant
+		}
 	case opDisconnect:
-		s.handleDisconnect(msg)
+		in.kind = inDisconnect
+	case opPong:
+		// The suspect is alive.
+		in.kind = inPong
 	case opProp:
 		s.handleProp(msg, from)
 	case opPing:
 		// Any role answers: probing works edge→rendezvous and
 		// rendezvous→client alike.
 		_ = s.ep.Send(from, ServiceName, groupOf(msg), s.newOp(opPong, 0))
-	case opPong:
-		// The suspect is alive.
-		s.noteSuccess(from)
 	case opGap:
 		s.handleGap(msg)
 	case opReplay:
@@ -369,6 +374,10 @@ func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 			s.logs.handleSyncRec(msg, from)
 		}
 	}
+	if in.kind != 0 {
+		in.from, in.src, in.group = from, msg.Src, groupOf(msg)
+		s.apply(s.now(), in)
+	}
 }
 
 // groupOf recovers the group a message was addressed to on this hop: the
@@ -378,9 +387,9 @@ func groupOf(msg *message.Message) string {
 	return param
 }
 
-// maintainLoop keeps leases with seed rendezvous alive (renewing at a
-// third of the TTL, backing off per unreachable seed) and probes
-// suspect peers.
+// maintainLoop ticks the core at a third of the TTL: it renews leases
+// with the seed rendezvous (backing off per unreachable seed), probes
+// suspect peers and expires lapsed leases.
 func (s *Service) maintainLoop() {
 	defer s.wg.Done()
 	interval := s.cfg.LeaseTTL / 3
@@ -390,10 +399,7 @@ func (s *Service) maintainLoop() {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		if s.seeds != nil {
-			s.seeds.connect(s.leasedGroups())
-		}
-		s.probeSuspects()
+		s.apply(s.now(), input{kind: inTick})
 		select {
 		case <-ticker.C:
 		case <-s.stop:

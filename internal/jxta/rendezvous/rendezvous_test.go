@@ -3,6 +3,7 @@ package rendezvous_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -375,8 +376,9 @@ func TestLeaveEndsTheGroupsLeaseAtOnce(t *testing.T) {
 	grant := func(group string) {
 		m := message.New(r.ep.PeerID())
 		m.AddString("rdv", "Op", "lease")
+		m.AddUint64("rdv", "Seed", 1)
 		m.AddUint64("rdv", "Lease", uint64(time.Minute/time.Millisecond))
-		m.AddString("rdv", "New", "true")
+		m.AddUint64("rdv", "Epoch", 1)
 		if err := r.ep.Send("mem://edge", rendezvous.ServiceName, group, m); err != nil {
 			t.Fatal(err)
 		}
@@ -665,5 +667,95 @@ func TestLeaseListenerHearsGrantsNotRenewals(t *testing.T) {
 	waitFor(t, func() bool { return grants() >= base+2 })
 	if n := heard.Load(); n != 1 {
 		t.Fatalf("removed listener still heard a grant (%d)", n)
+	}
+}
+
+// dropFirst loses the first frame its transport is asked to send.
+type dropFirst struct {
+	endpoint.Transport
+	sent atomic.Bool
+}
+
+func (d *dropFirst) Send(to endpoint.Address, frame []byte) error {
+	if !d.sent.Swap(true) {
+		return nil
+	}
+	return d.Transport.Send(to, frame)
+}
+
+// TestLostNewGrantStillStartsAnEpoch: a rendezvous comes back under its
+// ID and the first frame it sends — the grant that starts its lease
+// with the edge — is lost. The edge still holds its side of the old
+// lease, so the next grant renews it on both sides; it names the new
+// epoch, and the edge's listeners hear that epoch once.
+func TestLostNewGrantStillStartsAnEpoch(t *testing.T) {
+	c := newCluster(t)
+	// 10 s grants, renewed every 100 ms: the edge's side of the old lease
+	// outlives the test.
+	r := c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 10 * time.Second})
+	e := c.addService("edge", 2, rendezvous.Config{Role: rendezvous.RoleEdge, Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 300 * time.Millisecond})
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
+		t.Fatal("edge never connected")
+	}
+	var heard atomic.Int64
+	e.rdv.AddLeaseListener(func(jid.ID, string) { heard.Add(1) })
+	r.rdv.Close()
+	_ = r.ep.Close()
+	var lossy *dropFirst
+	c.wrap = func(tr endpoint.Transport) endpoint.Transport {
+		lossy = &dropFirst{Transport: tr}
+		return lossy
+	}
+	restarted := c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 10 * time.Second})
+	grants := func() int64 { return restarted.ep.Snapshot().Counters["msgs_out"] }
+	waitFor(t, func() bool { return grants() >= 4 })
+	if !lossy.sent.Load() {
+		t.Fatal("the restarted rendezvous sent nothing")
+	}
+	if n := heard.Load(); n != 1 {
+		t.Fatalf("the edge's listeners heard %d lease epochs after the restart, want 1", n)
+	}
+}
+
+// aliased sends what is addressed to one of names to the address it
+// stands for, as a resolver does for a host name.
+type aliased struct {
+	endpoint.Transport
+	names map[endpoint.Address]endpoint.Address
+}
+
+func (a *aliased) Send(to endpoint.Address, frame []byte) error {
+	if addr, ok := a.names[to]; ok {
+		to = addr
+	}
+	return a.Transport.Send(to, frame)
+}
+
+// TestFailoverWithSeedsUnderOtherNames: an ActiveStandby edge knows its
+// seeds by names other than the addresses the rendezvous report. It
+// leases with the elected seed all the same, and when that one dies it
+// fails over to the next and drops the dead one's leases at once.
+func TestFailoverWithSeedsUnderOtherNames(t *testing.T) {
+	c := newCluster(t)
+	// 10 s grants: the lease with the dead seed outlives the failover
+	// unless the election drops it.
+	r0 := c.addService("r0", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 10 * time.Second})
+	r1 := c.addService("r1", 2, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 10 * time.Second})
+	c.wrap = func(tr endpoint.Transport) endpoint.Transport {
+		return &aliased{Transport: tr, names: map[endpoint.Address]endpoint.Address{"mem://first": "mem://r0", "mem://second": "mem://r1"}}
+	}
+	e := c.addService("edge", 3, rendezvous.Config{Role: rendezvous.RoleEdge, Seeds: []endpoint.Address{"mem://first", "mem://second"},
+		ActiveStandby: true, LeaseTTL: 300 * time.Millisecond})
+	if !e.rdv.AwaitConnected("net", 5*time.Second) {
+		t.Fatal("the edge never leased with its first seed")
+	}
+	if got := e.rdv.ConnectedRendezvous("net"); !reflect.DeepEqual(got, []jid.ID{r0.ep.PeerID()}) {
+		t.Fatalf("the edge leases with %v, want r0 alone", got)
+	}
+	r0.rdv.Close()
+	_ = r0.ep.Close()
+	waitFor(t, func() bool { return slices.Contains(e.rdv.ConnectedRendezvous("net"), r1.ep.PeerID()) })
+	if got := e.rdv.ConnectedRendezvous("net"); !reflect.DeepEqual(got, []jid.ID{r1.ep.PeerID()}) {
+		t.Fatalf("after the failover the edge leases with %v, want r1 alone", got)
 	}
 }

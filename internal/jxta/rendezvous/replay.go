@@ -122,9 +122,9 @@ var ErrNoLease = errors.New("rendezvous: no lease")
 // the target that carries it.
 func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
 	s.mu.Lock()
-	e := s.rdvs[leaseKey{target, topic}]
+	e := s.c.rdvs[leaseKey{target, topic}]
 	if e == nil {
-		e = s.rdvs[leaseKey{target, ""}]
+		e = s.c.rdvs[leaseKey{target, ""}]
 	}
 	var addr endpoint.Address
 	if e != nil {

@@ -131,7 +131,7 @@ func (l *logServer) sendDigests() {
 	now := s.now()
 	for _, addr := range s.cfg.ReplicaSeeds {
 		s.mu.Lock()
-		skip := s.closed || s.blockedLocked(addr, now)
+		skip := s.c.closed || s.c.blocked(addr, now)
 		s.mu.Unlock()
 		if !skip {
 			l.sendDigestTo(addr, enc)
@@ -144,13 +144,7 @@ func (l *logServer) sendDigestTo(addr endpoint.Address, enc []byte) {
 	s := l.s
 	m := s.newOp(opSyncDigest, 1)
 	m.AddBytes(elemNS, elemDigest, enc)
-	if s.sendCounted(addr, m) != nil {
-		if s.noteFailure(addr) {
-			s.probe(addr)
-		}
-		return
-	}
-	s.noteSuccess(addr)
+	s.apply(s.now(), input{kind: inSent, from: addr, failed: s.sendCounted(addr, m) != nil})
 }
 
 // handleSyncDigest compares a replica's advertised tails with our own
@@ -314,12 +308,16 @@ func (l *logServer) handleSyncRec(msg *message.Message, from endpoint.Address) {
 	// group; receive-side dedupe absorbs anything a client already saw
 	// live. This is what keeps a standby's clients current while the
 	// primary is unreachable from them but not from the replica set.
-	tl := s.targets(topic, false)
-	defer tl.release()
-	for _, t := range tl.targets {
+	tl := s.targets(topic)
+	defer targetPool.Put(tl)
+	now := s.now()
+	for _, t := range *tl {
+		if now.After(t.clientExpires) {
+			continue
+		}
 		if err := s.ep.SendFrame(t.addr, frame); err != nil {
 			s.stats.sendFailures.Add(1)
-			_ = s.noteFailure(t.addr)
+			s.apply(now, input{kind: inSent, from: t.addr, failed: true})
 		}
 	}
 }

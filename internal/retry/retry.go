@@ -71,6 +71,12 @@ func (p Policy) norm() Policy {
 // result is in ((1-Jitter)·d, d] where d grows exponentially from
 // Initial and is capped at Max.
 func (p Policy) Backoff(failures int) time.Duration {
+	return p.BackoffAt(failures, rand.Float64())
+}
+
+// BackoffAt is Backoff with the jitter drawn by the caller: u, in
+// [0, 1), takes u·Jitter of the delay off.
+func (p Policy) BackoffAt(failures int, u float64) time.Duration {
 	if failures <= 0 {
 		return 0
 	}
@@ -86,7 +92,7 @@ func (p Policy) Backoff(failures int) time.Duration {
 		d = float64(p.Max)
 	}
 	if p.Jitter > 0 {
-		d -= d * p.Jitter * rand.Float64()
+		d -= d * p.Jitter * u
 	}
 	if d < 1 {
 		d = 1
