@@ -146,11 +146,10 @@ type subEntry[T any] struct {
 //
 // Events are immutable once published (§4.2): the publisher must not
 // mutate memory reachable through the event (slices, maps, pointers)
-// after Publish returns. Local subscribers on the same peer may be
-// handed the publisher's value itself rather than a serialisation
-// round-trip copy — the decode-once delivery path — so post-publish
-// mutation is observable (or racy) there, while remote subscribers
-// always decode their own copy.
+// after Publish returns. Local subscribers on the same peer are handed
+// the publisher's value itself rather than a serialisation round-trip
+// copy, so post-publish mutation is observable (or racy) there, while
+// remote subscribers always decode their own copy.
 func (i *Interface[T]) Publish(event T) error {
 	if err := i.eng.core.Publish(event); err != nil {
 		return psErr("publish", err)

@@ -127,6 +127,38 @@ func TestRendezvousRestartRecoversLog(t *testing.T) {
 	})
 }
 
+// TestOwnEventsReplayedAreDeduped: a publisher that subscribes to its
+// own type gets its events by value, as it publishes them, and never
+// decodes them: but a rendezvous that logged them serves them back to
+// it when it asks for a replay — here after the rendezvous restarts and
+// grants it a new lease. Each replayed event is one the peer has seen,
+// dropped as a duplicate — by its rendezvous service, which remembers
+// the message IDs it injected, or behind it by the engine, which
+// remembers the event IDs it delivered — and never delivered twice.
+func TestOwnEventsReplayedAreDeduped(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		probe := pub.subscribe(t)
+		const n = 10
+		pub.publish(t, "own", 0, n)
+		probe.Await(t, n)
+		awaitTail(t, rdv, rdv, n)
+
+		rdv = c.Restart(rdv)
+		rig.Wait(t, "the own events to be replayed", func() bool {
+			return counter(rdv, "rendezvous", "replay_served") >= n
+		})
+		rig.Wait(t, "the replayed events to be dropped", func() bool {
+			return counter(pub.Node, "rendezvous", "duplicates")+counter(pub.Node, "engine", "duplicates") >= n
+		})
+		c.Settle()
+		probe.ExactlyOnce(t, n)
+		if delivered := counter(pub.Node, "engine", "delivered"); delivered != n {
+			t.Fatalf("the publisher delivered %d events, want its %d once each", delivered, n)
+		}
+	})
+}
+
 // TestRetainedLogOutlivesEveryPublisher: a durable rendezvous logs n
 // events, the only publisher closes, and the rendezvous restarts on its
 // log directory. A subscriber that arrives after all that knows the

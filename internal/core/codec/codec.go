@@ -12,15 +12,17 @@
 // standalone with the standard library on any peer; gob.go describes how
 // Gob avoids paying for those descriptors on every event.
 //
-// Gob.Decode decodes a flat event type — a struct of bools, integers,
-// floats, strings and byte slices — with a plan compiled from the
-// sender's type descriptor (plan.go), which reads the value message
-// straight from the blob and copies out what it keeps. The plan
-// declines any value message it does not reproduce exactly (another
-// type id, a field past the last, a length past the message, a value a
-// narrower field overflows, bytes after the end), and encoding/gob
-// decodes that one: gob stays the reference, and the wire does not
-// change.
+// Gob encodes and decodes a flat event type — a struct of bools,
+// integers, floats, strings and byte slices — with a plan compiled from
+// a type descriptor (plan.go). Encoding, the plan writes the value
+// message gob's encoder would write, into the caller's buffer
+// (Gob.AppendEncode). Decoding, a plan compiled from the sender's
+// descriptor reads the value message straight from the blob and copies
+// out what it keeps; it declines any value message it does not
+// reproduce exactly (another type id, a field past the last, a length
+// past the message, a value a narrower field overflows, bytes after the
+// end), and encoding/gob decodes that one. gob stays the reference, and
+// the wire does not change.
 package codec
 
 import "errors"

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -33,6 +34,12 @@ import (
 //     two senders may describe one type under different ids, and a
 //     decoder knows a type only under the ids it was told.
 //
+// Both halves skip gob's reflection engines for a flat event type — a
+// struct of gob's builtin bools, integers, floats, strings and byte
+// slices — with a flatPlan compiled from the type's descriptor
+// (plan.go): Encode writes the value message itself, Decode reads it
+// straight from the blob.
+//
 // A decoder or encoder earns its place by first doing the whole job:
 // the first blob of a descriptor prefix is decoded whole by a fresh
 // decoder, which is then kept; the first event of a type is encoded by
@@ -45,13 +52,18 @@ import (
 // descriptor prefixes remembered is capped by maxDecPrefixes; blobs
 // with further prefixes decode fresh.
 //
-// # Decode plans
+// # Plans
 //
-// A kept decoder still copies the value message out of the blob and
-// builds reflect headers field by field. When a remembered prefix
-// describes one flat struct, Decode compiles a flatPlan for it
-// (plan.go), which reads the value message straight from the blob; a
-// blob the plan declines takes the kept decoder, whose verdict is gob's.
+// A kept encoder still walks the value through gob's reflection engine
+// and writes into its own buffer, which Encode then copies; a kept
+// decoder copies the value message out of the blob and builds reflect
+// headers field by field. When the type's descriptors are one flat
+// struct, Encode compiles a flatPlan from them when it keeps the type,
+// and writes every later value message with it, straight into the
+// caller's buffer, byte for byte what gob writes. When a remembered
+// prefix describes one flat struct, Decode compiles one for it, which
+// reads the value message straight from the blob; a blob the plan
+// declines takes the kept decoder, whose verdict is gob's.
 type Gob struct{}
 
 // Name is the codec's name, "gob".
@@ -80,6 +92,9 @@ type encType struct {
 	// prefix is the descriptor messages every blob of the type starts
 	// with.
 	prefix []byte
+	// plan, if not nil, writes the type's value messages without an
+	// encoder.
+	plan *flatPlan
 	// primed holds encStreams that have emitted prefix.
 	primed sync.Pool
 }
@@ -88,7 +103,14 @@ var encTypes sync.Map // reflect.Type → *encType
 
 // Encode serialises an event value. Pointers are followed: the blob of
 // *T is the blob of T.
-func (Gob) Encode(event any) ([]byte, error) {
+func (g Gob) Encode(event any) ([]byte, error) { return g.AppendEncode(nil, event) }
+
+// AppendEncode appends the blob of event to dst, as Encode would return
+// it, and returns the extended slice: a blob written into room the
+// caller has — an event message's payload room — costs no allocation,
+// and Encode's, appended to nil, exactly one. On an error it returns
+// nil.
+func (Gob) AppendEncode(dst []byte, event any) ([]byte, error) {
 	v := reflect.ValueOf(event)
 	for v.Kind() == reflect.Pointer && !v.IsNil() {
 		v = v.Elem()
@@ -98,14 +120,17 @@ func (Gob) Encode(event any) ([]byte, error) {
 	}
 	e, _ := encTypes.Load(v.Type())
 	et, _ := e.(*encType)
+	if et != nil && et.plan != nil {
+		return et.plan.encode(dst, et.prefix, v), nil
+	}
 	if et != nil && et.reuse {
 		if s, _ := et.primed.Get().(*encStream); s != nil {
 			s.buf.Reset()
 			if err := s.enc.EncodeValue(v); err == nil {
-				out := make([]byte, len(et.prefix)+s.buf.Len())
-				copy(out[copy(out, et.prefix):], s.buf.Bytes())
+				dst = append(slices.Grow(dst, len(et.prefix)+s.buf.Len()), et.prefix...)
+				dst = append(dst, s.buf.Bytes()...)
 				et.primed.Put(s)
-				return out, nil
+				return dst, nil
 			}
 			// The fresh encoder below reports the error, if it is one.
 		}
@@ -119,18 +144,26 @@ func (Gob) Encode(event any) ([]byte, error) {
 	if et == nil {
 		et = new(encType)
 		if n, ok := splitBlob(out); ok {
-			if _, reuse := poolable(out[:n]); reuse {
+			if descs, reuse := poolable(out[:n]); reuse {
+				// The descriptors are the type's own, so every wire
+				// field is a field of it; one that encodes itself is
+				// described as a type of its own, not a builtin, and
+				// compilePlan declines it.
 				et.reuse, et.prefix = true, bytes.Clone(out[:n])
+				et.plan = compilePlan(v.Type(), descs)
 			}
 		}
 		e, _ = encTypes.LoadOrStore(v.Type(), et)
 		et = e.(*encType)
 	}
+	if dst == nil && !et.reuse {
+		return out, nil // s.buf is not reused
+	}
+	dst = append(dst, out...)
 	if et.reuse {
-		out = bytes.Clone(out) // s.buf is about to be reused
 		et.primed.Put(s)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // decStream is a decoder and the reader it reads from.

@@ -431,6 +431,13 @@ func TestGobFraming(t *testing.T) {
 // every type, so each seed is also a blob of one type decoded as
 // another: the flat types take a decode plan, or show why they do not
 // (plan_test.go).
+//
+// The seeds are built when the target starts, after the package's tests
+// have run, and gob numbers types per process in the order they are
+// first encoded: a type first encoded earlier may get a one-byte id
+// where it would otherwise get a two-byte one, so which tests run first
+// (files in name order) sets the seed blobs' lengths and the number of
+// seeds.
 func FuzzGobDecodeMatchesFresh(f *testing.F) {
 	at := time.Date(2002, 7, 2, 9, 30, 0, 0, time.FixedZone("CEST", 7200))
 	seeds := [][]byte{

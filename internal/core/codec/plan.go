@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -21,14 +22,18 @@ const (
 	gobStringID = 6
 )
 
-// flatPlan decodes the value messages of one flat struct type, behind
-// one descriptor prefix, straight from the blob. It allocates the
-// interface copy of the value and one block that every non-empty string
-// and []byte field is a piece of; it sets the fields in a scratch value
-// of its own, which it zeroes and keeps for the next message. A kept
-// decoder also copies the whole value message and allocates per field.
-// It is compiled from the prefix's one StructT descriptor once a fresh
-// decoder has accepted a blob of it. That blob's value need not have
+// flatPlan encodes and decodes the value messages of one flat struct
+// type, behind one descriptor prefix, without a gob engine. Encoding
+// (encode), it writes what gob's encoder writes for a value of the type
+// into the caller's buffer; Encode compiles it from the type's own
+// descriptors. Decoding, it reads a value message straight from the
+// blob and allocates the interface copy of the value and one block that
+// every non-empty string and []byte field is a piece of; it sets the
+// fields in a scratch value of its own, which it zeroes and keeps for
+// the next message. A kept decoder also copies the whole value message
+// and allocates per field. Decode compiles a plan from the prefix's one
+// StructT descriptor once a fresh decoder has accepted a blob of it.
+// That blob's value need not have
 // been of the descriptor's type — gob also decodes a struct from the
 // ids of its own builtin struct types — so compilePlan makes the checks
 // gob makes when it pairs a wire struct with a local one, and the plan
@@ -254,6 +259,74 @@ func (p *flatPlan) walk(body []byte, out reflect.Value, block []byte) (size int,
 			dst.SetString(unsafe.String(unsafe.SliceData(piece), len(piece)))
 		}
 	}
+}
+
+// encode appends the blob of v, a value of the plan's type, to dst:
+// prefix, the type's descriptors, then the value message as gob's
+// encoder writes it — its length, the type id, each field gob sends as
+// its delta from the field sent before it and its value, and the zero
+// delta that ends the struct. gob sends no zero field: not false, 0,
+// -0.0, "", nor an empty or nil []byte. encode reads the fields twice,
+// once to size the message and its length, which precedes it, and once
+// to write it, so dst grows once. A published event is not written
+// while it is encoded, so the two reads agree.
+func (p *flatPlan) encode(dst, prefix []byte, v reflect.Value) []byte {
+	size, last := gobUintLen(p.id)+1, -1 // the type id and the end
+	for i := range p.fields {
+		if x, b, ok := p.fields[i].value(v); ok {
+			size += gobUintLen(uint64(i-last)) + gobUintLen(x) + len(b)
+			last = i
+		}
+	}
+	dst = slices.Grow(dst, len(prefix)+gobUintLen(uint64(size))+size)
+	dst = appendGobUint(append(dst, prefix...), uint64(size))
+	dst = appendGobUint(dst, p.id)
+	last = -1
+	for i := range p.fields {
+		if x, b, ok := p.fields[i].value(v); ok {
+			dst = appendGobUint(appendGobUint(dst, uint64(i-last)), x)
+			dst = append(dst, b...)
+			last = i
+		}
+	}
+	return append(dst, 0)
+}
+
+// value returns what gob writes for the field of v: the field's value
+// in gob's unsigned form, or the length of a string or []byte and its
+// bytes. ok is false for a zero, which gob does not send.
+func (f *flatField) value(v reflect.Value) (x uint64, b []byte, ok bool) {
+	fv := v.Field(f.index)
+	switch f.wire {
+	case gobBoolID:
+		return 1, nil, fv.Bool()
+	case gobIntID:
+		i := fv.Int()
+		if i < 0 {
+			return uint64(^i)<<1 | 1, nil, true
+		}
+		return uint64(i) << 1, nil, i != 0
+	case gobUintID:
+		x = fv.Uint()
+		return x, nil, x != 0
+	case gobFloatID:
+		fl := fv.Float()
+		return bits.ReverseBytes64(math.Float64bits(fl)), nil, fl != 0
+	case gobBytesID:
+		b = fv.Bytes()
+	case gobStringID:
+		str := fv.String()
+		b = unsafe.Slice(unsafe.StringData(str), len(str))
+	}
+	return uint64(len(b)), b, len(b) > 0
+}
+
+// gobUintLen is the length of appendGobUint's encoding of x.
+func gobUintLen(x uint64) int {
+	if x <= 0x7f {
+		return 1
+	}
+	return 1 + (bits.Len64(x)+7)/8
 }
 
 // gobInt decodes gob's signed integer encoding: the sign in the low bit,

@@ -110,21 +110,40 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 }
 
 // newEventMessage assembles the two-element TPS event, which fits the
-// room a new message comes with. The event ID crosses the wire in binary
-// form (message.AddID), not as a parsed-back URN string.
-func newEventMessage(e *Engine, eventID jid.ID, payload []byte) *message.Message {
-	msg := message.New(e.peer.ID())
+// room a new message comes with: the event ID crosses the wire in
+// binary form (message.AddID), not as a parsed-back URN string, and the
+// event's gob blob is written into the message's payload room — a blob
+// too large for it moves into one of its own.
+func newEventMessage(src, eventID jid.ID, event any) (*message.Message, error) {
+	msg := message.New(src)
 	msg.AddID(elemNS, elemEventID, eventID)
-	msg.AddBytes(elemNS, elemData, payload)
-	return msg
+	blob, err := codec.Gob{}.AppendEncode(msg.PayloadRoom(), event)
+	if err != nil {
+		return nil, err
+	}
+	msg.AddBytes(elemNS, elemData, blob)
+	return msg, nil
 }
 
-// publish hands one pre-built event message to the local subscribers,
-// then propagates it into the group. Its elements are shared with the
-// local subscribers; Propagate only reads it. A peer nobody can be
-// reached from has still delivered locally: that is not an error.
-func (e *Engine) publish(a *attachment, msg *message.Message) error {
-	e.onWireMessage(a, msg)
+// publish delivers a published event to the local subscribers, then
+// gives its message to the rendezvous to propagate into the group.
+//
+// The local subscribers get the value that was published, not a decode
+// of the blob: TPS events are immutable by contract once published
+// (callbacks filter and read them, §4.2), so sharing the value is
+// observationally the same for a conforming application, and a publish
+// decodes nothing. Otherwise the delivery is a received event's: the
+// event ID is observed in the dedupe cache — a replay of this peer's own
+// events from a rendezvous' log is dropped as a duplicate, and the mesh
+// never sends a publisher its own event, which is on the frame's path —
+// the delivery is counted, and a traced event's deliver hop and transit
+// are recorded. Propagate takes msg and stamps it, so msg is read here
+// first. A peer nobody can be reached from has still delivered locally:
+// that is not an error.
+func (e *Engine) publish(a *attachment, eventID jid.ID, event any, msg *message.Message) error {
+	e.dedupe.Observe(eventID)
+	e.traceDeliver(msg)
+	e.deliver(a, event, msg.Src)
 	if err := e.rdv.Propagate(msg, EventService, a.param); err != nil && !errors.Is(err, rendezvous.ErrNoPeers) {
 		return fmt.Errorf("propagate: %w", err)
 	}
@@ -147,17 +166,15 @@ func (e *Engine) detach(a *attachment) {
 }
 
 // onWireMessage is the group's reader: it deduplicates, decodes and
-// dispatches one incoming event, off the network or looped back by
-// publish.
+// dispatches one event off the network. Events this peer publishes never
+// come through here: publish delivers them locally by value.
 //
 // Decode-once: the payload of any given event is gob-decoded at most
 // once on this peer. Deduplication runs before the decode, so an event
 // echoed through several mesh paths or replayed decodes on first
 // arrival only; the decoded value is then shared across every matching
 // subscription and interface callback (dispatch fans the same value
-// out). Events this peer itself published skip the decode entirely —
-// the publisher still holds the original value (publishedEvents) and
-// loopback dispatches it as-is.
+// out).
 func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
 	eventID, err := msg.GetID(elemNS, elemEventID)
 	if err != nil {
@@ -177,25 +194,33 @@ func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
 		e.stats.duplicateEvents.Add(1)
 		return
 	}
-	// Traced events carry the publisher's clock: measure network
-	// transit and archive the deliver hop. The probe is an alloc-free
-	// element scan, so untraced messages pay only that.
+	e.traceDeliver(msg)
+	value, err := (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type())
+	if err != nil {
+		e.stats.decodeErrors.Add(1)
+		e.subs.dispatchError(fmt.Errorf("tps: decode %s: %w", a.path, err))
+		return
+	}
+	e.deliver(a, value, msg.Src)
+}
+
+// traceDeliver measures the transit of a traced event, which carries its
+// publisher's clock, and archives its deliver hop. The probe is an
+// alloc-free element scan, so an untraced message pays only that.
+func (e *Engine) traceDeliver(msg *message.Message) {
 	if ev, sentUS, ok := trace.Info(msg); ok {
 		e.histTransit.Observe(time.Duration(time.Now().UnixMicro()-sentUS) * time.Microsecond)
 		if e.tracer != nil {
 			e.tracer.Record(ev, trace.StageDeliver, e.peer.ID(), sentUS, msg.Path)
 		}
 	}
-	value, ok := e.self.get(eventID)
-	if !ok {
-		if value, err = (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type()); err != nil {
-			e.stats.decodeErrors.Add(1)
-			e.subs.dispatchError(fmt.Errorf("tps: decode %s: %w", a.path, err))
-			return
-		}
-	}
+}
+
+// deliver counts the delivery of an event's value and dispatches it to
+// the subscriptions.
+func (e *Engine) deliver(a *attachment, value any, src jid.ID) {
 	e.stats.delivered.Add(1)
 	dstart := time.Now()
-	e.subs.dispatch(e.reg, a.node, value, msg.Src)
+	e.subs.dispatch(e.reg, a.node, value, src)
 	e.histDispatch.Observe(time.Since(dstart))
 }

@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/core/codec"
 	"github.com/tps-p2p/tps/internal/core/typereg"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
@@ -117,7 +116,6 @@ type Engine struct {
 	attachments map[string]*attachment   // type path -> the attachment to its group
 	subs        *subscriptionSet
 	dedupe      *seen.Cache
-	self        *publishedEvents // decode-once: values this peer published, by event ID
 	closed      bool
 
 	// Per-message counters are atomics so the publish and deliver paths
@@ -174,7 +172,6 @@ func New(cfg Config) (*Engine, error) {
 		attachments:  make(map[string]*attachment),
 		subs:         newSubscriptionSet(),
 		dedupe:       seen.New(),
-		self:         newPublishedEvents(),
 		histPublish:  hist.New(),
 		histDispatch: hist.New(),
 		histTransit:  hist.New(),
@@ -348,17 +345,12 @@ func (e *Engine) Publish(event any) error {
 	// The publish_fanout_us histogram covers encode → envelope → the
 	// attachment handed off; a first use's join stays outside it.
 	start := time.Now()
-	payload, err := codec.Gob{}.Encode(event)
+	eventID := jid.NewMessage()
+	msg, err := newEventMessage(e.peer.ID(), eventID, event)
 	if err != nil {
 		return err
 	}
 	e.stats.published.Add(1)
-
-	eventID := jid.NewMessage()
-	// Decode-once: remember the outgoing value so the synchronous
-	// loopback (and any mesh echo) dispatches it without a gob decode.
-	e.self.put(eventID, event)
-	msg := newEventMessage(e, eventID, payload)
 	// Deterministic sampling: every peer computes the same decision
 	// from the event ID, so a stamped event is traced end to end. The
 	// stamp appends one element and therefore only runs when sampled —
@@ -370,7 +362,7 @@ func (e *Engine) Publish(event any) error {
 			e.tracer.Record(eventID, trace.StagePublish, e.peer.ID(), sentUS, nil)
 		}
 	}
-	err = e.publish(a, msg)
+	err = e.publish(a, eventID, event, msg)
 	e.histPublish.Observe(time.Since(start))
 	if err != nil {
 		e.stats.publishErrors.Add(1)

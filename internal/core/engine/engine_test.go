@@ -565,6 +565,44 @@ func TestIsolatedPeerLoopback(t *testing.T) {
 	waitCount(t, &c, 1)
 }
 
+// TestOwnEventFrameIsADuplicate: a publish delivers its value to the
+// local subscribers without a frame, and observes its event ID as a
+// received event's is observed — so the frame of that event, when it
+// does arrive at its publisher (a rendezvous replaying its log), is
+// dropped as a duplicate, not decoded and delivered again.
+func TestOwnEventFrameIsADuplicate(t *testing.T) {
+	rig := newRig(t)
+	tap := &frameTap{}
+	pub := rig.engineOn(rig.addPeerVia(func(tr endpoint.Transport) endpoint.Transport {
+		tap.Transport = tr
+		return tap
+	}), engine.Config{})
+	var c collector
+	if _, err := pub.eng.Subscribe(pub.nodes["stock"], c.deliver, c.onError); err != nil {
+		t.Fatal(err)
+	}
+	if !pub.eng.AwaitReady(pub.nodes["stock"], 1, 5*time.Second) {
+		t.Fatal("not ready")
+	}
+	if err := pub.eng.Publish(stockQuote{Symbol: "OWN", Price: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, &c, 1)
+	rig.net.WaitQuiesce(5 * time.Second)
+	events := tap.events(t)
+	if len(events) != 1 {
+		t.Fatalf("the publisher sent %d event frames, want 1", len(events))
+	}
+	group := engine.TypeGroup(pub.nodes["stock"].Path()).String()
+	if err := pub.peer.Endpoint().DeliverLocal(engine.EventService, group, events[0], "mem://rdv"); err != nil {
+		t.Fatal(err)
+	}
+	counters := pub.eng.Snapshot().Counters
+	if c.count() != 1 || counters["delivered"] != 1 || counters["duplicates"] != 1 {
+		t.Fatalf("own event frame: %d deliveries, counters %v", c.count(), counters)
+	}
+}
+
 func TestStatsProgression(t *testing.T) {
 	rig := newRig(t)
 	pub := rig.addEngine()

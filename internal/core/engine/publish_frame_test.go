@@ -1,0 +1,176 @@
+package engine_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/tps-p2p/tps/internal/core/engine"
+	"github.com/tps-p2p/tps/internal/core/typereg"
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
+	"github.com/tps-p2p/tps/internal/jxta/peer"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
+	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
+	"github.com/tps-p2p/tps/internal/netsim"
+	"github.com/tps-p2p/tps/internal/obs/trace"
+	"github.com/tps-p2p/tps/internal/srapp"
+)
+
+// The IDs a publish mints — its message's and its event's — and the
+// clock its trace stamp reads are rewritten to these before a frame is
+// compared, so a frame is the same bytes on every run.
+var (
+	goldenMessageID = jid.FromSeed(jid.KindMessage, 1)
+	goldenEventID   = jid.FromSeed(jid.KindMessage, 2)
+	goldenSentUS    = uint64(1_700_000_000_000_000)
+)
+
+// publishedFrame publishes one 64 B-pad ski rental offer from a peer
+// with a fixed ID and address, traced or not, and returns the event
+// frame it sent its rendezvous, its minted IDs and trace clock rewritten
+// to the golden ones.
+func publishedFrame(t *testing.T, traced bool) []byte {
+	t.Helper()
+	n := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: time.Millisecond}})
+	t.Cleanup(n.Close)
+	start := func(name string, id uint64, cfg rendezvous.Config, wrap func(endpoint.Transport) endpoint.Transport) *peer.Peer {
+		node, err := n.AddNode(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr endpoint.Transport = memnet.New(node)
+		if wrap != nil {
+			tr = wrap(tr)
+		}
+		p, err := peer.New(peer.Config{Name: name, ID: jid.FromSeed(jid.KindPeer, id), Rendezvous: cfg}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		return p
+	}
+	start("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 2 * time.Second}, nil)
+	tap := &frameTap{}
+	pub := start("pub", 2, rendezvous.Config{Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 2 * time.Second},
+		func(tr endpoint.Transport) endpoint.Transport { tap.Transport = tr; return tap })
+	reg := typereg.New()
+	node, err := reg.Register(reflect.TypeOf(srapp.SkiRental{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := 0.0
+	if traced {
+		rate = 1
+	}
+	eng, err := engine.New(engine.Config{Peer: pub, Registry: reg, FindInterval: rigFindInterval, TraceRate: rate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	if err := eng.EnsureType(node); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.AwaitReady(node, 1, 5*time.Second) {
+		t.Fatal("not ready")
+	}
+	if err := eng.Publish(goldenOffer()); err != nil {
+		t.Fatal(err)
+	}
+	n.WaitQuiesce(5 * time.Second)
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	var frame []byte
+	for _, f := range tap.frames {
+		m, err := message.Unmarshal(bytes.Clone(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Element("tps", "EventID"); !ok {
+			continue
+		}
+		if frame != nil {
+			t.Fatal("the publisher sent its event twice")
+		}
+		frame = bytes.Clone(f)
+		ev, err := m.GetID("tps", "EventID")
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = bytes.ReplaceAll(frame, m.ID.AppendWire(nil), goldenMessageID.AppendWire(nil))
+		frame = bytes.ReplaceAll(frame, ev.AppendWire(nil), goldenEventID.AppendWire(nil))
+		if _, sentUS, ok := trace.Info(m); ok {
+			frame = bytes.ReplaceAll(frame, binary.BigEndian.AppendUint64(nil, uint64(sentUS)), binary.BigEndian.AppendUint64(nil, goldenSentUS))
+		} else if traced {
+			t.Fatal("a publish at TraceRate 1 carries no trace element")
+		}
+	}
+	if frame == nil {
+		t.Fatal("no event frame left the publisher")
+	}
+	return frame
+}
+
+func goldenOffer() srapp.SkiRental {
+	return srapp.Pad(srapp.SkiRental{Shop: "XTremShop", Brand: "Salomon", Price: 14, NumberOfDays: 100}, 64)
+}
+
+// withBlob returns frame with its tps:Data payload replaced by blob,
+// re-marshalled: a decoded frame marshals back to itself, so only the
+// payload moves.
+func withBlob(t *testing.T, frame, blob []byte) []byte {
+	t.Helper()
+	m, err := message.Unmarshal(bytes.Clone(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ReplaceElement(message.Element{Namespace: "tps", Name: "Data", Data: blob})
+	out, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPublishedFrameGolden holds the frame Engine.Publish sends its
+// rendezvous for one event, untraced and traced, to the bytes the
+// publisher of commit 42b25fe sent (testdata/published_frame_*.bin),
+// byte for byte once the minted IDs and the trace clock are fixed. gob
+// numbers types per process in order of first use, so the blob a
+// process writes depends on what it encoded before; the golden frame is
+// compared with its blob replaced by what a fresh gob.Encoder writes for
+// the offer in this process, and its own blob must decode to the offer.
+func TestPublishedFrameGolden(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		name := map[bool]string{false: "untraced", true: "traced"}[traced]
+		t.Run(name, func(t *testing.T) {
+			got := publishedFrame(t, traced)
+			path := fmt.Sprintf("testdata/published_frame_%s.bin", name)
+			golden, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := message.Unmarshal(bytes.Clone(golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var offer srapp.SkiRental
+			if err := gob.NewDecoder(bytes.NewReader(m.Bytes("tps", "Data"))).Decode(&offer); err != nil || offer != goldenOffer() {
+				t.Fatalf("the golden blob decodes to %+v (%v)", offer, err)
+			}
+			var fresh bytes.Buffer
+			if err := gob.NewEncoder(&fresh).Encode(goldenOffer()); err != nil {
+				t.Fatal(err)
+			}
+			if want := withBlob(t, golden, fresh.Bytes()); !bytes.Equal(got, want) {
+				t.Fatalf("the published frame differs from %s:\n got %x\nwant %x", path, got, want)
+			}
+		})
+	}
+}

@@ -155,6 +155,7 @@ func Unmarshal(frame []byte) (*Message, error) {
 	}
 	d := &decoded{}
 	m := &d.Message
+	m.small = d.smallRoom[:]
 	if m.ID, err = readID(r); err != nil {
 		return nil, err
 	}

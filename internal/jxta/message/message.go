@@ -13,20 +13,19 @@
 //
 // # Copy-on-write
 //
-// Messages are immutable-by-contract after construction: a hop that
-// needs private per-hop state on a message somebody else may hold calls
-// Dup, and Dup is a cheap header copy, not a deep copy. Two places do,
-// one on the send side and one on a forwarded-and-delivered message:
-// Propagate, whose copy takes this hop's Stamp (and, on a durable
-// rendezvous, its log sequence) while the caller's message — which the
-// wire service has also handed to the local listener, as it is — stays
-// as it was built; and a rendezvous forwarding a message it has also
-// handed to a local handler. Addressing a frame is not one of them, at
-// any layer — the wire service's pipe ID, Propagate's destination and
-// the endpoint's are envelope fields written into the frame
-// (MarshalAppend) by an encoder that only reads the message — and
-// neither is forwarding a message nothing else holds, which is stamped
-// as it is.
+// Messages are immutable-by-contract once shared: a hop that needs
+// private per-hop state on a message somebody else may hold calls Dup,
+// and Dup is a cheap header copy, not a deep copy. A message nothing
+// else holds is written as it is. Propagate takes the message it is
+// given — it stamps this hop's path and TTL into it and writes rdv:Op,
+// DSvc and DParam into its spare element room — so a caller that goes
+// on reading the message, as the wire service does after handing it to
+// a local listener, passes a Dup; a rendezvous forwarding a message it
+// has also handed to a local handler stamps a Dup too. Addressing a
+// frame below the rendezvous is not a mutation at any layer — the wire
+// service's pipe ID and the endpoint's destination are envelope fields
+// written into the frame (MarshalAppend) by an encoder that only reads
+// the message.
 // The element list — including payload byte slices — is shared
 // read-only between a message and its Dups; the first mutation through
 // AddElement, ReplaceElement or RemoveElement clones the element
@@ -96,20 +95,27 @@ type Message struct {
 	// TTL is the remaining propagation hop budget. A message with TTL 0
 	// is delivered locally but never forwarded.
 	TTL uint8
+	// cow marks elements as shared with other messages (this message was
+	// Dup'd, or is a Dup). The first mutation clones the element headers
+	// before writing; payload bytes stay shared read-only. It sits beside
+	// TTL, in what would be padding, so a Dup's block stays in its size
+	// class.
+	cow bool
 	// Path lists the peers the message already visited, newest last.
 	// Rendezvous peers use it to suppress propagation loops. Extend it
 	// only through Stamp.
 	Path []jid.ID
 
 	elements []Element
-	// cow marks elements as shared with other messages (this message was
-	// Dup'd, or is a Dup). The first mutation clones the element headers
-	// before writing; payload bytes stay shared read-only.
-	cow bool
-	// idRoom is what is left of the room New leaves for AddID's
-	// payloads, each the next jid.WireSize bytes of it, written once. A
-	// Dup gets none: the room behind its original is spoken for.
-	idRoom []byte
+	// small is what is left of the room New and Unmarshal leave for the
+	// payloads of AddID, ReplaceID, AddUint64 and ReplaceUint64, each
+	// the next bytes of it, written once. A Dup gets none: the room
+	// behind its original is spoken for.
+	small []byte
+	// block is the block New built the message in, whose path and
+	// payload room the first Stamp and PayloadRoom take; nil for a Dup
+	// and a decoded message.
+	block *built
 }
 
 // DefaultTTL is the hop budget assigned by New. Seven hops comfortably
@@ -117,20 +123,59 @@ type Message struct {
 const DefaultTTL = 7
 
 // built is what New allocates: the header and, behind it, room for the
-// elements a sender adds — an event is two, a traced one three — and
-// for the payloads of two AddIDs, so that building a message costs one
-// block and no Grow.
+// path of its hops, for the elements a sender and the rendezvous that
+// propagates it add — an event is two, a traced one three, Propagate
+// adds three and a durable rendezvous two — for the payloads of two
+// IDs and an 8-byte integer, and for one payload an encoder writes
+// (PayloadRoom), so that building and sending a message costs one block
+// and no Grow. The payload room fills the block to its size class: it
+// holds a 64 B-pad event's 184-byte blob.
 type built struct {
 	Message
-	elems [8]Element
-	ids   [2 * jid.WireSize]byte
+	path      [DefaultTTL + 1]jid.ID
+	elems     [8]Element
+	smallRoom [2*jid.WireSize + 8]byte
+	// pathTaken and payloadTaken record that path and payload are
+	// handed out.
+	pathTaken, payloadTaken bool
+	payload                 [payloadRoomSize]byte
 }
+
+// payloadRoomSize is the capacity of the slice PayloadRoom returns.
+const payloadRoomSize = 276
 
 // New returns an empty message with a fresh UUID and the default TTL.
 func New(src jid.ID) *Message {
 	b := &built{Message: Message{ID: jid.NewMessage(), Src: src, TTL: DefaultTTL}}
-	b.elements, b.idRoom = b.elems[:0], b.ids[:]
+	b.elements, b.small, b.block = b.elems[:0], b.smallRoom[:], b
 	return &b.Message
+}
+
+// PayloadRoom returns the room New left in the message's block for one
+// payload: an empty slice with a capacity of 276 bytes, for an
+// append-style encoder to write an element's payload into before it is
+// added (AddBytes), so the payload costs no allocation of its own. A
+// larger payload moves out of the room into one of its own, as append
+// does. The room is handed out once: a second call, and a call on a
+// message New did not build, returns nil.
+func (m *Message) PayloadRoom() []byte {
+	b := m.block
+	if b == nil || b.payloadTaken {
+		return nil
+	}
+	b.payloadTaken = true
+	return b.payload[:0]
+}
+
+// smallPayload returns an empty slice with capacity n, the next n bytes
+// of the message's small room while that lasts.
+func (m *Message) smallPayload(n int) []byte {
+	if len(m.small) < n {
+		return make([]byte, 0, n)
+	}
+	var b []byte
+	b, m.small = m.small[:0:n], m.small[n:]
+	return b
 }
 
 // ownElements makes the element slice exclusively owned, cloning the
@@ -178,30 +223,24 @@ func (m *Message) AddString(namespace, name, value string) {
 // AddID appends an element whose payload is the binary wire form of the
 // ID (jid.WireSize bytes), avoiding the text URN round-trip on the hot
 // path. GetID reverses it. The first two IDs added to a message New
-// built take no allocation of their own.
+// built, and the first one added to a message Unmarshal decoded, take
+// no allocation of their own.
 func (m *Message) AddID(namespace, name string, id jid.ID) {
-	var data []byte
-	if len(m.idRoom) >= jid.WireSize {
-		data, m.idRoom = m.idRoom[:0:jid.WireSize], m.idRoom[jid.WireSize:]
-	} else {
-		data = make([]byte, 0, jid.WireSize)
-	}
-	m.AddElement(Element{
-		Namespace: namespace,
-		Name:      name,
-		MimeType:  "application/x-jxta-id",
-		Data:      id.AppendWire(data),
-	})
+	m.AddElement(m.idElement(namespace, name, id))
 }
 
 // ReplaceID is AddID with ReplaceElement semantics.
 func (m *Message) ReplaceID(namespace, name string, id jid.ID) {
-	m.ReplaceElement(Element{
+	m.ReplaceElement(m.idElement(namespace, name, id))
+}
+
+func (m *Message) idElement(namespace, name string, id jid.ID) Element {
+	return Element{
 		Namespace: namespace,
 		Name:      name,
 		MimeType:  "application/x-jxta-id",
-		Data:      id.AppendWire(make([]byte, 0, jid.WireSize)),
-	})
+		Data:      id.AppendWire(m.smallPayload(jid.WireSize)),
+	}
 }
 
 // GetID decodes the named ID element, the binary form written by AddID
@@ -266,7 +305,13 @@ func (m *Message) ReplaceText(namespace, name, value string) {
 // AddUint64 appends an element carrying v as an 8-byte big-endian
 // unsigned integer. Uint64 reverses it.
 func (m *Message) AddUint64(namespace, name string, v uint64) {
-	m.AddBytes(namespace, name, binary.BigEndian.AppendUint64(nil, v))
+	m.AddBytes(namespace, name, binary.BigEndian.AppendUint64(m.smallPayload(8), v))
+}
+
+// ReplaceUint64 is AddUint64 with ReplaceElement semantics. Like AddID,
+// it writes its payload into the room New and Unmarshal leave.
+func (m *Message) ReplaceUint64(namespace, name string, v uint64) {
+	m.ReplaceElement(Element{Namespace: namespace, Name: name, Data: binary.BigEndian.AppendUint64(m.smallPayload(8), v)})
 }
 
 // Uint64 decodes the named element as an 8-byte big-endian unsigned
@@ -334,16 +379,21 @@ func (m *Message) Visited(peer jid.ID) bool {
 // if the TTL was already exhausted or the peer had been visited, in which
 // case the message must not be forwarded. A path that has to grow is
 // sized from the remaining TTL, so a full-TTL traversal reallocates at
-// most once; a Dup and a decoded message have the room already.
+// most once; a message New built, a Dup and a decoded message have the
+// room already.
 func (m *Message) Stamp(peer jid.ID) bool {
 	if m.TTL == 0 || m.Visited(peer) {
 		return false
 	}
 	m.TTL--
 	if cap(m.Path) == len(m.Path) {
-		p := make([]jid.ID, len(m.Path), len(m.Path)+int(m.TTL)+1)
-		copy(p, m.Path)
-		m.Path = p
+		if b := m.block; m.Path == nil && b != nil && !b.pathTaken && int(m.TTL) < len(b.path) {
+			m.Path, b.pathTaken = b.path[:0], true
+		} else {
+			p := make([]jid.ID, len(m.Path), len(m.Path)+int(m.TTL)+1)
+			copy(p, m.Path)
+			m.Path = p
+		}
 	}
 	m.Path = append(m.Path, peer)
 	return true
@@ -359,12 +409,17 @@ type hop struct {
 }
 
 // decoded is what Unmarshal allocates: a hop and, behind it, the element
-// headers of the frame — an event's frame carries eleven to thirteen, a
-// frame with more than fourteen gets a slice of its own. Names and
-// payloads stay in the frame, so a received message is this one block.
+// headers of the frame — an event's frame carries eight to eleven, one
+// of an older publisher or a baseline's wire pipe up to thirteen, a
+// frame with more than thirteen gets a slice of its own — and room for
+// the two payloads a durable rendezvous stamps on what it forwards: its
+// log sequence (ReplaceUint64) and its ID (ReplaceID). Names and
+// payloads stay in the frame, so a received message is this one block,
+// whose size class thirteen headers and the room just fill.
 type decoded struct {
 	hop
-	elems [14]Element
+	elems     [13]Element
+	smallRoom [8 + jid.WireSize]byte
 }
 
 // setPath gives the message a path of n peers, with room for the hops

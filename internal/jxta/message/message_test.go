@@ -319,8 +319,11 @@ func TestDupAllocBudget(t *testing.T) {
 
 // TestNewAllocBudget: an event message as the engine builds it — New,
 // the event ID and the data, and a trace element on a sampled event —
-// is one block: the ID's payload is written into room the block has for
-// it, and the other payloads are the caller's.
+// and sends it — Propagate's Stamp and its three elements — is one
+// block: the ID's payload, the path and the elements are written into
+// room the block has for them, and so is a blob an encoder writes into
+// the payload room; a larger payload, and the other payloads, are the
+// caller's.
 func TestNewAllocBudget(t *testing.T) {
 	src, ev := jid.FromSeed(jid.KindPeer, 1), jid.FromSeed(jid.KindMessage, 2)
 	blob, stamp := make([]byte, 1910), make([]byte, 26)
@@ -335,12 +338,41 @@ func TestNewAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { sink = build() }); allocs > 1 && !israce.Enabled {
 		t.Errorf("New + three Adds allocate %.1f/op, budget is 1", allocs)
 	}
+	hop, small := jid.FromSeed(jid.KindPeer, 5), bytes.Repeat([]byte{'x'}, 184)
+	if New(src).Path != nil {
+		t.Fatal("a new message has a path before its first Stamp")
+	}
+	sent := func() *Message {
+		m := New(src)
+		m.AddID("tps", "EventID", ev)
+		m.AddBytes("tps", "Data", append(m.PayloadRoom(), small...))
+		m.AddElement(Element{Namespace: "trc", Name: "Ev", MimeType: "application/x-tps-trace", Data: stamp})
+		if !m.Stamp(hop) {
+			t.Fatal("a new message refused its first Stamp")
+		}
+		for _, name := range []string{"Op", "DSvc", "DParam"} {
+			m.ReplaceText("rdv", name, name)
+		}
+		return m
+	}
+	if allocs := testing.AllocsPerRun(200, func() { sink = sent() }); allocs > 1 && !israce.Enabled {
+		t.Errorf("New, three Adds with the blob in the payload room, a Stamp and three ReplaceTexts allocate %.1f/op, budget is 1", allocs)
+	}
+	if m := sent(); !bytes.Equal(m.Bytes("tps", "Data"), small) || m.Len() != 6 || len(m.Path) != 1 || m.Path[0] != hop || m.PayloadRoom() != nil {
+		t.Fatalf("sent message reads %v, path %v", m.Elements(), m.Path)
+	}
+	if room := New(src).PayloadRoom(); len(room) != 0 || cap(room) != payloadRoomSize {
+		t.Fatalf("payload room has length %d, capacity %d", len(room), cap(room))
+	}
+	if (&Message{}).PayloadRoom() != nil || New(src).Dup().PayloadRoom() != nil {
+		t.Fatal("a message New did not build hands out a payload room")
+	}
 	m := build()
 	if got, err := m.GetID("tps", "EventID"); err != nil || got != ev || len(m.Bytes("tps", "Data")) != len(blob) || m.Len() != 3 {
 		t.Fatalf("built message reads %v", m.Elements())
 	}
-	// The second ID takes the rest of the room, the third a payload of
-	// its own; an append to one cannot write into the next.
+	// The second ID takes the rest of the ID room, the third a payload
+	// of its own; an append to one cannot write into the next.
 	second, third := jid.FromSeed(jid.KindPeer, 3), jid.FromSeed(jid.KindPeer, 4)
 	m.AddID("app", "second", second)
 	m.AddID("app", "third", third)
@@ -349,8 +381,8 @@ func TestNewAllocBudget(t *testing.T) {
 			t.Fatalf("%s's payload has capacity %d behind its %d bytes: an append would write into its neighbour", id.name, cap(e.Data), len(e.Data))
 		}
 	}
-	if d := build().Dup(); len(d.idRoom) != 0 {
-		t.Fatalf("a Dup has %d bytes of its original's ID room", len(d.idRoom))
+	if d := build().Dup(); len(d.small) != 0 {
+		t.Fatalf("a Dup has %d bytes of its original's small room", len(d.small))
 	}
 	// The ninth element leaves the block; the first eight stay readable.
 	for i := 0; i < 4; i++ {
@@ -367,6 +399,60 @@ func TestNewAllocBudget(t *testing.T) {
 }
 
 var sink *Message
+
+// TestDecodedStampAllocBudget: the two stamps a durable rendezvous
+// writes onto a message it logs — its log sequence (ReplaceUint64) and
+// its ID (ReplaceID) — go into room Unmarshal's block has for them, not
+// into the frame, so a received message that is logged and forwarded is
+// still one block. A Dup has no room and pays for its payloads.
+func TestDecodedStampAllocBudget(t *testing.T) {
+	src, self := jid.FromSeed(jid.KindPeer, 1), jid.FromSeed(jid.KindPeer, 2)
+	m := New(src)
+	m.AddID("tps", "EventID", jid.FromSeed(jid.KindMessage, 3))
+	m.AddBytes("tps", "Data", make([]byte, 100))
+	m.Stamp(src)
+	frame, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := bytes.Clone(frame)
+	stamp := func(m *Message) {
+		m.ReplaceUint64("rdv", "Seq", 42)
+		m.ReplaceID("rdv", "LogSrc", self)
+	}
+	// Under the race detector Unmarshal allocates on its own.
+	if allocs := testing.AllocsPerRun(200, func() {
+		d, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamp(d)
+		sink = d
+	}); allocs > 1 && !israce.Enabled {
+		t.Errorf("Unmarshal and the two log stamps allocate %.1f/op, budget is 1 (the block; 2.5 with the stamps' payloads apart)", allocs)
+	}
+	d, err := Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := d.Dup()
+	for _, m := range []*Message{d, dup} {
+		stamp(m)
+		seq, ok := m.Uint64("rdv", "Seq")
+		logSrc, err := m.GetID("rdv", "LogSrc")
+		if !ok || seq != 42 || err != nil || logSrc != self || m.Len() != 4 {
+			t.Fatalf("stamped message reads %v", m.Elements())
+		}
+		for _, name := range []string{"Seq", "LogSrc"} {
+			if e, _ := m.Element("rdv", name); cap(e.Data) != len(e.Data) {
+				t.Fatalf("rdv:%s has capacity %d behind its %d bytes", name, cap(e.Data), len(e.Data))
+			}
+		}
+	}
+	if !bytes.Equal(frame, pristine) {
+		t.Fatal("stamping a decoded message wrote into its frame")
+	}
+}
 
 // TestTextOutlivesMutation pins what lets Text alias the payload: a
 // string read from a message stays what it was when that message, or a
@@ -606,12 +692,12 @@ func FuzzUnmarshalNeverWritesTheFrame(f *testing.F) {
 	})
 }
 
-// TestUnmarshalElementRoom: up to fourteen element headers live in the
-// block Unmarshal allocates, a fifteenth moves them all to a slice of
+// TestUnmarshalElementRoom: up to thirteen element headers live in the
+// block Unmarshal allocates, a fourteenth moves them all to a slice of
 // their own; either way the message reads back whole, takes the hops its
 // TTL allows and grows by an element without losing one.
 func TestUnmarshalElementRoom(t *testing.T) {
-	for _, n := range []int{0, 13, 14, 15, 40} {
+	for _, n := range []int{0, 12, 13, 14, 15, 40} {
 		m := New(jid.FromSeed(jid.KindPeer, 1))
 		m.Stamp(jid.FromSeed(jid.KindPeer, 2))
 		for i := 0; i < n; i++ {

@@ -8,7 +8,6 @@ package rendezvous
 // the log between the members of a replica set.
 
 import (
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -68,7 +67,7 @@ func (l *logServer) append(msg *message.Message, topic string, envelope []messag
 	s := l.s
 	var frame []byte
 	_, err := s.cfg.Log.Append(topic, func(seq uint64) ([]byte, error) {
-		msg.ReplaceElement(message.Element{Namespace: elemNS, Name: elemSeq, Data: binary.BigEndian.AppendUint64(nil, seq)})
+		msg.ReplaceUint64(elemNS, elemSeq, seq)
 		msg.ReplaceID(elemNS, elemLogSrc, s.ep.PeerID())
 		var err error
 		frame, err = s.ep.EncodeFrame(ServiceName, topic, msg, envelope...)

@@ -155,9 +155,10 @@ func (s *sentFrames) Send(to endpoint.Address, frame []byte) error {
 // subscriber got — and the rendezvous encoded it once, not once for the
 // log and once for the fan-out. That holds for a message the rendezvous
 // forwards, which carries its destination and the publisher's envelope
-// as elements, and for one it publishes itself, whose envelope exists
-// only as the fields Propagate hands down: either way the stored frame
-// says where a replayed message is to go.
+// as elements, and for one it publishes itself, which Propagate takes
+// and writes the rdv envelope into, with the wire:ID field the caller
+// hands down beside it: either way the stored frame says where a
+// replayed message is to go.
 func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 	c := newCluster(t)
 	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
@@ -191,8 +192,8 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 		if err := from.rdv.Propagate(m, "app.events", "net", pipe); err != nil {
 			t.Fatal(err)
 		}
-		if m.Len() != 1 || len(m.Path) != 0 {
-			t.Fatalf("Propagate wrote to the caller's message: %v, path %v", m.Elements(), m.Path)
+		if m.Text("rdv", "DSvc") != "app.events" || len(m.Path) != 1 {
+			t.Fatalf("Propagate did not stamp the message it took: %v, path %v", m.Elements(), m.Path)
 		}
 	}
 	waitFor(t, func() bool { return sink.count() == n+own })

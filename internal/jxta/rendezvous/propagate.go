@@ -26,24 +26,25 @@ import (
 // duplicate cache for every group it is in, so a caller that sends the
 // same content into two groups gives each copy its own ID.
 //
-// msg is only read. Where it is going — rdv:Op/DSvc/DParam, and whatever
-// envelope the calling layer adds — is written into the frame
-// (endpoint.EncodeFrame), not into a copy; the one Dup, which shares the
-// caller's elements, is there to be stamped: the path and TTL of this
-// hop and, on a durable rendezvous, its log sequence.
+// Propagate takes msg: the caller gives it away and must not read,
+// change or send it again. Propagate stamps it — the path and TTL of
+// this hop and, on a durable rendezvous, its log sequence — and writes
+// where it is going, rdv:Op/DSvc/DParam, into it as elements, which a
+// message New built has the room for, so sending it costs no copy.
+// Whatever envelope the calling layer adds is written into the frame
+// (endpoint.EncodeFrame). A caller that goes on reading the message —
+// one that has also handed it to a local reader — passes a Dup, which
+// shares its elements.
 func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope ...message.Field) error {
-	out := msg.Dup()
-	if !out.Stamp(s.ep.PeerID()) {
+	if !msg.Stamp(s.ep.PeerID()) {
 		return nil // TTL exhausted before leaving the peer
 	}
 	// Remember our own injection so the mesh echo is dropped.
-	s.seen.Observe(out.ID)
-	fields := append(make([]message.Field, 0, 3+len(envelope)),
-		message.Field{Namespace: elemNS, Name: elemOp, Value: opProp},
-		message.Field{Namespace: elemNS, Name: elemDSvc, Value: dsvc},
-		message.Field{Namespace: elemNS, Name: elemDParam, Value: dparam})
-	fields = append(fields, envelope...)
-	attempted, failed := s.fanOut(out, jid.Nil, dparam, fields...)
+	s.seen.Observe(msg.ID)
+	msg.ReplaceText(elemNS, elemOp, opProp)
+	msg.ReplaceText(elemNS, elemDSvc, dsvc)
+	msg.ReplaceText(elemNS, elemDParam, dparam)
+	attempted, failed := s.fanOut(msg, jid.Nil, dparam, envelope...)
 	if attempted == 0 {
 		return ErrNoPeers
 	}
@@ -112,8 +113,8 @@ func (s *Service) targets(group string) *[]target {
 
 // fanOut is the forwarding step Propagate and handleProp share: it logs
 // the stamped message (durable peers), archives its trace hop, and sends
-// it — with the envelope fields a message injected here does not carry
-// as elements yet — to every connected peer in the given group except
+// it — with the envelope fields of the layer that propagated it, if any
+// — to every connected peer in the given group except
 // the one it came from and any peer already on its path. It returns how
 // many sends were attempted and how many of those failed, so callers can
 // tell "nobody to send to" apart from "everybody unreachable". Failed

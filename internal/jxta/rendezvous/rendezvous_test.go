@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
@@ -270,6 +271,42 @@ func TestPropagateWithNoPeers(t *testing.T) {
 	err := lonely.rdv.Propagate(m, "app.events", "net")
 	if !errors.Is(err, rendezvous.ErrNoPeers) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestPropagateAllocBudget: Propagate takes the message it is given and
+// stamps it — its path and TTL and the rdv:Op/DSvc/DParam elements —
+// into the room a message New built has for them, so propagating one
+// with nobody to send to allocates nothing: the sends are what a
+// propagation costs. The message is stamped, once.
+func TestPropagateAllocBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := newCluster(t)
+	lonely := c.addPeer("lonely", 1, rendezvous.RoleEdge)
+	const runs = 100
+	msgs := make([]*message.Message, 0, runs+1) // AllocsPerRun runs the function once more first
+	for range runs + 1 {
+		m := message.New(lonely.ep.PeerID())
+		m.AddID("tps", "EventID", jid.NewMessage())
+		m.AddBytes("tps", "Data", append(m.PayloadRoom(), "blob"...))
+		msgs = append(msgs, m)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := lonely.rdv.Propagate(msgs[next], "app.events", "net"); !errors.Is(err, rendezvous.ErrNoPeers) {
+			t.Fatalf("err = %v", err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Propagate of a built message with no targets allocates %.1f/op, want 0 (2 with a Dup to stamp and a slice for the rdv envelope)", allocs)
+	}
+	m := msgs[0]
+	if len(m.Path) != 1 || m.Path[0] != lonely.ep.PeerID() || m.TTL != message.DefaultTTL-1 ||
+		m.Text("rdv", "Op") != "prop" || m.Text("rdv", "DSvc") != "app.events" || m.Text("rdv", "DParam") != "net" || m.Len() != 5 {
+		t.Fatalf("propagated message: path %v, TTL %d, elements %v", m.Path, m.TTL, m.Elements())
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 
 // Listener consumes messages arriving on a wire input pipe. The
 // message is shared, and read-only: the local loopback delivers the
-// very message the sender passed to Send, which the sender, the
-// propagation under way and the listeners of its other pipes go on
-// reading, possibly on other goroutines. A listener may keep it for as
-// long as it likes and read everything in it; it must not Add, Replace
-// or Remove elements, Stamp or Dup it, or modify a payload in place. The
+// very message the sender passed to Send, which the sender and the
+// listeners of its other pipes go on reading, possibly on other
+// goroutines, and which nobody changes from then on: the propagation
+// under way stamps a Dup of it. A listener may keep it for as long as
+// it likes and read everything in it; it must not Add, Replace or
+// Remove elements, Stamp or Dup it, or modify a payload in place. The
 // listeners in this tree (srjxta, benchkit's JXTA-WIRE stack, the tests)
 // only read.
 type Listener func(msg *message.Message)

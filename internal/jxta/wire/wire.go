@@ -10,9 +10,11 @@
 // the functionality the paper's SR-JXTA application had to rebuild by
 // hand (§4.4 footnote 1).
 //
-// A send copies nothing. The pipe ID travels as an envelope field the
-// rendezvous hands down to the frame encoder, and the loopback gives the
-// local listener the sender's message itself (see Listener).
+// A send copies no payload. The pipe ID travels as an envelope field
+// the rendezvous hands down to the frame encoder, the loopback gives the
+// local listener the sender's message itself (see Listener), and the
+// rendezvous, which takes and stamps what it propagates, gets a Dup,
+// which shares the message's elements.
 //
 // The TPS engine does not use this package. With one group per type a
 // pipe ID names nothing the group does not, so the engine registers its
@@ -52,8 +54,8 @@ var (
 )
 
 // Propagator fans messages into the group, writing the envelope fields
-// into the frames it sends and leaving msg as it is; the rendezvous
-// service implements it.
+// into the frames it sends; it takes msg, and stamps it
+// (rendezvous.Service.Propagate, which implements it).
 type Propagator interface {
 	Propagate(msg *message.Message, dsvc, dparam string, envelope ...message.Field) error
 }
@@ -202,8 +204,9 @@ func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
 }
 
 // send propagates a message on a wire pipe and loops it back locally.
-// msg is not copied and not written: the local listener and Propagate
-// read the same message.
+// The local listener gets msg itself, to keep and read as it was sent,
+// and the sender may send it again; Propagate, which takes and stamps
+// what it is given, gets a Dup.
 func (s *Service) send(out *OutputPipe, msg *message.Message) error {
 	s.mu.Lock()
 	if s.closed {
@@ -220,7 +223,7 @@ func (s *Service) send(out *OutputPipe, msg *message.Message) error {
 		s.stats.received.Add(1)
 		in.deliver(msg)
 	}
-	if err := s.prop.Propagate(msg, ServiceName, s.cfg.Group, out.envelope...); err != nil {
+	if err := s.prop.Propagate(msg.Dup(), ServiceName, s.cfg.Group, out.envelope...); err != nil {
 		if errors.Is(err, rendezvous.ErrNoPeers) && in != nil {
 			return nil // delivered locally; an isolated peer is not an error
 		}

@@ -374,17 +374,18 @@ func TestDedupeCountsDuplicates(t *testing.T) {
 // TestLoopbackSharesTheMessage is the -race gate on what a send shares:
 // the local listener is handed the sender's message itself and reads
 // every element of it on a goroutine of its own, while the sender goes
-// on — Propagate reads the message for the mesh, and the next pipe's
-// Send, as an engine attached to two groups does it, delivers and
-// propagates it again; a message queued before a listener existed is
-// flushed to it by yet another goroutine. Nothing may write what the
-// readers read.
+// on — Propagate stamps a Dup of the message for the mesh, which
+// reaches two remote peers, and the next pipe's Send, as an engine
+// attached to two groups does it, delivers and propagates it again; a
+// message queued before a listener existed is flushed to it by yet
+// another goroutine. Nothing may write what the readers read, and the
+// sender's message is as it was built after both sends.
 func TestLoopbackSharesTheMessage(t *testing.T) {
 	c := newCluster(t)
 	c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
 	p := c.addPeer("pubsub", 2, rendezvous.RoleEdge, "mem://rdv")
-	remote := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
-	connect(t, p, remote)
+	remotes := []*testPeer{c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv"), c.addPeer("sub2", 4, rendezvous.RoleEdge, "mem://rdv")}
+	connect(t, p, remotes[0], remotes[1])
 
 	var readers sync.WaitGroup
 	var mu sync.Mutex
@@ -423,11 +424,13 @@ func TestLoopbackSharesTheMessage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rin, err := remote.wire.CreateInputPipe(pa)
-		if err != nil {
-			t.Fatal(err)
+		for _, remote := range remotes {
+			rin, err := remote.wire.CreateInputPipe(pa)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rin.SetListener(remoteListener)
 		}
-		rin.SetListener(remoteListener)
 		ins, outs = append(ins, in), append(outs, out)
 	}
 	ins[0].SetListener(listener) // ins[1] queues until one is set
@@ -469,10 +472,10 @@ func TestLoopbackSharesTheMessage(t *testing.T) {
 			t.Errorf("message %d was written to: %v, path %v, TTL %d", i, m.Elements(), m.Path, m.TTL)
 		}
 	}
-	// The remote side decodes one copy per message: the second pipe's
+	// Each remote peer decodes one copy per message: the second pipe's
 	// send of the same message ID is a duplicate to the mesh.
-	if remoteHeard != total || len(heard) != total {
-		t.Errorf("remote listeners heard %d messages, local ones %d different ones; want %d of each", remoteHeard, len(heard), total)
+	if remoteHeard != len(remotes)*total || len(heard) != total {
+		t.Errorf("remote listeners heard %d messages, local ones %d different ones; want %d and %d", remoteHeard, len(heard), len(remotes)*total, total)
 	}
 }
 
@@ -496,9 +499,10 @@ func (s *swallow) Send(to endpoint.Address, frame []byte) error {
 
 // TestSendAllocBudget: sending a built message on a wire pipe, with a
 // local listener and one leased rendezvous to propagate to, allocates the
-// copy Propagate stamps — one block — and the list of envelope fields it
-// hands to the frame encoder. The message is copied neither for the pipe
-// ID nor for the loopback, and the frame comes from the pool.
+// copy Propagate takes and stamps — one block — and the element headers
+// that copy clones to take Propagate's three elements. The message is
+// copied neither for the pipe ID nor for the loopback, and the frame
+// comes from the pool.
 func TestSendAllocBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
