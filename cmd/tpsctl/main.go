@@ -26,6 +26,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -201,7 +202,7 @@ func showPeers(base string) error {
 		return err
 	}
 	fmt.Printf("peer %s: %d known peers\n", doc.PeerID, len(doc.Peers))
-	fmt.Printf("%-12s %-26s %-14s %-10s %-5s %s\n", "KIND", "ADDR", "ID", "EXPIRES", "FAILS", "STATE")
+	fmt.Printf("%-12s %-26s %-14s %-10s %-5s %-20s %s\n", "KIND", "ADDR", "ID", "EXPIRES", "FAILS", "STATE", "GROUPS")
 	for _, pe := range doc.Peers {
 		state := "ok"
 		if pe.Suspect {
@@ -214,8 +215,16 @@ func showPeers(base string) error {
 		if pe.ExpiresInMS > 0 {
 			expires = (time.Duration(pe.ExpiresInMS) * time.Millisecond).Round(time.Second).String()
 		}
-		fmt.Printf("%-12s %-26s %-14s %-10s %-5d %s\n",
-			pe.Kind, pe.Addr, short(pe.ID), expires, pe.Fails, state)
+		// A lease carries its groups; "" is every group, a mesh lease's.
+		groups := make([]string, len(pe.Groups))
+		for i, g := range pe.Groups {
+			groups[i] = "*"
+			if g != "" {
+				groups[i] = short(g)
+			}
+		}
+		fmt.Printf("%-12s %-26s %-14s %-10s %-5d %-20s %s\n",
+			pe.Kind, pe.Addr, short(pe.ID), expires, pe.Fails, state, cmp.Or(strings.Join(groups, ","), "-"))
 	}
 	return nil
 }

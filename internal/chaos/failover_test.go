@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,8 +59,10 @@ func awaitFailover(t *testing.T, p *peer, standby *rig.Node) {
 			case pe.Kind == obs.PeerSeed && pe.Addr == addr:
 				active = pe.Active
 			case pe.Kind == obs.PeerRendezvous:
-				groups[pe.Group] = true
-				atStandby[pe.Group] = atStandby[pe.Group] || pe.Addr == addr
+				for _, g := range pe.Groups {
+					groups[g] = true
+					atStandby[g] = atStandby[g] || pe.Addr == addr
+				}
 			}
 		}
 		for _, at := range atStandby {
@@ -183,10 +186,10 @@ func TestFailoverKillPrimaryMidStream(t *testing.T) {
 }
 
 // TestFailoverIsOneElectionPerPeer: a failover edge subscribed to two
-// types holds three leases with the primary, the net group's and one per
-// event group. They are leases on one rendezvous service, so when the
-// primary dies the peer lists each seed once, one of them active, and
-// fails over once.
+// types holds one lease with the primary, which carries three groups:
+// the net group and one per event group. It is a lease of the peer's
+// one rendezvous service, so when the primary dies the peer lists each
+// seed once, one of them active, and fails over once.
 func TestFailoverIsOneElectionPerPeer(t *testing.T) {
 	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
 		rdvA, rdvB := replicaPair(t, c, tps.Config{})
@@ -202,14 +205,14 @@ func TestFailoverIsOneElectionPerPeer(t *testing.T) {
 			t.Fatal("quote group never ready")
 		}
 		primary := rdvA.Addresses()[0]
-		rig.Wait(t, "three leases with the primary", func() bool {
-			n := 0
+		rig.Wait(t, "one lease of three groups with the primary", func() bool {
+			var groups []int
 			for _, pe := range sub.Inspect().Peers {
 				if pe.Kind == obs.PeerRendezvous && pe.Addr == primary {
-					n++
+					groups = append(groups, len(pe.Groups))
 				}
 			}
-			return n == 3
+			return slices.Equal(groups, []int{3})
 		})
 
 		c.Kill(rdvA)

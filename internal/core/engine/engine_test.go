@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -374,7 +375,7 @@ func oneGroup(t *testing.T, path string, peers ...*testEnginePeer) {
 		}
 		n := 0
 		for _, e := range rdv.PeersView() {
-			if e.Kind == obs.PeerRendezvous && e.Group == group {
+			if e.Kind == obs.PeerRendezvous && slices.Contains(e.Groups, group) {
 				n++
 			}
 		}

@@ -244,9 +244,12 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 			m.AddUint64("rdv", "Last", 20)
 		})
 	}
+	// grantTo grants a lease of the one group: a set of one name, the
+	// name and a NUL byte.
 	grantTo := func(to endpoint.Address, group string) {
-		send(to, group, "lease", func(m *message.Message) {
+		send(to, "", "lease", func(m *message.Message) {
 			m.AddUint64("rdv", "Seed", 1)
+			m.AddBytes("rdv", "Groups", append([]byte(group), 0))
 			m.AddUint64("rdv", "Lease", uint64(time.Minute/time.Millisecond))
 			m.AddUint64("rdv", "Epoch", 1)
 		})

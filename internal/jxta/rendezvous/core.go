@@ -8,6 +8,7 @@ package rendezvous
 // steps under s.mu and carries out the outputs once it has let go.
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -19,27 +20,27 @@ import (
 
 type inKind uint8
 
-// Inputs. Those received name the sender's address (from) and ID (src)
-// and the group the frame was addressed to.
+// Inputs. Those received name the sender's address (from) and ID (src).
 const (
 	inJoin       inKind = iota + 1 // group
 	inLeave                        // group
-	inClose                        // disconnect every lease, then nothing more
+	inClose                        // disconnect from every seed, then nothing more
 	inTick                         // renew, probe suspects, expire
-	inConnect                      // src asks for a lease for group through its seed
-	inGrant                        // src granted one: lease ms, epoch, the seed it answers
-	inDisconnect                   // src left group
+	inConnect                      // src asks for a lease for groups through its seed, naming the epoch it holds
+	inGrant                        // src granted one: groups, lease ms, epoch, the seed it answers
+	inDisconnect                   // src ended its lease
 	inPong                         // from answered a probe
 	inSent                         // a send to from arrived, or failed
-	inRound                        // seed's connect round ended, failed or not
+	inRound                        // seed's connect ended, failed or not
 )
 
 type input struct {
 	kind   inKind
 	from   endpoint.Address
 	src    jid.ID
-	group  string
-	lease  uint64 // granted milliseconds
+	group  string   // joined or left
+	groups []string // a connect's or a grant's set, sorted
+	lease  uint64   // granted milliseconds
 	epoch  uint64
 	seed   uint64 // a seed's place in Seeds, counted from 1; see elemSeed
 	failed bool
@@ -49,24 +50,26 @@ type input struct {
 type outKind uint8
 
 const (
-	outSend  outKind = iota + 1 // a control frame: op, its address and group
+	outSend  outKind = iota + 1 // a control frame: op, its address and group set
 	outEpoch                    // rdv started a new lease epoch for group
 )
 
 type output struct {
-	kind  outKind
-	op    string
-	to    endpoint.Address
-	group string
-	lease uint64 // a grant's milliseconds
-	epoch uint64 // a grant's epoch
-	seed  uint64 // the seed a connect goes to or a grant answers, counted from 1
-	rdv   jid.ID // outEpoch
+	kind   outKind
+	op     string
+	to     endpoint.Address
+	groups []string // a connect's or a grant's set; outEpoch's group alone
+	lease  uint64   // a grant's milliseconds
+	epoch  uint64   // a grant's epoch, or the one a connect's peer holds with the seed
+	seed   uint64   // the seed a connect goes to or a grant answers, counted from 1
+	rdv    jid.ID   // outEpoch
 }
 
+// peerEntry is one peer's lease. Its groups are a sorted set, which a
+// step replaces and never changes in place: an output may still hold it.
 type peerEntry struct {
 	addr    endpoint.Address
-	group   string // the key's
+	groups  []string
 	expires time.Time
 	epoch   uint64
 	seed    uint64 // rdvs: the seed its latest grant answered
@@ -84,43 +87,34 @@ func (e *peerEntry) renew(from endpoint.Address, expires time.Time) {
 	e.expires = expires
 }
 
-// leaseKey identifies a lease: one peer may lease separately for several
-// groups, in either table.
-type leaseKey struct {
-	id jid.ID
-	// param is the group leased for; "" (rendezvous leasing with each
-	// other) carries every group.
-	param string
+// covers reports whether a lease for the set leased carries the traffic
+// of group: a set holding "" carries every group's. A set is sorted, so
+// a look costs a search, not a scan, and "" comes first.
+func covers(leased []string, group string) bool {
+	_, found := slices.BinarySearch(leased, group)
+	return found || len(leased) > 0 && leased[0] == ""
 }
 
-// covers reports whether a lease for leased carries the traffic of
-// group: a lease for "" carries every group's, and "" asks about every
-// lease.
-func covers(leased, group string) bool {
-	return leased == "" || group == "" || leased == group
-}
-
-// target is one peer a frame of a group goes to. expires is the latest
-// of its live leases that carry the group, clientExpires that of those
-// it holds with us as a client: the fan-out skips the peer once now is
-// past the one it reads.
-type target struct {
-	id                     jid.ID
-	addr                   endpoint.Address
-	expires, clientExpires time.Time
+// member is one peer in the fan-out list of a group: its leases that
+// carry the group, with us as a client and with it as a rendezvous. The
+// list holds the entries themselves, so a renewal, which moves an
+// entry's expiry alone, leaves every list as it is.
+type member struct {
+	id          jid.ID
+	client, rdv *peerEntry
 }
 
 // seedState throttles (re)connect attempts to one configured seed.
 type seedState struct {
-	fails int       // consecutive failed connect rounds
+	fails int       // consecutive failed connects
 	next  time.Time // do not retry before this instant
 }
 
 type core struct {
-	cfg     *Config                 // normalised; Clock is the driver's
-	groups  []string                // what we lease: an edge's joined groups, or "" alone on a rendezvous
-	clients map[leaseKey]*peerEntry // connected to us (rendezvous role)
-	rdvs    map[leaseKey]*peerEntry // we are connected to them (granted leases)
+	cfg     *Config               // normalised; Clock is the driver's
+	groups  []string              // what we lease, sorted: an edge's joined groups, or "" alone on a rendezvous
+	clients map[jid.ID]*peerEntry // connected to us (rendezvous role)
+	rdvs    map[jid.ID]*peerEntry // we are connected to them (granted leases)
 	det     detector
 	seeds   []seedState // parallel to cfg.Seeds
 	active  int         // the elected seed (ActiveStandby)
@@ -130,8 +124,9 @@ type core struct {
 	// The fan-out's targets per group some lease names; the list of ""
 	// is every other group's. named counts the leases that name a group.
 	// A step that changes a lease moves its peer's targets alone.
-	lists map[string][]target
+	lists map[string][]member
 	named map[string]int
+	visit []string // regroup's scratch: the groups whose lists it moves
 
 	// Counters, read under the driver's lock.
 	seedFailures, suspected, probes, evicted, breakerSkips, failovers int64
@@ -140,12 +135,12 @@ type core struct {
 func newCore(cfg *Config, epoch uint64) *core {
 	c := &core{
 		cfg:     cfg,
-		clients: make(map[leaseKey]*peerEntry),
-		rdvs:    make(map[leaseKey]*peerEntry),
+		clients: make(map[jid.ID]*peerEntry),
+		rdvs:    make(map[jid.ID]*peerEntry),
 		det:     make(detector),
 		seeds:   make([]seedState, len(cfg.Seeds)),
 		epoch:   epoch,
-		lists:   make(map[string][]target),
+		lists:   make(map[string][]member),
 		named:   make(map[string]int),
 	}
 	if cfg.Role == RoleRendezvous {
@@ -160,42 +155,48 @@ func (c *core) step(now time.Time, in input, out []output) []output {
 	if c.closed {
 		return out
 	}
-	edge := c.cfg.Role == RoleEdge
 	switch in.kind {
-	case inJoin:
-		if edge {
-			if !slices.Contains(c.groups, in.group) {
-				c.groups = append(c.groups, in.group)
-			}
-			out = c.connect(now, []string{in.group}, out)
-		}
-	case inLeave:
-		if edge {
-			c.groups = slices.DeleteFunc(c.groups, func(g string) bool { return g == in.group })
-			for k, e := range c.rdvs {
-				if k.param == in.group {
-					out = append(out, output{kind: outSend, op: opDisconnect, to: e.addr, group: k.param})
-					c.unlease(c.rdvs, k)
-				}
+	case inJoin, inLeave:
+		i, found := slices.BinarySearch(c.groups, in.group)
+		switch {
+		case c.cfg.Role != RoleEdge:
+			return out
+		case in.kind == inJoin && !found && len(c.groups) < maxGroups && !strings.Contains(in.group, "\x00"):
+			c.groups = slices.Insert(slices.Clip(c.groups), i, in.group)
+		case in.kind == inLeave && found:
+			c.groups = slices.Concat(c.groups[:i], c.groups[i+1:])
+			for id, e := range c.rdvs {
+				c.regroup(c.rdvs, id, e, slices.DeleteFunc(slices.Clone(e.groups), func(g string) bool { return g == in.group }))
 			}
 		}
+		// The seeds hear the new set at once: a lost one is sent again
+		// by the next renewal.
+		out = c.connect(now, out)
 	case inClose:
-		c.closed = true
-		for k, e := range c.rdvs {
-			out = append(out, output{kind: outSend, op: opDisconnect, to: e.addr, group: k.param})
-		}
+		c.closed, c.groups = true, nil
+		out = c.connect(now, out)
 	case inTick:
 		c.remove(func(e *peerEntry) bool { return now.After(e.expires) })
-		out = c.connect(now, c.groups, out)
+		if len(c.groups) > 0 {
+			out = c.connect(now, out)
+		}
 		for _, addr := range c.det.suspects(now) {
 			c.probes++
 			out = append(out, output{kind: outSend, op: opPing, to: addr})
 		}
 	case inConnect:
-		if edge {
+		if c.cfg.Role == RoleEdge || len(in.groups) == 0 {
 			break
 		}
-		e := c.lease(c.clients, in)
+		e := c.clients[in.src]
+		if e == nil {
+			e = &peerEntry{}
+		}
+		// A connect that only narrows the live lease its peer says it
+		// holds is a Leave: the peer needs no grant for it, and may be gone
+		// before one came. A peer that holds no lease with us gets one.
+		narrows := !now.After(e.expires) && in.epoch == e.epoch && len(in.groups) < len(e.groups) &&
+			!slices.ContainsFunc(in.groups, func(g string) bool { return !covers(e.groups, g) })
 		if now.After(e.expires) {
 			// This side holds no lease for the client — it never had one,
 			// let it lapse, evicted the client, or restarted — and forwarded
@@ -207,41 +208,58 @@ func (c *core) step(now time.Time, in input, out []output) []output {
 		// An inbound connect is proof of life: whatever suspicion (or
 		// stale eviction ban) the address carried is obsolete.
 		delete(c.det, in.from)
-		c.retarget(in.src, e.group)
+		// A connect replaces the client's set.
+		c.regroup(c.clients, in.src, e, in.groups)
+		if narrows {
+			break
+		}
 		// The grant goes to the frame's own from, not the entry's copy:
 		// tcpnet keys a new host queue by it, and which string that is
 		// moves the heap and the GC's pace (ROADMAP item 13).
-		out = append(out, output{kind: outSend, op: opLease, to: in.from, group: e.group,
+		out = append(out, output{kind: outSend, op: opLease, to: in.from, groups: in.groups,
 			lease: uint64(c.cfg.LeaseTTL / time.Millisecond), epoch: e.epoch, seed: in.seed})
 	case inGrant:
-		// A grant for a group this peer does not lease — never joined, or
-		// left while the grant was in flight — is nobody's; so is one that
-		// answers a connect to a seed that is not the elected one. The seed
-		// is the one the connect named, not the address the grant came
-		// from: a seed may be configured under a name of the rendezvous'
-		// other than the one it reports.
-		if !slices.Contains(c.groups, in.group) || c.cfg.ActiveStandby && len(c.cfg.Seeds) > 0 && in.seed != uint64(c.active)+1 {
+		// An epoch this side does not hold is a new connection: the
+		// rendezvous started it, or our side of it lapsed. Within one, a
+		// grant adds to what the lease covers, so a late grant for a
+		// smaller set takes nothing away. Either way it covers only the
+		// groups this peer is in, and one that covers none — for groups
+		// left while it was in flight — is nobody's.
+		e, was := c.rdvs[in.src], []string(nil)
+		if e == nil {
+			e = &peerEntry{}
+		} else if !now.After(e.expires) && e.epoch == in.epoch {
+			was = e.groups
+		}
+		// A set never changes in place, so a lease that covers every
+		// joined group shares the joined set.
+		missing := func(g string) bool { return !covers(was, g) && !covers(in.groups, g) }
+		covered := c.groups
+		if slices.ContainsFunc(covered, missing) {
+			covered = slices.DeleteFunc(slices.Clone(covered), missing)
+		}
+		// So is a grant that answers a connect to a seed that is not the
+		// elected one. The seed is the one the connect named, not the
+		// address the grant came from: a seed may be configured under a
+		// name of the rendezvous' other than the one it reports.
+		if len(covered) == 0 || c.cfg.ActiveStandby && len(c.cfg.Seeds) > 0 && in.seed != uint64(c.active)+1 {
 			break
 		}
-		e := c.lease(c.rdvs, in)
-		// An epoch this side does not hold is a new connection: the
-		// rendezvous started it, or our side of it lapsed.
-		fresh := now.After(e.expires) || e.epoch != in.epoch
 		e.epoch, e.seed = in.epoch, in.seed
 		e.renew(in.from, now.Add(time.Duration(in.lease)*time.Millisecond))
 		// A granted lease is proof of life for the rendezvous's address.
 		delete(c.det, in.from)
-		c.retarget(in.src, e.group)
-		if fresh {
-			out = append(out, output{kind: outEpoch, rdv: in.src, group: e.group})
+		c.regroup(c.rdvs, in.src, e, covered)
+		for i, g := range covered {
+			if !covers(was, g) {
+				out = append(out, output{kind: outEpoch, rdv: in.src, groups: covered[i : i+1]})
+			}
 		}
 	case inDisconnect:
-		if k := (leaseKey{in.src, in.group}); c.clients[k] != nil {
-			c.unlease(c.clients, k)
+		if e := c.clients[in.src]; e != nil {
+			c.regroup(c.clients, in.src, e, nil)
 		}
-	case inPong:
-		delete(c.det, in.from)
-	case inSent:
+	case inPong, inSent:
 		if !in.failed {
 			delete(c.det, in.from)
 			break
@@ -284,61 +302,89 @@ func (c *core) step(now time.Time, in input, out []output) []output {
 	return out
 }
 
-// lease returns the entry of table for the input's (src, group),
-// making an empty one when there is none. The group is a piece of the
-// frame: a new entry takes a copy, once, for its key, itself and its
-// group's list — a renewal writes the entry and leaves the keys alone.
-// A group's new list starts as the list of "", which is what carried
-// it until now.
-func (c *core) lease(table map[leaseKey]*peerEntry, in input) *peerEntry {
-	k := leaseKey{in.src, in.group}
-	e := table[k]
-	if e == nil {
-		k.param = strings.Clone(k.param)
-		e = &peerEntry{group: k.param}
-		table[k] = e
-		if c.named[k.param]++; c.named[k.param] == 1 {
-			c.lists[k.param] = slices.Clone(c.lists[""])
+// regroup makes e, with the set groups, id's entry of table — none
+// deletes it — and, when the set changed, moves id in the list of each
+// group it held or holds. A group's new list starts as the list of "",
+// which is what carried it until now.
+func (c *core) regroup(table map[jid.ID]*peerEntry, id jid.ID, e *peerEntry, groups []string) {
+	old := e.groups
+	e.groups, table[id] = groups, e
+	if len(groups) == 0 {
+		delete(table, id)
+	}
+	if slices.Equal(old, groups) {
+		return
+	}
+	for _, g := range groups {
+		if c.named[g]++; c.named[g] == 1 {
+			c.lists[g] = slices.Clone(c.lists[""])
 		}
 	}
-	return e
-}
-
-// unlease deletes k's entry from table and moves its peer's targets.
-func (c *core) unlease(table map[leaseKey]*peerEntry, k leaseKey) {
-	delete(table, k)
-	if c.named[k.param]--; c.named[k.param] == 0 {
-		delete(c.named, k.param)
-		delete(c.lists, k.param)
+	// A lease for "" is in every list.
+	c.visit = append(append(c.visit[:0], old...), groups...)
+	if slices.Contains(old, "") || slices.Contains(groups, "") {
+		c.visit = slices.AppendSeq(c.visit[:0], maps.Keys(c.lists))
 	}
-	c.retarget(k.id, k.param)
+	for _, g := range c.visit {
+		l := c.lists[g]
+		m := member{id: id}
+		if e := c.clients[id]; e != nil && covers(e.groups, g) {
+			m.client = e
+		}
+		if e := c.rdvs[id]; e != nil && covers(e.groups, g) {
+			m.rdv = e
+		}
+		switch i := slices.IndexFunc(l, func(m member) bool { return m.id == id }); {
+		case i < 0 && m != member{id: id}:
+			c.lists[g] = append(l, m)
+		case i >= 0 && m == member{id: id}:
+			c.lists[g] = slices.Delete(l, i, i+1)
+		case i >= 0:
+			l[i] = m
+		}
+	}
+	for _, g := range old {
+		if c.named[g]--; c.named[g] == 0 {
+			delete(c.named, g)
+			delete(c.lists, g)
+		}
+	}
 }
 
-// connect renews groups with every seed that is neither behind an
-// eviction breaker nor inside its failure backoff window — in
-// ActiveStandby mode with the elected one alone, one election covering
-// every group. The connects of one seed are one round: the driver ends
-// it at its first failure and reports its result (inRound).
-func (c *core) connect(now time.Time, groups []string, out []output) []output {
+// connect sends the peer's group set to every seed that is neither
+// behind an eviction breaker nor inside its failure backoff window — in
+// ActiveStandby mode to the elected one alone — or, with no group left,
+// a disconnect. A connect names the epoch of the live lease the peer
+// holds through the seed, if any. The driver reports the result of each
+// connect (inRound).
+func (c *core) connect(now time.Time, out []output) []output {
 	if c.cfg.ActiveStandby && len(c.cfg.Seeds) > 0 {
 		c.elect(now)
+	}
+	op := opConnect
+	if len(c.groups) == 0 {
+		op = opDisconnect
 	}
 	for i, seed := range c.cfg.Seeds {
 		if c.cfg.ActiveStandby && i != c.active || c.blocked(seed, now) || now.Before(c.seeds[i].next) {
 			continue
 		}
-		for _, g := range groups {
-			out = append(out, output{kind: outSend, op: opConnect, to: seed, group: g, seed: uint64(i) + 1})
+		o := output{kind: outSend, op: op, to: seed, groups: c.groups, seed: uint64(i) + 1}
+		for _, e := range c.rdvs {
+			if e.seed == o.seed && !now.After(e.expires) {
+				o.epoch = e.epoch
+			}
 		}
+		out = append(out, o)
 	}
 	return out
 }
 
 // elect is the failover state machine: keep the active seed unless the
 // failure detector has declared it dead — its breaker is open, or
-// EvictAfter consecutive connect rounds failed — then elect the next
+// EvictAfter consecutive connects failed — then elect the next
 // healthy standby, round-robin, clear its backoff so the re-lease is
-// immediate, and drop the leases granted through the dead one. Clients
+// immediate, and drop the lease granted through the dead one. Clients
 // sharing a seed order walk the same sequence of actives, so a replica
 // set's clients converge on one primary.
 func (c *core) elect(now time.Time) {
@@ -368,44 +414,14 @@ func (c *core) blocked(addr endpoint.Address, now time.Time) bool {
 	return true
 }
 
-// remove unleases every entry gone reports: a tick's expiry, an
+// remove deletes every lease gone reports: a tick's expiry, an
 // eviction, an election.
 func (c *core) remove(gone func(*peerEntry) bool) {
-	for _, table := range []map[leaseKey]*peerEntry{c.clients, c.rdvs} {
-		for k, e := range table {
+	for _, table := range []map[jid.ID]*peerEntry{c.clients, c.rdvs} {
+		for id, e := range table {
 			if gone(e) {
-				c.unlease(table, k)
+				c.regroup(table, id, e, nil)
 			}
-		}
-	}
-}
-
-// retarget recomputes id's target in each list a lease of id for group
-// feeds — its group's, or every list for "" — from the leases of id
-// that carry the list's group: at most two in each table.
-func (c *core) retarget(id jid.ID, group string) {
-	for g, l := range c.lists {
-		if group != "" && g != group {
-			continue
-		}
-		t := target{id: id}
-		for i, table := range []map[leaseKey]*peerEntry{c.clients, c.rdvs} {
-			for _, e := range []*peerEntry{table[leaseKey{id, g}], table[leaseKey{id, ""}]} {
-				if e != nil && e.expires.After(t.expires) {
-					t.expires, t.addr = e.expires, e.addr
-				}
-				if e != nil && i == 0 && e.expires.After(t.clientExpires) {
-					t.clientExpires = e.expires
-				}
-			}
-		}
-		switch i := slices.IndexFunc(l, func(t target) bool { return t.id == id }); {
-		case i < 0 && !t.expires.IsZero():
-			c.lists[g] = append(l, t)
-		case i >= 0 && t.expires.IsZero():
-			c.lists[g] = slices.Delete(l, i, i+1)
-		case i >= 0:
-			l[i] = t
 		}
 	}
 }
@@ -451,22 +467,15 @@ func (d detector) suspects(now time.Time) []endpoint.Address {
 
 // perform carries out a step's outputs: send sends a control frame,
 // epoch tells the lease listeners of a new epoch, and feed steps the
-// core again on the results it decides on. Those are a seed's connect
-// round, which ends at its first failed send, so a dead seed counts once
-// a round, and a failed probe.
+// core again on the results it decides on: a seed's connect, so a dead
+// seed counts once a round, and a failed probe.
 func perform(outs []output, send func(output) error, feed func(input), epoch func(rdv jid.ID, group string)) {
-	for i := 0; i < len(outs); i++ {
-		o := outs[i]
+	for _, o := range outs {
 		switch {
 		case o.kind == outEpoch:
-			epoch(o.rdv, o.group)
+			epoch(o.rdv, o.groups[0])
 		case o.op == opConnect:
-			failed := false
-			for ; i < len(outs) && outs[i].op == opConnect && outs[i].seed == o.seed; i++ {
-				failed = failed || send(outs[i]) != nil
-			}
-			i--
-			feed(input{kind: inRound, seed: o.seed, failed: failed})
+			feed(input{kind: inRound, seed: o.seed, failed: send(o) != nil})
 		default:
 			if send(o) != nil && o.op == opPing {
 				feed(input{kind: inSent, from: o.to, failed: true})

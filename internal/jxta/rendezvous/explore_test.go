@@ -58,8 +58,10 @@ func xSetups() []xSetup {
 	}
 	return []xSetup{{
 		name: "seeds",
-		// r1 leases every group with r0; e0 leases with r0, e1 with both.
-		cfgs: [4]Config{cfg(RoleRendezvous, false), cfg(RoleRendezvous, false, "dns:r0"),
+		// r0 and r1 lease every group with each other, so each is the
+		// other's client and rendezvous at once; e0 leases with r0, e1
+		// with both.
+		cfgs: [4]Config{cfg(RoleRendezvous, false, "dns:r1"), cfg(RoleRendezvous, false, "dns:r0"),
 			cfg(RoleEdge, false, "dns:r0"), cfg(RoleEdge, false, "dns:r0", "dns:r1")},
 		joined: [2][]int{{0}, {1}},
 	}, {
@@ -87,15 +89,16 @@ func xIndexOf(id jid.ID) int { return slices.Index(xIDs[:], id) }
 // xFrame is a control frame in flight.
 type xFrame struct {
 	from, to     int
-	op, group    string
+	op           string
+	groups       []string
 	lease, epoch uint64
 	seed         uint64
 	sent         time.Time
 }
 
 func (f xFrame) String(now time.Time) string {
-	s := fmt.Sprintf("%s>%s %s %q", xNames[f.from], xNames[f.to], f.op, f.group)
-	if f.op == opLease {
+	s := fmt.Sprintf("%s>%s %s %q", xNames[f.from], xNames[f.to], f.op, f.groups)
+	if f.op == opLease || f.epoch != 0 {
 		s += fmt.Sprintf(" epoch %#x", f.epoch)
 	}
 	return s + fmt.Sprintf(" age %v", now.Sub(f.sent))
@@ -142,8 +145,9 @@ type xWorld struct {
 	net     []xFrame
 	joined  [2][2]bool
 	// By (peer, rendezvous, group index + 1, 0 for ""): the epoch of the
-	// last grant the peer accepted, while its lease is live; the latest
-	// expiry the rendezvous ever gave the peer's lease.
+	// last grant the peer accepted that covered the group, while its
+	// lease is live and, on an edge, the group joined; the latest expiry
+	// the rendezvous ever gave the peer's lease while it named the group.
 	held   [4][2][3]uint64
 	rdvMax [4][2][3]time.Time
 	// budgets
@@ -159,6 +163,23 @@ type xWorld struct {
 }
 
 func xGroup(g string) int { return slices.Index(xGroups, g) + 1 }
+
+// xName is the group xGroup numbers g.
+func xName(g int) string {
+	if g == 0 {
+		return ""
+	}
+	return xGroups[g-1]
+}
+
+// xSet is a group set as bits of xGroup.
+func xSet(set []string) int {
+	n := 0
+	for _, g := range set {
+		n |= 1 << xGroup(g)
+	}
+	return n
+}
 
 // xNew is the settled start of setup: its joins, then two rounds of
 // ticks and deliveries. The inputs it took are the world's prefix.
@@ -216,8 +237,8 @@ func (w *xWorld) mut(p int) *core {
 func cloneCore(c *core) *core {
 	n := *c
 	n.groups = slices.Clone(c.groups)
-	cp := func(t map[leaseKey]*peerEntry) map[leaseKey]*peerEntry {
-		out := make(map[leaseKey]*peerEntry, len(t))
+	cp := func(t map[jid.ID]*peerEntry) map[jid.ID]*peerEntry {
+		out := make(map[jid.ID]*peerEntry, len(t))
 		for k, e := range t {
 			e2 := *e
 			out[k] = &e2
@@ -231,11 +252,22 @@ func cloneCore(c *core) *core {
 		n.det[a] = &h2
 	}
 	n.seeds = slices.Clone(c.seeds)
-	n.lists = make(map[string][]target, len(c.lists))
+	// The lists hold the entries: the copy's hold the copy's entries.
+	n.lists = make(map[string][]member, len(c.lists))
 	for g, l := range c.lists {
-		n.lists[g] = slices.Clone(l)
+		n.lists[g] = make([]member, len(l))
+		for i, m := range l {
+			n.lists[g][i] = member{id: m.id}
+			if m.client != nil {
+				n.lists[g][i].client = n.clients[m.id]
+			}
+			if m.rdv != nil {
+				n.lists[g][i].rdv = n.rdvs[m.id]
+			}
+		}
 	}
 	n.named = maps.Clone(c.named)
+	n.visit = nil
 	return &n
 }
 
@@ -306,7 +338,6 @@ func (w *xWorld) apply(ev xEvent) {
 	}
 	w.reports, w.touched = w.reports[:0], [4]bool{}
 	var grant *xFrame
-	var held bool
 	switch ev.kind {
 	case "tick":
 		w.step(ev.peer, input{kind: inTick})
@@ -324,7 +355,7 @@ func (w *xWorld) apply(ev xEvent) {
 			i = slices.IndexFunc(w.net, func(f xFrame) bool { return f.String(w.now) == ev.frame })
 		}
 		if i < 0 {
-			w.fail("no such frame: %s is not in flight", ev.frame)
+			w.fail("no such frame: %s is not in flight; %v are", ev.frame, w.inFlight())
 			return
 		}
 		f := w.net[i]
@@ -339,15 +370,13 @@ func (w *xWorld) apply(ev xEvent) {
 			return
 		}
 		w.net = slices.Delete(w.net, i, i+1)
-		in := input{from: xNames[f.from], src: xID(f.from), group: f.group, seed: f.seed}
+		in := input{from: xNames[f.from], src: xID(f.from), groups: f.groups, epoch: f.epoch, seed: f.seed}
 		switch f.op {
 		case opConnect:
 			in.kind = inConnect
 		case opLease:
-			in.kind, in.lease, in.epoch = inGrant, f.lease, f.epoch
+			in.kind, in.lease = inGrant, f.lease
 			grant = &f
-			e := w.cores[f.to].rdvs[leaseKey{in.src, f.group}]
-			held = e != nil && !w.now.After(e.expires) && w.held[f.to][f.from][xGroup(f.group)] == f.epoch
 		case opDisconnect:
 			in.kind = inDisconnect
 		case opPing:
@@ -380,9 +409,17 @@ func (w *xWorld) apply(ev xEvent) {
 		w.advance(ev.jump)
 	}
 	if !w.quiet {
-		w.checkEpochs(grant, held)
+		w.checkEpochs(grant)
 		w.check()
 	}
+}
+
+// inFlight names the frames in flight.
+func (w *xWorld) inFlight() (names []string) {
+	for _, f := range w.net {
+		names = append(names, f.String(w.now))
+	}
+	return names
 }
 
 // advance moves the clock on by d. The network delivers a frame within
@@ -408,38 +445,48 @@ func (w *xWorld) send(from int, o output) error {
 	if to < 2 && w.down[to] {
 		return errDown
 	}
-	w.net = append(w.net, xFrame{from: from, to: to, op: o.op, group: o.group, lease: o.lease, epoch: o.epoch, seed: o.seed, sent: w.now})
+	w.net = append(w.net, xFrame{from: from, to: to, op: o.op, groups: o.groups, lease: o.lease, epoch: o.epoch, seed: o.seed, sent: w.now})
 	return nil
 }
 
 var errDown = errors.New("peer down")
 
-// checkEpochs is invariant (v): a grant the peer accepts reaches the
-// listeners exactly when the peer held no live lease of its epoch with
-// that rendezvous for that group — a new epoch, or its own side of the
-// old one lapsed — and nothing else ever does.
-func (w *xWorld) checkEpochs(grant *xFrame, held bool) {
-	want := 0
+// checkEpochs is invariant (v): a grant the peer accepts tells the
+// listeners of each group it makes covered by the peer's lease with
+// that rendezvous in its epoch — a group the live lease did not cover
+// in that epoch since the peer joined it, because the epoch is new, the
+// peer's side of the old one lapsed, or the group was joined since —
+// once each, and nothing else ever reaches them. Within one epoch a
+// joined group that a grant covered stays covered: a grant that took it
+// away would have it heard again.
+func (w *xWorld) checkEpochs(grant *xFrame) {
+	var want [][3]int
 	if grant != nil {
-		k := [3]int{grant.to, grant.from, xGroup(grant.group)}
-		e := w.cores[grant.to].rdvs[leaseKey{xID(grant.from), grant.group}]
-		if e != nil && e.expires.Equal(w.now.Add(time.Duration(grant.lease)*time.Millisecond)) {
-			w.held[k[0]][k[1]][k[2]] = grant.epoch
-			if !held {
-				want = 1
+		e := w.cores[grant.to].rdvs[xID(grant.from)]
+		if e != nil && e.epoch == grant.epoch && e.expires.Equal(w.now.Add(time.Duration(grant.lease)*time.Millisecond)) {
+			for _, g := range e.groups {
+				k := [3]int{grant.to, grant.from, xGroup(g)}
+				if w.held[k[0]][k[1]][k[2]] != grant.epoch {
+					want = append(want, k)
+				}
+				w.held[k[0]][k[1]][k[2]] = grant.epoch
 			}
-		}
-		if got := len(slices.DeleteFunc(slices.Clone(w.reports), func(r [3]int) bool { return r != k })); got != want {
-			kind := "(v) an epoch went unheard"
-			if got > want {
-				kind = "(v) an epoch was heard again"
-			}
-			w.fail("%s: a grant of epoch %#x from %s for %q reached the listeners of %s %d times, want %d",
-				kind, grant.epoch, xNames[grant.from], grant.group, xNames[grant.to], got, want)
 		}
 	}
-	if len(w.reports) != want {
-		w.fail("(v) an epoch was heard with no grant: %d lease epochs heard, %d of them for no grant: %v", len(w.reports), len(w.reports)-want, w.reports)
+	got := slices.Clone(w.reports)
+	slices.SortFunc(got, func(a, b [3]int) int { return slices.Compare(a[:], b[:]) })
+	if slices.Equal(got, want) {
+		return
+	}
+	switch {
+	case grant == nil:
+		w.fail("(v) an epoch was heard with no grant: %v heard", got)
+	case len(got) < len(want):
+		w.fail("(v) an epoch went unheard: a grant of epoch %#x from %s for %q reached the listeners of %s for %v, want %v",
+			grant.epoch, xNames[grant.from], grant.groups, xNames[grant.to], got, want)
+	default:
+		w.fail("(v) an epoch was heard again: a grant of epoch %#x from %s for %q reached the listeners of %s for %v, want %v",
+			grant.epoch, xNames[grant.from], grant.groups, xNames[grant.to], got, want)
 	}
 }
 
@@ -454,14 +501,16 @@ func (w *xWorld) check() {
 		if !w.touched[r] {
 			continue
 		}
-		for k, e := range w.cores[r].clients {
-			x := &w.rdvMax[xIndexOf(k.id)][r][xGroup(k.param)]
-			if e.expires.After(*x) {
-				*x = e.expires
+		for id, e := range w.cores[r].clients {
+			for _, g := range e.groups {
+				x := &w.rdvMax[xIndexOf(id)][r][xGroup(g)]
+				if e.expires.After(*x) {
+					*x = e.expires
+				}
 			}
 		}
 	}
-	var live [4][2][3]bool
+	var live [4][2]bool
 	for p, c := range w.cores {
 		if !w.touched[p] {
 			continue
@@ -474,24 +523,28 @@ func (w *xWorld) check() {
 				l = c.lists[""]
 			}
 			var got, want [2]uint8
-			for _, t := range l {
-				bit := uint8(1) << xIndexOf(t.id)
+			live := func(e *peerEntry) bool { return e != nil && !now.After(e.expires) }
+			for _, m := range l {
+				bit := uint8(1) << xIndexOf(m.id)
 				if (got[0]|got[1])&bit != 0 {
-					w.fail("(i) a target is listed twice: %s lists %v twice for %q", xNames[p], xNames[xIndexOf(t.id)], g)
+					w.fail("(i) a target is listed twice: %s lists %v twice for %q", xNames[p], xNames[xIndexOf(m.id)], g)
 				}
-				if !now.After(t.expires) {
+				if m.client != nil && m.client != c.clients[m.id] || m.rdv != nil && m.rdv != c.rdvs[m.id] {
+					w.fail("(i) a target is not the peer's lease: %s lists %v for %q with a lease it no longer holds", xNames[p], xNames[xIndexOf(m.id)], g)
+				}
+				if live(m.client) || live(m.rdv) {
 					got[0] |= bit
 				}
-				if !now.After(t.clientExpires) {
+				if live(m.client) {
 					got[1] |= bit
 				}
 			}
-			for i, table := range []map[leaseKey]*peerEntry{c.clients, c.rdvs} {
-				for k, e := range table {
-					if covers(k.param, g) && !now.After(e.expires) && !c.det.banned(e.addr, now) {
-						want[0] |= 1 << xIndexOf(k.id)
+			for i, table := range []map[jid.ID]*peerEntry{c.clients, c.rdvs} {
+				for id, e := range table {
+					if covers(e.groups, g) && !now.After(e.expires) && !c.det.banned(e.addr, now) {
+						want[0] |= 1 << xIndexOf(id)
 						if i == 0 {
-							want[1] |= 1 << xIndexOf(k.id)
+							want[1] |= 1 << xIndexOf(id)
 						}
 					}
 				}
@@ -501,21 +554,31 @@ func (w *xWorld) check() {
 			}
 		}
 		seeds := map[endpoint.Address]bool{}
-		for k, e := range c.rdvs {
+		for id, e := range c.rdvs {
 			if now.After(e.expires) {
 				continue
 			}
-			r, g := xIndexOf(k.id), xGroup(k.param)
-			live[p][r][g] = true
-			// (ii) an edge's lease lasts no longer than one TTL past the
-			// rendezvous' own.
-			if max := w.rdvMax[p][r][g]; e.expires.After(max.Add(xTTL)) {
-				w.fail("(ii) a lease outlived the rendezvous' by more than a TTL: %s holds %s's lease for %q until %v, past %s's %v by more than a TTL",
-					xNames[p], xNames[r], k.param, e.expires.Sub(xStart), xNames[r], max.Sub(xStart))
+			r := xIndexOf(id)
+			live[p][r] = true
+			// (v) within one epoch, a joined group a grant covered stays
+			// covered.
+			for g, epoch := range w.held[p][r] {
+				if epoch != 0 && epoch == e.epoch && (p < 2 || g > 0 && w.joined[p-2][g-1]) && !slices.Contains(e.groups, xName(g)) {
+					w.fail("(v) a covered group was taken away: %s's lease with %s in epoch %#x no longer covers %q", xNames[p], xNames[r], epoch, xName(g))
+				}
 			}
-			// (iii) an edge holds leases only for the groups it is in.
-			if p >= 2 && (g == 0 || !w.joined[p-2][g-1]) {
-				w.fail("(iii) a lease for a group left: %s holds a lease with %s for %q, which it is not in", xNames[p], xNames[r], k.param)
+			for _, group := range e.groups {
+				g := xGroup(group)
+				// (ii) an edge's lease of a group lasts no longer than one
+				// TTL past the latest the rendezvous gave its lease of it.
+				if max := w.rdvMax[p][r][g]; e.expires.After(max.Add(xTTL)) {
+					w.fail("(ii) a lease outlived the rendezvous' by more than a TTL: %s holds %s's lease for %q until %v, past %s's %v by more than a TTL",
+						xNames[p], xNames[r], group, e.expires.Sub(xStart), xNames[r], max.Sub(xStart))
+				}
+				// (iii) an edge's leases cover only the groups it is in.
+				if p >= 2 && (g == 0 || !w.joined[p-2][g-1]) {
+					w.fail("(iii) a lease for a group left: %s holds a lease with %s for %q, which it is not in", xNames[p], xNames[r], group)
+				}
 			}
 			seeds[e.addr] = true
 		}
@@ -524,14 +587,15 @@ func (w *xWorld) check() {
 			w.fail("(iv) leases with two seeds: %s holds live leases with %d seeds", xNames[p], len(seeds))
 		}
 	}
-	// The ghost epoch of a lease that is not live is nobody's.
+	// The ghost epoch of a group is nobody's once the lease is not live
+	// or the edge left the group.
 	for p := range live {
 		if !w.touched[p] {
 			continue
 		}
 		for r := range live[p] {
-			for g, l := range live[p][r] {
-				if !l {
+			for g := range w.held[p][r] {
+				if !live[p][r] || p >= 2 && (g == 0 || !w.joined[p-2][g-1]) {
 					w.held[p][r][g] = 0
 				}
 			}
@@ -557,8 +621,8 @@ func (w *xWorld) converges() string {
 		seeds := map[endpoint.Address]bool{}
 		for g, in := range h.joined[e] {
 			leased := false
-			for k, l := range c.rdvs {
-				if k.param == xGroups[g] && !h.now.After(l.expires) {
+			for _, l := range c.rdvs {
+				if slices.Contains(l.groups, xGroups[g]) && !h.now.After(l.expires) {
 					leased, seeds[l.addr] = true, true
 				}
 			}
@@ -586,7 +650,7 @@ func (w *xWorld) hash() uint64 {
 	now := w.now.UnixMilli()
 	frames := make([][3]int64, 0, len(w.net))
 	for _, f := range w.net {
-		frames = append(frames, [3]int64{int64(int(f.seed)<<16 | f.from<<12 | f.to<<8 | xGroup(f.group)<<4 | xOps[f.op]), int64(f.epoch), now - f.sent.UnixMilli()})
+		frames = append(frames, [3]int64{int64(int(f.seed)<<16 | f.from<<12 | f.to<<8 | xSet(f.groups)<<4 | xOps[f.op]), int64(f.epoch), now - f.sent.UnixMilli()})
 	}
 	slices.SortFunc(frames, func(a, b [3]int64) int { return slices.Compare(a[:], b[:]) })
 	for _, f := range frames {
@@ -659,10 +723,10 @@ func (w *xWorld) encode(p int) []byte {
 			num(int64(g))
 		}
 	}
-	for _, table := range []map[leaseKey]*peerEntry{c.clients, c.rdvs} {
+	for _, table := range []map[jid.ID]*peerEntry{c.clients, c.rdvs} {
 		var rows [][5]int64
-		for k, e := range table {
-			rows = append(rows, [5]int64{int64(xIndexOf(k.id)<<4 | xGroup(k.param)), int64(xIndex(e.addr)), xRel(e.expires, w.now, 0), int64(e.epoch), int64(e.seed)})
+		for id, e := range table {
+			rows = append(rows, [5]int64{int64(xIndexOf(id)<<4 | xSet(e.groups)), int64(xIndex(e.addr)), xRel(e.expires, w.now, 0), int64(e.epoch), int64(e.seed)})
 		}
 		slices.SortFunc(rows, func(a, b [5]int64) int { return slices.Compare(a[:], b[:]) })
 		num(int64(len(rows)))
@@ -800,8 +864,9 @@ func TestControlPlaneExplorer(t *testing.T) {
 }
 
 // TestExplorerTraces replays traces the explorer printed against the
-// rules this package had before lease epochs, or that it reaches only
-// past its depth. Each ended in a violation then and ends in none now.
+// rules this package had before lease epochs or before a grant added to
+// the groups its epoch covered, or that it reaches only past its depth.
+// Each ended in a violation then and ends in none now.
 func TestExplorerTraces(t *testing.T) {
 	setups := map[string]*xSetup{}
 	for _, s := range xSetups() {
@@ -816,20 +881,21 @@ func TestExplorerTraces(t *testing.T) {
 		name: "a lost grant of a new epoch", setup: "seeds", trace: []xEvent{
 			{kind: "restart", peer: 0},
 			{kind: "tick", peer: 2},
-			{kind: "deliver", frame: `e0>r0 connect "g0" age 0s`},
-			{kind: "drop", frame: `r0>e0 lease "g0" epoch 0x1000100000000 age 0s`},
+			{kind: "deliver", frame: `e0>r0 connect ["g0"] epoch 0x1000000000000 age 0s`},
+			{kind: "drop", frame: `r0>e0 lease ["g0"] epoch 0x1000100000000 age 0s`},
 			{kind: "tick", peer: 2},
-			{kind: "deliver", frame: `e0>r0 connect "g0" age 0s`},
-			{kind: "deliver", frame: `r0>e0 lease "g0" epoch 0x1000100000000 age 0s`},
+			{kind: "deliver", frame: `e0>r0 connect ["g0"] epoch 0x1000000000000 age 0s`},
+			{kind: "deliver", frame: `r0>e0 lease ["g0"] epoch 0x1000100000000 age 0s`},
 		},
 	}, {
-		// Both copies of a new lease's grant said it was new.
+		// Both copies of a new lease's grant said it was new. Here the
+		// grant adds g1 to e0's lease, and only its first copy may say so.
 		name: "a duplicated grant of a new epoch", setup: "seeds", trace: []xEvent{
 			{kind: "join", peer: 2, group: 1},
-			{kind: "deliver", frame: `e0>r0 connect "g1" age 0s`},
-			{kind: "dup", frame: `r0>e0 lease "g1" epoch 0x1000000000003 age 0s`},
-			{kind: "deliver", frame: `r0>e0 lease "g1" epoch 0x1000000000003 age 0s`},
-			{kind: "deliver", frame: `r0>e0 lease "g1" epoch 0x1000000000003 age 0s`},
+			{kind: "deliver", frame: `e0>r0 connect ["g0" "g1"] epoch 0x1000000000000 age 0s`},
+			{kind: "dup", frame: `r0>e0 lease ["g0" "g1"] epoch 0x1000000000000 age 0s`},
+			{kind: "deliver", frame: `r0>e0 lease ["g0" "g1"] epoch 0x1000000000000 age 0s`},
+			{kind: "deliver", frame: `r0>e0 lease ["g0" "g1"] epoch 0x1000000000000 age 0s`},
 		},
 	}, {
 		// The election moved to r1 and left the live leases with r0.
@@ -839,23 +905,35 @@ func TestExplorerTraces(t *testing.T) {
 			{kind: "jump", jump: 1000 * time.Millisecond},
 			{kind: "tick", peer: 2},
 			{kind: "tick", peer: 2},
-			{kind: "deliver", frame: `e0>r1 connect "g0" age 0s`},
-			{kind: "deliver", frame: `r1>e0 lease "g0" epoch 0x2000000000000 age 0s`},
+			{kind: "deliver", frame: `e0>r1 connect ["g0"] age 0s`},
+			{kind: "deliver", frame: `r1>e0 lease ["g0"] epoch 0x2000000000000 age 0s`},
 		},
 	}, {
 		// A grant the dead seed sent before it died arrives after the
 		// failover.
 		name: "a late grant from the dead seed", setup: "active-standby", trace: []xEvent{
 			{kind: "tick", peer: 2},
-			{kind: "deliver", frame: `e0>r0 connect "g0" age 0s`},
+			{kind: "deliver", frame: `e0>r0 connect ["g0"] epoch 0x1000000000000 age 0s`},
 			{kind: "kill", peer: 0},
 			{kind: "tick", peer: 2},
 			{kind: "jump", jump: 1000 * time.Millisecond},
 			{kind: "tick", peer: 2},
 			{kind: "tick", peer: 2},
-			{kind: "deliver", frame: `e0>r1 connect "g0" age 0s`},
-			{kind: "deliver", frame: `r1>e0 lease "g0" epoch 0x2000000000000 age 0s`},
-			{kind: "deliver", frame: `r0>e0 lease "g0" epoch 0x1000000000000 age 1s`},
+			{kind: "deliver", frame: `e0>r1 connect ["g0"] age 0s`},
+			{kind: "deliver", frame: `r1>e0 lease ["g0"] epoch 0x2000000000000 age 0s`},
+			{kind: "deliver", frame: `r0>e0 lease ["g0"] epoch 0x1000000000000 age 1s`},
+		},
+	}, {
+		// The grant of a renewal sent before the edge joined g1 arrives
+		// after the grant that covers g1, in the same epoch: with the set
+		// it names alone, it took g1 away.
+		name: "a reordered grant for a smaller set", setup: "seeds", trace: []xEvent{
+			{kind: "tick", peer: 2},
+			{kind: "join", peer: 2, group: 1},
+			{kind: "deliver", frame: `e0>r0 connect ["g0"] epoch 0x1000000000000 age 0s`},
+			{kind: "deliver", frame: `e0>r0 connect ["g0" "g1"] epoch 0x1000000000000 age 0s`},
+			{kind: "deliver", frame: `r0>e0 lease ["g0" "g1"] epoch 0x1000000000000 age 0s`},
+			{kind: "deliver", frame: `r0>e0 lease ["g0"] epoch 0x1000000000000 age 0s`},
 		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,6 +23,12 @@ const seedFailFastAfter = 2
 // AwaitConnected looks again after every step that may have changed its
 // answer.
 func (s *Service) apply(now time.Time, in input) {
+	if in.kind == inJoin || in.kind == inLeave || in.kind == inTick {
+		// The peer's own steps send its set in the order they took it:
+		// a seed never hears an older set after a newer one.
+		s.order.Lock()
+		defer s.order.Unlock()
+	}
 	var buf [8]output
 	s.mu.Lock()
 	outs := s.c.step(now, in, buf[:0])
@@ -45,33 +51,38 @@ func (s *Service) apply(now time.Time, in input) {
 	})
 }
 
-// send sends one control frame the core decided on.
+// send sends one control frame the core decided on. Every one is
+// addressed to the param "": a lease is the peer's, not a group's.
 func (s *Service) send(o output) error {
-	m := s.newOp(o.op, 3)
+	m := s.newOp(o.op, 4)
 	if o.op == opConnect || o.op == opLease {
 		m.AddUint64(elemNS, elemSeed, o.seed)
+		m.AddBytes(elemNS, elemGroups, appendSet(m.PayloadRoom(), o.groups))
+		m.AddUint64(elemNS, elemEpoch, o.epoch)
 	}
 	if o.op == opLease {
 		m.AddUint64(elemNS, elemLease, o.lease)
-		m.AddUint64(elemNS, elemEpoch, o.epoch)
 	}
-	err := s.ep.Send(o.to, ServiceName, o.group, m)
+	err := s.ep.Send(o.to, ServiceName, "", m)
 	if err != nil && o.op == opPing {
 		s.stats.sendFailures.Add(1)
 	}
 	return err
 }
 
-// Join makes this peer lease group with its seeds: an edge connects for
-// it at once, not at the next renewal, and renews it with the rest from
-// then on. A rendezvous, whose one lease for "" carries every group,
-// has nothing to join.
+// Join makes this peer lease group with its seeds: an edge sends them
+// its new group set at once, not at the next renewal, and renews it
+// with the rest from then on. An edge in maxGroups groups joins no more,
+// and a group whose name holds a NUL byte, which ends a name in a set on
+// the wire (appendSet), is not joined. A rendezvous, whose one lease for
+// "" carries every group, has nothing to join.
 func (s *Service) Join(group string) { s.apply(s.now(), input{kind: inJoin, group: group}) }
 
-// Leave ends this peer's leases for group: it tells every rendezvous it
-// holds one with, at once, and drops them. A grant for the group that is
-// still in flight is dropped when it arrives. On a rendezvous it does
-// nothing.
+// Leave ends this peer's lease of group: it sends its seeds the set
+// without it, at once — a disconnect when it was the last — which they
+// do not answer, and drops the group from the leases it holds. A grant
+// that is still in flight covers the group no more when it arrives. On
+// a rendezvous it does nothing.
 func (s *Service) Leave(group string) { s.apply(s.now(), input{kind: inLeave, group: group}) }
 
 // ConnectedRendezvous returns the IDs of the rendezvous peers we hold a
@@ -79,27 +90,17 @@ func (s *Service) Leave(group string) { s.apply(s.now(), input{kind: inLeave, gr
 func (s *Service) ConnectedRendezvous(group string) []jid.ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.peers(s.c.rdvs, group)
+	return s.leased(group)
 }
 
-// ConnectedClients returns the IDs of peers holding a live lease with us
-// (rendezvous role), across all groups, without duplicates.
-func (s *Service) ConnectedClients() []jid.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peers(s.c.clients, "")
-}
-
-// peers lists, once each, the peers of table with a live lease that
-// carries group.
-func (s *Service) peers(table map[leaseKey]*peerEntry, group string) []jid.ID {
+// leased lists the rendezvous we hold a live lease with that carries
+// group.
+func (s *Service) leased(group string) []jid.ID {
 	now := s.now()
-	seen := make(map[jid.ID]struct{}, len(table))
 	var out []jid.ID
-	for k, e := range table {
-		if _, dup := seen[k.id]; !dup && covers(k.param, group) && !now.After(e.expires) {
-			seen[k.id] = struct{}{}
-			out = append(out, k.id)
+	for id, e := range s.c.rdvs {
+		if covers(e.groups, group) && !now.After(e.expires) {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -132,7 +133,7 @@ func (s *Service) AwaitConnected(group string, timeout time.Duration) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(s.peers(s.c.rdvs, group)) > 0 {
+		if len(s.leased(group)) > 0 {
 			return true
 		}
 		if s.c.closed || !s.now().Before(deadline) || s.unreachableLocked() {
@@ -155,33 +156,20 @@ func (s *Service) unreachableLocked() bool {
 	return len(s.cfg.Seeds) > 0
 }
 
-// LeaseListener is told that rdv has started a new lease epoch with this
-// peer for group: a new connection, in which rdv knows nothing of what
-// this peer received of the group before. The grant that carries an
-// epoch reaches the listeners when this peer holds no live lease of that
-// epoch, however many grants of it were lost or duplicated on the way;
-// a renewal never does. A grant for "" is a rendezvous' lease with
-// another, which carries every group. It runs on the transport's
-// receive goroutine and must not block.
+// LeaseListener is told that group has become covered by this peer's
+// lease with rdv: a new connection for the group, in which rdv knows
+// nothing of what this peer received of it before. The grant that covers
+// a group reaches the listeners, once for the group, when this peer's
+// live lease with rdv did not cover it in that grant's epoch, however
+// many grants were lost or duplicated on the way; a renewal never does.
+// The group "" is a rendezvous' lease with another, which carries every
+// group. It runs on the transport's receive goroutine and must not
+// block.
 type LeaseListener func(rdv jid.ID, group string)
 
 // AddLeaseListener registers fn for new leases and returns the token
 // that RemoveLeaseListener takes.
-func (s *Service) AddLeaseListener(fn LeaseListener) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.leaseFns == nil {
-		s.leaseFns = make(map[int]LeaseListener, 1)
-	}
-	token := s.nextToken
-	s.nextToken++
-	s.leaseFns[token] = fn
-	return token
-}
+func (s *Service) AddLeaseListener(fn LeaseListener) int { return addListener(s, &s.leaseFns, fn) }
 
 // RemoveLeaseListener drops the listener registered under token.
-func (s *Service) RemoveLeaseListener(token int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.leaseFns, token)
-}
+func (s *Service) RemoveLeaseListener(token int) { removeListener(s, &s.leaseFns, token) }

@@ -103,7 +103,7 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 		// A malformed cursor must not read as "replay everything".
 		return
 	}
-	param := groupOf(msg)
+	_, param, _ := endpoint.Destination(msg)
 	self := s.ep.PeerID()
 	if origin != self && !l.store.Holds(origin, topic) {
 		if len(s.cfg.ReplicaSeeds) == 0 || cursor == 0 {
@@ -219,9 +219,8 @@ func (s *Service) sleepUntil(t time.Time) bool {
 // qualifies an unbounded gap from a replica that has not completed a
 // first anti-entropy exchange yet.
 func (l *logServer) sendGap(to endpoint.Address, param, topic string, origin jid.ID, first, last uint64, tentative bool) {
-	s := l.s
-	s.stats.replayGaps.Add(1)
-	m := s.newOp(opGap, 5)
+	l.s.stats.replayGaps.Add(1)
+	m := l.s.newOp(opGap, 5)
 	m.AddString(elemNS, elemTopic, topic)
 	m.AddID(elemNS, elemLogSrc, origin)
 	m.AddUint64(elemNS, elemFirst, first)
@@ -229,5 +228,5 @@ func (l *logServer) sendGap(to endpoint.Address, param, topic string, origin jid
 	if tentative {
 		m.AddString(elemNS, elemTentative, "true")
 	}
-	_ = s.ep.Send(to, ServiceName, param, m)
+	_ = l.s.ep.Send(to, ServiceName, param, m)
 }

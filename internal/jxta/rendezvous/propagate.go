@@ -7,6 +7,7 @@ package rendezvous
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
@@ -84,29 +85,46 @@ func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
 	if !fwd.Stamp(s.ep.PeerID()) {
 		return
 	}
-	s.fanOut(fwd, msg.Src, groupOf(msg))
+	s.fanOut(fwd, msg.Src, dparam)
 }
 
 // netGroup is the net group's endpoint parameter.
 var netGroup = jid.NetGroup.String()
 
+// target is one peer a frame of a group goes to, at the address of a
+// live lease of its that carries the group: the one it holds with us as
+// a client (client), or else ours with it.
+type target struct {
+	id     jid.ID
+	addr   endpoint.Address
+	client bool
+}
+
 // targetPool holds the scratch a fan-out copies its targets into, so a
 // frame pays no allocation for them.
 var targetPool = sync.Pool{New: func() any { return new([]target) }}
 
-// targets copies the targets of group the core keeps — the peers leased
-// to us for it and the rendezvous we hold a lease for it with, each once
-// — into scratch from targetPool, which the caller puts back. A target
-// is still to be checked against its expiry: the list moves with the
-// tables, not with time.
-func (s *Service) targets(group string) *[]target {
+// targets copies the targets of group at now from the list the core
+// keeps — the peers leased to us for it and the rendezvous we hold a
+// lease for it with, each once — into scratch from targetPool, which
+// the caller puts back. The list moves with the tables, not with time:
+// a lapsed lease is skipped here.
+func (s *Service) targets(group string, now time.Time) *[]target {
 	l := targetPool.Get().(*[]target)
+	*l = (*l)[:0]
 	s.mu.Lock()
 	from, named := s.c.lists[group]
 	if !named {
 		from = s.c.lists[""]
 	}
-	*l = append((*l)[:0], from...)
+	for _, m := range from {
+		switch {
+		case m.client != nil && !now.After(m.client.expires):
+			*l = append(*l, target{m.id, m.client.addr, true})
+		case m.rdv != nil && !now.After(m.rdv.expires):
+			*l = append(*l, target{m.id, m.rdv.addr, false})
+		}
+	}
 	s.mu.Unlock()
 	return l
 }
@@ -143,15 +161,15 @@ func (s *Service) fanOut(msg *message.Message, except jid.ID, param string, enve
 	}
 	s.stats.propagated.Add(1)
 
-	tl := s.targets(param)
-	defer targetPool.Put(tl)
 	now := s.now()
+	tl := s.targets(param, now)
+	defer targetPool.Put(tl)
 
 	// Marshal once: every target receives the identical frame, so the
 	// envelope-and-encode work must not be repeated per peer.
 	var failures []endpoint.Address
 	for _, t := range *tl {
-		if now.After(t.expires) || t.id == except || msg.Visited(t.id) {
+		if t.id == except || msg.Visited(t.id) {
 			continue
 		}
 		if frame == nil {

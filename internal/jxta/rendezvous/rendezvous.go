@@ -11,12 +11,15 @@
 //
 // A peer runs one Service, whatever groups it is in: its lease tables,
 // its failure detector, its duplicate cache and its maintenance loop are
-// the peer's, not a group's. A group is a lease on it, keyed by (peer,
-// group): an edge leases each group it joins (Join, Leave) with its
-// seeds, and a rendezvous leases "" with its own seeds, which carries
-// every group. Each lease a rendezvous starts is an epoch, named in
+// the peer's, not a group's. A lease is the peer's too: each table holds
+// one entry per peer, with the set of groups the lease carries. An edge
+// leases the groups it joins (Join, Leave) with each of its seeds, and a
+// rendezvous leases "" with its own seeds, which carries every group;
+// one connect per seed per renewal carries the peer's whole set, and its
+// grant echoes it. Each lease a rendezvous starts is an epoch, named in
 // every grant of it, so an edge tells a new lease from a renewal however
-// many grants were lost.
+// many grants were lost, and tells its listeners of each group a grant
+// newly covers.
 //
 // The control plane — the lease tables, seed election and the failure
 // detector — is one pure state machine, the core (core.go): step(now,
@@ -25,18 +28,23 @@
 // (lease.go): it decodes a frame or a call into an input, steps under
 // s.mu, and carries the outputs out after letting go — control frames,
 // lease listeners, wake-ups — feeding back the result of each connect
-// round and of each probe, fan-out and digest send. The core keeps the
-// fan-out's per-group target list up to date, so the per-message path
-// (propagate.go) reads it without scanning the tables. A log server
+// and of each probe, fan-out and digest send. The core keeps the
+// fan-out's per-group list of the leases that carry the group, which
+// moves when a lease comes, goes or changes its set, not when it is
+// renewed, so the per-message path (propagate.go) reads it without
+// scanning the tables. A log server
 // (logserver.go, sync.go) exists on rendezvous peers with an event log
 // alone: an edge peer never constructs one, so replay and sync ops
 // addressed to it are dropped at dispatch.
 package rendezvous
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,7 +61,8 @@ const ServiceName = "jxta.rdv"
 // Message element names, namespace "rdv". Numeric elements (Seed, Lease,
 // Epoch and the replay/sync fields in replay.go and sync.go) are 8-byte
 // big-endian (message.AddUint64); an op whose numeric element is absent
-// or of any other length is dropped.
+// or of any other length is dropped, as is a connect or a grant whose
+// Groups is malformed (parseSet).
 const (
 	elemNS     = "rdv"
 	elemOp     = "Op"
@@ -63,13 +72,19 @@ const (
 	elemLease = "Lease"
 	// elemEpoch carries the lease epoch a grant belongs to: drawn by the
 	// granting side for each lease it starts, different across its
-	// restarts, the same on every renewal.
+	// restarts, the same on every renewal. A connect carries the epoch of
+	// the live lease its peer holds through the seed, 0 for none.
 	elemEpoch = "Epoch"
 	// elemSeed names the seed a connect was sent to, by its place in
 	// the connecting peer's Seeds counted from 1; the grant that answers
 	// the connect echoes it. It is how a peer tells which of its seeds a
 	// grant comes from, whatever address the rendezvous reports.
 	elemSeed = "Seed"
+	// elemGroups carries, in a connect, the sorted set of groups the
+	// connecting peer leases — "" alone for a rendezvous, which carries
+	// every group — and, in the grant that answers it, the same set
+	// (appendSet). A connect replaces the set of the peer's lease.
+	elemGroups = "Groups"
 )
 
 // Operations.
@@ -90,18 +105,6 @@ const (
 	RoleEdge Role = iota + 1
 	RoleRendezvous
 )
-
-// String returns the role name.
-func (r Role) String() string {
-	switch r {
-	case RoleEdge:
-		return "edge"
-	case RoleRendezvous:
-		return "rendezvous"
-	default:
-		return "role(?)"
-	}
-}
 
 // Endpoint is the slice of the endpoint service the rendezvous protocol
 // needs: sending, local delivery and handler registration. The frame
@@ -189,18 +192,14 @@ func (c *Config) normalise() {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.LeaseTTL == 0 {
-		c.LeaseTTL = DefaultLeaseTTL
-	}
+	c.LeaseTTL = cmp.Or(c.LeaseTTL, DefaultLeaseTTL)
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = DefaultSuspectAfter
 	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = DefaultEvictAfter
 	}
-	if c.EvictAfter <= c.SuspectAfter {
-		c.EvictAfter = c.SuspectAfter + 1
-	}
+	c.EvictAfter = max(c.EvictAfter, c.SuspectAfter+1)
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = DefaultSyncInterval
 	}
@@ -232,6 +231,9 @@ type Service struct {
 	mu   sync.Mutex
 	c    *core
 	conn *sync.Cond // signals lease and seed-failure changes
+	// order holds a join, a leave or a tick from its step to its last
+	// send, so the connects that carry the peer's set leave in turn.
+	order sync.Mutex
 
 	// leaseFns hear of every new lease epoch, gapFns of every gap
 	// signal; both lazily allocated, under mu, keyed by the token their
@@ -242,6 +244,26 @@ type Service struct {
 
 	wg   sync.WaitGroup
 	stop chan struct{}
+}
+
+// addListener registers fn in *fns, which it makes on first use, under
+// a token of its own.
+func addListener[F any](s *Service, fns *map[int]F, fn F) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if *fns == nil {
+		*fns = make(map[int]F, 1)
+	}
+	s.nextToken++
+	(*fns)[s.nextToken] = fn
+	return s.nextToken
+}
+
+// removeListener drops the listener of *fns registered under token.
+func removeListener[F any](s *Service, fns *map[int]F, token int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(*fns, token)
 }
 
 // New creates and starts the peer's rendezvous service: it registers the
@@ -291,8 +313,8 @@ func (s *Service) Config() Config { return s.cfg }
 
 func (s *Service) now() time.Time { return s.cfg.Clock() }
 
-// Close stops lease maintenance, tells our rendezvous we are leaving,
-// one lease at a time, and unregisters the handler.
+// Close stops lease maintenance, tells our seeds we are leaving, and
+// unregisters the handler.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.c.closed {
@@ -330,18 +352,25 @@ func (s *Service) sendCounted(to endpoint.Address, m *message.Message) error {
 // are served by the log server; a peer without one drops them.
 func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 	var in input
-	var ok bool
-	switch msg.Text(elemNS, elemOp) {
-	case opConnect:
-		if in.seed, ok = msg.Uint64(elemNS, elemSeed); ok {
-			in.kind = inConnect
+	switch op := msg.Text(elemNS, elemOp); op {
+	case opConnect, opLease:
+		var okSet, okSeed, okEpoch bool
+		// A connect's set outlives the frame in the clients table: one
+		// copy of the element holds every name. A grant's covers only
+		// groups the peer already holds.
+		set := msg.Text(elemNS, elemGroups)
+		if op == opConnect {
+			set = strings.Clone(set)
 		}
-	case opLease:
-		var okLease, okEpoch bool
-		in.seed, ok = msg.Uint64(elemNS, elemSeed)
-		in.lease, okLease = msg.Uint64(elemNS, elemLease)
+		in.groups, okSet = parseSet(set)
+		in.seed, okSeed = msg.Uint64(elemNS, elemSeed)
 		in.epoch, okEpoch = msg.Uint64(elemNS, elemEpoch)
-		if ok && okLease && okEpoch && in.lease > 0 {
+		in.lease, _ = msg.Uint64(elemNS, elemLease) // 0 when absent or malformed
+		switch {
+		case !okSet || !okSeed || !okEpoch:
+		case op == opConnect:
+			in.kind = inConnect
+		case in.lease > 0:
 			in.kind = inGrant
 		}
 	case opDisconnect:
@@ -354,37 +383,56 @@ func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 	case opPing:
 		// Any role answers: probing works edge→rendezvous and
 		// rendezvous→client alike.
-		_ = s.ep.Send(from, ServiceName, groupOf(msg), s.newOp(opPong, 0))
+		_ = s.ep.Send(from, ServiceName, "", s.newOp(opPong, 0))
 	case opGap:
 		s.handleGap(msg)
-	case opReplay:
-		if s.logs != nil {
-			s.logs.handleReplay(msg, from)
-		}
-	case opSyncDigest:
-		if s.logs != nil {
-			s.logs.handleSyncDigest(msg, from)
-		}
-	case opSyncPull:
-		if s.logs != nil {
-			s.logs.handleSyncPull(msg, from)
-		}
-	case opSyncRec:
-		if s.logs != nil {
-			s.logs.handleSyncRec(msg, from)
+	default:
+		if serve := logOps[op]; serve != nil && s.logs != nil {
+			serve(s.logs, msg, from)
 		}
 	}
 	if in.kind != 0 {
-		in.from, in.src, in.group = from, msg.Src, groupOf(msg)
+		in.from, in.src = from, msg.Src
 		s.apply(s.now(), in)
 	}
 }
 
-// groupOf recovers the group a message was addressed to on this hop: the
-// endpoint parameter the sender gave it, "" for every group.
-func groupOf(msg *message.Message) string {
-	_, param, _ := endpoint.Destination(msg)
-	return param
+// appendSet appends the wire form of a sorted group set to b: each
+// name, then a NUL byte, which no group name holds (Join).
+func appendSet(b []byte, set []string) []byte {
+	n := len(set)
+	for _, g := range set {
+		n += len(g)
+	}
+	b = slices.Grow(b, n)
+	for _, g := range set {
+		b = append(append(b, g...), 0)
+	}
+	return b
+}
+
+// maxGroups bounds a group set: a peer joins no more groups, and a
+// connect or a grant naming more is dropped (parseSet). It bounds what
+// one connect costs the rendezvous, which moves the peer in the fan-out
+// list of each group of its old and new sets under s.mu.
+const maxGroups = 1024
+
+// parseSet reads a group set from its wire form; the names are pieces
+// of s. A set that is empty, has more than maxGroups names, does not end
+// its last one, is out of order or names a group twice is malformed.
+func parseSet(s string) (set []string, ok bool) {
+	if !strings.HasSuffix(s, "\x00") || strings.Count(s, "\x00") > maxGroups {
+		return nil, false
+	}
+	set = strings.Split(s[:len(s)-1], "\x00")
+	return set, slices.IsSorted(set) && len(slices.Compact(set)) == len(set)
+}
+
+// logOps are the ops the log server serves; a peer without one drops
+// them.
+var logOps = map[string]func(*logServer, *message.Message, endpoint.Address){
+	opReplay: (*logServer).handleReplay, opSyncDigest: (*logServer).handleSyncDigest,
+	opSyncPull: (*logServer).handleSyncPull, opSyncRec: (*logServer).handleSyncRec,
 }
 
 // maintainLoop ticks the core at a third of the TTL: it renews leases

@@ -2,6 +2,7 @@ package rendezvous_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -129,7 +130,7 @@ func TestEdgeConnectsToRendezvous(t *testing.T) {
 	if len(got) != 1 || got[0] != r.ep.PeerID() {
 		t.Fatalf("connected rdvs = %v", got)
 	}
-	waitFor(t, func() bool { return len(r.rdv.ConnectedClients()) == 1 })
+	waitFor(t, func() bool { return clients(r.rdv) == 1 })
 	if snap := r.rdv.Snapshot(); snap.Gauges["leases"] != 1 {
 		t.Fatalf("rdv stats %+v", snap)
 	}
@@ -317,11 +318,11 @@ func TestLeaseExpiryDropsClient(t *testing.T) {
 	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("edge never connected")
 	}
-	waitFor(t, func() bool { return len(r.rdv.ConnectedClients()) == 1 })
+	waitFor(t, func() bool { return clients(r.rdv) == 1 })
 	// Stop the edge's renewals by closing it; the rendezvous must drop
 	// the client after the lease TTL (2s in this cluster).
 	e.rdv.Close()
-	waitFor(t, func() bool { return len(r.rdv.ConnectedClients()) == 0 })
+	waitFor(t, func() bool { return clients(r.rdv) == 0 })
 }
 
 func TestRendezvousRestartHeals(t *testing.T) {
@@ -370,23 +371,35 @@ func TestRestartUnderTheSameIDIsANewLease(t *testing.T) {
 	}
 }
 
-// leases lists the groups p holds a lease of kind for with other, as
-// p's peer table shows them.
+// clients counts the live leases of clients svc holds.
+func clients(svc *rendezvous.Service) (n int) {
+	for _, pe := range svc.PeersView() {
+		if pe.Kind == obs.PeerClient {
+			n++
+		}
+	}
+	return n
+}
+
+// leases lists the groups p's lease of kind with other carries, as p's
+// peer table shows them.
 func leases(p *testPeer, kind string, other *testPeer) map[string]bool {
 	out := make(map[string]bool)
 	for _, pe := range p.rdv.PeersView() {
 		if pe.Kind == kind && pe.ID == other.ep.PeerID().String() {
-			out[pe.Group] = true
+			for _, g := range pe.Groups {
+				out[g] = true
+			}
 		}
 	}
 	return out
 }
 
 // TestLeaveEndsTheGroupsLeaseAtOnce: an edge in groups X and Y leaves X.
-// The rendezvous hears it and drops the edge's lease for X long before
-// the lease would have run out, and keeps the one for Y. A grant for X
-// that arrives after the edge left creates no lease and tells no
-// listener, while one for Y still does.
+// The rendezvous hears it and drops X from the edge's lease long before
+// the lease would have run out, and keeps Y. A grant for X that arrives
+// after the edge left covers nothing and tells no listener, while one
+// for Y still does.
 func TestLeaveEndsTheGroupsLeaseAtOnce(t *testing.T) {
 	c := newCluster(t)
 	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
@@ -414,9 +427,10 @@ func TestLeaveEndsTheGroupsLeaseAtOnce(t *testing.T) {
 		m := message.New(r.ep.PeerID())
 		m.AddString("rdv", "Op", "lease")
 		m.AddUint64("rdv", "Seed", 1)
+		m.AddBytes("rdv", "Groups", groupSet(group))
 		m.AddUint64("rdv", "Lease", uint64(time.Minute/time.Millisecond))
 		m.AddUint64("rdv", "Epoch", 1)
-		if err := r.ep.Send("mem://edge", rendezvous.ServiceName, group, m); err != nil {
+		if err := r.ep.Send("mem://edge", rendezvous.ServiceName, "", m); err != nil {
 			t.Fatal(err)
 		}
 		c.net.WaitQuiesce(5 * time.Second)
@@ -559,15 +573,15 @@ func TestLeaseExpiryUnderClockSkew(t *testing.T) {
 	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("edge never connected")
 	}
-	waitFor(t, func() bool { return len(rdv.ConnectedClients()) == 1 })
+	waitFor(t, func() bool { return clients(rdv) == 1 })
 
 	skew.Store(int64(2 * ttl))
-	if got := len(rdv.ConnectedClients()); got != 0 {
+	if got := clients(rdv); got != 0 {
 		t.Fatalf("client survived a %v clock jump past its lease", 2*ttl)
 	}
 	// The edge renews at ttl/3; the renewal grants a fresh lease stamped
 	// with the skewed clock, so the client reappears.
-	waitFor(t, func() bool { return len(rdv.ConnectedClients()) == 1 })
+	waitFor(t, func() bool { return clients(rdv) == 1 })
 }
 
 func TestSuspectProbeRecovery(t *testing.T) {
@@ -783,16 +797,67 @@ func TestFailoverWithSeedsUnderOtherNames(t *testing.T) {
 	}
 	e := c.addService("edge", 3, rendezvous.Config{Role: rendezvous.RoleEdge, Seeds: []endpoint.Address{"mem://first", "mem://second"},
 		ActiveStandby: true, LeaseTTL: 300 * time.Millisecond})
+	// leased is the Leased flag of the edge's entry for the seed it
+	// knows by name.
+	leased := func() (seeds [2]bool) {
+		for _, pe := range e.rdv.PeersView() {
+			if i := slices.Index([]string{"mem://first", "mem://second"}, pe.Addr); pe.Kind == obs.PeerSeed && i >= 0 {
+				seeds[i] = pe.Leased
+			}
+		}
+		return seeds
+	}
 	if !e.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("the edge never leased with its first seed")
 	}
 	if got := e.rdv.ConnectedRendezvous("net"); !reflect.DeepEqual(got, []jid.ID{r0.ep.PeerID()}) {
 		t.Fatalf("the edge leases with %v, want r0 alone", got)
 	}
+	if got := leased(); got != [2]bool{true, false} {
+		t.Fatalf("the seed entries read Leased %v, want the first alone", got)
+	}
 	r0.rdv.Close()
 	_ = r0.ep.Close()
 	waitFor(t, func() bool { return slices.Contains(e.rdv.ConnectedRendezvous("net"), r1.ep.PeerID()) })
 	if got := e.rdv.ConnectedRendezvous("net"); !reflect.DeepEqual(got, []jid.ID{r1.ep.PeerID()}) {
 		t.Fatalf("after the failover the edge leases with %v, want r1 alone", got)
+	}
+	if got := leased(); got != [2]bool{false, true} {
+		t.Fatalf("after the failover the seed entries read Leased %v, want the second alone", got)
+	}
+}
+
+// TestOneConnectPerSeedPerRenewal: an edge in 50 groups renews its
+// lease with one connect, which the rendezvous answers with one grant,
+// and each side holds one lease entry, carrying the 50 groups.
+func TestOneConnectPerSeedPerRenewal(t *testing.T) {
+	c := newCluster(t)
+	// 3 s leases: a renewal every second.
+	r := c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 3 * time.Second})
+	e := c.addService("edge", 2, rendezvous.Config{Role: rendezvous.RoleEdge, Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 3 * time.Second})
+	for g := 1; g < 50; g++ {
+		e.rdv.Join(fmt.Sprint("g", g))
+	}
+	if !e.rdv.AwaitConnected("g49", 5*time.Second) {
+		t.Fatal("the edge never leased its last group")
+	}
+	c.net.WaitQuiesce(5 * time.Second)
+	for _, p := range []*testPeer{e, r} {
+		var entries []obs.PeerEntry
+		for _, pe := range p.rdv.PeersView() {
+			if pe.Kind != obs.PeerSeed {
+				entries = append(entries, pe)
+			}
+		}
+		if len(entries) != 1 || len(entries[0].Groups) != 50 {
+			t.Fatalf("%s's lease entries: %+v, want one with 50 groups", p.name, entries)
+		}
+	}
+	sent := func(p *testPeer) int64 { return p.ep.Snapshot().Counters["msgs_out"] }
+	connects, grants := sent(e), sent(r)
+	waitFor(t, func() bool { return sent(e) > connects })
+	c.net.WaitQuiesce(5 * time.Second)
+	if n, m := sent(e)-connects, sent(r)-grants; n != 1 || m != 1 {
+		t.Fatalf("a renewal was %d connects and %d grants, want 1 and 1", n, m)
 	}
 }

@@ -12,6 +12,8 @@ package rendezvous
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
@@ -66,24 +68,10 @@ type GapListener func(origin jid.ID, topic string, first, last uint64, tentative
 // AddGapListener registers fn for the gap signals received in response
 // to this peer's replay requests and returns the token that
 // RemoveGapListener takes.
-func (s *Service) AddGapListener(fn GapListener) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gapFns == nil {
-		s.gapFns = make(map[int]GapListener, 1)
-	}
-	token := s.nextToken
-	s.nextToken++
-	s.gapFns[token] = fn
-	return token
-}
+func (s *Service) AddGapListener(fn GapListener) int { return addListener(s, &s.gapFns, fn) }
 
 // RemoveGapListener drops the listener registered under token.
-func (s *Service) RemoveGapListener(token int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.gapFns, token)
-}
+func (s *Service) RemoveGapListener(token int) { removeListener(s, &s.gapFns, token) }
 
 // ReplayInfo extracts the log coordinates a rendezvous stamped onto a
 // propagated message: the origin peer whose log numbered it and the
@@ -122,16 +110,12 @@ var ErrNoLease = errors.New("rendezvous: no lease")
 // the target that carries it.
 func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
 	s.mu.Lock()
-	e := s.c.rdvs[leaseKey{target, topic}]
-	if e == nil {
-		e = s.c.rdvs[leaseKey{target, ""}]
-	}
 	var addr endpoint.Address
-	if e != nil {
+	if e := s.c.rdvs[target]; e != nil && covers(e.groups, topic) {
 		addr = e.addr
 	}
 	s.mu.Unlock()
-	if e == nil {
+	if addr == "" {
 		return fmt.Errorf("%w with %v", ErrNoLease, target)
 	}
 	if origin.IsZero() {
@@ -158,10 +142,7 @@ func (s *Service) handleGap(msg *message.Message) {
 	}
 	s.stats.replayGaps.Add(1)
 	s.mu.Lock()
-	fns := make([]GapListener, 0, len(s.gapFns))
-	for _, fn := range s.gapFns {
-		fns = append(fns, fn)
-	}
+	fns := slices.Collect(maps.Values(s.gapFns))
 	s.mu.Unlock()
 	// The topic leaves in an error the application is handed and may
 	// keep: a copy, not a piece of the frame.

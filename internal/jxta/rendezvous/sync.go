@@ -18,7 +18,9 @@ package rendezvous
 // everyone else copies.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/eventlog"
@@ -78,10 +80,8 @@ type replicaPeer struct {
 // one: from is a piece of the received frame, and replState keeps its
 // key.
 func (l *logServer) syncAuthorized(from endpoint.Address) (endpoint.Address, bool) {
-	for _, a := range l.s.cfg.ReplicaSeeds {
-		if a == from {
-			return a, true
-		}
+	if i := slices.Index(l.s.cfg.ReplicaSeeds, from); i >= 0 {
+		return l.s.cfg.ReplicaSeeds[i], true
 	}
 	l.s.stats.syncRejects.Add(1)
 	return "", false
@@ -141,10 +141,9 @@ func (l *logServer) sendDigests() {
 
 // sendDigestTo ships one encoded digest to one replica address.
 func (l *logServer) sendDigestTo(addr endpoint.Address, enc []byte) {
-	s := l.s
-	m := s.newOp(opSyncDigest, 1)
+	m := l.s.newOp(opSyncDigest, 1)
 	m.AddBytes(elemNS, elemDigest, enc)
-	s.apply(s.now(), input{kind: inSent, from: addr, failed: s.sendCounted(addr, m) != nil})
+	l.s.apply(l.s.now(), input{kind: inSent, from: addr, failed: l.s.sendCounted(addr, m) != nil})
 }
 
 // handleSyncDigest compares a replica's advertised tails with our own
@@ -308,11 +307,11 @@ func (l *logServer) handleSyncRec(msg *message.Message, from endpoint.Address) {
 	// group; receive-side dedupe absorbs anything a client already saw
 	// live. This is what keeps a standby's clients current while the
 	// primary is unreachable from them but not from the replica set.
-	tl := s.targets(topic)
-	defer targetPool.Put(tl)
 	now := s.now()
+	tl := s.targets(topic, now)
+	defer targetPool.Put(tl)
 	for _, t := range *tl {
-		if now.After(t.clientExpires) {
+		if !t.client {
 			continue
 		}
 		if err := s.ep.SendFrame(t.addr, frame); err != nil {
@@ -349,11 +348,8 @@ func (s *Service) ReplicasView() []obs.ReplicaEntry {
 					RemoteLast: d.Last,
 				})
 			}
-			sort.Slice(re.Topics, func(i, j int) bool {
-				if re.Topics[i].Topic != re.Topics[j].Topic {
-					return re.Topics[i].Topic < re.Topics[j].Topic
-				}
-				return re.Topics[i].Origin < re.Topics[j].Origin
+			slices.SortFunc(re.Topics, func(a, b obs.ReplicaTopicLag) int {
+				return cmp.Or(strings.Compare(a.Topic, b.Topic), strings.Compare(a.Origin, b.Origin))
 			})
 		}
 		out = append(out, re)

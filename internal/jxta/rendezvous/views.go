@@ -4,13 +4,15 @@ package rendezvous
 // snapshots the obs registry and the admin surface are served from.
 
 import (
+	"cmp"
 	"maps"
 	"slices"
-	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs"
 )
@@ -54,8 +56,10 @@ func (s *Service) Snapshot() obs.Snapshot {
 	seedFailures, suspected, probes, evicted, breakerSkips, failovers := c.seedFailures, c.suspected, c.probes, c.evicted, c.breakerSkips, c.failovers
 	s.mu.Unlock()
 	return obs.Snapshot{
-		Name:    "rendezvous",
-		Version: 1,
+		Name: "rendezvous",
+		// 2: the leases and connected gauges count peers, not (peer,
+		// group) pairs.
+		Version: 2,
 		Counters: map[string]int64{
 			"propagated":      s.stats.propagated.Load(),
 			"delivered":       s.stats.delivered.Load(),
@@ -93,10 +97,10 @@ func (s *Service) Snapshot() obs.Snapshot {
 func (s *Service) SeenCache() *seen.Cache { return s.seen }
 
 // PeersView lists every peer this peer knows about — one entry per live
-// lease with a rendezvous and per live lease of a client, each with its
-// group, and one per configured seed — together with the failure
-// detector's per-address state. It feeds the peer table of /inspect on
-// the admin surface.
+// lease with a rendezvous and per live lease of a client, each with the
+// groups it carries, and one per configured seed — together with the
+// failure detector's per-address state. It feeds the peer table of
+// /inspect on the admin surface.
 func (s *Service) PeersView() []obs.PeerEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -113,10 +117,10 @@ func (s *Service) PeersView() []obs.PeerEntry {
 		}
 		out = append(out, pe)
 	}
-	for kind, table := range map[string]map[leaseKey]*peerEntry{obs.PeerRendezvous: c.rdvs, obs.PeerClient: c.clients} {
-		for k, e := range table {
+	for kind, table := range map[string]map[jid.ID]*peerEntry{obs.PeerRendezvous: c.rdvs, obs.PeerClient: c.clients} {
+		for id, e := range table {
 			if !now.After(e.expires) {
-				fill(obs.PeerEntry{ID: k.id.String(), Addr: string(e.addr), Kind: kind, Group: k.param, ExpiresInMS: remainingMS(e.expires, now)}, e.addr)
+				fill(obs.PeerEntry{ID: id.String(), Addr: string(e.addr), Kind: kind, Groups: slices.Clone(e.groups), ExpiresInMS: remainingMS(e.expires, now)}, e.addr)
 			}
 		}
 	}
@@ -125,16 +129,14 @@ func (s *Service) PeersView() []obs.PeerEntry {
 		// give: it reports whether a lease is currently held with THIS
 		// seed, so operators can see that e.g. the only logging
 		// rendezvous is down while some other seed keeps the peer
-		// nominally "connected".
-		leased := slices.ContainsFunc(slices.Collect(maps.Values(c.rdvs)), func(e *peerEntry) bool { return e.addr == addr && !now.After(e.expires) })
+		// nominally "connected". The seed is the one the grant echoed,
+		// whatever address the rendezvous reports.
+		leased := slices.ContainsFunc(slices.Collect(maps.Values(c.rdvs)), func(e *peerEntry) bool { return e.seed == uint64(i)+1 && !now.After(e.expires) })
 		fill(obs.PeerEntry{Addr: string(addr), Kind: obs.PeerSeed, Fails: c.seeds[i].fails,
 			Active: s.cfg.ActiveStandby && i == c.active, Leased: leased}, addr)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Addr < out[j].Addr
+	slices.SortFunc(out, func(a, b obs.PeerEntry) int {
+		return cmp.Or(strings.Compare(a.Kind, b.Kind), strings.Compare(a.Addr, b.Addr))
 	})
 	return out
 }

@@ -25,10 +25,10 @@ type PeerEntry struct {
 	Addr string `json:"addr,omitempty"`
 	// Kind is one of PeerRendezvous, PeerClient, PeerSeed.
 	Kind string `json:"kind"`
-	// Group is the group a client or rendezvous lease carries; empty for
-	// the mesh leases rendezvous hold with each other, which carry every
-	// group.
-	Group string `json:"group,omitempty"`
+	// Groups are the groups a client or rendezvous lease carries, sorted;
+	// [""] for the mesh leases rendezvous hold with each other, which
+	// carry every group.
+	Groups []string `json:"groups,omitempty"`
 	// ExpiresInMS is the remaining lease time; 0 when not leased.
 	ExpiresInMS int64 `json:"expires_in_ms,omitempty"`
 	// Fails is the address's consecutive send-failure count.

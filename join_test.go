@@ -8,6 +8,7 @@ package tps_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -224,7 +225,7 @@ func TestLiveSubscriberCatchesUpOnItsNewLease(t *testing.T) {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
 			for _, pe := range rdv2.Inspect().Peers {
-				if pe.Kind == obs.PeerClient && pe.ID == p.PeerID() && pe.Group == eventGroup {
+				if pe.Kind == obs.PeerClient && pe.ID == p.PeerID() && slices.Contains(pe.Groups, eventGroup) {
 					return time.Now()
 				}
 			}
