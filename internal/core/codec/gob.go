@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Gob is the event codec. A blob is what a fresh gob.Encoder
@@ -196,7 +197,9 @@ var decPrefixes = struct {
 
 // Decode deserialises into a value of the given type, which is required
 // and concrete. The returned value's dynamic type is typ (not a pointer
-// to it).
+// to it), and it is the object decoded into, not a copy: a plan's block
+// or the value a gob decoder set (valueAt). Nothing it returns aliases
+// data.
 func (Gob) Decode(data []byte, typ reflect.Type) (any, error) {
 	if typ == nil || typ.Kind() == reflect.Interface {
 		return nil, errors.New("codec: gob decode requires a concrete type")
@@ -220,7 +223,7 @@ func (Gob) Decode(data []byte, typ reflect.Type) (any, error) {
 				if err := s.dec.DecodeValue(ptr); err == nil {
 					s.src.Reset(nil)
 					dp.primed.Put(s)
-					return ptr.Elem().Interface(), nil
+					return valueAt(typ, ptr.UnsafePointer()), nil
 				}
 				// The fresh decoder below reports the error, if it is one.
 			}
@@ -240,7 +243,41 @@ func (Gob) Decode(data []byte, typ reflect.Type) (any, error) {
 		s.src.Reset(nil)
 		dp.primed.Put(s)
 	}
-	return ptr.Elem().Interface(), nil
+	return valueAt(typ, ptr.UnsafePointer()), nil
+}
+
+// eface is the runtime's layout of an empty interface: the type word,
+// then the data word.
+type eface struct{ typ, data unsafe.Pointer }
+
+// valueAt returns the value of type typ at p as an any whose data word
+// is p: the object itself, where Interface would allocate a copy of it.
+// A pointer-shaped typ is the exception: the interface holds such a
+// value in its data word itself, which Interface fills without
+// allocating. The type word is the one reflect.Type's data word holds.
+//
+// p may be the head of a block the collector does not scan (a plan's,
+// see flatPlan.decode) only if every non-nil pointer word of the value
+// points into that block.
+func valueAt(typ reflect.Type, p unsafe.Pointer) any {
+	if pointerShaped(typ) {
+		return reflect.NewAt(typ, p).Elem().Interface()
+	}
+	t := any(typ)
+	return *(*any)(unsafe.Pointer(&eface{(*eface)(unsafe.Pointer(&t)).data, p}))
+}
+
+// pointerShaped reports whether an interface holds a value of type t in
+// its data word itself: a pointer, map, chan, func or unsafe.Pointer, or
+// a struct or one-element array holding only one of those. The runtime
+// is asked, not the rule restated: the zero of such a type is a nil data
+// word, and that of any other type points to a zero value.
+func pointerShaped(t reflect.Type) bool {
+	if t.Size() != unsafe.Sizeof(uintptr(0)) {
+		return false
+	}
+	z := reflect.Zero(t).Interface()
+	return (*eface)(unsafe.Pointer(&z)).data == nil
 }
 
 // rememberPrefix records a prefix a fresh decoder has just decoded a

@@ -262,7 +262,7 @@ func TestGobStreamsAreReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() { _, _ = c.Decode(blob, typ) }); n > 17 {
-		t.Errorf("Decode allocates %.0f/op on a kept decoder (measured 14)", n)
+		t.Errorf("Decode allocates %.0f/op on a kept decoder (measured 13; 14 with a copy of the value)", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"reflect"
 	"slices"
-	"sync"
 	"unsafe"
 )
 
@@ -27,14 +26,13 @@ const (
 // (encode), it writes what gob's encoder writes for a value of the type
 // into the caller's buffer; Encode compiles it from the type's own
 // descriptors. Decoding, it reads a value message straight from the
-// blob and allocates the interface copy of the value and one block that
-// every non-empty string and []byte field is a piece of; it sets the
-// fields in a scratch value of its own, which it zeroes and keeps for
-// the next message. A kept decoder also copies the whole value message
-// and allocates per field. Decode compiles a plan from the prefix's one
-// StructT descriptor once a fresh decoder has accepted a blob of it.
-// That blob's value need not have
-// been of the descriptor's type — gob also decodes a struct from the
+// blob into one allocation: a block headed by the value itself, which
+// every non-empty string and []byte field is a piece of the rest of,
+// returned as an any whose data word is the block (valueAt). A kept
+// decoder also copies the whole value message and allocates per field.
+// Decode compiles a plan from the prefix's one StructT descriptor once
+// a fresh decoder has accepted a blob of it. That blob's value need not
+// have been of the descriptor's type — gob also decodes a struct from the
 // ids of its own builtin struct types — so compilePlan makes the checks
 // gob makes when it pairs a wire struct with a local one, and the plan
 // then walks the value message the way gob does. It declines whatever
@@ -45,10 +43,8 @@ type flatPlan struct {
 	id uint64
 	// fields are the wire fields, by field number.
 	fields []flatField
-	// scratch holds zeroed *T values of the plan's type T for decode to
-	// set. A plan belongs to one (type, prefix) pair, so every value in
-	// it has the one type.
-	scratch sync.Pool
+	// typ is the local type the plan decodes into.
+	typ reflect.Type
 }
 
 // flatField is one wire field of a flatPlan.
@@ -69,9 +65,11 @@ type flatField struct {
 // gob's builtin bool, int, uint, float, []byte and string fields, each
 // ignored or decoded into a non-pointer field of typ itself, or if gob
 // refuses the pairing: no wire field matches a field of typ, and
-// neither struct is empty.
+// neither struct is empty. It also declines a pointer-shaped typ, which
+// an interface holds in its data word, not at the block that word
+// points to.
 func compilePlan(typ reflect.Type, descs []descriptor) *flatPlan {
-	if len(descs) != 1 || typ.Kind() != reflect.Struct || decodesItself(typ) {
+	if len(descs) != 1 || typ.Kind() != reflect.Struct || decodesItself(typ) || pointerShaped(typ) {
 		return nil
 	}
 	d, st := descs[0].def, descs[0].def.StructT
@@ -85,8 +83,7 @@ func compilePlan(typ reflect.Type, descs []descriptor) *flatPlan {
 	if id/2 > math.MaxInt32 {
 		return nil
 	}
-	p := &flatPlan{id: id, fields: make([]flatField, len(st.Field))}
-	p.scratch.New = func() any { return reflect.New(typ).Interface() }
+	p := &flatPlan{id: id, fields: make([]flatField, len(st.Field)), typ: typ}
 	matched := 0
 	for i, wf := range st.Field {
 		if wf.Id < gobBoolID || wf.Id > gobStringID {
@@ -157,8 +154,19 @@ func setsBuiltin(t reflect.Type, wire int) bool {
 // would: a type id other than the struct's, a field number past the last
 // field, a malformed integer, a length past the message, a value a
 // narrower kind overflows, and bytes after the terminator or no
-// terminator. Nothing it returns aliases msg, and no two fields it
+// terminator. Nothing it returns aliases msg, which may be a piece of a
+// read chunk or of a frame a rendezvous forwards, and no two fields it
 // returns share a byte.
+//
+// The value is one allocation: a zeroed block that the value heads,
+// with its strings and bytes cut from the rest, returned by valueAt.
+// The block is a []byte, which the collector does not scan; that is
+// sound because every pointer word decode sets points into the block
+// itself, and any pointer to it keeps all of it alive. The fields it
+// does not set, pointers among them, stay zero. A string or []byte
+// field makes the head 16 bytes or more, so a block is 8 bytes or at
+// least 16, both of which the allocator 8-aligns: the head holds any
+// type. An empty struct has no block.
 func (p *flatPlan) decode(msg []byte) (v any, ok bool) {
 	id, body, _ := gobMessage(msg)
 	if id != p.id {
@@ -168,15 +176,13 @@ func (p *flatPlan) decode(msg []byte) (v any, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	scratch := p.scratch.Get()
-	out := reflect.ValueOf(scratch).Elem()
-	p.walk(body, out, make([]byte, size))
-	v = out.Interface()
-	// Zeroed, the scratch value neither pins the block nor lends a field
-	// to the next message, which sets only the fields it carries.
-	out.SetZero()
-	p.scratch.Put(scratch)
-	return v, true
+	if p.typ.Size() == 0 {
+		return reflect.Zero(p.typ).Interface(), true
+	}
+	head := int(p.typ.Size()+7) &^ 7
+	block := make([]byte, head+size)
+	p.walk(body, reflect.NewAt(p.typ, unsafe.Pointer(&block[0])).Elem(), block[head:])
+	return valueAt(p.typ, unsafe.Pointer(&block[0])), true
 }
 
 // walk reads body, a struct's field deltas and values up to the zero

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -198,11 +199,150 @@ func TestGobDecodeCopiesOutOfTheBlob(t *testing.T) {
 	}
 }
 
-// TestGobDecodePlanStartsFromZero: a plan sets its fields in a value it
-// reuses, and gob leaves a zero field out of the value message, so a
-// field the message does not carry must read zero — not what the
-// previous message set — also with the plan in use by several
-// goroutines at once.
+// lifetime is a flat event with local fields no sender has: gob leaves
+// M and P nil, and a plan, whose block the collector does not scan, must
+// too. lifetimeWire is what its senders send.
+type lifetime struct {
+	Seq  int
+	Name string
+	Body []byte
+	M    map[string]int
+	Tag  string
+	P    *int
+}
+
+type lifetimeWire struct {
+	Seq  int
+	Name string
+	Body []byte
+	Tag  string
+}
+
+// lifetimeNested is what a kept decoder decodes: In is a struct of its
+// own, which no plan reads.
+type lifetimeNested struct {
+	In   inner
+	Body []byte
+	M    map[string]int
+}
+
+// onlyPointer is pointer-shaped: an interface holds it in its data word.
+type onlyPointer struct{ P *int }
+
+type empty struct{}
+
+// piece is what TestDecodedValueOutlivesCollections keeps of its nth
+// event v: a string of it, its []byte, or v itself.
+func piece(v any, n int) any {
+	var str string
+	var b []byte
+	switch x := v.(type) {
+	case lifetime:
+		str, b = x.Name, x.Body
+	case lifetimeNested:
+		str, b = x.In.S, x.Body
+	}
+	switch n % 3 {
+	case 0:
+		return str
+	case 2:
+		return b
+	}
+	return v
+}
+
+// TestDecodedValueOutlivesCollections decodes a few thousand events of
+// varied sizes, through a plan and through a kept decoder, and keeps
+// one piece of each: a string, a []byte, or the whole value. A plan's
+// block is not scanned by the collector and is reached only through
+// such pieces, so collections in between, with fresh garbage to reuse
+// whatever was freed, must leave every survivor as a fresh gob decoder
+// reads it.
+func TestDecodedValueOutlivesCollections(t *testing.T) {
+	resetGobCaches(t)
+	const batches, perBatch = 30, 100
+	type survivor struct {
+		blob []byte
+		typ  reflect.Type
+		kept any // a string, a []byte or the decoded value
+	}
+	var survivors []survivor
+	var garbage [][]byte
+	for b := range batches {
+		for i := range perBatch {
+			n := b*perBatch + i
+			var ev any = lifetimeWire{Seq: n, Name: strings.Repeat("n", n%37), Body: bytes.Repeat([]byte{byte(n)}, n*13%2500), Tag: "t"}
+			typ := reflect.TypeOf(lifetime{})
+			if n%2 == 1 {
+				ev = lifetimeNested{In: inner{n, strings.Repeat("s", n%29)}, Body: bytes.Repeat([]byte{byte(n)}, n*7%1800)}
+				typ = reflect.TypeOf(lifetimeNested{})
+			}
+			blob := freshEncode(t, ev)
+			data := bytes.Clone(blob)
+			v, err := Gob{}.Decode(data, typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(data)
+			if x, ok := v.(lifetime); ok && (x.M != nil || x.P != nil) {
+				t.Fatalf("event %d: fields no sender has read %v, %v", n, x.M, x.P)
+			}
+			survivors = append(survivors, survivor{blob, typ, piece(v, n)})
+		}
+		garbage = garbage[:0]
+		for i := range perBatch {
+			garbage = append(garbage, bytes.Repeat([]byte{0xa5}, 16+i*29%2500))
+		}
+		runtime.GC()
+	}
+	for _, s := range survivors[:2] {
+		if _, ok := byPlan(s.blob, s.typ); ok != (s.typ == reflect.TypeOf(lifetime{})) {
+			t.Fatalf("%v decodes through a plan: %v; the test is void", s.typ, ok)
+		}
+	}
+	runtime.GC()
+	for n, s := range survivors {
+		v, err := freshDecode(s.blob, s.typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := piece(v, n); !reflect.DeepEqual(s.kept, want) {
+			t.Fatalf("event %d of %v reads %v after collections, want %v", n, s.typ, s.kept, want)
+		}
+	}
+
+	// A pointer-shaped type and an empty struct, whichever path decodes
+	// them: the fresh decoder's first, then a kept decoder's or a plan's.
+	x := 7
+	for _, c := range []struct {
+		ev  any
+		typ reflect.Type
+	}{
+		{onlyPointer{&x}, reflect.TypeOf(onlyPointer{})},
+		{empty{}, reflect.TypeOf(onlyPointer{})},
+		{map[string]int{"k": 1}, reflect.TypeOf(map[string]int{})},
+		{empty{}, reflect.TypeOf(empty{})},
+	} {
+		blob := freshEncode(t, c.ev)
+		want, err := freshDecode(blob, c.typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := range 3 {
+			if got, err := (Gob{}).Decode(blob, c.typ); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T as %v, pass %d: Decode %#v, %v; gob %#v", c.ev, c.typ, pass, got, err, want)
+			}
+		}
+		if _, ok := byPlan(blob, c.typ); ok && pointerShaped(c.typ) {
+			t.Errorf("%T as %v: a plan decodes a pointer-shaped type", c.ev, c.typ)
+		}
+	}
+}
+
+// TestGobDecodePlanStartsFromZero: gob leaves a zero field out of the
+// value message, so a field the message does not carry must read zero —
+// not what the previous message set — also with the plan in use by
+// several goroutines at once.
 func TestGobDecodePlanStartsFromZero(t *testing.T) {
 	resetGobCaches(t)
 	typ := reflect.TypeOf(kinds{})
@@ -321,21 +461,18 @@ func TestGobDecodePlanNeedsAMatchedField(t *testing.T) {
 	}
 }
 
-// TestGobDecodePlanAllocates pins what a plan costs: the interface copy
-// of the value and, if a string or []byte field is not empty, the one
-// block they are all cut from. The value the plan sets is its own,
-// reused.
+// TestGobDecodePlanAllocates pins what a plan costs: one block, headed
+// by the value, with every non-empty string and []byte field cut from
+// the rest; the any Decode returns points to it. A plan keeps no pool,
+// so the pin holds under the race detector too.
 func TestGobDecodePlanAllocates(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	resetGobCaches(t)
 	for _, c := range []struct {
 		ev   any
 		want float64
 	}{
-		{kinds{S: "s", T: "t", Raw: []byte("raw")}, 2},
-		{kinds{S: "s", T: "t"}, 2},
+		{kinds{S: "s", T: "t", Raw: []byte("raw")}, 1},
+		{kinds{S: "s", T: "t"}, 1},
 		{kinds{I: 1}, 1},
 	} {
 		typ := reflect.TypeOf(c.ev)
@@ -352,30 +489,60 @@ func TestGobDecodePlanAllocates(t *testing.T) {
 	}
 }
 
-// BenchmarkGobDecode times Decode on both sides of the plan's
-// selection: flat is a 2 kB event shaped like the benchmark's, which a
-// plan decodes; nested is rich, which a kept decoder does.
-func BenchmarkGobDecode(b *testing.B) {
-	type event struct {
-		Seq         uint64
-		SentNS      int64
-		Shop, Brand string
-		Price, Days float64
-		Pad         []byte
-	}
+// benchEvent is a 2 kB event shaped like the benchmark's.
+type benchEvent struct {
+	Seq         uint64
+	SentNS      int64
+	Shop, Brand string
+	Price, Days float64
+	Pad         []byte
+}
+
+// decodeCases are Decode's events on both sides of the plan's
+// selection: flat, which a plan decodes, and nested, a rich, which a
+// kept decoder does.
+func decodeCases() []struct {
+	name string
+	ev   any
+	plan bool
+} {
 	pad := make([]byte, 1800)
 	for i := range pad {
 		pad[i] = byte(i * 7)
 	}
 	at := time.Date(2002, 7, 2, 9, 30, 0, 0, time.UTC)
-	for _, c := range []struct {
+	return []struct {
 		name string
 		ev   any
 		plan bool
 	}{
-		{"flat", event{Seq: 1 << 20, SentNS: 1 << 40, Shop: "XTremShop", Brand: "Salomon", Price: 14, Days: 100, Pad: pad}, true},
+		{"flat", benchEvent{Seq: 1 << 20, SentNS: 1 << 40, Shop: "XTremShop", Brand: "Salomon", Price: 14, Days: 100, Pad: pad}, true},
 		{"nested", rich{In: inner{1, "in"}, List: []inner{{2, "l0"}, {3, "l1"}}, One: map[string]int{"k": 4}, Ptr: &inner{5, "p"}, At: at}, false},
-	} {
+	}
+}
+
+// TestGobDecodeKeptAllocates pins what a kept decoder costs on the
+// nested event: 15 objects, the value gob sets among them — Decode
+// returns it, not a copy.
+func TestGobDecodeKeptAllocates(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	resetGobCaches(t)
+	ev := decodeCases()[1].ev
+	typ, blob := reflect.TypeOf(ev), freshEncode(t, ev)
+	if _, err := (Gob{}).Decode(blob, typ); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = Gob{}.Decode(blob, typ) }); n != 15 {
+		t.Errorf("Decode allocates %.1f/op on a kept decoder, want 15 (16 with a copy of the value)", n)
+	}
+}
+
+// BenchmarkGobDecode times Decode on both sides of the plan's
+// selection.
+func BenchmarkGobDecode(b *testing.B) {
+	for _, c := range decodeCases() {
 		b.Run(c.name, func(b *testing.B) {
 			resetGobCaches(b)
 			typ := reflect.TypeOf(c.ev)

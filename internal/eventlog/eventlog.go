@@ -259,8 +259,11 @@ func Open(cfg Config) (*Log, error) {
 		}
 		tdir := filepath.Join(cfg.Dir, d.Name())
 		raw, err := os.ReadFile(filepath.Join(tdir, topicFile))
-		if err != nil {
-			continue // not a topic directory we wrote
+		if err != nil || topicDirName(string(raw)) != d.Name() {
+			// Not a topic directory we wrote, or one whose TOPIC a crash
+			// tore: the name is not known until getTopic is asked for
+			// it, and finds the directory.
+			continue
 		}
 		t := &topicLog{topic: string(raw), dir: tdir}
 		if err := l.recoverTopic(t); err != nil {
@@ -424,7 +427,10 @@ func topicDirName(topic string) string {
 }
 
 // getTopic returns the topic's log, creating its directory on first
-// use.
+// use. A directory Open did not register — its TOPIC file torn by a
+// crash — is recovered here, when the name it derives from is asked
+// for: its history and numbering come back under that name, and TOPIC
+// is written again.
 func (l *Log) getTopic(topic string, create bool) (*topicLog, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -434,19 +440,30 @@ func (l *Log) getTopic(topic string, create bool) (*topicLog, error) {
 	if t, ok := l.topics[topic]; ok {
 		return t, nil
 	}
-	if !create {
-		return nil, nil
-	}
 	dir := filepath.Join(l.cfg.Dir, topicDirName(topic))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("eventlog: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, topicFile), []byte(topic), 0o644); err != nil {
-		return nil, fmt.Errorf("eventlog: %w", err)
+	_, err := os.Stat(dir)
+	if !create && err != nil {
+		return nil, nil
 	}
 	// The log keeps the name for good; the caller's may be a piece of a
 	// received frame, which would stay alive with it.
 	t := &topicLog{topic: strings.Clone(topic), dir: dir, nextSeq: 1}
+	if err == nil {
+		if err := l.recoverTopic(t); err != nil {
+			return nil, err
+		}
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("eventlog: %w", err)
+	}
+	// Written beside and renamed into place: a crash leaves the whole
+	// name or the old file, never a torn one.
+	tmp := filepath.Join(dir, topicFile+".tmp")
+	if err := os.WriteFile(tmp, []byte(topic), 0o644); err != nil {
+		return nil, fmt.Errorf("eventlog: %w", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, topicFile)); err != nil {
+		return nil, fmt.Errorf("eventlog: %w", err)
+	}
 	l.topics[t.topic] = t
 	return t, nil
 }

@@ -547,3 +547,56 @@ func findSegment(t *testing.T, root string) string {
 	}
 	return matches[len(matches)-1]
 }
+
+// TestTornTopicFileKeepsItsHistory: a crash while the TOPIC file is
+// written can leave it empty or cut short. The directory's name still
+// derives from the real name, so Open must not register the history
+// under what the torn file says, and the next use of the real name must
+// find it: the same entries, the numbering continued, on every reopen.
+func TestTornTopicFileKeepsItsHistory(t *testing.T) {
+	for name, torn := range map[string][]byte{"empty": nil, "cut short": []byte("gro")} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, l, "group", 1, 5)
+			l.Close()
+			if err := os.WriteFile(filepath.Join(dir, topicDirName("group"), topicFile), torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			l, err = Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, topic := range l.Topics() {
+				if topic != "group" {
+					t.Errorf("a torn TOPIC registers the history as %q", topic)
+				}
+			}
+			if first, last, ok := l.Range("group"); !ok || first != 1 || last != 5 {
+				t.Fatalf("range of the real name = %d..%d ok=%v, want 1..5", first, last, ok)
+			}
+			appendN(t, l, "group", 6, 6)
+			l.Close()
+
+			l, err = Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if topics := l.Topics(); len(topics) != 1 || topics[0] != "group" {
+				t.Fatalf("topics after a second reopen = %q, want [group]", topics)
+			}
+			got := collect(t, l, "group", 0)
+			if len(got) != 6 || got[0].Seq != 1 || got[5].Seq != 6 || string(got[5].Payload) != "event-6" {
+				t.Fatalf("after a second reopen: %d entries %+v, want seqs 1..6", len(got), got)
+			}
+			if n := l.Snapshot().Counters["truncated"]; n != 0 {
+				t.Fatalf("truncated = %d, want 0", n)
+			}
+		})
+	}
+}
