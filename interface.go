@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/core/engine"
@@ -56,31 +57,48 @@ var (
 // Engine is the typed TPS engine for one event type hierarchy rooted at
 // T — the paper's TPSEngine<Type>. Create one engine per unrelated type
 // of interest (§4.2).
+//
+// An engine is a view of its platform's one runtime: it holds the type
+// and the subscriptions of its interfaces, and nothing runs on its own
+// behalf. Engines whose hierarchies overlap deliver each event of a
+// shared type once each, through the one attachment to its group.
 type Engine[T any] struct {
 	platform *Platform
-	core     *engine.Engine
 	node     *typereg.Node
+
+	// mu serialises Close with the subscriptions its interfaces add, so
+	// none is left behind; closed is read alone where nothing is added.
+	mu     sync.Mutex
+	closed atomic.Bool
+	subs   map[*engine.Subscription]struct{}
 }
 
 // NewEngine creates the engine for type T, registering T as a hierarchy
 // root if it is not registered yet. Subtypes of T must have been added
 // with RegisterSub before events of those types can flow.
 func NewEngine[T any](p *Platform) (*Engine[T], error) {
+	if p.peer.Closed() {
+		return nil, psErr("engine", engine.ErrClosed)
+	}
+	reg := p.eng.Registry()
 	t := typeOf[T]()
-	node, ok := p.eng.Registry.NodeByType(t)
+	node, ok := reg.NodeByType(t)
 	if !ok {
 		var err error
-		node, err = p.eng.Registry.Register(t, nil)
+		node, err = reg.Register(t, nil)
 		if err != nil {
 			return nil, psErr("engine", err)
 		}
 	}
-	core, err := engine.New(p.eng)
-	if err != nil {
-		return nil, psErr("engine", err)
+	return &Engine[T]{platform: p, node: node, subs: make(map[*engine.Subscription]struct{})}, nil
+}
+
+// core returns the platform's engine, or ErrClosed once this one is.
+func (e *Engine[T]) core() (*engine.Engine, error) {
+	if e.closed.Load() {
+		return nil, engine.ErrClosed
 	}
-	p.trackEngine(core)
-	return &Engine[T]{platform: p, core: core, node: node}, nil
+	return e.platform.eng, nil
 }
 
 // NewInterface returns the TPS interface for the engine's type — the
@@ -98,7 +116,11 @@ func (e *Engine[T]) Node() *typereg.Node { return e.node }
 // paper's search: the group is named by the type. Publish calls it
 // implicitly.
 func (e *Engine[T]) Announce() error {
-	return psErr("announce", e.core.EnsureType(e.node))
+	core, err := e.core()
+	if err == nil {
+		err = core.EnsureType(e.node)
+	}
+	return psErr("announce", err)
 }
 
 // AwaitReady joins T's group, as Announce does, and blocks until at
@@ -106,17 +128,52 @@ func (e *Engine[T]) Announce() error {
 // the timeout elapses. Decoupled applications do not need it; benchmarks
 // and tests do.
 func (e *Engine[T]) AwaitReady(n int, timeout time.Duration) bool {
-	if e.core.EnsureType(e.node) != nil {
+	core, err := e.core()
+	if err != nil || core.EnsureType(e.node) != nil {
 		return false
 	}
-	return e.core.AwaitReady(e.node, n, timeout)
+	return core.AwaitReady(e.node, n, timeout)
 }
 
-// Close shuts the engine down. Interfaces created from it stop
-// delivering, and the engine leaves the platform's stats aggregation.
+// Close shuts the engine down: the subscriptions of its interfaces are
+// removed, so they stop delivering, and they refuse Publish and
+// Subscribe, as the engine refuses Announce, with an error. The type's
+// group stays joined until Platform.Close: another engine of the
+// platform may be using it.
 func (e *Engine[T]) Close() {
-	e.platform.untrackEngine(e.core)
-	e.core.Close()
+	e.mu.Lock()
+	e.closed.Store(true)
+	subs := e.subs
+	e.subs = nil
+	e.mu.Unlock()
+	for sub := range subs {
+		e.platform.eng.Unsubscribe(sub)
+	}
+}
+
+// subscribe adds a core subscription to the engine's type for one of
+// its interfaces.
+func (e *Engine[T]) subscribe(deliver engine.Delivery, onError engine.ErrorHandler) (*engine.Subscription, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	core, err := e.core()
+	if err != nil {
+		return nil, err
+	}
+	sub, err := core.Subscribe(e.node, deliver, onError)
+	if err != nil {
+		return nil, err
+	}
+	e.subs[sub] = struct{}{}
+	return sub, nil
+}
+
+// unsubscribe removes a core subscription subscribe added.
+func (e *Engine[T]) unsubscribe(sub *engine.Subscription) {
+	e.mu.Lock()
+	delete(e.subs, sub)
+	e.mu.Unlock()
+	e.platform.eng.Unsubscribe(sub)
 }
 
 // Interface is the paper's TPSInterface<Type>: the seven operations of
@@ -151,7 +208,11 @@ type subEntry[T any] struct {
 // copy, so post-publish mutation is observable (or racy) there, while
 // remote subscribers always decode their own copy.
 func (i *Interface[T]) Publish(event T) error {
-	if err := i.eng.core.Publish(event); err != nil {
+	core, err := i.eng.core()
+	if err == nil {
+		err = core.Publish(event)
+	}
+	if err != nil {
 		return psErr("publish", err)
 	}
 	i.mu.Lock()
@@ -171,6 +232,9 @@ func (i *Interface[T]) Subscribe(cb CallBack[T], exh ExceptionHandler) error {
 	if cb == nil {
 		return psErr("subscribe", errors.New("nil callback"))
 	}
+	if _, err := i.eng.core(); err != nil {
+		return psErr("subscribe", err)
+	}
 	i.mu.Lock()
 	i.entries = append(slices.Clip(i.entries), subEntry[T]{cb: cb, exh: exh})
 	needCore := i.coreSub == nil
@@ -178,7 +242,7 @@ func (i *Interface[T]) Subscribe(cb CallBack[T], exh ExceptionHandler) error {
 	if !needCore {
 		return nil
 	}
-	sub, err := i.eng.core.Subscribe(i.eng.node, i.deliver, i.onError)
+	sub, err := i.eng.subscribe(i.deliver, i.onError)
 	if err != nil {
 		i.mu.Lock()
 		i.entries = i.entries[:len(i.entries)-1]
@@ -193,7 +257,7 @@ func (i *Interface[T]) Subscribe(cb CallBack[T], exh ExceptionHandler) error {
 		// subscription must not be kept, or it would deliver forever with
 		// nobody listening.
 		i.mu.Unlock()
-		i.eng.core.Unsubscribe(sub)
+		i.eng.unsubscribe(sub)
 		return nil
 	}
 	i.coreSub = sub
@@ -227,7 +291,7 @@ func (i *Interface[T]) Unsubscribe(cb CallBack[T], exh ExceptionHandler) error {
 		if sameHandler(e.cb, cb) && sameHandler(e.exh, exh) {
 			i.entries = slices.Concat(i.entries[:k], i.entries[k+1:])
 			if len(i.entries) == 0 && i.coreSub != nil {
-				i.eng.core.Unsubscribe(i.coreSub)
+				i.eng.unsubscribe(i.coreSub)
 				i.coreSub = nil
 			}
 			return nil
@@ -243,7 +307,7 @@ func (i *Interface[T]) UnsubscribeAll() error {
 	defer i.mu.Unlock()
 	i.entries = nil
 	if i.coreSub != nil {
-		i.eng.core.Unsubscribe(i.coreSub)
+		i.eng.unsubscribe(i.coreSub)
 		i.coreSub = nil
 	}
 	return nil

@@ -71,9 +71,6 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	err := e.peer.Endpoint().RegisterHandler(EventService, a.param, func(m *message.Message, _ endpoint.Address) {
 		e.onWireMessage(a, m)
 	})
-	if errors.Is(err, endpoint.ErrDupHandler) {
-		return nil, fmt.Errorf("tps: %s: another engine of this peer is attached to its group", path)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("tps: attach %s: %w", path, err)
 	}
@@ -143,7 +140,7 @@ func newEventMessage(src, eventID jid.ID, event any) (*message.Message, error) {
 func (e *Engine) publish(a *attachment, eventID jid.ID, event any, msg *message.Message) error {
 	e.dedupe.Observe(eventID)
 	e.traceDeliver(msg)
-	e.deliver(a, event, msg.Src)
+	e.deliver(event, msg.Src)
 	if err := e.rdv.Propagate(msg, EventService, a.param); err != nil && !errors.Is(err, rendezvous.ErrNoPeers) {
 		return fmt.Errorf("propagate: %w", err)
 	}
@@ -198,10 +195,10 @@ func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
 	value, err := (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type())
 	if err != nil {
 		e.stats.decodeErrors.Add(1)
-		e.subs.dispatchError(fmt.Errorf("tps: decode %s: %w", a.path, err))
+		e.subs.dispatchError(e.reg, a.node, fmt.Errorf("tps: decode %s: %w", a.path, err))
 		return
 	}
-	e.deliver(a, value, msg.Src)
+	e.deliver(value, msg.Src)
 }
 
 // traceDeliver measures the transit of a traced event, which carries its
@@ -218,9 +215,9 @@ func (e *Engine) traceDeliver(msg *message.Message) {
 
 // deliver counts the delivery of an event's value and dispatches it to
 // the subscriptions.
-func (e *Engine) deliver(a *attachment, value any, src jid.ID) {
+func (e *Engine) deliver(value any, src jid.ID) {
 	e.stats.delivered.Add(1)
 	dstart := time.Now()
-	e.subs.dispatch(e.reg, a.node, value, src)
+	e.subs.dispatch(e.reg, value, src)
 	e.histDispatch.Observe(time.Since(dstart))
 }

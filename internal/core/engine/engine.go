@@ -35,10 +35,12 @@
 // handler per group reads the group's events, and publish delivers to
 // the local subscribers and propagates into the group itself.
 //
-// One engine serves one type hierarchy; programs interested in several
-// unrelated hierarchies create several engines (§4.2). A peer holds one
-// handler per group, so two engines of one peer cannot both attach the
-// same type: the second gets an error naming it.
+// A peer runs one engine, whatever number of types it uses: the paper's
+// TPSEngine per unrelated type of interest (§4.2) is a typed view of it
+// in package tps. Attachments are per type group and subscriptions come
+// from any view, so hierarchies that overlap share the attachment of
+// the types they have in common, and a group stays joined until the
+// engine closes.
 package engine
 
 import (
@@ -100,7 +102,7 @@ type Config struct {
 	TraceRate float64
 }
 
-// Engine is the TPS engine: one instance per type hierarchy.
+// Engine is the TPS engine: one instance per peer.
 type Engine struct {
 	peer *peer.Peer
 	reg  *typereg.Registry
@@ -191,9 +193,6 @@ func New(cfg Config) (*Engine, error) {
 // Registry returns the shared type registry.
 func (e *Engine) Registry() *typereg.Registry { return e.reg }
 
-// Peer returns the underlying JXTA peer.
-func (e *Engine) Peer() *peer.Peer { return e.peer }
-
 // Snapshot implements obs.Provider. Counter keys follow the shared obs
 // vocabulary: decode and publish errors are `decode_failures` and
 // `publish_failures`.
@@ -221,34 +220,6 @@ func (e *Engine) Snapshot() obs.Snapshot {
 			"publish_fanout_us": e.histPublish.Snapshot(),
 			"dispatch_us":       e.histDispatch.Snapshot(),
 			"transit_us":        e.histTransit.Snapshot(),
-		},
-	}
-}
-
-// ZeroSnapshot is the engine snapshot of a peer running no engines yet:
-// every counter present and zero, so the stats document's subsystem
-// catalog is stable from the first collect.
-func ZeroSnapshot() obs.Snapshot {
-	return obs.Snapshot{
-		Name:    "engine",
-		Version: 2,
-		Counters: map[string]int64{
-			"published":        0,
-			"delivered":        0,
-			"duplicates":       0,
-			"decode_failures":  0,
-			"publish_failures": 0,
-			"replay_requests":  0,
-			"replay_kicks":     0,
-		},
-		Gauges: map[string]float64{
-			"attachments":   0,
-			"subscriptions": 0,
-		},
-		Hists: map[string]hist.Snapshot{
-			"publish_fanout_us": {},
-			"dispatch_us":       {},
-			"transit_us":        {},
 		},
 	}
 }
@@ -415,7 +386,7 @@ func (e *Engine) onRegister(n *typereg.Node) {
 			continue
 		}
 		if err := e.EnsureType(n); err != nil && !errors.Is(err, ErrClosed) {
-			e.subs.dispatchError(err)
+			e.subs.dispatchError(e.reg, n, err)
 		}
 		return
 	}

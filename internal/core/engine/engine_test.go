@@ -415,7 +415,8 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.eng.Subscribe(sub.nodes["stock"], c2.deliver, c2.onError); err != nil {
+	s2, err := sub.eng.Subscribe(sub.nodes["stock"], c2.deliver, c2.onError)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sub.eng.SubscriptionCount() != 2 {
@@ -444,14 +445,14 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 		t.Fatalf("unsubscribed callback still got %d events", c1.count())
 	}
 
-	// Remove everything: no event is received anymore (paper method 5).
-	sub.eng.UnsubscribeAll()
+	// Remove the last one: no event is received anymore.
+	sub.eng.Unsubscribe(s2)
 	if err := pub.eng.Publish(stockQuote{Symbol: "THREE"}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
 	if c2.count() != 2 {
-		t.Fatalf("callback got %d events after UnsubscribeAll", c2.count())
+		t.Fatalf("callback got %d events after its Unsubscribe", c2.count())
 	}
 }
 

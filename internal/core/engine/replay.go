@@ -216,20 +216,20 @@ func (e *Engine) kickReplay() {
 	poke(e.wake)
 }
 
-// requestReplays runs one round over all attachments. It only acts
-// while subscriptions exist: a pure publisher has nothing to catch up
-// on, and a suffix replayed to an engine with no subscriber is
+// requestReplays runs one round over the attachments some subscription
+// covers. A type only published here has nothing to catch up on, and a
+// suffix replayed to an attachment no subscription covers is
 // dispatched to nobody, marked in dedupe and lost to the subscriber
-// that arrives next — so what is owed waits for it.
+// that arrives next — so what it is owed waits for that subscriber.
 func (e *Engine) requestReplays() {
-	if e.SubscriptionCount() == 0 {
-		return
-	}
 	e.mu.Lock()
 	atts := e.attachmentList()
 	e.mu.Unlock()
+	var room [dispatchRoom]*Subscription
 	for _, a := range atts {
-		a.syncReplay(e)
+		if len(e.subs.covering(e.reg, a.node.Type(), room[:0])) > 0 {
+			a.syncReplay(e)
+		}
 	}
 }
 
@@ -272,6 +272,6 @@ func (e *Engine) onGapSignal(a *attachment) rendezvous.GapListener {
 			return
 		}
 		a.jumpCursor(origin, first)
-		e.subs.dispatchError(&ReplayGapError{Path: a.path, Topic: topic, First: first, Last: last, Tentative: tentative})
+		e.subs.dispatchError(e.reg, a.node, &ReplayGapError{Path: a.path, Topic: topic, First: first, Last: last, Tentative: tentative})
 	}
 }

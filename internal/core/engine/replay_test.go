@@ -308,10 +308,10 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	b.noteCursor(origin, 1)
 
 	gap(a.param)
-	// Exception handlers are the engine's, so each subscription hears it.
+	// Only the subscription covering the gapped type hears it.
 	heard := gaps()
-	if len(heard) == 0 {
-		t.Fatal("a gap raised no error")
+	if len(heard) != 1 {
+		t.Fatalf("a gap raised %d errors, want 1", len(heard))
 	}
 	for _, g := range heard {
 		if g.Path != a.path || g.Topic != a.param {
@@ -372,5 +372,95 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 	grantTo("mem://edge", y.param)
 	if ox, oy := owed(x), owed(y); ox != 0 || oy != 1 {
 		t.Fatalf("a grant for %s is owed to %d and %d attachments, want 0 and 1", y.path, ox, oy)
+	}
+}
+
+// TestErrorsReachOnlyCoveringSubscriptions subscribes to two unrelated
+// types on one engine. A gap signal for one type's group, and an event
+// frame in the other's that does not decode, each reach the exception
+// handler of the subscription covering that type and no other.
+func TestErrorsReachOnlyCoveringSubscriptions(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	t.Cleanup(n.Close)
+	node, err := n.AddNode("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := peer.New(peer.Config{Name: "solo"}, memnet.New(node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	otherNode, err := n.AddNode("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := endpoint.New(jid.FromSeed(jid.KindPeer, 99))
+	if err := other.AddTransport(memnet.New(otherNode)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = other.Close() })
+
+	type stock struct{ N int }
+	type fx struct{ N int }
+	reg := typereg.New()
+	stockNode, err := reg.Register(reflect.TypeOf(stock{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fxNode, err := reg.Register(reflect.TypeOf(fx{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Peer: p, Registry: reg, FindInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var mu sync.Mutex
+	heard := map[string][]error{}
+	subscribe := func(node *typereg.Node) {
+		t.Helper()
+		onError := func(err error) { mu.Lock(); heard[node.Path()] = append(heard[node.Path()], err); mu.Unlock() }
+		if _, err := e.Subscribe(node, func(any, jid.ID) error { return nil }, onError); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subscribe(stockNode)
+	subscribe(fxNode)
+	counts := func() (int, int) {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(heard[stockNode.Path()]), len(heard[fxNode.Path()])
+	}
+	send := func(service, param string, fill func(*message.Message)) {
+		t.Helper()
+		m := message.New(other.PeerID())
+		fill(m)
+		if err := other.Send("mem://solo", service, param, m); err != nil {
+			t.Fatal(err)
+		}
+		n.WaitQuiesce(5 * time.Second)
+	}
+
+	send(rendezvous.ServiceName, "", func(m *message.Message) {
+		m.AddString("rdv", "Op", "gap")
+		m.AddString("rdv", "Topic", TypeGroup(stockNode.Path()).String())
+		m.AddID("rdv", "LogSrc", jid.FromSeed(jid.KindPeer, 7))
+		m.AddUint64("rdv", "First", 10)
+		m.AddUint64("rdv", "Last", 20)
+	})
+	if s, f := counts(); s != 1 || f != 0 {
+		t.Fatalf("a gap in %s reached %d %s and %d %s handlers, want 1 and 0", stockNode.Path(), s, stockNode.Path(), f, fxNode.Path())
+	}
+	send(EventService, TypeGroup(fxNode.Path()).String(), func(m *message.Message) {
+		m.AddID(elemNS, elemEventID, jid.NewMessage())
+		m.AddBytes(elemNS, elemData, []byte("not gob"))
+	})
+	if s, f := counts(); s != 1 || f != 1 {
+		t.Fatalf("after an undecodable %s event: %d %s and %d %s errors, want 1 and 1", fxNode.Path(), s, stockNode.Path(), f, fxNode.Path())
+	}
+	if got := e.stats.decodeErrors.Load(); got != 1 {
+		t.Fatalf("%d decode failures counted, want 1", got)
 	}
 }

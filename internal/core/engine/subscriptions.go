@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -27,7 +28,6 @@ type Subscription struct {
 	node    *typereg.Node
 	deliver Delivery
 	onError ErrorHandler
-	set     *subscriptionSet
 }
 
 // Node returns the subscription's root type node.
@@ -67,7 +67,7 @@ func (e *Engine) Subscribe(node *typereg.Node, deliver Delivery, onError ErrorHa
 			return nil, err
 		}
 	}
-	sub := &Subscription{node: node, deliver: deliver, onError: onError, set: e.subs}
+	sub := &Subscription{node: node, deliver: deliver, onError: onError}
 	e.subs.add(sub)
 	// Replay requests wait for a subscriber to replay to (see
 	// requestReplays); what the attachments owe can go out now.
@@ -78,16 +78,7 @@ func (e *Engine) Subscribe(node *typereg.Node, deliver Delivery, onError ErrorHa
 // Unsubscribe removes one subscription. Removing the last subscription
 // stops deliveries entirely (attachments stay warm for resubscription).
 func (e *Engine) Unsubscribe(sub *Subscription) {
-	if sub != nil && sub.set != nil {
-		sub.set.remove(sub)
-	}
-}
-
-// UnsubscribeAll removes every subscription registered on the engine —
-// the paper's unsubscribe() variant (5): "after this call, no event is
-// received anymore".
-func (e *Engine) UnsubscribeAll() {
-	e.subs.clear()
+	e.subs.remove(sub)
 }
 
 // SubscriptionCount returns the number of live subscriptions.
@@ -109,12 +100,6 @@ func (s *subscriptionSet) remove(sub *Subscription) {
 	delete(s.subs, sub)
 }
 
-func (s *subscriptionSet) clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.subs = make(map[*Subscription]struct{})
-}
-
 // dispatchRoom is how many subscriptions an event can go to before
 // selecting them allocates: the targets are picked under the lock into an
 // array on the dispatcher's stack, and called outside it.
@@ -124,20 +109,24 @@ const dispatchRoom = 8
 // event's dynamic type is assignable to (Figure 7 semantics). Callback
 // panics are converted to exception-handler calls so one bad subscriber
 // cannot kill the reader.
-func (s *subscriptionSet) dispatch(reg *typereg.Registry, node *typereg.Node, event any, from jid.ID) {
-	dyn := typereg.TypeOf(event)
+func (s *subscriptionSet) dispatch(reg *typereg.Registry, event any, from jid.ID) {
 	var room [dispatchRoom]*Subscription
-	targets := room[:0]
+	for _, sub := range s.covering(reg, typereg.TypeOf(event), room[:0]) {
+		s.deliverOne(sub, event, from)
+	}
+}
+
+// covering appends to targets the subscriptions an event of type dyn is
+// delivered to: those whose root type dyn is assignable to.
+func (s *subscriptionSet) covering(reg *typereg.Registry, dyn reflect.Type, targets []*Subscription) []*Subscription {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for sub := range s.subs {
 		if reg.Assignable(sub.node, dyn) {
 			targets = append(targets, sub)
 		}
 	}
-	s.mu.RUnlock()
-	for _, sub := range targets {
-		s.deliverOne(sub, event, from)
-	}
+	return targets
 }
 
 func (s *subscriptionSet) deliverOne(sub *Subscription, event any, from jid.ID) {
@@ -151,20 +140,15 @@ func (s *subscriptionSet) deliverOne(sub *Subscription, event any, from jid.ID) 
 	}
 }
 
-// dispatchError fans a decode error to every subscription's exception
-// handler.
-func (s *subscriptionSet) dispatchError(err error) {
+// dispatchError fans an error about the group of the node's type — a
+// decode failure, a replay gap, a failed attach — to the exception
+// handlers of the subscriptions its events are delivered to.
+func (s *subscriptionSet) dispatchError(reg *typereg.Registry, node *typereg.Node, err error) {
 	var room [dispatchRoom]*Subscription
-	targets := room[:0]
-	s.mu.RLock()
-	for sub := range s.subs {
+	for _, sub := range s.covering(reg, node.Type(), room[:0]) {
 		if sub.onError != nil {
-			targets = append(targets, sub)
+			sub.onError(err)
 		}
-	}
-	s.mu.RUnlock()
-	for _, sub := range targets {
-		sub.onError(err)
 	}
 }
 

@@ -269,3 +269,35 @@ func TestQuickAtMostOnceSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkObserveAtCapacity times Observe on a default cache that is
+// full, with IDs it has not seen: each call inserts one entry and evicts
+// the oldest, as on a peer that has delivered more events than the cache
+// holds. "churned" has turned the cache over four times before the
+// timer starts, so every shard's index map has deleted at its head and
+// inserted at its tail for a long time; "just_filled" has only filled
+// it. The IDs are random, as event IDs are, and built beforehand.
+func BenchmarkObserveAtCapacity(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		fillers int
+	}{{"churned", 5 * DefaultCapacity}, {"just_filled", DefaultCapacity}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New()
+			for i := 0; i < bc.fillers; i++ {
+				c.Observe(jid.NewMessage())
+			}
+			ids := make([]jid.ID, b.N)
+			for i := range ids {
+				ids[i] = jid.NewMessage()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, id := range ids {
+				if !c.Observe(id) {
+					b.Fatal("a fresh ID observed as a duplicate")
+				}
+			}
+		})
+	}
+}

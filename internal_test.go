@@ -160,7 +160,7 @@ func TestConfigReachesEveryRendezvousService(t *testing.T) {
 		{"Seeds", got.Seeds, []endpoint.Address{"mem://s1", "mem://s2"}},
 		{"LeaseTTL", got.LeaseTTL, cfg.LeaseTTL},
 		{"Log", got.Log, p.log},
-		{"Tracer", got.Tracer, p.eng.Tracer},
+		{"Tracer", got.Tracer, p.tracer},
 		{"ReplicaSeeds", got.ReplicaSeeds, []endpoint.Address{"mem://r2"}},
 		{"SyncInterval", got.SyncInterval, cfg.ReplicaSyncInterval},
 		{"ActiveStandby", got.ActiveStandby, true},

@@ -116,35 +116,56 @@ func TestLateJoinerCatchesUpWithoutATick(t *testing.T) {
 // TestNoReplayRequestWithoutASubscriber: an engine that is attached and
 // leased but has nobody to deliver to asks for nothing — a suffix
 // replayed now would be marked seen and lost to the subscriber that
-// comes next. The first Subscribe sends what was owed.
+// comes next. The first Subscribe sends what was owed. A subscription to
+// an unrelated type on the same platform does not change that: it asks
+// for its own group's suffix only.
 func TestNoReplayRequestWithoutASubscriber(t *testing.T) {
-	const n = 50
-	c, rdv := seedRetained(t, n)
-	joiner := c.Start(slowTick(tps.Config{Name: "joiner", Seeds: []string{"rdv"}}))
-	eng, intf := rig.Engine[SkiRental](t, joiner)
-	if err := eng.Announce(); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.AwaitReady(1, 5*time.Second) {
-		t.Fatal("joiner group never became ready")
-	}
-	time.Sleep(200 * time.Millisecond) // attach and grant have both kicked by now
-	if kicks := joiner.Stats().Counter("engine", "replay_kicks"); kicks == 0 {
-		t.Fatal("no replay kick recorded: the guard was not exercised")
-	}
-	if sent, served := joiner.Stats().Counter("engine", "replay_requests"), rdv.Stats().Counter("rendezvous", "replay_served"); sent != 0 || served != 0 {
-		t.Fatalf("with no subscriber: %d replay requests sent, %d events served", sent, served)
-	}
+	for _, tc := range []struct {
+		name      string
+		unrelated bool
+	}{{"alone", false}, {"beside_an_unrelated_subscription", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 50
+			c, rdv := seedRetained(t, n)
+			joiner := c.Start(slowTick(tps.Config{Name: "joiner", Seeds: []string{"rdv"}}))
+			eng, intf := rig.Engine[SkiRental](t, joiner)
+			if err := eng.Announce(); err != nil {
+				t.Fatal(err)
+			}
+			if !eng.AwaitReady(1, 5*time.Second) {
+				t.Fatal("joiner group never became ready")
+			}
+			// The unrelated group's own request, sent once it is leased.
+			var unrelated int64
+			if tc.unrelated {
+				bikeEng, bikeIntf := rig.Engine[BikeRental](t, joiner)
+				if err := bikeIntf.Subscribe(&rig.Probe[BikeRental]{}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !bikeEng.AwaitReady(1, 5*time.Second) {
+					t.Fatal("the unrelated group never became ready")
+				}
+				unrelated = 1
+			}
+			time.Sleep(200 * time.Millisecond) // attach and grant have both kicked by now
+			if kicks := joiner.Stats().Counter("engine", "replay_kicks"); kicks == 0 {
+				t.Fatal("no replay kick recorded: the guard was not exercised")
+			}
+			if sent, served := joiner.Stats().Counter("engine", "replay_requests"), rdv.Stats().Counter("rendezvous", "replay_served"); sent != unrelated || served != 0 {
+				t.Fatalf("with no SkiRental subscriber: %d replay requests sent (want %d), %d events served", sent, unrelated, served)
+			}
 
-	g := &rig.Probe[SkiRental]{}
-	start := time.Now()
-	if err := intf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
-		t.Fatal(err)
-	}
-	waitWithin(t, g, n, start, joinBound)
-	exactlyOnce(t, g, n)
-	if got := joiner.Stats().Counter("engine", "replay_requests"); got != 1 {
-		t.Fatalf("joiner sent %d replay requests, want 1", got)
+			g := &rig.Probe[SkiRental]{}
+			start := time.Now()
+			if err := intf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
+				t.Fatal(err)
+			}
+			waitWithin(t, g, n, start, joinBound)
+			exactlyOnce(t, g, n)
+			if got := joiner.Stats().Counter("engine", "replay_requests"); got != unrelated+1 {
+				t.Fatalf("joiner sent %d replay requests, want %d", got, unrelated+1)
+			}
+		})
 	}
 }
 

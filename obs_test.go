@@ -114,10 +114,17 @@ func TestPlatformStatsAndInspect(t *testing.T) {
 		t.Fatal("no registered types reported")
 	}
 
-	// Closing the engine removes it from the aggregation.
+	// Closing the engine removes its subscription; the counters are the
+	// platform's and stay. The closed engine's interface refuses work.
 	subEng.Close()
-	if got := sub.Stats().Counter("engine", "delivered"); got != 0 {
-		t.Fatalf("engine.delivered after engine close = %d, want 0 (zero snapshot)", got)
+	if engine, _ := sub.Stats().Subsystem("engine"); engine.Gauges["subscriptions"] != 0 {
+		t.Fatalf("engine.subscriptions after engine close = %v, want 0", engine.Gauges["subscriptions"])
+	}
+	if got := sub.Stats().Counter("engine", "delivered"); got < n {
+		t.Fatalf("engine.delivered after engine close = %d, want >= %d", got, n)
+	}
+	if err := subIntf.Publish(SkiRental{Shop: "closed"}); err == nil {
+		t.Fatal("a closed engine's interface published")
 	}
 }
 

@@ -41,8 +41,10 @@
 //
 //	intf.Publish(SkiRental{Shop: "XTremShop", Brand: "Salomon", Price: 14, NumberOfDays: 100})
 //
-// One engine serves one type hierarchy; create an engine per unrelated
-// type of interest, exactly as the paper prescribes.
+// Create an engine per unrelated type of interest, as the paper
+// prescribes. An engine is a typed view of the platform's one runtime:
+// engines whose hierarchies overlap share the groups of their common
+// types, and a type's group stays joined until the platform closes.
 package tps
 
 import (
@@ -53,7 +55,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/core/engine"
@@ -63,7 +64,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/jxta/transport/tcpnet"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/admin"
@@ -208,31 +208,27 @@ func WithTransport(t Transport) Option {
 }
 
 // Platform is the per-process TPS runtime: one JXTA peer, one type
-// registry, shared by all engines the process creates.
+// registry and one core engine, which every Engine created on the
+// platform is a view of.
 type Platform struct {
 	peer *peer.Peer
 	// isRendezvous records that the peer has the rendezvous role.
 	isRendezvous bool
-	// eng is the template every engine of this platform is created
-	// from: the peer, the shared type registry, the replay retry
-	// interval, and the peer-local hop store with its sampling rate.
-	eng engine.Config
+	eng          *engine.Engine
+	// tracer is the peer-local hop store: the engine records publish and
+	// deliver hops into it, the rendezvous service forward hops.
+	tracer *trace.Store
 
 	// Observability: the stats registry every subsystem snapshots into,
 	// and the optional embedded admin server reading from it.
 	obsreg *obs.Registry
 	admin  *admin.Server
 	log    *eventlog.Log
-
-	// engMu guards the live core engines, tracked so Stats and Inspect
-	// cover engines created at any time and Close stops them.
-	engMu   sync.Mutex
-	engines []*engine.Engine
 }
 
-// NewPlatform boots the peer-to-peer substrate: transports and the
-// peer's one rendezvous service, which serves every event group on a
-// rendezvous.
+// NewPlatform boots the peer-to-peer substrate: transports, the peer's
+// one rendezvous service, which serves every event group on a
+// rendezvous, and the engine.
 func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 	if c := defaultStr(cfg.Codec, "gob"); c != "gob" {
 		return nil, psErr("platform", fmt.Errorf("codec %q: events are gob-encoded", c))
@@ -294,18 +290,27 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 		}
 		return nil, psErr("platform", err)
 	}
+	eng, err := engine.New(engine.Config{
+		Peer:         p,
+		Registry:     typereg.New(),
+		FindInterval: cfg.FindInterval,
+		Tracer:       tracer,
+		TraceRate:    cfg.TraceRate,
+	})
+	if err != nil {
+		p.Close()
+		if elog != nil {
+			_ = elog.Close()
+		}
+		return nil, psErr("platform", err)
+	}
 	pl := &Platform{
 		peer:         p,
 		isRendezvous: cfg.Rendezvous,
-		eng: engine.Config{
-			Peer:         p,
-			Registry:     typereg.New(),
-			FindInterval: cfg.FindInterval,
-			Tracer:       tracer,
-			TraceRate:    cfg.TraceRate,
-		},
-		obsreg: obs.NewRegistry(),
-		log:    elog,
+		eng:          eng,
+		tracer:       tracer,
+		obsreg:       obs.NewRegistry(),
+		log:          elog,
 	}
 	pl.registerProviders(transports)
 	if cfg.AdminAddr != "" {
@@ -314,7 +319,7 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 			Registry:  pl.obsreg,
 			Inspect:   pl.Inspect,
 			Health:    pl.health,
-			Trace:     pl.eng.Tracer,
+			Trace:     pl.tracer,
 			Profiling: cfg.AdminProfiling,
 		})
 		if err != nil {
@@ -328,11 +333,9 @@ func NewPlatform(cfg Config, opts ...Option) (*Platform, error) {
 
 // registerProviders wires the instrumented subsystems into the stats
 // registry, and every attached transport that counts (tcpnet does,
-// under "tcpnet") beside them. Providers are aggregate closures
-// evaluated at Collect time, so engines created later are covered
-// without re-registration; the per-message hot paths are untouched
-// (they keep bumping the same atomic counters and pay nothing until a
-// collect).
+// under "tcpnet") beside them. Providers are evaluated at Collect time;
+// the per-message hot paths are untouched (they keep bumping the same
+// atomic counters and pay nothing until a collect).
 func (p *Platform) registerProviders(transports []Transport) {
 	r := p.obsreg
 	r.RegisterFunc("endpoint", func() obs.Snapshot {
@@ -343,60 +346,15 @@ func (p *Platform) registerProviders(transports []Transport) {
 			r.Register(counted.Snapshot().Name, counted)
 		}
 	}
-	r.RegisterFunc("engine", func() obs.Snapshot {
-		engines := p.coreEngines()
-		if len(engines) == 0 {
-			return engine.ZeroSnapshot()
-		}
-		snaps := make([]obs.Snapshot, 0, len(engines))
-		for _, e := range engines {
-			snaps = append(snaps, e.Snapshot())
-		}
-		return obs.Merge("engine", snaps...)
-	})
+	r.Register("engine", p.eng)
 	r.Register("rendezvous", p.peer.Rendezvous())
+	// The rendezvous service's message-level dedupe cache and the
+	// engine's event-level one.
 	r.RegisterFunc("seen", func() obs.Snapshot {
-		var snaps []obs.Snapshot
-		for _, c := range p.seenCaches() {
-			snaps = append(snaps, c.Snapshot())
-		}
-		return obs.Merge("seen", snaps...)
+		return obs.Merge("seen", p.peer.Rendezvous().SeenCache().Snapshot(), p.eng.SeenCache().Snapshot())
 	})
 	if p.log != nil {
 		r.RegisterFunc("eventlog", func() obs.Snapshot { return p.log.Snapshot() })
-	}
-}
-
-// seenCaches collects every live dedupe cache: the rendezvous service's
-// message-level cache and each engine's event-level cache.
-func (p *Platform) seenCaches() []*seen.Cache {
-	out := []*seen.Cache{p.peer.Rendezvous().SeenCache()}
-	for _, e := range p.coreEngines() {
-		out = append(out, e.SeenCache())
-	}
-	return out
-}
-
-func (p *Platform) coreEngines() []*engine.Engine {
-	p.engMu.Lock()
-	defer p.engMu.Unlock()
-	return append([]*engine.Engine(nil), p.engines...)
-}
-
-func (p *Platform) trackEngine(e *engine.Engine) {
-	p.engMu.Lock()
-	defer p.engMu.Unlock()
-	p.engines = append(p.engines, e)
-}
-
-func (p *Platform) untrackEngine(e *engine.Engine) {
-	p.engMu.Lock()
-	defer p.engMu.Unlock()
-	for i, cur := range p.engines {
-		if cur == e {
-			p.engines = append(p.engines[:i], p.engines[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -507,14 +465,12 @@ func (p *Platform) Inspect() Inspection {
 	rdv := p.peer.Rendezvous()
 	in.Peers = rdv.PeersView()
 	in.Replicas = rdv.ReplicasView()
-	for _, e := range p.coreEngines() {
-		in.Subscriptions = append(in.Subscriptions, e.SubscriptionsView()...)
-		in.Cursors = append(in.Cursors, e.CursorsView()...)
-	}
+	in.Subscriptions = p.eng.SubscriptionsView()
+	in.Cursors = p.eng.CursorsView()
 	if p.log != nil {
 		in.EventLog = p.log.TopicsView()
 	}
-	in.Types = p.eng.Registry.Paths()
+	in.Types = p.eng.Registry().Paths()
 	return in
 }
 
@@ -552,17 +508,16 @@ func (p *Platform) health() error {
 }
 
 // Close shuts the platform down: the admin server first (so /stats
-// never reads a half-closed substrate), then every engine still open
-// (their replay loops must not outlive the peer), the peer
-// with its services and groups, and the transports.
+// never reads a half-closed substrate), then the engine — its replay
+// loop must not outlive the peer, and the groups its engines joined are
+// left here, not when an engine closes — the peer with its services,
+// and the transports. Engines still open refuse work from here on.
 func (p *Platform) Close() {
 	if p.admin != nil {
 		_ = p.admin.Close()
 		p.admin = nil
 	}
-	for _, e := range p.coreEngines() {
-		e.Close()
-	}
+	p.eng.Close()
 	p.peer.Close()
 	if p.log != nil {
 		_ = p.log.Close()
@@ -574,7 +529,7 @@ func (p *Platform) Close() {
 // Registration is the paper's "type definition phase": peers must agree
 // on the type model a priori (§3.2).
 func Register[T any](p *Platform) error {
-	_, err := p.eng.Registry.Register(typeOf[T](), nil)
+	_, err := p.eng.Registry().Register(typeOf[T](), nil)
 	return psErr("register", err)
 }
 
@@ -585,11 +540,11 @@ func Register[T any](p *Platform) error {
 // struct parents still organise the subject hierarchy. A subscription to
 // Parent made before this call covers T from here on.
 func RegisterSub[T, Parent any](p *Platform) error {
-	parent, ok := p.eng.Registry.NodeByType(typeOf[Parent]())
+	parent, ok := p.eng.Registry().NodeByType(typeOf[Parent]())
 	if !ok {
 		return psErr("register", fmt.Errorf("%w: parent %v", typereg.ErrNotRegistered, typeOf[Parent]()))
 	}
-	_, err := p.eng.Registry.Register(typeOf[T](), parent)
+	_, err := p.eng.Registry().Register(typeOf[T](), parent)
 	return psErr("register", err)
 }
 

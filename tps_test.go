@@ -450,68 +450,62 @@ func TestInterfaceSubtypeDelivery(t *testing.T) {
 	}
 }
 
-// TestSecondEngineOnAPeerCannotAttachAnAttachedType: a peer reads a
-// type's group with one endpoint handler, so two engines of one platform
-// whose types overlap cannot both attach the overlapping type. An
-// Engine[Offer] subscribed to the interface root holds SkiRental's
-// group; an Engine[SkiRental] on the same platform is refused it with an
-// error naming the type, and the first engine goes on delivering.
-func TestSecondEngineOnAPeerCannotAttachAnAttachedType(t *testing.T) {
-	r := newFleet(t)
-	pubP, subP := r.edge(), r.edge()
-	for _, p := range []*tps.Platform{pubP, subP} {
-		if err := tps.Register[Offer](p); err != nil {
+// TestOverlappingEnginesShareOneAttachment: an engine is a view of its
+// platform's one runtime, so an Engine[Offer] and an Engine[SkiRental]
+// on one platform share SkiRental's group and its one attachment. Each
+// gets a SkiRental published by another peer, and one published through
+// the second engine, exactly once.
+func TestOverlappingEnginesShareOneAttachment(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		c.Start(tps.Config{Name: "rdv", Rendezvous: true})
+		pub := c.Start(tps.Config{Name: "pub", Seeds: []string{"rdv"}})
+		sub := c.Start(tps.Config{Name: "sub", Seeds: []string{"rdv"}})
+		for _, n := range []*rig.Node{pub, sub} {
+			if err := tps.Register[Offer](n.Platform); err != nil {
+				t.Fatal(err)
+			}
+			if err := tps.RegisterSub[SkiRental, Offer](n.Platform); err != nil {
+				t.Fatal(err)
+			}
+		}
+		offerEng, offerInt := rig.Engine[Offer](t, sub)
+		skiEng, skiInt := rig.Engine[SkiRental](t, sub)
+		var offers rig.Probe[Offer]
+		var skis rig.Probe[SkiRental]
+		if err := offerInt.Subscribe(&offers, &offers); err != nil {
 			t.Fatal(err)
 		}
-		if err := tps.RegisterSub[SkiRental, Offer](p); err != nil {
+		if err := skiInt.Subscribe(&skis, &skis); err != nil {
 			t.Fatal(err)
 		}
-	}
-	offerEng, err := tps.NewEngine[Offer](subP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offerEng.Close()
-	offerInt, _ := offerEng.NewInterface(nil)
-	var g rig.Probe[Offer]
-	if err := offerInt.Subscribe(&g, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Subscribe attached the root's group and SkiRental's.
-	if !offerEng.AwaitReady(2, 5*time.Second) {
-		t.Fatal("the Offer engine never attached SkiRental's group")
-	}
+		// The Offer engine attached the root's group and SkiRental's; the
+		// SkiRental engine attached nothing more.
+		if !offerEng.AwaitReady(2, 5*time.Second) || !skiEng.AwaitReady(1, 5*time.Second) {
+			t.Fatal("the subscriber's groups never became ready")
+		}
+		if engine, _ := sub.Stats().Subsystem("engine"); engine.Gauges["attachments"] != 2 {
+			t.Fatalf("%v attachments on the subscriber, want 2", engine.Gauges["attachments"])
+		}
 
-	second, err := tps.NewEngine[SkiRental](subP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	path := second.Node().Path()
-	if err := second.Announce(); err == nil || !strings.Contains(err.Error(), path) {
-		t.Fatalf("a second engine attaching %s: %v, want an error naming the type", path, err)
-	}
-	secondInt, _ := second.NewInterface(nil)
-	if err := secondInt.Publish(SkiRental{Shop: "refused"}); err == nil {
-		t.Fatal("the refused engine published")
-	}
-
-	pubEng, err := tps.NewEngine[SkiRental](pubP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pubEng.Close()
-	if !pubEng.AwaitReady(1, 5*time.Second) {
-		t.Fatal("publisher never ready")
-	}
-	pubInt, _ := pubEng.NewInterface(nil)
-	if err := pubInt.Publish(SkiRental{Shop: "ski-shop", Price: 10}); err != nil {
-		t.Fatal(err)
-	}
-	g.Await(t, 1)
-	if got := g.Events()[0].Seller(); got != "ski-shop" {
-		t.Fatalf("the Offer engine delivered %q", got)
-	}
+		pubEng, pubInt := rig.Engine[SkiRental](t, pub)
+		if !pubEng.AwaitReady(1, 5*time.Second) {
+			t.Fatal("publisher never ready")
+		}
+		if err := pubInt.Publish(SkiRental{Shop: "remote", Price: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if err := skiInt.Publish(SkiRental{Shop: "local", Price: 12}); err != nil {
+			t.Fatal(err)
+		}
+		offers.Await(t, 2)
+		skis.Await(t, 2)
+		time.Sleep(100 * time.Millisecond) // let a duplicate surface
+		offers.ExactlyOnce(t, 2)
+		skis.ExactlyOnce(t, 2)
+		if errs := append(offers.Errors(), skis.Errors()...); len(errs) != 0 {
+			t.Fatalf("exceptions: %v", errs)
+		}
+	})
 }
 
 func TestPSErrorWrapping(t *testing.T) {
@@ -593,6 +587,63 @@ func TestPlatformCloseStopsEngines(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// slot is a family of distinct event types: slot[[0]int] … slot[[9]int].
+type slot[N any] struct{ K int }
+
+// subscribeSlot opens an engine for slot[N] on p and subscribes to it.
+func subscribeSlot[N any](t *testing.T, p *tps.Platform) *tps.Engine[slot[N]] {
+	t.Helper()
+	eng, err := tps.NewEngine[slot[N]](p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intf, _ := eng.NewInterface(nil)
+	if err := intf.Subscribe(&rig.Probe[slot[N]]{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestTenEnginesRunAsManyGoroutinesAsOne: an engine is a view of the
+// platform's one runtime, so nine more engines over nine more types,
+// each subscribed, start no goroutine; and none outlives Platform.Close.
+func TestTenEnginesRunAsManyGoroutinesAsOne(t *testing.T) {
+	c := rig.New(t, rig.Netsim)
+	base := runtime.NumGoroutine()
+	p := c.Start(tps.Config{Name: "solo", FindInterval: 20 * time.Millisecond}).Platform
+	closers := []func(){subscribeSlot[[0]int](t, p).Close}
+	// awaitAtMost waits for the goroutines to settle at or below n.
+	awaitAtMost := func(n int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > n {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines %s, want at most %d:\n%s",
+					runtime.NumGoroutine(), what, n, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	one := runtime.NumGoroutine()
+	closers = append(closers,
+		subscribeSlot[[1]int](t, p).Close, subscribeSlot[[2]int](t, p).Close,
+		subscribeSlot[[3]int](t, p).Close, subscribeSlot[[4]int](t, p).Close,
+		subscribeSlot[[5]int](t, p).Close, subscribeSlot[[6]int](t, p).Close,
+		subscribeSlot[[7]int](t, p).Close, subscribeSlot[[8]int](t, p).Close,
+		subscribeSlot[[9]int](t, p).Close)
+	if got := len(p.Inspect().Subscriptions); got != 10 {
+		t.Fatalf("%d subscribed types, want 10", got)
+	}
+	awaitAtMost(one, "with ten engines")
+	for _, closeEngine := range closers {
+		closeEngine()
+	}
+	p.Close()
+	awaitAtMost(base, "outlive Platform.Close")
 }
 
 // TestCloseTellsTheRendezvousOverTCP: a closing platform's last word is
