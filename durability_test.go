@@ -9,7 +9,9 @@ package tps_test
 // protocol by hand; this is what an application gets for free.
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,5 +186,67 @@ func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 	g.Await(t, depth)
 	if shed := rdv.Stats().Counter("tcpnet", "dropped"); shed != 0 {
 		t.Fatalf("rendezvous shed %d frames", shed)
+	}
+}
+
+// TestReplayGapReachesTheHandler keeps a subscriber away while
+// retention deletes what follows its cursor. On its next lease the loss
+// reaches its exception handler as a *tps.ReplayGapError, which an
+// application that imports nothing internal can recognise.
+func TestReplayGapReachesTheHandler(t *testing.T) {
+	c := rig.New(t, rig.Netsim)
+	// Tiny segments and a low cap force retention to drop the head.
+	rdv := c.Start(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir(),
+		LogRetention: tps.LogRetention{SegmentBytes: 512, MaxBytes: 1536}})
+	pubEng, pub := rig.Engine[SkiRental](t, c.Start(tps.Config{Name: "pub", Seeds: []string{"rdv"}}))
+	if err := pubEng.Announce(); err != nil {
+		t.Fatal(err)
+	}
+	if !pubEng.AwaitReady(1, 5*time.Second) {
+		t.Fatal("publisher group never became ready")
+	}
+	_, sub := rig.Engine[SkiRental](t, c.Start(tps.Config{Name: "sub", Seeds: []string{"rdv"}}))
+	var mu sync.Mutex
+	var gaps []*tps.ReplayGapError
+	probe := &rig.Probe[SkiRental]{}
+	onError := tps.ExceptionHandlerFunc(func(err error) {
+		var gap *tps.ReplayGapError
+		if errors.As(err, &gap) {
+			mu.Lock()
+			gaps = append(gaps, gap)
+			mu.Unlock()
+		}
+	})
+	if err := sub.Subscribe(probe, onError); err != nil {
+		t.Fatal(err)
+	}
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := pub.Publish(SkiRental{Shop: fmt.Sprintf("shop-%d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish(1)
+	probe.Await(t, 1)
+
+	c.Partition([]string{"rdv", "pub"}, []string{"sub"})
+	publish(40)
+	rig.Wait(t, "retention to drop the events after the subscriber's cursor", func() bool {
+		log := rdv.Inspect().EventLog
+		return len(log) == 1 && log[0].LastSeq == 41 && log[0].FirstSeq > 2
+	})
+	kept := rdv.Inspect().EventLog[0]
+	c.Heal()
+	rig.Wait(t, "a *tps.ReplayGapError", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(gaps) > 0
+	})
+	mu.Lock()
+	gap := gaps[0]
+	mu.Unlock()
+	if gap.First != kept.FirstSeq || gap.Last != kept.LastSeq || gap.Tentative {
+		t.Fatalf("gap %+v, want %d..%d, not tentative", gap, kept.FirstSeq, kept.LastSeq)
 	}
 }

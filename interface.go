@@ -28,10 +28,17 @@ type CallBackFunc[T any] func(event T) error
 func (f CallBackFunc[T]) Handle(event T) error { return f(event) }
 
 // ExceptionHandler consumes the errors raised while handling received
-// events — the paper's TPSExceptionHandler.
+// events — the paper's TPSExceptionHandler. Events a durable rendezvous
+// no longer retains for this subscriber arrive as a *ReplayGapError
+// (errors.As): loss is reported, not silent.
 type ExceptionHandler interface {
 	HandleException(err error)
 }
+
+// ReplayGapError reports that a rendezvous no longer retains events a
+// subscriber had not received: its log's retention dropped them, or its
+// numbering restarted. First and Last bound what it still retains.
+type ReplayGapError = engine.ReplayGapError
 
 // ExceptionHandlerFunc adapts a plain function to ExceptionHandler.
 type ExceptionHandlerFunc func(err error)

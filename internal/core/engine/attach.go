@@ -12,6 +12,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
 	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
@@ -46,17 +47,11 @@ type attachment struct {
 	// param is the group's ID as a string: the endpoint parameter its
 	// frames are addressed to, its lease and the log topic of its events.
 	param string
-	// The peer's rendezvous service carries every group and outlives
-	// this attachment: its listeners go when the attachment closes.
-	gapTok, leaseTok int
 
-	// Replay cursors: highest log sequence delivered, per origin
-	// rendezvous, plus the rendezvous that granted a lease and have not
-	// been sent this connection epoch's replay request yet — empty
-	// between epochs.
-	curMu   sync.Mutex
-	cursors map[jid.ID]*cursorState
-	owed    map[jid.ID]struct{}
+	// recMu guards rec, the attachment's replay cursors and the
+	// rendezvous owed a request.
+	recMu sync.Mutex
+	rec   *recovery.Subscriber
 }
 
 // attach registers the handler for the group of the registered type
@@ -67,29 +62,15 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	if a, err := e.attached(path); a != nil || err != nil {
 		return a, err
 	}
-	a := &attachment{path: path, node: node, param: TypeGroup(path).String()}
+	a := &attachment{path: path, node: node, param: TypeGroup(path).String(),
+		rec: recovery.NewSubscriber(e.rdv.Config().ActiveStandby)}
 	err := e.peer.Endpoint().RegisterHandler(EventService, a.param, func(m *message.Message, _ endpoint.Address) {
 		e.onWireMessage(a, m)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tps: attach %s: %w", path, err)
 	}
-	// Replay gaps surface as exceptions on this attachment's path.
-	a.gapTok = e.rdv.AddGapListener(e.onGapSignal(a))
-	// Every lease for the group granted from here on is owed a replay
-	// request, and so is every lease the group already holds: taken
-	// after the listener is in place, so a grant in between is in one or
-	// both. A new lease can make the attachment ready, too.
-	a.leaseTok = e.rdv.AddLeaseListener(func(id jid.ID, group string) {
-		if group != a.param && group != "" {
-			return
-		}
-		a.oweReplay(id)
-		e.kickReplay()
-		e.broadcast()
-	})
 	e.rdv.Join(a.param)
-	a.oweReplay(e.rdv.ConnectedRendezvous(a.param)...)
 
 	e.mu.Lock()
 	if e.closed {
@@ -100,8 +81,11 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	e.attachments[path] = a
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	// The replay loop can see the attachment now; leases granted while
-	// it could not are still owed.
+	// The engine's listeners route the group's grants and gaps to the
+	// attachment from here on. Every lease the group holds already is
+	// owed a request too, taken after: a grant in between is in one or
+	// both. The replay loop can see the attachment now.
+	a.epoch(e.rdv.ConnectedRendezvous(a.param)...)
 	e.kickReplay()
 	return a, nil
 }
@@ -157,8 +141,6 @@ func (e *Engine) ready(a *attachment) bool {
 // detach unregisters the attachment's handler and ends its lease.
 func (e *Engine) detach(a *attachment) {
 	e.peer.Endpoint().UnregisterHandler(EventService, a.param)
-	e.rdv.RemoveGapListener(a.gapTok)
-	e.rdv.RemoveLeaseListener(a.leaseTok)
 	e.rdv.Leave(a.param)
 }
 
@@ -182,7 +164,7 @@ func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
 	// that was already delivered live still moves the cursor forward, so
 	// the next reconnect asks for less.
 	if origin, seq, ok := rendezvous.ReplayInfo(msg); ok {
-		a.noteCursor(origin, seq)
+		a.delivered(origin, seq)
 	}
 	// The same event can arrive live and replayed, or over two
 	// rendezvous; deliver it exactly once (the duplicate handling the

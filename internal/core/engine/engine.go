@@ -46,8 +46,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,11 +133,13 @@ type Engine struct {
 	tracer  *trace.Store
 	sampler trace.Sampler
 
-	wg     sync.WaitGroup
-	stop   chan struct{}
-	wake   chan struct{}       // wakes the replay loop immediately
-	rdv    *rendezvous.Service // the peer's, which every attachment's group is a lease on
-	regTok int
+	wg   sync.WaitGroup
+	stop chan struct{}
+	wake chan struct{}       // wakes the replay loop immediately
+	rdv  *rendezvous.Service // the peer's, which every attachment's group is a lease on
+	// Tokens of the registry listener and of the service's one lease
+	// and one gap listener, which route to the attachments.
+	regTok, leaseTok, gapTok int
 }
 
 // engineCounters are lock-free: the publish and deliver paths bump them
@@ -154,8 +156,10 @@ type engineCounters struct {
 	replayKicks atomic.Int64
 }
 
-// New creates and starts an engine: its replay loop, and its listener
-// for the types registered from here on.
+// New creates and starts an engine: its replay loop, its listener for
+// the types registered from here on, and its listeners for the lease
+// grants and gap signals of the peer's rendezvous service, which route
+// each to the attachment of its group.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Peer == nil || cfg.Registry == nil {
 		return nil, errors.New("tps: engine needs a peer and a registry")
@@ -185,6 +189,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.regTok = e.reg.AddListener(e.onRegister)
+	e.leaseTok = e.rdv.AddLeaseListener(e.onLease)
+	e.gapTok = e.rdv.AddGapListener(e.onGap)
 	e.wg.Add(1)
 	go e.replayLoop()
 	return e, nil
@@ -238,39 +244,34 @@ func (e *Engine) SubscriptionsView() []obs.SubscriptionEntry {
 		subscribers[sub.node.Path()]++
 	}
 	e.subs.mu.RUnlock()
-	paths := make([]string, 0, len(subscribers))
-	for p := range subscribers {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]obs.SubscriptionEntry, 0, len(paths))
-	for _, p := range paths {
-		node, ok := e.reg.NodeByPath(p)
+	out := make([]obs.SubscriptionEntry, 0, len(subscribers))
+	for _, p := range slices.Sorted(maps.Keys(subscribers)) {
 		entry := obs.SubscriptionEntry{Type: p, Subscribers: subscribers[p]}
-		if ok {
-			entry.Attachments = e.attachmentCount(node)
-			entry.Ready = e.readyCount(node)
+		if node, ok := e.reg.NodeByPath(p); ok {
+			e.mu.Lock()
+			entry.Attachments, entry.Ready = e.coverage(node)
+			e.mu.Unlock()
 		}
 		out = append(out, entry)
 	}
 	return out
 }
 
-// attachmentCount counts the live attachments covering the node's
-// subtree, connected or not.
-func (e *Engine) attachmentCount(node *typereg.Node) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	count := 0
-	for path := range e.attachments {
+// coverage counts the live attachments covering the node's subtree, and
+// those of them that are ready; e.mu must be held.
+func (e *Engine) coverage(node *typereg.Node) (attached, ready int) {
+	for path, a := range e.attachments {
 		if typereg.CoversPath(node.Path(), path) {
-			count++
+			attached++
+			if e.ready(a) {
+				ready++
+			}
 		}
 	}
-	return count
+	return attached, ready
 }
 
-// Close stops the replay loop and the registry listener and closes every
+// Close stops the replay loop and the listeners and closes every
 // attachment.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -279,7 +280,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	atts := e.attachmentList()
+	atts := slices.Collect(maps.Values(e.attachments))
 	e.attachments = map[string]*attachment{}
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -287,18 +288,11 @@ func (e *Engine) Close() {
 	close(e.stop)
 	e.wg.Wait()
 	e.reg.RemoveListener(e.regTok)
+	e.rdv.RemoveLeaseListener(e.leaseTok)
+	e.rdv.RemoveGapListener(e.gapTok)
 	for _, a := range atts {
 		e.detach(a)
 	}
-}
-
-// attachmentList copies the attachments out; e.mu must be held.
-func (e *Engine) attachmentList() []*attachment {
-	atts := make([]*attachment, 0, len(e.attachments))
-	for _, a := range e.attachments {
-		atts = append(atts, a)
-	}
-	return atts
 }
 
 // Publish serialises the event and publishes it in the group of the

@@ -1,9 +1,9 @@
 package engine
 
-// replay_test.go unit-tests the contiguous replay cursor: the invariant
-// that makes at-least-once redelivery converge is that the cursor never
-// advances past an undelivered sequence, while gap signals may jump it
-// over ranges retention has made unrecoverable.
+// replay_test.go tests the engine as the recovery core's driver: what
+// its replay loop shares with other goroutines, and the routing of the
+// peer's grants, gaps and errors to the attachments and subscriptions
+// they concern. The core's decisions are tested in rendezvous/recovery.
 
 import (
 	"reflect"
@@ -20,99 +20,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 	"github.com/tps-p2p/tps/internal/netsim"
 )
-
-func TestCursorAdvancesOnlyContiguously(t *testing.T) {
-	a := &attachment{}
-	origin := jid.FromSeed(jid.KindPeer, 1)
-
-	a.noteCursor(origin, 1)
-	a.noteCursor(origin, 2)
-	if got := a.cursor(origin); got != 2 {
-		t.Fatalf("cursor after 1,2 = %d, want 2", got)
-	}
-	// A hole: 3 is lost, 4..6 arrive. The cursor must hold at 2 so the
-	// next replay round refetches 3 — advancing to max would skip it
-	// forever.
-	a.noteCursor(origin, 4)
-	a.noteCursor(origin, 5)
-	a.noteCursor(origin, 6)
-	if got := a.cursor(origin); got != 2 {
-		t.Fatalf("cursor with hole at 3 = %d, want 2", got)
-	}
-	// The hole fills: the cursor drains the pending run in one step.
-	a.noteCursor(origin, 3)
-	if got := a.cursor(origin); got != 6 {
-		t.Fatalf("cursor after hole filled = %d, want 6", got)
-	}
-	// Duplicates and stale sequences are no-ops.
-	a.noteCursor(origin, 4)
-	a.noteCursor(origin, 6)
-	if got := a.cursor(origin); got != 6 {
-		t.Fatalf("cursor after duplicates = %d, want 6", got)
-	}
-}
-
-func TestCursorPerOrigin(t *testing.T) {
-	a := &attachment{}
-	o1 := jid.FromSeed(jid.KindPeer, 1)
-	o2 := jid.FromSeed(jid.KindPeer, 2)
-	a.noteCursor(o1, 1)
-	a.noteCursor(o1, 2)
-	a.noteCursor(o2, 1)
-	if a.cursor(o1) != 2 || a.cursor(o2) != 1 {
-		t.Fatalf("cursors = (%d, %d), want (2, 1): origins must not share state",
-			a.cursor(o1), a.cursor(o2))
-	}
-}
-
-func TestJumpCursorSkipsRetentionGap(t *testing.T) {
-	a := &attachment{}
-	origin := jid.FromSeed(jid.KindPeer, 1)
-	a.noteCursor(origin, 1)
-	// Entries above the gap arrived before the signal.
-	a.noteCursor(origin, 10)
-	a.noteCursor(origin, 11)
-	// Retention dropped 2..8; the log retains 9..11. Waiting for 2 would
-	// stall the cursor forever, so the gap signal jumps the floor to 8
-	// and the pending run 9 would drain when it arrives.
-	a.jumpCursor(origin, 9)
-	if got := a.cursor(origin); got != 8 {
-		t.Fatalf("cursor after gap jump to first=9: %d, want 8", got)
-	}
-	a.noteCursor(origin, 9)
-	if got := a.cursor(origin); got != 11 {
-		t.Fatalf("cursor after 9 arrives = %d, want 11 (pending 10,11 drain)", got)
-	}
-	// A stale or retained-everything gap signal must not move the cursor
-	// backwards.
-	a.jumpCursor(origin, 5)
-	if got := a.cursor(origin); got != 11 {
-		t.Fatalf("cursor after stale gap = %d, want 11", got)
-	}
-	a.jumpCursor(origin, 0)
-	if got := a.cursor(origin); got != 11 {
-		t.Fatalf("cursor after empty gap = %d, want 11", got)
-	}
-}
-
-func TestCursorPendingSetBounded(t *testing.T) {
-	a := &attachment{}
-	origin := jid.FromSeed(jid.KindPeer, 1)
-	// Never deliver seq 1: everything lands in the pending set, which
-	// must stay capped instead of growing with the hole's width.
-	for seq := uint64(2); seq < maxPendingSeqs*2; seq++ {
-		a.noteCursor(origin, seq)
-	}
-	a.curMu.Lock()
-	pending := len(a.cursors[origin].pending)
-	a.curMu.Unlock()
-	if pending > maxPendingSeqs {
-		t.Fatalf("pending set grew to %d, cap is %d", pending, maxPendingSeqs)
-	}
-	if got := a.cursor(origin); got != 0 {
-		t.Fatalf("cursor with seq 1 missing = %d, want 0", got)
-	}
-}
 
 // TestReplayWakeUpsFromManyGoroutines drives what the replay loop now
 // shares with other goroutines — the owed set, written by lease
@@ -164,7 +71,7 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				// What a lease listener does, for rendezvous the group
 				// holds no lease with.
-				a.oweReplay(jid.FromSeed(jid.KindPeer, uint64(g*1000+i)))
+				a.epoch(jid.FromSeed(jid.KindPeer, uint64(g*1000+i)))
 				e.kickReplay()
 				if sub, err := e.Subscribe(root, deliver, nil); err == nil {
 					e.Unsubscribe(sub)
@@ -177,14 +84,11 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 	e.kickReplay()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		a.curMu.Lock()
-		owed := len(a.owed)
-		a.curMu.Unlock()
-		if owed == 0 {
+		if a.owed() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d rendezvous without a lease are still owed a request", owed)
+			t.Fatalf("%d rendezvous without a lease are still owed a request", a.owed())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -304,8 +208,8 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		return attachmentOf(e, node)
 	}
 	a, b := subscribed(stockNode), subscribed(fxNode)
-	a.noteCursor(origin, 1)
-	b.noteCursor(origin, 1)
+	a.delivered(origin, 1)
+	b.delivered(origin, 1)
 
 	gap(a.param)
 	// Only the subscription covering the gapped type hears it.
@@ -364,13 +268,8 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		}
 	}
 	x, y := attachmentOf(onEdge, stockNode), attachmentOf(onEdge, fxNode)
-	owed := func(a *attachment) int {
-		a.curMu.Lock()
-		defer a.curMu.Unlock()
-		return len(a.owed)
-	}
 	grantTo("mem://edge", y.param)
-	if ox, oy := owed(x), owed(y); ox != 0 || oy != 1 {
+	if ox, oy := x.owed(), y.owed(); ox != 0 || oy != 1 {
 		t.Fatalf("a grant for %s is owed to %d and %d attachments, want 0 and 1", y.path, ox, oy)
 	}
 }
@@ -462,5 +361,36 @@ func TestErrorsReachOnlyCoveringSubscriptions(t *testing.T) {
 	}
 	if got := e.stats.decodeErrors.Load(); got != 1 {
 		t.Fatalf("%d decode failures counted, want 1", got)
+	}
+}
+
+// cursor returns the attachment's cursor into origin's log.
+func (a *attachment) cursor(origin jid.ID) uint64 {
+	a.recMu.Lock()
+	defer a.recMu.Unlock()
+	return a.rec.Mark(origin)
+}
+
+// owed counts the rendezvous the attachment owes a replay request.
+func (a *attachment) owed() int {
+	a.recMu.Lock()
+	defer a.recMu.Unlock()
+	return a.rec.Owed()
+}
+
+// TestReplayGapErrorSaysWhatIsRetained reads the error a subscriber's
+// handler gets: the retained range, or that nothing is retained.
+func TestReplayGapErrorSaysWhatIsRetained(t *testing.T) {
+	for _, tc := range []struct {
+		err  ReplayGapError
+		want string
+	}{
+		{ReplayGapError{Path: "p", First: 9, Last: 11}, "tps: replay gap on p: events before seq 9 no longer retained (have 9..11)"},
+		{ReplayGapError{Path: "p"}, "tps: replay gap on p: nothing retained"},
+		{ReplayGapError{Path: "p", Tentative: true}, "tps: replay gap on p: nothing retained (tentative: replica not yet synced)"},
+	} {
+		if got := tc.err.Error(); got != tc.want {
+			t.Errorf("%+v: %q, want %q", tc.err, got, tc.want)
+		}
 	}
 }

@@ -162,27 +162,13 @@ func (e *Engine) AwaitReady(node *typereg.Node, n int, timeout time.Duration) bo
 	defer time.AfterFunc(timeout, e.broadcast).Stop()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for e.readyLocked(node) < n {
+	for {
+		if _, ready := e.coverage(node); ready >= n {
+			return true
+		}
 		if e.closed || !time.Now().Before(deadline) {
 			return false
 		}
 		e.cond.Wait()
 	}
-	return true
-}
-
-func (e *Engine) readyCount(node *typereg.Node) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.readyLocked(node)
-}
-
-func (e *Engine) readyLocked(node *typereg.Node) int {
-	count := 0
-	for path, a := range e.attachments {
-		if typereg.CoversPath(node.Path(), path) && e.ready(a) {
-			count++
-		}
-	}
-	return count
 }

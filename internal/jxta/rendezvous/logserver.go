@@ -4,8 +4,9 @@ package rendezvous
 // rendezvous with an event log (Config.Log) appends every propagated
 // message before fanning it out, stamping the assigned per-topic
 // sequence number and its own identity onto the frame, and serves
-// replay requests (replay.go) from what it retains. sync.go replicates
-// the log between the members of a replica set.
+// replay requests (replay.go) from what it retains, as the recovery
+// core's Serve decides. sync.go replicates the log between the members
+// of a replica set.
 
 import (
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
 )
 
@@ -79,21 +81,12 @@ func (l *logServer) append(msg *message.Message, topic string, envelope []messag
 	return frame
 }
 
-// handleReplay serves one replay request from the log. Stored frames
-// are resent verbatim to the requester's address; they re-enter its
-// normal propagation handling, where the seen caches drop whatever was
-// already delivered live.
-//
-// The request names the origin whose log numbered the cursor. When
-// that is this peer, the own log serves it. When it is another peer
-// whose stream this replica holds a copy of, the copy serves it —
-// honouring the cursor, because copies keep the origin's numbering —
-// which is what makes failover exactly-once observable. A replica-set
-// member holding nothing of the named origin declares the cursor's
-// suffix unrecoverable with a gap. A rendezvous outside the origin's
-// replica set serves nothing and signals nothing: the numbering is not
-// its own, and a subscriber that re-homed to it catches up through the
-// self-origin request it sends alongside.
+// handleReplay answers one replay request as recovery.Serve decides:
+// a gap signal, then the stored frames after the cursor, resent
+// verbatim to the requester's address, where they re-enter its normal
+// propagation handling and the seen caches drop whatever was already
+// delivered live. The request names the origin whose log numbered the
+// cursor: this peer's own, or one this replica holds a copy of.
 func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 	s := l.s
 	topic := msg.Text(elemNS, elemTopic)
@@ -104,51 +97,15 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 		return
 	}
 	_, param, _ := endpoint.Destination(msg)
-	self := s.ep.PeerID()
-	if origin != self && !l.store.Holds(origin, topic) {
-		if len(s.cfg.ReplicaSeeds) == 0 || cursor == 0 {
-			return
-		}
-		// We are in the origin's replica set but hold none of its stream.
-		advertised, synced := l.replicaSetHolds(origin, topic)
-		if advertised {
-			// A replica we synced with still advertises the stream:
-			// nothing is lost, our copy just has not arrived yet.
-			// Serve nothing; when anti-entropy lands it, the records
-			// are mirrored live to our leased clients.
-			return
-		}
-		// No synced replica holds it either, so the suffix past the
-		// cursor is gone for good — say so instead of staying silent.
-		// Before the first digest exchange that verdict is only
-		// provisional (the copy may simply not have been pulled yet),
-		// which the signal's tentative flag reports honestly.
-		l.sendGap(from, param, topic, origin, 0, 0, !synced)
-		return
+	st := recovery.Stream{Self: origin == s.ep.PeerID(), Replicates: len(s.cfg.ReplicaSeeds) > 0}
+	st.First, st.Last, st.Held = l.store.Range(origin, topic)
+	st.Advertised, st.Synced = l.replicaSetHolds(origin, topic)
+	v := recovery.Serve(cursor, st)
+	if v.Gap {
+		l.sendGap(from, param, topic, origin, v.First, v.Last, v.Tentative)
 	}
-	first, last, held := l.store.Range(origin, topic)
-	if !held {
-		if cursor > 0 {
-			// The requester has history we do not: log restarted empty.
-			l.sendGap(from, param, topic, origin, 0, 0, false)
-		}
+	if !v.Serve {
 		return
-	}
-	if cursor > last {
-		if origin != self {
-			// Our copy is merely behind the requester's cursor: those
-			// entries were already delivered to it (the cursor proves
-			// so), nothing is lost and anti-entropy may still catch us
-			// up. Serve nothing, signal nothing.
-			return
-		}
-		// Cursor outruns our own log: the numbering restarted (log
-		// state lost). Signal the discontinuity, then replay all.
-		l.sendGap(from, param, topic, origin, first, last, false)
-		cursor = 0
-	} else if cursor > 0 && cursor+1 < first {
-		// Retention dropped (cursor, first): explicit gap, not silence.
-		l.sendGap(from, param, topic, origin, first, last, false)
 	}
 	// Serve the suffix off the goroutine that delivered the request: a
 	// transport's receive goroutine — on netsim the node's one
@@ -162,7 +119,7 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go l.serveReplay(from, origin, topic, cursor)
+	go l.serveReplay(from, origin, topic, v.From)
 }
 
 // serveReplay sends the requester origin's stream of topic after cursor,

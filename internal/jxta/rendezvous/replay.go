@@ -1,13 +1,12 @@
 package rendezvous
 
-// replay.go is the subscriber's half of the durability protocol: a
-// peer that joined late or reconnected presents its last-delivered
-// cursor with a replay request and receives the retained suffix as the
-// original frames, resent verbatim — at-least-once, with the
-// receive-side seen caches turning redelivery into exactly-once
-// observable delivery. A cursor that fell behind retention gets an
-// explicit gap signal instead of silent loss. The serving half is
-// logserver.go.
+// replay.go is the subscriber's half of the durability protocol's
+// wire: the log coordinates stamped on every logged event, the replay
+// request that presents a cursor, and the gap signal that answers a
+// cursor the log can no longer serve from, handed to the gap
+// listeners. What a subscriber asks for, and what it makes of a gap,
+// is decided by the recovery core (recovery.Subscriber), which the
+// engine drives; the serving half is logserver.go.
 
 import (
 	"errors"
@@ -102,12 +101,11 @@ var ErrNoLease = errors.New("rendezvous: no lease")
 // nor replicates it serves nothing: the numbering is not its own. A
 // zero origin means the target. Replayed events arrive through the
 // normal propagation path (and its dedupe); a gap signal arrives
-// through the GapListener. The request is fire-and-forget, and nothing
-// asks again while the lease holds: a replayed frame lost on the way
-// stays lost until the next lease grant (LeaseListener) brings another
-// request, so over a lossy link delivery is not at-least-once (ROADMAP
-// item 1). The request goes in the topic's group, under a lease with
-// the target that carries it.
+// through the GapListener. The request is fire-and-forget: whether and
+// when to ask again is the caller's (recovery.Subscriber asks on the
+// next lease epoch, so a replayed frame lost inside one stays lost
+// until then — ROADMAP item 1). The request goes in the topic's group,
+// under a lease with the target that carries it.
 func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
 	s.mu.Lock()
 	var addr endpoint.Address

@@ -223,12 +223,6 @@ func (st *Store) Last(origin jid.ID, topic string) uint64 {
 	return last
 }
 
-// Holds reports whether any records of the stream are held.
-func (st *Store) Holds(origin jid.ID, topic string) bool {
-	_, _, ok := st.log.Range(st.key(origin, topic))
-	return ok
-}
-
 // Key exposes the event-log key serving the stream, for callers that
 // read it directly (replay serving).
 func (st *Store) Key(origin jid.ID, topic string) string {

@@ -150,8 +150,11 @@ func TestStoreApplyAndRead(t *testing.T) {
 	if last := st.Last(origin, "news"); last != 3 {
 		t.Fatalf("Last = %d, want 3", last)
 	}
-	if !st.Holds(origin, "news") || st.Holds(origin, "other") {
-		t.Fatal("Holds wrong")
+	if _, _, held := st.Range(origin, "news"); !held {
+		t.Fatal("Range holds nothing of news")
+	}
+	if _, _, held := st.Range(origin, "other"); held {
+		t.Fatal("Range holds a stream never applied")
 	}
 
 	var seqs []uint64

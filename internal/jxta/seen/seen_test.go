@@ -1,12 +1,14 @@
 package seen
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 )
 
@@ -244,6 +246,49 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	if allocs > 0.1 {
 		t.Errorf("steady-state Observe allocates %.2f/op, want 0", allocs)
 	}
+}
+
+// TestObserveHeapBoundedUnderChurn turns a full cache over 128 times,
+// one fresh ID in and the oldest out per call. Observe allocates now
+// and then under such churn: the shards' index maps grow to absorb the
+// deletions they keep. That growth must level off — the heap after GC
+// at turnover 128 stays at its turnover-32 value, and below twice the
+// just-filled heap — or it is a leak.
+func TestObserveHeapBoundedUnderChurn(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("two million observations; slow under the race detector")
+	}
+	const capacity, turnovers = 16384, 128
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c := New(WithCapacity(capacity))
+	seed := uint64(0)
+	turnOver := func() {
+		for i := 0; i < capacity; i++ {
+			seed++
+			c.Observe(jid.FromSeed(jid.KindMessage, seed))
+		}
+	}
+	turnOver()
+	filled := heap()
+	var at32 uint64
+	for n := 1; n <= turnovers; n++ {
+		turnOver()
+		if n == 32 {
+			at32 = heap()
+		}
+	}
+	at128 := heap()
+	runtime.KeepAlive(c)
+	const slack = 64 << 10
+	if at128 > at32+slack || at128 > 2*filled {
+		t.Fatalf("heap after GC: %d B just filled, %d at turnover 32, %d at turnover %d: still growing", filled, at32, at128, turnovers)
+	}
+	t.Logf("heap after GC: %d B just filled, %d at turnover 32, %d at turnover %d", filled, at32, at128, turnovers)
 }
 
 // Property: Observe returns true at most once per ID within TTL,
