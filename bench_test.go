@@ -187,7 +187,7 @@ func BenchmarkAblationSubtypeDispatch(b *testing.B) {
 // localPublishDeliverLoop assembles a single-peer platform with one
 // subscriber and returns a function that publishes one paper-sized event
 // and blocks until the engine delivers it locally — the full encode,
-// publish, dedupe, dispatch round trip — plus the platform, so
+// publish, dispatch round trip — plus the platform, so
 // callers can read the latency histograms the loop fills.
 // BenchmarkLocalPublishDeliver times it; TestHotPathAllocBudget gates
 // its allocation count.
@@ -282,7 +282,7 @@ func TestRemoteHotPathAllocBudget(t *testing.T) {
 }
 
 // BenchmarkLocalPublishDeliver measures the full local publish→deliver
-// round trip — encode, publish, dedupe, dispatch of the published value —
+// round trip — encode, publish, dispatch of the published value —
 // on one isolated platform. allocs/op here is the hot-path allocation
 // budget the zero-allocation work targets; TestHotPathAllocBudget gates
 // it so regressions fail tests, not just benchmarks. The publish-stage
@@ -394,9 +394,10 @@ func TestHotPathAllocBudget(t *testing.T) {
 		t.Errorf("Gob.Decode allocates %.1f/op, budget is 1: the block the value heads and its strings and bytes are cut from (its interface copy apart from the block was 2, a plan that allocated the value and each field was 4, a kept decoder 5, a fresh decoder per event 178)", n)
 	}
 
-	// The event as it crosses the network: the two elements
-	// engine.Publish builds, inside the endpoint's three-element
-	// envelope.
+	// The event as it crosses the network, inside the endpoint's
+	// three-element envelope, as an older publisher built it: the
+	// tps:EventID element beside the tps:Data that engine.Publish builds
+	// alone now, so the budgets below hold for both shapes.
 	self := jid.FromSeed(jid.KindPeer, 1)
 	m := message.New(self)
 	m.Stamp(jid.FromSeed(jid.KindPeer, 2)) // one hop behind it, as a frame off a rendezvous has

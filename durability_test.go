@@ -4,8 +4,8 @@ package tps_test
 // TPS API surface: a rendezvous daemon started with LogDir retains
 // published events, and a subscriber that joins only after publication
 // catches up automatically — the engine's replay loop presents its
-// cursor, the daemon replays the retained suffix, and the dedupe caches
-// keep delivery exactly-once observable. No test code drives the replay
+// cursor, the daemon replays the retained suffix, and the dedupe cache
+// keeps delivery exactly-once observable. No test code drives the replay
 // protocol by hand; this is what an application gets for free.
 
 import (

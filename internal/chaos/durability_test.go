@@ -9,13 +9,23 @@ package chaos_test
 // doing so.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/core/codec"
+	"github.com/tps-p2p/tps/internal/core/engine"
+	"github.com/tps-p2p/tps/internal/core/typereg"
+	"github.com/tps-p2p/tps/internal/jxta/endpoint"
+	"github.com/tps-p2p/tps/internal/jxta/jid"
+	"github.com/tps-p2p/tps/internal/jxta/message"
+	jxtapeer "github.com/tps-p2p/tps/internal/jxta/peer"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/rig"
@@ -132,9 +142,8 @@ func TestRendezvousRestartRecoversLog(t *testing.T) {
 // decodes them: but a rendezvous that logged them serves them back to
 // it when it asks for a replay — here after the rendezvous restarts and
 // grants it a new lease. Each replayed event is one the peer has seen,
-// dropped as a duplicate — by its rendezvous service, which remembers
-// the message IDs it injected, or behind it by the engine, which
-// remembers the event IDs it delivered — and never delivered twice.
+// dropped as a duplicate by its rendezvous service, which remembers the
+// message IDs — the event IDs — it injected, and never delivered twice.
 func TestOwnEventsReplayedAreDeduped(t *testing.T) {
 	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
 		rdv, pub := durable(t, c, tps.Config{})
@@ -149,12 +158,110 @@ func TestOwnEventsReplayedAreDeduped(t *testing.T) {
 			return counter(rdv, "rendezvous", "replay_served") >= n
 		})
 		rig.Wait(t, "the replayed events to be dropped", func() bool {
-			return counter(pub.Node, "rendezvous", "duplicates")+counter(pub.Node, "engine", "duplicates") >= n
+			return counter(pub.Node, "rendezvous", "duplicates") >= n
 		})
 		c.Settle()
 		probe.ExactlyOnce(t, n)
 		if delivered := counter(pub.Node, "engine", "delivered"); delivered != n {
 			t.Fatalf("the publisher delivered %d events, want its %d once each", delivered, n)
+		}
+	})
+}
+
+// legacy is a bare JXTA peer that publishes Events the way peers wrote
+// them before an event's ID was its message's: a tps:EventID element of
+// its own, and the type and codec (tps:Path, tps:Codec), beside the gob
+// blob.
+type legacy struct {
+	p           *jxtapeer.Peer
+	path, group string
+}
+
+// legacyPublisher boots a legacy peer on the cluster's fabric, seeded
+// with seed, and waits for its lease of the Event group.
+func legacyPublisher(t *testing.T, c *rig.Cluster, name string, seed *rig.Node) *legacy {
+	t.Helper()
+	node, err := typereg.New().Register(reflect.TypeOf(Event{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := jxtapeer.New(jxtapeer.Config{Name: name, Rendezvous: rendezvous.Config{
+		Seeds: []endpoint.Address{endpoint.Address(seed.Addresses()[0])}, LeaseTTL: 2 * time.Second,
+	}}, c.Transport(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	l := &legacy{p: p, path: node.Path(), group: engine.TypeGroup(node.Path()).String()}
+	p.Rendezvous().Join(l.group)
+	if !p.Rendezvous().AwaitConnected(l.group, 10*time.Second) {
+		t.Fatalf("%s: event group never leased", name)
+	}
+	return l
+}
+
+// publish publishes prefix-from .. prefix-(to-1) as legacy frames.
+func (l *legacy) publish(t *testing.T, prefix string, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		blob, err := codec.Gob{}.Encode(Event{fmt.Sprintf("%s-%d", prefix, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := message.New(l.p.ID())
+		m.AddID("tps", "EventID", jid.NewMessage())
+		m.AddString("tps", "Path", l.path)
+		m.AddString("tps", "Codec", "gob")
+		m.AddBytes("tps", "Data", blob)
+		if err := l.p.Rendezvous().Propagate(m, engine.EventService, l.group); err != nil {
+			t.Fatalf("legacy publish %s-%d: %v", prefix, i, err)
+		}
+	}
+}
+
+// TestReplayAfterLiveDeliversOnce hands a subscriber every event twice,
+// live and then replayed from a durable rendezvous. The two copies share
+// the message ID, which is the event's, and that is all the peer's one
+// duplicate check goes by. The subscriber leases a durable relay and the
+// origin rendezvous, partitioned from the origin at first: every event
+// reaches it live through the relay, numbered in the relay's log, so
+// when the partition heals its cursor into the origin's log is still 0
+// and the origin replays the whole log to it. Half the events come from
+// a legacy peer and are logged with their tps:EventID element. Each
+// event reaches the callback once; the replayed copies are the hop
+// filter's duplicates.
+func TestReplayAfterLiveDeliversOnce(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdv, pub := durable(t, c, tps.Config{})
+		relay := c.Start(tps.Config{Name: "relay", Rendezvous: true, Seeds: []string{"rdv"}, LogDir: t.TempDir()})
+		c.Partition([]string{"sub"}, []string{"rdv"})
+		sub := edge(t, c, tps.Config{Name: "sub", Seeds: []string{"relay", "rdv"}})
+		probe := sub.subscribe(t)
+		sub.ready(t)
+		rig.Wait(t, "the relay to lease the origin", func() bool { return holds(rdv, obs.PeerClient, relay) })
+		old := legacyPublisher(t, c, "old", rdv)
+
+		const n = 10
+		pub.publish(t, "new", 0, n)
+		old.publish(t, "old", 0, n)
+		probe.Await(t, 2*n)
+		awaitTail(t, rdv, rdv, 2*n)
+		if cur := cursor(sub.Node, rdv); cur != 0 {
+			t.Fatalf("the subscriber's cursor into the origin's log is %d before it leased the origin, want 0", cur)
+		}
+
+		dups := counter(sub.Node, "rendezvous", "duplicates")
+		c.Heal()
+		rig.Wait(t, "the origin to replay its log", func() bool {
+			return counter(rdv, "rendezvous", "replay_served") >= 2*n
+		})
+		rig.Wait(t, "the replayed copies to be dropped", func() bool {
+			return counter(sub.Node, "rendezvous", "duplicates")-dups >= 2*n
+		})
+		c.Settle()
+		probe.ExactlyOnce(t, 2*n)
+		if delivered := counter(sub.Node, "engine", "delivered"); delivered != 2*n {
+			t.Fatalf("the subscriber delivered %d events, want its %d once each", delivered, 2*n)
 		}
 	})
 }
@@ -189,7 +296,7 @@ func TestRetainedLogOutlivesEveryPublisher(t *testing.T) {
 // events holds a cursor under that ID; on the lease the restarted
 // rendezvous grants, it is served the k it missed. Under a new ID the
 // cursor would name nobody, and the whole log would be replayed into the
-// dedupe caches.
+// dedupe cache.
 func TestRestartedRendezvousServesOnlyWhatWasMissed(t *testing.T) {
 	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
 		rdv, pub := durable(t, c, tps.Config{})

@@ -28,16 +28,16 @@ import (
 // already stored in an event log is addressed to it.
 const EventService = "jxta.service.wire"
 
-// TPS message element names, namespace "tps". An event is its ID and its
-// gob blob: the attachment's group fixes the type, and every peer speaks
-// gob (the common type model of §3.2). A frame that still carries the
-// tps:Path and tps:Codec elements of earlier versions, or the wire:ID
-// element of the pipe that used to carry it, decodes all the same;
-// nothing reads them.
+// TPS message element names, namespace "tps". An event is its message:
+// the message ID is the event's, and its one element is the gob blob —
+// the attachment's group fixes the type, and every peer speaks gob (the
+// common type model of §3.2). A frame that still carries the
+// tps:EventID, tps:Path and tps:Codec elements of earlier versions, or
+// the wire:ID element of the pipe that used to carry it, decodes all
+// the same; nothing reads them.
 const (
-	elemNS      = "tps"
-	elemEventID = "EventID"
-	elemData    = "Data"
+	elemNS   = "tps"
+	elemData = "Data"
 )
 
 // attachment is one type's live binding to its group.
@@ -90,14 +90,12 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	return a, nil
 }
 
-// newEventMessage assembles the two-element TPS event, which fits the
-// room a new message comes with: the event ID crosses the wire in
-// binary form (message.AddID), not as a parsed-back URN string, and the
-// event's gob blob is written into the message's payload room — a blob
-// too large for it moves into one of its own.
-func newEventMessage(src, eventID jid.ID, event any) (*message.Message, error) {
+// newEventMessage assembles the one-element TPS event, whose ID is the
+// message's (message.New mints it): the event's gob blob is written
+// into the message's payload room — a blob too large for it moves into
+// one of its own.
+func newEventMessage(src jid.ID, event any) (*message.Message, error) {
 	msg := message.New(src)
-	msg.AddID(elemNS, elemEventID, eventID)
 	blob, err := codec.Gob{}.AppendEncode(msg.PayloadRoom(), event)
 	if err != nil {
 		return nil, err
@@ -113,16 +111,16 @@ func newEventMessage(src, eventID jid.ID, event any) (*message.Message, error) {
 // of the blob: TPS events are immutable by contract once published
 // (callbacks filter and read them, §4.2), so sharing the value is
 // observationally the same for a conforming application, and a publish
-// decodes nothing. Otherwise the delivery is a received event's: the
-// event ID is observed in the dedupe cache — a replay of this peer's own
-// events from a rendezvous' log is dropped as a duplicate, and the mesh
-// never sends a publisher its own event, which is on the frame's path —
-// the delivery is counted, and a traced event's deliver hop and transit
-// are recorded. Propagate takes msg and stamps it, so msg is read here
+// decodes nothing. Otherwise the delivery is a received event's: it is
+// counted, and a traced event's deliver hop and transit are recorded.
+// The frame of the event never reaches this engine again: Propagate
+// marks its message ID in the peer's hop filter before the first frame
+// leaves, so a replay of it from a rendezvous' log is dropped there, and
+// the mesh never sends a publisher its own event, which is on the
+// frame's path. Propagate takes msg and stamps it, so msg is read here
 // first. A peer nobody can be reached from has still delivered locally:
 // that is not an error.
-func (e *Engine) publish(a *attachment, eventID jid.ID, event any, msg *message.Message) error {
-	e.dedupe.Observe(eventID)
+func (e *Engine) publish(a *attachment, event any, msg *message.Message) error {
 	e.traceDeliver(msg)
 	e.deliver(event, msg.Src)
 	if err := e.rdv.Propagate(msg, EventService, a.param); err != nil && !errors.Is(err, rendezvous.ErrNoPeers) {
@@ -144,34 +142,23 @@ func (e *Engine) detach(a *attachment) {
 	e.rdv.Leave(a.param)
 }
 
-// onWireMessage is the group's reader: it deduplicates, decodes and
-// dispatches one event off the network. Events this peer publishes never
-// come through here: publish delivers them locally by value.
+// onWireMessage is the group's reader: it decodes and dispatches one
+// event off the network. Events this peer publishes never come through
+// here: publish delivers them locally by value.
 //
-// Decode-once: the payload of any given event is gob-decoded at most
-// once on this peer. Deduplication runs before the decode, so an event
-// echoed through several mesh paths or replayed decodes on first
-// arrival only; the decoded value is then shared across every matching
+// Exactly-once: a duplicate never reaches the engine. Every event frame
+// a peer of this tree sends comes through the receiver's rendezvous
+// service (handleProp, the one caller of DeliverLocal), whose hop filter
+// has just dropped the message if its ID — the event's — was known: an event echoed through
+// several mesh paths, served over two rendezvous, or replayed after its
+// live copy (a log keeps the message ID) is delivered on first arrival
+// only. So the payload of any given event is gob-decoded at most once
+// on this peer, and the decoded value is shared across every matching
 // subscription and interface callback (dispatch fans the same value
 // out).
 func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
-	eventID, err := msg.GetID(elemNS, elemEventID)
-	if err != nil {
-		e.stats.decodeErrors.Add(1)
-		return
-	}
-	// Advance the replay cursor before deduplication: a replayed event
-	// that was already delivered live still moves the cursor forward, so
-	// the next reconnect asks for less.
 	if origin, seq, ok := rendezvous.ReplayInfo(msg); ok {
 		a.delivered(origin, seq)
-	}
-	// The same event can arrive live and replayed, or over two
-	// rendezvous; deliver it exactly once (the duplicate handling the
-	// paper's SR-JXTA application reimplements by hand).
-	if !e.dedupe.Observe(eventID) {
-		e.stats.duplicateEvents.Add(1)
-		return
 	}
 	e.traceDeliver(msg)
 	value, err := (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type())

@@ -56,7 +56,6 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/peer"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/obs/hist"
 	"github.com/tps-p2p/tps/internal/obs/trace"
@@ -117,7 +116,6 @@ type Engine struct {
 	roots       map[string]*typereg.Node // subscribed roots: a type registered in one's closure is attached
 	attachments map[string]*attachment   // type path -> the attachment to its group
 	subs        *subscriptionSet
-	dedupe      *seen.Cache
 	closed      bool
 
 	// Per-message counters are atomics so the publish and deliver paths
@@ -145,10 +143,9 @@ type Engine struct {
 // engineCounters are lock-free: the publish and deliver paths bump them
 // without touching e.mu.
 type engineCounters struct {
-	published       atomic.Int64
-	delivered       atomic.Int64
-	duplicateEvents atomic.Int64
-	decodeErrors    atomic.Int64
+	published    atomic.Int64
+	delivered    atomic.Int64
+	decodeErrors atomic.Int64
 	// publishErrors counts publishes whose mesh propagation errored.
 	publishErrors  atomic.Int64
 	replayRequests atomic.Int64
@@ -177,7 +174,6 @@ func New(cfg Config) (*Engine, error) {
 		roots:        make(map[string]*typereg.Node),
 		attachments:  make(map[string]*attachment),
 		subs:         newSubscriptionSet(),
-		dedupe:       seen.New(),
 		histPublish:  hist.New(),
 		histDispatch: hist.New(),
 		histTransit:  hist.New(),
@@ -208,11 +204,10 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	e.mu.Unlock()
 	return obs.Snapshot{
 		Name:    "engine",
-		Version: 2, // 1 had advs_created, advs_found, find_rounds and find_rounds_failed, for a search that is gone
+		Version: 3, // 1 had advs_created, advs_found, find_rounds and find_rounds_failed, for a search that is gone; 2 had duplicates, for a cache that is gone
 		Counters: map[string]int64{
 			"published":        e.stats.published.Load(),
 			"delivered":        e.stats.delivered.Load(),
-			"duplicates":       e.stats.duplicateEvents.Load(),
 			"decode_failures":  e.stats.decodeErrors.Load(),
 			"publish_failures": e.stats.publishErrors.Load(),
 			"replay_requests":  e.stats.replayRequests.Load(),
@@ -229,10 +224,6 @@ func (e *Engine) Snapshot() obs.Snapshot {
 		},
 	}
 }
-
-// SeenCache exposes the event-level dedupe cache for the "seen"
-// subsystem aggregation.
-func (e *Engine) SeenCache() *seen.Cache { return e.dedupe }
 
 // SubscriptionsView lists the live subscription table: one entry per
 // subscribed root type, with the attachment fan-in serving it. It feeds
@@ -310,24 +301,24 @@ func (e *Engine) Publish(event any) error {
 	// The publish_fanout_us histogram covers encode → envelope → the
 	// attachment handed off; a first use's join stays outside it.
 	start := time.Now()
-	eventID := jid.NewMessage()
-	msg, err := newEventMessage(e.peer.ID(), eventID, event)
+	msg, err := newEventMessage(e.peer.ID(), event)
 	if err != nil {
 		return err
 	}
 	e.stats.published.Add(1)
 	// Deterministic sampling: every peer computes the same decision
-	// from the event ID, so a stamped event is traced end to end. The
-	// stamp appends one element and therefore only runs when sampled —
-	// with TraceRate 0 the publish path is byte-identical to before.
-	if e.sampler.Sample(eventID) {
+	// from the event ID — the message's — so a stamped event is traced
+	// end to end. The stamp appends one element and therefore only runs
+	// when sampled — with TraceRate 0 the publish path is byte-identical
+	// to before.
+	if e.sampler.Sample(msg.ID) {
 		sentUS := time.Now().UnixMicro()
-		trace.Stamp(msg, eventID, sentUS)
+		trace.Stamp(msg, msg.ID, sentUS)
 		if e.tracer != nil {
-			e.tracer.Record(eventID, trace.StagePublish, e.peer.ID(), sentUS, nil)
+			e.tracer.Record(msg.ID, trace.StagePublish, e.peer.ID(), sentUS, nil)
 		}
 	}
-	err = e.publish(a, eventID, event, msg)
+	err = e.publish(a, event, msg)
 	e.histPublish.Observe(time.Since(start))
 	if err != nil {
 		e.stats.publishErrors.Add(1)

@@ -568,10 +568,11 @@ func TestIsolatedPeerLoopback(t *testing.T) {
 }
 
 // TestOwnEventFrameIsADuplicate: a publish delivers its value to the
-// local subscribers without a frame, and observes its event ID as a
-// received event's is observed — so the frame of that event, when it
-// does arrive at its publisher (a rendezvous replaying its log), is
-// dropped as a duplicate, not decoded and delivered again.
+// local subscribers without a frame, and its rendezvous service marks
+// the message ID — the event's — in its hop filter as it propagates it,
+// so the frame of that event, when it does arrive at its publisher (a
+// rendezvous replaying its log), is dropped there as a duplicate, not
+// decoded and delivered again.
 func TestOwnEventFrameIsADuplicate(t *testing.T) {
 	rig := newRig(t)
 	tap := &frameTap{}
@@ -595,13 +596,15 @@ func TestOwnEventFrameIsADuplicate(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("the publisher sent %d event frames, want 1", len(events))
 	}
-	group := engine.TypeGroup(pub.nodes["stock"].Path()).String()
-	if err := pub.peer.Endpoint().DeliverLocal(engine.EventService, group, events[0], "mem://rdv"); err != nil {
+	frame, err := events[0].Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	counters := pub.eng.Snapshot().Counters
-	if c.count() != 1 || counters["delivered"] != 1 || counters["duplicates"] != 1 {
-		t.Fatalf("own event frame: %d deliveries, counters %v", c.count(), counters)
+	dups := pub.peer.Rendezvous().Snapshot().Counters["duplicates"]
+	tap.receive(frame)
+	delivered := pub.eng.Snapshot().Counters["delivered"]
+	if dropped := pub.peer.Rendezvous().Snapshot().Counters["duplicates"] - dups; c.count() != 1 || delivered != 1 || dropped != 1 {
+		t.Fatalf("own event frame: %d deliveries, %d delivered, %d dropped by the hop filter", c.count(), delivered, dropped)
 	}
 }
 
@@ -633,11 +636,19 @@ func TestStatsProgression(t *testing.T) {
 	}
 }
 
-// frameTap records every frame a transport sends.
+// frameTap records every frame a transport sends, and keeps the
+// endpoint's receiver, so a test can hand the peer a frame as if it had
+// arrived.
 type frameTap struct {
 	endpoint.Transport
-	mu     sync.Mutex
-	frames [][]byte
+	mu      sync.Mutex
+	frames  [][]byte
+	receive func(frame []byte)
+}
+
+func (f *frameTap) SetReceiver(receive func(frame []byte)) {
+	f.receive = receive
+	f.Transport.SetReceiver(receive)
 }
 
 func (f *frameTap) Send(to endpoint.Address, frame []byte) error {
@@ -658,18 +669,19 @@ func (f *frameTap) events(t *testing.T) []*message.Message {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := m.Element("tps", "EventID"); ok {
+		if _, ok := m.Element("tps", "Data"); ok {
 			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// TestEventFrameCarriesIDAndData: an event leaves the publisher as its ID
-// and its bytes inside the envelope the endpoint and the rendezvous write
-// (ep:, rdv:), and a sampled event carries its trace element besides.
-// The type is the group's, the codec gob's, and the group names no pipe:
-// none of the three crosses the wire.
+// TestEventFrameCarriesIDAndData: an event leaves the publisher as its
+// bytes inside a message whose ID is the event's, in the envelope the
+// endpoint and the rendezvous write (ep:, rdv:), and a sampled event
+// carries its trace element besides. The type is the group's, the codec
+// gob's, the ID the message's, and the group names no pipe: none of the
+// four crosses the wire as an element of its own.
 func TestEventFrameCarriesIDAndData(t *testing.T) {
 	for _, rate := range []float64{0, 1} {
 		t.Run(fmt.Sprintf("TraceRate=%g", rate), func(t *testing.T) {
@@ -689,7 +701,7 @@ func TestEventFrameCarriesIDAndData(t *testing.T) {
 				t.Fatal(err)
 			}
 			rig.net.WaitQuiesce(5 * time.Second)
-			want := []string{"tps:Data", "tps:EventID"}
+			want := []string{"tps:Data"}
 			if rate == 1 {
 				want = append(want, "trc:Ev")
 			}
@@ -715,10 +727,12 @@ func TestEventFrameCarriesIDAndData(t *testing.T) {
 	}
 }
 
-// TestLegacyEventFrameIsDeliveredOnce: a frame that still names its type
-// and codec (tps:Path, tps:Codec), as every publisher wrote them before
-// events shed the two elements, is decoded and delivered, once however
-// many copies of the event arrive.
+// TestLegacyEventFrameIsDeliveredOnce: a frame that still carries its
+// event ID, type and codec (tps:EventID, tps:Path, tps:Codec), as every
+// publisher wrote them before events shed the three elements, is
+// decoded and delivered, once however many copies of its message
+// arrive: the copies share the message ID, which is what the hop filter
+// drops a duplicate by.
 func TestLegacyEventFrameIsDeliveredOnce(t *testing.T) {
 	rig := newRig(t)
 	sub := rig.addEngine()
@@ -740,13 +754,12 @@ func TestLegacyEventFrameIsDeliveredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eventID := jid.NewMessage()
+	m := message.New(raw.ID())
+	m.AddID("tps", "EventID", jid.NewMessage())
+	m.AddString("tps", "Path", path)
+	m.AddString("tps", "Codec", "gob")
+	m.AddBytes("tps", "Data", blob)
 	for i := 0; i < 2; i++ {
-		m := message.New(raw.ID())
-		m.AddID("tps", "EventID", eventID)
-		m.AddString("tps", "Path", path)
-		m.AddString("tps", "Codec", "gob")
-		m.AddBytes("tps", "Data", blob)
 		if err := out.Send(m); err != nil {
 			t.Fatal(err)
 		}

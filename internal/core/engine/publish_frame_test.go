@@ -23,18 +23,17 @@ import (
 	"github.com/tps-p2p/tps/internal/srapp"
 )
 
-// The IDs a publish mints — its message's and its event's — and the
-// clock its trace stamp reads are rewritten to these before a frame is
-// compared, so a frame is the same bytes on every run.
+// The ID a publish mints — its message's, which is its event's — and
+// the clock its trace stamp reads are rewritten to these before a frame
+// is compared, so a frame is the same bytes on every run.
 var (
 	goldenMessageID = jid.FromSeed(jid.KindMessage, 1)
-	goldenEventID   = jid.FromSeed(jid.KindMessage, 2)
 	goldenSentUS    = uint64(1_700_000_000_000_000)
 )
 
 // publishedFrame publishes one 64 B-pad ski rental offer from a peer
 // with a fixed ID and address, traced or not, and returns the event
-// frame it sent its rendezvous, its minted IDs and trace clock rewritten
+// frame it sent its rendezvous, its minted ID and trace clock rewritten
 // to the golden ones.
 func publishedFrame(t *testing.T, traced bool) []byte {
 	t.Helper()
@@ -92,19 +91,13 @@ func publishedFrame(t *testing.T, traced bool) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := m.Element("tps", "EventID"); !ok {
+		if _, ok := m.Element("tps", "Data"); !ok {
 			continue
 		}
 		if frame != nil {
 			t.Fatal("the publisher sent its event twice")
 		}
-		frame = bytes.Clone(f)
-		ev, err := m.GetID("tps", "EventID")
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame = bytes.ReplaceAll(frame, m.ID.AppendWire(nil), goldenMessageID.AppendWire(nil))
-		frame = bytes.ReplaceAll(frame, ev.AppendWire(nil), goldenEventID.AppendWire(nil))
+		frame = bytes.ReplaceAll(bytes.Clone(f), m.ID.AppendWire(nil), goldenMessageID.AppendWire(nil))
 		if _, sentUS, ok := trace.Info(m); ok {
 			frame = bytes.ReplaceAll(frame, binary.BigEndian.AppendUint64(nil, uint64(sentUS)), binary.BigEndian.AppendUint64(nil, goldenSentUS))
 		} else if traced {
@@ -140,8 +133,9 @@ func withBlob(t *testing.T, frame, blob []byte) []byte {
 
 // TestPublishedFrameGolden holds the frame Engine.Publish sends its
 // rendezvous for one event, untraced and traced, to the bytes the
-// publisher of commit 42b25fe sent (testdata/published_frame_*.bin),
-// byte for byte once the minted IDs and the trace clock are fixed. gob
+// publisher of commit 42b25fe sent less their tps:EventID element — an
+// event's ID is its message's now — (testdata/published_frame_*.bin),
+// byte for byte once the minted ID and the trace clock are fixed. gob
 // numbers types per process in order of first use, so the blob a
 // process writes depends on what it encoded before; the golden frame is
 // compared with its blob replaced by what a fresh gob.Encoder writes for

@@ -8,9 +8,10 @@ package engine
 // to the attachment of their group, and the rounds of a background loop
 // — and carries out what it decides: the replay requests, and a
 // ReplayGapError for every gap. Replayed events come back through the
-// ordinary delivery path, where the engine's dedupe cache suppresses
-// what was already observed — at-least-once redelivery, exactly-once
-// dispatch.
+// ordinary delivery path: a replayed frame keeps its message ID, the
+// event's, and the peer's rendezvous service drops what its hop filter
+// has seen before the engine is handed it — at-least-once redelivery,
+// exactly-once dispatch.
 
 import (
 	"cmp"
@@ -127,8 +128,9 @@ func (e *Engine) kickReplay() {
 // requestReplays runs one round over the attachments some subscription
 // covers. A type only published here has nothing to catch up on, and a
 // suffix replayed to an attachment no subscription covers is
-// dispatched to nobody, marked in dedupe and lost to the subscriber
-// that arrives next — so what it is owed waits for that subscriber.
+// dispatched to nobody, marked in the hop filter and lost to the
+// subscriber that arrives next — so what it is owed waits for that
+// subscriber.
 func (e *Engine) requestReplays() {
 	var room [dispatchRoom]*Subscription
 	for _, a := range e.attachmentsTo("") {

@@ -353,7 +353,6 @@ func TestErrorsReachOnlyCoveringSubscriptions(t *testing.T) {
 		t.Fatalf("a gap in %s reached %d %s and %d %s handlers, want 1 and 0", stockNode.Path(), s, stockNode.Path(), f, fxNode.Path())
 	}
 	send(EventService, TypeGroup(fxNode.Path()).String(), func(m *message.Message) {
-		m.AddID(elemNS, elemEventID, jid.NewMessage())
 		m.AddBytes(elemNS, elemData, []byte("not gob"))
 	})
 	if s, f := counts(); s != 1 || f != 1 {

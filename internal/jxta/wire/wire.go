@@ -186,8 +186,9 @@ func (s *Service) Snapshot() obs.Snapshot {
 // was known; and a sender's own message is marked there by Propagate
 // before the first frame that could echo leaves. A second cache keyed
 // the same way could only ever agree. A frame addressed to this service
-// directly, which no peer of this tree sends, is not deduplicated at
-// the message level: behind it is the engine's event-level cache.
+// directly, which no peer of this tree sends, is not deduplicated: the
+// hop filter is the one check on a peer, the TPS engine's events
+// included.
 func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
 	id, err := msg.GetID(elemNS, elemID)
 	if err != nil {

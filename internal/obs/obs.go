@@ -71,9 +71,8 @@ type ProviderFunc func() Snapshot
 func (f ProviderFunc) Snapshot() Snapshot { return f() }
 
 // Merge folds several snapshots of the same subsystem kind into one,
-// summing counters and gauges. A peer runs possibly several engines,
-// each with a dedupe cache beside the rendezvous service's; their merged
-// snapshot is the per-peer truth the admin surface reports. The highest Version wins.
+// summing counters and gauges: Collect reports the providers registered
+// under one name as their merged snapshot. The highest Version wins.
 func Merge(name string, snaps ...Snapshot) Snapshot {
 	out := Snapshot{Name: name, Version: 1}
 	for _, s := range snaps {

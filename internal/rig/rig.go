@@ -110,6 +110,12 @@ func (c *Cluster) Firewall(names ...string) {
 	}
 }
 
+// Transport returns the named node's transport — the fabric's, behind
+// the node's faults — for a scenario that boots a bare JXTA peer on it
+// instead of a platform: one that writes frames the way older peers
+// did, say. Start nothing else on the name.
+func (c *Cluster) Transport(name string) endpoint.Transport { return c.link(name) }
+
 // Kill crashes the node: from this instant nothing it sends leaves it —
 // not even the lease disconnect a closing platform owes its rendezvous —
 // and then its transport closes, so that sends to it fail and the rest

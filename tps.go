@@ -137,11 +137,12 @@ type Config struct {
 	// that directory. Rendezvous peers append every event they propagate
 	// (one topic per event group; the net group is not logged) and
 	// serve late-joiner catch-up / reconnect redelivery from it; the
-	// receive-side dedupe caches turn the at-least-once replay into
-	// exactly-once observable delivery. The directory also keeps the
-	// peer's identity (peer.id), so a platform restarted on it is the
-	// peer its subscribers' cursors and its replicas' copies name. Off
-	// by default — the fire-and-forget hot path is untouched without it.
+	// receiving peer's dedupe cache, on the message ID a replay keeps,
+	// turns the at-least-once replay into exactly-once observable
+	// delivery. The directory also keeps the peer's identity (peer.id),
+	// so a platform restarted on it is the peer its subscribers' cursors
+	// and its replicas' copies name. Off by default — the
+	// fire-and-forget hot path is untouched without it.
 	LogDir string
 	// LogRetention bounds the event log; zero fields take the defaults
 	// (1 MiB segments, 64 MiB per topic, no age limit).
@@ -348,11 +349,9 @@ func (p *Platform) registerProviders(transports []Transport) {
 	}
 	r.Register("engine", p.eng)
 	r.Register("rendezvous", p.peer.Rendezvous())
-	// The rendezvous service's message-level dedupe cache and the
-	// engine's event-level one.
-	r.RegisterFunc("seen", func() obs.Snapshot {
-		return obs.Merge("seen", p.peer.Rendezvous().SeenCache().Snapshot(), p.eng.SeenCache().Snapshot())
-	})
+	// The peer's one dedupe cache: the rendezvous service's hop filter,
+	// keyed by message ID, which is an event's ID.
+	r.Register("seen", p.peer.Rendezvous().SeenCache())
 	if p.log != nil {
 		r.RegisterFunc("eventlog", func() obs.Snapshot { return p.log.Snapshot() })
 	}
