@@ -11,6 +11,7 @@ package tps_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,14 +144,19 @@ func TestLateJoinerCatchesUpEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeepReplayOverTCPIsNotShed has a late joiner replay more retained
+// TestDeepReplayOverTCPIsNotShed has late joiners replay more retained
 // events than tcpnet's per-host queue holds (1024 frames, oldest shed
-// first). Served as one burst, the rendezvous fills that queue faster
-// than its flusher writes it out, the head of the replay is shed on the
-// rendezvous' own side of the wire and the joiner never sees it; served
-// at the replay pace, the queue stays shallow and everything arrives.
+// first). Pushed at the joiner faster than it takes them, the replay
+// fills that queue, its head is shed on the rendezvous' own side of the
+// wire and the joiner never sees it. Pulled a window at a time, at most
+// a window and a half is in flight, however slowly the joiner takes it:
+// a joiner whose handler is slower than the replay's old pace still gets
+// every event once, and the rendezvous sheds nothing.
 func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 	const depth = 3000 // about three queues' worth
+	// 2 kB events: more than a loopback connection's socket buffers
+	// hold of a replay deeper than the queue.
+	pad := strings.Repeat("x", 2000)
 	c := rig.New(t, rig.TCP)
 	rdv := c.Start(tps.Config{Name: "rdv", Rendezvous: true, LogDir: t.TempDir()})
 	pubEng, pubIntf := rig.Engine[SkiRental](t, c.Start(tps.Config{Name: "pub", Seeds: []string{"rdv"}}))
@@ -165,7 +171,7 @@ func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 	// with each, so that nothing is shed on the way in.
 	for sent := 0; sent < depth; {
 		for end := sent + 500; sent < end; sent++ {
-			if err := pubIntf.Publish(SkiRental{Shop: fmt.Sprintf("shop-%d", sent), Brand: "Salomon"}); err != nil {
+			if err := pubIntf.Publish(SkiRental{Shop: fmt.Sprintf("shop-%d", sent), Brand: pad}); err != nil {
 				t.Fatalf("publish %d: %v", sent, err)
 			}
 		}
@@ -178,14 +184,21 @@ func TestDeepReplayOverTCPIsNotShed(t *testing.T) {
 		}
 	}
 
-	_, subIntf := rig.Engine[SkiRental](t, c.Start(tps.Config{Name: "sub", Seeds: []string{"rdv"}}))
-	g := &rig.Probe[SkiRental]{}
-	if err := subIntf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
-		t.Fatal(err)
-	}
-	g.Await(t, depth)
-	if shed := rdv.Stats().Counter("tcpnet", "dropped"); shed != 0 {
-		t.Fatalf("rendezvous shed %d frames", shed)
+	for _, slow := range []time.Duration{0, 500 * time.Microsecond} {
+		_, subIntf := rig.Engine[SkiRental](t, c.Start(tps.Config{Name: fmt.Sprint("sub-", slow), Seeds: []string{"rdv"}}))
+		g := &rig.Probe[SkiRental]{}
+		handle := func(ev SkiRental) error {
+			time.Sleep(slow) // the old pace sent one every 31 µs
+			return g.Handle(ev)
+		}
+		if err := subIntf.Subscribe(tps.CallBackFunc[SkiRental](handle), nil); err != nil {
+			t.Fatal(err)
+		}
+		g.Await(t, depth)
+		g.ExactlyOnce(t, depth)
+		if shed := rdv.Stats().Counter("tcpnet", "dropped"); shed != 0 {
+			t.Fatalf("rendezvous shed %d frames replaying to a subscriber taking one event per %v", shed, slow)
+		}
 	}
 }
 

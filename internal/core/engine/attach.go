@@ -40,16 +40,18 @@ const (
 	elemData = "Data"
 )
 
-// attachment is one type's live binding to its group.
+// attachment is one type's live binding to its group, and the reader of
+// the logs that number the group's events.
 type attachment struct {
+	e    *Engine
 	path string
 	node *typereg.Node // the type every event in the group is decoded into
 	// param is the group's ID as a string: the endpoint parameter its
 	// frames are addressed to, its lease and the log topic of its events.
 	param string
 
-	// recMu guards rec, the attachment's replay cursors and the
-	// rendezvous owed a request.
+	// recMu guards rec: the attachment's replay cursors, the rendezvous
+	// owed a request and the windows asked for.
 	recMu sync.Mutex
 	rec   *recovery.Subscriber
 }
@@ -62,7 +64,7 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	if a, err := e.attached(path); a != nil || err != nil {
 		return a, err
 	}
-	a := &attachment{path: path, node: node, param: TypeGroup(path).String(),
+	a := &attachment{e: e, path: path, node: node, param: TypeGroup(path).String(),
 		rec: recovery.NewSubscriber(e.rdv.Config().ActiveStandby)}
 	err := e.peer.Endpoint().RegisterHandler(EventService, a.param, func(m *message.Message, _ endpoint.Address) {
 		e.onWireMessage(a, m)
@@ -70,6 +72,7 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tps: attach %s: %w", path, err)
 	}
+	e.rdv.ReadLogs(a.param, a)
 	e.rdv.Join(a.param)
 
 	e.mu.Lock()
@@ -81,7 +84,7 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	e.attachments[path] = a
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	// The engine's listeners route the group's grants and gaps to the
+	// The engine's lease listener routes the group's grants to the
 	// attachment from here on. Every lease the group holds already is
 	// owed a request too, taken after: a grant in between is in one or
 	// both. The replay loop can see the attachment now.
@@ -136,9 +139,11 @@ func (e *Engine) ready(a *attachment) bool {
 	return len(e.rdv.Config().Seeds) == 0 || len(e.rdv.ConnectedRendezvous(a.param)) > 0
 }
 
-// detach unregisters the attachment's handler and ends its lease.
+// detach unregisters the attachment's handler and log reader and ends
+// its lease.
 func (e *Engine) detach(a *attachment) {
 	e.peer.Endpoint().UnregisterHandler(EventService, a.param)
+	e.rdv.ReadLogs(a.param, nil)
 	e.rdv.Leave(a.param)
 }
 
@@ -157,9 +162,6 @@ func (e *Engine) detach(a *attachment) {
 // subscription and interface callback (dispatch fans the same value
 // out).
 func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
-	if origin, seq, ok := rendezvous.ReplayInfo(msg); ok {
-		a.delivered(origin, seq)
-	}
 	e.traceDeliver(msg)
 	value, err := (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type())
 	if err != nil {

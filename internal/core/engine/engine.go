@@ -72,8 +72,9 @@ func TypeGroup(path string) jid.ID {
 	return jid.Named(jid.KindGroup, PSPrefix+path)
 }
 
-// DefaultFindInterval paces the replay loop's retries of requests a
-// round could not send.
+// DefaultFindInterval is the replay loop's tick: it retries the
+// requests a round could not send, and asks again for a window whose
+// cursor has stalled behind what it is owed since the last tick.
 const DefaultFindInterval = time.Second
 
 // Errors.
@@ -89,7 +90,7 @@ type Config struct {
 	Peer *peer.Peer
 	// Registry is the shared event-type registry.
 	Registry *typereg.Registry
-	// FindInterval paces the replay loop's retries.
+	// FindInterval is the replay loop's tick (DefaultFindInterval).
 	FindInterval time.Duration
 	// Tracer, when non-nil, receives hop records for sampled events
 	// (publish and deliver stages; the rendezvous layer records the
@@ -136,8 +137,8 @@ type Engine struct {
 	wake chan struct{}       // wakes the replay loop immediately
 	rdv  *rendezvous.Service // the peer's, which every attachment's group is a lease on
 	// Tokens of the registry listener and of the service's one lease
-	// and one gap listener, which route to the attachments.
-	regTok, leaseTok, gapTok int
+	// listener, which routes to the attachments.
+	regTok, leaseTok int
 }
 
 // engineCounters are lock-free: the publish and deliver paths bump them
@@ -155,7 +156,7 @@ type engineCounters struct {
 
 // New creates and starts an engine: its replay loop, its listener for
 // the types registered from here on, and its listeners for the lease
-// grants and gap signals of the peer's rendezvous service, which route
+// grants of the peer's rendezvous service, which route
 // each to the attachment of its group.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Peer == nil || cfg.Registry == nil {
@@ -186,7 +187,6 @@ func New(cfg Config) (*Engine, error) {
 	e.cond = sync.NewCond(&e.mu)
 	e.regTok = e.reg.AddListener(e.onRegister)
 	e.leaseTok = e.rdv.AddLeaseListener(e.onLease)
-	e.gapTok = e.rdv.AddGapListener(e.onGap)
 	e.wg.Add(1)
 	go e.replayLoop()
 	return e, nil
@@ -280,7 +280,6 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 	e.reg.RemoveListener(e.regTok)
 	e.rdv.RemoveLeaseListener(e.leaseTok)
-	e.rdv.RemoveGapListener(e.gapTok)
 	for _, a := range atts {
 		e.detach(a)
 	}

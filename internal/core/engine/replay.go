@@ -4,18 +4,20 @@ package engine
 // Every decision is the recovery core's (rendezvous/recovery): each
 // attachment keeps a recovery.Subscriber, and this file feeds it — the
 // log coordinates a logging rendezvous stamps onto every event
-// (rdv:Seq/rdv:LogSrc), the peer's lease grants and gap signals, routed
-// to the attachment of their group, and the rounds of a background loop
-// — and carries out what it decides: the replay requests, and a
-// ReplayGapError for every gap. Replayed events come back through the
-// ordinary delivery path: a replayed frame keeps its message ID, the
-// event's, and the peer's rendezvous service drops what its hop filter
-// has seen before the engine is handed it — at-least-once redelivery,
-// exactly-once dispatch.
+// (rdv:Seq/rdv:LogSrc), duplicates too, and the range signals that
+// answer its requests, which the peer's rendezvous service hands the
+// attachment as its group's log reader; the peer's lease grants, routed
+// to the attachment of their group; and the rounds of a background
+// loop, kicked when a window is due and ticking to ask again for one
+// that stalled — and carries out what it decides: the replay requests,
+// one window each, and a ReplayGapError for every loss.
+// Replayed events come back through the ordinary delivery path: a
+// replayed frame keeps its message ID, the event's, and the peer's
+// rendezvous service drops what its hop filter has seen before the
+// engine is handed it — at-least-once redelivery, exactly-once dispatch.
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -23,15 +25,14 @@ import (
 
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
-	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
 	"github.com/tps-p2p/tps/internal/obs"
 )
 
 // ReplayGapError is dispatched to exception handlers when a rendezvous
-// answered a replay request with a gap signal: events between the
-// engine's cursor and First were dropped by the log's retention (or the
-// log restarted), so they are unrecoverable — an explicit loss report,
-// never a silent one.
+// answered a replay request with a gap, or with a retained range that
+// starts above the engine's cursor: events between the cursor and First
+// were dropped by the log's retention (or the log restarted), so they
+// are unrecoverable — an explicit loss report, never a silent one.
 type ReplayGapError struct {
 	// Path is the type path of the attachment whose group gapped.
 	Path string
@@ -60,12 +61,28 @@ func (e *ReplayGapError) Error() string {
 		e.Path, e.First, e.First, e.Last, qual)
 }
 
-// delivered records that an event origin's log numbered seq was
-// received on the attachment.
-func (a *attachment) delivered(origin jid.ID, seq uint64) {
+// Logged implements rendezvous.LogReader: an event origin's log
+// numbered seq was received in the attachment's group. A window that
+// became due wakes the replay loop.
+func (a *attachment) Logged(origin jid.ID, seq uint64) {
 	a.recMu.Lock()
-	a.rec.Delivered(origin, seq)
+	due := a.rec.Delivered(origin, seq)
 	a.recMu.Unlock()
+	if due {
+		a.e.kickReplay()
+	}
+}
+
+// Answered implements rendezvous.LogReader: the attachment takes the
+// answer to a request, and its subscribers get a ReplayGapError if it
+// is a loss.
+func (a *attachment) Answered(r rendezvous.Range) {
+	a.recMu.Lock()
+	lost := a.rec.Answer(r.RDV, r.Origin, r.First, r.Last, r.Gap)
+	a.recMu.Unlock()
+	if lost {
+		a.e.subs.dispatchError(a.e.reg, a.node, &ReplayGapError{Path: a.path, Topic: a.param, First: r.First, Last: r.Last, Tentative: r.Tentative})
+	}
 }
 
 // epoch records that each of ids granted the attachment's group a new
@@ -78,44 +95,38 @@ func (a *attachment) epoch(ids ...jid.ID) {
 	}
 }
 
-// syncReplay sends the replay requests the attachment's round has due,
-// and tells the round what became of each.
-func (a *attachment) syncReplay(e *Engine) {
+// syncReplay sends the replay requests the attachment's round has due.
+// One that cannot be sent is asked for again when its window stalls.
+func (a *attachment) syncReplay(tick bool) {
 	a.recMu.Lock()
-	reqs := a.rec.Round(nil)
+	reqs := a.rec.Round(nil, tick)
 	a.recMu.Unlock()
 	for _, q := range reqs {
-		err := e.rdv.RequestReplay(q.RDV, a.param, q.Origin, q.After)
-		r := recovery.Failed
-		switch {
-		case err == nil:
-			r = recovery.Sent
-			e.stats.replayRequests.Add(1)
-		case errors.Is(err, rendezvous.ErrNoLease):
-			r = recovery.NoLease
+		if a.e.rdv.RequestReplay(q.RDV, a.param, q.Origin, q.After, q.Max) == nil {
+			a.e.stats.replayRequests.Add(1)
 		}
-		a.recMu.Lock()
-		a.rec.Sent(q.RDV, r)
-		a.recMu.Unlock()
 	}
 }
 
-// replayLoop sends the replay requests the attachments owe. It is woken
-// by what can make one due or sendable — a lease grant, a new
-// attachment, a first subscription — and its ticker retries what a
-// round could not send.
+// replayLoop sends the replay requests the attachments have due. It is
+// woken by what can make one due or sendable — a lease grant, a new
+// attachment, a first subscription, a cursor crossing the low-water
+// mark of its window — and its ticker retries what a round could not
+// send and asks again for a window that stalled.
 func (e *Engine) replayLoop() {
 	defer e.wg.Done()
 	ticker := time.NewTicker(e.fint)
 	defer ticker.Stop()
 	for {
+		tick := false
 		select {
 		case <-ticker.C:
+			tick = true
 		case <-e.wake:
 		case <-e.stop:
 			return
 		}
-		e.requestReplays()
+		e.requestReplays(tick)
 	}
 }
 
@@ -131,11 +142,11 @@ func (e *Engine) kickReplay() {
 // dispatched to nobody, marked in the hop filter and lost to the
 // subscriber that arrives next — so what it is owed waits for that
 // subscriber.
-func (e *Engine) requestReplays() {
+func (e *Engine) requestReplays(tick bool) {
 	var room [dispatchRoom]*Subscription
 	for _, a := range e.attachmentsTo("") {
 		if len(e.subs.covering(e.reg, a.node.Type(), room[:0])) > 0 {
-			a.syncReplay(e)
+			a.syncReplay(tick)
 		}
 	}
 }
@@ -165,20 +176,6 @@ func (e *Engine) onLease(rdv jid.ID, group string) {
 		a.epoch(rdv)
 		e.kickReplay()
 		e.broadcast()
-	}
-}
-
-// onGap is the engine's gap listener: the attachment to the gap's topic
-// takes the signal and its subscribers get a ReplayGapError.
-func (e *Engine) onGap(origin jid.ID, topic string, first, last uint64, tentative bool) {
-	if topic == "" {
-		return // names no group
-	}
-	for _, a := range e.attachmentsTo(topic) {
-		a.recMu.Lock()
-		a.rec.Gap(origin, first, last)
-		a.recMu.Unlock()
-		e.subs.dispatchError(e.reg, a.node, &ReplayGapError{Path: a.path, Topic: topic, First: first, Last: last, Tentative: tentative})
 	}
 }
 

@@ -99,8 +99,9 @@ func TestReplayWakeUpsFromManyGoroutines(t *testing.T) {
 
 // TestGapsAndGrantsReachOnlyTheirAttachment runs two types on a
 // rendezvous peer, where both attachments sit on the peer's one
-// rendezvous service and hear every gap and grant it receives. A gap for
-// one topic jumps only that attachment's cursor and names only its path;
+// rendezvous service and hear every range signal and grant it receives.
+// A gap for one topic, answering a request both attachments sent, jumps
+// only that attachment's cursor and names only its path;
 // a grant for "", which carries every group, kicks the replay loop once
 // per attachment. Once the attachments have closed, with the service
 // still running, neither reaches them. On an edge in the same two
@@ -139,13 +140,14 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		}
 		n.WaitQuiesce(5 * time.Second)
 	}
-	origin := jid.FromSeed(jid.KindPeer, 7)
+	origin := other.PeerID()
 	gap := func(topic string) {
-		send("mem://rdv", "", "gap", func(m *message.Message) {
+		send("mem://rdv", "", "range", func(m *message.Message) {
 			m.AddString("rdv", "Topic", topic)
 			m.AddID("rdv", "LogSrc", origin)
 			m.AddUint64("rdv", "First", 10)
 			m.AddUint64("rdv", "Last", 20)
+			m.AddString("rdv", "Gap", "true")
 		})
 	}
 	// grantTo grants a lease of the one group: a set of one name, the
@@ -208,8 +210,10 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 		return attachmentOf(e, node)
 	}
 	a, b := subscribed(stockNode), subscribed(fxNode)
-	a.delivered(origin, 1)
-	b.delivered(origin, 1)
+	for _, x := range []*attachment{a, b} {
+		x.Logged(origin, 1)
+		x.asked(origin)
+	}
 
 	gap(a.param)
 	// Only the subscription covering the gapped type hears it.
@@ -275,7 +279,7 @@ func TestGapsAndGrantsReachOnlyTheirAttachment(t *testing.T) {
 }
 
 // TestErrorsReachOnlyCoveringSubscriptions subscribes to two unrelated
-// types on one engine. A gap signal for one type's group, and an event
+// types on one engine. A gap for one type's group, and an event
 // frame in the other's that does not decode, each reach the exception
 // handler of the subscription covering that type and no other.
 func TestErrorsReachOnlyCoveringSubscriptions(t *testing.T) {
@@ -342,12 +346,18 @@ func TestErrorsReachOnlyCoveringSubscriptions(t *testing.T) {
 		n.WaitQuiesce(5 * time.Second)
 	}
 
+	for _, node := range []*typereg.Node{stockNode, fxNode} {
+		e.mu.Lock()
+		e.attachments[node.Path()].asked(other.PeerID())
+		e.mu.Unlock()
+	}
 	send(rendezvous.ServiceName, "", func(m *message.Message) {
-		m.AddString("rdv", "Op", "gap")
+		m.AddString("rdv", "Op", "range")
 		m.AddString("rdv", "Topic", TypeGroup(stockNode.Path()).String())
-		m.AddID("rdv", "LogSrc", jid.FromSeed(jid.KindPeer, 7))
+		m.AddID("rdv", "LogSrc", other.PeerID())
 		m.AddUint64("rdv", "First", 10)
 		m.AddUint64("rdv", "Last", 20)
+		m.AddString("rdv", "Gap", "true")
 	})
 	if s, f := counts(); s != 1 || f != 0 {
 		t.Fatalf("a gap in %s reached %d %s and %d %s handlers, want 1 and 0", stockNode.Path(), s, stockNode.Path(), f, fxNode.Path())
@@ -368,6 +378,15 @@ func (a *attachment) cursor(origin jid.ID) uint64 {
 	a.recMu.Lock()
 	defer a.recMu.Unlock()
 	return a.rec.Mark(origin)
+}
+
+// asked records a request to rdv for its own log, as a round that sent
+// one would: the answer to it is the attachment's to take.
+func (a *attachment) asked(rdv jid.ID) {
+	a.recMu.Lock()
+	defer a.recMu.Unlock()
+	a.rec.Epoch(rdv)
+	a.rec.Round(nil, false)
 }
 
 // owed counts the rendezvous the attachment owes a replay request.

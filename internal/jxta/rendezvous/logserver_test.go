@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
-	"github.com/tps-p2p/tps/internal/netsim"
 )
 
 // rawOp builds a rendezvous control message by hand, the way a peer
@@ -68,6 +67,7 @@ func TestMalformedCursorIsDropped(t *testing.T) {
 		m := rawOp(peer.ep.PeerID(), op, func(m *message.Message) {
 			m.AddString("rdv", "Topic", "net")
 			m.AddID("rdv", "LogSrc", r.ep.PeerID())
+			m.AddUint64("rdv", "Max", 64)
 			if cursor != nil {
 				m.AddBytes("rdv", "Cursor", cursor)
 			}
@@ -290,7 +290,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	if !joiner.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("joiner never connected")
 	}
-	if err := joiner.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 0); err != nil {
+	if err := joiner.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 0, recovery.W); err != nil {
 		t.Fatal(err)
 	}
 	got := sink.waitOne(t)
@@ -337,7 +337,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	if !fresh.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("second subscriber never connected")
 	}
-	if err := fresh.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 2); err != nil {
+	if err := fresh.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 2, recovery.W); err != nil {
 		t.Fatal(err)
 	}
 	isEvent(freshSink.waitOne(t), 3)
@@ -396,15 +396,44 @@ func newReplayRig(t *testing.T, depth int) *replayRig {
 	return r
 }
 
-// request asks the rendezvous for everything its own log retains.
-func (r *replayRig) request(t *testing.T) { r.requestFrom(t, jid.Nil, 0) }
+// request asks the rendezvous for the first window of its own log.
+func (r *replayRig) request(t *testing.T) { r.requestFrom(t, jid.Nil, 0, recovery.W) }
 
-// requestFrom asks the rendezvous for origin's stream after the cursor.
-func (r *replayRig) requestFrom(t *testing.T, origin jid.ID, after uint64) {
+// requestFrom asks the rendezvous for max records of origin's stream
+// after the cursor.
+func (r *replayRig) requestFrom(t *testing.T, origin jid.ID, after, max uint64) {
 	t.Helper()
-	if err := r.joiner.rdv.RequestReplay(r.rdv.ep.PeerID(), "net", origin, after); err != nil {
+	if err := r.joiner.rdv.RequestReplay(r.rdv.ep.PeerID(), "net", origin, after, max); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// logReader is a rendezvous.LogReader that records the range signals it
+// is handed.
+type logReader struct {
+	mu     sync.Mutex
+	ranges []rendezvous.Range
+}
+
+func (l *logReader) Logged(jid.ID, uint64) {}
+
+func (l *logReader) Answered(r rendezvous.Range) {
+	l.mu.Lock()
+	l.ranges = append(l.ranges, r)
+	l.mu.Unlock()
+}
+
+func (l *logReader) answers() []rendezvous.Range {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.ranges)
+}
+
+// ranges records the range signals the joiner receives in group "net".
+func (r *replayRig) ranges() func() []rendezvous.Range {
+	l := &logReader{}
+	r.joiner.rdv.ReadLogs("net", l)
+	return l.answers
 }
 
 // contiguous is the cursor a subscriber would present: the highest log
@@ -429,69 +458,104 @@ func (r *replayRig) arrivals() []time.Time {
 	return append([]time.Time(nil), r.arrived...)
 }
 
-// The pace handleReplay keeps (logserver.go): 64 frames every 2 ms.
-const (
-	replaySlice = 64
-	replayTick  = 2 * time.Millisecond
-)
-
-// TestReplayIsPacedAndYieldsTheLog replays twenty slices' worth of log.
-// The replay must take its ticks — served as one burst it would be over
-// in a fraction of one — and between slices the topic must be free: a
-// reader that comes while the replay is under way is not held up until
-// it ends, which it would be if the replay slept inside the log's Read.
+// TestReplayIsPacedAndYieldsTheLog asks a durable rendezvous for
+// windows of its log: the requester's pulls pace the replay, one window
+// a request. Each request is answered with a range signal naming what
+// the log retains, then exactly the records of its window — a request
+// for more than W gets W — read in one bounded read: the log hands out
+// no record the answer does not send, so it is free again as soon as
+// that one read returns.
 func TestReplayIsPacedAndYieldsTheLog(t *testing.T) {
-	const depth = 20*replaySlice + 10
+	const depth = 2*recovery.W + 10
 	r := newReplayRig(t, depth)
-	r.request(t)
-	waitFor(t, func() bool { return len(r.arrivals()) > 0 })
-	if _, last, ok := r.log.Range("net"); !ok || last != depth {
-		t.Fatalf("range = ..%d ok=%v", last, ok)
-	}
-	if n := len(r.arrivals()); n > depth/2 {
-		t.Fatalf("the log answered only after %d of %d frames had been replayed", n, depth)
-	}
-	waitFor(t, func() bool { return len(r.arrivals()) == depth })
-	at := r.arrivals()
-	// Twenty waits lie between the first and the last frame; allow the
-	// simulated network to have delayed the first frame by a few.
-	if took := at[depth-1].Sub(at[0]); took < 15*replayTick {
-		t.Fatalf("%d frames replayed in %v, want at least %v", depth, took, 15*replayTick)
-	}
-	if served := r.rdv.rdv.Snapshot().Counters["replay_served"]; served != depth {
-		t.Fatalf("replay_served = %d, want %d", served, depth)
+	ranges := r.ranges()
+	self := r.rdv.ep.PeerID()
+	read := func() int64 { return r.log.Snapshot().Counters["replayed"] }
+	for i, tc := range []struct{ after, max, from, to uint64 }{
+		{5, 7, 6, 12},
+		{20, 10 * recovery.W, 21, 20 + recovery.W},
+		{depth - 3, recovery.W, depth - 2, depth},
+	} {
+		before, arrived := read(), len(r.arrivals())
+		r.requestFrom(t, jid.Nil, tc.after, tc.max)
+		want := int(tc.to - tc.from + 1)
+		waitFor(t, func() bool { return len(r.arrivals()) >= arrived+want && len(ranges()) == i+1 })
+		r.c.net.WaitQuiesce(5 * time.Second)
+		r.mu.Lock()
+		seqs := slices.Clone(r.seqs[arrived:])
+		r.mu.Unlock()
+		slices.Sort(seqs)
+		if len(seqs) != want || seqs[0] != tc.from || seqs[len(seqs)-1] != tc.to {
+			t.Fatalf("a request for %d after %d was answered with %d records, %d..%d; want %d..%d",
+				tc.max, tc.after, len(seqs), seqs[0], seqs[len(seqs)-1], tc.from, tc.to)
+		}
+		if n := read() - before; n != int64(want) {
+			t.Fatalf("the log handed out %d records to answer with %d", n, want)
+		}
+		if rg := ranges()[i]; rg != (rendezvous.Range{RDV: self, Origin: self, First: 1, Last: depth}) {
+			t.Fatalf("range signal %+v, want the log's 1..%d", rg, depth)
+		}
 	}
 }
 
 // TestReplayStopsWhenTheServiceCloses closes the rendezvous service
-// while it is between two slices of a long replay: the replay must end
-// there, not run on for its remaining ticks.
+// after it has answered one window of a long log: a request that comes
+// afterwards gets no range signal and no record.
 func TestReplayStopsWhenTheServiceCloses(t *testing.T) {
-	const depth = 20 * replaySlice
+	const depth = 2 * recovery.W
 	r := newReplayRig(t, depth)
-	r.request(t)
-	waitFor(t, func() bool { return len(r.arrivals()) > 0 })
-	r.rdv.rdv.Close()
+	ranges := r.ranges()
+	r.requestFrom(t, jid.Nil, 0, recovery.W)
+	waitFor(t, func() bool { return len(r.arrivals()) >= recovery.W && len(ranges()) == 1 })
 	r.c.net.WaitQuiesce(5 * time.Second)
-	if n := len(r.arrivals()); n > depth/2 {
-		t.Fatalf("%d of %d frames replayed by a closed service", n, depth)
+	served := r.rdv.rdv.Snapshot().Counters["replay_served"]
+	arrived := len(r.arrivals())
+	r.rdv.rdv.Close()
+	r.requestFrom(t, jid.Nil, recovery.W, recovery.W)
+	r.c.net.WaitQuiesce(5 * time.Second)
+	if n, got := len(ranges()), r.rdv.rdv.Snapshot().Counters["replay_served"]; n != 1 || got != served {
+		t.Fatalf("a closed service answered: %d range signals, replay_served %d → %d", n, served, got)
+	}
+	if n := len(r.arrivals()); n != arrived {
+		t.Fatalf("a closed service replayed %d more records", n-arrived)
 	}
 }
 
-// TestReplayDoesNotHoldTheReceivePath: a replay forty slices deep is
-// under way when a third peer publishes. The rendezvous must forward
-// that event at once, not when the replay is over: a replay served on
-// the goroutine that delivered its request holds that goroutine — here
-// the rendezvous node's one dispatcher — for every tick it paces, and
-// every frame that arrives meanwhile waits behind it.
+// TestReplayDoesNotHoldTheReceivePath: a joiner is pulling a log ten
+// windows deep, a window at a time, when a third peer publishes. The
+// rendezvous must forward that event at once, not when the replay is
+// over: a request is answered on the goroutine that delivered it — here
+// the rendezvous node's one dispatcher — and every frame that arrives
+// meanwhile waits behind the answer, so an answer is one window, never
+// the whole log.
 func TestReplayDoesNotHoldTheReceivePath(t *testing.T) {
-	const depth = 40 * replaySlice
+	const depth = 10 * recovery.W
 	r := newReplayRig(t, depth)
 	third := r.c.addPeer("third", 4, rendezvous.RoleEdge, "mem://rdv")
 	if !third.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("third peer never connected")
 	}
-	r.request(t)
+	// The joiner pulls the way an engine does: the next window once its
+	// cursor is half-way through the last.
+	stop, pulled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(pulled)
+		for asked := uint64(0); asked < depth; {
+			if r.contiguous()+recovery.W/2 >= asked {
+				if err := r.joiner.rdv.RequestReplay(r.rdv.ep.PeerID(), "net", jid.Nil, asked, recovery.W); err != nil {
+					t.Error(err)
+					return
+				}
+				asked += recovery.W
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	defer func() { close(stop); <-pulled }()
 	waitFor(t, func() bool { return len(r.arrivals()) > 0 })
 	m := message.New(third.ep.PeerID())
 	m.AddString("app", "live", "sent during the replay")
@@ -509,35 +573,11 @@ func TestReplayDoesNotHoldTheReceivePath(t *testing.T) {
 	if before := live(); before > depth/2 {
 		t.Fatalf("the live event arrived after %d of %d replayed frames, want before half", before, depth)
 	}
-	waitFor(t, func() bool { return len(r.arrivals()) == depth+1 })
-}
-
-// TestReplayConvergesOverLossyLink drops 30% of rendezvous→subscriber
-// traffic and drives the at-least-once loop by hand: re-requesting from
-// the current cursor until the joiner holds the full set. Loss slows
-// replay down; it must not lose anything. (An engine does not run this
-// loop: it asks once per lease — ROADMAP open item 1, and the skipped
-// chaos.TestEngineReplayConvergesOverLossyLink.)
-func TestReplayConvergesOverLossyLink(t *testing.T) {
-	const n = 60
-	r := newReplayRig(t, n)
-	r.c.net.SetLink("rdv", "joiner", netsim.Link{Latency: time.Millisecond, Loss: 0.3})
-	deadline := time.Now().Add(30 * time.Second)
-	for len(r.arrivals()) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("replay never converged over lossy link: %d/%d", len(r.arrivals()), n)
-		}
-		r.requestFrom(t, jid.Nil, r.contiguous())
-		time.Sleep(200 * time.Millisecond)
-	}
-	r.c.net.WaitQuiesce(5 * time.Second)
-	if got, cur := len(r.arrivals()), r.contiguous(); got != n || cur != n {
-		t.Fatalf("%d messages delivered, cursor %d; want %d of each, every one once", got, cur, n)
-	}
+	waitFor(t, func() bool { return r.contiguous() == depth+1 })
 }
 
 // TestRedundantReplayIsAbsorbed asks for the whole log twice. The second
-// answer is redelivered at the wire; the seen cache must absorb every
+// answer is redelivered at the wire; the hop filter must absorb every
 // frame of it.
 func TestRedundantReplayIsAbsorbed(t *testing.T) {
 	const n = 20
@@ -555,18 +595,21 @@ func TestRedundantReplayIsAbsorbed(t *testing.T) {
 // TestForeignCursorAtANonReplicaServesNothing: a subscriber that re-homed
 // here from a dead rendezvous also holds a cursor counted by that
 // rendezvous's log. This one is no replica of it, so the foreign
-// numbering means nothing here: serve nothing, signal nothing. The
-// self-origin request is what catches the subscriber up.
+// numbering means nothing here: serve nothing, and answer that nothing
+// of it is retained, which is no gap. The self-origin request is what
+// catches the subscriber up.
 func TestForeignCursorAtANonReplicaServesNothing(t *testing.T) {
 	const n = 12
 	r := newReplayRig(t, n)
-	var gaps atomic.Int64
-	r.joiner.rdv.AddGapListener(func(jid.ID, string, uint64, uint64, bool) { gaps.Add(1) })
-	r.requestFrom(t, jid.FromSeed(jid.KindPeer, 4242), 3)
+	ranges := r.ranges()
+	foreign := jid.FromSeed(jid.KindPeer, 4242)
+	r.requestFrom(t, foreign, 3, recovery.W)
 	r.c.net.WaitQuiesce(5 * time.Second)
-	if served := r.rdv.rdv.Snapshot().Counters["replay_served"]; len(r.arrivals()) != 0 || gaps.Load() != 0 || served != 0 {
-		t.Fatalf("foreign-origin cursor at a non-replica: delivered %d, gaps %d, served %d; want nothing",
-			len(r.arrivals()), gaps.Load(), served)
+	self := r.rdv.ep.PeerID()
+	want := []rendezvous.Range{{RDV: self, Origin: foreign}}
+	if served := r.rdv.rdv.Snapshot().Counters["replay_served"]; len(r.arrivals()) != 0 || !slices.Equal(ranges(), want) || served != 0 {
+		t.Fatalf("foreign-origin cursor at a non-replica: delivered %d, answered %+v, served %d; want nothing, and %+v",
+			len(r.arrivals()), ranges(), served, want)
 	}
 	r.request(t)
 	waitFor(t, func() bool { return len(r.arrivals()) == n })
@@ -595,33 +638,22 @@ func TestGapForAnUnheldOriginNamesThatOrigin(t *testing.T) {
 	if !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("subscriber never connected")
 	}
-	type gap struct {
-		origin      jid.ID
-		first, last uint64
-		tentative   bool
-	}
-	got := make(chan gap, 1)
-	sub.rdv.AddGapListener(func(origin jid.ID, _ string, first, last uint64, tentative bool) {
-		got <- gap{origin, first, last, tentative}
-	})
+	l := &logReader{}
+	sub.rdv.ReadLogs("net", l)
 	primary := jid.FromSeed(jid.KindPeer, 7)
-	if err := sub.rdv.RequestReplay(standby.ep.PeerID(), "net", primary, 8); err != nil {
+	if err := sub.rdv.RequestReplay(standby.ep.PeerID(), "net", primary, 8, recovery.W); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case g := <-got:
-		if want := (gap{primary, 0, 0, true}); g != want {
-			t.Fatalf("gap %+v, want %+v", g, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no gap signal for an origin no replica holds")
+	waitFor(t, func() bool { return len(l.answers()) > 0 })
+	if g, want := l.answers()[0], (rendezvous.Range{RDV: standby.ep.PeerID(), Origin: primary, Gap: true, Tentative: true}); g != want {
+		t.Fatalf("gap %+v, want %+v", g, want)
 	}
 }
 
 // TestEveryGapListenerHearsAGapUntilRemoved: a service that serves
-// several groups has a gap listener per attachment. Two listeners both
-// hear one signal; once one is removed, the next signal reaches the
-// other alone.
+// several groups has a log reader per group. A range signal reaches the
+// reader of its group and no other; once a reader is removed, the next
+// signal of its group reaches nobody.
 func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
 	c := newCluster(t)
 	log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
@@ -636,26 +668,29 @@ func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
 		SyncInterval: time.Hour,
 	})
 	sub := c.addPeer("sub", 2, rendezvous.RoleEdge, "mem://standby")
-	if !sub.rdv.AwaitConnected("net", 5*time.Second) {
+	sub.rdv.Join("other")
+	if !sub.rdv.AwaitConnected("net", 5*time.Second) || !sub.rdv.AwaitConnected("other", 5*time.Second) {
 		t.Fatal("subscriber never connected")
 	}
-	var a, b atomic.Int64
-	tokA := sub.rdv.AddGapListener(func(jid.ID, string, uint64, uint64, bool) { a.Add(1) })
-	sub.rdv.AddGapListener(func(jid.ID, string, uint64, uint64, bool) { b.Add(1) })
-	gap := func() {
+	a, b := &logReader{}, &logReader{}
+	sub.rdv.ReadLogs("net", a)
+	sub.rdv.ReadLogs("other", b)
+	gap := func(group string) {
 		t.Helper()
-		if err := sub.rdv.RequestReplay(standby.ep.PeerID(), "net", jid.FromSeed(jid.KindPeer, 7), 8); err != nil {
+		if err := sub.rdv.RequestReplay(standby.ep.PeerID(), group, jid.FromSeed(jid.KindPeer, 7), 8, recovery.W); err != nil {
 			t.Fatal(err)
 		}
 	}
-	gap()
-	waitFor(t, func() bool { return a.Load() == 1 && b.Load() == 1 })
-	sub.rdv.RemoveGapListener(tokA)
-	gap()
-	waitFor(t, func() bool { return b.Load() == 2 })
+	gap("net")
+	gap("other")
+	waitFor(t, func() bool { return len(a.answers()) == 1 && len(b.answers()) == 1 })
+	sub.rdv.ReadLogs("net", nil)
+	gap("net")
+	gap("other")
+	waitFor(t, func() bool { return len(b.answers()) == 2 })
 	c.net.WaitQuiesce(5 * time.Second)
-	if n := a.Load(); n != 1 {
-		t.Fatalf("a removed listener heard %d gaps, want the 1 before its removal", n)
+	if n := len(a.answers()); n != 1 {
+		t.Fatalf("a removed reader heard %d gaps, want the 1 before its removal", n)
 	}
 }
 

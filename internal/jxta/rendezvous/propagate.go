@@ -56,12 +56,21 @@ func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope 
 }
 
 func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
-	if !s.seen.Observe(msg.ID) {
+	fresh := s.seen.Observe(msg.ID)
+	dparam := msg.Text(elemNS, elemDParam)
+	// A logged frame's coordinates go to its group's log reader, a
+	// duplicate's too: the replayed copy of an event delivered live is
+	// what moves the reader's cursor into the replaying log.
+	if origin, seq, ok := ReplayInfo(msg); ok {
+		if r := s.reader(dparam); r != nil {
+			r.Logged(origin, seq)
+		}
+	}
+	if !fresh {
 		s.stats.duplicates.Add(1)
 		return
 	}
 	dsvc := msg.Text(elemNS, elemDSvc)
-	dparam := msg.Text(elemNS, elemDParam)
 	if dsvc == "" {
 		return
 	}

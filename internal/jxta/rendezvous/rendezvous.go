@@ -235,11 +235,11 @@ type Service struct {
 	// send, so the connects that carry the peer's set leave in turn.
 	order sync.Mutex
 
-	// leaseFns hear of every new lease epoch, gapFns of every gap
-	// signal; both lazily allocated, under mu, keyed by the token their
-	// Add method returned.
+	// leaseFns hear of every new lease epoch: lazily allocated, under
+	// mu, keyed by the token AddLeaseListener returned. readers holds
+	// each group's log reader.
 	leaseFns  map[int]LeaseListener
-	gapFns    map[int]GapListener
+	readers   map[string]LogReader
 	nextToken int
 
 	wg   sync.WaitGroup
@@ -277,10 +277,11 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 	}
 	cfg.normalise()
 	s := &Service{
-		ep:   ep,
-		cfg:  cfg,
-		seen: seen.New(),
-		stop: make(chan struct{}),
+		ep:      ep,
+		cfg:     cfg,
+		seen:    seen.New(),
+		readers: make(map[string]LogReader),
+		stop:    make(chan struct{}),
 	}
 	s.c = newCore(&s.cfg, rand.Uint64())
 	s.conn = sync.NewCond(&s.mu)
@@ -384,8 +385,8 @@ func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 		// Any role answers: probing works edge→rendezvous and
 		// rendezvous→client alike.
 		_ = s.ep.Send(from, ServiceName, "", s.newOp(opPong, 0))
-	case opGap:
-		s.handleGap(msg)
+	case opRange:
+		s.handleRange(msg)
 	default:
 		if serve := logOps[op]; serve != nil && s.logs != nil {
 			serve(s.logs, msg, from)

@@ -2,18 +2,14 @@ package rendezvous
 
 // replay.go is the subscriber's half of the durability protocol's
 // wire: the log coordinates stamped on every logged event, the replay
-// request that presents a cursor, and the gap signal that answers a
-// cursor the log can no longer serve from, handed to the gap
-// listeners. What a subscriber asks for, and what it makes of a gap,
-// is decided by the recovery core (recovery.Subscriber), which the
-// engine drives; the serving half is logserver.go.
+// request that asks for the window after a cursor, and the range signal
+// that answers it; the coordinates and the signal are handed to the log
+// reader of their group. What a subscriber asks for, and what it makes
+// of an answer, is decided by the recovery core (recovery.Subscriber),
+// which the engine drives; the serving half is logserver.go.
 
 import (
-	"errors"
 	"fmt"
-	"maps"
-	"slices"
-	"strings"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
@@ -29,48 +25,72 @@ const (
 	// numbered the message — cursors are only meaningful per origin.
 	elemLogSrc = "LogSrc"
 	// elemTopic names the topic (group parameter) of a replay request
-	// or gap signal.
+	// or range signal.
 	elemTopic = "Topic"
 	// elemCursor is the requester's last-delivered sequence; an explicit
 	// zero is the late joiner's "everything retained".
 	elemCursor = "Cursor"
-	// elemFirst / elemLast bound the retained range in a gap signal.
+	// elemMax is how many records after the cursor a request asks for;
+	// a server sends at most recovery.W, and none when it is absent.
+	elemMax = "Max"
+	// elemFirst / elemLast bound the retained range in a range signal.
 	// elemFirst doubles as the server's retained head on sync records.
 	elemFirst = "First"
 	elemLast  = "Last"
-	// elemTentative marks a gap signal sent before the sender completed
-	// a first anti-entropy exchange: the range looks lost from here, but
-	// an unsynced replica may yet hold it.
+	// elemGap marks a range signal that tells the requester it lost
+	// records: its cursor is behind the range, or the log restarted.
+	elemGap = "Gap"
+	// elemTentative marks a gap sent before the sender completed a first
+	// anti-entropy exchange: the range looks lost from here, but an
+	// unsynced replica may yet hold it.
 	elemTentative = "Tentative"
 )
 
 // Replay operations.
 const (
 	opReplay = "replay"
-	opGap    = "gap"
+	opRange  = "range"
 )
 
-// GapListener is notified when a replay request could not be served
-// from the requested cursor: entries (cursor, first) were dropped by
-// retention, or the server's log restarted. origin is the rendezvous
-// whose log the gap is in; first and last bound what is still retained
-// (both zero when nothing is). Receivers should advance their cursor
-// for origin past the gap — those entries are unrecoverable. tentative
-// is set when the signalling replica had not completed a first
-// anti-entropy exchange, so its "nothing retained" verdict is
-// provisional rather than proof of loss. The service tells every
-// listener of every gap, whatever its group: a listener reads topic to
-// find out whether the gap is its own. It runs on the transport's
-// receive goroutine and must not block.
-type GapListener func(origin jid.ID, topic string, first, last uint64, tentative bool)
+// Range is a log server's answer to one replay request: RDV retains
+// First..Last of Origin's log, both zero when it retains nothing. Origin
+// is the rendezvous whose log numbered the stream — after a failover a
+// dead primary, not the sender. Gap is set when the request's cursor
+// was behind First, or the log's numbering restarted: records the
+// requester had not received are gone. Tentative qualifies a gap from a
+// replica that had not completed a first anti-entropy exchange: its
+// "nothing retained" is provisional, not proof of loss.
+type Range struct {
+	RDV, Origin    jid.ID
+	First, Last    uint64
+	Gap, Tentative bool
+}
 
-// AddGapListener registers fn for the gap signals received in response
-// to this peer's replay requests and returns the token that
-// RemoveGapListener takes.
-func (s *Service) AddGapListener(fn GapListener) int { return addListener(s, &s.gapFns, fn) }
+// LogReader reads the logs that number the events of its group. It is
+// told the log coordinates of every event frame of the group this peer
+// receives, a duplicate the hop filter drops included — the replayed
+// copy of an event that arrived live is what moves a cursor into the
+// replaying log — and every range signal that answers a replay request
+// in the group. It runs on the transport's receive goroutine and must
+// not block.
+type LogReader interface {
+	Logged(origin jid.ID, seq uint64)
+	Answered(Range)
+}
 
-// RemoveGapListener drops the listener registered under token.
-func (s *Service) RemoveGapListener(token int) { removeListener(s, &s.gapFns, token) }
+// ReadLogs makes r group's log reader; nil removes it.
+func (s *Service) ReadLogs(group string, r LogReader) {
+	s.mu.Lock()
+	s.readers[group] = r
+	s.mu.Unlock()
+}
+
+// reader returns group's log reader, nil if none.
+func (s *Service) reader(group string) LogReader {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.readers[group]
+}
 
 // ReplayInfo extracts the log coordinates a rendezvous stamped onto a
 // propagated message: the origin peer whose log numbered it and the
@@ -88,25 +108,21 @@ func ReplayInfo(msg *message.Message) (origin jid.ID, seq uint64, ok bool) {
 	return origin, seq, true
 }
 
-// ErrNoLease is returned by RequestReplay when this peer holds no lease
-// with the target: there is nobody to ask until it grants one again.
-var ErrNoLease = errors.New("rendezvous: no lease")
-
 // RequestReplay asks the connected rendezvous target to resend the
-// retained entries of topic that origin's log numbered after the
-// cursor. origin is usually the target itself; after a failover it is
-// the dead primary, and the target serves the request from its
+// retained entries of topic that origin's log numbered in (after,
+// after+max]. origin is usually the target itself; after a failover it
+// is the dead primary, and the target serves the request from its
 // replicated copy of that log — the cursor stays meaningful because
 // copies keep the origin's numbering. A target that neither is origin
 // nor replicates it serves nothing: the numbering is not its own. A
 // zero origin means the target. Replayed events arrive through the
-// normal propagation path (and its dedupe); a gap signal arrives
-// through the GapListener. The request is fire-and-forget: whether and
-// when to ask again is the caller's (recovery.Subscriber asks on the
-// next lease epoch, so a replayed frame lost inside one stays lost
-// until then — ROADMAP item 1). The request goes in the topic's group,
-// under a lease with the target that carries it.
-func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after uint64) error {
+// normal propagation path (and its dedupe), after a range signal: the
+// group's LogReader is told of each. The target keeps nothing of the
+// request: whether and when to ask again, for the next window or for
+// one that did not arrive, is the caller's (recovery.Subscriber). The
+// request goes in the topic's group, under a lease with the target that
+// carries it: without one, RequestReplay sends nothing and errs.
+func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, after, max uint64) error {
 	s.mu.Lock()
 	var addr endpoint.Address
 	if e := s.c.rdvs[target]; e != nil && covers(e.groups, topic) {
@@ -114,39 +130,36 @@ func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, afte
 	}
 	s.mu.Unlock()
 	if addr == "" {
-		return fmt.Errorf("%w with %v", ErrNoLease, target)
+		return fmt.Errorf("rendezvous: no lease with %v", target)
 	}
 	if origin.IsZero() {
 		origin = target
 	}
-	req := s.newOp(opReplay, 3)
+	req := s.newOp(opReplay, 4)
 	req.AddString(elemNS, elemTopic, topic)
 	req.AddUint64(elemNS, elemCursor, after)
+	req.AddUint64(elemNS, elemMax, max)
 	req.AddID(elemNS, elemLogSrc, origin)
 	s.stats.replayRequests.Add(1)
 	return s.ep.Send(addr, ServiceName, topic, req)
 }
 
-// handleGap dispatches a received gap signal to the listeners. The gap
-// is attributed to the log origin it names — which, when a replica
-// answers for a dead primary, is the primary rather than the sender —
-// so cursor jumps land on the right origin.
-func (s *Service) handleGap(msg *message.Message) {
+// handleRange hands a received range signal to the log reader of its
+// group. The range is attributed to the log origin it names — which,
+// when a replica answers for a dead primary, is the primary rather than
+// the sender — so cursor jumps land on the right origin.
+func (s *Service) handleRange(msg *message.Message) {
 	origin, err := msg.GetID(elemNS, elemLogSrc)
 	first, okFirst := msg.Uint64(elemNS, elemFirst)
 	last, okLast := msg.Uint64(elemNS, elemLast)
-	if err != nil || !okFirst || !okLast {
+	r := s.reader(msg.Text(elemNS, elemTopic))
+	if err != nil || !okFirst || !okLast || r == nil {
 		return
 	}
-	s.stats.replayGaps.Add(1)
-	s.mu.Lock()
-	fns := slices.Collect(maps.Values(s.gapFns))
-	s.mu.Unlock()
-	// The topic leaves in an error the application is handed and may
-	// keep: a copy, not a piece of the frame.
-	topic := strings.Clone(msg.Text(elemNS, elemTopic))
-	tentative := msg.Text(elemNS, elemTentative) == "true"
-	for _, fn := range fns {
-		fn(origin, topic, first, last, tentative)
+	rg := Range{RDV: msg.Src, Origin: origin, First: first, Last: last,
+		Gap: msg.Text(elemNS, elemGap) == "true", Tentative: msg.Text(elemNS, elemTentative) == "true"}
+	if rg.Gap {
+		s.stats.replayGaps.Add(1)
 	}
+	r.Answered(rg)
 }

@@ -26,7 +26,7 @@ type rdvCounters struct {
 	sendFailures   atomic.Int64 // per-peer propagation sends that errored
 	replayRequests atomic.Int64 // replay ops sent
 	replayServed   atomic.Int64 // log entries resent to requesters
-	replayGaps     atomic.Int64 // gap signals sent or received
+	replayGaps     atomic.Int64 // range signals marked as a gap, sent or received
 	logFailures    atomic.Int64 // event-log appends that errored
 	syncDigests    atomic.Int64 // anti-entropy digests received
 	syncPulls      atomic.Int64 // pull requests served

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/rig"
 )
@@ -95,21 +96,28 @@ func exactlyOnce(t *testing.T, g *rig.Probe[SkiRental], n int) {
 // TestLateJoinerCatchesUpWithoutATick: a platform that boots and
 // subscribes at once — before it holds any lease — has every retained
 // event within a second: Subscribe joins the type's group at once, and
-// attach, grant and Subscribe each wake the replay loop.
+// attach, grant and Subscribe each wake the replay loop. A log deeper
+// than two windows is pulled window by window, each asked for when the
+// cursor crosses the middle of the last: one request a window, and none
+// of them waits for a tick.
 func TestLateJoinerCatchesUpWithoutATick(t *testing.T) {
-	const n = 200
-	c, _ := seedRetained(t, n)
-	joiner := c.Start(slowTick(tps.Config{Name: "joiner", Seeds: []string{"rdv"}}))
-	_, intf := rig.Engine[SkiRental](t, joiner)
-	g := &rig.Probe[SkiRental]{}
-	start := time.Now()
-	if err := intf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
-		t.Fatal(err)
-	}
-	waitWithin(t, g, n, start, joinBound)
-	exactlyOnce(t, g, n)
-	if got := joiner.Stats().Counter("engine", "replay_requests"); got != 1 {
-		t.Fatalf("joiner sent %d replay requests, want 1", got)
+	for _, n := range []int{200, 2*recovery.W + 100} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			c, _ := seedRetained(t, n)
+			joiner := c.Start(slowTick(tps.Config{Name: "joiner", Seeds: []string{"rdv"}}))
+			_, intf := rig.Engine[SkiRental](t, joiner)
+			g := &rig.Probe[SkiRental]{}
+			start := time.Now()
+			if err := intf.Subscribe(tps.CallBackFunc[SkiRental](g.Handle), nil); err != nil {
+				t.Fatal(err)
+			}
+			waitWithin(t, g, n, start, joinBound)
+			exactlyOnce(t, g, n)
+			windows := int64((n + recovery.W - 1) / recovery.W)
+			if got := joiner.Stats().Counter("engine", "replay_requests"); got != windows {
+				t.Fatalf("joiner sent %d replay requests, want %d", got, windows)
+			}
+		})
 	}
 }
 

@@ -122,8 +122,10 @@ type Config struct {
 	// type's advertisement, and a type's group is computed from its name
 	// now; the field stays until bench/cluster.go stops setting it.
 	FindTimeout time.Duration
-	// FindInterval paces the retries of replay requests a round could
-	// not send (default 1s).
+	// FindInterval is the replay loop's tick (default 1s): it asks again
+	// for a replay window whose cursor has stalled since the last tick —
+	// a request that could not be sent, or a request, answer or event
+	// lost on the way. Nothing on the join or catch-up path waits for it.
 	FindInterval time.Duration
 	// LeaseTTL overrides the rendezvous lease duration.
 	LeaseTTL time.Duration
