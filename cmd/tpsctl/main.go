@@ -574,15 +574,15 @@ func run(cmd string, args []string, listen, seeds string) error {
 // listenType joins the group of the type registered under path — named
 // by the path, as every engine names it — and prints every event that
 // crosses it until interrupted. It reads the group's frames as an engine
-// does: with a handler for engine.EventService under the group's
-// parameter, beside a lease for the group.
+// does: as the group's one reader on the peer's rendezvous service,
+// beside a lease for the group.
 func listenType(p *peer.Peer, path string) error {
 	groupID := engine.TypeGroup(path)
 	param := groupID.String()
-	err := p.Endpoint().RegisterHandler(engine.EventService, param, func(m *message.Message, _ endpoint.Address) {
+	err := p.Rendezvous().Read(param, rendezvous.DeliverFunc(func(m *message.Message, _ endpoint.Address) {
 		fmt.Printf("[%s] event %s from %s, %d elements, %d bytes\n",
 			path, m.ID.Short(), m.Src.Short(), m.Len(), m.WireSize())
-	})
+	}))
 	if err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ func (w *wireSub) Received() int { return int(w.received.Load()) }
 // leases the group with the peer's seeds.
 func (c *Cluster) joinWire(p *peer.Peer) (*wire.Service, error) {
 	param := wireGroupID.String()
-	w, err := wire.New(p.Endpoint(), p.Rendezvous(), wire.Config{Group: param})
+	w, err := wire.New(p.Rendezvous(), wire.Config{Group: param})
 	if err != nil {
 		return nil, err
 	}

@@ -17,15 +17,17 @@ import (
 )
 
 // attach.go is the Connections block: it turns a type into a live
-// attachment — the endpoint handler that reads the events of its group
-// (the paper's TPSPipeReader over TPSMyInputPipe) and the group's lease
-// on the peer's rendezvous service, which publish propagates into
-// (TPSMyOutputPipe).
+// attachment — the one reader of its group on the peer's rendezvous
+// service (the paper's TPSPipeReader over TPSMyInputPipe), which hands
+// it the group's events, their log coordinates and the range signals
+// that answer its replay requests, and the group's lease, which publish
+// propagates into (TPSMyOutputPipe).
 
-// EventService is the endpoint service an event frame is addressed to,
-// under its group's parameter. It is the name JXTA's wire service
-// registered under (WireService.WireName) and it stays so: every frame
-// already stored in an event log is addressed to it.
+// EventService is the destination service an event frame names
+// (rdv:DSvc), beside its group. Nobody dispatches on it — a group has
+// one reader — but it stays the name JXTA's wire service registered
+// under (WireService.WireName): every frame already stored in an event
+// log names it.
 const EventService = "jxta.service.wire"
 
 // TPS message element names, namespace "tps". An event is its message:
@@ -40,14 +42,14 @@ const (
 	elemData = "Data"
 )
 
-// attachment is one type's live binding to its group, and the reader of
-// the logs that number the group's events.
+// attachment is one type's live binding to its group, and the group's
+// reader (rendezvous.Reader).
 type attachment struct {
 	e    *Engine
 	path string
 	node *typereg.Node // the type every event in the group is decoded into
-	// param is the group's ID as a string: the endpoint parameter its
-	// frames are addressed to, its lease and the log topic of its events.
+	// param is the group's ID as a string: the group its frames name,
+	// its lease and the log topic of its events.
 	param string
 
 	// recMu guards rec: the attachment's replay cursors, the rendezvous
@@ -56,9 +58,10 @@ type attachment struct {
 	rec   *recovery.Subscriber
 }
 
-// attach registers the handler for the group of the registered type
-// node, leases the group and registers the attachment, unless the
-// engine holds one for the type already. The caller holds e.attachMu.
+// attach makes a new attachment the reader of the group of the
+// registered type node, leases the group and registers the attachment,
+// unless the engine holds one for the type already. The caller holds
+// e.attachMu.
 func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	path := node.Path()
 	if a, err := e.attached(path); a != nil || err != nil {
@@ -66,13 +69,9 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 	}
 	a := &attachment{e: e, path: path, node: node, param: TypeGroup(path).String(),
 		rec: recovery.NewSubscriber(e.rdv.Config().ActiveStandby)}
-	err := e.peer.Endpoint().RegisterHandler(EventService, a.param, func(m *message.Message, _ endpoint.Address) {
-		e.onWireMessage(a, m)
-	})
-	if err != nil {
+	if err := e.rdv.Read(a.param, a); err != nil {
 		return nil, fmt.Errorf("tps: attach %s: %w", path, err)
 	}
-	e.rdv.ReadLogs(a.param, a)
 	e.rdv.Join(a.param)
 
 	e.mu.Lock()
@@ -139,29 +138,28 @@ func (e *Engine) ready(a *attachment) bool {
 	return len(e.rdv.Config().Seeds) == 0 || len(e.rdv.ConnectedRendezvous(a.param)) > 0
 }
 
-// detach unregisters the attachment's handler and log reader and ends
-// its lease.
+// detach removes the attachment as its group's reader and ends its
+// lease.
 func (e *Engine) detach(a *attachment) {
-	e.peer.Endpoint().UnregisterHandler(EventService, a.param)
-	e.rdv.ReadLogs(a.param, nil)
+	_ = e.rdv.Read(a.param, nil)
 	e.rdv.Leave(a.param)
 }
 
-// onWireMessage is the group's reader: it decodes and dispatches one
+// Deliver implements rendezvous.Reader: it decodes and dispatches one
 // event off the network. Events this peer publishes never come through
 // here: publish delivers them locally by value.
 //
-// Exactly-once: a duplicate never reaches the engine. Every event frame
-// a peer of this tree sends comes through the receiver's rendezvous
-// service (handleProp, the one caller of DeliverLocal), whose hop filter
-// has just dropped the message if its ID — the event's — was known: an event echoed through
-// several mesh paths, served over two rendezvous, or replayed after its
-// live copy (a log keeps the message ID) is delivered on first arrival
-// only. So the payload of any given event is gob-decoded at most once
-// on this peer, and the decoded value is shared across every matching
-// subscription and interface callback (dispatch fans the same value
-// out).
-func (e *Engine) onWireMessage(a *attachment, msg *message.Message) {
+// Exactly-once: a duplicate never reaches the engine. The rendezvous
+// service hands a group's reader a frame only past its hop filter
+// (handleProp), which has just dropped the message if its ID — the
+// event's — was known: an event echoed through several mesh paths,
+// served over two rendezvous, or replayed after its live copy (a log
+// keeps the message ID) is delivered on first arrival only. So the
+// payload of any given event is gob-decoded at most once on this peer,
+// and the decoded value is shared across every matching subscription
+// and interface callback (dispatch fans the same value out).
+func (a *attachment) Deliver(msg *message.Message, _ endpoint.Address) {
+	e := a.e
 	e.traceDeliver(msg)
 	value, err := (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type())
 	if err != nil {

@@ -394,7 +394,7 @@ func (r *testRig) rawGroup(path string) (*peer.Peer, *wire.Service, jid.ID) {
 	r.t.Helper()
 	raw := r.addPeer()
 	param := engine.TypeGroup(path).String()
-	w, err := wire.New(raw.Endpoint(), raw.Rendezvous(), wire.Config{Group: param})
+	w, err := wire.New(raw.Rendezvous(), wire.Config{Group: param})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -605,6 +605,62 @@ func TestOwnEventFrameIsADuplicate(t *testing.T) {
 	delivered := pub.eng.Snapshot().Counters["delivered"]
 	if dropped := pub.peer.Rendezvous().Snapshot().Counters["duplicates"] - dups; c.count() != 1 || delivered != 1 || dropped != 1 {
 		t.Fatalf("own event frame: %d deliveries, %d delivered, %d dropped by the hop filter", c.count(), delivered, dropped)
+	}
+}
+
+// TestEventFrameReachesTheEngineThroughTheHopFilterAlone: a group has
+// one reader, on the rendezvous service, past its hop filter. A valid
+// event frame addressed to the endpoint service the event names
+// (EventService, the group) finds no handler there: it is dropped and
+// counted, however often it comes. The same message propagated into the
+// group is delivered, once.
+func TestEventFrameReachesTheEngineThroughTheHopFilterAlone(t *testing.T) {
+	rig := newRig(t)
+	tap := &frameTap{}
+	sub := rig.engineOn(rig.addPeerVia(func(tr endpoint.Transport) endpoint.Transport {
+		tap.Transport = tr
+		return tap
+	}), engine.Config{})
+	var c collector
+	if _, err := sub.eng.Subscribe(sub.nodes["stock"], c.deliver, c.onError); err != nil {
+		t.Fatal(err)
+	}
+	if !sub.eng.AwaitReady(sub.nodes["stock"], 1, 5*time.Second) {
+		t.Fatal("not ready")
+	}
+	rig.net.WaitQuiesce(5 * time.Second)
+	blob, err := codec.Gob{}.Encode(stockQuote{Symbol: "PAST", Price: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	param := engine.TypeGroup(sub.nodes["stock"].Path()).String()
+	m := message.New(jid.FromSeed(jid.KindPeer, 77))
+	m.AddBytes("tps", "Data", blob)
+	other := endpoint.New(m.Src)
+	receive := func(svc, param string) {
+		t.Helper()
+		frame, err := other.EncodeFrame(svc, param, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			tap.receive(bytes.Clone(frame))
+		}
+	}
+	counters := func() map[string]int64 { return sub.peer.Endpoint().Snapshot().Counters }
+	dropped := counters()["dropped"]
+	receive(engine.EventService, param)
+	delivered := sub.eng.Snapshot().Counters["delivered"]
+	if n, d := c.count(), counters()["dropped"]-dropped; n != 0 || delivered != 0 || d != 2 {
+		t.Fatalf("an event frame sent twice past the hop filter: %d deliveries, %d delivered, %d dropped; want 0, 0 and 2", n, delivered, d)
+	}
+	m.AddString("rdv", "Op", "prop")
+	m.AddString("rdv", "DSvc", engine.EventService)
+	m.AddString("rdv", "DParam", param)
+	receive(rendezvous.ServiceName, "")
+	waitCount(t, &c, 1)
+	if n := c.count(); n != 1 {
+		t.Fatalf("an event frame propagated twice: %d deliveries, want 1", n)
 	}
 }
 

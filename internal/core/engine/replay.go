@@ -6,7 +6,7 @@ package engine
 // log coordinates a logging rendezvous stamps onto every event
 // (rdv:Seq/rdv:LogSrc), duplicates too, and the range signals that
 // answer its requests, which the peer's rendezvous service hands the
-// attachment as its group's log reader; the peer's lease grants, routed
+// attachment as its group's reader; the peer's lease grants, routed
 // to the attachment of their group; and the rounds of a background
 // loop, kicked when a window is due and ticking to ask again for one
 // that stalled — and carries out what it decides: the replay requests,
@@ -61,7 +61,7 @@ func (e *ReplayGapError) Error() string {
 		e.Path, e.First, e.First, e.Last, qual)
 }
 
-// Logged implements rendezvous.LogReader: an event origin's log
+// Logged implements rendezvous.Reader: an event origin's log
 // numbered seq was received in the attachment's group. A window that
 // became due wakes the replay loop.
 func (a *attachment) Logged(origin jid.ID, seq uint64) {
@@ -73,7 +73,7 @@ func (a *attachment) Logged(origin jid.ID, seq uint64) {
 	}
 }
 
-// Answered implements rendezvous.LogReader: the attachment takes the
+// Answered implements rendezvous.Reader: the attachment takes the
 // answer to a request, and its subscribers get a ReplayGapError if it
 // is a loss.
 func (a *attachment) Answered(r rendezvous.Range) {

@@ -362,7 +362,10 @@ func TestErrorsReachOnlyCoveringSubscriptions(t *testing.T) {
 	if s, f := counts(); s != 1 || f != 0 {
 		t.Fatalf("a gap in %s reached %d %s and %d %s handlers, want 1 and 0", stockNode.Path(), s, stockNode.Path(), f, fxNode.Path())
 	}
-	send(EventService, TypeGroup(fxNode.Path()).String(), func(m *message.Message) {
+	send(rendezvous.ServiceName, "", func(m *message.Message) {
+		m.AddString("rdv", "Op", "prop")
+		m.AddString("rdv", "DSvc", EventService)
+		m.AddString("rdv", "DParam", TypeGroup(fxNode.Path()).String())
 		m.AddBytes(elemNS, elemData, []byte("not gob"))
 	})
 	if s, f := counts(); s != 1 || f != 1 {

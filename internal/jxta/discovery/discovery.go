@@ -15,13 +15,15 @@
 // an application starts its own on the net group, New(p.Endpoint(),
 // p.Rendezvous(), jid.NetGroup.String()), and closes it.
 //
-// The protocol speaks straight over the peer's rendezvous and endpoint,
-// under one endpoint handler (ServiceName, group). Queries and
-// unsolicited responses (RemotePublish) are propagated to the group. A
-// query carries its issuer's address, because a propagated query reaches
-// a responder through a rendezvous: the answer is one direct send to
-// that address, or to the hop the query came from when it names none.
-// A peer never answers its own query echoed back by the mesh.
+// The protocol speaks straight over the peer's rendezvous and endpoint.
+// Queries and unsolicited responses (RemotePublish) are propagated to
+// the group, and the service reads them as the group's one reader on
+// the rendezvous. A query carries its issuer's address, because a
+// propagated query reaches a responder through a rendezvous: the answer
+// is one direct send to that address, or to the hop the query came from
+// when it names none, which arrives under the service's endpoint
+// handler (ServiceName, group). A peer never answers its own query
+// echoed back by the mesh.
 package discovery
 
 import (
@@ -112,9 +114,10 @@ func WithClock(now func() time.Time) Option {
 	return func(s *Service) { s.now = now }
 }
 
-// New creates the discovery service of the group and registers its
-// endpoint handler. rdv is the peer's rendezvous service, through which
-// queries and unsolicited responses are propagated in the group.
+// New creates the discovery service of the group, registers its
+// endpoint handler and makes it the group's reader. rdv is the peer's
+// rendezvous service, through which queries and unsolicited responses
+// are propagated in the group.
 func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*Service, error) {
 	s := &Service{
 		ep:        ep,
@@ -132,11 +135,15 @@ func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*S
 	if err := ep.RegisterHandler(ServiceName, group, s.handle); err != nil {
 		return nil, fmt.Errorf("discovery: register endpoint handler: %w", err)
 	}
+	if err := rdv.Read(group, rendezvous.DeliverFunc(s.handle)); err != nil {
+		ep.UnregisterHandler(ServiceName, group)
+		return nil, fmt.Errorf("discovery: read group: %w", err)
+	}
 	return s, nil
 }
 
-// Close unregisters the endpoint handler, closes the wire of every group
-// JoinGroup joined and ends its lease.
+// Close unregisters the endpoint handler, stops reading the group,
+// closes the wire of every group JoinGroup joined and ends its lease.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -148,6 +155,7 @@ func (s *Service) Close() {
 	s.joined = nil
 	s.mu.Unlock()
 	s.ep.UnregisterHandler(ServiceName, s.group)
+	_ = s.rdv.Read(s.group, nil)
 	for id, w := range joined {
 		w.Close()
 		s.rdv.Leave(id.String())
@@ -362,9 +370,9 @@ func (s *Service) cachedLocked(doc string) *adv.PeerGroupAdv {
 	return a
 }
 
-// handle is the endpoint handler: a query from another peer is answered
-// from the local cache, a response feeds the cache and the listeners.
-// Anything else is dropped.
+// handle is the endpoint handler and the group's reader: a query from
+// another peer is answered from the local cache, a response feeds the
+// cache and the listeners. Anything else is dropped.
 func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 	payload := msg.Bytes(elemNS, elemPayload)
 	switch msg.Text(elemNS, elemKind) {

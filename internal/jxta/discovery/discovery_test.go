@@ -368,8 +368,9 @@ func (f *fakeEndpoint) sent() ([]endpoint.Address, []*message.Message) {
 	return append([]endpoint.Address(nil), f.to...), append([]*message.Message(nil), f.msgs...)
 }
 
-// solo is a discovery service over a fakeEndpoint that never propagates,
-// holding one group advertisement named "PS.Held", and counting its
+// solo is a discovery service over a fakeEndpoint, and a rendezvous
+// service on an endpoint with no transport, which never propagates. It
+// holds one group advertisement named "PS.Held", and counts its
 // listener's calls.
 type solo struct {
 	ep    *fakeEndpoint
@@ -380,7 +381,12 @@ type solo struct {
 func newSolo(t testing.TB, opts ...Option) solo {
 	t.Helper()
 	ep := &fakeEndpoint{id: jid.FromSeed(jid.KindPeer, 1)}
-	disc, err := New(ep, nil, "net", opts...)
+	rdv, err := rendezvous.New(endpoint.New(ep.id), rendezvous.Config{Role: rendezvous.RoleEdge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rdv.Close)
+	disc, err := New(ep, rdv, "net", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ var (
 
 // JoinGroup joins the group a peer-group advertisement describes,
 // mirroring the paper's WireServiceFinder: it builds the group's wire
-// service on this service's endpoint and rendezvous, leases the group,
+// service on this service's rendezvous, leases the group,
 // and returns the wire with the propagated pipe advertisement to open
 // input and output pipes with. The advertisement came from another
 // peer, so both are checked: a wire service with a pipe, and a pipe of
@@ -39,7 +39,7 @@ func (s *Service) JoinGroup(pg *adv.PeerGroupAdv) (*wire.Service, *adv.PipeAdv, 
 	w, ok := s.joined[pg.GroupID]
 	if !ok {
 		var err error
-		if w, err = wire.New(s.ep, s.rdv, wire.Config{Group: param}); err != nil {
+		if w, err = wire.New(s.rdv, wire.Config{Group: param}); err != nil {
 			s.mu.Unlock()
 			return nil, nil, fmt.Errorf("discovery: join group %q: %w", pg.Name, err)
 		}

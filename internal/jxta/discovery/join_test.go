@@ -160,19 +160,19 @@ func TestJoinGroupRefusesAUnicastPipe(t *testing.T) {
 	}
 }
 
-// joined reports whether a wire service holds the group's endpoint
-// handler on p: the handler is free again before joined returns.
+// joined reports whether a wire service is the group's reader on p: the
+// group has no reader again before joined returns.
 func joined(p *peer.Peer, group jid.ID) bool {
-	err := p.Endpoint().RegisterHandler(wire.ServiceName, group.String(), func(*message.Message, endpoint.Address) {})
+	err := p.Rendezvous().Read(group.String(), rendezvous.DeliverFunc(func(*message.Message, endpoint.Address) {}))
 	if err == nil {
-		p.Endpoint().UnregisterHandler(wire.ServiceName, group.String())
+		_ = p.Rendezvous().Read(group.String(), nil)
 	}
-	return errors.Is(err, endpoint.ErrDupHandler)
+	return errors.Is(err, rendezvous.ErrDupReader)
 }
 
 // TestCloseLeavesTheJoinedGroups: the groups a discovery service joined
-// are its own. Close closes their wires, so their endpoint handlers are
-// free, and nothing joins once the service is closed.
+// are its own. Close closes their wires, so their groups have no reader,
+// and nothing joins once the service is closed.
 func TestCloseLeavesTheJoinedGroups(t *testing.T) {
 	c := newCluster(t)
 	p, disc := c.addFullPeer("p", rendezvous.RoleEdge)

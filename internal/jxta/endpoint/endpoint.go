@@ -83,12 +83,11 @@ type Transport interface {
 
 // Handler consumes a message addressed to a registered service. A
 // message off a transport was decoded for this one call and is the
-// handler's to keep or change; one that came through DeliverLocal is
-// shared with whoever delivered it. Either way its names and payloads,
-// every string read from it, and from, are pieces of a received frame:
-// never written, and copied (strings.Clone) by whatever stores one
-// beyond the call — a stored piece keeps the frame, and the read chunk
-// the frame was cut from, alive.
+// handler's to keep or change. Its names and payloads, every string
+// read from it, and from, are pieces of a received frame: never
+// written, and copied (strings.Clone) by whatever stores one beyond the
+// call — a stored piece keeps the frame, and the read chunk the frame
+// was cut from, alive.
 type Handler func(msg *message.Message, from Address)
 
 // Sender is the message-sending capability exported to upper layers;
@@ -117,7 +116,6 @@ var (
 	ErrNoTransport   = errors.New("endpoint: no transport for scheme")
 	ErrClosed        = errors.New("endpoint: service closed")
 	ErrDupHandler    = errors.New("endpoint: handler already registered")
-	ErrNoHandler     = errors.New("endpoint: no handler registered")
 	ErrBadDestFormat = errors.New("endpoint: message lacks destination elements")
 )
 
@@ -343,30 +341,6 @@ func (s *Service) receive(frame []byte) {
 		return
 	}
 	h(msg, from)
-}
-
-// DeliverLocal dispatches an in-process message to the local handler
-// bound to (svc, param), as if it had arrived from the given address.
-// Rendezvous propagation uses it to deliver forwarded messages to this
-// peer's own services. A nil error means a handler now shares msg; a pure
-// rendezvous gets ErrNoHandler, bare, for every message it forwards.
-func (s *Service) DeliverLocal(svc, param string, msg *message.Message, from Address) error {
-	s.mu.RLock()
-	h, ok := s.handlers[handlerKey{svc, param}]
-	if !ok {
-		h, ok = s.handlers[handlerKey{svc, ""}]
-	}
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !ok {
-		s.stats.noHandlerDrop.Add(1)
-		return ErrNoHandler
-	}
-	h(msg, from)
-	return nil
 }
 
 // Snapshot implements obs.Provider: the endpoint counters and uptime,

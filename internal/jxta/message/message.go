@@ -21,7 +21,7 @@
 // DSvc and DParam into its spare element room — so a caller that goes
 // on reading the message, as the wire service does after handing it to
 // a local listener, passes a Dup; a rendezvous forwarding a message it
-// has also handed to a local handler stamps a Dup too. Addressing a
+// has also handed to its group's reader stamps a Dup too. Addressing a
 // frame below the rendezvous is not a mutation at any layer — the wire
 // service's pipe ID and the endpoint's destination are envelope fields
 // written into the frame (MarshalAppend) by an encoder that only reads

@@ -72,7 +72,7 @@ func (c *cluster) addEdge(name string, seeds ...endpoint.Address) *peer.Peer {
 // and a lease for the group. The wire closes with the test.
 func joinWire(t *testing.T, p *peer.Peer, id jid.ID) *wire.Service {
 	t.Helper()
-	w, err := wire.New(p.Endpoint(), p.Rendezvous(), wire.Config{Group: id.String()})
+	w, err := wire.New(p.Rendezvous(), wire.Config{Group: id.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestPeerBootJoinsNetGroup(t *testing.T) {
 	}
 	// The net group is the control plane, not an event group: nothing
 	// reads events in it.
-	noop := func(*message.Message, endpoint.Address) {}
-	if err := p.Endpoint().RegisterHandler(wire.ServiceName, jid.NetGroup.String(), noop); err != nil {
+	noop := rendezvous.DeliverFunc(func(*message.Message, endpoint.Address) {})
+	if err := rdv.Read(jid.NetGroup.String(), noop); err != nil {
 		t.Fatalf("the peer reads events in the net group: %v", err)
 	}
 	if got := p.Addresses(); len(got) != 1 || got[0] != "mem://solo" {
@@ -113,9 +113,9 @@ func TestPeerRequiresTransport(t *testing.T) {
 }
 
 // TestJoinLeaveCustomGroup: the peer keeps no table of its groups; the
-// endpoint's handler table and the rendezvous' leases are the record. A
-// second reader of a joined group is refused by the endpoint, a left
-// group holds no lease, and a left group can be joined again.
+// rendezvous' readers and leases are the record. A second reader of a
+// joined group is refused by the rendezvous, a left group holds no
+// lease, and a left group can be joined again.
 func TestJoinLeaveCustomGroup(t *testing.T) {
 	c := newCluster(t)
 	c.addRendezvous("rdv")
@@ -126,7 +126,7 @@ func TestJoinLeaveCustomGroup(t *testing.T) {
 	if !rdv.AwaitConnected(gid.String(), 5*time.Second) {
 		t.Fatal("the joined group never held a lease")
 	}
-	if _, err := wire.New(p.Endpoint(), rdv, wire.Config{Group: gid.String()}); !errors.Is(err, endpoint.ErrDupHandler) {
+	if _, err := wire.New(rdv, wire.Config{Group: gid.String()}); !errors.Is(err, rendezvous.ErrDupReader) {
 		t.Fatalf("double join: %v", err)
 	}
 	w.Close()
@@ -262,7 +262,8 @@ func TestGroupIsolationAcrossTypes(t *testing.T) {
 // TestEdgeGroupBuildsNoDiscovery: a peer finds no group by
 // advertisement, so neither booting nor joining a group builds a
 // discovery: the discovery endpoint handlers for the group's parameter
-// and for the net group are both free, for an application to take.
+// and for the net group are both free, and so is the net group's
+// reader, for an application to take.
 func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 	c := newCluster(t)
 	p := c.addEdge("p")
@@ -273,6 +274,9 @@ func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 		if err := p.Endpoint().RegisterHandler("jxta.discovery", param, noop); err != nil {
 			t.Fatalf("the peer registered a discovery for %s: %v", param, err)
 		}
+	}
+	if err := p.Rendezvous().Read(jid.NetGroup.String(), rendezvous.DeliverFunc(noop)); err != nil {
+		t.Fatalf("the peer reads the net group: %v", err)
 	}
 }
 
@@ -378,8 +382,8 @@ func TestCloseIsIdempotentAndTerminal(t *testing.T) {
 	if !p.Closed() {
 		t.Fatal("not closed after Close")
 	}
-	_, err := wire.New(p.Endpoint(), p.Rendezvous(), wire.Config{Group: jid.FromSeed(jid.KindGroup, 1).String()})
-	if !errors.Is(err, endpoint.ErrClosed) {
+	_, err := wire.New(p.Rendezvous(), wire.Config{Group: jid.FromSeed(jid.KindGroup, 1).String()})
+	if !errors.Is(err, rendezvous.ErrClosed) {
 		t.Fatalf("join after close: %v", err)
 	}
 }

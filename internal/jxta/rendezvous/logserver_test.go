@@ -176,7 +176,7 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
-	sink := subscribe(t, sub, "app.events")
+	sink := subscribe(t, sub, "net")
 	encodes := func() int64 { return r.ep.Snapshot().Hists["encode_us"].Count }
 	pipe := message.Field{Namespace: "wire", Name: "ID", Value: "\x03a pipe's seventeen"}
 
@@ -263,9 +263,10 @@ func goldenEventFrames(t *testing.T) (published, stored []byte) {
 // wrote (the golden frames of package message: stored fan-out frames of
 // this topic, the first addressed to app.events, the second an event
 // sent on a wire pipe). A late joiner's replay request is served from it
-// and the joiner's handlers read the events: segments on disk survive
-// the upgrade. Then a publisher that has not been upgraded sends its
-// frame: it is routed, logged as the next sequence and delivered.
+// and the group's reader on the joiner reads the events, in the order of
+// their log sequences: segments on disk survive the upgrade. Then a
+// publisher that has not been upgraded sends its frame: it is routed,
+// logged as the next sequence and delivered.
 func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	frame, err := os.ReadFile("../message/testdata/durable_frame_pr21.bin")
 	if err != nil {
@@ -285,15 +286,16 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	}
 	r := c.addService("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: log})
 	joiner := c.addPeer("joiner", 3, rendezvous.RoleEdge, "mem://rdv")
-	sink := subscribe(t, joiner, "app.events")
-	wireSink := subscribe(t, joiner, "jxta.service.wire")
+	sink := subscribe(t, joiner, "net")
 	if !joiner.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("joiner never connected")
 	}
 	if err := joiner.rdv.RequestReplay(r.ep.PeerID(), "net", jid.Nil, 0, recovery.W); err != nil {
 		t.Fatal(err)
 	}
-	got := sink.waitOne(t)
+	// The log server sends a window in log order over one link, which
+	// keeps it: the first frame read is sequence 1, the second 2.
+	got, second := sink.waitOne(t), sink.waitOne(t)
 	origin, seq, ok := rendezvous.ReplayInfo(got)
 	if !ok || origin != r.ep.PeerID() || seq != 1 {
 		t.Fatalf("replayed as (%v, %d, %v), want sequence 1 of the rendezvous", origin, seq, ok)
@@ -317,7 +319,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	}
 	// Replayed verbatim: the frame still says the sequence it was stored
 	// under by the rendezvous that wrote it.
-	isEvent(wireSink.waitOne(t), 1)
+	isEvent(second, 1)
 
 	// The same event's frame as its publisher sent it, off the transport
 	// of a peer holding a lease: a new message to the rendezvous' cache
@@ -333,7 +335,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	// The joiner has seen this message ID, in the replay: its cache drops
 	// the live copy. A subscriber that has not gets it.
 	fresh := c.addPeer("fresh", 4, rendezvous.RoleEdge, "mem://rdv")
-	freshSink := subscribe(t, fresh, "jxta.service.wire")
+	freshSink := subscribe(t, fresh, "net")
 	if !fresh.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("second subscriber never connected")
 	}
@@ -344,17 +346,19 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 }
 
 // replayRig is a durable rendezvous whose log retains depth propagated
-// messages, and a late joiner that records when each replayed message
-// reaches it and under which log sequence.
+// messages, and a late joiner whose reader of group "net" the rig is: it
+// records when each replayed message reaches the joiner and under which
+// log sequence, and the range signals the joiner receives.
 type replayRig struct {
 	c      *cluster
 	log    *eventlog.Log
 	rdv    *testPeer
 	joiner *testPeer
 
-	mu      sync.Mutex
-	arrived []time.Time
-	seqs    []uint64
+	mu       sync.Mutex
+	arrived  []time.Time
+	seqs     []uint64
+	answered []rendezvous.Range
 }
 
 func newReplayRig(t *testing.T, depth int) *replayRig {
@@ -380,14 +384,7 @@ func newReplayRig(t *testing.T, depth int) *replayRig {
 	waitFor(t, func() bool { _, last, ok := r.log.Range("net"); return ok && last == uint64(depth) })
 
 	r.joiner = r.c.addPeer("joiner", 3, rendezvous.RoleEdge, "mem://rdv")
-	err = r.joiner.ep.RegisterHandler("app.events", "net", func(m *message.Message, _ endpoint.Address) {
-		_, seq, _ := rendezvous.ReplayInfo(m)
-		r.mu.Lock()
-		r.arrived = append(r.arrived, time.Now())
-		r.seqs = append(r.seqs, seq)
-		r.mu.Unlock()
-	})
-	if err != nil {
+	if err := r.joiner.rdv.Read("net", r); err != nil {
 		t.Fatal(err)
 	}
 	if !r.joiner.rdv.AwaitConnected("net", 5*time.Second) {
@@ -408,32 +405,27 @@ func (r *replayRig) requestFrom(t *testing.T, origin jid.ID, after, max uint64) 
 	}
 }
 
-// logReader is a rendezvous.LogReader that records the range signals it
-// is handed.
-type logReader struct {
-	mu     sync.Mutex
-	ranges []rendezvous.Range
+func (r *replayRig) Deliver(m *message.Message, _ endpoint.Address) {
+	_, seq, _ := rendezvous.ReplayInfo(m)
+	r.mu.Lock()
+	r.arrived = append(r.arrived, time.Now())
+	r.seqs = append(r.seqs, seq)
+	r.mu.Unlock()
 }
 
-func (l *logReader) Logged(jid.ID, uint64) {}
+func (r *replayRig) Logged(jid.ID, uint64) {}
 
-func (l *logReader) Answered(r rendezvous.Range) {
-	l.mu.Lock()
-	l.ranges = append(l.ranges, r)
-	l.mu.Unlock()
+func (r *replayRig) Answered(rg rendezvous.Range) {
+	r.mu.Lock()
+	r.answered = append(r.answered, rg)
+	r.mu.Unlock()
 }
 
-func (l *logReader) answers() []rendezvous.Range {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return slices.Clone(l.ranges)
-}
-
-// ranges records the range signals the joiner receives in group "net".
-func (r *replayRig) ranges() func() []rendezvous.Range {
-	l := &logReader{}
-	r.joiner.rdv.ReadLogs("net", l)
-	return l.answers
+// ranges returns the range signals the joiner received in group "net".
+func (r *replayRig) ranges() []rendezvous.Range {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.answered)
 }
 
 // contiguous is the cursor a subscriber would present: the highest log
@@ -468,7 +460,7 @@ func (r *replayRig) arrivals() []time.Time {
 func TestReplayIsPacedAndYieldsTheLog(t *testing.T) {
 	const depth = 2*recovery.W + 10
 	r := newReplayRig(t, depth)
-	ranges := r.ranges()
+	ranges := r.ranges
 	self := r.rdv.ep.PeerID()
 	read := func() int64 { return r.log.Snapshot().Counters["replayed"] }
 	for i, tc := range []struct{ after, max, from, to uint64 }{
@@ -504,7 +496,7 @@ func TestReplayIsPacedAndYieldsTheLog(t *testing.T) {
 func TestReplayStopsWhenTheServiceCloses(t *testing.T) {
 	const depth = 2 * recovery.W
 	r := newReplayRig(t, depth)
-	ranges := r.ranges()
+	ranges := r.ranges
 	r.requestFrom(t, jid.Nil, 0, recovery.W)
 	waitFor(t, func() bool { return len(r.arrivals()) >= recovery.W && len(ranges()) == 1 })
 	r.c.net.WaitQuiesce(5 * time.Second)
@@ -601,7 +593,7 @@ func TestRedundantReplayIsAbsorbed(t *testing.T) {
 func TestForeignCursorAtANonReplicaServesNothing(t *testing.T) {
 	const n = 12
 	r := newReplayRig(t, n)
-	ranges := r.ranges()
+	ranges := r.ranges
 	foreign := jid.FromSeed(jid.KindPeer, 4242)
 	r.requestFrom(t, foreign, 3, recovery.W)
 	r.c.net.WaitQuiesce(5 * time.Second)
@@ -638,8 +630,7 @@ func TestGapForAnUnheldOriginNamesThatOrigin(t *testing.T) {
 	if !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("subscriber never connected")
 	}
-	l := &logReader{}
-	sub.rdv.ReadLogs("net", l)
+	l := subscribe(t, sub, "net")
 	primary := jid.FromSeed(jid.KindPeer, 7)
 	if err := sub.rdv.RequestReplay(standby.ep.PeerID(), "net", primary, 8, recovery.W); err != nil {
 		t.Fatal(err)
@@ -651,7 +642,7 @@ func TestGapForAnUnheldOriginNamesThatOrigin(t *testing.T) {
 }
 
 // TestEveryGapListenerHearsAGapUntilRemoved: a service that serves
-// several groups has a log reader per group. A range signal reaches the
+// several groups has a reader per group. A range signal reaches the
 // reader of its group and no other; once a reader is removed, the next
 // signal of its group reaches nobody.
 func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
@@ -672,9 +663,7 @@ func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
 	if !sub.rdv.AwaitConnected("net", 5*time.Second) || !sub.rdv.AwaitConnected("other", 5*time.Second) {
 		t.Fatal("subscriber never connected")
 	}
-	a, b := &logReader{}, &logReader{}
-	sub.rdv.ReadLogs("net", a)
-	sub.rdv.ReadLogs("other", b)
+	a, b := subscribe(t, sub, "net"), subscribe(t, sub, "other")
 	gap := func(group string) {
 		t.Helper()
 		if err := sub.rdv.RequestReplay(standby.ep.PeerID(), group, jid.FromSeed(jid.KindPeer, 7), 8, recovery.W); err != nil {
@@ -684,7 +673,9 @@ func TestEveryGapListenerHearsAGapUntilRemoved(t *testing.T) {
 	gap("net")
 	gap("other")
 	waitFor(t, func() bool { return len(a.answers()) == 1 && len(b.answers()) == 1 })
-	sub.rdv.ReadLogs("net", nil)
+	if err := sub.rdv.Read("net", nil); err != nil {
+		t.Fatal(err)
+	}
 	gap("net")
 	gap("other")
 	waitFor(t, func() bool { return len(b.answers()) == 2 })
@@ -715,10 +706,7 @@ func TestNetGroupIsNeverLogged(t *testing.T) {
 			t.Fatalf("%s never leased the net group", p.name)
 		}
 	}
-	queries := &msgSink{ch: make(chan *message.Message, 1)}
-	if err := sub.ep.RegisterHandler("app.queries", netGroup, queries.handler); err != nil {
-		t.Fatal(err)
-	}
+	queries := subscribe(t, sub, netGroup)
 	if err := pub.rdv.Propagate(message.New(pub.ep.PeerID()), "app.queries", netGroup); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package rendezvous
 
 // propagate.go is the per-message path: injecting a message into the
-// mesh, receiving and forwarding one, and the send-side failure
-// accounting that feeds the detector.
+// mesh, receiving one and handing it to its group's reader, forwarding
+// it, and the send-side failure accounting that feeds the detector.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -55,27 +56,92 @@ func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope 
 	return nil
 }
 
+// Reader reads the propagated frames of one group on this peer: the
+// paper's TPSPipeReader over TPSMyInputPipe. A group has one reader
+// (Read), and its frames reach it through the hop filter alone. Its
+// methods run on the transport's receive goroutine and must not block.
+type Reader interface {
+	// Deliver is handed each frame of the group the hop filter lets
+	// through. The message is the reader's to keep, and shared: a
+	// rendezvous forwards a Dup of it, which shares its elements, so
+	// the reader must not write it.
+	Deliver(msg *message.Message, from endpoint.Address)
+	// Logged is told the log coordinates of every logged frame of the
+	// group, a duplicate the hop filter drops included: the replayed
+	// copy of an event that arrived live is what moves a cursor into
+	// the replaying log.
+	Logged(origin jid.ID, seq uint64)
+	// Answered is handed each range signal that answers a replay
+	// request in the group.
+	Answered(Range)
+}
+
+// DeliverFunc is the Reader of a group nobody replays: it is handed the
+// group's frames and ignores log coordinates and range signals.
+type DeliverFunc func(msg *message.Message, from endpoint.Address)
+
+// Deliver implements Reader.
+func (f DeliverFunc) Deliver(msg *message.Message, from endpoint.Address) { f(msg, from) }
+
+// Logged implements Reader.
+func (DeliverFunc) Logged(jid.ID, uint64) {}
+
+// Answered implements Reader.
+func (DeliverFunc) Answered(Range) {}
+
+// Errors Read returns.
+var (
+	ErrDupReader = errors.New("rendezvous: group already has a reader")
+	ErrClosed    = errors.New("rendezvous: service closed")
+)
+
+// Read makes r the reader of group; nil removes the group's reader. A
+// group has one reader: a second is refused with ErrDupReader, and a
+// closed service refuses every reader.
+func (s *Service) Read(group string, r Reader) error {
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	switch {
+	case r == nil:
+		delete(s.readers, group)
+	case s.readers == nil:
+		return ErrClosed
+	case s.readers[group] != nil:
+		return fmt.Errorf("%w: %s", ErrDupReader, group)
+	default:
+		s.readers[group] = r
+	}
+	return nil
+}
+
+// reader returns group's reader, nil if none.
+func (s *Service) reader(group string) Reader {
+	s.rmu.RLock()
+	r := s.readers[group]
+	s.rmu.RUnlock()
+	return r
+}
+
+// handleProp is the hop filter and what follows it, with one lookup of
+// the frame's group reader: the reader is told the frame's log
+// coordinates, a duplicate's too, and is handed a fresh frame, which a
+// rendezvous then forwards.
 func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
 	fresh := s.seen.Observe(msg.ID)
 	dparam := msg.Text(elemNS, elemDParam)
-	// A logged frame's coordinates go to its group's log reader, a
-	// duplicate's too: the replayed copy of an event delivered live is
-	// what moves the reader's cursor into the replaying log.
-	if origin, seq, ok := ReplayInfo(msg); ok {
-		if r := s.reader(dparam); r != nil {
-			r.Logged(origin, seq)
-		}
+	r := s.reader(dparam)
+	if origin, seq, ok := ReplayInfo(msg); ok && r != nil {
+		r.Logged(origin, seq)
 	}
 	if !fresh {
 		s.stats.duplicates.Add(1)
 		return
 	}
-	dsvc := msg.Text(elemNS, elemDSvc)
-	if dsvc == "" {
+	if msg.Text(elemNS, elemDSvc) == "" {
 		return
 	}
-	delivered := s.ep.DeliverLocal(dsvc, dparam, msg, from) == nil
-	if delivered {
+	if r != nil {
+		r.Deliver(msg, from)
 		s.stats.delivered.Add(1)
 	}
 	// Forward deeper into the mesh. Edge peers terminate propagation;
@@ -83,12 +149,12 @@ func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
 	if s.cfg.Role != RoleRendezvous {
 		return
 	}
-	// A message is shared only once a local handler has it: then the hop
-	// stamps a COW Dup, which copies just the path/TTL state. Otherwise
-	// nothing else holds what the endpoint decoded for this call, and
-	// the hop stamps the message itself.
+	// A message is shared only once a reader has it: then the hop stamps
+	// a COW Dup, which copies just the path/TTL state. Otherwise nothing
+	// else holds what the endpoint decoded for this call, and the hop
+	// stamps the message itself.
 	fwd := msg
-	if delivered {
+	if r != nil {
 		fwd = msg.Dup()
 	}
 	if !fwd.Stamp(s.ep.PeerID()) {

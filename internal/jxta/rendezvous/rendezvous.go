@@ -7,7 +7,8 @@
 // with TTL, path stamping and a duplicate cache suppressing loops.
 //
 // The TPS engine rides on Propagate; so do the baselines' discovery and
-// wire services.
+// wire services. Each reads its group as the group's one Reader (Read),
+// which a received frame of the group reaches past the hop filter alone.
 //
 // A peer runs one Service, whatever groups it is in: its lease tables,
 // its failure detector, its duplicate cache and its maintenance loop are
@@ -107,14 +108,13 @@ const (
 )
 
 // Endpoint is the slice of the endpoint service the rendezvous protocol
-// needs: sending, local delivery and handler registration. The frame
-// methods let fanOut marshal a propagated message once and send the same
-// bytes to every target instead of re-enveloping per peer.
+// needs: sending and handler registration. The frame methods let fanOut
+// marshal a propagated message once and send the same bytes to every
+// target instead of re-enveloping per peer.
 type Endpoint interface {
 	endpoint.Sender
 	EncodeFrame(svc, param string, msg *message.Message, envelope ...message.Field) ([]byte, error)
 	SendFrame(to endpoint.Address, frame []byte) error
-	DeliverLocal(svc, param string, msg *message.Message, from endpoint.Address) error
 	RegisterHandler(svc, param string, h endpoint.Handler) error
 	UnregisterHandler(svc, param string)
 }
@@ -236,11 +236,15 @@ type Service struct {
 	order sync.Mutex
 
 	// leaseFns hear of every new lease epoch: lazily allocated, under
-	// mu, keyed by the token AddLeaseListener returned. readers holds
-	// each group's log reader.
+	// mu, keyed by the token AddLeaseListener returned.
 	leaseFns  map[int]LeaseListener
-	readers   map[string]LogReader
 	nextToken int
+
+	// rmu guards readers, each group's one reader, which every received
+	// frame of the group looks up: the per-message path takes no lock of
+	// the control core's. Close empties it for good (nil).
+	rmu     sync.RWMutex
+	readers map[string]Reader
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -280,7 +284,7 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 		ep:      ep,
 		cfg:     cfg,
 		seen:    seen.New(),
-		readers: make(map[string]LogReader),
+		readers: make(map[string]Reader),
 		stop:    make(chan struct{}),
 	}
 	s.c = newCore(&s.cfg, rand.Uint64())
@@ -314,8 +318,8 @@ func (s *Service) Config() Config { return s.cfg }
 
 func (s *Service) now() time.Time { return s.cfg.Clock() }
 
-// Close stops lease maintenance, tells our seeds we are leaving, and
-// unregisters the handler.
+// Close stops lease maintenance, tells our seeds we are leaving,
+// unregisters the handler and drops the groups' readers.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.c.closed {
@@ -328,6 +332,9 @@ func (s *Service) Close() {
 	s.wg.Wait()
 	perform(outs, s.send, nil, nil)
 	s.ep.UnregisterHandler(ServiceName, "")
+	s.rmu.Lock()
+	s.readers = nil
+	s.rmu.Unlock()
 }
 
 // newOp starts a control message of this peer carrying the op element,

@@ -79,27 +79,44 @@ func (c *cluster) addService(name string, seed uint64, cfg rendezvous.Config) *t
 	return p
 }
 
-// subscribe registers a sink for a propagated destination service.
-func subscribe(t *testing.T, p *testPeer, svc string) *msgSink {
+// subscribe makes a sink the reader of group on p.
+func subscribe(t *testing.T, p *testPeer, group string) *msgSink {
 	t.Helper()
 	s := &msgSink{ch: make(chan *message.Message, 256)}
-	if err := p.ep.RegisterHandler(svc, "net", s.handler); err != nil {
+	if err := p.rdv.Read(group, s); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// msgSink is a group's reader that records the frames and the range
+// signals it is handed.
 type msgSink struct {
-	mu   sync.Mutex
-	msgs []*message.Message
-	ch   chan *message.Message
+	mu     sync.Mutex
+	msgs   []*message.Message
+	ranges []rendezvous.Range
+	ch     chan *message.Message
 }
 
-func (s *msgSink) handler(msg *message.Message, _ endpoint.Address) {
+func (s *msgSink) Deliver(msg *message.Message, _ endpoint.Address) {
 	s.mu.Lock()
 	s.msgs = append(s.msgs, msg)
 	s.mu.Unlock()
 	s.ch <- msg
+}
+
+func (s *msgSink) Logged(jid.ID, uint64) {}
+
+func (s *msgSink) Answered(r rendezvous.Range) {
+	s.mu.Lock()
+	s.ranges = append(s.ranges, r)
+	s.mu.Unlock()
+}
+
+func (s *msgSink) answers() []rendezvous.Range {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.ranges)
 }
 
 func (s *msgSink) count() int {
@@ -147,9 +164,9 @@ func TestPropagateThroughOneRendezvous(t *testing.T) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
-	s1 := subscribe(t, sub1, "app.events")
-	s2 := subscribe(t, sub2, "app.events")
-	sp := subscribe(t, pub, "app.events")
+	s1 := subscribe(t, sub1, "net")
+	s2 := subscribe(t, sub2, "net")
+	sp := subscribe(t, pub, "net")
 
 	m := message.New(pub.ep.PeerID())
 	m.AddString("app", "body", "hello-mesh")
@@ -169,11 +186,11 @@ func TestPropagateThroughOneRendezvous(t *testing.T) {
 	}
 }
 
-// TestForwardStampsACopyOfADeliveredMessage: a rendezvous with a local
-// handler for the destination both delivers and forwards. The handler
-// shares the message from then on, so the hop must stamp a copy — the
-// one it keeps still reads as it arrived — while a rendezvous with no
-// handler stamps what it decoded and the next hop sees both on the path.
+// TestForwardStampsACopyOfADeliveredMessage: a rendezvous with a reader
+// for the group both delivers and forwards. The reader shares the
+// message from then on, so the hop must stamp a copy — the one it keeps
+// still reads as it arrived — while a rendezvous with no reader stamps
+// what it decoded and the next hop sees both on the path.
 func TestForwardStampsACopyOfADeliveredMessage(t *testing.T) {
 	c := newCluster(t)
 	rdvA := c.addPeer("rdvA", 1, rendezvous.RoleRendezvous)
@@ -185,8 +202,8 @@ func TestForwardStampsACopyOfADeliveredMessage(t *testing.T) {
 			t.Fatalf("%s never connected", p.name)
 		}
 	}
-	kept := subscribe(t, rdvA, "app.events") // rdvB has no handler
-	remote := subscribe(t, sub, "app.events")
+	kept := subscribe(t, rdvA, "net") // rdvB has no reader
+	remote := subscribe(t, sub, "net")
 
 	m := message.New(pub.ep.PeerID())
 	m.AddString("app", "body", "kept and forwarded")
@@ -201,10 +218,39 @@ func TestForwardStampsACopyOfADeliveredMessage(t *testing.T) {
 	// The forward has long left rdvA by now.
 	local := kept.waitOne(t)
 	if want := []jid.ID{pubID}; !reflect.DeepEqual(local.Path, want) || local.TTL != message.DefaultTTL-1 {
-		t.Fatalf("the delivered message was stamped under its handler: path %v ttl %d, want %v and %d", local.Path, local.TTL, want, message.DefaultTTL-1)
+		t.Fatalf("the delivered message was stamped under its reader: path %v ttl %d, want %v and %d", local.Path, local.TTL, want, message.DefaultTTL-1)
 	}
 	if local.Text("app", "body") != "kept and forwarded" || local.Text("rdv", "Op") != "prop" {
 		t.Fatalf("the delivered message changed: %v", local.Elements())
+	}
+}
+
+// TestForwardedFramesAreNotDrops: a pure rendezvous reads no group, and
+// forwards every frame it is sent. A forwarded frame is not a drop: the
+// endpoint's dropped counter, inbound messages with no registered
+// handler, stays 0.
+func TestForwardedFramesAreNotDrops(t *testing.T) {
+	c := newCluster(t)
+	r := c.addPeer("rdv", 1, rendezvous.RoleRendezvous)
+	pub := c.addPeer("pub", 2, rendezvous.RoleEdge, "mem://rdv")
+	sub := c.addPeer("sub", 3, rendezvous.RoleEdge, "mem://rdv")
+	for _, p := range []*testPeer{pub, sub} {
+		if !p.rdv.AwaitConnected("net", 5*time.Second) {
+			t.Fatalf("%s never connected", p.name)
+		}
+	}
+	s := subscribe(t, sub, "net")
+	const n = 10
+	for i := 0; i < n; i++ {
+		m := message.New(pub.ep.PeerID())
+		m.AddUint64("app", "n", uint64(i))
+		if err := pub.rdv.Propagate(m, "app.events", "net"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return s.count() == n })
+	if got := r.ep.Snapshot().Counters; got["msgs_in"] < n || got["dropped"] != 0 {
+		t.Fatalf("the rendezvous forwarded %d frames: msgs_in %d, dropped %d; want dropped 0", n, got["msgs_in"], got["dropped"])
 	}
 }
 
@@ -217,7 +263,7 @@ func TestPropagateAcrossRendezvousMesh(t *testing.T) {
 	if !pub.rdv.AwaitConnected("net", 5*time.Second) || !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("peers never connected")
 	}
-	s := subscribe(t, sub, "app.events")
+	s := subscribe(t, sub, "net")
 	m := message.New(pub.ep.PeerID())
 	m.AddString("app", "body", "cross-mesh")
 	if err := pub.rdv.Propagate(m, "app.events", "net"); err != nil {
@@ -245,8 +291,8 @@ func TestDuplicateSuppressionInMesh(t *testing.T) {
 	// Give the two rendezvous time to lease with each other so the
 	// cycle actually exists when we publish.
 	time.Sleep(100 * time.Millisecond)
-	sa := subscribe(t, subA, "app.events")
-	sb := subscribe(t, subB, "app.events")
+	sa := subscribe(t, subA, "net")
+	sb := subscribe(t, subB, "net")
 	const total = 20
 	for i := 0; i < total; i++ {
 		m := message.New(pub.ep.PeerID())
@@ -501,7 +547,7 @@ func TestTTLBoundsPropagationDepth(t *testing.T) {
 	// Let the rendezvous chain link up (each must lease with its
 	// predecessor).
 	time.Sleep(300 * time.Millisecond)
-	s := subscribe(t, far, "app.events")
+	s := subscribe(t, far, "net")
 
 	m := message.New(pub.ep.PeerID())
 	m.TTL = 3 // pub -> r0 -> r1 -> r2, then exhausted
@@ -614,7 +660,7 @@ func TestSuspectProbeRecovery(t *testing.T) {
 	if !pub.rdv.AwaitConnected("net", 5*time.Second) || !sub.rdv.AwaitConnected("net", 5*time.Second) {
 		t.Fatal("peers never connected")
 	}
-	sink := subscribe(t, sub, "app.events")
+	sink := subscribe(t, sub, "net")
 
 	// Break only rdv → sub; renewals (sub → rdv) keep the lease alive.
 	c.net.SetLink("rdv", "sub", netsim.Link{Latency: time.Millisecond, Down: true})

@@ -3,8 +3,8 @@ package rendezvous
 // replay.go is the subscriber's half of the durability protocol's
 // wire: the log coordinates stamped on every logged event, the replay
 // request that asks for the window after a cursor, and the range signal
-// that answers it; the coordinates and the signal are handed to the log
-// reader of their group. What a subscriber asks for, and what it makes
+// that answers it; the coordinates and the signal are handed to the one
+// reader of their group (Read). What a subscriber asks for, and what it makes
 // of an answer, is decided by the recovery core (recovery.Subscriber),
 // which the engine drives; the serving half is logserver.go.
 
@@ -66,32 +66,6 @@ type Range struct {
 	Gap, Tentative bool
 }
 
-// LogReader reads the logs that number the events of its group. It is
-// told the log coordinates of every event frame of the group this peer
-// receives, a duplicate the hop filter drops included — the replayed
-// copy of an event that arrived live is what moves a cursor into the
-// replaying log — and every range signal that answers a replay request
-// in the group. It runs on the transport's receive goroutine and must
-// not block.
-type LogReader interface {
-	Logged(origin jid.ID, seq uint64)
-	Answered(Range)
-}
-
-// ReadLogs makes r group's log reader; nil removes it.
-func (s *Service) ReadLogs(group string, r LogReader) {
-	s.mu.Lock()
-	s.readers[group] = r
-	s.mu.Unlock()
-}
-
-// reader returns group's log reader, nil if none.
-func (s *Service) reader(group string) LogReader {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readers[group]
-}
-
 // ReplayInfo extracts the log coordinates a rendezvous stamped onto a
 // propagated message: the origin peer whose log numbered it and the
 // sequence it was assigned. ok is false for messages that never crossed
@@ -116,8 +90,8 @@ func ReplayInfo(msg *message.Message) (origin jid.ID, seq uint64, ok bool) {
 // copies keep the origin's numbering. A target that neither is origin
 // nor replicates it serves nothing: the numbering is not its own. A
 // zero origin means the target. Replayed events arrive through the
-// normal propagation path (and its dedupe), after a range signal: the
-// group's LogReader is told of each. The target keeps nothing of the
+// normal propagation path (and its hop filter), after a range signal:
+// the group's Reader is told of each. The target keeps nothing of the
 // request: whether and when to ask again, for the next window or for
 // one that did not arrive, is the caller's (recovery.Subscriber). The
 // request goes in the topic's group, under a lease with the target that
@@ -144,7 +118,7 @@ func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, afte
 	return s.ep.Send(addr, ServiceName, topic, req)
 }
 
-// handleRange hands a received range signal to the log reader of its
+// handleRange hands a received range signal to the reader of its
 // group. The range is attributed to the log origin it names — which,
 // when a replica answers for a dead primary, is the primary rather than
 // the sender — so cursor jumps land on the right origin.

@@ -16,12 +16,15 @@
 // rendezvous, which takes and stamps what it propagates, gets a Dup,
 // which shares the message's elements.
 //
+// A wire service is its group's one reader on the peer's rendezvous
+// service (rendezvous.Service.Read), so a group has one wire service.
+//
 // The TPS engine does not use this package. With one group per type a
-// pipe ID names nothing the group does not, so the engine registers its
-// reader for ServiceName under the group itself and propagates into the
-// group with no wire:ID element. The wire service is the substrate of
-// the paper's baselines: benchkit's JXTA-WIRE stack and SR-JXTA, which
-// joins the groups it discovers through discovery's JoinGroup.
+// pipe ID names nothing the group does not, so the engine reads the
+// group itself and propagates into it with no wire:ID element. The wire
+// service is the substrate of the paper's baselines: benchkit's
+// JXTA-WIRE stack and SR-JXTA, which joins the groups it discovers
+// through discovery's JoinGroup.
 package wire
 
 import (
@@ -53,20 +56,6 @@ var (
 	ErrDupInput = errors.New("wire: input pipe already exists")
 )
 
-// Propagator fans messages into the group, writing the envelope fields
-// into the frames it sends; it takes msg, and stamps it
-// (rendezvous.Service.Propagate, which implements it).
-type Propagator interface {
-	Propagate(msg *message.Message, dsvc, dparam string, envelope ...message.Field) error
-}
-
-// Endpoint is the endpoint capability the wire service needs.
-type Endpoint interface {
-	endpoint.Sender
-	RegisterHandler(svc, param string, h endpoint.Handler) error
-	UnregisterHandler(svc, param string)
-}
-
 // Config configures a wire Service.
 type Config struct {
 	// Group scopes the service to a peer group.
@@ -86,8 +75,7 @@ type wireCounters struct {
 
 // Service manages the propagated pipes of one peer in one group.
 type Service struct {
-	ep    Endpoint
-	prop  Propagator
+	rdv   *rendezvous.Service
 	cfg   Config
 	stats wireCounters
 
@@ -96,21 +84,21 @@ type Service struct {
 	closed bool
 }
 
-// New creates the wire service and registers its endpoint handler.
-func New(ep Endpoint, prop Propagator, cfg Config) (*Service, error) {
+// New creates the wire service and makes it its group's reader on rdv,
+// the peer's rendezvous service, which propagates what it sends.
+func New(rdv *rendezvous.Service, cfg Config) (*Service, error) {
 	s := &Service{
-		ep:     ep,
-		prop:   prop,
+		rdv:    rdv,
 		cfg:    cfg,
 		inputs: make(map[jid.ID]*InputPipe),
 	}
-	if err := ep.RegisterHandler(ServiceName, cfg.Group, s.handle); err != nil {
+	if err := rdv.Read(cfg.Group, rendezvous.DeliverFunc(s.handle)); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return s, nil
 }
 
-// Close tears down the input pipes and unregisters the handler.
+// Close tears down the input pipes and stops reading the group.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -126,7 +114,7 @@ func (s *Service) Close() {
 	for _, in := range inputs {
 		in.Close()
 	}
-	s.ep.UnregisterHandler(ServiceName, s.cfg.Group)
+	_ = s.rdv.Read(s.cfg.Group, nil)
 }
 
 // CreateInputPipe opens the receiving end of the propagated pipe id on
@@ -179,16 +167,12 @@ func (s *Service) Snapshot() obs.Snapshot {
 
 // handle delivers propagated wire messages to the local input pipe.
 //
-// There is no duplicate cache here. A propagated message gets to this
-// handler through the peer's rendezvous service alone (handleProp →
-// DeliverLocal), which has just asked its own cache — same TTL, same
-// capacity — about the same message ID and dropped the message if it
-// was known; and a sender's own message is marked there by Propagate
-// before the first frame that could echo leaves. A second cache keyed
-// the same way could only ever agree. A frame addressed to this service
-// directly, which no peer of this tree sends, is not deduplicated: the
-// hop filter is the one check on a peer, the TPS engine's events
-// included.
+// There is no duplicate cache here. A message gets to this reader
+// through the peer's rendezvous service alone, past its hop filter,
+// which has just asked its own cache about the same message ID and
+// dropped the message if it was known; and a sender's own message is
+// marked there by Propagate before the first frame that could echo
+// leaves. A second cache keyed the same way could only ever agree.
 func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
 	id, err := msg.GetID(elemNS, elemID)
 	if err != nil {
@@ -224,7 +208,7 @@ func (s *Service) send(out *OutputPipe, msg *message.Message) error {
 		s.stats.received.Add(1)
 		in.deliver(msg)
 	}
-	if err := s.prop.Propagate(msg.Dup(), ServiceName, s.cfg.Group, out.envelope...); err != nil {
+	if err := s.rdv.Propagate(msg.Dup(), ServiceName, s.cfg.Group, out.envelope...); err != nil {
 		if errors.Is(err, rendezvous.ErrNoPeers) && in != nil {
 			return nil // delivered locally; an isolated peer is not an error
 		}

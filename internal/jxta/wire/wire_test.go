@@ -59,7 +59,7 @@ func (c *cluster) addPeer(name string, seed uint64, role rendezvous.Role, seeds 
 		c.t.Fatal(err)
 	}
 	rdv.Join("net")
-	ws, err := wire.New(ep, rdv, wire.Config{Group: "net"})
+	ws, err := wire.New(rdv, wire.Config{Group: "net"})
 	if err != nil {
 		c.t.Fatal(err)
 	}
