@@ -305,6 +305,9 @@ func (e *Engine) Publish(event any) error {
 		return err
 	}
 	e.stats.published.Add(1)
+	// The event's ID is its message's, numbered in the peer's stream of
+	// the group, which Propagate would otherwise do after the sample.
+	e.rdv.Number(msg, a.param)
 	// Deterministic sampling: every peer computes the same decision
 	// from the event ID — the message's — so a stamped event is traced
 	// end to end. The stamp appends one element and therefore only runs

@@ -635,6 +635,8 @@ func TestEventFrameReachesTheEngineThroughTheHopFilterAlone(t *testing.T) {
 	}
 	param := engine.TypeGroup(sub.nodes["stock"].Path()).String()
 	m := message.New(jid.FromSeed(jid.KindPeer, 77))
+	// Numbered, as its publisher's rendezvous service numbers it.
+	m.ID = jid.NumberedMessage(jid.NewStream(), 1)
 	m.AddBytes("tps", "Data", blob)
 	other := endpoint.New(m.Src)
 	receive := func(svc, param string) {

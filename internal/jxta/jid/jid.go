@@ -192,8 +192,9 @@ func FromWire(kind byte, uuid [16]byte) (ID, error) {
 
 // Hash64 returns a well-mixed 64-bit hash of the ID, suitable for shard
 // selection and hash tables. Generated IDs carry random UUIDs, but
-// deterministic IDs (FromSeed) concentrate entropy unevenly, so the
-// folded halves go through a multiply-xorshift finalizer.
+// deterministic IDs (FromSeed) concentrate entropy unevenly and the
+// numbered IDs of one stream differ in a counter alone, so the folded
+// halves go through a multiply-xorshift finalizer.
 func (id ID) Hash64() uint64 {
 	lo := binary.BigEndian.Uint64(id.uuid[:8])
 	hi := binary.BigEndian.Uint64(id.uuid[8:])
@@ -234,9 +235,54 @@ func NewPeer() ID { return New(KindPeer) }
 // NewGroup returns a fresh peer group ID.
 func NewGroup() ID { return New(KindGroup) }
 
-// NewMessage returns a fresh message ID, used for duplicate suppression in
-// propagated (wire) pipes.
+// NewMessage returns a fresh random message ID. A message the rendezvous
+// service propagates is numbered instead (NumberedMessage).
 func NewMessage() ID { return New(KindMessage) }
+
+// Numbered message IDs. A publisher numbers the messages it injects into
+// one group as a stream: a random nonce, drawn once per stream, and a
+// sequence counted from 1. The ID is a UUIDv8 (RFC 9562), so a reader
+// tells it from a random v4 ID by the version nibble: 60 bits of nonce
+// fill the 48 bits before the version and the 12 after it, and 62 bits
+// of sequence fill the bits after the variant.
+const (
+	// streamBits and seqBits are the widths of a numbered ID's nonce
+	// and sequence.
+	streamBits = 60
+	seqBits    = 62
+)
+
+// NewStream returns a fresh random stream nonce for NumberedMessage.
+func NewStream() uint64 {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic(fmt.Sprintf("jid: crypto/rand failed: %v", err))
+	}
+	return binary.BigEndian.Uint64(b[:]) >> (64 - streamBits)
+}
+
+// NumberedMessage returns the message ID of sequence seq of the stream
+// nonce names. Only the low streamBits of stream and seqBits of seq are
+// kept.
+func NumberedMessage(stream, seq uint64) ID {
+	id := ID{kind: KindMessage}
+	stream &= 1<<streamBits - 1
+	seq &= 1<<seqBits - 1
+	binary.BigEndian.PutUint64(id.uuid[:8], stream>>12<<16|0x8000|stream&0xfff)
+	binary.BigEndian.PutUint64(id.uuid[8:], 0x8000_0000_0000_0000|seq)
+	return id
+}
+
+// Numbered reports the stream nonce and sequence of a numbered message
+// ID; ok is false for every other ID.
+func (id ID) Numbered() (stream, seq uint64, ok bool) {
+	hi := binary.BigEndian.Uint64(id.uuid[:8])
+	lo := binary.BigEndian.Uint64(id.uuid[8:])
+	if id.kind != KindMessage || hi&0xf000 != 0x8000 || lo>>62 != 0b10 {
+		return 0, 0, false
+	}
+	return hi>>16<<12 | hi&0xfff, lo & (1<<seqBits - 1), true
+}
 
 // NewPipeIn derives a pipe ID scoped to a peer group, mirroring JXTA's
 // "new PipeID(groupID)": the first eight bytes identify the group so that

@@ -345,3 +345,43 @@ func TestAppendWireReusesBuffer(t *testing.T) {
 		t.Fatal("AppendWire reallocated despite sufficient capacity")
 	}
 }
+
+// TestNumberedRoundTrip: a numbered message ID gives back its stream and
+// sequence, through its wire and text forms too, and is a UUIDv8 of
+// kind message; a random ID of any kind is not numbered.
+func TestNumberedRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		stream := r.Uint64() >> (64 - streamBits)
+		seq := r.Uint64() >> (64 - seqBits)
+		switch i {
+		case 0:
+			stream, seq = 0, 0
+		case 1:
+			stream, seq = 1<<streamBits-1, 1<<seqBits-1
+		}
+		id := NumberedMessage(stream, seq)
+		u := id.UUID()
+		if id.Kind() != KindMessage || u[6]>>4 != 8 || u[8]>>6 != 0b10 {
+			t.Fatalf("NumberedMessage(%#x, %#x) = %v: not a UUIDv8 message ID", stream, seq, id)
+		}
+		fromWire, err := FromWire(id.AppendWire(nil)[0], u)
+		if err != nil || fromWire != id || MustParse(id.String()) != id {
+			t.Fatalf("%v does not round-trip: %v, %v", id, fromWire, err)
+		}
+		if s, q, ok := id.Numbered(); !ok || s != stream || q != seq {
+			t.Fatalf("NumberedMessage(%#x, %#x).Numbered() = %#x, %#x, %v", stream, seq, s, q, ok)
+		}
+	}
+	if s := NewStream(); s>>streamBits != 0 {
+		t.Fatalf("NewStream() = %#x, wider than %d bits", s, streamBits)
+	}
+	for _, k := range []Kind{KindPeer, KindGroup, KindPipe, KindMessage, KindCodat, KindModule} {
+		if _, _, ok := New(k).Numbered(); ok {
+			t.Fatalf("a random %v ID reads as numbered", k)
+		}
+	}
+	if _, _, ok := Nil.Numbered(); ok {
+		t.Fatal("the nil ID reads as numbered")
+	}
+}

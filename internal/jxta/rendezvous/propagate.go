@@ -24,9 +24,12 @@ import (
 // decide whether to loop back. Returns ErrNoPeers if there was nobody
 // to send to.
 //
-// A message ID names one injection into one group. A peer keeps one
-// duplicate cache for every group it is in, so a caller that sends the
-// same content into two groups gives each copy its own ID.
+// A message ID names one injection into one group: Propagate numbers
+// msg in this peer's stream of the group (Number) unless it already
+// carries that stream's ID, and records the number in the hop filter,
+// so the mesh's echo of it is dropped. The filter keeps the sequences
+// it has seen of each (publisher, stream), so the same content sent
+// into two groups is two messages, each of its group's stream.
 //
 // Propagate takes msg: the caller gives it away and must not read,
 // change or send it again. Propagate stamps it — the path and TTL of
@@ -41,8 +44,8 @@ func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope 
 	if !msg.Stamp(s.ep.PeerID()) {
 		return nil // TTL exhausted before leaving the peer
 	}
-	// Remember our own injection so the mesh echo is dropped.
-	s.seen.Observe(msg.ID)
+	s.Number(msg, dparam)
+	s.hops.observe(msg)
 	msg.ReplaceText(elemNS, elemOp, opProp)
 	msg.ReplaceText(elemNS, elemDSvc, dsvc)
 	msg.ReplaceText(elemNS, elemDParam, dparam)
@@ -127,7 +130,7 @@ func (s *Service) reader(group string) Reader {
 // coordinates, a duplicate's too, and is handed a fresh frame, which a
 // rendezvous then forwards.
 func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
-	fresh := s.seen.Observe(msg.ID)
+	fresh := s.hops.observe(msg)
 	dparam := msg.Text(elemNS, elemDParam)
 	r := s.reader(dparam)
 	if origin, seq, ok := ReplayInfo(msg); ok && r != nil {

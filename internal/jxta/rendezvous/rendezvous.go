@@ -4,14 +4,17 @@
 // sub-networks: edge peers hold a renewable lease with one or more
 // rendezvous, and messages propagated into the mesh fan out from
 // rendezvous to their connected peers and on to neighbouring rendezvous,
-// with TTL, path stamping and a duplicate cache suppressing loops.
+// with TTL, path stamping and a hop filter suppressing loops: a peer
+// numbers the messages it injects into a group as one stream, and drops
+// a frame whose (publisher, stream, sequence) it has already had
+// (hops.go).
 //
 // The TPS engine rides on Propagate; so do the baselines' discovery and
 // wire services. Each reads its group as the group's one Reader (Read),
 // which a received frame of the group reaches past the hop filter alone.
 //
 // A peer runs one Service, whatever groups it is in: its lease tables,
-// its failure detector, its duplicate cache and its maintenance loop are
+// its failure detector, its hop filter and its maintenance loop are
 // the peer's, not a group's. A lease is the peer's too: each table holds
 // one entry per peer, with the set of groups the lease carries. An edge
 // leases the groups it joins (Join, Leave) with each of its seeds, and a
@@ -52,7 +55,6 @@ import (
 	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/message"
-	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs/trace"
 )
 
@@ -219,8 +221,12 @@ var ErrAllSendsFailed = errors.New("rendezvous: all sends failed")
 type Service struct {
 	ep    Endpoint
 	cfg   Config // normalised by New
-	seen  *seen.Cache
+	hops  *hopFilter
 	stats rdvCounters
+
+	// out holds the streams this peer injects, one per group
+	// (*outStream), drawn at the group's first message (Number).
+	out sync.Map
 
 	// logs is the log server: nil unless the peer is a rendezvous with
 	// an event log.
@@ -283,7 +289,7 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 	s := &Service{
 		ep:      ep,
 		cfg:     cfg,
-		seen:    seen.New(),
+		hops:    newHopFilter(cfg.tickInterval()),
 		readers: make(map[string]Reader),
 		stop:    make(chan struct{}),
 	}
@@ -443,19 +449,26 @@ var logOps = map[string]func(*logServer, *message.Message, endpoint.Address){
 	opSyncPull: (*logServer).handleSyncPull, opSyncRec: (*logServer).handleSyncRec,
 }
 
+// tickInterval is the maintenance loop's period: a third of the lease
+// TTL.
+func (c *Config) tickInterval() time.Duration {
+	if c.LeaseTTL < 3 {
+		return time.Second
+	}
+	return c.LeaseTTL / 3
+}
+
 // maintainLoop ticks the core at a third of the TTL: it renews leases
 // with the seed rendezvous (backing off per unreachable seed), probes
-// suspect peers and expires lapsed leases.
+// suspect peers and expires lapsed leases. Each tick also ages the hop
+// filter's streams.
 func (s *Service) maintainLoop() {
 	defer s.wg.Done()
-	interval := s.cfg.LeaseTTL / 3
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(s.cfg.tickInterval())
 	defer ticker.Stop()
 	for {
 		s.apply(s.now(), input{kind: inTick})
+		s.hops.expire()
 		select {
 		case <-ticker.C:
 		case <-s.stop:

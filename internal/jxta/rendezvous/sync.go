@@ -268,7 +268,7 @@ func (l *logServer) handleSyncPull(msg *message.Message, from endpoint.Address) 
 
 // handleSyncRec applies one pulled record to the local copy of the
 // origin's stream and mirrors it live to any of our own leased clients
-// in that group — their seen caches drop anything already delivered.
+// in that group — their hop filters drop anything already delivered.
 // Out-of-order arrivals are skipped (the next digest round re-pulls
 // from the contiguous tail), so application is exactly-once — except
 // when the record's stamped retained head proves the sender trimmed

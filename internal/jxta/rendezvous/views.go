@@ -13,7 +13,6 @@ import (
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
-	"github.com/tps-p2p/tps/internal/jxta/seen"
 	"github.com/tps-p2p/tps/internal/obs"
 )
 
@@ -22,7 +21,7 @@ import (
 type rdvCounters struct {
 	propagated     atomic.Int64 // messages this peer injected or forwarded
 	delivered      atomic.Int64 // propagated messages delivered to local services
-	duplicates     atomic.Int64 // propagated messages dropped by the seen-cache
+	duplicates     atomic.Int64 // propagated messages dropped by the hop filter
 	sendFailures   atomic.Int64 // per-peer propagation sends that errored
 	replayRequests atomic.Int64 // replay ops sent
 	replayServed   atomic.Int64 // log entries resent to requesters
@@ -91,10 +90,6 @@ func (s *Service) Snapshot() obs.Snapshot {
 		},
 	}
 }
-
-// SeenCache exposes the propagation duplicate cache for the "seen"
-// subsystem aggregation.
-func (s *Service) SeenCache() *seen.Cache { return s.seen }
 
 // PeersView lists every peer this peer knows about — one entry per live
 // lease with a rendezvous and per live lease of a client, each with the

@@ -1,10 +1,12 @@
 // Package seen provides a time-bounded duplicate-suppression cache.
 //
 // Propagated (many-to-many) communication in a peer-to-peer mesh
-// inevitably delivers the same message along several paths; rendezvous
-// peers and the wire service remember recently seen message IDs and drop
-// replays. Entries expire after a TTL and the cache is capacity-bounded,
-// evicting oldest-first, so a chatty peer cannot exhaust memory.
+// inevitably delivers the same message along several paths; the SR-JXTA
+// baseline remembers the event IDs it has seen and drops replays (the
+// rendezvous service checks its publishers' numbered message IDs
+// instead). Entries expire after a TTL and the cache is
+// capacity-bounded, evicting oldest-first, so a chatty peer cannot
+// exhaust memory.
 //
 // The cache is lock-striped: IDs hash to one of up to 16 shards, each an
 // independently locked ring buffer plus index map, so concurrent

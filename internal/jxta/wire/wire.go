@@ -6,7 +6,7 @@
 // rendezvous propagation. Messages loop back to the sender's own input
 // pipe (a publisher that also subscribes sees its own traffic), and the
 // replays a meshed topology inevitably produces are dropped before they
-// get here, by the duplicate cache of the peer's rendezvous service —
+// get here, by the hop filter of the peer's rendezvous service —
 // the functionality the paper's SR-JXTA application had to rebuild by
 // hand (§4.4 footnote 1).
 //
@@ -169,10 +169,10 @@ func (s *Service) Snapshot() obs.Snapshot {
 //
 // There is no duplicate cache here. A message gets to this reader
 // through the peer's rendezvous service alone, past its hop filter,
-// which has just asked its own cache about the same message ID and
-// dropped the message if it was known; and a sender's own message is
-// marked there by Propagate before the first frame that could echo
-// leaves. A second cache keyed the same way could only ever agree.
+// which has just checked the message's numbered ID and dropped the
+// message if it was known; and a sender's own message is recorded
+// there by Propagate before the first frame that could echo leaves. A
+// second check keyed the same way could only ever agree.
 func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
 	id, err := msg.GetID(elemNS, elemID)
 	if err != nil {
@@ -191,7 +191,11 @@ func (s *Service) handle(msg *message.Message, _ endpoint.Address) {
 // send propagates a message on a wire pipe and loops it back locally.
 // The local listener gets msg itself, to keep and read as it was sent,
 // and the sender may send it again; Propagate, which takes and stamps
-// what it is given, gets a Dup.
+// what it is given, gets a Dup. A message sent for the first time is
+// numbered in the group's stream before anyone else holds it
+// (rendezvous.Service.Number), so a message sent twice keeps its number
+// and is delivered once; one sent again into another group keeps it
+// too, and its Dup is numbered there by Propagate.
 func (s *Service) send(out *OutputPipe, msg *message.Message) error {
 	s.mu.Lock()
 	if s.closed {
@@ -201,6 +205,9 @@ func (s *Service) send(out *OutputPipe, msg *message.Message) error {
 	in := s.inputs[out.id]
 	s.mu.Unlock()
 	s.stats.sent.Add(1)
+	if _, _, numbered := msg.ID.Numbered(); !numbered {
+		s.rdv.Number(msg, s.cfg.Group)
+	}
 
 	// Local loopback first: a peer subscribing to its own wire hears
 	// itself regardless of mesh connectivity.

@@ -191,3 +191,27 @@ func TestAssemble(t *testing.T) {
 		t.Fatalf("third hop = %+v", tr.Hops[2])
 	}
 }
+
+// TestSamplerOverNumberedIDs: the IDs of one stream differ in a counter
+// alone, and Hash64 mixes it, so 10 000 consecutive ones sampled at
+// rate 0.01 land within the binomial bounds (mean 100, σ ≈ 9.95; ±5σ),
+// and two samplers of one rate agree on every one.
+func TestSamplerOverNumberedIDs(t *testing.T) {
+	a, b := NewSampler(0.01), NewSampler(0.01)
+	const n = 10_000
+	stream := jid.NewStream()
+	hits := 0
+	for seq := uint64(1); seq <= n; seq++ {
+		id := jid.NumberedMessage(stream, seq)
+		got := a.Sample(id)
+		if got != b.Sample(id) {
+			t.Fatalf("two samplers disagree on sequence %d", seq)
+		}
+		if got {
+			hits++
+		}
+	}
+	if hits < 50 || hits > 150 {
+		t.Fatalf("rate 0.01 sampled %d of %d consecutive IDs of one stream, want 50..150", hits, n)
+	}
+}

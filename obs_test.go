@@ -77,7 +77,7 @@ func TestPlatformStatsAndInspect(t *testing.T) {
 		t.Fatal("endpoint.bytes_out = 0, want > 0")
 	}
 
-	// Subscriber side: delivered events and seen-cache activity.
+	// Subscriber side: delivered events and hop-filter activity.
 	sv := sub.Stats()
 	if got := sv.Counter("engine", "delivered"); got < n {
 		t.Fatalf("engine.delivered = %d, want >= %d", got, n)

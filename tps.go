@@ -351,9 +351,9 @@ func (p *Platform) registerProviders(transports []Transport) {
 	}
 	r.Register("engine", p.eng)
 	r.Register("rendezvous", p.peer.Rendezvous())
-	// The peer's one dedupe cache: the rendezvous service's hop filter,
-	// keyed by message ID, which is an event's ID.
-	r.Register("seen", p.peer.Rendezvous().SeenCache())
+	// The peer's one duplicate check: the rendezvous service's hop
+	// filter, over the numbered message IDs an event's ID is.
+	r.Register("seen", p.peer.Rendezvous().HopFilter())
 	if p.log != nil {
 		r.RegisterFunc("eventlog", func() obs.Snapshot { return p.log.Snapshot() })
 	}
