@@ -93,9 +93,10 @@ func (e *Engine) attach(node *typereg.Node) (*attachment, error) {
 }
 
 // newEventMessage assembles the one-element TPS event, whose ID is the
-// message's (message.New mints it): the event's gob blob is written
-// into the message's payload room — a blob too large for it moves into
-// one of its own.
+// message's (Publish numbers it in its group's stream with
+// rendezvous.Service.Number): the event's gob blob is written into the
+// message's payload room — a blob too large for it moves into one of
+// its own.
 func newEventMessage(src jid.ID, event any) (*message.Message, error) {
 	msg := message.New(src)
 	blob, err := codec.Gob{}.AppendEncode(msg.PayloadRoom(), event)

@@ -12,6 +12,7 @@ import (
 
 	"github.com/tps-p2p/tps/internal/core/engine"
 	"github.com/tps-p2p/tps/internal/core/typereg"
+	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
@@ -36,29 +37,45 @@ var (
 // frame it sent its rendezvous, its minted ID and trace clock rewritten
 // to the golden ones.
 func publishedFrame(t *testing.T, traced bool) []byte {
+	published, _ := hopFrames(t, traced, false)
+	return published
+}
+
+// hopFrames publishes one 64 B-pad ski rental offer from pub through
+// rdv to sub, peers with fixed IDs and addresses, traced or not, through
+// a durable rendezvous or not, and returns the event frame pub sent rdv
+// and the one rdv forwarded to sub, their minted ID and trace clock
+// rewritten to the golden ones. rdv reads no group: it forwards alone.
+func hopFrames(t *testing.T, traced, durable bool) (published, forwarded []byte) {
 	t.Helper()
 	n := netsim.New(netsim.Config{DefaultLink: netsim.Link{Latency: time.Millisecond}})
 	t.Cleanup(n.Close)
-	start := func(name string, id uint64, cfg rendezvous.Config, wrap func(endpoint.Transport) endpoint.Transport) *peer.Peer {
+	start := func(name string, id uint64, cfg rendezvous.Config) (*peer.Peer, *frameTap) {
 		node, err := n.AddNode(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tr endpoint.Transport = memnet.New(node)
-		if wrap != nil {
-			tr = wrap(tr)
-		}
-		p, err := peer.New(peer.Config{Name: name, ID: jid.FromSeed(jid.KindPeer, id), Rendezvous: cfg}, tr)
+		tap := &frameTap{Transport: memnet.New(node)}
+		p, err := peer.New(peer.Config{Name: name, ID: jid.FromSeed(jid.KindPeer, id), Rendezvous: cfg}, tap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Close)
-		return p
+		return p, tap
 	}
-	start("rdv", 1, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 2 * time.Second}, nil)
-	tap := &frameTap{}
-	pub := start("pub", 2, rendezvous.Config{Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 2 * time.Second},
-		func(tr endpoint.Transport) endpoint.Transport { tap.Transport = tr; return tap })
+	rdvCfg := rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: 2 * time.Second}
+	if durable {
+		log, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = log.Close() })
+		rdvCfg.Log = log
+	}
+	_, rdvTap := start("rdv", 1, rdvCfg)
+	edge := rendezvous.Config{Seeds: []endpoint.Address{"mem://rdv"}, LeaseTTL: 2 * time.Second}
+	pub, pubTap := start("pub", 2, edge)
+	sub, _ := start("sub", 3, edge)
 	reg := typereg.New()
 	node, err := reg.Register(reflect.TypeOf(srapp.SkiRental{}), nil)
 	if err != nil {
@@ -68,21 +85,44 @@ func publishedFrame(t *testing.T, traced bool) []byte {
 	if traced {
 		rate = 1
 	}
-	eng, err := engine.New(engine.Config{Peer: pub, Registry: reg, FindInterval: rigFindInterval, TraceRate: rate})
-	if err != nil {
+	attach := func(p *peer.Peer) *engine.Engine {
+		eng, err := engine.New(engine.Config{Peer: p, Registry: reg, FindInterval: rigFindInterval, TraceRate: rate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		if err := eng.EnsureType(node); err != nil {
+			t.Fatal(err)
+		}
+		if !eng.AwaitReady(node, 1, 5*time.Second) {
+			t.Fatal("not ready")
+		}
+		return eng
+	}
+	delivered := make(chan struct{}, 1)
+	if _, err := attach(sub).Subscribe(node, func(any, jid.ID) error { delivered <- struct{}{}; return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(eng.Close)
-	if err := eng.EnsureType(node); err != nil {
+	if err := attach(pub).Publish(goldenOffer()); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.AwaitReady(node, 1, 5*time.Second) {
-		t.Fatal("not ready")
-	}
-	if err := eng.Publish(goldenOffer()); err != nil {
-		t.Fatal(err)
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the event never reached the subscriber")
 	}
 	n.WaitQuiesce(5 * time.Second)
+	published = eventFrame(t, pubTap, traced, false)
+	forwarded = eventFrame(t, rdvTap, traced, durable)
+	return published, forwarded
+}
+
+// eventFrame returns the event frame tap sent, its minted ID and trace
+// clock rewritten to the golden ones. A second event frame fails the
+// test, unless replays are allowed — a durable rendezvous may serve the
+// frame it forwarded again from its log — and it is the same bytes.
+func eventFrame(t *testing.T, tap *frameTap, traced, allowReplay bool) []byte {
+	t.Helper()
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	var frame []byte
@@ -94,18 +134,22 @@ func publishedFrame(t *testing.T, traced bool) []byte {
 		if _, ok := m.Element("tps", "Data"); !ok {
 			continue
 		}
-		if frame != nil {
-			t.Fatal("the publisher sent its event twice")
-		}
-		frame = bytes.ReplaceAll(bytes.Clone(f), m.ID.AppendWire(nil), goldenMessageID.AppendWire(nil))
+		got := bytes.ReplaceAll(bytes.Clone(f), m.ID.AppendWire(nil), goldenMessageID.AppendWire(nil))
 		if _, sentUS, ok := trace.Info(m); ok {
-			frame = bytes.ReplaceAll(frame, binary.BigEndian.AppendUint64(nil, uint64(sentUS)), binary.BigEndian.AppendUint64(nil, goldenSentUS))
+			got = bytes.ReplaceAll(got, binary.BigEndian.AppendUint64(nil, uint64(sentUS)), binary.BigEndian.AppendUint64(nil, goldenSentUS))
 		} else if traced {
 			t.Fatal("a publish at TraceRate 1 carries no trace element")
 		}
+		if frame != nil && !allowReplay {
+			t.Fatal("the peer sent its event twice")
+		}
+		if frame != nil && !bytes.Equal(frame, got) {
+			t.Fatal("a durable rendezvous replayed an event frame other than the one it forwarded")
+		}
+		frame = got
 	}
 	if frame == nil {
-		t.Fatal("no event frame left the publisher")
+		t.Fatal("no event frame left the peer")
 	}
 	return frame
 }
@@ -164,6 +208,35 @@ func TestPublishedFrameGolden(t *testing.T) {
 			}
 			if want := withBlob(t, golden, fresh.Bytes()); !bytes.Equal(got, want) {
 				t.Fatalf("the published frame differs from %s:\n got %x\nwant %x", path, got, want)
+			}
+		})
+	}
+}
+
+// TestForwardedFrameGolden holds the frame a rendezvous that reads no
+// group forwards for one published event — written from the bytes it
+// received (message.Forward), not decoded and encoded again — to the
+// frame the rendezvous of commit eb2651a, which decoded and re-encoded
+// it, sent for the same event (testdata/forwarded_frame_*.bin): plain,
+// and from a durable rendezvous, which stamps the log sequence and its
+// own ID on the frame it logs and forwards. The blob is compared as
+// TestPublishedFrameGolden compares it.
+func TestForwardedFrameGolden(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := map[bool]string{false: "untraced", true: "durable"}[durable]
+		t.Run(name, func(t *testing.T) {
+			_, got := hopFrames(t, false, durable)
+			path := fmt.Sprintf("testdata/forwarded_frame_%s.bin", name)
+			golden, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh bytes.Buffer
+			if err := gob.NewEncoder(&fresh).Encode(goldenOffer()); err != nil {
+				t.Fatal(err)
+			}
+			if want := withBlob(t, golden, fresh.Bytes()); !bytes.Equal(got, want) {
+				t.Fatalf("the forwarded frame differs from %s:\n got %x\nwant %x", path, got, want)
 			}
 		})
 	}

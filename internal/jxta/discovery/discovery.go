@@ -132,7 +132,8 @@ func New(ep Endpoint, rdv *rendezvous.Service, group string, opts ...Option) (*S
 	for _, opt := range opts {
 		opt(s)
 	}
-	if err := ep.RegisterHandler(ServiceName, group, s.handle); err != nil {
+	direct := func(v message.View, from endpoint.Address) { s.handle(v.Message(), from) }
+	if err := ep.RegisterHandler(ServiceName, group, direct); err != nil {
 		return nil, fmt.Errorf("discovery: register endpoint handler: %w", err)
 	}
 	if err := rdv.Read(group, rendezvous.DeliverFunc(s.handle)); err != nil {

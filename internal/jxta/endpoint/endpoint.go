@@ -20,6 +20,7 @@ package endpoint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,14 +82,15 @@ type Transport interface {
 	Close() error
 }
 
-// Handler consumes a message addressed to a registered service. A
-// message off a transport was decoded for this one call and is the
-// handler's to keep or change. Its names and payloads, every string
-// read from it, and from, are pieces of a received frame: never
-// written, and copied (strings.Clone) by whatever stores one beyond the
-// call — a stored piece keeps the frame, and the read chunk the frame
-// was cut from, alive.
-type Handler func(msg *message.Message, from Address)
+// Handler consumes a frame addressed to a registered service, through
+// a view of it that the endpoint checked and routed it by. The frame is
+// the handler's: the transport gave it away, nobody writes it, and the
+// handler reads it in place, decodes it (View.Message) or forwards it
+// (Forward). What it reads from the view, the message decoded from it
+// and from are pieces of the frame: copied (strings.Clone) by whatever
+// stores one beyond the call — a stored piece keeps the frame, and the
+// read chunk the frame was cut from, alive.
+type Handler func(v message.View, from Address)
 
 // Sender is the message-sending capability exported to upper layers;
 // *Service implements it.
@@ -131,7 +133,12 @@ type epCounters struct {
 	sendErrors    atomic.Int64
 }
 
-type handlerKey struct{ svc, param string }
+// svcHandlers are one service's handlers: one per bound param, and the
+// wildcard for the params bound to none.
+type svcHandlers struct {
+	byParam map[string]Handler
+	any     Handler
+}
 
 // frameBufPool recycles marshal buffers across Send calls. Transports
 // must not retain frames (see Transport.Send), so a buffer can go back
@@ -152,11 +159,13 @@ type Service struct {
 	// stage); recording is alloc-free, so it is always on.
 	encodeHist *hist.Hist
 
-	mu         sync.RWMutex
-	transports map[string]Transport
-	order      []string // scheme registration order: preferred first
-	handlers   map[handlerKey]Handler
-	closed     bool
+	mu     sync.RWMutex
+	routes []route // the transports, preferred first
+	// srcAddr is the return address every frame carries: the preferred
+	// transport's, resolved when it is added.
+	srcAddr  Address
+	handlers map[string]*svcHandlers // by service name
+	closed   bool
 }
 
 var _ Sender = (*Service)(nil)
@@ -167,8 +176,7 @@ func New(peerID jid.ID) *Service {
 		peerID:     peerID,
 		started:    time.Now(),
 		encodeHist: hist.New(),
-		transports: make(map[string]Transport),
-		handlers:   make(map[handlerKey]Handler),
+		handlers:   make(map[string]*svcHandlers),
 	}
 }
 
@@ -184,22 +192,31 @@ func (s *Service) AddTransport(t Transport) error {
 		return ErrClosed
 	}
 	scheme := t.Scheme()
-	if _, ok := s.transports[scheme]; ok {
+	if slices.ContainsFunc(s.routes, func(r route) bool { return r.t.Scheme() == scheme }) {
 		return fmt.Errorf("endpoint: transport for %q already attached", scheme)
 	}
-	s.transports[scheme] = t
-	s.order = append(s.order, scheme)
+	if len(s.routes) == 0 {
+		s.srcAddr = t.LocalAddress()
+	}
+	s.routes = append(s.routes, route{prefix: scheme + "://", t: t})
 	t.SetReceiver(s.receive)
 	return nil
+}
+
+// route is a transport and the prefix of the addresses it serves: its
+// scheme and "://".
+type route struct {
+	prefix string
+	t      Transport
 }
 
 // LocalAddresses implements Sender.
 func (s *Service) LocalAddresses() []Address {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Address, 0, len(s.order))
-	for _, scheme := range s.order {
-		out = append(out, s.transports[scheme].LocalAddress())
+	out := make([]Address, 0, len(s.routes))
+	for _, r := range s.routes {
+		out = append(out, r.t.LocalAddress())
 	}
 	return out
 }
@@ -212,11 +229,22 @@ func (s *Service) RegisterHandler(svc, param string, h Handler) error {
 	if s.closed {
 		return ErrClosed
 	}
-	k := handlerKey{svc, param}
-	if _, ok := s.handlers[k]; ok {
+	sh := s.handlers[svc]
+	if sh == nil {
+		sh = &svcHandlers{}
+		s.handlers[svc] = sh
+	}
+	switch {
+	case param == "" && sh.any == nil:
+		sh.any = h
+	case param != "" && sh.byParam[param] == nil:
+		if sh.byParam == nil {
+			sh.byParam = make(map[string]Handler)
+		}
+		sh.byParam[param] = h
+	default:
 		return fmt.Errorf("%w: %s/%s", ErrDupHandler, svc, param)
 	}
-	s.handlers[k] = h
 	return nil
 }
 
@@ -224,7 +252,18 @@ func (s *Service) RegisterHandler(svc, param string, h Handler) error {
 func (s *Service) UnregisterHandler(svc, param string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.handlers, handlerKey{svc, param})
+	sh := s.handlers[svc]
+	switch {
+	case sh == nil:
+		return
+	case param == "":
+		sh.any = nil
+	default:
+		delete(sh.byParam, param)
+	}
+	if sh.any == nil && len(sh.byParam) == 0 {
+		delete(s.handlers, svc)
+	}
 }
 
 // Send implements Sender: it envelopes msg with the destination service
@@ -251,30 +290,64 @@ func (s *Service) Send(to Address, svc, param string, msg *message.Message) erro
 // may return it via RecycleFrame (optional — a dropped frame is simply
 // collected).
 func (s *Service) EncodeFrame(svc, param string, msg *message.Message, envelope ...message.Field) ([]byte, error) {
+	var room [8]message.Field
+	fields, err := s.envelope(room[:0], svc, param, envelope)
+	if err != nil {
+		return nil, err
+	}
+	start, buf := time.Now(), takeFrameBuf()
+	frame, err := msg.MarshalAppend(buf, fields...)
+	return s.encoded(start, buf, frame, err)
+}
+
+// Forward writes the frame this peer sends on for the frame v views,
+// addressed to the (svc, param) handler: v's bytes with this peer's hop
+// stamped on, the stamps in place of the elements of their names
+// (message.Forward), and the endpoint's envelope. It is the frame
+// EncodeFrame would write for the message decoded from v and stamped,
+// without the message. The frame comes from EncodeFrame's pool; v's
+// frame is only read.
+func (s *Service) Forward(svc, param string, v message.View, stamps ...message.Element) ([]byte, error) {
+	var room [3]message.Field
+	fields, err := s.envelope(room[:0], svc, param, nil)
+	if err != nil {
+		return nil, err
+	}
+	start, buf := time.Now(), takeFrameBuf()
+	frame, err := message.Forward(buf, &v, s.peerID, stamps, fields...)
+	return s.encoded(start, buf, frame, err)
+}
+
+// envelope appends to fields the envelope of a frame to the (svc,
+// param) handler: the fields of the layers above, then destination and
+// return address. Room for what a propagated event carries
+// (rdv:Op/DSvc/DParam, and a baseline wire pipe's wire:ID) keeps the
+// list on its caller's stack.
+func (s *Service) envelope(fields []message.Field, svc, param string, upper []message.Field) ([]message.Field, error) {
 	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
+	closed, srcAddr := s.closed, s.srcAddr
+	s.mu.RUnlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	var srcAddr Address
-	if len(s.order) > 0 {
-		srcAddr = s.transports[s.order[0]].LocalAddress()
-	}
-	s.mu.RUnlock()
+	return append(append(fields, upper...),
+		message.Field{Namespace: ElemNamespace, Name: elemDstSvc, Value: svc},
+		message.Field{Namespace: ElemNamespace, Name: elemDstParam, Value: param},
+		message.Field{Namespace: ElemNamespace, Name: elemSrcAddr, Value: string(srcAddr)}), nil
+}
 
-	start := time.Now()
+// takeFrameBuf takes an empty frame buffer from the pool.
+func takeFrameBuf() []byte {
 	box := frameBufPool.Get().(*[]byte)
 	buf := *box
 	*box = nil
 	boxPool.Put(box)
-	// Room for what a propagated event carries (rdv:Op/DSvc/DParam, and
-	// a baseline wire pipe's wire:ID) without the list leaving the stack.
-	var room [8]message.Field
-	fields := append(append(room[:0], envelope...),
-		message.Field{Namespace: ElemNamespace, Name: elemDstSvc, Value: svc},
-		message.Field{Namespace: ElemNamespace, Name: elemDstParam, Value: param},
-		message.Field{Namespace: ElemNamespace, Name: elemSrcAddr, Value: string(srcAddr)})
-	frame, err := msg.MarshalAppend(buf[:0], fields...)
+	return buf[:0]
+}
+
+// encoded finishes a frame written into buf since start: it times the
+// encode, or puts buf back when the frame was refused.
+func (s *Service) encoded(start time.Time, buf, frame []byte, err error) ([]byte, error) {
 	if err != nil {
 		RecycleFrame(buf)
 		return nil, fmt.Errorf("endpoint: marshal: %w", err)
@@ -299,9 +372,15 @@ func (s *Service) SendFrame(to Address, frame []byte) error {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	t, ok := s.transports[to.Scheme()]
+	var t Transport
+	for _, r := range s.routes {
+		if strings.HasPrefix(string(to), r.prefix) {
+			t = r.t
+			break
+		}
+	}
 	s.mu.RUnlock()
-	if !ok {
+	if t == nil {
 		return fmt.Errorf("%w: %q (to %s)", ErrNoTransport, to.Scheme(), to)
 	}
 	if err := t.Send(to, frame); err != nil {
@@ -313,41 +392,47 @@ func (s *Service) SendFrame(to Address, frame []byte) error {
 	return nil
 }
 
-// receive decodes a frame and dispatches it to the registered handler.
+// receive checks a frame and dispatches a view of it to the registered
+// handler. It decodes nothing: a handler that wants the message decodes
+// it.
 func (s *Service) receive(frame []byte) {
-	msg, err := message.Unmarshal(frame)
+	v, err := message.NewView(frame)
 	if err != nil {
 		s.stats.decodeErrors.Add(1)
 		return
 	}
-	svc := msg.Text(ElemNamespace, elemDstSvc)
-	param := msg.Text(ElemNamespace, elemDstParam)
-	from := Address(msg.Text(ElemNamespace, elemSrcAddr))
+	svc := v.Text(ElemNamespace, elemDstSvc)
+	param := v.Text(ElemNamespace, elemDstParam)
+	from := Address(v.Text(ElemNamespace, elemSrcAddr))
 
 	s.stats.msgsIn.Add(1)
 	s.stats.bytesIn.Add(int64(len(frame)))
+	// A service that binds no param on its own, as the rendezvous
+	// binds none, is found by one lookup of its name.
+	var h Handler
 	s.mu.RLock()
-	h, ok := s.handlers[handlerKey{svc, param}]
-	if !ok {
-		h, ok = s.handlers[handlerKey{svc, ""}]
+	if sh := s.handlers[svc]; sh != nil {
+		if h = sh.byParam[param]; h == nil {
+			h = sh.any
+		}
 	}
 	closed := s.closed
 	s.mu.RUnlock()
-	if !ok {
+	if h == nil {
 		s.stats.noHandlerDrop.Add(1)
 		return
 	}
 	if closed {
 		return
 	}
-	h(msg, from)
+	h(v, from)
 }
 
 // Snapshot implements obs.Provider: the endpoint counters and uptime,
 // in the shared obs vocabulary.
 func (s *Service) Snapshot() obs.Snapshot {
 	s.mu.RLock()
-	transports := len(s.transports)
+	transports := len(s.routes)
 	s.mu.RUnlock()
 	return obs.Snapshot{
 		Name:    "endpoint",
@@ -380,14 +465,11 @@ func (s *Service) Close() error {
 		return nil
 	}
 	s.closed = true
-	ts := make([]Transport, 0, len(s.transports))
-	for _, t := range s.transports {
-		ts = append(ts, t)
-	}
+	rs := s.routes // no transport is added once closed
 	s.mu.Unlock()
 	var firstErr error
-	for _, t := range ts {
-		if err := t.Close(); err != nil && firstErr == nil {
+	for _, r := range rs {
+		if err := r.t.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -56,9 +56,9 @@ type sink struct {
 
 func newSink() *sink { return &sink{ch: make(chan struct{}, 64)} }
 
-func (s *sink) handler(msg *message.Message, from endpoint.Address) {
+func (s *sink) handler(v message.View, from endpoint.Address) {
 	s.mu.Lock()
-	s.msgs = append(s.msgs, msg)
+	s.msgs = append(s.msgs, v.Message())
 	s.from = append(s.from, from)
 	s.mu.Unlock()
 	select {
@@ -139,6 +139,12 @@ func TestWildcardParamHandler(t *testing.T) {
 	}
 	wild.wait(t, 1)
 	exact.wait(t, 1)
+	// With the exact binding gone, its param falls to the wildcard.
+	b.UnregisterHandler("svc", "special")
+	if err := a.Send("mem://b", "svc", "special", message.New(a.PeerID())); err != nil {
+		t.Fatal(err)
+	}
+	wild.wait(t, 2)
 }
 
 func TestSourceAddressOnEnvelope(t *testing.T) {
@@ -165,9 +171,9 @@ func TestReplyViaFromAddress(t *testing.T) {
 	if err := a.RegisterHandler("pong", "", pong.handler); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RegisterHandler("ping", "", func(msg *message.Message, from endpoint.Address) {
+	if err := b.RegisterHandler("ping", "", func(v message.View, from endpoint.Address) {
 		reply := message.New(b.PeerID())
-		reply.AddString("app", "re", msg.Text("app", "n"))
+		reply.AddString("app", "re", v.Text("app", "n"))
 		if err := b.Send(from, "pong", "", reply); err != nil {
 			t.Errorf("reply: %v", err)
 		}
@@ -195,7 +201,7 @@ func TestNoTransportForScheme(t *testing.T) {
 
 func TestDuplicateHandlerRejected(t *testing.T) {
 	a, _ := memPair(t)
-	h := func(*message.Message, endpoint.Address) {}
+	h := func(message.View, endpoint.Address) {}
 	if err := a.RegisterHandler("svc", "p", h); err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +211,12 @@ func TestDuplicateHandlerRejected(t *testing.T) {
 	a.UnregisterHandler("svc", "p")
 	if err := a.RegisterHandler("svc", "p", h); err != nil {
 		t.Fatalf("re-register after unregister: %v", err)
+	}
+	if err := a.RegisterHandler("svc", "", h); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RegisterHandler("svc", "", h); !errors.Is(err, endpoint.ErrDupHandler) {
+		t.Fatalf("dup wildcard err = %v", err)
 	}
 }
 
@@ -250,7 +262,7 @@ func TestClosedServiceRefusesWork(t *testing.T) {
 	if err := a.Send("mem://b", "svc", "", message.New(a.PeerID())); !errors.Is(err, endpoint.ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
-	if err := a.RegisterHandler("svc", "", func(*message.Message, endpoint.Address) {}); !errors.Is(err, endpoint.ErrClosed) {
+	if err := a.RegisterHandler("svc", "", func(message.View, endpoint.Address) {}); !errors.Is(err, endpoint.ErrClosed) {
 		t.Fatalf("register after close: %v", err)
 	}
 }

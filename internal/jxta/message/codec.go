@@ -43,18 +43,6 @@ func putID(buf []byte, id jid.ID) []byte {
 	return id.AppendWire(buf)
 }
 
-func readID(r *sliceReader) (jid.ID, error) {
-	var raw [jid.WireSize]byte
-	if err := r.readInto(raw[:]); err != nil {
-		return jid.Nil, err
-	}
-	id, err := jid.FromWire(raw[0], [16]byte(raw[1:]))
-	if err != nil {
-		return jid.Nil, fmt.Errorf("message: bad ID: %w", err)
-	}
-	return id, nil
-}
-
 // Marshal encodes the message into a single wire frame.
 func (m *Message) Marshal() ([]byte, error) {
 	return m.MarshalAppend(make([]byte, 0, m.WireSize()))
@@ -79,8 +67,8 @@ func (m *Message) MarshalAppend(buf []byte, envelope ...Field) ([]byte, error) {
 		return nil, err
 	}
 	for _, f := range envelope {
-		if len(f.Namespace) > 255 || len(f.Name) > 255 || len(f.Value) > MaxElementSize {
-			return nil, fmt.Errorf("%w: envelope field %s:%s", ErrTooLarge, f.Namespace, f.Name)
+		if err := checkField(f); err != nil {
+			return nil, err
 		}
 	}
 	buf = append(buf, wireMagic[:]...)
@@ -95,13 +83,10 @@ func (m *Message) MarshalAppend(buf []byte, envelope ...Field) ([]byte, error) {
 	countAt := len(buf) // filled in once the replaced elements are known
 	buf = append(buf, 0, 0)
 	count := len(envelope)
-elements:
 	for i := range m.elements {
 		e := &m.elements[i]
-		for _, f := range envelope {
-			if e.Namespace == f.Namespace && e.Name == f.Name {
-				continue elements
-			}
+		if enveloped(envelope, e.Namespace, e.Name) {
+			continue
 		}
 		count++
 		buf = appendElementHeader(buf, e.Namespace, e.Name, e.MimeType, len(e.Data))
@@ -118,6 +103,32 @@ elements:
 	return buf, nil
 }
 
+// checkField checks an envelope field against the wire limits.
+func checkField(f Field) error {
+	if len(f.Namespace) > 255 || len(f.Name) > 255 || len(f.Value) > MaxElementSize {
+		return fmt.Errorf("%w: envelope field %s:%s", ErrTooLarge, f.Namespace, f.Name)
+	}
+	return nil
+}
+
+// enveloped reports whether a field of envelope has the namespace and
+// name: the element of that name is left out of the frame.
+func enveloped(envelope []Field, namespace, name string) bool {
+	for _, f := range envelope {
+		// Both lengths first: most names differ in one, and comparing
+		// their bytes is the costly part.
+		if len(f.Namespace) == len(namespace) && len(f.Name) == len(name) && f.Namespace == namespace && f.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+func appendElement(dst []byte, e Element) []byte {
+	dst = appendElementHeader(dst, e.Namespace, e.Name, e.MimeType, len(e.Data))
+	return append(dst, e.Data...)
+}
+
 func appendElementHeader(buf []byte, ns, name, mime string, dataLen int) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ns)))
 	buf = append(buf, ns...)
@@ -132,172 +143,16 @@ func appendElementHeader(buf []byte, ns, name, mime string, dataLen int) []byte 
 // lengths and one 32-bit one.
 const minElementSize = 3*2 + 4
 
-// Unmarshal decodes one wire frame produced by Marshal. The message is
-// cut out of frame, not copied from it — names are strings over its
-// bytes, payloads capped slices of it — so frame belongs to the message
-// from here on: the caller must never write it again (see the package
+// Unmarshal decodes one wire frame produced by Marshal: it checks the
+// frame (NewView) and decodes it (View.Message). The message is cut out
+// of frame, not copied from it — names are strings over its bytes,
+// payloads capped slices of it — so frame belongs to the message from
+// here on: the caller must never write it again (see the package
 // comment, "Received frames"). Unmarshal itself only reads it.
 func Unmarshal(frame []byte) (*Message, error) {
-	r := &sliceReader{buf: frame}
-	var magic [4]byte
-	if err := r.readInto(magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != wireMagic {
-		return nil, ErrBadMagic
-	}
-	ver, err := r.byte()
+	v, err := NewView(frame)
 	if err != nil {
 		return nil, err
 	}
-	if ver != wireVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
-	}
-	d := &decoded{}
-	m := &d.Message
-	m.small = d.smallRoom[:]
-	if m.ID, err = readID(r); err != nil {
-		return nil, err
-	}
-	if m.Src, err = readID(r); err != nil {
-		return nil, err
-	}
-	if m.TTL, err = r.byte(); err != nil {
-		return nil, err
-	}
-	plen, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if int(plen) > MaxPathLen {
-		return nil, fmt.Errorf("%w: path length %d", ErrTooLarge, plen)
-	}
-	if plen > 0 {
-		d.setPath(int(plen))
-		for i := range m.Path {
-			if m.Path[i], err = readID(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	count, err := r.uint16()
-	if err != nil {
-		return nil, err
-	}
-	if int(count) > MaxElements {
-		return nil, fmt.Errorf("%w: %d elements", ErrTooLarge, count)
-	}
-	if r.remaining() < int(count)*minElementSize {
-		return nil, ErrTruncated // before the count sizes an allocation
-	}
-	if int(count) <= len(d.elems) {
-		m.elements = d.elems[:count]
-	} else {
-		m.elements = make([]Element, count)
-	}
-	for i := range m.elements {
-		ns, name, mime, data, err := r.element()
-		if err != nil {
-			return nil, err
-		}
-		e := Element{Namespace: aliasString(ns), Name: aliasString(name), MimeType: aliasString(mime)}
-		if len(data) > 0 {
-			// Capped, so that an append to one element's Data cannot
-			// run into its neighbour's.
-			e.Data = data[:len(data):len(data)]
-		}
-		m.elements[i] = e
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("message: %d trailing bytes", r.remaining())
-	}
-	return m, nil
-}
-
-// sliceReader is a zero-copy cursor over a decode buffer.
-type sliceReader struct {
-	buf []byte
-	off int
-}
-
-func (r *sliceReader) remaining() int { return len(r.buf) - r.off }
-
-// readInto copies exactly len(p) bytes into p without the interface
-// indirection of io.ReadFull, which would force p's backing array to
-// escape to the heap at every call site.
-func (r *sliceReader) readInto(p []byte) error {
-	if r.remaining() < len(p) {
-		return ErrTruncated
-	}
-	copy(p, r.buf[r.off:])
-	r.off += len(p)
-	return nil
-}
-
-func (r *sliceReader) byte() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, ErrTruncated
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *sliceReader) uint16() (uint16, error) {
-	if r.remaining() < 2 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *sliceReader) uint32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-// field returns the next n bytes, aliasing the decode buffer.
-func (r *sliceReader) field(n int) ([]byte, error) {
-	if r.remaining() < n {
-		return nil, ErrTruncated
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *sliceReader) shortField() ([]byte, error) {
-	n, err := r.uint16()
-	if err != nil {
-		return nil, err
-	}
-	return r.field(int(n))
-}
-
-// element reads one element's four fields, aliasing the decode buffer.
-func (r *sliceReader) element() (ns, name, mime, data []byte, err error) {
-	if ns, err = r.shortField(); err != nil {
-		return
-	}
-	if name, err = r.shortField(); err != nil {
-		return
-	}
-	if mime, err = r.shortField(); err != nil {
-		return
-	}
-	dlen, err := r.uint32()
-	if err != nil {
-		return
-	}
-	if dlen > MaxElementSize {
-		err = fmt.Errorf("%w: element payload %d bytes", ErrTooLarge, dlen)
-		return
-	}
-	data, err = r.field(int(dlen))
-	return
+	return v.Message(), nil
 }

@@ -20,8 +20,8 @@
 // given — it stamps this hop's path and TTL into it and writes rdv:Op,
 // DSvc and DParam into its spare element room — so a caller that goes
 // on reading the message, as the wire service does after handing it to
-// a local listener, passes a Dup; a rendezvous forwarding a message it
-// has also handed to its group's reader stamps a Dup too. Addressing a
+// a local listener, passes a Dup. A rendezvous forwarding a frame builds
+// no message at all (see "Received frames"). Addressing a
 // frame below the rendezvous is not a mutation at any layer — the wire
 // service's pipe ID and the endpoint's destination are envelope fields
 // written into the frame (MarshalAppend) by an encoder that only reads
@@ -51,6 +51,15 @@
 // above covers the rest: nobody writes a payload in place, so nobody
 // writes a frame. What can go wrong under this rule is memory held
 // longer than meant — see Text — never memory changed under a reader.
+//
+// A View reads a received frame where it lies (view.go): the endpoint
+// routes every frame by one, and a hop that only forwards decides on one
+// and decodes nothing. Forward writes the frame the hop sends on from
+// the bytes it received, into a buffer of the caller's — the endpoint's
+// pooled frame buffer — and never into the frame it reads: a view
+// reads the frame, Forward writes a pooled buffer, and the received
+// frame stays as the transport gave it, for the message a reader
+// decoded from it and for every other hop's view.
 //
 // Dup itself requires the same single-goroutine ownership the deep copy
 // did: concurrent readers of a shared message are fine — of the message
@@ -144,9 +153,13 @@ type built struct {
 // payloadRoomSize is the capacity of the slice PayloadRoom returns.
 const payloadRoomSize = 276
 
-// New returns an empty message with a fresh UUID and the default TTL.
+// New returns an empty message from src with the default TTL and no ID
+// (jid.Nil): an ID is its sender's to give. Propagate and the wire
+// service number what they send in their group's stream
+// (rendezvous.Service.Number), and a message sent to one peer needs
+// none; a caller that wants a random one sets ID (jid.NewMessage).
 func New(src jid.ID) *Message {
-	b := &built{Message: Message{ID: jid.NewMessage(), Src: src, TTL: DefaultTTL}}
+	b := &built{Message: Message{Src: src, TTL: DefaultTTL}}
 	b.elements, b.small, b.block = b.elems[:0], b.smallRoom[:], b
 	return &b.Message
 }
@@ -235,18 +248,24 @@ func (m *Message) ReplaceID(namespace, name string, id jid.ID) {
 }
 
 func (m *Message) idElement(namespace, name string, id jid.ID) Element {
-	return Element{
-		Namespace: namespace,
-		Name:      name,
-		MimeType:  "application/x-jxta-id",
-		Data:      id.AppendWire(m.smallPayload(jid.WireSize)),
-	}
+	return IDElement(namespace, name, id, m.smallPayload(jid.WireSize))
+}
+
+// IDElement is the element AddID and ReplaceID write: the ID's binary
+// wire form, appended to room.
+func IDElement(namespace, name string, id jid.ID, room []byte) Element {
+	return Element{Namespace: namespace, Name: name, MimeType: "application/x-jxta-id", Data: id.AppendWire(room)}
 }
 
 // GetID decodes the named ID element, the binary form written by AddID
 // and ReplaceID. A missing element or malformed payload returns an error.
 func (m *Message) GetID(namespace, name string) (jid.ID, error) {
 	e, ok := m.Element(namespace, name)
+	return idOf(namespace, name, e, ok)
+}
+
+// idOf decodes e, the element of the name if ok, as an ID.
+func idOf(namespace, name string, e Element, ok bool) (jid.ID, error) {
 	if !ok {
 		return jid.Nil, fmt.Errorf("message: no %s:%s element", namespace, name)
 	}
@@ -288,10 +307,7 @@ func aliasBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len
 
 // Bytes returns the payload of the named element, or nil if absent.
 func (m *Message) Bytes(namespace, name string) []byte {
-	e, ok := m.Element(namespace, name)
-	if !ok {
-		return nil
-	}
+	e, _ := m.Element(namespace, name)
 	return e.Data
 }
 
@@ -305,13 +321,19 @@ func (m *Message) ReplaceText(namespace, name, value string) {
 // AddUint64 appends an element carrying v as an 8-byte big-endian
 // unsigned integer. Uint64 reverses it.
 func (m *Message) AddUint64(namespace, name string, v uint64) {
-	m.AddBytes(namespace, name, binary.BigEndian.AppendUint64(m.smallPayload(8), v))
+	m.AddElement(Uint64Element(namespace, name, v, m.smallPayload(8)))
 }
 
 // ReplaceUint64 is AddUint64 with ReplaceElement semantics. Like AddID,
 // it writes its payload into the room New and Unmarshal leave.
 func (m *Message) ReplaceUint64(namespace, name string, v uint64) {
-	m.ReplaceElement(Element{Namespace: namespace, Name: name, Data: binary.BigEndian.AppendUint64(m.smallPayload(8), v)})
+	m.ReplaceElement(Uint64Element(namespace, name, v, m.smallPayload(8)))
+}
+
+// Uint64Element is the element AddUint64 and ReplaceUint64 write: v as
+// 8 big-endian bytes, appended to room.
+func Uint64Element(namespace, name string, v uint64, room []byte) Element {
+	return Element{Namespace: namespace, Name: name, Data: binary.BigEndian.AppendUint64(room, v)}
 }
 
 // Uint64 decodes the named element as an 8-byte big-endian unsigned
@@ -321,7 +343,11 @@ func (m *Message) ReplaceUint64(namespace, name string, v uint64) {
 // bytes. The lookup is allocation-free, so hot-path probes can afford
 // it per message.
 func (m *Message) Uint64(namespace, name string) (uint64, bool) {
-	e, ok := m.Element(namespace, name)
+	return uint64Of(m.Element(namespace, name))
+}
+
+// uint64Of decodes e, an element found if ok, as an 8-byte integer.
+func uint64Of(e Element, ok bool) (uint64, bool) {
 	if !ok || len(e.Data) != 8 {
 		return 0, false
 	}
@@ -479,12 +505,22 @@ func (m *Message) Validate() error {
 		return fmt.Errorf("%w: path length %d", ErrTooLarge, len(m.Path))
 	}
 	for _, e := range m.elements {
-		if len(e.Data) > MaxElementSize {
-			return fmt.Errorf("%w: element %s is %d bytes", ErrTooLarge, e.Key(), len(e.Data))
-		}
-		if len(e.Namespace) > 255 || len(e.Name) > 255 || len(e.MimeType) > 255 {
-			return fmt.Errorf("%w: element header fields exceed 255 bytes", ErrTooLarge)
+		if err := checkElement(e); err != nil {
+			return err
 		}
 	}
 	return nil
 }
+
+// checkElement checks one element against the wire limits.
+func checkElement(e Element) error {
+	if len(e.Data) > MaxElementSize {
+		return fmt.Errorf("%w: element %s is %d bytes", ErrTooLarge, e.Key(), len(e.Data))
+	}
+	if max(len(e.Namespace), len(e.Name), len(e.MimeType)) > 255 {
+		return errLongHeader
+	}
+	return nil
+}
+
+var errLongHeader = fmt.Errorf("%w: element header fields exceed 255 bytes", ErrTooLarge)

@@ -271,7 +271,7 @@ func TestEdgeGroupBuildsNoDiscovery(t *testing.T) {
 	joinWire(t, p, gid)
 	noop := func(*message.Message, endpoint.Address) {}
 	for _, param := range []string{gid.String(), jid.NetGroup.String()} {
-		if err := p.Endpoint().RegisterHandler("jxta.discovery", param, noop); err != nil {
+		if err := p.Endpoint().RegisterHandler("jxta.discovery", param, func(message.View, endpoint.Address) {}); err != nil {
 			t.Fatalf("the peer registered a discovery for %s: %v", param, err)
 		}
 	}

@@ -176,16 +176,17 @@ func newHopFilter(interval time.Duration) *hopFilter {
 	return f
 }
 
-// observe records msg's stream sequence and reports whether the frame
-// is new. A frame whose ID is not numbered, which only a log written
-// before IDs were numbered holds, passes unchecked.
-func (f *hopFilter) observe(msg *message.Message) bool {
-	nonce, seq, ok := msg.ID.Numbered()
+// observe records the stream sequence of message id from src and
+// reports whether the frame is new. A frame whose ID is not numbered,
+// which only a log written before IDs were numbered holds, passes
+// unchecked.
+func (f *hopFilter) observe(id, src jid.ID) bool {
+	nonce, seq, ok := id.Numbered()
 	if !ok {
 		f.unnumbered.Add(1)
 		return true
 	}
-	key := streamKey{nonce: nonce, src: msg.Src.UUID()}
+	key := streamKey{nonce: nonce, src: src.UUID()}
 	p := f.stripe(nonce)
 	p.mu.Lock()
 	defer p.mu.Unlock()

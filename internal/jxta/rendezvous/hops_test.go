@@ -36,8 +36,8 @@ func newHopRig(t testing.TB, id uint64) *hopRig {
 	return r
 }
 
-// frame is a propagated frame of group "g" from src with the given ID,
-// as handleProp receives it.
+// frame is the message of a propagated frame of group "g" from src
+// with the given ID; view makes the frame of it that handleProp reads.
 func frame(src, id jid.ID) *message.Message {
 	m := message.New(src)
 	m.ID = id
@@ -45,6 +45,20 @@ func frame(src, id jid.ID) *message.Message {
 	m.AddString(elemNS, elemDSvc, "app")
 	m.AddString(elemNS, elemDParam, "g")
 	return m
+}
+
+// view is m as handleProp receives it: a view of its frame.
+func view(t testing.TB, m *message.Message) *message.View {
+	t.Helper()
+	frame, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := message.NewView(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &v
 }
 
 // publish numbers a frame of group "g" the way pub's Propagate does.
@@ -70,9 +84,9 @@ func TestHopFilterIsExactPastTheOldWindow(t *testing.T) {
 		if i == 0 {
 			first = frame(m.Src, m.ID)
 		}
-		sub.s.handleProp(m, "")
+		sub.s.handleProp(view(t, m), "")
 	}
-	sub.s.handleProp(first, "")
+	sub.s.handleProp(view(t, first), "")
 	if sub.delivered != n {
 		t.Fatalf("%d frames delivered, want %d: the copy of the first got through", sub.delivered, n)
 	}
@@ -88,14 +102,14 @@ func TestHopFilterIsExactPastTheOldWindow(t *testing.T) {
 func TestRestartedPublisherStartsANewStream(t *testing.T) {
 	sub := newHopRig(t, 1)
 	before := newHopRig(t, 2).s
-	sub.s.handleProp(publish(before), "")
+	sub.s.handleProp(view(t, publish(before)), "")
 	before.Close()
 	after := newHopRig(t, 2).s
 	m := publish(after)
 	if _, seq, _ := m.ID.Numbered(); seq != 1 {
 		t.Fatalf("the restarted publisher's first sequence is %d, want 1", seq)
 	}
-	sub.s.handleProp(m, "")
+	sub.s.handleProp(view(t, m), "")
 	if sub.delivered != 2 {
 		t.Fatalf("%d deliveries, want 2: the restarted publisher's first event was taken for a copy", sub.delivered)
 	}
@@ -107,7 +121,7 @@ func TestRestartedPublisherStartsANewStream(t *testing.T) {
 func TestHopFilterForgetsTheLowestRunAtTheCap(t *testing.T) {
 	sub := newHopRig(t, 1)
 	src, nonce := jid.FromSeed(jid.KindPeer, 2), jid.NewStream()
-	send := func(seq uint64) { sub.s.handleProp(frame(src, jid.NumberedMessage(nonce, seq)), "") }
+	send := func(seq uint64) { sub.s.handleProp(view(t, frame(src, jid.NumberedMessage(nonce, seq))), "") }
 	for i := range uint64(maxRuns) {
 		send(2*i + 1) // every other sequence: a run each
 	}
@@ -136,17 +150,17 @@ func TestHopFilterForgetsIdleAndLeastRecentStreams(t *testing.T) {
 	}
 	src := jid.FromSeed(jid.KindPeer, 2)
 	m := frame(src, jid.NumberedMessage(1, 1))
-	f.observe(m)
+	f.observe(m.ID, m.Src)
 	for range 12 {
 		f.expire()
 	}
-	if f.observe(m) {
+	if f.observe(m.ID, m.Src) {
 		t.Fatal("a stream 12 ticks idle was forgotten")
 	}
 	for range 13 {
 		f.expire()
 	}
-	if !f.observe(m) || f.Snapshot().Counters["forgotten"] != 1 {
+	if !f.observe(m.ID, m.Src) || f.Snapshot().Counters["forgotten"] != 1 {
 		t.Fatalf("a stream 13 ticks idle was kept: %v", f.Snapshot())
 	}
 
@@ -160,22 +174,22 @@ func TestHopFilterForgetsIdleAndLeastRecentStreams(t *testing.T) {
 		}
 	}
 	for _, n := range nonces[:len(nonces)-1] {
-		f.observe(frame(src, jid.NumberedMessage(n, 1)))
+		f.observe(jid.NumberedMessage(n, 1), src)
 	}
-	f.observe(frame(src, jid.NumberedMessage(nonces[0], 1)))
-	f.observe(frame(src, jid.NumberedMessage(nonces[len(nonces)-1], 1)))
+	f.observe(jid.NumberedMessage(nonces[0], 1), src)
+	f.observe(jid.NumberedMessage(nonces[len(nonces)-1], 1), src)
 	snap := f.Snapshot()
 	if snap.Counters["forgotten"] != 1 || snap.Gauges["streams"] != maxStreams/hopStripes {
 		t.Fatalf("a full stripe took a stream: %v", snap)
 	}
-	if f.observe(frame(src, jid.NumberedMessage(nonces[0], 1))) {
+	if f.observe(jid.NumberedMessage(nonces[0], 1), src) {
 		t.Fatal("the most recent stream was forgotten")
 	}
-	if !f.observe(frame(src, jid.NumberedMessage(nonces[1], 1))) {
+	if !f.observe(jid.NumberedMessage(nonces[1], 1), src) {
 		t.Fatal("the least recent stream was kept")
 	}
 
-	if !f.observe(frame(src, jid.NewMessage())) || f.Snapshot().Counters["unnumbered"] != 1 {
+	if !f.observe(jid.NewMessage(), src) || f.Snapshot().Counters["unnumbered"] != 1 {
 		t.Fatal("a frame of unnumbered ID was checked")
 	}
 }
@@ -189,19 +203,19 @@ func TestHopFilterAllocs(t *testing.T) {
 	f := newHopFilter(10 * time.Second)
 	src, nonce := jid.FromSeed(jid.KindPeer, 2), jid.NewStream()
 	m := frame(src, jid.NumberedMessage(nonce, 1))
-	f.observe(m)
+	f.observe(m.ID, m.Src)
 	seq := uint64(1)
 	number := func(s uint64) { m.ID = jid.NumberedMessage(nonce, s) }
 	for name, step := range map[string]func() bool{
-		"in order":  func() bool { seq++; number(seq); return f.observe(m) },
-		"duplicate": func() bool { number(seq); return !f.observe(m) },
+		"in order":  func() bool { seq++; number(seq); return f.observe(m.ID, m.Src) },
+		"duplicate": func() bool { number(seq); return !f.observe(m.ID, m.Src) },
 		// Open a hole, then fill it: the second call merges two runs.
 		"hole filled": func() bool {
 			seq += 2
 			number(seq)
-			ok := f.observe(m)
+			ok := f.observe(m.ID, m.Src)
 			number(seq - 1)
-			return ok && f.observe(m)
+			return ok && f.observe(m.ID, m.Src)
 		},
 	} {
 		if allocs := testing.AllocsPerRun(1000, func() {
@@ -247,7 +261,7 @@ func TestHopFilterUnderConcurrency(t *testing.T) {
 			m := frame(pub.ep.PeerID(), jid.Nil)
 			for i := range all {
 				m.ID = all[(i+w*each)%len(all)]
-				if f.observe(m) {
+				if f.observe(m.ID, m.Src) {
 					fresh.Add(1)
 				}
 			}
@@ -338,7 +352,7 @@ func FuzzHopFilter(f *testing.F) {
 				models[nonce] = m
 			}
 			msg.ID = jid.NumberedMessage(nonce, seq)
-			if got, want := fl.observe(msg), m.observe(seq); got != want {
+			if got, want := fl.observe(msg.ID, msg.Src), m.observe(seq); got != want {
 				t.Fatalf("stream %d sequence %d: fresh %v, want %v", nonce, seq, got, want)
 			}
 			arrived++

@@ -41,6 +41,13 @@ func (s *Service) apply(now time.Time, in input) {
 		fns = slices.Collect(maps.Values(s.leaseFns))
 	}
 	s.mu.Unlock()
+	s.carryOut(now, outs, fns)
+}
+
+// carryOut performs outside the lock what a step at now decided: the
+// control frames it sends, the inputs their failures feed back, and the
+// epochs it started, which the lease listeners fns hear of.
+func (s *Service) carryOut(now time.Time, outs []output, fns []LeaseListener) {
 	perform(outs, s.send, func(in input) {
 		in.draw = rand.Float64()
 		s.apply(now, in)

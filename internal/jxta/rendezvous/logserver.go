@@ -28,6 +28,10 @@ type logServer struct {
 	// streams: replay serves copies through it, the sync loop feeds it.
 	store *replica.Store
 
+	// logSrc is the rdv:LogSrc stamp of every frame this peer logs: its
+	// own ID, the origin of the numbering.
+	logSrc message.Element
+
 	replMu    sync.Mutex
 	replState map[endpoint.Address]*replicaPeer
 }
@@ -36,28 +40,42 @@ func newLogServer(s *Service) *logServer {
 	return &logServer{
 		s:         s,
 		store:     replica.NewStore(s.cfg.Log, s.ep.PeerID()),
+		logSrc:    message.IDElement(elemNS, elemLogSrc, s.ep.PeerID(), nil),
 		replState: make(map[endpoint.Address]*replicaPeer),
 	}
 }
 
-// append reserves the topic's next sequence number, stamps it and this
-// peer's identity onto msg, stores the propagation frame — encoded with
-// the fan-out's envelope — and returns it for the fan-out to send and
-// recycle: the bytes a later replay resends are the bytes that leave
-// now, encoded once. It returns nil when the log could not be reached to
-// number the message.
-func (l *logServer) append(msg *message.Message, topic string, envelope []message.Field) []byte {
-	s := l.s
+// logStamps is the room a forwarding hop writes its log stamps in,
+// pooled, so that stamping a frame costs no allocation.
+type logStamps struct {
+	el  [2]message.Element
+	seq [8]byte
+}
+
+var stampPool = sync.Pool{New: func() any { return new(logStamps) }}
+
+// stamps writes into st, and returns, the log stamps of the frame this
+// peer logs as seq: rdv:Seq and rdv:LogSrc, the elements ReplaceUint64
+// and ReplaceID write into a message Propagate logs.
+func (l *logServer) stamps(st *logStamps, seq uint64) []message.Element {
+	st.el = [2]message.Element{message.Uint64Element(elemNS, elemSeq, seq, st.seq[:0]), l.logSrc}
+	return st.el[:]
+}
+
+// append reserves the topic's next sequence number, has write write
+// the frame stamped with it and this peer's identity, stores that frame
+// and returns it for the fan-out to send and recycle: the bytes a later
+// replay resends are the bytes that leave now, written once. It returns
+// nil when the log could not be reached to number the message.
+func (l *logServer) append(topic string, write func(seq uint64) ([]byte, error)) []byte {
 	var frame []byte
-	_, err := s.cfg.Log.Append(topic, func(seq uint64) ([]byte, error) {
-		msg.ReplaceUint64(elemNS, elemSeq, seq)
-		msg.ReplaceID(elemNS, elemLogSrc, s.ep.PeerID())
+	_, err := l.s.cfg.Log.Append(topic, func(seq uint64) ([]byte, error) {
 		var err error
-		frame, err = s.ep.EncodeFrame(ServiceName, topic, msg, envelope...)
+		frame, err = write(seq)
 		return frame, err
 	})
 	if err != nil {
-		s.stats.logFailures.Add(1)
+		l.s.stats.logFailures.Add(1)
 	}
 	return frame
 }

@@ -7,6 +7,7 @@ package rendezvous
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,15 +42,25 @@ import (
 // one that has also handed it to a local reader — passes a Dup, which
 // shares its elements.
 func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope ...message.Field) error {
-	if !msg.Stamp(s.ep.PeerID()) {
+	self := s.ep.PeerID()
+	if !msg.Stamp(self) {
 		return nil // TTL exhausted before leaving the peer
 	}
 	s.Number(msg, dparam)
-	s.hops.observe(msg)
+	s.hops.observe(msg.ID, msg.Src)
 	msg.ReplaceText(elemNS, elemOp, opProp)
 	msg.ReplaceText(elemNS, elemDSvc, dsvc)
 	msg.ReplaceText(elemNS, elemDParam, dparam)
-	attempted, failed := s.fanOut(msg, jid.Nil, dparam, envelope...)
+	write := func(seq uint64) ([]byte, error) {
+		if seq > 0 {
+			msg.ReplaceUint64(elemNS, elemSeq, seq)
+			msg.ReplaceID(elemNS, elemLogSrc, self)
+		}
+		return s.ep.EncodeFrame(ServiceName, dparam, msg, envelope...)
+	}
+	frame := s.logged(dparam, write)
+	s.traceForward(msg.Bytes(trace.ElemNS, trace.ElemName), func() []jid.ID { return msg.Path })
+	attempted, failed := s.fanOut(dparam, jid.Nil, msg.Visited, frame, write)
 	if attempted == 0 {
 		return ErrNoPeers
 	}
@@ -65,9 +76,9 @@ func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope 
 // methods run on the transport's receive goroutine and must not block.
 type Reader interface {
 	// Deliver is handed each frame of the group the hop filter lets
-	// through. The message is the reader's to keep, and shared: a
-	// rendezvous forwards a Dup of it, which shares its elements, so
-	// the reader must not write it.
+	// through, decoded. The message is the reader's to keep and to
+	// change: a rendezvous forwards the frame it was decoded from, which
+	// nobody writes.
 	Deliver(msg *message.Message, from endpoint.Address)
 	// Logged is told the log coordinates of every logged frame of the
 	// group, a duplicate the hop filter drops included: the replayed
@@ -128,42 +139,71 @@ func (s *Service) reader(group string) Reader {
 // handleProp is the hop filter and what follows it, with one lookup of
 // the frame's group reader: the reader is told the frame's log
 // coordinates, a duplicate's too, and is handed a fresh frame, which a
-// rendezvous then forwards.
-func (s *Service) handleProp(msg *message.Message, from endpoint.Address) {
-	fresh := s.hops.observe(msg)
-	dparam := msg.Text(elemNS, elemDParam)
-	r := s.reader(dparam)
-	if origin, seq, ok := ReplayInfo(msg); ok && r != nil {
-		r.Logged(origin, seq)
+// rendezvous then forwards. It reads the frame through its view and
+// decodes it for the group's reader alone: a rendezvous the group has
+// no reader on forwards the bytes it received and builds no message.
+func (s *Service) handleProp(v *message.View, from endpoint.Address) {
+	fresh := s.hops.observe(v.ID(), v.Src())
+	group := v.Text(elemNS, elemDParam)
+	r := s.reader(group)
+	if r != nil {
+		if origin, seq, ok := viewReplayInfo(v); ok {
+			r.Logged(origin, seq)
+		}
 	}
 	if !fresh {
 		s.stats.duplicates.Add(1)
 		return
 	}
-	if msg.Text(elemNS, elemDSvc) == "" {
+	if v.Text(elemNS, elemDSvc) == "" {
 		return
 	}
 	if r != nil {
-		r.Deliver(msg, from)
+		r.Deliver(v.Message(), from)
 		s.stats.delivered.Add(1)
 	}
 	// Forward deeper into the mesh. Edge peers terminate propagation;
 	// only rendezvous fan out.
-	if s.cfg.Role != RoleRendezvous {
+	if s.cfg.Role == RoleRendezvous {
+		s.forward(v, group)
+	}
+}
+
+// forward sends the frame v views on into the mesh, as this peer's hop
+// of it: every target gets the frame message.Forward writes from v's
+// bytes — on a durable peer, stamped with the log coordinates it was
+// stored under — and the publisher and the peers on the frame's path
+// get nothing. A frame whose TTL is spent, or that crossed this peer
+// already, goes no further.
+func (s *Service) forward(v *message.View, group string) {
+	self := s.ep.PeerID()
+	if v.TTL() == 0 || v.Visited(self) {
 		return
 	}
-	// A message is shared only once a reader has it: then the hop stamps
-	// a COW Dup, which copies just the path/TTL state. Otherwise nothing
-	// else holds what the endpoint decoded for this call, and the hop
-	// stamps the message itself.
-	fwd := msg
-	if r != nil {
-		fwd = msg.Dup()
+	write := func(seq uint64) ([]byte, error) {
+		if seq == 0 {
+			return s.ep.Forward(ServiceName, group, *v)
+		}
+		st := stampPool.Get().(*logStamps)
+		defer stampPool.Put(st)
+		return s.ep.Forward(ServiceName, group, *v, s.logs.stamps(st, seq)...)
 	}
-	if !fwd.Stamp(s.ep.PeerID()) {
+	frame := s.logged(group, write)
+	s.traceForward(v.Bytes(trace.ElemNS, trace.ElemName), func() []jid.ID { return append(v.AppendPath(nil), self) })
+	s.fanOut(group, v.Src(), v.Visited, frame, write)
+}
+
+// traceForward archives this peer's forward hop of a frame whose trace
+// element is trc, with the path the frame crossed to get here, this peer
+// last. path is called for a traced frame on a peer that keeps traces
+// alone.
+func (s *Service) traceForward(trc []byte, path func() []jid.ID) {
+	if s.cfg.Tracer == nil {
 		return
 	}
-	s.fanOut(fwd, msg.Src, dparam)
+	if ev, sentUS, ok := trace.Decode(trc); ok {
+		s.cfg.Tracer.Record(ev, trace.StageForward, s.ep.PeerID(), sentUS, path())
+	}
 }
 
 // netGroup is the net group's endpoint parameter.
@@ -176,7 +216,14 @@ type target struct {
 	id     jid.ID
 	addr   endpoint.Address
 	client bool
+	sent   uint8 // what fanOut's send to it did: sentOK, sentFailed, or 0 for none
 }
+
+// The outcomes of a fan-out's send to a target.
+const (
+	sentOK uint8 = iota + 1
+	sentFailed
+)
 
 // targetPool holds the scratch a fan-out copies its targets into, so a
 // frame pays no allocation for them.
@@ -198,82 +245,99 @@ func (s *Service) targets(group string, now time.Time) *[]target {
 	for _, m := range from {
 		switch {
 		case m.client != nil && !now.After(m.client.expires):
-			*l = append(*l, target{m.id, m.client.addr, true})
+			*l = append(*l, target{id: m.id, addr: m.client.addr, client: true})
 		case m.rdv != nil && !now.After(m.rdv.expires):
-			*l = append(*l, target{m.id, m.rdv.addr, false})
+			*l = append(*l, target{id: m.id, addr: m.rdv.addr})
 		}
 	}
 	s.mu.Unlock()
 	return l
 }
 
-// fanOut is the forwarding step Propagate and handleProp share: it logs
-// the stamped message (durable peers), archives its trace hop, and sends
-// it — with the envelope fields of the layer that propagated it, if any
-// — to every connected peer in the given group except
-// the one it came from and any peer already on its path. It returns how
-// many sends were attempted and how many of those failed, so callers can
-// tell "nobody to send to" apart from "everybody unreachable". Failed
-// sends feed the suspect/evict failure accounting.
-func (s *Service) fanOut(msg *message.Message, except jid.ID, param string, envelope ...message.Field) (attempted, failed int) {
-	// Durable path: number and persist the message under this peer's own
-	// log before it leaves, so a subscriber that is offline right now can
-	// replay it later. A forwarded message is re-numbered: cursors are per
-	// origin, and this rendezvous is now an origin for its subscribers.
-	// The frame it stored is the frame the targets below get.
-	// The net group carries leases and, for an application that runs
-	// discovery there, queries and advertisements: none of it is an event
-	// or worth replaying, so it is never logged.
-	var frame []byte
-	if s.logs != nil && param != netGroup {
-		frame = s.logs.append(msg, param, envelope)
+// logged is the durable step Propagate and forward share. A message a
+// peer sends into a group is numbered and persisted under the peer's
+// own log before it leaves, so a subscriber that is offline right now
+// can replay it later: a forwarded one is numbered again, because
+// cursors are per origin and this rendezvous is an origin for its
+// subscribers. write writes the frame, stamped with the log sequence
+// it is given — 0 for none, log sequences count from 1 — and logged
+// returns the frame it stored, the frame the targets get. Elsewhere it
+// returns nil: on a peer without a log, and in the net group, which
+// carries leases and, for an application that runs discovery there,
+// queries and advertisements — none of it an event or worth replaying.
+func (s *Service) logged(group string, write func(seq uint64) ([]byte, error)) []byte {
+	if s.logs == nil || group == netGroup {
+		return nil
 	}
-	// Archive a forward-stage hop for messages carrying a trace element:
-	// the stamped Path at this moment shows exactly which peers the frame
-	// crossed to get here. Untraced messages cost a single
-	// allocation-free element scan.
-	if s.cfg.Tracer != nil {
-		if ev, sentUS, ok := trace.Info(msg); ok {
-			s.cfg.Tracer.Record(ev, trace.StageForward, s.ep.PeerID(), sentUS, msg.Path)
-		}
-	}
-	s.stats.propagated.Add(1)
+	return s.logs.append(group, write)
+}
 
+// fanOut is the sending step Propagate and forward share: it sends the
+// frame — the one logged stored, or else what write(0) writes at the
+// first target — to every connected peer in the group except the
+// message's publisher (except) and any peer visited finds on its path.
+// It returns how many sends were attempted and how many of those
+// failed, so callers can tell "nobody to send to" apart from "everybody
+// unreachable". Failed sends feed the suspect/evict failure accounting.
+func (s *Service) fanOut(group string, except jid.ID, visited func(jid.ID) bool, frame []byte, write func(seq uint64) ([]byte, error)) (attempted, failed int) {
+	s.stats.propagated.Add(1)
 	now := s.now()
-	tl := s.targets(param, now)
+	tl := s.targets(group, now)
 	defer targetPool.Put(tl)
 
-	// Marshal once: every target receives the identical frame, so the
+	// Write once: every target receives the identical frame, so the
 	// envelope-and-encode work must not be repeated per peer.
-	var failures []endpoint.Address
-	for _, t := range *tl {
-		if t.id == except || msg.Visited(t.id) {
+	for i := range *tl {
+		t := &(*tl)[i]
+		if t.id == except || visited(t.id) {
 			continue
 		}
 		if frame == nil {
 			var err error
-			if frame, err = s.ep.EncodeFrame(ServiceName, param, msg, envelope...); err != nil {
+			if frame, err = write(0); err != nil {
 				return 0, 0
 			}
 		}
 		attempted++
+		t.sent = sentOK
 		if err := s.ep.SendFrame(t.addr, frame); err != nil {
 			// Unreachable peers age out via lease expiry; the failure
 			// accounting gets them suspected, probed and evicted sooner.
 			failed++
 			s.stats.sendFailures.Add(1)
-			failures = append(failures, t.addr)
-			continue
+			t.sent = sentFailed
 		}
-		s.apply(now, input{kind: inSent, from: t.addr})
 	}
 	if frame != nil {
 		endpoint.RecycleFrame(frame)
 	}
-	// Account failures, and probe, outside the send loop: a probe is
-	// itself a send and must not distort this fan-out's accounting.
-	for _, addr := range failures {
-		s.apply(now, input{kind: inSent, from: addr, failed: true})
+	if attempted > 0 {
+		s.settle(now, *tl)
 	}
 	return attempted, failed
+}
+
+// settle feeds the core the outcome of one fan-out's sends, the
+// successes and then the failures, as apply would one by one, under
+// one hold of the lock: a send that arrived is proof of life for its
+// address, a failed one counts towards its suspicion. What the core
+// decides — a failure's probe — is sent after the fan-out's own sends,
+// so a probe does not distort the fan-out's accounting. A send's
+// outcome starts no lease epoch, so no listener is told of one.
+func (s *Service) settle(now time.Time, tl []target) {
+	var buf [8]output
+	outs := buf[:0]
+	s.mu.Lock()
+	for _, want := range []uint8{sentOK, sentFailed} {
+		for _, t := range tl {
+			if t.sent == want {
+				outs = s.c.step(now, input{kind: inSent, from: t.addr, failed: want == sentFailed}, outs)
+			}
+		}
+	}
+	if slices.ContainsFunc(tl, func(t target) bool { return t.sent == sentFailed }) {
+		s.conn.Broadcast()
+	}
+	s.mu.Unlock()
+	s.carryOut(now, outs, nil)
 }

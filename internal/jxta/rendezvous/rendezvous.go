@@ -111,11 +111,13 @@ const (
 
 // Endpoint is the slice of the endpoint service the rendezvous protocol
 // needs: sending and handler registration. The frame methods let fanOut
-// marshal a propagated message once and send the same bytes to every
-// target instead of re-enveloping per peer.
+// write a propagated message once — encoded at its origin, forwarded
+// from the received bytes at every hop after — and send the same bytes
+// to every target instead of re-enveloping per peer.
 type Endpoint interface {
 	endpoint.Sender
 	EncodeFrame(svc, param string, msg *message.Message, envelope ...message.Field) ([]byte, error)
+	Forward(svc, param string, v message.View, stamps ...message.Element) ([]byte, error)
 	SendFrame(to endpoint.Address, frame []byte) error
 	RegisterHandler(svc, param string, h endpoint.Handler) error
 	UnregisterHandler(svc, param string)
@@ -362,24 +364,24 @@ func (s *Service) sendCounted(to endpoint.Address, m *message.Message) error {
 	return err
 }
 
-// handle processes rendezvous protocol messages. Replay and sync ops
+// handle processes rendezvous protocol frames. Replay and sync ops
 // are served by the log server; a peer without one drops them.
-func (s *Service) handle(msg *message.Message, from endpoint.Address) {
+func (s *Service) handle(v message.View, from endpoint.Address) {
 	var in input
-	switch op := msg.Text(elemNS, elemOp); op {
+	switch op := v.Text(elemNS, elemOp); op {
 	case opConnect, opLease:
 		var okSet, okSeed, okEpoch bool
 		// A connect's set outlives the frame in the clients table: one
 		// copy of the element holds every name. A grant's covers only
 		// groups the peer already holds.
-		set := msg.Text(elemNS, elemGroups)
+		set := v.Text(elemNS, elemGroups)
 		if op == opConnect {
 			set = strings.Clone(set)
 		}
 		in.groups, okSet = parseSet(set)
-		in.seed, okSeed = msg.Uint64(elemNS, elemSeed)
-		in.epoch, okEpoch = msg.Uint64(elemNS, elemEpoch)
-		in.lease, _ = msg.Uint64(elemNS, elemLease) // 0 when absent or malformed
+		in.seed, okSeed = v.Uint64(elemNS, elemSeed)
+		in.epoch, okEpoch = v.Uint64(elemNS, elemEpoch)
+		in.lease, _ = v.Uint64(elemNS, elemLease) // 0 when absent or malformed
 		switch {
 		case !okSet || !okSeed || !okEpoch:
 		case op == opConnect:
@@ -393,20 +395,20 @@ func (s *Service) handle(msg *message.Message, from endpoint.Address) {
 		// The suspect is alive.
 		in.kind = inPong
 	case opProp:
-		s.handleProp(msg, from)
+		s.handleProp(&v, from)
 	case opPing:
 		// Any role answers: probing works edge→rendezvous and
 		// rendezvous→client alike.
 		_ = s.ep.Send(from, ServiceName, "", s.newOp(opPong, 0))
 	case opRange:
-		s.handleRange(msg)
+		s.handleRange(v.Message())
 	default:
 		if serve := logOps[op]; serve != nil && s.logs != nil {
-			serve(s.logs, msg, from)
+			serve(s.logs, v.Message(), from)
 		}
 	}
 	if in.kind != 0 {
-		in.from, in.src = from, msg.Src
+		in.from, in.src = from, v.Src()
 		s.apply(s.now(), in)
 	}
 }

@@ -187,10 +187,11 @@ func TestPropagateThroughOneRendezvous(t *testing.T) {
 }
 
 // TestForwardStampsACopyOfADeliveredMessage: a rendezvous with a reader
-// for the group both delivers and forwards. The reader shares the
-// message from then on, so the hop must stamp a copy — the one it keeps
-// still reads as it arrived — while a rendezvous with no reader stamps
-// what it decoded and the next hop sees both on the path.
+// for the group both delivers and forwards. The reader keeps the message
+// decoded for it, and the hop stamps its own frame, written from the
+// received bytes — the message the reader holds still reads as it
+// arrived — while a rendezvous with no reader decodes nothing, and the
+// next hop sees both on the path.
 func TestForwardStampsACopyOfADeliveredMessage(t *testing.T) {
 	c := newCluster(t)
 	rdvA := c.addPeer("rdvA", 1, rendezvous.RoleRendezvous)
@@ -354,6 +355,107 @@ func TestPropagateAllocBudget(t *testing.T) {
 	if len(m.Path) != 1 || m.Path[0] != lonely.ep.PeerID() || m.TTL != message.DefaultTTL-1 ||
 		m.Text("rdv", "Op") != "prop" || m.Text("rdv", "DSvc") != "app.events" || m.Text("rdv", "DParam") != "net" || m.Len() != 5 {
 		t.Fatalf("propagated message: path %v, TTL %d, elements %v", m.Path, m.TTL, m.Elements())
+	}
+}
+
+// handFedRendezvous is a rendezvous on a transport the test feeds by
+// hand, with one client, "hand://sub", leased for group "g".
+func handFedRendezvous(t *testing.T) (*rendezvous.Service, *endpoint.Service, *handFed) {
+	t.Helper()
+	in := &handFed{addr: "hand://rdv"}
+	ep := endpoint.New(jid.FromSeed(jid.KindPeer, 1))
+	if err := ep.AddTransport(in); err != nil {
+		t.Fatal(err)
+	}
+	rdv, err := rendezvous.New(ep, rendezvous.Config{Role: rendezvous.RoleRendezvous, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		rdv.Close()
+		_ = ep.Close()
+	})
+	in.recv(opFrame(t, jid.FromSeed(jid.KindPeer, 3), "hand://sub", "", "connect", func(m *message.Message) {
+		m.AddUint64("rdv", "Seed", 1)
+		m.AddBytes("rdv", "Groups", groupSet("g"))
+		m.AddUint64("rdv", "Epoch", 0)
+	}))
+	return rdv, ep, in
+}
+
+// propFrame is the frame pub propagates into group "g" as the seq-th
+// message of its stream, a 2 kB payload behind the rdv elements: all
+// three of them, or rdv:Op and rdv:DParam alone.
+func propFrame(t *testing.T, pub jid.ID, stream, seq uint64, dsvc bool) []byte {
+	return opFrame(t, pub, "hand://pub", "g", "prop", func(m *message.Message) {
+		m.ID = jid.NumberedMessage(stream, seq)
+		m.Stamp(pub)
+		if dsvc {
+			m.AddString("rdv", "DSvc", "app")
+		}
+		m.AddString("rdv", "DParam", "g")
+		m.AddBytes("tps", "Data", make([]byte, 1910))
+	})
+}
+
+// TestForwardAllocBudget: a rendezvous that reads no group forwards the
+// frames of the group from the bytes it received (message.Forward), into
+// a pooled buffer, so a pure forwarding hop — a frame in off the
+// transport, the hop filter, one target out — allocates nothing: it
+// builds no message. The parent, which decoded each frame and encoded
+// it again, allocated the decoded message's block per frame.
+func TestForwardAllocBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	_, ep, in := handFedRendezvous(t)
+	pub, stream := jid.FromSeed(jid.KindPeer, 2), jid.NewStream()
+	const runs = 100
+	frames := make([][]byte, runs+2) // one to start the stream, and AllocsPerRun runs once more first
+	for i := range frames {
+		frames[i] = propFrame(t, pub, stream, uint64(i+1), true)
+	}
+	sent := ep.Snapshot().Counters["msgs_out"]
+	in.recv(frames[0])
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		in.recv(frames[next])
+		next++
+	})
+	if out := ep.Snapshot().Counters["msgs_out"] - sent; out != runs+2 {
+		t.Fatalf("%d frames forwarded, want %d", out, runs+2)
+	}
+	if allocs != 0 {
+		t.Errorf("forwarding a frame to one target allocates %.1f/op, want 0 (1 with the frame decoded into a message and encoded again)", allocs)
+	}
+}
+
+// TestFrameWithoutDSvcIsDropped: a propagated frame that names no
+// destination service (rdv:DSvc) passes the hop filter and goes no
+// further — neither to the group's reader nor on to the group's other
+// peers — on a rendezvous that reads its group as on one that only
+// forwards; the next frame of the stream, which names one, goes both
+// ways.
+func TestFrameWithoutDSvcIsDropped(t *testing.T) {
+	for _, reads := range []bool{false, true} {
+		rdv, ep, in := handFedRendezvous(t)
+		var delivered int
+		if reads {
+			if err := rdv.Read("g", rendezvous.DeliverFunc(func(*message.Message, endpoint.Address) { delivered++ })); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pub, stream := jid.FromSeed(jid.KindPeer, 2), jid.NewStream()
+		sent := ep.Snapshot().Counters["msgs_out"]
+		in.recv(propFrame(t, pub, stream, 1, false))
+		if out := ep.Snapshot().Counters["msgs_out"] - sent; out != 0 || delivered != 0 {
+			t.Fatalf("reader %v: a frame without rdv:DSvc was forwarded %d times and delivered %d", reads, out, delivered)
+		}
+		in.recv(propFrame(t, pub, stream, 2, true))
+		want := map[bool]int{false: 0, true: 1}[reads]
+		if out := ep.Snapshot().Counters["msgs_out"] - sent; out != 1 || delivered != want {
+			t.Fatalf("reader %v: the next frame was forwarded %d times and delivered %d, want 1 and %d", reads, out, delivered, want)
+		}
 	}
 }
 

@@ -82,6 +82,19 @@ func ReplayInfo(msg *message.Message) (origin jid.ID, seq uint64, ok bool) {
 	return origin, seq, true
 }
 
+// viewReplayInfo is ReplayInfo read from the view of a frame.
+func viewReplayInfo(v *message.View) (origin jid.ID, seq uint64, ok bool) {
+	seq, found := v.Uint64(elemNS, elemSeq)
+	if !found {
+		return jid.Nil, 0, false
+	}
+	origin, err := v.GetID(elemNS, elemLogSrc)
+	if err != nil {
+		return jid.Nil, 0, false
+	}
+	return origin, seq, true
+}
+
 // RequestReplay asks the connected rendezvous target to resend the
 // retained entries of topic that origin's log numbered in (after,
 // after+max]. origin is usually the target itself; after a failover it

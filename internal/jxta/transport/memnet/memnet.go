@@ -14,6 +14,7 @@ const Scheme = "mem"
 // Transport is an endpoint transport backed by a netsim node.
 type Transport struct {
 	node *netsim.Node
+	addr endpoint.Address
 }
 
 var _ endpoint.Transport = (*Transport)(nil)
@@ -21,16 +22,14 @@ var _ endpoint.Transport = (*Transport)(nil)
 // New wraps the netsim node. The node must not have a handler installed;
 // the transport owns it.
 func New(node *netsim.Node) *Transport {
-	return &Transport{node: node}
+	return &Transport{node: node, addr: endpoint.MakeAddress(Scheme, node.Name())}
 }
 
 // Scheme implements endpoint.Transport.
 func (t *Transport) Scheme() string { return Scheme }
 
 // LocalAddress implements endpoint.Transport.
-func (t *Transport) LocalAddress() endpoint.Address {
-	return endpoint.MakeAddress(Scheme, t.node.Name())
-}
+func (t *Transport) LocalAddress() endpoint.Address { return t.addr }
 
 // Send implements endpoint.Transport. The netsim node copies the frame
 // before scheduling delivery, satisfying the no-retain contract of

@@ -841,8 +841,8 @@ func TestEndpointOverTCP(t *testing.T) {
 		from endpoint.Address
 	}
 	got := make(chan rx, 1)
-	if err := b.RegisterHandler("echo", "", func(m *message.Message, from endpoint.Address) {
-		got <- rx{m, from}
+	if err := b.RegisterHandler("echo", "", func(v message.View, from endpoint.Address) {
+		got <- rx{v.Message(), from}
 	}); err != nil {
 		t.Fatal(err)
 	}

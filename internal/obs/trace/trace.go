@@ -105,13 +105,18 @@ func Stamp(msg *message.Message, eventID jid.ID, sentUS int64) {
 // probe is allocation-free, so every delivery path can afford it even
 // when tracing is off locally.
 func Info(msg *message.Message) (eventID jid.ID, sentUS int64, ok bool) {
-	e, found := msg.Element(ElemNS, ElemName)
-	if !found || len(e.Data) != payloadSize || e.Data[0] != wireVersion {
+	return Decode(msg.Bytes(ElemNS, ElemName))
+}
+
+// Decode decodes the payload of a trace element, as Info does; a hop
+// that reads a frame without decoding it (message.View) probes with it.
+func Decode(data []byte) (eventID jid.ID, sentUS int64, ok bool) {
+	if len(data) != payloadSize || data[0] != wireVersion {
 		return jid.Nil, 0, false
 	}
-	id, err := jid.FromWire(e.Data[1], [16]byte(e.Data[2:1+jid.WireSize]))
+	id, err := jid.FromWire(data[1], [16]byte(data[2:1+jid.WireSize]))
 	if err != nil || id.IsZero() {
 		return jid.Nil, 0, false
 	}
-	return id, int64(binary.BigEndian.Uint64(e.Data[1+jid.WireSize:])), true
+	return id, int64(binary.BigEndian.Uint64(data[1+jid.WireSize:])), true
 }

@@ -79,7 +79,8 @@ func (l *benchLink) take() [][]byte {
 
 // receiveStack is a rendezvous, subs edges subscribed to SkiRental
 // through it and a publisher, every lease held for an hour, so that no
-// renewal lands in a run.
+// renewal lands in a run. A rendezvous given a log directory is durable:
+// it logs every frame it forwards.
 type receiveStack struct {
 	rdv, pub  *benchLink
 	rdvStats  func() tps.StatsView
@@ -88,7 +89,7 @@ type receiveStack struct {
 	delivered atomic.Int64 // callbacks run, on every subscriber
 }
 
-func newReceiveStack(b *testing.B, subs, pad int) *receiveStack {
+func newReceiveStack(b *testing.B, subs, pad int, logDir string) *receiveStack {
 	b.Helper()
 	wan := netsim.New(netsim.Config{})
 	b.Cleanup(wan.Close)
@@ -119,7 +120,7 @@ func newReceiveStack(b *testing.B, subs, pad int) *receiveStack {
 		return eng, intf
 	}
 	st := &receiveStack{}
-	rdv, l := start(tps.Config{Name: "rdv", Rendezvous: true})
+	rdv, l := start(tps.Config{Name: "rdv", Rendezvous: true, LogDir: logDir})
 	st.rdv, st.rdvStats = l, rdv.Stats
 	seeds := []string{"mem://rdv"}
 	count := tps.CallBackFunc[srapp.SkiRental](func(srapp.SkiRental) error {
@@ -216,6 +217,9 @@ func runReceive(b *testing.B, receive func([]byte), batch func(n int) [][]byte, 
 //     the engine decodes the 2 kB offer and runs the callback;
 //   - rendezvous_8x2k: a rendezvous fanning the publisher's frame out to
 //     eight subscribers whose sends go nowhere (a null transport);
+//   - rendezvous_durable_8x2k: the same rendezvous with its event log on
+//     (in the benchmark's temporary directory), appending every frame it
+//     forwards before it fans it out;
 //   - edge_64b: the subscriber edge with a 64 B offer, where the fixed
 //     per-hop cost dominates.
 //
@@ -225,7 +229,7 @@ func runReceive(b *testing.B, receive func([]byte), batch func(n int) [][]byte, 
 func BenchmarkReceivePath(b *testing.B) {
 	edge := func(pad int) func(b *testing.B) {
 		return func(b *testing.B) {
-			st := newReceiveStack(b, 1, pad)
+			st := newReceiveStack(b, 1, pad, "")
 			st.rdv.mode.Store(linkCapture)
 			sub := st.subs[0]
 			runReceive(b, sub.receive, func(n int) [][]byte {
@@ -244,15 +248,23 @@ func BenchmarkReceivePath(b *testing.B) {
 		}
 	}
 	b.Run("edge_2k", edge(1710))
-	b.Run("rendezvous_8x2k", func(b *testing.B) {
-		const subs = 8
-		st := newReceiveStack(b, subs, 1710)
-		st.rdv.mode.Store(linkDrop)
-		sent := st.rdvStats().Counter("endpoint", "msgs_out")
-		runReceive(b, st.rdv.receive, func(n int) [][]byte { return st.published(b, n) }, subs)
-		if got := st.rdvStats().Counter("endpoint", "msgs_out") - sent; got != int64(b.N*subs) {
-			b.Fatalf("%d frames fanned out to %d sends, want %d", b.N, got, b.N*subs)
+	rendezvous := func(durable bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			const subs = 8
+			logDir := ""
+			if durable {
+				logDir = b.TempDir()
+			}
+			st := newReceiveStack(b, subs, 1710, logDir)
+			st.rdv.mode.Store(linkDrop)
+			sent := st.rdvStats().Counter("endpoint", "msgs_out")
+			runReceive(b, st.rdv.receive, func(n int) [][]byte { return st.published(b, n) }, subs)
+			if got := st.rdvStats().Counter("endpoint", "msgs_out") - sent; got != int64(b.N*subs) {
+				b.Fatalf("%d frames fanned out to %d sends, want %d", b.N, got, b.N*subs)
+			}
 		}
-	})
+	}
+	b.Run("rendezvous_8x2k", rendezvous(false))
+	b.Run("rendezvous_durable_8x2k", rendezvous(true))
 	b.Run("edge_64b", edge(64))
 }
