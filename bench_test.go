@@ -483,13 +483,17 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 
 	// The durable log's only presence on the log-off delivery path is the
-	// ReplayInfo probe for the rdv:Seq cursor stamp. On a message that
+	// ReplayInfo probe for the rdv:Seq cursor stamp. On a frame that
 	// never crossed a logging rendezvous (the default configuration) that
 	// probe must cost nothing — the e2e budget above runs with the log
 	// off, and this pins the reason it can.
+	view, err := message.NewView(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
 	replayAllocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := rendezvous.ReplayInfo(m); ok {
-			t.Fatal("unstamped message must have no replay info")
+		if _, _, ok := rendezvous.ReplayInfo(&view); ok {
+			t.Fatal("unstamped frame must have no replay info")
 		}
 	})
 	if replayAllocs > 0 {

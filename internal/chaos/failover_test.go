@@ -19,6 +19,7 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
 	"github.com/tps-p2p/tps/internal/obs"
 	"github.com/tps-p2p/tps/internal/rig"
@@ -275,6 +276,42 @@ func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 		// Byte-identical convergence, both directions.
 		assertCopyIdentical(t, rdvA, rdvB)
 		assertCopyIdentical(t, rdvB, rdvA)
+	})
+}
+
+// TestFarBehindReplicaPullsWindowByWindow partitions a replica away
+// while its origin logs more than a thousand records, then heals. The
+// copy must converge to byte-identical segments by pulling a window at
+// a time — a pull is answered with at most recovery.W records, and the
+// answer's range signal makes the next pull — so within one digest
+// round: the origin sends no digest per window to have the rest pulled.
+func TestFarBehindReplicaPullsWindowByWindow(t *testing.T) {
+	rig.Each(t, func(t *testing.T, c *rig.Cluster) {
+		rdvA, rdvB := replicaPair(t, c, tps.Config{ReplicaSyncInterval: time.Second})
+		pubA := edge(t, c, tps.Config{Name: "pubA", Seeds: []string{"rdvA"}})
+		pubA.ready(t)
+
+		// In batches the publisher's send queue holds: it sheds the oldest
+		// frame past 1024.
+		const n, batch = 2000, 500
+		c.Partition([]string{"rdvA", "pubA"}, []string{"rdvB"})
+		for i := 0; i < n; i += batch {
+			pubA.publish(t, "a", i, i+batch)
+			awaitTail(t, rdvA, rdvA, uint64(i+batch))
+		}
+		c.Settle()
+		digests := counter(rdvB, "rendezvous", "sync_digests")
+
+		c.Heal()
+		awaitTail(t, rdvB, rdvA, n)
+		assertCopyIdentical(t, rdvA, rdvB)
+		pulls, records := counter(rdvA, "rendezvous", "sync_pulls"), counter(rdvA, "rendezvous", "sync_records")
+		if records < n || records > recovery.W*pulls {
+			t.Fatalf("%d records served over %d pulls, want %d or more at most %d a pull", records, pulls, n, recovery.W)
+		}
+		if d := counter(rdvB, "rendezvous", "sync_digests") - digests; d > 2 {
+			t.Fatalf("the copy converged over %d digests, want one round's", d)
+		}
 	})
 }
 

@@ -666,10 +666,10 @@ func (l *Log) enforceRetentionLocked(t *topicLog) {
 // strictly greater than after, in order, to fn. A non-zero max bounds
 // how many entries are delivered; a Read that stops at max is continued
 // cheaply by one that asks for what comes after the last entry it got
-// (a paced replay, a sync pull). Reading holds the topic's lock, so it
-// is safe against concurrent appends; fn's Entry payload is reused
-// between calls and must be copied to retain. fn returning an error
-// stops the stream and surfaces the error.
+// (the next window of a replay or a sync pull). Reading holds the
+// topic's lock, so it is safe against concurrent appends; fn's Entry
+// payload is reused between calls and must be copied to retain. fn
+// returning an error stops the stream and surfaces the error.
 func (l *Log) Read(topic string, after uint64, max int, fn func(Entry) error) error {
 	t, err := l.getTopic(topic, false)
 	if err != nil || t == nil {

@@ -4,10 +4,11 @@ package rendezvous
 // rendezvous with an event log (Config.Log) appends every propagated
 // message before fanning it out, stamping the assigned per-topic
 // sequence number and its own identity onto the frame, and answers each
-// replay request (replay.go) with one window of what it retains, as the
-// recovery core's Serve decides, keeping nothing of it: the subscriber
-// pulls, window by window, and asks again for what did not arrive.
-// sync.go replicates the log between the members of a replica set.
+// ranged read of what it retains — a subscriber's replay request
+// (replay.go) and a replica's sync pull (sync.go) alike — with one
+// window, as the recovery core's Serve decides, keeping nothing of it:
+// the requester pulls, window by window, and asks again for what did
+// not arrive.
 
 import (
 	"sync"
@@ -80,18 +81,23 @@ func (l *logServer) append(topic string, write func(seq uint64) ([]byte, error))
 	return frame
 }
 
-// handleReplay answers one replay request as recovery.Serve decides: a
-// range signal naming what this peer retains of the origin's log, and
-// whether the request's cursor fell in a gap, then at most one window of
-// the stored frames after the cursor, in one bounded read, resent
-// verbatim to the requester's address, where they re-enter its normal
-// propagation handling and its hop filter drops whatever was delivered
-// already. It answers on the goroutine that received the request — a
-// window is at most W frames handed to the transport's queue — and
-// forgets it. The request names the origin whose log numbered the
-// cursor: this peer's own, or one this replica holds a copy of.
-func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
+// serve answers one ranged read — a subscriber's replay request or a
+// replica seed's sync pull for a window of origin's log after a cursor,
+// the origin being this peer or one it holds a copy of — as
+// recovery.Serve decides: a range signal naming what this peer retains
+// of that log, the window it serves and any gap, then that window, in
+// one bounded read. It answers on the goroutine that received the
+// request and forgets it: the requester pulls the next. The role
+// changes the form of a record alone: a subscriber gets the stored
+// frame, which re-enters its propagation handling and hop filter; a
+// seed gets a sync record of it with this peer's retained head, and the
+// range signal in no group, the request's, for its log server to take.
+func (l *logServer) serve(msg *message.Message, from endpoint.Address) {
 	s := l.s
+	pull := msg.Text(elemNS, elemOp) == opSyncPull
+	if pull && !l.syncAuthorized(&from) {
+		return
+	}
 	topic := msg.Text(elemNS, elemTopic)
 	cursor, ok := msg.Uint64(elemNS, elemCursor)
 	origin, err := msg.GetID(elemNS, elemLogSrc)
@@ -100,7 +106,7 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 		return
 	}
 	want, _ := msg.Uint64(elemNS, elemMax)
-	_, param, _ := endpoint.Destination(msg)
+	_, group, _ := endpoint.Destination(msg)
 	st := recovery.Stream{Self: origin == s.ep.PeerID(), Replicates: len(s.cfg.ReplicaSeeds) > 0}
 	st.First, st.Last, st.Held = l.store.Range(origin, topic)
 	st.Advertised, st.Synced = l.replicaSetHolds(origin, topic)
@@ -110,23 +116,45 @@ func (l *logServer) handleReplay(msg *message.Message, from endpoint.Address) {
 	m.AddID(elemNS, elemLogSrc, origin)
 	m.AddUint64(elemNS, elemFirst, v.First)
 	m.AddUint64(elemNS, elemLast, v.Last)
+	if v.Serve {
+		m.AddUint64(elemNS, elemCursor, v.From)
+	}
 	if v.Gap {
-		s.stats.replayGaps.Add(1)
 		m.AddString(elemNS, elemGap, "true")
 	}
 	if v.Tentative {
 		m.AddString(elemNS, elemTentative, "true")
 	}
-	_ = s.ep.Send(from, ServiceName, param, m)
+	served := &s.stats.replayServed
+	if pull {
+		s.stats.syncPulls.Add(1)
+		served = &s.stats.syncRecords
+	} else if v.Gap {
+		s.stats.replayGaps.Add(1)
+	}
+	_ = s.ep.Send(from, ServiceName, group, m)
 	if !v.Serve {
 		return
 	}
 	_ = l.store.Read(origin, topic, v.From, int(v.Max), func(e eventlog.Entry) error {
-		if err := s.ep.SendFrame(from, e.Payload); err != nil {
+		var err error
+		if pull {
+			rec := s.newOp(opSyncRec, 6)
+			rec.AddID(elemNS, elemLogSrc, origin)
+			rec.AddString(elemNS, elemTopic, topic)
+			rec.AddUint64(elemNS, elemSeq, e.Seq)
+			rec.AddUint64(elemNS, elemTime, uint64(e.TimeMS))
+			rec.AddUint64(elemNS, elemFirst, v.First)
+			rec.AddBytes(elemNS, elemFrame, e.Payload)
+			err = s.ep.Send(from, ServiceName, "", rec)
+		} else {
+			err = s.ep.SendFrame(from, e.Payload)
+		}
+		if err != nil {
 			s.stats.sendFailures.Add(1)
 			return err
 		}
-		s.stats.replayServed.Add(1)
+		served.Add(1)
 		return nil
 	})
 }

@@ -3,10 +3,13 @@ package rendezvous_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
 )
 
@@ -206,14 +210,14 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 	sent := make(map[uint64][]byte, n+own)
 	tap.mu.Lock()
 	for _, frame := range tap.frames {
-		m, err := message.Unmarshal(frame)
+		v, err := message.NewView(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, seq, ok := rendezvous.ReplayInfo(m); ok {
+		if _, seq, ok := rendezvous.ReplayInfo(&v); ok {
 			// A forwarded message leaves once, for the subscriber; the
 			// rendezvous' own once for each of its two clients.
-			if sent[seq] != nil && (m.Src != r.ep.PeerID() || !bytes.Equal(sent[seq], frame)) {
+			if sent[seq] != nil && (v.Src() != r.ep.PeerID() || !bytes.Equal(sent[seq], frame)) {
 				t.Fatalf("sequence %d left twice, or as two different frames", seq)
 			}
 			sent[seq] = frame
@@ -243,6 +247,20 @@ func TestDurableFanOutSendsTheStoredFrame(t *testing.T) {
 	if err != nil || stored != n+own || len(sent) != n+own {
 		t.Fatalf("%d stored, %d sent, want %d of each (%v)", stored, len(sent), n+own, err)
 	}
+}
+
+// replayInfo reads the log stamps of a delivered message the way a hop
+// reads them, through the view of its frame.
+func replayInfo(m *message.Message) (origin jid.ID, seq uint64, ok bool) {
+	frame, err := m.Marshal()
+	if err != nil {
+		return jid.Nil, 0, false
+	}
+	v, err := message.NewView(frame)
+	if err != nil {
+		return jid.Nil, 0, false
+	}
+	return rendezvous.ReplayInfo(&v)
 }
 
 // goldenEventFrames reads package message's golden file of PR 22: the
@@ -296,7 +314,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	// The log server sends a window in log order over one link, which
 	// keeps it: the first frame read is sequence 1, the second 2.
 	got, second := sink.waitOne(t), sink.waitOne(t)
-	origin, seq, ok := rendezvous.ReplayInfo(got)
+	origin, seq, ok := replayInfo(got)
 	if !ok || origin != r.ep.PeerID() || seq != 1 {
 		t.Fatalf("replayed as (%v, %d, %v), want sequence 1 of the rendezvous", origin, seq, ok)
 	}
@@ -306,7 +324,7 @@ func TestLogWrittenByThePreviousEncoderIsReplayed(t *testing.T) {
 	pipe := jid.FromSeed(jid.KindPipe, 42)
 	isEvent := func(m *message.Message, wantSeq uint64) {
 		t.Helper()
-		origin, seq, ok := rendezvous.ReplayInfo(m)
+		origin, seq, ok := replayInfo(m)
 		if !ok || origin != r.ep.PeerID() || seq != wantSeq {
 			t.Fatalf("arrived as (%v, %d, %v), want sequence %d of the rendezvous", origin, seq, ok, wantSeq)
 		}
@@ -406,7 +424,7 @@ func (r *replayRig) requestFrom(t *testing.T, origin jid.ID, after, max uint64) 
 }
 
 func (r *replayRig) Deliver(m *message.Message, _ endpoint.Address) {
-	_, seq, _ := rendezvous.ReplayInfo(m)
+	_, seq, _ := replayInfo(m)
 	r.mu.Lock()
 	r.arrived = append(r.arrived, time.Now())
 	r.seqs = append(r.seqs, seq)
@@ -718,4 +736,135 @@ func TestNetGroupIsNeverLogged(t *testing.T) {
 	if _, _, ok := log.Range(netGroup); ok {
 		t.Fatal("the rendezvous logged the net group")
 	}
+}
+
+// sentOps is a hand-fed transport that counts the frames sent through
+// it that are not control ops of the log protocol: the records a log
+// server answers with.
+type sentOps struct {
+	handFed
+	records atomic.Int64
+}
+
+func (s *sentOps) Send(_ endpoint.Address, frame []byte) error {
+	if v, err := message.NewView(frame); err != nil || !slices.Contains([]string{"range", "syncpull", "syncdig"}, v.Text("rdv", "Op")) {
+		s.records.Add(1)
+	}
+	return nil
+}
+
+// FuzzLogOps feeds replay, range, syncdig, syncpull and syncrec frames
+// with any Topic, LogSrc, Cursor, Max, Seq, TimeMS, First, Frame and
+// SyncDigest bytes, in the stream's group or in none, to a durable,
+// replicating rendezvous, once from its configured replica seed and
+// once from a stranger. No frame may panic; the rendezvous' own log is
+// never written; a copy of another origin's log is written only by a
+// syncrec from the seed whose Topic is set, whose LogSrc is a wire ID,
+// whose Seq (not zero), TimeMS and First are 8 bytes each and whose
+// Frame is not empty; and no request is answered with more than
+// recovery.W records.
+func FuzzLogOps(f *testing.F) {
+	self, origin := jid.FromSeed(jid.KindPeer, 1), jid.FromSeed(jid.KindPeer, 2)
+	u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	selfWire, originWire := self.AppendWire(nil), origin.AppendWire(nil)
+	const own, copied = 2*recovery.W + 5, recovery.W + 10
+	ahead := replica.EncodeDigest([]replica.TopicDigest{{Origin: origin, Topic: "g", Last: copied + 500}})
+	for _, op := range []string{"replay", "syncpull"} {
+		f.Add(op, true, "g", selfWire, u64(0), u64(1000), []byte{}, []byte{}, []byte{}, []byte{}, []byte{})
+		f.Add(op, false, "g", originWire, u64(5), u64(recovery.W), []byte{}, []byte{}, []byte{}, []byte{}, []byte{})
+		f.Add(op, true, "g", selfWire, u64(own+7), u64(3), []byte{}, []byte{}, []byte{}, []byte{}, []byte{})
+	}
+	f.Add("range", false, "g", originWire, u64(copied), u64(recovery.W), []byte{}, []byte{}, u64(1), []byte{}, []byte{})
+	f.Add("range", true, "g", originWire, u64(copied), u64(recovery.W), []byte{}, []byte{}, u64(1), []byte{}, []byte{})
+	f.Add("syncrec", false, "g", originWire, []byte{}, []byte{}, u64(copied+1), u64(7), u64(1), []byte("frame"), []byte{})
+	f.Add("syncrec", false, "g", selfWire, []byte{}, []byte{}, u64(own+1), u64(7), u64(1), []byte("frame"), []byte{})
+	f.Add("syncrec", false, "g", originWire, []byte{}, []byte{}, u64(copied+900), u64(7), u64(copied+900), []byte("frame"), []byte{})
+	f.Add("syncdig", false, "", []byte{}, []byte{}, []byte{}, []byte{}, []byte{}, []byte{}, []byte{}, ahead)
+
+	log, err := eventlog.Open(eventlog.Config{Dir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = log.Close() })
+	for seq := uint64(1); seq <= own; seq++ {
+		if err := log.AppendExact("g", seq, 1, []byte(fmt.Sprint("own ", seq))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for seq := uint64(1); seq <= copied; seq++ {
+		if err := log.AppendExact(replica.TopicKey(origin, "g"), seq, 1, []byte(fmt.Sprint("copy ", seq))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	tr := &sentOps{handFed: handFed{addr: "hand://self"}}
+	ep := endpoint.New(self)
+	if err := ep.AddTransport(tr); err != nil {
+		f.Fatal(err)
+	}
+	start := time.Now()
+	svc, err := rendezvous.New(ep, rendezvous.Config{Role: rendezvous.RoleRendezvous, Log: log, LeaseTTL: time.Minute,
+		ReplicaSeeds: []endpoint.Address{"hand://seed"}, SyncInterval: time.Hour, Clock: func() time.Time { return start }})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		svc.Close()
+		_ = ep.Close()
+	})
+	// held lists the streams of the log, the own ones or the copies, with
+	// their ranges: a write appends, or resets a copy to start past its
+	// old end.
+	held := func(copies bool) string {
+		var b strings.Builder
+		for _, key := range log.Topics() {
+			if strings.HasPrefix(key, "r|") == copies {
+				first, last, _ := log.Range(key)
+				fmt.Fprintln(&b, key, first, last)
+			}
+		}
+		return b.String()
+	}
+	f.Fuzz(func(t *testing.T, op string, inGroup bool, topic string, logSrc, cursor, max, seq, timeMS, first, frame, digest []byte) {
+		group := ""
+		if inGroup {
+			group = topic
+		}
+		build := func(m *message.Message) {
+			if topic != "" {
+				m.AddString("rdv", "Topic", topic)
+			}
+			for _, e := range []struct {
+				name string
+				data []byte
+			}{{"LogSrc", logSrc}, {"Cursor", cursor}, {"Max", max}, {"Seq", seq}, {"TimeMS", timeMS}, {"First", first}, {"Frame", frame}, {"SyncDigest", digest}} {
+				if len(e.data) > 0 {
+					m.AddBytes("rdv", e.name, e.data)
+				}
+			}
+		}
+		var kind byte
+		var id [16]byte
+		if len(logSrc) == jid.WireSize {
+			kind = logSrc[0]
+			copy(id[:], logSrc[1:])
+		}
+		_, idErr := jid.FromWire(kind, id)
+		wellFormed := op == "syncrec" && topic != "" && len(logSrc) == jid.WireSize && idErr == nil &&
+			len(seq) == 8 && binary.BigEndian.Uint64(seq) != 0 && len(timeMS) == 8 && len(first) == 8 && len(frame) > 0
+		for _, from := range []endpoint.Address{"hand://stranger", "hand://seed"} {
+			fed := opFrame(t, jid.FromSeed(jid.KindPeer, 3), from, group, op, build)
+			ownBefore, copiesBefore := held(false), held(true)
+			tr.records.Store(0)
+			tr.recv(fed)
+			if held(false) != ownBefore {
+				t.Fatalf("a %q op from %s wrote the rendezvous' own log", op, from)
+			}
+			if held(true) != copiesBefore && !(wellFormed && from == "hand://seed") {
+				t.Fatalf("a %q op from %s, LogSrc %x, Seq %x, TimeMS %x, First %x, Frame %q, wrote a copy", op, from, logSrc, seq, timeMS, first, frame)
+			}
+			if n := tr.records.Load(); n > recovery.W {
+				t.Fatalf("a %q op from %s, Cursor %x and Max %x, was answered with %d records", op, from, cursor, max, n)
+			}
+		}
+	})
 }

@@ -147,7 +147,7 @@ func (s *Service) handleProp(v *message.View, from endpoint.Address) {
 	group := v.Text(elemNS, elemDParam)
 	r := s.reader(group)
 	if r != nil {
-		if origin, seq, ok := viewReplayInfo(v); ok {
+		if origin, seq, ok := ReplayInfo(v); ok {
 			r.Logged(origin, seq)
 		}
 	}

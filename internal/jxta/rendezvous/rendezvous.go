@@ -401,7 +401,7 @@ func (s *Service) handle(v message.View, from endpoint.Address) {
 		// rendezvous→client alike.
 		_ = s.ep.Send(from, ServiceName, "", s.newOp(opPong, 0))
 	case opRange:
-		s.handleRange(v.Message())
+		s.handleRange(v.Message(), from)
 	default:
 		if serve := logOps[op]; serve != nil && s.logs != nil {
 			serve(s.logs, v.Message(), from)
@@ -447,8 +447,8 @@ func parseSet(s string) (set []string, ok bool) {
 // logOps are the ops the log server serves; a peer without one drops
 // them.
 var logOps = map[string]func(*logServer, *message.Message, endpoint.Address){
-	opReplay: (*logServer).handleReplay, opSyncDigest: (*logServer).handleSyncDigest,
-	opSyncPull: (*logServer).handleSyncPull, opSyncRec: (*logServer).handleSyncRec,
+	opReplay: (*logServer).serve, opSyncPull: (*logServer).serve,
+	opSyncDigest: (*logServer).handleSyncDigest, opSyncRec: (*logServer).handleSyncRec,
 }
 
 // tickInterval is the maintenance loop's period: a third of the lease

@@ -4,9 +4,11 @@ package rendezvous
 // wire: the log coordinates stamped on every logged event, the replay
 // request that asks for the window after a cursor, and the range signal
 // that answers it; the coordinates and the signal are handed to the one
-// reader of their group (Read). What a subscriber asks for, and what it makes
-// of an answer, is decided by the recovery core (recovery.Subscriber),
-// which the engine drives; the serving half is logserver.go.
+// reader of their group (Read), a signal in no group, which answers a
+// replica's sync pull, to the log server. What a subscriber asks for,
+// and what it makes of an answer, is decided by the recovery core
+// (recovery.Subscriber), which the engine drives; the serving half is
+// logserver.go.
 
 import (
 	"fmt"
@@ -28,7 +30,9 @@ const (
 	// or range signal.
 	elemTopic = "Topic"
 	// elemCursor is the requester's last-delivered sequence; an explicit
-	// zero is the late joiner's "everything retained".
+	// zero is the late joiner's "everything retained". On a range signal
+	// it is the cursor the window served starts after, absent when none
+	// is served.
 	elemCursor = "Cursor"
 	// elemMax is how many records after the cursor a request asks for;
 	// a server sends at most recovery.W, and none when it is absent.
@@ -66,24 +70,11 @@ type Range struct {
 	Gap, Tentative bool
 }
 
-// ReplayInfo extracts the log coordinates a rendezvous stamped onto a
-// propagated message: the origin peer whose log numbered it and the
-// sequence it was assigned. ok is false for messages that never crossed
-// a logging rendezvous. The lookup is allocation-free.
-func ReplayInfo(msg *message.Message) (origin jid.ID, seq uint64, ok bool) {
-	seq, found := msg.Uint64(elemNS, elemSeq)
-	if !found {
-		return jid.Nil, 0, false
-	}
-	origin, err := msg.GetID(elemNS, elemLogSrc)
-	if err != nil {
-		return jid.Nil, 0, false
-	}
-	return origin, seq, true
-}
-
-// viewReplayInfo is ReplayInfo read from the view of a frame.
-func viewReplayInfo(v *message.View) (origin jid.ID, seq uint64, ok bool) {
+// ReplayInfo reads the log coordinates a rendezvous stamped onto a
+// propagated frame through its view: the origin peer whose log numbered
+// it and the sequence it was assigned. ok is false for frames that never
+// crossed a logging rendezvous. The lookup is allocation-free.
+func ReplayInfo(v *message.View) (origin jid.ID, seq uint64, ok bool) {
 	seq, found := v.Uint64(elemNS, elemSeq)
 	if !found {
 		return jid.Nil, 0, false
@@ -122,20 +113,32 @@ func (s *Service) RequestReplay(target jid.ID, topic string, origin jid.ID, afte
 	if origin.IsZero() {
 		origin = target
 	}
-	req := s.newOp(opReplay, 4)
-	req.AddString(elemNS, elemTopic, topic)
-	req.AddUint64(elemNS, elemCursor, after)
-	req.AddUint64(elemNS, elemMax, max)
-	req.AddID(elemNS, elemLogSrc, origin)
 	s.stats.replayRequests.Add(1)
-	return s.ep.Send(addr, ServiceName, topic, req)
+	return s.ep.Send(addr, ServiceName, topic, s.windowOp(opReplay, topic, origin, after, max))
+}
+
+// windowOp builds a ranged read, a replay request or a sync pull: an op
+// naming the window (after, after+max] of origin's log for topic.
+func (s *Service) windowOp(op, topic string, origin jid.ID, after, max uint64) *message.Message {
+	m := s.newOp(op, 4)
+	m.AddString(elemNS, elemTopic, topic)
+	m.AddUint64(elemNS, elemCursor, after)
+	m.AddUint64(elemNS, elemMax, max)
+	m.AddID(elemNS, elemLogSrc, origin)
+	return m
 }
 
 // handleRange hands a received range signal to the reader of its
 // group. The range is attributed to the log origin it names — which,
 // when a replica answers for a dead primary, is the primary rather than
-// the sender — so cursor jumps land on the right origin.
-func (s *Service) handleRange(msg *message.Message) {
+// the sender — so cursor jumps land on the right origin. On a log
+// server a signal in no group answers a sync pull: it is the log
+// server's, never a reader's, and never counted as a gap.
+func (s *Service) handleRange(msg *message.Message, from endpoint.Address) {
+	if _, group, _ := endpoint.Destination(msg); group == "" && s.logs != nil {
+		s.logs.handleSyncRange(msg, from)
+		return
+	}
 	origin, err := msg.GetID(elemNS, elemLogSrc)
 	first, okFirst := msg.Uint64(elemNS, elemFirst)
 	last, okLast := msg.Uint64(elemNS, elemLast)

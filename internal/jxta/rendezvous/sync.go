@@ -4,11 +4,13 @@ package rendezvous
 // rendezvous started with ReplicaSeeds periodically sends each replica
 // a digest of every (origin, topic) log stream it holds — its own
 // topics plus the copies it maintains — and pulls the missing suffix of
-// any stream a replica is ahead on. Records transfer verbatim (origin's
-// sequence, timestamp and frame bytes), so converged copies are
-// byte-identical on disk and the per-segment CRCs in the digest prove
-// it; aligned sequence ranges whose checksums disagree are counted as
-// divergence instead of silently papered over.
+// any stream a replica is ahead on, a window at a time: a pull is
+// served the way a replay is (logserver.go), and each answer's range
+// signal says whether to ask for the next window. Records transfer
+// verbatim (origin's sequence, timestamp and frame bytes), so converged
+// copies are byte-identical on disk and the per-segment CRCs in the
+// digest prove it; aligned sequence ranges whose checksums disagree are
+// counted as divergence instead of silently papered over.
 //
 // Replicas are deliberately NOT mesh-seeded with each other: all live
 // traffic flows through whichever replica the clients elected active,
@@ -23,10 +25,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tps-p2p/tps/internal/eventlog"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/jid"
 	"github.com/tps-p2p/tps/internal/jxta/message"
+	"github.com/tps-p2p/tps/internal/jxta/rendezvous/recovery"
 	"github.com/tps-p2p/tps/internal/jxta/rendezvous/replica"
 	"github.com/tps-p2p/tps/internal/obs"
 )
@@ -39,8 +41,8 @@ const (
 )
 
 // Sync message element names, namespace "rdv". Pulls and records reuse
-// elemLogSrc (stream origin), elemTopic and elemCursor (pull-after)
-// from the replay protocol.
+// the replay protocol's elemLogSrc (stream origin), elemTopic,
+// elemCursor and elemMax (the window), elemSeq and elemFirst.
 const (
 	// elemDigest carries a replica.EncodeDigest blob.
 	elemDigest = "SyncDigest"
@@ -53,11 +55,6 @@ const (
 // DefaultSyncInterval is the anti-entropy digest cadence when
 // Config.SyncInterval is zero.
 const DefaultSyncInterval = 5 * time.Second
-
-// syncPullBatch caps records served per pull request. After a full
-// batch the server re-sends its digest to the requester, which pulls
-// again from its new tail — convergence without a "more" flag.
-const syncPullBatch = 512
 
 // replicaPeer is what we know about one replica: who answered last,
 // when, and the stream tails it advertised.
@@ -73,18 +70,21 @@ type replicaPeer struct {
 // honoured. Without the check any peer could durably plant forged
 // records under another origin's key on a plain durable rendezvous
 // ("replication off by default"), have them mirrored straight to its
-// leased clients, or dump its whole log through a pull. Rejections are
-// counted; peers with no log at all never get here. The membership
-// check also caps replState at the seed-list size — only authorized
-// senders ever reach the map. The address returned is the configured
-// one: from is a piece of the received frame, and replState keeps its
-// key.
-func (l *logServer) syncAuthorized(from endpoint.Address) (endpoint.Address, bool) {
-	if i := slices.Index(l.s.cfg.ReplicaSeeds, from); i >= 0 {
-		return l.s.cfg.ReplicaSeeds[i], true
+// leased clients, or steer what the replica set is said to hold. A pull
+// reads no more than a replay request, which any sender may make; it is
+// gated so that only a seed is sent sync records, and only a seed's
+// answers make this peer pull. Rejections are counted; peers with no
+// log at all never get here. The check also caps replState at the
+// seed-list size. It sets *from to the configured address: the received
+// one is a piece of the frame, and replState keeps its key.
+func (l *logServer) syncAuthorized(from *endpoint.Address) bool {
+	i := slices.Index(l.s.cfg.ReplicaSeeds, *from)
+	if i < 0 {
+		l.s.stats.syncRejects.Add(1)
+		return false
 	}
-	l.s.stats.syncRejects.Add(1)
-	return "", false
+	*from = l.s.cfg.ReplicaSeeds[i]
+	return true
 }
 
 // replicaSetHolds reports what the replica set says about a stream this
@@ -127,23 +127,17 @@ func (l *logServer) syncLoop() {
 // suspect/evict accounting as any other address.
 func (l *logServer) sendDigests() {
 	s := l.s
-	enc := replica.EncodeDigest(l.store.Digest())
+	m := s.newOp(opSyncDigest, 1)
+	m.AddBytes(elemNS, elemDigest, replica.EncodeDigest(l.store.Digest()))
 	now := s.now()
 	for _, addr := range s.cfg.ReplicaSeeds {
 		s.mu.Lock()
 		skip := s.c.closed || s.c.blocked(addr, now)
 		s.mu.Unlock()
 		if !skip {
-			l.sendDigestTo(addr, enc)
+			s.apply(now, input{kind: inSent, from: addr, failed: s.sendCounted(addr, m) != nil})
 		}
 	}
-}
-
-// sendDigestTo ships one encoded digest to one replica address.
-func (l *logServer) sendDigestTo(addr endpoint.Address, enc []byte) {
-	m := l.s.newOp(opSyncDigest, 1)
-	m.AddBytes(elemNS, elemDigest, enc)
-	l.s.apply(l.s.now(), input{kind: inSent, from: addr, failed: l.s.sendCounted(addr, m) != nil})
 }
 
 // handleSyncDigest compares a replica's advertised tails with our own
@@ -151,8 +145,7 @@ func (l *logServer) sendDigestTo(addr endpoint.Address, enc []byte) {
 // ranges with mismatched checksums bump the divergence counter — the
 // verifiable-digest property.
 func (l *logServer) handleSyncDigest(msg *message.Message, from endpoint.Address) {
-	from, ok := l.syncAuthorized(from)
-	if !ok {
+	if !l.syncAuthorized(&from) {
 		return
 	}
 	ds, err := replica.DecodeDigest(msg.Bytes(elemNS, elemDigest))
@@ -183,12 +176,30 @@ func (l *logServer) handleSyncDigest(msg *message.Message, from endpoint.Address
 		if local > 0 && digestFirst(d) > local+1 && l.bridgedElsewhere(from, d.Origin, d.Topic, local) {
 			continue
 		}
-		// Ask for origin's records after our contiguous tail.
-		pull := s.newOp(opSyncPull, 3)
-		pull.AddID(elemNS, elemLogSrc, d.Origin)
-		pull.AddString(elemNS, elemTopic, d.Topic)
-		pull.AddUint64(elemNS, elemCursor, local)
-		_ = s.sendCounted(from, pull)
+		_ = s.sendCounted(from, s.windowOp(opSyncPull, d.Topic, d.Origin, local, recovery.W))
+	}
+}
+
+// handleSyncRange takes a replica's answer to a pull: it serves the
+// window of W records after Cursor, from its retained head First if
+// that is above, and retains up to Last. When Last is past that window
+// the next is asked for at once, while this one's records are on their
+// way: at most two windows of a stream are in flight. A copy whose tail
+// is behind Cursor lost a record of an earlier window: the chain stops,
+// and the next digest round pulls from the contiguous tail again, as it
+// does when a pull, an answer or a record is lost.
+func (l *logServer) handleSyncRange(msg *message.Message, from endpoint.Address) {
+	origin, err := msg.GetID(elemNS, elemLogSrc)
+	topic := msg.Text(elemNS, elemTopic)
+	first, _ := msg.Uint64(elemNS, elemFirst)
+	last, _ := msg.Uint64(elemNS, elemLast)
+	cursor, served := msg.Uint64(elemNS, elemCursor)
+	if !l.syncAuthorized(&from) || err != nil || !served {
+		return
+	}
+	next := max(cursor+1, first) - 1 + recovery.W
+	if last > next && l.store.Last(origin, topic) >= cursor {
+		_ = l.s.sendCounted(from, l.s.windowOp(opSyncPull, topic, origin, next, recovery.W))
 	}
 }
 
@@ -224,48 +235,6 @@ func (l *logServer) bridgedElsewhere(except endpoint.Address, origin jid.ID, top
 	return false
 }
 
-// handleSyncPull serves one batch of a stream's records to a replica
-// that is behind. A full batch means there may be more: the server
-// follows up with a fresh digest so the requester pulls the rest.
-func (l *logServer) handleSyncPull(msg *message.Message, from endpoint.Address) {
-	from, ok := l.syncAuthorized(from)
-	if !ok {
-		return
-	}
-	origin, err := msg.GetID(elemNS, elemLogSrc)
-	topic := msg.Text(elemNS, elemTopic)
-	after, ok := msg.Uint64(elemNS, elemCursor)
-	if err != nil || topic == "" || !ok {
-		return
-	}
-	s := l.s
-	s.stats.syncPulls.Add(1)
-	// Each record names our retained head for the stream, so a requester
-	// whose tail fell below it can tell an origin-side retention gap
-	// (reset and restart at the head) from a transient reorder (skip and
-	// re-pull).
-	srcFirst, _, _ := l.store.Range(origin, topic)
-	served := 0
-	_ = l.store.Read(origin, topic, after, syncPullBatch, func(e eventlog.Entry) error {
-		rec := s.newOp(opSyncRec, 6)
-		rec.AddID(elemNS, elemLogSrc, origin)
-		rec.AddString(elemNS, elemTopic, topic)
-		rec.AddUint64(elemNS, elemSeq, e.Seq)
-		rec.AddUint64(elemNS, elemTime, uint64(e.TimeMS))
-		rec.AddUint64(elemNS, elemFirst, srcFirst)
-		rec.AddBytes(elemNS, elemFrame, e.Payload)
-		if err := s.sendCounted(from, rec); err != nil {
-			return err
-		}
-		served++
-		return nil
-	})
-	s.stats.syncRecords.Add(int64(served))
-	if served == syncPullBatch {
-		l.sendDigestTo(from, replica.EncodeDigest(l.store.Digest()))
-	}
-}
-
 // handleSyncRec applies one pulled record to the local copy of the
 // origin's stream and mirrors it live to any of our own leased clients
 // in that group — their hop filters drop anything already delivered.
@@ -274,10 +243,9 @@ func (l *logServer) handleSyncPull(msg *message.Message, from endpoint.Address) 
 // when the record's stamped retained head proves the sender trimmed
 // past our tail: then the copy is reset and restarted at the head (a
 // counted retention gap), because the bridge records no longer exist
-// anywhere and waiting would re-pull the same batch forever.
+// anywhere and waiting would re-pull the same window forever.
 func (l *logServer) handleSyncRec(msg *message.Message, from endpoint.Address) {
-	from, ok := l.syncAuthorized(from)
-	if !ok {
+	if !l.syncAuthorized(&from) {
 		return
 	}
 	origin, err := msg.GetID(elemNS, elemLogSrc)
