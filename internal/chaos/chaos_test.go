@@ -209,6 +209,11 @@ func TestLossyLinkDegradesProportionally(t *testing.T) {
 		lossyProbe := lossy.subscribe(t)
 		pub := edge(t, c, tps.Config{Name: "pub", Seeds: []string{"rdv"}})
 		pub.ready(t)
+		// No log: what is published before a subscriber's group holds its
+		// lease is lost, on the clean link too.
+		if !good.eng.AwaitReady(1, 10*time.Second) {
+			t.Fatal("clean-link subscriber never ready")
+		}
 		if !lossy.eng.AwaitReady(1, 10*time.Second) {
 			t.Fatal("lossy subscriber never ready")
 		}

@@ -124,7 +124,7 @@ func newEventMessage(src jid.ID, event any) (*message.Message, error) {
 // first. A peer nobody can be reached from has still delivered locally:
 // that is not an error.
 func (e *Engine) publish(a *attachment, event any, msg *message.Message) error {
-	e.traceDeliver(msg)
+	e.traceDeliver(msg.Bytes(trace.ElemNS, trace.ElemName), func() []jid.ID { return msg.Path })
 	e.deliver(event, msg.Src)
 	if err := e.rdv.Propagate(msg, EventService, a.param); err != nil && !errors.Is(err, rendezvous.ErrNoPeers) {
 		return fmt.Errorf("propagate: %w", err)
@@ -147,8 +147,14 @@ func (e *Engine) detach(a *attachment) {
 }
 
 // Deliver implements rendezvous.Reader: it decodes and dispatches one
-// event off the network. Events this peer publishes never come through
-// here: publish delivers them locally by value.
+// event off the network, read from the view of its frame — the gob blob
+// of tps:Data, the publisher, and for a traced event its trace element
+// and path. Events this peer publishes never come through here: publish
+// delivers them locally by value.
+//
+// The engine keeps nothing of the view: the decoded value is cut from a
+// block of its own (codec.Gob.Decode), the publisher is an ID by value,
+// and a traced event's path is copied out of the frame.
 //
 // Exactly-once: a duplicate never reaches the engine. The rendezvous
 // service hands a group's reader a frame only past its hop filter
@@ -159,26 +165,29 @@ func (e *Engine) detach(a *attachment) {
 // payload of any given event is gob-decoded at most once on this peer,
 // and the decoded value is shared across every matching subscription
 // and interface callback (dispatch fans the same value out).
-func (a *attachment) Deliver(msg *message.Message, _ endpoint.Address) {
+func (a *attachment) Deliver(v message.View, _ endpoint.Address) {
 	e := a.e
-	e.traceDeliver(msg)
-	value, err := (codec.Gob{}).Decode(msg.Bytes(elemNS, elemData), a.node.Type())
+	e.traceDeliver(v.Bytes(trace.ElemNS, trace.ElemName), func() []jid.ID { return v.AppendPath(nil) })
+	value, err := (codec.Gob{}).Decode(v.Bytes(elemNS, elemData), a.node.Type())
 	if err != nil {
 		e.stats.decodeErrors.Add(1)
 		e.subs.dispatchError(e.reg, a.node, fmt.Errorf("tps: decode %s: %w", a.path, err))
 		return
 	}
-	e.deliver(value, msg.Src)
+	e.deliver(value, v.Src())
 }
 
-// traceDeliver measures the transit of a traced event, which carries its
-// publisher's clock, and archives its deliver hop. The probe is an
-// alloc-free element scan, so an untraced message pays only that.
-func (e *Engine) traceDeliver(msg *message.Message) {
-	if ev, sentUS, ok := trace.Info(msg); ok {
+// traceDeliver measures the transit of an event whose trace element is
+// trc — a traced event carries its publisher's clock — and archives its
+// deliver hop, with the path the event crossed. path is called for a
+// traced event on a peer that keeps traces alone. The probe is an
+// alloc-free decode of an element's payload, so an untraced event pays
+// only its lookup.
+func (e *Engine) traceDeliver(trc []byte, path func() []jid.ID) {
+	if ev, sentUS, ok := trace.Decode(trc); ok {
 		e.histTransit.Observe(time.Duration(time.Now().UnixMicro()-sentUS) * time.Microsecond)
 		if e.tracer != nil {
-			e.tracer.Record(ev, trace.StageDeliver, e.peer.ID(), sentUS, msg.Path)
+			e.tracer.Record(ev, trace.StageDeliver, e.peer.ID(), sentUS, path())
 		}
 	}
 }

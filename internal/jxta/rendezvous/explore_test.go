@@ -6,8 +6,9 @@ package rendezvous
 // time: every ordering of ticks, joins and leaves, deliveries, losses
 // and duplicates of control frames, a restart under the same ID and
 // clock jumps, to a fixed depth, with states hashed so each is expanded
-// once. Five invariants are checked at every state; a violation prints
-// the inputs that led to it, which xReplay runs again.
+// once. Six invariants are checked: (i)–(v) after every input, (vi)
+// once for each state the search meets. A violation prints the inputs
+// that led to it, which xReplay runs again.
 
 import (
 	"encoding/binary"
@@ -603,6 +604,41 @@ func (w *xWorld) check() {
 	}
 }
 
+// xAddrs are the addresses a send can go to: each peer's, and each
+// rendezvous' under the name it is a seed under.
+var xAddrs = slices.Concat(xNames[:], []endpoint.Address{"dns:r0", "dns:r1"})
+
+// checkArrivals is invariant (vi), checked on a state the search has not
+// met before: on a core whose detector is empty, a send that arrived,
+// at any address, is the identity — the core's key stays as it is and
+// no output is decided. The driver counts on it: a fan-out whose sends
+// all arrived steps the core only while the detector holds an entry
+// (settle). As check does, it looks at the cores the last input
+// touched. The arrivals are stepped on the core itself when this state
+// owns it — a core they changed is a violation, and the search goes no
+// further from it — and on a copy otherwise.
+func (w *xWorld) checkArrivals() {
+	for p, c := range w.cores {
+		if !w.touched[p] || len(c.det) > 0 || w.bad != "" {
+			continue
+		}
+		if w.enc[p] == nil {
+			w.enc[p] = w.encode(p)
+		}
+		if !w.owned[p] {
+			c = cloneCore(c)
+		}
+		for _, addr := range xAddrs {
+			if outs := c.step(w.now, input{kind: inSent, from: addr}, nil); len(outs) > 0 {
+				w.fail("(vi) an arrival decided something: a send to %s that arrived made %s, whose detector was empty, send %s to %s", addr, xNames[p], outs[0].op, outs[0].to)
+			}
+		}
+		if !slices.Equal(xKey(p, c, w.now), w.enc[p]) {
+			w.fail("(vi) an arrival changed the core: sends that arrived changed %s, whose detector was empty", xNames[p])
+		}
+	}
+}
+
 // converges is the second half of (iv): once the network heals, a fixed
 // suffix of ticks and in-order deliveries ends with every ActiveStandby
 // edge leasing each of its groups with exactly one seed.
@@ -710,8 +746,10 @@ func xRel(t, now time.Time, floor time.Duration) int64 {
 }
 
 // encode is core p's part of the hash.
-func (w *xWorld) encode(p int) []byte {
-	c := w.cores[p]
+func (w *xWorld) encode(p int) []byte { return xKey(p, w.cores[p], w.now) }
+
+// xKey is core c's part of the hash as peer p's at now.
+func xKey(p int, c *core, now time.Time) []byte {
 	b := make([]byte, 0, 256)
 	num := func(v int64) { b = binary.AppendVarint(b, v) }
 	num(int64(p))
@@ -726,7 +764,7 @@ func (w *xWorld) encode(p int) []byte {
 	for _, table := range []map[jid.ID]*peerEntry{c.clients, c.rdvs} {
 		var rows [][5]int64
 		for id, e := range table {
-			rows = append(rows, [5]int64{int64(xIndexOf(id)<<4 | xSet(e.groups)), int64(xIndex(e.addr)), xRel(e.expires, w.now, 0), int64(e.epoch), int64(e.seed)})
+			rows = append(rows, [5]int64{int64(xIndexOf(id)<<4 | xSet(e.groups)), int64(xIndex(e.addr)), xRel(e.expires, now, 0), int64(e.epoch), int64(e.seed)})
 		}
 		slices.SortFunc(rows, func(a, b [5]int64) int { return slices.Compare(a[:], b[:]) })
 		num(int64(len(rows)))
@@ -738,7 +776,7 @@ func (w *xWorld) encode(p int) []byte {
 	}
 	var rows [][4]int64
 	for a, h := range c.det {
-		rows = append(rows, [4]int64{int64(xIndex(a)), int64(h.fails), xBits(h.suspect), xRel(h.bannedUntil, w.now, 0)})
+		rows = append(rows, [4]int64{int64(xIndex(a)), int64(h.fails), xBits(h.suspect), xRel(h.bannedUntil, now, 0)})
 	}
 	slices.SortFunc(rows, func(a, b [4]int64) int { return slices.Compare(a[:], b[:]) })
 	for _, r := range rows {
@@ -748,7 +786,7 @@ func (w *xWorld) encode(p int) []byte {
 	}
 	for _, s := range c.seeds {
 		num(int64(s.fails))
-		num(xRel(s.next, w.now, 0))
+		num(xRel(s.next, now, 0))
 	}
 	num(int64(c.active))
 	return b
@@ -790,6 +828,9 @@ func exploreTo(w *xWorld, depth int, bad map[string]xViolation) (states int) {
 			path = append(path, ev)
 			h := n.hash()
 			d, ok := seen[h]
+			if !ok {
+				n.checkArrivals()
+			}
 			if !ok && n.bad == "" && n.setup.cfgs[2].ActiveStandby {
 				n.bad = n.converges()
 			}
@@ -818,6 +859,7 @@ func xReplay(s *xSetup, trace []xEvent) string {
 	w := xNew(s)
 	for _, ev := range trace {
 		w.apply(ev)
+		w.checkArrivals()
 		if w.bad == "" && s.cfgs[2].ActiveStandby {
 			w.bad = w.converges()
 		}
@@ -847,6 +889,8 @@ func TestControlPlaneExplorer(t *testing.T) {
 		t.Run(s.name, func(t *testing.T) {
 			start := time.Now()
 			w := xNew(&s)
+			w.touched = [4]bool{true, true, true, true}
+			w.checkArrivals()
 			if w.bad == "" && s.cfgs[2].ActiveStandby {
 				w.bad = w.converges()
 			}

@@ -31,7 +31,7 @@ func (s *Service) apply(now time.Time, in input) {
 	}
 	var buf [8]output
 	s.mu.Lock()
-	outs := s.c.step(now, in, buf[:0])
+	outs := s.step(now, in, buf[:0])
 	// Proof of life alone never lets a waiter return.
 	if in.kind != inPong && (in.kind != inSent || in.failed) {
 		s.conn.Broadcast()
@@ -42,6 +42,20 @@ func (s *Service) apply(now time.Time, in input) {
 	}
 	s.mu.Unlock()
 	s.carryOut(now, outs, fns)
+}
+
+// step steps the core on one input at now, under s.mu, and publishes
+// what the per-frame path reads of the core without the lock: it marks
+// the fan-out's targets stale after every step but an arrival's, a
+// pong's and a connect round's, which touch the detector or the seeds
+// alone, and it stores the detector's size (watched).
+func (s *Service) step(now time.Time, in input, out []output) []output {
+	out = s.c.step(now, in, out)
+	if in.kind != inRound && (in.kind != inSent && in.kind != inPong || in.failed) {
+		s.stale.Store(true)
+	}
+	s.watched.Store(int64(len(s.c.det)))
+	return out
 }
 
 // carryOut performs outside the lock what a step at now decided: the

@@ -423,8 +423,8 @@ func (r *replayRig) requestFrom(t *testing.T, origin jid.ID, after, max uint64) 
 	}
 }
 
-func (r *replayRig) Deliver(m *message.Message, _ endpoint.Address) {
-	_, seq, _ := replayInfo(m)
+func (r *replayRig) Deliver(v message.View, _ endpoint.Address) {
+	_, seq, _ := rendezvous.ReplayInfo(&v)
 	r.mu.Lock()
 	r.arrived = append(r.arrived, time.Now())
 	r.seqs = append(r.seqs, seq)

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
@@ -75,11 +74,13 @@ func (s *Service) Propagate(msg *message.Message, dsvc, dparam string, envelope 
 // (Read), and its frames reach it through the hop filter alone. Its
 // methods run on the transport's receive goroutine and must not block.
 type Reader interface {
-	// Deliver is handed each frame of the group the hop filter lets
-	// through, decoded. The message is the reader's to keep and to
-	// change: a rendezvous forwards the frame it was decoded from, which
-	// nobody writes.
-	Deliver(msg *message.Message, from endpoint.Address)
+	// Deliver is handed a view of each frame of the group the hop
+	// filter lets through. The view is lent for the call: a reader keeps
+	// nothing of it — no string or slice it handed out — past the call,
+	// and one that keeps the message calls v.Message(), which is the
+	// reader's to keep and to change. A rendezvous forwards the frame
+	// after the call, from the bytes it received, which nobody writes.
+	Deliver(v message.View, from endpoint.Address)
 	// Logged is told the log coordinates of every logged frame of the
 	// group, a duplicate the hop filter drops included: the replayed
 	// copy of an event that arrived live is what moves a cursor into
@@ -91,11 +92,12 @@ type Reader interface {
 }
 
 // DeliverFunc is the Reader of a group nobody replays: it is handed the
-// group's frames and ignores log coordinates and range signals.
+// group's frames decoded, each message its to keep, and ignores log
+// coordinates and range signals.
 type DeliverFunc func(msg *message.Message, from endpoint.Address)
 
-// Deliver implements Reader.
-func (f DeliverFunc) Deliver(msg *message.Message, from endpoint.Address) { f(msg, from) }
+// Deliver implements Reader: it decodes the frame v views.
+func (f DeliverFunc) Deliver(v message.View, from endpoint.Address) { f(v.Message(), from) }
 
 // Logged implements Reader.
 func (DeliverFunc) Logged(jid.ID, uint64) {}
@@ -138,10 +140,11 @@ func (s *Service) reader(group string) Reader {
 
 // handleProp is the hop filter and what follows it, with one lookup of
 // the frame's group reader: the reader is told the frame's log
-// coordinates, a duplicate's too, and is handed a fresh frame, which a
-// rendezvous then forwards. It reads the frame through its view and
-// decodes it for the group's reader alone: a rendezvous the group has
-// no reader on forwards the bytes it received and builds no message.
+// coordinates, a duplicate's too, and is handed a view of a fresh
+// frame, which a rendezvous then forwards. Nothing here decodes the
+// frame: it is read through its view, by the hop and by the reader,
+// which decodes what it reads itself, and a rendezvous forwards the
+// bytes it received.
 func (s *Service) handleProp(v *message.View, from endpoint.Address) {
 	fresh := s.hops.observe(v.ID(), v.Src())
 	group := v.Text(elemNS, elemDParam)
@@ -159,7 +162,7 @@ func (s *Service) handleProp(v *message.View, from endpoint.Address) {
 		return
 	}
 	if r != nil {
-		r.Deliver(v.Message(), from)
+		r.Deliver(*v, from)
 		s.stats.delivered.Add(1)
 	}
 	// Forward deeper into the mesh. Edge peers terminate propagation;
@@ -209,49 +212,92 @@ func (s *Service) traceForward(trc []byte, path func() []jid.ID) {
 // netGroup is the net group's endpoint parameter.
 var netGroup = jid.NetGroup.String()
 
-// target is one peer a frame of a group goes to, at the address of a
-// live lease of its that carries the group: the one it holds with us as
-// a client (client), or else ours with it.
+// target is one peer a frame of a group goes to: its leases that carry
+// the group — the one it holds with us as a client and ours with it —
+// as the core held them when the driver published the lists.
 type target struct {
-	id     jid.ID
-	addr   endpoint.Address
-	client bool
-	sent   uint8 // what fanOut's send to it did: sentOK, sentFailed, or 0 for none
+	id          jid.ID
+	client, rdv route // the zero route is no lease
 }
 
-// The outcomes of a fan-out's send to a target.
-const (
-	sentOK uint8 = iota + 1
-	sentFailed
-)
+// route is where a lease sends a frame, and until when.
+type route struct {
+	addr    endpoint.Address
+	expires time.Time
+}
 
-// targetPool holds the scratch a fan-out copies its targets into, so a
-// frame pays no allocation for them.
-var targetPool = sync.Pool{New: func() any { return new([]target) }}
+func (r route) live(now time.Time) bool { return !now.After(r.expires) }
 
-// targets copies the targets of group at now from the list the core
-// keeps — the peers leased to us for it and the rendezvous we hold a
-// lease for it with, each once — into scratch from targetPool, which
-// the caller puts back. The list moves with the tables, not with time:
-// a lapsed lease is skipped here.
-func (s *Service) targets(group string, now time.Time) *[]target {
-	l := targetPool.Get().(*[]target)
-	*l = (*l)[:0]
-	s.mu.Lock()
-	from, named := s.c.lists[group]
+// to is the address a fan-out at now sends a frame to t at: its client
+// lease's while that is live, or else ours with it. ok is false when
+// neither is, and for the frame's publisher (except) and a peer on its
+// path (visited).
+func (t *target) to(now time.Time, except jid.ID, visited func(jid.ID) bool) (addr endpoint.Address, ok bool) {
+	r := t.client
+	if !r.live(now) {
+		r = t.rdv
+	}
+	if !r.live(now) || t.id == except || visited(t.id) {
+		return "", false
+	}
+	return r.addr, true
+}
+
+// targetLists is the fan-out's targets of every group some lease names,
+// and under "" every other group's: the core's lists, each member with
+// the address and expiry of its leases. The driver publishes them
+// (Service.fan), and nobody changes a published one.
+type targetLists map[string][]target
+
+// targets returns the targets of group — the peers leased to us for it
+// and the rendezvous we hold a lease for it with, each once — from the
+// lists the driver published: the per-frame path takes no lock of the
+// control core's, but after a step that marked the lists stale, once.
+// The lists move with the tables, not with time: the caller skips a
+// lapsed lease.
+func (s *Service) targets(group string) []target {
+	if s.stale.Load() {
+		s.publishTargets()
+	}
+	lists := *s.fan.Load()
+	l, named := lists[group]
 	if !named {
-		from = s.c.lists[""]
+		l = lists[""]
 	}
-	for _, m := range from {
-		switch {
-		case m.client != nil && !now.After(m.client.expires):
-			*l = append(*l, target{id: m.id, addr: m.client.addr, client: true})
-		case m.rdv != nil && !now.After(m.rdv.expires):
-			*l = append(*l, target{id: m.id, addr: m.rdv.addr})
-		}
-	}
-	s.mu.Unlock()
 	return l
+}
+
+// publishTargets copies the core's lists into new targetLists, one
+// array for every group's, and publishes them, unless another fan-out
+// did since the step that marked them stale.
+func (s *Service) publishTargets() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.stale.Load() {
+		return
+	}
+	n := 0
+	for _, l := range s.c.lists {
+		n += len(l)
+	}
+	all := make([]target, 0, n)
+	lists := make(targetLists, len(s.c.lists))
+	for g, l := range s.c.lists {
+		at := len(all)
+		for _, m := range l {
+			t := target{id: m.id}
+			if m.client != nil {
+				t.client = route{m.client.addr, m.client.expires}
+			}
+			if m.rdv != nil {
+				t.rdv = route{m.rdv.addr, m.rdv.expires}
+			}
+			all = append(all, t)
+		}
+		lists[g] = all[at:len(all):len(all)]
+	}
+	s.fan.Store(&lists)
+	s.stale.Store(false)
 }
 
 // logged is the durable step Propagate and forward share. A message a
@@ -282,14 +328,15 @@ func (s *Service) logged(group string, write func(seq uint64) ([]byte, error)) [
 func (s *Service) fanOut(group string, except jid.ID, visited func(jid.ID) bool, frame []byte, write func(seq uint64) ([]byte, error)) (attempted, failed int) {
 	s.stats.propagated.Add(1)
 	now := s.now()
-	tl := s.targets(group, now)
-	defer targetPool.Put(tl)
+	tl := s.targets(group)
+	var buf [4]endpoint.Address
+	fails := buf[:0] // the addresses whose sends failed, for settle
 
 	// Write once: every target receives the identical frame, so the
 	// envelope-and-encode work must not be repeated per peer.
-	for i := range *tl {
-		t := &(*tl)[i]
-		if t.id == except || visited(t.id) {
+	for i := range tl {
+		addr, ok := tl[i].to(now, except, visited)
+		if !ok {
 			continue
 		}
 		if frame == nil {
@@ -299,43 +346,49 @@ func (s *Service) fanOut(group string, except jid.ID, visited func(jid.ID) bool,
 			}
 		}
 		attempted++
-		t.sent = sentOK
-		if err := s.ep.SendFrame(t.addr, frame); err != nil {
+		if err := s.ep.SendFrame(addr, frame); err != nil {
 			// Unreachable peers age out via lease expiry; the failure
 			// accounting gets them suspected, probed and evicted sooner.
-			failed++
 			s.stats.sendFailures.Add(1)
-			t.sent = sentFailed
+			fails = append(fails, addr)
 		}
 	}
 	if frame != nil {
 		endpoint.RecycleFrame(frame)
 	}
-	if attempted > 0 {
-		s.settle(now, *tl)
+	if attempted > 0 && (len(fails) > 0 || s.watched.Load() > 0) {
+		s.settle(now, tl, except, visited, fails)
 	}
-	return attempted, failed
+	return attempted, len(fails)
 }
 
-// settle feeds the core the outcome of one fan-out's sends, the
-// successes and then the failures, as apply would one by one, under
-// one hold of the lock: a send that arrived is proof of life for its
-// address, a failed one counts towards its suspicion. What the core
-// decides — a failure's probe — is sent after the fan-out's own sends,
-// so a probe does not distort the fan-out's accounting. A send's
-// outcome starts no lease epoch, so no listener is told of one.
-func (s *Service) settle(now time.Time, tl []target) {
+// settle feeds the core the outcome of one fan-out's sends to tl at now
+// — to each target fanOut sent to, of which those at fails failed — the
+// arrivals and then the failures, as apply would one by one, under one
+// hold of the lock: an arrival is proof of life for its address, a
+// failure counts towards its suspicion. An arrival at an address the
+// detector holds nothing for is the identity of the core, so fanOut
+// calls settle only when a send failed or the detector holds an entry
+// (Service.watched), and settle steps arrivals only in the latter case.
+// What the core decides — a failure's probe — is sent after the
+// fan-out's own sends, so a probe does not distort the fan-out's
+// accounting. A send's outcome starts no lease epoch, so no listener is
+// told of one.
+func (s *Service) settle(now time.Time, tl []target, except jid.ID, visited func(jid.ID) bool, fails []endpoint.Address) {
 	var buf [8]output
 	outs := buf[:0]
 	s.mu.Lock()
-	for _, want := range []uint8{sentOK, sentFailed} {
-		for _, t := range tl {
-			if t.sent == want {
-				outs = s.c.step(now, input{kind: inSent, from: t.addr, failed: want == sentFailed}, outs)
+	if len(s.c.det) > 0 {
+		for i := range tl {
+			if addr, ok := tl[i].to(now, except, visited); ok && !slices.Contains(fails, addr) {
+				outs = s.step(now, input{kind: inSent, from: addr}, outs)
 			}
 		}
 	}
-	if slices.ContainsFunc(tl, func(t target) bool { return t.sent == sentFailed }) {
+	for _, addr := range fails {
+		outs = s.step(now, input{kind: inSent, from: addr, failed: true}, outs)
+	}
+	if len(fails) > 0 {
 		s.conn.Broadcast()
 	}
 	s.mu.Unlock()

@@ -35,8 +35,12 @@
 // and of each probe, fan-out and digest send. The core keeps the
 // fan-out's per-group list of the leases that carry the group, which
 // moves when a lease comes, goes or changes its set, not when it is
-// renewed, so the per-message path (propagate.go) reads it without
-// scanning the tables. A log server
+// renewed. The driver publishes a copy of the lists, with each lease's
+// address and expiry, that nobody changes, and marks it stale after a
+// step that may move them; so the per-message path (propagate.go) reads
+// its targets and settles sends that all arrived without s.mu, and
+// takes it once after such a step, or when a send failed or the
+// detector holds an entry. A log server
 // (logserver.go, sync.go) exists on rendezvous peers with an event log
 // alone: an edge peer never constructs one, so replay and sync ops
 // addressed to it are dropped at dispatch.
@@ -50,6 +54,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tps-p2p/tps/internal/eventlog"
@@ -243,6 +248,16 @@ type Service struct {
 	// send, so the connects that carry the peer's set leave in turn.
 	order sync.Mutex
 
+	// fan is the fan-out's targets, which the per-frame path reads
+	// without s.mu: the driver marks them stale after a step that may
+	// move them (step), and the next fan-out publishes them anew
+	// (publishTargets). watched is the detector's size after the last
+	// step: a fan-out whose sends all arrived steps the core only when
+	// it is not 0 (settle).
+	fan     atomic.Pointer[targetLists]
+	stale   atomic.Bool
+	watched atomic.Int64
+
 	// leaseFns hear of every new lease epoch: lazily allocated, under
 	// mu, keyed by the token AddLeaseListener returned.
 	leaseFns  map[int]LeaseListener
@@ -296,6 +311,7 @@ func New(ep Endpoint, cfg Config) (*Service, error) {
 		stop:    make(chan struct{}),
 	}
 	s.c = newCore(&s.cfg, rand.Uint64())
+	s.stale.Store(true)
 	s.conn = sync.NewCond(&s.mu)
 	if cfg.Role == RoleRendezvous && cfg.Log != nil {
 		s.logs = newLogServer(s)
@@ -334,7 +350,7 @@ func (s *Service) Close() {
 		s.mu.Unlock()
 		return
 	}
-	outs := s.c.step(s.now(), input{kind: inClose}, nil)
+	outs := s.step(s.now(), input{kind: inClose}, nil)
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()

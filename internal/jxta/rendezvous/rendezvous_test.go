@@ -89,8 +89,8 @@ func subscribe(t *testing.T, p *testPeer, group string) *msgSink {
 	return s
 }
 
-// msgSink is a group's reader that records the frames and the range
-// signals it is handed.
+// msgSink is a group's reader that records the frames, decoded, and the
+// range signals it is handed.
 type msgSink struct {
 	mu     sync.Mutex
 	msgs   []*message.Message
@@ -98,7 +98,8 @@ type msgSink struct {
 	ch     chan *message.Message
 }
 
-func (s *msgSink) Deliver(msg *message.Message, _ endpoint.Address) {
+func (s *msgSink) Deliver(v message.View, _ endpoint.Address) {
+	msg := v.Message() // kept past the call
 	s.mu.Lock()
 	s.msgs = append(s.msgs, msg)
 	s.mu.Unlock()

@@ -276,15 +276,13 @@ func (l *logServer) handleSyncRec(msg *message.Message, from endpoint.Address) {
 	// live. This is what keeps a standby's clients current while the
 	// primary is unreachable from them but not from the replica set.
 	now := s.now()
-	tl := s.targets(topic, now)
-	defer targetPool.Put(tl)
-	for _, t := range *tl {
-		if !t.client {
+	for _, t := range s.targets(topic) {
+		if !t.client.live(now) {
 			continue
 		}
-		if err := s.ep.SendFrame(t.addr, frame); err != nil {
+		if err := s.ep.SendFrame(t.client.addr, frame); err != nil {
 			s.stats.sendFailures.Add(1)
-			s.apply(now, input{kind: inSent, from: t.addr, failed: true})
+			s.apply(now, input{kind: inSent, from: t.client.addr, failed: true})
 		}
 	}
 }

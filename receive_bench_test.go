@@ -17,6 +17,7 @@ import (
 	"time"
 
 	tps "github.com/tps-p2p/tps"
+	"github.com/tps-p2p/tps/internal/israce"
 	"github.com/tps-p2p/tps/internal/jxta/endpoint"
 	"github.com/tps-p2p/tps/internal/jxta/message"
 	"github.com/tps-p2p/tps/internal/jxta/transport/memnet"
@@ -89,7 +90,7 @@ type receiveStack struct {
 	delivered atomic.Int64 // callbacks run, on every subscriber
 }
 
-func newReceiveStack(b *testing.B, subs, pad int, logDir string) *receiveStack {
+func newReceiveStack(b testing.TB, subs, pad int, logDir string) *receiveStack {
 	b.Helper()
 	wan := netsim.New(netsim.Config{})
 	b.Cleanup(wan.Close)
@@ -167,13 +168,27 @@ func newReceiveStack(b *testing.B, subs, pad int, logDir string) *receiveStack {
 
 // published publishes n events, each a fresh message ID, and returns the
 // frames the publisher sent the rendezvous for them.
-func (st *receiveStack) published(b *testing.B, n int) [][]byte {
+func (st *receiveStack) published(b testing.TB, n int) [][]byte {
 	st.pub.mode.Store(linkCapture)
 	defer st.pub.mode.Store(linkLive)
 	st.publish(n)
 	frames := st.pub.take()
 	if len(frames) != n {
 		b.Fatalf("%d publishes sent %d event frames", n, len(frames))
+	}
+	return frames
+}
+
+// fannedOut publishes n events and has the rendezvous, whose sends the
+// caller captures, fan each out: it returns the frames it sent the one
+// subscriber, the frames an edge receives.
+func (st *receiveStack) fannedOut(tb testing.TB, n int) [][]byte {
+	for _, f := range st.published(tb, n) {
+		st.rdv.receive(f)
+	}
+	frames := st.rdv.take()
+	if len(frames) != n {
+		tb.Fatalf("the rendezvous fanned %d frames out as %d", n, len(frames))
 	}
 	return frames
 }
@@ -232,16 +247,7 @@ func BenchmarkReceivePath(b *testing.B) {
 			st := newReceiveStack(b, 1, pad, "")
 			st.rdv.mode.Store(linkCapture)
 			sub := st.subs[0]
-			runReceive(b, sub.receive, func(n int) [][]byte {
-				for _, f := range st.published(b, n) {
-					st.rdv.receive(f)
-				}
-				frames := st.rdv.take()
-				if len(frames) != n {
-					b.Fatalf("the rendezvous fanned %d frames out as %d", n, len(frames))
-				}
-				return frames
-			}, 1)
+			runReceive(b, sub.receive, func(n int) [][]byte { return st.fannedOut(b, n) }, 1)
 			if got := st.delivered.Load(); got != int64(b.N) {
 				b.Fatalf("%d frames ran %d callbacks", b.N, got)
 			}
@@ -267,4 +273,34 @@ func BenchmarkReceivePath(b *testing.B) {
 	b.Run("rendezvous_8x2k", rendezvous(false))
 	b.Run("rendezvous_durable_8x2k", rendezvous(true))
 	b.Run("edge_64b", edge(64))
+}
+
+// TestEdgeDeliveryAllocBudget gates the subscriber edge that
+// BenchmarkReceivePath's edge variants time, a 64 B and a 2 kB offer: a
+// frame in off the transport, the hop filter, the engine's decode from
+// the frame's view and the callback allocate one object a delivery,
+// the decoded value's block: nothing decodes the frame into a message.
+func TestEdgeDeliveryAllocBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, pad := range []int{64, 1710} {
+		st := newReceiveStack(t, 1, pad, "")
+		st.rdv.mode.Store(linkCapture)
+		const runs = 200
+		frames := st.fannedOut(t, runs+2) // one to warm up, and AllocsPerRun runs once more first
+		sub := st.subs[0]
+		sub.receive(frames[0])
+		next := 1
+		allocs := testing.AllocsPerRun(runs, func() {
+			sub.receive(frames[next])
+			next++
+		})
+		if got := st.delivered.Load(); got != runs+2 {
+			t.Fatalf("%d B pad: %d frames ran %d callbacks", pad, runs+2, got)
+		}
+		if allocs > 1 {
+			t.Errorf("%d B pad: an edge delivery allocates %.1f objects, budget is 1 (measured 1: the decoded value; 2 with the frame decoded into a message for the engine)", pad, allocs)
+		}
+	}
 }
